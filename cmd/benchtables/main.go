@@ -15,9 +15,10 @@
 // only), and -coldboot (or OSIRIS_COLD_BOOT=1) boots every run from
 // scratch instead — same tables, historical setup cost. Warm-served
 // runs splice the pathfinder's recorded suffix when their state
-// fingerprint matches a ladder rung; -noelide (or OSIRIS_NO_ELIDE=1)
-// pins every run to full suffix execution — same tables, the elision
-// bit-identity oracle. -list prints
+// fingerprint matches a ladder rung, and end a provably wedged run as
+// the hang it is instead of simulating it to the cycle limit; -noelide
+// (or OSIRIS_NO_ELIDE=1) pins both off and executes every run to its
+// end — same tables, the bit-identity oracle. -list prints
 // the section keys accepted by -only and exits. -json writes a
 // machine-readable report with per-section wall-clock and process
 // allocation statistics alongside the table data.
@@ -46,7 +47,7 @@ func main() {
 		only       = flag.String("only", "", "comma-separated subset: 1,2,3,4,5,6,f3,mf,ablation,ipc,ckpt,cluster,warmboot,elide (default all)")
 		workers    = flag.Int("workers", 0, "concurrent simulated machines (0 = one per CPU, 1 = serial)")
 		coldBoot   = flag.Bool("coldboot", false, "boot every campaign run from scratch instead of forking a warm image")
-		noElide    = flag.Bool("noelide", false, "execute every run's suffix in full instead of splicing the pathfinder tail on fingerprint match (the elision bit-identity oracle)")
+		noElide    = flag.Bool("noelide", false, "execute every run to its end: no tail splice on fingerprint match, no wedge certificate for hung runs (the bit-identity oracle)")
 		snapCache  = flag.String("snapcache", "", "snapshot-ladder cache budget in bytes, with optional KiB/MiB/GiB suffix (empty: OSIRIS_SNAPSHOT_CACHE or built-in default; negative: boot-barrier snapshot only)")
 		list       = flag.Bool("list", false, "print the section keys accepted by -only and exit")
 		jsonPath   = flag.String("json", "", "write a machine-readable report to this file")

@@ -76,10 +76,14 @@
 // fault has fully recovered and its state fingerprint matches the
 // pathfinder's rung record, the remaining suite suffix is elided: the
 // recorded tail deltas are spliced in place of re-execution, with
-// results bit-identical either way. -noelide (or OSIRIS_NO_ELIDE)
-// pins full suffix execution — the elision bit-identity oracle. Each
-// policy row is followed by "warm plane:" and "elision:" lines
-// reporting how its runs were served.
+// results bit-identical either way. A warm run that wedges instead — a
+// test waiting forever for an event that died with the crashed server —
+// is ended as the hang it is once a few identical heartbeat rounds
+// prove it, instead of simulating the rest of its cycle budget.
+// -noelide (or OSIRIS_NO_ELIDE) pins both suffix mechanisms off: full
+// execution to the end, the bit-identity oracle. Each policy row is
+// followed by "warm plane:" and "elision:" lines reporting how its runs
+// were served.
 package main
 
 import (
@@ -108,7 +112,7 @@ func main() {
 		runs       = flag.Int("runs", 40, "boots per policy in the multi-fault campaign")
 		workers    = flag.Int("workers", 0, "concurrent boots (0 = one per CPU, 1 = serial)")
 		coldBoot   = flag.Bool("coldboot", false, "boot every run from scratch instead of forking a warm image")
-		noElide    = flag.Bool("noelide", false, "execute every warm run's suite suffix in full instead of splicing the recorded pathfinder tail at fingerprinted convergence")
+		noElide    = flag.Bool("noelide", false, "execute every warm run to its end: no tail splice at fingerprinted convergence, no wedge certificate for hung runs (the bit-identity oracle)")
 		snapCache  = flag.String("snapcache", "", "snapshot-ladder cache budget in bytes, with optional KiB/MiB/GiB suffix (empty: OSIRIS_SNAPSHOT_CACHE or built-in default; negative: boot-barrier snapshot only)")
 		recordDir  = flag.String("record", "", "write a replayable JSON trace for every failed/degraded/inconsistent run into this directory")
 		resumePath = flag.String("resume", "", "journal completed runs to this file and resume from it after a crash (single -policy campaigns only)")
@@ -483,10 +487,10 @@ func printPlaneStats(s faultinject.PlaneStats) {
 		line += ")"
 	}
 	fmt.Println(line)
-	if s.Elided == 0 && len(s.ElisionFallbacks) == 0 {
+	if s.Elided == 0 && s.Wedged == 0 && len(s.ElisionFallbacks) == 0 {
 		return
 	}
-	line = fmt.Sprintf("  elision: %d tails elided", s.Elided)
+	line = fmt.Sprintf("  elision: %d tails elided, %d hangs certified", s.Elided, s.Wedged)
 	if len(s.ElisionFallbacks) > 0 {
 		line += " ("
 		for i, r := range s.ElisionFallbackReasons() {

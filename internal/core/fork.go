@@ -9,10 +9,12 @@ package core
 
 import (
 	"fmt"
+	"hash/fnv"
 
 	"repro/internal/kernel"
 	"repro/internal/memlog"
 	"repro/internal/seep"
+	"repro/internal/wire"
 )
 
 // Forkable is implemented by components carrying transient state
@@ -163,6 +165,30 @@ func (o *OS) StateFingerprint(skip kernel.MsgSkip) (uint64, error) {
 		h = fpFold(h, uint64(ep), fp)
 	}
 	return h, nil
+}
+
+// TransientDigest hashes every component's Forkable transient state —
+// what a component keeps outside its store and therefore outside
+// StateFingerprint: the Recovery Server's outstanding-ping counts and
+// quarantine set, the VFS tag cursor. It reuses the deterministic
+// encoding on-disk images store the same snapshots with (sorted maps),
+// so equal digests mean equal transient state. The wedge certificate
+// compares it between idle points.
+func (o *OS) TransientDigest() (uint64, error) {
+	enc := wire.NewEncoder()
+	for _, ep := range o.order {
+		f, ok := o.slots[ep].comp.(Forkable)
+		if !ok {
+			continue
+		}
+		enc.Varint(int64(ep))
+		if err := enc.Any(f.ForkSnapshot()); err != nil {
+			return 0, err
+		}
+	}
+	h := fnv.New64a()
+	h.Write(enc.Bytes())
+	return h.Sum64(), nil
 }
 
 // fpFold chains one component's store hash into the machine hash.

@@ -586,9 +586,10 @@ type TailElisionTable struct {
 	Runs                               int
 	NoElideRunsPerSec, ElideRunsPerSec float64
 	ElisionSpeedup                     float64
-	// Serving split of the elided campaign: tails spliced, and full
-	// executions by fallback reason.
+	// Serving split of the elided campaign: tails spliced, hangs ended
+	// by a wedge certificate, and full executions by fallback reason.
 	Elided           int
+	Wedged           int
 	ElisionFallbacks map[string]int
 	// Three-term Amdahl split of one armed run, ladder pre-walked: a
 	// full run pays fork + entire post-trigger suffix; an elided run
@@ -635,6 +636,7 @@ func RunTailElision(sc Scale) (TailElisionTable, error) {
 		t.ElisionSpeedup = t.ElideRunsPerSec / t.NoElideRunsPerSec
 	}
 	t.Elided = stats.Elided
+	t.Wedged = stats.Wedged
 	t.ElisionFallbacks = stats.ElisionFallbacks
 
 	// Armed-run split: walk the ladder and capture every snapshot the
@@ -672,7 +674,8 @@ func (t TailElisionTable) Render() string {
 		"Campaign throughput", t.NoElideRunsPerSec, t.ElideRunsPerSec, t.ElisionSpeedup, t.Runs)
 	fmt.Fprintf(&b, "%-22s %9.2f ms %9.2f ms %9.2f ms spliced away\n",
 		"Armed run", t.ArmedFullMS, t.ArmedElidedMS, t.ElidedTailMS)
-	fmt.Fprintf(&b, "Elision serving: %d tails elided%s\n", t.Elided, renderFallbacks(t.ElisionFallbacks))
+	fmt.Fprintf(&b, "Elision serving: %d tails elided, %d hangs certified%s\n",
+		t.Elided, t.Wedged, renderFallbacks(t.ElisionFallbacks))
 	return b.String()
 }
 

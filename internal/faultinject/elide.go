@@ -37,6 +37,36 @@ package faultinject
 // A run that never elides executes in full — same machine, same
 // schedule, bit-identical outcome — and is charged the last blocking
 // reason.
+//
+// Wedge certificate: the second redundant suffix. A run whose fault
+// killed the event a test waits for never reaches another barrier: the
+// machine goes idle, and the rest of the 4 G-cycle budget is ~16 000
+// identical heartbeat rounds (RS pinging healthy servers) until the
+// cycle limit classifies it a hang. In a deterministic machine a
+// recurring state is its own future, so the hang can be proven instead
+// of waited for. The kernel calls the elider at every idle point — no
+// process runnable, before the clock jumps to the next event — and the
+// elider there requires, in this order:
+//
+//   - no armed fault can still fire (ready, as for elision; an
+//     untriggered fault at rs.heartbeat or a *.loop.top site WILL fire
+//     later in the idle regime);
+//   - the kernel is wedge-quiescent (kernel.WedgeQuiescent: only a
+//     server alarm can move the machine again);
+//   - the idle point equals the previous one in state fingerprint,
+//     transient component state (RS's outstanding pings live outside its
+//     store), and kernel stamp — user wake-ups, trapped crashes, both
+//     RNG cursors, the phase of every pending alarm (kernel.WedgeStamp).
+//
+// wedgeRounds consecutive equal idle points certify the run: the kernel
+// ends it exactly as the limit would — OutcomeHang, "cycle limit
+// exceeded" — and teardown proceeds as for any finished run. Only
+// kernel.Result.Cycles and the counter map differ from a run that
+// burned the budget (they are those at certification), and no campaign
+// result, trace or journal record carries either. A warm run that does
+// reach the real limit uncertified is charged ElideFallbackWedgeUnproven.
+// Cold runs and Trace.Replay never install the hook and the -noelide pin
+// disables it together with elision, so full execution stays the oracle.
 
 import (
 	"os"
@@ -46,6 +76,8 @@ import (
 	"repro/internal/audit"
 	"repro/internal/boot"
 	"repro/internal/kernel"
+	"repro/internal/servers/rs"
+	"repro/internal/sim"
 	"repro/internal/testsuite"
 )
 
@@ -90,14 +122,19 @@ const (
 	// after its faults (active quarantine, in-flight work at every
 	// barrier) or an audit pass recorded a violation.
 	ElideFallbackResidue = "state-residue"
+	// ElideFallbackWedgeUnproven: the run burned its whole cycle budget —
+	// it ended at the real limit without the wedge certificate ever
+	// holding (a gate kept refusing, or the idle state never recurred).
+	ElideFallbackWedgeUnproven = "wedge-unproven"
 )
 
 // Serving-decision strings: how one campaign run was served, recorded
 // per run (see Trace.Serving) so a replayed trace can assert the
 // identical serving path. A full decision composes as either
 // "cold:<fallback reason>", "rung:<idx> elided:<barrier>",
-// "rung:<idx> full:<elision fallback reason>", or ServingJournal for
-// results served verbatim from a campaign journal.
+// "rung:<idx> wedged:<cycle>", "rung:<idx> full:<elision fallback
+// reason>", or ServingJournal for results served verbatim from a
+// campaign journal.
 const ServingJournal = "journal"
 
 // ServingCold renders a cold-boot decision with its fallback reason.
@@ -106,6 +143,10 @@ func ServingCold(reason string) string { return "cold:" + reason }
 // ServingElided renders the warm half of an elided run's decision:
 // the suite index of the quiescence barrier where the tail was spliced.
 func ServingElided(barrier int) string { return "elided:" + strconv.Itoa(barrier) }
+
+// ServingWedged renders the warm half of a certified-hang decision: the
+// virtual cycle at which the wedge certificate held and the run ended.
+func ServingWedged(at sim.Cycles) string { return "wedged:" + strconv.FormatUint(uint64(at), 10) }
 
 // ServingFull renders the warm half of a fully executed run's decision.
 func ServingFull(reason string) string { return "full:" + reason }
@@ -132,10 +173,48 @@ type elider struct {
 	// attempts counts fingerprint comparisons spent so far (see
 	// maxElideAttempts).
 	attempts int
-	// decision is the serving decision string: elision barrier or
-	// fallback reason (see ServingElided / ServingFull).
+	// decision is the serving decision string: elision barrier, wedge
+	// cycle or fallback reason (see ServingElided / ServingWedged /
+	// ServingFull).
 	decision string
+
+	// Wedge-certificate window: the last idle point that passed every
+	// gate and how many consecutive idle points equalled it. probes
+	// counts idle points hashed since a user process last ran (see
+	// maxWedgeProbes).
+	idle   idlePoint
+	streak int
+	probes int
 }
+
+// idlePoint is everything two idle points must agree on for the round
+// between them to count as a recurrence.
+type idlePoint struct {
+	fp, transient uint64
+	stamp         kernel.WedgeStamp
+}
+
+// wedgeRounds is how many consecutive equal idle points certify a
+// wedge. One equal pair already proves the round between them maps the
+// state onto itself; the window is widened past the Recovery Server's
+// longest memory — DefaultHangMisses rounds of silence before it acts,
+// plus the round that acts — so that nothing RS is still counting
+// towards can be pending inside it.
+const wedgeRounds = rs.DefaultHangMisses + 2
+
+// maxWedgeProbes bounds the idle points a run pays to hash in a row
+// without a user process having run in between. A wedge recurs from its
+// first idle round or — state that moves every round, such as transport
+// sequence numbers under the reliability layer — never; without the
+// bound such a run would hash itself ~16 000 times on its way to the
+// limit (+60 % on an already worst-case run). A user wake-up starts a
+// fresh budget: the idle stretches of a healthy suite (sleeps, waits)
+// must not use up what the wedge after them needs, and the bound is
+// generous because a wedge can take hundreds of rounds to settle (a
+// stale PM sleep timer still counting down shifts the alarm phase every
+// round until it fires). Purely a cost bound: giving up runs to the real
+// limit, bit-identically.
+const maxWedgeProbes = 1024
 
 // maxElideAttempts bounds the fingerprint comparisons one run pays
 // for. A recovered run converges onto the fault-free trace within a
@@ -167,6 +246,7 @@ func runElidable(sys *boot.System, report *testsuite.Report, aud *audit.Auditor,
 		return sys.Run(RunLimit), false
 	}
 	k := sys.Kernel()
+	k.SetIdleHook(func() bool { return el.wedged(sys) })
 	reason := ElideFallbackUntriggered
 	for k.RunToBarrier(RunLimit) {
 		res, why, ok := el.tryElide(sys, report, aud)
@@ -180,8 +260,58 @@ func runElidable(sys *boot.System, report *testsuite.Report, aud *audit.Auditor,
 	// charge the last blocking reason.
 	res := k.StepResult()
 	sys.Shutdown("armed run complete")
-	el.fallback(reason)
+	switch {
+	case el.streak >= wedgeRounds:
+		el.wedge(res.Cycles)
+	case res.Outcome == kernel.OutcomeHang:
+		el.fallback(ElideFallbackWedgeUnproven)
+	default:
+		el.fallback(reason)
+	}
 	return res, false
+}
+
+// wedged is the kernel idle hook of a warm-served run: it slides the
+// certificate window over one idle point and reports whether the window
+// is full — the run provably idles like this until the cycle limit. An
+// idle point that fails a gate empties the window.
+func (el *elider) wedged(sys *boot.System) bool {
+	pt, ok := el.idlePointOf(sys)
+	switch {
+	case !ok:
+		el.streak = 0
+	case el.streak > 0 && pt == el.idle:
+		el.streak++
+	default:
+		el.idle, el.streak = pt, 1
+	}
+	return el.streak >= wedgeRounds
+}
+
+// idlePointOf evaluates the wedge gates on an idle machine, cheapest
+// first, and describes the idle point when all of them hold.
+func (el *elider) idlePointOf(sys *boot.System) (idlePoint, bool) {
+	k := sys.Kernel()
+	if !el.ready() || !k.WedgeQuiescent() {
+		return idlePoint{}, false
+	}
+	stamp := k.WedgeStamp()
+	if stamp.UserWakes != el.idle.stamp.UserWakes {
+		el.probes = 0
+	}
+	if el.probes >= maxWedgeProbes {
+		return idlePoint{}, false
+	}
+	el.probes++
+	fp, err := sys.StateFingerprint()
+	if err != nil {
+		return idlePoint{}, false
+	}
+	transient, err := sys.TransientDigest()
+	if err != nil {
+		return idlePoint{}, false
+	}
+	return idlePoint{fp: fp, transient: transient, stamp: stamp}, true
 }
 
 // tryElide evaluates the elision gates at one quiescence barrier. On
@@ -236,6 +366,13 @@ func (el *elider) elide(barrier int) {
 	el.decision = ServingElided(barrier)
 	if el.stats != nil {
 		el.stats.elided()
+	}
+}
+
+func (el *elider) wedge(at sim.Cycles) {
+	el.decision = ServingWedged(at)
+	if el.stats != nil {
+		el.stats.wedged()
 	}
 }
 

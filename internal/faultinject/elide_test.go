@@ -54,9 +54,9 @@ func assertElisionAccounted(t *testing.T, stats PlaneStats) {
 	for _, n := range stats.ElisionFallbacks {
 		fallbacks += n
 	}
-	if warm := stats.LadderForks + stats.BootForks; stats.Elided+fallbacks != warm {
-		t.Errorf("elision split leaks runs: %d elided + %d fallbacks != %d warm (%+v)",
-			stats.Elided, fallbacks, warm, stats.ElisionFallbacks)
+	if warm := stats.LadderForks + stats.BootForks; stats.Elided+stats.Wedged+fallbacks != warm {
+		t.Errorf("elision split leaks runs: %d elided + %d wedged + %d fallbacks != %d warm (%+v)",
+			stats.Elided, stats.Wedged, fallbacks, warm, stats.ElisionFallbacks)
 	}
 }
 
@@ -237,37 +237,47 @@ func TestElideFallbackPersistentNeverReady(t *testing.T) {
 	}
 }
 
+// recoveryStormPlan is one plain crash at the site's first post-boot
+// execution plus three crashes of the recovery path itself: the restart
+// budget runs out and the sequencer quarantines the component.
+func recoveryStormPlan(t *testing.T, site string) []MultiInjection {
+	t.Helper()
+	profile, err := Profile(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range profile {
+		if !sp.Candidate() || sp.Site != site {
+			continue
+		}
+		plan := []MultiInjection{
+			{Injection: Injection{Server: sp.Server, Site: sp.Site, Occurrence: sp.Boot + 1, Type: FaultCrash}},
+		}
+		for j := 0; j < 3; j++ {
+			plan = append(plan, MultiInjection{
+				Injection:      Injection{Server: sp.Server, Site: sp.Site, Occurrence: j + 1, Type: FaultCrash},
+				DuringRecovery: true,
+			})
+		}
+		return plan
+	}
+	t.Fatalf("profile has no %s candidate", site)
+	return nil
+}
+
 // A crash whose recovery is itself crashed repeatedly exhausts the
 // component's restart budget and quarantines it. Quarantine is
 // permanent fault residue: the machine is never elision-quiescent
 // again, so the run executes in full and is charged state-residue —
 // while staying bit-identical to its cold boot. (The during-recovery
 // faults are exempt from the readiness gate, so residue — not
-// fault-untriggered — is the blocker this plan pins.)
+// fault-untriggered — is the blocker this plan pins. The victim is PM at
+// exec entry: the suite survives a quarantined PM and completes
+// degraded. A quarantined DS instead wedges the suite to the cycle
+// limit, which is charged wedge-unproven — see
+// TestWedgeRefusesQuarantine.)
 func TestElideFallbackResidue(t *testing.T) {
-	profile, err := Profile(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var deep *SiteProfile
-	for i := range profile {
-		if profile[i].Candidate() {
-			deep = &profile[i]
-			break
-		}
-	}
-	if deep == nil {
-		t.Fatal("profile has no candidate site")
-	}
-	plan := []MultiInjection{
-		{Injection: Injection{Server: deep.Server, Site: deep.Site, Occurrence: deep.Boot + 1, Type: FaultCrash}},
-	}
-	for j := 0; j < 3; j++ {
-		plan = append(plan, MultiInjection{
-			Injection:      Injection{Server: deep.Server, Site: deep.Site, Occurrence: j + 1, Type: FaultCrash},
-			DuringRecovery: true,
-		})
-	}
+	plan := recoveryStormPlan(t, "pm.exec.entry")
 	cfg := MultiCampaignConfig{Policy: seep.PolicyEnhanced, Model: FailStop, Seed: 42}
 	runner := newMultiRunner(cfg, [][]MultiInjection{plan})
 	defer runner.close()
@@ -299,11 +309,13 @@ func TestElideServingDecisions(t *testing.T) {
 	if len(decisions) != len(plan) {
 		t.Fatalf("recorded %d decisions for %d runs", len(decisions), len(plan))
 	}
-	elided, full, cold := 0, map[string]int{}, map[string]int{}
+	elided, wedged, full, cold := 0, 0, map[string]int{}, map[string]int{}
 	for i, d := range decisions {
 		switch {
 		case strings.HasPrefix(d, "rung:") && strings.Contains(d, " elided:"):
 			elided++
+		case strings.HasPrefix(d, "rung:") && strings.Contains(d, " wedged:"):
+			wedged++
 		case strings.HasPrefix(d, "rung:") && strings.Contains(d, " full:"):
 			full[d[strings.Index(d, " full:")+len(" full:"):]]++
 		case strings.HasPrefix(d, "cold:"):
@@ -314,6 +326,9 @@ func TestElideServingDecisions(t *testing.T) {
 	}
 	if elided != stats.Elided {
 		t.Errorf("%d elided decisions, stats say %d", elided, stats.Elided)
+	}
+	if wedged != stats.Wedged {
+		t.Errorf("%d wedged decisions, stats say %d", wedged, stats.Wedged)
 	}
 	if !reflect.DeepEqual(full, mapOrEmpty(stats.ElisionFallbacks)) {
 		t.Errorf("full-execution decisions %v != stats %v", full, stats.ElisionFallbacks)

@@ -94,10 +94,15 @@ type PlaneStats struct {
 	Elided int
 	// ElisionFallbacks breaks warm-served, fully-executed runs down by
 	// the elision fallback reason charged to each (the last blocker
-	// standing when the run completed). Elided plus the sum over
-	// ElisionFallbacks equals LadderForks plus BootForks: every warm run
-	// either elided its tail or is charged exactly one reason.
+	// standing when the run completed). Elided plus Wedged plus the sum
+	// over ElisionFallbacks equals LadderForks plus BootForks: every warm
+	// run elided its tail, was certified wedged, or is charged exactly
+	// one reason.
 	ElisionFallbacks map[string]int
+	// Wedged counts warm-served runs ended by a wedge certificate: the
+	// hang the cycle limit would have classified, proven after a few
+	// heartbeat rounds instead of simulated to the limit (see elide.go).
+	Wedged int
 }
 
 // Total returns the number of runs the plane served.
@@ -153,6 +158,12 @@ func (c *statsCollector) cold(reason string) {
 func (c *statsCollector) elided() {
 	c.mu.Lock()
 	c.s.Elided++
+	c.mu.Unlock()
+}
+
+func (c *statsCollector) wedged() {
+	c.mu.Lock()
+	c.s.Wedged++
 	c.mu.Unlock()
 }
 

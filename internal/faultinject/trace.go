@@ -64,9 +64,11 @@ type Trace struct {
 	IPC IPCOptions
 	// Serving optionally records how the campaign served this run: the
 	// ladder rung it forked from plus the elision decision ("rung:17
-	// elided:33", "rung:4 full:fingerprint-mismatch"), or a cold-boot
-	// fallback ("cold:occurrence-within-boot"). Replay always cold-boots
-	// — bit-identical by the warm-fork and elision equivalences — so
+	// elided:33", "rung:4 full:fingerprint-mismatch"), a certified hang
+	// with the cycle of certification ("rung:8 wedged:3608830"), or a
+	// cold-boot fallback ("cold:occurrence-within-boot"). Replay always
+	// cold-boots and runs every cycle — bit-identical by the warm-fork,
+	// elision and wedge-certificate equivalences — so
 	// Serving is provenance for the report, not a replay input, and
 	// Matches ignores it.
 	Serving string `json:",omitempty"`

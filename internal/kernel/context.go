@@ -74,6 +74,7 @@ func (c *Context) Tick(n sim.Cycles) {
 
 // Yield hands the CPU to the scheduler, staying runnable.
 func (c *Context) Yield() {
+	c.p.checkKilled()
 	c.p.state = stateRunnable
 	c.k.markSched(c.p)
 	c.p.yieldToKernel()
@@ -89,6 +90,7 @@ func (c *Context) Point(site string) {
 // Receive blocks until a message is available and returns it. For
 // servers, it also records the in-flight request for reconciliation.
 func (c *Context) Receive() Message {
+	c.p.checkKilled()
 	for c.p.queueLen() == 0 {
 		c.p.state = stateReceiving
 		c.k.markSched(c.p)
@@ -130,6 +132,7 @@ func (c *Context) TryReceive() (Message, bool) {
 // replies on its behalf). The reply's Errno field carries the status;
 // on IPC-level failure a synthetic reply with the errno is returned.
 func (c *Context) SendRec(dst Endpoint, m Message) Message {
+	c.p.checkKilled()
 	if c.k.IsQuarantined(dst) {
 		// Error virtualization for detached components: the request
 		// fails exactly as if the component had crashed serving it.

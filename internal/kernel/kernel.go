@@ -380,6 +380,12 @@ type Kernel struct {
 	barrierArmed bool
 	barrierHit   bool
 	forkResume   *Process
+
+	// Wedge-certificate plane (SetIdleHook, wedge.go). idleHook is nil on
+	// every machine but a warm-served campaign run; userWakes counts
+	// user-process wake-ups (markSched).
+	idleHook  func() bool
+	userWakes uint64
 }
 
 // New creates a machine with the given cost model and seed.
@@ -476,46 +482,86 @@ func (k *Kernel) OverrideNextReplyErrno(ep Endpoint, e Errno) {
 // crash occurs, deadlock is detected, or cycleLimit is exceeded. It
 // always tears down every process goroutine before returning.
 func (k *Kernel) Run(cycleLimit sim.Cycles) Result {
-	k.cycleLimit = cycleLimit
 	defer k.killAll()
-	if p := k.forkResume; p != nil {
-		// Forked machine: hand the baton straight to the process that was
-		// parked at the quiescence barrier. No dispatch is counted — the
-		// captured machine already counted the dispatch this continues.
+	k.barrierHit = false
+	k.runLoop(cycleLimit)
+	return k.StepResult()
+}
+
+// runLoop is the one scheduler loop behind Run and RunToBarrier: it
+// drives the machine until the run is done or — only when RunToBarrier
+// armed one — a process parks at a Context.Barrier.
+func (k *Kernel) runLoop(cycleLimit sim.Cycles) {
+	k.cycleLimit = cycleLimit
+	if p := k.forkResume; p != nil && !k.done {
+		// Forked or barrier-parked machine: hand the baton straight to the
+		// process parked at the quiescence barrier. No dispatch is counted
+		// — the captured machine already counted the dispatch this
+		// continues.
 		k.forkResume = nil
 		k.running = p
 		p.baton <- token{}
 		<-k.kernelCh
 		k.running = nil
 	}
-	for !k.done {
-		if k.handleDueCrash() {
+	for !k.done && !k.barrierHit {
+		if !k.turn() {
 			continue
 		}
-		if k.clock.Now() > cycleLimit {
-			k.done = true
-			k.outcome = OutcomeHang
-			k.reason = "cycle limit exceeded"
+		// Idle: no process is runnable. An installed idle hook may prove
+		// that the machine will stay like this until the cycle limit.
+		if k.idleHook != nil && k.idleHook() {
+			k.endAsHang()
 			break
 		}
-		k.fireDueAlarms()
-		if k.clock.Now() >= k.ipcNextDue {
-			k.fireDueIPC()
-		}
-		p := k.pickRunnable()
-		if p == nil {
-			if k.advanceToNextEvent() {
-				continue
-			}
+		if !k.advanceToNextEvent() {
 			k.done = true
 			k.outcome = OutcomeDeadlock
 			k.reason = "no runnable process and no pending alarm: " + k.describeBlocked()
-			break
 		}
-		k.dispatch(p)
 	}
-	return Result{Outcome: k.outcome, Reason: k.reason, Cycles: k.clock.Now()}
 }
+
+// turn is one iteration of the scheduler loop, shared by runLoop and
+// StepUntil: handle one due crash, or else enforce the cycle limit,
+// fire due alarms and IPC events and dispatch the next runnable
+// process. It reports idle when nothing was runnable — what an idle
+// machine does next is the caller's business.
+func (k *Kernel) turn() (idle bool) {
+	if k.handleDueCrash() {
+		return false
+	}
+	if k.clock.Now() > k.cycleLimit {
+		k.endAsHang()
+		return false
+	}
+	k.fireDueAlarms()
+	if k.clock.Now() >= k.ipcNextDue {
+		k.fireDueIPC()
+	}
+	p := k.pickRunnable()
+	if p == nil {
+		return true
+	}
+	k.dispatch(p)
+	return false
+}
+
+// endAsHang ends the run the way exceeding the cycle limit does.
+func (k *Kernel) endAsHang() {
+	k.done = true
+	k.outcome = OutcomeHang
+	k.reason = "cycle limit exceeded"
+}
+
+// SetIdleHook installs a callback the Run/RunToBarrier loop invokes
+// whenever it finds no runnable process, before jumping the clock to
+// the next pending event. Returning true ends the run exactly as the
+// cycle limit would (OutcomeHang, "cycle limit exceeded"): the caller
+// has proven the machine wedged — see WedgeQuiescent and WedgeStamp for
+// the kernel's share of such a proof. Nil (the default) leaves the loop
+// untouched; externally stepped machines never call it.
+func (k *Kernel) SetIdleHook(h func() (wedged bool)) { k.idleHook = h }
 
 // queueCrash appends a crash to the pending queue for handling at or
 // after due. Crashes trapped while another recovery is queued or active

@@ -92,6 +92,10 @@ type Process struct {
 	// the component is replaced after a crash.
 	onKill func()
 
+	// killed latches that the goroutine received its kill token and is
+	// unwinding (only the process's own goroutine touches it).
+	killed bool
+
 	ctx *Context
 }
 
@@ -331,16 +335,31 @@ func (p *Process) yieldToKernel() {
 				return
 			}
 			next.baton <- token{}
-			tok := <-p.baton
-			if tok.kill {
-				panic(killedSignal{})
-			}
+			p.awaitBaton()
 			return
 		}
 	}
 	k.kernelCh <- struct{}{}
-	tok := <-p.baton
-	if tok.kill {
+	p.awaitBaton()
+}
+
+// awaitBaton parks the goroutine until the process is dispatched again.
+// A kill token unwinds the body with killedSignal instead.
+func (p *Process) awaitBaton() {
+	if tok := <-p.baton; tok.kill {
+		p.killed = true
+		panic(killedSignal{})
+	}
+}
+
+// checkKilled re-raises the kill in a body that is already unwinding.
+// The kill panic runs the body's deferred calls, and user programs
+// defer system calls (`defer p.Unlink(path)`): such a call must neither
+// touch kernel state nor yield to a scheduler that no longer runs — the
+// killer is blocked waiting for this goroutine to exit — so every
+// Context call that can block starts here.
+func (p *Process) checkKilled() {
+	if p.killed {
 		panic(killedSignal{})
 	}
 }

@@ -105,10 +105,17 @@ func (r *readySet) nextFrom(start, n int) int {
 // markSched re-derives the readiness bit of p from its state. Every
 // mutation of a process's state, inbox or pending reply runs through
 // here, so the bitmap invariant bit==schedulable() holds whenever the
-// scheduler looks at it.
+// scheduler looks at it. A user process coming through here schedulable
+// also bumps the user-wake stamp (see WedgeStamp): servers keep their
+// state in fingerprinted stores, but a user program's position lives on
+// its goroutine stack, so "no user process was runnable since" is the
+// only proof that nothing changed there.
 func (k *Kernel) markSched(p *Process) {
 	if p.schedulable() {
 		k.ready.set(p.orderIdx)
+		if !p.isServer {
+			k.userWakes++
+		}
 	} else {
 		k.ready.clear(p.orderIdx)
 	}

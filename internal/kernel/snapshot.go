@@ -29,6 +29,7 @@ import (
 // it is a complete no-op: no cycles, no counters, no yield — so code
 // calling it behaves identically under cold boot.
 func (c *Context) Barrier() {
+	c.p.checkKilled()
 	k := c.k
 	if !k.barrierArmed {
 		return
@@ -44,10 +45,7 @@ func (c *Context) Barrier() {
 	// control with this process still runnable; the process stays inside
 	// this dispatch, exactly like a cold machine whose root is mid-body.
 	k.kernelCh <- struct{}{}
-	tok := <-c.p.baton
-	if tok.kill {
-		panic(killedSignal{})
-	}
+	c.p.awaitBaton()
 }
 
 // RunToBarrier drives the machine like Run until the root process
@@ -65,42 +63,9 @@ func (c *Context) Barrier() {
 // through every barrier of a run while staying bit-identical to a cold
 // machine (where each Barrier is a no-op).
 func (k *Kernel) RunToBarrier(cycleLimit sim.Cycles) bool {
-	k.cycleLimit = cycleLimit
 	k.barrierHit = false
 	k.barrierArmed = true
-	if p := k.forkResume; p != nil && !k.done {
-		k.forkResume = nil
-		k.running = p
-		p.baton <- token{}
-		<-k.kernelCh
-		k.running = nil
-	}
-	for !k.done && !k.barrierHit {
-		if k.handleDueCrash() {
-			continue
-		}
-		if k.clock.Now() > cycleLimit {
-			k.done = true
-			k.outcome = OutcomeHang
-			k.reason = "cycle limit exceeded"
-			break
-		}
-		k.fireDueAlarms()
-		if k.clock.Now() >= k.ipcNextDue {
-			k.fireDueIPC()
-		}
-		p := k.pickRunnable()
-		if p == nil {
-			if k.advanceToNextEvent() {
-				continue
-			}
-			k.done = true
-			k.outcome = OutcomeDeadlock
-			k.reason = "no runnable process and no pending alarm: " + k.describeBlocked()
-			break
-		}
-		k.dispatch(p)
-	}
+	k.runLoop(cycleLimit)
 	k.barrierArmed = false
 	return k.barrierHit && !k.done
 }

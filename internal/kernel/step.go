@@ -47,36 +47,18 @@ func (k *Kernel) StepUntil(target sim.Cycles) bool {
 	k.stepTarget = target
 	defer func() { k.stepTarget = stepNone }()
 	for !k.done && k.clock.Now() < target {
-		if k.handleDueCrash() {
+		if !k.turn() {
 			continue
 		}
-		if k.clock.Now() > k.cycleLimit {
-			k.done = true
-			k.outcome = OutcomeHang
-			k.reason = "cycle limit exceeded"
-			break
-		}
-		k.fireDueAlarms()
-		if k.clock.Now() >= k.ipcNextDue {
-			k.fireDueIPC()
-		}
-		p := k.pickRunnable()
-		if p == nil {
-			next, have := k.nextEventTime()
-			if have && next < target {
-				if next > k.clock.Now() {
-					k.clock.Advance(next - k.clock.Now())
-				}
-				continue
-			}
+		next, have := k.nextEventTime()
+		if !have || next >= target {
 			// Idle until the slice boundary: park there and hand the
 			// baton back to the driver.
-			if target > k.clock.Now() {
-				k.clock.Advance(target - k.clock.Now())
-			}
-			break
+			next = target
 		}
-		k.dispatch(p)
+		if next > k.clock.Now() {
+			k.clock.Advance(next - k.clock.Now())
+		}
 	}
 	return k.done
 }
