@@ -14,8 +14,9 @@
 // ladder's snapshot cache in bytes (negative: boot-barrier snapshot
 // only), and -coldboot (or OSIRIS_COLD_BOOT=1) boots every run from
 // scratch instead — same tables, historical setup cost. Warm-served
-// runs splice the pathfinder's recorded suffix when their state
-// fingerprint matches a ladder rung, and end a provably wedged run as
+// runs splice a recorded suffix when the state they park in at a suite
+// barrier is one the pathfinder or an earlier run already executed from,
+// and end a provably wedged run as
 // the hang it is instead of simulating it to the cycle limit; -noelide
 // (or OSIRIS_NO_ELIDE=1) pins both off and executes every run to its
 // end — same tables, the bit-identity oracle. -list prints

@@ -73,9 +73,10 @@
 // OSIRIS_SNAPSHOT_CACHE or 256 MiB), and -coldboot (or the
 // OSIRIS_COLD_BOOT environment variable) boots every run from scratch
 // instead — same results, historical setup cost. Once a warm run's
-// fault has fully recovered and its state fingerprint matches the
-// pathfinder's rung record, the remaining suite suffix is elided: the
-// recorded tail deltas are spliced in place of re-execution, with
+// fault has fully recovered and the state it parks in at a suite barrier
+// is one the pathfinder — or an earlier armed run that executed to a
+// clean end — already executed from, the remaining suite suffix is
+// elided: the recorded suffix is spliced in place of re-execution, with
 // results bit-identical either way. A warm run that wedges instead — a
 // test waiting forever for an event that died with the crashed server —
 // is ended as the hang it is once a few identical heartbeat rounds
@@ -112,7 +113,7 @@ func main() {
 		runs       = flag.Int("runs", 40, "boots per policy in the multi-fault campaign")
 		workers    = flag.Int("workers", 0, "concurrent boots (0 = one per CPU, 1 = serial)")
 		coldBoot   = flag.Bool("coldboot", false, "boot every run from scratch instead of forking a warm image")
-		noElide    = flag.Bool("noelide", false, "execute every warm run to its end: no tail splice at fingerprinted convergence, no wedge certificate for hung runs (the bit-identity oracle)")
+		noElide    = flag.Bool("noelide", false, "execute every warm run to its end: no suffix table and no tail splice, no wedge certificate for hung runs (the bit-identity oracle)")
 		snapCache  = flag.String("snapcache", "", "snapshot-ladder cache budget in bytes, with optional KiB/MiB/GiB suffix (empty: OSIRIS_SNAPSHOT_CACHE or built-in default; negative: boot-barrier snapshot only)")
 		recordDir  = flag.String("record", "", "write a replayable JSON trace for every failed/degraded/inconsistent run into this directory")
 		resumePath = flag.String("resume", "", "journal completed runs to this file and resume from it after a crash (single -policy campaigns only)")
@@ -490,7 +491,7 @@ func printPlaneStats(s faultinject.PlaneStats) {
 	if s.Elided == 0 && s.Wedged == 0 && len(s.ElisionFallbacks) == 0 {
 		return
 	}
-	line = fmt.Sprintf("  elision: %d tails elided, %d hangs certified", s.Elided, s.Wedged)
+	line = fmt.Sprintf("  elision: %d tails elided (%d rejoined), %d hangs certified", s.Elided, s.Rejoined, s.Wedged)
 	if len(s.ElisionFallbacks) > 0 {
 		line += " ("
 		for i, r := range s.ElisionFallbackReasons() {

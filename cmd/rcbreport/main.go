@@ -83,7 +83,8 @@ func runReplay(path string) (mismatches int, err error) {
 			return mismatches, fmt.Errorf("%s: %w", file, err)
 		}
 		// Serving is provenance (how the campaign served the recorded
-		// run: ladder rung plus elision decision or fallback); replay
+		// run: ladder rung plus elided, rejoined or wedged decision, or
+		// the fallback reason); replay
 		// always cold-boots the same result, so it is reported, not
 		// compared.
 		serving := ""

@@ -1,28 +1,34 @@
 package faultinject
 
-// Tail elision: fingerprinted convergence makes the re-executed suffix
-// of a warm-served run redundant. An armed run forks from a ladder rung,
-// executes until its fault triggers and recovery completes, and then —
-// by the paper's central claim — converges back onto the fault-free
-// trace. From that point the remaining suite suffix is exactly the
-// suffix the pathfinder already executed while walking the ladder, so
-// re-running it proves nothing and costs the bulk of the run.
+// Tail elision: in a deterministic machine equal state is equal future,
+// so a suite suffix somebody already executed from this state need not
+// be executed again. An armed run forks from a ladder rung, executes
+// until its fault triggers and recovery completes, and from then on is
+// fault-free. At every quiescence barrier after that it hashes its own
+// semantic state (O(dirty) via the rolling store/disk fingerprints — a
+// barrier does not rescan clean containers) and looks (barrier, hash) up
+// in the ladder's suffix table. A hit splices the recorded suffix — suite
+// tallies, failed-test names, how the machine ended — and terminates the
+// run; the spliced result is bit-identical to full execution because the
+// suffix is a deterministic function of the matched state and consumed
+// no machine randomness (certified when the entry was published; see
+// ladder.publish).
 //
-// At every quiescence barrier after its fault(s) fully recovered, an
-// armed run therefore hashes its own semantic state (O(dirty) via the
-// rolling store/disk fingerprints — a barrier does not rescan clean
-// containers) and compares it against the pathfinder's recorded rung
-// fingerprint. On a match the run splices the recorded deltas — suite
-// tallies, cycle count, counters — and terminates; the spliced result
-// is bit-identical to full execution because the suffix is a
-// deterministic function of the matched state and consumes no machine
-// randomness (certified by comparing the pathfinder's RNG cursors at
-// the rung and at the walk end; see sim.RNG.State).
+// Two kinds of machine contribute entries, through one publish path. The
+// fault-free pathfinder contributes every rung of its walk: a run that
+// hits one of those has converged back onto the fault-free trace, the
+// paper's central claim. An armed run that passed every gate below but
+// missed contributes the states it missed on, once it has executed to a
+// clean completed end: recovery that is transparent need not be
+// invisible — a test the fault killed forked fewer children, so the rest
+// of the suite runs one PID over and never matches the pathfinder again —
+// but the next run whose fault kills the same test the same way lands on
+// the same state and rejoins the earlier run's suffix.
 //
 // Soundness gates, each with a named per-run fallback reason:
 //
 //   - the run must not be pinned to full execution (-noelide /
-//     OSIRIS_NO_ELIDE — the bit-identity oracle);
+//     OSIRIS_NO_ELIDE — the bit-identity oracle; no table exists then);
 //   - every armed fault that could still fire in the suffix must have
 //     triggered (persistent faults re-fire forever, so they never
 //     elide);
@@ -31,12 +37,13 @@ package faultinject
 //     a barrier-time pass — must be clean, because a violation embeds
 //     its timestamp and an elided run could not reproduce the final
 //     pass a full run would record;
-//   - the completed pathfinder walk must have recorded a usable tail;
-//   - the state fingerprints must match.
+//   - the completed pathfinder walk must have opened the table;
+//   - the table must hold the run's (barrier, fingerprint).
 //
 // A run that never elides executes in full — same machine, same
-// schedule, bit-identical outcome — and is charged the last blocking
-// reason.
+// schedule, bit-identical outcome — and is charged the reason the last
+// barrier it reached gave, or ended-before-barrier when its faults had
+// not all fired there yet but have by the time it ends.
 //
 // Wedge certificate: the second redundant suffix. A run whose fault
 // killed the event a test waits for never reaches another barrier: the
@@ -70,7 +77,6 @@ package faultinject
 
 import (
 	"os"
-	"sort"
 	"strconv"
 
 	"repro/internal/audit"
@@ -99,24 +105,29 @@ func SetNoElideDefault(on bool) bool {
 func NoElideDefault() bool { return noElideDefault }
 
 // Elision fallback reasons: why a warm-served run executed its suffix
-// in full instead of splicing the recorded pathfinder tail. Each run
-// is charged exactly one — the last blocker standing when it completed.
+// in full instead of splicing a recorded one. Each run is charged
+// exactly one — the last blocker standing when it completed.
 const (
 	// ElideFallbackPinned: full execution forced via -noelide /
 	// OSIRIS_NO_ELIDE / SetNoElideDefault — the bit-identity oracle.
 	ElideFallbackPinned = "noelide-pinned"
-	// ElideFallbackNoTail: the pathfinder walk left no usable tail for
-	// the run's barriers — the walk never completed the suite, its
-	// end-of-walk audit found violations, the ladder was disabled, or
-	// the rung lacked a fingerprint.
+	// ElideFallbackNoTail: the pathfinder walk never opened the suffix
+	// table — it did not complete the suite, its end-of-walk audit found
+	// violations, or the ladder was disabled.
 	ElideFallbackNoTail = "tail-unavailable"
 	// ElideFallbackUntriggered: an armed fault could still fire in the
-	// suffix at every barrier the run reached (never-triggering plans
-	// and persistent faults land here).
+	// suffix at the last barrier the run reached (persistent faults land
+	// here, and multi-fault plans one of whose faults never triggers).
 	ElideFallbackUntriggered = "fault-untriggered"
-	// ElideFallbackMismatch: the run's barrier state never hashed equal
-	// to the pathfinder rung — recovery left a semantic difference that
-	// genuinely changes the suffix (or the fingerprint failed).
+	// ElideFallbackEndedEarly: the run ended — shut down, crashed or
+	// completed — without reaching a barrier after its last fault fired,
+	// so no gate was ever consulted with the faults behind it. A fault
+	// that fires and takes the machine down inside the test it fired in
+	// lands here.
+	ElideFallbackEndedEarly = "ended-before-barrier"
+	// ElideFallbackMismatch: no barrier state of the run was in the
+	// suffix table — recovery left a semantic difference nobody had
+	// executed from before (or the fingerprint failed).
 	ElideFallbackMismatch = "fingerprint-mismatch"
 	// ElideFallbackResidue: the machine was never elision-quiescent
 	// after its faults (active quarantine, in-flight work at every
@@ -132,17 +143,22 @@ const (
 // per run (see Trace.Serving) so a replayed trace can assert the
 // identical serving path. A full decision composes as either
 // "cold:<fallback reason>", "rung:<idx> elided:<barrier>",
-// "rung:<idx> wedged:<cycle>", "rung:<idx> full:<elision fallback
-// reason>", or ServingJournal for results served verbatim from a
-// campaign journal.
+// "rung:<idx> rejoined:<barrier>", "rung:<idx> wedged:<cycle>",
+// "rung:<idx> full:<elision fallback reason>", or ServingJournal for
+// results served verbatim from a campaign journal.
 const ServingJournal = "journal"
 
 // ServingCold renders a cold-boot decision with its fallback reason.
 func ServingCold(reason string) string { return "cold:" + reason }
 
 // ServingElided renders the warm half of an elided run's decision:
-// the suite index of the quiescence barrier where the tail was spliced.
+// the suite index of the quiescence barrier where the pathfinder's
+// suffix was spliced.
 func ServingElided(barrier int) string { return "elided:" + strconv.Itoa(barrier) }
+
+// ServingRejoined is ServingElided for a splice whose suffix an earlier
+// armed run contributed.
+func ServingRejoined(barrier int) string { return "rejoined:" + strconv.Itoa(barrier) }
 
 // ServingWedged renders the warm half of a certified-hang decision: the
 // virtual cycle at which the wedge certificate held and the run ended.
@@ -152,16 +168,17 @@ func ServingWedged(at sim.Cycles) string { return "wedged:" + strconv.FormatUint
 func ServingFull(reason string) string { return "full:" + reason }
 
 // ServingRung composes a warm decision from the serving rung index and
-// the elision half (ServingElided or ServingFull).
+// the elision half (ServingElided, ServingRejoined, ServingWedged or
+// ServingFull).
 func ServingRung(idx int, rest string) string {
 	return "rung:" + strconv.Itoa(idx) + " " + rest
 }
 
 // elider is the per-run elision context of a warm-served campaign run:
-// the ladder carrying the rung fingerprints and recorded tail, the
-// plane statistics sink, and the run-flavor predicate deciding whether
-// any armed fault could still fire in the suffix. decision records how
-// the run was ultimately served, for trace provenance.
+// the ladder carrying the suffix table, the plane statistics sink, and
+// the run-flavor predicate deciding whether any armed fault could still
+// fire in the suffix. decision records how the run was ultimately
+// served, for trace provenance.
 type elider struct {
 	l     *ladder
 	stats *statsCollector
@@ -170,12 +187,17 @@ type elider struct {
 	// The finish* runner that arms the faults installs it, since only
 	// that layer knows the plan's trigger semantics.
 	ready func() bool
-	// attempts counts fingerprint comparisons spent so far (see
-	// maxElideAttempts).
+	// attempts counts table lookups spent so far (see maxElideAttempts).
 	attempts int
+	// closed latches a lookup's verdict that the walk ended without
+	// opening the table: there is nothing to look up, now or later.
+	closed bool
+	// cands are the barrier states this run looked up and missed; it
+	// publishes them if it executes to a clean completed end.
+	cands []candidate
 	// decision is the serving decision string: elision barrier, wedge
-	// cycle or fallback reason (see ServingElided / ServingWedged /
-	// ServingFull).
+	// cycle or fallback reason (see ServingElided / ServingRejoined /
+	// ServingWedged / ServingFull).
 	decision string
 
 	// Wedge-certificate window: the last idle point that passed every
@@ -216,42 +238,48 @@ const wedgeRounds = rs.DefaultHangMisses + 2
 // limit, bit-identically.
 const maxWedgeProbes = 1024
 
-// maxElideAttempts bounds the fingerprint comparisons one run pays
-// for. A recovered run converges onto the fault-free trace within a
-// few barriers or not at all — a fault whose damage shows up in a test
-// result diverges permanently — so after this many mismatches the run
-// stops re-hashing its state at every remaining barrier and simply
-// executes the suffix. Purely a cost bound: giving up always falls
-// back to bit-identical full execution.
+// maxElideAttempts bounds the table lookups one run pays for. A
+// recovered run lands on a known state within a few barriers or not at
+// all — the residue of a killed test lasts until machine end — so after
+// this many misses the run stops re-hashing its state at every remaining
+// barrier and simply executes the suffix. It also bounds what one run
+// can add to the table. Purely a cost bound: giving up always falls back
+// to bit-identical full execution.
 const maxElideAttempts = 8
 
 func newElider(l *ladder, stats *statsCollector) *elider {
 	return &elider{l: l, stats: stats}
 }
 
-// runElidable drives a warm-forked machine barrier to barrier,
-// attempting tail elision at each quiescence barrier, and returns the
-// run result plus whether the tail was elided. With a nil elider (cold
-// boots, pinned runs) or elision pinned off it degenerates to ordinary
-// full execution. The barrier-to-barrier drive is bit-identical to
-// sys.Run: Context.Barrier costs no cycles, counters or scheduling
+// runElidable drives a machine to the end of its run and takes the final
+// audit pass of a run that completed. With a nil elider (cold boots) or
+// elision pinned off that is ordinary full execution. A warm fork is
+// driven barrier to barrier instead, attempting a suffix-table splice at
+// each quiescence barrier; the barrier-to-barrier drive is bit-identical
+// to sys.Run: Context.Barrier costs no cycles, counters or scheduling
 // effects, and the loop body is Run's (the same invariant the ladder
-// pathfinder rests on).
-func runElidable(sys *boot.System, report *testsuite.Report, aud *audit.Auditor, el *elider) (kernel.Result, bool) {
+// pathfinder rests on). A warm run that executes to its end offers the
+// barrier states it looked up and missed to the table.
+func runElidable(sys *boot.System, report *testsuite.Report, aud *audit.Auditor, el *elider) kernel.Result {
 	if el == nil || el.l == nil {
-		return sys.Run(RunLimit), false
+		return runFull(sys, aud)
 	}
 	if noElideDefault {
 		el.fallback(ElideFallbackPinned)
-		return sys.Run(RunLimit), false
+		return runFull(sys, aud)
 	}
 	k := sys.Kernel()
 	k.SetIdleHook(func() bool { return el.wedged(sys) })
+	// A fork is parked at its rung's barrier with its faults still ahead,
+	// so every run consults the gates at least once and is told this.
 	reason := ElideFallbackUntriggered
 	for k.RunToBarrier(RunLimit) {
 		res, why, ok := el.tryElide(sys, report, aud)
 		if ok {
-			return res, true
+			// A spliced run skips the final audit pass: its gates already
+			// required every prior pass plus a barrier-time pass to be
+			// clean, and the entry's contributor passed its own.
+			return res
 		}
 		reason = why
 	}
@@ -259,16 +287,37 @@ func runElidable(sys *boot.System, report *testsuite.Report, aud *audit.Auditor,
 	// eliding: tear the machine down exactly as sys.Run would and
 	// charge the last blocking reason.
 	res := k.StepResult()
+	end := stampOf(sys)
 	sys.Shutdown("armed run complete")
+	if res.Outcome == kernel.OutcomeCompleted {
+		aud.Final()
+	}
 	switch {
 	case el.streak >= wedgeRounds:
 		el.wedge(res.Cycles)
 	case res.Outcome == kernel.OutcomeHang:
 		el.fallback(ElideFallbackWedgeUnproven)
+	case reason == ElideFallbackUntriggered && el.ready():
+		// The last barrier's verdict is stale: the faults have fired since,
+		// and the run ended before reaching another.
+		el.fallback(ElideFallbackEndedEarly)
 	default:
 		el.fallback(reason)
 	}
-	return res, false
+	if len(el.cands) > 0 {
+		el.l.publishRun(el.cands, report, res, aud.Consistent(), end)
+	}
+	return res
+}
+
+// runFull is ordinary full execution: sys.Run plus the final audit pass
+// of a run that completed.
+func runFull(sys *boot.System, aud *audit.Auditor) kernel.Result {
+	res := sys.Run(RunLimit)
+	if res.Outcome == kernel.OutcomeCompleted {
+		aud.Final()
+	}
+	return res
 }
 
 // wedged is the kernel idle hook of a warm-served run: it slides the
@@ -315,9 +364,9 @@ func (el *elider) idlePointOf(sys *boot.System) (idlePoint, bool) {
 }
 
 // tryElide evaluates the elision gates at one quiescence barrier. On
-// success the machine has been spliced and shut down and the returned
-// result is final; otherwise the blocking reason is returned and the
-// run keeps executing.
+// success the suffix has been spliced onto report, the machine shut down
+// and the returned result is final; otherwise the blocking reason is
+// returned and the run keeps executing.
 func (el *elider) tryElide(sys *boot.System, report *testsuite.Report, aud *audit.Auditor) (kernel.Result, string, bool) {
 	if !el.ready() {
 		return kernel.Result{}, ElideFallbackUntriggered, false
@@ -328,8 +377,7 @@ func (el *elider) tryElide(sys *boot.System, report *testsuite.Report, aud *audi
 	if !aud.Consistent() {
 		return kernel.Result{}, ElideFallbackResidue, false
 	}
-	rg, tail, ok := el.l.elisionServe(report.Ran)
-	if !ok {
+	if el.closed {
 		return kernel.Result{}, ElideFallbackNoTail, false
 	}
 	if el.attempts >= maxElideAttempts {
@@ -337,35 +385,51 @@ func (el *elider) tryElide(sys *boot.System, report *testsuite.Report, aud *audi
 	}
 	el.attempts++
 	fp, err := sys.StateFingerprint()
-	if err != nil || fp != rg.fp {
+	if err != nil {
 		return kernel.Result{}, ElideFallbackMismatch, false
 	}
-	// Only a fingerprint match pays for the barrier-time audit pass (it
-	// captures the whole machine): every audit so far was clean, and
-	// this pass must be too — a full run's final audit would otherwise
-	// record violations (with end-of-run timestamps) that a spliced
-	// result cannot carry.
+	key := suffixKey{barrier: report.Ran, fp: fp}
+	rec, open, hit := el.l.lookup(key)
+	if !open {
+		el.closed = true
+		return kernel.Result{}, ElideFallbackNoTail, false
+	}
+	if !hit {
+		// Nobody has executed from here yet. If this run gets to its end it
+		// will have, and can say what the suffix added.
+		el.cands = append(el.cands, candidate{key: key, prefix: *report, stamp: stampOf(sys)})
+		return kernel.Result{}, ElideFallbackMismatch, false
+	}
+	// Only a table hit pays for the barrier-time audit pass (it captures
+	// the whole machine): every audit so far was clean, and this pass
+	// must be too — a full run's final audit would otherwise record
+	// violations (with end-of-run timestamps) that a spliced result
+	// cannot carry.
 	if len(audit.Check(audit.Capture(sys.OS))) != 0 {
 		return kernel.Result{}, ElideFallbackResidue, false
 	}
-	// Converged: splice the recorded deltas and terminate. The suffix
-	// tallies, cycles and counters are deterministic functions of the
-	// matched state, so tail minus rung is exactly what full execution
-	// would have added.
-	el.elide(report.Ran)
-	spliceReport(report, rg.prefix, tail.report)
-	k := sys.Kernel()
-	k.Clock().Advance(tail.result.Cycles - rg.clock)
-	spliceCounters(k, rg.counters, tail.counters)
-	res := kernel.Result{Outcome: tail.result.Outcome, Reason: tail.result.Reason, Cycles: k.Now()}
+	// The suffix tallies and the way the machine ends are deterministic
+	// functions of the matched state, so what the contributor added from
+	// here on is exactly what full execution would add. Cycles and counters stay those at the
+	// splice; nothing a campaign reports carries them.
+	end := rec.end
+	el.elide(report.Ran, end.rejoined)
+	report.Ran += end.report.Ran - int(rec.ran)
+	report.Passed += end.report.Passed - int(rec.passed)
+	report.Failed += end.report.Failed - int(rec.failed)
+	report.FailedNames = append(report.FailedNames, end.report.FailedNames[rec.names:]...)
+	res := kernel.Result{Outcome: end.outcome, Reason: end.reason, Cycles: sys.Kernel().Now()}
 	sys.Shutdown("run elided at quiescence barrier")
 	return res, "", true
 }
 
-func (el *elider) elide(barrier int) {
+func (el *elider) elide(barrier int, rejoined bool) {
 	el.decision = ServingElided(barrier)
+	if rejoined {
+		el.decision = ServingRejoined(barrier)
+	}
 	if el.stats != nil {
-		el.stats.elided()
+		el.stats.elided(rejoined)
 	}
 }
 
@@ -380,31 +444,5 @@ func (el *elider) fallback(reason string) {
 	el.decision = ServingFull(reason)
 	if el.stats != nil {
 		el.stats.elisionFallback(reason)
-	}
-}
-
-// spliceReport adds the pathfinder's suffix tallies (tail minus rung
-// prefix) onto the armed run's own prefix tallies, exactly as full
-// execution of the suffix would have.
-func spliceReport(report *testsuite.Report, prefix, tail testsuite.Report) {
-	report.Ran += tail.Ran - prefix.Ran
-	report.Passed += tail.Passed - prefix.Passed
-	report.Failed += tail.Failed - prefix.Failed
-	report.FailedNames = append(report.FailedNames, tail.FailedNames[len(prefix.FailedNames):]...)
-}
-
-// spliceCounters adds the pathfinder's suffix counter deltas in sorted
-// name order (deterministic first-touch order for the name cache).
-func spliceCounters(k *kernel.Kernel, rung, tail map[string]uint64) {
-	names := make([]string, 0, len(tail))
-	for name := range tail {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	c := k.Counters()
-	for _, name := range names {
-		if d := tail[name] - rung[name]; d > 0 {
-			c.Add(name, d)
-		}
 	}
 }

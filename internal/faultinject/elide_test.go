@@ -3,9 +3,13 @@ package faultinject
 import (
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/kernel"
+	"repro/internal/parallel"
 	"repro/internal/seep"
+	"repro/internal/testsuite"
 )
 
 // Tail elision must be invisible in campaign results: every aggregate
@@ -46,8 +50,9 @@ func elideTestPlan(t *testing.T) (CampaignConfig, []SiteProfile, CampaignResult)
 }
 
 // assertElisionAccounted checks the serving-split invariant: every
-// warm-served run either elided its tail or is charged exactly one
-// elision fallback reason.
+// warm-served run either elided its tail, was certified wedged, or is
+// charged exactly one elision fallback reason — and the rejoined runs
+// are a subset of the elided ones.
 func assertElisionAccounted(t *testing.T, stats PlaneStats) {
 	t.Helper()
 	fallbacks := 0
@@ -58,12 +63,15 @@ func assertElisionAccounted(t *testing.T, stats PlaneStats) {
 		t.Errorf("elision split leaks runs: %d elided + %d wedged + %d fallbacks != %d warm (%+v)",
 			stats.Elided, stats.Wedged, fallbacks, warm, stats.ElisionFallbacks)
 	}
+	if stats.Rejoined > stats.Elided {
+		t.Errorf("%d rejoined runs exceed %d elided", stats.Rejoined, stats.Elided)
+	}
 }
 
 // Elision-on campaign results must be bit-identical to pinned full
 // execution at every worker count, while actually eliding runs — and
-// the campaign is rich enough to drive the untriggered, mismatch and
-// residue fallbacks through their cold paths too.
+// the campaign is rich enough to drive the ended-early and mismatch
+// fallbacks through their cold paths too.
 func TestElideEquivalence(t *testing.T) {
 	cfg, profile, oracle := elideTestPlan(t)
 	for _, workers := range []int{1, 2, 8} {
@@ -76,7 +84,7 @@ func TestElideEquivalence(t *testing.T) {
 		if stats.Elided == 0 {
 			t.Errorf("workers=%d: no run elided its tail: %+v", workers, stats)
 		}
-		for _, reason := range []string{ElideFallbackUntriggered, ElideFallbackMismatch} {
+		for _, reason := range []string{ElideFallbackEndedEarly, ElideFallbackMismatch} {
 			if stats.ElisionFallbacks[reason] == 0 {
 				t.Errorf("workers=%d: campaign never exercised fallback %q: %+v",
 					workers, reason, stats.ElisionFallbacks)
@@ -132,6 +140,28 @@ func TestElideFallbackPinned(t *testing.T) {
 		t.Errorf("warm runs not charged to %s: %+v", ElideFallbackPinned, stats)
 	}
 	assertElisionAccounted(t, stats)
+
+	// (e) The pin keeps the whole suffix table off, not just the splice:
+	// the walk hashes nothing and publishes nothing, and no run records or
+	// contributes a candidate.
+	cfg, plan := rejoinPlan(t)
+	withNoElide(true, func() {
+		runner := newSingleRunner(cfg, plan)
+		defer runner.close()
+		for i := 0; i < len(plan); i += 6 {
+			if _, el := armedRun(t, runner, cfg.Seed+uint64(i)*7919, plan[i]); len(el.cands) != 0 {
+				t.Fatalf("run %d recorded %d candidates under -noelide", i, len(el.cands))
+			}
+		}
+		l := runner.planes[false].ladder
+		l.serveDeepest() // finish the walk: recordTail has had its chance
+		if l.table != nil || len(l.cands) != 0 {
+			t.Errorf("pinned ladder built a suffix table: %d entries, %d pending", len(l.table), len(l.cands))
+		}
+		if st := runner.stats.snapshot(); st.Elided != 0 || st.Rejoined != 0 {
+			t.Errorf("pinned plan elided: %+v", st)
+		}
+	})
 }
 
 // A negative cache budget tears the pathfinder down at rung 0, so no
@@ -151,33 +181,34 @@ func TestElideFallbackNoTail(t *testing.T) {
 	if stats.ElisionFallbacks[ElideFallbackNoTail] == 0 {
 		t.Errorf("no run charged to %s: %+v", ElideFallbackNoTail, stats.ElisionFallbacks)
 	}
+	if n := stats.ElisionFallbacks[ElideFallbackMismatch]; n != 0 {
+		t.Errorf("%d runs charged %s against a table that never opened", n, ElideFallbackMismatch)
+	}
 	assertElisionAccounted(t, stats)
+}
+
+// firstCandidate returns the profile's first injectable site.
+func firstCandidate(t *testing.T) SiteProfile {
+	t.Helper()
+	profile, err := Profile(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range profile {
+		if sp.Candidate() {
+			return sp
+		}
+	}
+	t.Fatal("profile has no candidate site")
+	return SiteProfile{}
 }
 
 // A fault whose occurrence lies beyond the site's total count never
 // fires: the run executes the whole suite warm with the elision gate
 // blocked at every barrier, and is charged fault-untriggered.
 func TestElideFallbackUntriggered(t *testing.T) {
-	profile, err := Profile(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var deep *SiteProfile
-	for i := range profile {
-		if profile[i].Candidate() {
-			deep = &profile[i]
-			break
-		}
-	}
-	if deep == nil {
-		t.Fatal("profile has no candidate site")
-	}
-	inj := Injection{
-		Server:     deep.Server,
-		Site:       deep.Site,
-		Occurrence: deep.Total + 1000,
-		Type:       FaultCrash,
-	}
+	sp := firstCandidate(t)
+	inj := Injection{Server: sp.Server, Site: sp.Site, Occurrence: sp.Total + 1000, Type: FaultCrash}
 	cfg := CampaignConfig{Policy: seep.PolicyEnhanced, Model: FailStop, Seed: 42}
 	runner := newSingleRunner(cfg, []Injection{inj})
 	defer runner.close()
@@ -185,6 +216,9 @@ func TestElideFallbackUntriggered(t *testing.T) {
 	coldRR := RunOne(seep.PolicyEnhanced, 99, inj)
 	if !reflect.DeepEqual(coldRR, warmRR) {
 		t.Errorf("untriggered run diverged:\ncold: %+v\nwarm: %+v", coldRR, warmRR)
+	}
+	if warmRR.Triggered {
+		t.Error("never-firing fault reported triggered")
 	}
 	stats := runner.stats.snapshot()
 	if stats.ElisionFallbacks[ElideFallbackUntriggered] != 1 {
@@ -195,24 +229,37 @@ func TestElideFallbackUntriggered(t *testing.T) {
 	}
 }
 
+// A fault that fires and takes the machine down inside the test it fired
+// in never reaches a barrier at which a gate could be consulted with the
+// fault behind it: the run is charged ended-before-barrier, not the
+// fault-untriggered of the barriers it passed before the trigger.
+func TestElideFallbackEndedEarly(t *testing.T) {
+	cfg, profile, _ := elideTestPlan(t)
+	plan := PlanCampaign(cfg, profile)
+	results, decisions, stats := servedPass(cfg, plan, 1)
+	early := 0
+	for i, rr := range results {
+		switch {
+		case strings.HasSuffix(decisions[i], ServingFull(ElideFallbackEndedEarly)):
+			early++
+			if !rr.Triggered {
+				t.Errorf("run %d charged %s without its fault firing", i, ElideFallbackEndedEarly)
+			}
+		case strings.HasSuffix(decisions[i], ServingFull(ElideFallbackUntriggered)) && rr.Triggered:
+			t.Errorf("run %d: fault fired yet charged %s", i, ElideFallbackUntriggered)
+		}
+	}
+	if early == 0 || early != stats.ElisionFallbacks[ElideFallbackEndedEarly] {
+		t.Errorf("%d ended-early decisions, stats say %d", early, stats.ElisionFallbacks[ElideFallbackEndedEarly])
+	}
+
+}
+
 // Persistent faults re-fire after every restart, so the plan-wide
 // readiness gate never opens: multi-fault runs carrying one execute in
 // full and are charged fault-untriggered.
 func TestElideFallbackPersistentNeverReady(t *testing.T) {
-	profile, err := Profile(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var deep *SiteProfile
-	for i := range profile {
-		if profile[i].Candidate() {
-			deep = &profile[i]
-			break
-		}
-	}
-	if deep == nil {
-		t.Fatal("profile has no candidate site")
-	}
+	deep := firstCandidate(t)
 	plan := []MultiInjection{
 		{Injection: Injection{Server: deep.Server, Site: deep.Site, Occurrence: deep.Boot + 1, Type: FaultCrash}},
 		{Injection: Injection{Server: deep.Server, Site: deep.Site, Occurrence: 1, Type: FaultCrash}, Persistent: true},
@@ -312,7 +359,7 @@ func TestElideServingDecisions(t *testing.T) {
 	elided, wedged, full, cold := 0, 0, map[string]int{}, map[string]int{}
 	for i, d := range decisions {
 		switch {
-		case strings.HasPrefix(d, "rung:") && strings.Contains(d, " elided:"):
+		case strings.HasPrefix(d, "rung:") && (strings.Contains(d, " elided:") || strings.Contains(d, " rejoined:")):
 			elided++
 		case strings.HasPrefix(d, "rung:") && strings.Contains(d, " wedged:"):
 			wedged++
@@ -360,4 +407,351 @@ func TestElidePlaneStatsConcurrent(t *testing.T) {
 		}
 		assertElisionAccounted(t, stats)
 	}
+}
+
+// --- The suffix table: runs rejoining runs ---
+
+// rejoinSites are four sites whose fail-stop runs mostly leave
+// allocation-cursor residue — the killed test forked or opened less, so
+// the rest of the suite runs one PID or descriptor over. Such a run never
+// matches the pathfinder again but matches the previous run whose fault
+// killed the same test the same way.
+var rejoinSites = map[string]bool{
+	"ds.put.applied":    true,
+	"pm.spawn.resolved": true,
+	"vfs.open.entry":    true,
+	"vfs.stat":          true,
+}
+
+// rejoinPlan is osirisbench's 40-per-site stratified fail-stop plan cut
+// down to rejoinSites: dense enough that runs land on each other's
+// states.
+func rejoinPlan(t *testing.T) (CampaignConfig, []Injection) {
+	t.Helper()
+	cfg := CampaignConfig{Policy: seep.PolicyEnhanced, Model: FailStop, Seed: 42}
+	return cfg, stratifiedPlan(rejoinProfile(t), 40, cfg.Seed)
+}
+
+// rejoinCold returns the cold RunOne result of every run of rejoinPlan —
+// the oracle the rejoin tests share, computed once.
+func rejoinCold(cfg CampaignConfig, plan []Injection) []RunResult {
+	rejoinColdOnce.Do(func() {
+		rejoinColdResults = parallel.Map(0, len(plan), func(i int) RunResult {
+			return RunOne(cfg.Policy, cfg.Seed+uint64(i)*7919, plan[i])
+		})
+	})
+	return rejoinColdResults
+}
+
+var (
+	rejoinColdOnce    sync.Once
+	rejoinColdResults []RunResult
+)
+
+// rejoinProfile is the seed-42 profile cut down to rejoinSites.
+func rejoinProfile(t *testing.T) []SiteProfile {
+	t.Helper()
+	profile, err := Profile(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sites []SiteProfile
+	for _, sp := range profile {
+		if rejoinSites[sp.Site] {
+			sites = append(sites, sp)
+		}
+	}
+	return sites
+}
+
+// armedRun serves one single-fault run the way campaignRunner.runOne
+// does, keeping the run's elider in view.
+func armedRun(t *testing.T, r *campaignRunner, seed uint64, inj Injection) (RunResult, *elider) {
+	t.Helper()
+	l := r.planes[inj.Type.IPC()].ladder
+	key := siteKey{inj.Server, inj.Site}
+	idx, rg, snap, ok := l.serve([]siteKey{key}, []int{inj.Occurrence})
+	if !ok {
+		t.Fatalf("%+v: occurrence within boot", inj)
+	}
+	var report testsuite.Report
+	ipc := r.ipc.normalized(inj.Type.IPC())
+	sys, err := forkSnapshot(snap, forkParams(seed, ipc), testsuite.RunnerResumeFrom(&report, rg.prefix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.stats.fork(idx)
+	warm := inj
+	warm.Occurrence -= rg.counts[key]
+	el := newElider(l, &r.stats)
+	return finishRunOne(sys, &report, inj, seed, warm, el), el
+}
+
+// countDecisions counts the serving decisions containing part.
+func countDecisions(decisions []string, part string) int {
+	n := 0
+	for _, d := range decisions {
+		if strings.Contains(d, part) {
+			n++
+		}
+	}
+	return n
+}
+
+// (a) A plan dense enough for runs to rejoin each other stays
+// bit-identical, per run, to pinned full execution and to cold RunOne at
+// every worker count, while actually rejoining; and the campaign
+// aggregate over the same sites equals its pinned oracle.
+func TestElideRejoinEquivalence(t *testing.T) {
+	cfg, plan := rejoinPlan(t)
+	var oracle []RunResult
+	withNoElide(true, func() { oracle, _, _ = servedPass(cfg, plan, 0) })
+	cold := rejoinCold(cfg, plan)
+	if !reflect.DeepEqual(cold, oracle) {
+		t.Fatal("pinned full execution differs from cold RunOne")
+	}
+	for _, workers := range []int{1, 2, 8} {
+		results, decisions, stats := servedPass(cfg, plan, workers)
+		for i := range plan {
+			if !reflect.DeepEqual(cold[i], results[i]) {
+				t.Errorf("workers=%d run %d (%s) differs from cold RunOne:\ncold: %+v\nwarm: %+v",
+					workers, i, decisions[i], cold[i], results[i])
+			}
+		}
+		if stats.Rejoined == 0 {
+			t.Errorf("workers=%d: no run rejoined another: %+v", workers, stats)
+		}
+		if n := countDecisions(decisions, " rejoined:"); n != stats.Rejoined {
+			t.Errorf("workers=%d: %d rejoined decisions, stats say %d", workers, n, stats.Rejoined)
+		}
+		if n := countDecisions(decisions, " elided:"); n != stats.Elided-stats.Rejoined {
+			t.Errorf("workers=%d: %d elided decisions, stats say %d", workers, n, stats.Elided-stats.Rejoined)
+		}
+		assertElisionAccounted(t, stats)
+	}
+
+	sites := rejoinProfile(t)
+	cfg.SamplesPerSite = 40
+	var want CampaignResult
+	withNoElide(true, func() { want = RunCampaign(cfg, sites) })
+	cfg.Workers = 8
+	got, stats := RunCampaignWithStats(cfg, sites)
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("aggregate diverged from -noelide oracle:\nfull:   %+v\nelided: %+v", want, got)
+	}
+	if stats.Rejoined == 0 {
+		t.Errorf("campaign rejoined nothing: %+v", stats)
+	}
+}
+
+// (a, multi-fault) Each rejoin-plan fault followed by a correlated second
+// crash of the same site: both fire, the machine recovers twice, and the
+// runs rejoin each other under the cascade sequencer's configuration —
+// per run equal to pinned execution and to cold RunMultiWith, Recoveries
+// included.
+func TestElideRejoinEquivalenceMulti(t *testing.T) {
+	scfg, single := rejoinPlan(t)
+	var plans [][]MultiInjection
+	for i, inj := range single {
+		if i%2 != 0 {
+			continue
+		}
+		plans = append(plans, []MultiInjection{
+			{Injection: inj},
+			{Injection: Injection{Server: inj.Server, Site: inj.Site, Occurrence: 1, Type: FaultCrash}, Correlated: true},
+		})
+	}
+	cfg := MultiCampaignConfig{Policy: scfg.Policy, Model: FailStop, Seed: scfg.Seed}
+	pass := func(workers int) ([]MultiRunResult, PlaneStats) {
+		runner := newMultiRunner(cfg, plans)
+		defer runner.close()
+		results := parallel.Map(workers, len(plans), func(i int) MultiRunResult {
+			rr, _ := runner.runMulti(cfg.Seed+uint64(i)*104729, plans[i])
+			return rr
+		})
+		return results, runner.stats.snapshot()
+	}
+	var oracle []MultiRunResult
+	withNoElide(true, func() { oracle, _ = pass(0) })
+	cold := parallel.Map(0, len(plans), func(i int) MultiRunResult {
+		return RunMultiWith(cfg.Policy, cfg.Seed+uint64(i)*104729, plans[i], IPCOptions{})
+	})
+	if !reflect.DeepEqual(cold, oracle) {
+		t.Fatal("pinned full execution differs from cold RunMultiWith")
+	}
+	for _, workers := range []int{1, 2, 8} {
+		results, stats := pass(workers)
+		for i := range plans {
+			if !reflect.DeepEqual(cold[i], results[i]) {
+				t.Errorf("workers=%d run %d differs from cold RunMultiWith:\ncold: %+v\nwarm: %+v", workers, i, cold[i], results[i])
+			}
+		}
+		if stats.Rejoined == 0 {
+			t.Errorf("workers=%d: no multi-fault run rejoined another: %+v", workers, stats)
+		}
+		assertElisionAccounted(t, stats)
+	}
+}
+
+// (c) A run need not hit at its first lookup: it may miss at one barrier
+// (keeping a candidate it will never publish), hit a later one, and the
+// spliced tally still equals full execution. And what a run publishes is
+// exactly what the next run finds: every candidate of a run that executed
+// to a clean completed end is in the table afterwards.
+func TestElideLateHitAndPublication(t *testing.T) {
+	cfg, plan := rejoinPlan(t)
+	runner := newSingleRunner(cfg, plan)
+	defer runner.close()
+	l := runner.planes[false].ladder
+	late, published := 0, 0
+	for i, inj := range plan {
+		seed := cfg.Seed + uint64(i)*7919
+		rr, el := armedRun(t, runner, seed, inj)
+		spliced := strings.HasPrefix(el.decision, "elided:") || strings.HasPrefix(el.decision, "rejoined:")
+		if spliced && el.attempts > 1 {
+			late++
+			if cold := RunOne(cfg.Policy, seed, inj); !reflect.DeepEqual(cold, rr) {
+				t.Errorf("run %d spliced at lookup %d (%s) differs from cold RunOne:\ncold: %+v\nwarm: %+v",
+					i, el.attempts, el.decision, cold, rr)
+			}
+		}
+		if !spliced && rr.Consistent && (rr.Outcome == OutcomePass || rr.Outcome == OutcomeFail) {
+			for _, c := range el.cands {
+				rec, _, ok := l.lookup(c.key)
+				if !ok {
+					t.Fatalf("run %d: candidate at barrier %d was not published", i, c.key.barrier)
+				}
+				if added := rec.end.report.Failed - int(rec.failed); added != rr.TestsFailed-c.prefix.Failed {
+					t.Errorf("run %d: entry at barrier %d records %d failures, the run added %d",
+						i, c.key.barrier, added, rr.TestsFailed-c.prefix.Failed)
+				}
+				published++
+			}
+		}
+	}
+	if late == 0 {
+		t.Error("no run spliced after a missed lookup")
+	}
+	if published == 0 {
+		t.Error("no run published a candidate")
+	}
+}
+
+// tableLadder returns a walked ladder with its suffix table open, plus a
+// candidate no entry exists for, stamped as a run that drew no
+// randomness and ran no recovery since would be.
+func tableLadder(t *testing.T) (*ladder, candidate, testsuite.Report, suffixStamp) {
+	t.Helper()
+	l := newLadder(singleFaultConfig(seep.PolicyEnhanced, 42, IPCOptions{}))
+	if l == nil {
+		t.Fatal("pathfinder failed to reach the boot barrier")
+	}
+	t.Cleanup(l.Close)
+	if _, open, _ := l.lookup(suffixKey{}); !open {
+		t.Fatal("fault-free walk did not open the suffix table")
+	}
+	at := suffixStamp{rng: 1, ipcRNG: 2, ipcHas: true, recoveries: 1}
+	prefix := testsuite.Report{Ran: 10, Passed: 9, Failed: 1, FailedNames: []string{"a"}}
+	end := testsuite.Report{Ran: 96, Passed: 94, Failed: 2, FailedNames: []string{"a", "b"}}
+	return l, candidate{key: suffixKey{barrier: 10, fp: 0xfeed}, prefix: prefix, stamp: at}, end, at
+}
+
+// (b) The publishing certificate, gate by gate, driven on the publish
+// step itself: no suffix a warm run executes today draws randomness or
+// ends with a violation no earlier pass saw, so real runs cannot reach
+// these refusals. A candidate that satisfies the certificate is kept —
+// with exactly the suffix deltas — and each single departure from it is
+// not.
+func TestElidePublishCertificate(t *testing.T) {
+	completed := kernel.Result{Outcome: kernel.OutcomeCompleted, Reason: "done"}
+	l, cand, end, at := tableLadder(t)
+	l.publishRun([]candidate{cand}, &end, completed, true, at)
+	rec, _, ok := l.lookup(cand.key)
+	want := suffixRecord{ran: 10, passed: 9, failed: 1, names: 1,
+		end: &suffixEnd{report: end, outcome: kernel.OutcomeCompleted, reason: "done", rejoined: true}}
+	if !ok || !reflect.DeepEqual(rec, want) {
+		t.Fatalf("certified candidate published as %+v (found %v), want %+v", rec, ok, want)
+	}
+	// First writer wins.
+	other := end
+	other.Passed--
+	l.publishRun([]candidate{cand}, &other, completed, true, at)
+	if rec, _, _ := l.lookup(cand.key); !reflect.DeepEqual(rec, want) {
+		t.Errorf("second writer replaced the entry: %+v", rec)
+	}
+
+	refusals := []struct {
+		name  string
+		res   kernel.Result
+		clean bool
+		move  func(*suffixStamp)
+	}{
+		{"shutdown", kernel.Result{Outcome: kernel.OutcomeShutdown}, true, nil},
+		{"hang", kernel.Result{Outcome: kernel.OutcomeHang}, true, nil},
+		{"audit violation", completed, false, nil},
+		{"machine RNG drawn", completed, true, func(s *suffixStamp) { s.rng++ }},
+		{"IPC RNG drawn", completed, true, func(s *suffixStamp) { s.ipcRNG++ }},
+		{"IPC plane appeared", completed, true, func(s *suffixStamp) { s.ipcHas = false }},
+		{"recovery ran", completed, true, func(s *suffixStamp) { s.recoveries++ }},
+	}
+	for i, r := range refusals {
+		c := cand
+		c.key.fp += uint64(i) + 1
+		endStamp := at
+		if r.move != nil {
+			r.move(&endStamp)
+		}
+		size := len(l.table)
+		l.publishRun([]candidate{c}, &end, r.res, r.clean, endStamp)
+		if _, _, ok := l.lookup(c.key); ok || len(l.table) != size {
+			t.Errorf("%s: candidate was published", r.name)
+		}
+	}
+}
+
+// (b) A recording run that ends in a crash publishes nothing, and stays
+// equal to its cold run. Fail-stop plans have no such run (a fail-stop
+// fault either takes the machine down at once or not at all); a silent
+// corruption that lets the suite pass a barrier and crashes it later
+// does.
+func TestElidePublishRefusesCrashedRun(t *testing.T) {
+	inj := Injection{Server: "pm", Site: "pm.exit.entry", Occurrence: 121, Type: FaultCorrupt}
+	seed := uint64(42 + 135*7919)
+	cfg := CampaignConfig{Policy: seep.PolicyEnhanced, Model: FullEDFI, Seed: 42}
+	runner := newSingleRunner(cfg, []Injection{inj})
+	defer runner.close()
+	rr, el := armedRun(t, runner, seed, inj)
+	if len(el.cands) == 0 || rr.Outcome != OutcomeCrash {
+		t.Fatalf("run no longer records and then crashes (%d candidates, outcome %v): pick another", len(el.cands), rr.Outcome)
+	}
+	if cold := RunOne(cfg.Policy, seed, inj); !reflect.DeepEqual(cold, rr) {
+		t.Errorf("recording run differs from cold RunOne:\ncold: %+v\nwarm: %+v", cold, rr)
+	}
+	l := runner.planes[false].ladder
+	for _, c := range el.cands {
+		if _, _, ok := l.lookup(c.key); ok {
+			t.Errorf("crashed run published its candidate at barrier %d", c.key.barrier)
+		}
+	}
+}
+
+// (b) A snapshot budget the ladder's own records already exhaust has no
+// room for an armed run's entry: runs still splice the pathfinder's
+// entries (the ladder charges those regardless), nothing rejoins, and the
+// results do not move.
+func TestElidePublishRefusesWithoutBudget(t *testing.T) {
+	cfg, plan := rejoinPlan(t)
+	var results []RunResult
+	var stats PlaneStats
+	withSnapCache(1, func() { results, _, stats = servedPass(cfg, plan, 1) })
+	if !reflect.DeepEqual(rejoinCold(cfg, plan), results) {
+		t.Error("results moved under a one-byte snapshot budget")
+	}
+	if stats.Rejoined != 0 {
+		t.Errorf("%d runs rejoined entries the budget had no room for", stats.Rejoined)
+	}
+	if stats.Elided == 0 {
+		t.Errorf("the pathfinder's own entries were refused too: %+v", stats)
+	}
+	assertElisionAccounted(t, stats)
 }

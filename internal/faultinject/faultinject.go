@@ -382,8 +382,8 @@ func RunOneWith(policy seep.Policy, seed uint64, inj Injection, ipc IPCOptions) 
 // armed carries the occurrence counted from the machine's current
 // position (equal to inj on cold boots; shifted past the quiescence
 // barrier on warm forks); the result always reports inj as planned. A
-// non-nil elider lets a warm fork splice the pathfinder's recorded tail
-// at a post-recovery quiescence barrier instead of re-executing it (see
+// non-nil elider lets a warm fork splice a recorded suffix at a
+// post-recovery quiescence barrier instead of re-executing it (see
 // elide.go); cold boots pass nil.
 func finishRunOne(sys *boot.System, report *testsuite.Report, inj Injection, seed uint64, armed Injection, el *elider) RunResult {
 	k := sys.Kernel()
@@ -409,7 +409,7 @@ func finishRunOne(sys *boot.System, report *testsuite.Report, inj Injection, see
 		// faults and reply overrides are blocked by the quiescence gate).
 		el.ready = func() bool { return triggered }
 	}
-	res, elided := runElidable(sys, report, aud, el)
+	res := runElidable(sys, report, aud, el)
 	out := RunResult{
 		Injection:   inj,
 		Outcome:     classify(res, report),
@@ -417,13 +417,6 @@ func finishRunOne(sys *boot.System, report *testsuite.Report, inj Injection, see
 		TestsFailed: report.Failed,
 		Reason:      res.Reason,
 		Seed:        seed,
-	}
-	if !elided && res.Outcome == kernel.OutcomeCompleted {
-		// An elided run skips the final audit pass: its elision gates
-		// already required every prior pass plus a barrier-time pass to
-		// be clean, and the spliced suffix is the pathfinder's audited
-		// fault-free tail.
-		aud.Final()
 	}
 	out.Consistent = aud.Consistent()
 	for _, v := range aud.Violations() {
@@ -684,6 +677,19 @@ type ArmedRunner struct {
 // (typically PlanCampaign's output).
 func NewArmedRunner(cfg CampaignConfig, plan []Injection) *ArmedRunner {
 	return &ArmedRunner{r: newSingleRunner(cfg, plan)}
+}
+
+// Prime walks every ladder of the plane to its end, capturing the rung
+// snapshots and opening the suffix table, without executing a run: a
+// measurement that wants the walk outside its timed loop calls it instead
+// of a warm-up pass over the plan, whose runs would publish the very
+// suffixes the timed pass then splices.
+func (a *ArmedRunner) Prime() {
+	for _, pl := range a.r.planes {
+		if pl.ladder != nil {
+			pl.ladder.serveDeepest()
+		}
+	}
 }
 
 // Run executes one armed run with the given per-run seed.

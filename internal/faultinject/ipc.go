@@ -77,23 +77,19 @@ func RunBackground(policy seep.Policy, seed uint64, ipc IPCOptions) RunResult {
 // or forked from a warm image — and classifies the outcome. ipc must be
 // the normalized options the machine was configured with. A non-nil
 // elider (zero-rate warm forks only — no fault ever arms) lets the run
-// splice the pathfinder's tail at its first quiescence barrier.
+// splice the pathfinder's suffix at its first quiescence barrier.
 func finishRunBackground(sys *boot.System, report *testsuite.Report, ipc IPCOptions, seed uint64, el *elider) RunResult {
 	aud := audit.Attach(sys.OS)
 	if el != nil {
 		el.ready = func() bool { return true }
 	}
-	res, elided := runElidable(sys, report, aud, el)
+	res := runElidable(sys, report, aud, el)
 	out := RunResult{
 		Outcome:     classify(res, report),
 		Triggered:   ipc.Faults.Enabled(),
 		TestsFailed: report.Failed,
 		Reason:      res.Reason,
 		Seed:        seed,
-	}
-	if !elided && res.Outcome == kernel.OutcomeCompleted {
-		// See finishRunOne: the elision gates subsume the final pass.
-		aud.Final()
 	}
 	out.Consistent = aud.Consistent()
 	for _, v := range aud.Violations() {

@@ -35,7 +35,6 @@ import (
 	"repro/internal/boot"
 	"repro/internal/core"
 	"repro/internal/kernel"
-	"repro/internal/sim"
 	"repro/internal/testsuite"
 	"repro/internal/usr"
 )
@@ -78,7 +77,9 @@ const (
 // bit-identical however runs are served; the serving split itself is
 // deterministic under an ample cache budget, but may vary with worker
 // interleaving when LRU eviction is active (different serve orders
-// evict different rungs).
+// evict different rungs). Likewise the Elided/Rejoined split at workers
+// > 1: which run publishes a suffix-table entry first, and which later
+// run finds it already there, depends on the order runs finish in.
 type PlaneStats struct {
 	// LadderForks counts runs forked from a mid-suite rung (>= 1).
 	LadderForks int
@@ -89,9 +90,14 @@ type PlaneStats struct {
 	// Fallbacks breaks ColdBoots down by reason.
 	Fallbacks map[string]int
 	// Elided counts warm-served runs that ended at a quiescence barrier
-	// by splicing the recorded pathfinder tail instead of re-executing
-	// the remaining suite suffix (see elide.go).
+	// by splicing a suffix-table entry instead of re-executing the
+	// remaining suite suffix (see elide.go), whoever contributed it.
 	Elided int
+	// Rejoined counts the subset of Elided whose entry an earlier armed
+	// run contributed rather than the pathfinder walk: the run did not
+	// converge onto the fault-free trace, it landed on a state another
+	// recovered run had already executed from.
+	Rejoined int
 	// ElisionFallbacks breaks warm-served, fully-executed runs down by
 	// the elision fallback reason charged to each (the last blocker
 	// standing when the run completed). Elided plus Wedged plus the sum
@@ -155,9 +161,12 @@ func (c *statsCollector) cold(reason string) {
 	c.mu.Unlock()
 }
 
-func (c *statsCollector) elided() {
+func (c *statsCollector) elided(rejoined bool) {
 	c.mu.Lock()
 	c.s.Elided++
+	if rejoined {
+		c.s.Rejoined++
+	}
 	c.mu.Unlock()
 }
 
@@ -211,41 +220,66 @@ type rung struct {
 	// prefix is the suite tally at this rung: prefix.Ran tests
 	// completed, barrier parked before test prefix.Ran.
 	prefix testsuite.Report
-
-	// fp is the pathfinder's state fingerprint at this rung (valid when
-	// fpOK); an armed run whose barrier state hashes equal has converged
-	// onto the fault-free trace and may splice the recorded tail.
-	fp   uint64
-	fpOK bool
-	// rng / ipcRNG are the machine and fault-plane RNG cursors at the
-	// rung; equality with the tail cursors proves the pathfinder suffix
-	// consumed no randomness (see sim.RNG.State).
-	rng    uint64
-	ipcRNG uint64
-	ipcHas bool
-	// clock and counters anchor the cycle and counter deltas an elided
-	// run splices: delta = tail value minus rung value.
-	clock    sim.Cycles
-	counters map[string]uint64
 }
 
-// ladderTail is the recorded end of a completed pathfinder walk: the
-// final suite tally, run result, counter snapshot and RNG cursors, plus
-// the end-of-walk audit verdict. Together with a rung record it yields
-// the exact deltas an elided run splices in place of re-executing the
-// suffix. Immutable once recorded.
-type ladderTail struct {
-	report   testsuite.Report
-	result   kernel.Result
-	counters map[string]uint64
-	rng      uint64
-	ipcRNG   uint64
-	ipcHas   bool
-	// auditClean records whether the end-of-walk audit pass over the
-	// pathfinder found every cross-server invariant intact. An elided
-	// run's final audit pass is replaced by this verdict (plus its own
-	// barrier-time pass), so an unclean tail disables elision entirely.
-	auditClean bool
+// suffixKey names a machine state parked at a suite barrier: how many
+// tests had completed there and what the state hashed to.
+type suffixKey struct {
+	barrier int
+	fp      uint64
+}
+
+// suffixEnd is how one fully executed machine ended — final suite tally,
+// outcome, the kernel's reason — shared by every entry the machine
+// published. Cycles and counters are deliberately absent: no result, trace
+// or journal record carries them. Immutable once published.
+type suffixEnd struct {
+	report  testsuite.Report
+	outcome kernel.RunOutcome
+	reason  string
+	// rejoined marks an armed run's end rather than the pathfinder walk's;
+	// it only labels the splice (PlaneStats.Rejoined).
+	rejoined bool
+}
+
+// suffixRecord is one table entry: the contributor's end and its suite
+// tally at the keyed barrier (names is len(FailedNames) there). What
+// executing the suite from the keyed state adds to a campaign result is
+// the difference. Kept to 24 bytes — a campaign publishes thousands.
+type suffixRecord struct {
+	end                        *suffixEnd
+	ran, passed, failed, names int32
+}
+
+// suffixStamp is what must stand still across a suffix for it to be
+// publishable. Both machine RNG streams: a suffix that starts and ends on
+// equal cursors consumed no randomness, so it is a function of the
+// fingerprinted state alone (see sim.RNG.State). And the recovery count:
+// MultiRunResult reports it and a spliced run keeps its own, and a
+// restart in the suffix could have fired a during-recovery fault the
+// next run does not carry.
+type suffixStamp struct {
+	rng, ipcRNG uint64
+	ipcHas      bool
+	recoveries  int
+}
+
+func stampOf(sys *boot.System) suffixStamp {
+	k := sys.Kernel()
+	st := suffixStamp{rng: k.RNGState(), recoveries: sys.Recoveries}
+	st.ipcRNG, st.ipcHas = k.IPCRNGState()
+	return st
+}
+
+// candidate is a barrier state a fully executing machine — the
+// pathfinder at every rung, an armed run at every lookup it missed —
+// may publish once it knows its own end.
+type candidate struct {
+	key suffixKey
+	// prefix is the suite tally at the barrier. FailedNames aliases the
+	// live report's append-only slice; only its length is read.
+	prefix testsuite.Report
+	stamp  suffixStamp
 }
 
 // ladder is the snapshot ladder of one (policy, configuration class):
@@ -262,7 +296,11 @@ type ladder struct {
 	counts map[siteKey]int   // pathfinder's live cumulative site counts
 	rungs  []rung
 	cache  *snapCache
-	tail   *ladderTail // recorded walk end; nil until the suite completes
+	cands  []candidate // the walk's own candidates, published at its end
+	// table maps barrier states to recorded suffixes; nil until the walk
+	// has completed cleanly and published, which also opens it to armed
+	// runs' entries.
+	table map[suffixKey]suffixRecord
 }
 
 // newLadder boots the pathfinder for cfg (plus the suite registry and
@@ -306,68 +344,104 @@ func newLadder(cfg core.Config) *ladder {
 	return l
 }
 
-// recordRung appends the parked pathfinder's rung record: cumulative
-// site counts, suite tally, state fingerprint, RNG cursors, clock and
-// counter snapshot. The record's retained bytes are charged against the
-// snapshot cache budget (records are never evicted — they anchor
-// occurrence translation and elision — so their cost comes out of the
+// recordRung appends the parked pathfinder's rung record — cumulative
+// site counts and suite tally — and, unless elision is pinned off, keeps
+// the rung as a suffix-table candidate. The record's retained bytes are
+// charged against the snapshot cache budget (records are never evicted —
+// they anchor occurrence translation — so their cost comes out of the
 // snapshot side of the budget). Caller holds l.mu with the pathfinder
 // parked at a barrier.
 func (l *ladder) recordRung() {
-	k := l.sys.Kernel()
 	rg := rung{counts: cloneCounts(l.counts), prefix: cloneReport(*l.report)}
-	// With elision pinned off no armed run will ever compare against the
-	// rung, so the walk skips the per-rung hashing and counter snapshots
-	// entirely — the oracle pays none of the elision plane's cost.
+	// With elision pinned off no armed run will ever look a state up, so
+	// the walk skips the per-rung hashing entirely — the oracle pays none
+	// of the elision plane's cost.
 	if !noElideDefault {
 		if fp, err := l.sys.StateFingerprint(); err == nil {
-			rg.fp, rg.fpOK = fp, true
+			l.cands = append(l.cands, candidate{
+				key:    suffixKey{barrier: rg.prefix.Ran, fp: fp},
+				prefix: rg.prefix,
+				stamp:  stampOf(l.sys),
+			})
 		}
-		rg.rng = k.RNGState()
-		rg.ipcRNG, rg.ipcHas = k.IPCRNGState()
-		rg.clock = k.Now()
-		rg.counters = k.Counters().Snapshot()
 	}
 	l.rungs = append(l.rungs, rg)
 	l.cache.charge(rungRecordBytes(rg))
 }
 
-// recordTail captures the end of a completed walk — final tally, run
-// result, counters, RNG cursors and the end-of-walk audit verdict — so
-// armed runs can splice it. A pathfinder that hit the cycle limit or
-// deadlocked leaves no tail and elision falls back to full execution.
-// Caller holds l.mu; the machine is done but not yet torn down.
+// recordTail ends a completed walk: it publishes the rungs as the suffix
+// table's first entries, under the same certificate an armed run's
+// candidates face. A pathfinder that hit
+// the cycle limit or deadlocked, or whose end-of-walk audit found a
+// violation, publishes nothing; the table then stays closed and every
+// run executes in full. Caller holds l.mu; the machine is done but not
+// yet torn down.
 func (l *ladder) recordTail() {
 	if noElideDefault {
 		return
 	}
-	k := l.sys.Kernel()
-	res := k.StepResult()
-	if res.Outcome != kernel.OutcomeCompleted {
+	res := l.sys.Kernel().StepResult()
+	clean := res.Outcome == kernel.OutcomeCompleted && len(audit.Check(audit.Capture(l.sys.OS))) == 0
+	l.publish(l.cands, l.report, res, clean, stampOf(l.sys), false)
+	l.cands = nil
+}
+
+// publish offers the candidates of a machine that executed to its end to
+// the suffix table. The certificate: the run completed, every audit pass
+// including the final one was clean (a spliced run inherits that verdict
+// in place of its own final pass), and the stamp stands where the
+// candidate left it — the suffix drew no randomness and ran no recovery,
+// so it is a function of the fingerprinted state alone. The first writer
+// of a key wins: by that same argument any later writer would record the
+// same suffix. The pathfinder's publication opens the table (armed runs
+// keep candidates only once lookup reports it open); an armed run's
+// entries (rejoined) are kept only while their bytes still fit the
+// snapshot budget. Caller holds l.mu.
+func (l *ladder) publish(cands []candidate, end *testsuite.Report, res kernel.Result, clean bool, at suffixStamp, rejoined bool) {
+	if res.Outcome != kernel.OutcomeCompleted || !clean {
 		return
 	}
-	t := &ladderTail{
-		report:   cloneReport(*l.report),
-		result:   res,
-		counters: k.Counters().Snapshot(),
-		rng:      k.RNGState(),
+	if l.table == nil {
+		l.table = make(map[suffixKey]suffixRecord, len(cands))
 	}
-	t.ipcRNG, t.ipcHas = k.IPCRNGState()
-	t.auditClean = len(audit.Check(audit.Capture(l.sys.OS))) == 0
-	l.tail = t
-	l.cache.charge(tailRecordBytes(t))
+	// One end record serves every entry of this machine; its bytes are
+	// charged with the first entry kept.
+	var shared *suffixEnd
+	for _, c := range cands {
+		if c.stamp != at {
+			continue
+		}
+		if _, dup := l.table[c.key]; dup {
+			continue
+		}
+		n := int64(suffixEntryBytes)
+		if shared == nil {
+			n += suffixEndBytes(end)
+		}
+		if rejoined && !l.cache.roomFor(n) {
+			continue
+		}
+		if shared == nil {
+			shared = &suffixEnd{report: cloneReport(*end), outcome: res.Outcome, reason: res.Reason, rejoined: rejoined}
+		}
+		l.cache.charge(n)
+		l.table[c.key] = suffixRecord{
+			end:    shared,
+			ran:    int32(c.prefix.Ran),
+			passed: int32(c.prefix.Passed),
+			failed: int32(c.prefix.Failed),
+			names:  int32(len(c.prefix.FailedNames)),
+		}
+	}
 }
 
 // rungRecordBytes estimates the retained size of one rung record for
-// cache accounting: map headers and entries, key strings, and the
-// fixed fingerprint/cursor fields.
+// cache accounting: map header and entries, key strings, and the suite
+// tally.
 func rungRecordBytes(rg rung) int64 {
-	n := int64(256)
+	n := int64(128)
 	for key := range rg.counts {
 		n += 64 + int64(len(key[0])+len(key[1]))
-	}
-	for name := range rg.counters {
-		n += 48 + int64(len(name))
 	}
 	for _, s := range rg.prefix.FailedNames {
 		n += 16 + int64(len(s))
@@ -375,13 +449,16 @@ func rungRecordBytes(rg rung) int64 {
 	return n
 }
 
-// tailRecordBytes estimates the retained size of the walk tail record.
-func tailRecordBytes(t *ladderTail) int64 {
-	n := int64(256) + int64(len(t.result.Reason))
-	for name := range t.counters {
-		n += 48 + int64(len(name))
-	}
-	for _, s := range t.report.FailedNames {
+// suffixEntryBytes estimates the retained size of one suffix-table entry:
+// 16-byte key, 24-byte record, and the map's slack (a map that splits
+// when full runs between 42 % and 87 % load).
+const suffixEntryBytes = 96
+
+// suffixEndBytes estimates the retained size of the end record a
+// publishing machine shares among its entries.
+func suffixEndBytes(end *testsuite.Report) int64 {
+	n := int64(96)
+	for _, s := range end.FailedNames {
 		n += 16 + int64(len(s))
 	}
 	return n
@@ -422,7 +499,7 @@ func (l *ladder) advance() {
 	if !l.sys.Kernel().RunToBarrier(RunLimit) {
 		// The fault-free suite ran to completion (or hit the limit):
 		// the last recorded rung is the deepest one. A completed suite
-		// additionally yields the elision tail.
+		// additionally opens the suffix table.
 		l.recordTail()
 		l.finish("ladder: suite complete")
 		return
@@ -486,37 +563,25 @@ func (l *ladder) serveDeepest() (int, rung, *boot.Snapshot) {
 	return idx, l.rungs[idx], snap
 }
 
-// elisionServe returns the rung record matching an armed run parked at
-// the barrier before test ran, plus the recorded walk tail, walking the
-// pathfinder to completion first (the walk is amortized across the
-// campaign; serve's lazy depth bound does not apply once any run is
-// ready to elide). ok is false when no usable tail exists: the walk
-// never completed, its end-of-walk audit found violations, the suffix
-// from the rung consumed machine randomness, the rung was recorded
-// without a fingerprint, or ran lies beyond the recorded ladder.
-func (l *ladder) elisionServe(ran int) (rung, *ladderTail, bool) {
+// lookup walks the pathfinder to completion (the walk is amortized across
+// the campaign; serve's lazy depth bound does not apply once any run is
+// ready to elide) and returns the suffix recorded for a machine parked at
+// key. open reports whether the walk opened the table at all.
+func (l *ladder) lookup(key suffixKey) (rec suffixRecord, open, hit bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for l.sys != nil {
 		l.advance()
 	}
-	t := l.tail
-	if t == nil || !t.auditClean {
-		return rung{}, nil, false
-	}
-	// Rung index equals tests completed: rung i is the barrier parked
-	// before test i.
-	if ran < 0 || ran >= len(l.rungs) {
-		return rung{}, nil, false
-	}
-	rg := l.rungs[ran]
-	if !rg.fpOK || rg.prefix.Ran != ran {
-		return rung{}, nil, false
-	}
-	if rg.rng != t.rng || rg.ipcHas != t.ipcHas || rg.ipcRNG != t.ipcRNG {
-		return rung{}, nil, false
-	}
-	return rg, t, true
+	rec, hit = l.table[key]
+	return rec, l.table != nil, hit
+}
+
+// publishRun is publish for an armed run that executed to its end.
+func (l *ladder) publishRun(cands []candidate, end *testsuite.Report, res kernel.Result, clean bool, at suffixStamp) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.publish(cands, end, res, clean, at, true)
 }
 
 func cloneCounts(src map[siteKey]int) map[siteKey]int {
@@ -540,10 +605,13 @@ func cloneReport(src testsuite.Report) testsuite.Report {
 type snapCache struct {
 	budget int64
 	used   int64
-	rung0  *boot.Snapshot
-	snaps  map[int]*boot.Snapshot
-	sizes  map[int]int64
-	lru    []int // least recently used first
+	// records is the part of used that charge accounted: bytes no
+	// eviction can win back.
+	records int64
+	rung0   *boot.Snapshot
+	snaps   map[int]*boot.Snapshot
+	sizes   map[int]int64
+	lru     []int // least recently used first
 }
 
 func newSnapCache(budget int64, rung0 *boot.Snapshot) *snapCache {
@@ -574,16 +642,26 @@ func (c *snapCache) add(idx int, snap *boot.Snapshot) {
 }
 
 // charge permanently accounts n bytes of un-evictable ladder records
-// (rung fingerprint/delta records, the walk tail) against the budget,
-// evicting cached snapshots to make room. Records themselves are never
-// evicted — they anchor occurrence translation and elision — so their
-// cost comes out of the snapshot side of the budget.
+// (rung records, suffix-table entries) against the budget, evicting
+// cached snapshots to make room. Records themselves are never evicted —
+// they anchor occurrence translation and elision — so their cost comes
+// out of the snapshot side of the budget.
 func (c *snapCache) charge(n int64) {
 	if c.budget < 0 {
 		return
 	}
+	c.records += n
 	c.used += n
 	c.evict()
+}
+
+// roomFor reports whether n more bytes of records would still fit the
+// budget with every snapshot evicted. The ladder cannot do without its
+// own records and charges them regardless; a campaign's worth of
+// armed-run entries may crowd snapshots out, but must not grow past the
+// bound the user set.
+func (c *snapCache) roomFor(n int64) bool {
+	return c.budget >= 0 && c.records+n <= c.budget
 }
 
 // evict drops least-recently-served snapshots until the budget holds

@@ -91,8 +91,8 @@ func RunMultiWith(policy seep.Policy, seed uint64, injs []MultiInjection, ipc IP
 // machine's current position (equal to injs on cold boots; plain
 // occurrences shifted past the quiescence barrier on warm forks); the
 // result always reports injs as planned. A non-nil elider lets a warm
-// fork splice the pathfinder's recorded tail once every armed fault has
-// resolved (see elide.go); cold boots pass nil.
+// fork splice a recorded suffix once every armed fault has resolved (see
+// elide.go); cold boots pass nil.
 func finishRunMulti(sys *boot.System, report *testsuite.Report, injs []MultiInjection, seed uint64, armed []MultiInjection, el *elider) MultiRunResult {
 	k := sys.Kernel()
 	rng := sim.NewRNG(seed ^ 0x3A17F0C57)
@@ -176,7 +176,7 @@ func finishRunMulti(sys *boot.System, report *testsuite.Report, injs []MultiInje
 			return true
 		}
 	}
-	res, elided := runElidable(sys, report, aud, el)
+	res := runElidable(sys, report, aud, el)
 	nTriggered := 0
 	for _, tr := range triggered {
 		if tr {
@@ -192,10 +192,6 @@ func finishRunMulti(sys *boot.System, report *testsuite.Report, injs []MultiInje
 		Quarantines: sys.Quarantines,
 		Reason:      res.Reason,
 		Seed:        seed,
-	}
-	if !elided && res.Outcome == kernel.OutcomeCompleted {
-		// See finishRunOne: the elision gates subsume the final pass.
-		aud.Final()
 	}
 	out.Consistent = aud.Consistent()
 	for _, v := range aud.Violations() {

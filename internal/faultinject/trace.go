@@ -64,7 +64,9 @@ type Trace struct {
 	IPC IPCOptions
 	// Serving optionally records how the campaign served this run: the
 	// ladder rung it forked from plus the elision decision ("rung:17
-	// elided:33", "rung:4 full:fingerprint-mismatch"), a certified hang
+	// elided:33" for a splice of the pathfinder's suffix, "rung:17
+	// rejoined:33" for one an earlier armed run contributed, "rung:4
+	// full:fingerprint-mismatch"), a certified hang
 	// with the cycle of certification ("rung:8 wedged:3608830"), or a
 	// cold-boot fallback ("cold:occurrence-within-boot"). Replay always
 	// cold-boots and runs every cycle — bit-identical by the warm-fork,

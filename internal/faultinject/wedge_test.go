@@ -185,7 +185,7 @@ func wedgeProbe(cfg core.Config, prog usr.Program) (warm, cold kernel.Result, de
 
 	sys := boot.Boot(opts, prog)
 	el := &elider{l: &ladder{}, ready: func() bool { return true }}
-	warm, _ = runElidable(sys, new(testsuite.Report), audit.Attach(sys.OS), el)
+	warm = runElidable(sys, new(testsuite.Report), audit.Attach(sys.OS), el)
 	return warm, cold, el.decision
 }
 
