@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	benchtables [-scale quick|full] [-seed N] [-only 1,2,3,4,5,6,f3,mf,ablation,ipc,ckpt,cluster,warmboot,elide]
+//	benchtables [-scale quick|full] [-seed N] [-only 1,2,3,4,5,6,f3,mf,ablation,ipc,ckpt,cluster]
 //	            [-workers N] [-coldboot] [-noelide] [-snapcache SIZE] [-json out.json]
 //	            [-list] [-cpuprofile out.pprof] [-memprofile out.pprof]
 //
@@ -12,17 +12,17 @@
 // historical serial path). Campaign runs fork from the snapshot ladder
 // of a warm pathfinder machine by default; -snapcache bounds the
 // ladder's snapshot cache in bytes (negative: boot-barrier snapshot
-// only), and -coldboot (or OSIRIS_COLD_BOOT=1) boots every run from
-// scratch instead — same tables, historical setup cost. Warm-served
-// runs splice a recorded suffix when the state they park in at a suite
-// barrier is one the pathfinder or an earlier run already executed from,
-// and end a provably wedged run as
-// the hang it is instead of simulating it to the cycle limit; -noelide
-// (or OSIRIS_NO_ELIDE=1) pins both off and executes every run to its
-// end — same tables, the bit-identity oracle. -list prints
-// the section keys accepted by -only and exits. -json writes a
-// machine-readable report with per-section wall-clock and process
-// allocation statistics alongside the table data.
+// only), and -coldboot boots every run from scratch instead — same
+// tables, historical setup cost. Warm-served runs splice a recorded
+// suffix when the state they park in at a suite barrier is one the
+// pathfinder or an earlier run already executed from, and end a provably
+// wedged run as the hang it is instead of simulating it to the cycle
+// limit; -noelide pins both off and executes every run to its end — same
+// tables, the bit-identity oracle. -list prints the section keys
+// accepted by -only and exits. -json writes a machine-readable report
+// with per-section wall-clock and process allocation statistics
+// alongside the table data. Host-time measurements live in osirisbench
+// (bash bench/run.sh), not here.
 package main
 
 import (
@@ -45,11 +45,11 @@ func main() {
 	var (
 		scaleName  = flag.String("scale", "quick", "evaluation scale: quick or full")
 		seed       = flag.Uint64("seed", 42, "simulation seed")
-		only       = flag.String("only", "", "comma-separated subset: 1,2,3,4,5,6,f3,mf,ablation,ipc,ckpt,cluster,warmboot,elide (default all)")
+		only       = flag.String("only", "", "comma-separated subset: 1,2,3,4,5,6,f3,mf,ablation,ipc,ckpt,cluster (default all)")
 		workers    = flag.Int("workers", 0, "concurrent simulated machines (0 = one per CPU, 1 = serial)")
 		coldBoot   = flag.Bool("coldboot", false, "boot every campaign run from scratch instead of forking a warm image")
 		noElide    = flag.Bool("noelide", false, "execute every run to its end: no tail splice on fingerprint match, no wedge certificate for hung runs (the bit-identity oracle)")
-		snapCache  = flag.String("snapcache", "", "snapshot-ladder cache budget in bytes, with optional KiB/MiB/GiB suffix (empty: OSIRIS_SNAPSHOT_CACHE or built-in default; negative: boot-barrier snapshot only)")
+		snapCache  = flag.String("snapcache", "", "snapshot-ladder cache budget in bytes, with optional KiB/MiB/GiB suffix (empty: built-in default; negative: boot-barrier snapshot only)")
 		list       = flag.Bool("list", false, "print the section keys accepted by -only and exit")
 		jsonPath   = flag.String("json", "", "write a machine-readable report to this file")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -62,23 +62,13 @@ func main() {
 		}
 		return
 	}
-	if err := core.SnapshotCacheEnvError(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchtables:", err)
-		os.Exit(2)
-	}
-	if *coldBoot {
-		faultinject.SetColdBootDefault(true)
-	}
-	if *noElide {
-		faultinject.SetNoElideDefault(true)
-	}
+	plane := faultinject.PlaneOptions{ColdBoot: *coldBoot, NoElide: *noElide}
 	if *snapCache != "" {
-		budget, err := core.ParseByteSize(*snapCache)
-		if err != nil {
+		var err error
+		if plane.SnapshotCacheBytes, err = core.ParseByteSize(*snapCache); err != nil {
 			fmt.Fprintln(os.Stderr, "benchtables: -snapcache:", err)
 			os.Exit(2)
 		}
-		faultinject.SetSnapshotCacheDefault(budget)
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -93,7 +83,7 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	err := run(*scaleName, *seed, *only, *workers, *jsonPath)
+	err := run(*scaleName, *seed, *only, *workers, plane, *jsonPath)
 	if *memProfile != "" {
 		if werr := writeHeapProfile(*memProfile); werr != nil && err == nil {
 			err = werr
@@ -132,8 +122,6 @@ var sectionInfo = []struct {
 	{"ipc", "ipc_reliability", "Survivability vs background transport fault rate"},
 	{"ckpt", "checkpointing_incremental", "Incremental checkpointing micro-table"},
 	{"cluster", "cluster_availability", "Multi-node cluster availability and failover"},
-	{"warmboot", "warmboot_fork", "Warm-boot fork plane and snapshot ladder"},
-	{"elide", "tail_elision", "Tail elision: campaign throughput with the suffix spliced vs executed"},
 }
 
 // section is one table/figure of the JSON report.
@@ -158,7 +146,7 @@ type report struct {
 	NumGC      uint32 `json:"num_gc"`
 }
 
-func run(scaleName string, seed uint64, only string, workers int, jsonPath string) error {
+func run(scaleName string, seed uint64, only string, workers int, plane faultinject.PlaneOptions, jsonPath string) error {
 	var sc eval.Scale
 	switch scaleName {
 	case "quick":
@@ -170,6 +158,7 @@ func run(scaleName string, seed uint64, only string, workers int, jsonPath strin
 	}
 	sc.Seed = seed
 	sc.Workers = workers
+	sc.Plane = plane
 
 	valid := make(map[string]bool, len(sectionInfo))
 	keys := make([]string, 0, len(sectionInfo))
@@ -287,22 +276,6 @@ func run(scaleName string, seed uint64, only string, workers int, jsonPath strin
 			return fmt.Errorf("cluster table: %w", err)
 		}
 		emit("cluster_availability", t, time.Since(t0))
-	}
-	if want("warmboot") {
-		t0 := time.Now()
-		t, err := eval.RunWarmBoot(sc)
-		if err != nil {
-			return fmt.Errorf("warm-boot table: %w", err)
-		}
-		emit("warmboot_fork", t, time.Since(t0))
-	}
-	if want("elide") {
-		t0 := time.Now()
-		t, err := eval.RunTailElision(sc)
-		if err != nil {
-			return fmt.Errorf("tail-elision table: %w", err)
-		}
-		emit("tail_elision", t, time.Since(t0))
 	}
 
 	if jsonPath != "" {

@@ -42,8 +42,7 @@
 //     the tables.
 //
 // -snapcache takes a byte count with an optional KiB/MiB/GiB suffix;
-// malformed values (and malformed OSIRIS_SNAPSHOT_CACHE settings) are
-// rejected at startup.
+// malformed values are rejected at startup.
 //
 // With -nodes N (N >= 1) the command instead runs the cluster storm
 // campaign: N machines composed behind the load balancer, -runs
@@ -69,10 +68,9 @@
 // snapshot ladder of one warm pathfinder machine per policy: each armed
 // run resumes from the deepest captured mid-suite rung before its
 // trigger. -snapcache bounds the ladder's snapshot cache in bytes
-// (negative: boot-barrier snapshot only; default from
-// OSIRIS_SNAPSHOT_CACHE or 256 MiB), and -coldboot (or the
-// OSIRIS_COLD_BOOT environment variable) boots every run from scratch
-// instead — same results, historical setup cost. Once a warm run's
+// (negative: boot-barrier snapshot only; default 256 MiB), and -coldboot
+// boots every run from scratch instead — same results, historical setup
+// cost. Once a warm run's
 // fault has fully recovered and the state it parks in at a suite barrier
 // is one the pathfinder — or an earlier armed run that executed to a
 // clean end — already executed from, the remaining suite suffix is
@@ -81,8 +79,8 @@
 // test waiting forever for an event that died with the crashed server —
 // is ended as the hang it is once a few identical heartbeat rounds
 // prove it, instead of simulating the rest of its cycle budget.
-// -noelide (or OSIRIS_NO_ELIDE) pins both suffix mechanisms off: full
-// execution to the end, the bit-identity oracle. Each policy row is
+// -noelide pins both suffix mechanisms off: full execution to the end,
+// the bit-identity oracle. Each policy row is
 // followed by "warm plane:" and "elision:" lines reporting how its runs
 // were served.
 package main
@@ -94,6 +92,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"sort"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/faultinject"
@@ -114,7 +114,7 @@ func main() {
 		workers    = flag.Int("workers", 0, "concurrent boots (0 = one per CPU, 1 = serial)")
 		coldBoot   = flag.Bool("coldboot", false, "boot every run from scratch instead of forking a warm image")
 		noElide    = flag.Bool("noelide", false, "execute every warm run to its end: no suffix table and no tail splice, no wedge certificate for hung runs (the bit-identity oracle)")
-		snapCache  = flag.String("snapcache", "", "snapshot-ladder cache budget in bytes, with optional KiB/MiB/GiB suffix (empty: OSIRIS_SNAPSHOT_CACHE or built-in default; negative: boot-barrier snapshot only)")
+		snapCache  = flag.String("snapcache", "", "snapshot-ladder cache budget in bytes, with optional KiB/MiB/GiB suffix (empty: built-in default; negative: boot-barrier snapshot only)")
 		recordDir  = flag.String("record", "", "write a replayable JSON trace for every failed/degraded/inconsistent run into this directory")
 		resumePath = flag.String("resume", "", "journal completed runs to this file and resume from it after a crash (single -policy campaigns only)")
 		quiet      = flag.Bool("quiet", false, "suppress per-run detail (warm-plane stats, inconsistent seeds); tables only")
@@ -134,23 +134,13 @@ func main() {
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file")
 	)
 	flag.Parse()
-	if err := core.SnapshotCacheEnvError(); err != nil {
-		fmt.Fprintln(os.Stderr, "faultcampaign:", err)
-		os.Exit(2)
-	}
-	if *coldBoot {
-		faultinject.SetColdBootDefault(true)
-	}
-	if *noElide {
-		faultinject.SetNoElideDefault(true)
-	}
+	plane := faultinject.PlaneOptions{ColdBoot: *coldBoot, NoElide: *noElide}
 	if *snapCache != "" {
-		budget, err := core.ParseByteSize(*snapCache)
-		if err != nil {
+		var err error
+		if plane.SnapshotCacheBytes, err = core.ParseByteSize(*snapCache); err != nil {
 			fmt.Fprintln(os.Stderr, "faultcampaign: -snapcache:", err)
 			os.Exit(2)
 		}
-		faultinject.SetSnapshotCacheDefault(budget)
 	}
 
 	if err := validateBPFlags([]bpFlag{
@@ -211,6 +201,7 @@ func main() {
 			runs:       *runs,
 			workers:    *workers,
 			ipc:        ipc,
+			plane:      plane,
 			recordDir:  *recordDir,
 			resumePath: *resumePath,
 			quiet:      *quiet,
@@ -253,6 +244,7 @@ type campaignSpec struct {
 	runs       int
 	workers    int
 	ipc        faultinject.IPCOptions
+	plane      faultinject.PlaneOptions
 	recordDir  string
 	resumePath string
 	quiet      bool
@@ -303,141 +295,58 @@ func run(spec campaignSpec) (unhealthy bool, err error) {
 			return false, mkErr
 		}
 	}
-	var recordErr error
-
+	kind := singleFaultKind(spec, model, prof)
 	if spec.faults >= 2 {
-		fmt.Printf("model: %v, %d faults per boot, %d candidate sites\n\n", model, spec.faults, countCandidates(prof))
-		fmt.Printf("%-12s %8s %9s %8s %10s %8s %11s %8s %12s\n",
-			"Recovery", "Pass", "Degraded", "Fail", "Shutdown", "Crash", "Consistent", "Runs", "Untriggered")
-		for _, policy := range policies {
-			cfg := faultinject.MultiCampaignConfig{
-				Policy:  policy,
-				Model:   model,
-				Faults:  spec.faults,
-				Runs:    spec.runs,
-				Seed:    spec.seed,
-				Workers: spec.workers,
-				IPC:     spec.ipc,
-			}
-			var journal *faultinject.Journal
-			if spec.resumePath != "" {
-				hdr := faultinject.JournalHeader{
-					Kind: faultinject.TraceMulti, Policy: policy, Model: model, Seed: spec.seed,
-					Faults: spec.faults, Runs: spec.runs, IPC: spec.ipc,
-					PlanFingerprint: faultinject.MultiPlanFingerprint(faultinject.PlanMultiCampaign(cfg, prof)),
-				}
-				var resumed int
-				journal, resumed, err = faultinject.OpenJournal(spec.resumePath, hdr)
-				if err != nil {
-					return false, err
-				}
-				if resumed > 0 {
-					fmt.Fprintf(os.Stderr, "faultcampaign: resuming, %d of %d runs journaled in %s\n", resumed, spec.runs, spec.resumePath)
-				}
-				cfg.Journal = journal
-			}
-			if spec.recordDir != "" {
-				servings := make(map[int]string)
-				cfg.OnServe = func(i int, decision string) { servings[i] = decision }
-				cfg.OnResult = func(i int, rr faultinject.MultiRunResult) {
-					if rr.Triggered == 0 || !runUnhealthy(rr.Outcome, rr.Consistent) {
-						return
-					}
-					tr := faultinject.NewMultiTrace(policy, rr, spec.ipc)
-					tr.Serving = servings[i]
-					path := filepath.Join(spec.recordDir, faultinject.TraceFileName(policy, i))
-					if werr := faultinject.WriteTraceFile(path, tr); werr != nil && recordErr == nil {
-						recordErr = werr
-					}
-				}
-			}
-			res, stats := faultinject.RunMultiCampaignWithStats(cfg, prof)
-			if journal != nil {
-				if cerr := journal.Close(); cerr != nil && err == nil {
-					err = fmt.Errorf("journal: %w", cerr)
-				}
-			}
-			unhealthy = unhealthy || res.Counts[faultinject.OutcomeFail]+res.Counts[faultinject.OutcomeCrash] > 0 ||
-				len(res.InconsistentSeeds) > 0
-			fmt.Printf("%-12s %7.1f%% %8.1f%% %7.1f%% %9.1f%% %7.1f%% %10.1f%% %8d %12d\n",
-				res.Policy,
-				res.Percent(faultinject.OutcomePass),
-				res.Percent(faultinject.OutcomeDegradedPass),
-				res.Percent(faultinject.OutcomeFail),
-				res.Percent(faultinject.OutcomeShutdown),
-				res.Percent(faultinject.OutcomeCrash),
-				res.ConsistentPercent(),
-				res.Runs, res.Untriggered)
-			if !spec.quiet {
-				printPlaneStats(stats)
-				printInconsistent(res.InconsistentSeeds)
-			}
-			if err != nil {
-				return unhealthy, err
-			}
-		}
-		if recordErr != nil {
-			return unhealthy, fmt.Errorf("record: %w", recordErr)
-		}
-		return unhealthy, nil
+		kind = multiFaultKind(spec, model, prof)
 	}
+	fmt.Printf("model: %v, %s%d candidate sites\n\n", model, kind.banner, countCandidates(prof))
+	degradedCol := ""
+	if kind.degraded {
+		degradedCol = fmt.Sprintf(" %9s", "Degraded")
+	}
+	fmt.Printf("%-12s %8s%s %8s %10s %8s %11s %8s %12s\n",
+		"Recovery", "Pass", degradedCol, "Fail", "Shutdown", "Crash", "Consistent", "Runs", "Untriggered")
 
-	fmt.Printf("model: %v, %d candidate sites\n\n", model, countCandidates(prof))
-	fmt.Printf("%-12s %8s %8s %10s %8s %11s %8s %12s\n",
-		"Recovery", "Pass", "Fail", "Shutdown", "Crash", "Consistent", "Runs", "Untriggered")
+	var recordErr error
 	for _, policy := range policies {
-		cfg := faultinject.CampaignConfig{
-			Policy:         policy,
-			Model:          model,
-			Seed:           spec.seed,
-			SamplesPerSite: spec.samples,
-			MaxRuns:        spec.maxRuns,
-			Workers:        spec.workers,
-			IPC:            spec.ipc,
-		}
-		var journal *faultinject.Journal
+		var hooks runHooks
 		if spec.resumePath != "" {
-			hdr := faultinject.JournalHeader{
-				Kind: faultinject.TraceSingle, Policy: policy, Model: model, Seed: spec.seed,
-				SamplesPerSite: spec.samples, MaxRuns: spec.maxRuns, IPC: spec.ipc,
-				PlanFingerprint: faultinject.PlanFingerprint(faultinject.PlanCampaign(cfg, prof)),
-			}
+			hdr, planned := kind.identity(policy)
 			var resumed int
-			journal, resumed, err = faultinject.OpenJournal(spec.resumePath, hdr)
+			hooks.journal, resumed, err = faultinject.OpenJournal(spec.resumePath, hdr)
 			if err != nil {
 				return false, err
 			}
 			if resumed > 0 {
-				fmt.Fprintf(os.Stderr, "faultcampaign: resuming, %d runs journaled in %s\n", resumed, spec.resumePath)
+				fmt.Fprintf(os.Stderr, "faultcampaign: resuming, %d of %d runs journaled in %s\n", resumed, planned, spec.resumePath)
 			}
-			cfg.Journal = journal
 		}
 		if spec.recordDir != "" {
-			servings := make(map[int]string)
-			cfg.OnServe = func(i int, decision string) { servings[i] = decision }
-			cfg.OnResult = func(i int, rr faultinject.RunResult) {
-				if !rr.Triggered || !runUnhealthy(rr.Outcome, rr.Consistent) {
-					return
-				}
-				tr := faultinject.NewTrace(policy, rr, spec.ipc)
-				tr.Serving = servings[i]
+			servings := make(map[int]faultinject.Serving)
+			hooks.onServe = func(i int, sv faultinject.Serving) { servings[i] = sv }
+			hooks.record = func(i int, tr faultinject.Trace) {
+				tr.Serving = servings[i].String()
 				path := filepath.Join(spec.recordDir, faultinject.TraceFileName(policy, i))
 				if werr := faultinject.WriteTraceFile(path, tr); werr != nil && recordErr == nil {
 					recordErr = werr
 				}
 			}
 		}
-		res, stats := faultinject.RunCampaignWithStats(cfg, prof)
-		if journal != nil {
-			if cerr := journal.Close(); cerr != nil && err == nil {
+		res, stats := kind.run(policy, hooks)
+		if hooks.journal != nil {
+			if cerr := hooks.journal.Close(); cerr != nil {
 				err = fmt.Errorf("journal: %w", cerr)
 			}
 		}
 		unhealthy = unhealthy || res.Counts[faultinject.OutcomeFail]+res.Counts[faultinject.OutcomeCrash] > 0 ||
 			len(res.InconsistentSeeds) > 0
-		fmt.Printf("%-12s %7.1f%% %7.1f%% %9.1f%% %7.1f%% %10.1f%% %8d %12d\n",
-			res.Policy,
+		if kind.degraded {
+			degradedCol = fmt.Sprintf(" %8.1f%%", res.Percent(faultinject.OutcomeDegradedPass))
+		}
+		fmt.Printf("%-12s %7.1f%%%s %7.1f%% %9.1f%% %7.1f%% %10.1f%% %8d %12d\n",
+			policy,
 			res.Percent(faultinject.OutcomePass),
+			degradedCol,
 			res.Percent(faultinject.OutcomeFail),
 			res.Percent(faultinject.OutcomeShutdown),
 			res.Percent(faultinject.OutcomeCrash),
@@ -455,6 +364,108 @@ func run(spec campaignSpec) (unhealthy bool, err error) {
 		return unhealthy, fmt.Errorf("record: %w", recordErr)
 	}
 	return unhealthy, nil
+}
+
+// campaignKind is what tells the single-fault campaign from the
+// multi-fault one inside the per-policy loop of run.
+type campaignKind struct {
+	// banner is the kind's part of the "model:" line.
+	banner string
+	// degraded adds the degraded-pass column (runs that survived by
+	// quarantining a component).
+	degraded bool
+	// identity returns the journal header pinning the policy's campaign
+	// and the number of runs it plans.
+	identity func(seep.Policy) (faultinject.JournalHeader, int)
+	// run executes the policy's campaign.
+	run func(seep.Policy, runHooks) (faultinject.Tally, faultinject.PlaneStats)
+}
+
+// runHooks is what the per-policy loop plugs into a campaign of either
+// kind; every field may be nil.
+type runHooks struct {
+	journal *faultinject.Journal
+	onServe func(int, faultinject.Serving)
+	// record is handed the trace of every triggered unhealthy run.
+	record func(int, faultinject.Trace)
+}
+
+func singleFaultKind(spec campaignSpec, model faultinject.Model, prof []faultinject.SiteProfile) campaignKind {
+	config := func(policy seep.Policy) faultinject.CampaignConfig {
+		return faultinject.CampaignConfig{
+			Policy:         policy,
+			Model:          model,
+			Seed:           spec.seed,
+			SamplesPerSite: spec.samples,
+			MaxRuns:        spec.maxRuns,
+			Workers:        spec.workers,
+			IPC:            spec.ipc,
+			Plane:          spec.plane,
+		}
+	}
+	return campaignKind{
+		identity: func(policy seep.Policy) (faultinject.JournalHeader, int) {
+			plan := faultinject.PlanCampaign(config(policy), prof)
+			return faultinject.JournalHeader{
+				Kind: faultinject.TraceSingle, Policy: policy, Model: model, Seed: spec.seed,
+				SamplesPerSite: spec.samples, MaxRuns: spec.maxRuns, IPC: spec.ipc,
+				PlanFingerprint: faultinject.PlanFingerprint(plan),
+			}, len(plan)
+		},
+		run: func(policy seep.Policy, hooks runHooks) (faultinject.Tally, faultinject.PlaneStats) {
+			cfg := config(policy)
+			cfg.Journal, cfg.OnServe = hooks.journal, hooks.onServe
+			if hooks.record != nil {
+				cfg.OnResult = func(i int, rr faultinject.RunResult) {
+					if rr.Triggered && runUnhealthy(rr.Outcome, rr.Consistent) {
+						hooks.record(i, faultinject.NewTrace(policy, rr, spec.ipc))
+					}
+				}
+			}
+			res, stats := faultinject.RunCampaign(cfg, prof)
+			return res.Tally, stats
+		},
+	}
+}
+
+func multiFaultKind(spec campaignSpec, model faultinject.Model, prof []faultinject.SiteProfile) campaignKind {
+	config := func(policy seep.Policy) faultinject.MultiCampaignConfig {
+		return faultinject.MultiCampaignConfig{
+			Policy:  policy,
+			Model:   model,
+			Faults:  spec.faults,
+			Runs:    spec.runs,
+			Seed:    spec.seed,
+			Workers: spec.workers,
+			IPC:     spec.ipc,
+			Plane:   spec.plane,
+		}
+	}
+	return campaignKind{
+		banner:   fmt.Sprintf("%d faults per boot, ", spec.faults),
+		degraded: true,
+		identity: func(policy seep.Policy) (faultinject.JournalHeader, int) {
+			plans := faultinject.PlanMultiCampaign(config(policy), prof)
+			return faultinject.JournalHeader{
+				Kind: faultinject.TraceMulti, Policy: policy, Model: model, Seed: spec.seed,
+				Faults: spec.faults, Runs: spec.runs, IPC: spec.ipc,
+				PlanFingerprint: faultinject.MultiPlanFingerprint(plans),
+			}, len(plans)
+		},
+		run: func(policy seep.Policy, hooks runHooks) (faultinject.Tally, faultinject.PlaneStats) {
+			cfg := config(policy)
+			cfg.Journal, cfg.OnServe = hooks.journal, hooks.onServe
+			if hooks.record != nil {
+				cfg.OnResult = func(i int, rr faultinject.MultiRunResult) {
+					if rr.Triggered > 0 && runUnhealthy(rr.Outcome, rr.Consistent) {
+						hooks.record(i, faultinject.NewMultiTrace(policy, rr, spec.ipc))
+					}
+				}
+			}
+			res, stats := faultinject.RunMultiCampaign(cfg, prof)
+			return res.Tally, stats
+		},
+	}
 }
 
 // runUnhealthy classifies one run for exit-status gating and trace
@@ -475,34 +486,31 @@ func runUnhealthy(o faultinject.Outcome, consistent bool) bool {
 // post-install barrier, and cold boots replay everything (broken down
 // by fallback reason). Outcomes are bit-identical either way.
 func printPlaneStats(s faultinject.PlaneStats) {
-	line := fmt.Sprintf("  warm plane: %d ladder forks, %d boot forks, %d cold boots",
-		s.LadderForks, s.BootForks, s.ColdBoots)
-	if len(s.Fallbacks) > 0 {
-		line += " ("
-		for i, r := range s.FallbackReasons() {
-			if i > 0 {
-				line += ", "
-			}
-			line += fmt.Sprintf("%s: %d", r, s.Fallbacks[r])
-		}
-		line += ")"
-	}
-	fmt.Println(line)
+	fmt.Printf("  warm plane: %d ladder forks, %d boot forks, %d cold boots%s\n",
+		s.LadderForks, s.BootForks, s.ColdBoots, renderReasons(s.Fallbacks))
 	if s.Elided == 0 && s.Wedged == 0 && len(s.ElisionFallbacks) == 0 {
 		return
 	}
-	line = fmt.Sprintf("  elision: %d tails elided (%d rejoined), %d hangs certified", s.Elided, s.Rejoined, s.Wedged)
-	if len(s.ElisionFallbacks) > 0 {
-		line += " ("
-		for i, r := range s.ElisionFallbackReasons() {
-			if i > 0 {
-				line += ", "
-			}
-			line += fmt.Sprintf("%s: %d", r, s.ElisionFallbacks[r])
-		}
-		line += ")"
+	fmt.Printf("  elision: %d tails elided (%d rejoined), %d hangs certified%s\n",
+		s.Elided, s.Rejoined, s.Wedged, renderReasons(s.ElisionFallbacks))
+}
+
+// renderReasons formats a fallback-reason histogram as
+// " (reason: n, ...)" in sorted order, or "" when it is empty.
+func renderReasons(reasons map[string]int) string {
+	if len(reasons) == 0 {
+		return ""
 	}
-	fmt.Println(line)
+	names := make([]string, 0, len(reasons))
+	for r := range reasons {
+		names = append(names, r)
+	}
+	sort.Strings(names)
+	parts := make([]string, len(names))
+	for i, r := range names {
+		parts[i] = fmt.Sprintf("%s: %d", r, reasons[r])
+	}
+	return " (" + strings.Join(parts, ", ") + ")"
 }
 
 // printInconsistent lists the per-run seeds of audit-inconsistent runs;

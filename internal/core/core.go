@@ -10,7 +10,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"os"
 	"strconv"
 	"strings"
 
@@ -153,9 +152,8 @@ type Config struct {
 	// fault campaigns fork armed runs from. It never changes machine
 	// behavior (NewOS ignores it — campaign outcomes are bit-identical
 	// at any budget); it only trades memory for how deep into the suite
-	// a fork can start. Zero = default (OSIRIS_SNAPSHOT_CACHE env var,
-	// else 256 MiB); negative disables the ladder, keeping only the
-	// post-install boot snapshot.
+	// a fork can start. Zero = default (256 MiB); negative disables the
+	// ladder, keeping only the post-install boot snapshot.
 	SnapshotCacheBytes int64
 }
 
@@ -166,7 +164,7 @@ type Config struct {
 const DefaultIPCTimeoutCycles int64 = 400_000
 
 // DefaultSnapshotCacheBytes is the snapshot-ladder budget used when
-// neither Config.SnapshotCacheBytes nor OSIRIS_SNAPSHOT_CACHE is set.
+// Config.SnapshotCacheBytes is zero.
 const DefaultSnapshotCacheBytes int64 = 256 << 20
 
 // ParseByteSize parses a byte-count string: a plain integer number of
@@ -195,38 +193,11 @@ func ParseByteSize(s string) (int64, error) {
 	return v * mult, nil
 }
 
-// snapshotCacheEnv is the OSIRIS_SNAPSHOT_CACHE override, parsed once
-// at startup. A malformed value is recorded in snapshotCacheEnvErr and
-// otherwise ignored (the default budget applies): library callers keep
-// working, and CLIs surface the error via SnapshotCacheEnvError instead
-// of silently running with the wrong cache size.
-var snapshotCacheEnv, snapshotCacheEnvErr = func() (int64, error) {
-	raw := os.Getenv("OSIRIS_SNAPSHOT_CACHE")
-	if raw == "" {
-		return 0, nil
-	}
-	v, err := ParseByteSize(raw)
-	if err != nil {
-		return 0, fmt.Errorf("OSIRIS_SNAPSHOT_CACHE: %w", err)
-	}
-	return v, nil
-}()
-
-// SnapshotCacheEnvError reports whether the OSIRIS_SNAPSHOT_CACHE
-// environment variable was set to something unparsable. CLIs check it
-// at startup and refuse to run; libraries fall back to the default
-// budget.
-func SnapshotCacheEnvError() error { return snapshotCacheEnvErr }
-
-// SnapshotCacheBudget resolves SnapshotCacheBytes against the
-// OSIRIS_SNAPSHOT_CACHE environment variable and the built-in default.
-// Negative means the ladder is disabled.
+// SnapshotCacheBudget resolves SnapshotCacheBytes against the built-in
+// default. Negative means the ladder is disabled.
 func (c Config) SnapshotCacheBudget() int64 {
 	if c.SnapshotCacheBytes != 0 {
 		return c.SnapshotCacheBytes
-	}
-	if snapshotCacheEnv != 0 {
-		return snapshotCacheEnv
 	}
 	return DefaultSnapshotCacheBytes
 }

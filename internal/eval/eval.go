@@ -3,8 +3,7 @@
 // fault injection (Tables II and III), baseline performance vs a
 // monolithic kernel (Table IV), instrumentation slowdowns (Table V),
 // memory overhead (Table VI) and service disruption (Figure 3).
-// cmd/benchtables and the repository's bench_test.go are thin wrappers
-// over this package.
+// cmd/benchtables is a thin wrapper over this package.
 package eval
 
 import (
@@ -12,7 +11,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/boot"
 	"repro/internal/core"
@@ -41,9 +39,12 @@ type Scale struct {
 	// bit-identical for any worker count. Zero selects one worker per
 	// CPU; 1 reproduces the historical serial path exactly.
 	Workers int
+	// Plane selects how campaign runs are served (warm forks and tail
+	// elision by default; every table is bit-identical for any setting).
+	Plane faultinject.PlaneOptions
 }
 
-// QuickScale is suitable for tests and testing.B benchmarks.
+// QuickScale is suitable for tests.
 func QuickScale() Scale {
 	return Scale{IterScale: 0.25, SamplesPerSite: 1, MaxRuns: 60, Seed: 42}
 }
@@ -227,13 +228,14 @@ func RunSurvivability(model faultinject.Model, sc Scale) (SurvivabilityTable, er
 	// Each campaign fans its runs out internally; the policy rows stay
 	// in the paper's order.
 	for _, policy := range policiesInTableOrder {
-		res := faultinject.RunCampaign(faultinject.CampaignConfig{
+		res, _ := faultinject.RunCampaign(faultinject.CampaignConfig{
 			Policy:         policy,
 			Model:          model,
 			Seed:           sc.Seed,
 			SamplesPerSite: sc.SamplesPerSite,
 			MaxRuns:        sc.MaxRuns,
 			Workers:        sc.Workers,
+			Plane:          sc.Plane,
 		}, profile)
 		t.Rows = append(t.Rows, res)
 	}
@@ -294,13 +296,14 @@ func RunMultiFault(sc Scale) (MultiFaultTable, error) {
 	var t MultiFaultTable
 	for _, policy := range multiFaultPolicies {
 		for _, faults := range multiFaultCounts {
-			res := faultinject.RunMultiCampaign(faultinject.MultiCampaignConfig{
+			res, _ := faultinject.RunMultiCampaign(faultinject.MultiCampaignConfig{
 				Policy:  policy,
 				Model:   faultinject.FailStop,
 				Faults:  faults,
 				Runs:    runs,
 				Seed:    sc.Seed,
 				Workers: sc.Workers,
+				Plane:   sc.Plane,
 			}, profile)
 			t.Rows = append(t.Rows, res)
 		}
@@ -349,11 +352,15 @@ var ipcSweepRatesBP = []int{0, 25, 50, 100, 200}
 // RunIPCSweep regenerates the IPC reliability table under the enhanced
 // policy.
 func RunIPCSweep(sc Scale) IPCSweepTable {
-	runs := sc.SamplesPerSite*2 + 1
-	return IPCSweepTable{
-		Policy: seep.PolicyEnhanced,
-		Points: faultinject.SweepIPC(seep.PolicyEnhanced, sc.Seed, ipcSweepRatesBP, runs, sc.Workers),
-	}
+	points, _ := faultinject.SweepIPC(faultinject.SweepConfig{
+		Policy:  seep.PolicyEnhanced,
+		Seed:    sc.Seed,
+		RatesBP: ipcSweepRatesBP,
+		Runs:    sc.SamplesPerSite*2 + 1,
+		Workers: sc.Workers,
+		Plane:   sc.Plane,
+	})
+	return IPCSweepTable{Policy: seep.PolicyEnhanced, Points: points}
 }
 
 // Render formats the IPC reliability table.
@@ -372,311 +379,6 @@ func (t IPCSweepTable) Render() string {
 			p.ConsistentPercent(),
 			p.Runs)
 	}
-	return b.String()
-}
-
-// --- Warm boot: fork-from-image campaign setup (beyond the paper) ---
-
-// WarmBootTable quantifies the snapshot/fork plane of the campaign
-// drivers: per-machine setup cost of a cold boot (full boot plus suite
-// install, run to the quiescence barrier) against a warm fork from a
-// captured image, and the end-to-end throughput of a fail-stop campaign
-// both ways. Times are wall-clock, so this section is measured rather
-// than deterministic; campaign *outcomes* are bit-identical either way
-// (enforced by the warm-fork equivalence suite).
-type WarmBootTable struct {
-	// ColdBootMS and ForkMS are mean per-machine setup times.
-	ColdBootMS, ForkMS float64
-	// SetupSpeedup is ColdBootMS / ForkMS.
-	SetupSpeedup float64
-	// Campaign throughput (fail-stop, enhanced policy), runs per second.
-	Runs                           int
-	ColdRunsPerSec, WarmRunsPerSec float64
-	CampaignSpeedup                float64
-	// Amdahl split of one armed run: a cold run pays setup + fault-free
-	// suite prefix + post-trigger suffix; a ladder-served run pays a
-	// fork plus the suffix. Means over the campaign plan, with the
-	// ladder fully walked before timing (its one-time cost is amortized
-	// across the campaign and reported by the throughput rows above).
-	ArmedColdMS, ArmedWarmMS float64
-	ArmedSpeedup             float64
-	// Serving split of the warm campaign: runs forked from a mid-suite
-	// ladder rung, from the boot barrier, and cold-boot fallbacks by
-	// reason.
-	LadderForks, BootForks, ColdBoots int
-	Fallbacks                         map[string]int
-}
-
-// warmBootSetupIters is how many boots/forks the per-machine setup
-// means average over.
-const warmBootSetupIters = 8
-
-// RunWarmBoot regenerates the warm-boot table.
-func RunWarmBoot(sc Scale) (WarmBootTable, error) {
-	opts := func() boot.Options {
-		reg := usr.NewRegistry()
-		testsuite.Register(reg)
-		return boot.Options{
-			Config:     core.Config{Policy: seep.PolicyEnhanced, Seed: sc.Seed},
-			Registry:   reg,
-			Heartbeats: true,
-		}
-	}
-
-	var t WarmBootTable
-
-	// Per-machine setup: cold boots to the barrier.
-	start := time.Now()
-	for i := 0; i < warmBootSetupIters; i++ {
-		var report testsuite.Report
-		sys := boot.Boot(opts(), testsuite.RunnerInit(&report))
-		if !sys.Kernel().RunToBarrier(faultinject.RunLimit) {
-			return t, fmt.Errorf("warm-boot table: cold boot never reached the barrier")
-		}
-		sys.Shutdown("warmboot table: cold boot measured")
-	}
-	t.ColdBootMS = msPer(time.Since(start), warmBootSetupIters)
-
-	// Per-machine setup: forks from one captured image.
-	var capReport testsuite.Report
-	snap, err := boot.Capture(opts(), faultinject.RunLimit, testsuite.RunnerInit(&capReport))
-	if err != nil {
-		return t, fmt.Errorf("warm-boot table: %w", err)
-	}
-	start = time.Now()
-	for i := 0; i < warmBootSetupIters; i++ {
-		var report testsuite.Report
-		sys, err := snap.Fork(boot.ForkParams{Seed: sc.Seed + uint64(i)}, testsuite.RunnerResume(&report))
-		if err != nil {
-			return t, fmt.Errorf("warm-boot table: %w", err)
-		}
-		sys.Shutdown("warmboot table: fork measured")
-	}
-	t.ForkMS = msPer(time.Since(start), warmBootSetupIters)
-	if t.ForkMS > 0 {
-		t.SetupSpeedup = t.ColdBootMS / t.ForkMS
-	}
-
-	// End-to-end campaign throughput, cold vs warm.
-	profile, err := faultinject.Profile(sc.Seed)
-	if err != nil {
-		return t, err
-	}
-	cfg := faultinject.CampaignConfig{
-		Policy:         seep.PolicyEnhanced,
-		Model:          faultinject.FailStop,
-		Seed:           sc.Seed,
-		SamplesPerSite: sc.SamplesPerSite,
-		MaxRuns:        sc.MaxRuns,
-		Workers:        sc.Workers,
-	}
-	campaign := func(cold bool) (int, float64, faultinject.PlaneStats) {
-		prev := faultinject.SetColdBootDefault(cold)
-		defer faultinject.SetColdBootDefault(prev)
-		start := time.Now()
-		res, stats := faultinject.RunCampaignWithStats(cfg, profile)
-		secs := time.Since(start).Seconds()
-		runs := res.Runs + res.Untriggered
-		if secs <= 0 {
-			return runs, 0, stats
-		}
-		return runs, float64(runs) / secs, stats
-	}
-	t.Runs, t.ColdRunsPerSec, _ = campaign(true)
-	var stats faultinject.PlaneStats
-	_, t.WarmRunsPerSec, stats = campaign(false)
-	if t.ColdRunsPerSec > 0 {
-		t.CampaignSpeedup = t.WarmRunsPerSec / t.ColdRunsPerSec
-	}
-	t.LadderForks, t.BootForks, t.ColdBoots = stats.LadderForks, stats.BootForks, stats.ColdBoots
-	t.Fallbacks = stats.Fallbacks
-
-	// Armed-run Amdahl split: time the armed phase alone, cold and warm.
-	plan := faultinject.PlanCampaign(cfg, profile)
-	armed := func(cold bool, prewalk bool) (float64, error) {
-		prev := faultinject.SetColdBootDefault(cold)
-		defer faultinject.SetColdBootDefault(prev)
-		runner := faultinject.NewArmedRunner(cfg, plan)
-		defer runner.Close()
-		if prewalk {
-			// Walk the ladder and capture its snapshots outside the timed
-			// loop.
-			runner.Prime()
-		}
-		start := time.Now()
-		for i, inj := range plan {
-			runner.Run(cfg.Seed+uint64(i)*7919, inj)
-		}
-		if cold {
-			s := runner.Stats()
-			if s.LadderForks+s.BootForks > 0 {
-				return 0, fmt.Errorf("warm-boot table: cold-pinned armed runs forked")
-			}
-		}
-		return msPer(time.Since(start), len(plan)), nil
-	}
-	if len(plan) > 0 {
-		if t.ArmedColdMS, err = armed(true, false); err != nil {
-			return t, err
-		}
-		if t.ArmedWarmMS, err = armed(false, true); err != nil {
-			return t, err
-		}
-		if t.ArmedWarmMS > 0 {
-			t.ArmedSpeedup = t.ArmedColdMS / t.ArmedWarmMS
-		}
-	}
-	return t, nil
-}
-
-func msPer(d time.Duration, n int) float64 {
-	return float64(d.Microseconds()) / 1000 / float64(n)
-}
-
-// Render formats the warm-boot table.
-func (t WarmBootTable) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Warm boot — Campaign setup via fork-from-image vs cold boot (wall-clock, beyond the paper)\n")
-	fmt.Fprintf(&b, "%-22s %12s %12s %10s\n", "", "Cold boot", "Warm fork", "Speedup")
-	fmt.Fprintf(&b, "%-22s %9.2f ms %9.2f ms %9.1fx\n",
-		"Per-machine setup", t.ColdBootMS, t.ForkMS, t.SetupSpeedup)
-	fmt.Fprintf(&b, "%-22s %8.1f r/s %8.1f r/s %9.1fx   (%d runs, fail-stop, enhanced)\n",
-		"Campaign throughput", t.ColdRunsPerSec, t.WarmRunsPerSec, t.CampaignSpeedup, t.Runs)
-	fmt.Fprintf(&b, "%-22s %9.2f ms %9.2f ms %9.1fx   (ladder pre-walked; warm = fork + suffix)\n",
-		"Armed run", t.ArmedColdMS, t.ArmedWarmMS, t.ArmedSpeedup)
-	fmt.Fprintf(&b, "Warm plane serving: %d ladder forks, %d boot forks, %d cold boots%s\n",
-		t.LadderForks, t.BootForks, t.ColdBoots, renderFallbacks(t.Fallbacks))
-	return b.String()
-}
-
-// renderFallbacks formats a fallback-reason histogram as " (reason: n, ...)".
-func renderFallbacks(fallbacks map[string]int) string {
-	if len(fallbacks) == 0 {
-		return ""
-	}
-	reasons := make([]string, 0, len(fallbacks))
-	for r := range fallbacks {
-		reasons = append(reasons, r)
-	}
-	sort.Strings(reasons)
-	var b strings.Builder
-	b.WriteString(" (")
-	for i, r := range reasons {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%s: %d", r, fallbacks[r])
-	}
-	b.WriteString(")")
-	return b.String()
-}
-
-// --- Tail elision: fingerprinted convergence (beyond the paper) ---
-
-// TailElisionTable measures what suffix elision buys on top of the
-// warm fork plane: campaign throughput with elision pinned off versus
-// on, the serving split of the elided campaign, and the armed-run mean
-// with the suffix executed versus spliced.
-type TailElisionTable struct {
-	// Campaign throughput over the warm plane (fail-stop, enhanced),
-	// runs per second, with the suffix executed in full (-noelide)
-	// versus spliced on fingerprint match.
-	Runs                               int
-	NoElideRunsPerSec, ElideRunsPerSec float64
-	ElisionSpeedup                     float64
-	// Serving split of the elided campaign: tails spliced (Rejoined of
-	// them onto a suffix an earlier armed run contributed rather than the
-	// pathfinder), hangs ended by a wedge certificate, and full
-	// executions by fallback reason.
-	Elided           int
-	Rejoined         int
-	Wedged           int
-	ElisionFallbacks map[string]int
-	// Three-term Amdahl split of one armed run, ladder pre-walked: a
-	// full run pays fork + entire post-trigger suffix; an elided run
-	// pays fork + pre-convergence prefix only. ElidedTailMS is the
-	// difference — the tail the fingerprint match spliced away.
-	ArmedFullMS, ArmedElidedMS, ElidedTailMS float64
-}
-
-// RunTailElision measures the tail-elision table. Both campaigns run
-// over the warm plane; outcomes are bit-identical by the elision
-// equivalence, so only the clock and the serving split differ.
-func RunTailElision(sc Scale) (TailElisionTable, error) {
-	var t TailElisionTable
-	profile, err := faultinject.Profile(sc.Seed)
-	if err != nil {
-		return t, err
-	}
-	cfg := faultinject.CampaignConfig{
-		Policy:         seep.PolicyEnhanced,
-		Model:          faultinject.FailStop,
-		Seed:           sc.Seed,
-		SamplesPerSite: sc.SamplesPerSite,
-		MaxRuns:        sc.MaxRuns,
-		Workers:        sc.Workers,
-	}
-	prevCold := faultinject.SetColdBootDefault(false)
-	defer faultinject.SetColdBootDefault(prevCold)
-	campaign := func(noElide bool) (int, float64, faultinject.PlaneStats) {
-		prev := faultinject.SetNoElideDefault(noElide)
-		defer faultinject.SetNoElideDefault(prev)
-		start := time.Now()
-		res, stats := faultinject.RunCampaignWithStats(cfg, profile)
-		secs := time.Since(start).Seconds()
-		runs := res.Runs + res.Untriggered
-		if secs <= 0 {
-			return runs, 0, stats
-		}
-		return runs, float64(runs) / secs, stats
-	}
-	t.Runs, t.NoElideRunsPerSec, _ = campaign(true)
-	var stats faultinject.PlaneStats
-	_, t.ElideRunsPerSec, stats = campaign(false)
-	if t.NoElideRunsPerSec > 0 {
-		t.ElisionSpeedup = t.ElideRunsPerSec / t.NoElideRunsPerSec
-	}
-	t.Elided = stats.Elided
-	t.Rejoined = stats.Rejoined
-	t.Wedged = stats.Wedged
-	t.ElisionFallbacks = stats.ElisionFallbacks
-
-	// Armed-run split: walk the ladder and capture its snapshots outside
-	// the timed loop (without running the plan: a warm-up pass would
-	// publish the suffixes the timed pass then rejoins), then time the
-	// armed phase with the suffix executed versus spliced.
-	plan := faultinject.PlanCampaign(cfg, profile)
-	armed := func(noElide bool) float64 {
-		prev := faultinject.SetNoElideDefault(noElide)
-		defer faultinject.SetNoElideDefault(prev)
-		runner := faultinject.NewArmedRunner(cfg, plan)
-		defer runner.Close()
-		runner.Prime()
-		start := time.Now()
-		for i, inj := range plan {
-			runner.Run(cfg.Seed+uint64(i)*7919, inj)
-		}
-		return msPer(time.Since(start), len(plan))
-	}
-	if len(plan) > 0 {
-		t.ArmedFullMS = armed(true)
-		t.ArmedElidedMS = armed(false)
-		t.ElidedTailMS = t.ArmedFullMS - t.ArmedElidedMS
-	}
-	return t, nil
-}
-
-// Render formats the tail-elision table.
-func (t TailElisionTable) Render() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Tail elision — a run parked in a state somebody already executed from splices that suffix (beyond the paper)\n")
-	fmt.Fprintf(&b, "%-22s %12s %12s %10s\n", "", "Full suffix", "Elided", "Speedup")
-	fmt.Fprintf(&b, "%-22s %8.1f r/s %8.1f r/s %9.1fx   (%d runs, fail-stop, enhanced)\n",
-		"Campaign throughput", t.NoElideRunsPerSec, t.ElideRunsPerSec, t.ElisionSpeedup, t.Runs)
-	fmt.Fprintf(&b, "%-22s %9.2f ms %9.2f ms %9.2f ms spliced away\n",
-		"Armed run", t.ArmedFullMS, t.ArmedElidedMS, t.ElidedTailMS)
-	fmt.Fprintf(&b, "Elision serving: %d tails elided (%d rejoined), %d hangs certified%s\n",
-		t.Elided, t.Rejoined, t.Wedged, renderFallbacks(t.ElisionFallbacks))
 	return b.String()
 }
 

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/boot"
+	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/memlog"
 	"repro/internal/seep"
@@ -15,8 +17,8 @@ import (
 // same cycle counts, same counter snapshots, same audit verdicts, for
 // fail-stop, multi-fault and IPC-fault campaigns at any worker count.
 // These tests run every workload twice — once per checkpoint
-// implementation — and compare exhaustively, mirroring the scheduler
-// equivalence suite. They are part of the -race CI run.
+// implementation — and compare exhaustively. They are part of the -race
+// CI run.
 
 // withCheckpoint runs fn with the given checkpoint implementation as
 // the store default, restoring the previous default afterwards.
@@ -24,6 +26,16 @@ func withCheckpoint(legacy bool, fn func()) {
 	prev := memlog.SetLegacyCheckpointDefault(legacy)
 	defer memlog.SetLegacyCheckpointDefault(prev)
 	fn()
+}
+
+// runSuiteBoot boots the full prototype test suite (the Table 1
+// workload) and returns the run result plus the complete counter
+// snapshot.
+func runSuiteBoot(policy seep.Policy, seed uint64) (kernel.Result, map[string]uint64, testsuite.Report) {
+	var report testsuite.Report
+	sys := boot.Boot(suiteOptions(core.Config{Policy: policy, Seed: seed}), testsuite.RunnerInit(&report))
+	res := sys.Run(RunLimit)
+	return res, sys.Kernel().Counters().Snapshot(), report
 }
 
 func TestCheckpointEquivalenceSuiteWorkload(t *testing.T) {
@@ -63,8 +75,8 @@ func TestCheckpointEquivalenceSingleFaultCampaign(t *testing.T) {
 				Workers:        workers,
 			}
 			var oldRes, newRes CampaignResult
-			withCheckpoint(true, func() { oldRes = RunCampaign(cfg, profile) })
-			withCheckpoint(false, func() { newRes = RunCampaign(cfg, profile) })
+			withCheckpoint(true, func() { oldRes, _ = RunCampaign(cfg, profile) })
+			withCheckpoint(false, func() { newRes, _ = RunCampaign(cfg, profile) })
 			if !reflect.DeepEqual(oldRes, newRes) {
 				t.Errorf("%v workers=%d: campaign diverged:\nlegacy:      %+v\nincremental: %+v", model, workers, oldRes, newRes)
 			}
@@ -87,8 +99,8 @@ func TestCheckpointEquivalenceMultiFaultCampaign(t *testing.T) {
 			Workers: workers,
 		}
 		var oldRes, newRes MultiCampaignResult
-		withCheckpoint(true, func() { oldRes = RunMultiCampaign(cfg, profile) })
-		withCheckpoint(false, func() { newRes = RunMultiCampaign(cfg, profile) })
+		withCheckpoint(true, func() { oldRes, _ = RunMultiCampaign(cfg, profile) })
+		withCheckpoint(false, func() { newRes, _ = RunMultiCampaign(cfg, profile) })
 		if !reflect.DeepEqual(oldRes, newRes) {
 			t.Errorf("workers=%d: multi-fault campaign diverged:\nlegacy:      %+v\nincremental: %+v", workers, oldRes, newRes)
 		}
@@ -114,8 +126,8 @@ func TestCheckpointEquivalenceIPCFaultCampaign(t *testing.T) {
 			},
 		}
 		var oldRes, newRes CampaignResult
-		withCheckpoint(true, func() { oldRes = RunCampaign(cfg, profile) })
-		withCheckpoint(false, func() { newRes = RunCampaign(cfg, profile) })
+		withCheckpoint(true, func() { oldRes, _ = RunCampaign(cfg, profile) })
+		withCheckpoint(false, func() { newRes, _ = RunCampaign(cfg, profile) })
 		if !reflect.DeepEqual(oldRes, newRes) {
 			t.Errorf("workers=%d: ipc campaign diverged:\nlegacy:      %+v\nincremental: %+v", workers, oldRes, newRes)
 		}

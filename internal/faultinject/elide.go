@@ -27,8 +27,8 @@ package faultinject
 //
 // Soundness gates, each with a named per-run fallback reason:
 //
-//   - the run must not be pinned to full execution (-noelide /
-//     OSIRIS_NO_ELIDE — the bit-identity oracle; no table exists then);
+//   - the run must not be pinned to full execution (PlaneOptions.NoElide
+//     — the bit-identity oracle; no table exists then);
 //   - every armed fault that could still fire in the suffix must have
 //     triggered (persistent faults re-fire forever, so they never
 //     elide);
@@ -76,116 +76,26 @@ package faultinject
 // disables it together with elision, so full execution stays the oracle.
 
 import (
-	"os"
-	"strconv"
-
 	"repro/internal/audit"
 	"repro/internal/boot"
 	"repro/internal/kernel"
 	"repro/internal/servers/rs"
-	"repro/internal/sim"
 	"repro/internal/testsuite"
 )
 
-// noElideDefault pins every campaign run to full suffix execution when
-// true; the OSIRIS_NO_ELIDE environment variable sets it for a whole
-// process.
-var noElideDefault = os.Getenv("OSIRIS_NO_ELIDE") != ""
-
-// SetNoElideDefault forces every campaign run onto the full-execution
-// path (the elision bit-identity oracle) and returns the previous
-// setting.
-func SetNoElideDefault(on bool) bool {
-	prev := noElideDefault
-	noElideDefault = on
-	return prev
-}
-
-// NoElideDefault reports whether tail elision is pinned off.
-func NoElideDefault() bool { return noElideDefault }
-
-// Elision fallback reasons: why a warm-served run executed its suffix
-// in full instead of splicing a recorded one. Each run is charged
-// exactly one — the last blocker standing when it completed.
-const (
-	// ElideFallbackPinned: full execution forced via -noelide /
-	// OSIRIS_NO_ELIDE / SetNoElideDefault — the bit-identity oracle.
-	ElideFallbackPinned = "noelide-pinned"
-	// ElideFallbackNoTail: the pathfinder walk never opened the suffix
-	// table — it did not complete the suite, its end-of-walk audit found
-	// violations, or the ladder was disabled.
-	ElideFallbackNoTail = "tail-unavailable"
-	// ElideFallbackUntriggered: an armed fault could still fire in the
-	// suffix at the last barrier the run reached (persistent faults land
-	// here, and multi-fault plans one of whose faults never triggers).
-	ElideFallbackUntriggered = "fault-untriggered"
-	// ElideFallbackEndedEarly: the run ended — shut down, crashed or
-	// completed — without reaching a barrier after its last fault fired,
-	// so no gate was ever consulted with the faults behind it. A fault
-	// that fires and takes the machine down inside the test it fired in
-	// lands here.
-	ElideFallbackEndedEarly = "ended-before-barrier"
-	// ElideFallbackMismatch: no barrier state of the run was in the
-	// suffix table — recovery left a semantic difference nobody had
-	// executed from before (or the fingerprint failed).
-	ElideFallbackMismatch = "fingerprint-mismatch"
-	// ElideFallbackResidue: the machine was never elision-quiescent
-	// after its faults (active quarantine, in-flight work at every
-	// barrier) or an audit pass recorded a violation.
-	ElideFallbackResidue = "state-residue"
-	// ElideFallbackWedgeUnproven: the run burned its whole cycle budget —
-	// it ended at the real limit without the wedge certificate ever
-	// holding (a gate kept refusing, or the idle state never recurred).
-	ElideFallbackWedgeUnproven = "wedge-unproven"
-)
-
-// Serving-decision strings: how one campaign run was served, recorded
-// per run (see Trace.Serving) so a replayed trace can assert the
-// identical serving path. A full decision composes as either
-// "cold:<fallback reason>", "rung:<idx> elided:<barrier>",
-// "rung:<idx> rejoined:<barrier>", "rung:<idx> wedged:<cycle>",
-// "rung:<idx> full:<elision fallback reason>", or ServingJournal for
-// results served verbatim from a campaign journal.
-const ServingJournal = "journal"
-
-// ServingCold renders a cold-boot decision with its fallback reason.
-func ServingCold(reason string) string { return "cold:" + reason }
-
-// ServingElided renders the warm half of an elided run's decision:
-// the suite index of the quiescence barrier where the pathfinder's
-// suffix was spliced.
-func ServingElided(barrier int) string { return "elided:" + strconv.Itoa(barrier) }
-
-// ServingRejoined is ServingElided for a splice whose suffix an earlier
-// armed run contributed.
-func ServingRejoined(barrier int) string { return "rejoined:" + strconv.Itoa(barrier) }
-
-// ServingWedged renders the warm half of a certified-hang decision: the
-// virtual cycle at which the wedge certificate held and the run ended.
-func ServingWedged(at sim.Cycles) string { return "wedged:" + strconv.FormatUint(uint64(at), 10) }
-
-// ServingFull renders the warm half of a fully executed run's decision.
-func ServingFull(reason string) string { return "full:" + reason }
-
-// ServingRung composes a warm decision from the serving rung index and
-// the elision half (ServingElided, ServingRejoined, ServingWedged or
-// ServingFull).
-func ServingRung(idx int, rest string) string {
-	return "rung:" + strconv.Itoa(idx) + " " + rest
-}
-
 // elider is the per-run elision context of a warm-served campaign run:
-// the ladder carrying the suffix table, the plane statistics sink, and
-// the run-flavor predicate deciding whether any armed fault could still
-// fire in the suffix. decision records how the run was ultimately
-// served, for trace provenance.
+// the ladder carrying the suffix table, the predicate deciding whether
+// any armed fault could still fire in the suffix, and the run's serving
+// decision, whose tail half runElidable fills in.
 type elider struct {
-	l     *ladder
-	stats *statsCollector
+	l *ladder
+	// sv starts as forked(rung) and ends as how the run was ultimately
+	// served: spliced, certified wedged, or executed in full and charged
+	// a fallback reason.
+	sv Serving
 	// ready reports that no armed fault can fire in the remaining
 	// suffix: every fault that could has triggered, and none re-fires.
-	// The finish* runner that arms the faults installs it, since only
-	// that layer knows the plan's trigger semantics.
+	// execute, which arms the faults, installs it.
 	ready func() bool
 	// attempts counts table lookups spent so far (see maxElideAttempts).
 	attempts int
@@ -195,10 +105,6 @@ type elider struct {
 	// cands are the barrier states this run looked up and missed; it
 	// publishes them if it executes to a clean completed end.
 	cands []candidate
-	// decision is the serving decision string: elision barrier, wedge
-	// cycle or fallback reason (see ServingElided / ServingRejoined /
-	// ServingWedged / ServingFull).
-	decision string
 
 	// Wedge-certificate window: the last idle point that passed every
 	// gate and how many consecutive idle points equalled it. probes
@@ -247,10 +153,6 @@ const maxWedgeProbes = 1024
 // to bit-identical full execution.
 const maxElideAttempts = 8
 
-func newElider(l *ladder, stats *statsCollector) *elider {
-	return &elider{l: l, stats: stats}
-}
-
 // runElidable drives a machine to the end of its run and takes the final
 // audit pass of a run that completed. With a nil elider (cold boots) or
 // elision pinned off that is ordinary full execution. A warm fork is
@@ -264,8 +166,8 @@ func runElidable(sys *boot.System, report *testsuite.Report, aud *audit.Auditor,
 	if el == nil || el.l == nil {
 		return runFull(sys, aud)
 	}
-	if noElideDefault {
-		el.fallback(ElideFallbackPinned)
+	if el.l.noElide {
+		el.sv.Fallback = ElideFallbackPinned
 		return runFull(sys, aud)
 	}
 	k := sys.Kernel()
@@ -294,15 +196,15 @@ func runElidable(sys *boot.System, report *testsuite.Report, aud *audit.Auditor,
 	}
 	switch {
 	case el.streak >= wedgeRounds:
-		el.wedge(res.Cycles)
+		el.sv.Plane, el.sv.At = PlaneWedged, uint64(res.Cycles)
 	case res.Outcome == kernel.OutcomeHang:
-		el.fallback(ElideFallbackWedgeUnproven)
+		el.sv.Fallback = ElideFallbackWedgeUnproven
 	case reason == ElideFallbackUntriggered && el.ready():
 		// The last barrier's verdict is stale: the faults have fired since,
 		// and the run ended before reaching another.
-		el.fallback(ElideFallbackEndedEarly)
+		el.sv.Fallback = ElideFallbackEndedEarly
 	default:
-		el.fallback(reason)
+		el.sv.Fallback = reason
 	}
 	if len(el.cands) > 0 {
 		el.l.publishRun(el.cands, report, res, aud.Consistent(), end)
@@ -413,7 +315,10 @@ func (el *elider) tryElide(sys *boot.System, report *testsuite.Report, aud *audi
 	// here on is exactly what full execution would add. Cycles and counters stay those at the
 	// splice; nothing a campaign reports carries them.
 	end := rec.end
-	el.elide(report.Ran, end.rejoined)
+	el.sv.Plane, el.sv.At = PlaneElided, uint64(report.Ran)
+	if end.rejoined {
+		el.sv.Plane = PlaneRejoined
+	}
 	report.Ran += end.report.Ran - int(rec.ran)
 	report.Passed += end.report.Passed - int(rec.passed)
 	report.Failed += end.report.Failed - int(rec.failed)
@@ -421,28 +326,4 @@ func (el *elider) tryElide(sys *boot.System, report *testsuite.Report, aud *audi
 	res := kernel.Result{Outcome: end.outcome, Reason: end.reason, Cycles: sys.Kernel().Now()}
 	sys.Shutdown("run elided at quiescence barrier")
 	return res, "", true
-}
-
-func (el *elider) elide(barrier int, rejoined bool) {
-	el.decision = ServingElided(barrier)
-	if rejoined {
-		el.decision = ServingRejoined(barrier)
-	}
-	if el.stats != nil {
-		el.stats.elided(rejoined)
-	}
-}
-
-func (el *elider) wedge(at sim.Cycles) {
-	el.decision = ServingWedged(at)
-	if el.stats != nil {
-		el.stats.wedged()
-	}
-}
-
-func (el *elider) fallback(reason string) {
-	el.decision = ServingFull(reason)
-	if el.stats != nil {
-		el.stats.elisionFallback(reason)
-	}
 }

@@ -20,12 +20,13 @@ import (
 // stats. All names start with TestElide so CI can select the suite
 // with -run Elide.
 
-// withNoElide runs fn with elision pinned on or off, restoring the
-// previous process default afterwards.
-func withNoElide(pinned bool, fn func()) {
-	prev := SetNoElideDefault(pinned)
-	defer SetNoElideDefault(prev)
-	fn()
+// noElidePlane pins a campaign to full execution: the elision oracle.
+var noElidePlane = PlaneOptions{NoElide: true}
+
+// executedInFull reports whether sv is a warm fork that executed to its
+// end and was charged reason.
+func executedInFull(sv Serving, reason string) bool {
+	return (sv.Plane == PlaneBootFork || sv.Plane == PlaneLadder) && sv.Fallback == reason
 }
 
 // elideTestPlan returns the standing elision campaign — large enough
@@ -44,8 +45,9 @@ func elideTestPlan(t *testing.T) (CampaignConfig, []SiteProfile, CampaignResult)
 		SamplesPerSite: 1,
 		MaxRuns:        24,
 	}
-	var oracle CampaignResult
-	withNoElide(true, func() { oracle = RunCampaign(cfg, profile) })
+	pinned := cfg
+	pinned.Plane = noElidePlane
+	oracle, _ := RunCampaign(pinned, profile)
 	return cfg, profile, oracle
 }
 
@@ -76,7 +78,7 @@ func TestElideEquivalence(t *testing.T) {
 	cfg, profile, oracle := elideTestPlan(t)
 	for _, workers := range []int{1, 2, 8} {
 		cfg.Workers = workers
-		res, stats := RunCampaignWithStats(cfg, profile)
+		res, stats := RunCampaign(cfg, profile)
 		if !reflect.DeepEqual(oracle, res) {
 			t.Errorf("workers=%d: campaign diverged from -noelide oracle:\nfull:   %+v\nelided: %+v",
 				workers, oracle, res)
@@ -109,11 +111,12 @@ func TestElideEquivalenceMulti(t *testing.T) {
 		Runs:   12,
 		Seed:   42,
 	}
-	var oracle MultiCampaignResult
-	withNoElide(true, func() { oracle = RunMultiCampaign(cfg, profile) })
+	pinned := cfg
+	pinned.Plane = noElidePlane
+	oracle, _ := RunMultiCampaign(pinned, profile)
 	for _, workers := range []int{1, 4} {
 		cfg.Workers = workers
-		res, stats := RunMultiCampaignWithStats(cfg, profile)
+		res, stats := RunMultiCampaign(cfg, profile)
 		if !reflect.DeepEqual(oracle, res) {
 			t.Errorf("workers=%d: multi campaign diverged from -noelide oracle:\nfull:   %+v\nelided: %+v",
 				workers, oracle, res)
@@ -126,9 +129,8 @@ func TestElideEquivalenceMulti(t *testing.T) {
 // nothing, with results unchanged — the oracle is plain full execution.
 func TestElideFallbackPinned(t *testing.T) {
 	cfg, profile, oracle := elideTestPlan(t)
-	var res CampaignResult
-	var stats PlaneStats
-	withNoElide(true, func() { res, stats = RunCampaignWithStats(cfg, profile) })
+	cfg.Plane = noElidePlane
+	res, stats := RunCampaign(cfg, profile)
 	if !reflect.DeepEqual(oracle, res) {
 		t.Errorf("pinned campaign diverged:\nwant: %+v\ngot:  %+v", oracle, res)
 	}
@@ -145,23 +147,22 @@ func TestElideFallbackPinned(t *testing.T) {
 	// the walk hashes nothing and publishes nothing, and no run records or
 	// contributes a candidate.
 	cfg, plan := rejoinPlan(t)
-	withNoElide(true, func() {
-		runner := newSingleRunner(cfg, plan)
-		defer runner.close()
-		for i := 0; i < len(plan); i += 6 {
-			if _, el := armedRun(t, runner, cfg.Seed+uint64(i)*7919, plan[i]); len(el.cands) != 0 {
-				t.Fatalf("run %d recorded %d candidates under -noelide", i, len(el.cands))
-			}
+	cfg.Plane = noElidePlane
+	runner := NewArmedRunner(cfg, plan)
+	defer runner.Close()
+	for i := 0; i < len(plan); i += 6 {
+		if _, el := armedRun(t, runner, cfg.Seed+uint64(i)*7919, plan[i]); len(el.cands) != 0 {
+			t.Fatalf("run %d recorded %d candidates under -noelide", i, len(el.cands))
 		}
-		l := runner.planes[false].ladder
-		l.serveDeepest() // finish the walk: recordTail has had its chance
-		if l.table != nil || len(l.cands) != 0 {
-			t.Errorf("pinned ladder built a suffix table: %d entries, %d pending", len(l.table), len(l.cands))
-		}
-		if st := runner.stats.snapshot(); st.Elided != 0 || st.Rejoined != 0 {
-			t.Errorf("pinned plan elided: %+v", st)
-		}
-	})
+	}
+	l := plainLadder(runner)
+	l.serve(nil) // finish the walk: recordTail has had its chance
+	if l.table != nil || len(l.cands) != 0 {
+		t.Errorf("pinned ladder built a suffix table: %d entries, %d pending", len(l.table), len(l.cands))
+	}
+	if st := runner.Stats(); st.Elided != 0 || st.Rejoined != 0 {
+		t.Errorf("pinned plan elided: %+v", st)
+	}
 }
 
 // A negative cache budget tears the pathfinder down at rung 0, so no
@@ -169,9 +170,8 @@ func TestElideFallbackPinned(t *testing.T) {
 // fingerprint gates but find no tail to splice.
 func TestElideFallbackNoTail(t *testing.T) {
 	cfg, profile, oracle := elideTestPlan(t)
-	var res CampaignResult
-	var stats PlaneStats
-	withSnapCache(-1, func() { res, stats = RunCampaignWithStats(cfg, profile) })
+	cfg.Plane.SnapshotCacheBytes = -1
+	res, stats := RunCampaign(cfg, profile)
 	if !reflect.DeepEqual(oracle, res) {
 		t.Errorf("tail-less campaign diverged:\nwant: %+v\ngot:  %+v", oracle, res)
 	}
@@ -210,9 +210,9 @@ func TestElideFallbackUntriggered(t *testing.T) {
 	sp := firstCandidate(t)
 	inj := Injection{Server: sp.Server, Site: sp.Site, Occurrence: sp.Total + 1000, Type: FaultCrash}
 	cfg := CampaignConfig{Policy: seep.PolicyEnhanced, Model: FailStop, Seed: 42}
-	runner := newSingleRunner(cfg, []Injection{inj})
-	defer runner.close()
-	warmRR, decision := runner.runOne(99, inj)
+	runner := NewArmedRunner(cfg, []Injection{inj})
+	defer runner.Close()
+	warmRR, decision := runner.serve(99, inj)
 	coldRR := RunOne(seep.PolicyEnhanced, 99, inj)
 	if !reflect.DeepEqual(coldRR, warmRR) {
 		t.Errorf("untriggered run diverged:\ncold: %+v\nwarm: %+v", coldRR, warmRR)
@@ -220,12 +220,12 @@ func TestElideFallbackUntriggered(t *testing.T) {
 	if warmRR.Triggered {
 		t.Error("never-firing fault reported triggered")
 	}
-	stats := runner.stats.snapshot()
+	stats := runner.Stats()
 	if stats.ElisionFallbacks[ElideFallbackUntriggered] != 1 {
 		t.Errorf("run not charged to %s: %+v", ElideFallbackUntriggered, stats.ElisionFallbacks)
 	}
-	if want := ServingFull(ElideFallbackUntriggered); !strings.HasSuffix(decision, want) {
-		t.Errorf("decision %q does not end in %q", decision, want)
+	if !executedInFull(decision, ElideFallbackUntriggered) {
+		t.Errorf("decision %q is not a full run charged %s", decision, ElideFallbackUntriggered)
 	}
 }
 
@@ -240,12 +240,12 @@ func TestElideFallbackEndedEarly(t *testing.T) {
 	early := 0
 	for i, rr := range results {
 		switch {
-		case strings.HasSuffix(decisions[i], ServingFull(ElideFallbackEndedEarly)):
+		case executedInFull(decisions[i], ElideFallbackEndedEarly):
 			early++
 			if !rr.Triggered {
 				t.Errorf("run %d charged %s without its fault firing", i, ElideFallbackEndedEarly)
 			}
-		case strings.HasSuffix(decisions[i], ServingFull(ElideFallbackUntriggered)) && rr.Triggered:
+		case executedInFull(decisions[i], ElideFallbackUntriggered) && rr.Triggered:
 			t.Errorf("run %d: fault fired yet charged %s", i, ElideFallbackUntriggered)
 		}
 	}
@@ -267,20 +267,20 @@ func TestElideFallbackPersistentNeverReady(t *testing.T) {
 	cfg := MultiCampaignConfig{Policy: seep.PolicyEnhanced, Model: FailStop, Seed: 42}
 	runner := newMultiRunner(cfg, [][]MultiInjection{plan})
 	defer runner.close()
-	warmRR, decision := runner.runMulti(7, plan)
+	warmRR, decision := runner.run(7, multiSpec(plan, IPCOptions{}))
 	coldRR := RunMultiWith(seep.PolicyEnhanced, 7, plan, IPCOptions{})
 	if !reflect.DeepEqual(coldRR, warmRR) {
 		t.Errorf("persistent-fault run diverged:\ncold: %+v\nwarm: %+v", coldRR, warmRR)
 	}
-	stats := runner.stats.snapshot()
+	stats := runner.Stats()
 	if stats.Elided != 0 {
 		t.Errorf("persistent-fault run elided: %+v", stats)
 	}
 	if stats.ElisionFallbacks[ElideFallbackUntriggered] != 1 {
 		t.Errorf("run not charged to %s: %+v", ElideFallbackUntriggered, stats.ElisionFallbacks)
 	}
-	if want := ServingFull(ElideFallbackUntriggered); !strings.HasSuffix(decision, want) {
-		t.Errorf("decision %q does not end in %q", decision, want)
+	if !executedInFull(decision, ElideFallbackUntriggered) {
+		t.Errorf("decision %q is not a full run charged %s", decision, ElideFallbackUntriggered)
 	}
 }
 
@@ -328,18 +328,18 @@ func TestElideFallbackResidue(t *testing.T) {
 	cfg := MultiCampaignConfig{Policy: seep.PolicyEnhanced, Model: FailStop, Seed: 42}
 	runner := newMultiRunner(cfg, [][]MultiInjection{plan})
 	defer runner.close()
-	warmRR, decision := runner.runMulti(7, plan)
+	warmRR, decision := runner.run(7, multiSpec(plan, IPCOptions{}))
 	coldRR := RunMultiWith(seep.PolicyEnhanced, 7, plan, IPCOptions{})
 	if !reflect.DeepEqual(coldRR, warmRR) {
 		t.Errorf("quarantined run diverged:\ncold: %+v\nwarm: %+v", coldRR, warmRR)
 	}
-	stats := runner.stats.snapshot()
+	stats := runner.Stats()
 	if stats.Elided != 0 || stats.ElisionFallbacks[ElideFallbackResidue] != 1 {
 		t.Errorf("run not charged to %s: elided=%d %+v",
 			ElideFallbackResidue, stats.Elided, stats.ElisionFallbacks)
 	}
-	if want := ServingFull(ElideFallbackResidue); !strings.HasSuffix(decision, want) {
-		t.Errorf("decision %q does not end in %q", decision, want)
+	if !executedInFull(decision, ElideFallbackResidue) {
+		t.Errorf("decision %q is not a full run charged %s", decision, ElideFallbackResidue)
 	}
 }
 
@@ -350,8 +350,8 @@ func TestElideFallbackResidue(t *testing.T) {
 func TestElideServingDecisions(t *testing.T) {
 	cfg, profile, _ := elideTestPlan(t)
 	decisions := make(map[int]string)
-	cfg.OnServe = func(index int, decision string) { decisions[index] = decision }
-	_, stats := RunCampaignWithStats(cfg, profile)
+	cfg.OnServe = func(index int, sv Serving) { decisions[index] = sv.String() }
+	_, stats := RunCampaign(cfg, profile)
 	plan := PlanCampaign(cfg, profile)
 	if len(decisions) != len(plan) {
 		t.Fatalf("recorded %d decisions for %d runs", len(decisions), len(plan))
@@ -401,7 +401,7 @@ func TestElidePlaneStatsConcurrent(t *testing.T) {
 	plan := PlanCampaign(cfg, profile)
 	for _, workers := range []int{2, 8} {
 		cfg.Workers = workers
-		_, stats := RunCampaignWithStats(cfg, profile)
+		_, stats := RunCampaign(cfg, profile)
 		if stats.Total() != len(plan) {
 			t.Errorf("workers=%d: stats cover %d runs, plan has %d", workers, stats.Total(), len(plan))
 		}
@@ -464,34 +464,45 @@ func rejoinProfile(t *testing.T) []SiteProfile {
 	return sites
 }
 
-// armedRun serves one single-fault run the way campaignRunner.runOne
-// does, keeping the run's elider in view.
-func armedRun(t *testing.T, r *campaignRunner, seed uint64, inj Injection) (RunResult, *elider) {
+// armedRun serves one single-fault run the way campaignRunner.run does,
+// keeping the run's elider in view.
+func armedRun(t *testing.T, a *ArmedRunner, seed uint64, inj Injection) (RunResult, *elider) {
 	t.Helper()
-	l := r.planes[inj.Type.IPC()].ladder
-	key := siteKey{inj.Server, inj.Site}
-	idx, rg, snap, ok := l.serve([]siteKey{key}, []int{inj.Occurrence})
+	spec := singleSpec(inj, a.ipc)
+	class := spec.class()
+	l, reason := a.r.plane(class)
+	if l == nil {
+		t.Fatalf("%+v: no ladder: %s", inj, reason)
+	}
+	idx, rg, snap, ok := l.serve(spec.faults)
 	if !ok {
 		t.Fatalf("%+v: occurrence within boot", inj)
 	}
 	var report testsuite.Report
-	ipc := r.ipc.normalized(inj.Type.IPC())
-	sys, err := forkSnapshot(snap, forkParams(seed, ipc), testsuite.RunnerResumeFrom(&report, rg.prefix))
+	sys, err := forkSnapshot(snap, forkParams(seed, class.ipc), testsuite.RunnerResumeFrom(&report, rg.prefix))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.stats.fork(idx)
-	warm := inj
-	warm.Occurrence -= rg.counts[key]
-	el := newElider(l, &r.stats)
-	return finishRunOne(sys, &report, inj, seed, warm, el), el
+	el := &elider{l: l, sv: forked(idx)}
+	res := execute(sys, &report, spec, seed, rg.counts, el)
+	a.r.mu.Lock()
+	a.r.stats.add(el.sv)
+	a.r.mu.Unlock()
+	return res.single(inj), el
 }
 
-// countDecisions counts the serving decisions containing part.
-func countDecisions(decisions []string, part string) int {
+// plainLadder returns the runner's ladder for runs that arm no transport
+// fault.
+func plainLadder(a *ArmedRunner) *ladder {
+	l, _ := a.r.plane(planeClass{kind: kindSingle, ipc: a.ipc.normalized(false)})
+	return l
+}
+
+// countPlane counts the serving decisions of the given plane.
+func countPlane(decisions []Serving, plane Plane) int {
 	n := 0
 	for _, d := range decisions {
-		if strings.Contains(d, part) {
+		if d.Plane == plane {
 			n++
 		}
 	}
@@ -504,8 +515,9 @@ func countDecisions(decisions []string, part string) int {
 // aggregate over the same sites equals its pinned oracle.
 func TestElideRejoinEquivalence(t *testing.T) {
 	cfg, plan := rejoinPlan(t)
-	var oracle []RunResult
-	withNoElide(true, func() { oracle, _, _ = servedPass(cfg, plan, 0) })
+	pinned := cfg
+	pinned.Plane = noElidePlane
+	oracle, _, _ := servedPass(pinned, plan, 0)
 	cold := rejoinCold(cfg, plan)
 	if !reflect.DeepEqual(cold, oracle) {
 		t.Fatal("pinned full execution differs from cold RunOne")
@@ -521,21 +533,20 @@ func TestElideRejoinEquivalence(t *testing.T) {
 		if stats.Rejoined == 0 {
 			t.Errorf("workers=%d: no run rejoined another: %+v", workers, stats)
 		}
-		if n := countDecisions(decisions, " rejoined:"); n != stats.Rejoined {
+		if n := countPlane(decisions, PlaneRejoined); n != stats.Rejoined {
 			t.Errorf("workers=%d: %d rejoined decisions, stats say %d", workers, n, stats.Rejoined)
 		}
-		if n := countDecisions(decisions, " elided:"); n != stats.Elided-stats.Rejoined {
+		if n := countPlane(decisions, PlaneElided); n != stats.Elided-stats.Rejoined {
 			t.Errorf("workers=%d: %d elided decisions, stats say %d", workers, n, stats.Elided-stats.Rejoined)
 		}
 		assertElisionAccounted(t, stats)
 	}
 
 	sites := rejoinProfile(t)
-	cfg.SamplesPerSite = 40
-	var want CampaignResult
-	withNoElide(true, func() { want = RunCampaign(cfg, sites) })
+	cfg.SamplesPerSite, pinned.SamplesPerSite = 40, 40
+	want, _ := RunCampaign(pinned, sites)
 	cfg.Workers = 8
-	got, stats := RunCampaignWithStats(cfg, sites)
+	got, stats := RunCampaign(cfg, sites)
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("aggregate diverged from -noelide oracle:\nfull:   %+v\nelided: %+v", want, got)
 	}
@@ -562,17 +573,18 @@ func TestElideRejoinEquivalenceMulti(t *testing.T) {
 		})
 	}
 	cfg := MultiCampaignConfig{Policy: scfg.Policy, Model: FailStop, Seed: scfg.Seed}
-	pass := func(workers int) ([]MultiRunResult, PlaneStats) {
+	pass := func(workers int, plane PlaneOptions) ([]MultiRunResult, PlaneStats) {
+		cfg := cfg
+		cfg.Plane = plane
 		runner := newMultiRunner(cfg, plans)
 		defer runner.close()
 		results := parallel.Map(workers, len(plans), func(i int) MultiRunResult {
-			rr, _ := runner.runMulti(cfg.Seed+uint64(i)*104729, plans[i])
+			rr, _ := runner.run(cfg.Seed+uint64(i)*104729, multiSpec(plans[i], IPCOptions{}))
 			return rr
 		})
-		return results, runner.stats.snapshot()
+		return results, runner.Stats()
 	}
-	var oracle []MultiRunResult
-	withNoElide(true, func() { oracle, _ = pass(0) })
+	oracle, _ := pass(0, noElidePlane)
 	cold := parallel.Map(0, len(plans), func(i int) MultiRunResult {
 		return RunMultiWith(cfg.Policy, cfg.Seed+uint64(i)*104729, plans[i], IPCOptions{})
 	})
@@ -580,7 +592,7 @@ func TestElideRejoinEquivalenceMulti(t *testing.T) {
 		t.Fatal("pinned full execution differs from cold RunMultiWith")
 	}
 	for _, workers := range []int{1, 2, 8} {
-		results, stats := pass(workers)
+		results, stats := pass(workers, PlaneOptions{})
 		for i := range plans {
 			if !reflect.DeepEqual(cold[i], results[i]) {
 				t.Errorf("workers=%d run %d differs from cold RunMultiWith:\ncold: %+v\nwarm: %+v", workers, i, cold[i], results[i])
@@ -600,19 +612,19 @@ func TestElideRejoinEquivalenceMulti(t *testing.T) {
 // to a clean completed end is in the table afterwards.
 func TestElideLateHitAndPublication(t *testing.T) {
 	cfg, plan := rejoinPlan(t)
-	runner := newSingleRunner(cfg, plan)
-	defer runner.close()
-	l := runner.planes[false].ladder
+	runner := NewArmedRunner(cfg, plan)
+	defer runner.Close()
+	l := plainLadder(runner)
 	late, published := 0, 0
 	for i, inj := range plan {
 		seed := cfg.Seed + uint64(i)*7919
 		rr, el := armedRun(t, runner, seed, inj)
-		spliced := strings.HasPrefix(el.decision, "elided:") || strings.HasPrefix(el.decision, "rejoined:")
+		spliced := el.sv.Plane == PlaneElided || el.sv.Plane == PlaneRejoined
 		if spliced && el.attempts > 1 {
 			late++
 			if cold := RunOne(cfg.Policy, seed, inj); !reflect.DeepEqual(cold, rr) {
 				t.Errorf("run %d spliced at lookup %d (%s) differs from cold RunOne:\ncold: %+v\nwarm: %+v",
-					i, el.attempts, el.decision, cold, rr)
+					i, el.attempts, el.sv, cold, rr)
 			}
 		}
 		if !spliced && rr.Consistent && (rr.Outcome == OutcomePass || rr.Outcome == OutcomeFail) {
@@ -642,7 +654,7 @@ func TestElideLateHitAndPublication(t *testing.T) {
 // randomness and ran no recovery since would be.
 func tableLadder(t *testing.T) (*ladder, candidate, testsuite.Report, suffixStamp) {
 	t.Helper()
-	l := newLadder(singleFaultConfig(seep.PolicyEnhanced, 42, IPCOptions{}))
+	l := newLadder(planeClass{kind: kindSingle}.config(seep.PolicyEnhanced, 42), false)
 	if l == nil {
 		t.Fatal("pathfinder failed to reach the boot barrier")
 	}
@@ -718,8 +730,8 @@ func TestElidePublishRefusesCrashedRun(t *testing.T) {
 	inj := Injection{Server: "pm", Site: "pm.exit.entry", Occurrence: 121, Type: FaultCorrupt}
 	seed := uint64(42 + 135*7919)
 	cfg := CampaignConfig{Policy: seep.PolicyEnhanced, Model: FullEDFI, Seed: 42}
-	runner := newSingleRunner(cfg, []Injection{inj})
-	defer runner.close()
+	runner := NewArmedRunner(cfg, []Injection{inj})
+	defer runner.Close()
 	rr, el := armedRun(t, runner, seed, inj)
 	if len(el.cands) == 0 || rr.Outcome != OutcomeCrash {
 		t.Fatalf("run no longer records and then crashes (%d candidates, outcome %v): pick another", len(el.cands), rr.Outcome)
@@ -727,7 +739,7 @@ func TestElidePublishRefusesCrashedRun(t *testing.T) {
 	if cold := RunOne(cfg.Policy, seed, inj); !reflect.DeepEqual(cold, rr) {
 		t.Errorf("recording run differs from cold RunOne:\ncold: %+v\nwarm: %+v", cold, rr)
 	}
-	l := runner.planes[false].ladder
+	l := plainLadder(runner)
 	for _, c := range el.cands {
 		if _, _, ok := l.lookup(c.key); ok {
 			t.Errorf("crashed run published its candidate at barrier %d", c.key.barrier)
@@ -741,9 +753,8 @@ func TestElidePublishRefusesCrashedRun(t *testing.T) {
 // results do not move.
 func TestElidePublishRefusesWithoutBudget(t *testing.T) {
 	cfg, plan := rejoinPlan(t)
-	var results []RunResult
-	var stats PlaneStats
-	withSnapCache(1, func() { results, _, stats = servedPass(cfg, plan, 1) })
+	cfg.Plane.SnapshotCacheBytes = 1
+	results, _, stats := servedPass(cfg, plan, 1)
 	if !reflect.DeepEqual(rejoinCold(cfg, plan), results) {
 		t.Error("results moved under a one-byte snapshot budget")
 	}

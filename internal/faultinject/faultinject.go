@@ -11,16 +11,12 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/audit"
 	"repro/internal/boot"
 	"repro/internal/core"
 	"repro/internal/kernel"
-	"repro/internal/parallel"
 	"repro/internal/seep"
-	"repro/internal/servers/rs"
 	"repro/internal/sim"
 	"repro/internal/testsuite"
-	"repro/internal/usr"
 )
 
 // RunLimit bounds one fault-injection run in virtual cycles.
@@ -215,16 +211,9 @@ func (s SiteProfile) Candidate() bool { return s.Total > s.Boot }
 // Profile runs the prototype test suite once with no faults and
 // returns the per-site execution profile, sorted by (server, site).
 func Profile(seed uint64) ([]SiteProfile, error) {
-	reg := usr.NewRegistry()
-	testsuite.Register(reg)
 	var report testsuite.Report
-
 	counts := make(map[[2]string]*SiteProfile)
-	sys := boot.Boot(boot.Options{
-		Config:     core.Config{Policy: seep.PolicyEnhanced, Seed: seed},
-		Registry:   reg,
-		Heartbeats: true,
-	}, testsuite.RunnerInit(&report))
+	sys := boot.Boot(suiteOptions(core.Config{Policy: seep.PolicyEnhanced, Seed: seed}), testsuite.RunnerInit(&report))
 
 	names := sys.ComponentNames()
 	sys.Kernel().SetPointHook(func(ep kernel.Endpoint, name, site string) {
@@ -352,126 +341,25 @@ func RunOne(policy seep.Policy, seed uint64, inj Injection) RunResult {
 // RunOneWith is RunOne with transport fault options (background rates
 // and the reliability layer) applied to the run.
 func RunOneWith(policy seep.Policy, seed uint64, inj Injection, ipc IPCOptions) RunResult {
-	reg := usr.NewRegistry()
-	testsuite.Register(reg)
-	var report testsuite.Report
-
-	ipc = ipc.normalized(inj.Type.IPC())
-	sys := boot.Boot(boot.Options{
-		// Single-fault campaigns reproduce the paper's setup, which
-		// assumes one failure at a time: the cascade-tolerance sequencer
-		// (backoff, escalation, quarantine) is pinned off so Tables
-		// II/III keep the paper's outcome semantics. Multi-fault
-		// campaigns (RunMulti) run with the sequencer enabled.
-		Config: ipc.apply(core.Config{
-			Policy:             policy,
-			Seed:               seed,
-			DisableQuarantine:  true,
-			RestartBackoffBase: -1,
-			RecoveryDecay:      -1,
-			MaxRestartAttempts: 1,
-		}, seed),
-		Registry:   reg,
-		Heartbeats: true,
-	}, testsuite.RunnerInit(&report))
-	return finishRunOne(sys, &report, inj, seed, inj, nil)
+	return runCold(policy, seed, singleSpec(inj, ipc)).single(inj)
 }
 
-// finishRunOne arms the injection on a prepared machine — cold-booted or
-// forked from a warm image — runs the suite and classifies the outcome.
-// armed carries the occurrence counted from the machine's current
-// position (equal to inj on cold boots; shifted past the quiescence
-// barrier on warm forks); the result always reports inj as planned. A
-// non-nil elider lets a warm fork splice a recorded suffix at a
-// post-recovery quiescence barrier instead of re-executing it (see
-// elide.go); cold boots pass nil.
-func finishRunOne(sys *boot.System, report *testsuite.Report, inj Injection, seed uint64, armed Injection, el *elider) RunResult {
-	k := sys.Kernel()
-	rng := sim.NewRNG(seed ^ 0xFA0175EED)
-	triggered := false
-	remaining := armed.Occurrence
-	k.SetPointHook(func(ep kernel.Endpoint, name, site string) {
-		if triggered || name != armed.Server || site != armed.Site {
-			return
-		}
-		remaining--
-		if remaining > 0 {
-			return
-		}
-		triggered = true
-		applyFault(sys, ep, inj.Type, rng)
-	})
+// singleSpec describes a single-fault run.
+func singleSpec(inj Injection, ipc IPCOptions) runSpec {
+	return runSpec{kind: kindSingle, faults: []MultiInjection{{Injection: inj}}, ipc: ipc}
+}
 
-	aud := audit.Attach(sys.OS)
-	if el != nil {
-		// The single armed fault is one-shot: once the point hook fired,
-		// nothing can fire in the suffix (armed-but-unfired transport
-		// faults and reply overrides are blocked by the quiescence gate).
-		el.ready = func() bool { return triggered }
-	}
-	res := runElidable(sys, report, aud, el)
-	out := RunResult{
+// single is the RunResult view of a run that armed inj alone.
+func (m MultiRunResult) single(inj Injection) RunResult {
+	return RunResult{
 		Injection:   inj,
-		Outcome:     classify(res, report),
-		Triggered:   triggered,
-		TestsFailed: report.Failed,
-		Reason:      res.Reason,
-		Seed:        seed,
-	}
-	out.Consistent = aud.Consistent()
-	for _, v := range aud.Violations() {
-		out.Violations = append(out.Violations, v.String())
-	}
-	return out
-}
-
-// applyFault manifests one armed fault inside the faulty component's
-// execution (the point hook runs in the component's context, so a
-// panic here fail-stops exactly that component).
-func applyFault(sys *boot.System, ep kernel.Endpoint, t FaultType, rng *sim.RNG) {
-	k := sys.Kernel()
-	switch t {
-	case FaultCrash:
-		panic("edfi: injected fail-stop fault")
-	case FaultHang:
-		// The component spins until the heartbeat deadline passes;
-		// detection converts the hang into a fail-stop kill.
-		k.Clock().Advance(2 * rs.HeartbeatPeriod)
-		panic("edfi: hung component killed by heartbeat detector")
-	case FaultCorrupt:
-		if st := sys.ComponentStore(ep); st != nil {
-			st.CorruptRandom(rng)
-		}
-	case FaultWrongErrno:
-		k.OverrideNextReplyErrno(ep, kernel.EIO)
-	case FaultNoop:
-		// Fault present but never manifests.
-	case FaultIPCDrop:
-		k.ArmIPCFault(ep, kernel.IPCDrop)
-	case FaultIPCDup:
-		k.ArmIPCFault(ep, kernel.IPCDup)
-	case FaultIPCDelay:
-		k.ArmIPCFault(ep, kernel.IPCDelay)
-	case FaultIPCReorder:
-		k.ArmIPCFault(ep, kernel.IPCReorder)
-	case FaultIPCCorrupt:
-		k.ArmIPCFault(ep, kernel.IPCCorrupt)
-	}
-}
-
-// classify maps a run result and suite report to the paper's four
-// outcome classes.
-func classify(res kernel.Result, report *testsuite.Report) Outcome {
-	switch res.Outcome {
-	case kernel.OutcomeCompleted:
-		if report.Complete() && report.Failed == 0 {
-			return OutcomePass
-		}
-		return OutcomeFail
-	case kernel.OutcomeShutdown:
-		return OutcomeShutdown
-	default:
-		return OutcomeCrash
+		Outcome:     m.Outcome,
+		Triggered:   m.Triggered > 0,
+		TestsFailed: m.TestsFailed,
+		Reason:      m.Reason,
+		Seed:        m.Seed,
+		Consistent:  m.Consistent,
+		Violations:  m.Violations,
 	}
 }
 
@@ -509,10 +397,13 @@ type CampaignConfig struct {
 	OnResult func(index int, rr RunResult)
 	// OnServe, when set, observes every run's serving decision in plan
 	// order alongside OnResult: how the run was served (cold boot, warm
-	// rung fork, tail elision or journal — see ServingCold and friends).
-	// The faultcampaign -record flag stores it in the trace for
-	// provenance.
-	OnServe func(index int, decision string)
+	// rung fork, tail elision or journal — see Serving). The faultcampaign
+	// -record flag stores its String form in the trace for provenance.
+	OnServe func(index int, sv Serving)
+	// Plane selects how the runs are served (the zero value forks from
+	// the snapshot ladder and elides tails; results are bit-identical for
+	// every setting).
+	Plane PlaneOptions
 }
 
 // CampaignResult aggregates a survivability campaign (one row of
@@ -520,35 +411,7 @@ type CampaignConfig struct {
 type CampaignResult struct {
 	Policy seep.Policy
 	Model  Model
-	Runs   int
-	Counts map[Outcome]int
-	// Untriggered counts runs whose planned fault never fired; they are
-	// excluded from Runs and Counts (paper: untriggered faults would
-	// inflate the statistics).
-	Untriggered int
-	// Consistent counts triggered runs whose every audit pass found the
-	// cross-server invariants intact; InconsistentSeeds lists the
-	// per-run seeds of the others, so any inconsistent run replays
-	// exactly.
-	Consistent        int
-	InconsistentSeeds []uint64
-}
-
-// Percent reports the share of runs with the given outcome.
-func (c CampaignResult) Percent(o Outcome) float64 {
-	if c.Runs == 0 {
-		return 0
-	}
-	return 100 * float64(c.Counts[o]) / float64(c.Runs)
-}
-
-// ConsistentPercent reports the share of runs the auditor classified
-// consistent.
-func (c CampaignResult) ConsistentPercent() float64 {
-	if c.Runs == 0 {
-		return 0
-	}
-	return 100 * float64(c.Consistent) / float64(c.Runs)
+	Tally
 }
 
 // PlanCampaign derives the injection list from a profile.
@@ -602,104 +465,68 @@ func thinIndices(n, max int) []int {
 	return out
 }
 
-// RunCampaign executes the whole campaign. Runs are independent
-// machines (one fault per machine, per-run seed), so they fan out
-// across the parallel engine; the aggregate is reduced in plan order
-// and is bit-identical for any worker count. One machine is booted and
-// captured per configuration class up front; each run forks it in
-// O(state size) instead of re-booting, with outcomes bit-identical to
-// cold boots (see warmboot.go; OSIRIS_COLD_BOOT forces cold boots).
-func RunCampaign(cfg CampaignConfig, profile []SiteProfile) CampaignResult {
-	result, _ := RunCampaignWithStats(cfg, profile)
-	return result
-}
-
-// RunCampaignWithStats is RunCampaign plus the warm-plane serving
-// statistics: how many runs forked from a mid-suite ladder rung, from
-// the boot barrier, or fell back to cold boots (and why). The campaign
-// result is identical to RunCampaign's.
-func RunCampaignWithStats(cfg CampaignConfig, profile []SiteProfile) (CampaignResult, PlaneStats) {
+// RunCampaign executes the whole campaign and reports, beside the
+// aggregate, how the warm plane served it: how many runs forked from a
+// mid-suite ladder rung, from the boot barrier, or fell back to cold
+// boots (and why), and how many tails were elided. The aggregate is
+// bit-identical for any worker count and any PlaneOptions.
+func RunCampaign(cfg CampaignConfig, profile []SiteProfile) (CampaignResult, PlaneStats) {
 	plan := PlanCampaign(cfg, profile)
-	result := CampaignResult{
-		Policy: cfg.Policy,
-		Model:  cfg.Model,
-		Counts: make(map[Outcome]int),
-	}
-	runner := newSingleRunner(cfg, plan)
-	defer runner.close()
-	decisions := make([]string, len(plan))
-	results := parallel.Map(cfg.Workers, len(plan), func(i int) RunResult {
-		if cfg.Journal != nil {
-			if rr, ok := cfg.Journal.LookupRun(i); ok {
-				decisions[i] = ServingJournal
-				return rr
-			}
-		}
-		rr, decision := runner.runOne(cfg.Seed+uint64(i)*7919, plan[i])
-		decisions[i] = decision
-		if cfg.Journal != nil {
-			cfg.Journal.RecordRun(i, rr)
-		}
-		return rr
-	})
-	for i, rr := range results {
-		if cfg.OnServe != nil {
-			cfg.OnServe(i, decisions[i])
-		}
-		if cfg.OnResult != nil {
-			cfg.OnResult(i, rr)
-		}
-		if !rr.Triggered {
-			result.Untriggered++
-			continue
-		}
-		result.Runs++
-		result.Counts[rr.Outcome]++
-		if rr.Consistent {
-			result.Consistent++
-		} else {
-			result.InconsistentSeeds = append(result.InconsistentSeeds, rr.Seed)
-		}
-	}
-	return result, runner.stats.snapshot()
+	result := CampaignResult{Policy: cfg.Policy, Model: cfg.Model, Tally: newTally()}
+	runner := NewArmedRunner(cfg, plan)
+	defer runner.Close()
+	campaign[RunResult]{
+		n: len(plan), workers: cfg.Workers,
+		journal: cfg.Journal, lookup: (*Journal).LookupRun, record: (*Journal).RecordRun,
+		onServe: cfg.OnServe, onResult: cfg.OnResult,
+		run: func(i int) (RunResult, Serving) {
+			return runner.serve(cfg.Seed+uint64(i)*7919, plan[i])
+		},
+		tally: func(_ int, rr RunResult) {
+			result.add(rr.Outcome, rr.Triggered, rr.Consistent, rr.Seed)
+		},
+	}.drive()
+	return result, runner.Stats()
 }
 
 // ArmedRunner exposes the campaign warm plane run-by-run: it serves
 // single-fault armed runs exactly as RunCampaign does (ladder fork,
 // boot-barrier fork, or cold fallback — bit-identical either way).
-// Benchmarks use it to isolate the armed-run phase from plane setup;
 // Close tears down the pathfinder machines when done.
 type ArmedRunner struct {
-	r *campaignRunner
+	r   campaignRunner
+	ipc IPCOptions
 }
 
-// NewArmedRunner builds the warm plane for cfg over the given plan
-// (typically PlanCampaign's output).
+// NewArmedRunner prepares the warm plane for cfg, building up front the
+// ladder of every configuration class the plan (typically
+// PlanCampaign's output) contains. Runs of a class the plan does not
+// contain build theirs on first use.
 func NewArmedRunner(cfg CampaignConfig, plan []Injection) *ArmedRunner {
-	return &ArmedRunner{r: newSingleRunner(cfg, plan)}
-}
-
-// Prime walks every ladder of the plane to its end, capturing the rung
-// snapshots and opening the suffix table, without executing a run: a
-// measurement that wants the walk outside its timed loop calls it instead
-// of a warm-up pass over the plan, whose runs would publish the very
-// suffixes the timed pass then splices.
-func (a *ArmedRunner) Prime() {
-	for _, pl := range a.r.planes {
-		if pl.ladder != nil {
-			pl.ladder.serveDeepest()
-		}
+	a := &ArmedRunner{
+		r:   campaignRunner{policy: cfg.Policy, seed: cfg.Seed, opts: cfg.Plane},
+		ipc: cfg.IPC,
 	}
+	for _, inj := range plan {
+		a.r.plane(planeClass{kindSingle, cfg.IPC.normalized(inj.Type.IPC())})
+	}
+	return a
 }
 
 // Run executes one armed run with the given per-run seed.
 func (a *ArmedRunner) Run(seed uint64, inj Injection) RunResult {
-	rr, _ := a.r.runOne(seed, inj)
+	rr, _ := a.serve(seed, inj)
 	return rr
 }
 
+// serve is Run plus the run's serving decision.
+func (a *ArmedRunner) serve(seed uint64, inj Injection) (RunResult, Serving) {
+	res, sv := a.r.run(seed, singleSpec(inj, a.ipc))
+	return res.single(inj), sv
+}
+
 // Stats returns the serving statistics accumulated so far.
-func (a *ArmedRunner) Stats() PlaneStats { return a.r.stats.snapshot() }
+func (a *ArmedRunner) Stats() PlaneStats { return a.r.Stats() }
 
 // Close tears down the plane's pathfinder machines.
 func (a *ArmedRunner) Close() { a.r.close() }

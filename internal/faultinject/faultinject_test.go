@@ -116,9 +116,9 @@ func TestSmallCampaignShapes(t *testing.T) {
 	cfg := CampaignConfig{Model: FailStop, Seed: 7, SamplesPerSite: 1, MaxRuns: 40}
 
 	cfg.Policy = seep.PolicyEnhanced
-	enhanced := RunCampaign(cfg, profile)
+	enhanced, _ := RunCampaign(cfg, profile)
 	cfg.Policy = seep.PolicyStateless
-	stateless := RunCampaign(cfg, profile)
+	stateless, _ := RunCampaign(cfg, profile)
 
 	if enhanced.Runs == 0 || stateless.Runs == 0 {
 		t.Fatalf("campaigns ran nothing: %d/%d", enhanced.Runs, stateless.Runs)
@@ -188,7 +188,7 @@ func TestPlanCampaignThinningAndDeterminism(t *testing.T) {
 }
 
 func TestCampaignResultPercent(t *testing.T) {
-	r := CampaignResult{Runs: 4, Counts: map[Outcome]int{OutcomePass: 1, OutcomeCrash: 3}}
+	r := CampaignResult{Tally: Tally{Runs: 4, Counts: map[Outcome]int{OutcomePass: 1, OutcomeCrash: 3}}}
 	if r.Percent(OutcomePass) != 25 || r.Percent(OutcomeCrash) != 75 {
 		t.Fatalf("percents = %v/%v", r.Percent(OutcomePass), r.Percent(OutcomeCrash))
 	}

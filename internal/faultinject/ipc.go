@@ -1,14 +1,11 @@
 package faultinject
 
 import (
-	"repro/internal/audit"
-	"repro/internal/boot"
+	"encoding/json"
+
 	"repro/internal/core"
 	"repro/internal/kernel"
-	"repro/internal/parallel"
 	"repro/internal/seep"
-	"repro/internal/testsuite"
-	"repro/internal/usr"
 )
 
 // IPCOptions configures transport fault interposition and the
@@ -60,125 +57,85 @@ func (o IPCOptions) apply(cfg core.Config, runSeed uint64) core.Config {
 // the outcome. Unlike single-fault injections, background rates fire
 // repeatedly, so the cascade sequencer stays enabled as in RunMulti.
 func RunBackground(policy seep.Policy, seed uint64, ipc IPCOptions) RunResult {
-	reg := usr.NewRegistry()
-	testsuite.Register(reg)
-	var report testsuite.Report
-
-	ipc = ipc.normalized(false)
-	sys := boot.Boot(boot.Options{
-		Config:     ipc.apply(core.Config{Policy: policy, Seed: seed}, seed),
-		Registry:   reg,
-		Heartbeats: true,
-	}, testsuite.RunnerInit(&report))
-	return finishRunBackground(sys, &report, ipc, seed, nil)
+	return runCold(policy, seed, runSpec{kind: kindBackground, ipc: ipc}).background(ipc)
 }
 
-// finishRunBackground runs the suite on a prepared machine — cold-booted
-// or forked from a warm image — and classifies the outcome. ipc must be
-// the normalized options the machine was configured with. A non-nil
-// elider (zero-rate warm forks only — no fault ever arms) lets the run
-// splice the pathfinder's suffix at its first quiescence barrier.
-func finishRunBackground(sys *boot.System, report *testsuite.Report, ipc IPCOptions, seed uint64, el *elider) RunResult {
-	aud := audit.Attach(sys.OS)
-	if el != nil {
-		el.ready = func() bool { return true }
-	}
-	res := runElidable(sys, report, aud, el)
-	out := RunResult{
-		Outcome:     classify(res, report),
-		Triggered:   ipc.Faults.Enabled(),
-		TestsFailed: report.Failed,
-		Reason:      res.Reason,
-		Seed:        seed,
-	}
-	out.Consistent = aud.Consistent()
-	for _, v := range aud.Violations() {
-		out.Violations = append(out.Violations, v.String())
-	}
-	return out
+// background is the RunResult view of a run that armed nothing: it
+// counts as triggered when background rates were live.
+func (m MultiRunResult) background(ipc IPCOptions) RunResult {
+	rr := m.single(Injection{})
+	rr.Triggered = ipc.Faults.Enabled()
+	return rr
+}
+
+// SweepConfig parameterizes an IPC fault-rate sweep.
+type SweepConfig struct {
+	Policy seep.Policy
+	Seed   uint64
+	// RatesBP lists the sweep points: every fault class (drop, duplicate,
+	// delay, reorder, corrupt) fires at that many basis points.
+	RatesBP []int
+	// Runs is the number of boots per point. Zero means 5.
+	Runs int
+	// Workers bounds concurrent boots (0 = one per CPU, 1 = serial);
+	// results are bit-identical for any worker count.
+	Workers int
+	// Plane selects how the runs are served, exactly as in
+	// CampaignConfig.
+	Plane PlaneOptions
 }
 
 // SweepPoint is one row of an IPC fault-rate sweep: all five fault
-// rates set to RateBP basis points each.
+// rates set to RateBP basis points each. A sweep counts every run — the
+// zero-rate baseline row included — so Untriggered stays zero.
 type SweepPoint struct {
 	RateBP int
-	Runs   int
-	Counts map[Outcome]int
-	// Consistent counts runs whose audits all passed;
-	// InconsistentSeeds replays the rest.
-	Consistent        int
-	InconsistentSeeds []uint64
+	Tally
 }
 
-// Percent reports the share of runs with the given outcome.
-func (p SweepPoint) Percent(o Outcome) float64 {
-	if p.Runs == 0 {
-		return 0
-	}
-	return 100 * float64(p.Counts[o]) / float64(p.Runs)
+// MarshalJSON keeps the sweep's report shape: a row has no Untriggered
+// column.
+func (p SweepPoint) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		RateBP, Runs      int
+		Counts            map[Outcome]int
+		Consistent        int
+		InconsistentSeeds []uint64
+	}{p.RateBP, p.Runs, p.Counts, p.Consistent, p.InconsistentSeeds})
 }
 
-// ConsistentPercent reports the share of runs the auditor classified
-// consistent.
-func (p SweepPoint) ConsistentPercent() float64 {
-	if p.Runs == 0 {
-		return 0
-	}
-	return 100 * float64(p.Consistent) / float64(p.Runs)
-}
-
-// SweepIPC runs the suite `runs` times per rate point, with every fault
-// class (drop, duplicate, delay, reorder, corrupt) at rateBP basis
-// points, and reports survival and audited consistency per point.
-// Results are bit-identical for any worker count.
-func SweepIPC(policy seep.Policy, seed uint64, ratesBP []int, runs, workers int) []SweepPoint {
-	points, _ := SweepIPCWithStats(policy, seed, ratesBP, runs, workers)
-	return points
-}
-
-// SweepIPCWithStats is SweepIPC plus the warm-plane serving statistics
-// (zero-rate runs fork from the ladder's deepest rung; rate points boot
-// cold). The sweep points are identical to SweepIPC's.
-func SweepIPCWithStats(policy seep.Policy, seed uint64, ratesBP []int, runs, workers int) ([]SweepPoint, PlaneStats) {
+// SweepIPC runs the suite cfg.Runs times per rate point and reports
+// survival and audited consistency per point. Zero-rate points leave the
+// transport untouched, so their runs fork the deepest rung of one warm
+// ladder and replay only the suite tail; points with live rates draw
+// per-run fault placements during boot and boot cold (see pipeline.go).
+func SweepIPC(cfg SweepConfig) ([]SweepPoint, PlaneStats) {
+	runs := cfg.Runs
 	if runs <= 0 {
 		runs = 5
 	}
-	type job struct{ point, run int }
-	var jobs []job
-	for p := range ratesBP {
-		for r := 0; r < runs; r++ {
-			jobs = append(jobs, job{p, r})
-		}
+	points := make([]SweepPoint, len(cfg.RatesBP))
+	for i, bp := range cfg.RatesBP {
+		points[i] = SweepPoint{RateBP: bp, Tally: newTally()}
 	}
-	// Zero-rate points leave the transport untouched, so their runs can
-	// fork one warm image; points with live rates draw per-run fault
-	// placements during boot and must boot cold (see warmboot.go).
-	runner := newBackgroundRunner(policy, seed, ratesBP)
+	runner := campaignRunner{policy: cfg.Policy, seed: cfg.Seed, opts: cfg.Plane}
 	defer runner.close()
-	results := parallel.Map(workers, len(jobs), func(i int) RunResult {
-		j := jobs[i]
-		bp := ratesBP[j.point]
-		opts := IPCOptions{
-			Faults: kernel.IPCFaultConfig{
-				DropBP: bp, DupBP: bp, DelayBP: bp, ReorderBP: bp, CorruptBP: bp,
-			},
-			Seed: seed ^ 0x51EE9,
-		}
-		return runner.runBackground(seed+uint64(i)*15485863, opts)
-	})
-	points := make([]SweepPoint, len(ratesBP))
-	for i := range points {
-		points[i] = SweepPoint{RateBP: ratesBP[i], Counts: make(map[Outcome]int)}
-	}
-	for i, rr := range results {
-		p := &points[jobs[i].point]
-		p.Runs++
-		p.Counts[rr.Outcome]++
-		if rr.Consistent {
-			p.Consistent++
-		} else {
-			p.InconsistentSeeds = append(p.InconsistentSeeds, rr.Seed)
-		}
-	}
-	return points, runner.stats.snapshot()
+	campaign[RunResult]{
+		n: len(points) * runs, workers: cfg.Workers,
+		run: func(i int) (RunResult, Serving) {
+			bp := cfg.RatesBP[i/runs]
+			ipc := IPCOptions{
+				Faults: kernel.IPCFaultConfig{
+					DropBP: bp, DupBP: bp, DelayBP: bp, ReorderBP: bp, CorruptBP: bp,
+				},
+				Seed: cfg.Seed ^ 0x51EE9,
+			}
+			res, sv := runner.run(cfg.Seed+uint64(i)*15485863, runSpec{kind: kindBackground, ipc: ipc})
+			return res.background(ipc), sv
+		},
+		tally: func(i int, rr RunResult) {
+			points[i/runs].add(rr.Outcome, true, rr.Consistent, rr.Seed)
+		},
+	}.drive()
+	return points, runner.Stats()
 }

@@ -29,11 +29,11 @@ func TestIPCMixCampaignIdenticalAcrossWorkerCounts(t *testing.T) {
 		MaxRuns:        12,
 		Workers:        1,
 	}
-	serial := RunCampaign(base, profile)
+	serial, _ := RunCampaign(base, profile)
 	for _, workers := range []int{2, 8} {
 		cfg := base
 		cfg.Workers = workers
-		if got := RunCampaign(cfg, profile); !reflect.DeepEqual(serial, got) {
+		if got, _ := RunCampaign(cfg, profile); !reflect.DeepEqual(serial, got) {
 			t.Errorf("workers=%d: ipc-mix campaign diverged from serial:\nserial: %+v\ngot:    %+v", workers, serial, got)
 		}
 	}
@@ -56,21 +56,22 @@ func TestFailStopWithIPCNoiseIdenticalAcrossWorkerCounts(t *testing.T) {
 			Seed:   0xABCD,
 		},
 	}
-	serial := RunCampaign(base, profile)
+	serial, _ := RunCampaign(base, profile)
 	for _, workers := range []int{2, 8} {
 		cfg := base
 		cfg.Workers = workers
-		if got := RunCampaign(cfg, profile); !reflect.DeepEqual(serial, got) {
+		if got, _ := RunCampaign(cfg, profile); !reflect.DeepEqual(serial, got) {
 			t.Errorf("workers=%d: fail-stop+noise campaign diverged from serial:\nserial: %+v\ngot:    %+v", workers, serial, got)
 		}
 	}
 }
 
 func TestSweepIPCIdenticalAcrossWorkerCounts(t *testing.T) {
-	rates := []int{0, 50, 200}
-	serial := SweepIPC(seep.PolicyEnhanced, 42, rates, 3, 1)
+	cfg := SweepConfig{Policy: seep.PolicyEnhanced, Seed: 42, RatesBP: []int{0, 50, 200}, Runs: 3, Workers: 1}
+	serial, _ := SweepIPC(cfg)
 	for _, workers := range []int{2, 8} {
-		if got := SweepIPC(seep.PolicyEnhanced, 42, rates, 3, workers); !reflect.DeepEqual(serial, got) {
+		cfg.Workers = workers
+		if got, _ := SweepIPC(cfg); !reflect.DeepEqual(serial, got) {
 			t.Errorf("workers=%d: IPC sweep diverged from serial:\nserial: %+v\ngot:    %+v", workers, serial, got)
 		}
 	}
@@ -92,8 +93,8 @@ func TestIPCMixCampaignSameSeedRepeatable(t *testing.T) {
 		MaxRuns:        8,
 		Workers:        4,
 	}
-	first := RunCampaign(cfg, profile)
-	second := RunCampaign(cfg, profile)
+	first, _ := RunCampaign(cfg, profile)
+	second, _ := RunCampaign(cfg, profile)
 	if !reflect.DeepEqual(first, second) {
 		t.Errorf("same-seed ipc-mix campaign not repeatable:\nfirst:  %+v\nsecond: %+v", first, second)
 	}

@@ -178,7 +178,7 @@ func campaignJournalFixture(t *testing.T) (CampaignConfig, []SiteProfile, Campai
 		Policy: seep.PolicyEnhanced, Model: FullEDFI,
 		Seed: 7, SamplesPerSite: 1, MaxRuns: 8, Workers: 2,
 	}
-	baseline := RunCampaign(cfg, profile)
+	baseline, _ := RunCampaign(cfg, profile)
 
 	hdr := JournalHeader{
 		Kind: TraceSingle, Policy: cfg.Policy, Model: cfg.Model, Seed: cfg.Seed,
@@ -192,7 +192,7 @@ func campaignJournalFixture(t *testing.T) (CampaignConfig, []SiteProfile, Campai
 	}
 	jcfg := cfg
 	jcfg.Journal = j
-	if got := RunCampaign(jcfg, profile); !reflect.DeepEqual(got, baseline) {
+	if got, _ := RunCampaign(jcfg, profile); !reflect.DeepEqual(got, baseline) {
 		t.Fatalf("journaled campaign diverged from baseline:\n%+v\nvs\n%+v", got, baseline)
 	}
 	if err := j.Close(); err != nil {
@@ -239,7 +239,7 @@ func TestCampaignResumeBitIdentical(t *testing.T) {
 			rcfg := cfg
 			rcfg.Workers = workers
 			rcfg.Journal = j
-			got := RunCampaign(rcfg, profile)
+			got, _ := RunCampaign(rcfg, profile)
 			if err := j.Close(); err != nil {
 				t.Fatalf("%s/workers=%d: close: %v", name, workers, err)
 			}
@@ -261,7 +261,7 @@ func TestMultiCampaignResumeBitIdentical(t *testing.T) {
 		Policy: seep.PolicyEnhanced, Model: FailStop,
 		Faults: 2, Runs: 6, Seed: 11, Workers: 2,
 	}
-	baseline := RunMultiCampaign(cfg, profile)
+	baseline, _ := RunMultiCampaign(cfg, profile)
 
 	hdr := JournalHeader{
 		Kind: TraceMulti, Policy: cfg.Policy, Model: cfg.Model, Seed: cfg.Seed,
@@ -275,7 +275,7 @@ func TestMultiCampaignResumeBitIdentical(t *testing.T) {
 	}
 	jcfg := cfg
 	jcfg.Journal = j
-	if got := RunMultiCampaign(jcfg, profile); !reflect.DeepEqual(got, baseline) {
+	if got, _ := RunMultiCampaign(jcfg, profile); !reflect.DeepEqual(got, baseline) {
 		t.Fatalf("journaled multi campaign diverged from baseline")
 	}
 	if err := j.Close(); err != nil {
@@ -300,7 +300,7 @@ func TestMultiCampaignResumeBitIdentical(t *testing.T) {
 	rcfg := cfg
 	rcfg.Workers = 8
 	rcfg.Journal = j2
-	got := RunMultiCampaign(rcfg, profile)
+	got, _ := RunMultiCampaign(rcfg, profile)
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}

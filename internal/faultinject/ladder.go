@@ -28,7 +28,6 @@ package faultinject
 // boot-barrier fork or a cold boot, preserving bit-identity.
 
 import (
-	"sort"
 	"sync"
 
 	"repro/internal/audit"
@@ -36,173 +35,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/testsuite"
-	"repro/internal/usr"
 )
-
-// snapCacheDefault overrides Config.SnapshotCacheBytes for campaign
-// pathfinders when non-zero; the -snapcache CLI flag sets it.
-var snapCacheDefault int64
-
-// SetSnapshotCacheDefault sets the process-wide snapshot-ladder cache
-// budget in bytes (negative disables the ladder, zero restores the
-// OSIRIS_SNAPSHOT_CACHE / built-in default resolution) and returns the
-// previous setting.
-func SetSnapshotCacheDefault(bytes int64) int64 {
-	prev := snapCacheDefault
-	snapCacheDefault = bytes
-	return prev
-}
-
-// Fallback reasons: why a campaign run could not be served by the
-// snapshot ladder and booted cold instead.
-const (
-	// FallbackColdBootPinned: cold boots forced via -coldboot /
-	// OSIRIS_COLD_BOOT / SetColdBootDefault — the equivalence oracle.
-	FallbackColdBootPinned = "coldboot-pinned"
-	// FallbackBackgroundRates: the run's transport carries background
-	// fault rates, which consume the per-run fault stream from cycle
-	// zero; no shared prefix exists.
-	FallbackBackgroundRates = "background-ipc-rates"
-	// FallbackNoSnapshot: the pathfinder never reached a capturable
-	// boot barrier for this configuration class.
-	FallbackNoSnapshot = "capture-failed"
-	// FallbackPreBarrier: the armed occurrence is consumed before the
-	// post-install boot barrier, so even the PR 7 fork is unsound.
-	FallbackPreBarrier = "occurrence-within-boot"
-	// FallbackForkFailed: materializing the fork failed.
-	FallbackForkFailed = "fork-failed"
-)
-
-// PlaneStats reports how the warm plane served a campaign. Outcomes are
-// bit-identical however runs are served; the serving split itself is
-// deterministic under an ample cache budget, but may vary with worker
-// interleaving when LRU eviction is active (different serve orders
-// evict different rungs). Likewise the Elided/Rejoined split at workers
-// > 1: which run publishes a suffix-table entry first, and which later
-// run finds it already there, depends on the order runs finish in.
-type PlaneStats struct {
-	// LadderForks counts runs forked from a mid-suite rung (>= 1).
-	LadderForks int
-	// BootForks counts runs forked from the post-install boot barrier.
-	BootForks int
-	// ColdBoots counts runs that fell back to a full cold boot.
-	ColdBoots int
-	// Fallbacks breaks ColdBoots down by reason.
-	Fallbacks map[string]int
-	// Elided counts warm-served runs that ended at a quiescence barrier
-	// by splicing a suffix-table entry instead of re-executing the
-	// remaining suite suffix (see elide.go), whoever contributed it.
-	Elided int
-	// Rejoined counts the subset of Elided whose entry an earlier armed
-	// run contributed rather than the pathfinder walk: the run did not
-	// converge onto the fault-free trace, it landed on a state another
-	// recovered run had already executed from.
-	Rejoined int
-	// ElisionFallbacks breaks warm-served, fully-executed runs down by
-	// the elision fallback reason charged to each (the last blocker
-	// standing when the run completed). Elided plus Wedged plus the sum
-	// over ElisionFallbacks equals LadderForks plus BootForks: every warm
-	// run elided its tail, was certified wedged, or is charged exactly
-	// one reason.
-	ElisionFallbacks map[string]int
-	// Wedged counts warm-served runs ended by a wedge certificate: the
-	// hang the cycle limit would have classified, proven after a few
-	// heartbeat rounds instead of simulated to the limit (see elide.go).
-	Wedged int
-}
-
-// Total returns the number of runs the plane served.
-func (s PlaneStats) Total() int { return s.LadderForks + s.BootForks + s.ColdBoots }
-
-// FallbackReasons returns the fallback reasons in sorted order.
-func (s PlaneStats) FallbackReasons() []string {
-	out := make([]string, 0, len(s.Fallbacks))
-	for r := range s.Fallbacks {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ElisionFallbackReasons returns the elision fallback reasons in sorted
-// order.
-func (s PlaneStats) ElisionFallbackReasons() []string {
-	out := make([]string, 0, len(s.ElisionFallbacks))
-	for r := range s.ElisionFallbacks {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// statsCollector accumulates PlaneStats across concurrent runs.
-type statsCollector struct {
-	mu sync.Mutex
-	s  PlaneStats
-}
-
-func (c *statsCollector) fork(rung int) {
-	c.mu.Lock()
-	if rung > 0 {
-		c.s.LadderForks++
-	} else {
-		c.s.BootForks++
-	}
-	c.mu.Unlock()
-}
-
-func (c *statsCollector) cold(reason string) {
-	c.mu.Lock()
-	c.s.ColdBoots++
-	if c.s.Fallbacks == nil {
-		c.s.Fallbacks = make(map[string]int)
-	}
-	c.s.Fallbacks[reason]++
-	c.mu.Unlock()
-}
-
-func (c *statsCollector) elided(rejoined bool) {
-	c.mu.Lock()
-	c.s.Elided++
-	if rejoined {
-		c.s.Rejoined++
-	}
-	c.mu.Unlock()
-}
-
-func (c *statsCollector) wedged() {
-	c.mu.Lock()
-	c.s.Wedged++
-	c.mu.Unlock()
-}
-
-func (c *statsCollector) elisionFallback(reason string) {
-	c.mu.Lock()
-	if c.s.ElisionFallbacks == nil {
-		c.s.ElisionFallbacks = make(map[string]int)
-	}
-	c.s.ElisionFallbacks[reason]++
-	c.mu.Unlock()
-}
-
-func (c *statsCollector) snapshot() PlaneStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := c.s
-	if c.s.Fallbacks != nil {
-		out.Fallbacks = make(map[string]int, len(c.s.Fallbacks))
-		for k, v := range c.s.Fallbacks {
-			out.Fallbacks[k] = v
-		}
-	}
-	if c.s.ElisionFallbacks != nil {
-		out.ElisionFallbacks = make(map[string]int, len(c.s.ElisionFallbacks))
-		for k, v := range c.s.ElisionFallbacks {
-			out.ElisionFallbacks[k] = v
-		}
-	}
-	return out
-}
 
 // siteKey identifies a fault site as (server, site).
 type siteKey [2]string
@@ -297,6 +130,10 @@ type ladder struct {
 	rungs  []rung
 	cache  *snapCache
 	cands  []candidate // the walk's own candidates, published at its end
+	// noElide pins the ladder's runs to full execution
+	// (PlaneOptions.NoElide): the walk hashes nothing and the table never
+	// opens.
+	noElide bool
 	// table maps barrier states to recorded suffixes; nil until the walk
 	// has completed cleanly and published, which also opens it to armed
 	// runs' entries.
@@ -310,17 +147,12 @@ type ladder struct {
 // the resolved cache budget is negative the ladder is disabled: the
 // pathfinder is torn down at rung 0 and the ladder degenerates to the
 // PR 7 single-snapshot plane.
-func newLadder(cfg core.Config) *ladder {
-	if cfg.SnapshotCacheBytes == 0 {
-		cfg.SnapshotCacheBytes = snapCacheDefault
-	}
-	reg := usr.NewRegistry()
-	testsuite.Register(reg)
+func newLadder(cfg core.Config, noElide bool) *ladder {
 	report := new(testsuite.Report)
-	opts := boot.Options{Config: cfg, Registry: reg, Heartbeats: true}
+	opts := suiteOptions(cfg)
 	sys := boot.Boot(opts, testsuite.RunnerInit(report))
 
-	l := &ladder{opts: opts, sys: sys, report: report, counts: make(map[siteKey]int)}
+	l := &ladder{opts: opts, sys: sys, report: report, counts: make(map[siteKey]int), noElide: noElide}
 	names := sys.ComponentNames()
 	sys.Kernel().SetPointHook(func(ep kernel.Endpoint, name, site string) {
 		if _, recoverable := names[ep]; recoverable {
@@ -356,7 +188,7 @@ func (l *ladder) recordRung() {
 	// With elision pinned off no armed run will ever look a state up, so
 	// the walk skips the per-rung hashing entirely — the oracle pays none
 	// of the elision plane's cost.
-	if !noElideDefault {
+	if !l.noElide {
 		if fp, err := l.sys.StateFingerprint(); err == nil {
 			l.cands = append(l.cands, candidate{
 				key:    suffixKey{barrier: rg.prefix.Ran, fp: fp},
@@ -377,7 +209,7 @@ func (l *ladder) recordRung() {
 // run executes in full. Caller holds l.mu; the machine is done but not
 // yet torn down.
 func (l *ladder) recordTail() {
-	if noElideDefault {
+	if l.noElide {
 		return
 	}
 	res := l.sys.Kernel().StepResult()
@@ -514,53 +346,51 @@ func (l *ladder) advance() {
 	}
 }
 
-// serve maps a set of plain armed (site, occurrence) pairs to the
-// deepest cached rung strictly before every trigger, walking the
+// serve picks the rung a run armed with faults forks from: the deepest
+// cached rung strictly before every plain trigger, walking the
 // pathfinder only as deep as this request needs. It returns the serving
 // rung's index, record and snapshot, with ok=false when any occurrence
 // is consumed before the boot barrier (the run must boot cold — PR 7
-// behavior). An empty site set serves rung 0: with no plain trigger to
-// anchor, only the boot barrier is known-sound.
-func (l *ladder) serve(keys []siteKey, occs []int) (int, rung, *boot.Snapshot, bool) {
+// behavior). Correlated and during-recovery faults anchor nothing; a
+// plan of only those serves rung 0, the one barrier known-sound without
+// a plain trigger. A fault-free run (no faults at all: zero-rate sweep
+// points) has no trigger to stay ahead of, so any rung is sound: the
+// ladder is walked to its end and the deepest cached rung served.
+func (l *ladder) serve(faults []MultiInjection) (int, rung, *boot.Snapshot, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	best := -1
-	for j, key := range keys {
-		if occs[j]-l.rungs[0].counts[key] < 1 {
+	best := 0
+	if len(faults) == 0 {
+		for l.sys != nil {
+			l.advance()
+		}
+		best = len(l.rungs) - 1
+	}
+	anchored := false
+	for _, inj := range faults {
+		if inj.Correlated || inj.DuringRecovery {
+			continue
+		}
+		key := siteKey{inj.Server, inj.Site}
+		if inj.Occurrence-l.rungs[0].counts[key] < 1 {
 			return 0, rung{}, nil, false
 		}
-		for l.sys != nil && l.rungs[len(l.rungs)-1].counts[key] < occs[j] {
+		for l.sys != nil && l.rungs[len(l.rungs)-1].counts[key] < inj.Occurrence {
 			l.advance()
 		}
 		b := 0
 		for i := len(l.rungs) - 1; i >= 0; i-- {
-			if l.rungs[i].counts[key] < occs[j] {
+			if l.rungs[i].counts[key] < inj.Occurrence {
 				b = i
 				break
 			}
 		}
-		if best == -1 || b < best {
-			best = b
+		if !anchored || b < best {
+			best, anchored = b, true
 		}
-	}
-	if best == -1 {
-		best = 0
 	}
 	idx, snap := l.cache.deepest(best)
 	return idx, l.rungs[idx], snap, true
-}
-
-// serveDeepest walks the full ladder and serves the deepest cached
-// rung. Fault-free runs (zero-rate sweep points) use it: any rung is
-// sound when nothing is armed.
-func (l *ladder) serveDeepest() (int, rung, *boot.Snapshot) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.sys != nil {
-		l.advance()
-	}
-	idx, snap := l.cache.deepest(len(l.rungs) - 1)
-	return idx, l.rungs[idx], snap
 }
 
 // lookup walks the pathfinder to completion (the walk is amortized across

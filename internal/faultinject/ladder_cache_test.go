@@ -17,7 +17,7 @@ import (
 // holds without evicting, and one byte past exact fit evicts in
 // least-recently-served order.
 func TestLadderCacheBoundaries(t *testing.T) {
-	l := newLadder(singleFaultConfig(seep.PolicyEnhanced, 7, IPCOptions{}))
+	l := newLadder(planeClass{kind: kindSingle}.config(seep.PolicyEnhanced, 7), false)
 	if l == nil {
 		t.Fatal("pathfinder failed to reach the boot barrier")
 	}
@@ -105,13 +105,8 @@ func TestLadderCacheBoundaries(t *testing.T) {
 // charged to the cold-boot pin, and still aggregate bit-identically.
 func TestLadderDisabledBudgetWithColdBootPinned(t *testing.T) {
 	cfg, profile, coldRes := ladderTestPlan(t)
-	var res CampaignResult
-	var stats PlaneStats
-	withSnapCache(-1, func() {
-		withColdBoot(true, func() {
-			res, stats = RunCampaignWithStats(cfg, profile)
-		})
-	})
+	cfg.Plane = PlaneOptions{ColdBoot: true, SnapshotCacheBytes: -1}
+	res, stats := RunCampaign(cfg, profile)
 	if !reflect.DeepEqual(res, coldRes) {
 		t.Errorf("campaign diverged with ladder disabled + cold boots pinned:\nwant %+v\ngot  %+v", coldRes, res)
 	}

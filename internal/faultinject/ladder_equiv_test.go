@@ -20,14 +20,6 @@ import (
 // pressure and with the ladder disabled. All names start with
 // TestLadder so CI can select the suite with -run Ladder.
 
-// withSnapCache runs fn with the given snapshot-cache budget as the
-// process default, restoring the previous default afterwards.
-func withSnapCache(bytes int64, fn func()) {
-	prev := SetSnapshotCacheDefault(bytes)
-	defer SetSnapshotCacheDefault(prev)
-	fn()
-}
-
 // A tiny budget forces continuous LRU eviction along the walk; a
 // negative budget disables the ladder entirely (PR 7 single-snapshot
 // plane). Campaign results must be bit-identical to cold boots in both
@@ -44,8 +36,7 @@ func TestLadderEquivalenceUnderCachePressure(t *testing.T) {
 		SamplesPerSite: 1,
 		MaxRuns:        12,
 	}
-	var coldRes CampaignResult
-	withColdBoot(true, func() { coldRes = RunCampaign(cfg, profile) })
+	coldRes := coldCampaign(cfg, profile)
 
 	for _, tc := range []struct {
 		name   string
@@ -56,11 +47,8 @@ func TestLadderEquivalenceUnderCachePressure(t *testing.T) {
 	} {
 		for _, workers := range []int{1, 8} {
 			cfg.Workers = workers
-			var warmRes CampaignResult
-			var stats PlaneStats
-			withSnapCache(tc.budget, func() {
-				warmRes, stats = RunCampaignWithStats(cfg, profile)
-			})
+			cfg.Plane.SnapshotCacheBytes = tc.budget
+			warmRes, stats := RunCampaign(cfg, profile)
 			if !reflect.DeepEqual(coldRes, warmRes) {
 				t.Errorf("%s workers=%d: campaign diverged:\ncold: %+v\nwarm: %+v",
 					tc.name, workers, coldRes, warmRes)
@@ -87,11 +75,11 @@ func TestLadderRungCountsSeedIndependent(t *testing.T) {
 	}
 	var walks []walk
 	for _, seed := range []uint64{7, 42, 1000007} {
-		l := newLadder(singleFaultConfig(seep.PolicyEnhanced, seed, IPCOptions{}))
+		l := newLadder(planeClass{kind: kindSingle}.config(seep.PolicyEnhanced, seed), false)
 		if l == nil {
 			t.Fatalf("seed %d: pathfinder failed to reach the boot barrier", seed)
 		}
-		l.serveDeepest() // drive the walk to suite completion
+		l.serve(nil) // drive the walk to suite completion
 		l.Close()
 		walks = append(walks, walk{seed, l.rungs})
 	}
@@ -132,15 +120,13 @@ func ladderTestPlan(t *testing.T) (CampaignConfig, []SiteProfile, CampaignResult
 		SamplesPerSite: 1,
 		MaxRuns:        6,
 	}
-	var coldRes CampaignResult
-	withColdBoot(true, func() { coldRes = RunCampaign(cfg, profile) })
-	return cfg, profile, coldRes
+	return cfg, profile, coldCampaign(cfg, profile)
 }
 
 func TestLadderFallbackColdBootPinned(t *testing.T) {
 	cfg, profile, _ := ladderTestPlan(t)
-	var stats PlaneStats
-	withColdBoot(true, func() { _, stats = RunCampaignWithStats(cfg, profile) })
+	cfg.Plane = coldPlane
+	_, stats := RunCampaign(cfg, profile)
 	if stats.LadderForks != 0 || stats.BootForks != 0 {
 		t.Errorf("pinned cold boots still forked: %+v", stats)
 	}
@@ -152,9 +138,10 @@ func TestLadderFallbackColdBootPinned(t *testing.T) {
 func TestLadderFallbackBackgroundRates(t *testing.T) {
 	// A sweep with no zero-rate point: every run draws background fault
 	// placements during boot and must boot cold.
-	points, stats := SweepIPCWithStats(seep.PolicyEnhanced, 42, []int{25}, 2, 1)
-	var coldPoints []SweepPoint
-	withColdBoot(true, func() { coldPoints = SweepIPC(seep.PolicyEnhanced, 42, []int{25}, 2, 1) })
+	sweep := SweepConfig{Policy: seep.PolicyEnhanced, Seed: 42, RatesBP: []int{25}, Runs: 2, Workers: 1}
+	points, stats := SweepIPC(sweep)
+	sweep.Plane = coldPlane
+	coldPoints, _ := SweepIPC(sweep)
 	if !reflect.DeepEqual(points, coldPoints) {
 		t.Errorf("rate-point sweep diverged:\ncold: %+v\nwarm: %+v", coldPoints, points)
 	}
@@ -169,9 +156,8 @@ func TestLadderFallbackBackgroundRates(t *testing.T) {
 	// at plane construction, whatever fault types the plan arms.
 	cfg, profile, _ := ladderTestPlan(t)
 	cfg.IPC = IPCOptions{Faults: kernel.IPCFaultConfig{DropBP: 25}, Seed: 7}
-	res, stats := RunCampaignWithStats(cfg, profile)
-	var coldRes CampaignResult
-	withColdBoot(true, func() { coldRes = RunCampaign(cfg, profile) })
+	res, stats := RunCampaign(cfg, profile)
+	coldRes := coldCampaign(cfg, profile)
 	if !reflect.DeepEqual(res, coldRes) {
 		t.Errorf("background-rate campaign diverged:\ncold: %+v\nwarm: %+v", coldRes, res)
 	}
@@ -200,14 +186,14 @@ func TestLadderFallbackOccurrenceWithinBoot(t *testing.T) {
 	}
 	inj := Injection{Server: boot0.Server, Site: boot0.Site, Occurrence: 1, Type: FaultCrash}
 	cfg := CampaignConfig{Policy: seep.PolicyEnhanced, Model: FailStop, Seed: 42}
-	runner := newSingleRunner(cfg, []Injection{inj})
-	defer runner.close()
-	warmRR, _ := runner.runOne(99, inj)
+	runner := NewArmedRunner(cfg, []Injection{inj})
+	defer runner.Close()
+	warmRR := runner.Run(99, inj)
 	coldRR := RunOne(seep.PolicyEnhanced, 99, inj)
 	if !reflect.DeepEqual(coldRR, warmRR) {
 		t.Errorf("pre-barrier run diverged:\ncold: %+v\nwarm: %+v", coldRR, warmRR)
 	}
-	stats := runner.stats.snapshot()
+	stats := runner.Stats()
 	if stats.Fallbacks[FallbackPreBarrier] != 1 || stats.ColdBoots != 1 {
 		t.Errorf("run not charged to %s: %+v", FallbackPreBarrier, stats)
 	}
@@ -220,7 +206,7 @@ func TestLadderFallbackForkFailed(t *testing.T) {
 		return nil, errors.New("injected fork failure")
 	}
 	defer func() { forkSnapshot = prev }()
-	res, stats := RunCampaignWithStats(cfg, profile)
+	res, stats := RunCampaign(cfg, profile)
 	if !reflect.DeepEqual(res, coldRes) {
 		t.Errorf("fork-failure campaign diverged:\ncold: %+v\nwarm: %+v", coldRes, res)
 	}
@@ -235,9 +221,9 @@ func TestLadderFallbackForkFailed(t *testing.T) {
 func TestLadderFallbackCaptureFailed(t *testing.T) {
 	cfg, profile, coldRes := ladderTestPlan(t)
 	prev := buildLadder
-	buildLadder = func(core.Config) *ladder { return nil }
+	buildLadder = func(core.Config, bool) *ladder { return nil }
 	defer func() { buildLadder = prev }()
-	res, stats := RunCampaignWithStats(cfg, profile)
+	res, stats := RunCampaign(cfg, profile)
 	if !reflect.DeepEqual(res, coldRes) {
 		t.Errorf("capture-failure campaign diverged:\ncold: %+v\nwarm: %+v", coldRes, res)
 	}
@@ -249,9 +235,10 @@ func TestLadderFallbackCaptureFailed(t *testing.T) {
 // Zero-rate sweep runs arm nothing, so they fork the DEEPEST cached
 // rung and replay only the suite tail.
 func TestLadderServesBackgroundZeroRate(t *testing.T) {
-	points, stats := SweepIPCWithStats(seep.PolicyEnhanced, 42, []int{0}, 3, 1)
-	var coldPoints []SweepPoint
-	withColdBoot(true, func() { coldPoints = SweepIPC(seep.PolicyEnhanced, 42, []int{0}, 3, 1) })
+	sweep := SweepConfig{Policy: seep.PolicyEnhanced, Seed: 42, RatesBP: []int{0}, Runs: 3, Workers: 1}
+	points, stats := SweepIPC(sweep)
+	sweep.Plane = coldPlane
+	coldPoints, _ := SweepIPC(sweep)
 	if !reflect.DeepEqual(points, coldPoints) {
 		t.Errorf("zero-rate sweep diverged:\ncold: %+v\nwarm: %+v", coldPoints, points)
 	}
@@ -264,7 +251,7 @@ func TestLadderServesBackgroundZeroRate(t *testing.T) {
 // the split is accounted exhaustively.
 func TestLadderServingStatsAccounting(t *testing.T) {
 	cfg, profile, coldRes := ladderTestPlan(t)
-	res, stats := RunCampaignWithStats(cfg, profile)
+	res, stats := RunCampaign(cfg, profile)
 	if !reflect.DeepEqual(res, coldRes) {
 		t.Errorf("campaign diverged:\ncold: %+v\nwarm: %+v", coldRes, res)
 	}

@@ -1,15 +1,8 @@
 package faultinject
 
 import (
-	"repro/internal/audit"
-	"repro/internal/boot"
-	"repro/internal/core"
-	"repro/internal/kernel"
-	"repro/internal/parallel"
 	"repro/internal/seep"
 	"repro/internal/sim"
-	"repro/internal/testsuite"
-	"repro/internal/usr"
 )
 
 // Multi-fault campaigns go beyond the paper's one-failure-at-a-time
@@ -66,157 +59,12 @@ func RunMulti(policy seep.Policy, seed uint64, injs []MultiInjection) MultiRunRe
 
 // RunMultiWith is RunMulti with transport fault options applied.
 func RunMultiWith(policy seep.Policy, seed uint64, injs []MultiInjection, ipc IPCOptions) MultiRunResult {
-	reg := usr.NewRegistry()
-	testsuite.Register(reg)
-	var report testsuite.Report
-
-	armsIPC := false
-	for _, inj := range injs {
-		if inj.Type.IPC() {
-			armsIPC = true
-		}
-	}
-	ipc = ipc.normalized(armsIPC)
-	sys := boot.Boot(boot.Options{
-		Config:     ipc.apply(core.Config{Policy: policy, Seed: seed}, seed),
-		Registry:   reg,
-		Heartbeats: true,
-	}, testsuite.RunnerInit(&report))
-	return finishRunMulti(sys, &report, injs, seed, injs, nil)
+	return runCold(policy, seed, multiSpec(injs, ipc))
 }
 
-// finishRunMulti arms every injection on a prepared machine —
-// cold-booted or forked from a warm image — runs the suite and
-// classifies the outcome. armed carries occurrences counted from the
-// machine's current position (equal to injs on cold boots; plain
-// occurrences shifted past the quiescence barrier on warm forks); the
-// result always reports injs as planned. A non-nil elider lets a warm
-// fork splice a recorded suffix once every armed fault has resolved (see
-// elide.go); cold boots pass nil.
-func finishRunMulti(sys *boot.System, report *testsuite.Report, injs []MultiInjection, seed uint64, armed []MultiInjection, el *elider) MultiRunResult {
-	k := sys.Kernel()
-	rng := sim.NewRNG(seed ^ 0x3A17F0C57)
-	triggered := make([]bool, len(armed))
-	remaining := make([]int, len(armed))
-	for i, inj := range armed {
-		remaining[i] = inj.Occurrence
-	}
-
-	k.SetPointHook(func(ep kernel.Endpoint, name, site string) {
-		for i := range armed {
-			inj := &armed[i]
-			if inj.DuringRecovery || (triggered[i] && !inj.Persistent) {
-				continue
-			}
-			if name != inj.Server || site != inj.Site {
-				continue
-			}
-			if inj.Correlated && sys.Recoveries == 0 {
-				// Armed only once the first recovery has happened.
-				continue
-			}
-			if !triggered[i] {
-				remaining[i]--
-				if remaining[i] > 0 {
-					continue
-				}
-				triggered[i] = true
-			}
-			// At most one fault manifests per point execution; a crash
-			// unwinds the component anyway. A persistent fault keeps
-			// firing on every later execution of its site.
-			applyFault(sys, ep, inj.Type, rng)
-			return
-		}
-	})
-
-	restarts := 0
-	sys.SetRestartHook(func(ep kernel.Endpoint, attempt int) {
-		restarts++
-		for i := range armed {
-			inj := &armed[i]
-			if triggered[i] || !inj.DuringRecovery {
-				continue
-			}
-			if restarts < inj.Occurrence {
-				continue
-			}
-			triggered[i] = true
-			// The hook runs inside the restart sequence: this panic is a
-			// fault in the recovery path, forcing the sequencer to
-			// escalate (retry, then quarantine).
-			panic("edfi: injected fault in recovery path")
-		}
-	})
-
-	aud := audit.Attach(sys.OS)
-	if el != nil {
-		// The suffix is provably fault-free only when every fault that
-		// could still fire has resolved: persistent faults re-fire on
-		// every site execution, so they never elide; an untriggered
-		// correlated fault arms after the first recovery and could fire
-		// in the suffix, so it must have triggered too. During-recovery
-		// faults need a restart to fire, and with everything else
-		// triggered and quiesced no further restart can happen.
-		hasPersistent := false
-		for _, inj := range armed {
-			if inj.Persistent {
-				hasPersistent = true
-			}
-		}
-		el.ready = func() bool {
-			if hasPersistent {
-				return false
-			}
-			for i := range armed {
-				if !armed[i].DuringRecovery && !triggered[i] {
-					return false
-				}
-			}
-			return true
-		}
-	}
-	res := runElidable(sys, report, aud, el)
-	nTriggered := 0
-	for _, tr := range triggered {
-		if tr {
-			nTriggered++
-		}
-	}
-	out := MultiRunResult{
-		Injections:  injs,
-		Outcome:     classifyMulti(res, report, sys.Quarantines),
-		Triggered:   nTriggered,
-		TestsFailed: report.Failed,
-		Recoveries:  sys.Recoveries,
-		Quarantines: sys.Quarantines,
-		Reason:      res.Reason,
-		Seed:        seed,
-	}
-	out.Consistent = aud.Consistent()
-	for _, v := range aud.Violations() {
-		out.Violations = append(out.Violations, v.String())
-	}
-	return out
-}
-
-// classifyMulti extends the paper's four classes with degraded-pass:
-// the machine survived only by quarantining a component.
-func classifyMulti(res kernel.Result, report *testsuite.Report, quarantines int) Outcome {
-	switch res.Outcome {
-	case kernel.OutcomeCompleted:
-		if quarantines > 0 {
-			return OutcomeDegradedPass
-		}
-		if report.Complete() && report.Failed == 0 {
-			return OutcomePass
-		}
-		return OutcomeFail
-	case kernel.OutcomeShutdown:
-		return OutcomeShutdown
-	default:
-		return OutcomeCrash
-	}
+// multiSpec describes a multi-fault run.
+func multiSpec(injs []MultiInjection, ipc IPCOptions) runSpec {
+	return runSpec{kind: kindMulti, faults: injs, ipc: ipc}
 }
 
 // MultiCampaignConfig parameterizes a multi-fault campaign.
@@ -244,42 +92,20 @@ type MultiCampaignConfig struct {
 	OnResult func(index int, rr MultiRunResult)
 	// OnServe observes every run's serving decision in plan order
 	// alongside OnResult, exactly as in CampaignConfig.
-	OnServe func(index int, decision string)
+	OnServe func(index int, sv Serving)
+	// Plane selects how the runs are served, exactly as in
+	// CampaignConfig.
+	Plane PlaneOptions
 }
 
 // MultiCampaignResult aggregates a multi-fault campaign: one row of the
-// cascade survivability table.
+// cascade survivability table. Untriggered counts runs where no armed
+// fault fired at all.
 type MultiCampaignResult struct {
 	Policy seep.Policy
 	Model  Model
 	Faults int
-	Runs   int
-	Counts map[Outcome]int
-	// Untriggered counts runs where no armed fault fired at all; they
-	// are excluded from Runs and Counts.
-	Untriggered int
-	// Consistent counts triggered runs whose every audit pass found the
-	// cross-server invariants intact; InconsistentSeeds lists the
-	// per-run seeds of the others for exact replay.
-	Consistent        int
-	InconsistentSeeds []uint64
-}
-
-// Percent reports the share of runs with the given outcome.
-func (c MultiCampaignResult) Percent(o Outcome) float64 {
-	if c.Runs == 0 {
-		return 0
-	}
-	return 100 * float64(c.Counts[o]) / float64(c.Runs)
-}
-
-// ConsistentPercent reports the share of runs the auditor classified
-// consistent.
-func (c MultiCampaignResult) ConsistentPercent() float64 {
-	if c.Runs == 0 {
-		return 0
-	}
-	return 100 * float64(c.Consistent) / float64(c.Runs)
+	Tally
 }
 
 // PlanMultiCampaign derives the per-run injection lists from a profile.
@@ -348,62 +174,38 @@ func PlanMultiCampaign(cfg MultiCampaignConfig, profile []SiteProfile) [][]Multi
 }
 
 // RunMultiCampaign executes the whole multi-fault campaign. As in
-// RunCampaign, one machine is booted and captured per configuration
-// class and every run forks it, bit-identically to cold boots.
-func RunMultiCampaign(cfg MultiCampaignConfig, profile []SiteProfile) MultiCampaignResult {
-	result, _ := RunMultiCampaignWithStats(cfg, profile)
-	return result
-}
-
-// RunMultiCampaignWithStats is RunMultiCampaign plus the warm-plane
-// serving statistics. The campaign result is identical to
-// RunMultiCampaign's.
-func RunMultiCampaignWithStats(cfg MultiCampaignConfig, profile []SiteProfile) (MultiCampaignResult, PlaneStats) {
+// RunCampaign, one machine is booted per configuration class and every
+// run forks its snapshot ladder, bit-identically to cold boots.
+func RunMultiCampaign(cfg MultiCampaignConfig, profile []SiteProfile) (MultiCampaignResult, PlaneStats) {
 	plans := PlanMultiCampaign(cfg, profile)
 	result := MultiCampaignResult{
 		Policy: cfg.Policy,
 		Model:  cfg.Model,
-		Faults: cfg.Faults,
-		Counts: make(map[Outcome]int),
-	}
-	if result.Faults < 2 {
-		result.Faults = 2
+		Faults: max(cfg.Faults, 2),
+		Tally:  newTally(),
 	}
 	runner := newMultiRunner(cfg, plans)
 	defer runner.close()
-	decisions := make([]string, len(plans))
-	results := parallel.Map(cfg.Workers, len(plans), func(i int) MultiRunResult {
-		if cfg.Journal != nil {
-			if rr, ok := cfg.Journal.LookupMulti(i); ok {
-				decisions[i] = ServingJournal
-				return rr
-			}
-		}
-		rr, decision := runner.runMulti(cfg.Seed+uint64(i)*104729, plans[i])
-		decisions[i] = decision
-		if cfg.Journal != nil {
-			cfg.Journal.RecordMulti(i, rr)
-		}
-		return rr
-	})
-	for i, rr := range results {
-		if cfg.OnServe != nil {
-			cfg.OnServe(i, decisions[i])
-		}
-		if cfg.OnResult != nil {
-			cfg.OnResult(i, rr)
-		}
-		if rr.Triggered == 0 {
-			result.Untriggered++
-			continue
-		}
-		result.Runs++
-		result.Counts[rr.Outcome]++
-		if rr.Consistent {
-			result.Consistent++
-		} else {
-			result.InconsistentSeeds = append(result.InconsistentSeeds, rr.Seed)
-		}
+	campaign[MultiRunResult]{
+		n: len(plans), workers: cfg.Workers,
+		journal: cfg.Journal, lookup: (*Journal).LookupMulti, record: (*Journal).RecordMulti,
+		onServe: cfg.OnServe, onResult: cfg.OnResult,
+		run: func(i int) (MultiRunResult, Serving) {
+			return runner.run(cfg.Seed+uint64(i)*104729, multiSpec(plans[i], cfg.IPC))
+		},
+		tally: func(_ int, rr MultiRunResult) {
+			result.add(rr.Outcome, rr.Triggered > 0, rr.Consistent, rr.Seed)
+		},
+	}.drive()
+	return result, runner.Stats()
+}
+
+// newMultiRunner prepares the plane of a multi-fault campaign, building
+// up front the ladder of every configuration class the plans contain.
+func newMultiRunner(cfg MultiCampaignConfig, plans [][]MultiInjection) *campaignRunner {
+	r := &campaignRunner{policy: cfg.Policy, seed: cfg.Seed, opts: cfg.Plane}
+	for _, plan := range plans {
+		r.plane(multiSpec(plan, cfg.IPC).class())
 	}
-	return result, runner.stats.snapshot()
+	return r
 }

@@ -88,7 +88,7 @@ func TestMultiCampaignShapes(t *testing.T) {
 			}
 		}
 	}
-	res := RunMultiCampaign(cfg, profile)
+	res, _ := RunMultiCampaign(cfg, profile)
 	if res.Runs+res.Untriggered != 8 {
 		t.Fatalf("runs %d + untriggered %d != 8", res.Runs, res.Untriggered)
 	}

@@ -65,10 +65,10 @@ func TestRunCampaignIdenticalAcrossWorkerCounts(t *testing.T) {
 		Policy: seep.PolicyEnhanced, Model: FailStop,
 		Seed: 7, SamplesPerSite: 1, MaxRuns: 10, Workers: 1,
 	}
-	serial := RunCampaign(cfg, profile)
+	serial, _ := RunCampaign(cfg, profile)
 	for _, workers := range []int{2, 8} {
 		cfg.Workers = workers
-		got := RunCampaign(cfg, profile)
+		got, _ := RunCampaign(cfg, profile)
 		if !reflect.DeepEqual(serial, got) {
 			t.Fatalf("workers=%d result diverged from serial:\n%+v\nvs\n%+v", workers, got, serial)
 		}
@@ -84,10 +84,10 @@ func TestRunMultiCampaignIdenticalAcrossWorkerCounts(t *testing.T) {
 		Policy: seep.PolicyEnhanced, Model: FailStop,
 		Faults: 2, Runs: 6, Seed: 11, Workers: 1,
 	}
-	serial := RunMultiCampaign(cfg, profile)
+	serial, _ := RunMultiCampaign(cfg, profile)
 	for _, workers := range []int{2, 8} {
 		cfg.Workers = workers
-		got := RunMultiCampaign(cfg, profile)
+		got, _ := RunMultiCampaign(cfg, profile)
 		if !reflect.DeepEqual(serial, got) {
 			t.Fatalf("workers=%d result diverged from serial:\n%+v\nvs\n%+v", workers, got, serial)
 		}

@@ -13,17 +13,19 @@ import (
 // inconsistent-seed lists, for fail-stop, full-EDFI, IPC-mix,
 // multi-fault and sweep campaigns at any worker count. These tests run
 // every campaign twice — once forking a warm image, once booting every
-// run cold — and compare exhaustively, mirroring the scheduler and
-// checkpoint equivalence suites. They are part of the -race CI run, so
-// concurrent forks from one shared snapshot are also exercised under
-// the race detector.
+// run cold — and compare exhaustively, mirroring the checkpoint
+// equivalence suite. They are part of the -race CI run, so concurrent
+// forks from one shared snapshot are also exercised under the race
+// detector.
 
-// withColdBoot runs fn with the given boot mode as the campaign
-// default, restoring the previous default afterwards.
-func withColdBoot(cold bool, fn func()) {
-	prev := SetColdBootDefault(cold)
-	defer SetColdBootDefault(prev)
-	fn()
+// coldPlane pins a campaign to cold boots: the warm-fork oracle.
+var coldPlane = PlaneOptions{ColdBoot: true}
+
+// coldCampaign runs cfg with every run booted cold.
+func coldCampaign(cfg CampaignConfig, profile []SiteProfile) CampaignResult {
+	cfg.Plane = coldPlane
+	res, _ := RunCampaign(cfg, profile)
+	return res
 }
 
 func TestWarmForkEquivalenceSingleFaultCampaign(t *testing.T) {
@@ -41,9 +43,8 @@ func TestWarmForkEquivalenceSingleFaultCampaign(t *testing.T) {
 				MaxRuns:        16,
 				Workers:        workers,
 			}
-			var coldRes, warmRes CampaignResult
-			withColdBoot(true, func() { coldRes = RunCampaign(cfg, profile) })
-			withColdBoot(false, func() { warmRes = RunCampaign(cfg, profile) })
+			coldRes := coldCampaign(cfg, profile)
+			warmRes, _ := RunCampaign(cfg, profile)
 			if !reflect.DeepEqual(coldRes, warmRes) {
 				t.Errorf("%v workers=%d: campaign diverged:\ncold: %+v\nwarm: %+v", model, workers, coldRes, warmRes)
 			}
@@ -68,9 +69,8 @@ func TestWarmForkEquivalenceIPCMixCampaign(t *testing.T) {
 			MaxRuns:        12,
 			Workers:        workers,
 		}
-		var coldRes, warmRes CampaignResult
-		withColdBoot(true, func() { coldRes = RunCampaign(cfg, profile) })
-		withColdBoot(false, func() { warmRes = RunCampaign(cfg, profile) })
+		coldRes := coldCampaign(cfg, profile)
+		warmRes, _ := RunCampaign(cfg, profile)
 		if !reflect.DeepEqual(coldRes, warmRes) {
 			t.Errorf("workers=%d: ipc-mix campaign diverged:\ncold: %+v\nwarm: %+v", workers, coldRes, warmRes)
 		}
@@ -91,9 +91,9 @@ func TestWarmForkEquivalenceMultiFaultCampaign(t *testing.T) {
 			Seed:    42,
 			Workers: workers,
 		}
-		var coldRes, warmRes MultiCampaignResult
-		withColdBoot(true, func() { coldRes = RunMultiCampaign(cfg, profile) })
-		withColdBoot(false, func() { warmRes = RunMultiCampaign(cfg, profile) })
+		warmRes, _ := RunMultiCampaign(cfg, profile)
+		cfg.Plane = coldPlane
+		coldRes, _ := RunMultiCampaign(cfg, profile)
 		if !reflect.DeepEqual(coldRes, warmRes) {
 			t.Errorf("workers=%d: multi-fault campaign diverged:\ncold: %+v\nwarm: %+v", workers, coldRes, warmRes)
 		}
@@ -105,9 +105,10 @@ func TestWarmForkEquivalenceMultiFaultCampaign(t *testing.T) {
 // sweep exactly.
 func TestWarmForkEquivalenceIPCSweep(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		var coldRes, warmRes []SweepPoint
-		withColdBoot(true, func() { coldRes = SweepIPC(seep.PolicyEnhanced, 42, []int{0, 25}, 3, workers) })
-		withColdBoot(false, func() { warmRes = SweepIPC(seep.PolicyEnhanced, 42, []int{0, 25}, 3, workers) })
+		cfg := SweepConfig{Policy: seep.PolicyEnhanced, Seed: 42, RatesBP: []int{0, 25}, Runs: 3, Workers: workers}
+		warmRes, _ := SweepIPC(cfg)
+		cfg.Plane = coldPlane
+		coldRes, _ := SweepIPC(cfg)
 		if !reflect.DeepEqual(coldRes, warmRes) {
 			t.Errorf("workers=%d: ipc sweep diverged:\ncold: %+v\nwarm: %+v", workers, coldRes, warmRes)
 		}
@@ -127,11 +128,12 @@ func TestWarmForkEquivalenceRunDetail(t *testing.T) {
 		SamplesPerSite: 1, MaxRuns: 8,
 	}
 	plan := PlanCampaign(cfg, profile)
-	runner := newSingleRunner(cfg, plan)
+	runner := NewArmedRunner(cfg, plan)
+	defer runner.Close()
 	for i, inj := range plan {
 		seed := 42 + uint64(i)*7919
 		coldRR := RunOne(seep.PolicyEnhanced, seed, inj)
-		warmRR, _ := runner.runOne(seed, inj)
+		warmRR := runner.Run(seed, inj)
 		if !reflect.DeepEqual(coldRR, warmRR) {
 			t.Errorf("run %d (%+v): diverged:\ncold: %+v\nwarm: %+v", i, inj, coldRR, warmRR)
 		}

@@ -2,7 +2,6 @@ package faultinject
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/audit"
@@ -57,16 +56,16 @@ func stratifiedPlan(profile []SiteProfile, samples int, seed uint64) []Injection
 // servedPass runs plan over a fresh warm plane with the given worker
 // count and returns per-run results and serving decisions plus the
 // plane statistics.
-func servedPass(cfg CampaignConfig, plan []Injection, workers int) ([]RunResult, []string, PlaneStats) {
-	runner := newSingleRunner(cfg, plan)
-	defer runner.close()
-	decisions := make([]string, len(plan))
+func servedPass(cfg CampaignConfig, plan []Injection, workers int) ([]RunResult, []Serving, PlaneStats) {
+	runner := NewArmedRunner(cfg, plan)
+	defer runner.Close()
+	decisions := make([]Serving, len(plan))
 	results := parallel.Map(workers, len(plan), func(i int) RunResult {
-		rr, decision := runner.runOne(cfg.Seed+uint64(i)*7919, plan[i])
+		rr, decision := runner.serve(cfg.Seed+uint64(i)*7919, plan[i])
 		decisions[i] = decision
 		return rr
 	})
-	return results, decisions, runner.stats.snapshot()
+	return results, decisions, runner.Stats()
 }
 
 // (a) Every run of a stratified fail-stop plan that ends "cycle limit
@@ -99,7 +98,7 @@ func TestWedgeEquivalence(t *testing.T) {
 		plan := stratifiedPlan(profile, c.samples, c.seed)
 		cfg := CampaignConfig{Policy: c.policy, Model: FailStop, Seed: c.seed}
 		var results []RunResult
-		var decisions []string
+		var decisions []Serving
 		var stats PlaneStats
 		for i, workers := range c.workers {
 			res, dec, st := servedPass(cfg, plan, workers)
@@ -113,7 +112,7 @@ func TestWedgeEquivalence(t *testing.T) {
 		var hangs []int
 		wedged := 0
 		for i, rr := range results {
-			isWedged := strings.Contains(decisions[i], " wedged:")
+			isWedged := decisions[i].Plane == PlaneWedged
 			if isWedged {
 				wedged++
 			}
@@ -160,9 +159,8 @@ func TestWedgeNoElidePinned(t *testing.T) {
 	if stats.Wedged == 0 {
 		t.Fatal("plan certifies no run: the pinned comparison is vacuous")
 	}
-	var pinned []RunResult
-	var pinnedStats PlaneStats
-	withNoElide(true, func() { pinned, _, pinnedStats = servedPass(cfg, plan, 2) })
+	cfg.Plane = noElidePlane
+	pinned, _, pinnedStats := servedPass(cfg, plan, 2)
 	if pinnedStats.Wedged != 0 || pinnedStats.Elided != 0 {
 		t.Errorf("-noelide still served %d wedged, %d elided runs", pinnedStats.Wedged, pinnedStats.Elided)
 	}
@@ -179,14 +177,14 @@ func TestWedgeNoElidePinned(t *testing.T) {
 // elision never acts and only the wedge certificate can), one by plain
 // Run, the cold oracle — and returns both results plus the warm serving
 // decision.
-func wedgeProbe(cfg core.Config, prog usr.Program) (warm, cold kernel.Result, decision string) {
+func wedgeProbe(cfg core.Config, prog usr.Program) (warm, cold kernel.Result, decision Serving) {
 	opts := boot.Options{Config: cfg, Heartbeats: true}
 	cold = boot.Boot(opts, prog).Run(RunLimit)
 
 	sys := boot.Boot(opts, prog)
-	el := &elider{l: &ladder{}, ready: func() bool { return true }}
+	el := &elider{l: &ladder{}, sv: forked(0), ready: func() bool { return true }}
 	warm = runElidable(sys, new(testsuite.Report), audit.Attach(sys.OS), el)
-	return warm, cold, el.decision
+	return warm, cold, el.sv
 }
 
 func parkForever(p *usr.Proc) int {
@@ -197,12 +195,12 @@ func parkForever(p *usr.Proc) int {
 
 // assertRefused checks a probe the certificate must not have ended: the
 // warm run equals the cold one to the cycle and is not served wedged.
-func assertRefused(t *testing.T, warm, cold kernel.Result, decision string) {
+func assertRefused(t *testing.T, warm, cold kernel.Result, decision Serving) {
 	t.Helper()
 	if warm != cold {
 		t.Errorf("warm run differs from cold:\ncold: %+v\nwarm: %+v", cold, warm)
 	}
-	if strings.HasPrefix(decision, "wedged:") {
+	if decision.Plane == PlaneWedged {
 		t.Errorf("run certified (%s); the gate under test must refuse it", decision)
 	}
 }
@@ -217,7 +215,7 @@ func TestWedgeCertifiesBlockedInit(t *testing.T) {
 	if warm.Outcome != cold.Outcome || warm.Reason != cold.Reason {
 		t.Errorf("certified run ended %v (%s), cold run %v (%s)", warm.Outcome, warm.Reason, cold.Outcome, cold.Reason)
 	}
-	if want := ServingWedged(warm.Cycles); decision != want {
+	if want := (Serving{Plane: PlaneWedged, At: uint64(warm.Cycles)}); decision != want {
 		t.Errorf("decision %q, want %q", decision, want)
 	}
 	if limit := sim.Cycles(wedgeRounds+2) * rs.HeartbeatPeriod; warm.Cycles > limit {
@@ -291,8 +289,8 @@ func TestWedgeRefusesBackgroundRates(t *testing.T) {
 		t.Fatalf("cold run ended %v (%s), want a hang at the limit", cold.Outcome, cold.Reason)
 	}
 	assertRefused(t, warm, cold, decision)
-	if want := ServingFull(ElideFallbackWedgeUnproven); decision != want {
-		t.Errorf("decision %q, want %q", decision, want)
+	if !executedInFull(decision, ElideFallbackWedgeUnproven) {
+		t.Errorf("decision %q is not a full run charged %s", decision, ElideFallbackWedgeUnproven)
 	}
 }
 
@@ -317,7 +315,7 @@ func firstWedged(t *testing.T, profile []SiteProfile) Injection {
 	cfg := CampaignConfig{Policy: seep.PolicyEnhanced, Model: FailStop, Seed: 42}
 	_, decisions, _ := servedPass(cfg, plan, 0)
 	for i, d := range decisions {
-		if strings.Contains(d, " wedged:") {
+		if d.Plane == PlaneWedged {
 			return plan[i]
 		}
 	}
@@ -350,7 +348,7 @@ func TestWedgeRefusesArmedHeartbeatFault(t *testing.T) {
 	cfg := MultiCampaignConfig{Policy: seep.PolicyEnhanced, Model: FailStop, Seed: 42}
 	runner := newMultiRunner(cfg, [][]MultiInjection{plan})
 	defer runner.close()
-	warm, decision := runner.runMulti(7, plan)
+	warm, decision := runner.run(7, multiSpec(plan, IPCOptions{}))
 	cold := RunMultiWith(seep.PolicyEnhanced, 7, plan, IPCOptions{})
 	if cold.Triggered != 2 || cold.Reason == cycleLimitReason {
 		t.Fatalf("cold run: %d faults fired, ended %v (%s); want both fired and no hang", cold.Triggered, cold.Outcome, cold.Reason)
@@ -364,8 +362,8 @@ func TestWedgeRefusesArmedHeartbeatFault(t *testing.T) {
 	alone := plan[:1]
 	runner = newMultiRunner(cfg, [][]MultiInjection{alone})
 	defer runner.close()
-	warm, decision = runner.runMulti(7, alone)
-	if !strings.Contains(decision, " wedged:") {
+	warm, decision = runner.run(7, multiSpec(alone, IPCOptions{}))
+	if decision.Plane != PlaneWedged {
 		t.Errorf("single-crash run served %q, want wedged", decision)
 	}
 	if cold = RunMultiWith(seep.PolicyEnhanced, 7, alone, IPCOptions{}); !reflect.DeepEqual(cold, warm) {
@@ -382,7 +380,7 @@ func TestWedgeRefusesQuarantine(t *testing.T) {
 	cfg := MultiCampaignConfig{Policy: seep.PolicyEnhanced, Model: FailStop, Seed: 42}
 	runner := newMultiRunner(cfg, [][]MultiInjection{plan})
 	defer runner.close()
-	warm, decision := runner.runMulti(7, plan)
+	warm, decision := runner.run(7, multiSpec(plan, IPCOptions{}))
 	cold := RunMultiWith(seep.PolicyEnhanced, 7, plan, IPCOptions{})
 	if cold.Quarantines != 1 || cold.Reason != cycleLimitReason {
 		t.Fatalf("cold run: %d quarantines, ended %v (%s); want one quarantine and a hang", cold.Quarantines, cold.Outcome, cold.Reason)
@@ -390,10 +388,10 @@ func TestWedgeRefusesQuarantine(t *testing.T) {
 	if !reflect.DeepEqual(cold, warm) {
 		t.Errorf("quarantined run diverged:\ncold: %+v\nwarm: %+v", cold, warm)
 	}
-	if want := ServingFull(ElideFallbackWedgeUnproven); !strings.HasSuffix(decision, want) {
-		t.Errorf("decision %q does not end in %q", decision, want)
+	if !executedInFull(decision, ElideFallbackWedgeUnproven) {
+		t.Errorf("decision %q is not a full run charged %s", decision, ElideFallbackWedgeUnproven)
 	}
-	if stats := runner.stats.snapshot(); stats.Wedged != 0 || stats.ElisionFallbacks[ElideFallbackWedgeUnproven] != 1 {
+	if stats := runner.Stats(); stats.Wedged != 0 || stats.ElisionFallbacks[ElideFallbackWedgeUnproven] != 1 {
 		t.Errorf("stats %+v, want one %s run and none wedged", stats, ElideFallbackWedgeUnproven)
 	}
 }

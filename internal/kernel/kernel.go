@@ -318,9 +318,6 @@ type Kernel struct {
 	// ready indexes schedulable processes by order position; the
 	// round-robin pick is a find-first-set instead of a table scan.
 	ready readySet
-	// legacySched selects the pre-ready-queue O(n) scan without fused
-	// dispatch (equivalence testing only).
-	legacySched bool
 	// cycleLimit is the Run bound, latched so the fused-dispatch fast
 	// path can honor it without a kernel round trip.
 	cycleLimit sim.Cycles
@@ -402,7 +399,6 @@ func New(cost CostModel, seed uint64) *Kernel {
 		recoveryPanics:     make(map[Endpoint]int),
 		quarantined:        make(map[Endpoint]string),
 		pendingByEp:        make(map[Endpoint]int),
-		legacySched:        legacySchedDefault,
 		ipcNextDue:         ipcNone,
 		stepTarget:         stepNone,
 	}

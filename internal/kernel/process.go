@@ -327,17 +327,15 @@ func (p *Process) runBody() (killed bool) {
 // ourselves degenerates to not switching at all.
 func (p *Process) yieldToKernel() {
 	k := p.k
-	if !k.legacySched {
-		if next := k.fusedNext(); next != nil {
-			k.counters.AddID(ctrDispatches, 1)
-			k.running = next
-			if next == p {
-				return
-			}
-			next.baton <- token{}
-			p.awaitBaton()
+	if next := k.fusedNext(); next != nil {
+		k.counters.AddID(ctrDispatches, 1)
+		k.running = next
+		if next == p {
 			return
 		}
+		next.baton <- token{}
+		p.awaitBaton()
+		return
 	}
 	k.kernelCh <- struct{}{}
 	p.awaitBaton()

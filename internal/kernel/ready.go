@@ -1,40 +1,20 @@
 package kernel
 
-import (
-	"math/bits"
-	"os"
-)
+import "math/bits"
 
 // This file implements the O(1) ready queue of the scheduler: a
 // readiness bitmap indexed by scheduling-order position. The bit for a
 // process is maintained equal to schedulable() at every transition
 // (message arrival, reply delivery, block, death), so the round-robin
 // pick is a find-first-set from rrNext instead of a scan over the
-// whole process table. The tie-break is bit-identical to the legacy
-// scan: lowest order index at or after rrNext, wrapping.
+// whole process table: lowest order index at or after rrNext, wrapping.
 //
-// The legacy O(n) scan is kept behind SetLegacyScheduler (default from
-// OSIRIS_LEGACY_SCHED) so equivalence suites can prove both paths
-// produce identical runs; it will be removed once the new path has
-// soaked.
-
-// legacySchedDefault seeds Kernel.legacySched; the environment switch
-// lets whole campaigns flip paths without code changes.
-var legacySchedDefault = os.Getenv("OSIRIS_LEGACY_SCHED") != ""
-
-// SetLegacySchedulerDefault overrides the boot-time default for
-// subsequently created kernels (equivalence tests flip this around
-// campaign runs). It returns the previous default.
-func SetLegacySchedulerDefault(on bool) bool {
-	prev := legacySchedDefault
-	legacySchedDefault = on
-	return prev
-}
-
-// SetLegacyScheduler selects the legacy O(n) scan (true) or the
-// indexed ready queue with fused dispatch (false) for this machine.
-// Must be called before Run.
-func (k *Kernel) SetLegacyScheduler(on bool) { k.legacySched = on }
+// This is the only scheduler. The O(n) scan it replaced served as an
+// equivalence oracle for ten PRs and is gone; the pick order is pinned
+// without a second implementation by ready_test.go
+// (TestReadySetNextFromMatchesReference checks nextFrom against a
+// linear reference over random bitmaps, TestManyProcessScheduling the
+// round-robin order on a live kernel).
 
 // readySet is a bitmap over scheduling-order positions.
 type readySet struct {
@@ -123,11 +103,8 @@ func (k *Kernel) markSched(p *Process) {
 
 // pickRunnable selects the next schedulable process round-robin:
 // lowest order position at or after rrNext, wrapping — O(1) via the
-// readiness bitmap (legacy: O(n) scan with identical pick order).
+// readiness bitmap.
 func (k *Kernel) pickRunnable() *Process {
-	if k.legacySched {
-		return k.pickRunnableScan()
-	}
 	n := len(k.order)
 	if n == 0 {
 		return nil
@@ -138,23 +115,6 @@ func (k *Kernel) pickRunnable() *Process {
 	}
 	k.rrNext = (idx + 1) % n
 	return k.procs[k.order[idx]]
-}
-
-// pickRunnableScan is the legacy linear scheduler scan.
-func (k *Kernel) pickRunnableScan() *Process {
-	n := len(k.order)
-	if n == 0 {
-		return nil
-	}
-	for i := 0; i < n; i++ {
-		idx := (k.rrNext + i) % n
-		p := k.procs[k.order[idx]]
-		if p != nil && p.schedulable() {
-			k.rrNext = (idx + 1) % n
-			return p
-		}
-	}
-	return nil
 }
 
 // fusedNext returns the process a full trip through the kernel loop

@@ -137,8 +137,7 @@ type contMeta struct {
 
 // Incremental (dirty-set) full-copy checkpointing is the default; the
 // legacy clone-everything path is kept behind this flag as an
-// equivalence oracle and for before/after benchmarking, mirroring
-// OSIRIS_LEGACY_SCHED from the scheduler overhaul.
+// equivalence oracle and for before/after benchmarking.
 var legacyCheckpointDefault = os.Getenv("OSIRIS_LEGACY_CHECKPOINT") != ""
 
 // SetLegacyCheckpointDefault selects the checkpoint implementation used
