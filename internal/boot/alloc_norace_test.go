@@ -1,0 +1,59 @@
+//go:build !race
+
+package boot
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/testsuite"
+)
+
+// forkBytes measures what one Fork (plus the Shutdown every fork ends
+// with) takes from the host allocator, averaged over n forks of snap.
+func forkBytes(t *testing.T, snap *Snapshot, n int) uint64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		var report testsuite.Report
+		sys, err := snap.Fork(ForkParams{Seed: uint64(i)}, testsuite.RunnerResume(&report))
+		if err != nil {
+			t.Fatalf("Fork: %v", err)
+		}
+		sys.Shutdown("measured")
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(n)
+}
+
+// Allocation budget of the fork path. A fork copies the component
+// stores (VM's frame table and the filesystem's inode map are most of
+// what is left) but of the disk only a page-pointer table, and a reaped
+// test child costs it a 64-byte placeholder: a fork of the suite machine
+// measures 157 KiB at the boot barrier and 166 KiB sixty tests in, and
+// must stay under forkCeiling. (With a flat block table copied per fork
+// and a whole Process per reaped child the two were 287 and 331 KiB.)
+func TestForkAllocationCeiling(t *testing.T) {
+	const forkCeiling = 200 << 10
+	opts := suiteOpts(1)
+	var report testsuite.Report
+	sys := Boot(opts, testsuite.RunnerInit(&report))
+	defer sys.Shutdown("done")
+	for _, barriers := range []int{1, 60} {
+		for i := 0; i < barriers; i++ {
+			if !sys.Kernel().RunToBarrier(testLimit) {
+				t.Fatalf("suite ended before barrier %d", i)
+			}
+		}
+		snap, err := CaptureParked(sys, opts)
+		if err != nil {
+			t.Fatalf("CaptureParked: %v", err)
+		}
+		got := forkBytes(t, snap, 20)
+		if got > forkCeiling {
+			t.Errorf("fork after %d more barriers allocates %d bytes, ceiling %d", barriers, got, forkCeiling)
+		}
+	}
+}

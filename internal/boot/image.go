@@ -8,14 +8,15 @@ package boot
 
 import (
 	"repro/internal/core"
+	"repro/internal/servers/driver"
 	"repro/internal/usr"
 )
 
 // Parts exposes the snapshot's serializable pieces: the captured
-// machine image, the shared disk blocks, and the boot options the
-// capture ran under.
-func (s *Snapshot) Parts() (*core.OSImage, [][]byte, Options) {
-	return s.img, s.blocks, s.opts
+// machine image, the frozen disk, and the boot options the capture ran
+// under.
+func (s *Snapshot) Parts() (*core.OSImage, *driver.Image, Options) {
+	return s.img, s.disk, s.opts
 }
 
 // Registry returns the program registry the captured machine booted
@@ -27,6 +28,6 @@ func (s *Snapshot) Registry() *usr.Registry { return s.reg }
 // programs the captured machine booted with (the image layer checks the
 // name sets); Fork then resumes decoded machines exactly like in-memory
 // ones.
-func NewSnapshotFromParts(img *core.OSImage, blocks [][]byte, reg *usr.Registry, opts Options) *Snapshot {
-	return &Snapshot{img: img, blocks: blocks, reg: reg, opts: opts}
+func NewSnapshotFromParts(img *core.OSImage, disk *driver.Image, reg *usr.Registry, opts Options) *Snapshot {
+	return &Snapshot{img: img, disk: disk, reg: reg, opts: opts}
 }

@@ -1,6 +1,7 @@
 package boot
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -368,23 +369,29 @@ func TestRecoveredComponentCoverageAccumulates(t *testing.T) {
 
 // TestRecoveryUnderFullCopyCheckpointing: the snapshot-based
 // checkpointing alternative recovers just as consistently as the undo
-// log — it is only slower (see eval.RunAblationCheckpointing).
+// log — it is only slower (see eval.RunAblationCheckpointing) — under
+// either of its implementations, incremental or legacy clone-everything.
 func TestRecoveryUnderFullCopyCheckpointing(t *testing.T) {
-	var first, afterCrash, retry kernel.Errno
-	sys := Boot(Options{Config: core.Config{
-		Policy:          seep.PolicyEnhanced,
-		Seed:            1,
-		Instrumentation: memlog.FullCopy,
-	}}, func(p *usr.Proc) int {
-		first = p.DsPut("key", "value")
-		_, afterCrash = p.DsGet("key")
-		retry = p.DsPut("key", "value")
-		return 0
-	})
-	armInjection(sys, "ds.put.applied")
-	res := sys.Run(testLimit)
-	mustComplete(t, res)
-	if first != kernel.ECRASH || afterCrash != kernel.ENOENT || retry != kernel.OK {
-		t.Fatalf("errnos = %v/%v/%v, want ECRASH/ENOENT/OK", first, afterCrash, retry)
+	for _, legacy := range []bool{false, true} {
+		t.Run(fmt.Sprintf("legacy=%v", legacy), func(t *testing.T) {
+			var first, afterCrash, retry kernel.Errno
+			sys := Boot(Options{Config: core.Config{
+				Policy:           seep.PolicyEnhanced,
+				Seed:             1,
+				Instrumentation:  memlog.FullCopy,
+				LegacyCheckpoint: legacy,
+			}}, func(p *usr.Proc) int {
+				first = p.DsPut("key", "value")
+				_, afterCrash = p.DsGet("key")
+				retry = p.DsPut("key", "value")
+				return 0
+			})
+			armInjection(sys, "ds.put.applied")
+			res := sys.Run(testLimit)
+			mustComplete(t, res)
+			if first != kernel.ECRASH || afterCrash != kernel.ENOENT || retry != kernel.OK {
+				t.Fatalf("errnos = %v/%v/%v, want ECRASH/ENOENT/OK", first, afterCrash, retry)
+			}
+		})
 	}
 }

@@ -25,17 +25,13 @@ import (
 // materialize clones (driver disk contents, the program registry). A
 // Snapshot is immutable; Fork may be called from concurrent goroutines.
 type Snapshot struct {
-	img    *core.OSImage
-	blocks [][]byte
-	reg    *usr.Registry
-	opts   Options
-
-	// diskMixes/diskFP carry the driver's rolling fingerprint state so a
-	// fork's first barrier fingerprint is O(dirty blocks), not O(disk).
-	// Nil diskMixes (e.g. a snapshot decoded from an on-disk image) just
-	// means the fork re-hashes written blocks on first use.
-	diskMixes []uint64
-	diskFP    uint64
+	img *core.OSImage
+	// disk is the driver's frozen device: contents and rolling
+	// fingerprint state, shared page by page with the captured machine
+	// and with every fork.
+	disk *driver.Image
+	reg  *usr.Registry
+	opts Options
 }
 
 // Capture boots a machine with opts and initProg, drives it to the
@@ -77,23 +73,13 @@ func CaptureParked(sys *System, opts Options) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Block contents are immutable once written (the driver installs a
-	// fresh buffer on every write), so the snapshot shares them with the
-	// still-live machine instead of deep-copying the whole disk.
-	blocks := sys.Driver.ShareBlocks()
-	mixes, fp := sys.Driver.ShareFingerprint()
-	return &Snapshot{img: img, blocks: blocks, reg: sys.Registry, opts: opts,
-		diskMixes: mixes, diskFP: fp}, nil
+	return &Snapshot{img: img, disk: sys.Driver.Share(), reg: sys.Registry, opts: opts}, nil
 }
 
 // SizeBytes estimates the snapshot's retained memory for cache
 // accounting: disk block copies plus the machine image estimate.
 func (s *Snapshot) SizeBytes() int64 {
-	n := s.img.SizeBytes()
-	for _, b := range s.blocks {
-		n += int64(len(b)) + 24
-	}
-	return n
+	return s.img.SizeBytes() + s.disk.SizeBytes()
 }
 
 // fingerprintSkip excludes heartbeat-phase traffic from server inboxes
@@ -150,7 +136,7 @@ func (s *Snapshot) Fork(params ForkParams, resumeProg usr.Program, initArgs ...s
 	cfg.IPCFaultSeed = params.IPCFaultSeed
 	o := core.NewOS(cfg)
 
-	drv := driver.NewFromBlocksFingerprint(s.blocks, s.diskMixes, s.diskFP)
+	drv := driver.NewFromImage(s.disk)
 	o.AddTask(kernel.EpDriver, "driver", drv.Run)
 	o.AddTask(proto.EpSys, "sys", systask.Run)
 

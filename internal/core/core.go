@@ -83,8 +83,8 @@ type Config struct {
 	// clones the whole data section on every Checkpoint, instead of the
 	// incremental dirty-set snapshots that are the default. The §IV-C
 	// checkpointing ablation pins this to reproduce the paper's
-	// full-copy cost profile; it is also the per-boot form of the
-	// OSIRIS_LEGACY_CHECKPOINT equivalence oracle.
+	// full-copy cost profile. It is the only way to select that path:
+	// there is no process-wide switch.
 	LegacyCheckpoint bool
 
 	// RecoveryDecay is the crash-free interval (in virtual cycles) after
@@ -512,6 +512,8 @@ func (o *OS) serverBody(s *slot) kernel.Body {
 // contents, pending alarms) arrive through the image. Restarts after a
 // post-fork crash go through serverBody and run Init as usual.
 func (o *OS) serverBodyFrom(s *slot, resume bool) kernel.Body {
+	// Built once per body, not once per request.
+	loopTop, loopBottom := s.name+".loop.top", s.name+".loop.bottom"
 	return func(ctx *kernel.Context) {
 		if init, ok := s.comp.(Initializer); ok && !resume {
 			init.Init(ctx)
@@ -528,11 +530,11 @@ func (o *OS) serverBodyFrom(s *slot, resume bool) kernel.Body {
 			m := ctx.Receive()
 			s.window.BeginRequest(m.NeedsReply)
 			s.inRequest = true
-			ctx.Point(s.name + ".loop.top")
+			ctx.Point(loopTop)
 			h.Handle(ctx, m)
 			// Bottom-of-loop bookkeeping runs after the reply passage
 			// closed the window.
-			ctx.Point(s.name + ".loop.bottom")
+			ctx.Point(loopBottom)
 			ctx.Tick(10)
 			s.inRequest = false
 			s.window.EndRequest()

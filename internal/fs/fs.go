@@ -50,13 +50,45 @@ type Inode struct {
 
 // BlockDevice is the data-block backend. Implementations may have side
 // effects outside the owning server's recoverable state (a real device).
+//
+// Aliasing contract. A device never changes a block in place: a write
+// installs a new buffer. That is what lets a snapshot, every fork of it
+// and every earlier reader share block contents without copying — and
+// it binds both sides of the interface:
+//
+//   - the slice ReadBlock returns is the device's own block (or the
+//     shared ZeroBlock) and is READ-ONLY: a caller that wants to change
+//     it copies it first. WriteAt's partial-block read-modify-write is
+//     the one such caller;
+//   - WriteBlock TAKES OWNERSHIP of data: the caller must not touch the
+//     buffer afterwards. A device keeps a BlockSize buffer as the block
+//     itself (OwnedBlock).
 type BlockDevice interface {
-	// ReadBlock returns the contents of block b (BlockSize bytes).
+	// ReadBlock returns the contents of block b (BlockSize bytes,
+	// read-only).
 	ReadBlock(b int32) ([]byte, kernel.Errno)
-	// WriteBlock overwrites block b.
+	// WriteBlock overwrites block b with data, which it owns from here on.
 	WriteBlock(b int32, data []byte) kernel.Errno
 	// Blocks reports the device capacity in blocks.
 	Blocks() int32
+}
+
+var zeroBlock = make([]byte, BlockSize)
+
+// ZeroBlock returns what a never-written block reads as: one shared,
+// read-only block of zeros.
+func ZeroBlock() []byte { return zeroBlock }
+
+// OwnedBlock turns a buffer handed to WriteBlock into the block a device
+// stores: the buffer itself when it is BlockSize long, else a fresh
+// block holding its first BlockSize bytes, zero-padded.
+func OwnedBlock(data []byte) []byte {
+	if len(data) == BlockSize {
+		return data
+	}
+	blk := make([]byte, BlockSize)
+	copy(blk, data)
+	return blk
 }
 
 // FS is a mounted filesystem with all metadata in the given memlog
@@ -480,16 +512,16 @@ func (f *FS) WriteAt(dev BlockDevice, ino int64, off int64, data []byte) (int, k
 			}
 			node.Blocks[bi] = b
 		}
-		var block []byte
+		// block is handed over to the device below and never touched again.
+		block := make([]byte, BlockSize)
 		if bo != 0 || chunk != BlockSize {
-			// Read-modify-write of a partial block.
+			// Read-modify-write of a partial block: on a copy, the block
+			// read is the device's own.
 			existing, errno := dev.ReadBlock(node.Blocks[bi])
 			if errno != kernel.OK {
 				return written, errno
 			}
-			block = existing
-		} else {
-			block = make([]byte, BlockSize)
+			copy(block, existing)
 		}
 		copy(block[bo:], data[written:written+chunk])
 		if errno := dev.WriteBlock(node.Blocks[bi], block); errno != kernel.OK {

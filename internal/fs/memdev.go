@@ -3,7 +3,9 @@ package fs
 import "repro/internal/kernel"
 
 // MemDevice is a trivial in-memory BlockDevice for unit tests and for
-// running the filesystem outside the full OS.
+// running the filesystem outside the full OS. It keeps BlockDevice's
+// aliasing contract exactly as the driver server does: reads hand out
+// the stored block, writes adopt the buffer.
 type MemDevice struct {
 	blocks [][]byte
 }
@@ -18,25 +20,22 @@ func NewMemDevice(n int32) *MemDevice {
 // Blocks reports the device capacity.
 func (d *MemDevice) Blocks() int32 { return int32(len(d.blocks)) }
 
-// ReadBlock returns the contents of block b.
+// ReadBlock returns block b itself (read-only).
 func (d *MemDevice) ReadBlock(b int32) ([]byte, kernel.Errno) {
 	if b < 0 || int(b) >= len(d.blocks) {
 		return nil, kernel.EIO
 	}
-	out := make([]byte, BlockSize)
-	if d.blocks[b] != nil {
-		copy(out, d.blocks[b])
+	if blk := d.blocks[b]; blk != nil {
+		return blk, kernel.OK
 	}
-	return out, kernel.OK
+	return ZeroBlock(), kernel.OK
 }
 
-// WriteBlock overwrites block b.
+// WriteBlock installs data as block b.
 func (d *MemDevice) WriteBlock(b int32, data []byte) kernel.Errno {
 	if b < 0 || int(b) >= len(d.blocks) {
 		return kernel.EIO
 	}
-	buf := make([]byte, BlockSize)
-	copy(buf, data)
-	d.blocks[b] = buf
+	d.blocks[b] = OwnedBlock(data)
 	return kernel.OK
 }

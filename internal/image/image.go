@@ -35,6 +35,7 @@ import (
 	"repro/internal/memlog"
 	"repro/internal/parallel"
 	"repro/internal/seep"
+	"repro/internal/servers/driver"
 	"repro/internal/usr"
 	"repro/internal/wire"
 )
@@ -77,7 +78,7 @@ type encodedFrame struct {
 // requested, compressed) in parallel, then written sequentially, so w
 // receives a deterministic byte stream regardless of worker count.
 func WriteSnapshot(w io.Writer, snap *boot.Snapshot, o WriteOptions) error {
-	img, blocks, opts := snap.Parts()
+	img, disk, opts := snap.Parts()
 	slots := img.Slots()
 
 	type job struct {
@@ -92,10 +93,7 @@ func WriteSnapshot(w io.Writer, snap *boot.Snapshot, o WriteOptions) error {
 			return img.Machine().EncodeTo(e)
 		}},
 		{frameBlocks, func(e *wire.Encoder) error {
-			e.Uvarint(uint64(len(blocks)))
-			for _, b := range blocks {
-				e.Blob(b)
-			}
+			disk.EncodeTo(e)
 			return nil
 		}},
 	}
@@ -278,7 +276,7 @@ func ReadSnapshot(r io.Reader, reg *usr.Registry, workers int) (*boot.Snapshot, 
 	// Decode the kernel, blocks, and every component store in parallel.
 	type decoded struct {
 		machine *kernel.MachineImage
-		blocks  [][]byte
+		disk    *driver.Image
 		slot    *core.SlotParts
 		err     error
 	}
@@ -288,16 +286,8 @@ func ReadSnapshot(r io.Reader, reg *usr.Registry, workers int) (*boot.Snapshot, 
 		return decoded{machine: m, err: err}
 	})
 	decJobs = append(decJobs, func() decoded {
-		bd := wire.NewDecoder(blocksRaw)
-		n := int(bd.Uvarint())
-		blocks := make([][]byte, 0, n)
-		for i := 0; i < n && bd.Err() == nil; i++ {
-			blocks = append(blocks, bd.Blob())
-		}
-		if err := bd.Err(); err != nil {
-			return decoded{err: err}
-		}
-		return decoded{blocks: blocks}
+		disk, err := driver.DecodeImage(wire.NewDecoder(blocksRaw))
+		return decoded{disk: disk, err: err}
 	})
 	for _, ep := range slotEPs {
 		raw, ok := byName[slotPrefix+strconv.Itoa(int(ep))]
@@ -313,7 +303,7 @@ func ReadSnapshot(r io.Reader, reg *usr.Registry, workers int) (*boot.Snapshot, 
 	results := parallel.Map(workers, len(decJobs), func(i int) decoded { return decJobs[i]() })
 
 	var machine *kernel.MachineImage
-	var blocks [][]byte
+	var disk *driver.Image
 	slots := make([]core.SlotParts, 0, len(slotEPs))
 	for _, res := range results {
 		switch {
@@ -324,11 +314,11 @@ func ReadSnapshot(r io.Reader, reg *usr.Registry, workers int) (*boot.Snapshot, 
 		case res.slot != nil:
 			slots = append(slots, *res.slot)
 		default:
-			blocks = res.blocks
+			disk = res.disk
 		}
 	}
 	img := core.AssembleImage(machine, slots)
-	return boot.NewSnapshotFromParts(img, blocks, reg, opts), nil
+	return boot.NewSnapshotFromParts(img, disk, reg, opts), nil
 }
 
 // WriteSnapshotFile writes snap to path (atomically: temp file +

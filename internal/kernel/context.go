@@ -107,7 +107,9 @@ func (c *Context) Receive() Message {
 	if c.k.ipc != nil {
 		c.k.ipc.noteReceive(c.p, m)
 	}
-	c.k.trace("recv: %s(%d) <- %d type=%d t=%d", c.p.name, c.p.ep, m.From, m.Type, c.k.clock.Now())
+	if c.k.tracer != nil {
+		c.k.tracer("recv: %s(%d) <- %d type=%d t=%d", c.p.name, c.p.ep, m.From, m.Type, c.k.clock.Now())
+	}
 	return m
 }
 

@@ -5,7 +5,7 @@ import "testing"
 // The head-indexed inbox must behave as a FIFO across slab-drain
 // resets, interleaved push/pop, and release/reacquire cycles.
 func TestInboxQueueSemantics(t *testing.T) {
-	p := &Process{}
+	p := &Process{procLive: &procLive{}}
 	if p.queueLen() != 0 {
 		t.Fatalf("fresh queue length = %d", p.queueLen())
 	}

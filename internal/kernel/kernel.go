@@ -428,15 +428,11 @@ func (k *Kernel) SetCrashHandler(h CrashHandler) { k.crashHandler = h }
 func (k *Kernel) SetPointHook(h func(ep Endpoint, name, site string)) { k.pointHook = h }
 
 // SetTracer installs a diagnostic event tracer (nil disables tracing).
-// Events cover message receipt, reply delivery and crash handling.
+// Events cover message receipt, reply delivery and crash handling. Every
+// event site tests k.tracer before it builds the event: boxing the
+// arguments of a variadic call allocates, and the sites sit on the
+// per-message path.
 func (k *Kernel) SetTracer(t func(format string, args ...any)) { k.tracer = t }
-
-// trace emits a diagnostic event if tracing is enabled.
-func (k *Kernel) trace(format string, args ...any) {
-	if k.tracer != nil {
-		k.tracer(format, args...)
-	}
-}
 
 // SetRootProcess marks ep as the root workload process; its normal exit
 // completes the run.
@@ -640,9 +636,11 @@ const maxRecoveryPanics = 32
 
 // handleCrash runs the recovery engine in kernel context.
 func (k *Kernel) handleCrash(info CrashInfo) {
-	k.trace("crash: %s(%d) sender=%d replyable=%v panic=%v deferred=%v duringRecovery=%v",
-		info.Name, info.Victim, info.CurSender, info.CurNeedsReply, info.PanicValue,
-		info.Deferred, info.DuringRecovery)
+	if k.tracer != nil {
+		k.tracer("crash: %s(%d) sender=%d replyable=%v panic=%v deferred=%v duringRecovery=%v",
+			info.Name, info.Victim, info.CurSender, info.CurNeedsReply, info.PanicValue,
+			info.Deferred, info.DuringRecovery)
+	}
 	if !info.Deferred {
 		k.counters.AddID(ctrCrashes, 1)
 	}
@@ -707,7 +705,7 @@ func (k *Kernel) QuarantineReason(ep Endpoint) string { return k.quarantined[ep]
 // keeps running. Must not be called on the currently running process.
 func (k *Kernel) QuarantineProcess(ep Endpoint, reason string) error {
 	p := k.procs[ep]
-	if p == nil {
+	if p == nil || p.procLive == nil {
 		return fmt.Errorf("kernel: no process at endpoint %d", ep)
 	}
 	if k.IsQuarantined(ep) {
@@ -737,7 +735,9 @@ func (k *Kernel) QuarantineProcess(ep Endpoint, reason string) error {
 	k.dropQueuedCrashes(ep)
 	k.FailPendingCallers(ep, ECRASH)
 	k.counters.AddID(ctrQuarantines, 1)
-	k.trace("quarantine: %s(%d): %s", p.name, ep, reason)
+	if k.tracer != nil {
+		k.tracer("quarantine: %s(%d): %s", p.name, ep, reason)
+	}
 	return nil
 }
 
@@ -787,7 +787,7 @@ func (k *Kernel) describeBlocked() string {
 
 // windowOf returns the seep window of ep, or nil.
 func (k *Kernel) windowOf(ep Endpoint) *seep.Window {
-	if p := k.procs[ep]; p != nil {
+	if p := k.procs[ep]; p != nil && p.procLive != nil {
 		return p.window
 	}
 	return nil

@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -118,29 +120,39 @@ func TestFailPendingCallersCount(t *testing.T) {
 	}
 }
 
+// An installed tracer receives every event kind, with the text the
+// format and arguments have always produced: the sites test k.tracer
+// before building an event, which must not change what one says.
 func TestTracerReceivesEvents(t *testing.T) {
 	k := newTestKernel()
 	var events []string
 	k.SetTracer(func(f string, args ...any) {
-		events = append(events, f)
+		events = append(events, fmt.Sprintf(f, args...))
+	})
+	k.SetCrashHandler(func(info CrashInfo) error {
+		return k.QuarantineProcess(info.Victim, "gave up")
 	})
 	k.AddServer(EpDS, "echo", echoServer, ServerConfig{})
 	root := k.SpawnUser("client", func(ctx *Context) {
 		ctx.SendRec(EpDS, Message{Type: 1})
+		// A reply to a process that is not waiting for one arrives as a
+		// message.
+		ctx.Kernel().DeliverReply(EpDS, ctx.Endpoint(), Message{Errno: EIO})
+		ctx.Kernel().FailStopProcess(EpDS, "declared hung")
+		ctx.Yield() // let the kernel loop handle the queued crash
 	})
 	k.SetRootProcess(root.Endpoint())
 	k.Run(testLimit)
-	var sawRecv, sawReply bool
-	for _, e := range events {
-		if strings.HasPrefix(e, "recv:") {
-			sawRecv = true
-		}
-		if strings.HasPrefix(e, "reply:") {
-			sawReply = true
-		}
+	want := []string{
+		"recv: echo(6) <- 100 type=1 t=800",
+		"reply: 6 -> client(100) errno=OK",
+		"reply-async: 6 -> client(100) errno=EIO state=1",
+		"failstop: echo(6): declared hung",
+		"crash: echo(6) sender=100 replyable=true panic=declared hung deferred=false duringRecovery=false",
+		"quarantine: echo(6): gave up",
 	}
-	if !sawRecv || !sawReply {
-		t.Fatalf("tracer events missing: recv=%v reply=%v (%d events)", sawRecv, sawReply, len(events))
+	if !reflect.DeepEqual(events, want) {
+		t.Fatalf("tracer events:\n got %q\nwant %q", events, want)
 	}
 }
 

@@ -40,20 +40,32 @@ type killedSignal struct{}
 type Body func(*Context)
 
 // Process is one schedulable entity: an OS server or a user program.
+//
+// The struct itself holds only what the kernel reads of a process that
+// can never run again; everything a running one needs on top is in
+// procLive. A forked machine carries a dead placeholder for every test
+// child the captured machine had reaped (installDeadPlaceholders), with
+// a nil procLive — 64 bytes each instead of 512.
 type Process struct {
 	k        *Kernel
 	ep       Endpoint
 	name     string
 	isServer bool
-	body     Body
-
-	state procState
-	baton chan token
-	gone  chan struct{}
+	state    procState
 
 	// orderIdx is the process's position in k.order (and its bit index
 	// in the readiness bitmap). Maintained by insertIntoOrder.
 	orderIdx int
+
+	*procLive
+}
+
+// procLive is the part of a Process only a process with a goroutine has.
+type procLive struct {
+	body Body
+
+	baton chan token
+	gone  chan struct{}
 
 	// inbox is a head-indexed FIFO over a pooled backing array:
 	// inbox[inboxHead:] are the queued messages. Access goes through
@@ -96,7 +108,27 @@ type Process struct {
 	// unwinding (only the process's own goroutine touches it).
 	killed bool
 
-	ctx *Context
+	ctx Context
+}
+
+// newProcess builds a runnable process (header, live part and Context
+// in one allocation); the caller places it in the table and starts it.
+func (k *Kernel) newProcess(ep Endpoint, name string, body Body, isServer bool, cfg ServerConfig) *Process {
+	alloc := &struct {
+		Process
+		live procLive
+	}{}
+	p := &alloc.Process
+	*p = Process{k: k, ep: ep, name: name, isServer: isServer, state: stateRunnable, procLive: &alloc.live}
+	alloc.live = procLive{
+		body:   body,
+		baton:  make(chan token),
+		gone:   make(chan struct{}),
+		window: cfg.Window,
+		store:  cfg.Store,
+		ctx:    Context{k: k, p: p},
+	}
+	return p
 }
 
 // inboxSlabCap is the capacity of pooled inbox backing arrays. Queues
@@ -208,34 +240,21 @@ type ServerConfig struct {
 // AddServer registers an OS server at a fixed endpoint. The body runs
 // when the scheduler first dispatches the process.
 func (k *Kernel) AddServer(ep Endpoint, name string, body Body, cfg ServerConfig) *Process {
-	p := k.addProcess(ep, name, body, true)
-	p.window = cfg.Window
-	p.store = cfg.Store
-	return p
+	return k.addProcess(ep, name, body, true, cfg)
 }
 
 // SpawnUser creates a user process with a fresh endpoint and returns it.
 func (k *Kernel) SpawnUser(name string, body Body) *Process {
 	ep := k.nextUserEp
 	k.nextUserEp++
-	return k.addProcess(ep, name, body, false)
+	return k.addProcess(ep, name, body, false, ServerConfig{})
 }
 
-func (k *Kernel) addProcess(ep Endpoint, name string, body Body, isServer bool) *Process {
+func (k *Kernel) addProcess(ep Endpoint, name string, body Body, isServer bool, cfg ServerConfig) *Process {
 	if _, dup := k.procs[ep]; dup {
 		panic(fmt.Sprintf("kernel: endpoint %d already registered", ep))
 	}
-	p := &Process{
-		k:        k,
-		ep:       ep,
-		name:     name,
-		isServer: isServer,
-		body:     body,
-		state:    stateRunnable,
-		baton:    make(chan token),
-		gone:     make(chan struct{}),
-	}
-	p.ctx = &Context{k: k, p: p}
+	p := k.newProcess(ep, name, body, isServer, cfg)
 	k.procs[ep] = p
 	k.insertIntoOrder(ep)
 	k.markSched(p)
@@ -309,7 +328,7 @@ func (p *Process) runBody() (killed bool) {
 			DuringRecovery: p.k.inRecovery,
 		}, p.k.clock.Now())
 	}()
-	p.body(p.ctx)
+	p.body(&p.ctx)
 	p.state = stateDead
 	p.k.markSched(p)
 	p.k.noteExit(p)
@@ -450,8 +469,8 @@ func (k *Kernel) killProcess(p *Process) {
 func (k *Kernel) killAll() {
 	for _, ep := range k.order {
 		p := k.procs[ep]
-		if p == nil {
-			continue
+		if p == nil || p.procLive == nil {
+			continue // nothing to tear down behind a dead placeholder
 		}
 		switch p.state {
 		case stateDead:
@@ -489,7 +508,7 @@ func (k *Kernel) ReplaceUserProcess(ep Endpoint, name string, body Body) (*Proce
 
 func (k *Kernel) replaceProcess(ep Endpoint, name string, body Body, cfg ServerConfig, isServer bool) (*Process, error) {
 	old := k.procs[ep]
-	if old == nil {
+	if old == nil || old.procLive == nil {
 		return nil, fmt.Errorf("kernel: no process at endpoint %d", ep)
 	}
 	if k.IsQuarantined(ep) {
@@ -513,20 +532,8 @@ func (k *Kernel) replaceProcess(ep Endpoint, name string, body Body, cfg ServerC
 		k.killProcess(old)
 	}
 
-	p := &Process{
-		k:        k,
-		ep:       ep,
-		name:     name,
-		isServer: isServer,
-		body:     body,
-		state:    stateRunnable,
-		baton:    make(chan token),
-		gone:     make(chan struct{}),
-		window:   cfg.Window,
-		store:    cfg.Store,
-	}
+	p := k.newProcess(ep, name, body, isServer, cfg)
 	p.inbox, p.inboxHead = savedInbox, savedHead
-	p.ctx = &Context{k: k, p: p}
 	k.procs[ep] = p
 	// Endpoint already present in k.order: keep position (and bit index).
 	p.orderIdx = old.orderIdx
@@ -572,7 +579,9 @@ func (k *Kernel) FailStopProcess(ep Endpoint, reason string) Errno {
 	p.state = stateCrashed
 	k.markSched(p)
 	k.counters.AddID(ctrFailstops, 1)
-	k.trace("failstop: %s(%d): %s", p.name, ep, reason)
+	if k.tracer != nil {
+		k.tracer("failstop: %s(%d): %s", p.name, ep, reason)
+	}
 	k.queueCrash(info, k.clock.Now())
 	return OK
 }
@@ -607,11 +616,15 @@ func (k *Kernel) DeliverReply(from, to Endpoint, m Message) error {
 	if p.state == stateSendRec && p.waitFrom == from {
 		p.setReply(m)
 		k.markSched(p)
-		k.trace("reply: %d -> %s(%d) errno=%v", from, p.name, to, m.Errno)
+		if k.tracer != nil {
+			k.tracer("reply: %d -> %s(%d) errno=%v", from, p.name, to, m.Errno)
+		}
 		return nil
 	}
 	// Not blocked on us: deliver asynchronously.
-	k.trace("reply-async: %d -> %s(%d) errno=%v state=%d", from, p.name, to, m.Errno, p.state)
+	if k.tracer != nil {
+		k.tracer("reply-async: %d -> %s(%d) errno=%v state=%d", from, p.name, to, m.Errno, p.state)
+	}
 	p.pushMsg(m)
 	return nil
 }
@@ -640,7 +653,7 @@ func (k *Kernel) ProcessAlive(ep Endpoint) bool {
 // InboxLen reports the number of queued messages at ep (testing and
 // diagnostics).
 func (k *Kernel) InboxLen(ep Endpoint) int {
-	if p := k.procs[ep]; p != nil {
+	if p := k.procs[ep]; p != nil && p.procLive != nil {
 		return p.queueLen()
 	}
 	return 0

@@ -32,6 +32,9 @@ func (r *readySet) ensure(n int) {
 // set marks position i ready.
 func (r *readySet) set(i int) { r.words[i>>6] |= 1 << (uint(i) & 63) }
 
+// get reports whether position i is ready.
+func (r *readySet) get(i int) bool { return r.words[i>>6]&(1<<(uint(i)&63)) != 0 }
+
 // clear marks position i not ready.
 func (r *readySet) clear(i int) { r.words[i>>6] &^= 1 << (uint(i) & 63) }
 

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -124,5 +125,110 @@ func TestDescribeBlockedOutput(t *testing.T) {
 	const want = "srv(10):receiving, root(100):sendrec->10"
 	if !strings.Contains(res.Reason, want) {
 		t.Fatalf("deadlock reason %q does not contain %q", res.Reason, want)
+	}
+}
+
+// installDeadPlaceholders merges an image's dead processes into the
+// scheduling order in one pass. It must leave the machine exactly where
+// inserting them one at a time through insertIntoOrder does: same order,
+// same order index for every process, same readiness bitmap, same
+// procs_created count — a fork's ready-set bit positions and round-robin
+// cursor mean what they meant on the captured machine.
+func TestInstallDeadPlaceholdersMatchesSequentialInsert(t *testing.T) {
+	r := sim.NewRNG(7)
+	for round := 0; round < 50; round++ {
+		// Live processes at scattered endpoints, a random half of them
+		// blocked so the bitmap is not all ones; dead ones in the gaps,
+		// before the first and after the last.
+		var liveEPs []Endpoint
+		var img []procImage
+		for ep := Endpoint(10); ep < 10+Endpoint(40+r.Intn(120)); ep++ {
+			switch r.Intn(3) {
+			case 0:
+				liveEPs = append(liveEPs, ep)
+				img = append(img, procImage{ep: ep, state: stateReceiving})
+			case 1:
+				img = append(img, procImage{ep: ep, name: "reaped", state: stateDead})
+			}
+		}
+		build := func() *Kernel {
+			k := newTestKernel()
+			for i, ep := range liveEPs {
+				p := k.AddServer(ep, "live", func(*Context) {}, ServerConfig{})
+				if i%2 == 1 {
+					p.state = stateReceiving
+					k.markSched(p)
+				}
+			}
+			return k
+		}
+		dead := len(img) - len(liveEPs)
+
+		got := build()
+		got.installDeadPlaceholders(img, dead)
+
+		want := build()
+		for _, pi := range img {
+			if pi.state == stateDead {
+				p := &Process{k: want, ep: pi.ep, name: pi.name, state: stateDead}
+				want.procs[pi.ep] = p
+				want.insertIntoOrder(pi.ep)
+				want.markSched(p)
+			}
+		}
+
+		if !reflect.DeepEqual(got.order, want.order) {
+			t.Fatalf("round %d: order %v, want %v", round, got.order, want.order)
+		}
+		for i, ep := range want.order {
+			g, w := got.procs[ep], want.procs[ep]
+			if g == nil || g.orderIdx != i || w.orderIdx != i || g.name != w.name || g.state != w.state {
+				t.Fatalf("round %d: process at endpoint %d: %+v, want %+v at index %d", round, ep, g, w, i)
+			}
+			if got.ready.get(i) != want.ready.get(i) {
+				t.Fatalf("round %d: readiness bit %d differs", round, i)
+			}
+		}
+		if g, w := got.counters.Get("kernel.procs_created"), want.counters.Get("kernel.procs_created"); g != w {
+			t.Fatalf("round %d: procs_created %d, want %d", round, g, w)
+		}
+		got.killAll()
+		want.killAll()
+	}
+}
+
+// A dead placeholder has no live part; every kernel entry point that can
+// be handed its endpoint treats it as the dead process it stands for.
+func TestDeadPlaceholderIsInert(t *testing.T) {
+	k := newTestKernel()
+	const ghost = Endpoint(150)
+	root := k.SpawnUser("root", func(ctx *Context) {
+		if r := ctx.SendRec(ghost, Message{}); r.Errno != EDEADSRCDST {
+			t.Errorf("SendRec to a placeholder = %v, want EDEADSRCDST", r.Errno)
+		}
+		if errno := ctx.Send(ghost, Message{}); errno != EDEADSRCDST {
+			t.Errorf("Send to a placeholder = %v, want EDEADSRCDST", errno)
+		}
+	})
+	k.SetRootProcess(root.Endpoint())
+	k.installDeadPlaceholders([]procImage{{ep: ghost, name: "reaped", state: stateDead}}, 1)
+
+	if k.ProcessAlive(ghost) || k.InboxLen(ghost) != 0 || k.windowOf(ghost) != nil {
+		t.Error("a placeholder looks alive")
+	}
+	if k.TerminateProcess(ghost) != ESRCH || k.FailStopProcess(ghost, "x") != ESRCH {
+		t.Error("a placeholder can be killed")
+	}
+	if err := k.QuarantineProcess(ghost, "x"); err == nil {
+		t.Error("a placeholder can be quarantined")
+	}
+	if _, err := k.ReplaceUserProcess(ghost, "exec", func(*Context) {}); err == nil {
+		t.Error("a placeholder can be replaced")
+	}
+	if err := k.PostMessage(EpKernel, ghost, Message{}); err == nil {
+		t.Error("a placeholder accepts mail")
+	}
+	if res := k.Run(testLimit); res.Outcome != OutcomeCompleted {
+		t.Fatalf("outcome = %v (%s)", res.Outcome, res.Reason)
 	}
 }

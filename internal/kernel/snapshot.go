@@ -218,21 +218,24 @@ func (k *Kernel) ApplyImage(img *MachineImage) error {
 	if img.rootEp != k.rootEp {
 		return fmt.Errorf("kernel: image root endpoint %d != machine root %d", img.rootEp, k.rootEp)
 	}
-	live := 0
-	for _, pi := range img.procs {
-		if pi.state != stateDead {
-			live++
+	dead := 0
+	for i, pi := range img.procs {
+		if i > 0 && pi.ep <= img.procs[i-1].ep {
+			return fmt.Errorf("kernel: image processes not in endpoint order at %d", pi.ep)
 		}
-	}
-	if live != len(k.order) {
-		return fmt.Errorf("kernel: image has %d live processes, machine has %d", live, len(k.order))
-	}
-	for _, pi := range img.procs {
 		if pi.state == stateDead {
 			if k.procs[pi.ep] != nil {
 				return fmt.Errorf("kernel: image dead process at endpoint %d collides with a live one", pi.ep)
 			}
-			k.addDeadPlaceholder(pi.ep, pi.name)
+			dead++
+		}
+	}
+	if live := len(img.procs) - dead; live != len(k.order) {
+		return fmt.Errorf("kernel: image has %d live processes, machine has %d", live, len(k.order))
+	}
+	k.installDeadPlaceholders(img.procs, dead)
+	for _, pi := range img.procs {
+		if pi.state == stateDead {
 			continue
 		}
 		p := k.procs[pi.ep]
@@ -276,18 +279,51 @@ func (k *Kernel) ApplyImage(img *MachineImage) error {
 	return nil
 }
 
-// addDeadPlaceholder installs a goroutine-less dead process so a forked
-// machine's scheduler geometry — order indices, ready-set bit positions,
-// round-robin cursor — matches the captured machine, whose process table
-// still holds every reaped test child. Placeholders have no baton or
-// gone channel; every kernel path already skips dead processes before
-// touching either.
-func (k *Kernel) addDeadPlaceholder(ep Endpoint, name string) {
-	p := &Process{k: k, ep: ep, name: name, state: stateDead}
-	p.ctx = &Context{k: k, p: p}
-	k.procs[ep] = p
-	k.insertIntoOrder(ep)
-	k.markSched(p)
+// installDeadPlaceholders gives every dead process of an image (procs,
+// sorted by endpoint as captured; dead of them are dead) a goroutine-less
+// placeholder, so a forked machine's scheduler geometry — order indices,
+// ready-set bit positions, round-robin cursor — matches the captured
+// machine, whose process table still holds every reaped test child. The
+// placeholders come from one slab and are merged into k.order in one
+// pass; each live process keeps its readiness bit at its new position
+// and a placeholder's is clear, exactly what inserting them one at a
+// time (insertIntoOrder) arrives at.
+func (k *Kernel) installDeadPlaceholders(procs []procImage, dead int) {
+	if dead == 0 {
+		return
+	}
+	slab := make([]Process, 0, dead)
+	order := make([]Endpoint, 0, len(k.order)+dead)
+	var ready readySet
+	ready.ensure(cap(order))
+	place := func(p *Process, isReady bool) {
+		p.orderIdx = len(order)
+		order = append(order, p.ep)
+		if isReady {
+			ready.set(p.orderIdx)
+		}
+	}
+	live := k.order
+	for i := range procs {
+		if procs[i].state != stateDead {
+			continue
+		}
+		ep := procs[i].ep
+		for len(live) > 0 && live[0] < ep {
+			p := k.procs[live[0]]
+			place(p, k.ready.get(p.orderIdx))
+			live = live[1:]
+		}
+		slab = append(slab, Process{k: k, ep: ep, name: procs[i].name, state: stateDead})
+		p := &slab[len(slab)-1]
+		k.procs[ep] = p
+		place(p, false)
+	}
+	for _, ep := range live {
+		p := k.procs[ep]
+		place(p, k.ready.get(p.orderIdx))
+	}
+	k.order, k.ready = order, ready
 }
 
 // SizeBytes estimates the retained size of the image for snapshot-cache

@@ -227,7 +227,6 @@ func TestMapKeysDoesNotAllocate(t *testing.T) {
 // restores copy in place.
 func TestIncrementalCheckpointSteadyStateDoesNotAllocate(t *testing.T) {
 	s := NewStore("ckptalloc", FullCopy)
-	s.SetLegacyCheckpoint(false)
 	cells := make([]*Cell[int], 16)
 	for i := range cells {
 		cells[i] = NewCell(s, string(rune('a'+i)), i)

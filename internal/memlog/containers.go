@@ -393,6 +393,17 @@ func (s *Slice[T]) Append(v T) {
 	s.store.touch(s, &s.cm)
 }
 
+// Reserve makes room for n more Appends without reallocating. It is
+// host-side only: no store is counted, charged, logged or marked dirty,
+// so a run with and without it is the same simulated run.
+func (s *Slice[T]) Reserve(n int) {
+	if cap(s.v)-len(s.v) < n {
+		grown := make([]T, len(s.v), len(s.v)+n)
+		copy(grown, s.v)
+		s.v = grown
+	}
+}
+
 // Truncate shortens the slice to length n, logging the removed tail.
 // It panics if n is negative or beyond the current length.
 func (s *Slice[T]) Truncate(n int) {

@@ -1,14 +1,31 @@
 package memlog
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/sim"
 )
 
+// bothCheckpoints runs fn over a fresh FullCopy store under each
+// checkpoint implementation: the FullCopy contract holds for the legacy
+// clone-everything path exactly as for the incremental default.
+func bothCheckpoints(t *testing.T, fn func(t *testing.T, s *Store)) {
+	for _, legacy := range []bool{false, true} {
+		t.Run(fmt.Sprintf("legacy=%v", legacy), func(t *testing.T) {
+			s := NewStore("fc", FullCopy)
+			s.SetLegacyCheckpoint(legacy)
+			fn(t, s)
+		})
+	}
+}
+
 func TestFullCopyCheckpointRollback(t *testing.T) {
-	s := NewStore("fc", FullCopy)
+	bothCheckpoints(t, testFullCopyCheckpointRollback)
+}
+
+func testFullCopyCheckpointRollback(t *testing.T, s *Store) {
 	s.SetLogging(true)
 	c := NewCell(s, "x", 1)
 	m := NewMap[int, string](s, "m")
@@ -35,7 +52,10 @@ func TestFullCopyCheckpointRollback(t *testing.T) {
 }
 
 func TestFullCopyChargesPerCheckpoint(t *testing.T) {
-	s := NewStore("fc", FullCopy)
+	bothCheckpoints(t, testFullCopyChargesPerCheckpoint)
+}
+
+func testFullCopyChargesPerCheckpoint(t *testing.T, s *Store) {
 	var charged sim.Cycles
 	s.SetCostSink(func(n sim.Cycles) { charged += n })
 	sl := NewSlice[int64](s, "arena")
@@ -53,7 +73,10 @@ func TestFullCopyChargesPerCheckpoint(t *testing.T) {
 }
 
 func TestFullCopyWindowClosedTakesNoSnapshot(t *testing.T) {
-	s := NewStore("fc", FullCopy)
+	bothCheckpoints(t, testFullCopyWindowClosedTakesNoSnapshot)
+}
+
+func testFullCopyWindowClosedTakesNoSnapshot(t *testing.T, s *Store) {
 	var charged sim.Cycles
 	s.SetCostSink(func(n sim.Cycles) { charged += n })
 	NewCell(s, "x", 0)
@@ -65,7 +88,10 @@ func TestFullCopyWindowClosedTakesNoSnapshot(t *testing.T) {
 }
 
 func TestFullCopyDiscardDropsSnapshot(t *testing.T) {
-	s := NewStore("fc", FullCopy)
+	bothCheckpoints(t, testFullCopyDiscardDropsSnapshot)
+}
+
+func testFullCopyDiscardDropsSnapshot(t *testing.T, s *Store) {
 	s.SetLogging(true)
 	c := NewCell(s, "x", 1)
 	s.Checkpoint()

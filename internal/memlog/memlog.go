@@ -20,7 +20,6 @@ package memlog
 
 import (
 	"fmt"
-	"os"
 	"sync"
 
 	"repro/internal/sim"
@@ -135,22 +134,6 @@ type contMeta struct {
 	fpQueued bool
 }
 
-// Incremental (dirty-set) full-copy checkpointing is the default; the
-// legacy clone-everything path is kept behind this flag as an
-// equivalence oracle and for before/after benchmarking.
-var legacyCheckpointDefault = os.Getenv("OSIRIS_LEGACY_CHECKPOINT") != ""
-
-// SetLegacyCheckpointDefault selects the checkpoint implementation used
-// by stores created afterwards: true restores the legacy whole-data-
-// section clone per Checkpoint, false (the default) uses incremental
-// dirty-set snapshots. It returns the previous default so tests can
-// flip and restore it.
-func SetLegacyCheckpointDefault(on bool) bool {
-	prev := legacyCheckpointDefault
-	legacyCheckpointDefault = on
-	return prev
-}
-
 // Store is the instrumented data section of one simulated OS component.
 // All of a server's recoverable state must live in containers registered
 // with its Store.
@@ -182,7 +165,9 @@ type Store struct {
 	// DiscardLog, false while the image is merely a delta base.
 	restorable bool
 	// legacyCheckpoint selects the legacy clone-everything FullCopy
-	// path instead of incremental dirty-set snapshots.
+	// path instead of the default incremental dirty-set snapshots. It is
+	// kept as the §IV-C ablation subject and as the oracle the
+	// incremental path is tested against.
 	legacyCheckpoint bool
 
 	// chkGen is the checkpoint epoch; a container whose writeGen equals
@@ -229,11 +214,10 @@ type Store struct {
 // given instrumentation mode.
 func NewStore(label string, mode Instrumentation) *Store {
 	return &Store{
-		label:            label,
-		mode:             mode,
-		containers:       make(map[string]container),
-		chkGen:           1,
-		legacyCheckpoint: legacyCheckpointDefault,
+		label:      label,
+		mode:       mode,
+		containers: make(map[string]container),
+		chkGen:     1,
 	}
 }
 

@@ -8,10 +8,15 @@
 package driver
 
 import (
+	"fmt"
+	"math"
+	"math/bits"
+
 	"repro/internal/fs"
 	"repro/internal/kernel"
 	"repro/internal/proto"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // Latency of one device operation in cycles (a "slow disk" relative to
@@ -21,113 +26,187 @@ const (
 	writeLatency sim.Cycles = 900
 )
 
+// The device is a table of pages of pageBlocks blocks each. A page holds
+// its blocks and their fingerprint contributions, so the two are copied
+// together and only when a block of the page changes.
+const (
+	pageShift  = 6
+	pageBlocks = 1 << pageShift // = bits in a stale word: stale[p] covers page p
+)
+
+type page struct {
+	blocks [pageBlocks][]byte
+	mixes  [pageBlocks]uint64
+}
+
+// disk is the device contents: what an Image freezes and a Driver mutates.
+type disk struct {
+	n int32
+	// pages[p] holds blocks p*pageBlocks onwards; nil until one of them is
+	// written.
+	pages []*page
+	// fp is the rolling device fingerprint: the wrapping sum of every
+	// block's mix (a never-written block contributes zero). stale marks
+	// the blocks written since fp and their mix last covered them, nstale
+	// counts them, so Fingerprint is O(blocks written since the last
+	// call), not O(device).
+	fp     uint64
+	stale  []uint64
+	nstale int
+}
+
 // Driver is the block-device driver.
 type Driver struct {
-	blocks [][]byte
-
-	// fp is the rolling device fingerprint: the wrapping sum of every
-	// block's content hash (nil, never-written blocks contribute zero).
-	// mixes caches the per-block contributions; stale lists blocks
-	// written since fp last covered them (staleIn dedups membership), so
-	// Fingerprint is O(blocks written since last call), not O(device).
-	fp      uint64
-	mixes   []uint64
-	stale   []int32
-	staleIn []bool
+	disk
+	// owned marks (one bit a page) the pages only this driver points to
+	// and may therefore write in place. Every other page is shared with an
+	// Image — and through it with a snapshot and its forks — and is copied
+	// by the first write that lands on it.
+	owned []uint64
 }
 
-// New returns a driver with n blocks of fs.BlockSize bytes.
+// Image is a frozen disk, safe for concurrent NewFromImage calls: nothing
+// ever writes through its page pointers.
+type Image struct{ disk }
+
+func words(bits int) int { return (bits + 63) / 64 }
+
+func newDisk(n int32) disk {
+	np := words(int(n))
+	return disk{n: n, pages: make([]*page, np), stale: make([]uint64, np)}
+}
+
+// New returns a driver with n blocks of fs.BlockSize bytes, none of them
+// written: no page exists until the first write.
 func New(n int32) *Driver {
-	return &Driver{
-		blocks:  make([][]byte, n),
-		mixes:   make([]uint64, n),
-		staleIn: make([]bool, n),
-	}
+	d := newDisk(n)
+	return &Driver{disk: d, owned: make([]uint64, words(len(d.pages)))}
 }
 
-// CloneBlocks returns a deep copy of the device contents. Unwritten
-// blocks stay nil, so the cost is proportional to data actually written.
-func (d *Driver) CloneBlocks() [][]byte {
-	out := make([][]byte, len(d.blocks))
-	for i, b := range d.blocks {
-		if b != nil {
-			out[i] = append([]byte(nil), b...)
-		}
-	}
+// Share freezes the device as it is now. Only the page-pointer table is
+// copied; afterwards the driver owns no page, so its next write to any
+// of them copies that page first and the image never changes.
+func (d *Driver) Share() *Image {
+	d.Fingerprint()
+	clear(d.owned)
+	return &Image{d.disk.share()}
+}
+
+// NewFromImage returns a driver serving img's contents — a warm-forked
+// disk. Only the page-pointer table is copied and no page is owned, so
+// a forked disk cannot disturb the image or any sibling fork.
+func NewFromImage(img *Image) *Driver {
+	return &Driver{disk: img.share(), owned: make([]uint64, words(len(img.pages)))}
+}
+
+// share copies the disk's tables; the pages stay shared.
+func (d *disk) share() disk {
+	out := *d
+	out.pages = append([]*page(nil), d.pages...)
+	out.stale = append([]uint64(nil), d.stale...)
 	return out
 }
 
-// ShareBlocks returns a shallow copy of the device's block table,
-// sharing block contents with the live driver. Sound for snapshots even
-// while this driver keeps running: write never mutates a block in place
-// — it installs a freshly allocated buffer into the table — and read
-// copies contents out, so a shared buffer can never change under the
-// snapshot. O(table size) instead of CloneBlocks's O(data written).
-func (d *Driver) ShareBlocks() [][]byte {
-	out := make([][]byte, len(d.blocks))
-	copy(out, d.blocks)
-	return out
+// block returns block b as stored: nil when never written.
+func (d *disk) block(b int32) []byte {
+	if pg := d.pages[b>>pageShift]; pg != nil {
+		return pg.blocks[b&(pageBlocks-1)]
+	}
+	return nil
 }
 
-// NewFromBlocks returns a driver whose device serves blocks — a
-// warm-forked disk. Only the block table is copied; block contents are
-// shared with the source (typically a CloneBlocks master held by a boot
-// snapshot). Sharing is sound because write never mutates a block in
-// place — it installs a freshly allocated buffer into the fork's own
-// table — so a forked disk cannot disturb the master or any sibling
-// fork, and concurrent forks from one master are safe.
-func NewFromBlocks(blocks [][]byte) *Driver {
-	return NewFromBlocksFingerprint(blocks, nil, 0)
-}
-
-// NewFromBlocksFingerprint is NewFromBlocks with the source device's
-// fingerprint state (from ShareFingerprint) carried over, so the fork's
-// first Fingerprint call stays O(dirty) instead of re-hashing every
-// written block. A nil mixes slice marks every written block stale — the
-// fork is still correct, its first Fingerprint just pays O(data).
-func NewFromBlocksFingerprint(blocks [][]byte, mixes []uint64, fp uint64) *Driver {
-	d := &Driver{
-		blocks:  make([][]byte, len(blocks)),
-		mixes:   make([]uint64, len(blocks)),
-		staleIn: make([]bool, len(blocks)),
+// own returns page p for writing, copying it first unless this driver
+// already owns it.
+func (d *Driver) own(p int32) *page {
+	if d.owned[p>>6]&(1<<(p&63)) != 0 {
+		return d.pages[p]
 	}
-	copy(d.blocks, blocks)
-	if mixes != nil {
-		copy(d.mixes, mixes)
-		d.fp = fp
-		return d
+	pg := new(page)
+	if shared := d.pages[p]; shared != nil {
+		*pg = *shared
 	}
-	for i, b := range d.blocks {
-		if b != nil {
-			d.staleIn[i] = true
-			d.stale = append(d.stale, int32(i))
-		}
-	}
-	return d
+	d.pages[p] = pg
+	d.owned[p>>6] |= 1 << (p & 63)
+	return pg
 }
 
 // Fingerprint returns the device content hash, re-hashing only blocks
 // written since the previous call.
 func (d *Driver) Fingerprint() uint64 {
-	for _, b := range d.stale {
-		d.staleIn[b] = false
-		d.fp -= d.mixes[b]
-		d.mixes[b] = blockMix(b, d.blocks[b])
-		d.fp += d.mixes[b]
+	if d.nstale == 0 {
+		return d.fp
 	}
-	d.stale = d.stale[:0]
+	for p, word := range d.stale {
+		if word == 0 {
+			continue
+		}
+		pg := d.own(int32(p))
+		for ; word != 0; word &= word - 1 {
+			i := bits.TrailingZeros64(word)
+			mix := blockMix(int32(p<<pageShift|i), pg.blocks[i])
+			d.fp += mix - pg.mixes[i]
+			pg.mixes[i] = mix
+		}
+		d.stale[p] = 0
+	}
+	d.nstale = 0
 	return d.fp
 }
 
-// ShareFingerprint returns a copy of the per-block fingerprint
-// contributions plus the device fingerprint, for carrying through a
-// snapshot into NewFromBlocksFingerprint. The copy is O(table size),
-// like ShareBlocks; later writes on this driver cannot disturb it.
-func (d *Driver) ShareFingerprint() ([]uint64, uint64) {
-	fp := d.Fingerprint()
-	mixes := make([]uint64, len(d.mixes))
-	copy(mixes, d.mixes)
-	return mixes, fp
+// SizeBytes estimates the memory an image retains, for snapshot-cache
+// accounting: a table slot per block plus the written contents.
+func (img *Image) SizeBytes() int64 {
+	size := int64(img.n) * 24
+	for _, pg := range img.pages {
+		if pg == nil {
+			continue
+		}
+		for _, blk := range pg.blocks {
+			size += int64(len(blk))
+		}
+	}
+	return size
+}
+
+// EncodeTo writes the image as its block count followed by every block
+// in order, a never-written one as an empty blob.
+func (img *Image) EncodeTo(e *wire.Encoder) {
+	e.Uvarint(uint64(img.n))
+	for b := int32(0); b < img.n; b++ {
+		e.Blob(img.block(b))
+	}
+}
+
+// DecodeImage parses what EncodeTo wrote. The fingerprint state is not
+// part of the stream: every written block is left stale, so a fork's
+// first Fingerprint hashes them.
+func DecodeImage(d *wire.Decoder) (*Image, error) {
+	n := d.Uvarint()
+	if d.Err() == nil && (n > math.MaxInt32 || n > uint64(d.Remaining())) {
+		// A block takes at least one byte of the stream.
+		return nil, fmt.Errorf("driver: image claims %d blocks in %d bytes", n, d.Remaining())
+	}
+	img := &Image{newDisk(int32(n))}
+	for b := 0; b < int(n) && d.Err() == nil; b++ {
+		blk := d.Blob()
+		if blk == nil {
+			continue
+		}
+		if len(blk) != fs.BlockSize {
+			return nil, fmt.Errorf("driver: block %d of the image is %d bytes, want %d", b, len(blk), fs.BlockSize)
+		}
+		p := b >> pageShift
+		if img.pages[p] == nil {
+			img.pages[p] = new(page)
+		}
+		img.pages[p].blocks[b&(pageBlocks-1)] = blk
+		img.stale[p] |= 1 << (b & (pageBlocks - 1))
+		img.nstale++
+	}
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	return img, nil
 }
 
 // blockMix hashes one block's index and contents into its fingerprint
@@ -156,7 +235,7 @@ func blockMix(idx int32, data []byte) uint64 {
 }
 
 // Blocks reports the device capacity.
-func (d *Driver) Blocks() int32 { return int32(len(d.blocks)) }
+func (d *Driver) Blocks() int32 { return d.n }
 
 // Run is the driver server body.
 func (d *Driver) Run(ctx *kernel.Context) {
@@ -176,7 +255,7 @@ func (d *Driver) Run(ctx *kernel.Context) {
 			d.respond(ctx, m, resp)
 
 		case proto.DevInfo:
-			ctx.Reply(m.From, kernel.Message{A: int64(len(d.blocks))})
+			ctx.Reply(m.From, kernel.Message{A: int64(d.n)})
 
 		case proto.RSPing:
 			ctx.Reply(m.From, kernel.Message{Type: proto.RSPing})
@@ -198,27 +277,32 @@ func (d *Driver) respond(ctx *kernel.Context, req kernel.Message, resp kernel.Me
 	ctx.Send(req.From, resp)
 }
 
+// read hands out block b itself — blocks are immutable once installed
+// (fs.BlockDevice's contract) — or the shared zero block for one never
+// written.
 func (d *Driver) read(b int32) ([]byte, kernel.Errno) {
-	if b < 0 || int(b) >= len(d.blocks) {
+	if b < 0 || b >= d.n {
 		return nil, kernel.EIO
 	}
-	out := make([]byte, fs.BlockSize)
-	if d.blocks[b] != nil {
-		copy(out, d.blocks[b])
+	if blk := d.block(b); blk != nil {
+		return blk, kernel.OK
 	}
-	return out, kernel.OK
+	return fs.ZeroBlock(), kernel.OK
 }
 
+// write installs data as block b. A full-size buffer is adopted, not
+// copied: WriteBlock hands ownership over (fs.BlockDevice's contract)
+// and its one sender, fs.WriteAt, drops the buffer once sent. Anything
+// shorter is padded into a fresh block.
 func (d *Driver) write(b int32, data []byte) kernel.Errno {
-	if b < 0 || int(b) >= len(d.blocks) {
+	if b < 0 || b >= d.n {
 		return kernel.EIO
 	}
-	buf := make([]byte, fs.BlockSize)
-	copy(buf, data)
-	d.blocks[b] = buf
-	if !d.staleIn[b] {
-		d.staleIn[b] = true
-		d.stale = append(d.stale, b)
+	p, i := b>>pageShift, b&(pageBlocks-1)
+	d.own(p).blocks[i] = fs.OwnedBlock(data)
+	if d.stale[p]&(1<<i) == 0 {
+		d.stale[p] |= 1 << i
+		d.nstale++
 	}
 	return kernel.OK
 }

@@ -60,6 +60,7 @@ func New(store *memlog.Store, initEP int64) *VM {
 		nextFrame: memlog.NewCell(store, "vm.next_frame", 0),
 	}
 	if v.frames.Len() == 0 {
+		v.frames.Reserve(TotalPages)
 		for i := 0; i < TotalPages; i++ {
 			v.frames.Append(0)
 		}
