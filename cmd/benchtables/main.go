@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	benchtables [-scale quick|full] [-seed N] [-only 1,2,3,4,5,6,f3,mf,ablation,ipc,ckpt,cluster]
+//	benchtables [-scale quick|full] [-seed N] [-only 1,2,3,4,5,6,f3,mf,ablation,ipc,ckpt]
 //	            [-workers N] [-coldboot] [-noelide] [-snapcache SIZE] [-json out.json]
 //	            [-list] [-cpuprofile out.pprof] [-memprofile out.pprof]
 //
@@ -45,7 +45,7 @@ func main() {
 	var (
 		scaleName  = flag.String("scale", "quick", "evaluation scale: quick or full")
 		seed       = flag.Uint64("seed", 42, "simulation seed")
-		only       = flag.String("only", "", "comma-separated subset: 1,2,3,4,5,6,f3,mf,ablation,ipc,ckpt,cluster (default all)")
+		only       = flag.String("only", "", "comma-separated subset: 1,2,3,4,5,6,f3,mf,ablation,ipc,ckpt (default all)")
 		workers    = flag.Int("workers", 0, "concurrent simulated machines (0 = one per CPU, 1 = serial)")
 		coldBoot   = flag.Bool("coldboot", false, "boot every campaign run from scratch instead of forking a warm image")
 		noElide    = flag.Bool("noelide", false, "execute every run to its end: no tail splice on fingerprint match, no wedge certificate for hung runs (the bit-identity oracle)")
@@ -121,7 +121,6 @@ var sectionInfo = []struct {
 	{"ablation", "ablation_checkpointing", "Checkpointing ablation: legacy vs incremental"},
 	{"ipc", "ipc_reliability", "Survivability vs background transport fault rate"},
 	{"ckpt", "checkpointing_incremental", "Incremental checkpointing micro-table"},
-	{"cluster", "cluster_availability", "Multi-node cluster availability and failover"},
 }
 
 // section is one table/figure of the JSON report.
@@ -268,14 +267,6 @@ func run(scaleName string, seed uint64, only string, workers int, plane faultinj
 	if want("ckpt") {
 		t0 := time.Now()
 		emit("checkpointing_incremental", eval.RunCheckpointing(sc), time.Since(t0))
-	}
-	if want("cluster") {
-		t0 := time.Now()
-		t, err := eval.RunCluster(sc)
-		if err != nil {
-			return fmt.Errorf("cluster table: %w", err)
-		}
-		emit("cluster_availability", t, time.Since(t0))
 	}
 
 	if jsonPath != "" {

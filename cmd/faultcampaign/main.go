@@ -17,7 +17,6 @@
 //	              [-ipcfaults] [-droprate BP] [-duprate BP] [-delayrate BP]
 //	              [-reorderrate BP] [-corruptrate BP] [-ipcseed N]
 //	              [-ipctimeout CYCLES] [-ipcretry N]
-//	              [-nodes N] [-partitionrate BP]
 //	              [-cpuprofile out.pprof] [-memprofile out.pprof]
 //
 // Campaigns are crash-tolerant and replayable:
@@ -44,13 +43,6 @@
 // -snapcache takes a byte count with an optional KiB/MiB/GiB suffix;
 // malformed values are rejected at startup.
 //
-// With -nodes N (N >= 1) the command instead runs the cluster storm
-// campaign: N machines composed behind the load balancer, -runs
-// independent seeded fault storms (whole-node crashes, randomized
-// partition windows at -partitionrate basis points per slot, flaky
-// links on every node), each checked for the cluster invariants —
-// zero lost requests, cluster-wide audit consistency, goodput never
-// fully dark. The -*rate flags set the background network rates.
 // All basis-point rates must lie in [0, 10000].
 //
 // The -model ipcmix campaign arms one transport fault (drop, duplicate,
@@ -125,8 +117,6 @@ func main() {
 		delayRate  = flag.Int("delayrate", 0, "background delay rate, basis points")
 		reordRate  = flag.Int("reorderrate", 0, "background reorder rate, basis points")
 		corrRate   = flag.Int("corruptrate", 0, "background payload-corruption rate, basis points")
-		nodes      = flag.Int("nodes", 0, "compose N machines into a cluster and run the storm campaign (0 = classic single-machine campaign)")
-		partRate   = flag.Int("partitionrate", 100, "cluster campaign: per-node chance of a one-slot partition window, basis points per slot")
 		ipcSeed    = flag.Uint64("ipcseed", 0, "perturbation of the per-run transport fault stream")
 		ipcTimeout = flag.Int64("ipctimeout", 0, "sender retransmission timeout in cycles (0 = default when faults are on)")
 		ipcRetry   = flag.Int("ipcretry", 0, "retransmission budget per request (0 = kernel default)")
@@ -145,7 +135,7 @@ func main() {
 
 	if err := validateBPFlags([]bpFlag{
 		{"droprate", *dropRate}, {"duprate", *dupRate}, {"delayrate", *delayRate},
-		{"reorderrate", *reordRate}, {"corruptrate", *corrRate}, {"partitionrate", *partRate},
+		{"reorderrate", *reordRate}, {"corruptrate", *corrRate},
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "faultcampaign:", err)
 		os.Exit(2)
@@ -176,8 +166,8 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if (*recordDir != "" || *resumePath != "") && (*nodes > 0 || *profile) {
-		fmt.Fprintln(os.Stderr, "faultcampaign: -record/-resume apply to injection campaigns only (not -profile or -nodes)")
+	if (*recordDir != "" || *resumePath != "") && *profile {
+		fmt.Fprintln(os.Stderr, "faultcampaign: -record/-resume apply to injection campaigns only (not -profile)")
 		os.Exit(2)
 	}
 	if *resumePath != "" && *policyName == "all" {
@@ -185,28 +175,22 @@ func main() {
 		os.Exit(2)
 	}
 
-	var err error
-	unhealthy := false
-	if *nodes > 0 {
-		err = runClusterCampaign(*nodes, *seed, *runs, *workers, ipc.Faults, *partRate)
-	} else {
-		unhealthy, err = run(campaignSpec{
-			policyName: *policyName,
-			modelName:  *modelName,
-			samples:    *samples,
-			maxRuns:    *maxRuns,
-			seed:       *seed,
-			profile:    *profile,
-			faults:     *faults,
-			runs:       *runs,
-			workers:    *workers,
-			ipc:        ipc,
-			plane:      plane,
-			recordDir:  *recordDir,
-			resumePath: *resumePath,
-			quiet:      *quiet,
-		})
-	}
+	unhealthy, err := run(campaignSpec{
+		policyName: *policyName,
+		modelName:  *modelName,
+		samples:    *samples,
+		maxRuns:    *maxRuns,
+		seed:       *seed,
+		profile:    *profile,
+		faults:     *faults,
+		runs:       *runs,
+		workers:    *workers,
+		ipc:        ipc,
+		plane:      plane,
+		recordDir:  *recordDir,
+		resumePath: *resumePath,
+		quiet:      *quiet,
+	})
 	if *memProfile != "" {
 		if werr := writeHeapProfile(*memProfile); werr != nil && err == nil {
 			err = werr
@@ -232,7 +216,7 @@ func writeHeapProfile(path string) error {
 	return pprof.WriteHeapProfile(f)
 }
 
-// campaignSpec bundles the classic-campaign flags.
+// campaignSpec bundles the campaign flags.
 type campaignSpec struct {
 	policyName string
 	modelName  string
@@ -250,7 +234,7 @@ type campaignSpec struct {
 	quiet      bool
 }
 
-// run executes the classic (single-machine) campaigns. It reports
+// run executes the campaigns. It reports
 // whether any run was unhealthy — failed, crashed, or
 // audit-inconsistent — so main can gate the exit status on it.
 func run(spec campaignSpec) (unhealthy bool, err error) {

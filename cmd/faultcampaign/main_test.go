@@ -44,7 +44,6 @@ func TestValidateBPFlagsNamesTheOffender(t *testing.T) {
 		{"delayrate", 10000},
 		{"reorderrate", 20000},
 		{"corruptrate", -3},
-		{"partitionrate", 100},
 	}
 	err := validateBPFlags(flags)
 	if err == nil {

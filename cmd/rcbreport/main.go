@@ -108,15 +108,25 @@ type pkgCount struct {
 	rcb   bool
 }
 
-func run(root string, withTests bool) error {
+// countPackages counts the code lines of every package of the module
+// rooted at root, keyed by directory relative to root.
+func countPackages(root string, withTests bool) (map[string]*pkgCount, error) {
 	counts := make(map[string]*pkgCount)
 	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
-			name := d.Name()
-			if name == ".git" || name == "testdata" {
+			if path == root {
+				return nil
+			}
+			// The denominator is this module's own source: not dot-directories
+			// (.git, build caches), not testdata, and not a nested module —
+			// a subdirectory with its own go.mod, such as the bench/ harness.
+			if name := d.Name(); strings.HasPrefix(name, ".") || name == "testdata" {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 			return nil
@@ -147,6 +157,11 @@ func run(root string, withTests bool) error {
 		pc.lines += n
 		return nil
 	})
+	return counts, err
+}
+
+func run(root string, withTests bool) error {
+	counts, err := countPackages(root, withTests)
 	if err != nil {
 		return err
 	}

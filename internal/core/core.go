@@ -488,10 +488,10 @@ func (o *OS) Run(limit sim.Cycles) kernel.Result {
 	return res
 }
 
-// Shutdown force-stops an externally-stepped machine (kernel.Teardown)
-// and recycles the undo-log slabs exactly as Run's epilogue does. The
-// cluster composer uses it for node crashes and end-of-run teardown;
-// calling it on a machine that already finished is harmless.
+// Shutdown force-stops a machine left parked by RunToBarrier
+// (kernel.Teardown) and recycles the undo-log slabs exactly as Run's
+// epilogue does. Calling it on a machine that already finished is
+// harmless.
 func (o *OS) Shutdown(reason string) {
 	o.k.Teardown(reason)
 	for _, ep := range o.order {

@@ -8,6 +8,7 @@ package core
 // concurrently; each fork deep-copies everything it mutates.
 
 import (
+	"errors"
 	"fmt"
 	"hash/fnv"
 
@@ -54,6 +55,39 @@ func (img *OSImage) SizeBytes() int64 {
 	return n
 }
 
+// errAfterRecovery refuses a machine that recovered or quarantined a
+// component before it parked.
+var errAfterRecovery = errors.New("core: capture after recoveries or quarantines")
+
+// barrierRefusal is core's share of the quiescence predicate for a
+// machine parked at a barrier (the kernel's is Kernel.BarrierQuiescent):
+// nil when no component is quarantined, inside a recovery window,
+// mid-request or busy, otherwise the first reason one is.
+func (o *OS) barrierRefusal() error {
+	if o.Quarantines != 0 {
+		return errAfterRecovery
+	}
+	for _, ep := range o.order {
+		s := o.slots[ep]
+		if s.window.Open() || s.inRequest {
+			return fmt.Errorf("core: component %s mid-request at the barrier", s.name)
+		}
+		if br, ok := s.comp.(busyReporter); ok && br.Busy() {
+			return fmt.Errorf("core: component %s busy at the barrier", s.name)
+		}
+	}
+	return nil
+}
+
+// ElideQuiescent reports whether the machine, parked at a quiescence
+// barrier, is clean enough for its fingerprint to decide elision: both
+// layers are quiescent. Completed recoveries are fine — a recovered
+// machine is exactly what elision fingerprints; CaptureImage's
+// Recoveries refusal does NOT apply here.
+func (o *OS) ElideQuiescent() bool {
+	return o.k.BarrierQuiescent() && o.barrierRefusal() == nil
+}
+
 // CaptureImage snapshots a machine parked by RunToBarrier (via
 // Kernel().RunToBarrier). It fails when the machine is not at a clean
 // quiescent point — any recovery or quarantine happened, a window is
@@ -61,8 +95,11 @@ func (img *OSImage) SizeBytes() int64 {
 // back to cold boots. The source machine is left intact; shut it down
 // with Shutdown afterwards.
 func (o *OS) CaptureImage() (*OSImage, error) {
-	if o.Recoveries != 0 || o.Quarantines != 0 {
-		return nil, fmt.Errorf("core: capture after recoveries or quarantines")
+	if o.Recoveries != 0 {
+		return nil, errAfterRecovery
+	}
+	if err := o.barrierRefusal(); err != nil {
+		return nil, err
 	}
 	machine, err := o.k.CaptureImage()
 	if err != nil {
@@ -71,12 +108,6 @@ func (o *OS) CaptureImage() (*OSImage, error) {
 	img := &OSImage{machine: machine, slots: make(map[kernel.Endpoint]*slotImage, len(o.order))}
 	for _, ep := range o.order {
 		s := o.slots[ep]
-		if s.window.Open() || s.inRequest {
-			return nil, fmt.Errorf("core: component %s mid-request at the barrier", s.name)
-		}
-		if br, ok := s.comp.(busyReporter); ok && br.Busy() {
-			return nil, fmt.Errorf("core: component %s busy at the barrier", s.name)
-		}
 		si := &slotImage{
 			ep:            ep,
 			store:         s.store.ForkClone(),
@@ -200,32 +231,4 @@ func fpFold(h, ep, fp uint64) uint64 {
 	x *= 0x94d049bb133111eb
 	x ^= x >> 31
 	return x
-}
-
-// ElideQuiescent reports whether the machine, parked at a quiescence
-// barrier, is clean enough for its fingerprint to decide elision: the
-// kernel is at an elision-grade quiescent point (completed recoveries
-// are fine — a recovered machine is exactly what elision fingerprints;
-// CaptureImage's Recoveries refusal does NOT apply here) and no
-// component is mid-request or busy. residue reports that the refusal
-// is permanent fault residue — an active quarantine — rather than
-// transient in-flight work that a later barrier may have drained.
-func (o *OS) ElideQuiescent() (ok, residue bool) {
-	ok, residue = o.k.BarrierQuiescent()
-	if !ok {
-		return ok, residue
-	}
-	if o.Quarantines != 0 {
-		return false, true
-	}
-	for _, ep := range o.order {
-		s := o.slots[ep]
-		if s.window.Open() || s.inRequest {
-			return false, false
-		}
-		if br, isBusy := s.comp.(busyReporter); isBusy && br.Busy() {
-			return false, false
-		}
-	}
-	return true, false
 }

@@ -273,7 +273,7 @@ func (el *elider) tryElide(sys *boot.System, report *testsuite.Report, aud *audi
 	if !el.ready() {
 		return kernel.Result{}, ElideFallbackUntriggered, false
 	}
-	if ok, _ := sys.ElideQuiescent(); !ok {
+	if !sys.ElideQuiescent() {
 		return kernel.Result{}, ElideFallbackResidue, false
 	}
 	if !aud.Consistent() {

@@ -42,11 +42,12 @@ func (k *Kernel) fireDueAlarms() {
 	}
 }
 
-// nextEventTime reports the due time of the earliest pending event — a
-// live alarm, a deferred crash or an IPC-plane deadline — pruning stale
-// alarms of dead processes along the way. have is false when the
-// machine holds no pending event at all.
-func (k *Kernel) nextEventTime() (next sim.Cycles, have bool) {
+// advanceToNextEvent jumps virtual time to the earliest pending event —
+// a live alarm, a deferred crash or an IPC-plane deadline — when the
+// machine is otherwise idle, pruning stale alarms of dead processes
+// along the way. It reports whether the machine holds a pending event
+// at all (the main loop then processes it).
+func (k *Kernel) advanceToNextEvent() bool {
 	h := (*alarmHeap)(&k.alarms)
 	for h.Len() > 0 {
 		a := (*h)[0]
@@ -55,6 +56,8 @@ func (k *Kernel) nextEventTime() (next sim.Cycles, have bool) {
 		}
 		heap.Pop(h) // stale alarm for a dead process
 	}
+	var next sim.Cycles
+	have := false
 	if h.Len() > 0 {
 		next = (*h)[0].deadline
 		have = true
@@ -69,15 +72,6 @@ func (k *Kernel) nextEventTime() (next sim.Cycles, have bool) {
 		next = k.ipcNextDue
 		have = true
 	}
-	return next, have
-}
-
-// advanceToNextEvent jumps virtual time to the earliest pending event —
-// a live alarm or a deferred crash — when the machine is otherwise
-// idle. It reports whether an event became due (the main loop then
-// processes it).
-func (k *Kernel) advanceToNextEvent() bool {
-	next, have := k.nextEventTime()
 	if !have {
 		return false
 	}

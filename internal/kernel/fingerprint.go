@@ -247,53 +247,6 @@ func (ipc *ipcPlane) fingerprint(f *fpState) {
 	f.u64(uint64(len(ipc.armed)))
 }
 
-// BarrierQuiescent reports whether the machine, parked at a barrier by
-// RunToBarrier, is at an elision-grade quiescent point: no recovery in
-// flight, no pending crashes, every server parked in Receive, no
-// in-flight send state, no held transport events. Unlike CaptureImage
-// it tolerates completed recoveries — a recovered machine is exactly
-// the one elision wants to fingerprint. residue reports that the
-// refusal is permanent fault residue (an active quarantine) rather
-// than transient in-flight work.
-func (k *Kernel) BarrierQuiescent() (ok, residue bool) {
-	if !k.barrierHit || k.done || k.inRecovery {
-		return false, false
-	}
-	if len(k.quarantined) > 0 {
-		return false, true
-	}
-	if len(k.pendingCrashes) > 0 || len(k.recoveryPanics) > 0 || len(k.replyErrnoOverride) > 0 {
-		return false, false
-	}
-	for _, ep := range k.order {
-		p := k.procs[ep]
-		if p == nil {
-			return false, false
-		}
-		if !p.Alive() {
-			if p.state != stateDead || p.isServer || ep == k.rootEp {
-				return false, false
-			}
-			continue
-		}
-		switch {
-		case ep == k.rootEp:
-			if p.state != stateRunnable {
-				return false, false
-			}
-		case p.state != stateReceiving:
-			return false, false
-		}
-		if p.reply != nil || p.sendDeadline != 0 {
-			return false, false
-		}
-	}
-	if k.ipc != nil && (len(k.ipc.held) > 0 || len(k.ipc.armed) > 0) {
-		return false, false
-	}
-	return true, false
-}
-
 // RNGState returns the machine root RNG's state word (see
 // sim.RNG.State): equality across two points of one seeded run proves
 // zero draws were taken between them.

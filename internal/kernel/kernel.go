@@ -321,11 +321,6 @@ type Kernel struct {
 	// cycleLimit is the Run bound, latched so the fused-dispatch fast
 	// path can honor it without a kernel round trip.
 	cycleLimit sim.Cycles
-	// stepTarget bounds one StepUntil slice when the machine is driven
-	// externally (cluster lockstep). stepNone — the max sentinel — in
-	// ordinary Run-driven machines, so the fused-dispatch fast path pays
-	// a single always-false compare.
-	stepTarget sim.Cycles
 
 	kernelCh chan struct{}
 	running  *Process
@@ -400,7 +395,6 @@ func New(cost CostModel, seed uint64) *Kernel {
 		quarantined:        make(map[Endpoint]string),
 		pendingByEp:        make(map[Endpoint]int),
 		ipcNextDue:         ipcNone,
-		stepTarget:         stepNone,
 	}
 }
 
@@ -480,9 +474,28 @@ func (k *Kernel) Run(cycleLimit sim.Cycles) Result {
 	return k.StepResult()
 }
 
-// runLoop is the one scheduler loop behind Run and RunToBarrier: it
-// drives the machine until the run is done or — only when RunToBarrier
-// armed one — a process parks at a Context.Barrier.
+// StepResult summarizes the machine as Run would return it. A caller of
+// RunToBarrier, which returns no Result, reads the end of a run that
+// finished before the next barrier from here.
+func (k *Kernel) StepResult() Result {
+	return Result{Outcome: k.outcome, Reason: k.reason, Cycles: k.clock.Now()}
+}
+
+// Teardown force-stops a machine left parked by RunToBarrier and reaps
+// every process goroutine (Run does this via its deferred killAll).
+// Idempotent.
+func (k *Kernel) Teardown(reason string) {
+	if !k.done {
+		k.done = true
+		k.outcome = OutcomeShutdown
+		k.reason = reason
+	}
+	k.killAll()
+}
+
+// runLoop is the one scheduler loop, and Run and RunToBarrier are its
+// only two drivers: it runs the machine until the run is done or — only
+// when RunToBarrier armed one — a process parks at a Context.Barrier.
 func (k *Kernel) runLoop(cycleLimit sim.Cycles) {
 	k.cycleLimit = cycleLimit
 	if p := k.forkResume; p != nil && !k.done {
@@ -497,7 +510,19 @@ func (k *Kernel) runLoop(cycleLimit sim.Cycles) {
 		k.running = nil
 	}
 	for !k.done && !k.barrierHit {
-		if !k.turn() {
+		if k.handleDueCrash() {
+			continue
+		}
+		if k.clock.Now() > k.cycleLimit {
+			k.endAsHang()
+			continue
+		}
+		k.fireDueAlarms()
+		if k.clock.Now() >= k.ipcNextDue {
+			k.fireDueIPC()
+		}
+		if p := k.pickRunnable(); p != nil {
+			k.dispatch(p)
 			continue
 		}
 		// Idle: no process is runnable. An installed idle hook may prove
@@ -514,31 +539,6 @@ func (k *Kernel) runLoop(cycleLimit sim.Cycles) {
 	}
 }
 
-// turn is one iteration of the scheduler loop, shared by runLoop and
-// StepUntil: handle one due crash, or else enforce the cycle limit,
-// fire due alarms and IPC events and dispatch the next runnable
-// process. It reports idle when nothing was runnable — what an idle
-// machine does next is the caller's business.
-func (k *Kernel) turn() (idle bool) {
-	if k.handleDueCrash() {
-		return false
-	}
-	if k.clock.Now() > k.cycleLimit {
-		k.endAsHang()
-		return false
-	}
-	k.fireDueAlarms()
-	if k.clock.Now() >= k.ipcNextDue {
-		k.fireDueIPC()
-	}
-	p := k.pickRunnable()
-	if p == nil {
-		return true
-	}
-	k.dispatch(p)
-	return false
-}
-
 // endAsHang ends the run the way exceeding the cycle limit does.
 func (k *Kernel) endAsHang() {
 	k.done = true
@@ -552,7 +552,7 @@ func (k *Kernel) endAsHang() {
 // cycle limit would (OutcomeHang, "cycle limit exceeded"): the caller
 // has proven the machine wedged — see WedgeQuiescent and WedgeStamp for
 // the kernel's share of such a proof. Nil (the default) leaves the loop
-// untouched; externally stepped machines never call it.
+// untouched.
 func (k *Kernel) SetIdleHook(h func() (wedged bool)) { k.idleHook = h }
 
 // queueCrash appends a crash to the pending queue for handling at or

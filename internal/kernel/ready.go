@@ -149,11 +149,5 @@ func (k *Kernel) fusedNext() *Process {
 		// so this is a single always-false compare on the fast path.
 		return nil
 	}
-	if k.clock.Now() >= k.stepTarget {
-		// An externally-stepped machine reached its slice boundary:
-		// return the baton to StepUntil. stepTarget is the max sentinel
-		// for Run-driven machines (same trick as ipcNextDue above).
-		return nil
-	}
 	return k.pickRunnable()
 }

@@ -113,6 +113,62 @@ type MachineImage struct {
 	ipcNextDue sim.Cycles
 }
 
+// barrierRefusal is the kernel's one quiescence predicate for a machine
+// parked by RunToBarrier: nil when every process position is
+// reconstructible by a fresh goroutine and no fault or transport state
+// is in flight, otherwise the first reason it is not. CaptureImage
+// refuses on it and BarrierQuiescent reports it as a bool.
+func (k *Kernel) barrierRefusal() error {
+	if !k.barrierHit {
+		return fmt.Errorf("kernel: capture without a barrier hit")
+	}
+	if k.done || k.inRecovery {
+		return fmt.Errorf("kernel: capture on a finished or recovering machine")
+	}
+	if len(k.pendingCrashes) > 0 || len(k.quarantined) > 0 ||
+		len(k.recoveryPanics) > 0 || len(k.replyErrnoOverride) > 0 {
+		return fmt.Errorf("kernel: capture with pending crash/quarantine state")
+	}
+	for _, ep := range k.order {
+		p := k.procs[ep]
+		if p == nil {
+			return fmt.Errorf("kernel: capture with missing process at endpoint %d", ep)
+		}
+		if !p.Alive() {
+			// Exited test children stay in the scheduling order forever
+			// (endpoints are never reused): a mid-suite barrier is
+			// quiescent even with reaped children in the table, as long as
+			// nothing crashed.
+			if p.state != stateDead || p.isServer || ep == k.rootEp {
+				return fmt.Errorf("kernel: capture with crashed or dead process %s(%d)", p.name, ep)
+			}
+			continue
+		}
+		switch {
+		case ep == k.rootEp:
+			if p.state != stateRunnable {
+				return fmt.Errorf("kernel: root process not parked runnable at the barrier")
+			}
+		case p.state != stateReceiving:
+			return fmt.Errorf("kernel: process %s(%d) not parked in Receive (state %d)", p.name, ep, p.state)
+		}
+		if p.reply != nil || p.sendDeadline != 0 {
+			return fmt.Errorf("kernel: process %s(%d) holds in-flight send state", p.name, ep)
+		}
+	}
+	if k.ipc != nil && (len(k.ipc.held) > 0 || len(k.ipc.armed) > 0) {
+		return fmt.Errorf("kernel: capture with in-flight transport events")
+	}
+	return nil
+}
+
+// BarrierQuiescent reports whether the machine, parked at a barrier by
+// RunToBarrier, is at the quiescent point CaptureImage demands. Tail
+// elision asks it of a recovered machine: completed recoveries leave no
+// kernel state behind, so a machine that recovered cleanly is exactly
+// as quiescent as one that never crashed.
+func (k *Kernel) BarrierQuiescent() bool { return k.barrierRefusal() == nil }
+
 // CaptureImage snapshots a machine parked by RunToBarrier. It returns
 // an error when the machine is not at a reconstructible quiescent point
 // — any process blocked mid-SendRec, a pending crash or quarantine, an
@@ -120,15 +176,8 @@ type MachineImage struct {
 // to cold boots. The source machine is left untouched (tear it down
 // separately).
 func (k *Kernel) CaptureImage() (*MachineImage, error) {
-	if !k.barrierHit {
-		return nil, fmt.Errorf("kernel: capture without a barrier hit")
-	}
-	if k.done || k.inRecovery {
-		return nil, fmt.Errorf("kernel: capture on a finished or recovering machine")
-	}
-	if len(k.pendingCrashes) > 0 || len(k.quarantined) > 0 ||
-		len(k.recoveryPanics) > 0 || len(k.replyErrnoOverride) > 0 {
-		return nil, fmt.Errorf("kernel: capture with pending crash/quarantine state")
+	if err := k.barrierRefusal(); err != nil {
+		return nil, err
 	}
 	img := &MachineImage{
 		now:        k.clock.Now(),
@@ -142,30 +191,10 @@ func (k *Kernel) CaptureImage() (*MachineImage, error) {
 	}
 	for _, ep := range k.order {
 		p := k.procs[ep]
-		if p == nil {
-			return nil, fmt.Errorf("kernel: capture with missing process at endpoint %d", ep)
-		}
 		if !p.Alive() {
-			// Exited test children stay in the scheduling order forever
-			// (endpoints are never reused). Capture them as placeholders:
-			// a mid-suite barrier is quiescent even with reaped children
-			// in the table, as long as nothing crashed.
-			if p.state != stateDead || p.isServer || ep == k.rootEp {
-				return nil, fmt.Errorf("kernel: capture with crashed or dead process %s(%d)", p.name, ep)
-			}
+			// A reaped child: captured as a placeholder.
 			img.procs = append(img.procs, procImage{ep: ep, name: p.name, state: stateDead})
 			continue
-		}
-		switch {
-		case ep == k.rootEp:
-			if p.state != stateRunnable {
-				return nil, fmt.Errorf("kernel: root process not parked runnable at the barrier")
-			}
-		case p.state != stateReceiving:
-			return nil, fmt.Errorf("kernel: process %s(%d) not parked in Receive (state %d)", p.name, ep, p.state)
-		}
-		if p.reply != nil || p.sendDeadline != 0 {
-			return nil, fmt.Errorf("kernel: process %s(%d) holds in-flight send state", p.name, ep)
 		}
 		pi := procImage{
 			ep:            ep,
@@ -185,9 +214,6 @@ func (k *Kernel) CaptureImage() (*MachineImage, error) {
 		img.procs = append(img.procs, pi)
 	}
 	if k.ipc != nil {
-		if len(k.ipc.held) > 0 || len(k.ipc.armed) > 0 {
-			return nil, fmt.Errorf("kernel: capture with in-flight transport events")
-		}
 		img.ipc = &planeImage{
 			stats:      k.ipc.stats,
 			nextSeq:    cloneMap(k.ipc.nextSeq),

@@ -41,6 +41,14 @@ func wedgeMachine(tune func(k *Kernel)) *Kernel {
 	return k
 }
 
+// parkForever is a process body that drains its inbox and never
+// replies.
+func parkForever(ctx *Context) {
+	for {
+		ctx.Receive()
+	}
+}
+
 // quiescentAtIdle runs the machine for the given number of idle points
 // and returns what WedgeQuiescent said at each.
 func quiescentAtIdle(k *Kernel, idles int) []bool {
@@ -84,26 +92,11 @@ func TestIdleHookUnsetRunsToTheLimit(t *testing.T) {
 	}
 }
 
-func TestIdleHookNotCalledWhenStepped(t *testing.T) {
-	k := wedgeMachine(nil)
-	k.SetIdleHook(func() bool { t.Error("idle hook called on an externally stepped machine"); return true })
-	k.BeginSteps(testLimit)
-	if k.StepUntil(5 * beatPeriod) {
-		t.Error("stepped machine finished")
-	}
-	k.Teardown("test over")
-}
-
 // The base machine is wedge-quiescent at every idle point; each case
 // adds exactly one thing a WedgeQuiescent clause exists to refuse.
 func TestWedgeQuiescentGates(t *testing.T) {
 	if got := quiescentAtIdle(wedgeMachine(nil), 4); len(got) != 4 || !allTrue(got) {
 		t.Fatalf("base machine not wedge-quiescent at every idle point: %v", got)
-	}
-	parkForever := func(ctx *Context) {
-		for {
-			ctx.Receive()
-		}
 	}
 	cases := []struct {
 		name string

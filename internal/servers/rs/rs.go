@@ -261,58 +261,6 @@ func (r *RS) ApplyForkSnapshot(snap any) {
 	}
 }
 
-// TargetHealth is RS's view of one probed component.
-type TargetHealth struct {
-	// EP is the probed endpoint.
-	EP kernel.Endpoint
-	// LastSeen is the virtual time of the target's last heartbeat
-	// answer (zero if it never answered).
-	LastSeen sim.Cycles
-	// Outstanding is how many consecutive probe rounds are currently
-	// unanswered; hangMisses rounds of silence fail-stop the target.
-	Outstanding int
-	// Quarantined reports whether the sequencer detached the target.
-	Quarantined bool
-}
-
-// Health is a point-in-time snapshot of RS's view of the machine:
-// aggregate recovery accounting plus per-target probe state. It is the
-// single source of truth shared by the cluster load balancer and any
-// future dashboard. Assembling it performs only reads, so existing
-// behavior is bit-identical whether or not anyone calls it.
-type Health struct {
-	// Recoveries, Quarantines and HangKills mirror the accessors of the
-	// same names; PingRounds counts completed heartbeat rounds.
-	Recoveries  int64
-	Quarantines int64
-	HangKills   int64
-	PingRounds  int64
-	// Targets holds per-component probe state in the fixed probe order.
-	Targets []TargetHealth
-}
-
-// Health assembles a snapshot of RS's current view. Safe to call from
-// outside the machine between scheduling steps (it only reads).
-func (r *RS) Health() Health {
-	h := Health{
-		Recoveries:  r.recoveries.Get(),
-		Quarantines: r.quarantines.Get(),
-		HangKills:   r.hangKills.Get(),
-		PingRounds:  r.pingRounds.Get(),
-		Targets:     make([]TargetHealth, 0, len(r.targets)),
-	}
-	for _, t := range r.targets {
-		last, _ := r.lastSeen.Get(int64(t))
-		h.Targets = append(h.Targets, TargetHealth{
-			EP:          t,
-			LastSeen:    sim.Cycles(last),
-			Outstanding: r.outstanding[t],
-			Quarantined: r.quarantined[t],
-		})
-	}
-	return h
-}
-
 // Recoveries reports the number of recoveries RS has accounted.
 func (r *RS) Recoveries() int64 { return r.recoveries.Get() }
 

@@ -210,38 +210,3 @@ func TestDSEventAbsorbedAndPing(t *testing.T) {
 		}
 	})
 }
-
-// TestHealthSnapshot: Health() exposes RS's probe/accounting view as
-// one queryable snapshot — aggregate counters plus per-target state in
-// the fixed probe order — and assembling it performs only reads.
-func TestHealthSnapshot(t *testing.T) {
-	r, _ := harness(t, true, func(ctx *kernel.Context) {
-		ctx.Kernel().PostMessage(kernel.EpKernel, kernel.EpRS,
-			kernel.Message{Type: kernel.MsgCrashNotify, A: int64(kernel.EpDS)})
-		ctx.Kernel().PostMessage(kernel.EpKernel, kernel.EpRS,
-			kernel.Message{Type: kernel.MsgQuarantineNotify, A: int64(kernel.EpDS)})
-		ctx.SetAlarm(3 * HeartbeatPeriod)
-		ctx.Receive()
-	})
-	h := r.Health()
-	if h.Recoveries != 1 || h.Quarantines != 1 {
-		t.Fatalf("health = %+v, want 1 recovery and 1 quarantine", h)
-	}
-	if h.PingRounds < 2 {
-		t.Fatalf("ping rounds = %d, want >= 2", h.PingRounds)
-	}
-	if len(h.Targets) != 1 || h.Targets[0].EP != kernel.EpDS {
-		t.Fatalf("targets = %+v, want exactly the probed EpDS", h.Targets)
-	}
-	if !h.Targets[0].Quarantined {
-		t.Fatal("quarantined target not reflected in health snapshot")
-	}
-	// Snapshot values agree with the long-standing accessors (reads
-	// only — calling Health must not perturb anything).
-	if h.Recoveries != r.Recoveries() || h.Quarantines != r.Quarantines() || h.HangKills != r.HangKills() {
-		t.Fatalf("health snapshot disagrees with accessors: %+v", h)
-	}
-	if last, _ := r.lastSeen.Get(int64(kernel.EpDS)); sim.Cycles(last) != h.Targets[0].LastSeen {
-		t.Fatalf("LastSeen %d disagrees with store %d", h.Targets[0].LastSeen, last)
-	}
-}
