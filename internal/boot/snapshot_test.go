@@ -2,6 +2,7 @@ package boot
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -102,5 +103,34 @@ func TestWarmForkSnapshotImmutable(t *testing.T) {
 	if !reflect.DeepEqual(firstRes, secondRes) || !reflect.DeepEqual(firstRep, secondRep) {
 		t.Errorf("second fork differs from first:\nfirst  %+v %+v\nsecond %+v %+v",
 			firstRes, firstRep, secondRes, secondRep)
+	}
+}
+
+// A simulated context switch is a coroutine switch on the calling
+// thread, so how many processors the host scheduler has to play with
+// cannot reach the simulation: the same machine run under GOMAXPROCS 1
+// and 2 ends with the same result, cycle count, suite report and state.
+func TestHostProcessorsDoNotReachTheSimulation(t *testing.T) {
+	type end struct {
+		res kernel.Result
+		rep testsuite.Report
+		fp  uint64
+	}
+	runAt := func(procs int) end {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		var e end
+		sys := Boot(suiteOpts(11), testsuite.RunnerInit(&e.rep))
+		e.res = sys.Run(testLimit)
+		fp, err := sys.StateFingerprint()
+		if err != nil {
+			t.Fatalf("StateFingerprint at GOMAXPROCS %d: %v", procs, err)
+		}
+		e.fp = fp
+		return e
+	}
+	one, two := runAt(1), runAt(2)
+	mustComplete(t, one.res)
+	if !reflect.DeepEqual(one, two) {
+		t.Errorf("GOMAXPROCS 1 and 2 differ:\n1: %+v\n2: %+v", one, two)
 	}
 }

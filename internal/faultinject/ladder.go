@@ -305,7 +305,7 @@ func (l *ladder) finish(reason string) {
 	}
 }
 
-// Close tears down the pathfinder machine (its goroutines park forever
+// Close tears down the pathfinder machine (its coroutines stay parked
 // otherwise). Snapshots already captured stay valid.
 func (l *ladder) Close() {
 	l.mu.Lock()

@@ -3,12 +3,15 @@
 // passing, a deterministic cooperative scheduler, crash trapping, alarms
 // and the virtual-cycle cost model.
 //
-// Every simulated process — OS server or user program — is a goroutine
-// that runs only while it holds the kernel baton. It yields the baton
-// when it blocks in Receive/SendRec, when its scheduling quantum
-// expires inside Tick, or when it exits or crashes. Exactly one
-// goroutine runs at any moment, so the entire machine is deterministic
-// given its seed.
+// Every simulated process — OS server or user program — runs its body on
+// a host coroutine (coro.go) that only the kernel loop resumes. It
+// suspends when it blocks in Receive/SendRec, when its scheduling quantum
+// expires inside Tick, or when it exits or crashes, and says which process
+// the loop would pick next if picking is all the loop would do. There is
+// one flow of control, handed around explicitly on one OS thread — no
+// host scheduler, no channel, no wake-up between two simulated context
+// switches — so the entire machine is deterministic given its seed, by
+// construction and at any GOMAXPROCS.
 //
 // A panic inside a process is trapped by the kernel and treated as a
 // fail-stop crash of that component (paper §II-E): the kernel records
@@ -322,8 +325,15 @@ type Kernel struct {
 	// path can honor it without a kernel round trip.
 	cycleLimit sim.Cycles
 
-	kernelCh chan struct{}
-	running  *Process
+	// running is the process whose body has control; nil while the
+	// kernel loop itself does.
+	running *Process
+	// idleCoros is the free list of coroutines whose last body ended:
+	// per machine, so nothing carries from one run to the next.
+	// corosCreated counts the coroutines the machine ever created (tests
+	// bound it).
+	idleCoros    []*coro
+	corosCreated int
 
 	pendingCrashes []queuedCrash
 	// pendingByEp counts queued crashes per victim so RecoveryPending
@@ -366,7 +376,7 @@ type Kernel struct {
 	// Context.Barrier call park its process and stop RunToBarrier;
 	// unarmed (every ordinary machine), Barrier is a complete no-op.
 	// barrierHit latches that the quiescence barrier was reached.
-	// forkResume names the process Run must hand the baton to first on
+	// forkResume names the process Run must resume first on
 	// a forked machine — resuming it exactly where the captured machine
 	// parked, without an extra dispatch count.
 	barrierArmed bool
@@ -388,7 +398,6 @@ func New(cost CostModel, seed uint64) *Kernel {
 		counters:           sim.NewCounters(),
 		cost:               cost,
 		procs:              make(map[Endpoint]*Process),
-		kernelCh:           make(chan struct{}),
 		nextUserEp:         EpUserBase,
 		replyErrnoOverride: make(map[Endpoint]Errno),
 		recoveryPanics:     make(map[Endpoint]int),
@@ -466,7 +475,8 @@ func (k *Kernel) OverrideNextReplyErrno(ep Endpoint, e Errno) {
 
 // Run drives the machine until the root process exits, a shutdown or
 // crash occurs, deadlock is detected, or cycleLimit is exceeded. It
-// always tears down every process goroutine before returning.
+// always unwinds every process body and ends every coroutine before
+// returning.
 func (k *Kernel) Run(cycleLimit sim.Cycles) Result {
 	defer k.killAll()
 	k.barrierHit = false
@@ -481,9 +491,9 @@ func (k *Kernel) StepResult() Result {
 	return Result{Outcome: k.outcome, Reason: k.reason, Cycles: k.clock.Now()}
 }
 
-// Teardown force-stops a machine left parked by RunToBarrier and reaps
-// every process goroutine (Run does this via its deferred killAll).
-// Idempotent.
+// Teardown force-stops a machine left parked by RunToBarrier, unwinds
+// every process body and ends every coroutine (Run does this via its
+// deferred killAll). Idempotent.
 func (k *Kernel) Teardown(reason string) {
 	if !k.done {
 		k.done = true
@@ -499,15 +509,11 @@ func (k *Kernel) Teardown(reason string) {
 func (k *Kernel) runLoop(cycleLimit sim.Cycles) {
 	k.cycleLimit = cycleLimit
 	if p := k.forkResume; p != nil && !k.done {
-		// Forked or barrier-parked machine: hand the baton straight to the
-		// process parked at the quiescence barrier. No dispatch is counted
-		// — the captured machine already counted the dispatch this
-		// continues.
+		// Forked or barrier-parked machine: switch straight to the process
+		// parked at the quiescence barrier. No dispatch is counted — the
+		// captured machine already counted the dispatch this continues.
 		k.forkResume = nil
-		k.running = p
-		p.baton <- token{}
-		<-k.kernelCh
-		k.running = nil
+		k.resume(p)
 	}
 	for !k.done && !k.barrierHit {
 		if k.handleDueCrash() {
@@ -522,7 +528,8 @@ func (k *Kernel) runLoop(cycleLimit sim.Cycles) {
 			k.fireDueIPC()
 		}
 		if p := k.pickRunnable(); p != nil {
-			k.dispatch(p)
+			k.counters.AddID(ctrDispatches, 1)
+			k.resume(p)
 			continue
 		}
 		// Idle: no process is runnable. An installed idle hook may prove
@@ -699,7 +706,7 @@ func (k *Kernel) IsQuarantined(ep Endpoint) bool {
 func (k *Kernel) QuarantineReason(ep Endpoint) string { return k.quarantined[ep] }
 
 // QuarantineProcess permanently detaches the process at ep as graceful
-// degradation: its goroutine is torn down, queued messages are dropped,
+// degradation: its body is unwound, queued messages are dropped,
 // every blocked caller receives ECRASH, and all subsequent IPC to ep is
 // error-virtualized to ECRASH by the kernel so the rest of the system
 // keeps running. Must not be called on the currently running process.
@@ -714,23 +721,7 @@ func (k *Kernel) QuarantineProcess(ep Endpoint, reason string) error {
 	if p == k.running {
 		panic("kernel: QuarantineProcess on the running process")
 	}
-	switch p.state {
-	case stateDead:
-	case stateCrashed:
-		// The crashed goroutine has already unwound.
-		<-p.gone
-		p.state = stateDead
-	default:
-		p.state = stateDead
-		p.baton <- token{kill: true}
-		<-p.gone
-	}
-	if p.onKill != nil {
-		p.onKill()
-		p.onKill = nil
-	}
-	p.releaseInbox()
-	k.markSched(p)
+	p.reap(stateDead)
 	k.quarantined[ep] = reason
 	k.dropQueuedCrashes(ep)
 	k.FailPendingCallers(ep, ECRASH)

@@ -14,7 +14,8 @@ import (
 type procState int
 
 const (
-	// stateRunnable: parked on the baton, ready to run.
+	// stateRunnable: ready to run (not yet dispatched, or suspended with
+	// its quantum spent).
 	stateRunnable procState = iota + 1
 	// stateReceiving: blocked in Receive; runnable once the inbox is
 	// non-empty.
@@ -29,11 +30,7 @@ const (
 	stateCrashed
 )
 
-// token is passed through the baton channel; kill asks the goroutine to
-// unwind and exit without touching kernel state.
-type token struct{ kill bool }
-
-// errKilled is the panic payload used to unwind a killed process.
+// killedSignal is the panic payload that unwinds a killed process.
 type killedSignal struct{}
 
 // Body is the code of a simulated process.
@@ -60,12 +57,21 @@ type Process struct {
 	*procLive
 }
 
-// procLive is the part of a Process only a process with a goroutine has.
+// procLive is the part of a Process only a process that can run has.
 type procLive struct {
 	body Body
 
-	baton chan token
-	gone  chan struct{}
+	// co is the coroutine the body is on, from the process's first
+	// dispatch until the body returns, crashes or is unwound (coro.go);
+	// nil before and after, so a process that is never dispatched costs
+	// no coroutine.
+	co *coro
+	// nested is set while a coroutine nested under the body (a cothread
+	// worker) runs: only the body's own coroutine may suspend the process,
+	// so a kernel call made down there asks it to through nested, leaving
+	// the successor it named in handoff (RunNested).
+	nested  func()
+	handoff *Process
 
 	// inbox is a head-indexed FIFO over a pooled backing array:
 	// inbox[inboxHead:] are the queued messages. Access goes through
@@ -100,12 +106,12 @@ type procLive struct {
 	curNeedsReply bool
 
 	// onKill releases resources owned by the process body (e.g.
-	// cooperative worker threads) when the goroutine is torn down or
-	// the component is replaced after a crash.
+	// cooperative worker threads) when the process is torn down or the
+	// component is replaced after a crash.
 	onKill func()
 
-	// killed latches that the goroutine received its kill token and is
-	// unwinding (only the process's own goroutine touches it).
+	// killed latches that the process is being torn down: reap sets it
+	// before it resumes the suspended body, which then unwinds.
 	killed bool
 
 	ctx Context
@@ -122,8 +128,6 @@ func (k *Kernel) newProcess(ep Endpoint, name string, body Body, isServer bool, 
 	*p = Process{k: k, ep: ep, name: name, isServer: isServer, state: stateRunnable, procLive: &alloc.live}
 	alloc.live = procLive{
 		body:   body,
-		baton:  make(chan token),
-		gone:   make(chan struct{}),
 		window: cfg.Window,
 		store:  cfg.Store,
 		ctx:    Context{k: k, p: p},
@@ -227,8 +231,8 @@ func (p *Process) Name() string { return p.name }
 // Alive reports whether the process can still be scheduled.
 func (p *Process) Alive() bool { return p.state != stateDead && p.state != stateCrashed }
 
-// SetOnKill installs the teardown hook. Process bodies owning auxiliary
-// goroutines (cooperative threads) must set this.
+// SetOnKill installs the teardown hook. Process bodies owning nested
+// coroutines (cooperative threads) must set this; cothread.NewPool does.
 func (p *Process) SetOnKill(fn func()) { p.onKill = fn }
 
 // ServerConfig attaches recovery machinery to a server process.
@@ -258,7 +262,6 @@ func (k *Kernel) addProcess(ep Endpoint, name string, body Body, isServer bool, 
 	k.procs[ep] = p
 	k.insertIntoOrder(ep)
 	k.markSched(p)
-	p.start()
 	k.counters.AddID(ctrProcsCreated, 1)
 	return p
 }
@@ -281,34 +284,17 @@ func (k *Kernel) insertIntoOrder(ep Endpoint) {
 	k.procs[ep].orderIdx = i
 }
 
-// start launches the process goroutine, parked on the baton.
-func (p *Process) start() {
-	go func() {
-		defer close(p.gone)
-		tok := <-p.baton
-		if tok.kill {
-			return
-		}
-		killed := p.runBody()
-		if killed {
-			// A killed process never signals the kernel: the killer owns
-			// the control flow and waits on p.gone.
-			return
-		}
-		p.k.kernelCh <- struct{}{}
-	}()
-}
-
-// runBody executes the process body, trapping crashes. It reports
-// whether the body was unwound by a kill.
-func (p *Process) runBody() (killed bool) {
+// runBody executes the process body, trapping crashes and the kill that
+// unwinds it. Its recover is the outermost frame of every body: a panic
+// that gets past it is a bug in the kernel and surfaces in the kernel
+// loop, out of the next that resumed the coroutine.
+func (p *Process) runBody() {
 	defer func() {
 		r := recover()
 		if r == nil {
 			return
 		}
 		if _, isKill := r.(killedSignal); isKill {
-			killed = true
 			p.state = stateDead
 			p.k.markSched(p)
 			return
@@ -332,49 +318,74 @@ func (p *Process) runBody() (killed bool) {
 	p.state = stateDead
 	p.k.markSched(p)
 	p.k.noteExit(p)
-	return false
 }
 
-// yieldToKernel hands the CPU back and blocks until re-dispatched. It
+// yieldToKernel hands the CPU back and suspends until re-dispatched. It
 // panics with killedSignal when the kernel tears the process down.
 //
-// Fast path (fused dispatch): when a full trip through the kernel loop
-// would do nothing but pick the next process — no due crash or alarm,
-// run not done, cycle limit not reached — the baton is handed directly
-// to that process, skipping the kernel-goroutine round trip and
-// halving the channel operations per context switch. Handing off to
-// ourselves degenerates to not switching at all.
+// Fused dispatch: when a full trip through the kernel loop would do
+// nothing but pick the next process — no due crash or alarm, run not
+// done, cycle limit not reached — the dispatch is counted here and the
+// process suspends naming that successor, which Kernel.resume switches to
+// without re-running the loop's checks. Handing off to ourselves
+// degenerates to not switching at all.
 func (p *Process) yieldToKernel() {
-	k := p.k
-	if next := k.fusedNext(); next != nil {
-		k.counters.AddID(ctrDispatches, 1)
-		k.running = next
+	next := p.k.fusedNext()
+	if next != nil {
+		p.k.counters.AddID(ctrDispatches, 1)
 		if next == p {
 			return
 		}
-		next.baton <- token{}
-		p.awaitBaton()
+	}
+	p.suspend(next)
+}
+
+// suspend switches the process out — to next, or to the kernel loop when
+// next is nil — and returns when the process is dispatched again; resumed
+// by reap instead, it unwinds the body. Under a nested coroutine the
+// body's own coroutine does it on the caller's behalf.
+func (p *Process) suspend(next *Process) {
+	if relay := p.nested; relay != nil {
+		p.handoff = next
+		relay()
 		return
 	}
-	k.kernelCh <- struct{}{}
-	p.awaitBaton()
+	p.co.yield(next)
+	p.checkKilled()
 }
 
-// awaitBaton parks the goroutine until the process is dispatched again.
-// A kill token unwinds the body with killedSignal instead.
-func (p *Process) awaitBaton() {
-	if tok := <-p.baton; tok.kill {
-		p.killed = true
-		panic(killedSignal{})
+// RunNested is how a process body runs a coroutine nested under its own
+// (a cothread worker). resume switches into the nested coroutine and
+// reports, once that switches back, whether it did so from relay — what a
+// kernel call made down there invokes in place of suspending the process,
+// which only the body's own coroutine may do. RunNested then suspends the
+// process and switches in again once it is dispatched, for as long as
+// resume asks. A kill that arrives meanwhile unwinds the body from here
+// and leaves the nested coroutine parked in relay for onKill to unwind.
+//
+// Only the running process may call it: a pool driven from any other flow
+// of control would suspend the wrong process, silently — so that panics.
+func (p *Process) RunNested(resume func() (suspend bool), relay func()) {
+	if p.k.running != p {
+		panic(fmt.Sprintf("kernel: nested coroutine of %s(%d) resumed outside its process", p.name, p.ep))
 	}
+	outer := p.nested
+	p.nested = relay
+	for resume() {
+		p.nested = outer
+		p.suspend(p.handoff)
+		p.nested = relay
+	}
+	p.nested = outer
 }
 
-// checkKilled re-raises the kill in a body that is already unwinding.
-// The kill panic runs the body's deferred calls, and user programs
-// defer system calls (`defer p.Unlink(path)`): such a call must neither
-// touch kernel state nor yield to a scheduler that no longer runs — the
-// killer is blocked waiting for this goroutine to exit — so every
-// Context call that can block starts here.
+// checkKilled raises the kill in a body resumed by reap, and re-raises it
+// in one that is already unwinding. The kill panic runs the body's
+// deferred calls, and user programs defer system calls
+// (`defer p.Unlink(path)`): such a call must neither touch kernel state
+// nor suspend — whoever resumed the body is reap, which would take the
+// suspension for the end of the unwinding — so every Context call that
+// can block starts here.
 func (p *Process) checkKilled() {
 	if p.killed {
 		panic(killedSignal{})
@@ -393,18 +404,6 @@ func (p *Process) schedulable() bool {
 	default:
 		return false
 	}
-}
-
-// dispatch hands the baton to p and waits for the baton to come back
-// to the kernel. Fused handoffs may pass the baton between processes
-// many times before some process finally signals kernelCh; k.running
-// always names the current holder.
-func (k *Kernel) dispatch(p *Process) {
-	k.running = p
-	k.counters.AddID(ctrDispatches, 1)
-	p.baton <- token{}
-	<-k.kernelCh
-	k.running = nil
 }
 
 // noteExit handles normal termination of a process body.
@@ -431,14 +430,37 @@ func (k *Kernel) TerminateProcess(ep Endpoint) Errno {
 	return OK
 }
 
-// killProcess tears down the goroutine of a parked, alive process.
+// reap ends whatever p still has of a running process and leaves it in
+// state final: stateDead, or stateCrashed for an endpoint that awaits a
+// replacement and keeps its inbox for it. A body suspended mid-run is
+// unwound by resuming it with the killed latch set (stop would end the
+// coroutine for good; this way it is back on the free list); a process
+// that never ran, exited or crashed has none. p must not be running.
 //
-// Ordering matters: the kill token goes through the baton FIRST. If the
-// process owns cooperative worker threads, the goroutine currently
-// parked on the baton may be a worker (it yielded to the kernel from
-// inside a job); the kill then unwinds worker → main loop naturally.
-// Only afterwards does onKill reap the workers still parked on their
-// own channels — doing it first deadlocks against a baton-parked worker.
+// One ordering is required: the latch is set before anything unwinds, so
+// that a deferred system call — in the body or in a worker's job —
+// re-raises the kill instead of suspending. The body goes before onKill
+// only so its deferred calls still find what onKill releases: a worker is
+// nested under the body's coroutine and parks on its own switch even
+// inside a kernel call (RunNested), never on the process's.
+func (p *Process) reap(final procState) {
+	p.state = stateDead
+	p.killed = true
+	if p.co != nil {
+		p.co.next()
+	}
+	if p.onKill != nil {
+		p.onKill()
+		p.onKill = nil
+	}
+	if final == stateDead {
+		p.releaseInbox()
+	}
+	p.state = final
+	p.k.markSched(p)
+}
+
+// killProcess tears down a suspended or finished process.
 func (k *Kernel) killProcess(p *Process) {
 	if p.ep == k.rootEp && !k.done {
 		// The root workload process ended (exit syscall or kill):
@@ -447,61 +469,30 @@ func (k *Kernel) killProcess(p *Process) {
 		k.outcome = OutcomeCompleted
 		k.reason = "root process terminated"
 	}
-	if p.state == stateDead || p.state == stateCrashed {
-		// Crashed processes already unwound their goroutine.
-		p.state = stateDead
-	} else {
-		p.state = stateDead
-		p.baton <- token{kill: true}
-		<-p.gone
-	}
-	if p.onKill != nil {
-		p.onKill()
-		p.onKill = nil
-	}
-	p.releaseInbox()
-	k.markSched(p)
+	p.reap(stateDead)
 }
 
-// killAll tears down every process at the end of Run. As in
-// killProcess, the baton kill precedes onKill so a worker thread parked
-// on the baton unwinds cleanly before its siblings are reaped.
+// killAll tears down every process at the end of Run and ends every
+// coroutine the machine created.
 func (k *Kernel) killAll() {
 	for _, ep := range k.order {
-		p := k.procs[ep]
-		if p == nil || p.procLive == nil {
-			continue // nothing to tear down behind a dead placeholder
+		if p := k.procs[ep]; p != nil && p.procLive != nil {
+			p.reap(stateDead) // nothing to tear down behind a dead placeholder
 		}
-		switch p.state {
-		case stateDead:
-		case stateCrashed:
-			// Goroutine already returned through the crash path.
-			<-p.gone
-			p.state = stateDead
-		default:
-			p.state = stateDead
-			p.baton <- token{kill: true}
-			<-p.gone
-		}
-		if p.onKill != nil {
-			p.onKill()
-			p.onKill = nil
-		}
-		p.releaseInbox()
-		k.markSched(p)
 	}
+	k.stopIdleCoros()
 }
 
 // ReplaceProcess installs a fresh body at a crashed (or alive) server
 // endpoint, preserving the inbox so queued requests survive recovery.
 // The recovery engine uses this during the restart phase. The previous
-// goroutine is reaped. Window and store attachments are replaced.
+// body is reaped. Window and store attachments are replaced.
 func (k *Kernel) ReplaceProcess(ep Endpoint, name string, body Body, cfg ServerConfig) (*Process, error) {
 	return k.replaceProcess(ep, name, body, cfg, true)
 }
 
 // ReplaceUserProcess swaps the image of a user process (exec): the old
-// goroutine is reaped and a fresh body starts at the same endpoint.
+// body is reaped and a fresh one starts at the same endpoint.
 func (k *Kernel) ReplaceUserProcess(ep Endpoint, name string, body Body) (*Process, error) {
 	return k.replaceProcess(ep, name, body, ServerConfig{}, false)
 }
@@ -514,20 +505,14 @@ func (k *Kernel) replaceProcess(ep Endpoint, name string, body Body, cfg ServerC
 	if k.IsQuarantined(ep) {
 		return nil, fmt.Errorf("kernel: endpoint %d is quarantined", ep)
 	}
-	// Detach the queued messages before any teardown path can release
-	// the backing array back to the pool: they survive into the
-	// replacement process.
+	// Detach the queued messages before the teardown releases the backing
+	// array back to the pool: they survive into the replacement process.
 	savedInbox, savedHead := old.inbox, old.inboxHead
 	old.inbox, old.inboxHead = nil, 0
 	if old.state == stateCrashed {
-		// The crashed goroutine has already unwound; wait for it, then
-		// reap any worker threads it left parked.
-		<-old.gone
-		old.state = stateDead
-		if old.onKill != nil {
-			old.onKill()
-			old.onKill = nil
-		}
+		// The crashed body has already unwound; what is left to reap are
+		// the worker threads it left parked.
+		old.reap(stateDead)
 	} else if old.state != stateDead {
 		k.killProcess(old)
 	}
@@ -538,13 +523,12 @@ func (k *Kernel) replaceProcess(ep Endpoint, name string, body Body, cfg ServerC
 	// Endpoint already present in k.order: keep position (and bit index).
 	p.orderIdx = old.orderIdx
 	k.markSched(p)
-	p.start()
 	k.counters.AddID(ctrProcsReplaced, 1)
 	return p, nil
 }
 
 // FailStopProcess converts a live but unresponsive process into a
-// fail-stop crash: the goroutine is torn down and a synthetic crash is
+// fail-stop crash: the body is unwound and a synthetic crash is
 // queued for the recovery engine, exactly as if the component had
 // panicked. The Recovery Server uses it when hang detection declares a
 // component dead (paper §II-E: hangs become fail-stops). It returns
@@ -567,17 +551,9 @@ func (k *Kernel) FailStopProcess(ep Endpoint, reason string) Errno {
 		PanicValue:     reason,
 		DuringRecovery: k.inRecovery,
 	}
-	p.state = stateDead
-	p.baton <- token{kill: true}
-	<-p.gone
-	if p.onKill != nil {
-		p.onKill()
-		p.onKill = nil
-	}
-	// Mark the endpoint as crashed-awaiting-recovery (Alive() is false;
-	// ReplaceProcess treats the unwound goroutine correctly).
-	p.state = stateCrashed
-	k.markSched(p)
+	// The endpoint is left crashed-awaiting-recovery: Alive() is false and
+	// the inbox waits for the replacement.
+	p.reap(stateCrashed)
 	k.counters.AddID(ctrFailstops, 1)
 	if k.tracer != nil {
 		k.tracer("failstop: %s(%d): %s", p.name, ep, reason)

@@ -91,7 +91,7 @@ func (r *readySet) nextFrom(start, n int) int {
 // scheduler looks at it. A user process coming through here schedulable
 // also bumps the user-wake stamp (see WedgeStamp): servers keep their
 // state in fingerprinted stores, but a user program's position lives on
-// its goroutine stack, so "no user process was runnable since" is the
+// its coroutine's stack, so "no user process was runnable since" is the
 // only proof that nothing changed there.
 func (k *Kernel) markSched(p *Process) {
 	if p.schedulable() {
@@ -124,9 +124,12 @@ func (k *Kernel) pickRunnable() *Process {
 // would dispatch next, provided every other branch of that loop is a
 // no-op right now: the run is not done, no queued crash or alarm is
 // due, and the cycle limit has not been reached. When it returns
-// non-nil, handing the baton directly is bit-identical to the round
-// trip — same pick, same rrNext, same counters — at half the channel
-// operations.
+// non-nil, switching to that process without going round the loop is
+// bit-identical to the round trip — same pick, same rrNext, same
+// counters; when it is the caller itself, no switch happens at all.
+// yieldToKernel asks it on every suspension and names the answer as its
+// successor; nil sends control back to the loop, which then runs the
+// branch that was due.
 func (k *Kernel) fusedNext() *Process {
 	if k.done || k.clock.Now() > k.cycleLimit {
 		return nil

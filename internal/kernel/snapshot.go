@@ -5,9 +5,10 @@ package kernel
 // stamping that image onto a freshly constructed machine so it resumes
 // bit-identically to the captured one.
 //
-// Goroutine stacks cannot be cloned, so forking hinges on a quiescent
-// point where every process position is reconstructible by a fresh
-// goroutine: every server parked at the top of its Receive loop, and
+// A body's position lives on its coroutine's stack, which cannot be
+// cloned, so forking hinges on a quiescent point where every process
+// position is reconstructible by running a body afresh: every server
+// parked at the top of its Receive loop, and
 // exactly one process — the root workload — parked at an armed
 // Context.Barrier. The campaign driver boots a machine with
 // RunToBarrier, captures it, tears it down, and then builds any number
@@ -37,22 +38,21 @@ func (c *Context) Barrier() {
 	k.barrierArmed = false
 	k.barrierHit = true
 	// Remember the parked process so the next Run or RunToBarrier can
-	// hand the baton straight back without a counted dispatch — on a
-	// cold machine Barrier is a no-op, so the park/resume pair must not
-	// touch cycles, counters or the round-robin cursor.
+	// resume it without a counted dispatch — on a cold machine Barrier is
+	// a no-op, so the park/resume pair must not touch cycles, counters or
+	// the round-robin cursor.
 	k.forkResume = c.p
-	// Park through the slow path so RunToBarrier's dispatch regains
+	// Suspend to the loop, not to a successor, so RunToBarrier regains
 	// control with this process still runnable; the process stays inside
 	// this dispatch, exactly like a cold machine whose root is mid-body.
-	k.kernelCh <- struct{}{}
-	c.p.awaitBaton()
+	c.p.suspend(nil)
 }
 
 // RunToBarrier drives the machine like Run until the root process
 // reaches an armed Context.Barrier, and reports whether it did. The
 // machine is left parked — no process running, the root runnable at the
-// barrier — ready for CaptureImage. Unlike Run it does NOT tear down
-// process goroutines; call Teardown when done with the machine. A false
+// barrier — ready for CaptureImage. Unlike Run it does NOT unwind the
+// process bodies; call Teardown when done with the machine. A false
 // return means the run finished (or hit the limit) before any Barrier
 // call: the workload is not barrier-instrumented, so the caller must
 // fall back to cold boots.
@@ -73,7 +73,7 @@ func (k *Kernel) RunToBarrier(cycleLimit sim.Cycles) bool {
 // procImage is the captured kernel-level state of one process. Dead
 // entries (exited, reaped test children that still occupy a slot in the
 // scheduling order) carry only their endpoint and name; ApplyImage
-// recreates them as goroutine-less placeholders so the fork's scheduler
+// recreates them as body-less placeholders so the fork's scheduler
 // geometry matches the captured machine exactly.
 type procImage struct {
 	ep            Endpoint
@@ -115,7 +115,7 @@ type MachineImage struct {
 
 // barrierRefusal is the kernel's one quiescence predicate for a machine
 // parked by RunToBarrier: nil when every process position is
-// reconstructible by a fresh goroutine and no fault or transport state
+// reconstructible by a fresh body and no fault or transport state
 // is in flight, otherwise the first reason it is not. CaptureImage
 // refuses on it and BarrierQuiescent reports it as a bool.
 func (k *Kernel) barrierRefusal() error {
@@ -306,7 +306,7 @@ func (k *Kernel) ApplyImage(img *MachineImage) error {
 }
 
 // installDeadPlaceholders gives every dead process of an image (procs,
-// sorted by endpoint as captured; dead of them are dead) a goroutine-less
+// sorted by endpoint as captured; dead of them are dead) a body-less
 // placeholder, so a forked machine's scheduler geometry — order indices,
 // ready-set bit positions, round-robin cursor — matches the captured
 // machine, whose process table still holds every reaped test child. The

@@ -63,7 +63,7 @@ func (k *Kernel) WedgeQuiescent() bool {
 // WedgeStamp is the kernel residue a wedge certificate compares between
 // idle points on top of the state fingerprint. Equal stamps prove that
 // in between no user process was made schedulable (their progress lives
-// on goroutine stacks the fingerprint cannot see), no crash was trapped
+// on coroutine stacks the fingerprint cannot see), no crash was trapped
 // and neither random stream was drawn from — and that the pending
 // alarms stand in the same phase to the clock. The fingerprint hashes
 // server alarms by owner and count only, which is right for a heartbeat

@@ -251,7 +251,10 @@ func TestWedgeStampTracksAlarmPhase(t *testing.T) {
 
 // A killed process unwinds through its deferred calls; a blocking
 // Context call made from there must re-raise the kill without touching
-// kernel state instead of yielding to a scheduler that is gone.
+// kernel state instead of suspending into the reap that resumed it. (The
+// same for a body killed while its worker thread is inside a kernel call:
+// cothread.TestKillUnwindsWorkerInsideKernelCall — cothread imports this
+// package, so that half lives there.)
 func TestKillUnwindsDeferredBlockingCalls(t *testing.T) {
 	k := newTestKernel()
 	k.AddServer(EpVFS, "fs", func(ctx *Context) {

@@ -361,6 +361,13 @@ func (s *Slice[T]) Len() int { return len(s.v) }
 // Get returns element i. It panics on out-of-range i, like a slice.
 func (s *Slice[T]) Get(i int) T { return s.v[i] }
 
+// View returns the elements themselves, not a copy, for a scan that
+// would otherwise pay a Get per element. The aliasing contract, stated
+// once: the view is read-only — every write goes through Set, which
+// logs it — and it is valid until the next Append, Truncate, Reserve or
+// rollback of the slice; a Set in between shows through it.
+func (s *Slice[T]) View() []T { return s.v }
+
 // Set overwrites element i, logging the old value.
 func (s *Slice[T]) Set(i int, v T) {
 	if s.store.shouldLog() {

@@ -124,6 +124,41 @@ func TestSliceOperationsRollback(t *testing.T) {
 	}
 }
 
+// View is the slice's own elements: a Set made during a scan shows
+// through it (vm.freeFrames ranges over one while it clears entries), it
+// counts no store, and the logged Set still rolls back.
+func TestSliceViewAliasesTheElements(t *testing.T) {
+	s := NewStore("vm", Optimized)
+	counters := sim.NewCounters()
+	s.SetCounters(counters)
+	s.SetLogging(true)
+	sl := NewSlice[int32](s, "frames")
+	for i := int32(0); i < 4; i++ {
+		sl.Append(i % 2)
+	}
+	s.Checkpoint()
+	stores := counters.Get("memlog.stores_total")
+	view := sl.View()
+	if len(view) != sl.Len() {
+		t.Fatalf("len(View()) = %d, Len() = %d", len(view), sl.Len())
+	}
+	for i, owner := range view {
+		if owner == 1 {
+			sl.Set(i, 0)
+		}
+	}
+	if got := counters.Get("memlog.stores_total") - stores; got != 2 {
+		t.Errorf("scan through the view counted %d stores, want the 2 Sets", got)
+	}
+	if view[1] != 0 || view[3] != 0 {
+		t.Errorf("view = %v after clearing the odd entries, want the Sets to show", view)
+	}
+	s.Rollback()
+	if got := sl.View(); !reflect.DeepEqual(got, []int32{0, 1, 0, 1}) {
+		t.Errorf("after rollback View() = %v", got)
+	}
+}
+
 func TestSliceTruncatePanicsOnBadLength(t *testing.T) {
 	s := NewStore("vm", Baseline)
 	sl := NewSlice[int](s, "pages")

@@ -125,9 +125,8 @@ func fdKey(ep kernel.Endpoint, fd int64) int64 { return int64(ep)<<16 | (fd & 0x
 // RunLoop is the VFS's custom multithreaded request loop; the core
 // framework calls it instead of the generic single-threaded loop.
 func (v *VFS) RunLoop(ctx *kernel.Context, win *seep.Window) {
-	v.pool = cothread.NewPool(NumThreads)
+	v.pool = cothread.NewPool(ctx, NumThreads)
 	v.tagBase = int64(ctx.Kernel().Counters().Get("kernel.procs_replaced")+1) << 32
-	ctx.Process().SetOnKill(v.pool.KillAll)
 
 	for {
 		m := ctx.Receive()

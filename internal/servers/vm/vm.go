@@ -162,8 +162,8 @@ func (v *VM) allocFrames(ctx *kernel.Context, ep int64, n int64) kernel.Errno {
 func (v *VM) freeFrames(ctx *kernel.Context, ep int64, pages int64) int64 {
 	ctx.Call(seepUnmap, proto.EpSys, kernel.Message{Type: proto.SysUnmap, A: ep, B: pages})
 	freed := int64(0)
-	for i := 0; i < TotalPages; i++ {
-		if v.frames.Get(i) == int32(ep) {
+	for i, owner := range v.frames.View() {
+		if owner == int32(ep) {
 			v.frames.Set(i, 0)
 			freed++
 			ctx.Point("vm.free.frame")
@@ -263,8 +263,9 @@ func (v *VM) brk(ctx *kernel.Context, m kernel.Message) {
 		}
 		ctx.Call(seepUnmap, proto.EpSys, kernel.Message{Type: proto.SysUnmap, A: ep, B: want})
 		released := int64(0)
-		for i := TotalPages - 1; i >= 0 && released < want; i-- {
-			if v.frames.Get(i) == int32(ep) {
+		frames := v.frames.View()
+		for i := len(frames) - 1; i >= 0 && released < want; i-- {
+			if frames[i] == int32(ep) {
 				v.frames.Set(i, 0)
 				released++
 				ctx.Point("vm.brk.release")

@@ -1,12 +1,18 @@
 package osiris
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
+	"repro/internal/boot"
+	"repro/internal/core"
+	"repro/internal/cothread"
 	"repro/internal/faultinject"
 	"repro/internal/kernel"
 	"repro/internal/seep"
+	"repro/internal/testsuite"
+	"repro/internal/usr"
 )
 
 // A run that ends while a user program waits inside a system call tears
@@ -48,5 +54,138 @@ func TestTeardownUnwindsDeferredSyscalls(t *testing.T) {
 		}
 	case <-time.After(time.Second):
 		t.Fatal("RunMultiWith did not return within 1 s: teardown deadlocked")
+	}
+}
+
+// Every simulated process and every VFS worker thread runs on a host
+// coroutine, which is a parked goroutine: one that its machine forgets to
+// end leaks without a symptom. No goroutine may outlive a machine,
+// however the machine ended.
+func TestNoGoroutineOutlivesAMachine(t *testing.T) {
+	const limit = 100_000_000
+
+	// threaded builds a machine whose server parks one worker awaiting a
+	// completion that never comes and a second one inside a kernel call
+	// nobody answers, and has a third idle again after its job, beside an
+	// idle server and a root that act decides.
+	threaded := func(act func(k *kernel.Kernel, ctx *kernel.Context)) *kernel.Kernel {
+		k := kernel.New(kernel.DefaultCostModel(), 1)
+		k.SetCrashHandler(func(ci kernel.CrashInfo) error {
+			return k.QuarantineProcess(ci.Victim, "test")
+		})
+		k.AddServer(kernel.EpDriver, "silent", func(ctx *kernel.Context) {
+			for {
+				ctx.Receive()
+			}
+		}, kernel.ServerConfig{})
+		k.AddServer(kernel.EpVFS, "threaded", func(ctx *kernel.Context) {
+			pool := cothread.NewPool(ctx, 3)
+			for {
+				ctx.Receive()
+				pool.Thread(0).Start(func(th *cothread.Thread) { th.Block() })
+				pool.Thread(2).Start(func(*cothread.Thread) {})
+				pool.Thread(1).Start(func(*cothread.Thread) {
+					ctx.SendRec(kernel.EpDriver, kernel.Message{Type: 1})
+				})
+			}
+		}, kernel.ServerConfig{})
+		root := k.SpawnUser("root", func(ctx *kernel.Context) {
+			ctx.Send(kernel.EpVFS, kernel.Message{Type: 300})
+			ctx.Yield() // both workers park
+			act(k, ctx)
+		})
+		k.SetRootProcess(root.Endpoint())
+		return k
+	}
+	suiteOpts := func() boot.Options {
+		reg := usr.NewRegistry()
+		testsuite.Register(reg)
+		return boot.Options{
+			Config:     core.Config{Policy: seep.PolicyEnhanced, Seed: 7},
+			Registry:   reg,
+			Heartbeats: true,
+		}
+	}
+
+	cases := []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"Run to completion", func(t *testing.T) {
+			res := threaded(func(*kernel.Kernel, *kernel.Context) {}).Run(limit)
+			if res.Outcome != kernel.OutcomeCompleted {
+				t.Errorf("outcome = %v (%s)", res.Outcome, res.Reason)
+			}
+		}},
+		{"cycle limit", func(t *testing.T) {
+			res := threaded(func(_ *kernel.Kernel, ctx *kernel.Context) { ctx.Hang() }).Run(limit)
+			if res.Outcome != kernel.OutcomeHang {
+				t.Errorf("outcome = %v (%s)", res.Outcome, res.Reason)
+			}
+		}},
+		{"fail-stop, then quarantine", func(t *testing.T) {
+			k := threaded(func(k *kernel.Kernel, ctx *kernel.Context) {
+				if errno := k.FailStopProcess(kernel.EpVFS, "test"); errno != kernel.OK {
+					t.Errorf("FailStopProcess = %v", errno)
+				}
+				ctx.Yield() // the crash handler quarantines it
+			})
+			if res := k.Run(limit); res.Outcome != kernel.OutcomeCompleted || !k.IsQuarantined(kernel.EpVFS) {
+				t.Errorf("outcome = %v (%s), quarantined = %v", res.Outcome, res.Reason, k.IsQuarantined(kernel.EpVFS))
+			}
+		}},
+		{"RunToBarrier + Teardown", func(t *testing.T) {
+			k := threaded(func(_ *kernel.Kernel, ctx *kernel.Context) { ctx.Barrier() })
+			if !k.RunToBarrier(limit) {
+				t.Error("barrier not reached")
+			}
+			k.Teardown("test")
+		}},
+		{"Snapshot.Fork + Shutdown", func(t *testing.T) {
+			snap, err := boot.Capture(suiteOpts(), limit, testsuite.RunnerInit(new(testsuite.Report)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, err := snap.Fork(boot.ForkParams{Seed: 7}, testsuite.RunnerResume(new(testsuite.Report)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sys.Kernel().RunToBarrier(limit) {
+				t.Error("fork did not reach the next barrier")
+			}
+			sys.Shutdown("test")
+		}},
+		{"24-run campaign at workers 2", func(t *testing.T) {
+			profile, err := faultinject.Profile(7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, _ := faultinject.RunCampaign(faultinject.CampaignConfig{
+				Policy: seep.PolicyEnhanced, Model: faultinject.FailStop,
+				Seed: 7, MaxRuns: 24, Workers: 2,
+			}, profile)
+			if res.Runs != 24 {
+				t.Errorf("campaign made %d runs, want 24", res.Runs)
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			for i := 0; i < 100; i++ { // let the previous subtest's goroutine finish exiting
+				runtime.Gosched()
+				before = min(before, runtime.NumGoroutine())
+			}
+			tc.run(t)
+			// A coroutine is gone when stop returns; a campaign worker may
+			// still be on its way out after the WaitGroup released us.
+			for end := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(end); {
+				runtime.Gosched()
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				buf := make([]byte, 1<<16)
+				t.Errorf("%d goroutines before, %d after:\n%s", before, after, buf[:runtime.Stack(buf, true)])
+			}
+		})
 	}
 }
