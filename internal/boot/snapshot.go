@@ -24,14 +24,19 @@ import (
 // quiescence barrier, plus the pieces outside the kernel image needed to
 // materialize clones (driver disk contents, the program registry). A
 // Snapshot is immutable; Fork may be called from concurrent goroutines.
+// The fields are exported for the on-disk format (internal/image).
 type Snapshot struct {
-	img *core.OSImage
-	// disk is the driver's frozen device: contents and rolling
+	Image *core.OSImage
+	// Disk is the driver's frozen device: contents and rolling
 	// fingerprint state, shared page by page with the captured machine
 	// and with every fork.
-	disk *driver.Image
-	reg  *usr.Registry
-	opts Options
+	Disk *driver.Image
+	// Registry is the program registry the captured machine booted with.
+	// It holds function values and cannot be serialized: a file records
+	// the program names, and its reader supplies an equivalent registry
+	// built from the same code.
+	Registry *usr.Registry
+	Opts     Options
 }
 
 // Capture boots a machine with opts and initProg, drives it to the
@@ -73,13 +78,13 @@ func CaptureParked(sys *System, opts Options) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{img: img, disk: sys.Driver.Share(), reg: sys.Registry, opts: opts}, nil
+	return &Snapshot{Image: img, Disk: sys.Driver.Share(), Registry: sys.Registry, Opts: opts}, nil
 }
 
 // SizeBytes estimates the snapshot's retained memory for cache
 // accounting: disk block copies plus the machine image estimate.
 func (s *Snapshot) SizeBytes() int64 {
-	return s.img.SizeBytes() + s.disk.SizeBytes()
+	return s.Image.SizeBytes() + s.Disk.SizeBytes()
 }
 
 // fingerprintSkip excludes heartbeat-phase traffic from server inboxes
@@ -104,13 +109,7 @@ func (sys *System) StateFingerprint() (uint64, error) {
 	}
 	// Fold the disk hash in with a final avalanche so the combined value
 	// does not cancel against the OS-level hash.
-	x := h ^ (sys.Driver.Fingerprint() + 0x9E3779B97F4A7C15)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x, nil
+	return sim.Mix64(h ^ (sys.Driver.Fingerprint() + 0x9E3779B97F4A7C15)), nil
 }
 
 // ForkParams is the per-run identity stamped onto a forked machine. The
@@ -131,38 +130,38 @@ type ForkParams struct {
 // (e.g. testsuite.RunnerResume); its Report-style sinks must be fresh
 // per fork. Run the returned system exactly like a booted one.
 func (s *Snapshot) Fork(params ForkParams, resumeProg usr.Program, initArgs ...string) (*System, error) {
-	cfg := s.opts.Config
+	cfg := s.Opts.Config
 	cfg.Seed = params.Seed
 	cfg.IPCFaultSeed = params.IPCFaultSeed
 	o := core.NewOS(cfg)
 
-	drv := driver.NewFromImage(s.disk)
+	drv := driver.NewFromImage(s.Disk)
 	o.AddTask(kernel.EpDriver, "driver", drv.Run)
 	o.AddTask(proto.EpSys, "sys", systask.Run)
 
-	initEP := o.SpawnInit("init", s.reg.ResumeBody(resumeProg, initArgs))
+	initEP := o.SpawnInit("init", s.Registry.ResumeBody(resumeProg, initArgs))
 
-	heartbeats := s.opts.Heartbeats
-	rsCfg := rsConfigFrom(s.opts)
+	heartbeats := s.Opts.Heartbeats
+	rsCfg := rsConfigFrom(s.Opts)
 	forked := []struct {
 		ep      kernel.Endpoint
 		factory core.Factory
 	}{
 		{kernel.EpRS, func(st *memlog.Store) core.Component { return newRS(st, heartbeats, rsCfg) }},
-		{kernel.EpPM, func(st *memlog.Store) core.Component { return pmFactory(st, initEP, s.reg) }},
+		{kernel.EpPM, func(st *memlog.Store) core.Component { return pmFactory(st, initEP, s.Registry) }},
 		{kernel.EpVM, func(st *memlog.Store) core.Component { return vmFactory(st, initEP) }},
 		{kernel.EpVFS, vfsFactory},
 		{kernel.EpDS, dsFactory},
 	}
 	for _, f := range forked {
-		if err := o.AddForkedComponent(f.ep, f.factory, s.img); err != nil {
+		if err := o.AddForkedComponent(f.ep, f.factory, s.Image); err != nil {
 			o.Shutdown("fork failed: " + err.Error())
 			return nil, err
 		}
 	}
-	if err := o.ApplyImage(s.img); err != nil {
+	if err := o.Kernel().ApplyImage(s.Image.Machine); err != nil {
 		o.Shutdown("fork failed: " + err.Error())
 		return nil, err
 	}
-	return &System{OS: o, Registry: s.reg, Driver: drv}, nil
+	return &System{OS: o, Registry: s.Registry, Driver: drv}, nil
 }

@@ -11,10 +11,12 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"sort"
 
 	"repro/internal/kernel"
 	"repro/internal/memlog"
 	"repro/internal/seep"
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -29,28 +31,46 @@ type Forkable interface {
 	ApplyForkSnapshot(snap any)
 }
 
-// slotImage is the captured per-component state.
-type slotImage struct {
-	ep            kernel.Endpoint
-	store         *memlog.Store
-	stats         seep.Stats
-	cloneResident int
-	transient     any
+// SlotImage is the captured state of one component.
+type SlotImage struct {
+	EP            kernel.Endpoint
+	Store         *memlog.Store
+	Stats         seep.Stats
+	CloneResident int
+	// Transient is the component's Forkable snapshot (nil when the
+	// component has none). For on-disk images the concrete type must be
+	// registered with internal/wire.
+	Transient any
 }
 
 // OSImage is a deep snapshot of one booted machine at the quiescence
-// barrier, ready to be forked into independent runnable machines.
+// barrier, ready to be forked into independent runnable machines. The
+// fields are exported for the on-disk format (internal/image), which
+// reads them to write a file and fills them to read one; everything else
+// treats an image as opaque and read-only.
 type OSImage struct {
-	machine *kernel.MachineImage
-	slots   map[kernel.Endpoint]*slotImage
+	Machine *kernel.MachineImage
+	// Slots holds the components in endpoint order (the frame order of
+	// the on-disk format).
+	Slots []SlotImage
+}
+
+// slot returns the captured component at ep, or nil.
+func (img *OSImage) slot(ep kernel.Endpoint) *SlotImage {
+	for i := range img.Slots {
+		if img.Slots[i].EP == ep {
+			return &img.Slots[i]
+		}
+	}
+	return nil
 }
 
 // SizeBytes estimates the retained size of the image for snapshot-cache
 // accounting: per-component store bytes plus the kernel image estimate.
 func (img *OSImage) SizeBytes() int64 {
-	n := img.machine.SizeBytes()
-	for _, si := range img.slots {
-		n += int64(si.store.BaseBytes()) + 512
+	n := img.Machine.SizeBytes()
+	for _, si := range img.Slots {
+		n += int64(si.Store.BaseBytes()) + 512
 	}
 	return n
 }
@@ -105,20 +125,21 @@ func (o *OS) CaptureImage() (*OSImage, error) {
 	if err != nil {
 		return nil, err
 	}
-	img := &OSImage{machine: machine, slots: make(map[kernel.Endpoint]*slotImage, len(o.order))}
+	img := &OSImage{Machine: machine, Slots: make([]SlotImage, 0, len(o.order))}
 	for _, ep := range o.order {
 		s := o.slots[ep]
-		si := &slotImage{
-			ep:            ep,
-			store:         s.store.ForkClone(),
-			stats:         s.window.Stats(),
-			cloneResident: s.cloneResident,
+		si := SlotImage{
+			EP:            ep,
+			Store:         s.store.ForkClone(),
+			Stats:         s.window.Stats(),
+			CloneResident: s.cloneResident,
 		}
 		if f, ok := s.comp.(Forkable); ok {
-			si.transient = f.ForkSnapshot()
+			si.Transient = f.ForkSnapshot()
 		}
-		img.slots[ep] = si
+		img.Slots = append(img.Slots, si)
 	}
+	sort.Slice(img.Slots, func(i, j int) bool { return img.Slots[i].EP < img.Slots[j].EP })
 	return img, nil
 }
 
@@ -131,12 +152,12 @@ func (o *OS) CaptureImage() (*OSImage, error) {
 // machine, and its effects (pending alarms, store contents) arrive via
 // the image.
 func (o *OS) AddForkedComponent(ep kernel.Endpoint, factory Factory, img *OSImage) error {
-	si := img.slots[ep]
+	si := img.slot(ep)
 	if si == nil {
 		return fmt.Errorf("core: image has no component at endpoint %d", ep)
 	}
 	policy := o.cfg.policyFor(ep)
-	store := si.store.ForkClone()
+	store := si.Store.ForkClone()
 	store.SetCounters(o.k.Counters())
 	comp := factory(store)
 	// A store fork-cloned from a decoded on-disk image is materialized
@@ -147,10 +168,10 @@ func (o *OS) AddForkedComponent(ep kernel.Endpoint, factory Factory, img *OSImag
 		return err
 	}
 	win := seep.NewWindow(policy, store)
-	win.RestoreStats(si.stats)
+	win.RestoreStats(si.Stats)
 	o.bindCostSink(store, win)
-	if f, ok := comp.(Forkable); ok && si.transient != nil {
-		f.ApplyForkSnapshot(si.transient)
+	if f, ok := comp.(Forkable); ok && si.Transient != nil {
+		f.ApplyForkSnapshot(si.Transient)
 	}
 	s := &slot{
 		ep:            ep,
@@ -160,19 +181,12 @@ func (o *OS) AddForkedComponent(ep kernel.Endpoint, factory Factory, img *OSImag
 		comp:          comp,
 		store:         store,
 		window:        win,
-		cloneResident: si.cloneResident,
+		cloneResident: si.CloneResident,
 	}
 	o.slots[ep] = s
 	o.order = append(o.order, ep)
 	o.k.AddServer(ep, s.name, o.serverBodyFrom(s, true), kernel.ServerConfig{Window: win, Store: store})
 	return nil
-}
-
-// ApplyImage stamps the captured kernel state onto this machine. Call
-// after every process (tasks, init, components) has been registered
-// through the same boot sequence as the captured machine.
-func (o *OS) ApplyImage(img *OSImage) error {
-	return o.k.ApplyImage(img.machine)
 }
 
 // StateFingerprint hashes the machine's semantic state for the elision
@@ -224,11 +238,5 @@ func (o *OS) TransientDigest() (uint64, error) {
 
 // fpFold chains one component's store hash into the machine hash.
 func fpFold(h, ep, fp uint64) uint64 {
-	x := h ^ (fp + ep*0x9E3779B97F4A7C15)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+	return sim.Mix64(h ^ (fp + ep*0x9E3779B97F4A7C15))
 }

@@ -1,0 +1,183 @@
+package image_test
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"strings"
+	"testing"
+
+	"repro/internal/boot"
+	"repro/internal/image"
+	"repro/internal/testsuite"
+	"repro/internal/usr"
+	"repro/internal/wire"
+)
+
+func suiteRegistry() *usr.Registry {
+	reg := usr.NewRegistry()
+	testsuite.Register(reg)
+	return reg
+}
+
+// header is Magic, flags 0 and the given frame count.
+func header(frames uint64) []byte {
+	return binary.AppendUvarint(append([]byte(image.Magic), 0), frames)
+}
+
+// reframe rewrites the named frame of an uncompressed image through
+// mutate and restores its length and checksum — what an attacker who
+// can write the file, or a bug in a writer, produces: bytes the CRC
+// vouches for.
+func reframe(t testing.TB, data []byte, name string, mutate func(raw []byte) []byte) []byte {
+	t.Helper()
+	d := wire.NewDecoder(data[len(image.Magic):])
+	flags, frames := d.Uvarint(), d.Uvarint()
+	out := binary.AppendUvarint(header(frames)[:len(image.Magic)], flags)
+	out = binary.AppendUvarint(out, frames)
+	found := false
+	for i := uint64(0); i < frames; i++ {
+		frame := d.Str()
+		d.Uvarint() // raw length
+		storedLen := d.Uvarint()
+		d.U32() // checksum
+		stored := d.Take(int(storedLen))
+		if d.Err() != nil {
+			t.Fatalf("reframe: frame %d: %v", i, d.Err())
+		}
+		if frame == name {
+			stored, found = mutate(append([]byte(nil), stored...)), true
+		}
+		h := wire.NewEncoder()
+		h.Str(frame)
+		h.Uvarint(uint64(len(stored)))
+		h.Uvarint(uint64(len(stored)))
+		h.U32(crc32.Checksum(stored, crc32.MakeTable(crc32.Castagnoli)))
+		out = append(append(out, h.Bytes()...), stored...)
+	}
+	if !found {
+		t.Fatalf("reframe: no frame %q", name)
+	}
+	return out
+}
+
+// TestHostileHeaderRejected: the frame count sizes the frame table, and
+// the header that carries it has no checksum. A count the file cannot
+// hold is refused before anything is allocated — 2^36 frames in a 15-byte
+// file used to end the process with "fatal error: runtime: out of
+// memory", which no caller can recover from.
+func TestHostileHeaderRejected(t *testing.T) {
+	for _, frames := range []uint64{1 << 36, 1 << 63, 1<<64 - 1, 1} {
+		data := header(frames)
+		if _, err := image.ReadSnapshot(bytes.NewReader(data), suiteRegistry(), 1); err == nil {
+			t.Errorf("a header claiming %d frames and carrying none was accepted", frames)
+		}
+	}
+}
+
+// TestForkSurfacesHostileKernelFrame: a kernel frame whose checksum holds
+// and whose scheduler state is out of range decodes, and Fork refuses it;
+// unchecked, Fork returned a machine that panicked in its first dispatch.
+// Likewise a container payload whose slice length is 2^63 or more, which
+// used to panic the decoder inside the component factory.
+func TestForkSurfacesHostileKernelFrame(t *testing.T) {
+	snap := captureSnapshot(t, 7)
+	data := encode(t, snap, image.WriteOptions{})
+	if same := reframe(t, data, "kernel", func(raw []byte) []byte { return raw }); !bytes.Equal(same, data) {
+		t.Fatal("reframe does not reproduce an untouched image")
+	}
+
+	// Kernel frame: version (1 byte), clock (8 bytes), then the
+	// round-robin cursor as a one-byte varint: 0x7e is 63, past any
+	// process table of the boot barrier.
+	hostile := reframe(t, data, "kernel", func(raw []byte) []byte {
+		if raw[9]&0x80 != 0 {
+			t.Fatalf("the cursor is not a one-byte varint (%#x)", raw[9])
+		}
+		raw[9] = 0x7e
+		return raw
+	})
+	decoded, err := image.ReadSnapshot(bytes.NewReader(hostile), suiteRegistry(), 1)
+	if err != nil {
+		t.Fatalf("the frame is well-formed and must decode: %v", err)
+	}
+	var report testsuite.Report
+	sys, err := decoded.Fork(boot.ForkParams{Seed: 7}, testsuite.RunnerResume(&report))
+	if err == nil {
+		sys.Shutdown("test over")
+		t.Fatal("Fork accepted a round-robin cursor of 63")
+	}
+	if !strings.Contains(err.Error(), "round-robin cursor") {
+		t.Errorf("Fork error %q does not name the cursor", err)
+	}
+
+	// VM's frame table is a Slice[int32]: its payload is the element type
+	// name, then the length.
+	huge := binary.AppendUvarint(nil, 1<<63+1)
+	hostile = reframe(t, data, "slot/4", func(raw []byte) []byte {
+		i := bytes.Index(raw, []byte("\x05int32"))
+		if i < 0 {
+			t.Fatal("no int32 slice payload in VM's frame")
+		}
+		// The payload sits in a blob: keep the blob's length by
+		// overwriting in place (the slice length and what follows).
+		copy(raw[i+6:], huge)
+		return raw
+	})
+	decoded, err = image.ReadSnapshot(bytes.NewReader(hostile), suiteRegistry(), 1)
+	if err == nil {
+		sys, err = decoded.Fork(boot.ForkParams{Seed: 7}, testsuite.RunnerResume(&report))
+		if err == nil {
+			sys.Shutdown("test over")
+		}
+	}
+	if err == nil {
+		t.Error("a slice length of 2^63+1 in a container payload was accepted")
+	}
+}
+
+// FuzzReadSnapshot: any byte string reads as a snapshot or as an error,
+// and a snapshot that read forks or refuses to — never a panic, never an
+// allocation the input's size does not bound.
+func FuzzReadSnapshot(f *testing.F) {
+	snap := captureSnapshot(f, 5)
+	raw := encode(f, snap, image.WriteOptions{})
+	flate := encode(f, snap, image.WriteOptions{Compress: true})
+	f.Add(raw)
+	f.Add(flate)
+	// TestCorruptionRejected's flips and cuts, on the small image at its
+	// strides and on the large one sparsely.
+	for _, img := range []struct {
+		data      []byte
+		flip, cut int
+	}{{flate, 997, 1009}, {raw, 997 * 256, 1009 * 256}} {
+		for off := 0; off < len(img.data); off += img.flip {
+			mut := append([]byte(nil), img.data...)
+			mut[off] ^= 0x40
+			f.Add(mut)
+		}
+		for cut := 0; cut < len(img.data); cut += img.cut {
+			f.Add(img.data[:cut])
+		}
+	}
+	// The crashers of the two tests above.
+	for _, frames := range []uint64{1 << 36, 1 << 63, 1<<64 - 1} {
+		f.Add(header(frames))
+	}
+	f.Add(reframe(f, raw, "kernel", func(b []byte) []byte { b[9] = 0x7e; return b }))
+	f.Add(reframe(f, raw, "slot/4", func(b []byte) []byte {
+		copy(b[bytes.Index(b, []byte("\x05int32"))+6:], binary.AppendUvarint(nil, 1<<63+1))
+		return b
+	}))
+	reg := suiteRegistry()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := image.ReadSnapshot(bytes.NewReader(data), reg, 1)
+		if err != nil {
+			return
+		}
+		var report testsuite.Report
+		if sys, err := snap.Fork(boot.ForkParams{Seed: 5}, testsuite.RunnerResume(&report)); err == nil {
+			sys.Shutdown("fuzz")
+		}
+	})
+}

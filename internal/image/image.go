@@ -26,7 +26,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 
 	"repro/internal/boot"
@@ -34,7 +34,6 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/memlog"
 	"repro/internal/parallel"
-	"repro/internal/seep"
 	"repro/internal/servers/driver"
 	"repro/internal/usr"
 	"repro/internal/wire"
@@ -78,30 +77,22 @@ type encodedFrame struct {
 // requested, compressed) in parallel, then written sequentially, so w
 // receives a deterministic byte stream regardless of worker count.
 func WriteSnapshot(w io.Writer, snap *boot.Snapshot, o WriteOptions) error {
-	img, disk, opts := snap.Parts()
-	slots := img.Slots()
-
 	type job struct {
 		name  string
 		build func(e *wire.Encoder) error
 	}
+	meta := metaOf(snap)
 	jobs := []job{
-		{frameMeta, func(e *wire.Encoder) error {
-			return encodeMeta(e, opts, snap.Registry(), slots)
-		}},
-		{frameKernel, func(e *wire.Encoder) error {
-			return img.Machine().EncodeTo(e)
-		}},
+		{frameMeta, encoding(meta.code)},
+		{frameKernel, encoding(snap.Image.Machine.Code)},
 		{frameBlocks, func(e *wire.Encoder) error {
-			disk.EncodeTo(e)
+			snap.Disk.EncodeTo(e)
 			return nil
 		}},
 	}
-	for i := range slots {
-		sp := slots[i]
-		jobs = append(jobs, job{slotPrefix + strconv.Itoa(int(sp.EP)), func(e *wire.Encoder) error {
-			return encodeSlot(e, sp)
-		}})
+	for i := range snap.Image.Slots {
+		slot := &snap.Image.Slots[i]
+		jobs = append(jobs, job{slotFrame(slot.EP), encoding(func(c *wire.Codec) { codeSlot(c, slot) })})
 	}
 
 	frames := parallel.Map(o.Workers, len(jobs), func(i int) encodedFrame {
@@ -166,10 +157,27 @@ func WriteSnapshot(w io.Writer, snap *boot.Snapshot, o WriteOptions) error {
 
 // storedFrame is one parsed-but-not-decoded frame.
 type storedFrame struct {
-	name   string
-	rawLen int
+	rawLen uint64
 	stored []byte
 	crc    uint32
+}
+
+// open verifies the frame's checksum and returns its payload.
+func (f storedFrame) open(compressed bool) ([]byte, error) {
+	if got := crc32.Checksum(f.stored, crcTable); got != f.crc {
+		return nil, fmt.Errorf("checksum mismatch (stored %08x, computed %08x)", f.crc, got)
+	}
+	raw := f.stored
+	if compressed {
+		var err error
+		if raw, err = io.ReadAll(flate.NewReader(bytes.NewReader(f.stored))); err != nil {
+			return nil, err
+		}
+	}
+	if uint64(len(raw)) != f.rawLen {
+		return nil, fmt.Errorf("raw length %d, header says %d", len(raw), f.rawLen)
+	}
+	return raw, nil
 }
 
 // ReadSnapshot decodes a snapshot image from r. reg must register the
@@ -186,139 +194,103 @@ func ReadSnapshot(r io.Reader, reg *usr.Registry, workers int) (*boot.Snapshot, 
 		return nil, fmt.Errorf("image: bad magic (not a snapshot image)")
 	}
 	d := wire.NewDecoder(data[len(Magic):])
-	flags := byte(d.Uvarint())
-	nFrames := int(d.Uvarint())
+	compressed := byte(d.Uvarint())&flagCompressed != 0
+	nFrames := d.Uvarint()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	compressed := flags&flagCompressed != 0
-
-	frames := make([]storedFrame, 0, nFrames)
-	for i := 0; i < nFrames; i++ {
-		var f storedFrame
-		f.name = d.Str()
-		f.rawLen = int(d.Uvarint())
+	// The header carries no checksum, so the count is checked against the
+	// bytes that follow before it sizes anything: the shortest frame
+	// header is an empty name, two lengths and the CRC.
+	const minFrameHeader = 1 + 1 + 1 + 4
+	if nFrames > uint64(d.Remaining())/minFrameHeader {
+		return nil, fmt.Errorf("image: header claims %d frames in %d bytes", nFrames, d.Remaining())
+	}
+	frames := make(map[string]storedFrame, nFrames)
+	for i := uint64(0); i < nFrames; i++ {
+		name := d.Str()
+		f := storedFrame{rawLen: d.Uvarint()}
 		storedLen := d.Uvarint()
 		f.crc = d.U32()
 		if err := d.Err(); err != nil {
 			return nil, fmt.Errorf("image: frame %d header: %w", i, err)
 		}
-		f.stored = d.Take(int(storedLen))
-		if err := d.Err(); err != nil {
-			return nil, fmt.Errorf("image: frame %q truncated", f.name)
+		if storedLen > uint64(d.Remaining()) {
+			return nil, fmt.Errorf("image: frame %q truncated", name)
 		}
-		frames = append(frames, f)
+		f.stored = d.Take(int(storedLen))
+		if _, dup := frames[name]; dup {
+			return nil, fmt.Errorf("image: duplicate frame %q", name)
+		}
+		frames[name] = f
 	}
 	if d.Remaining() != 0 {
 		return nil, fmt.Errorf("image: %d trailing bytes after last frame", d.Remaining())
 	}
 
-	// Verify checksums and decompress in parallel.
-	type rawFrame struct {
-		name string
-		raw  []byte
-		err  error
-	}
-	raws := parallel.Map(workers, len(frames), func(i int) rawFrame {
-		f := frames[i]
-		if got := crc32.Checksum(f.stored, crcTable); got != f.crc {
-			return rawFrame{name: f.name, err: fmt.Errorf("checksum mismatch (stored %08x, computed %08x)", f.crc, got)}
+	// decode reads one frame, whole: checksum, inflate, then its codec.
+	decode := func(name string, read func(*wire.Decoder) error) error {
+		f, ok := frames[name]
+		if !ok {
+			return fmt.Errorf("image: missing %q frame", name)
 		}
-		raw := f.stored
-		if compressed {
-			out, err := io.ReadAll(flate.NewReader(bytes.NewReader(f.stored)))
-			if err != nil {
-				return rawFrame{name: f.name, err: err}
+		raw, err := f.open(compressed)
+		if err == nil {
+			d := wire.NewDecoder(raw)
+			if err = read(d); err == nil && d.Remaining() != 0 {
+				err = fmt.Errorf("%d trailing bytes", d.Remaining())
 			}
-			raw = out
 		}
-		if len(raw) != f.rawLen {
-			return rawFrame{name: f.name, err: fmt.Errorf("raw length %d, header says %d", len(raw), f.rawLen)}
+		if err != nil {
+			return fmt.Errorf("image: frame %q: %w", name, err)
 		}
-		return rawFrame{name: f.name, raw: raw}
-	})
-	byName := make(map[string][]byte, len(raws))
-	for _, rf := range raws {
-		if rf.err != nil {
-			return nil, fmt.Errorf("image: frame %q: %w", rf.name, rf.err)
-		}
-		if _, dup := byName[rf.name]; dup {
-			return nil, fmt.Errorf("image: duplicate frame %q", rf.name)
-		}
-		byName[rf.name] = rf.raw
+		return nil
 	}
 
-	metaRaw, ok := byName[frameMeta]
-	if !ok {
-		return nil, fmt.Errorf("image: missing %q frame", frameMeta)
-	}
-	opts, progNames, slotEPs, err := decodeMeta(wire.NewDecoder(metaRaw))
-	if err != nil {
+	var meta meta
+	if err := decode(frameMeta, decoding(meta.code)); err != nil {
 		return nil, err
 	}
 	if reg == nil {
 		return nil, fmt.Errorf("image: a program registry is required to read a snapshot")
 	}
-	if got := reg.Names(); !equalStrings(got, progNames) {
-		return nil, fmt.Errorf("image: registry programs %v do not match the image's %v", got, progNames)
+	if got := reg.Names(); !slices.Equal(got, meta.programs) {
+		return nil, fmt.Errorf("image: registry programs %v do not match the image's %v", got, meta.programs)
 	}
-	opts.Registry = reg
-
-	kernelRaw, ok := byName[frameKernel]
-	if !ok {
-		return nil, fmt.Errorf("image: missing %q frame", frameKernel)
-	}
-	blocksRaw, ok := byName[frameBlocks]
-	if !ok {
-		return nil, fmt.Errorf("image: missing %q frame", frameBlocks)
+	meta.opts.Registry = reg
+	if want := 3 + len(meta.slots); len(frames) != want {
+		return nil, fmt.Errorf("image: %d frames, its metadata accounts for %d", len(frames), want)
 	}
 
-	// Decode the kernel, blocks, and every component store in parallel.
-	type decoded struct {
-		machine *kernel.MachineImage
-		disk    *driver.Image
-		slot    *core.SlotParts
-		err     error
+	// Verify and decode the kernel, the blocks and every component store
+	// in parallel.
+	snap := &boot.Snapshot{
+		Image:    &core.OSImage{Machine: new(kernel.MachineImage), Slots: make([]core.SlotImage, len(meta.slots))},
+		Registry: reg,
+		Opts:     meta.opts,
 	}
-	decJobs := make([]func() decoded, 0, len(slotEPs)+2)
-	decJobs = append(decJobs, func() decoded {
-		m, err := kernel.DecodeMachineImage(wire.NewDecoder(kernelRaw))
-		return decoded{machine: m, err: err}
-	})
-	decJobs = append(decJobs, func() decoded {
-		disk, err := driver.DecodeImage(wire.NewDecoder(blocksRaw))
-		return decoded{disk: disk, err: err}
-	})
-	for _, ep := range slotEPs {
-		raw, ok := byName[slotPrefix+strconv.Itoa(int(ep))]
-		if !ok {
-			return nil, fmt.Errorf("image: missing frame for component endpoint %d", ep)
-		}
-		ep := ep
-		decJobs = append(decJobs, func() decoded {
-			sp, err := decodeSlot(wire.NewDecoder(raw), ep)
-			return decoded{slot: sp, err: err}
+	jobs := []func() error{
+		func() error { return decode(frameKernel, decoding(snap.Image.Machine.Code)) },
+		func() error {
+			return decode(frameBlocks, func(d *wire.Decoder) (err error) {
+				snap.Disk, err = driver.DecodeImage(d)
+				return err
+			})
+		},
+	}
+	for i, ep := range meta.slots {
+		slot := &snap.Image.Slots[i]
+		slot.EP = ep
+		jobs = append(jobs, func() error {
+			return decode(slotFrame(ep), decoding(func(c *wire.Codec) { codeSlot(c, slot) }))
 		})
 	}
-	results := parallel.Map(workers, len(decJobs), func(i int) decoded { return decJobs[i]() })
-
-	var machine *kernel.MachineImage
-	var disk *driver.Image
-	slots := make([]core.SlotParts, 0, len(slotEPs))
-	for _, res := range results {
-		switch {
-		case res.err != nil:
-			return nil, fmt.Errorf("image: %w", res.err)
-		case res.machine != nil:
-			machine = res.machine
-		case res.slot != nil:
-			slots = append(slots, *res.slot)
-		default:
-			disk = res.disk
+	for _, err := range parallel.Map(workers, len(jobs), func(i int) error { return jobs[i]() }) {
+		if err != nil {
+			return nil, err
 		}
 	}
-	img := core.AssembleImage(machine, slots)
-	return boot.NewSnapshotFromParts(img, disk, reg, opts), nil
+	return snap, nil
 }
 
 // WriteSnapshotFile writes snap to path (atomically: temp file +
@@ -351,101 +323,56 @@ func ReadSnapshotFile(path string, reg *usr.Registry, workers int) (*boot.Snapsh
 	return ReadSnapshot(f, reg, workers)
 }
 
-// encodeMeta writes the boot options, the registry program names and
-// the component endpoint list.
-func encodeMeta(e *wire.Encoder, opts boot.Options, reg *usr.Registry, slots []core.SlotParts) error {
-	if err := e.Encode(opts.Config); err != nil {
-		return err
+// encoding and decoding adapt a field list to the one-way signatures of
+// the frame loops, which also carry the blocks frame's hand-paired codec.
+func encoding(code func(*wire.Codec)) func(*wire.Encoder) error {
+	return func(e *wire.Encoder) error {
+		c := wire.Encoding(e)
+		code(c)
+		return c.Err()
 	}
-	e.Bool(opts.Heartbeats)
-	names := reg.Names()
-	e.Uvarint(uint64(len(names)))
-	for _, n := range names {
-		e.Str(n)
-	}
-	e.Uvarint(uint64(len(slots)))
-	for _, sp := range slots {
-		e.Varint(int64(sp.EP))
-	}
-	return nil
 }
 
-func decodeMeta(d *wire.Decoder) (boot.Options, []string, []kernel.Endpoint, error) {
-	var opts boot.Options
-	if err := d.Decode(&opts.Config); err != nil {
-		return opts, nil, nil, fmt.Errorf("image: meta config: %w", err)
+func decoding(code func(*wire.Codec)) func(*wire.Decoder) error {
+	return func(d *wire.Decoder) error {
+		c := wire.Decoding(d)
+		code(c)
+		return c.Err()
 	}
-	opts.Heartbeats = d.Bool()
-	var names []string
-	for i, n := 0, int(d.Uvarint()); i < n && d.Err() == nil; i++ {
-		names = append(names, d.Str())
-	}
-	var eps []kernel.Endpoint
-	for i, n := 0, int(d.Uvarint()); i < n && d.Err() == nil; i++ {
-		eps = append(eps, kernel.Endpoint(d.Varint()))
-	}
-	if err := d.Err(); err != nil {
-		return opts, nil, nil, fmt.Errorf("image: meta frame: %w", err)
-	}
-	return opts, names, eps, nil
 }
 
-// encodeSlot writes one component frame: the store image, the recovery
-// window statistics, the clone-resident accounting and the Forkable
-// transient.
-func encodeSlot(e *wire.Encoder, sp core.SlotParts) error {
-	if err := sp.Store.EncodeImage(e); err != nil {
-		return err
-	}
-	if err := e.Encode(sp.Stats); err != nil {
-		return err
-	}
-	e.Varint(int64(sp.CloneResident))
-	return e.Any(sp.Transient)
+// meta is the metadata frame: the boot options, the registry program
+// names (validated against the reader's registry, which cannot be
+// serialized) and the endpoints that have a component frame.
+type meta struct {
+	opts     boot.Options
+	programs []string
+	slots    []kernel.Endpoint
 }
 
-func decodeSlot(d *wire.Decoder, ep kernel.Endpoint) (*core.SlotParts, error) {
-	store, err := memlog.DecodeStoreImage(d)
-	if err != nil {
-		return nil, fmt.Errorf("component %d store: %w", ep, err)
+func metaOf(snap *boot.Snapshot) *meta {
+	m := &meta{opts: snap.Opts, programs: snap.Registry.Names()}
+	for _, slot := range snap.Image.Slots {
+		m.slots = append(m.slots, slot.EP)
 	}
-	var stats seep.Stats
-	if err := d.Decode(&stats); err != nil {
-		return nil, fmt.Errorf("component %d stats: %w", ep, err)
-	}
-	cloneResident := int(d.Varint())
-	transient, err := d.Any()
-	if err != nil {
-		return nil, fmt.Errorf("component %d transient: %w", ep, err)
-	}
-	if err := d.Err(); err != nil {
-		return nil, fmt.Errorf("component %d frame: %w", ep, err)
-	}
-	if rem := d.Remaining(); rem != 0 {
-		return nil, fmt.Errorf("component %d frame has %d trailing bytes", ep, rem)
-	}
-	return &core.SlotParts{
-		EP:            ep,
-		Store:         store,
-		Stats:         stats,
-		CloneResident: cloneResident,
-		Transient:     transient,
-	}, nil
+	return m
 }
 
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	if !sort.StringsAreSorted(a) || !sort.StringsAreSorted(b) {
-		a, b = append([]string(nil), a...), append([]string(nil), b...)
-		sort.Strings(a)
-		sort.Strings(b)
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+func (m *meta) code(c *wire.Codec) {
+	c.Value(&m.opts.Config)
+	c.Bool(&m.opts.Heartbeats)
+	wire.Slice(c, &m.programs, (*wire.Codec).Str)
+	wire.Slice(c, &m.slots, wire.Int[kernel.Endpoint])
+}
+
+func slotFrame(ep kernel.Endpoint) string { return slotPrefix + strconv.Itoa(int(ep)) }
+
+// codeSlot is one component frame: the store image, the recovery window
+// statistics, the clone-resident accounting and the Forkable transient.
+// The endpoint is the frame's name.
+func codeSlot(c *wire.Codec, slot *core.SlotImage) {
+	memlog.CodeImage(c, &slot.Store)
+	c.Value(&slot.Stats)
+	wire.Int(c, &slot.CloneResident)
+	c.Any(&slot.Transient)
 }

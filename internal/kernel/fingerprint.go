@@ -5,23 +5,22 @@ package kernel
 // compared against a pathfinder rung, and deciding whether the parked
 // machine is at an elision-grade quiescent point at all.
 //
-// The fingerprint covers semantic state only — the process table, the
-// queued messages, the alarm set, the scheduler geometry and the IPC
-// reliability maps. It deliberately excludes everything that differs
-// between a recovered machine and the fault-free pathfinder without
-// affecting future behavior: the absolute clock (recovery costs cycles),
-// counters and transport statistics, the alarm heap's internal sequence
-// numbers, and scheduling *phase* — the position within the preemption
-// quantum (quantumUsed) and the phase of the Recovery Server's
-// heartbeat. Both re-arm relative to their last event, so after a
-// recovery their absolute schedule is skewed by the recovery cost
-// forever, while what they produce (a cost-free preemption yield per
-// quantum of work, a ping round every period) leaves every run-visible
-// result unchanged. Server alarms are therefore hashed structurally
-// (owner and count only), heartbeat-phase messages in server inboxes
-// are skipped via the caller-supplied predicate, and quantumUsed is
-// not hashed. The -noelide oracle covers the residual risk of these
-// exclusions.
+// The fingerprint is its own walk over the live structs, not a visitor
+// over the image's field lists (image.go): the wedge certificate hashes
+// machines no image could hold — processes blocked in SendRec, sends in
+// flight — and what it hashes is canonicalised rather than copied
+// (alarms by owner and count or time left, inboxes less what MsgSkip
+// names). It covers semantic state only and deliberately leaves out what
+// differs between a recovered machine and the fault-free pathfinder
+// without affecting future behaviour: the absolute clock, counters and
+// transport statistics, the alarm heap's sequence numbers, and scheduling
+// *phase* — the position within the preemption quantum and the phase of
+// the Recovery Server's heartbeat, which re-arm relative to their last
+// event and so stay skewed by a recovery's cost forever while what they
+// produce is unchanged. Field by field, what is hashed, what is not and
+// why is the table fingerprintFields in fingerprint_test.go, which a
+// test holds against the structs: an unclassified new field fails it.
+// The -noelide oracle covers the residual risk of the exclusions.
 
 import (
 	"sort"
@@ -36,45 +35,28 @@ import (
 // boot layer — the kernel does not know the server protocols.
 type MsgSkip func(m Message, server bool) bool
 
-// fpState is an incremental FNV-1a hasher with a splitmix64 finisher.
-type fpState struct{ h uint64 }
+// fpState is the kernel's view of the state hash: sim.Hash plus the
+// framing of its field kinds (strings and blobs are length-prefixed).
+type fpState struct{ sim.Hash }
 
-const (
-	fpOffset = 14695981039346656037
-	fpPrime  = 1099511628211
-)
-
-func newFPState() fpState { return fpState{h: fpOffset} }
-
-func (f *fpState) u64(v uint64) {
-	for i := 0; i < 8; i++ {
-		f.h = (f.h ^ (v & 0xff)) * fpPrime
-		v >>= 8
-	}
-}
-
-func (f *fpState) i64(v int64) { f.u64(uint64(v)) }
+func (f *fpState) i64(v int64) { f.U64(uint64(v)) }
 
 func (f *fpState) bool(v bool) {
 	if v {
-		f.u64(1)
+		f.U64(1)
 	} else {
-		f.u64(0)
+		f.U64(0)
 	}
 }
 
 func (f *fpState) str(s string) {
-	f.u64(uint64(len(s)))
-	for i := 0; i < len(s); i++ {
-		f.h = (f.h ^ uint64(s[i])) * fpPrime
-	}
+	f.U64(uint64(len(s)))
+	f.Text(s)
 }
 
 func (f *fpState) blob(b []byte) {
-	f.u64(uint64(len(b)))
-	for _, c := range b {
-		f.h = (f.h ^ uint64(c)) * fpPrime
-	}
+	f.U64(uint64(len(b)))
+	f.Bytes(b)
 }
 
 func (f *fpState) msg(m Message) {
@@ -87,8 +69,8 @@ func (f *fpState) msg(m Message) {
 	f.i64(m.B)
 	f.i64(m.C)
 	f.i64(m.D)
-	f.u64(uint64(m.Seq))
-	f.u64(uint64(m.Sum))
+	f.U64(uint64(m.Seq))
+	f.U64(uint64(m.Sum))
 	f.str(m.Str)
 	f.str(m.Str2)
 	f.blob(m.Bytes)
@@ -100,23 +82,13 @@ func (f *fpState) msg(m Message) {
 	f.bool(m.Aux != nil)
 }
 
-func (f *fpState) sum() uint64 {
-	h := f.h
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
-}
-
 // StateFingerprint hashes the machine's semantic kernel state. Two
 // machines that fingerprint equal (and whose stores and disks hash
 // equal) will, barring hash collisions, produce identical executions
 // from this point given identical inputs and RNG states.
 func (k *Kernel) StateFingerprint(skip MsgSkip) uint64 {
-	f := newFPState()
-	f.u64(uint64(k.rrNext))
+	f := fpState{sim.NewHash()}
+	f.U64(uint64(k.rrNext))
 	f.i64(int64(k.nextUserEp))
 	f.i64(int64(k.rootEp))
 	for _, ep := range k.order {
@@ -130,16 +102,16 @@ func (k *Kernel) StateFingerprint(skip MsgSkip) uint64 {
 			// between a machine that executed to this point and a fork
 			// rebuilt from an image. Only their existence is hashed.
 			f.i64(int64(ep))
-			f.u64(0xDEAD)
+			f.U64(0xDEAD)
 			continue
 		}
 		f.i64(int64(ep))
-		f.u64(uint64(p.state))
+		f.U64(uint64(p.state))
 		f.i64(int64(p.curSender))
 		f.bool(p.curNeedsReply)
 		f.i64(int64(p.waitFrom))
-		f.u64(uint64(p.sendAttempts))
-		f.u64(uint64(p.sendRearms))
+		f.U64(uint64(p.sendAttempts))
+		f.U64(uint64(p.sendRearms))
 		f.bool(p.reply != nil)
 		f.bool(p.sendDeadline != 0)
 		for i := p.inboxHead; i < len(p.inbox); i++ {
@@ -151,16 +123,16 @@ func (k *Kernel) StateFingerprint(skip MsgSkip) uint64 {
 		}
 		// Per-process terminator so inbox contents cannot bleed into the
 		// next process's fields.
-		f.u64(0x50C1A1)
+		f.U64(0x50C1A1)
 	}
 	k.fingerprintAlarms(&f)
 	if k.ipc != nil {
-		f.u64(1)
+		f.U64(1)
 		k.ipc.fingerprint(&f)
 	} else {
-		f.u64(0)
+		f.U64(0)
 	}
-	return f.sum()
+	return f.Sum()
 }
 
 // fingerprintAlarms folds the pending alarm set in canonical form:
@@ -196,10 +168,10 @@ func (k *Kernel) fingerprintAlarms(f *fpState) {
 	for _, ep := range k.order {
 		if n := serverCounts[ep]; n > 0 {
 			f.i64(int64(ep))
-			f.u64(uint64(n))
+			f.U64(uint64(n))
 		}
 	}
-	f.u64(0xA1A2)
+	f.U64(0xA1A2)
 	sort.Slice(users, func(i, j int) bool {
 		if users[i].ep != users[j].ep {
 			return users[i].ep < users[j].ep
@@ -208,9 +180,9 @@ func (k *Kernel) fingerprintAlarms(f *fpState) {
 	})
 	for _, a := range users {
 		f.i64(int64(a.ep))
-		f.u64(uint64(a.rel))
+		f.U64(uint64(a.rel))
 	}
-	f.u64(0xA1A3)
+	f.U64(0xA1A3)
 }
 
 // fingerprint folds the reliability-layer bookkeeping — sequence
@@ -221,30 +193,30 @@ func (ipc *ipcPlane) fingerprint(f *fpState) {
 		for _, p := range sortedPairs(m) {
 			f.i64(int64(p.dst))
 			f.i64(int64(p.src))
-			f.u64(uint64(m[p]))
+			f.U64(uint64(m[p]))
 		}
-		f.u64(0xB1B1)
+		f.U64(0xB1B1)
 	}
 	hashU32(ipc.nextSeq)
 	for _, p := range sortedPairs(ipc.seen) {
 		w := ipc.seen[p]
 		f.i64(int64(p.dst))
 		f.i64(int64(p.src))
-		f.u64(uint64(w.top))
-		f.u64(w.bits)
+		f.U64(uint64(w.top))
+		f.U64(w.bits)
 	}
-	f.u64(0xB1B2)
+	f.U64(0xB1B2)
 	hashU32(ipc.svcSeq)
 	for _, p := range sortedPairs(ipc.replyCache) {
 		rc := ipc.replyCache[p]
 		f.i64(int64(p.dst))
 		f.i64(int64(p.src))
-		f.u64(uint64(rc.seq))
+		f.U64(uint64(rc.seq))
 		f.msg(rc.msg)
 	}
-	f.u64(0xB1B3)
-	f.u64(uint64(len(ipc.held)))
-	f.u64(uint64(len(ipc.armed)))
+	f.U64(0xB1B3)
+	f.U64(uint64(len(ipc.held)))
+	f.U64(uint64(len(ipc.armed)))
 }
 
 // RNGState returns the machine root RNG's state word (see

@@ -1,14 +1,18 @@
 package kernel
 
-// On-disk serialization of MachineImage (the kernel frame of
-// internal/image's container format). The codec is hand-rolled —
-// MachineImage is all unexported fields with interior maps keyed by
-// unexported structs — and deterministic: map entries are emitted in
-// sorted key order, everything else in capture order.
+// On-disk form of MachineImage (the kernel frame of internal/image's
+// container format). Every type has ONE field list, a function over a
+// wire.Codec that writes the fields when the codec encodes and reads
+// them when it decodes. The lists are written by hand rather than left
+// to the reflective wire.Value: the image is all unexported fields with
+// interior maps keyed by unexported structs, and the same frame through
+// reflection costs ten times the encode and the decode. The stream is
+// deterministic: map entries go out in sorted key order, everything else
+// in capture order.
 //
 // Message Aux payloads are the one open point: they are interface-typed
 // and may carry process bodies (functions), which cannot cross a
-// process boundary. Encoding goes through wire.Any, so nil and
+// process boundary. They go through the wire type registry, so nil and
 // registered data payloads ([]string argv and the servers' registered
 // fork-state types) serialize, and anything else fails the encode with
 // a clear error — the caller degrades to in-memory forking or cold
@@ -25,211 +29,108 @@ import (
 // imageVersion guards the frame layout; bump on any codec change.
 const imageVersion = 1
 
-// EncodeTo appends the machine image to e.
-func (img *MachineImage) EncodeTo(e *wire.Encoder) error {
-	e.Uvarint(imageVersion)
-	e.U64(uint64(img.now))
-	e.Varint(int64(img.rrNext))
-	e.Varint(int64(img.nextUserEp))
-	e.Varint(int64(img.rootEp))
-	e.Uvarint(uint64(len(img.alarms)))
-	for _, a := range img.alarms {
-		e.U64(uint64(a.deadline))
-		e.Varint(int64(a.ep))
-		e.Uvarint(a.seq)
+// Code walks the machine image through c: EncodeTo and the decoder in
+// one. A decoding walk fills img, which must be empty.
+func (img *MachineImage) Code(c *wire.Codec) {
+	version := uint64(imageVersion)
+	if c.Uvarint(&version); version != imageVersion {
+		c.Fail(fmt.Errorf("kernel: machine image version %d, want %d", version, imageVersion))
 	}
-	e.Uvarint(img.alarmSeq)
-	encodeCounters(e, img.counters)
-	e.Uvarint(uint64(len(img.procs)))
-	for i := range img.procs {
-		p := &img.procs[i]
-		e.Varint(int64(p.ep))
-		e.Str(p.name)
-		e.Varint(int64(p.state))
-		e.Uvarint(uint64(len(p.inbox)))
-		for j := range p.inbox {
-			if err := encodeMessage(e, &p.inbox[j]); err != nil {
-				return fmt.Errorf("kernel: process %s(%d) inbox[%d]: %w", p.name, p.ep, j, err)
-			}
+	wire.Fixed64(c, &img.now)
+	wire.Int(c, &img.rrNext)
+	wire.Int(c, &img.nextUserEp)
+	wire.Int(c, &img.rootEp)
+	wire.Slice(c, &img.alarms, codeAlarm)
+	c.Uvarint(&img.alarmSeq)
+	codeCounters(c, &img.counters)
+	wire.Slice(c, &img.procs, codeProc)
+	hasPlane := img.ipc != nil
+	if c.Bool(&hasPlane); hasPlane {
+		if c.Decoding() {
+			img.ipc = new(planeState)
 		}
-		e.U64(uint64(p.quantumUsed))
-		e.Varint(int64(p.curSender))
-		e.Bool(p.curNeedsReply)
+		codePlane(c, img.ipc)
 	}
-	e.Bool(img.ipc != nil)
-	if img.ipc != nil {
-		if err := e.Encode(img.ipc.stats); err != nil {
-			return err
-		}
-		encodeSeqMap(e, img.ipc.nextSeq)
-		encodePairs(e, img.ipc.seen, func(w seqWindow) {
-			e.U32(w.top)
-			e.U64(w.bits)
-		})
-		encodeSeqMap(e, img.ipc.svcSeq)
-		var msgErr error
-		encodePairs(e, img.ipc.replyCache, func(r cachedReply) {
-			e.U32(r.seq)
-			if err := encodeMessage(e, &r.msg); err != nil && msgErr == nil {
-				msgErr = err
-			}
-		})
-		if msgErr != nil {
-			return fmt.Errorf("kernel: reply cache: %w", msgErr)
-		}
-	}
-	e.U64(uint64(img.ipcNextDue))
-	return nil
+	wire.Fixed64(c, &img.ipcNextDue)
 }
 
-// DecodeMachineImage parses one machine image from d.
-func DecodeMachineImage(d *wire.Decoder) (*MachineImage, error) {
-	if v := d.Uvarint(); v != imageVersion && d.Err() == nil {
-		return nil, fmt.Errorf("kernel: machine image version %d, want %d", v, imageVersion)
-	}
-	img := &MachineImage{
-		now:        sim.Cycles(d.U64()),
-		rrNext:     int(d.Varint()),
-		nextUserEp: Endpoint(d.Varint()),
-		rootEp:     Endpoint(d.Varint()),
-	}
-	for i, n := 0, int(d.Uvarint()); i < n && d.Err() == nil; i++ {
-		img.alarms = append(img.alarms, alarm{
-			deadline: sim.Cycles(d.U64()),
-			ep:       Endpoint(d.Varint()),
-			seq:      d.Uvarint(),
-		})
-	}
-	img.alarmSeq = d.Uvarint()
-	img.counters = decodeCounters(d)
-	for i, n := 0, int(d.Uvarint()); i < n && d.Err() == nil; i++ {
-		p := procImage{
-			ep:    Endpoint(d.Varint()),
-			name:  d.Str(),
-			state: procState(d.Varint()),
-		}
-		for j, m := 0, int(d.Uvarint()); j < m && d.Err() == nil; j++ {
-			msg, err := decodeMessage(d)
-			if err != nil {
-				return nil, err
-			}
-			p.inbox = append(p.inbox, msg)
-		}
-		p.quantumUsed = sim.Cycles(d.U64())
-		p.curSender = Endpoint(d.Varint())
-		p.curNeedsReply = d.Bool()
-		img.procs = append(img.procs, p)
-	}
-	if d.Bool() {
-		pl := &planeImage{
-			nextSeq:    map[epPair]uint32{},
-			seen:       map[epPair]seqWindow{},
-			svcSeq:     map[epPair]uint32{},
-			replyCache: map[epPair]cachedReply{},
-		}
-		if err := d.Decode(&pl.stats); err != nil {
-			return nil, err
-		}
-		decodeSeqMap(d, pl.nextSeq)
-		decodePairs(d, pl.seen, func() seqWindow {
-			return seqWindow{top: d.U32(), bits: d.U64()}
-		})
-		decodeSeqMap(d, pl.svcSeq)
-		var msgErr error
-		decodePairs(d, pl.replyCache, func() cachedReply {
-			r := cachedReply{seq: d.U32()}
-			msg, err := decodeMessage(d)
-			if err != nil && msgErr == nil {
-				msgErr = err
-			}
-			r.msg = msg
-			return r
-		})
-		if msgErr != nil {
-			return nil, msgErr
-		}
-		img.ipc = pl
-	}
-	img.ipcNextDue = sim.Cycles(d.U64())
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	return img, nil
+func codeAlarm(c *wire.Codec, a *alarm) {
+	wire.Fixed64(c, &a.deadline)
+	wire.Int(c, &a.ep)
+	c.Uvarint(&a.seq)
 }
 
-// encodeCounters writes the counter set name-keyed in sorted order.
+func codeProc(c *wire.Codec, p *procImage) {
+	wire.Int(c, &p.ep)
+	c.Str(&p.name)
+	wire.Int(c, &p.state)
+	wire.Slice(c, &p.inbox, codeMessage)
+	wire.Fixed64(c, &p.quantumUsed)
+	wire.Int(c, &p.curSender)
+	c.Bool(&p.curNeedsReply)
+}
+
+func codeMessage(c *wire.Codec, m *Message) {
+	wire.Int(c, &m.Type)
+	wire.Int(c, &m.From)
+	wire.Int(c, &m.To)
+	c.Bool(&m.NeedsReply)
+	wire.Int(c, &m.Errno)
+	wire.Int(c, &m.A)
+	wire.Int(c, &m.B)
+	wire.Int(c, &m.C)
+	wire.Int(c, &m.D)
+	c.Str(&m.Str)
+	c.Str(&m.Str2)
+	c.Blob(&m.Bytes)
+	c.Any(&m.Aux)
+	c.U32(&m.Seq)
+	c.U32(&m.Sum)
+}
+
+func codePlane(c *wire.Codec, pl *planeState) {
+	c.Value(&pl.stats)
+	codePairs(c, &pl.nextSeq, (*wire.Codec).U32)
+	codePairs(c, &pl.seen, func(c *wire.Codec, w *seqWindow) {
+		c.U32(&w.top)
+		wire.Fixed64(c, &w.bits)
+	})
+	codePairs(c, &pl.svcSeq, (*wire.Codec).U32)
+	codePairs(c, &pl.replyCache, func(c *wire.Codec, r *cachedReply) {
+		c.U32(&r.seq)
+		codeMessage(c, &r.msg)
+	})
+}
+
+// codeCounters writes the counter set name-keyed in sorted order.
 // Slot IDs are per-process (registration order), so the image must not
 // reference them: a trace recorded by one binary is replayed by
 // another, and Add-by-name re-resolves to the local slots.
-func encodeCounters(e *wire.Encoder, c *sim.Counters) {
-	snap := c.Snapshot()
-	names := make([]string, 0, len(snap))
-	for name := range snap {
-		names = append(names, name)
+func codeCounters(c *wire.Codec, p **sim.Counters) {
+	var snap map[string]uint64
+	var names []string
+	if c.Decoding() {
+		*p = sim.NewCounters()
+	} else {
+		snap = (*p).Snapshot()
+		names = make([]string, 0, len(snap))
+		for name := range snap {
+			names = append(names, name)
+		}
+		sort.Strings(names)
 	}
-	sort.Strings(names)
-	e.Uvarint(uint64(len(names)))
-	for _, name := range names {
-		e.Str(name)
-		e.Uvarint(snap[name])
+	for i, n := 0, c.Len(len(names)); i < n && c.Err() == nil; i++ {
+		var name string
+		var v uint64
+		if !c.Decoding() {
+			name, v = names[i], snap[names[i]]
+		}
+		c.Str(&name)
+		c.Uvarint(&v)
+		if c.Decoding() {
+			(*p).Add(name, v)
+		}
 	}
-}
-
-func decodeCounters(d *wire.Decoder) *sim.Counters {
-	c := sim.NewCounters()
-	for i, n := 0, int(d.Uvarint()); i < n && d.Err() == nil; i++ {
-		name := d.Str()
-		c.Add(name, d.Uvarint())
-	}
-	return c
-}
-
-// encodeMessage serializes one message. Aux goes through the wire type
-// registry; unregistered payloads (process bodies) fail the encode.
-func encodeMessage(e *wire.Encoder, m *Message) error {
-	e.Varint(int64(m.Type))
-	e.Varint(int64(m.From))
-	e.Varint(int64(m.To))
-	e.Bool(m.NeedsReply)
-	e.Varint(int64(m.Errno))
-	e.Varint(m.A)
-	e.Varint(m.B)
-	e.Varint(m.C)
-	e.Varint(m.D)
-	e.Str(m.Str)
-	e.Str(m.Str2)
-	e.Blob(m.Bytes)
-	if err := e.Any(m.Aux); err != nil {
-		return err
-	}
-	e.U32(m.Seq)
-	e.U32(m.Sum)
-	return nil
-}
-
-func decodeMessage(d *wire.Decoder) (Message, error) {
-	m := Message{
-		Type:       MsgType(d.Varint()),
-		From:       Endpoint(d.Varint()),
-		To:         Endpoint(d.Varint()),
-		NeedsReply: d.Bool(),
-		Errno:      Errno(d.Varint()),
-		A:          d.Varint(),
-		B:          d.Varint(),
-		C:          d.Varint(),
-		D:          d.Varint(),
-		Str:        d.Str(),
-		Str2:       d.Str(),
-		Bytes:      d.Blob(),
-	}
-	aux, err := d.Any()
-	if err != nil {
-		return Message{}, err
-	}
-	m.Aux = aux
-	m.Seq = d.U32()
-	m.Sum = d.U32()
-	return m, d.Err()
 }
 
 // sortedPairs returns the map's keys sorted by (dst, src).
@@ -247,27 +148,31 @@ func sortedPairs[V any](m map[epPair]V) []epPair {
 	return keys
 }
 
-func encodePairs[V any](e *wire.Encoder, m map[epPair]V, val func(V)) {
-	keys := sortedPairs(m)
-	e.Uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		e.Varint(int64(k.dst))
-		e.Varint(int64(k.src))
-		val(m[k])
+// codePairs codes a transport map as its entries in sorted pair order.
+func codePairs[V any](c *wire.Codec, m *map[epPair]V, val func(*wire.Codec, *V)) {
+	var keys []epPair
+	if c.Decoding() {
+		*m = map[epPair]V{}
+	} else {
+		keys = sortedPairs(*m)
 	}
-}
-
-func decodePairs[V any](d *wire.Decoder, m map[epPair]V, val func() V) {
-	for i, n := 0, int(d.Uvarint()); i < n && d.Err() == nil; i++ {
-		k := epPair{dst: Endpoint(d.Varint()), src: Endpoint(d.Varint())}
-		m[k] = val()
+	// One entry for the whole walk: val is a function value, so what it is
+	// handed lives on the heap.
+	var entry struct {
+		k epPair
+		v V
 	}
-}
-
-func encodeSeqMap(e *wire.Encoder, m map[epPair]uint32) {
-	encodePairs(e, m, func(v uint32) { e.U32(v) })
-}
-
-func decodeSeqMap(d *wire.Decoder, m map[epPair]uint32) {
-	decodePairs(d, m, func() uint32 { return d.U32() })
+	for i, n := 0, c.Len(len(keys)); i < n && c.Err() == nil; i++ {
+		if c.Decoding() {
+			entry.v = *new(V)
+		} else {
+			entry.k, entry.v = keys[i], (*m)[keys[i]]
+		}
+		wire.Int(c, &entry.k.dst)
+		wire.Int(c, &entry.k.src)
+		val(c, &entry.v)
+		if c.Decoding() {
+			(*m)[entry.k] = entry.v
+		}
+	}
 }

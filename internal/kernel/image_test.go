@@ -1,0 +1,122 @@
+package kernel
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
+)
+
+func encodeMachine(t *testing.T, img *MachineImage) []byte {
+	t.Helper()
+	e := wire.NewEncoder()
+	c := wire.Encoding(e)
+	if img.Code(c); c.Err() != nil {
+		t.Fatalf("encode: %v", c.Err())
+	}
+	return e.Bytes()
+}
+
+func decodeMachine(t *testing.T, data []byte) *MachineImage {
+	t.Helper()
+	img := new(MachineImage)
+	d := wire.NewDecoder(data)
+	c := wire.Decoding(d)
+	if img.Code(c); c.Err() != nil {
+		t.Fatalf("decode: %v", c.Err())
+	}
+	if d.Remaining() != 0 {
+		t.Fatalf("decode left %d bytes", d.Remaining())
+	}
+	return img
+}
+
+// One field list per type: an image with every field of every type in it
+// set — MachineImage, procImage, Message, alarm, planeState and its four
+// maps, seqWindow, cachedReply, IPCStats — survives the codec unchanged.
+// A field missing from a list decodes as zero and fails the comparison.
+func TestMachineImageCodecCoversEveryField(t *testing.T) {
+	var in MachineImage
+	payloads := 0
+	f := wiretest.Filler{Leaf: func(path string, v reflect.Value) bool {
+		switch {
+		case v.Type() == reflect.TypeOf((*sim.Counters)(nil)):
+			c := sim.NewCounters()
+			c.Add("kernel.dispatches", 11)
+			c.Add("not-a-registered-counter", 12)
+			v.Set(reflect.ValueOf(c))
+		case v.Kind() == reflect.Interface:
+			payloads++
+			v.Set(reflect.ValueOf([]string{fmt.Sprint("aux", payloads)}))
+		default:
+			return false
+		}
+		return true
+	}}
+	f.Fill(&in)
+	out := decodeMachine(t, encodeMachine(t, &in))
+	if !reflect.DeepEqual(in.counters.Snapshot(), out.counters.Snapshot()) {
+		t.Errorf("counters: in %v, out %v", in.counters.Snapshot(), out.counters.Snapshot())
+	}
+	out.counters = in.counters
+	if !reflect.DeepEqual(&in, out) {
+		t.Errorf("round trip lost state:\n in  %+v\n out %+v", in, *out)
+	}
+}
+
+// ApplyImage checks what the scheduler will index with before it stamps
+// anything: an image read from a file may say anything. Unchecked, a
+// cursor past the process table was accepted and panicked inside Run.
+func TestApplyImageRejectsBadSchedulerState(t *testing.T) {
+	src := barrierMachine(nil)
+	if !src.RunToBarrier(testLimit) {
+		t.Fatalf("machine ended (%v) before its barrier", src.StepResult())
+	}
+	captured, err := src.CaptureImage()
+	src.Teardown("captured")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := encodeMachine(t, captured)
+
+	// ApplyImage stamps a fresh machine built the way the captured one was.
+	k := barrierMachine(nil)
+	if err := k.ApplyImage(decodeMachine(t, data)); err != nil {
+		t.Fatalf("valid image refused: %v", err)
+	}
+	if res := k.Run(testLimit); res.Outcome != OutcomeCompleted {
+		t.Fatalf("fork of the valid image ended %+v", res)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		mutate func(img *MachineImage)
+		want   string
+	}{
+		{"cursor one past the table", func(img *MachineImage) { img.rrNext = len(img.procs) }, "round-robin cursor"},
+		{"cursor far past the table", func(img *MachineImage) { img.rrNext = 1 << 40 }, "round-robin cursor"},
+		{"negative cursor", func(img *MachineImage) { img.rrNext = -1 }, "round-robin cursor"},
+		{"unknown process state", func(img *MachineImage) { img.procs[0].state = 99 }, "state 99"},
+		{"server blocked in SendRec", func(img *MachineImage) { img.procs[0].state = stateSendRec }, "not parked at a barrier"},
+		{"root not runnable", func(img *MachineImage) { img.procs[len(img.procs)-1].state = stateReceiving }, "not parked at a barrier"},
+	} {
+		img := decodeMachine(t, data)
+		tc.mutate(img)
+		k := barrierMachine(nil)
+		err := k.ApplyImage(img)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: ApplyImage error = %v, want one naming %q", tc.name, err, tc.want)
+		}
+		if err == nil {
+			continue
+		}
+		// A refusal leaves the machine as it was: it still runs cold.
+		if res := k.Run(testLimit); res.Outcome != OutcomeCompleted {
+			t.Errorf("%s: machine after the refusal ended %+v", tc.name, res)
+		}
+	}
+}

@@ -36,6 +36,7 @@ package kernel
 
 import (
 	"fmt"
+	"maps"
 
 	"repro/internal/sim"
 )
@@ -276,15 +277,8 @@ type cachedReply struct {
 	msg Message
 }
 
-// ipcPlane is the interposition plane of one machine. It exists only
-// when faults or reliability are enabled; a nil plane is the default
-// and leaves every IPC path untouched.
-type ipcPlane struct {
-	k   *Kernel
-	cfg IPCFaultConfig
-	rel IPCReliability
-	rng *sim.RNG
-
+// planeState is the transport state that outlives a quiescence barrier.
+type planeState struct {
 	stats IPCStats
 
 	// nextSeq assigns per-(dst,src) sequence numbers; seen tracks which
@@ -301,6 +295,34 @@ type ipcPlane struct {
 	seen       map[epPair]seqWindow
 	svcSeq     map[epPair]uint32
 	replyCache map[epPair]cachedReply
+}
+
+// clone copies the state: the scalars by assignment, then each map.
+// Cached reply messages share their payloads, which nothing mutates once
+// a reply was sent.
+func (s *planeState) clone() planeState {
+	out := *s
+	out.nextSeq = maps.Clone(s.nextSeq)
+	out.seen = maps.Clone(s.seen)
+	out.svcSeq = maps.Clone(s.svcSeq)
+	out.replyCache = maps.Clone(s.replyCache)
+	return out
+}
+
+// ipcPlane is the interposition plane of one machine. It exists only
+// when faults or reliability are enabled; a nil plane is the default
+// and leaves every IPC path untouched.
+type ipcPlane struct {
+	k   *Kernel
+	cfg IPCFaultConfig
+	rel IPCReliability
+	rng *sim.RNG
+
+	// planeState is the part an image carries: the statistics and the
+	// reliability layer's bookkeeping. The fault RNG is deliberately not
+	// in it: it is never drawn during a fault-free boot, and each fork
+	// re-seeds its own from the per-run fault seed.
+	planeState
 
 	held []heldMsg
 
@@ -318,13 +340,15 @@ func (ipc *ipcPlane) relOn() bool { return ipc.rel.TimeoutCycles > 0 }
 func (k *Kernel) plane(seed uint64) *ipcPlane {
 	if k.ipc == nil {
 		k.ipc = &ipcPlane{
-			k:          k,
-			rng:        sim.NewRNG(seed ^ 0x19C0FA17),
-			nextSeq:    make(map[epPair]uint32),
-			seen:       make(map[epPair]seqWindow),
-			svcSeq:     make(map[epPair]uint32),
-			replyCache: make(map[epPair]cachedReply),
-			armed:      make(map[Endpoint]IPCFaultKind),
+			k:   k,
+			rng: sim.NewRNG(seed ^ 0x19C0FA17),
+			planeState: planeState{
+				nextSeq:    make(map[epPair]uint32),
+				seen:       make(map[epPair]seqWindow),
+				svcSeq:     make(map[epPair]uint32),
+				replyCache: make(map[epPair]cachedReply),
+			},
+			armed: make(map[Endpoint]IPCFaultKind),
 		}
 	}
 	return k.ipc

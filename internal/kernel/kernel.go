@@ -315,9 +315,13 @@ type Kernel struct {
 	counters *sim.Counters
 	cost     CostModel
 
-	procs  map[Endpoint]*Process
-	order  []Endpoint
-	rrNext int
+	// machineRegs are the scalars an image carries (snapshot.go): the
+	// round-robin cursor, the endpoint and alarm allocators, the root
+	// endpoint and the earliest pending IPC event.
+	machineRegs
+
+	procs map[Endpoint]*Process
+	order []Endpoint
 	// ready indexes schedulable processes by order position; the
 	// round-robin pick is a find-first-set instead of a table scan.
 	ready readySet
@@ -348,23 +352,15 @@ type Kernel struct {
 	// IPC to a quarantined endpoint is error-virtualized to ECRASH.
 	quarantined map[Endpoint]string
 
-	alarms   []alarm
-	alarmSeq uint64
-
-	rootEp Endpoint
+	alarms []alarm
 
 	done    bool
 	outcome RunOutcome
 	reason  string
 
-	nextUserEp Endpoint
-
 	// ipc is the fault-injection/reliability interposition plane; nil
-	// (the default) leaves every IPC path untouched. ipcNextDue is the
-	// earliest pending IPC event (delayed delivery, ARQ retransmission
-	// or SendRec deadline) so the hot paths pay a single compare.
-	ipc        *ipcPlane
-	ipcNextDue sim.Cycles
+	// (the default) leaves every IPC path untouched.
+	ipc *ipcPlane
 
 	pointHook func(ep Endpoint, name, site string)
 	tracer    func(format string, args ...any)
@@ -398,12 +394,11 @@ func New(cost CostModel, seed uint64) *Kernel {
 		counters:           sim.NewCounters(),
 		cost:               cost,
 		procs:              make(map[Endpoint]*Process),
-		nextUserEp:         EpUserBase,
+		machineRegs:        machineRegs{nextUserEp: EpUserBase, ipcNextDue: ipcNone},
 		replyErrnoOverride: make(map[Endpoint]Errno),
 		recoveryPanics:     make(map[Endpoint]int),
 		quarantined:        make(map[Endpoint]string),
 		pendingByEp:        make(map[Endpoint]int),
-		ipcNextDue:         ipcNone,
 	}
 }
 

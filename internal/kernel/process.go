@@ -95,15 +95,13 @@ type procLive struct {
 	sendAttempts int
 	sendRearms   int
 
-	quantumUsed sim.Cycles
+	// procRegs are the scalars an image carries (snapshot.go): the spent
+	// quantum and the in-flight request bookkeeping.
+	procRegs
 
 	// Recovery attachments (servers only; nil for user processes).
 	window *seep.Window
 	store  *memlog.Store
-
-	// In-flight request bookkeeping for reconciliation.
-	curSender     Endpoint
-	curNeedsReply bool
 
 	// onKill releases resources owned by the process body (e.g.
 	// cooperative worker threads) when the process is torn down or the

@@ -70,47 +70,57 @@ func (k *Kernel) RunToBarrier(cycleLimit sim.Cycles) bool {
 	return k.barrierHit && !k.done
 }
 
+// Each layer of kernel state keeps the scalars an image carries in one
+// plain struct embedded in both the live object and its image, so capture
+// and apply copy them by assignment and a new scalar is declared once:
+// machineRegs (Kernel / MachineImage), procRegs (procLive / procImage)
+// and planeState (ipcPlane / MachineImage.ipc). What holds references —
+// inboxes, the alarm heap, counters, the transport maps — is copied
+// explicitly beside the assignment.
+
+// machineRegs are the machine-wide scalars.
+type machineRegs struct {
+	rrNext     int
+	nextUserEp Endpoint
+	rootEp     Endpoint
+	alarmSeq   uint64
+	// ipcNextDue is the earliest pending IPC event (delayed delivery, ARQ
+	// retransmission or SendRec deadline), ipcNone without one, so the
+	// hot paths pay a single compare.
+	ipcNextDue sim.Cycles
+}
+
+// procRegs are the per-process scalars.
+type procRegs struct {
+	quantumUsed sim.Cycles
+	// In-flight request bookkeeping for reconciliation.
+	curSender     Endpoint
+	curNeedsReply bool
+}
+
 // procImage is the captured kernel-level state of one process. Dead
 // entries (exited, reaped test children that still occupy a slot in the
 // scheduling order) carry only their endpoint and name; ApplyImage
 // recreates them as body-less placeholders so the fork's scheduler
 // geometry matches the captured machine exactly.
 type procImage struct {
-	ep            Endpoint
-	name          string
-	state         procState
-	inbox         []Message
-	quantumUsed   sim.Cycles
-	curSender     Endpoint
-	curNeedsReply bool
-}
-
-// planeImage is the captured state of the IPC interposition plane. The
-// fault RNG is deliberately NOT captured: it is never drawn during a
-// fault-free boot, and each fork re-seeds its own from the per-run
-// fault seed.
-type planeImage struct {
-	stats      IPCStats
-	nextSeq    map[epPair]uint32
-	seen       map[epPair]seqWindow
-	svcSeq     map[epPair]uint32
-	replyCache map[epPair]cachedReply
+	ep    Endpoint
+	name  string
+	state procState
+	inbox []Message
+	procRegs
 }
 
 // MachineImage is a deep snapshot of one machine's kernel state at the
 // quiescence barrier. It is immutable once captured and may be applied
 // to any number of fresh machines concurrently.
 type MachineImage struct {
-	now        sim.Cycles
-	rrNext     int
-	nextUserEp Endpoint
-	rootEp     Endpoint
-	alarms     []alarm
-	alarmSeq   uint64
-	counters   *sim.Counters
-	procs      []procImage
-	ipc        *planeImage
-	ipcNextDue sim.Cycles
+	machineRegs
+	now      sim.Cycles
+	alarms   []alarm
+	counters *sim.Counters
+	procs    []procImage
+	ipc      *planeState
 }
 
 // barrierRefusal is the kernel's one quiescence predicate for a machine
@@ -180,14 +190,10 @@ func (k *Kernel) CaptureImage() (*MachineImage, error) {
 		return nil, err
 	}
 	img := &MachineImage{
-		now:        k.clock.Now(),
-		rrNext:     k.rrNext,
-		nextUserEp: k.nextUserEp,
-		rootEp:     k.rootEp,
-		alarms:     append([]alarm(nil), k.alarms...),
-		alarmSeq:   k.alarmSeq,
-		counters:   k.counters.Clone(),
-		ipcNextDue: k.ipcNextDue,
+		machineRegs: k.machineRegs,
+		now:         k.clock.Now(),
+		alarms:      append([]alarm(nil), k.alarms...),
+		counters:    k.counters.Clone(),
 	}
 	for _, ep := range k.order {
 		p := k.procs[ep]
@@ -196,41 +202,26 @@ func (k *Kernel) CaptureImage() (*MachineImage, error) {
 			img.procs = append(img.procs, procImage{ep: ep, name: p.name, state: stateDead})
 			continue
 		}
-		pi := procImage{
-			ep:            ep,
-			name:          p.name,
-			state:         p.state,
-			quantumUsed:   p.quantumUsed,
-			curSender:     p.curSender,
-			curNeedsReply: p.curNeedsReply,
-		}
-		for i := p.inboxHead; i < len(p.inbox); i++ {
-			m := p.inbox[i]
-			if m.Bytes != nil {
-				m.Bytes = append([]byte(nil), m.Bytes...)
-			}
-			pi.inbox = append(pi.inbox, m)
+		pi := procImage{ep: ep, name: p.name, state: p.state, procRegs: p.procRegs}
+		for _, m := range p.inbox[p.inboxHead:] {
+			pi.inbox = append(pi.inbox, m.ownBytes())
 		}
 		img.procs = append(img.procs, pi)
 	}
 	if k.ipc != nil {
-		img.ipc = &planeImage{
-			stats:      k.ipc.stats,
-			nextSeq:    cloneMap(k.ipc.nextSeq),
-			seen:       cloneMap(k.ipc.seen),
-			svcSeq:     cloneMap(k.ipc.svcSeq),
-			replyCache: cloneMap(k.ipc.replyCache),
-		}
+		ipc := k.ipc.planeState.clone()
+		img.ipc = &ipc
 	}
 	return img, nil
 }
 
-func cloneMap[K comparable, V any](src map[K]V) map[K]V {
-	out := make(map[K]V, len(src))
-	for k, v := range src {
-		out[k] = v
+// ownBytes returns m with a private copy of its Bytes payload, the one
+// part of a queued message a receiver may write to.
+func (m Message) ownBytes() Message {
+	if m.Bytes != nil {
+		m.Bytes = append([]byte(nil), m.Bytes...)
 	}
-	return out
+	return m
 }
 
 // ApplyImage stamps a captured image onto this machine, which must be
@@ -244,16 +235,35 @@ func (k *Kernel) ApplyImage(img *MachineImage) error {
 	if img.rootEp != k.rootEp {
 		return fmt.Errorf("kernel: image root endpoint %d != machine root %d", img.rootEp, k.rootEp)
 	}
+	if (img.ipc != nil) != (k.ipc != nil) {
+		return fmt.Errorf("kernel: image has an IPC plane: %v, machine: %v", img.ipc != nil, k.ipc != nil)
+	}
+	// The image may come from a file: everything the scheduler will index
+	// with is checked before anything is stamped.
+	if img.rrNext < 0 || img.rrNext >= len(img.procs) {
+		return fmt.Errorf("kernel: image round-robin cursor %d outside its %d processes", img.rrNext, len(img.procs))
+	}
 	dead := 0
 	for i, pi := range img.procs {
 		if i > 0 && pi.ep <= img.procs[i-1].ep {
 			return fmt.Errorf("kernel: image processes not in endpoint order at %d", pi.ep)
 		}
-		if pi.state == stateDead {
+		// barrierRefusal lets three states into an image: dead, the root
+		// runnable at its barrier, everything else parked in Receive.
+		parked := stateReceiving
+		if pi.ep == img.rootEp {
+			parked = stateRunnable
+		}
+		switch {
+		case pi.state == stateDead:
 			if k.procs[pi.ep] != nil {
 				return fmt.Errorf("kernel: image dead process at endpoint %d collides with a live one", pi.ep)
 			}
 			dead++
+		case k.procs[pi.ep] == nil:
+			return fmt.Errorf("kernel: image process at endpoint %d missing from machine", pi.ep)
+		case pi.state != parked:
+			return fmt.Errorf("kernel: image process %s(%d) in state %d, not parked at a barrier", pi.name, pi.ep, pi.state)
 		}
 	}
 	if live := len(img.procs) - dead; live != len(k.order) {
@@ -265,42 +275,22 @@ func (k *Kernel) ApplyImage(img *MachineImage) error {
 			continue
 		}
 		p := k.procs[pi.ep]
-		if p == nil {
-			return fmt.Errorf("kernel: image process at endpoint %d missing from machine", pi.ep)
-		}
 		p.state = pi.state
+		p.procRegs = pi.procRegs
 		for _, m := range pi.inbox {
-			if m.Bytes != nil {
-				m.Bytes = append([]byte(nil), m.Bytes...)
-			}
-			p.pushMsg(m)
+			p.pushMsg(m.ownBytes())
 		}
-		p.quantumUsed = pi.quantumUsed
-		p.curSender = pi.curSender
-		p.curNeedsReply = pi.curNeedsReply
 		k.markSched(p)
 	}
+	k.machineRegs = img.machineRegs
 	k.clock.Advance(img.now)
 	k.counters.CopyFrom(img.counters)
-	k.rrNext = img.rrNext
-	k.nextUserEp = img.nextUserEp
 	k.alarms = append([]alarm(nil), img.alarms...)
-	k.alarmSeq = img.alarmSeq
 	if img.ipc != nil {
-		if k.ipc == nil {
-			return fmt.Errorf("kernel: image captured with an IPC plane but machine has none")
-		}
 		// The fork keeps its own freshly seeded fault RNG; only the
 		// reliability-layer bookkeeping carries over.
-		k.ipc.stats = img.ipc.stats
-		k.ipc.nextSeq = cloneMap(img.ipc.nextSeq)
-		k.ipc.seen = cloneMap(img.ipc.seen)
-		k.ipc.svcSeq = cloneMap(img.ipc.svcSeq)
-		k.ipc.replyCache = cloneMap(img.ipc.replyCache)
-	} else if k.ipc != nil {
-		return fmt.Errorf("kernel: machine has an IPC plane but image captured without one")
+		k.ipc.planeState = img.ipc.clone()
 	}
-	k.ipcNextDue = img.ipcNextDue
 	k.forkResume = k.procs[img.rootEp]
 	return nil
 }

@@ -7,6 +7,8 @@ package kernel
 // proof still needs. Both are only ever called from an idle hook
 // (SetIdleHook) — nothing here sits on the dispatch path.
 
+import "repro/internal/sim"
+
 // WedgeQuiescent reports whether an idle machine (no runnable process)
 // can be moved again only by a server-owned alarm, each clause removing
 // one other source of future behaviour:
@@ -94,10 +96,10 @@ func (k *Kernel) WedgeStamp() WedgeStamp {
 		if p := k.procs[a.ep]; p == nil || !p.Alive() {
 			continue
 		}
-		f := newFPState()
-		f.i64(int64(a.ep))
-		f.u64(uint64(a.deadline - now))
-		s.Alarms += f.sum()
+		f := sim.NewHash()
+		f.U64(uint64(a.ep))
+		f.U64(uint64(a.deadline - now))
+		s.Alarms += f.Sum()
 	}
 	return s
 }

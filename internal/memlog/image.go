@@ -14,168 +14,172 @@ import (
 // high-water marks and the retained FullCopy snapshot image all round-
 // trip.
 //
-// Decoding is two-phase, because container element types are known only
-// to the owning component's constructor (NewCell[T] etc.):
+// Both directions go through one record, storeImage, with one field list
+// (code): encoding fills the record from the live store and writes it,
+// decoding reads it and parks it on a *pending* Store. Decoding is
+// two-phase, because container element types are known only to the
+// owning component's constructor (NewCell[T] etc.):
 //
-//  1. DecodeStoreImage parses the stream into a *pending* Store: raw
-//     per-container payloads keyed by name plus a recorded-bookkeeping
-//     fixup, with no live containers yet.
+//  1. CodeImage parses the stream into a pending Store: the
+//     record, with raw per-container payloads and no live containers yet.
 //  2. The component factory runs against the pending store exactly as it
 //     runs against a recovered clone; each NewCell/NewMap/NewSlice call
 //     finds its raw payload and materializes it with the correct type.
-//     FinishDecode then verifies every payload was consumed, applies the
-//     recorded bookkeeping, and surfaces any type mismatch or leftover
-//     payload as an error — so a stale or corrupt image degrades into a
-//     failed decode instead of a panic inside a server constructor.
+//     FinishDecode then verifies the factory registered exactly the
+//     recorded containers, applies the recorded bookkeeping, and
+//     surfaces any type mismatch or leftover payload as an error — so a
+//     stale or corrupt image degrades into a failed decode instead of a
+//     panic inside a server constructor.
 //
-// ForkClone on a still-pending store propagates the pending state,
-// sharing the immutable raw payload bytes, so one decoded image can
-// serve many concurrent forks the way an in-memory Snapshot does.
+// The record is immutable once decoded: ForkClone on a still-pending
+// store shares it, so one decoded image can serve many concurrent forks
+// the way an in-memory Snapshot does.
 
-// pendingCont is one not-yet-materialized container payload.
-type pendingCont struct {
-	raw []byte
+// contImage is one container of a store image: its encoded contents and
+// the persistent part of its bookkeeping.
+type contImage struct {
+	name string
+	raw  []byte
+	meta contMeta
 }
 
-// storeFixup is the recorded bookkeeping of a decoded store, applied by
-// FinishDecode after the factory has materialized every container.
-type storeFixup struct {
-	order      []string
-	metas      map[string]contMeta
-	dirty      []string
-	sizeDirty  []string
-	chkGen     uint64
-	baseBytes  int
-	snapshot   *Store
-	restorable bool
+// storeImage is the persistent state of a quiescent store.
+type storeImage struct {
+	storeIdent
+	storeCkpt
+	conts            []contImage // in registration order
+	dirty, sizeDirty []string    // container names, in list order
+	snapshot         *storeImage
 }
 
-// EncodeImage appends the store's image to e. The store must be
-// quiescent: an undo log in flight cannot be represented (checkpoints
-// are log positions, and a log references live container identity).
-func (s *Store) EncodeImage(e *wire.Encoder) error {
-	if len(s.log) > 0 {
-		return fmt.Errorf("memlog: store %q has %d undo records in flight; images require a quiescent store", s.label, len(s.log))
-	}
-	if s.pending != nil {
-		return fmt.Errorf("memlog: store %q is still pending decode", s.label)
-	}
-	e.Str(s.label)
-	e.Varint(int64(s.mode))
-	e.Bool(s.logging)
-	e.Varint(int64(s.generation))
-	e.Bool(s.legacyCheckpoint)
-	e.Varint(int64(s.maxLogLen))
-	e.Varint(int64(s.maxLogBytes))
-	e.Uvarint(uint64(len(s.order)))
-	for _, name := range s.order {
-		c := s.containers[name]
-		e.Str(name)
-		sub := wire.NewEncoder()
-		if err := c.encodeState(sub); err != nil {
-			return fmt.Errorf("memlog: container %q: %w", name, err)
-		}
-		e.Blob(sub.Bytes())
-		m := c.meta()
-		e.Uvarint(m.writeGen)
-		e.Varint(int64(m.size))
-		e.Bool(m.sizeStale)
-	}
-	e.Uvarint(s.chkGen)
-	e.Uvarint(uint64(len(s.dirty)))
-	for _, c := range s.dirty {
-		e.Str(c.name())
-	}
-	e.Uvarint(uint64(len(s.sizeDirty)))
-	for _, c := range s.sizeDirty {
-		e.Str(c.name())
-	}
-	e.Varint(int64(s.baseBytes))
-	e.Bool(s.snapshot != nil)
-	if s.snapshot != nil {
-		if err := s.snapshot.EncodeImage(e); err != nil {
-			return fmt.Errorf("memlog: store %q snapshot image: %w", s.label, err)
+// code is the store image's one field list.
+func (img *storeImage) code(c *wire.Codec) {
+	c.Str(&img.label)
+	wire.Int(c, &img.mode)
+	c.Bool(&img.logging)
+	wire.Int(c, &img.generation)
+	c.Bool(&img.legacyCheckpoint)
+	wire.Int(c, &img.maxLogLen)
+	wire.Int(c, &img.maxLogBytes)
+	wire.Slice(c, &img.conts, func(c *wire.Codec, ci *contImage) {
+		c.Str(&ci.name)
+		c.Blob(&ci.raw)
+		c.Uvarint(&ci.meta.writeGen)
+		wire.Int(c, &ci.meta.size)
+		c.Bool(&ci.meta.sizeStale)
+	})
+	if c.Decoding() {
+		seen := make(map[string]bool, len(img.conts))
+		for _, ci := range img.conts {
+			if seen[ci.name] {
+				c.Fail(fmt.Errorf("memlog: image of store %q repeats container %q", img.label, ci.name))
+			}
+			seen[ci.name] = true
 		}
 	}
-	e.Bool(s.restorable)
+	c.Uvarint(&img.chkGen)
+	wire.Slice(c, &img.dirty, (*wire.Codec).Str)
+	wire.Slice(c, &img.sizeDirty, (*wire.Codec).Str)
+	wire.Int(c, &img.baseBytes)
+	hasSnapshot := img.snapshot != nil
+	if c.Bool(&hasSnapshot); hasSnapshot {
+		if c.Decoding() {
+			img.snapshot = new(storeImage)
+		}
+		img.snapshot.code(c)
+		if img.snapshot.snapshot != nil {
+			// A checkpoint image is a Clone, which carries none; hostile
+			// bytes must not nest them without bound.
+			c.Fail(fmt.Errorf("memlog: store %q snapshot image has a snapshot of its own", img.label))
+		}
+	}
+	c.Bool(&img.restorable)
+}
+
+// find returns the record of the container called name, or nil.
+func (img *storeImage) find(name string) *contImage {
+	for i := range img.conts {
+		if img.conts[i].name == name {
+			return &img.conts[i]
+		}
+	}
 	return nil
 }
 
-// DecodeStoreImage parses one store image from d into a pending Store.
-// The caller must run the owning component's factory against the store
-// (materializing every container) and then call FinishDecode.
-func DecodeStoreImage(d *wire.Decoder) (*Store, error) {
-	label := d.Str()
-	s := NewStore(label, Instrumentation(d.Varint()))
-	s.logging = d.Bool()
-	s.generation = int(d.Varint())
-	s.legacyCheckpoint = d.Bool()
-	s.maxLogLen = int(d.Varint())
-	s.maxLogBytes = int(d.Varint())
-	fix := &storeFixup{metas: map[string]contMeta{}}
-	n := d.Uvarint()
-	if err := d.Err(); err != nil {
-		return nil, err
+// image builds the store's record. The store must be quiescent: an undo
+// log in flight cannot be represented (checkpoints are log positions,
+// and a log references live container identity).
+func (s *Store) image() (*storeImage, error) {
+	if len(s.log) > 0 {
+		return nil, fmt.Errorf("memlog: store %q has %d undo records in flight; images require a quiescent store", s.label, len(s.log))
 	}
-	s.pending = make(map[string]pendingCont, n)
-	for i := uint64(0); i < n; i++ {
-		name := d.Str()
-		raw := d.Blob()
-		var m contMeta
-		m.writeGen = d.Uvarint()
-		m.size = int(d.Varint())
-		m.sizeStale = d.Bool()
-		if err := d.Err(); err != nil {
-			return nil, err
+	if s.pending != nil {
+		return nil, fmt.Errorf("memlog: store %q is still pending decode", s.label)
+	}
+	img := &storeImage{
+		storeIdent: s.storeIdent,
+		storeCkpt:  s.storeCkpt,
+		conts:      make([]contImage, len(s.order)),
+		dirty:      containerNames(s.dirty),
+		sizeDirty:  containerNames(s.sizeDirty),
+	}
+	for i, name := range s.order {
+		cont := s.containers[name]
+		sub := wire.NewEncoder()
+		if err := cont.encodeState(sub); err != nil {
+			return nil, fmt.Errorf("memlog: container %q: %w", name, err)
 		}
-		if _, dup := s.pending[name]; dup {
-			return nil, fmt.Errorf("memlog: image of store %q repeats container %q", label, name)
-		}
-		s.pending[name] = pendingCont{raw: raw}
-		fix.order = append(fix.order, name)
-		fix.metas[name] = m
+		img.conts[i] = contImage{name: name, raw: sub.Bytes(), meta: *cont.meta()}
 	}
-	fix.chkGen = d.Uvarint()
-	for i, cnt := 0, int(d.Uvarint()); i < cnt && d.Err() == nil; i++ {
-		fix.dirty = append(fix.dirty, d.Str())
-	}
-	for i, cnt := 0, int(d.Uvarint()); i < cnt && d.Err() == nil; i++ {
-		fix.sizeDirty = append(fix.sizeDirty, d.Str())
-	}
-	fix.baseBytes = int(d.Varint())
-	if d.Bool() {
-		snap, err := DecodeStoreImage(d)
+	if s.snapshot != nil {
+		snap, err := s.snapshot.image()
 		if err != nil {
-			return nil, fmt.Errorf("memlog: store %q snapshot image: %w", label, err)
+			return nil, fmt.Errorf("memlog: store %q snapshot image: %w", s.label, err)
 		}
-		fix.snapshot = snap
+		img.snapshot = snap
 	}
-	fix.restorable = d.Bool()
-	if err := d.Err(); err != nil {
-		return nil, err
-	}
-	s.pendingFix = fix
-	return s, nil
+	return img, nil
 }
 
-// takePending removes and returns the raw payload recorded for name.
-func (s *Store) takePending(name string) ([]byte, bool) {
-	if s.pending == nil {
-		return nil, false
+func containerNames(list []container) []string {
+	names := make([]string, len(list))
+	for i, c := range list {
+		names[i] = c.name()
 	}
-	pc, ok := s.pending[name]
-	if ok {
-		delete(s.pending, name)
-	}
-	return pc.raw, ok
+	return names
 }
 
-// noteDecodeErr records the first materialization failure; FinishDecode
-// reports it.
-func (s *Store) noteDecodeErr(name string, err error) {
-	if s.pendingErr == nil {
-		s.pendingErr = fmt.Errorf("memlog: store %q container %q: %w", s.label, name, err)
+// CodeImage walks a store image through c. Encoding writes the image of
+// *s; decoding sets *s to a pending Store, against which the caller must
+// run the owning component's factory (materializing every container) and
+// then call FinishDecode.
+func CodeImage(c *wire.Codec, s **Store) {
+	if c.Decoding() {
+		img := new(storeImage)
+		if img.code(c); c.Err() == nil {
+			*s = newPending(img)
+		}
+		return
 	}
+	img, err := (*s).image()
+	if err != nil {
+		c.Fail(err)
+		return
+	}
+	img.code(c)
+}
+
+// newPending returns a pending store over the decoded record img, which
+// it shares; its snapshot, which the factory materializes alongside, is
+// a pending store of its own.
+func newPending(img *storeImage) *Store {
+	s := NewStore(img.label, img.mode)
+	s.storeIdent, s.storeCkpt = img.storeIdent, img.storeCkpt
+	s.pending = img
+	if img.snapshot != nil {
+		s.pendingSnap = newPending(img.snapshot)
+	}
+	return s
 }
 
 // materializePending decodes the payload recorded for c's name into c
@@ -188,105 +192,66 @@ func materializePending(s *Store, c container, mirror func(snap *Store)) {
 		return
 	}
 	name := c.name()
-	if raw, ok := s.takePending(name); ok {
-		if err := c.decodeState(wire.NewDecoder(raw)); err != nil {
-			s.noteDecodeErr(name, err)
+	if ci := s.pending.find(name); ci != nil {
+		if err := c.decodeState(wire.NewDecoder(ci.raw)); err != nil && s.pendingErr == nil {
+			s.pendingErr = fmt.Errorf("memlog: store %q container %q: %w", s.label, name, err)
 		}
 	}
-	if mirror != nil && s.pendingFix != nil && s.pendingFix.snapshot != nil {
-		if _, ok := s.pendingFix.snapshot.pending[name]; ok {
-			mirror(s.pendingFix.snapshot)
-		}
+	if mirror != nil && s.pendingSnap != nil && s.pendingSnap.pending.find(name) != nil {
+		mirror(s.pendingSnap)
 	}
 }
 
-// FinishDecode completes the two-phase image decode: every recorded
-// payload must have been materialized by the factory, in the recorded
-// registration order. It applies the recorded bookkeeping (dirty sets,
-// checkpoint epoch, cached sizes, snapshot image) and reports any
-// decode failure accumulated during materialization. It is a no-op on
-// stores that were not decoded from an image.
+// FinishDecode completes the two-phase image decode: the factory must
+// have registered exactly the recorded containers, in the recorded
+// order. It applies the recorded bookkeeping (checkpoint position, dirty
+// sets, cached sizes, snapshot image) over whatever registration left
+// behind and reports any decode failure accumulated during
+// materialization. It is a no-op on stores that were not decoded from an
+// image.
 func (s *Store) FinishDecode() error {
-	if s.pending == nil && s.pendingFix == nil {
+	img := s.pending
+	if img == nil {
 		return nil
 	}
 	if s.pendingErr != nil {
-		err := s.pendingErr
+		return s.pendingErr
+	}
+	if len(s.order) != len(img.conts) {
+		return fmt.Errorf("memlog: store %q factory registered %d containers, image records %d", s.label, len(s.order), len(img.conts))
+	}
+	for i, ci := range img.conts {
+		if s.order[i] != ci.name {
+			return fmt.Errorf("memlog: store %q registration order diverges from image at %d: %q vs %q", s.label, i, s.order[i], ci.name)
+		}
+		*s.containers[ci.name].meta() = ci.meta
+	}
+	s.storeIdent, s.storeCkpt = img.storeIdent, img.storeCkpt
+	var err error
+	if s.dirty, err = s.named(s.dirty[:0], img.dirty); err != nil {
 		return err
 	}
-	fix := s.pendingFix
-	if len(s.pending) > 0 {
-		for name := range s.pending {
-			return fmt.Errorf("memlog: store %q image container %q was never materialized by the component factory", s.label, name)
-		}
+	if s.sizeDirty, err = s.named(s.sizeDirty[:0], img.sizeDirty); err != nil {
+		return err
 	}
-	if len(s.order) != len(fix.order) {
-		return fmt.Errorf("memlog: store %q factory registered %d containers, image records %d", s.label, len(s.order), len(fix.order))
-	}
-	for i, name := range fix.order {
-		if s.order[i] != name {
-			return fmt.Errorf("memlog: store %q registration order diverges from image at %d: %q vs %q", s.label, i, s.order[i], name)
-		}
-	}
-	for _, name := range fix.order {
-		*s.containers[name].meta() = fix.metas[name]
-	}
-	s.chkGen = fix.chkGen
-	s.dirty = s.dirty[:0]
-	for _, name := range fix.dirty {
-		c := s.containers[name]
-		if c == nil {
-			return fmt.Errorf("memlog: store %q image dirty list names unknown container %q", s.label, name)
-		}
-		s.dirty = append(s.dirty, c)
-	}
-	s.sizeDirty = s.sizeDirty[:0]
-	for _, name := range fix.sizeDirty {
-		c := s.containers[name]
-		if c == nil {
-			return fmt.Errorf("memlog: store %q image size-dirty list names unknown container %q", s.label, name)
-		}
-		s.sizeDirty = append(s.sizeDirty, c)
-	}
-	s.baseBytes = fix.baseBytes
-	if fix.snapshot != nil {
-		if err := fix.snapshot.FinishDecode(); err != nil {
+	if s.pendingSnap != nil {
+		if err := s.pendingSnap.FinishDecode(); err != nil {
 			return fmt.Errorf("memlog: store %q snapshot: %w", s.label, err)
 		}
-		s.snapshot = fix.snapshot
+		s.snapshot = s.pendingSnap
 	}
-	s.restorable = fix.restorable
-	s.pending = nil
-	s.pendingFix = nil
+	s.pending, s.pendingSnap = nil, nil
 	return nil
 }
 
-// forkClonePending reproduces a still-pending store: the immutable raw
-// payloads are shared, the fixup is copied, and the decoded snapshot
-// sub-store (itself pending) is fork-cloned recursively.
-func (s *Store) forkClonePending() *Store {
-	dst := NewStore(s.label, s.mode)
-	dst.logging = s.logging
-	dst.generation = s.generation
-	dst.legacyCheckpoint = s.legacyCheckpoint
-	dst.maxLogLen = s.maxLogLen
-	dst.maxLogBytes = s.maxLogBytes
-	dst.pending = make(map[string]pendingCont, len(s.pending))
-	for name, pc := range s.pending {
-		dst.pending[name] = pc
+// named appends the containers called names to list.
+func (s *Store) named(list []container, names []string) ([]container, error) {
+	for _, name := range names {
+		c := s.containers[name]
+		if c == nil {
+			return nil, fmt.Errorf("memlog: store %q image lists unknown container %q", s.label, name)
+		}
+		list = append(list, c)
 	}
-	fix := &storeFixup{
-		order:      s.pendingFix.order,
-		metas:      s.pendingFix.metas,
-		dirty:      s.pendingFix.dirty,
-		sizeDirty:  s.pendingFix.sizeDirty,
-		chkGen:     s.pendingFix.chkGen,
-		baseBytes:  s.pendingFix.baseBytes,
-		restorable: s.pendingFix.restorable,
-	}
-	if s.pendingFix.snapshot != nil {
-		fix.snapshot = s.pendingFix.snapshot.forkClonePending()
-	}
-	dst.pendingFix = fix
-	return dst
+	return list, nil
 }

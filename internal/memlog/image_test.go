@@ -2,10 +2,13 @@ package memlog
 
 import (
 	"bytes"
+	"encoding/binary"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 // registerTestContainers is the "component factory" of the image tests:
@@ -43,22 +46,37 @@ func buildStore(t *testing.T, mode Instrumentation) *Store {
 	return s
 }
 
+// encodeStore and decodeStore are the two directions of CodeImage.
+func encodeStore(s *Store) ([]byte, error) {
+	e := wire.NewEncoder()
+	c := wire.Encoding(e)
+	CodeImage(c, &s)
+	return e.Bytes(), c.Err()
+}
+
+func decodeStore(d *wire.Decoder) (*Store, error) {
+	var s *Store
+	c := wire.Decoding(d)
+	CodeImage(c, &s)
+	return s, c.Err()
+}
+
 func encodeImage(t *testing.T, s *Store) []byte {
 	t.Helper()
-	e := wire.NewEncoder()
-	if err := s.EncodeImage(e); err != nil {
-		t.Fatalf("EncodeImage: %v", err)
+	img, err := encodeStore(s)
+	if err != nil {
+		t.Fatalf("CodeImage: %v", err)
 	}
-	return e.Bytes()
+	return img
 }
 
 // decodeAndMaterialize runs the full two-phase decode.
 func decodeAndMaterialize(t *testing.T, img []byte) *Store {
 	t.Helper()
 	d := wire.NewDecoder(img)
-	s, err := DecodeStoreImage(d)
+	s, err := decodeStore(d)
 	if err != nil {
-		t.Fatalf("DecodeStoreImage: %v", err)
+		t.Fatalf("CodeImage: %v", err)
 	}
 	if d.Remaining() != 0 {
 		t.Fatalf("trailing bytes after store image: %d", d.Remaining())
@@ -120,7 +138,7 @@ func TestStoreImageFullCopyBehavior(t *testing.T) {
 func TestStoreImagePendingForkClone(t *testing.T) {
 	src := buildStore(t, Optimized)
 	img := encodeImage(t, src)
-	pending, err := DecodeStoreImage(wire.NewDecoder(img))
+	pending, err := decodeStore(wire.NewDecoder(img))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +160,7 @@ func TestStoreImageRejectsInFlightLog(t *testing.T) {
 	c := NewCell(s, "c", int64(0))
 	s.Checkpoint()
 	c.Set(1) // leaves an undo record
-	if err := s.EncodeImage(wire.NewEncoder()); err == nil {
+	if _, err := encodeStore(s); err == nil {
 		t.Fatal("encoded a store with an in-flight undo log")
 	}
 }
@@ -150,7 +168,7 @@ func TestStoreImageRejectsInFlightLog(t *testing.T) {
 func TestStoreImageTypeMismatch(t *testing.T) {
 	src := buildStore(t, Optimized)
 	img := encodeImage(t, src)
-	s, err := DecodeStoreImage(wire.NewDecoder(img))
+	s, err := decodeStore(wire.NewDecoder(img))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +185,7 @@ func TestStoreImageTypeMismatch(t *testing.T) {
 func TestStoreImageLeftoverContainer(t *testing.T) {
 	src := buildStore(t, Optimized)
 	img := encodeImage(t, src)
-	s, err := DecodeStoreImage(wire.NewDecoder(img))
+	s, err := decodeStore(wire.NewDecoder(img))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,13 +198,130 @@ func TestStoreImageLeftoverContainer(t *testing.T) {
 func TestStoreImageTruncated(t *testing.T) {
 	img := encodeImage(t, buildStore(t, Optimized))
 	for cut := 0; cut < len(img); cut += 11 {
-		if _, err := DecodeStoreImage(wire.NewDecoder(img[:cut])); err == nil {
+		if _, err := decodeStore(wire.NewDecoder(img[:cut])); err == nil {
 			// Truncation may also surface later, at materialization.
-			s, _ := DecodeStoreImage(wire.NewDecoder(img[:cut]))
+			s, _ := decodeStore(wire.NewDecoder(img[:cut]))
 			registerTestContainers(s)
 			if err := s.FinishDecode(); err == nil {
 				t.Fatalf("truncation at %d/%d fully decoded without error", cut, len(img))
 			}
 		}
 	}
+}
+
+// One field list: a record with every field set — the two embedded
+// scalar structs, each container's payload and bookkeeping, the name
+// lists and a snapshot record with all of that again — survives the
+// codec unchanged. A field missing from the list decodes as zero and
+// fails the comparison. The rolling-fingerprint part of contMeta is not
+// persistent: a decoded container is re-hashed.
+func TestStoreImageCodecCoversEveryField(t *testing.T) {
+	var in storeImage
+	f := wiretest.Filler{Leaf: func(path string, v reflect.Value) bool {
+		return strings.Contains(path, ".meta.fp")
+	}}
+	f.Fill(&in)
+	if in.snapshot == nil || in.snapshot.snapshot != nil {
+		t.Fatalf("filler built snapshot %v, want exactly one level", in.snapshot)
+	}
+	e := wire.NewEncoder()
+	c := wire.Encoding(e)
+	if in.code(c); c.Err() != nil {
+		t.Fatal(c.Err())
+	}
+	var out storeImage
+	d := wire.NewDecoder(e.Bytes())
+	c = wire.Decoding(d)
+	if out.code(c); c.Err() != nil || d.Remaining() != 0 {
+		t.Fatalf("decode: %v, %d bytes left", c.Err(), d.Remaining())
+	}
+	if !reflect.DeepEqual(in, out) {
+		t.Errorf("round trip lost state:\n in  %+v\n out %+v", in, out)
+	}
+}
+
+// Scalars travel by assignment: Clone inherits the identity and starts
+// the checkpoint position afresh, ForkClone and a decoded image carry
+// both.
+func TestStoreScalarsCopiedWhole(t *testing.T) {
+	src := buildStore(t, FullCopy)
+	(&wiretest.Filler{}).Fill(&src.storeIdent)
+	(&wiretest.Filler{}).Fill(&src.storeCkpt)
+	src.mode = FullCopy
+
+	if c := src.Clone(); c.storeIdent != src.storeIdent || c.storeCkpt != (storeCkpt{chkGen: 1}) {
+		t.Errorf("Clone: identity %+v, position %+v; want the source's identity %+v and a fresh position",
+			c.storeIdent, c.storeCkpt, src.storeIdent)
+	}
+	fork := src.ForkClone()
+	dec := decodeAndMaterialize(t, encodeImage(t, src))
+	for name, s := range map[string]*Store{"ForkClone": fork, "decoded image": dec, "ForkClone of a pending store": pendingFork(t, src)} {
+		if s.storeIdent != src.storeIdent || s.storeCkpt != src.storeCkpt {
+			t.Errorf("%s: scalars %+v %+v, want %+v %+v", name, s.storeIdent, s.storeCkpt, src.storeIdent, src.storeCkpt)
+		}
+	}
+}
+
+// pendingFork decodes src's image, forks the still-pending store and
+// materializes the fork.
+func pendingFork(t *testing.T, src *Store) *Store {
+	t.Helper()
+	pending, err := decodeStore(wire.NewDecoder(encodeImage(t, src)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := pending.ForkClone()
+	registerTestContainers(f)
+	if err := f.FinishDecode(); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// FuzzDecodeStoreImage: any byte string decodes to a pending store or an
+// error, and materializing what decoded ends in a store or an error —
+// never a panic, never an allocation the input's size does not bound.
+func FuzzDecodeStoreImage(f *testing.F) {
+	for _, mode := range []Instrumentation{Optimized, FullCopy} {
+		s := NewStore("img-test", mode)
+		s.SetLogging(true)
+		c, m, sl := registerTestContainers(s)
+		s.Checkpoint()
+		c.Set(42)
+		m.Set("alpha", "a")
+		sl.Append(3)
+		s.Checkpoint()
+		m.Set("delta", "d")
+		s.DiscardLog()
+		img, err := encodeStore(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img)
+		for cut := 0; cut < len(img); cut += 11 { // TestStoreImageTruncated's cuts
+			f.Add(img[:cut])
+		}
+		// A container count, and a container payload's slice length, of
+		// 2^63 or more.
+		huge := binary.AppendUvarint(nil, 1<<63+1)
+		at := 1 + len("img-test") + 6 // label, then six one-byte scalars
+		f.Add(append(append(append([]byte(nil), img[:at]...), huge...), img[at+1:]...))
+		if i := bytes.Index(img, []byte("int32")); i > 0 {
+			f.Add(append(append(append([]byte(nil), img[:i+5]...), huge...), img[i+6:]...))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := decodeStore(wire.NewDecoder(data))
+		if err != nil {
+			return
+		}
+		func() {
+			// A factory meeting containers of another type than it
+			// declares panics by contract (a code/image mismatch, refused
+			// by FinishDecode when it is a payload mismatch instead).
+			defer func() { recover() }()
+			registerTestContainers(s)
+		}()
+		s.FinishDecode()
+	})
 }

@@ -134,23 +134,59 @@ type contMeta struct {
 	fpQueued bool
 }
 
+// storeIdent is what every copy of a store inherits from it, a restart
+// clone (Clone) included.
+type storeIdent struct {
+	label string
+	mode  Instrumentation
+	// generation counts how many times the owning component has been
+	// restarted: 0 for the boot-time store. Component constructors use
+	// it to run boot-only bootstrap (e.g. registering the init process)
+	// exactly once — a freshly restarted stateless component must NOT
+	// rediscover state it has genuinely lost.
+	generation int
+	// legacyCheckpoint selects the legacy clone-everything FullCopy
+	// path instead of the default incremental dirty-set snapshots. It is
+	// kept as the §IV-C ablation subject and as the oracle the
+	// incremental path is tested against.
+	legacyCheckpoint bool
+	// maxLogLen is the high-water record count; a store that outgrows
+	// the pooled slab preallocates its next log to this mark.
+	maxLogLen int
+}
+
+// storeCkpt is the checkpointing position of a store: a fork and an
+// image reproduce it (ForkClone, image.go), a restart clone starts it
+// afresh.
+type storeCkpt struct {
+	maxLogBytes int
+	// chkGen is the checkpoint epoch; a container whose writeGen equals
+	// it is in the dirty set. It starts at 1 so zero-valued contMeta is
+	// always "not yet dirty this epoch".
+	chkGen uint64
+	// baseBytes aggregates the cached sizes of all containers whose
+	// cache is fresh; BaseBytes() returns it after draining sizeDirty.
+	baseBytes int
+	// restorable reports whether snapshot is a valid rollback target
+	// (incremental mode only): true between Checkpoint and the next
+	// DiscardLog, false while the image is merely a delta base.
+	restorable bool
+	logging    bool
+}
+
 // Store is the instrumented data section of one simulated OS component.
 // All of a server's recoverable state must live in containers registered
-// with its Store.
+// with its Store. Its scalars sit in the two embedded structs, which its
+// image embeds too, so every copy of them is one assignment.
 type Store struct {
-	label   string
-	mode    Instrumentation
-	logging bool
+	storeIdent
+	storeCkpt
 
 	containers map[string]container
 	order      []string
 
-	log         []undoRec
-	logBytes    int
-	maxLogBytes int
-	// maxLogLen is the high-water record count; a store that outgrows
-	// the pooled slab preallocates its next log to this mark.
-	maxLogLen int
+	log      []undoRec
+	logBytes int
 
 	charge   func(sim.Cycles)
 	counters *sim.Counters
@@ -160,29 +196,13 @@ type Store struct {
 	// base: each Checkpoint syncs only the containers written since the
 	// image was last brought up to date.
 	snapshot *Store
-	// restorable reports whether snapshot is a valid rollback target
-	// (incremental mode only): true between Checkpoint and the next
-	// DiscardLog, false while the image is merely a delta base.
-	restorable bool
-	// legacyCheckpoint selects the legacy clone-everything FullCopy
-	// path instead of the default incremental dirty-set snapshots. It is
-	// kept as the §IV-C ablation subject and as the oracle the
-	// incremental path is tested against.
-	legacyCheckpoint bool
 
-	// chkGen is the checkpoint epoch; a container whose writeGen equals
-	// it is in the dirty set. It starts at 1 so zero-valued contMeta is
-	// always "not yet dirty this epoch".
-	chkGen uint64
 	// dirty lists the containers written since the last epoch reset, in
 	// first-write order (deterministic).
 	dirty []container
 	// sizeDirty lists containers whose cached size is stale; BaseBytes
 	// drains it to keep the baseBytes aggregate exact.
 	sizeDirty []container
-	// baseBytes aggregates the cached sizes of all containers whose
-	// cache is fresh; BaseBytes() returns it after draining sizeDirty.
-	baseBytes int
 
 	// fpAgg is the rolling state fingerprint: the wrapping sum of every
 	// fp-valid container's fpMix. fpDirty lists the containers whose
@@ -193,31 +213,22 @@ type Store struct {
 	fpDirty []container
 	fpEnc   *wire.Encoder
 
-	// generation counts how many times the owning component has been
-	// restarted: 0 for the boot-time store. Component constructors use
-	// it to run boot-only bootstrap (e.g. registering the init process)
-	// exactly once — a freshly restarted stateless component must NOT
-	// rediscover state it has genuinely lost.
-	generation int
-
-	// pending/pendingFix/pendingErr are the two-phase image-decode
-	// state (see image.go): raw container payloads awaiting typed
-	// materialization by the component factory, the recorded
-	// bookkeeping FinishDecode applies, and the first materialization
-	// failure.
-	pending    map[string]pendingCont
-	pendingFix *storeFixup
-	pendingErr error
+	// pending is set on a store decoded from an image (image.go) until
+	// the component factory has materialized its containers: the decoded
+	// record, the store's own pending copy of the record's snapshot, and
+	// the first materialization failure.
+	pending     *storeImage
+	pendingSnap *Store
+	pendingErr  error
 }
 
 // NewStore returns an empty Store for the named component, using the
 // given instrumentation mode.
 func NewStore(label string, mode Instrumentation) *Store {
 	return &Store{
-		label:      label,
-		mode:       mode,
+		storeIdent: storeIdent{label: label, mode: mode},
+		storeCkpt:  storeCkpt{chkGen: 1},
 		containers: make(map[string]container),
-		chkGen:     1,
 	}
 }
 
@@ -441,11 +452,10 @@ func (s *Store) Clone() *Store {
 	dst := NewStore(s.label, s.mode)
 	dst.charge = s.charge
 	dst.counters = s.counters
-	dst.generation = s.generation
-	dst.legacyCheckpoint = s.legacyCheckpoint
-	// Carry the undo-log high-water mark so the clone preallocates its
-	// log to the size the component has already demonstrated it needs.
-	dst.maxLogLen = s.maxLogLen
+	// The identity carries the undo-log high-water mark, so the clone
+	// preallocates its log to the size the component has already
+	// demonstrated it needs.
+	dst.storeIdent = s.storeIdent
 	for _, name := range s.order {
 		s.containers[name].cloneInto(dst)
 	}
@@ -464,23 +474,19 @@ func (s *Store) Clone() *Store {
 // install the fork's own via SetCostSink/SetCounters.
 func (s *Store) ForkClone() *Store {
 	if s.pending != nil {
-		return s.forkClonePending()
+		// Still pending: the decoded record is immutable and shared.
+		return newPending(s.pending)
 	}
 	dst := NewStore(s.label, s.mode)
-	dst.logging = s.logging
-	dst.generation = s.generation
-	dst.legacyCheckpoint = s.legacyCheckpoint
-	dst.maxLogLen = s.maxLogLen
-	dst.maxLogBytes = s.maxLogBytes
+	dst.storeIdent, dst.storeCkpt = s.storeIdent, s.storeCkpt
 	for _, name := range s.order {
 		s.containers[name].cloneInto(dst)
 	}
-	// register() stamped every new container dirty against dst's fresh
-	// epoch; overwrite that with the source's exact bookkeeping.
+	// register() stamped every new container dirty; overwrite that with
+	// the source's exact bookkeeping.
 	for _, name := range s.order {
 		*dst.containers[name].meta() = *s.containers[name].meta()
 	}
-	dst.chkGen = s.chkGen
 	dst.dirty = dst.dirty[:0]
 	for _, c := range s.dirty {
 		dst.dirty = append(dst.dirty, dst.containers[c.name()])
@@ -489,7 +495,6 @@ func (s *Store) ForkClone() *Store {
 	for _, c := range s.sizeDirty {
 		dst.sizeDirty = append(dst.sizeDirty, dst.containers[c.name()])
 	}
-	dst.baseBytes = s.baseBytes
 	// The meta copy above carried fpMix/fpValid/fpQueued; rebuild the
 	// invalidation queue and aggregate to match, so a fork's first
 	// barrier fingerprint stays O(dirty) instead of re-hashing the world.
@@ -506,7 +511,6 @@ func (s *Store) ForkClone() *Store {
 	if s.snapshot != nil {
 		dst.snapshot = s.snapshot.ForkClone()
 	}
-	dst.restorable = s.restorable
 	return dst
 }
 
@@ -607,74 +611,48 @@ func (s *Store) Fingerprint() (uint64, error) {
 }
 
 // fingerprintMix hashes one container's name and payload into its
-// fingerprint contribution: FNV-1a over both, finished with a
-// splitmix64-style avalanche so wrapping-add combination of many
-// contributions does not cancel structured differences.
+// fingerprint contribution; the finisher keeps wrapping-add combination
+// of many contributions from cancelling structured differences.
 func fingerprintMix(name string, payload []byte) uint64 {
-	h := uint64(fnvOffset)
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * fnvPrime
-	}
-	h = (h ^ 0xff) * fnvPrime // separator between name and payload
-	for _, b := range payload {
-		h = (h ^ uint64(b)) * fnvPrime
-	}
-	return fpFinish(h)
-}
-
-const (
-	fnvOffset uint64 = 14695981039346656037
-	fnvPrime  uint64 = 1099511628211
-)
-
-// fpFinish is the splitmix64-style avalanche closing both fingerprint
-// routes (fingerprintMix and fpStream).
-func fpFinish(h uint64) uint64 {
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
+	h := sim.NewHash()
+	h.Text(name)
+	h.Word(0xff) // separator between name and payload
+	h.Bytes(payload)
+	return h.Sum()
 }
 
 // fpStream is the streaming half of the container fast path
-// (fingerprintFast): FNV-1a over the name like fingerprintMix, then a
+// (fingerprintFast): the name absorbed like fingerprintMix, then a
 // murmur3-style word-at-a-time absorb for values — one multiply-rotate
 // round per 64-bit word instead of eight byte multiplies, since large
 // primitive slices are exactly what the fast path exists for. The two
 // routes produce different mixes for the same contents, which is fine —
 // a container's route depends only on its type, so every store hashes
 // it the same way.
-type fpStream struct{ h uint64 }
+type fpStream struct{ h sim.Hash }
 
 func newFPStream(name string) fpStream {
-	h := fnvOffset
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * fnvPrime
-	}
-	return fpStream{h: (h ^ 0xff) * fnvPrime}
+	h := sim.NewHash()
+	h.Text(name)
+	h.Word(0xff)
+	return fpStream{h}
 }
 
 func (f *fpStream) u64(v uint64) {
 	v *= 0x87c37b91114253d5
 	v = v<<31 | v>>33
 	v *= 0x4cf5ad432745937f
-	h := f.h ^ v
+	h := uint64(f.h) ^ v
 	h = h<<27 | h>>37
-	f.h = h*5 + 0x52dce729
+	f.h = sim.Hash(h*5 + 0x52dce729)
 }
 
 func (f *fpStream) str(s string) {
 	f.u64(uint64(len(s)))
-	h := f.h
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * fnvPrime
-	}
-	f.h = h
+	f.h.Text(s)
 }
 
-func (f *fpStream) finish() uint64 { return fpFinish(f.h) }
+func (f *fpStream) finish() uint64 { return f.h.Sum() }
 
 // ContainerNames returns the registered container names in registration
 // order (deterministic).

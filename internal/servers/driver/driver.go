@@ -217,21 +217,10 @@ func blockMix(idx int32, data []byte) uint64 {
 	if data == nil {
 		return 0
 	}
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
-	h := uint64(fnvOffset)
-	h = (h ^ uint64(uint32(idx))) * fnvPrime
-	for _, b := range data {
-		h = (h ^ uint64(b)) * fnvPrime
-	}
-	h ^= h >> 30
-	h *= 0xbf58476d1ce4e5b9
-	h ^= h >> 27
-	h *= 0x94d049bb133111eb
-	h ^= h >> 31
-	return h
+	h := sim.NewHash()
+	h.Word(uint64(uint32(idx)))
+	h.Bytes(data)
+	return h.Sum()
 }
 
 // Blocks reports the device capacity.

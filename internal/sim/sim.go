@@ -241,20 +241,8 @@ func (c *Counters) Names() []string {
 // preserving slot values, touched marks, fallback-map entries and the
 // cached name list. Used when snapshotting a machine for warm forking.
 func (c *Counters) Clone() *Counters {
-	out := &Counters{
-		slots:      append([]uint64(nil), c.slots...),
-		touched:    append([]bool(nil), c.touched...),
-		namesValid: c.namesValid,
-	}
-	if c.extra != nil {
-		out.extra = make(map[string]uint64, len(c.extra))
-		for k, v := range c.extra {
-			out.extra[k] = v
-		}
-	}
-	if c.names != nil {
-		out.names = append([]string(nil), c.names...)
-	}
+	out := new(Counters)
+	out.CopyFrom(c)
 	return out
 }
 
@@ -297,4 +285,65 @@ func (c *Counters) String() string {
 		fmt.Fprintf(&out, "%s=%d\n", name, c.Get(name))
 	}
 	return out.String()
+}
+
+// Hash is the one state-hash primitive of the tree: FNV-1a absorption
+// closed by the splitmix64 finisher. Every state fingerprint — kernel,
+// store containers, disk blocks and the folds that chain them — goes
+// through it, so "equal fingerprint" means the same arithmetic at every
+// layer.
+type Hash uint64
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// NewHash returns an empty hash.
+func NewHash() Hash { return fnvOffset }
+
+// Word absorbs v as a single symbol (one FNV-1a round).
+func (h *Hash) Word(v uint64) { *h = (*h ^ Hash(v)) * fnvPrime }
+
+// U64 absorbs v as its eight little-endian bytes.
+func (h *Hash) U64(v uint64) {
+	x := *h
+	for i := 0; i < 8; i++ {
+		x = (x ^ Hash(v&0xff)) * fnvPrime
+		v >>= 8
+	}
+	*h = x
+}
+
+// Bytes absorbs b byte by byte.
+func (h *Hash) Bytes(b []byte) {
+	x := *h
+	for _, c := range b {
+		x = (x ^ Hash(c)) * fnvPrime
+	}
+	*h = x
+}
+
+// Text absorbs the bytes of s.
+func (h *Hash) Text(s string) {
+	x := *h
+	for i := 0; i < len(s); i++ {
+		x = (x ^ Hash(s[i])) * fnvPrime
+	}
+	*h = x
+}
+
+// Sum returns the finished hash; h itself is unchanged.
+func (h Hash) Sum() uint64 { return Mix64(uint64(h)) }
+
+// Mix64 is the splitmix64 finisher: an avalanche over one word, so that
+// hashes combined by wrapping addition or xor do not cancel structured
+// differences.
+func Mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }

@@ -1,0 +1,130 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/binary"
+	"reflect"
+	"testing"
+)
+
+type codecEnum int32
+
+type codecCycles uint64
+
+// codecRecord has one field per Codec entry point; code is its field
+// list.
+type codecRecord struct {
+	flag   bool
+	count  uint64
+	crc    uint32
+	name   string
+	blob   []byte
+	aux    any
+	plain  inner
+	kind   codecEnum
+	offset int
+	when   codecCycles
+	tags   []string
+	parts  []inner
+}
+
+func (r *codecRecord) code(c *Codec) {
+	c.Bool(&r.flag)
+	c.Uvarint(&r.count)
+	c.U32(&r.crc)
+	c.Str(&r.name)
+	c.Blob(&r.blob)
+	c.Any(&r.aux)
+	c.Value(&r.plain)
+	Int(c, &r.kind)
+	Int(c, &r.offset)
+	Fixed64(c, &r.when)
+	Slice(c, &r.tags, (*Codec).Str)
+	Slice(c, &r.parts, func(c *Codec, p *inner) { c.Value(p) })
+}
+
+func codecSample() codecRecord {
+	return codecRecord{
+		flag: true, count: 1 << 40, crc: 0xdeadbeef, name: "n", blob: []byte{},
+		aux: []string{"argv0"}, plain: inner{Name: "p", Flags: [3]int32{1, -2, 3}},
+		kind: -7, offset: -1 << 40, when: 1 << 63, tags: []string{"a", ""},
+		parts: []inner{{Name: "x"}},
+	}
+}
+
+// TestCodecMatchesEncoder: the list, encoding, writes exactly what the
+// Encoder calls of the same names write; decoding, it reads them back.
+func TestCodecMatchesEncoder(t *testing.T) {
+	in := codecSample()
+	e := NewEncoder()
+	c := Encoding(e)
+	if in.code(c); c.Err() != nil {
+		t.Fatalf("encode: %v", c.Err())
+	}
+
+	want := NewEncoder()
+	want.Bool(in.flag)
+	want.Uvarint(in.count)
+	want.U32(in.crc)
+	want.Str(in.name)
+	want.Blob(in.blob)
+	want.Any(in.aux)
+	want.Encode(in.plain)
+	want.Varint(int64(in.kind))
+	want.Varint(int64(in.offset))
+	want.U64(uint64(in.when))
+	want.Uvarint(uint64(len(in.tags)))
+	for _, tag := range in.tags {
+		want.Str(tag)
+	}
+	want.Uvarint(uint64(len(in.parts)))
+	for _, p := range in.parts {
+		want.Encode(p)
+	}
+	if !bytes.Equal(e.Bytes(), want.Bytes()) {
+		t.Fatalf("codec wrote\n%x\nencoder wrote\n%x", e.Bytes(), want.Bytes())
+	}
+
+	var out codecRecord
+	d := NewDecoder(e.Bytes())
+	c = Decoding(d)
+	if out.code(c); c.Err() != nil {
+		t.Fatalf("decode: %v", c.Err())
+	}
+	if d.Remaining() != 0 {
+		t.Fatalf("%d bytes left", d.Remaining())
+	}
+	if !reflect.DeepEqual(in, out) {
+		t.Fatalf("round trip:\n in  %+v\n out %+v", in, out)
+	}
+}
+
+// TestCodecErrorsAreSticky: a decode that runs off the stream, a count
+// the stream cannot hold and an unencodable payload each surface from
+// Err after the whole list has been walked, without a panic.
+func TestCodecErrorsAreSticky(t *testing.T) {
+	in := codecSample()
+	e := NewEncoder()
+	in.code(Encoding(e))
+	for cut := 0; cut < e.Len(); cut++ {
+		var out codecRecord
+		c := Decoding(NewDecoder(e.Bytes()[:cut]))
+		if out.code(c); c.Err() == nil {
+			t.Fatalf("truncation at %d/%d decoded without error", cut, e.Len())
+		}
+	}
+
+	for _, n := range []uint64{3, 1 << 40, 1<<63 + 1} {
+		var tags []string
+		c := Decoding(NewDecoder(binary.AppendUvarint(nil, n)))
+		if Slice(c, &tags, (*Codec).Str); c.Err() == nil {
+			t.Errorf("count %d accepted over an empty stream", n)
+		}
+	}
+
+	in.aux = func() {}
+	c := Encoding(NewEncoder())
+	if in.code(c); c.Err() == nil {
+		t.Fatal("unregistered Any payload encoded without error")
+	}
+}

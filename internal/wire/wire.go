@@ -14,9 +14,12 @@
 // channels, pointers and unsafe kinds are rejected with an error —
 // callers degrade (fail the encode) rather than silently drop state.
 //
-// Interface-typed values go through Any/AnyValue, which prefix the
-// payload with a registered type name. Packages register their
-// interface payload types with Register at init time.
+// Interface-typed values go through Any, which prefixes the payload with
+// a registered type name. Packages register their interface payload
+// types with Register at init time.
+//
+// Types with unexported fields list them once, over a Codec (codec.go):
+// the same list encodes and decodes.
 package wire
 
 import (
@@ -338,6 +341,20 @@ func (e *Encoder) mapValue(v reflect.Value) error {
 // from untrusted bytes; larger collections grow by append instead.
 const maxPrealloc = 1 << 16
 
+// count validates an element count read from the stream and returns the
+// capacity to allocate up front. Every element occupies at least one
+// byte (nothing zero-width crosses the wire), so a count beyond the
+// bytes left is a lie: it fails the decode here, before anything is
+// allocated or looped over. The comparison is on the uint64 — a count
+// of 2^63 or more must not reach an int.
+func (d *Decoder) count(n uint64) int {
+	if n > uint64(d.Remaining()) {
+		d.fail(errTruncated)
+		return 0
+	}
+	return int(min(n, maxPrealloc))
+}
+
 // Value decodes into the settable value v, mirroring Encoder.Value.
 func (d *Decoder) Value(v reflect.Value) error {
 	if d.err != nil {
@@ -373,11 +390,7 @@ func (d *Decoder) Value(v reflect.Value) error {
 			v.Set(out)
 			return nil
 		}
-		cap := int(n)
-		if cap > maxPrealloc {
-			cap = maxPrealloc
-		}
-		out := reflect.MakeSlice(v.Type(), 0, cap)
+		out := reflect.MakeSlice(v.Type(), 0, d.count(n))
 		elem := reflect.New(v.Type().Elem()).Elem()
 		for i := uint64(0); i < n; i++ {
 			elem.Set(reflect.Zero(elem.Type()))
@@ -400,11 +413,7 @@ func (d *Decoder) Value(v reflect.Value) error {
 			return d.err
 		}
 		n--
-		size := int(n)
-		if size > maxPrealloc {
-			size = maxPrealloc
-		}
-		out := reflect.MakeMapWithSize(v.Type(), size)
+		out := reflect.MakeMapWithSize(v.Type(), d.count(n))
 		key := reflect.New(v.Type().Key()).Elem()
 		val := reflect.New(v.Type().Elem()).Elem()
 		for i := uint64(0); i < n; i++ {

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -184,12 +185,15 @@ func TestAnyRegistry(t *testing.T) {
 }
 
 func TestHugeLengthPrefixRejected(t *testing.T) {
-	// A length prefix far beyond the remaining bytes must fail cleanly
-	// rather than allocate or loop.
-	e := NewEncoder()
-	e.Uvarint(1 << 40)
-	var out []int64
-	if err := NewDecoder(e.Bytes()).Decode(&out); err == nil {
-		t.Fatal("absurd length prefix accepted")
+	// A length prefix beyond the remaining bytes must fail cleanly rather
+	// than allocate or loop — also one of 2^63 or more, which is negative
+	// as an int and once reached reflect.MakeSlice as a capacity.
+	for _, n := range []uint64{1 << 40, 1<<63 + 1, math.MaxUint64} {
+		stream := binary.AppendUvarint(nil, n)
+		for _, out := range []any{new([]int64), new([]int32), new([]inner), new(map[int64]string)} {
+			if err := NewDecoder(stream).Decode(out); err == nil {
+				t.Errorf("length prefix %d accepted into %T", n, out)
+			}
+		}
 	}
 }
