@@ -65,13 +65,11 @@ type Thread struct {
 	kill     bool
 	out      yieldKind
 	panicVal any
-
-	// Tag lets the server associate the thread with the request it is
-	// serving (e.g. the requester endpoint awaiting the reply).
-	Tag any
 }
 
-// ID returns the thread's index within its pool.
+// ID returns the thread's index within its pool. A server that keeps
+// something per request in service keeps it per thread, under this index,
+// made once with the pool.
 func (t *Thread) ID() int { return t.id }
 
 // Busy reports whether the thread is between Start and completion.
@@ -193,7 +191,6 @@ func (t *Thread) wait() (blocked bool) {
 		return true
 	}
 	t.busy = false
-	t.Tag = nil
 	if t.out == yieldPanicked {
 		// Propagate the crash into the server: the whole component
 		// fail-stops (a thread crash is a component crash).
@@ -247,7 +244,6 @@ func (p *Pool) KillAll() {
 		t.kill = true
 		if t.busy {
 			t.busy = false
-			t.Tag = nil
 			t.next() // park raises the kill; run returns when the job has unwound
 		} else {
 			t.stop()

@@ -160,19 +160,6 @@ func TestKillAllReapsBlockedThreads(t *testing.T) {
 	})
 }
 
-func TestTagLifecycle(t *testing.T) {
-	inProcess(t, func(ctx *kernel.Context) {
-		p := NewPool(ctx, 1)
-		th := p.Thread(0)
-		th.Start(func(t *Thread) { t.Block() })
-		th.Tag = kernel.Endpoint(42)
-		th.Resume(kernel.Message{})
-		if th.Tag != nil {
-			t.Fatal("Tag not cleared on completion")
-		}
-	})
-}
-
 func TestStartOnBusyThreadPanics(t *testing.T) {
 	inProcess(t, func(ctx *kernel.Context) {
 		p := NewPool(ctx, 1)

@@ -2,8 +2,10 @@ package image_test
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"hash/crc32"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -71,6 +73,67 @@ func TestHostileHeaderRejected(t *testing.T) {
 		data := header(frames)
 		if _, err := image.ReadSnapshot(bytes.NewReader(data), suiteRegistry(), 1); err == nil {
 			t.Errorf("a header claiming %d frames and carrying none was accepted", frames)
+		}
+	}
+}
+
+// oneFrame is a compressed image holding only a meta frame, the first
+// one read, with the given stored bytes and claimed raw length.
+func oneFrame(stored []byte, rawLen uint64) []byte {
+	h := wire.NewEncoder()
+	h.Str("meta")
+	h.Uvarint(rawLen)
+	h.Uvarint(uint64(len(stored)))
+	h.U32(crc32.Checksum(stored, crc32.MakeTable(crc32.Castagnoli)))
+	out := binary.AppendUvarint(append([]byte(image.Magic), 1), 1)
+	return append(append(out, h.Bytes()...), stored...)
+}
+
+// TestHostileRawLengthRejected: the checksum covers what is stored, not
+// what it inflates to, and the raw length is the header's word. A frame
+// that understates a deflate bomb is refused one byte past the length it
+// states — the reader used to inflate all of it and compare afterwards —
+// and one that overstates beyond what its stored bytes could ever inflate
+// to is refused before the length sizes a buffer.
+func TestHostileRawLengthRejected(t *testing.T) {
+	const bombLen = 16 << 20
+	var bomb bytes.Buffer
+	zw, err := flate.NewWriter(&bomb, flate.BestCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeros := make([]byte, 1<<20)
+	for n := 0; n < bombLen; n += len(zeros) {
+		zw.Write(zeros)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if bomb.Len()*900 > bombLen {
+		t.Fatalf("the bomb is %d stored bytes for %d raw, not the ~1000x the case is about", bomb.Len(), bombLen)
+	}
+	reg := suiteRegistry()
+	for _, c := range []struct {
+		name   string
+		rawLen uint64
+	}{
+		{"understated bomb", 1000},
+		{"overstated by 2^40", bombLen + 1<<40},
+		{"overstated within the ratio", bombLen + 1},
+	} {
+		data := oneFrame(bomb.Bytes(), c.rawLen)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := image.ReadSnapshot(bytes.NewReader(data), reg, 1)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
+		// The third case is the honest cost of a frame of this size, there
+		// to show the measurement sees an inflation when one happens.
+		spent, inflated := after.TotalAlloc-before.TotalAlloc, c.rawLen == bombLen+1
+		if (spent >= bombLen/8) != inflated {
+			t.Errorf("%s: reading allocated %d KiB (error: %v)", c.name, spent>>10, err)
 		}
 	}
 }
@@ -160,10 +223,11 @@ func FuzzReadSnapshot(f *testing.F) {
 			f.Add(img.data[:cut])
 		}
 	}
-	// The crashers of the two tests above.
+	// The crashers of the tests above.
 	for _, frames := range []uint64{1 << 36, 1 << 63, 1<<64 - 1} {
 		f.Add(header(frames))
 	}
+	f.Add(oneFrame([]byte{0x03, 0x00}, 1<<40))
 	f.Add(reframe(f, raw, "kernel", func(b []byte) []byte { b[9] = 0x7e; return b }))
 	f.Add(reframe(f, raw, "slot/4", func(b []byte) []byte {
 		copy(b[bytes.Index(b, []byte("\x05int32"))+6:], binary.AppendUvarint(nil, 1<<63+1))

@@ -162,20 +162,39 @@ type storedFrame struct {
 	crc    uint32
 }
 
-// open verifies the frame's checksum and returns its payload.
+// maxInflateRatio is the most deflate can make of a stored byte: a match
+// of 258 bytes costs at least two bits.
+const maxInflateRatio = 1032
+
+// open verifies the frame's checksum and returns its payload. The
+// checksum vouches for the stored bytes only, so the raw length the header
+// claims is held against them before it sizes the buffer, and inflation
+// stops one byte past it: a frame cannot make the reader allocate or
+// inflate more than the claim its stored size can back.
 func (f storedFrame) open(compressed bool) ([]byte, error) {
 	if got := crc32.Checksum(f.stored, crcTable); got != f.crc {
 		return nil, fmt.Errorf("checksum mismatch (stored %08x, computed %08x)", f.crc, got)
 	}
-	raw := f.stored
-	if compressed {
-		var err error
-		if raw, err = io.ReadAll(flate.NewReader(bytes.NewReader(f.stored))); err != nil {
-			return nil, err
+	if !compressed {
+		if uint64(len(f.stored)) != f.rawLen {
+			return nil, fmt.Errorf("raw length %d, header says %d", len(f.stored), f.rawLen)
 		}
+		return f.stored, nil
 	}
-	if uint64(len(raw)) != f.rawLen {
-		return nil, fmt.Errorf("raw length %d, header says %d", len(raw), f.rawLen)
+	if f.rawLen > maxInflateRatio*uint64(len(f.stored)) {
+		return nil, fmt.Errorf("header says %d raw bytes, more than %d stored bytes can inflate to", f.rawLen, len(f.stored))
+	}
+	raw := make([]byte, f.rawLen)
+	zr := flate.NewReader(bytes.NewReader(f.stored))
+	if _, err := io.ReadFull(zr, raw); err != nil {
+		return nil, fmt.Errorf("inflating the %d raw bytes the header says: %w", f.rawLen, err)
+	}
+	var past [1]byte
+	switch n, err := io.ReadFull(zr, past[:]); {
+	case n != 0:
+		return nil, fmt.Errorf("inflates past the %d raw bytes the header says", f.rawLen)
+	case err != io.EOF:
+		return nil, err
 	}
 	return raw, nil
 }

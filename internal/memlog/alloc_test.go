@@ -27,6 +27,41 @@ func TestNotLoggingStoresDoNotAllocate(t *testing.T) {
 	}
 }
 
+// The logged path allocates nothing either once the logs have grown to
+// the request's size: a record is flat and the old value (and key) goes
+// into the container's own typed side log, so nothing is boxed. The
+// Checkpoint each round is the top of the request loop.
+func TestLoggedStoresDoNotAllocate(t *testing.T) {
+	type rec struct {
+		EP, Pages int64
+		Name      string
+	}
+	for _, mode := range []Instrumentation{Unoptimized, Optimized} {
+		s := NewStore("alloc", mode)
+		s.SetLogging(true)
+		cell := NewCell(s, "cell", "initial-value")
+		m := NewMap[int64, rec](s, "map")
+		m.Set(1, rec{EP: 1})
+		sl := NewSlice[string](s, "slice")
+		sl.Append("seed")
+		round := func() {
+			s.Checkpoint()
+			cell.Set("overwritten-value")
+			m.Set(1, rec{EP: 1, Pages: 16, Name: "overwritten"})
+			m.Set(2, rec{EP: 2})
+			m.Delete(2)
+			sl.Set(0, "overwritten-value")
+		}
+		round() // grow the log, the side logs and the map once
+		if allocs := testing.AllocsPerRun(200, round); allocs != 0 {
+			t.Errorf("mode %d: logged stores allocated %.1f times per round, want 0", mode, allocs)
+		}
+		if s.LogLen() != 5 {
+			t.Fatalf("mode %d: LogLen = %d after a round, want 5", mode, s.LogLen())
+		}
+	}
+}
+
 // ReleaseLog recycles the slab but leaves the store fully usable: the
 // next logged store acquires a fresh backing array.
 func TestReleaseLogStoreRemainsUsable(t *testing.T) {
@@ -164,6 +199,31 @@ func benchSlice(b *testing.B, mode Instrumentation, logging bool) {
 			s.Checkpoint()
 		}
 		sl.Set(i%16, "stored-value")
+	}
+}
+
+// BenchmarkLoggedMapSet is the logged store as the servers issue it: an
+// int64 key and a small struct value (vm.spaces, pm's process table),
+// overwrite, insert and delete, with the request loop's Checkpoint every
+// few stores. It is the layer benchmark for the typed undo log.
+func BenchmarkLoggedMapSet(b *testing.B) {
+	type space struct{ EP, Pages, Brk int64 }
+	s := NewStore("bench", Optimized)
+	s.SetLogging(true)
+	m := NewMap[int64, space](s, "map")
+	for k := int64(0); k < 16; k++ {
+		m.Set(k, space{EP: k})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%8 == 0 {
+			s.Checkpoint()
+		}
+		k := int64(i % 16)
+		m.Set(k, space{EP: k, Pages: int64(i)})
+		m.Set(100, space{EP: 100})
+		m.Delete(100)
 	}
 }
 

@@ -33,6 +33,7 @@ type Cell[T any] struct {
 	store *Store
 	id    string
 	cm    contMeta
+	olds  sideLog[T]
 	v     T
 }
 
@@ -62,14 +63,14 @@ func NewCell[T any](s *Store, id string, init T) *Cell[T] {
 func (c *Cell[T]) Get() T { return c.v }
 
 // Set overwrites the value, logging the old value for rollback. When
-// the store is not logging, the old value is never boxed: the fast
-// path is a branch plus the mode's check cost.
+// the store is not logging, the old value is never copied aside: the
+// fast path is a branch plus the mode's check cost.
 func (c *Cell[T]) Set(v T) {
 	if c.store.shouldLog() {
 		c.store.appendLogged(undoRec{
 			entry: c.id,
 			kind:  recCellSet,
-			old:   c.v,
+			pos:   c.olds.push(c.store, c.v),
 			bytes: approxSize(c.v),
 		})
 	} else {
@@ -91,12 +92,16 @@ func (c *Cell[T]) cloneInto(dst *Store) {
 }
 
 func (c *Cell[T]) undo(rec undoRec) {
-	old, ok := rec.old.(T)
+	c.v = c.olds.pop(c.store, c.id, rec.pos)
+	c.store.touch(c, &c.cm)
+}
+
+func (c *Cell[T]) adoptLog(src container, copied bool) {
+	other, ok := src.(*Cell[T])
 	if !ok {
 		panic(fmt.Sprintf("memlog: undo type mismatch for cell %q", c.id))
 	}
-	c.v = old
-	c.store.touch(c, &c.cm)
+	c.olds.adopt(c.store, &other.olds, other.store, copied)
 }
 
 func (c *Cell[T]) restoreFrom(src container) {
@@ -128,8 +133,17 @@ type Map[K comparable, V any] struct {
 	store *Store
 	id    string
 	cm    contMeta
+	olds  sideLog[mapOld[K, V]]
 	m     map[K]V
 	order []K
+}
+
+// mapOld is what one logged Set or Delete of a Map replaced: the value
+// key had, or that it had none (undo = delete).
+type mapOld[K comparable, V any] struct {
+	key    K
+	old    V
+	absent bool
 }
 
 // NewMap registers an empty map named id, or returns the existing one
@@ -161,28 +175,20 @@ func (m *Map[K, V]) Get(key K) (V, bool) {
 // Len reports the number of keys present.
 func (m *Map[K, V]) Len() int { return len(m.m) }
 
-// Set inserts or overwrites key, logging the previous state. The
-// not-logging fast path boxes neither the key nor the old value.
+// Set inserts or overwrites key, logging the previous state.
 func (m *Map[K, V]) Set(key K, v V) {
 	old, present := m.m[key]
 	if m.store.shouldLog() {
-		if present {
-			m.store.appendLogged(undoRec{
-				entry: m.id,
-				kind:  recMapSet,
-				key:   key,
-				old:   old,
-				bytes: approxSize(old),
-			})
-		} else {
-			m.store.appendLogged(undoRec{
-				entry: m.id,
-				kind:  recMapSet,
-				key:   key,
-				old:   oldAbsent{},
-				bytes: approxSize(key),
-			})
+		bytes := approxSize(old)
+		if !present {
+			bytes = approxSize(key)
 		}
+		m.store.appendLogged(undoRec{
+			entry: m.id,
+			kind:  recMapSet,
+			pos:   m.olds.push(m.store, mapOld[K, V]{key: key, old: old, absent: !present}),
+			bytes: bytes,
+		})
 	} else {
 		m.store.noteUnloggedStore()
 	}
@@ -203,8 +209,7 @@ func (m *Map[K, V]) Delete(key K) {
 		m.store.appendLogged(undoRec{
 			entry: m.id,
 			kind:  recMapDelete,
-			key:   key,
-			old:   old,
+			pos:   m.olds.push(m.store, mapOld[K, V]{key: key, old: old}),
 			bytes: approxSize(old),
 		})
 	} else {
@@ -265,28 +270,28 @@ func (m *Map[K, V]) cloneInto(dst *Store) {
 }
 
 func (m *Map[K, V]) undo(rec undoRec) {
-	key, ok := rec.key.(K)
-	if !ok {
-		panic(fmt.Sprintf("memlog: undo key type mismatch for map %q", m.id))
-	}
-	switch rec.kind {
-	case recMapSet:
-		if _, absent := rec.old.(oldAbsent); absent {
-			delete(m.m, key)
-			m.removeFromOrder(key)
-			m.store.touch(m, &m.cm)
-			return
-		}
-		m.m[key] = rec.old.(V)
-	case recMapDelete:
-		if _, present := m.m[key]; !present {
-			m.order = append(m.order, key)
-		}
-		m.m[key] = rec.old.(V)
-	default:
+	if rec.kind != recMapSet && rec.kind != recMapDelete {
 		panic(fmt.Sprintf("memlog: bad undo kind %d for map %q", rec.kind, m.id))
 	}
+	e := m.olds.pop(m.store, m.id, rec.pos)
+	if e.absent {
+		delete(m.m, e.key)
+		m.removeFromOrder(e.key)
+	} else {
+		if _, present := m.m[e.key]; !present {
+			m.order = append(m.order, e.key)
+		}
+		m.m[e.key] = e.old
+	}
 	m.store.touch(m, &m.cm)
+}
+
+func (m *Map[K, V]) adoptLog(src container, copied bool) {
+	other, ok := src.(*Map[K, V])
+	if !ok {
+		panic(fmt.Sprintf("memlog: undo type mismatch for map %q", m.id))
+	}
+	m.olds.adopt(m.store, &other.olds, other.store, copied)
 }
 
 func (m *Map[K, V]) restoreFrom(src container) {
@@ -332,7 +337,18 @@ type Slice[T any] struct {
 	store *Store
 	id    string
 	cm    contMeta
-	v     []T
+	olds  sideLog[sliceOld[T]]
+	// muts counts the times the elements changed by any route, logged or
+	// not (every touch). Host-only: never cloned, forked or in an image.
+	muts uint64
+	v    []T
+}
+
+// sliceOld is one element a logged Set overwrote or a logged Truncate
+// removed. An Append has no entry: its undo needs none.
+type sliceOld[T any] struct {
+	i   int
+	old T
 }
 
 // NewSlice registers an empty slice named id, or returns the existing
@@ -374,15 +390,14 @@ func (s *Slice[T]) Set(i int, v T) {
 		s.store.appendLogged(undoRec{
 			entry: s.id,
 			kind:  recSliceSet,
-			key:   i,
-			old:   s.v[i],
+			pos:   s.olds.push(s.store, sliceOld[T]{i, s.v[i]}),
 			bytes: approxSize(s.v[i]),
 		})
 	} else {
 		s.store.noteUnloggedStore()
 	}
 	s.v[i] = v
-	s.store.touch(s, &s.cm)
+	s.touch()
 }
 
 // Append adds v at the end.
@@ -397,7 +412,7 @@ func (s *Slice[T]) Append(v T) {
 		s.store.noteUnloggedStore()
 	}
 	s.v = append(s.v, v)
-	s.store.touch(s, &s.cm)
+	s.touch()
 }
 
 // Reserve makes room for n more Appends without reallocating. It is
@@ -421,23 +436,25 @@ func (s *Slice[T]) Truncate(n int) {
 		return
 	}
 	if s.store.shouldLog() {
-		tail := make([]T, len(s.v)-n)
-		copy(tail, s.v[n:])
-		bytes := 0
-		for i := range tail {
-			bytes += approxSize(tail[i])
+		pos, bytes := 0, 0
+		for i := n; i < len(s.v); i++ {
+			at := s.olds.push(s.store, sliceOld[T]{i, s.v[i]})
+			if i == n {
+				pos = at
+			}
+			bytes += approxSize(s.v[i])
 		}
 		s.store.appendLogged(undoRec{
 			entry: s.id,
 			kind:  recSliceTruncate,
-			old:   tail,
+			pos:   pos,
 			bytes: bytes,
 		})
 	} else {
 		s.store.noteUnloggedStore()
 	}
 	s.v = s.v[:n]
-	s.store.touch(s, &s.cm)
+	s.touch()
 }
 
 // ForEach calls fn for each element in order; it stops early if fn
@@ -471,16 +488,39 @@ func (s *Slice[T]) cloneInto(dst *Store) {
 func (s *Slice[T]) undo(rec undoRec) {
 	switch rec.kind {
 	case recSliceSet:
-		s.v[rec.key.(int)] = rec.old.(T)
+		e := s.olds.pop(s.store, s.id, rec.pos)
+		s.v[e.i] = e.old
 	case recSliceAppend:
 		s.v = s.v[:len(s.v)-1]
 	case recSliceTruncate:
-		s.v = append(s.v, rec.old.([]T)...)
+		for _, e := range s.olds.popFrom(s.store, s.id, rec.pos) {
+			s.v = append(s.v, e.old)
+		}
 	default:
 		panic(fmt.Sprintf("memlog: bad undo kind %d for slice %q", rec.kind, s.id))
 	}
+	s.touch()
+}
+
+func (s *Slice[T]) adoptLog(src container, copied bool) {
+	other, ok := src.(*Slice[T])
+	if !ok {
+		panic(fmt.Sprintf("memlog: undo type mismatch for slice %q", s.id))
+	}
+	s.olds.adopt(s.store, &other.olds, other.store, copied)
+}
+
+// touch is the slice's one route to Store.touch.
+func (s *Slice[T]) touch() {
+	s.muts++
 	s.store.touch(s, &s.cm)
 }
+
+// Mutations reports how many times the elements have changed since the
+// slice was made — by Set, Append, Truncate, a rollback, or a silent
+// corruption. An index derived from the elements is in step with them
+// exactly while the count it last saw still stands.
+func (s *Slice[T]) Mutations() uint64 { return s.muts }
 
 func (s *Slice[T]) restoreFrom(src container) {
 	other, ok := src.(*Slice[T])
@@ -488,7 +528,7 @@ func (s *Slice[T]) restoreFrom(src container) {
 		panic(fmt.Sprintf("memlog: snapshot type mismatch for slice %q", s.id))
 	}
 	s.v = append(s.v[:0], other.v...)
-	s.store.touch(s, &s.cm)
+	s.touch()
 }
 
 func (s *Slice[T]) corrupt(r *sim.RNG) bool {
@@ -501,7 +541,7 @@ func (s *Slice[T]) corrupt(r *sim.RNG) bool {
 		return false
 	}
 	s.v[i] = nv.(T)
-	s.store.touch(s, &s.cm)
+	s.touch()
 	return true
 }
 

@@ -134,13 +134,32 @@ func TestUndoTypeMismatchPanics(t *testing.T) {
 	s.SetLogging(true)
 	c := NewCell(s, "c", 0)
 	c.Set(1)
+	// Old values are typed per container, so the one way to meet a wrong
+	// type is a log handed to a store whose namesake holds another.
+	other := NewStore("x", Optimized)
+	NewCell(other, "c", "a string")
 	defer func() {
 		if recover() == nil {
 			t.Fatal("mismatched undo did not panic")
 		}
 	}()
-	// Corrupt the log record's type to force the mismatch.
-	s.log[0].old = "wrong type"
+	s.TransferLog(other)
+}
+
+// A record whose entry is not the newest in its container's side log is
+// a log out of step with the containers: it must fail loudly.
+func TestUndoOutOfStepWithSideLogPanics(t *testing.T) {
+	s := NewStore("x", Optimized)
+	s.SetLogging(true)
+	c := NewCell(s, "c", 0)
+	c.Set(1)
+	c.Set(2)
+	s.log = s.log[:1] // the newest record is gone, its side entry is not
+	defer func() {
+		if recover() == nil {
+			t.Fatal("out-of-step undo did not panic")
+		}
+	}()
 	s.Rollback()
 }
 

@@ -13,7 +13,8 @@
 // A checkpoint is simply the (empty) log position at the top of a
 // server's request-processing loop; Rollback undoes all records in
 // reverse, restoring the exact state at the checkpoint. The undo log is
-// self-describing (records reference containers by name), so it can be
+// self-describing (records reference containers by name, and each
+// container keeps the old values of its own stores, typed), so it can be
 // transferred to a freshly cloned Store and replayed there — exactly the
 // restart-then-rollback flow of the paper's Recovery Server.
 package memlog
@@ -76,18 +77,76 @@ const (
 	recSliceTruncate
 )
 
-// undoRec is one entry of the undo log: enough information to restore
-// the previous value of one store.
+// undoRec is one entry of the undo log: which container was stored to,
+// how, and where in that container's side log the old value sits. The
+// store's half of a record is flat; the typed half (key or index, old
+// value) lives in the container, so a logged store boxes nothing.
 type undoRec struct {
 	entry string
 	kind  recKind
-	key   any // map key, slice index, or nil
-	old   any // previous value; for recMapSet of a new key, oldAbsent
+	pos   int // position of the record's first entry in the side log
 	bytes int
 }
 
-// oldAbsent marks a map Set that created the key (undo = delete).
-type oldAbsent struct{}
+// sideLog is a container's typed half of the undo log: one entry per
+// logged store of the current log epoch (a Truncate: one per element
+// removed), in store order. Rollback undoes in reverse, so entries leave
+// from the end, and a record's pos must find its entry there.
+//
+// The store empties its log in O(1) by moving to a new epoch
+// (Store.dropLog); a side log notices at its next push, which is why
+// entries of a finished epoch may linger until then.
+type sideLog[E any] struct {
+	epoch uint64
+	recs  []E
+}
+
+// push appends e to the side log and returns its position.
+func (l *sideLog[E]) push(s *Store, e E) int {
+	if l.epoch != s.logEpoch {
+		l.epoch = s.logEpoch
+		clear(l.recs) // drop the finished epoch's references
+		l.recs = l.recs[:0]
+	}
+	l.recs = append(l.recs, e)
+	return len(l.recs) - 1
+}
+
+// popFrom removes and returns the entries from pos on, which must be the
+// newest record's. The result is valid until the next push.
+func (l *sideLog[E]) popFrom(s *Store, id string, pos int) []E {
+	if l.epoch != s.logEpoch || pos < 0 || pos >= len(l.recs) {
+		panic(fmt.Sprintf("memlog: undo record for %q has no entry in the container's side log", id))
+	}
+	tail := l.recs[pos:]
+	l.recs = l.recs[:pos]
+	return tail
+}
+
+// pop is popFrom for a record of exactly one entry.
+func (l *sideLog[E]) pop(s *Store, id string, pos int) E {
+	tail := l.popFrom(s, id, pos)
+	if len(tail) != 1 {
+		panic(fmt.Sprintf("memlog: undo record for %q is not the newest in the container's side log", id))
+	}
+	return tail[0]
+}
+
+// adopt makes this side log (of a container in store s) hold what from
+// (the same container in store fs) holds this epoch: moved out of from,
+// or copied when from's store keeps its log.
+func (l *sideLog[E]) adopt(s *Store, from *sideLog[E], fs *Store, copied bool) {
+	l.epoch = s.logEpoch
+	l.recs = l.recs[:0]
+	if from.epoch != fs.logEpoch {
+		return
+	}
+	if copied {
+		l.recs = append(l.recs, from.recs...)
+		return
+	}
+	l.recs, from.recs = from.recs, nil
+}
 
 // container is the interface implemented by Cell, Map and Slice so the
 // Store can roll back, clone and account for them generically.
@@ -96,6 +155,9 @@ type container interface {
 	bytes() int
 	cloneInto(dst *Store)
 	undo(rec undoRec)
+	// adoptLog takes over the side log of src, the container of the same
+	// name in another store: moved (TransferLog), or copied (ForkClone).
+	adoptLog(src container, copied bool)
 	corrupt(r *sim.RNG) bool
 	// restoreFrom overwrites this container's contents from a snapshot
 	// container of the same name and type (FullCopy rollback).
@@ -187,6 +249,10 @@ type Store struct {
 
 	log      []undoRec
 	logBytes int
+	// logEpoch names the current contents of log to the containers' side
+	// logs; it moves on whenever the log is emptied other than by undoing
+	// it. Host-only, like the side logs: an image has an empty log.
+	logEpoch uint64
 
 	charge   func(sim.Cycles)
 	counters *sim.Counters
@@ -229,6 +295,7 @@ func NewStore(label string, mode Instrumentation) *Store {
 		storeIdent: storeIdent{label: label, mode: mode},
 		storeCkpt:  storeCkpt{chkGen: 1},
 		containers: make(map[string]container),
+		logEpoch:   1, // a zero-valued side log is never of the current epoch
 	}
 }
 
@@ -290,8 +357,7 @@ const fullCopyCheckpointShift = 2
 // written since the image was last current, charging virtual cycles for
 // the delta bytes actually copied.
 func (s *Store) Checkpoint() {
-	s.log = s.log[:0]
-	s.logBytes = 0
+	s.dropLog()
 	if s.mode != FullCopy || !s.logging {
 		return
 	}
@@ -336,13 +402,20 @@ func (s *Store) Checkpoint() {
 // retains the image as the delta base for the next Checkpoint but marks
 // it non-restorable.
 func (s *Store) DiscardLog() {
-	s.log = s.log[:0]
-	s.logBytes = 0
+	s.dropLog()
 	if s.legacyCheckpoint {
 		s.snapshot = nil
 		return
 	}
 	s.restorable = false
+}
+
+// dropLog empties the undo log without undoing it, in O(1): the side logs
+// learn of it from the epoch.
+func (s *Store) dropLog() {
+	s.log = s.log[:0]
+	s.logBytes = 0
+	s.logEpoch++
 }
 
 // LogLen reports the number of records currently in the undo log.
@@ -430,6 +503,9 @@ func (s *Store) TransferLog(dst *Store) {
 	dst.ReleaseLog()
 	dst.log = s.log
 	dst.logBytes = s.logBytes
+	if len(s.log) > 0 {
+		s.sideLogsInto(dst, false)
+	}
 	if dst.logBytes > dst.maxLogBytes {
 		dst.maxLogBytes = dst.logBytes
 	}
@@ -438,6 +514,18 @@ func (s *Store) TransferLog(dst *Store) {
 	}
 	s.log = nil
 	s.logBytes = 0
+	s.logEpoch++
+}
+
+// sideLogsInto hands every container's side log to its namesake in dst.
+// A container dst lacks keeps its entries here; the records naming it
+// then fail in dst's Rollback, as records for an unknown container do.
+func (s *Store) sideLogsInto(dst *Store, copied bool) {
+	for _, name := range s.order {
+		if c := dst.containers[name]; c != nil {
+			c.adoptLog(s.containers[name], copied)
+		}
+	}
 }
 
 // Clone produces a fresh Store with a deep copy of every container —
@@ -506,6 +594,7 @@ func (s *Store) ForkClone() *Store {
 	if len(s.log) > 0 {
 		dst.grabSlab(len(s.log))
 		dst.log = append(dst.log, s.log...)
+		s.sideLogsInto(dst, true)
 	}
 	dst.logBytes = s.logBytes
 	if s.snapshot != nil {
@@ -698,7 +787,7 @@ func (s *Store) lookup(name string) container {
 
 // shouldLog reports whether an instrumented store must append an undo
 // record right now. Containers check it before building the record, so
-// the not-logging fast paths never box old values into interfaces.
+// the not-logging fast paths never copy old values aside.
 func (s *Store) shouldLog() bool {
 	switch s.mode {
 	case Unoptimized:
@@ -774,21 +863,17 @@ func (s *Store) grabSlab(n int) {
 }
 
 // ReleaseLog detaches the store's undo-log backing array, returning
-// pooled slabs for reuse by later boots. Record contents are zeroed so
-// the pool retains no references to logged values. The store remains
+// pooled slabs for reuse by later boots. The store remains
 // usable afterwards: the next logged store acquires a fresh backing
 // array.
 func (s *Store) ReleaseLog() {
 	if cap(s.log) == slabRecords {
-		slab := s.log[:cap(s.log)]
-		for i := range slab {
-			slab[i] = undoRec{}
-		}
-		slab = slab[:0]
+		slab := s.log[:0]
 		slabPool.Put(&slab)
 	}
 	s.log = nil
 	s.logBytes = 0
+	s.logEpoch++
 }
 
 func (s *Store) chargeCycles(n sim.Cycles) {

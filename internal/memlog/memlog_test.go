@@ -1,6 +1,7 @@
 package memlog
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -125,8 +126,7 @@ func TestSliceOperationsRollback(t *testing.T) {
 }
 
 // View is the slice's own elements: a Set made during a scan shows
-// through it (vm.freeFrames ranges over one while it clears entries), it
-// counts no store, and the logged Set still rolls back.
+// through it, it counts no store, and the logged Set still rolls back.
 func TestSliceViewAliasesTheElements(t *testing.T) {
 	s := NewStore("vm", Optimized)
 	counters := sim.NewCounters()
@@ -292,6 +292,71 @@ func TestTransferLogAndRollbackOnClone(t *testing.T) {
 	}
 	if s.LogLen() != 0 {
 		t.Fatal("TransferLog left records behind in the source")
+	}
+}
+
+// The typed half of the undo log lives in the containers, so every route
+// that carries a log to another store must carry it too — every record
+// kind, with a dropped epoch's entries lingering in the side logs first.
+func TestSideLogsFollowTheLog(t *testing.T) {
+	build := func() (*Store, func(*Store) string) {
+		s := NewStore("vfs", Optimized)
+		s.SetLogging(true)
+		c := NewCell(s, "c", "boot")
+		m := NewMap[int64, string](s, "m")
+		sl := NewSlice[int32](s, "sl")
+		for i := int32(0); i < 6; i++ {
+			sl.Append(i)
+		}
+		m.Set(1, "one")
+		m.Set(2, "two")
+		c.Set("stale epoch") // entries the Checkpoint leaves behind
+		sl.Truncate(5)
+		s.Checkpoint()
+		c.Set("x")
+		m.Set(1, "uno")
+		m.Set(3, "three")
+		m.Delete(2)
+		sl.Set(0, 9)
+		sl.Append(7)
+		sl.Truncate(2)
+		c.Set("y")
+		return s, func(s *Store) string {
+			out := NewCell(s, "c", "").Get()
+			NewMap[int64, string](s, "m").ForEach(func(k int64, v string) bool {
+				out += fmt.Sprintf(" %d=%s", k, v)
+				return true
+			})
+			return out + fmt.Sprint(NewSlice[int32](s, "sl").View())
+		}
+	}
+	const want = "stale epoch 1=one 2=two[0 1 2 3 4]"
+	check := func(route string, s *Store, show func(*Store) string, records, bytes int) {
+		t.Helper()
+		if s.LogLen() != records || s.LogBytes() != bytes {
+			t.Fatalf("%s: log is %d records / %d bytes, want %d / %d", route, s.LogLen(), s.LogBytes(), records, bytes)
+		}
+		s.Rollback()
+		if got := show(s); got != want {
+			t.Fatalf("%s: rolled back to %q, want %q", route, got, want)
+		}
+	}
+
+	src, show := build()
+	records, bytes := src.LogLen(), src.LogBytes()
+	fork := src.ForkClone()
+	check("ForkClone", fork, show, records, bytes)
+	check("source of the ForkClone", src, show, records, bytes)
+
+	src, show = build()
+	clone := src.Clone()
+	src.TransferLog(clone)
+	check("TransferLog", clone, show, records, bytes)
+	// The source stays usable, with side logs that start afresh.
+	c := NewCell(src, "c", "")
+	c.Set("again")
+	if src.Rollback(); c.Get() != "y" {
+		t.Fatalf("source of the TransferLog rolled back to %q, want the crashed state %q", c.Get(), "y")
 	}
 }
 

@@ -95,6 +95,7 @@ type VFS struct {
 	// recoverable component state: a recovered clone starts with a
 	// fresh pool, and stale completions are dropped by tag mismatch.
 	pool    *cothread.Pool
+	io      []fileIO // one per pool thread, made with the pool
 	tagBase int64
 	nextTag int64
 }
@@ -126,6 +127,12 @@ func fdKey(ep kernel.Endpoint, fd int64) int64 { return int64(ep)<<16 | (fd & 0x
 // framework calls it instead of the generic single-threaded loop.
 func (v *VFS) RunLoop(ctx *kernel.Context, win *seep.Window) {
 	v.pool = cothread.NewPool(ctx, NumThreads)
+	v.io = make([]fileIO, NumThreads)
+	for i := range v.io {
+		io := &v.io[i]
+		io.v, io.ctx, io.t = v, ctx, v.pool.Thread(i)
+		io.job = io.serve
+	}
 	v.tagBase = int64(ctx.Kernel().Counters().Get("kernel.procs_replaced")+1) << 32
 
 	for {
@@ -138,24 +145,24 @@ func (v *VFS) RunLoop(ctx *kernel.Context, win *seep.Window) {
 		if v.pool.BusyCount() > 0 {
 			win.ForceClose()
 		}
-		v.dispatch(ctx, win, m)
+		v.dispatch(ctx, m)
 		win.EndRequest()
 	}
 }
 
-func (v *VFS) dispatch(ctx *kernel.Context, win *seep.Window, m kernel.Message) {
+func (v *VFS) dispatch(ctx *kernel.Context, m kernel.Message) {
 	ctx.Tick(40)
 	switch m.Type {
 	case proto.DevReadDone, proto.DevWriteDone:
-		v.routeCompletion(ctx, win, m)
+		v.routeCompletion(ctx, m)
 	case proto.VFSOpen:
 		v.open(ctx, m)
 	case proto.VFSClose:
 		v.close(ctx, m)
 	case proto.VFSRead:
-		v.read(ctx, win, m)
+		v.read(ctx, m)
 	case proto.VFSWrite:
-		v.write(ctx, win, m)
+		v.write(ctx, m)
 	case proto.VFSSeek:
 		v.seek(ctx, m)
 	case proto.VFSStat:
@@ -196,61 +203,69 @@ func (v *VFS) dispatch(ctx *kernel.Context, win *seep.Window, m kernel.Message) 
 // routeCompletion hands an asynchronous device completion to the worker
 // thread that issued it. Stale completions (from before a recovery)
 // carry tags no live thread owns and are dropped.
-func (v *VFS) routeCompletion(ctx *kernel.Context, win *seep.Window, m kernel.Message) {
+func (v *VFS) routeCompletion(ctx *kernel.Context, m kernel.Message) {
 	ctx.Point("vfs.completion")
-	for i := 0; i < v.pool.Size(); i++ {
-		t := v.pool.Thread(i)
-		if t.Busy() && t.Tag == m.D {
-			t.Resume(m)
+	for i := range v.io {
+		if io := &v.io[i]; io.t.Busy() && io.tag == m.D {
+			io.t.Resume(m)
 			return
 		}
 	}
 	ctx.Kernel().Counters().AddID(ctrStaleCompletions, 1)
 }
 
-// threadDevice is the fs.BlockDevice used inside a worker thread:
-// requests go to the driver asynchronously and the thread blocks until
-// the main loop routes the completion back.
-type threadDevice struct {
+// fileIO is one worker thread's file request and the fs.BlockDevice the
+// request runs over: block requests go to the driver asynchronously and
+// the thread blocks until the main loop routes the completion back. The
+// records are made once, with the pool, and a thread serves one request
+// at a time, so starting a request allocates nothing.
+type fileIO struct {
 	v   *VFS
 	ctx *kernel.Context
 	t   *cothread.Thread
+	job func(*cothread.Thread) // serve, bound once
+
+	// The request in service: the tag its completions carry, the message,
+	// and the descriptor it arrived on.
+	tag     int64
+	m       kernel.Message
+	e       fdEnt
+	key     int64
+	isWrite bool
 }
 
-var _ fs.BlockDevice = (*threadDevice)(nil)
+var _ fs.BlockDevice = (*fileIO)(nil)
 
-func (d *threadDevice) Blocks() int32 { return DiskBlocks }
+func (io *fileIO) Blocks() int32 { return DiskBlocks }
 
-func (d *threadDevice) ReadBlock(b int32) ([]byte, kernel.Errno) {
-	tag := d.t.Tag.(int64)
-	d.ctx.Point("vfs.dev.read")
-	errno := d.ctx.SendSeep(seepDevRead, kernel.EpDriver,
-		kernel.Message{Type: proto.DevRead, A: int64(b), D: tag})
+func (io *fileIO) ReadBlock(b int32) ([]byte, kernel.Errno) {
+	io.ctx.Point("vfs.dev.read")
+	errno := io.ctx.SendSeep(seepDevRead, kernel.EpDriver,
+		kernel.Message{Type: proto.DevRead, A: int64(b), D: io.tag})
 	if errno != kernel.OK {
 		return nil, errno
 	}
-	done := d.t.Block()
+	done := io.t.Block()
 	// Post-completion processing: the thread yielded, so the window is
 	// closed here under any policy.
-	d.ctx.Point("vfs.dev.read.done")
-	d.ctx.Tick(25)
+	io.ctx.Point("vfs.dev.read.done")
+	io.ctx.Tick(25)
 	if done.Errno != kernel.OK {
 		return nil, done.Errno
 	}
 	return done.Bytes, kernel.OK
 }
 
-func (d *threadDevice) WriteBlock(b int32, data []byte) kernel.Errno {
-	tag := d.t.Tag.(int64)
-	d.ctx.Point("vfs.dev.write")
-	errno := d.ctx.SendSeep(seepDevWrite, kernel.EpDriver,
-		kernel.Message{Type: proto.DevWrite, A: int64(b), D: tag, Bytes: data})
+func (io *fileIO) WriteBlock(b int32, data []byte) kernel.Errno {
+	io.ctx.Point("vfs.dev.write")
+	errno := io.ctx.SendSeep(seepDevWrite, kernel.EpDriver,
+		kernel.Message{Type: proto.DevWrite, A: int64(b), D: io.tag, Bytes: data})
 	if errno != kernel.OK {
 		return errno
 	}
-	done := d.t.Block()
-	d.ctx.Point("vfs.dev.write.done")
-	d.ctx.Tick(25)
+	done := io.t.Block()
+	io.ctx.Point("vfs.dev.write.done")
+	io.ctx.Tick(25)
 	return done.Errno
 }
 
@@ -565,7 +580,7 @@ func (v *VFS) dropWaitersOf(ep int64) {
 	}
 }
 
-func (v *VFS) read(ctx *kernel.Context, win *seep.Window, m kernel.Message) {
+func (v *VFS) read(ctx *kernel.Context, m kernel.Message) {
 	ctx.Point("vfs.read.entry")
 	e, key, ok := v.lookupFD(m.From, m.A)
 	if !ok {
@@ -578,11 +593,11 @@ func (v *VFS) read(ctx *kernel.Context, win *seep.Window, m kernel.Message) {
 	case fdPipeR:
 		v.pipeRead(ctx, m, e)
 	default:
-		v.fileIO(ctx, win, m, e, key, false)
+		v.startFileIO(ctx, m, e, key, false)
 	}
 }
 
-func (v *VFS) write(ctx *kernel.Context, win *seep.Window, m kernel.Message) {
+func (v *VFS) write(ctx *kernel.Context, m kernel.Message) {
 	ctx.Point("vfs.write.entry")
 	e, key, ok := v.lookupFD(m.From, m.A)
 	if !ok {
@@ -595,54 +610,55 @@ func (v *VFS) write(ctx *kernel.Context, win *seep.Window, m kernel.Message) {
 	case fdPipeW:
 		v.pipeWrite(ctx, m, e)
 	default:
-		v.fileIO(ctx, win, m, e, key, true)
+		v.startFileIO(ctx, m, e, key, true)
 	}
 }
 
-// fileIO runs a regular-file read or write on a worker thread.
-func (v *VFS) fileIO(ctx *kernel.Context, win *seep.Window, m kernel.Message, e fdEnt, key int64, isWrite bool) {
+// startFileIO runs a regular-file read or write on a worker thread.
+func (v *VFS) startFileIO(ctx *kernel.Context, m kernel.Message, e fdEnt, key int64, isWrite bool) {
 	t := v.pool.Idle()
 	if t == nil {
 		ctx.ReplyErr(m.From, kernel.EAGAIN)
 		return
 	}
 	v.nextTag++
-	t.Tag = v.tagBase + v.nextTag
-	requester := m.From
-
-	job := func(t *cothread.Thread) {
-		dev := &threadDevice{v: v, ctx: ctx, t: t}
-		if isWrite {
-			ctx.Point("vfs.write.file")
-			// Copying the payload between the caller and the block layer
-			// is real per-byte server work.
-			ctx.Tick(30 + sim.Cycles(len(m.Bytes))/4)
-			n, errno := v.fsys.WriteAt(dev, e.Ino, e.Offset, m.Bytes)
-			if errno != kernel.OK && n == 0 {
-				ctx.ReplyErr(requester, errno)
-				return
-			}
-			e.Offset += int64(n)
-			v.fds.Set(key, e)
-			ctx.Reply(requester, kernel.Message{A: int64(n)})
-			return
-		}
-		ctx.Point("vfs.read.file")
-		ctx.Tick(30)
-		data, errno := v.fsys.ReadAt(dev, e.Ino, e.Offset, int(m.B))
-		if errno != kernel.OK {
-			ctx.ReplyErr(requester, errno)
-			return
-		}
-		ctx.Tick(sim.Cycles(len(data)) / 4)
-		e.Offset += int64(len(data))
-		v.fds.Set(key, e)
-		ctx.Reply(requester, kernel.Message{Bytes: data})
-	}
+	io := &v.io[t.ID()]
+	io.tag, io.m, io.e, io.key, io.isWrite = v.tagBase+v.nextTag, m, e, key, isWrite
 	// If the thread blocks on the device, the window is already closed
 	// (the device SEEP closed it); the main loop continues serving.
-	t.Start(job)
-	_ = win
+	t.Start(io.job)
+}
+
+// serve is the worker thread's job: the request in io, to completion.
+func (io *fileIO) serve(*cothread.Thread) {
+	v, ctx, m, e := io.v, io.ctx, io.m, io.e
+	io.m = kernel.Message{} // the record keeps no payload alive
+	if io.isWrite {
+		ctx.Point("vfs.write.file")
+		// Copying the payload between the caller and the block layer
+		// is real per-byte server work.
+		ctx.Tick(30 + sim.Cycles(len(m.Bytes))/4)
+		n, errno := v.fsys.WriteAt(io, e.Ino, e.Offset, m.Bytes)
+		if errno != kernel.OK && n == 0 {
+			ctx.ReplyErr(m.From, errno)
+			return
+		}
+		e.Offset += int64(n)
+		v.fds.Set(io.key, e)
+		ctx.Reply(m.From, kernel.Message{A: int64(n)})
+		return
+	}
+	ctx.Point("vfs.read.file")
+	ctx.Tick(30)
+	data, errno := v.fsys.ReadAt(io, e.Ino, e.Offset, int(m.B))
+	if errno != kernel.OK {
+		ctx.ReplyErr(m.From, errno)
+		return
+	}
+	ctx.Tick(sim.Cycles(len(data)) / 4)
+	e.Offset += int64(len(data))
+	v.fds.Set(io.key, e)
+	ctx.Reply(m.From, kernel.Message{Bytes: data})
 }
 
 func (v *VFS) pipeRead(ctx *kernel.Context, m kernel.Message, e fdEnt) {

@@ -47,6 +47,117 @@ type VM struct {
 	frames *memlog.Slice[int32]
 	// nextFrame scans for free frames round-robin.
 	nextFrame *memlog.Cell[int]
+
+	// owned is derived from frames and host-only: it is in no image, fork,
+	// fingerprint or undo log, and a VM bound over any store starts
+	// without one.
+	owned frameIndex
+}
+
+// frameIndex lists, for every owner in the frame table, the frames it
+// holds in ascending order, so that releasing an address space costs its
+// pages and not a scan of physical memory. It is trusted only while the
+// table's mutation count is the one it last saw (stamp): VM's own writes
+// update both, and anything else that changes the table — a rollback, a
+// restore, a silent corruption — leaves the count ahead, which makes the
+// next user rebuild the index from the table.
+type frameIndex struct {
+	lists map[int32][]int32 // nil until the first rebuild
+	spare [][]int32         // emptied lists, for the next new owner
+	stamp uint64
+}
+
+// inStep reports whether the index describes frames as it is now.
+func (x *frameIndex) inStep(frames *memlog.Slice[int32]) bool {
+	return x.lists != nil && x.stamp == frames.Mutations()
+}
+
+// rebuild derives the index from the table: the one full scan.
+func (x *frameIndex) rebuild(frames *memlog.Slice[int32]) {
+	if x.lists == nil {
+		x.lists = make(map[int32][]int32)
+	}
+	for owner, list := range x.lists {
+		x.spare = append(x.spare, list[:0])
+		delete(x.lists, owner)
+	}
+	// Address spaces are mostly runs of neighbouring frames: look an
+	// owner's list up when the owner changes, not per frame.
+	var cur int32
+	var list []int32
+	for i, owner := range frames.View() {
+		if owner == 0 {
+			continue
+		}
+		if owner != cur {
+			if cur != 0 {
+				x.lists[cur] = list
+			}
+			cur, list = owner, x.lists[owner]
+			if list == nil {
+				list = x.newList()
+			}
+		}
+		list = append(list, int32(i))
+	}
+	if cur != 0 {
+		x.lists[cur] = list
+	}
+	x.stamp = frames.Mutations()
+}
+
+func (x *frameIndex) newList() []int32 {
+	if n := len(x.spare); n > 0 {
+		list := x.spare[n-1]
+		x.spare = x.spare[:n-1]
+		return list
+	}
+	return make([]int32, 0, DefaultProcPages)
+}
+
+// add records that owner now holds frame i. The round-robin allocator
+// hands out ascending frames until it wraps, so the insertion is at the
+// end except then.
+func (x *frameIndex) add(owner, i int32) {
+	list, ok := x.lists[owner]
+	if !ok {
+		list = x.newList()
+	}
+	list = append(list, i)
+	for j := len(list) - 1; j > 0 && list[j-1] > list[j]; j-- {
+		list[j-1], list[j] = list[j], list[j-1]
+	}
+	x.lists[owner] = list
+}
+
+// shrink records that owner, which held list, now holds only rest of it.
+func (x *frameIndex) shrink(owner int32, list, rest []int32) {
+	if len(rest) > 0 {
+		x.lists[owner] = rest
+	} else if list != nil {
+		delete(x.lists, owner)
+		x.spare = append(x.spare, list[:0])
+	}
+}
+
+// framesOf returns the frames owner holds, ascending, from an index that
+// is in step with the table. The list is the index's own.
+func (v *VM) framesOf(owner int32) []int32 {
+	if !v.owned.inStep(v.frames) {
+		v.owned.rebuild(v.frames)
+	}
+	return v.owned.lists[owner]
+}
+
+// claimFrame gives the free frame i to owner. An index in step with the
+// table before the store is in step after it.
+func (v *VM) claimFrame(i int, owner int32) {
+	indexed := v.owned.inStep(v.frames)
+	v.frames.Set(i, owner)
+	if indexed {
+		v.owned.add(owner, int32(i))
+		v.owned.stamp = v.frames.Mutations()
+	}
 }
 
 // New binds a VM server over store (fresh or recovered clone). initEP
@@ -79,7 +190,7 @@ func (v *VM) seedSpace(ep, pages int64) {
 		for v.frames.Get(scan%TotalPages) != 0 {
 			scan++
 		}
-		v.frames.Set(scan%TotalPages, int32(ep))
+		v.claimFrame(scan%TotalPages, int32(ep))
 		scan++
 	}
 	v.nextFrame.Set(scan % TotalPages)
@@ -138,7 +249,7 @@ func (v *VM) allocFrames(ctx *kernel.Context, ep int64, n int64) kernel.Errno {
 				scan++
 				ctx.Tick(1)
 			}
-			v.frames.Set(scan%TotalPages, int32(ep))
+			v.claimFrame(scan%TotalPages, int32(ep))
 			scan++
 			claimed++
 			chunk++
@@ -157,20 +268,60 @@ func (v *VM) allocFrames(ctx *kernel.Context, ep int64, n int64) kernel.Errno {
 }
 
 // freeFrames tells the kernel to drop the mappings, then releases every
-// frame owned by ep — the table scan runs after the unmap call, outside
-// the recovery window.
+// frame owned by ep, lowest first — after the unmap call, outside the
+// recovery window.
 func (v *VM) freeFrames(ctx *kernel.Context, ep int64, pages int64) int64 {
 	ctx.Call(seepUnmap, proto.EpSys, kernel.Message{Type: proto.SysUnmap, A: ep, B: pages})
-	freed := int64(0)
-	for i, owner := range v.frames.View() {
-		if owner == int32(ep) {
-			v.frames.Set(i, 0)
-			freed++
-			ctx.Point("vm.free.frame")
-		}
-	}
+	freed := v.release(ctx, int32(ep), TotalPages, +1, "vm.free.frame")
 	ctx.Tick(kernelScanCost)
 	v.used.Set(v.used.Get() - freed)
+	return freed
+}
+
+// release frees up to want frames of owner (an address space's endpoint,
+// never 0) — walking the table upwards (dir +1) or downwards (dir -1) as
+// the simulated scan does — with a Point at site after each, and returns
+// how many it freed. It takes the frames from the index while the index
+// stays in step. A Point is where a fault hook runs: one that corrupts
+// the table (which can also hand a free frame to owner) leaves the index
+// out of step, and release then finishes as the plain scan from where it
+// stands; one that crashes VM unwinds from here with the index out of
+// step as well, because the stamp moves on only once the whole list is
+// dealt with.
+func (v *VM) release(ctx *kernel.Context, owner int32, want int64, dir int, site string) int64 {
+	list := v.framesOf(owner)
+	lo, hi := 0, len(list) // list[lo:hi] is still owner's
+	at := -1               // the frame release stands on
+	if dir < 0 {
+		at = TotalPages
+	}
+	freed := int64(0)
+	mine := v.owned.stamp // the table's count after release's own last store
+	for freed < want && lo < hi && v.frames.Mutations() == mine {
+		if dir > 0 {
+			at = int(list[lo])
+			lo++
+		} else {
+			hi--
+			at = int(list[hi])
+		}
+		v.frames.Set(at, 0)
+		mine = v.frames.Mutations()
+		freed++
+		ctx.Point(site)
+	}
+	if v.frames.Mutations() == mine {
+		v.owned.shrink(owner, list, list[lo:hi])
+		v.owned.stamp = mine
+		return freed
+	}
+	for at += dir; freed < want && at >= 0 && at < TotalPages; at += dir {
+		if v.frames.Get(at) == owner {
+			v.frames.Set(at, 0)
+			freed++
+			ctx.Point(site)
+		}
+	}
 	return freed
 }
 
@@ -223,12 +374,12 @@ func (v *VM) fork(ctx *kernel.Context, m kernel.Message) {
 func (v *VM) exit(ctx *kernel.Context, m kernel.Message) {
 	ctx.Point("vm.exit")
 	ep := m.A
-	if _, ok := v.spaces.Get(ep); !ok {
+	sp, ok := v.spaces.Get(ep)
+	if !ok {
 		// Same inconsistency as fork: PM is tearing down a process VM
 		// has never seen.
 		ctx.Crash("vm: exit for endpoint %d with no address space", ep)
 	}
-	sp, _ := v.spaces.Get(ep)
 	v.freeFrames(ctx, ep, sp.Pages)
 	v.spaces.Delete(ep)
 	ctx.Point("vm.exit.freed")
@@ -255,22 +406,14 @@ func (v *VM) brk(ctx *kernel.Context, m kernel.Message) {
 		ctx.Point("vm.brk.grown")
 		ctx.Reply(m.From, kernel.Message{A: s.Pages})
 	case delta < 0:
-		// Shrinking releases frames owned by ep, newest-first scan.
+		// Shrinking releases frames owned by ep, highest first.
 		want := -delta
 		if want > s.Pages {
 			ctx.ReplyErr(m.From, kernel.EINVAL)
 			return
 		}
 		ctx.Call(seepUnmap, proto.EpSys, kernel.Message{Type: proto.SysUnmap, A: ep, B: want})
-		released := int64(0)
-		frames := v.frames.View()
-		for i := len(frames) - 1; i >= 0 && released < want; i-- {
-			if frames[i] == int32(ep) {
-				v.frames.Set(i, 0)
-				released++
-				ctx.Point("vm.brk.release")
-			}
-		}
+		released := v.release(ctx, int32(ep), want, -1, "vm.brk.release")
 		v.used.Set(v.used.Get() - released)
 		s.Pages -= released
 		s.Brk -= released
