@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/kernel"
 	"repro/internal/memlog"
+	"repro/internal/wire"
 )
 
 // Geometry of the simulated filesystem.
@@ -46,6 +47,16 @@ type Inode struct {
 	Size   int64
 	Nlink  int32
 	Blocks [NDirect]int32 // 0 = unallocated
+}
+
+// Code is the inode's field list (wire.Coder): the store image and the
+// fingerprint of fs.inodes walk it instead of reflecting over the struct.
+func (n *Inode) Code(c *wire.Codec) {
+	wire.Int(c, &n.Ino)
+	wire.Int(c, &n.Type)
+	wire.Int(c, &n.Size)
+	wire.Int(c, &n.Nlink)
+	wire.Ints(c, n.Blocks[:])
 }
 
 // BlockDevice is the data-block backend. Implementations may have side

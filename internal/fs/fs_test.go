@@ -9,6 +9,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/memlog"
 	"repro/internal/sim"
+	"repro/internal/wire/wiretest"
 )
 
 func newTestFS() (*FS, *memlog.Store, *MemDevice) {
@@ -418,4 +419,10 @@ func mustLookup(t *testing.T, f *FS, path string) int64 {
 		t.Fatalf("Lookup(%s) = %v", path, errno)
 	}
 	return ino
+}
+
+// The inode's field list against its definition, the reflective walk of
+// the declaration: same bytes, and back.
+func TestInodeFieldList(t *testing.T) {
+	wiretest.SameAsValue(t, true, wiretest.Random[Inode])
 }

@@ -1,0 +1,97 @@
+//go:build !race
+
+package image_test
+
+import (
+	"bytes"
+	"runtime"
+	"testing"
+
+	"repro/internal/boot"
+	"repro/internal/image"
+	"repro/internal/testsuite"
+)
+
+// allocated returns the bytes f allocates, as the least of five runs (the
+// first compressed write builds the spare compressor). What done returns,
+// if anything, runs outside the measurement.
+func allocated(f func() (done func())) uint64 {
+	least := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		done := f()
+		runtime.ReadMemStats(&after)
+		if done != nil {
+			done()
+		}
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// Allocation budget of a snapshot round trip, in multiples of the bytes
+// it moves (DESIGN.md §8): a write allocates the frames once — the
+// destination, presized here, is the caller's — a compressed one the raw
+// frames plus what they deflate to (the compressor is kept), a read
+// the file once (the disk's blocks are slices of it) plus the decoded
+// kernel and store records, and a fork of what was read what a fork of
+// the captured snapshot costs plus the materialized containers.
+func TestImagePathAllocations(t *testing.T) {
+	snap := captureSnapshot(t, 1)
+	raw := encode(t, snap, image.WriteOptions{Workers: 1})
+	size := float64(len(raw))
+	reg := suiteRegistry()
+	within := func(what string, got uint64, budget float64) {
+		t.Helper()
+		t.Logf("%s allocates %d KiB, %.2f of the image's %d KiB", what, got>>10, float64(got)/size, len(raw)>>10)
+		if float64(got) > budget*size {
+			t.Errorf("%s allocates %.2f times the image bytes, budget %.2f", what, float64(got)/size, budget)
+		}
+	}
+
+	for _, c := range []struct {
+		what     string
+		compress bool
+		budget   float64
+	}{{"a raw write", false, 1.2}, {"a compressed write", true, 1.2}} {
+		o := image.WriteOptions{Compress: c.compress, Workers: 1}
+		dst := bytes.NewBuffer(make([]byte, 0, len(raw)))
+		within(c.what, allocated(func() func() {
+			dst.Reset()
+			if err := image.WriteSnapshot(dst, snap, o); err != nil {
+				t.Fatal(err)
+			}
+			return nil
+		}), c.budget)
+	}
+
+	var decoded *boot.Snapshot
+	within("a raw read", allocated(func() func() {
+		var err error
+		if decoded, err = image.ReadSnapshot(bytes.NewReader(raw), reg, 1); err != nil {
+			t.Fatal(err)
+		}
+		return nil
+	}), 1.3)
+
+	// A fork is budgeted in bytes, at what it measured when the budget was
+	// set plus a tenth: 160 KiB from a decoded snapshot, whose stores are
+	// materialized from their payloads, beside 156 KiB from the captured
+	// one, whose stores are cloned.
+	fork := func(s *boot.Snapshot) uint64 {
+		return allocated(func() func() {
+			sys, err := s.Fork(boot.ForkParams{Seed: 1}, testsuite.RunnerResume(new(testsuite.Report)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() { sys.Shutdown("fork measured") }
+		})
+	}
+	fromDecoded, inMemory := fork(decoded), fork(snap)
+	t.Logf("a fork allocates %d KiB from a decoded snapshot, %d KiB from the captured one", fromDecoded>>10, inMemory>>10)
+	const forkBudget = 160 << 10 * 11 / 10
+	if fromDecoded > forkBudget {
+		t.Errorf("a fork of a decoded snapshot allocates %d KiB, budget %d KiB", fromDecoded>>10, forkBudget>>10)
+	}
+}

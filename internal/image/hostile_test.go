@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/boot"
+	"repro/internal/fs"
 	"repro/internal/image"
 	"repro/internal/testsuite"
 	"repro/internal/usr"
@@ -199,6 +200,34 @@ func TestForkSurfacesHostileKernelFrame(t *testing.T) {
 	}
 }
 
+// hostileBlocks are blocks frames the disk decoder must refuse, now that
+// it hands out slices of the frame instead of copies: a blob that is not
+// one block long, a count the frame cannot hold, and a last block cut
+// short.
+func hostileBlocks() map[string][]byte {
+	block := make([]byte, fs.BlockSize)
+	blob := func(b []byte) []byte { return append(binary.AppendUvarint(nil, uint64(len(b))+1), b...) }
+	return map[string][]byte{
+		"a block of 100 bytes":     append([]byte{2, 0}, blob(block[:100])...),
+		"a block of 4097 bytes":    append([]byte{1}, blob(append(block, 0))...),
+		"2^20 blocks in ten bytes": append(binary.AppendUvarint(nil, 1<<20), make([]byte, 10)...),
+		"a last block cut short":   append(append([]byte{2}, blob(block)...), blob(block)[:4000]...),
+	}
+}
+
+// TestHostileBlocksRejected: each of them, behind a checksum that holds.
+func TestHostileBlocksRejected(t *testing.T) {
+	data := encode(t, captureSnapshot(t, 7), image.WriteOptions{})
+	for name, frame := range hostileBlocks() {
+		hostile := reframe(t, data, "blocks", func([]byte) []byte { return frame })
+		if _, err := image.ReadSnapshot(bytes.NewReader(hostile), suiteRegistry(), 1); err == nil {
+			t.Errorf("%s: accepted", name)
+		} else if !strings.Contains(err.Error(), `frame "blocks"`) {
+			t.Errorf("%s: refused, but not by the blocks frame: %v", name, err)
+		}
+	}
+}
+
 // FuzzReadSnapshot: any byte string reads as a snapshot or as an error,
 // and a snapshot that read forks or refuses to — never a panic, never an
 // allocation the input's size does not bound.
@@ -233,6 +262,9 @@ func FuzzReadSnapshot(f *testing.F) {
 		copy(b[bytes.Index(b, []byte("\x05int32"))+6:], binary.AppendUvarint(nil, 1<<63+1))
 		return b
 	}))
+	for _, frame := range hostileBlocks() {
+		f.Add(reframe(f, raw, "blocks", func([]byte) []byte { return frame }))
+	}
 	reg := suiteRegistry()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := image.ReadSnapshot(bytes.NewReader(data), reg, 1)

@@ -3,9 +3,19 @@
 // one for the kernel machine image, one per captured component, one for
 // the disk blocks, one for the boot metadata — each with its own length
 // and CRC32-C checksum header and optional flate compression. Frames
-// are independent so encode and decode fan out across cores via
-// internal/parallel, mirroring the per-subsystem parallel
-// checkpoint/restore design the roadmap names as the model.
+// are independent, so encode and decode may fan out across cores
+// (internal/parallel) and the bytes do not depend on how; the blocks
+// frame is nine tenths of them, so there is little to fan out, and the
+// benchmark runs both directions on one worker.
+//
+// A round trip costs about what its bytes cost. Writing, every frame is
+// encoded into a buffer of its own and the blocks frame's is sized before
+// the first block goes in; the destination is told the file's size first
+// if it can be (Grow). Reading, the file is read into one buffer of its
+// size when the reader knows it, and the decoded disk's blocks are slices
+// of that buffer (of the inflated frame, for a compressed image), which
+// the snapshot therefore keeps: a decoded snapshot is as immutable as a
+// captured one. DESIGN.md §8 has the budget.
 //
 // The format round-trips bit-identically: a machine forked from a
 // decoded snapshot is indistinguishable from one forked from the
@@ -46,6 +56,85 @@ const Magic = "OSIMG001"
 const flagCompressed = 1 << 0
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// spareDeflater and spareInflater keep one of compress/flate's working
+// states each — a Writer is 650 KB of tables, and eight of them built
+// afresh were half of a compressed write's allocation — for the next
+// frame and the next call. Reset makes a used one equivalent to a new
+// one, so the bytes are the same. They are free lists of one and not
+// sync.Pools because a pool forgets: with a collection or two between one
+// compressed image and the next, every image built its writer again.
+// Concurrent frames beyond the first build their own and drop it.
+// Host-side scratch: nothing here is simulated state or any snapshot's.
+var (
+	spareDeflater = make(chan *deflater, 1)
+	spareInflater = make(chan io.Reader, 1)
+)
+
+// deflater is a compressor and the buffer it writes to, which finds its
+// size once and keeps it.
+type deflater struct {
+	fw  *flate.Writer
+	out bytes.Buffer
+}
+
+// deflate returns raw compressed, in a slice of its own.
+func deflate(raw []byte) ([]byte, error) {
+	var z *deflater
+	select {
+	case z = <-spareDeflater:
+	default:
+		fw, err := flate.NewWriter(nil, flate.DefaultCompression)
+		if err != nil {
+			return nil, err
+		}
+		z = &deflater{fw: fw}
+	}
+	z.out.Reset()
+	z.fw.Reset(&z.out)
+	if _, err := z.fw.Write(raw); err != nil {
+		return nil, err
+	}
+	if err := z.fw.Close(); err != nil {
+		return nil, err
+	}
+	stored := bytes.Clone(z.out.Bytes())
+	select {
+	case spareDeflater <- z:
+	default:
+	}
+	return stored, nil
+}
+
+// inflate fills raw from the deflate stream stored, which must end exactly
+// there.
+func inflate(raw, stored []byte) error {
+	var zr io.Reader
+	select {
+	case zr = <-spareInflater:
+	default:
+		zr = flate.NewReader(nil)
+	}
+	if err := zr.(flate.Resetter).Reset(bytes.NewReader(stored), nil); err != nil {
+		return err
+	}
+	if _, err := io.ReadFull(zr, raw); err != nil {
+		return fmt.Errorf("inflating the %d raw bytes the header says: %w", len(raw), err)
+	}
+	var past [1]byte
+	n, err := io.ReadFull(zr, past[:])
+	select {
+	case spareInflater <- zr:
+	default:
+	}
+	switch {
+	case n != 0:
+		return fmt.Errorf("inflates past the %d raw bytes the header says", len(raw))
+	case err != io.EOF:
+		return err
+	}
+	return nil
+}
 
 // WriteOptions control the on-disk encoding.
 type WriteOptions struct {
@@ -96,29 +185,19 @@ func WriteSnapshot(w io.Writer, snap *boot.Snapshot, o WriteOptions) error {
 	}
 
 	frames := parallel.Map(o.Workers, len(jobs), func(i int) encodedFrame {
+		f := encodedFrame{name: jobs[i].name}
 		e := wire.NewEncoder()
-		if err := jobs[i].build(e); err != nil {
-			return encodedFrame{name: jobs[i].name, err: err}
+		if f.err = jobs[i].build(e); f.err != nil {
+			return f
 		}
-		raw := e.Bytes()
-		stored := raw
+		f.rawLen, f.stored = e.Len(), e.Bytes()
 		if o.Compress {
-			var buf bytes.Buffer
-			fw, _ := flate.NewWriter(&buf, flate.DefaultCompression)
-			if _, err := fw.Write(raw); err != nil {
-				return encodedFrame{name: jobs[i].name, err: err}
+			if f.stored, f.err = deflate(f.stored); f.err != nil {
+				return f
 			}
-			if err := fw.Close(); err != nil {
-				return encodedFrame{name: jobs[i].name, err: err}
-			}
-			stored = buf.Bytes()
 		}
-		return encodedFrame{
-			name:   jobs[i].name,
-			rawLen: len(raw),
-			stored: stored,
-			crc:    crc32.Checksum(stored, crcTable),
-		}
+		f.crc = crc32.Checksum(f.stored, crcTable)
+		return f
 	})
 	for _, f := range frames {
 		if f.err != nil {
@@ -126,26 +205,39 @@ func WriteSnapshot(w io.Writer, snap *boot.Snapshot, o WriteOptions) error {
 		}
 	}
 
-	hdr := wire.NewEncoder()
+	// The file header and every frame's, back to back in one buffer and
+	// cut apart again as they are written: with them the size of the file
+	// is known before its first byte goes out.
+	heads := wire.NewEncoder()
 	var flags byte
 	if o.Compress {
 		flags |= flagCompressed
 	}
-	hdr.Uvarint(uint64(flags))
-	hdr.Uvarint(uint64(len(frames)))
-	if _, err := w.Write([]byte(Magic)); err != nil {
-		return err
-	}
-	if _, err := w.Write(hdr.Bytes()); err != nil {
-		return err
-	}
+	heads.Uvarint(uint64(flags))
+	heads.Uvarint(uint64(len(frames)))
+	cuts := make([]int, 0, 1+len(frames))
+	cuts = append(cuts, heads.Len())
+	size := len(Magic)
 	for _, f := range frames {
-		fh := wire.NewEncoder()
-		fh.Str(f.name)
-		fh.Uvarint(uint64(f.rawLen))
-		fh.Uvarint(uint64(len(f.stored)))
-		fh.U32(f.crc)
-		if _, err := w.Write(fh.Bytes()); err != nil {
+		heads.Str(f.name)
+		heads.Uvarint(uint64(f.rawLen))
+		heads.Uvarint(uint64(len(f.stored)))
+		heads.U32(f.crc)
+		cuts = append(cuts, heads.Len())
+		size += len(f.stored)
+	}
+	size += heads.Len()
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		g.Grow(size) // a bytes.Buffer: one allocation instead of a doubling a frame
+	}
+	if _, err := io.WriteString(w, Magic); err != nil {
+		return err
+	}
+	if _, err := w.Write(heads.Bytes()[:cuts[0]]); err != nil {
+		return err
+	}
+	for i, f := range frames {
+		if _, err := w.Write(heads.Bytes()[cuts[i]:cuts[i+1]]); err != nil {
 			return err
 		}
 		if _, err := w.Write(f.stored); err != nil {
@@ -185,15 +277,7 @@ func (f storedFrame) open(compressed bool) ([]byte, error) {
 		return nil, fmt.Errorf("header says %d raw bytes, more than %d stored bytes can inflate to", f.rawLen, len(f.stored))
 	}
 	raw := make([]byte, f.rawLen)
-	zr := flate.NewReader(bytes.NewReader(f.stored))
-	if _, err := io.ReadFull(zr, raw); err != nil {
-		return nil, fmt.Errorf("inflating the %d raw bytes the header says: %w", f.rawLen, err)
-	}
-	var past [1]byte
-	switch n, err := io.ReadFull(zr, past[:]); {
-	case n != 0:
-		return nil, fmt.Errorf("inflates past the %d raw bytes the header says", f.rawLen)
-	case err != io.EOF:
+	if err := inflate(raw, f.stored); err != nil {
 		return nil, err
 	}
 	return raw, nil
@@ -205,10 +289,37 @@ func (f storedFrame) open(compressed bool) ([]byte, error) {
 // schema divergence is an error — an image is all-or-nothing (unlike
 // the campaign journal, which drops torn tails).
 func ReadSnapshot(r io.Reader, reg *usr.Registry, workers int) (*boot.Snapshot, error) {
-	data, err := io.ReadAll(r)
+	data, err := readAll(r)
 	if err != nil {
 		return nil, err
 	}
+	return decodeSnapshot(data, reg, workers)
+}
+
+// readAll is io.ReadAll into one buffer of the right size when r says how
+// much it has left (a bytes.Reader, a bytes.Buffer, a strings.Reader).
+func readAll(r io.Reader) ([]byte, error) {
+	sized, ok := r.(interface{ Len() int })
+	if !ok {
+		return io.ReadAll(r)
+	}
+	data := make([]byte, sized.Len())
+	if _, err := io.ReadFull(r, data); err != nil {
+		return nil, err
+	}
+	// A reader that had more than it said is read to its end all the same:
+	// trailing bytes are the decoder's to refuse.
+	var more [1]byte
+	if n, _ := r.Read(more[:]); n > 0 {
+		rest, err := io.ReadAll(r)
+		return append(append(data, more[0]), rest...), err
+	}
+	return data, nil
+}
+
+// decodeSnapshot decodes the image file data, which the snapshot keeps:
+// the blocks of its disk are slices of it.
+func decodeSnapshot(data []byte, reg *usr.Registry, workers int) (*boot.Snapshot, error) {
 	if len(data) < len(Magic) || string(data[:len(Magic)]) != Magic {
 		return nil, fmt.Errorf("image: bad magic (not a snapshot image)")
 	}
@@ -332,14 +443,14 @@ func WriteSnapshotFile(path string, snap *boot.Snapshot, o WriteOptions) error {
 	return os.Rename(tmp, path)
 }
 
-// ReadSnapshotFile reads a snapshot image from path.
+// ReadSnapshotFile reads a snapshot image from path, into one buffer of
+// the file's size (os.ReadFile asks Stat for it).
 func ReadSnapshotFile(path string, reg *usr.Registry, workers int) (*boot.Snapshot, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	return ReadSnapshot(f, reg, workers)
+	return decodeSnapshot(data, reg, workers)
 }
 
 // encoding and decoding adapt a field list to the one-way signatures of

@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/image"
 	"repro/internal/kernel"
+	"repro/internal/proto"
 	"repro/internal/seep"
 	"repro/internal/sim"
 	"repro/internal/testsuite"
@@ -102,16 +103,95 @@ func TestRoundTripForkEquivalence(t *testing.T) {
 	}
 }
 
-// TestDecodedSnapshotImmutable: one decoded snapshot serves many forks;
-// running one to completion must not disturb the next.
+// vandal is a resume program that rewrites the disk under the snapshot it
+// was forked from: every installed binary is truncated and overwritten,
+// every other one then unlinked, and a file of fresh blocks written over
+// what that freed. It reports how many files it rewrote.
+func vandal(rewrote *int) usr.Program {
+	return func(p *usr.Proc) int {
+		names, errno := p.ReadDir("/bin")
+		if errno != kernel.OK {
+			return 1
+		}
+		for i, name := range names {
+			fd, errno := p.Open("/bin/"+name, proto.OTrunc)
+			if errno != kernel.OK {
+				return 1
+			}
+			p.Write(fd, bytes.Repeat([]byte{0xA5}, 5000)) // two blocks where there was one
+			p.Close(fd)
+			if i%2 == 1 {
+				p.Unlink("/bin/" + name)
+			}
+			*rewrote++
+		}
+		fd, _ := p.Create("/scribble")
+		p.Write(fd, bytes.Repeat([]byte{0x5A}, 40<<10))
+		p.Close(fd)
+		p.Sync()
+		return 0
+	}
+}
+
+// fingerprintOfFork forks snap, does not run the fork, and returns its
+// state fingerprint.
+func fingerprintOfFork(t *testing.T, snap *boot.Snapshot) uint64 {
+	t.Helper()
+	sys, err := snap.Fork(boot.ForkParams{Seed: 3}, testsuite.RunnerResume(new(testsuite.Report)))
+	if err != nil {
+		t.Fatalf("Fork: %v", err)
+	}
+	defer sys.Shutdown("fingerprinted")
+	fp, err := sys.StateFingerprint()
+	if err != nil {
+		t.Fatalf("StateFingerprint: %v", err)
+	}
+	return fp
+}
+
+// TestDecodedSnapshotImmutable: one decoded snapshot serves many forks,
+// and nothing a fork does shows in the next — not on the disk either,
+// whose blocks every fork shares with the decoded image, which holds them
+// as slices of the buffer the file was read into. One fork overwrites,
+// truncates and unlinks every file; afterwards a fresh fork fingerprints
+// as a fork of the in-memory original does, the decoded snapshot writes
+// out to the bytes it was read from, and two runs of the suite from it
+// agree.
 func TestDecodedSnapshotImmutable(t *testing.T) {
 	snap := captureSnapshot(t, 3)
-	decoded := decode(t, encode(t, snap, image.WriteOptions{}), 0)
-	firstRes, firstRep := forkAndRun(t, decoded, 3)
-	secondRes, secondRep := forkAndRun(t, decoded, 3)
-	if !reflect.DeepEqual(firstRes, secondRes) || !reflect.DeepEqual(firstRep, secondRep) {
-		t.Errorf("second fork from decoded snapshot differs:\nfirst  %+v %+v\nsecond %+v %+v",
-			firstRes, firstRep, secondRes, secondRep)
+	want := fingerprintOfFork(t, snap)
+	for _, o := range []image.WriteOptions{{}, {Compress: true}} {
+		data := encode(t, snap, o)
+		decoded := decode(t, data, 0)
+		if got := fingerprintOfFork(t, decoded); got != want {
+			t.Fatalf("compress=%v: a fork of the decoded snapshot fingerprints %016x, of the original %016x", o.Compress, got, want)
+		}
+
+		rewrote := 0
+		sys, err := decoded.Fork(boot.ForkParams{Seed: 3}, vandal(&rewrote))
+		if err != nil {
+			t.Fatalf("Fork: %v", err)
+		}
+		if res := sys.Run(testLimit); rewrote < 20 {
+			t.Fatalf("compress=%v: the vandal rewrote %d files (run: %+v)", o.Compress, rewrote, res)
+		}
+
+		if got := fingerprintOfFork(t, decoded); got != want {
+			t.Errorf("compress=%v: after a sibling rewrote the disk a fork fingerprints %016x, before %016x", o.Compress, got, want)
+		}
+		if again := encode(t, decoded, o); !bytes.Equal(again, data) {
+			t.Errorf("compress=%v: the decoded snapshot no longer writes out to the bytes it was read from", o.Compress)
+		}
+		firstRes, firstRep := forkAndRun(t, decoded, 3)
+		secondRes, secondRep := forkAndRun(t, decoded, 3)
+		if !reflect.DeepEqual(firstRes, secondRes) || !reflect.DeepEqual(firstRep, secondRep) {
+			t.Errorf("compress=%v: second fork from decoded snapshot differs:\nfirst  %+v %+v\nsecond %+v %+v",
+				o.Compress, firstRes, firstRep, secondRes, secondRep)
+		}
+		origRes, origRep := forkAndRun(t, snap, 3)
+		if !reflect.DeepEqual(firstRes, origRes) || !reflect.DeepEqual(firstRep, origRep) {
+			t.Errorf("compress=%v: a fork of the decoded snapshot ran differently from one of the original", o.Compress)
+		}
 	}
 }
 
@@ -205,6 +285,7 @@ func benchWrite(b *testing.B, o image.WriteOptions) {
 	snap := captureSnapshot(b, 1)
 	size := int64(len(encode(b, snap, o)))
 	b.SetBytes(size)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var buf bytes.Buffer
@@ -220,11 +301,39 @@ func benchRead(b *testing.B, o image.WriteOptions, workers int) {
 	reg := usr.NewRegistry()
 	testsuite.Register(reg)
 	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := image.ReadSnapshot(bytes.NewReader(data), reg, workers); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// benchRoundTripFork is persist_replay's image op: write, read, fork the
+// decoded snapshot, tear the fork down.
+func benchRoundTripFork(b *testing.B, o image.WriteOptions) {
+	snap := captureSnapshot(b, 1)
+	reg := usr.NewRegistry()
+	testsuite.Register(reg)
+	b.SetBytes(int64(len(encode(b, snap, o))))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var buf bytes.Buffer
+		if err := image.WriteSnapshot(&buf, snap, o); err != nil {
+			b.Fatal(err)
+		}
+		decoded, err := image.ReadSnapshot(bytes.NewReader(buf.Bytes()), reg, o.Workers)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var report testsuite.Report
+		sys, err := decoded.Fork(boot.ForkParams{Seed: 1}, testsuite.RunnerResume(&report))
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys.Shutdown("benchmark fork torn down")
 	}
 }
 
@@ -234,3 +343,8 @@ func BenchmarkWriteCompressed(b *testing.B) { benchWrite(b, image.WriteOptions{C
 func BenchmarkReadRaw(b *testing.B)         { benchRead(b, image.WriteOptions{}, 0) }
 func BenchmarkReadRawSerial(b *testing.B)   { benchRead(b, image.WriteOptions{}, 1) }
 func BenchmarkReadCompressed(b *testing.B)  { benchRead(b, image.WriteOptions{Compress: true}, 0) }
+
+func BenchmarkRoundTripForkRaw(b *testing.B) { benchRoundTripFork(b, image.WriteOptions{Workers: 1}) }
+func BenchmarkRoundTripForkCompressed(b *testing.B) {
+	benchRoundTripFork(b, image.WriteOptions{Compress: true, Workers: 1})
+}

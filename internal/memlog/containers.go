@@ -10,21 +10,16 @@ import (
 
 // typeSig is the container element-type fingerprint embedded in image
 // payloads, so decoding an image against changed component code reports
-// a clear type mismatch instead of silently misreading bytes.
+// a clear type mismatch instead of silently misreading bytes. A container
+// asks once, when it is made (the name is static data: nothing is
+// allocated), and keeps the answer, so that no encode, decode or
+// fingerprint goes back to reflect for it.
 func typeSig[T any]() string {
 	return reflect.TypeOf((*T)(nil)).Elem().String()
 }
 
-func checkSig(d *wire.Decoder, want string) error {
-	got := d.Str()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if got != want {
-		return fmt.Errorf("memlog: image element type %q, code expects %q", got, want)
-	}
-	return nil
-}
+// sigArrow joins a map's key and value signatures into its own.
+const sigArrow = "→"
 
 // Cell is a single instrumented variable of type T. Every Set goes
 // through the store's undo-log hook, like an instrumented store
@@ -34,7 +29,12 @@ type Cell[T any] struct {
 	id    string
 	cm    contMeta
 	olds  sideLog[T]
+	sig   string // typeSig[T]()
 	v     T
+}
+
+func newCell[T any](s *Store, id string, v T) *Cell[T] {
+	return &Cell[T]{store: s, id: id, sig: typeSig[T](), v: v}
 }
 
 // NewCell registers a cell named id holding init. If the store already
@@ -48,9 +48,10 @@ func NewCell[T any](s *Store, id string, init T) *Cell[T] {
 		}
 		return c
 	}
-	c := &Cell[T]{store: s, id: id, v: init}
+	c := newCell(s, id, init)
 	materializePending(s, c, func(snap *Store) {
-		sc := &Cell[T]{store: snap, id: id}
+		var zero T
+		sc := newCell(snap, id, zero)
 		materializePending(snap, sc, nil)
 		snap.register(sc)
 	})
@@ -87,7 +88,7 @@ func (c *Cell[T]) meta() *contMeta { return &c.cm }
 func (c *Cell[T]) bytes() int { return approxSize(c.v) }
 
 func (c *Cell[T]) cloneInto(dst *Store) {
-	clone := &Cell[T]{store: dst, id: c.id, v: c.v}
+	clone := &Cell[T]{store: dst, id: c.id, sig: c.sig, v: c.v}
 	dst.register(clone)
 }
 
@@ -134,8 +135,14 @@ type Map[K comparable, V any] struct {
 	id    string
 	cm    contMeta
 	olds  sideLog[mapOld[K, V]]
-	m     map[K]V
-	order []K
+	// ksig and vsig are typeSig[K]() and typeSig[V]().
+	ksig, vsig string
+	m          map[K]V
+	order      []K
+}
+
+func newMap[K comparable, V any](s *Store, id string) *Map[K, V] {
+	return &Map[K, V]{store: s, id: id, ksig: typeSig[K](), vsig: typeSig[V](), m: make(map[K]V)}
 }
 
 // mapOld is what one logged Set or Delete of a Map replaced: the value
@@ -156,9 +163,9 @@ func NewMap[K comparable, V any](s *Store, id string) *Map[K, V] {
 		}
 		return m
 	}
-	m := &Map[K, V]{store: s, id: id, m: make(map[K]V)}
+	m := newMap[K, V](s, id)
 	materializePending(s, m, func(snap *Store) {
-		sm := &Map[K, V]{store: snap, id: id, m: make(map[K]V)}
+		sm := newMap[K, V](snap, id)
 		materializePending(snap, sm, nil)
 		snap.register(sm)
 	})
@@ -261,7 +268,7 @@ func (m *Map[K, V]) bytes() int {
 }
 
 func (m *Map[K, V]) cloneInto(dst *Store) {
-	clone := &Map[K, V]{store: dst, id: m.id, m: make(map[K]V, len(m.m))}
+	clone := &Map[K, V]{store: dst, id: m.id, ksig: m.ksig, vsig: m.vsig, m: make(map[K]V, len(m.m))}
 	for _, k := range m.order {
 		clone.m[k] = m.m[k]
 		clone.order = append(clone.order, k)
@@ -341,7 +348,12 @@ type Slice[T any] struct {
 	// muts counts the times the elements changed by any route, logged or
 	// not (every touch). Host-only: never cloned, forked or in an image.
 	muts uint64
+	sig  string // typeSig[T]()
 	v    []T
+}
+
+func newSlice[T any](s *Store, id string) *Slice[T] {
+	return &Slice[T]{store: s, id: id, sig: typeSig[T]()}
 }
 
 // sliceOld is one element a logged Set overwrote or a logged Truncate
@@ -361,9 +373,9 @@ func NewSlice[T any](s *Store, id string) *Slice[T] {
 		}
 		return sl
 	}
-	sl := &Slice[T]{store: s, id: id}
+	sl := newSlice[T](s, id)
 	materializePending(s, sl, func(snap *Store) {
-		ss := &Slice[T]{store: snap, id: id}
+		ss := newSlice[T](snap, id)
 		materializePending(snap, ss, nil)
 		snap.register(ss)
 	})
@@ -480,7 +492,7 @@ func (s *Slice[T]) bytes() int {
 }
 
 func (s *Slice[T]) cloneInto(dst *Store) {
-	clone := &Slice[T]{store: dst, id: s.id, v: make([]T, len(s.v))}
+	clone := &Slice[T]{store: dst, id: s.id, sig: s.sig, v: make([]T, len(s.v))}
 	copy(clone.v, s.v)
 	dst.register(clone)
 }
@@ -545,96 +557,69 @@ func (s *Slice[T]) corrupt(r *sim.RNG) bool {
 	return true
 }
 
-// Image payload codecs (see image.go). Each payload leads with the
-// element-type fingerprint so decoding against changed code fails with
-// a clear error.
+// Image payload codecs (see image.go): one field list per container kind,
+// which writes the payload when the codec encodes and reads it when it
+// decodes. Each payload leads with the element-type signature so decoding
+// against changed code fails with a clear error (wire.Codec.Tag). The
+// elements go through wire.Elem and wire.Elems — typed routes for the
+// primitive kinds and for structs that list their fields (wire.Coder),
+// the reflective walk for anything else — and the fingerprint of a struct
+// container hashes these same bytes.
 
-func (c *Cell[T]) encodeState(e *wire.Encoder) error {
-	e.Str(typeSig[T]())
-	return e.Value(reflect.ValueOf(&c.v).Elem())
+func (c *Cell[T]) codeState(w *wire.Codec) {
+	w.Tag(c.sig)
+	wire.Elem(w, &c.v)
 }
 
-func (c *Cell[T]) decodeState(d *wire.Decoder) error {
-	if err := checkSig(d, typeSig[T]()); err != nil {
-		return err
-	}
-	if err := d.Value(reflect.ValueOf(&c.v).Elem()); err != nil {
-		return err
-	}
-	if n := d.Remaining(); n != 0 {
-		return fmt.Errorf("memlog: cell %q payload has %d trailing bytes", c.id, n)
-	}
-	return nil
-}
+func (c *Cell[T]) typed() bool { return wire.Typed[T]() }
 
-func (m *Map[K, V]) encodeState(e *wire.Encoder) error {
-	e.Str(typeSig[K]() + "→" + typeSig[V]())
+func (m *Map[K, V]) codeState(w *wire.Codec) {
+	w.Tag(m.ksig, sigArrow, m.vsig)
 	// Entries are written in insertion order (not sorted): the order
 	// index is part of the map's observable state.
-	e.Uvarint(uint64(len(m.order)))
-	for _, k := range m.order {
-		if err := e.Value(reflect.ValueOf(&k).Elem()); err != nil {
-			return err
-		}
-		v := m.m[k]
-		if err := e.Value(reflect.ValueOf(&v).Elem()); err != nil {
-			return err
-		}
+	n := w.Len(len(m.order))
+	if w.Decoding() {
+		m.m = make(map[K]V, n)
+		m.order = make([]K, n)
 	}
-	return nil
+	// Keys are coded in place, in the order index; the values go through
+	// one V for the whole walk, which the codec puts on the heap — a local
+	// per entry would be an allocation per entry.
+	var v V
+	for i := 0; i < n && w.Err() == nil; i++ {
+		k := &m.order[i]
+		wire.Elem(w, k)
+		if !w.Decoding() {
+			v = m.m[*k]
+			wire.Elem(w, &v)
+			continue
+		}
+		if wire.Elem(w, &v); w.Err() != nil {
+			break
+		}
+		if _, dup := m.m[*k]; dup {
+			w.Fail(fmt.Errorf("memlog: map %q payload repeats a key", m.id))
+		}
+		m.m[*k] = v
+	}
 }
 
-func (m *Map[K, V]) decodeState(d *wire.Decoder) error {
-	if err := checkSig(d, typeSig[K]()+"→"+typeSig[V]()); err != nil {
-		return err
-	}
-	n := d.Uvarint()
-	for i := uint64(0); i < n; i++ {
-		var k K
-		var v V
-		if err := d.Value(reflect.ValueOf(&k).Elem()); err != nil {
-			return err
-		}
-		if err := d.Value(reflect.ValueOf(&v).Elem()); err != nil {
-			return err
-		}
-		if _, dup := m.m[k]; dup {
-			return fmt.Errorf("memlog: map %q payload repeats a key", m.id)
-		}
-		m.m[k] = v
-		m.order = append(m.order, k)
-	}
-	if rem := d.Remaining(); rem != 0 {
-		return fmt.Errorf("memlog: map %q payload has %d trailing bytes", m.id, rem)
-	}
-	return nil
+func (m *Map[K, V]) typed() bool { return wire.Typed[K]() && wire.Typed[V]() }
+
+func (s *Slice[T]) codeState(w *wire.Codec) {
+	w.Tag(s.sig)
+	wire.Elems(w, &s.v)
 }
 
-func (s *Slice[T]) encodeState(e *wire.Encoder) error {
-	e.Str(typeSig[T]())
-	return e.Value(reflect.ValueOf(&s.v).Elem())
-}
-
-func (s *Slice[T]) decodeState(d *wire.Decoder) error {
-	if err := checkSig(d, typeSig[T]()); err != nil {
-		return err
-	}
-	if err := d.Value(reflect.ValueOf(&s.v).Elem()); err != nil {
-		return err
-	}
-	if n := d.Remaining(); n != 0 {
-		return fmt.Errorf("memlog: slice %q payload has %d trailing bytes", s.id, n)
-	}
-	return nil
-}
+func (s *Slice[T]) typed() bool { return wire.Typed[T]() }
 
 // Fingerprint fast paths (see Store.Fingerprint): containers over
 // fixed-width primitive element types feed their contents straight
-// into the fingerprint stream, skipping the reflective wire encoding
-// that otherwise dominates quiescence-barrier hashing of large
-// containers (the VM frame table is one Slice[int32] of every frame).
-// A false return falls back to the encodeState route; the choice
-// depends only on the element type, never on the contents.
+// into the fingerprint stream, skipping the wire encoding that
+// otherwise dominates quiescence-barrier hashing of large containers
+// (the VM frame table is one Slice[int32] of every frame). A false
+// return falls back to the codeState route; the choice depends only on
+// the element type, never on the contents.
 
 // fpScalar hashes one primitive value into the stream; ok=false means
 // the type has no fast path.
@@ -721,7 +706,7 @@ func fpElems(f *fpStream, v any) bool {
 
 func (c *Cell[T]) fingerprintFast() (uint64, bool) {
 	f := newFPStream(c.id)
-	f.str(typeSig[T]())
+	f.str(c.sig)
 	if !fpScalar(&f, any(c.v)) {
 		return 0, false
 	}
@@ -739,7 +724,10 @@ func (m *Map[K, V]) fingerprintFast() (uint64, bool) {
 		return 0, false
 	}
 	f = newFPStream(m.id)
-	f.str(typeSig[K]() + "→" + typeSig[V]())
+	f.u64(uint64(len(m.ksig) + len(sigArrow) + len(m.vsig)))
+	f.h.Text(m.ksig)
+	f.h.Text(sigArrow)
+	f.h.Text(m.vsig)
 	f.u64(uint64(len(m.order)))
 	for _, k := range m.order {
 		fpScalar(&f, any(k))
@@ -750,7 +738,7 @@ func (m *Map[K, V]) fingerprintFast() (uint64, bool) {
 
 func (s *Slice[T]) fingerprintFast() (uint64, bool) {
 	f := newFPStream(s.id)
-	f.str(typeSig[T]())
+	f.str(s.sig)
 	if !fpElems(&f, any(s.v)) {
 		return 0, false
 	}

@@ -36,10 +36,14 @@ import (
 // the way an in-memory Snapshot does.
 
 // contImage is one container of a store image: its encoded contents and
-// the persistent part of its bookkeeping.
+// the persistent part of its bookkeeping. The record of a live store
+// (image) names the container instead, which writes its contents into the
+// stream itself: raw is what a decode parks until the factory says what
+// type they are.
 type contImage struct {
 	name string
 	raw  []byte
+	live container
 	meta contMeta
 }
 
@@ -63,7 +67,11 @@ func (img *storeImage) code(c *wire.Codec) {
 	wire.Int(c, &img.maxLogBytes)
 	wire.Slice(c, &img.conts, func(c *wire.Codec, ci *contImage) {
 		c.Str(&ci.name)
-		c.Blob(&ci.raw)
+		if ci.live != nil {
+			c.BlobOf(ci.live.codeState)
+		} else {
+			c.Blob(&ci.raw)
+		}
 		c.Uvarint(&ci.meta.writeGen)
 		wire.Int(c, &ci.meta.size)
 		c.Bool(&ci.meta.sizeStale)
@@ -96,7 +104,9 @@ func (img *storeImage) code(c *wire.Codec) {
 	c.Bool(&img.restorable)
 }
 
-// find returns the record of the container called name, or nil.
+// find returns the record of the container called name, or nil. A scan:
+// a store has five to nine containers, and materializePending asks twice
+// for each.
 func (img *storeImage) find(name string) *contImage {
 	for i := range img.conts {
 		if img.conts[i].name == name {
@@ -108,13 +118,15 @@ func (img *storeImage) find(name string) *contImage {
 
 // image builds the store's record. The store must be quiescent: an undo
 // log in flight cannot be represented (checkpoints are log positions,
-// and a log references live container identity).
+// and a log references live container identity). The record of a store
+// still pending decode is the one it was decoded from.
 func (s *Store) image() (*storeImage, error) {
 	if len(s.log) > 0 {
 		return nil, fmt.Errorf("memlog: store %q has %d undo records in flight; images require a quiescent store", s.label, len(s.log))
 	}
 	if s.pending != nil {
-		return nil, fmt.Errorf("memlog: store %q is still pending decode", s.label)
+		// Still pending: the decoded record is the image, byte for byte.
+		return s.pending, nil
 	}
 	img := &storeImage{
 		storeIdent: s.storeIdent,
@@ -125,11 +137,7 @@ func (s *Store) image() (*storeImage, error) {
 	}
 	for i, name := range s.order {
 		cont := s.containers[name]
-		sub := wire.NewEncoder()
-		if err := cont.encodeState(sub); err != nil {
-			return nil, fmt.Errorf("memlog: container %q: %w", name, err)
-		}
-		img.conts[i] = contImage{name: name, raw: sub.Bytes(), meta: *cont.meta()}
+		img.conts[i] = contImage{name: name, live: cont, meta: *cont.meta()}
 	}
 	if s.snapshot != nil {
 		snap, err := s.snapshot.image()
@@ -193,7 +201,14 @@ func materializePending(s *Store, c container, mirror func(snap *Store)) {
 	}
 	name := c.name()
 	if ci := s.pending.find(name); ci != nil {
-		if err := c.decodeState(wire.NewDecoder(ci.raw)); err != nil && s.pendingErr == nil {
+		d := wire.NewDecoder(ci.raw)
+		w := wire.Decoding(d)
+		c.codeState(w)
+		err := w.Err()
+		if err == nil && d.Remaining() != 0 {
+			err = fmt.Errorf("payload has %d trailing bytes", d.Remaining())
+		}
+		if err != nil && s.pendingErr == nil {
 			s.pendingErr = fmt.Errorf("memlog: store %q container %q: %w", s.label, name, err)
 		}
 	}

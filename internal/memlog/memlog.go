@@ -164,13 +164,15 @@ type container interface {
 	restoreFrom(src container)
 	// meta exposes the per-container dirty/size bookkeeping.
 	meta() *contMeta
-	// encodeState/decodeState serialize the container's contents for
-	// the on-disk store image (image.go).
-	encodeState(e *wire.Encoder) error
-	decodeState(d *wire.Decoder) error
+	// codeState walks the container's contents through c for the on-disk
+	// store image (image.go): written when c encodes, read when it
+	// decodes. typed reports that the walk has a typed route for every
+	// element (wire.Typed) and never falls back to reflection.
+	codeState(c *wire.Codec)
+	typed() bool
 	// fingerprintFast hashes the container's contents directly when its
-	// element types are fixed-width primitives, skipping the reflective
-	// wire encoding; ok=false falls back to the encodeState path
+	// element types are fixed-width primitives, skipping the wire
+	// encoding; ok=false falls back to hashing what codeState writes
 	// (Fingerprint). Selection depends only on the container's type, so
 	// equal contents always produce equal mixes across stores.
 	fingerprintFast() (mix uint64, ok bool)
@@ -274,10 +276,14 @@ type Store struct {
 	// fp-valid container's fpMix. fpDirty lists the containers whose
 	// contribution is stale; Fingerprint() re-hashes only those, so a
 	// quiescence barrier on a mostly-clean store is O(dirty). fpEnc is
-	// the reusable encoder backing those re-hashes.
+	// the reusable encoder backing those re-hashes and fpHigh the longest
+	// payload one has taken, in this store or in those it was forked from:
+	// a fork's encoder starts at that size instead of climbing to it.
+	// Host-only, like the side logs.
 	fpAgg   uint64
 	fpDirty []container
-	fpEnc   *wire.Encoder
+	fpEnc   wire.Encoder
+	fpHigh  int
 
 	// pending is set on a store decoded from an image (image.go) until
 	// the component factory has materialized its containers: the decoded
@@ -544,6 +550,7 @@ func (s *Store) Clone() *Store {
 	// preallocates its log to the size the component has already
 	// demonstrated it needs.
 	dst.storeIdent = s.storeIdent
+	dst.fpHigh = s.fpHigh
 	for _, name := range s.order {
 		s.containers[name].cloneInto(dst)
 	}
@@ -590,7 +597,7 @@ func (s *Store) ForkClone() *Store {
 	for _, c := range s.fpDirty {
 		dst.fpDirty = append(dst.fpDirty, dst.containers[c.name()])
 	}
-	dst.fpAgg = s.fpAgg
+	dst.fpAgg, dst.fpHigh = s.fpAgg, s.fpHigh
 	if len(s.log) > 0 {
 		dst.grabSlab(len(s.log))
 		dst.log = append(dst.log, s.log...)
@@ -673,23 +680,23 @@ func (s *Store) Fingerprint() (uint64, error) {
 				continue
 			}
 			// Containers over fixed-width primitives hash their contents
-			// directly (fingerprintFast), skipping the reflective wire
-			// encoding — the drain's dominant cost on large slices. The
-			// path is chosen by element type, so two stores holding the
-			// same contents always mix identically.
+			// directly (fingerprintFast), skipping the wire encoding —
+			// the drain's dominant cost on large slices. The others hash
+			// their image payload. The path is chosen by element type, so
+			// two stores holding the same contents always mix identically.
 			if mix, ok := c.fingerprintFast(); ok {
 				m.fpMix = mix
 				m.fpValid = true
 				s.fpAgg += mix
 				continue
 			}
-			if s.fpEnc == nil {
-				s.fpEnc = wire.NewEncoder()
-			}
 			s.fpEnc.Reset()
-			if err := c.encodeState(s.fpEnc); err != nil {
-				return 0, fmt.Errorf("memlog: fingerprint container %q: %w", c.name(), err)
+			s.fpEnc.Grow(s.fpHigh)
+			w := wire.Encoding(&s.fpEnc)
+			if c.codeState(w); w.Err() != nil {
+				return 0, fmt.Errorf("memlog: fingerprint container %q: %w", c.name(), w.Err())
 			}
+			s.fpHigh = max(s.fpHigh, s.fpEnc.Len())
 			m.fpMix = fingerprintMix(c.name(), s.fpEnc.Bytes())
 			m.fpValid = true
 			s.fpAgg += m.fpMix

@@ -169,17 +169,38 @@ func (img *Image) SizeBytes() int64 {
 }
 
 // EncodeTo writes the image as its block count followed by every block
-// in order, a never-written one as an empty blob.
+// in order, a never-written one as an empty blob. What that takes is known
+// before a byte is written, so the encoder grows once, to that, and every
+// block is copied once, from its page into its place.
 func (img *Image) EncodeTo(e *wire.Encoder) {
+	size := uvarintLen(uint64(img.n)) + int(img.n) // a never-written block is one byte
+	for _, pg := range img.pages {
+		if pg == nil {
+			continue
+		}
+		for _, blk := range pg.blocks {
+			if blk != nil {
+				size += uvarintLen(uint64(len(blk))+1) + len(blk) - 1
+			}
+		}
+	}
+	e.Grow(size)
 	e.Uvarint(uint64(img.n))
 	for b := int32(0); b < img.n; b++ {
 		e.Blob(img.block(b))
 	}
 }
 
-// DecodeImage parses what EncodeTo wrote. The fingerprint state is not
-// part of the stream: every written block is left stale, so a fork's
-// first Fingerprint hashes them.
+// uvarintLen is the number of bytes x takes as a varint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// DecodeImage parses what EncodeTo wrote. The blocks of the image are
+// slices of d's buffer, not copies: a decoded image is as frozen as a
+// shared one — a device never changes a block in place (fs.BlockDevice's
+// contract), and each slice is clipped to its block, so nothing can grow
+// into its neighbour — and whoever decodes an image gives the buffer up
+// to it. The fingerprint state is not part of the stream: every written
+// block is left stale, so a fork's first Fingerprint hashes them.
 func DecodeImage(d *wire.Decoder) (*Image, error) {
 	n := d.Uvarint()
 	if d.Err() == nil && (n > math.MaxInt32 || n > uint64(d.Remaining())) {
@@ -188,18 +209,22 @@ func DecodeImage(d *wire.Decoder) (*Image, error) {
 	}
 	img := &Image{newDisk(int32(n))}
 	for b := 0; b < int(n) && d.Err() == nil; b++ {
-		blk := d.Blob()
-		if blk == nil {
+		size := d.Uvarint() // a blob: 0 for nil, else the length plus one
+		if size == 0 {
 			continue
 		}
-		if len(blk) != fs.BlockSize {
-			return nil, fmt.Errorf("driver: block %d of the image is %d bytes, want %d", b, len(blk), fs.BlockSize)
+		if size-1 != fs.BlockSize {
+			return nil, fmt.Errorf("driver: block %d of the image is %d bytes, want %d", b, size-1, fs.BlockSize)
+		}
+		blk := d.Take(fs.BlockSize)
+		if blk == nil {
+			break // truncated: d.Err says so
 		}
 		p := b >> pageShift
 		if img.pages[p] == nil {
 			img.pages[p] = new(page)
 		}
-		img.pages[p].blocks[b&(pageBlocks-1)] = blk
+		img.pages[p].blocks[b&(pageBlocks-1)] = blk[:fs.BlockSize:fs.BlockSize]
 		img.stale[p] |= 1 << (b & (pageBlocks - 1))
 		img.nstale++
 	}

@@ -13,6 +13,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/seep"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // InitPid is the pid of the initial workload process.
@@ -53,6 +54,16 @@ type procEntry struct {
 	State   procState
 	Status  int64
 	Waiting bool // parent blocked in wait()
+}
+
+// Code is the record's field list (wire.Coder).
+func (e *procEntry) Code(c *wire.Codec) {
+	wire.Int(c, &e.Pid)
+	wire.Int(c, &e.Parent)
+	wire.Int(c, &e.EP)
+	wire.Int(c, &e.State)
+	wire.Int(c, &e.Status)
+	c.Bool(&e.Waiting)
 }
 
 // MakeBody resolves a program name to a runnable process body; it

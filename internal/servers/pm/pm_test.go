@@ -7,6 +7,7 @@ import (
 	"repro/internal/memlog"
 	"repro/internal/proto"
 	"repro/internal/seep"
+	"repro/internal/wire/wiretest"
 )
 
 // stubWorld boots PM against stub VM/VFS/system-task servers that
@@ -264,4 +265,10 @@ func TestCloneRebindKeepsTable(t *testing.T) {
 	if procs, _ := p2.Stats(); procs != 1 {
 		t.Fatalf("clone PM procs = %d, want 1", procs)
 	}
+}
+
+// The process record's field list against its definition, the reflective
+// walk of the declaration: same bytes, and back.
+func TestProcEntryFieldList(t *testing.T) {
+	wiretest.SameAsValue(t, true, wiretest.Random[procEntry])
 }

@@ -62,12 +62,27 @@ type fdEnt struct {
 	Pipe   int64
 }
 
+// Code is the descriptor's field list (wire.Coder).
+func (f *fdEnt) Code(c *wire.Codec) {
+	wire.Int(c, &f.Kind)
+	wire.Int(c, &f.Ino)
+	wire.Int(c, &f.Offset)
+	wire.Int(c, &f.Pipe)
+}
+
 // pipeEnt is one pipe. Data is held as a string so undo-log records
 // capture exact old values without aliasing.
 type pipeEnt struct {
 	Data    string
 	Readers int32
 	Writers int32
+}
+
+// Code is the pipe's field list (wire.Coder).
+func (p *pipeEnt) Code(c *wire.Codec) {
+	c.Str(&p.Data)
+	wire.Int(c, &p.Readers)
+	wire.Int(c, &p.Writers)
 }
 
 // pipeWaiter is a process suspended on a pipe: a reader awaiting data
@@ -77,6 +92,13 @@ type pipeWaiter struct {
 	EP      int64
 	N       int64
 	Pending string
+}
+
+// Code is the waiter's field list (wire.Coder).
+func (w *pipeWaiter) Code(c *wire.Codec) {
+	wire.Int(c, &w.EP)
+	wire.Int(c, &w.N)
+	c.Str(&w.Pending)
 }
 
 // VFS is the Virtual File System server.

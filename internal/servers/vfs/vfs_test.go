@@ -9,6 +9,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/seep"
 	"repro/internal/servers/driver"
+	"repro/internal/wire/wiretest"
 )
 
 // world wires a real VFS (custom multithreaded loop) and a real disk
@@ -434,4 +435,12 @@ func TestExitDropsSuspendedWaiters(t *testing.T) {
 	if v.waiters.Len() != 0 {
 		t.Fatalf("stale waiters: %d", v.waiters.Len())
 	}
+}
+
+// The field lists of VFS's three records against their definition, the
+// reflective walk of the declarations: same bytes, and back.
+func TestFieldLists(t *testing.T) {
+	wiretest.SameAsValue(t, true, wiretest.Random[fdEnt])
+	wiretest.SameAsValue(t, true, wiretest.Random[pipeEnt])
+	wiretest.SameAsValue(t, true, wiretest.Random[pipeWaiter])
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/seep"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // copyPageCost is the per-page cost of copying an address space on fork.
@@ -36,6 +37,13 @@ type space struct {
 	EP    int64
 	Pages int64
 	Brk   int64
+}
+
+// Code is the space's field list (wire.Coder).
+func (s *space) Code(c *wire.Codec) {
+	wire.Int(c, &s.EP)
+	wire.Int(c, &s.Pages)
+	wire.Int(c, &s.Brk)
 }
 
 // VM is the Virtual Memory Manager server.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/seep"
 	"repro/internal/sim"
+	"repro/internal/wire/wiretest"
 )
 
 const initEP = int64(kernel.EpUserBase)
@@ -230,4 +231,10 @@ func pick(r *sim.RNG, live map[int64]bool) int64 {
 		}
 	}
 	return keys[r.Intn(len(keys))]
+}
+
+// The address space's field list against its definition, the reflective
+// walk of the declaration: same bytes, and back.
+func TestSpaceFieldList(t *testing.T) {
+	wiretest.SameAsValue(t, true, wiretest.Random[space])
 }

@@ -1,6 +1,11 @@
 package wire
 
-import "reflect"
+import (
+	"encoding/binary"
+	"fmt"
+	"reflect"
+	"strings"
+)
 
 // Codec is the bidirectional face of the wire format: one value wrapping
 // either an Encoder or a Decoder, whose methods take pointers. A type
@@ -25,11 +30,19 @@ type Codec struct {
 	err error // encoding only; a Decoder keeps its own
 }
 
-// Encoding returns a codec that appends to e.
-func Encoding(e *Encoder) *Codec { return &Codec{e: e} }
+// Encoding returns the codec that appends to e, with no error recorded:
+// an encoder has one, so a second call starts the first one's walk over.
+func Encoding(e *Encoder) *Codec {
+	e.codec = Codec{e: e}
+	return &e.codec
+}
 
-// Decoding returns a codec that reads from d.
-func Decoding(d *Decoder) *Codec { return &Codec{d: d} }
+// Decoding returns the codec that reads from d, likewise; its errors are
+// d's.
+func Decoding(d *Decoder) *Codec {
+	d.codec = Codec{d: d}
+	return &d.codec
+}
 
 // Decoding reports the direction. Field lists need it only where the
 // two directions differ in more than the direction of the copy:
@@ -77,9 +90,71 @@ func (c *Codec) U32(p *uint32) { code(c, p, (*Encoder).U32, (*Decoder).U32) }
 // Str codes a length-prefixed string.
 func (c *Codec) Str(p *string) { code(c, p, (*Encoder).Str, (*Decoder).Str) }
 
+// Tag codes a string both ends already know — a type's name, given in the
+// parts it is made of — in Str's bytes. Encoding writes the parts as one
+// string; decoding reads a string and fails the walk unless it is the
+// parts joined. Neither allocates.
+func (c *Codec) Tag(parts ...string) {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	if c.d == nil {
+		c.e.Uvarint(uint64(n))
+		for _, p := range parts {
+			c.e.buf = append(c.e.buf, p...)
+		}
+		return
+	}
+	got := c.d.take(c.d.Uvarint())
+	if c.d.err != nil {
+		return
+	}
+	same, rest := len(got) == n, got
+	for _, p := range parts {
+		if same {
+			same, rest = string(rest[:len(p)]) == p, rest[len(p):]
+		}
+	}
+	if !same {
+		c.d.fail(fmt.Errorf("wire: type tag %q in the stream, the code expects %q", got, strings.Join(parts, "")))
+	}
+}
+
 // Blob codes a length-prefixed byte slice; nil and empty stay distinct,
 // and a decoded slice never aliases the stream.
 func (c *Codec) Blob(p *[]byte) { code(c, p, (*Encoder).Blob, (*Decoder).Blob) }
+
+// BlobOf codes whatever fill codes as one blob, in Blob's bytes, without
+// a buffer in between. Encoding, fill writes straight into the stream and
+// the length is put in front of what it wrote afterwards (the bytes move
+// up by the one or two that takes). Decoding, fill reads from the blob
+// and must read all of it.
+func (c *Codec) BlobOf(fill func(*Codec)) {
+	if c.d != nil {
+		n := c.d.Uvarint()
+		if n == 0 {
+			n = 1 // a nil blob reads as an empty one
+		}
+		sub := Decoding(NewDecoder(c.d.take(n - 1)))
+		if c.d.err != nil {
+			return
+		}
+		if fill(sub); sub.d.err == nil && sub.d.Remaining() != 0 {
+			sub.d.err = fmt.Errorf("wire: %d bytes of a blob left unread", sub.d.Remaining())
+		}
+		c.d.err = sub.d.err
+		return
+	}
+	e, start := c.e, len(c.e.buf)
+	fill(c)
+	n := len(e.buf) - start
+	var head [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(head[:], uint64(n)+1)
+	e.buf = append(e.buf, head[:w]...)
+	copy(e.buf[start+w:], e.buf[start:start+n])
+	copy(e.buf[start:], head[:w])
+}
 
 // Any codes an interface-typed value through the type registry.
 func (c *Codec) Any(p *any) {
@@ -102,13 +177,15 @@ func (c *Codec) Value(p any) {
 	}
 }
 
-// Len codes an element count: it writes n when encoding, and when
-// decoding returns the count the stream holds, checked against the bytes
-// left (Decoder.count) — 0 once the walk has failed, so a loop over the
-// result ends.
+// Len codes an element count. Every element takes at least a byte, and
+// both directions hold the count to that: encoding, it writes n and makes
+// room for n bytes; decoding, it returns the count the stream holds,
+// checked against the bytes left (Decoder.count) — 0 once the walk has
+// failed, so a loop over the result ends.
 func (c *Codec) Len(n int) int {
 	if c.d == nil {
 		c.e.Uvarint(uint64(n))
+		c.e.Grow(n)
 		return n
 	}
 	u := c.d.Uvarint()
@@ -119,12 +196,39 @@ func (c *Codec) Len(n int) int {
 	return int(u)
 }
 
-// Int codes a signed integer of any named kind as a zig-zag varint.
-func Int[T ~int | ~int8 | ~int16 | ~int32 | ~int64](c *Codec, p *T) {
-	if c.d != nil {
-		*p = T(c.d.Varint())
-	} else {
+type (
+	signed interface {
+		~int | ~int8 | ~int16 | ~int32 | ~int64
+	}
+	unsigned interface {
+		~uint | ~uint8 | ~uint16 | ~uint32 | ~uint64
+	}
+)
+
+// Int codes a signed integer of any named kind as a zig-zag varint. A
+// decoded value the kind cannot hold fails the walk rather than wrap: it
+// would not encode back to the bytes it came from.
+func Int[T signed](c *Codec, p *T) {
+	if c.d == nil {
 		c.e.Varint(int64(*p))
+		return
+	}
+	v := c.d.Varint()
+	if *p = T(v); int64(*p) != v {
+		c.d.fail(fmt.Errorf("wire: %d overflows %T", v, *p))
+	}
+}
+
+// Uint codes an unsigned integer of any named kind as a varint, with
+// Int's range check.
+func Uint[T unsigned](c *Codec, p *T) {
+	if c.d == nil {
+		c.e.Uvarint(uint64(*p))
+		return
+	}
+	v := c.d.Uvarint()
+	if *p = T(v); uint64(*p) != v {
+		c.d.fail(fmt.Errorf("wire: %d overflows %T", v, *p))
 	}
 }
 
@@ -145,16 +249,12 @@ func Slice[T any](c *Codec, p *[]T, elem func(*Codec, *T)) {
 	if c.d != nil {
 		*p = nil
 		if n > 0 {
-			*p = make([]T, 0, min(n, maxPrealloc))
+			*p = make([]T, n)
 		}
 	}
+	// Decoded in place: a local handed to elem would be one heap
+	// allocation an element.
 	for i := 0; i < n && c.Err() == nil; i++ {
-		if c.d != nil {
-			// Decoded in place: a local handed to elem would be one heap
-			// allocation an element.
-			var zero T
-			*p = append(*p, zero)
-		}
 		elem(c, &(*p)[i])
 	}
 }

@@ -26,6 +26,7 @@ type codecRecord struct {
 	when   codecCycles
 	tags   []string
 	parts  []inner
+	nested inner
 }
 
 func (r *codecRecord) code(c *Codec) {
@@ -41,6 +42,7 @@ func (r *codecRecord) code(c *Codec) {
 	Fixed64(c, &r.when)
 	Slice(c, &r.tags, (*Codec).Str)
 	Slice(c, &r.parts, func(c *Codec, p *inner) { c.Value(p) })
+	c.BlobOf(func(c *Codec) { c.Value(&r.nested) })
 }
 
 func codecSample() codecRecord {
@@ -48,7 +50,7 @@ func codecSample() codecRecord {
 		flag: true, count: 1 << 40, crc: 0xdeadbeef, name: "n", blob: []byte{},
 		aux: []string{"argv0"}, plain: inner{Name: "p", Flags: [3]int32{1, -2, 3}},
 		kind: -7, offset: -1 << 40, when: 1 << 63, tags: []string{"a", ""},
-		parts: []inner{{Name: "x"}},
+		parts: []inner{{Name: "x"}}, nested: inner{Name: "blob", Flags: [3]int32{4, 5, -6}},
 	}
 }
 
@@ -81,6 +83,9 @@ func TestCodecMatchesEncoder(t *testing.T) {
 	for _, p := range in.parts {
 		want.Encode(p)
 	}
+	blob := NewEncoder()
+	blob.Encode(in.nested)
+	want.Blob(blob.Bytes())
 	if !bytes.Equal(e.Bytes(), want.Bytes()) {
 		t.Fatalf("codec wrote\n%x\nencoder wrote\n%x", e.Bytes(), want.Bytes())
 	}

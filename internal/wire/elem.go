@@ -1,0 +1,165 @@
+package wire
+
+import (
+	"encoding/binary"
+	"fmt"
+)
+
+// Typed element codecs. A container of values of one type T (memlog's
+// Cell, Map and Slice) codes them through Elem and Elems, which write and
+// read exactly the bytes Encoder.Value and Decoder.Value give a T without
+// walking reflect: a type switch picks the route, per value for Elem and
+// per slice for Elems. Value stays the definition — the equivalence tests
+// hold every typed route to its bytes — and the route of every other
+// type.
+
+// Coder is a struct that lists its fields over a Codec — on the pointer,
+// every field, in declaration order, each in the bytes Value gives its
+// kind (wire.Int for any signed kind, Codec.Str for a string, ...) — so
+// that the one list encodes, decodes and feeds the fingerprint.
+type Coder interface{ Code(*Codec) }
+
+// Typed reports whether Elem and Elems have a route of their own for T:
+// bool, string, []byte, the integers of every width, and every Coder.
+func Typed[T any]() bool {
+	switch any((*T)(nil)).(type) {
+	case *bool, *string, *[]byte,
+		*int, *int8, *int16, *int32, *int64,
+		*uint, *uint8, *uint16, *uint32, *uint64,
+		Coder:
+		return true
+	}
+	return false
+}
+
+// Elem codes one T.
+func Elem[T any](c *Codec, p *T) {
+	switch p := any(p).(type) {
+	case *bool:
+		c.Bool(p)
+	case *string:
+		c.Str(p)
+	case *[]byte:
+		c.Blob(p)
+	case *int:
+		Int(c, p)
+	case *int8:
+		Int(c, p)
+	case *int16:
+		Int(c, p)
+	case *int32:
+		Int(c, p)
+	case *int64:
+		Int(c, p)
+	case *uint:
+		Uint(c, p)
+	case *uint8:
+		Uint(c, p)
+	case *uint16:
+		Uint(c, p)
+	case *uint32:
+		Uint(c, p)
+	case *uint64:
+		c.Uvarint(p)
+	case Coder:
+		p.Code(c)
+	default:
+		c.Value(p)
+	}
+}
+
+// Elems codes a whole []T in Value's slice form — 0 for nil, else the
+// count plus one and the elements; a []byte as one blob — with a loop of
+// its own for each signed integer kind (the frame tables and free lists
+// of the stores); every other typed T goes through Elem an element.
+func Elems[T any](c *Codec, s *[]T) {
+	switch p := any(s).(type) {
+	case *[]byte:
+		c.Blob(p)
+	case *[]int:
+		ints(c, p)
+	case *[]int8:
+		ints(c, p)
+	case *[]int16:
+		ints(c, p)
+	case *[]int32:
+		ints(c, p)
+	case *[]int64:
+		ints(c, p)
+	default:
+		if !Typed[T]() {
+			c.Value(s)
+			return
+		}
+		for i, n := 0, sliceHead(c, s); i < n && c.Err() == nil; i++ {
+			Elem(c, &(*s)[i])
+		}
+	}
+}
+
+func ints[T signed](c *Codec, p *[]T) {
+	n := sliceHead(c, p)
+	Ints(c, (*p)[:n])
+}
+
+// Ints codes every element of s in place, as Int does and without a
+// count: the elements of an array, or of a slice whose head is already
+// coded. It is the loop a frame table of sixteen thousand int32 goes
+// through on every encode and decode, so the buffer and the offset are
+// held in locals (a store to e.buf an element is a GC write barrier an
+// element).
+func Ints[T signed](c *Codec, s []T) {
+	if c.d == nil {
+		c.e.Grow(len(s)) // an array: no Len or sliceHead has made room
+		buf := c.e.buf
+		for _, v := range s {
+			buf = binary.AppendVarint(buf, int64(v))
+		}
+		c.e.buf = buf
+		return
+	}
+	d, off := c.d, c.d.off
+	if d.err != nil {
+		return
+	}
+	for i := range s {
+		v, w := binary.Varint(d.buf[off:])
+		if w <= 0 {
+			d.fail(errTruncated)
+			break
+		}
+		off += w
+		if s[i] = T(v); int64(s[i]) != v {
+			d.fail(fmt.Errorf("wire: %d overflows %T", v, s[i]))
+			break
+		}
+	}
+	d.off = off
+}
+
+// sliceHead codes the head of Value's slice form and returns how many
+// elements follow, to be coded in place. Encoding, it makes room for
+// them as Len does. Decoding, it sets *p to a slice of exactly the count
+// the stream holds — checked against the bytes left first — or to nil.
+func sliceHead[T any](c *Codec, p *[]T) int {
+	if c.d == nil {
+		if *p == nil {
+			c.e.Uvarint(0)
+			return 0
+		}
+		c.e.Uvarint(uint64(len(*p)) + 1)
+		c.e.Grow(len(*p)) // an element takes at least a byte
+		return len(*p)
+	}
+	*p = nil
+	n := c.d.Uvarint()
+	if n == 0 {
+		return 0
+	}
+	size := c.d.count(n - 1)
+	if c.d.err != nil {
+		return 0
+	}
+	*p = make([]T, size)
+	return size
+}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 )
@@ -23,8 +24,44 @@ type fuzzTarget struct {
 	N tinyEnum
 }
 
+// fuzzWide is fuzzTarget with every integer at full width: it reads the
+// same bytes, and whatever fuzzTarget accepts it must accept as the same
+// numbers.
+type fuzzWide struct {
+	A bool
+	B int64
+	C int64
+	D uint64
+	E uint64
+	F float32
+	G float64
+	H string
+	I []byte
+	J []struct {
+		Name  string
+		Flags [3]int64
+	}
+	K [2]int64
+	L map[string]int64
+	M map[uint64][]string
+	N int64
+}
+
+// encoded returns x's encoding, which must exist.
+func encoded(t *testing.T, x any) []byte {
+	t.Helper()
+	e := NewEncoder()
+	if err := e.Encode(x); err != nil {
+		t.Fatalf("a decoded %T does not encode: %v", x, err)
+	}
+	return e.Bytes()
+}
+
 // FuzzDecoderValue: any byte string decodes to a value or to an error —
-// never a panic, never an allocation the input's size does not bound.
+// never a panic, never an allocation the input's size does not bound —
+// and a value that decoded holds the numbers the bytes hold: it encodes
+// to what the same bytes read at full width encode to. (A narrow kind
+// that wrapped an out-of-range varint broke that.)
 func FuzzDecoderValue(f *testing.F) {
 	e := NewEncoder()
 	e.Encode(fuzzTarget{
@@ -44,11 +81,30 @@ func FuzzDecoderValue(f *testing.F) {
 	for _, at := range []int{24, 26, 40} {
 		f.Add(append(append([]byte(nil), valid[:at]...), huge...))
 	}
+	// Varints the narrow kinds cannot hold: B (int8) at 1, D (uint16) at
+	// 8, and as the elements of the []int32 read below.
+	over := binary.AppendVarint(nil, 1<<40+7)
+	f.Add(append(append(append([]byte(nil), valid[:1]...), over...), valid[2:]...))
+	f.Add(append(append(append([]byte(nil), valid[:8]...), binary.AppendUvarint(nil, 1<<16+9)...), valid[9:]...))
+	f.Add(append(binary.AppendUvarint(nil, 2), over...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var out fuzzTarget
-		NewDecoder(data).Decode(&out)
+		if NewDecoder(data).Decode(&out) == nil {
+			var wide fuzzWide
+			if err := NewDecoder(data).Decode(&wide); err != nil {
+				t.Fatalf("decodes narrow but not wide: %v", err)
+			}
+			if narrow, full := encoded(t, out), encoded(t, wide); !bytes.Equal(narrow, full) {
+				t.Fatalf("the narrow value encodes to\n%x\nthe bytes it was read from hold\n%x", narrow, full)
+			}
+		}
 		var s []int32
-		NewDecoder(data).Decode(&s)
+		if NewDecoder(data).Decode(&s) == nil {
+			var wide []int64
+			if err := NewDecoder(data).Decode(&wide); err != nil || !bytes.Equal(encoded(t, s), encoded(t, wide)) {
+				t.Fatalf("[]int32 %v, []int64 %v (%v)", s, wide, err)
+			}
+		}
 		NewDecoder(data).Any()
 	})
 }

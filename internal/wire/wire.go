@@ -19,7 +19,10 @@
 // types with Register at init time.
 //
 // Types with unexported fields list them once, over a Codec (codec.go):
-// the same list encodes and decodes.
+// the same list encodes and decodes. Containers of many values of one
+// type code them through Elem and Elems (elem.go), which give the
+// primitive kinds and structs with a field list the bytes Value gives
+// them without the reflection.
 package wire
 
 import (
@@ -28,13 +31,15 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"sync"
 )
 
 // Encoder appends values to an in-memory buffer.
 type Encoder struct {
-	buf []byte
+	buf   []byte
+	codec Codec // what Encoding returns: no allocation of its own
 }
 
 // NewEncoder returns an empty encoder.
@@ -49,6 +54,21 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 
 // Len returns the number of bytes encoded so far.
 func (e *Encoder) Len() int { return len(e.buf) }
+
+// Grow makes room for n more bytes, so that a writer who knows what is
+// coming — a size computed up front, or a count of elements that take at
+// least a byte each — pays for one buffer instead of the regrowths of
+// append. An encoder with room already gets nothing. One without gets
+// what is asked for, rounded up to what the allocator hands out anyway
+// (the few bytes that follow a large element then fit too), and at least
+// twice what it had, so many small calls stay linear: append alone
+// regrows a large buffer by a quarter at a time, which allocates five
+// times the final size in all.
+func (e *Encoder) Grow(n int) {
+	if n > cap(e.buf)-len(e.buf) {
+		e.buf = slices.Grow(e.buf, max(n, cap(e.buf)))
+	}
+}
 
 // Bool appends a single-byte boolean.
 func (e *Encoder) Bool(b bool) {
@@ -100,14 +120,17 @@ func (e *Encoder) Blob(b []byte) {
 // after the first malformed read every subsequent read reports it, so
 // call sites can decode a whole record and check Err once.
 type Decoder struct {
-	buf []byte
-	off int
-	err error
+	buf   []byte
+	off   int
+	err   error
+	codec Codec // what Decoding returns: no allocation of its own
 }
 
 // NewDecoder returns a decoder over buf. Decoded strings and byte
-// slices never alias buf (they are copied out), so the caller may
-// recycle buf once decoding completes.
+// slices are copied out of buf; the one read that aliases it is Take, so
+// a caller who has used Take (the framing layers, and the disk image for
+// its blocks) must leave buf alone for as long as what Take returned
+// lives. Everyone else may recycle buf once decoding completes.
 func NewDecoder(buf []byte) *Decoder { return &Decoder{buf: buf} }
 
 // Err returns the first decode error, if any.
@@ -337,22 +360,19 @@ func (e *Encoder) mapValue(v reflect.Value) error {
 	return nil
 }
 
-// maxPrealloc bounds speculative allocation for length prefixes read
-// from untrusted bytes; larger collections grow by append instead.
-const maxPrealloc = 1 << 16
-
-// count validates an element count read from the stream and returns the
-// capacity to allocate up front. Every element occupies at least one
-// byte (nothing zero-width crosses the wire), so a count beyond the
-// bytes left is a lie: it fails the decode here, before anything is
-// allocated or looped over. The comparison is on the uint64 — a count
-// of 2^63 or more must not reach an int.
+// count validates an element count read from the stream and returns it
+// as the length to allocate. Every element occupies at least one byte
+// (nothing zero-width crosses the wire), so a count beyond the bytes left
+// is a lie: it fails the decode here, before anything is allocated or
+// looped over, and a count that passes sizes its collection exactly — the
+// input's length bounds it. The comparison is on the uint64: a count of
+// 2^63 or more must not reach an int.
 func (d *Decoder) count(n uint64) int {
 	if n > uint64(d.Remaining()) {
 		d.fail(errTruncated)
 		return 0
 	}
-	return int(min(n, maxPrealloc))
+	return int(n)
 }
 
 // Value decodes into the settable value v, mirroring Encoder.Value.
@@ -364,9 +384,17 @@ func (d *Decoder) Value(v reflect.Value) error {
 	case reflect.Bool:
 		v.SetBool(d.Bool())
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		v.SetInt(d.Varint())
+		x := d.Varint()
+		if v.OverflowInt(x) {
+			return d.failf("wire: %d overflows %s", x, v.Type())
+		}
+		v.SetInt(x)
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
-		v.SetUint(d.Uvarint())
+		x := d.Uvarint()
+		if v.OverflowUint(x) {
+			return d.failf("wire: %d overflows %s", x, v.Type())
+		}
+		v.SetUint(x)
 	case reflect.Float32:
 		v.SetFloat(float64(math.Float32frombits(d.U32())))
 	case reflect.Float64:
@@ -390,14 +418,15 @@ func (d *Decoder) Value(v reflect.Value) error {
 			v.Set(out)
 			return nil
 		}
-		out := reflect.MakeSlice(v.Type(), 0, d.count(n))
-		elem := reflect.New(v.Type().Elem()).Elem()
-		for i := uint64(0); i < n; i++ {
-			elem.Set(reflect.Zero(elem.Type()))
-			if err := d.Value(elem); err != nil {
+		size := d.count(n)
+		if d.err != nil {
+			return d.err
+		}
+		out := reflect.MakeSlice(v.Type(), size, size)
+		for i := 0; i < size; i++ {
+			if err := d.Value(out.Index(i)); err != nil {
 				return err
 			}
-			out = reflect.Append(out, elem)
 		}
 		v.Set(out)
 	case reflect.Array:
@@ -413,10 +442,14 @@ func (d *Decoder) Value(v reflect.Value) error {
 			return d.err
 		}
 		n--
-		out := reflect.MakeMapWithSize(v.Type(), d.count(n))
+		size := d.count(n)
+		if d.err != nil {
+			return d.err
+		}
+		out := reflect.MakeMapWithSize(v.Type(), size)
 		key := reflect.New(v.Type().Key()).Elem()
 		val := reflect.New(v.Type().Elem()).Elem()
-		for i := uint64(0); i < n; i++ {
+		for i := 0; i < size; i++ {
 			key.Set(reflect.Zero(key.Type()))
 			val.Set(reflect.Zero(val.Type()))
 			if err := d.Value(key); err != nil {

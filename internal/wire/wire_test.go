@@ -197,3 +197,63 @@ func TestHugeLengthPrefixRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestIntegerOverflowRejected: a varint the target kind cannot hold is a
+// decode error. It used to wrap — 1<<40+7 read into an int32 as 7, 300
+// into a uint8 as 44 — and a value that wrapped no longer encodes to the
+// bytes it came from.
+func TestIntegerOverflowRejected(t *testing.T) {
+	big, wide := binary.AppendVarint(nil, 1<<40+7), binary.AppendUvarint(nil, 300)
+
+	var i32 int32
+	if err := NewDecoder(big).Decode(&i32); err == nil {
+		t.Errorf("Value: 1<<40+7 decoded into an int32 as %d", i32)
+	}
+	var u8 uint8
+	if err := NewDecoder(wide).Decode(&u8); err == nil {
+		t.Errorf("Value: 300 decoded into a uint8 as %d", u8)
+	}
+	var kind tinyEnum
+	if c := Decoding(NewDecoder(big)); true {
+		if Int(c, &kind); c.Err() == nil {
+			t.Errorf("Int: 1<<40+7 decoded into an int32 kind as %d", kind)
+		}
+	}
+	var u16 uint16
+	if c := Decoding(NewDecoder(binary.AppendUvarint(nil, 1<<16))); true {
+		if Uint(c, &u16); c.Err() == nil {
+			t.Errorf("Uint: 1<<16 decoded into a uint16 as %d", u16)
+		}
+	}
+	// The loops of Elems: one element out of range among good ones.
+	var frames []int32
+	stream := append(binary.AppendVarint(binary.AppendUvarint(nil, 3), 5), big...)
+	if c := Decoding(NewDecoder(stream)); true {
+		if Elems(c, &frames); c.Err() == nil {
+			t.Errorf("Elems: 1<<40+7 decoded into a []int32 as %v", frames)
+		}
+	}
+	var ports []uint16
+	stream = append(binary.AppendUvarint(binary.AppendUvarint(nil, 3), 5), binary.AppendUvarint(nil, 1<<16)...)
+	if c := Decoding(NewDecoder(stream)); true {
+		if Elems(c, &ports); c.Err() == nil {
+			t.Errorf("Elems: 1<<16 decoded into a []uint16 as %v", ports)
+		}
+	}
+
+	// The ends of each range still decode, and encode back to their bytes.
+	type ends struct {
+		A, B int32
+		C    uint8
+		D, E int8
+	}
+	in := ends{math.MinInt32, math.MaxInt32, math.MaxUint8, math.MinInt8, math.MaxInt8}
+	e := NewEncoder()
+	if err := e.Encode(in); err != nil {
+		t.Fatal(err)
+	}
+	var out ends
+	if err := NewDecoder(e.Bytes()).Decode(&out); err != nil || out != in {
+		t.Errorf("range ends: decoded %+v (%v), want %+v", out, err, in)
+	}
+}
