@@ -19,6 +19,7 @@ import (
 	"repro/internal/servers/vm"
 	"repro/internal/sim"
 	"repro/internal/usr"
+	"repro/internal/wire"
 )
 
 // heartbeatTargets are the components the Recovery Server probes.
@@ -45,6 +46,23 @@ type System struct {
 	Registry *usr.Registry
 	// Driver is the disk driver (its contents survive recoveries).
 	Driver *driver.Driver
+}
+
+// TransientCoder returns the codec of the Forkable transient state of
+// the component boot wires to ep: the Recovery Server's and VFS's fork
+// states, and for every other endpoint wire.Nil — a component without
+// transient state has none to persist. The on-disk image decodes a
+// slot's transient through it, so the endpoint, not a name in the
+// stream, picks the type; the name is only checked. The transient digest
+// (core.OS.TransientDigest) encodes through the same coders.
+func TransientCoder(ep kernel.Endpoint) func(*wire.Codec, *any) {
+	switch ep {
+	case kernel.EpRS:
+		return rs.CodeForkState
+	case kernel.EpVFS:
+		return vfs.CodeForkState
+	}
+	return wire.Nil
 }
 
 // Boot builds the machine and installs initProg as the init process

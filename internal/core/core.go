@@ -18,6 +18,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/seep"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // Fixed counter slots for recovery-engine statistics.
@@ -155,6 +156,31 @@ type Config struct {
 	// a fork can start. Zero = default (256 MiB); negative disables the
 	// ladder, keeping only the post-install boot snapshot.
 	SnapshotCacheBytes int64
+}
+
+// Code lists the configuration's fields, in declaration order, for the
+// metadata frame of an on-disk image.
+func (cfg *Config) Code(c *wire.Codec) {
+	wire.Int(c, &cfg.Policy)
+	c.Uvarint(&cfg.Seed)
+	cfg.Cost.Code(c)
+	wire.Int(c, &cfg.Instrumentation)
+	wire.Int(c, &cfg.MaxRecoveries)
+	wire.Map(c, &cfg.ComponentPolicies, wire.Int[kernel.Endpoint], wire.Int[seep.Policy])
+	c.Bool(&cfg.LegacyCheckpoint)
+	wire.Int(c, &cfg.RecoveryDecay)
+	wire.Int(c, &cfg.RestartBackoffBase)
+	wire.Int(c, &cfg.RestartBackoffCap)
+	wire.Int(c, &cfg.MaxRestartAttempts)
+	wire.Int(c, &cfg.RecoveryDeadline)
+	c.Bool(&cfg.DisableQuarantine)
+	wire.Int(c, &cfg.HeartbeatPeriod)
+	wire.Int(c, &cfg.HangMisses)
+	cfg.IPCFaults.Code(c)
+	c.Uvarint(&cfg.IPCFaultSeed)
+	wire.Int(c, &cfg.IPCTimeoutCycles)
+	wire.Int(c, &cfg.IPCRetryMax)
+	wire.Int(c, &cfg.SnapshotCacheBytes)
 }
 
 // DefaultIPCTimeoutCycles is the recommended base sender timeout when

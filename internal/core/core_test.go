@@ -7,6 +7,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/memlog"
 	"repro/internal/seep"
+	"repro/internal/wire/wiretest"
 )
 
 // echoComp is a minimal recoverable component for engine-level tests.
@@ -434,4 +435,10 @@ func TestConfigValidateRejectsBadSequencerKnobs(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Errorf("negative disable knobs rejected: %v", err)
 	}
+}
+
+// Config's field list against the reflective walk of its declaration,
+// ComponentPolicies nil, empty and full among the values drawn.
+func TestConfigFieldList(t *testing.T) {
+	wiretest.SameAsValue(t, wiretest.Random[Config])
 }

@@ -10,7 +10,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"repro/internal/kernel"
@@ -38,8 +37,8 @@ type SlotImage struct {
 	Stats         seep.Stats
 	CloneResident int
 	// Transient is the component's Forkable snapshot (nil when the
-	// component has none). For on-disk images the concrete type must be
-	// registered with internal/wire.
+	// component has none). On disk it goes through the coder boot keeps
+	// for the endpoint (boot.TransientCoder).
 	Transient any
 }
 
@@ -215,25 +214,31 @@ func (o *OS) StateFingerprint(skip kernel.MsgSkip) (uint64, error) {
 // TransientDigest hashes every component's Forkable transient state —
 // what a component keeps outside its store and therefore outside
 // StateFingerprint: the Recovery Server's outstanding-ping counts and
-// quarantine set, the VFS tag cursor. It reuses the deterministic
-// encoding on-disk images store the same snapshots with (sorted maps),
-// so equal digests mean equal transient state. The wedge certificate
-// compares it between idle points.
-func (o *OS) TransientDigest() (uint64, error) {
+// quarantine set, the VFS tag cursor. Each state goes through the coder
+// coderOf names for its endpoint — the field list on-disk images store
+// it with (sorted maps) — so equal digests mean equal transient state.
+// The wedge certificate compares it between idle points of one run.
+func (o *OS) TransientDigest(coderOf func(kernel.Endpoint) func(*wire.Codec, *any)) (uint64, error) {
 	enc := wire.NewEncoder()
+	c := wire.Encoding(enc)
+	// One slot for the walk: the coder is a function value, so what it is
+	// handed lives on the heap.
+	var snap any
 	for _, ep := range o.order {
 		f, ok := o.slots[ep].comp.(Forkable)
 		if !ok {
 			continue
 		}
-		enc.Varint(int64(ep))
-		if err := enc.Any(f.ForkSnapshot()); err != nil {
-			return 0, err
-		}
+		snap = f.ForkSnapshot()
+		wire.Int(c, &ep)
+		coderOf(ep)(c, &snap)
 	}
-	h := fnv.New64a()
-	h.Write(enc.Bytes())
-	return h.Sum64(), nil
+	if c.Err() != nil {
+		return 0, c.Err()
+	}
+	h := sim.NewHash()
+	h.Bytes(enc.Bytes())
+	return h.Sum(), nil
 }
 
 // fpFold chains one component's store hash into the machine hash.

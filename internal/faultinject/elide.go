@@ -258,7 +258,7 @@ func (el *elider) idlePointOf(sys *boot.System) (idlePoint, bool) {
 	if err != nil {
 		return idlePoint{}, false
 	}
-	transient, err := sys.TransientDigest()
+	transient, err := sys.TransientDigest(boot.TransientCoder)
 	if err != nil {
 		return idlePoint{}, false
 	}

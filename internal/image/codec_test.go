@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/kernel"
 	"repro/internal/memlog"
+	"repro/internal/servers/vfs"
 	"repro/internal/usr"
 	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
@@ -30,7 +32,8 @@ func roundTrip(t *testing.T, in, out func(*wire.Codec)) {
 // here: the registry (function values; the reader supplies one and the
 // program names are compared), a slot's endpoint (its frame's name) and
 // the store, which has a test of its own in memlog and decodes to a
-// pending store no DeepEqual could match.
+// pending store no DeepEqual could match. The slot is VFS's, whose
+// endpoint chooses the transient's coder.
 func TestFrameCodecsCoverEveryField(t *testing.T) {
 	var in meta
 	(&wiretest.Filler{Leaf: func(path string, v reflect.Value) bool {
@@ -49,20 +52,38 @@ func TestFrameCodecsCoverEveryField(t *testing.T) {
 			s := memlog.NewStore("slot-test", memlog.Optimized)
 			memlog.NewCell(s, "c", int64(7))
 			v.Set(reflect.ValueOf(s))
+		case path == "SlotImage.EP":
+			v.SetInt(int64(kernel.EpVFS))
 		case v.Kind() == reflect.Interface:
-			v.Set(reflect.ValueOf([]string{"transient"}))
+			v.Set(reflect.ValueOf(vfsForkState(t, 41)))
 		default:
 			return false
 		}
 		return true
 	}}).Fill(&slot)
-	var got core.SlotImage
+	got := core.SlotImage{EP: slot.EP} // the frame's name, as decodeSnapshot sets it
 	roundTrip(t, func(c *wire.Codec) { codeSlot(c, &slot) }, func(c *wire.Codec) { codeSlot(c, &got) })
 	if got.Store == nil || got.Store.Label() != "slot-test" {
 		t.Fatalf("slot store decoded as %v", got.Store)
 	}
-	got.EP, got.Store = slot.EP, slot.Store
+	got.Store = slot.Store
 	if !reflect.DeepEqual(slot, got) {
 		t.Errorf("slot round trip lost state:\n in  %+v\n out %+v", slot, got)
 	}
+}
+
+// vfsForkState returns the fork state VFS keeps across a fork, with its
+// tag cursor at next, read from the bytes its coder writes.
+func vfsForkState(t *testing.T, next int64) any {
+	t.Helper()
+	e := wire.NewEncoder()
+	c := wire.Encoding(e)
+	c.Tag("vfs.forkState")
+	wire.Int(c, &next)
+	var state any
+	d := wire.NewDecoder(e.Bytes())
+	if vfs.CodeForkState(wire.Decoding(d), &state); d.Err() != nil || state == nil {
+		t.Fatalf("VFS fork state: %v", d.Err())
+	}
+	return state
 }

@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"encoding/binary"
 	"hash/crc32"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -12,9 +13,11 @@ import (
 	"repro/internal/boot"
 	"repro/internal/fs"
 	"repro/internal/image"
+	"repro/internal/kernel"
 	"repro/internal/testsuite"
 	"repro/internal/usr"
 	"repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 func suiteRegistry() *usr.Registry {
@@ -228,6 +231,73 @@ func TestHostileBlocksRejected(t *testing.T) {
 	}
 }
 
+// withAux returns data with one message queued on the first process
+// whose Aux is an argv: a frame read at a barrier carries no Aux
+// payload, and this one carries the tag []string once.
+func withAux(t testing.TB, data []byte) []byte {
+	t.Helper()
+	return reframe(t, data, "kernel", func(raw []byte) []byte {
+		img := new(kernel.MachineImage)
+		d := wire.NewDecoder(raw)
+		if img.Code(wire.Decoding(d)); d.Err() != nil {
+			t.Fatalf("kernel frame: %v", d.Err())
+		}
+		inbox := wiretest.Writable(reflect.ValueOf(img).Elem().FieldByName("procs").Index(0).FieldByName("inbox"))
+		inbox.Set(reflect.Append(inbox, reflect.ValueOf(kernel.Message{Type: 1, Aux: []string{"argv0"}})))
+		e := wire.NewEncoder()
+		c := wire.Encoding(e)
+		if img.Code(c); c.Err() != nil {
+			t.Fatalf("kernel frame: %v", c.Err())
+		}
+		return e.Bytes()
+	})
+}
+
+// hostileTransients are images whose interface slots name a type the
+// slot's codec does not take, every frame's checksum holding: RS's
+// transient tagged as VFS's or as a type nobody has, a transient on PM,
+// which has none, and a message's Aux tagged with a type other than
+// []string (string was one the type registry used to take).
+func hostileTransients(t testing.TB, data []byte) map[string][]byte {
+	t.Helper()
+	swap := func(frame string, from, to string) []byte {
+		return reframe(t, data, frame, func(raw []byte) []byte {
+			if !bytes.Contains(raw, []byte(from)) {
+				t.Fatalf("frame %q holds no %q", frame, from)
+			}
+			return bytes.Replace(raw, []byte(from), []byte(to), 1)
+		})
+	}
+	aux := withAux(t, data)
+	return map[string][]byte{
+		"RS's transient tagged as VFS's":    swap("slot/2", "\x0crs.forkState", "\x0dvfs.forkState"),
+		"RS's transient of an unknown type": swap("slot/2", "\x0crs.forkState", "\x0crs.forkStatX"),
+		"a transient on PM": reframe(t, data, "slot/3", func(raw []byte) []byte {
+			return append(raw[:len(raw)-1], "\x0dvfs.forkState\x02"...)
+		}),
+		"an Aux tagged string": reframe(t, aux, "kernel", func(raw []byte) []byte {
+			return bytes.Replace(raw, []byte("\x08[]string\x02\x05argv0"), []byte("\x06string\x05argv0"), 1)
+		}),
+	}
+}
+
+// TestHostileTransientsRejected: each of them is an error of
+// ReadSnapshot, and the image with the well-tagged Aux reads.
+func TestHostileTransientsRejected(t *testing.T) {
+	data := encode(t, captureSnapshot(t, 7), image.WriteOptions{})
+	if _, err := image.ReadSnapshot(bytes.NewReader(withAux(t, data)), suiteRegistry(), 1); err != nil {
+		t.Fatalf("an argv in Aux: %v", err)
+	}
+	for name, hostile := range hostileTransients(t, data) {
+		_, err := image.ReadSnapshot(bytes.NewReader(hostile), suiteRegistry(), 1)
+		if err == nil {
+			t.Errorf("%s: accepted", name)
+		} else if !strings.Contains(err.Error(), "type tag") {
+			t.Errorf("%s: refused, but not by its tag: %v", name, err)
+		}
+	}
+}
+
 // FuzzReadSnapshot: any byte string reads as a snapshot or as an error,
 // and a snapshot that read forks or refuses to — never a panic, never an
 // allocation the input's size does not bound.
@@ -264,6 +334,9 @@ func FuzzReadSnapshot(f *testing.F) {
 	}))
 	for _, frame := range hostileBlocks() {
 		f.Add(reframe(f, raw, "blocks", func([]byte) []byte { return frame }))
+	}
+	for _, hostile := range hostileTransients(f, raw) {
+		f.Add(hostile)
 	}
 	reg := suiteRegistry()
 	f.Fuzz(func(t *testing.T, data []byte) {

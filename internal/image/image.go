@@ -489,7 +489,7 @@ func metaOf(snap *boot.Snapshot) *meta {
 }
 
 func (m *meta) code(c *wire.Codec) {
-	c.Value(&m.opts.Config)
+	m.opts.Config.Code(c)
 	c.Bool(&m.opts.Heartbeats)
 	wire.Slice(c, &m.programs, (*wire.Codec).Str)
 	wire.Slice(c, &m.slots, wire.Int[kernel.Endpoint])
@@ -499,10 +499,10 @@ func slotFrame(ep kernel.Endpoint) string { return slotPrefix + strconv.Itoa(int
 
 // codeSlot is one component frame: the store image, the recovery window
 // statistics, the clone-resident accounting and the Forkable transient.
-// The endpoint is the frame's name.
+// The endpoint is the frame's name, and it chooses the transient's coder.
 func codeSlot(c *wire.Codec, slot *core.SlotImage) {
 	memlog.CodeImage(c, &slot.Store)
-	c.Value(&slot.Stats)
+	slot.Stats.Code(c)
 	wire.Int(c, &slot.CloneResident)
-	c.Any(&slot.Transient)
+	boot.TransientCoder(slot.EP)(c, &slot.Transient)
 }

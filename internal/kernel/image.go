@@ -3,20 +3,19 @@ package kernel
 // On-disk form of MachineImage (the kernel frame of internal/image's
 // container format). Every type has ONE field list, a function over a
 // wire.Codec that writes the fields when the codec encodes and reads
-// them when it decodes. The lists are written by hand rather than left
-// to the reflective wire.Value: the image is all unexported fields with
-// interior maps keyed by unexported structs, and the same frame through
-// reflection costs ten times the encode and the decode. The stream is
-// deterministic: map entries go out in sorted key order, everything else
-// in capture order.
+// them when it decodes. The stream is deterministic: map entries go out
+// in sorted key order, everything else in capture order.
 //
 // Message Aux payloads are the one open point: they are interface-typed
 // and may carry process bodies (functions), which cannot cross a
-// process boundary. They go through the wire type registry, so nil and
-// registered data payloads ([]string argv and the servers' registered
-// fork-state types) serialize, and anything else fails the encode with
-// a clear error — the caller degrades to in-memory forking or cold
-// boots rather than persisting a lossy image.
+// process boundary. Their codec is closed: nil and a []string argv
+// serialize, and anything else fails the encode with a clear error — the
+// caller degrades to in-memory forking or cold boots rather than
+// persisting a lossy image.
+//
+// The configuration and statistics records (CostModel, IPCFaultConfig,
+// IPCStats) have lists too, in the plain form of their declaration:
+// every field in order, an unsigned kind as a varint.
 
 import (
 	"fmt"
@@ -83,13 +82,17 @@ func codeMessage(c *wire.Codec, m *Message) {
 	c.Str(&m.Str)
 	c.Str(&m.Str2)
 	c.Blob(&m.Bytes)
-	c.Any(&m.Aux)
+	codeAux(c, &m.Aux)
 	c.U32(&m.Seq)
 	c.U32(&m.Sum)
 }
 
+// codeAux is the closed codec of a message's Aux payload: nil, or an
+// argv under the tag []string. A process body fails the walk.
+func codeAux(c *wire.Codec, p *any) { wire.Tagged(c, p, "[]string", wire.Elems[string]) }
+
 func codePlane(c *wire.Codec, pl *planeState) {
-	c.Value(&pl.stats)
+	pl.stats.Code(c)
 	codePairs(c, &pl.nextSeq, (*wire.Codec).U32)
 	codePairs(c, &pl.seen, func(c *wire.Codec, w *seqWindow) {
 		c.U32(&w.top)
@@ -174,5 +177,35 @@ func codePairs[V any](c *wire.Codec, m *map[epPair]V, val func(*wire.Codec, *V))
 		if c.Decoding() {
 			(*m)[entry.k] = entry.v
 		}
+	}
+}
+
+// Code lists the cost model's fields.
+func (m *CostModel) Code(c *wire.Codec) {
+	wire.Uint(c, &m.MsgHop)
+	wire.Uint(c, &m.Trap)
+	c.Bool(&m.Monolithic)
+	wire.Uint(c, &m.Quantum)
+	wire.Uint(c, &m.ServerWorkScale)
+}
+
+// Code lists the fault rates' fields.
+func (f *IPCFaultConfig) Code(c *wire.Codec) {
+	wire.Int(c, &f.DropBP)
+	wire.Int(c, &f.DupBP)
+	wire.Int(c, &f.DelayBP)
+	wire.Int(c, &f.ReorderBP)
+	wire.Int(c, &f.CorruptBP)
+	wire.Uint(c, &f.DelayCycles)
+}
+
+// Code lists the plane's counters.
+func (s *IPCStats) Code(c *wire.Codec) {
+	for _, p := range [...]*uint64{
+		&s.Sent, &s.Delivered, &s.Dropped, &s.DupSuppressed, &s.PendingDelayed, &s.PendingARQ,
+		&s.Duplicated, &s.Delayed, &s.Reordered, &s.CorruptInjected, &s.CorruptDropped,
+		&s.Timeouts, &s.Retransmits, &s.ReplyRedeliveries, &s.DeadLetters, &s.StaleReplies,
+	} {
+		c.Uvarint(p)
 	}
 }

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -65,6 +66,32 @@ func TestMachineImageCodecCoversEveryField(t *testing.T) {
 	out.counters = in.counters
 	if !reflect.DeepEqual(&in, out) {
 		t.Errorf("round trip lost state:\n in  %+v\n out %+v", in, *out)
+	}
+}
+
+// The lists of the records the reflective walk used to code, against it:
+// the cost model and fault rates of the boot configuration, the plane's
+// counters, and Aux — nil, a nil argv, an empty one and full ones — in
+// the oracle's interface form. A process body in Aux fails the encode.
+func TestRecordFieldLists(t *testing.T) {
+	wiretest.SameAsValue(t, wiretest.Random[CostModel])
+	wiretest.SameAsValue(t, wiretest.Random[IPCFaultConfig])
+	wiretest.SameAsValue(t, wiretest.Random[IPCStats])
+	wiretest.SameAsAny(t, codeAux, func(r *rand.Rand) any {
+		switch r.Intn(4) {
+		case 0:
+			return nil
+		case 1:
+			return []string(nil)
+		case 2:
+			return []string{}
+		}
+		return wiretest.Random[[]string](r)
+	})
+	var body any = Body(func(*Context) {})
+	c := wire.Encoding(wire.NewEncoder())
+	if codeAux(c, &body); c.Err() == nil {
+		t.Error("a process body in Aux encoded without error")
 	}
 }
 

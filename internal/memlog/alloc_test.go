@@ -1,6 +1,10 @@
 package memlog
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/wire"
+)
 
 // The logging fast path must be allocation-free when the store is not
 // logging: no undoRec is built, so neither old values nor keys are
@@ -27,15 +31,23 @@ func TestNotLoggingStoresDoNotAllocate(t *testing.T) {
 	}
 }
 
+// rec is a struct element the size of a store record.
+type rec struct {
+	EP, Pages int64
+	Name      string
+}
+
+func (r *rec) Code(c *wire.Codec) {
+	wire.Int(c, &r.EP)
+	wire.Int(c, &r.Pages)
+	c.Str(&r.Name)
+}
+
 // The logged path allocates nothing either once the logs have grown to
 // the request's size: a record is flat and the old value (and key) goes
 // into the container's own typed side log, so nothing is boxed. The
 // Checkpoint each round is the top of the request loop.
 func TestLoggedStoresDoNotAllocate(t *testing.T) {
-	type rec struct {
-		EP, Pages int64
-		Name      string
-	}
 	for _, mode := range []Instrumentation{Unoptimized, Optimized} {
 		s := NewStore("alloc", mode)
 		s.SetLogging(true)

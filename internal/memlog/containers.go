@@ -18,6 +18,17 @@ func typeSig[T any]() string {
 	return reflect.TypeOf((*T)(nil)).Elem().String()
 }
 
+// mustCode panics, naming the container, unless wire has a route for T:
+// a container's elements cross the store image and the fingerprint
+// through wire.Elem, and a type without one — a named integer kind, a
+// float, a struct with no Code(*wire.Codec) field list — would otherwise
+// fail there, at the first snapshot, far from its declaration.
+func mustCode[T any](id string) {
+	if !wire.Typed[T]() {
+		panic(fmt.Sprintf("memlog: container %q holds %s, which has no wire codec (give it a Code(*wire.Codec) field list)", id, typeSig[T]()))
+	}
+}
+
 // sigArrow joins a map's key and value signatures into its own.
 const sigArrow = "→"
 
@@ -41,6 +52,7 @@ func newCell[T any](s *Store, id string, v T) *Cell[T] {
 // holds a cell with this name (a clone built over transferred state),
 // the existing cell is returned and init is ignored.
 func NewCell[T any](s *Store, id string, init T) *Cell[T] {
+	mustCode[T](id)
 	if existing := s.lookup(id); existing != nil {
 		c, ok := existing.(*Cell[T])
 		if !ok {
@@ -156,6 +168,8 @@ type mapOld[K comparable, V any] struct {
 // NewMap registers an empty map named id, or returns the existing one
 // on a cloned store.
 func NewMap[K comparable, V any](s *Store, id string) *Map[K, V] {
+	mustCode[K](id)
+	mustCode[V](id)
 	if existing := s.lookup(id); existing != nil {
 		m, ok := existing.(*Map[K, V])
 		if !ok {
@@ -366,6 +380,7 @@ type sliceOld[T any] struct {
 // NewSlice registers an empty slice named id, or returns the existing
 // one on a cloned store.
 func NewSlice[T any](s *Store, id string) *Slice[T] {
+	mustCode[T](id)
 	if existing := s.lookup(id); existing != nil {
 		sl, ok := existing.(*Slice[T])
 		if !ok {
@@ -561,17 +576,15 @@ func (s *Slice[T]) corrupt(r *sim.RNG) bool {
 // which writes the payload when the codec encodes and reads it when it
 // decodes. Each payload leads with the element-type signature so decoding
 // against changed code fails with a clear error (wire.Codec.Tag). The
-// elements go through wire.Elem and wire.Elems — typed routes for the
-// primitive kinds and for structs that list their fields (wire.Coder),
-// the reflective walk for anything else — and the fingerprint of a struct
-// container hashes these same bytes.
+// elements go through wire.Elem and wire.Elems — routes for the
+// primitive kinds and for structs that list their fields (wire.Coder);
+// the constructors refuse any other element type — and the fingerprint
+// of a struct container hashes these same bytes.
 
 func (c *Cell[T]) codeState(w *wire.Codec) {
 	w.Tag(c.sig)
 	wire.Elem(w, &c.v)
 }
-
-func (c *Cell[T]) typed() bool { return wire.Typed[T]() }
 
 func (m *Map[K, V]) codeState(w *wire.Codec) {
 	w.Tag(m.ksig, sigArrow, m.vsig)
@@ -604,14 +617,10 @@ func (m *Map[K, V]) codeState(w *wire.Codec) {
 	}
 }
 
-func (m *Map[K, V]) typed() bool { return wire.Typed[K]() && wire.Typed[V]() }
-
 func (s *Slice[T]) codeState(w *wire.Codec) {
 	w.Tag(s.sig)
 	wire.Elems(w, &s.v)
 }
-
-func (s *Slice[T]) typed() bool { return wire.Typed[T]() }
 
 // Fingerprint fast paths (see Store.Fingerprint): containers over
 // fixed-width primitive element types feed their contents straight

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 func TestStoreAccessors(t *testing.T) {
@@ -66,6 +67,12 @@ func TestCorruptValueTypes(t *testing.T) {
 	}
 }
 
+// point is a struct element with a field list: corruptValue has no
+// mutation for it.
+type point struct{ X int }
+
+func (p *point) Code(c *wire.Codec) { wire.Int(c, &p.X) }
+
 func TestCorruptMapAndSlice(t *testing.T) {
 	r := sim.NewRNG(9)
 
@@ -89,8 +96,8 @@ func TestCorruptMapAndSlice(t *testing.T) {
 	}
 
 	// Uncorruptible value types: map drops the entry instead.
-	m2 := NewMap[int, struct{ X int }](s, "m2")
-	m2.Set(1, struct{ X int }{1})
+	m2 := NewMap[int, point](s, "m2")
+	m2.Set(1, point{1})
 	if !m2.corrupt(r) {
 		t.Fatal("struct-valued map corrupt reported false")
 	}
@@ -99,8 +106,8 @@ func TestCorruptMapAndSlice(t *testing.T) {
 	}
 
 	// A slice of uncorruptible values reports false.
-	sl2 := NewSlice[struct{ X int }](s, "sl2")
-	sl2.Append(struct{ X int }{})
+	sl2 := NewSlice[point](s, "sl2")
+	sl2.Append(point{})
 	if sl2.corrupt(r) {
 		t.Fatal("struct slice corrupted")
 	}

@@ -166,10 +166,8 @@ type container interface {
 	meta() *contMeta
 	// codeState walks the container's contents through c for the on-disk
 	// store image (image.go): written when c encodes, read when it
-	// decodes. typed reports that the walk has a typed route for every
-	// element (wire.Typed) and never falls back to reflection.
+	// decodes.
 	codeState(c *wire.Codec)
-	typed() bool
 	// fingerprintFast hashes the container's contents directly when its
 	// element types are fixed-width primitives, skipping the wire
 	// encoding; ok=false falls back to hashing what codeState writes

@@ -1,6 +1,8 @@
 package memlog_test
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/boot"
@@ -13,11 +15,11 @@ import (
 )
 
 // TestBootedMachineHasNoReflectiveContainer boots the machine the
-// campaigns run and requires every container of every component store to
-// have a typed route to the wire (wire.Typed): a primitive, or a struct
-// with a field list. A new element type without a list — a seventh
-// struct, a named integer kind — lands here, and not as 13 % of a
-// fork's profile.
+// campaigns run — every container of every component store is built on
+// the way, and a constructor refuses an element type wire has no route
+// for — and then builds one such container to see the refusal. A new
+// element type without a list — a seventh struct, a named integer kind —
+// fails here, at construction, and not at the first snapshot.
 func TestBootedMachineHasNoReflectiveContainer(t *testing.T) {
 	reg := usr.NewRegistry()
 	testsuite.Register(reg)
@@ -29,17 +31,30 @@ func TestBootedMachineHasNoReflectiveContainer(t *testing.T) {
 	defer sys.Shutdown("containers inspected")
 	stores := 0
 	for _, ep := range sys.OS.ComponentOrder() {
-		store := sys.OS.ComponentStore(ep)
-		if store == nil {
-			continue
-		}
-		stores++
-		if names := memlog.UntypedContainers(store); len(names) > 0 {
-			t.Errorf("store %q codes %v by reflection: give the element type a Code(*wire.Codec) field list", store.Label(), names)
+		if sys.OS.ComponentStore(ep) != nil {
+			stores++
 		}
 	}
 	if stores < 5 {
 		t.Fatalf("inspected %d component stores, the machine has at least five", stores)
+	}
+
+	type listless struct{ X int }
+	s := memlog.NewStore("refuses", memlog.Baseline)
+	for name, build := range map[string]func(){
+		"cell":  func() { memlog.NewCell(s, "cell", listless{}) },
+		"key":   func() { memlog.NewMap[float64, int](s, "key") },
+		"value": func() { memlog.NewMap[int, listless](s, "value") },
+		"slice": func() { memlog.NewSlice[seep.Policy](s, "slice") },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), `"`+name+`"`) {
+					t.Errorf("a %s container of a type without a codec: panic %v, want one naming it", name, r)
+				}
+			}()
+			build()
+		}()
 	}
 }
 

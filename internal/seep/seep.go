@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/memlog"
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // Class is the static side-effect classification engraved on a passage.
@@ -192,6 +193,16 @@ type Stats struct {
 	// WindowsOpened counts checkpoints taken; WindowsClosed counts
 	// in-request closures caused by a SEEP (not top-of-loop resets).
 	WindowsOpened, WindowsClosed uint64
+}
+
+// Code lists the statistics' fields, for the on-disk image.
+func (s *Stats) Code(c *wire.Codec) {
+	c.Uvarint(&s.BlocksIn)
+	c.Uvarint(&s.BlocksOut)
+	wire.Uint(c, &s.CyclesIn)
+	wire.Uint(c, &s.CyclesOut)
+	c.Uvarint(&s.WindowsOpened)
+	c.Uvarint(&s.WindowsClosed)
 }
 
 // BlockCoverage returns the fraction of basic blocks executed inside

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/memlog"
+	"repro/internal/wire/wiretest"
 )
 
 func TestClassStateModifying(t *testing.T) {
@@ -295,4 +296,9 @@ func TestPropertyEnhancedWindowContainsPessimistic(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Stats' field list against the reflective walk of its declaration.
+func TestStatsFieldList(t *testing.T) {
+	wiretest.SameAsValue(t, wiretest.Random[Stats])
 }

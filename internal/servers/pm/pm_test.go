@@ -270,5 +270,5 @@ func TestCloneRebindKeepsTable(t *testing.T) {
 // The process record's field list against its definition, the reflective
 // walk of the declaration: same bytes, and back.
 func TestProcEntryFieldList(t *testing.T) {
-	wiretest.SameAsValue(t, true, wiretest.Random[procEntry])
+	wiretest.SameAsValue(t, wiretest.Random[procEntry])
 }

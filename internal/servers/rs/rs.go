@@ -227,9 +227,18 @@ type rsForkState struct {
 	Quarantined map[kernel.Endpoint]bool
 }
 
-// The fork state crosses the on-disk image boundary as a registered
-// interface payload.
-func init() { wire.Register("rs.forkState", rsForkState{}) }
+// Code lists the fork state's fields.
+func (s *rsForkState) Code(c *wire.Codec) {
+	wire.Map(c, &s.Outstanding, wire.Int[kernel.Endpoint], wire.Int[int])
+	wire.Map(c, &s.Quarantined, wire.Int[kernel.Endpoint], (*wire.Codec).Bool)
+}
+
+// CodeForkState codes the slot that holds what ForkSnapshot returns —
+// nil, or the fork state under its tag rs.forkState — for the on-disk
+// image and the transient digest.
+func CodeForkState(c *wire.Codec, p *any) {
+	wire.Tagged(c, p, "rs.forkState", wire.Elem[rsForkState])
+}
 
 // ForkSnapshot deep-copies the transient prober state (core.Forkable).
 func (r *RS) ForkSnapshot() any {

@@ -1,6 +1,7 @@
 package rs
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/kernel"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/seep"
 	"repro/internal/sim"
+	"repro/internal/wire/wiretest"
 )
 
 // harness runs RS with heartbeats against a counting ping responder.
@@ -208,5 +210,18 @@ func TestDSEventAbsorbedAndPing(t *testing.T) {
 		if r := ctx.SendRec(kernel.EpRS, kernel.Message{Type: 996}); r.Errno != kernel.ENOSYS {
 			t.Errorf("unknown = %v", r.Errno)
 		}
+	})
+}
+
+// The fork state's field list against the reflective walk of its
+// declaration, alone and in its slot, nil or under its tag.
+func TestForkStateFieldList(t *testing.T) {
+	wiretest.SameAsValue(t, wiretest.Random[rsForkState])
+	wiretest.Register("rs.forkState", rsForkState{})
+	wiretest.SameAsAny(t, CodeForkState, func(r *rand.Rand) any {
+		if r.Intn(4) == 0 {
+			return nil
+		}
+		return wiretest.Random[rsForkState](r)
 	})
 }

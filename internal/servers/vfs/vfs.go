@@ -781,9 +781,15 @@ type vfsForkState struct {
 	NextTag int64
 }
 
-// The fork state crosses the on-disk image boundary as a registered
-// interface payload.
-func init() { wire.Register("vfs.forkState", vfsForkState{}) }
+// Code lists the fork state's fields.
+func (s *vfsForkState) Code(c *wire.Codec) { wire.Int(c, &s.NextTag) }
+
+// CodeForkState codes the slot that holds what ForkSnapshot returns —
+// nil, or the fork state under its tag vfs.forkState — for the on-disk
+// image and the transient digest.
+func CodeForkState(c *wire.Codec, p *any) {
+	wire.Tagged(c, p, "vfs.forkState", wire.Elem[vfsForkState])
+}
 
 // ForkSnapshot captures the tag cursor (core.Forkable). tagBase is not
 // captured: RunLoop recomputes it from the restored counters, which

@@ -2,6 +2,7 @@ package vfs
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"repro/internal/kernel"
@@ -437,10 +438,19 @@ func TestExitDropsSuspendedWaiters(t *testing.T) {
 	}
 }
 
-// The field lists of VFS's three records against their definition, the
-// reflective walk of the declarations: same bytes, and back.
+// The field lists of VFS's three records and its fork state against their
+// definition, the reflective walk of the declarations: same bytes, and
+// back; the fork state also in its slot, nil or under its tag.
 func TestFieldLists(t *testing.T) {
-	wiretest.SameAsValue(t, true, wiretest.Random[fdEnt])
-	wiretest.SameAsValue(t, true, wiretest.Random[pipeEnt])
-	wiretest.SameAsValue(t, true, wiretest.Random[pipeWaiter])
+	wiretest.SameAsValue(t, wiretest.Random[fdEnt])
+	wiretest.SameAsValue(t, wiretest.Random[pipeEnt])
+	wiretest.SameAsValue(t, wiretest.Random[pipeWaiter])
+	wiretest.SameAsValue(t, wiretest.Random[vfsForkState])
+	wiretest.Register("vfs.forkState", vfsForkState{})
+	wiretest.SameAsAny(t, CodeForkState, func(r *rand.Rand) any {
+		if r.Intn(4) == 0 {
+			return nil
+		}
+		return wiretest.Random[vfsForkState](r)
+	})
 }

@@ -236,5 +236,5 @@ func pick(r *sim.RNG, live map[int64]bool) int64 {
 // The address space's field list against its definition, the reflective
 // walk of the declaration: same bytes, and back.
 func TestSpaceFieldList(t *testing.T) {
-	wiretest.SameAsValue(t, true, wiretest.Random[space])
+	wiretest.SameAsValue(t, wiretest.Random[space])
 }

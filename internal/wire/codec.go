@@ -1,9 +1,9 @@
 package wire
 
 import (
-	"encoding/binary"
-	"fmt"
-	"reflect"
+	"cmp"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -117,7 +117,7 @@ func (c *Codec) Tag(parts ...string) {
 		}
 	}
 	if !same {
-		c.d.fail(fmt.Errorf("wire: type tag %q in the stream, the code expects %q", got, strings.Join(parts, "")))
+		c.d.fail(wireError("wire: type tag " + strconv.Quote(string(got)) + " in the stream, the code expects " + strconv.Quote(strings.Join(parts, ""))))
 	}
 }
 
@@ -141,7 +141,7 @@ func (c *Codec) BlobOf(fill func(*Codec)) {
 			return
 		}
 		if fill(sub); sub.d.err == nil && sub.d.Remaining() != 0 {
-			sub.d.err = fmt.Errorf("wire: %d bytes of a blob left unread", sub.d.Remaining())
+			sub.d.err = wireError("wire: " + strconv.Itoa(sub.d.Remaining()) + " bytes of a blob left unread")
 		}
 		c.d.err = sub.d.err
 		return
@@ -149,32 +149,11 @@ func (c *Codec) BlobOf(fill func(*Codec)) {
 	e, start := c.e, len(c.e.buf)
 	fill(c)
 	n := len(e.buf) - start
-	var head [binary.MaxVarintLen64]byte
-	w := binary.PutUvarint(head[:], uint64(n)+1)
+	var head [10]byte // the longest varint
+	w := len(appendUvarint(head[:0], uint64(n)+1))
 	e.buf = append(e.buf, head[:w]...)
 	copy(e.buf[start+w:], e.buf[start:start+n])
 	copy(e.buf[start:], head[:w])
-}
-
-// Any codes an interface-typed value through the type registry.
-func (c *Codec) Any(p *any) {
-	if c.d != nil {
-		*p, _ = c.d.Any()
-	} else if c.err == nil {
-		c.err = c.e.Any(*p)
-	}
-}
-
-// Value codes the value p points to reflectively (Encoder.Value /
-// Decoder.Value): for exported plain-data structs whose field list is
-// their declaration.
-func (c *Codec) Value(p any) {
-	v := reflect.ValueOf(p).Elem()
-	if c.d != nil {
-		c.d.Value(v)
-	} else if c.err == nil {
-		c.err = c.e.Value(v)
-	}
 }
 
 // Len codes an element count. Every element takes at least a byte, and
@@ -215,7 +194,7 @@ func Int[T signed](c *Codec, p *T) {
 	}
 	v := c.d.Varint()
 	if *p = T(v); int64(*p) != v {
-		c.d.fail(fmt.Errorf("wire: %d overflows %T", v, *p))
+		c.d.fail(overflow(strconv.FormatInt(v, 10)))
 	}
 }
 
@@ -228,7 +207,7 @@ func Uint[T unsigned](c *Codec, p *T) {
 	}
 	v := c.d.Uvarint()
 	if *p = T(v); uint64(*p) != v {
-		c.d.fail(fmt.Errorf("wire: %d overflows %T", v, *p))
+		c.d.fail(overflow(strconv.FormatUint(v, 10)))
 	}
 }
 
@@ -257,4 +236,81 @@ func Slice[T any](c *Codec, p *[]T, elem func(*Codec, *T)) {
 	for i := 0; i < n && c.Err() == nil; i++ {
 		elem(c, &(*p)[i])
 	}
+}
+
+// overflow is the error of a decoded integer its field cannot hold.
+func overflow(v string) error {
+	return wireError("wire: " + v + " overflows the integer kind it is read into")
+}
+
+// Map codes a map in the slice form of its keys — 0 for nil, else the
+// count plus one — with each key, ascending, followed by its value.
+// Decoding, a key the stream repeats keeps its last value.
+func Map[K cmp.Ordered, V any](c *Codec, p *map[K]V, key func(*Codec, *K), val func(*Codec, *V)) {
+	var keys []K
+	if c.d == nil && *p != nil {
+		keys = make([]K, 0, len(*p))
+		for k := range *p {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys)
+	}
+	n := sliceHead(c, &keys)
+	if c.d != nil {
+		*p = nil
+		if keys != nil {
+			*p = make(map[K]V, n)
+		}
+	}
+	for i := 0; i < n && c.Err() == nil; i++ {
+		var v V
+		if c.d == nil {
+			v = (*p)[keys[i]]
+		}
+		key(c, &keys[i])
+		if val(c, &v); c.d != nil {
+			(*p)[keys[i]] = v
+		}
+	}
+}
+
+// Tagged codes *p, an interface slot that is nil or holds a T: nil as the
+// empty tag, a T as the name of T (Tag) followed by T through code. It is
+// the closed form of a payload both ends know the type of. Encoding,
+// anything else in *p fails the walk; decoding, a tag that names another
+// type does, and *p is set only when the walk holds.
+func Tagged[T any](c *Codec, p *any, name string, code func(*Codec, *T)) {
+	var v T
+	var ok bool
+	if d := c.d; d != nil {
+		if d.err == nil && d.off < len(d.buf) && d.buf[d.off] == 0 {
+			d.off++ // the empty tag's zero length
+			*p = nil
+			return
+		}
+	} else if *p == nil {
+		c.Tag()
+		return
+	} else if v, ok = (*p).(T); !ok {
+		c.Fail(wireError("wire: the slot for " + name + " holds another type"))
+		return
+	}
+	c.Tag(name)
+	code(c, &v)
+	if c.d != nil && c.d.err == nil {
+		*p = v
+	}
+}
+
+// Nil codes an interface slot that holds nothing, in Tagged's form of
+// nil: the empty tag. Anything else in the slot or in the stream fails
+// the walk.
+func Nil(c *Codec, p *any) {
+	if c.d != nil {
+		*p = nil
+	} else if *p != nil {
+		c.Fail(wireError("wire: a slot with no payload type holds a value"))
+		return
+	}
+	c.Tag()
 }

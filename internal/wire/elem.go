@@ -1,22 +1,20 @@
 package wire
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "strconv"
 
 // Typed element codecs. A container of values of one type T (memlog's
-// Cell, Map and Slice) codes them through Elem and Elems, which write and
-// read exactly the bytes Encoder.Value and Decoder.Value give a T without
-// walking reflect: a type switch picks the route, per value for Elem and
-// per slice for Elems. Value stays the definition — the equivalence tests
-// hold every typed route to its bytes — and the route of every other
-// type.
+// Cell, Map and Slice) codes them through Elem and Elems: a type switch
+// picks the route, per value for Elem and per slice for Elems — a loop of
+// its own for each primitive kind, the type's field list for a Coder. A
+// type with neither has no route, and memlog refuses to build a container
+// of it. The bytes of every route are those the reflective oracle in
+// wiretest gives a T; the equivalence tests hold every route to them.
 
 // Coder is a struct that lists its fields over a Codec — on the pointer,
-// every field, in declaration order, each in the bytes Value gives its
-// kind (wire.Int for any signed kind, Codec.Str for a string, ...) — so
-// that the one list encodes, decodes and feeds the fingerprint.
+// every field, in declaration order, each in the form of its kind
+// (wire.Int for any signed kind, Codec.Str for a string, wire.Map for a
+// map, ...) — so that the one list encodes, decodes and feeds the
+// fingerprint.
 type Coder interface{ Code(*Codec) }
 
 // Typed reports whether Elem and Elems have a route of their own for T:
@@ -64,14 +62,14 @@ func Elem[T any](c *Codec, p *T) {
 	case Coder:
 		p.Code(c)
 	default:
-		c.Value(p)
+		c.Fail(wireError("wire: an element type with no codec (Typed is false)"))
 	}
 }
 
-// Elems codes a whole []T in Value's slice form — 0 for nil, else the
-// count plus one and the elements; a []byte as one blob — with a loop of
-// its own for each signed integer kind (the frame tables and free lists
-// of the stores); every other typed T goes through Elem an element.
+// Elems codes a whole []T in the slice form — 0 for nil, else the count
+// plus one and the elements; a []byte as one blob — with a loop of its
+// own for each signed integer kind (the frame tables and free lists of
+// the stores); every other T goes through Elem an element.
 func Elems[T any](c *Codec, s *[]T) {
 	switch p := any(s).(type) {
 	case *[]byte:
@@ -87,10 +85,6 @@ func Elems[T any](c *Codec, s *[]T) {
 	case *[]int64:
 		ints(c, p)
 	default:
-		if !Typed[T]() {
-			c.Value(s)
-			return
-		}
 		for i, n := 0, sliceHead(c, s); i < n && c.Err() == nil; i++ {
 			Elem(c, &(*s)[i])
 		}
@@ -113,7 +107,7 @@ func Ints[T signed](c *Codec, s []T) {
 		c.e.Grow(len(s)) // an array: no Len or sliceHead has made room
 		buf := c.e.buf
 		for _, v := range s {
-			buf = binary.AppendVarint(buf, int64(v))
+			buf = appendUvarint(buf, zigzag(int64(v)))
 		}
 		c.e.buf = buf
 		return
@@ -123,21 +117,22 @@ func Ints[T signed](c *Codec, s []T) {
 		return
 	}
 	for i := range s {
-		v, w := binary.Varint(d.buf[off:])
+		u, w := uvarint(d.buf[off:])
 		if w <= 0 {
 			d.fail(errTruncated)
 			break
 		}
 		off += w
+		v := unzigzag(u)
 		if s[i] = T(v); int64(s[i]) != v {
-			d.fail(fmt.Errorf("wire: %d overflows %T", v, s[i]))
+			d.fail(overflow(strconv.FormatInt(v, 10)))
 			break
 		}
 	}
 	d.off = off
 }
 
-// sliceHead codes the head of Value's slice form and returns how many
+// sliceHead codes the head of the slice form and returns how many
 // elements follow, to be coded in place. Encoding, it makes room for
 // them as Len does. Decoding, it sets *p to a slice of exactly the count
 // the stream holds — checked against the bytes left first — or to nil.

@@ -1,12 +1,16 @@
-package wire
+package wire_test
 
 import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	. "repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
-// fuzzTarget has a field of every kind Decoder.Value supports.
+// fuzzTarget has a field of every kind the oracle (wiretest.Decode)
+// supports.
 type fuzzTarget struct {
 	A bool
 	B int8
@@ -51,7 +55,7 @@ type fuzzWide struct {
 func encoded(t *testing.T, x any) []byte {
 	t.Helper()
 	e := NewEncoder()
-	if err := e.Encode(x); err != nil {
+	if err := wiretest.Encode(e, x); err != nil {
 		t.Fatalf("a decoded %T does not encode: %v", x, err)
 	}
 	return e.Bytes()
@@ -64,7 +68,7 @@ func encoded(t *testing.T, x any) []byte {
 // that wrapped an out-of-range varint broke that.)
 func FuzzDecoderValue(f *testing.F) {
 	e := NewEncoder()
-	e.Encode(fuzzTarget{
+	wiretest.Encode(e, fuzzTarget{
 		A: true, B: -1, C: -1 << 40, D: 9, E: 1 << 63, F: 1.5, G: -2.5, H: "h", I: []byte{1},
 		J: []inner{{Name: "x"}}, K: [2]int32{1, 2}, L: map[string]int64{"a": 1},
 		M: map[uint8][]string{3: {"s"}}, N: 7,
@@ -89,9 +93,9 @@ func FuzzDecoderValue(f *testing.F) {
 	f.Add(append(binary.AppendUvarint(nil, 2), over...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var out fuzzTarget
-		if NewDecoder(data).Decode(&out) == nil {
+		if wiretest.Decode(NewDecoder(data), &out) == nil {
 			var wide fuzzWide
-			if err := NewDecoder(data).Decode(&wide); err != nil {
+			if err := wiretest.Decode(NewDecoder(data), &wide); err != nil {
 				t.Fatalf("decodes narrow but not wide: %v", err)
 			}
 			if narrow, full := encoded(t, out), encoded(t, wide); !bytes.Equal(narrow, full) {
@@ -99,12 +103,14 @@ func FuzzDecoderValue(f *testing.F) {
 			}
 		}
 		var s []int32
-		if NewDecoder(data).Decode(&s) == nil {
+		if wiretest.Decode(NewDecoder(data), &s) == nil {
 			var wide []int64
-			if err := NewDecoder(data).Decode(&wide); err != nil || !bytes.Equal(encoded(t, s), encoded(t, wide)) {
+			if err := wiretest.Decode(NewDecoder(data), &wide); err != nil || !bytes.Equal(encoded(t, s), encoded(t, wide)) {
 				t.Fatalf("[]int32 %v, []int64 %v (%v)", s, wide, err)
 			}
 		}
-		NewDecoder(data).Any()
+		wiretest.DecodeAny(NewDecoder(data))
+		var aux any
+		Tagged(Decoding(NewDecoder(data)), &aux, "[]string", Elems[string])
 	})
 }

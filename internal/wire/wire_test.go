@@ -1,4 +1,4 @@
-package wire
+package wire_test
 
 import (
 	"bytes"
@@ -6,6 +6,9 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	. "repro/internal/wire"
+	"repro/internal/wire/wiretest"
 )
 
 type tinyEnum int32
@@ -46,12 +49,12 @@ func sample() outer {
 func TestValueRoundTrip(t *testing.T) {
 	in := sample()
 	e := NewEncoder()
-	if err := e.Encode(in); err != nil {
+	if err := wiretest.Encode(e, in); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
 	var out outer
 	d := NewDecoder(e.Bytes())
-	if err := d.Decode(&out); err != nil {
+	if err := wiretest.Decode(d, &out); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	if d.Remaining() != 0 {
@@ -74,10 +77,10 @@ func TestEncodeDeterministic(t *testing.T) {
 		m2[keys[i]] = int64(i)
 	}
 	e1, e2 := NewEncoder(), NewEncoder()
-	if err := e1.Encode(m1); err != nil {
+	if err := wiretest.Encode(e1, m1); err != nil {
 		t.Fatal(err)
 	}
-	if err := e2.Encode(m2); err != nil {
+	if err := wiretest.Encode(e2, m2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(e1.Bytes(), e2.Bytes()) {
@@ -96,11 +99,11 @@ func TestNilVersusEmpty(t *testing.T) {
 		{B: []byte{}, S: []int64{}, M: map[string]int64{}},
 	} {
 		e := NewEncoder()
-		if err := e.Encode(in); err != nil {
+		if err := wiretest.Encode(e, in); err != nil {
 			t.Fatal(err)
 		}
 		var out s
-		if err := NewDecoder(e.Bytes()).Decode(&out); err != nil {
+		if err := wiretest.Decode(NewDecoder(e.Bytes()), &out); err != nil {
 			t.Fatal(err)
 		}
 		if (in.B == nil) != (out.B == nil) || (in.S == nil) != (out.S == nil) || (in.M == nil) != (out.M == nil) {
@@ -111,18 +114,18 @@ func TestNilVersusEmpty(t *testing.T) {
 
 func TestUnsupportedKinds(t *testing.T) {
 	e := NewEncoder()
-	if err := e.Encode(func() {}); err == nil {
+	if err := wiretest.Encode(e, func() {}); err == nil {
 		t.Fatal("func encoded without error")
 	}
-	if err := e.Encode(make(chan int)); err == nil {
+	if err := wiretest.Encode(e, make(chan int)); err == nil {
 		t.Fatal("chan encoded without error")
 	}
 	x := 3
-	if err := e.Encode(&x); err == nil {
+	if err := wiretest.Encode(e, &x); err == nil {
 		t.Fatal("pointer encoded without error")
 	}
 	type hidden struct{ a int } //nolint:unused
-	if err := e.Encode(hidden{}); err == nil {
+	if err := wiretest.Encode(e, hidden{}); err == nil {
 		t.Fatal("unexported field encoded without error")
 	}
 	_ = hidden{a: 0}
@@ -131,14 +134,14 @@ func TestUnsupportedKinds(t *testing.T) {
 func TestTruncatedStream(t *testing.T) {
 	in := sample()
 	e := NewEncoder()
-	if err := e.Encode(in); err != nil {
+	if err := wiretest.Encode(e, in); err != nil {
 		t.Fatal(err)
 	}
 	full := e.Bytes()
 	for cut := 0; cut < len(full); cut += 7 {
 		var out outer
 		d := NewDecoder(full[:cut])
-		if err := d.Decode(&out); err == nil {
+		if err := wiretest.Decode(d, &out); err == nil {
 			t.Fatalf("truncation at %d/%d decoded without error", cut, len(full))
 		}
 	}
@@ -158,7 +161,7 @@ type regPayload struct {
 }
 
 func TestAnyRegistry(t *testing.T) {
-	Register("wire-test.regPayload", regPayload{})
+	wiretest.Register("wire-test.regPayload", regPayload{})
 
 	for _, in := range []any{
 		nil,
@@ -166,10 +169,10 @@ func TestAnyRegistry(t *testing.T) {
 		regPayload{N: 42, S: "hi"},
 	} {
 		e := NewEncoder()
-		if err := e.Any(in); err != nil {
+		if err := wiretest.EncodeAny(e, in); err != nil {
 			t.Fatalf("Any(%v): %v", in, err)
 		}
-		out, err := NewDecoder(e.Bytes()).Any()
+		out, err := wiretest.DecodeAny(NewDecoder(e.Bytes()))
 		if err != nil {
 			t.Fatalf("decode Any(%v): %v", in, err)
 		}
@@ -179,7 +182,7 @@ func TestAnyRegistry(t *testing.T) {
 	}
 
 	e := NewEncoder()
-	if err := e.Any(struct{ X func() }{}); err == nil {
+	if err := wiretest.EncodeAny(e, struct{ X func() }{}); err == nil {
 		t.Fatal("unregistered type encoded without error")
 	}
 }
@@ -191,7 +194,7 @@ func TestHugeLengthPrefixRejected(t *testing.T) {
 	for _, n := range []uint64{1 << 40, 1<<63 + 1, math.MaxUint64} {
 		stream := binary.AppendUvarint(nil, n)
 		for _, out := range []any{new([]int64), new([]int32), new([]inner), new(map[int64]string)} {
-			if err := NewDecoder(stream).Decode(out); err == nil {
+			if err := wiretest.Decode(NewDecoder(stream), out); err == nil {
 				t.Errorf("length prefix %d accepted into %T", n, out)
 			}
 		}
@@ -206,11 +209,11 @@ func TestIntegerOverflowRejected(t *testing.T) {
 	big, wide := binary.AppendVarint(nil, 1<<40+7), binary.AppendUvarint(nil, 300)
 
 	var i32 int32
-	if err := NewDecoder(big).Decode(&i32); err == nil {
+	if err := wiretest.Decode(NewDecoder(big), &i32); err == nil {
 		t.Errorf("Value: 1<<40+7 decoded into an int32 as %d", i32)
 	}
 	var u8 uint8
-	if err := NewDecoder(wide).Decode(&u8); err == nil {
+	if err := wiretest.Decode(NewDecoder(wide), &u8); err == nil {
 		t.Errorf("Value: 300 decoded into a uint8 as %d", u8)
 	}
 	var kind tinyEnum
@@ -249,11 +252,11 @@ func TestIntegerOverflowRejected(t *testing.T) {
 	}
 	in := ends{math.MinInt32, math.MaxInt32, math.MaxUint8, math.MinInt8, math.MaxInt8}
 	e := NewEncoder()
-	if err := e.Encode(in); err != nil {
+	if err := wiretest.Encode(e, in); err != nil {
 		t.Fatal(err)
 	}
 	var out ends
-	if err := NewDecoder(e.Bytes()).Decode(&out); err != nil || out != in {
+	if err := wiretest.Decode(NewDecoder(e.Bytes()), &out); err != nil || out != in {
 		t.Errorf("range ends: decoded %+v (%v), want %+v", out, err, in)
 	}
 }

@@ -11,29 +11,28 @@ import (
 )
 
 // SameAsValue holds wire.Elem and wire.Elems to their definition for one
-// type: 200 seeded values from gen each encode to exactly the bytes
-// Encoder.Value gives them and decode back equal, alone and as a slice
-// (nil, empty and full). typed is what wire.Typed must say of T — true
-// for a type that is meant to stay off the reflective walk, such as a
-// struct with a field list (wire.Coder), whose list this is the test of.
-func SameAsValue[T any](t testing.TB, typed bool, gen func(*rand.Rand) T) {
+// type: 200 seeded values from gen each encode to exactly the bytes the
+// oracle (Encode) gives them and decode back equal, alone and as a slice
+// (nil, empty and full). For a struct with a field list (wire.Coder) this
+// is the test of the list.
+func SameAsValue[T any](t testing.TB, gen func(*rand.Rand) T) {
 	t.Helper()
 	var zero T
-	if wire.Typed[T]() != typed {
-		t.Errorf("%T: wire.Typed is %v, want %v", zero, !typed, typed)
+	if !wire.Typed[T]() {
+		t.Fatalf("%T: wire.Typed is false: Elem has no route for it", zero)
 	}
 	check := func(what string, v any, code func(*wire.Codec), back any, decode func(*wire.Codec)) {
 		t.Helper()
 		want, got := wire.NewEncoder(), wire.NewEncoder()
-		if err := want.Encode(v); err != nil {
-			t.Fatalf("%T: Value refuses %v: %v", zero, v, err)
+		if err := Encode(want, v); err != nil {
+			t.Fatalf("%T: the oracle refuses %v: %v", zero, v, err)
 		}
 		c := wire.Encoding(got)
 		if code(c); c.Err() != nil {
 			t.Fatalf("%T: %s refuses %v: %v", zero, what, v, c.Err())
 		}
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("%T: %s writes %x for %+v, Value writes %x", zero, what, got.Bytes(), v, want.Bytes())
+			t.Fatalf("%T: %s writes %x for %+v, the oracle writes %x", zero, what, got.Bytes(), v, want.Bytes())
 		}
 		d := wire.NewDecoder(got.Bytes())
 		c = wire.Decoding(d)
@@ -58,9 +57,41 @@ func SameAsValue[T any](t testing.TB, typed bool, gen func(*rand.Rand) T) {
 	}
 }
 
+// SameAsAny holds code, the closed codec of an interface slot, to the
+// oracle's interface form (EncodeAny: the registered name of the type,
+// then the value): 200 seeded values from gen each encode to exactly the
+// oracle's bytes and decode back equal.
+func SameAsAny(t testing.TB, code func(*wire.Codec, *any), gen func(*rand.Rand) any) {
+	t.Helper()
+	r := rand.New(rand.NewSource(24))
+	for i := 0; i < 200; i++ {
+		v := gen(r)
+		want, got := wire.NewEncoder(), wire.NewEncoder()
+		if err := EncodeAny(want, v); err != nil {
+			t.Fatalf("the oracle refuses %#v: %v", v, err)
+		}
+		c := wire.Encoding(got)
+		if code(c, &v); c.Err() != nil {
+			t.Fatalf("the codec refuses %#v: %v", v, c.Err())
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("the codec writes %x for %#v, the oracle writes %x", got.Bytes(), v, want.Bytes())
+		}
+		var back any
+		d := wire.NewDecoder(got.Bytes())
+		if code(wire.Decoding(d), &back); d.Err() != nil || d.Remaining() != 0 {
+			t.Fatalf("decode of %#v: %v, %d bytes left", v, d.Err(), d.Remaining())
+		}
+		if !reflect.DeepEqual(back, v) {
+			t.Fatalf("read %#v back as %#v", v, back)
+		}
+	}
+}
+
 // Random draws a T: booleans, integers of every magnitude and sign the
 // kind holds, short strings and byte slices (a byte slice sometimes nil),
-// floats, and arrays and structs of those.
+// floats, and arrays, structs, slices and maps of those (a slice or map
+// sometimes nil, sometimes empty).
 func Random[T any](r *rand.Rand) T {
 	var v T
 	randomize(r, reflect.ValueOf(&v).Elem())
@@ -99,7 +130,23 @@ func randomize(r *rand.Rand, v reflect.Value) {
 			}
 			return
 		}
-		fallthrough
+		if r.Intn(8) != 0 {
+			n := r.Intn(5)
+			v.Set(reflect.MakeSlice(v.Type(), n, n))
+			for i := 0; i < n; i++ {
+				randomize(r, v.Index(i))
+			}
+		}
+	case reflect.Map:
+		if r.Intn(8) != 0 {
+			v.Set(reflect.MakeMap(v.Type()))
+			for i := r.Intn(5); i > 0; i-- {
+				key, val := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+				randomize(r, key)
+				randomize(r, val)
+				v.SetMapIndex(key, val)
+			}
+		}
 	default:
 		panic(fmt.Sprintf("wiretest: no random %s", v.Type()))
 	}

@@ -1,7 +1,8 @@
-// Package wiretest holds the test support of the one-field-list rule: a
-// filler that gives every field of a value, unexported ones included, a
-// distinct non-zero value, so that encode → decode → reflect.DeepEqual
-// fails when a codec's field list misses one.
+// Package wiretest holds the test support of the one-field-list rule: the
+// reflective oracle every field list is held to (value.go, SameAsValue),
+// and a filler that gives every field of a value, unexported ones
+// included, a distinct non-zero value, so that encode → decode →
+// reflect.DeepEqual fails when a codec's field list misses one.
 package wiretest
 
 import (
