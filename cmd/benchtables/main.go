@@ -4,16 +4,14 @@
 // Usage:
 //
 //	benchtables [-scale quick|full] [-seed N] [-only 1,2,3,4,5,6,f3,mf,ablation,ipc,ckpt]
-//	            [-workers N] [-coldboot] [-noelide] [-snapcache SIZE] [-json out.json]
+//	            [-workers N] [-coldboot] [-noelide] [-json out.json]
 //	            [-list] [-cpuprofile out.pprof] [-memprofile out.pprof]
 //
 // Independent simulated machines fan out across -workers threads; the
 // numbers are bit-identical for every worker count (-workers 1 is the
 // historical serial path). Campaign runs fork from the snapshot ladder
-// of a warm pathfinder machine by default; -snapcache bounds the
-// ladder's snapshot cache in bytes (negative: boot-barrier snapshot
-// only), and -coldboot boots every run from scratch instead — same
-// tables, historical setup cost. Warm-served runs splice a recorded
+// of a warm pathfinder machine by default, and -coldboot boots every run
+// from scratch instead — same tables, historical setup cost. Warm-served runs splice a recorded
 // suffix when the state they park in at a suite barrier is one the
 // pathfinder or an earlier run already executed from, and end a provably
 // wedged run as the hang it is instead of simulating it to the cycle
@@ -35,7 +33,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/eval"
 	"repro/internal/faultinject"
 	"repro/internal/parallel"
@@ -49,7 +46,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "concurrent simulated machines (0 = one per CPU, 1 = serial)")
 		coldBoot   = flag.Bool("coldboot", false, "boot every campaign run from scratch instead of forking a warm image")
 		noElide    = flag.Bool("noelide", false, "execute every run to its end: no tail splice on fingerprint match, no wedge certificate for hung runs (the bit-identity oracle)")
-		snapCache  = flag.String("snapcache", "", "snapshot-ladder cache budget in bytes, with optional KiB/MiB/GiB suffix (empty: built-in default; negative: boot-barrier snapshot only)")
 		list       = flag.Bool("list", false, "print the section keys accepted by -only and exit")
 		jsonPath   = flag.String("json", "", "write a machine-readable report to this file")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -63,13 +59,6 @@ func main() {
 		return
 	}
 	plane := faultinject.PlaneOptions{ColdBoot: *coldBoot, NoElide: *noElide}
-	if *snapCache != "" {
-		var err error
-		if plane.SnapshotCacheBytes, err = core.ParseByteSize(*snapCache); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables: -snapcache:", err)
-			os.Exit(2)
-		}
-	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {

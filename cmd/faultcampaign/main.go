@@ -12,7 +12,6 @@
 //	faultcampaign [-policy all|enhanced|...] [-model failstop|edfi|ipcmix]
 //	              [-samples N] [-maxruns N] [-seed N] [-profile]
 //	              [-faults N] [-runs N] [-workers N] [-coldboot] [-noelide]
-//	              [-snapcache SIZE]
 //	              [-record DIR] [-resume JOURNAL] [-quiet] [-gate=false]
 //	              [-ipcfaults] [-droprate BP] [-duprate BP] [-delayrate BP]
 //	              [-reorderrate BP] [-corruptrate BP] [-ipcseed N]
@@ -40,9 +39,6 @@
 //     detail lines (warm-plane stats, inconsistent seeds) but keeps
 //     the tables.
 //
-// -snapcache takes a byte count with an optional KiB/MiB/GiB suffix;
-// malformed values are rejected at startup.
-//
 // All basis-point rates must lie in [0, 10000].
 //
 // The -model ipcmix campaign arms one transport fault (drop, duplicate,
@@ -59,10 +55,8 @@
 // (-workers 1 is the historical serial path). Runs fork from the
 // snapshot ladder of one warm pathfinder machine per policy: each armed
 // run resumes from the deepest captured mid-suite rung before its
-// trigger. -snapcache bounds the ladder's snapshot cache in bytes
-// (negative: boot-barrier snapshot only; default 256 MiB), and -coldboot
-// boots every run from scratch instead — same results, historical setup
-// cost. Once a warm run's
+// trigger; -coldboot boots every run from scratch instead — same
+// results, historical setup cost. Once a warm run's
 // fault has fully recovered and the state it parks in at a suite barrier
 // is one the pathfinder — or an earlier armed run that executed to a
 // clean end — already executed from, the remaining suite suffix is
@@ -87,7 +81,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/faultinject"
 	"repro/internal/kernel"
 	"repro/internal/seep"
@@ -106,7 +99,6 @@ func main() {
 		workers    = flag.Int("workers", 0, "concurrent boots (0 = one per CPU, 1 = serial)")
 		coldBoot   = flag.Bool("coldboot", false, "boot every run from scratch instead of forking a warm image")
 		noElide    = flag.Bool("noelide", false, "execute every warm run to its end: no suffix table and no tail splice, no wedge certificate for hung runs (the bit-identity oracle)")
-		snapCache  = flag.String("snapcache", "", "snapshot-ladder cache budget in bytes, with optional KiB/MiB/GiB suffix (empty: built-in default; negative: boot-barrier snapshot only)")
 		recordDir  = flag.String("record", "", "write a replayable JSON trace for every failed/degraded/inconsistent run into this directory")
 		resumePath = flag.String("resume", "", "journal completed runs to this file and resume from it after a crash (single -policy campaigns only)")
 		quiet      = flag.Bool("quiet", false, "suppress per-run detail (warm-plane stats, inconsistent seeds); tables only")
@@ -125,13 +117,6 @@ func main() {
 	)
 	flag.Parse()
 	plane := faultinject.PlaneOptions{ColdBoot: *coldBoot, NoElide: *noElide}
-	if *snapCache != "" {
-		var err error
-		if plane.SnapshotCacheBytes, err = core.ParseByteSize(*snapCache); err != nil {
-			fmt.Fprintln(os.Stderr, "faultcampaign: -snapcache:", err)
-			os.Exit(2)
-		}
-	}
 
 	if err := validateBPFlags([]bpFlag{
 		{"droprate", *dropRate}, {"duprate", *dupRate}, {"delayrate", *delayRate},

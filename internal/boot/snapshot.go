@@ -8,8 +8,6 @@
 package boot
 
 import (
-	"fmt"
-
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/memlog"
@@ -37,34 +35,6 @@ type Snapshot struct {
 	// built from the same code.
 	Registry *usr.Registry
 	Opts     Options
-}
-
-// Capture boots a machine with opts and initProg, drives it to the
-// workload's Barrier call, and captures it. The source machine is torn
-// down before returning. It fails when the workload never reaches a
-// barrier within limit cycles or the machine is not quiescent there
-// (e.g. a recovery happened during boot) — callers fall back to cold
-// boots in that case.
-func Capture(opts Options, limit sim.Cycles, initProg usr.Program, initArgs ...string) (*Snapshot, error) {
-	sys := Boot(opts, initProg, initArgs...)
-	return CaptureSystem(sys, opts, limit)
-}
-
-// CaptureSystem is Capture over a machine the caller booted (with the
-// same opts) and possibly instrumented — e.g. with a point hook counting
-// pre-barrier site executions. The machine must not have run yet.
-func CaptureSystem(sys *System, opts Options, limit sim.Cycles) (*Snapshot, error) {
-	if !sys.Kernel().RunToBarrier(limit) {
-		sys.Shutdown("warm-capture: barrier not reached")
-		return nil, fmt.Errorf("boot: workload finished without reaching a barrier")
-	}
-	snap, err := CaptureParked(sys, opts)
-	if err != nil {
-		sys.Shutdown("warm-capture: not quiescent")
-		return nil, err
-	}
-	sys.Shutdown("warm-capture complete")
-	return snap, nil
 }
 
 // CaptureParked captures a machine the caller already parked at a

@@ -33,6 +33,23 @@ func coldSuiteRun(t *testing.T, seed uint64) (kernel.Result, testsuite.Report) {
 	return res, report
 }
 
+// captureBoot boots the suite under seed, parks it at the boot barrier
+// and captures it.
+func captureBoot(t *testing.T, seed uint64) *Snapshot {
+	t.Helper()
+	opts := suiteOpts(seed)
+	sys := Boot(opts, testsuite.RunnerInit(new(testsuite.Report)))
+	defer sys.Shutdown("captured")
+	if !sys.Kernel().RunToBarrier(testLimit) {
+		t.Fatal("suite never reached the boot barrier")
+	}
+	snap, err := CaptureParked(sys, opts)
+	if err != nil {
+		t.Fatalf("CaptureParked: %v", err)
+	}
+	return snap
+}
+
 // forkSuiteRun forks a machine from snap and runs the post-barrier
 // suite phase.
 func forkSuiteRun(t *testing.T, snap *Snapshot, seed uint64) (kernel.Result, testsuite.Report) {
@@ -57,10 +74,7 @@ func TestWarmForkMatchesColdBoot(t *testing.T) {
 		t.Fatalf("cold suite: %d ran, %d failed (%v)", coldRep.Ran, coldRep.Failed, coldRep.FailedNames)
 	}
 
-	snap, err := Capture(suiteOpts(seed), testLimit, testsuite.RunnerInit(new(testsuite.Report)))
-	if err != nil {
-		t.Fatalf("Capture: %v", err)
-	}
+	snap := captureBoot(t, seed)
 	warmRes, warmRep := forkSuiteRun(t, snap, seed)
 	if !reflect.DeepEqual(coldRes, warmRes) {
 		t.Errorf("kernel result differs:\ncold %+v\nwarm %+v", coldRes, warmRes)
@@ -74,10 +88,7 @@ func TestWarmForkMatchesColdBoot(t *testing.T) {
 // one image captured under one seed serves a different run seed
 // bit-identically to a cold boot with that seed.
 func TestWarmForkSeedIndependence(t *testing.T) {
-	snap, err := Capture(suiteOpts(1), testLimit, testsuite.RunnerInit(new(testsuite.Report)))
-	if err != nil {
-		t.Fatalf("Capture: %v", err)
-	}
+	snap := captureBoot(t, 1)
 	const otherSeed = 99
 	coldRes, coldRep := coldSuiteRun(t, otherSeed)
 	warmRes, warmRep := forkSuiteRun(t, snap, otherSeed)
@@ -93,10 +104,7 @@ func TestWarmForkSeedIndependence(t *testing.T) {
 // yields identical results.
 func TestWarmForkSnapshotImmutable(t *testing.T) {
 	const seed = 3
-	snap, err := Capture(suiteOpts(seed), testLimit, testsuite.RunnerInit(new(testsuite.Report)))
-	if err != nil {
-		t.Fatalf("Capture: %v", err)
-	}
+	snap := captureBoot(t, seed)
 	firstRes, firstRep := forkSuiteRun(t, snap, seed)
 	mustComplete(t, firstRes)
 	secondRes, secondRep := forkSuiteRun(t, snap, seed)

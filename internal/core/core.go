@@ -9,8 +9,6 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"strconv"
 	"strings"
 
 	"repro/internal/kernel"
@@ -147,15 +145,6 @@ type Config struct {
 	// abandoned to the dead-letter counter. Zero = default (4).
 	// Requires IPCTimeoutCycles > 0.
 	IPCRetryMax int
-
-	// SnapshotCacheBytes budgets the mid-suite snapshot ladder: the
-	// byte-bounded LRU cache of per-program quiescence snapshots that
-	// fault campaigns fork armed runs from. It never changes machine
-	// behavior (NewOS ignores it — campaign outcomes are bit-identical
-	// at any budget); it only trades memory for how deep into the suite
-	// a fork can start. Zero = default (256 MiB); negative disables the
-	// ladder, keeping only the post-install boot snapshot.
-	SnapshotCacheBytes int64
 }
 
 // Code lists the configuration's fields, in declaration order, for the
@@ -180,7 +169,6 @@ func (cfg *Config) Code(c *wire.Codec) {
 	c.Uvarint(&cfg.IPCFaultSeed)
 	wire.Int(c, &cfg.IPCTimeoutCycles)
 	wire.Int(c, &cfg.IPCRetryMax)
-	wire.Int(c, &cfg.SnapshotCacheBytes)
 }
 
 // DefaultIPCTimeoutCycles is the recommended base sender timeout when
@@ -188,45 +176,6 @@ func (cfg *Config) Code(c *wire.Codec) {
 // requests (fork, exec, device I/O) do not time out spuriously, short
 // enough that several retries fit into a run.
 const DefaultIPCTimeoutCycles int64 = 400_000
-
-// DefaultSnapshotCacheBytes is the snapshot-ladder budget used when
-// Config.SnapshotCacheBytes is zero.
-const DefaultSnapshotCacheBytes int64 = 256 << 20
-
-// ParseByteSize parses a byte-count string: a plain integer number of
-// bytes, optionally suffixed with KiB, MiB or GiB (binary multiples).
-// Negative values are allowed — the snapshot-cache convention uses them
-// to disable the ladder. The empty string is an error; callers decide
-// what "unset" means.
-func ParseByteSize(s string) (int64, error) {
-	num, mult := s, int64(1)
-	for _, sfx := range []struct {
-		tag  string
-		mult int64
-	}{{"KiB", 1 << 10}, {"MiB", 1 << 20}, {"GiB", 1 << 30}} {
-		if strings.HasSuffix(s, sfx.tag) {
-			num, mult = strings.TrimSuffix(s, sfx.tag), sfx.mult
-			break
-		}
-	}
-	v, err := strconv.ParseInt(strings.TrimSpace(num), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("core: bad byte size %q (want an integer with optional KiB/MiB/GiB suffix)", s)
-	}
-	if mult > 1 && (v > math.MaxInt64/mult || v < math.MinInt64/mult) {
-		return 0, fmt.Errorf("core: byte size %q overflows", s)
-	}
-	return v * mult, nil
-}
-
-// SnapshotCacheBudget resolves SnapshotCacheBytes against the built-in
-// default. Negative means the ladder is disabled.
-func (c Config) SnapshotCacheBudget() int64 {
-	if c.SnapshotCacheBytes != 0 {
-		return c.SnapshotCacheBytes
-	}
-	return DefaultSnapshotCacheBytes
-}
 
 // Validate rejects nonsensical configurations. NewOS panics on invalid
 // configs, so misconfiguration surfaces at boot, not mid-run.

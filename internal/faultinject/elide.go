@@ -89,7 +89,7 @@ import (
 // decision, whose tail half runElidable fills in.
 type elider struct {
 	l *ladder
-	// sv starts as forked(rung) and ends as how the run was ultimately
+	// sv starts as the fork from its rung and ends as how the run was ultimately
 	// served: spliced, certified wedged, or executed in full and charged
 	// a fallback reason.
 	sv Serving

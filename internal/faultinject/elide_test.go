@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/parallel"
 	"repro/internal/seep"
@@ -26,7 +27,7 @@ var noElidePlane = PlaneOptions{NoElide: true}
 // executedInFull reports whether sv is a warm fork that executed to its
 // end and was charged reason.
 func executedInFull(sv Serving, reason string) bool {
-	return (sv.Plane == PlaneBootFork || sv.Plane == PlaneLadder) && sv.Fallback == reason
+	return sv.Plane == PlaneForked && sv.Fallback == reason
 }
 
 // elideTestPlan returns the standing elision campaign — large enough
@@ -165,12 +166,20 @@ func TestElideFallbackPinned(t *testing.T) {
 	}
 }
 
-// A negative cache budget tears the pathfinder down at rung 0, so no
-// walk tail is ever recorded: runs whose faults fully recover reach the
-// fingerprint gates but find no tail to splice.
+// A walk cut at rung 0 never records its tail, so the suffix table
+// never opens: runs whose faults fully recover reach the fingerprint
+// gates but find no tail to splice.
 func TestElideFallbackNoTail(t *testing.T) {
 	cfg, profile, oracle := elideTestPlan(t)
-	cfg.Plane.SnapshotCacheBytes = -1
+	prev := buildLadder
+	buildLadder = func(cfg core.Config, noElide bool, budget int64) *ladder {
+		l := newLadder(cfg, noElide, budget)
+		if l != nil {
+			l.finish("test: walk cut at rung 0")
+		}
+		return l
+	}
+	defer func() { buildLadder = prev }()
 	res, stats := RunCampaign(cfg, profile)
 	if !reflect.DeepEqual(oracle, res) {
 		t.Errorf("tail-less campaign diverged:\nwant: %+v\ngot:  %+v", oracle, res)
@@ -483,7 +492,7 @@ func armedRun(t *testing.T, a *ArmedRunner, seed uint64, inj Injection) (RunResu
 	if err != nil {
 		t.Fatal(err)
 	}
-	el := &elider{l: l, sv: forked(idx)}
+	el := &elider{l: l, sv: Serving{Plane: PlaneForked, Rung: idx}}
 	res := execute(sys, &report, spec, seed, rg.counts, el)
 	a.r.mu.Lock()
 	a.r.stats.add(el.sv)
@@ -654,7 +663,7 @@ func TestElideLateHitAndPublication(t *testing.T) {
 // randomness and ran no recovery since would be.
 func tableLadder(t *testing.T) (*ladder, candidate, testsuite.Report, suffixStamp) {
 	t.Helper()
-	l := newLadder(planeClass{kind: kindSingle}.config(seep.PolicyEnhanced, 42), false)
+	l := newLadder(planeClass{kind: kindSingle}.config(seep.PolicyEnhanced, 42), false, ladderBudget)
 	if l == nil {
 		t.Fatal("pathfinder failed to reach the boot barrier")
 	}
@@ -747,16 +756,16 @@ func TestElidePublishRefusesCrashedRun(t *testing.T) {
 	}
 }
 
-// (b) A snapshot budget the ladder's own records already exhaust has no
-// room for an armed run's entry: runs still splice the pathfinder's
-// entries (the ladder charges those regardless), nothing rejoins, and the
-// results do not move.
+// (b) A ladder cap its own records already exhaust has no room for an
+// armed run's entry: runs still splice the pathfinder's entries (the
+// ladder charges those regardless), nothing rejoins, and the results do
+// not move.
 func TestElidePublishRefusesWithoutBudget(t *testing.T) {
 	cfg, plan := rejoinPlan(t)
-	cfg.Plane.SnapshotCacheBytes = 1
+	withLadderBudget(t, 1)
 	results, _, stats := servedPass(cfg, plan, 1)
 	if !reflect.DeepEqual(rejoinCold(cfg, plan), results) {
-		t.Error("results moved under a one-byte snapshot budget")
+		t.Error("results moved under a one-byte ladder cap")
 	}
 	if stats.Rejoined != 0 {
 		t.Errorf("%d runs rejoined entries the budget had no room for", stats.Rejoined)

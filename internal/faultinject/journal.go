@@ -209,8 +209,10 @@ func scanJournal(data []byte, want JournalHeader) (map[int]journalEntry, int64, 
 		if err := json.Unmarshal(payload, &e); err != nil {
 			break // checksummed but unparsable: treat as corrupt tail
 		}
-		if (e.Single == nil) == (e.Multi == nil) {
-			break // malformed entry: exactly one result kind expected
+		// Malformed: exactly one result kind, the journal's, at a plan
+		// index. No lookup could return anything else.
+		if (e.Single == nil) == (e.Multi == nil) || (e.Multi != nil) != (want.Kind == TraceMulti) || e.Index < 0 {
+			break
 		}
 		entries[e.Index] = e
 		off += n

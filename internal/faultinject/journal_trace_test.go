@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -407,4 +408,164 @@ func TestCampaignOnResultSeesJournaledRuns(t *testing.T) {
 			t.Fatalf("OnResult order: got %v, want plan order", seen)
 		}
 	}
+}
+
+// journalImage is a journal file holding hdr and entries, built in
+// memory exactly as OpenJournal and RecordRun write one.
+func journalImage(t testing.TB, hdr JournalHeader, entries ...journalEntry) []byte {
+	t.Helper()
+	out := []byte(JournalMagic)
+	payload, err := json.Marshal(hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = append(out, frameRecord(payload)...)
+	for _, e := range entries {
+		if payload, err = json.Marshal(e); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, frameRecord(payload)...)
+	}
+	return out
+}
+
+func singleEntry(i int) journalEntry {
+	rr := sampleRunResult(i)
+	return journalEntry{Index: i, Single: &rr}
+}
+
+func multiEntry(i int) journalEntry {
+	return journalEntry{Index: i, Multi: &MultiRunResult{Outcome: OutcomePass, Seed: uint64(i)}}
+}
+
+// TestJournalRefusesEntriesNoLookupReads: an entry with a negative index,
+// or of the other campaign kind, passes its checksum but no lookup ever
+// returns it. Kept, it inflated Resumed — faultcampaign's "resuming N
+// runs" — so it is the corrupt tail, and everything after it goes.
+func TestJournalRefusesEntriesNoLookupReads(t *testing.T) {
+	multiHdr := journalTestHeader()
+	multiHdr.Kind = TraceMulti
+	negative := singleEntry(2)
+	negative.Index = -1
+	for name, c := range map[string]struct {
+		hdr     JournalHeader
+		entries []journalEntry
+		want    int
+	}{
+		"negative index":                  {journalTestHeader(), []journalEntry{singleEntry(0), singleEntry(1), negative, singleEntry(3)}, 2},
+		"multi entry in a single journal": {journalTestHeader(), []journalEntry{singleEntry(0), multiEntry(1), singleEntry(2)}, 1},
+		"single entry in a multi journal": {multiHdr, []journalEntry{multiEntry(0), multiEntry(1), singleEntry(2), multiEntry(3)}, 2},
+	} {
+		path := filepath.Join(t.TempDir(), "j")
+		if err := os.WriteFile(path, journalImage(t, c.hdr, c.entries...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, resumed, err := OpenJournal(path, c.hdr)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		j.Close()
+		if resumed != c.want {
+			t.Errorf("%s: resumed %d entries, want %d", name, resumed, c.want)
+		}
+	}
+}
+
+// FuzzScanJournal: any byte string scans as a journal or as an error,
+// never a panic; the intact prefix lies within the input, holds only
+// entries a lookup can return, and scans again to the same entries.
+func FuzzScanJournal(f *testing.F) {
+	hdr := journalTestHeader()
+	var entries []journalEntry
+	for i := 0; i < 6; i++ {
+		entries = append(entries, singleEntry(i))
+	}
+	clean := journalImage(f, hdr, entries...)
+	// TestJournalTornAndCorruptTails's shapes, and the entries no lookup
+	// reads.
+	flipped := append([]byte(nil), clean...)
+	flipped[len(flipped)-3] ^= 0x10
+	negative := singleEntry(6)
+	negative.Index = -1
+	for _, seed := range [][]byte{
+		clean,
+		clean[:len(clean)-7],
+		flipped,
+		append(append([]byte(nil), clean...), 0xde, 0xad, 0xbe, 0xef),
+		append(append([]byte(nil), clean...), 0xff, 0xff, 0xff, 0x7f, 1, 2, 3, 4),
+		journalImage(f, hdr, append(entries, negative)...),
+		journalImage(f, hdr, append(entries, multiEntry(6))...),
+		[]byte(JournalMagic),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, goodLen, err := scanJournal(data, hdr)
+		if err != nil {
+			return
+		}
+		if goodLen > int64(len(data)) {
+			t.Fatalf("intact prefix %d bytes of %d", goodLen, len(data))
+		}
+		for i, e := range got {
+			if i != e.Index || i < 0 || e.Single == nil || e.Multi != nil {
+				t.Fatalf("kept entry %d no lookup reads: %+v", i, e)
+			}
+		}
+		again, againLen, err := scanJournal(data[:goodLen], hdr)
+		if err != nil || againLen != goodLen || !reflect.DeepEqual(got, again) {
+			t.Fatalf("the intact prefix rescans differently: %d → %d bytes, %d → %d entries, %v", goodLen, againLen, len(got), len(again), err)
+		}
+	})
+}
+
+// FuzzReadTrace: a trace ReadTraceFile's decode accepts marshals and
+// decodes again to an equal value.
+func FuzzReadTrace(f *testing.F) {
+	single := Trace{
+		Format: TraceFormat, Kind: TraceSingle, Policy: seep.PolicyEnhanced, Seed: 7,
+		Injection: &Injection{Server: "pm", Site: "pm.getpid", Occurrence: 3, Type: FaultCrash},
+		Serving:   "rung:4 full:fingerprint-mismatch",
+		Outcome:   TraceOutcome{Outcome: OutcomeCrash, Triggered: 1, Reason: "panic", Violations: []string{"vfs: dangling inode"}},
+	}
+	multi := Trace{
+		Format: TraceFormat, Kind: TraceMulti, Policy: seep.PolicyPessimistic, Seed: 11,
+		Injections: []MultiInjection{
+			{Injection: Injection{Server: "pm", Site: "pm.getpid", Occurrence: 2, Type: FaultCrash}},
+			{Injection: Injection{Server: "vfs", Site: "vfs.stat", Occurrence: 1, Type: FaultIPCDrop}, Correlated: true, Persistent: true},
+		},
+		IPC:     IPCOptions{Seed: 3, TimeoutCycles: 400000},
+		Outcome: TraceOutcome{Outcome: OutcomeDegradedPass, Triggered: 2, Recoveries: 3, Quarantines: 1, Consistent: true},
+	}
+	for _, tr := range []Trace{single, multi} {
+		data, err := json.MarshalIndent(tr, "", "  ")
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	// What decodes but used not to write back: a record leaving out its
+	// outcome, policy or fault type, and empty lists.
+	for _, seed := range []string{
+		`{"Format":"osiris-trace/v1","Policy":"enhanced"}`,
+		`{"Format":"osiris-trace/v1","Outcome":{"Outcome":"pass"}}`,
+		`{"Format":"osiris-trace/v1","Policy":"naive","Injection":{},"Outcome":{"Outcome":"fail"}}`,
+		`{"Format":"osiris-trace/v1","Policy":"naive","Injections":[],"Outcome":{"Outcome":"fail","Violations":[]}}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := decodeTrace(data)
+		if err != nil {
+			return
+		}
+		out, err := json.Marshal(tr)
+		if err != nil {
+			t.Fatalf("accepted trace does not marshal: %v", err)
+		}
+		again, err := decodeTrace(out)
+		if err != nil || !reflect.DeepEqual(tr, again) {
+			t.Fatalf("accepted trace does not read back (%v):\n%+v\n%+v", err, tr, again)
+		}
+	})
 }

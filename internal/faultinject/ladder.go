@@ -9,11 +9,11 @@ package faultinject
 // fault-point execution counts — is seed-independent. One PATHFINDER
 // machine per (policy, configuration class) therefore walks the suite
 // fault-free, rung by rung, recording at every program boundary the
-// cumulative per-site counts and the suite tallies so far, and lazily
-// capturing a forkable snapshot of the rung into a byte-bounded LRU
-// cache. An armed (site, occurrence) then maps to the deepest rung
-// strictly before its trigger; the run forks from the deepest CACHED
-// rung at or above that, with the occurrence translated into the
+// cumulative per-site counts and the suite tallies so far, and on
+// stride boundaries a forkable snapshot of the rung, while the ladder's
+// byte cap allows. An armed (site, occurrence) then maps to the deepest
+// rung strictly before its trigger; the run forks from the deepest HELD
+// rung at or before that, with the occurrence translated into the
 // rung's frame, and executes only the suffix.
 //
 // Soundness: a fork from rung r is bit-identical to a cold run of the
@@ -115,12 +115,18 @@ type candidate struct {
 	stamp  suffixStamp
 }
 
+// ladderBudget caps what one ladder holds: its rung snapshots plus the
+// records it charges (rung records, suffix-table entries). The whole
+// ladder of the 2 542-run single-fault benchmark campaign fits in
+// 16–32 MiB.
+const ladderBudget int64 = 256 << 20
+
 // ladder is the snapshot ladder of one (policy, configuration class):
 // a single pathfinder machine walked lazily from barrier to barrier,
-// the recorded rungs, and the byte-bounded cache of rung snapshots.
-// Rung records are append-only and never evicted — only snapshots are
-// — so occurrence translation is exact regardless of cache pressure,
-// and lookups are request-order independent.
+// the recorded rungs, and the snapshots held of them. Everything is
+// append-only and nothing is ever evicted, so occurrence translation is
+// exact and the rung a run forks from is a function of the walk — of
+// the plan and the cap — not of the order requests arrive in.
 type ladder struct {
 	mu     sync.Mutex
 	opts   boot.Options
@@ -128,8 +134,15 @@ type ladder struct {
 	report *testsuite.Report // pathfinder's live suite tally
 	counts map[siteKey]int   // pathfinder's live cumulative site counts
 	rungs  []rung
-	cache  *snapCache
-	cands  []candidate // the walk's own candidates, published at its end
+	// snaps[i] is the snapshot of rung i*captureStride. Rung 0's is always
+	// held; each later one is appended while it fits the budget, and the
+	// first that does not fit (or fails to capture) ends capture for good,
+	// so the held rungs are a prefix of the stride rungs.
+	snaps []*boot.Snapshot
+	// budget caps the held snapshots plus the charged records; used is
+	// what they take so far.
+	budget, used int64
+	cands        []candidate // the walk's own candidates, published at its end
 	// noElide pins the ladder's runs to full execution
 	// (PlaneOptions.NoElide): the walk hashes nothing and the table never
 	// opens.
@@ -142,17 +155,15 @@ type ladder struct {
 
 // newLadder boots the pathfinder for cfg (plus the suite registry and
 // heartbeats, exactly as every campaign run boots), drives it to the
-// post-install boot barrier and captures rung 0. Returns nil when the
-// machine never quiesced there — callers fall back to cold boots. When
-// the resolved cache budget is negative the ladder is disabled: the
-// pathfinder is torn down at rung 0 and the ladder degenerates to the
-// PR 7 single-snapshot plane.
-func newLadder(cfg core.Config, noElide bool) *ladder {
+// post-install boot barrier and captures rung 0; the ladder then holds
+// snapshots and records up to budget bytes. Returns nil when the machine
+// never quiesced there — callers fall back to cold boots.
+func newLadder(cfg core.Config, noElide bool, budget int64) *ladder {
 	report := new(testsuite.Report)
 	opts := suiteOptions(cfg)
 	sys := boot.Boot(opts, testsuite.RunnerInit(report))
 
-	l := &ladder{opts: opts, sys: sys, report: report, counts: make(map[siteKey]int), noElide: noElide}
+	l := &ladder{opts: opts, sys: sys, report: report, counts: make(map[siteKey]int), budget: budget, noElide: noElide}
 	names := sys.ComponentNames()
 	sys.Kernel().SetPointHook(func(ep kernel.Endpoint, name, site string) {
 		if _, recoverable := names[ep]; recoverable {
@@ -168,21 +179,17 @@ func newLadder(cfg core.Config, noElide bool) *ladder {
 		sys.Shutdown("ladder: boot barrier not quiescent")
 		return nil
 	}
-	l.cache = newSnapCache(cfg.SnapshotCacheBudget(), snap)
+	l.snaps, l.used = []*boot.Snapshot{snap}, snap.SizeBytes()
 	l.recordRung()
-	if cfg.SnapshotCacheBudget() < 0 {
-		l.finish("ladder: disabled by cache budget")
-	}
 	return l
 }
 
 // recordRung appends the parked pathfinder's rung record — cumulative
 // site counts and suite tally — and, unless elision is pinned off, keeps
 // the rung as a suffix-table candidate. The record's retained bytes are
-// charged against the snapshot cache budget (records are never evicted —
-// they anchor occurrence translation — so their cost comes out of the
-// snapshot side of the budget). Caller holds l.mu with the pathfinder
-// parked at a barrier.
+// charged against the budget whether they fit or not: records anchor
+// occurrence translation, so the ladder cannot do without them. Caller
+// holds l.mu with the pathfinder parked at a barrier.
 func (l *ladder) recordRung() {
 	rg := rung{counts: cloneCounts(l.counts), prefix: cloneReport(*l.report)}
 	// With elision pinned off no armed run will ever look a state up, so
@@ -198,7 +205,7 @@ func (l *ladder) recordRung() {
 		}
 	}
 	l.rungs = append(l.rungs, rg)
-	l.cache.charge(rungRecordBytes(rg))
+	l.used += rungRecordBytes(rg)
 }
 
 // recordTail ends a completed walk: it publishes the rungs as the suffix
@@ -226,9 +233,11 @@ func (l *ladder) recordTail() {
 // so it is a function of the fingerprinted state alone. The first writer
 // of a key wins: by that same argument any later writer would record the
 // same suffix. The pathfinder's publication opens the table (armed runs
-// keep candidates only once lookup reports it open); an armed run's
-// entries (rejoined) are kept only while their bytes still fit the
-// snapshot budget. Caller holds l.mu.
+// keep candidates only once lookup reports it open) and is charged
+// regardless; an armed run's entries (rejoined) are kept only while their
+// bytes still fit the budget. Armed runs publish only after lookup has
+// walked the ladder to its end, so every charge a capture decision sees
+// is made in walk order. Caller holds l.mu.
 func (l *ladder) publish(cands []candidate, end *testsuite.Report, res kernel.Result, clean bool, at suffixStamp, rejoined bool) {
 	if res.Outcome != kernel.OutcomeCompleted || !clean {
 		return
@@ -250,13 +259,13 @@ func (l *ladder) publish(cands []candidate, end *testsuite.Report, res kernel.Re
 		if shared == nil {
 			n += suffixEndBytes(end)
 		}
-		if rejoined && !l.cache.roomFor(n) {
+		if rejoined && l.used+n > l.budget {
 			continue
 		}
 		if shared == nil {
 			shared = &suffixEnd{report: cloneReport(*end), outcome: res.Outcome, reason: res.Reason, rejoined: rejoined}
 		}
-		l.cache.charge(n)
+		l.used += n
 		l.table[c.key] = suffixRecord{
 			end:    shared,
 			ran:    int32(c.prefix.Ran),
@@ -268,8 +277,7 @@ func (l *ladder) publish(cands []candidate, end *testsuite.Report, res kernel.Re
 }
 
 // rungRecordBytes estimates the retained size of one rung record for
-// cache accounting: map header and entries, key strings, and the suite
-// tally.
+// the budget: map header and entries, key strings, and the suite tally.
 func rungRecordBytes(rg rung) int64 {
 	n := int64(128)
 	for key := range rg.counts {
@@ -323,10 +331,10 @@ func (l *ladder) Close() {
 const captureStride = 4
 
 // advance walks the pathfinder to the next program boundary and records
-// the rung, capturing its snapshot into the cache on stride boundaries.
-// A failed capture is non-fatal: the rung's counts still anchor
-// occurrence translation, and serving falls back to an earlier cached
-// rung. Caller holds l.mu.
+// the rung, capturing and holding its snapshot when it is the next
+// stride rung and fits the budget. A rung whose snapshot is not held
+// still anchors occurrence translation through its record; serving falls
+// back to the deepest held rung. Caller holds l.mu.
 func (l *ladder) advance() {
 	if !l.sys.Kernel().RunToBarrier(RunLimit) {
 		// The fault-free suite ran to completion (or hit the limit):
@@ -337,25 +345,27 @@ func (l *ladder) advance() {
 		return
 	}
 	l.recordRung()
-	idx := len(l.rungs) - 1
-	if idx%captureStride != 0 {
+	// Off the stride, or once a stride rung went without a snapshot, there
+	// is nothing to capture.
+	if len(l.rungs)-1 != len(l.snaps)*captureStride {
 		return
 	}
-	if snap, err := boot.CaptureParked(l.sys, l.opts); err == nil {
-		l.cache.add(idx, snap)
+	if snap, err := boot.CaptureParked(l.sys, l.opts); err == nil && l.used+snap.SizeBytes() <= l.budget {
+		l.snaps = append(l.snaps, snap)
+		l.used += snap.SizeBytes()
 	}
 }
 
 // serve picks the rung a run armed with faults forks from: the deepest
-// cached rung strictly before every plain trigger, walking the
-// pathfinder only as deep as this request needs. It returns the serving
-// rung's index, record and snapshot, with ok=false when any occurrence
-// is consumed before the boot barrier (the run must boot cold — PR 7
+// held rung strictly before every plain trigger, walking the pathfinder
+// only as deep as this request needs. It returns the serving rung's
+// index, record and snapshot, with ok=false when any occurrence is
+// consumed before the boot barrier (the run must boot cold — PR 7
 // behavior). Correlated and during-recovery faults anchor nothing; a
 // plan of only those serves rung 0, the one barrier known-sound without
 // a plain trigger. A fault-free run (no faults at all: zero-rate sweep
 // points) has no trigger to stay ahead of, so any rung is sound: the
-// ladder is walked to its end and the deepest cached rung served.
+// ladder is walked to its end and the deepest held rung served.
 func (l *ladder) serve(faults []MultiInjection) (int, rung, *boot.Snapshot, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -389,8 +399,10 @@ func (l *ladder) serve(faults []MultiInjection) (int, rung, *boot.Snapshot, bool
 			best, anchored = b, true
 		}
 	}
-	idx, snap := l.cache.deepest(best)
-	return idx, l.rungs[idx], snap, true
+	// The walk has passed rung best, so every snapshot held at or before
+	// it is captured by now.
+	i := min(best/captureStride, len(l.snaps)-1)
+	return i * captureStride, l.rungs[i*captureStride], l.snaps[i], true
 }
 
 // lookup walks the pathfinder to completion (the walk is amortized across
@@ -425,106 +437,4 @@ func cloneCounts(src map[siteKey]int) map[siteKey]int {
 func cloneReport(src testsuite.Report) testsuite.Report {
 	src.FailedNames = append([]string(nil), src.FailedNames...)
 	return src
-}
-
-// snapCache is the byte-budgeted LRU over rung snapshots. Rung 0 — the
-// boot barrier, the universal fallback — is pinned outside the budget.
-// Snapshots handed out stay valid after eviction (they are immutable
-// and the caller holds a reference); eviction only frees the cache's
-// own reference.
-type snapCache struct {
-	budget int64
-	used   int64
-	// records is the part of used that charge accounted: bytes no
-	// eviction can win back.
-	records int64
-	rung0   *boot.Snapshot
-	snaps   map[int]*boot.Snapshot
-	sizes   map[int]int64
-	lru     []int // least recently used first
-}
-
-func newSnapCache(budget int64, rung0 *boot.Snapshot) *snapCache {
-	return &snapCache{
-		budget: budget,
-		rung0:  rung0,
-		snaps:  make(map[int]*boot.Snapshot),
-		sizes:  make(map[int]int64),
-	}
-}
-
-// add inserts a rung snapshot, evicting least-recently-served rungs
-// until the budget holds. Snapshots larger than the whole budget are
-// not cached at all.
-func (c *snapCache) add(idx int, snap *boot.Snapshot) {
-	if c.budget < 0 {
-		return
-	}
-	size := snap.SizeBytes()
-	if size > c.budget {
-		return
-	}
-	c.snaps[idx] = snap
-	c.sizes[idx] = size
-	c.used += size
-	c.lru = append(c.lru, idx)
-	c.evict()
-}
-
-// charge permanently accounts n bytes of un-evictable ladder records
-// (rung records, suffix-table entries) against the budget, evicting
-// cached snapshots to make room. Records themselves are never evicted —
-// they anchor occurrence translation and elision — so their cost comes
-// out of the snapshot side of the budget.
-func (c *snapCache) charge(n int64) {
-	if c.budget < 0 {
-		return
-	}
-	c.records += n
-	c.used += n
-	c.evict()
-}
-
-// roomFor reports whether n more bytes of records would still fit the
-// budget with every snapshot evicted. The ladder cannot do without its
-// own records and charges them regardless; a campaign's worth of
-// armed-run entries may crowd snapshots out, but must not grow past the
-// bound the user set.
-func (c *snapCache) roomFor(n int64) bool {
-	return c.budget >= 0 && c.records+n <= c.budget
-}
-
-// evict drops least-recently-served snapshots until the budget holds
-// (or no evictable snapshot remains).
-func (c *snapCache) evict() {
-	for c.used > c.budget && len(c.lru) > 0 {
-		victim := c.lru[0]
-		c.lru = c.lru[1:]
-		c.used -= c.sizes[victim]
-		delete(c.snaps, victim)
-		delete(c.sizes, victim)
-	}
-}
-
-// deepest returns the deepest cached rung at or above index 0 and at or
-// below maxIdx, falling back to the pinned rung 0.
-func (c *snapCache) deepest(maxIdx int) (int, *boot.Snapshot) {
-	for i := maxIdx; i >= 1; i-- {
-		if snap, ok := c.snaps[i]; ok {
-			c.touch(i)
-			return i, snap
-		}
-	}
-	return 0, c.rung0
-}
-
-// touch marks a rung most-recently-served.
-func (c *snapCache) touch(idx int) {
-	for i, v := range c.lru {
-		if v == idx {
-			c.lru = append(c.lru[:i], c.lru[i+1:]...)
-			c.lru = append(c.lru, idx)
-			return
-		}
-	}
 }

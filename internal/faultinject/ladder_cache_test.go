@@ -1,119 +1,146 @@
 package faultinject
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/seep"
 )
 
-// Boundary tests for the snapshot-ladder LRU cache itself (the
-// campaign-level pressure tests live in ladder_equiv_test.go). All
-// names start with TestLadder so CI selects them with -run Ladder.
+// Tests of the ladder's capture rule (the campaign-level equivalence
+// tests live in ladder_equiv_test.go). All names start with TestLadder
+// so CI selects them with -run Ladder.
 
-// TestLadderCacheBoundaries drives snapCache through its budget edges
-// with one real rung-0 snapshot reused at several indices: a budget
-// smaller than a single snapshot caches nothing, an exact-fit budget
-// holds without evicting, and one byte past exact fit evicts in
-// least-recently-served order.
-func TestLadderCacheBoundaries(t *testing.T) {
-	l := newLadder(planeClass{kind: kindSingle}.config(seep.PolicyEnhanced, 7), false)
-	if l == nil {
-		t.Fatal("pathfinder failed to reach the boot barrier")
+// withLadderBudget builds every ladder of the test with the given cap,
+// through the buildLadder seam.
+func withLadderBudget(t *testing.T, budget int64) {
+	t.Helper()
+	prev := buildLadder
+	buildLadder = func(cfg core.Config, noElide bool, _ int64) *ladder { return newLadder(cfg, noElide, budget) }
+	t.Cleanup(func() { buildLadder = prev })
+}
+
+// walkTo drives l's pathfinder until rung n is recorded.
+func walkTo(l *ladder, n int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.sys != nil && len(l.rungs) <= n {
+		l.advance()
 	}
-	defer l.Close()
-	snap := l.cache.rung0
-	size := snap.SizeBytes()
-	if size <= 0 {
-		t.Fatalf("rung 0 snapshot reports size %d", size)
+}
+
+// TestLadderCacheBoundaries drives the capture rule through its edges on
+// real walks. A probe at the default cap gives the sizes: rung 0's snapshot,
+// rung captureStride's, and the records charged before the second
+// capture; every ladder of the test boots the same configuration.
+func TestLadderCacheBoundaries(t *testing.T) {
+	cfg := planeClass{kind: kindSingle}.config(seep.PolicyEnhanced, 7)
+	build := func(budget int64) *ladder {
+		t.Helper()
+		l := newLadder(cfg, false, budget)
+		if l == nil {
+			t.Fatal("pathfinder failed to reach the boot barrier")
+		}
+		t.Cleanup(l.Close)
+		return l
+	}
+	probe := build(ladderBudget)
+	walkTo(probe, captureStride)
+	if len(probe.snaps) != 2 {
+		t.Fatalf("default ladder holds %d snapshots at rung %d, want 2", len(probe.snaps), captureStride)
+	}
+	size0, size1 := probe.snaps[0].SizeBytes(), probe.snaps[1].SizeBytes()
+	exact := probe.used
+	if records := exact - size0 - size1; records <= 0 {
+		t.Fatalf("no record bytes charged before the second capture (%d)", records)
 	}
 
 	t.Run("SmallerThanOneSnapshot", func(t *testing.T) {
-		c := newSnapCache(size-1, snap)
-		c.add(1, snap)
-		if len(c.snaps) != 0 || c.used != 0 {
-			t.Fatalf("snapshot larger than the whole budget was cached: %d entries, %d bytes", len(c.snaps), c.used)
+		l := build(size0 - 1)
+		idx, _, snap, ok := l.serve(nil) // walks to the end and serves the deepest held rung
+		if !ok || idx != 0 || snap != l.snaps[0] || len(l.snaps) != 1 {
+			t.Fatalf("served rung %d (ok %v) holding %d snapshots, want rung 0 alone", idx, ok, len(l.snaps))
 		}
-		if idx, got := c.deepest(5); idx != 0 || got != snap {
-			t.Fatalf("deepest fell to rung %d, want the pinned rung 0", idx)
-		}
-	})
-
-	t.Run("ZeroBudget", func(t *testing.T) {
-		c := newSnapCache(0, snap)
-		c.add(1, snap)
-		if len(c.snaps) != 0 {
-			t.Fatal("zero budget still cached a snapshot")
-		}
-		if idx, _ := c.deepest(3); idx != 0 {
-			t.Fatalf("deepest fell to rung %d, want 0", idx)
-		}
-	})
-
-	t.Run("NegativeBudgetDisables", func(t *testing.T) {
-		c := newSnapCache(-1, snap)
-		c.add(1, snap)
-		c.add(2, snap)
-		if len(c.snaps) != 0 || c.used != 0 {
-			t.Fatal("disabled cache accepted snapshots")
-		}
-		if idx, got := c.deepest(2); idx != 0 || got != snap {
-			t.Fatalf("disabled cache served rung %d, want the pinned rung 0", idx)
+		if len(l.rungs) <= captureStride {
+			t.Fatalf("walk recorded only %d rungs", len(l.rungs))
 		}
 	})
 
 	t.Run("ExactFitDoesNotEvict", func(t *testing.T) {
-		c := newSnapCache(2*size, snap)
-		c.add(1, snap)
-		c.add(2, snap)
-		if len(c.snaps) != 2 || c.used != 2*size {
-			t.Fatalf("exact-fit pair evicted: %d entries, %d/%d bytes", len(c.snaps), c.used, 2*size)
+		l := build(exact)
+		walkTo(l, captureStride)
+		if len(l.snaps) != 2 || l.used != exact {
+			t.Fatalf("exact fit holds %d snapshots, %d/%d bytes", len(l.snaps), l.used, exact)
 		}
 	})
 
-	t.Run("EvictsLeastRecentlyServed", func(t *testing.T) {
-		c := newSnapCache(2*size, snap)
-		c.add(1, snap)
-		c.add(2, snap)
-		// Serve rung 1 so rung 2 becomes the eviction victim.
-		if idx, _ := c.deepest(1); idx != 1 {
-			t.Fatalf("deepest(1) served rung %d", idx)
+	t.Run("RecordsCount", func(t *testing.T) {
+		l := build(size0 + size1)
+		walkTo(l, captureStride)
+		if len(l.snaps) != 1 {
+			t.Fatalf("rung %d's snapshot was held with no room left for the records charged before it", captureStride)
 		}
-		c.add(3, snap)
-		if _, ok := c.snaps[2]; ok {
-			t.Fatal("least-recently-served rung 2 survived eviction")
+	})
+
+	t.Run("FirstMissStopsCapture", func(t *testing.T) {
+		l := build(exact - 1)
+		walkTo(l, captureStride)
+		if len(l.snaps) != 1 {
+			t.Fatalf("one byte short of an exact fit still held %d snapshots", len(l.snaps))
 		}
-		if _, ok := c.snaps[1]; !ok {
-			t.Fatal("recently served rung 1 was evicted")
-		}
-		if _, ok := c.snaps[3]; !ok {
-			t.Fatal("newly added rung 3 was evicted instead of the LRU victim")
-		}
-		if c.used != 2*size {
-			t.Fatalf("cache accounts %d bytes after eviction, want %d", c.used, 2*size)
-		}
-		// And with everything beyond the budget gone, deepest still
-		// degrades to rung 0 below the cached range.
-		if idx, got := c.deepest(0); idx != 0 || got != snap {
-			t.Fatalf("deepest(0) served rung %d", idx)
+		l.budget = math.MaxInt64 // every later rung fits now
+		l.serve(nil)
+		if len(l.snaps) != 1 {
+			t.Fatalf("capture resumed after its first miss: %d snapshots held", len(l.snaps))
 		}
 	})
 }
 
-// TestLadderDisabledBudgetWithColdBootPinned combines the two opt-outs
-// (negative cache budget and -coldboot): every run must boot cold, be
-// charged to the cold-boot pin, and still aggregate bit-identically.
-func TestLadderDisabledBudgetWithColdBootPinned(t *testing.T) {
-	cfg, profile, coldRes := ladderTestPlan(t)
-	cfg.Plane = PlaneOptions{ColdBoot: true, SnapshotCacheBytes: -1}
-	res, stats := RunCampaign(cfg, profile)
-	if !reflect.DeepEqual(res, coldRes) {
-		t.Errorf("campaign diverged with ladder disabled + cold boots pinned:\nwant %+v\ngot  %+v", coldRes, res)
+// TestLadderServingIndependentOfWorkers: the held rungs are a function of
+// the walk alone, so at a cap that binds mid-suite (the ladder of the
+// benchmark campaign needs 16–32 MiB) the rung every run forks from and
+// the fork and cold splits are the same at any worker count.
+func TestLadderServingIndependentOfWorkers(t *testing.T) {
+	const budget = 8 << 20
+	var built []*ladder
+	prev := buildLadder
+	buildLadder = func(cfg core.Config, noElide bool, _ int64) *ladder {
+		l := newLadder(cfg, noElide, budget)
+		built = append(built, l)
+		return l
 	}
-	if stats.LadderForks != 0 || stats.BootForks != 0 {
-		t.Errorf("pinned cold-boot campaign still forked: %+v", stats)
+	t.Cleanup(func() { buildLadder = prev })
+
+	profile, err := Profile(42)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if stats.Fallbacks[FallbackColdBootPinned] != stats.Total() || stats.Total() == 0 {
-		t.Errorf("runs not charged to %s: %+v", FallbackColdBootPinned, stats)
+	cfg := CampaignConfig{Policy: seep.PolicyEnhanced, Model: FailStop, Seed: 42, SamplesPerSite: 1, MaxRuns: 48}
+	type split struct {
+		rungs              []int
+		ladder, boot, cold int
+		fallbacks          map[string]int
+	}
+	var ref split
+	for _, workers := range []int{1, 2, 8} {
+		got := split{rungs: make([]int, len(PlanCampaign(cfg, profile)))}
+		cfg.Workers = workers
+		cfg.OnServe = func(i int, sv Serving) { got.rungs[i] = sv.Rung }
+		_, stats := RunCampaign(cfg, profile)
+		got.ladder, got.boot, got.cold, got.fallbacks = stats.LadderForks, stats.BootForks, stats.ColdBoots, stats.Fallbacks
+		if workers == 1 {
+			ref = got
+			continue
+		}
+		if !reflect.DeepEqual(ref, got) {
+			t.Errorf("workers=%d serves differently from workers=1:\n%+v\n%+v", workers, got, ref)
+		}
+	}
+	for _, l := range built {
+		if strides := (len(l.rungs)-1)/captureStride + 1; len(l.snaps) >= strides {
+			t.Errorf("an %d-byte cap held all %d stride rungs: the test guards nothing", budget, strides)
+		}
 	}
 }

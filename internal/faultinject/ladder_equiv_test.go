@@ -16,14 +16,14 @@ import (
 // fork: the fault-free suite trace — per-site fault-point counts and
 // suite tallies at every program boundary — is seed-independent. These
 // tests assert that property directly, drive every fallback reason
-// through its path, and re-check campaign bit-identity under cache
-// pressure and with the ladder disabled. All names start with
+// through its path, and re-check campaign bit-identity under small
+// ladder caps. All names start with
 // TestLadder so CI can select the suite with -run Ladder.
 
-// A tiny budget forces continuous LRU eviction along the walk; a
-// negative budget disables the ladder entirely (PR 7 single-snapshot
-// plane). Campaign results must be bit-identical to cold boots in both
-// regimes — only the serving split may shift.
+// A 2 MiB cap ends capture early in the walk; a cap of 0 holds rung 0
+// alone (PR 7's single-snapshot plane). Campaign results must be
+// bit-identical to cold boots in both regimes — only the serving split
+// may shift.
 func TestLadderEquivalenceUnderCachePressure(t *testing.T) {
 	profile, err := Profile(42)
 	if err != nil {
@@ -43,25 +43,24 @@ func TestLadderEquivalenceUnderCachePressure(t *testing.T) {
 		budget int64
 	}{
 		{"tiny", 2 << 20},
-		{"disabled", -1},
+		{"rung0", 0},
 	} {
-		for _, workers := range []int{1, 8} {
-			cfg.Workers = workers
-			cfg.Plane.SnapshotCacheBytes = tc.budget
-			warmRes, stats := RunCampaign(cfg, profile)
-			if !reflect.DeepEqual(coldRes, warmRes) {
-				t.Errorf("%s workers=%d: campaign diverged:\ncold: %+v\nwarm: %+v",
-					tc.name, workers, coldRes, warmRes)
+		t.Run(tc.name, func(t *testing.T) {
+			withLadderBudget(t, tc.budget)
+			for _, workers := range []int{1, 8} {
+				cfg.Workers = workers
+				warmRes, stats := RunCampaign(cfg, profile)
+				if !reflect.DeepEqual(coldRes, warmRes) {
+					t.Errorf("workers=%d: campaign diverged:\ncold: %+v\nwarm: %+v", workers, coldRes, warmRes)
+				}
+				if stats.ColdBoots != 0 {
+					t.Errorf("workers=%d: %d unexpected cold boots (%v)", workers, stats.ColdBoots, stats.Fallbacks)
+				}
+				if tc.budget == 0 && stats.LadderForks != 0 {
+					t.Errorf("workers=%d: %d ladder forks, want 0 (boot-barrier only)", workers, stats.LadderForks)
+				}
 			}
-			if stats.ColdBoots != 0 {
-				t.Errorf("%s workers=%d: %d unexpected cold boots (%v)",
-					tc.name, workers, stats.ColdBoots, stats.Fallbacks)
-			}
-			if tc.budget < 0 && stats.LadderForks != 0 {
-				t.Errorf("disabled workers=%d: %d ladder forks, want 0 (boot-barrier only)",
-					workers, stats.LadderForks)
-			}
-		}
+		})
 	}
 }
 
@@ -75,7 +74,7 @@ func TestLadderRungCountsSeedIndependent(t *testing.T) {
 	}
 	var walks []walk
 	for _, seed := range []uint64{7, 42, 1000007} {
-		l := newLadder(planeClass{kind: kindSingle}.config(seep.PolicyEnhanced, seed), false)
+		l := newLadder(planeClass{kind: kindSingle}.config(seep.PolicyEnhanced, seed), false, ladderBudget)
 		if l == nil {
 			t.Fatalf("seed %d: pathfinder failed to reach the boot barrier", seed)
 		}
@@ -221,7 +220,7 @@ func TestLadderFallbackForkFailed(t *testing.T) {
 func TestLadderFallbackCaptureFailed(t *testing.T) {
 	cfg, profile, coldRes := ladderTestPlan(t)
 	prev := buildLadder
-	buildLadder = func(core.Config, bool) *ladder { return nil }
+	buildLadder = func(core.Config, bool, int64) *ladder { return nil }
 	defer func() { buildLadder = prev }()
 	res, stats := RunCampaign(cfg, profile)
 	if !reflect.DeepEqual(res, coldRes) {
@@ -232,7 +231,7 @@ func TestLadderFallbackCaptureFailed(t *testing.T) {
 	}
 }
 
-// Zero-rate sweep runs arm nothing, so they fork the DEEPEST cached
+// Zero-rate sweep runs arm nothing, so they fork the DEEPEST held
 // rung and replay only the suite tail.
 func TestLadderServesBackgroundZeroRate(t *testing.T) {
 	sweep := SweepConfig{Policy: seep.PolicyEnhanced, Seed: 42, RatesBP: []int{0}, Runs: 3, Workers: 1}

@@ -14,7 +14,7 @@ package faultinject
 // fault and the IPC plane draws nothing while no rates are set. A runner
 // therefore boots ONE pathfinder machine per configuration class and
 // forks per-run copies from its snapshot ladder: armed runs start from
-// the deepest cached mid-suite rung strictly before their trigger,
+// the deepest held mid-suite rung strictly before their trigger,
 // skipping the shared fault-free prefix entirely, with outcomes
 // bit-identical to cold boots. PlaneOptions.ColdBoot keeps cold boots
 // available as the equivalence oracle.
@@ -50,10 +50,6 @@ type PlaneOptions struct {
 	// table, no tail splice, no wedge certificate — the elision
 	// bit-identity oracle.
 	NoElide bool
-	// SnapshotCacheBytes budgets the ladder's snapshot cache (-snapcache).
-	// Zero selects core.DefaultSnapshotCacheBytes; negative keeps only the
-	// boot-barrier snapshot.
-	SnapshotCacheBytes int64
 }
 
 // runKind is the campaign flavour of a run. It pins the machine
@@ -172,9 +168,7 @@ func (r *campaignRunner) plane(c planeClass) (*ladder, string) {
 	defer r.mu.Unlock()
 	l, built := r.ladders[c]
 	if !built {
-		cfg := c.config(r.policy, r.seed)
-		cfg.SnapshotCacheBytes = r.opts.SnapshotCacheBytes
-		l = buildLadder(cfg, r.opts.NoElide)
+		l = buildLadder(c.config(r.policy, r.seed), r.opts.NoElide, ladderBudget)
 		if r.ladders == nil {
 			r.ladders = make(map[planeClass]*ladder)
 		}
@@ -226,7 +220,7 @@ func (r *campaignRunner) run(seed uint64, spec runSpec) (MultiRunResult, Serving
 		} else if f, err := forkSnapshot(snap, forkParams(seed, class.ipc), testsuite.RunnerResumeFrom(&report, rg.prefix)); err != nil {
 			reason = FallbackForkFailed
 		} else {
-			sys, base, el = f, rg.counts, &elider{l: l, sv: forked(idx)}
+			sys, base, el = f, rg.counts, &elider{l: l, sv: Serving{Plane: PlaneForked, Rung: idx}}
 		}
 	}
 	if sys == nil {

@@ -15,12 +15,10 @@ const (
 	// PlaneCold: a full cold boot; Serving.Fallback says why the warm
 	// plane could not serve the run.
 	PlaneCold Plane = iota + 1
-	// PlaneBootFork: forked from the post-install boot barrier (rung 0)
-	// and executed to its end; Serving.Fallback says why the tail was not
-	// elided.
-	PlaneBootFork
-	// PlaneLadder: as PlaneBootFork, forked from a mid-suite rung (>= 1).
-	PlaneLadder
+	// PlaneForked: forked from ladder rung Serving.Rung (0: the
+	// post-install boot barrier) and executed to its end;
+	// Serving.Fallback says why the tail was not elided.
+	PlaneForked
 	// PlaneElided: forked, and the tail spliced from the pathfinder's
 	// suffix at the quiescence barrier Serving.At.
 	PlaneElided
@@ -45,17 +43,8 @@ type Serving struct {
 	// PlaneRejoined) or the virtual cycle of certification (PlaneWedged).
 	At uint64
 	// Fallback is one of the Fallback* constants for PlaneCold and one of
-	// the ElideFallback* constants for PlaneBootFork and PlaneLadder.
+	// the ElideFallback* constants for PlaneForked.
 	Fallback string
-}
-
-// forked is the decision of a run forked from rung idx, before anything
-// is known about its tail.
-func forked(idx int) Serving {
-	if idx == 0 {
-		return Serving{Plane: PlaneBootFork}
-	}
-	return Serving{Plane: PlaneLadder, Rung: idx}
 }
 
 // String renders the decision as Trace.Serving stores it:
@@ -69,7 +58,7 @@ func (s Serving) String() string {
 		return "cold:" + s.Fallback
 	case PlaneJournal:
 		return "journal"
-	case PlaneBootFork, PlaneLadder:
+	case PlaneForked:
 		tail = "full:" + s.Fallback
 	case PlaneElided:
 		tail = "elided:" + strconv.FormatUint(s.At, 10)
@@ -111,8 +100,8 @@ const (
 	// (-noelide) — the bit-identity oracle.
 	ElideFallbackPinned = "noelide-pinned"
 	// ElideFallbackNoTail: the pathfinder walk never opened the suffix
-	// table — it did not complete the suite, its end-of-walk audit found
-	// violations, or the ladder was disabled.
+	// table — it did not complete the suite, or its end-of-walk audit
+	// found violations.
 	ElideFallbackNoTail = "tail-unavailable"
 	// ElideFallbackUntriggered: an armed fault could still fire in the
 	// suffix at the last barrier the run reached (persistent faults land
@@ -139,12 +128,11 @@ const (
 )
 
 // PlaneStats reports how the warm plane served a campaign. Outcomes are
-// bit-identical however runs are served; the serving split itself is
-// deterministic under an ample cache budget, but may vary with worker
-// interleaving when LRU eviction is active (different serve orders
-// evict different rungs). Likewise the Elided/Rejoined split at workers
-// > 1: which run publishes a suffix-table entry first, and which later
-// run finds it already there, depends on the order runs finish in.
+// bit-identical however runs are served. The fork and cold splits are a
+// function of the plan: the ladder holds rungs in walk order and never
+// evicts. Only the elision split may vary at workers > 1: which run
+// publishes a suffix-table entry first, and which later run finds it
+// already there, depends on the order runs finish in.
 type PlaneStats struct {
 	// LadderForks counts runs forked from a mid-suite rung (>= 1).
 	LadderForks int

@@ -23,13 +23,13 @@ func TestServingGolden(t *testing.T) {
 		{Serving{Plane: PlaneCold, Fallback: FallbackNoSnapshot}, "cold:capture-failed"},
 		{Serving{Plane: PlaneCold, Fallback: FallbackPreBarrier}, "cold:occurrence-within-boot"},
 		{Serving{Plane: PlaneCold, Fallback: FallbackForkFailed}, "cold:fork-failed"},
-		{Serving{Plane: PlaneBootFork, Fallback: ElideFallbackPinned}, "rung:0 full:noelide-pinned"},
-		{Serving{Plane: PlaneBootFork, Fallback: ElideFallbackNoTail}, "rung:0 full:tail-unavailable"},
-		{Serving{Plane: PlaneLadder, Rung: 4, Fallback: ElideFallbackUntriggered}, "rung:4 full:fault-untriggered"},
-		{Serving{Plane: PlaneLadder, Rung: 4, Fallback: ElideFallbackEndedEarly}, "rung:4 full:ended-before-barrier"},
-		{Serving{Plane: PlaneLadder, Rung: 4, Fallback: ElideFallbackMismatch}, "rung:4 full:fingerprint-mismatch"},
-		{Serving{Plane: PlaneLadder, Rung: 88, Fallback: ElideFallbackResidue}, "rung:88 full:state-residue"},
-		{Serving{Plane: PlaneLadder, Rung: 60, Fallback: ElideFallbackWedgeUnproven}, "rung:60 full:wedge-unproven"},
+		{Serving{Plane: PlaneForked, Fallback: ElideFallbackPinned}, "rung:0 full:noelide-pinned"},
+		{Serving{Plane: PlaneForked, Fallback: ElideFallbackNoTail}, "rung:0 full:tail-unavailable"},
+		{Serving{Plane: PlaneForked, Rung: 4, Fallback: ElideFallbackUntriggered}, "rung:4 full:fault-untriggered"},
+		{Serving{Plane: PlaneForked, Rung: 4, Fallback: ElideFallbackEndedEarly}, "rung:4 full:ended-before-barrier"},
+		{Serving{Plane: PlaneForked, Rung: 4, Fallback: ElideFallbackMismatch}, "rung:4 full:fingerprint-mismatch"},
+		{Serving{Plane: PlaneForked, Rung: 88, Fallback: ElideFallbackResidue}, "rung:88 full:state-residue"},
+		{Serving{Plane: PlaneForked, Rung: 60, Fallback: ElideFallbackWedgeUnproven}, "rung:60 full:wedge-unproven"},
 		{Serving{Plane: PlaneElided, Rung: 88, At: 91}, "rung:88 elided:91"},
 		{Serving{Plane: PlaneElided, At: 3}, "rung:0 elided:3"},
 		{Serving{Plane: PlaneRejoined, Rung: 17, At: 33}, "rung:17 rejoined:33"},

@@ -12,6 +12,7 @@ package faultinject
 // non-reproducibility alarm the roadmap's consistency story relies on.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -196,14 +197,48 @@ func ReadTraceFile(path string) (Trace, error) {
 	if err != nil {
 		return Trace{}, err
 	}
-	var t Trace
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&t); err != nil {
+	t, err := decodeTrace(data)
+	if err != nil {
 		return Trace{}, fmt.Errorf("faultinject: %s: %w", path, err)
 	}
+	return t, nil
+}
+
+// decodeTrace decodes one trace record. It refuses what would not write
+// back as read — a policy, outcome or fault type the record leaves out,
+// whose zero value has no name — and reads an empty list as the absent
+// one WriteTraceFile writes.
+func decodeTrace(data []byte) (Trace, error) {
+	var t Trace
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&t); err != nil {
+		return Trace{}, err
+	}
 	if t.Format != TraceFormat {
-		return Trace{}, fmt.Errorf("faultinject: %s: unsupported trace format %q", path, t.Format)
+		return Trace{}, fmt.Errorf("unsupported trace format %q", t.Format)
+	}
+	if _, err := seep.ParsePolicy(t.Policy.String()); err != nil {
+		return Trace{}, err
+	}
+	if err := new(Outcome).UnmarshalText([]byte(t.Outcome.Outcome.String())); err != nil {
+		return Trace{}, err
+	}
+	if t.Injection != nil {
+		if _, err := t.Injection.Type.MarshalText(); err != nil {
+			return Trace{}, err
+		}
+	}
+	for _, inj := range t.Injections {
+		if _, err := inj.Type.MarshalText(); err != nil {
+			return Trace{}, err
+		}
+	}
+	if len(t.Injections) == 0 {
+		t.Injections = nil
+	}
+	if len(t.Outcome.Violations) == 0 {
+		t.Outcome.Violations = nil
 	}
 	return t, nil
 }

@@ -182,7 +182,7 @@ func wedgeProbe(cfg core.Config, prog usr.Program) (warm, cold kernel.Result, de
 	cold = boot.Boot(opts, prog).Run(RunLimit)
 
 	sys := boot.Boot(opts, prog)
-	el := &elider{l: &ladder{}, sv: forked(0), ready: func() bool { return true }}
+	el := &elider{l: &ladder{}, sv: Serving{Plane: PlaneForked}, ready: func() bool { return true }}
 	warm = runElidable(sys, new(testsuite.Report), audit.Attach(sys.OS), el)
 	return warm, cold, el.sv
 }

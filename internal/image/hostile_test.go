@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/boot"
+	"repro/internal/core"
 	"repro/internal/fs"
 	"repro/internal/image"
 	"repro/internal/kernel"
@@ -298,6 +299,38 @@ func TestHostileTransientsRejected(t *testing.T) {
 	}
 }
 
+// retiredSlot rewrites the slot after the configuration in data's meta
+// frame, which every image holds zero in, to v.
+func retiredSlot(t testing.TB, data []byte, v int64) []byte {
+	t.Helper()
+	return reframe(t, data, "meta", func(raw []byte) []byte {
+		var cfg core.Config
+		d := wire.NewDecoder(raw)
+		if cfg.Code(wire.Decoding(d)); d.Err() != nil {
+			t.Fatalf("meta frame: %v", d.Err())
+		}
+		at := len(raw) - d.Remaining()
+		if raw[at] != 0 {
+			t.Fatalf("the retired slot holds %#x", raw[at])
+		}
+		return append(append(raw[:at:at], binary.AppendVarint(nil, v)...), raw[at+1:]...)
+	})
+}
+
+// TestHostileRetiredSlotRejected: a meta frame whose retired slot holds
+// anything but zero — the 256 MiB an older writer could put there — is
+// refused by the meta frame, its checksum holding.
+func TestHostileRetiredSlotRejected(t *testing.T) {
+	data := encode(t, captureSnapshot(t, 7), image.WriteOptions{})
+	_, err := image.ReadSnapshot(bytes.NewReader(retiredSlot(t, data, 256<<20)), suiteRegistry(), 1)
+	if err == nil {
+		t.Fatal("a nonzero retired slot was accepted")
+	}
+	if !strings.Contains(err.Error(), `frame "meta"`) {
+		t.Errorf("refused, but not by the meta frame: %v", err)
+	}
+}
+
 // FuzzReadSnapshot: any byte string reads as a snapshot or as an error,
 // and a snapshot that read forks or refuses to — never a panic, never an
 // allocation the input's size does not bound.
@@ -338,6 +371,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	for _, hostile := range hostileTransients(f, raw) {
 		f.Add(hostile)
 	}
+	f.Add(retiredSlot(f, raw, 256<<20))
 	reg := suiteRegistry()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := image.ReadSnapshot(bytes.NewReader(data), reg, 1)

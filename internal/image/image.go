@@ -490,6 +490,13 @@ func metaOf(snap *boot.Snapshot) *meta {
 
 func (m *meta) code(c *wire.Codec) {
 	m.opts.Config.Code(c)
+	// Format v1 has a slot here that every image holds zero in: the
+	// configuration once ended with a campaign setting no machine read.
+	var retired int64
+	wire.Int(c, &retired)
+	if retired != 0 {
+		c.Fail(fmt.Errorf("retired configuration slot holds %d, want 0", retired))
+	}
 	c.Bool(&m.opts.Heartbeats)
 	wire.Slice(c, &m.programs, (*wire.Codec).Str)
 	wire.Slice(c, &m.slots, wire.Int[kernel.Endpoint])

@@ -36,11 +36,7 @@ func suiteOpts(seed uint64) boot.Options {
 
 func captureSnapshot(t testing.TB, seed uint64) *boot.Snapshot {
 	t.Helper()
-	snap, err := boot.Capture(suiteOpts(seed), testLimit, testsuite.RunnerInit(new(testsuite.Report)))
-	if err != nil {
-		t.Fatalf("Capture: %v", err)
-	}
-	return snap
+	return rungSnapshot(t, suiteOpts(seed), 0)
 }
 
 // forkAndRun forks snap under seed and runs the post-barrier suite.

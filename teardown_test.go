@@ -142,7 +142,13 @@ func TestNoGoroutineOutlivesAMachine(t *testing.T) {
 			k.Teardown("test")
 		}},
 		{"Snapshot.Fork + Shutdown", func(t *testing.T) {
-			snap, err := boot.Capture(suiteOpts(), limit, testsuite.RunnerInit(new(testsuite.Report)))
+			opts := suiteOpts()
+			src := boot.Boot(opts, testsuite.RunnerInit(new(testsuite.Report)))
+			if !src.Kernel().RunToBarrier(limit) {
+				t.Fatal("boot barrier not reached")
+			}
+			snap, err := boot.CaptureParked(src, opts)
+			src.Shutdown("captured")
 			if err != nil {
 				t.Fatal(err)
 			}
