@@ -1,10 +1,6 @@
 package kernel
 
-import (
-	"container/heap"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // alarm is a pending timer: at deadline, deliver MsgAlarm to ep.
 type alarm struct {
@@ -13,32 +9,65 @@ type alarm struct {
 	seq      uint64 // tie-breaker for determinism
 }
 
-// alarmHeap orders alarms by (deadline, seq).
+// before is the heap order: (deadline, seq), a strict total order.
+func (a alarm) before(b alarm) bool {
+	if a.deadline != b.deadline {
+		return a.deadline < b.deadline
+	}
+	return a.seq < b.seq
+}
+
+// alarmHeap is a binary min-heap of alarms by (deadline, seq). push and
+// pop sift exactly as the standard library's heap package does, so the
+// array — which an image carries as it stands — is laid out as it always
+// was; they take and return the alarm by value, so nothing is boxed.
 type alarmHeap []alarm
 
-func (h alarmHeap) Len() int { return len(h) }
-func (h alarmHeap) Less(i, j int) bool {
-	if h[i].deadline != h[j].deadline {
-		return h[i].deadline < h[j].deadline
+func (h *alarmHeap) push(a alarm) {
+	*h = append(*h, a)
+	s := *h
+	for j := len(s) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !s[j].before(s[i]) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		j = i
 	}
-	return h[i].seq < h[j].seq
 }
-func (h alarmHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *alarmHeap) Push(x any)   { *h = append(*h, x.(alarm)) }
-func (h *alarmHeap) Pop() any     { old := *h; n := len(old); a := old[n-1]; *h = old[:n-1]; return a }
+
+func (h *alarmHeap) pop() alarm {
+	s := *h
+	n := len(s) - 1
+	s[0], s[n] = s[n], s[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && s[r].before(s[j]) {
+			j = r
+		}
+		if !s[j].before(s[i]) {
+			break
+		}
+		s[i], s[j] = s[j], s[i]
+		i = j
+	}
+	*h = s[:n]
+	return s[n]
+}
 
 // addAlarm schedules an alarm delivery.
 func (k *Kernel) addAlarm(ep Endpoint, deadline sim.Cycles) {
 	k.alarmSeq++
-	heap.Push((*alarmHeap)(&k.alarms), alarm{deadline: deadline, ep: ep, seq: k.alarmSeq})
+	k.alarms.push(alarm{deadline: deadline, ep: ep, seq: k.alarmSeq})
 }
 
 // fireDueAlarms delivers every alarm whose deadline has passed.
 func (k *Kernel) fireDueAlarms() {
-	h := (*alarmHeap)(&k.alarms)
-	for h.Len() > 0 && (*h)[0].deadline <= k.clock.Now() {
-		a := heap.Pop(h).(alarm)
-		k.deliverAlarm(a)
+	for len(k.alarms) > 0 && k.alarms[0].deadline <= k.clock.Now() {
+		k.deliverAlarm(k.alarms.pop())
 	}
 }
 
@@ -48,18 +77,16 @@ func (k *Kernel) fireDueAlarms() {
 // along the way. It reports whether the machine holds a pending event
 // at all (the main loop then processes it).
 func (k *Kernel) advanceToNextEvent() bool {
-	h := (*alarmHeap)(&k.alarms)
-	for h.Len() > 0 {
-		a := (*h)[0]
-		if p := k.procs[a.ep]; p != nil && p.Alive() {
+	for len(k.alarms) > 0 {
+		if p := k.procs.get(k.alarms[0].ep); p != nil && p.Alive() {
 			break
 		}
-		heap.Pop(h) // stale alarm for a dead process
+		k.alarms.pop() // stale alarm for a dead process
 	}
 	var next sim.Cycles
 	have := false
-	if h.Len() > 0 {
-		next = (*h)[0].deadline
+	if len(k.alarms) > 0 {
+		next = k.alarms[0].deadline
 		have = true
 	}
 	for _, qc := range k.pendingCrashes {
@@ -82,7 +109,7 @@ func (k *Kernel) advanceToNextEvent() bool {
 }
 
 func (k *Kernel) deliverAlarm(a alarm) {
-	p := k.procs[a.ep]
+	p := k.procs.get(a.ep)
 	if p == nil || !p.Alive() {
 		return
 	}

@@ -36,3 +36,48 @@ func TestRoundTripDoesNotAllocate(t *testing.T) {
 		t.Fatalf("round trip allocates %v times, want 0", allocs)
 	}
 }
+
+// A heartbeat is an alarm set and delivered: the heap takes and returns
+// alarms by value, so neither boxes one.
+func TestAlarmDoesNotAllocate(t *testing.T) {
+	k := newTestKernel()
+	allocs := -1.0
+	root := k.SpawnUser("sleeper", func(ctx *Context) {
+		allocs = testing.AllocsPerRun(200, func() {
+			ctx.SetAlarm(1000)
+			ctx.Receive()
+		})
+	})
+	k.SetRootProcess(root.Endpoint())
+	if res := k.Run(testLimit); res.Outcome != OutcomeCompleted {
+		t.Fatalf("outcome = %v (%s)", res.Outcome, res.Reason)
+	}
+	if allocs != 0 {
+		t.Fatalf("alarm set and delivered allocates %v times, want 0", allocs)
+	}
+}
+
+// Every message of this round trip is held by a delay fault and released
+// by fireDueIPC, which splits the due entries into a scratch slice the
+// plane keeps between calls.
+func TestDueIPCReleaseDoesNotAllocate(t *testing.T) {
+	k := newTestKernel()
+	k.SetIPCFaultPlane(IPCFaultConfig{DelayBP: 10000}, IPCReliability{}, 1)
+	k.AddServer(EpDS, "echo", echoServer, ServerConfig{})
+	allocs := -1.0
+	root := k.SpawnUser("client", func(ctx *Context) {
+		allocs = testing.AllocsPerRun(200, func() {
+			ctx.SendRec(EpDS, Message{Type: 1, A: 1})
+		})
+	})
+	k.SetRootProcess(root.Endpoint())
+	if res := k.Run(testLimit); res.Outcome != OutcomeCompleted {
+		t.Fatalf("outcome = %v (%s)", res.Outcome, res.Reason)
+	}
+	if st, _ := k.IPCStats(); st.Delayed < 2*200 {
+		t.Fatalf("%d deliveries delayed, want every request and reply", st.Delayed)
+	}
+	if allocs != 0 {
+		t.Fatalf("delayed round trip allocates %v times, want 0", allocs)
+	}
+}

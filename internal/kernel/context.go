@@ -142,7 +142,7 @@ func (c *Context) SendRec(dst Endpoint, m Message) Message {
 		c.k.counters.AddID(ctrQuarantineECrash, 1)
 		return Message{From: dst, To: c.p.ep, Errno: ECRASH}
 	}
-	target := c.k.procs[dst]
+	target := c.k.procs.get(dst)
 	if target == nil || !target.Alive() {
 		if target == nil || !c.k.RecoveryPending(dst) {
 			return Message{From: dst, To: c.p.ep, Errno: EDEADSRCDST}
@@ -206,7 +206,7 @@ func (c *Context) Send(dst Endpoint, m Message) Errno {
 		c.k.counters.AddID(ctrQuarantineECrash, 1)
 		return ECRASH
 	}
-	target := c.k.procs[dst]
+	target := c.k.procs.get(dst)
 	if target == nil || !target.Alive() {
 		if target == nil || !c.k.RecoveryPending(dst) {
 			return EDEADSRCDST

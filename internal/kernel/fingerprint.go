@@ -92,7 +92,7 @@ func (k *Kernel) StateFingerprint(skip MsgSkip) uint64 {
 	f.i64(int64(k.nextUserEp))
 	f.i64(int64(k.rootEp))
 	for _, ep := range k.order {
-		p := k.procs[ep]
+		p := k.procs.get(ep)
 		if p == nil {
 			continue
 		}
@@ -148,7 +148,7 @@ func (k *Kernel) fingerprintAlarms(f *fpState) {
 	}
 	var users []userAlarm
 	for _, a := range k.alarms {
-		p := k.procs[a.ep]
+		p := k.procs.get(a.ep)
 		if p == nil || !p.Alive() {
 			continue
 		}
@@ -191,8 +191,8 @@ func (k *Kernel) fingerprintAlarms(f *fpState) {
 func (ipc *ipcPlane) fingerprint(f *fpState) {
 	hashU32 := func(m map[epPair]uint32) {
 		for _, p := range sortedPairs(m) {
-			f.i64(int64(p.dst))
-			f.i64(int64(p.src))
+			f.i64(int64(p.dst()))
+			f.i64(int64(p.src()))
 			f.U64(uint64(m[p]))
 		}
 		f.U64(0xB1B1)
@@ -200,8 +200,8 @@ func (ipc *ipcPlane) fingerprint(f *fpState) {
 	hashU32(ipc.nextSeq)
 	for _, p := range sortedPairs(ipc.seen) {
 		w := ipc.seen[p]
-		f.i64(int64(p.dst))
-		f.i64(int64(p.src))
+		f.i64(int64(p.dst()))
+		f.i64(int64(p.src()))
 		f.U64(uint64(w.top))
 		f.U64(w.bits)
 	}
@@ -209,8 +209,8 @@ func (ipc *ipcPlane) fingerprint(f *fpState) {
 	hashU32(ipc.svcSeq)
 	for _, p := range sortedPairs(ipc.replyCache) {
 		rc := ipc.replyCache[p]
-		f.i64(int64(p.dst))
-		f.i64(int64(p.src))
+		f.i64(int64(p.dst()))
+		f.i64(int64(p.src()))
 		f.U64(uint64(rc.seq))
 		f.msg(rc.msg)
 	}

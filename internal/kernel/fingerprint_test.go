@@ -100,6 +100,7 @@ var fingerprintFields = map[string]struct {
 	"Process.sendDeadline":  {hashed, "presence"},
 	"Process.sendAttempts":  {hashed, ""},
 	"Process.sendRearms":    {hashed, ""},
+	"Process.inDeadlines":   {hostOnly, "membership of the plane's deadline index"},
 	"Process.quantumUsed":   {excluded, whyPhase},
 	"Process.curSender":     {hashed, ""},
 	"Process.curNeedsReply": {hashed, ""},
@@ -119,6 +120,8 @@ var fingerprintFields = map[string]struct {
 	"ipcPlane.svcSeq":     {hashed, ""},
 	"ipcPlane.replyCache": {hashed, ""},
 	"ipcPlane.held":       {hashed, "count"},
+	"ipcPlane.releasing":  {hostOnly, "fireDueIPC's scratch, empty between calls"},
+	"ipcPlane.deadlines":  {derived, "a superset of the live processes with an armed sendDeadline, in endpoint order"},
 	"ipcPlane.armed":      {hashed, "count"},
 }
 
@@ -180,7 +183,7 @@ func TestFingerprintFieldTable(t *testing.T) {
 		v    reflect.Value
 	}{
 		{"Kernel", reflect.ValueOf(k).Elem()},
-		{"Process", reflect.ValueOf(k.procs[EpPM]).Elem()},
+		{"Process", reflect.ValueOf(k.procs.get(EpPM)).Elem()},
 		{"ipcPlane", reflect.ValueOf(k.ipc).Elem()},
 	}
 

@@ -19,6 +19,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -142,12 +143,7 @@ func sortedPairs[V any](m map[epPair]V) []epPair {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].dst != keys[j].dst {
-			return keys[i].dst < keys[j].dst
-		}
-		return keys[i].src < keys[j].src
-	})
+	slices.Sort(keys)
 	return keys
 }
 
@@ -159,23 +155,25 @@ func codePairs[V any](c *wire.Codec, m *map[epPair]V, val func(*wire.Codec, *V))
 	} else {
 		keys = sortedPairs(*m)
 	}
-	// One entry for the whole walk: val is a function value, so what it is
+	// One value for the whole walk: val is a function value, so what it is
 	// handed lives on the heap.
-	var entry struct {
-		k epPair
-		v V
-	}
+	v := new(V)
 	for i, n := 0, c.Len(len(keys)); i < n && c.Err() == nil; i++ {
+		var dst, src Endpoint
 		if c.Decoding() {
-			entry.v = *new(V)
+			*v = *new(V)
 		} else {
-			entry.k, entry.v = keys[i], (*m)[keys[i]]
+			dst, src, *v = keys[i].dst(), keys[i].src(), (*m)[keys[i]]
 		}
-		wire.Int(c, &entry.k.dst)
-		wire.Int(c, &entry.k.src)
-		val(c, &entry.v)
+		wire.Int(c, &dst)
+		wire.Int(c, &src)
+		val(c, v)
 		if c.Decoding() {
-			(*m)[entry.k] = entry.v
+			if uint64(dst)>>32 != 0 || uint64(src)>>32 != 0 {
+				c.Fail(fmt.Errorf("kernel: image transport state names endpoints (%d, %d)", dst, src))
+				return
+			}
+			(*m)[pairOf(dst, src)] = *v
 		}
 	}
 }

@@ -95,6 +95,27 @@ func TestRecordFieldLists(t *testing.T) {
 	}
 }
 
+// A transport map is keyed by both endpoints packed into one word: a
+// decoded pair that does not fit is refused, not folded onto another.
+func TestTransportPairOutOfRangeRejected(t *testing.T) {
+	for _, pair := range [][2]Endpoint{{1 << 32, 100}, {6, 1<<32 + 100}, {-1, 100}} {
+		e := wire.NewEncoder()
+		enc := wire.Encoding(e)
+		enc.Len(1)
+		wire.Int(enc, &pair[0])
+		wire.Int(enc, &pair[1])
+		seq := uint32(7)
+		enc.U32(&seq)
+
+		var got map[epPair]uint32
+		dec := wire.Decoding(wire.NewDecoder(e.Bytes()))
+		codePairs(dec, &got, (*wire.Codec).U32)
+		if dec.Err() == nil {
+			t.Errorf("pair %v decoded as %v", pair, got)
+		}
+	}
+}
+
 // ApplyImage checks what the scheduler will index with before it stamps
 // anything: an image read from a file may say anything. Unchecked, a
 // cursor past the process table was accepted and panicked inside Run.
@@ -130,6 +151,10 @@ func TestApplyImageRejectsBadSchedulerState(t *testing.T) {
 		{"unknown process state", func(img *MachineImage) { img.procs[0].state = 99 }, "state 99"},
 		{"server blocked in SendRec", func(img *MachineImage) { img.procs[0].state = stateSendRec }, "not parked at a barrier"},
 		{"root not runnable", func(img *MachineImage) { img.procs[len(img.procs)-1].state = stateReceiving }, "not parked at a barrier"},
+		// The process table is indexed by endpoint and sized by the highest.
+		{"dead process far past the endpoints", func(img *MachineImage) {
+			img.procs = append(img.procs, procImage{ep: 1 << 40, state: stateDead})
+		}, "outside the user endpoints"},
 	} {
 		img := decodeMachine(t, data)
 		tc.mutate(img)

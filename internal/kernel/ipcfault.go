@@ -37,6 +37,8 @@ package kernel
 import (
 	"fmt"
 	"maps"
+	"slices"
+	"sort"
 
 	"repro/internal/sim"
 )
@@ -201,8 +203,16 @@ type IPCStats struct {
 // ipcNone is the "no pending IPC event" sentinel of Kernel.ipcNextDue.
 const ipcNone = ^sim.Cycles(0)
 
-// epPair keys per-(destination, source) transport state.
-type epPair struct{ dst, src Endpoint }
+// epPair keys per-(destination, source) transport state: the two
+// endpoints packed into one word, so the transport maps hash a uint64
+// rather than a two-word struct, and numeric order is (dst, src) order.
+// Endpoints are small and non-negative; a decoded image's are checked.
+type epPair uint64
+
+func pairOf(dst, src Endpoint) epPair { return epPair(uint64(dst)<<32 | uint64(uint32(src))) }
+
+func (p epPair) dst() Endpoint { return Endpoint(p >> 32) }
+func (p epPair) src() Endpoint { return Endpoint(uint32(p)) }
 
 // seqWindow is a sliding anti-replay window over one pair's delivered
 // sequence numbers (the RFC 4303 bitmap scheme): top is the highest
@@ -325,6 +335,15 @@ type ipcPlane struct {
 	planeState
 
 	held []heldMsg
+	// releasing is fireDueIPC's scratch for the due entries split out of
+	// held, kept between calls so a release allocates nothing.
+	releasing []heldMsg
+
+	// deadlines indexes the senders whose SendRec deadline may be armed,
+	// in endpoint order: armSendDeadline inserts, fireDueIPC prunes the
+	// disarmed and the dead, and both it and nextDue read nothing else —
+	// not k.order, which holds every process the machine ever spawned.
+	deadlines []*Process
 
 	// armed holds one-shot faults per sending endpoint (campaign
 	// injection); an armed fault fires on the endpoint's next
@@ -427,7 +446,7 @@ func (ipc *ipcPlane) prepare(m *Message) {
 	if !ipc.relOn() {
 		return
 	}
-	pair := epPair{m.To, m.From}
+	pair := pairOf(m.To, m.From)
 	seq := ipc.nextSeq[pair] + 1
 	ipc.nextSeq[pair] = seq
 	m.Seq = seq
@@ -558,7 +577,7 @@ func (ipc *ipcPlane) deliver(m Message, front bool) {
 		return
 	}
 	if ipc.relOn() && m.Seq != 0 {
-		pair := epPair{m.To, m.From}
+		pair := pairOf(m.To, m.From)
 		w := ipc.seen[pair]
 		dup := w.mark(m.Seq)
 		ipc.seen[pair] = w
@@ -567,7 +586,7 @@ func (ipc *ipcPlane) deliver(m Message, front bool) {
 			return
 		}
 	}
-	target := ipc.k.procs[m.To]
+	target := ipc.k.procs.get(m.To)
 	if target == nil || ipc.k.IsQuarantined(m.To) ||
 		(!target.Alive() && !ipc.k.RecoveryPending(m.To)) {
 		// Destination is gone for good: transport-level loss.
@@ -590,7 +609,7 @@ func (ipc *ipcPlane) xmitReply(from *Process, to Endpoint, m Message) {
 	m.From = from.ep
 	m.To = to
 	if ipc.relOn() {
-		pair := epPair{from.ep, to}
+		pair := pairOf(from.ep, to)
 		if seq := ipc.svcSeq[pair]; seq != 0 {
 			m.Seq = seq
 			m.Sum = ipcChecksum(m)
@@ -625,7 +644,7 @@ func (ipc *ipcPlane) deliverReply(m Message) {
 		return
 	}
 	if ipc.relOn() && m.Seq != 0 {
-		if p := ipc.k.procs[m.To]; p != nil && p.state == stateSendRec &&
+		if p := ipc.k.procs.get(m.To); p != nil && p.state == stateSendRec &&
 			p.waitFrom == m.From && p.pendingReq.Seq != m.Seq {
 			// A reply to an older request reaching a sender now blocked
 			// on a later one: the original was already recovered from the
@@ -665,7 +684,7 @@ func (ipc *ipcPlane) hold(h heldMsg) {
 // matched, checked and cached per client.
 func (ipc *ipcPlane) noteReceive(p *Process, m Message) {
 	if ipc.relOn() && m.NeedsReply && m.Seq != 0 {
-		ipc.svcSeq[epPair{p.ep, m.From}] = m.Seq
+		ipc.svcSeq[pairOf(p.ep, m.From)] = m.Seq
 	}
 }
 
@@ -679,13 +698,26 @@ func (ipc *ipcPlane) retryTimeout(attempts int) sim.Cycles {
 	return t
 }
 
-// armSendDeadline (re)arms the SendRec timeout of a blocked sender.
+// armSendDeadline (re)arms the SendRec timeout of a blocked sender and
+// makes sure the deadline index holds it.
 func (k *Kernel) armSendDeadline(p *Process) {
 	due := k.clock.Now() + k.ipc.retryTimeout(p.sendAttempts)
 	p.sendDeadline = due
 	if due < k.ipcNextDue {
 		k.ipcNextDue = due
 	}
+	if !p.inDeadlines {
+		p.inDeadlines = true
+		d := k.ipc.deadlines
+		i := sort.Search(len(d), func(i int) bool { return d[i].ep >= p.ep })
+		k.ipc.deadlines = slices.Insert(d, i, p)
+	}
+}
+
+// awaitsDeadline reports whether p is blocked on a SendRec whose
+// deadline is armed and no reply has arrived yet.
+func (p *Process) awaitsDeadline() bool {
+	return p.state == stateSendRec && p.reply == nil && p.sendDeadline != 0
 }
 
 // senderStuck reports whether p's delivered-but-unanswered request can
@@ -701,9 +733,9 @@ func (k *Kernel) armSendDeadline(p *Process) {
 // is the same closed cycle.
 func (ipc *ipcPlane) senderStuck(p *Process) bool {
 	cur := p
-	for i := 0; i <= len(ipc.k.procs); i++ {
+	for i := 0; i <= len(ipc.k.order); i++ {
 		dst := cur.waitFrom
-		t := ipc.k.procs[dst]
+		t := ipc.k.procs.get(dst)
 		if t == nil || ipc.k.IsQuarantined(dst) ||
 			(!t.Alive() && !ipc.k.RecoveryPending(dst)) {
 			return true
@@ -725,7 +757,7 @@ func (ipc *ipcPlane) senderStuck(p *Process) bool {
 func (ipc *ipcPlane) handleSendTimeout(p *Process) {
 	ipc.stats.Timeouts++
 	dst := p.waitFrom
-	pair := epPair{dst, p.ep}
+	pair := pairOf(dst, p.ep)
 	seq := p.pendingReq.Seq
 	if seq != 0 {
 		if rc, ok := ipc.replyCache[pair]; ok && rc.seq == seq {
@@ -770,7 +802,7 @@ func (ipc *ipcPlane) handleSendTimeout(p *Process) {
 		ipc.k.markSched(p)
 		return
 	}
-	target := ipc.k.procs[dst]
+	target := ipc.k.procs.get(dst)
 	if target == nil || ipc.k.IsQuarantined(dst) ||
 		(!target.Alive() && !ipc.k.RecoveryPending(dst)) {
 		p.sendDeadline = 0
@@ -814,7 +846,7 @@ func (k *Kernel) fireDueIPC() {
 	if len(ipc.held) > 0 {
 		// Split due entries out before releasing any: a release can
 		// append new holds (ARQ re-drop), which must not be lost.
-		var due []heldMsg
+		due := ipc.releasing[:0]
 		kept := ipc.held[:0]
 		for _, h := range ipc.held {
 			if h.due > now {
@@ -827,21 +859,43 @@ func (k *Kernel) fireDueIPC() {
 		for _, h := range due {
 			ipc.release(h)
 		}
+		clear(due) // the scratch keeps no payload alive
+		ipc.releasing = due[:0]
 	}
 	if ipc.relOn() {
-		for _, ep := range k.order {
-			p := k.procs[ep]
-			if p == nil || p.state != stateSendRec || p.reply != nil ||
-				p.sendDeadline == 0 || p.sendDeadline > now {
-				continue
+		ipc.timeOutSenders(now)
+	}
+	k.ipcNextDue = ipc.nextDue()
+	if k.tracer != nil {
+		k.tracer("ipc-due: t=%d next=%d", now, k.ipcNextDue)
+	}
+}
+
+// timeOutSenders handles every expired SendRec deadline in endpoint
+// order, the order of k.order, and drops from the index the senders
+// that are no longer armed or no longer alive. Handling one timeout arms
+// no deadline but the sender's own, which the index already holds, so
+// the index cannot change under the walk.
+func (ipc *ipcPlane) timeOutSenders(now sim.Cycles) {
+	kept := ipc.deadlines[:0]
+	for _, p := range ipc.deadlines {
+		if p.sendDeadline == 0 || !p.Alive() {
+			p.inDeadlines = false
+			continue
+		}
+		kept = append(kept, p)
+		if p.awaitsDeadline() && p.sendDeadline <= now {
+			if ipc.k.tracer != nil {
+				ipc.k.tracer("timeout: %s(%d) -> %d attempt=%d", p.name, p.ep, p.waitFrom, p.sendAttempts)
 			}
 			ipc.handleSendTimeout(p)
 		}
 	}
-	k.ipcNextDue = ipc.nextDue()
+	clear(ipc.deadlines[len(kept):])
+	ipc.deadlines = kept
 }
 
-// nextDue scans for the earliest pending IPC event.
+// nextDue returns the earliest pending IPC event.
 func (ipc *ipcPlane) nextDue() sim.Cycles {
 	next := ipcNone
 	for _, h := range ipc.held {
@@ -850,12 +904,8 @@ func (ipc *ipcPlane) nextDue() sim.Cycles {
 		}
 	}
 	if ipc.relOn() {
-		for _, ep := range ipc.k.order {
-			p := ipc.k.procs[ep]
-			if p == nil || p.state != stateSendRec || p.reply != nil || p.sendDeadline == 0 {
-				continue
-			}
-			if p.sendDeadline < next {
+		for _, p := range ipc.deadlines {
+			if p.awaitsDeadline() && p.sendDeadline < next {
 				next = p.sendDeadline
 			}
 		}

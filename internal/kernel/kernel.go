@@ -320,7 +320,7 @@ type Kernel struct {
 	// endpoint and the earliest pending IPC event.
 	machineRegs
 
-	procs map[Endpoint]*Process
+	procs procTable
 	order []Endpoint
 	// ready indexes schedulable processes by order position; the
 	// round-robin pick is a find-first-set instead of a table scan.
@@ -352,7 +352,7 @@ type Kernel struct {
 	// IPC to a quarantined endpoint is error-virtualized to ECRASH.
 	quarantined map[Endpoint]string
 
-	alarms []alarm
+	alarms alarmHeap
 
 	done    bool
 	outcome RunOutcome
@@ -393,7 +393,6 @@ func New(cost CostModel, seed uint64) *Kernel {
 		rng:                sim.NewRNG(seed),
 		counters:           sim.NewCounters(),
 		cost:               cost,
-		procs:              make(map[Endpoint]*Process),
 		machineRegs:        machineRegs{nextUserEp: EpUserBase, ipcNextDue: ipcNone},
 		replyErrnoOverride: make(map[Endpoint]Errno),
 		recoveryPanics:     make(map[Endpoint]int),
@@ -594,7 +593,7 @@ func (k *Kernel) IPCWaiting(ep Endpoint) bool {
 	if k.ipc == nil || !k.ipc.relOn() {
 		return false
 	}
-	p := k.procs[ep]
+	p := k.procs.get(ep)
 	return p != nil && p.state == stateSendRec && p.sendDeadline != 0
 }
 
@@ -706,7 +705,7 @@ func (k *Kernel) QuarantineReason(ep Endpoint) string { return k.quarantined[ep]
 // error-virtualized to ECRASH by the kernel so the rest of the system
 // keeps running. Must not be called on the currently running process.
 func (k *Kernel) QuarantineProcess(ep Endpoint, reason string) error {
-	p := k.procs[ep]
+	p := k.procs.get(ep)
 	if p == nil || p.procLive == nil {
 		return fmt.Errorf("kernel: no process at endpoint %d", ep)
 	}
@@ -751,7 +750,7 @@ func (k *Kernel) point(p *Process, site string) {
 func (k *Kernel) describeBlocked() string {
 	var out strings.Builder
 	for _, ep := range k.order {
-		p := k.procs[ep]
+		p := k.procs.get(ep)
 		if p == nil || !p.Alive() {
 			continue
 		}
@@ -773,7 +772,7 @@ func (k *Kernel) describeBlocked() string {
 
 // windowOf returns the seep window of ep, or nil.
 func (k *Kernel) windowOf(ep Endpoint) *seep.Window {
-	if p := k.procs[ep]; p != nil && p.procLive != nil {
+	if p := k.procs.get(ep); p != nil && p.procLive != nil {
 		return p.window
 	}
 	return nil

@@ -89,11 +89,13 @@ type procLive struct {
 
 	// SendRec reliability state (IPC plane enabled only): the prepared
 	// in-flight request for retransmission, the armed timeout deadline
-	// (0 = none) and the transmission count so far.
+	// (0 = none) and the transmission count so far. inDeadlines says
+	// the plane's deadline index holds the process.
 	pendingReq   Message
 	sendDeadline sim.Cycles
 	sendAttempts int
 	sendRearms   int
+	inDeadlines  bool
 
 	// procRegs are the scalars an image carries (snapshot.go): the spent
 	// quantum and the in-flight request bookkeeping.
@@ -113,6 +115,33 @@ type procLive struct {
 	killed bool
 
 	ctx Context
+}
+
+// procTable is the process table, indexed by endpoint: servers sit at
+// 1–7 and users from EpUserBase up, and endpoints are never reused, so a
+// lookup is a bounds-checked load. A slot holds the process currently at
+// that endpoint — a dead placeholder stays, a replacement overwrites.
+type procTable []*Process
+
+// get returns the process at ep, or nil.
+func (t procTable) get(ep Endpoint) *Process {
+	if uint(ep) < uint(len(t)) {
+		return t[ep]
+	}
+	return nil
+}
+
+// set places p at ep, growing the table to reach it.
+func (t *procTable) set(ep Endpoint, p *Process) {
+	t.grow(ep)
+	(*t)[ep] = p
+}
+
+// grow extends the table to hold endpoint ep.
+func (t *procTable) grow(ep Endpoint) {
+	if n := int(ep) + 1; n > len(*t) {
+		*t = append(*t, make(procTable, n-len(*t))...)
+	}
 }
 
 // newProcess builds a runnable process (header, live part and Context
@@ -253,11 +282,11 @@ func (k *Kernel) SpawnUser(name string, body Body) *Process {
 }
 
 func (k *Kernel) addProcess(ep Endpoint, name string, body Body, isServer bool, cfg ServerConfig) *Process {
-	if _, dup := k.procs[ep]; dup {
+	if k.procs.get(ep) != nil {
 		panic(fmt.Sprintf("kernel: endpoint %d already registered", ep))
 	}
 	p := k.newProcess(ep, name, body, isServer, cfg)
-	k.procs[ep] = p
+	k.procs.set(ep, p)
 	k.insertIntoOrder(ep)
 	k.markSched(p)
 	k.counters.AddID(ctrProcsCreated, 1)
@@ -274,7 +303,7 @@ func (k *Kernel) insertIntoOrder(ep Endpoint) {
 	copy(k.order[i+1:], k.order[i:])
 	k.order[i] = ep
 	for _, moved := range k.order[i+1:] {
-		if mp := k.procs[moved]; mp != nil {
+		if mp := k.procs.get(moved); mp != nil {
 			mp.orderIdx++
 		}
 	}
@@ -417,7 +446,7 @@ func (k *Kernel) noteExit(p *Process) {
 // and kill). It must not be called on the currently running process —
 // a process terminates itself by returning from its body.
 func (k *Kernel) TerminateProcess(ep Endpoint) Errno {
-	p := k.procs[ep]
+	p := k.procs.get(ep)
 	if p == nil || !p.Alive() {
 		return ESRCH
 	}
@@ -474,7 +503,7 @@ func (k *Kernel) killProcess(p *Process) {
 // coroutine the machine created.
 func (k *Kernel) killAll() {
 	for _, ep := range k.order {
-		if p := k.procs[ep]; p != nil && p.procLive != nil {
+		if p := k.procs.get(ep); p != nil && p.procLive != nil {
 			p.reap(stateDead) // nothing to tear down behind a dead placeholder
 		}
 	}
@@ -496,7 +525,7 @@ func (k *Kernel) ReplaceUserProcess(ep Endpoint, name string, body Body) (*Proce
 }
 
 func (k *Kernel) replaceProcess(ep Endpoint, name string, body Body, cfg ServerConfig, isServer bool) (*Process, error) {
-	old := k.procs[ep]
+	old := k.procs.get(ep)
 	if old == nil || old.procLive == nil {
 		return nil, fmt.Errorf("kernel: no process at endpoint %d", ep)
 	}
@@ -517,7 +546,7 @@ func (k *Kernel) replaceProcess(ep Endpoint, name string, body Body, cfg ServerC
 
 	p := k.newProcess(ep, name, body, isServer, cfg)
 	p.inbox, p.inboxHead = savedInbox, savedHead
-	k.procs[ep] = p
+	k.procs.set(ep, p)
 	// Endpoint already present in k.order: keep position (and bit index).
 	p.orderIdx = old.orderIdx
 	k.markSched(p)
@@ -532,7 +561,7 @@ func (k *Kernel) replaceProcess(ep Endpoint, name string, body Body, cfg ServerC
 // component dead (paper §II-E: hangs become fail-stops). It returns
 // ESRCH when ep is already dead, crashed or quarantined.
 func (k *Kernel) FailStopProcess(ep Endpoint, reason string) Errno {
-	p := k.procs[ep]
+	p := k.procs.get(ep)
 	if p == nil || !p.Alive() || k.IsQuarantined(ep) {
 		return ESRCH
 	}
@@ -566,7 +595,7 @@ func (k *Kernel) FailStopProcess(ep Endpoint, reason string) Errno {
 func (k *Kernel) FailPendingCallers(ep Endpoint, errno Errno) int {
 	failed := 0
 	for _, oep := range k.order {
-		p := k.procs[oep]
+		p := k.procs.get(oep)
 		if p == nil || p.state != stateSendRec || p.waitFrom != ep {
 			continue
 		}
@@ -581,7 +610,7 @@ func (k *Kernel) FailPendingCallers(ep Endpoint, errno Errno) int {
 // SendRec on `from`. Used by the recovery engine for error
 // virtualization of the in-flight request.
 func (k *Kernel) DeliverReply(from, to Endpoint, m Message) error {
-	p := k.procs[to]
+	p := k.procs.get(to)
 	if p == nil || !p.Alive() {
 		return fmt.Errorf("kernel: reply target %d not alive", to)
 	}
@@ -607,7 +636,7 @@ func (k *Kernel) DeliverReply(from, to Endpoint, m Message) error {
 // `from`, without a sending process. The recovery engine uses this to
 // notify PM of user-process crashes and RS of completed recoveries.
 func (k *Kernel) PostMessage(from, to Endpoint, m Message) error {
-	p := k.procs[to]
+	p := k.procs.get(to)
 	if p == nil || !p.Alive() {
 		return fmt.Errorf("kernel: post target %d not alive", to)
 	}
@@ -620,14 +649,14 @@ func (k *Kernel) PostMessage(from, to Endpoint, m Message) error {
 
 // ProcessAlive reports whether the endpoint hosts a live process.
 func (k *Kernel) ProcessAlive(ep Endpoint) bool {
-	p := k.procs[ep]
+	p := k.procs.get(ep)
 	return p != nil && p.Alive()
 }
 
 // InboxLen reports the number of queued messages at ep (testing and
 // diagnostics).
 func (k *Kernel) InboxLen(ep Endpoint) int {
-	if p := k.procs[ep]; p != nil && p.procLive != nil {
+	if p := k.procs.get(ep); p != nil && p.procLive != nil {
 		return p.queueLen()
 	}
 	return 0

@@ -171,7 +171,7 @@ func TestInstallDeadPlaceholdersMatchesSequentialInsert(t *testing.T) {
 		for _, pi := range img {
 			if pi.state == stateDead {
 				p := &Process{k: want, ep: pi.ep, name: pi.name, state: stateDead}
-				want.procs[pi.ep] = p
+				want.procs.set(pi.ep, p)
 				want.insertIntoOrder(pi.ep)
 				want.markSched(p)
 			}
@@ -181,7 +181,7 @@ func TestInstallDeadPlaceholdersMatchesSequentialInsert(t *testing.T) {
 			t.Fatalf("round %d: order %v, want %v", round, got.order, want.order)
 		}
 		for i, ep := range want.order {
-			g, w := got.procs[ep], want.procs[ep]
+			g, w := got.procs.get(ep), want.procs.get(ep)
 			if g == nil || g.orderIdx != i || w.orderIdx != i || g.name != w.name || g.state != w.state {
 				t.Fatalf("round %d: process at endpoint %d: %+v, want %+v at index %d", round, ep, g, w, i)
 			}

@@ -140,7 +140,7 @@ func (k *Kernel) barrierRefusal() error {
 		return fmt.Errorf("kernel: capture with pending crash/quarantine state")
 	}
 	for _, ep := range k.order {
-		p := k.procs[ep]
+		p := k.procs.get(ep)
 		if p == nil {
 			return fmt.Errorf("kernel: capture with missing process at endpoint %d", ep)
 		}
@@ -196,7 +196,7 @@ func (k *Kernel) CaptureImage() (*MachineImage, error) {
 		counters:    k.counters.Clone(),
 	}
 	for _, ep := range k.order {
-		p := k.procs[ep]
+		p := k.procs.get(ep)
 		if !p.Alive() {
 			// A reaped child: captured as a placeholder.
 			img.procs = append(img.procs, procImage{ep: ep, name: p.name, state: stateDead})
@@ -256,11 +256,17 @@ func (k *Kernel) ApplyImage(img *MachineImage) error {
 		}
 		switch {
 		case pi.state == stateDead:
-			if k.procs[pi.ep] != nil {
+			// A dead process is a reaped user child, and user endpoints are
+			// handed out densely from EpUserBase, so the image's own length
+			// bounds them — and with them the table the placeholders size.
+			if pi.ep < EpUserBase || int(pi.ep-EpUserBase) >= len(img.procs) {
+				return fmt.Errorf("kernel: image dead process at endpoint %d outside the user endpoints", pi.ep)
+			}
+			if k.procs.get(pi.ep) != nil {
 				return fmt.Errorf("kernel: image dead process at endpoint %d collides with a live one", pi.ep)
 			}
 			dead++
-		case k.procs[pi.ep] == nil:
+		case k.procs.get(pi.ep) == nil:
 			return fmt.Errorf("kernel: image process at endpoint %d missing from machine", pi.ep)
 		case pi.state != parked:
 			return fmt.Errorf("kernel: image process %s(%d) in state %d, not parked at a barrier", pi.name, pi.ep, pi.state)
@@ -274,7 +280,7 @@ func (k *Kernel) ApplyImage(img *MachineImage) error {
 		if pi.state == stateDead {
 			continue
 		}
-		p := k.procs[pi.ep]
+		p := k.procs.get(pi.ep)
 		p.state = pi.state
 		p.procRegs = pi.procRegs
 		for _, m := range pi.inbox {
@@ -291,7 +297,7 @@ func (k *Kernel) ApplyImage(img *MachineImage) error {
 		// reliability-layer bookkeeping carries over.
 		k.ipc.planeState = img.ipc.clone()
 	}
-	k.forkResume = k.procs[img.rootEp]
+	k.forkResume = k.procs.get(img.rootEp)
 	return nil
 }
 
@@ -300,14 +306,16 @@ func (k *Kernel) ApplyImage(img *MachineImage) error {
 // placeholder, so a forked machine's scheduler geometry — order indices,
 // ready-set bit positions, round-robin cursor — matches the captured
 // machine, whose process table still holds every reaped test child. The
-// placeholders come from one slab and are merged into k.order in one
-// pass; each live process keeps its readiness bit at its new position
-// and a placeholder's is clear, exactly what inserting them one at a
-// time (insertIntoOrder) arrives at.
+// table grows once, to the image's highest endpoint; the placeholders
+// come from one slab and are merged into k.order in one pass; each live
+// process keeps its readiness bit at its new position and a
+// placeholder's is clear, exactly what inserting them one at a time
+// (insertIntoOrder) arrives at.
 func (k *Kernel) installDeadPlaceholders(procs []procImage, dead int) {
 	if dead == 0 {
 		return
 	}
+	k.procs.grow(procs[len(procs)-1].ep)
 	slab := make([]Process, 0, dead)
 	order := make([]Endpoint, 0, len(k.order)+dead)
 	var ready readySet
@@ -326,7 +334,7 @@ func (k *Kernel) installDeadPlaceholders(procs []procImage, dead int) {
 		}
 		ep := procs[i].ep
 		for len(live) > 0 && live[0] < ep {
-			p := k.procs[live[0]]
+			p := k.procs.get(live[0])
 			place(p, k.ready.get(p.orderIdx))
 			live = live[1:]
 		}
@@ -336,7 +344,7 @@ func (k *Kernel) installDeadPlaceholders(procs []procImage, dead int) {
 		place(p, false)
 	}
 	for _, ep := range live {
-		p := k.procs[ep]
+		p := k.procs.get(ep)
 		place(p, k.ready.get(p.orderIdx))
 	}
 	k.order, k.ready = order, ready

@@ -38,12 +38,12 @@ func (k *Kernel) WedgeQuiescent() bool {
 		return false
 	}
 	for _, a := range k.alarms {
-		if p := k.procs[a.ep]; p != nil && p.Alive() && !p.isServer {
+		if p := k.procs.get(a.ep); p != nil && p.Alive() && !p.isServer {
 			return false
 		}
 	}
 	for _, ep := range k.order {
-		p := k.procs[ep]
+		p := k.procs.get(ep)
 		if p == nil {
 			return false
 		}
@@ -93,7 +93,7 @@ func (k *Kernel) WedgeStamp() WedgeStamp {
 	// the heap's array order is not canonical.
 	now := k.clock.Now()
 	for _, a := range k.alarms {
-		if p := k.procs[a.ep]; p == nil || !p.Alive() {
+		if p := k.procs.get(a.ep); p == nil || !p.Alive() {
 			continue
 		}
 		f := sim.NewHash()
