@@ -370,7 +370,7 @@ func TestRecoveredComponentCoverageAccumulates(t *testing.T) {
 // TestRecoveryUnderFullCopyCheckpointing: the snapshot-based
 // checkpointing alternative recovers just as consistently as the undo
 // log — it is only slower (see eval.RunAblationCheckpointing) — under
-// either of its implementations, incremental or legacy clone-everything.
+// either charge rule, incremental or legacy full copy.
 func TestRecoveryUnderFullCopyCheckpointing(t *testing.T) {
 	for _, legacy := range []bool{false, true} {
 		t.Run(fmt.Sprintf("legacy=%v", legacy), func(t *testing.T) {

@@ -78,12 +78,11 @@ type Config struct {
 	// recovery policies of the paper's §VII: different components may
 	// run different strategies in the same system.
 	ComponentPolicies map[kernel.Endpoint]seep.Policy
-	// LegacyCheckpoint forces the legacy FullCopy checkpoint path that
-	// clones the whole data section on every Checkpoint, instead of the
-	// incremental dirty-set snapshots that are the default. The §IV-C
-	// checkpointing ablation pins this to reproduce the paper's
-	// full-copy cost profile. It is the only way to select that path:
-	// there is no process-wide switch.
+	// LegacyCheckpoint charges every FullCopy Checkpoint as a copy of the
+	// whole data section, instead of the delta the incremental dirty-set
+	// sync copies (the default). The §IV-C checkpointing ablation pins
+	// this to reproduce the paper's full-copy cost profile. It is the only
+	// way to select that rule: there is no process-wide switch.
 	LegacyCheckpoint bool
 
 	// RecoveryDecay is the crash-free interval (in virtual cycles) after
@@ -404,7 +403,7 @@ func (o *OS) AddComponent(ep kernel.Endpoint, factory Factory) {
 		comp:          comp,
 		store:         store,
 		window:        win,
-		cloneResident: store.CloneBytes(),
+		cloneResident: store.BaseBytes(),
 	}
 	o.slots[ep] = s
 	o.order = append(o.order, ep)

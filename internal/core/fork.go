@@ -216,11 +216,11 @@ func (o *OS) StateFingerprint(skip kernel.MsgSkip) (uint64, error) {
 // StateFingerprint: the Recovery Server's outstanding-ping counts and
 // quarantine set, the VFS tag cursor. Each state goes through the coder
 // coderOf names for its endpoint — the field list on-disk images store
-// it with (sorted maps) — so equal digests mean equal transient state.
-// The wedge certificate compares it between idle points of one run.
+// it with (sorted maps) — hashing, so equal digests mean equal transient
+// state. The wedge certificate compares it between idle points of one
+// run.
 func (o *OS) TransientDigest(coderOf func(kernel.Endpoint) func(*wire.Codec, *any)) (uint64, error) {
-	enc := wire.NewEncoder()
-	c := wire.Encoding(enc)
+	c := wire.Hashing(sim.NewHash())
 	// One slot for the walk: the coder is a function value, so what it is
 	// handed lives on the heap.
 	var snap any
@@ -230,15 +230,10 @@ func (o *OS) TransientDigest(coderOf func(kernel.Endpoint) func(*wire.Codec, *an
 			continue
 		}
 		snap = f.ForkSnapshot()
-		wire.Int(c, &ep)
-		coderOf(ep)(c, &snap)
+		wire.Int(&c, &ep)
+		coderOf(ep)(&c, &snap)
 	}
-	if c.Err() != nil {
-		return 0, c.Err()
-	}
-	h := sim.NewHash()
-	h.Bytes(enc.Bytes())
-	return h.Sum(), nil
+	return c.Sum(), c.Err()
 }
 
 // fpFold chains one component's store hash into the machine hash.

@@ -26,7 +26,7 @@ type Ablation struct {
 // RunAblationCheckpointing measures both strategies against the
 // uninstrumented baseline under the enhanced policy. All three
 // configurations share the parallel engine's worker pool. The full-copy
-// column pins the legacy clone-everything checkpoint path: the ablation
+// column pins the legacy full-copy checkpoint charge: the ablation
 // reproduces the paper's §IV-C cost profile, which is exactly what the
 // incremental dirty-set optimisation (see RunCheckpointing) removes.
 func RunAblationCheckpointing(sc Scale) Ablation {

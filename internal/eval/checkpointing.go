@@ -9,9 +9,9 @@ import (
 	"repro/internal/unixbench"
 )
 
-// CheckpointingRow compares the two FullCopy checkpoint implementations
-// on one benchmark: the legacy clone-everything path and the
-// incremental dirty-set path.
+// CheckpointingRow compares the two FullCopy checkpoint charge rules on
+// one benchmark: a copy of the whole data section (legacy) and the
+// incremental dirty-set delta.
 type CheckpointingRow struct {
 	Name                string
 	Legacy, Incremental float64 // slowdown vs uninstrumented baseline

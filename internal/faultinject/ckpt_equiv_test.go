@@ -13,12 +13,12 @@ import (
 )
 
 // Campaign machines must measure the same whichever full-copy checkpoint
-// implementation their stores are built with: same outcomes, same cycle
+// charge rule their stores are built with: same outcomes, same cycle
 // counts, same counter snapshots, same audit verdicts, for the
 // fault-free suite and for every run of a fail-stop, multi-fault and
-// IPC-fault campaign plan. The legacy clone-everything path survives
-// only as the §IV-C ablation subject (FullCopy instrumentation, where it
-// is slower in virtual time by design); it is chosen per boot through
+// IPC-fault campaign plan. The legacy full-copy charge survives only as
+// the §IV-C ablation subject (FullCopy instrumentation, where it costs
+// more virtual time by design); it is chosen per boot through
 // core.Config.LegacyCheckpoint — there is no process-wide switch — so
 // these tests boot every planned run twice, once per setting, and
 // compare the complete per-run results. Part of the -race CI run.

@@ -422,7 +422,8 @@ func mustLookup(t *testing.T, f *FS, path string) int64 {
 }
 
 // The inode's field list against its definition, the reflective walk of
-// the declaration: same bytes, and back.
+// the declaration: same bytes, and back; and hashed, every field counts.
 func TestInodeFieldList(t *testing.T) {
 	wiretest.SameAsValue(t, wiretest.Random[Inode])
+	wiretest.HashCovers[Inode](t)
 }

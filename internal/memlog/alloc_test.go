@@ -74,6 +74,41 @@ func TestLoggedStoresDoNotAllocate(t *testing.T) {
 	}
 }
 
+// Re-hashing a dirty container allocates nothing, whatever its kind and
+// element type: the hashing codec lives in the store, and a map's values
+// pass through the map's own scratch value.
+func TestStoreFingerprintDoesNotAllocate(t *testing.T) {
+	s := NewStore("fpalloc", Baseline)
+	cell := NewCell(s, "cell", 0)
+	scalars := NewMap[int64, int](s, "scalars")
+	recs := NewMap[int64, rec](s, "recs")
+	frames := NewSlice[int32](s, "frames")
+	for i := int64(0); i < 16; i++ {
+		scalars.Set(i, int(i))
+		recs.Set(i, rec{EP: i, Name: "record"})
+		frames.Append(int32(i))
+	}
+	fingerprint := func() {
+		if _, err := s.Fingerprint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fingerprint()
+	for _, c := range []struct {
+		name  string
+		dirty func()
+	}{
+		{"scalar Cell", func() { cell.Set(cell.Get() + 1) }},
+		{"scalar Map", func() { scalars.Set(3, scalars.Len()) }},
+		{"scalar Slice", func() { frames.Set(3, 7) }},
+		{"struct-valued Map", func() { recs.Set(3, rec{EP: 3, Pages: 1}) }},
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { c.dirty(); fingerprint() }); allocs != 0 {
+			t.Errorf("%s: dirtying and re-hashing allocated %.1f times per run, want 0", c.name, allocs)
+		}
+	}
+}
+
 // ReleaseLog recycles the slab but leaves the store fully usable: the
 // next logged store acquires a fresh backing array.
 func TestReleaseLogStoreRemainsUsable(t *testing.T) {

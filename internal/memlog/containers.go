@@ -151,6 +151,9 @@ type Map[K comparable, V any] struct {
 	ksig, vsig string
 	m          map[K]V
 	order      []K
+	// hv holds the value a fingerprint is hashing (codeState). Host-only:
+	// never cloned, forked or in an image.
+	hv V
 }
 
 func newMap[K comparable, V any](s *Store, id string) *Map[K, V] {
@@ -572,14 +575,14 @@ func (s *Slice[T]) corrupt(r *sim.RNG) bool {
 	return true
 }
 
-// Image payload codecs (see image.go): one field list per container kind,
-// which writes the payload when the codec encodes and reads it when it
-// decodes. Each payload leads with the element-type signature so decoding
-// against changed code fails with a clear error (wire.Codec.Tag). The
-// elements go through wire.Elem and wire.Elems — routes for the
-// primitive kinds and for structs that list their fields (wire.Coder);
-// the constructors refuse any other element type — and the fingerprint
-// of a struct container hashes these same bytes.
+// Container field lists: one per container kind, which writes the image
+// payload (see image.go) when the codec encodes, reads it when it
+// decodes, and feeds the fingerprint (Store.Fingerprint) when it hashes.
+// Each payload leads with the element-type signature so decoding against
+// changed code fails with a clear error (wire.Codec.Tag). The elements go
+// through wire.Elem and wire.Elems — routes for the primitive kinds and
+// for structs that list their fields (wire.Coder); the constructors
+// refuse any other element type.
 
 func (c *Cell[T]) codeState(w *wire.Codec) {
 	w.Tag(c.sig)
@@ -596,160 +599,32 @@ func (m *Map[K, V]) codeState(w *wire.Codec) {
 		m.order = make([]K, n)
 	}
 	// Keys are coded in place, in the order index; the values go through
-	// one V for the whole walk, which the codec puts on the heap — a local
-	// per entry would be an allocation per entry.
-	var v V
+	// one V for the whole walk. A fingerprint, which is the store owner's
+	// walk and allocates nothing, uses the map's own; any other walk a new
+	// one, since an encoding may read a snapshot other goroutines read.
+	v := &m.hv
+	if !w.Hashing() {
+		v = new(V)
+	}
 	for i := 0; i < n && w.Err() == nil; i++ {
 		k := &m.order[i]
 		wire.Elem(w, k)
 		if !w.Decoding() {
-			v = m.m[*k]
-			wire.Elem(w, &v)
+			*v = m.m[*k]
+			wire.Elem(w, v)
 			continue
 		}
-		if wire.Elem(w, &v); w.Err() != nil {
+		if wire.Elem(w, v); w.Err() != nil {
 			break
 		}
 		if _, dup := m.m[*k]; dup {
 			w.Fail(fmt.Errorf("memlog: map %q payload repeats a key", m.id))
 		}
-		m.m[*k] = v
+		m.m[*k] = *v
 	}
 }
 
 func (s *Slice[T]) codeState(w *wire.Codec) {
 	w.Tag(s.sig)
 	wire.Elems(w, &s.v)
-}
-
-// Fingerprint fast paths (see Store.Fingerprint): containers over
-// fixed-width primitive element types feed their contents straight
-// into the fingerprint stream, skipping the wire encoding that
-// otherwise dominates quiescence-barrier hashing of large containers
-// (the VM frame table is one Slice[int32] of every frame). A false
-// return falls back to the codeState route; the choice depends only on
-// the element type, never on the contents.
-
-// fpScalar hashes one primitive value into the stream; ok=false means
-// the type has no fast path.
-func fpScalar(f *fpStream, v any) bool {
-	switch v := v.(type) {
-	case int:
-		f.u64(uint64(v))
-	case int8:
-		f.u64(uint64(uint8(v)))
-	case int16:
-		f.u64(uint64(uint16(v)))
-	case int32:
-		f.u64(uint64(uint32(v)))
-	case int64:
-		f.u64(uint64(v))
-	case uint:
-		f.u64(uint64(v))
-	case uint8:
-		f.u64(uint64(v))
-	case uint16:
-		f.u64(uint64(v))
-	case uint32:
-		f.u64(uint64(v))
-	case uint64:
-		f.u64(v)
-	case bool:
-		if v {
-			f.u64(1)
-		} else {
-			f.u64(0)
-		}
-	case string:
-		f.str(v)
-	default:
-		return false
-	}
-	return true
-}
-
-// fpElems hashes a whole primitive-element slice into the stream with
-// a monomorphic inner loop per element type.
-func fpElems(f *fpStream, v any) bool {
-	switch v := v.(type) {
-	case []int:
-		f.u64(uint64(len(v)))
-		for _, e := range v {
-			f.u64(uint64(e))
-		}
-	case []int32:
-		f.u64(uint64(len(v)))
-		for _, e := range v {
-			f.u64(uint64(uint32(e)))
-		}
-	case []int64:
-		f.u64(uint64(len(v)))
-		for _, e := range v {
-			f.u64(uint64(e))
-		}
-	case []uint32:
-		f.u64(uint64(len(v)))
-		for _, e := range v {
-			f.u64(uint64(e))
-		}
-	case []uint64:
-		f.u64(uint64(len(v)))
-		for _, e := range v {
-			f.u64(e)
-		}
-	case []byte:
-		f.u64(uint64(len(v)))
-		for _, e := range v {
-			f.u64(uint64(e))
-		}
-	case []string:
-		f.u64(uint64(len(v)))
-		for _, e := range v {
-			f.str(e)
-		}
-	default:
-		return false
-	}
-	return true
-}
-
-func (c *Cell[T]) fingerprintFast() (uint64, bool) {
-	f := newFPStream(c.id)
-	f.str(c.sig)
-	if !fpScalar(&f, any(c.v)) {
-		return 0, false
-	}
-	return f.finish(), true
-}
-
-func (m *Map[K, V]) fingerprintFast() (uint64, bool) {
-	// Keys and values must BOTH be primitives; probing the zero values
-	// (not the contents) keeps the route content-independent, so an
-	// empty map takes the same route as a populated one.
-	var zk K
-	var zv V
-	f := newFPStream(m.id)
-	if !fpScalar(&f, any(zk)) || !fpScalar(&f, any(zv)) {
-		return 0, false
-	}
-	f = newFPStream(m.id)
-	f.u64(uint64(len(m.ksig) + len(sigArrow) + len(m.vsig)))
-	f.h.Text(m.ksig)
-	f.h.Text(sigArrow)
-	f.h.Text(m.vsig)
-	f.u64(uint64(len(m.order)))
-	for _, k := range m.order {
-		fpScalar(&f, any(k))
-		fpScalar(&f, any(m.m[k]))
-	}
-	return f.finish(), true
-}
-
-func (s *Slice[T]) fingerprintFast() (uint64, bool) {
-	f := newFPStream(s.id)
-	f.str(s.sig)
-	if !fpElems(&f, any(s.v)) {
-		return 0, false
-	}
-	return f.finish(), true
 }

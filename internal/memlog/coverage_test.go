@@ -15,12 +15,8 @@ func TestStoreAccessors(t *testing.T) {
 	}
 	NewCell(s, "a", 1)
 	NewMap[int, int](s, "b")
-	want := []string{"a", "b"}
-	if got := s.ContainerNames(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("ContainerNames() = %v", got)
-	}
-	if s.CloneBytes() != s.BaseBytes() {
-		t.Fatal("CloneBytes must mirror the data-section size")
+	if want := []string{"a", "b"}; !reflect.DeepEqual(s.order, want) {
+		t.Fatalf("registration order %v, want %v", s.order, want)
 	}
 }
 

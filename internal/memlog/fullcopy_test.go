@@ -8,9 +8,9 @@ import (
 	"repro/internal/sim"
 )
 
-// bothCheckpoints runs fn over a fresh FullCopy store under each
-// checkpoint implementation: the FullCopy contract holds for the legacy
-// clone-everything path exactly as for the incremental default.
+// bothCheckpoints runs fn over a fresh FullCopy store under each charge
+// rule: the FullCopy contract holds under the legacy full-copy charge
+// exactly as under the incremental default.
 func bothCheckpoints(t *testing.T, fn func(t *testing.T, s *Store)) {
 	for _, legacy := range []bool{false, true} {
 		t.Run(fmt.Sprintf("legacy=%v", legacy), func(t *testing.T) {

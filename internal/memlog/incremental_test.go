@@ -2,6 +2,8 @@ package memlog
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/sim"
@@ -92,7 +94,7 @@ func TestIncrementalRollbackRestoresCheckpointState(t *testing.T) {
 	if got := snapshotModel(c, m, sl); !equalModel(got, want) {
 		t.Fatalf("rollback state %+v, want checkpoint state %+v", got, want)
 	}
-	// Rollback is idempotent, like the legacy full restore.
+	// Rollback is idempotent.
 	s.Rollback()
 	if got := snapshotModel(c, m, sl); !equalModel(got, want) {
 		t.Fatalf("second rollback diverged: %+v, want %+v", got, want)
@@ -173,7 +175,10 @@ func TestTransferSnapshotWarmStartsClone(t *testing.T) {
 	}
 }
 
-func TestTransferSnapshotNoOpUnderLegacy(t *testing.T) {
+// A legacy store recovers as any other — the replacement inherits the
+// image — but the charge rule makes its first checkpoint pay for the full
+// data section, as a clone of it would.
+func TestTransferSnapshotUnderLegacyChargesFullSection(t *testing.T) {
 	s, _, _, _, _ := buildFullCopyStore(true)
 	s.SetLogging(true)
 	s.Checkpoint()
@@ -183,7 +188,6 @@ func TestTransferSnapshotNoOpUnderLegacy(t *testing.T) {
 	clone.SetCostSink(func(n sim.Cycles) { *charged += n })
 	clone.SetLogging(true)
 	clone.Checkpoint()
-	// Legacy clones receive no image: the checkpoint pays full price.
 	if want := sim.Cycles(clone.BaseBytes()) >> fullCopyCheckpointShift; *charged != want {
 		t.Fatalf("legacy clone checkpoint charged %d, want %d", *charged, want)
 	}
@@ -207,51 +211,173 @@ func TestRollbackPanicsOnContainerRegisteredAfterCheckpoint(t *testing.T) {
 	}
 }
 
-// driveFullCopy runs one deterministic script of mutations, window
-// transitions, corruptions, checkpoints and rollbacks against a
-// FullCopy store and returns the final state. Both checkpoint
-// implementations consume the RNG identically, so the same seed must
-// yield the same state under either.
-func driveFullCopy(legacy bool, seed uint64) (modelState, int) {
-	s := NewStore("drive", FullCopy)
-	s.SetLegacyCheckpoint(legacy)
-	c := NewCell(s, "c", 0)
-	m := NewMap[int, int](s, "m")
-	sl := NewSlice[int](s, "sl")
-	r := sim.NewRNG(seed)
-	s.SetLogging(true)
-	for i := 0; i < 60; i++ {
-		switch r.Intn(6) {
-		case 0:
-			s.Checkpoint()
-		case 1:
-			s.Rollback()
-		case 2:
-			// Window close/reopen, as seep drives it.
-			s.SetLogging(false)
-			s.DiscardLog()
-			s.SetLogging(true)
-		case 3:
-			s.CorruptRandom(r)
-		default:
-			applyRandomOps(r, 1+r.Intn(5), c, m, sl)
-		}
-	}
-	s.Rollback()
-	return snapshotModel(c, m, sl), s.BaseBytes()
+// fullCopyMech is a FullCopy checkpoint mechanism as driveFullCopy sees
+// it: the store, or the reference.
+type fullCopyMech interface {
+	store() *Store
+	checkpoint()
+	rollback()
+	// discard closes the recovery window and opens it again, as seep does
+	// but without the checkpoint seep takes on opening.
+	discard()
+	// recover is core's rollback recovery: restore, then carry on in a
+	// copy of the restored store.
+	recover()
+	// wrote hears of every write that lands, named by container.
+	wrote(id string)
 }
 
+// liveFullCopy is the store's own mechanism.
+type liveFullCopy struct{ s *Store }
+
+func (l *liveFullCopy) store() *Store { return l.s }
+func (l *liveFullCopy) checkpoint()   { l.s.Checkpoint() }
+func (l *liveFullCopy) rollback()     { l.s.Rollback() }
+func (l *liveFullCopy) wrote(string)  {}
+
+func (l *liveFullCopy) discard() {
+	l.s.SetLogging(false)
+	l.s.DiscardLog()
+	l.s.SetLogging(true)
+}
+
+func (l *liveFullCopy) recover() {
+	l.s.Rollback()
+	clone := l.s.Clone()
+	l.s.TransferSnapshot(clone)
+	clone.SetLogging(true)
+	l.s = clone
+}
+
+// fullCopyRef is the clone-everything FullCopy checkpoint, the reference
+// the store's incremental sync is held to: Checkpoint clones the whole
+// data section, DiscardLog drops the clone, Rollback restores every
+// container from it, and a recovered store starts with none. It keeps its
+// own books on what the two charge rules owe — the whole section a
+// checkpoint (legacy), and the containers written since an image was last
+// current (delta) — from the script's account of its writes, not from the
+// store's dirty set.
+type fullCopyRef struct {
+	s      *Store
+	snap   *Store
+	imaged bool // an image of this state exists, so a sync is a delta
+	// written holds the containers written since that image was current.
+	written       map[string]bool
+	legacy, delta sim.Cycles
+}
+
+func (r *fullCopyRef) store() *Store   { return r.s }
+func (r *fullCopyRef) discard()        { r.snap = nil }
+func (r *fullCopyRef) wrote(id string) { r.written[id] = true }
+
+func (r *fullCopyRef) checkpoint() {
+	r.snap = r.s.Clone()
+	full, delta := 0, 0
+	for _, name := range r.s.order {
+		n := r.s.containers[name].bytes()
+		full += n
+		if !r.imaged || r.written[name] {
+			delta += n
+		}
+	}
+	r.legacy += sim.Cycles(full) >> fullCopyCheckpointShift
+	r.delta += sim.Cycles(delta) >> fullCopyCheckpointShift
+	r.imaged = true
+	clear(r.written)
+}
+
+func (r *fullCopyRef) rollback() {
+	if r.snap == nil {
+		return
+	}
+	for _, name := range r.s.order {
+		r.s.containers[name].restoreFrom(r.snap.lookup(name))
+	}
+	clear(r.written)
+}
+
+func (r *fullCopyRef) recover() {
+	r.rollback()
+	r.s, r.snap = r.s.Clone(), nil
+}
+
+// driveFullCopy runs one deterministic script of writes, silent
+// corruptions, checkpoints, rollbacks, window close/reopens and rollback
+// recoveries against f and returns the final state. Every mechanism
+// consumes the RNG identically, so the same seed must yield the same state
+// under each. As in core, a recovery rolls back only with the window open,
+// and only a checkpoint opens it.
+func driveFullCopy(f fullCopyMech, seed uint64) modelState {
+	s := f.store()
+	c, m, sl := NewCell(s, "c", 0), NewMap[int, int](s, "m"), NewSlice[int](s, "sl")
+	r := sim.NewRNG(seed)
+	open := false
+	for i := 0; i < 60; i++ {
+		switch r.Intn(7) {
+		case 0:
+			f.checkpoint()
+			open = true
+		case 1:
+			f.rollback()
+		case 2:
+			f.discard()
+			open = false
+		case 3:
+			before := snapshotModel(c, m, sl)
+			s.CorruptRandom(r)
+			after := snapshotModel(c, m, sl)
+			if after.cell != before.cell {
+				f.wrote(c.id)
+			}
+			if !reflect.DeepEqual(after.m, before.m) {
+				f.wrote(m.id)
+			}
+			if !slices.Equal(after.slice, before.slice) {
+				f.wrote(sl.id)
+			}
+		case 4:
+			if open {
+				f.recover()
+				s = f.store()
+				c, m, sl = NewCell(s, "c", 0), NewMap[int, int](s, "m"), NewSlice[int](s, "sl")
+				open = false
+			}
+		default:
+			applyRandomWrites(r, 1+r.Intn(5), c, m, sl, f.wrote)
+		}
+	}
+	f.rollback()
+	return snapshotModel(c, m, sl)
+}
+
+// TestPropertyIncrementalMatchesLegacyFullCopy holds the store's one
+// FullCopy mechanism, under either charge rule, to the clone-everything
+// reference: the same final state, the same BaseBytes, and the cycles the
+// reference says the rule owes.
 func TestPropertyIncrementalMatchesLegacyFullCopy(t *testing.T) {
 	for seed := uint64(1); seed <= 60; seed++ {
-		legacyState, legacyBytes := driveFullCopy(true, seed)
-		incState, incBytes := driveFullCopy(false, seed)
-		if !equalModel(legacyState, incState) {
-			t.Fatalf("seed %d: states diverged\nlegacy:      %+v\nincremental: %+v",
-				seed, legacyState, incState)
-		}
-		if legacyBytes != incBytes {
-			t.Fatalf("seed %d: BaseBytes diverged: legacy %d incremental %d",
-				seed, legacyBytes, incBytes)
+		ref := &fullCopyRef{s: NewStore("drive", FullCopy), written: map[string]bool{}}
+		want := driveFullCopy(ref, seed)
+		for _, legacy := range []bool{false, true} {
+			s := NewStore("drive", FullCopy)
+			s.SetLegacyCheckpoint(legacy)
+			var charged sim.Cycles
+			s.SetCostSink(func(n sim.Cycles) { charged += n })
+			s.SetLogging(true)
+			live := &liveFullCopy{s: s}
+			if got := driveFullCopy(live, seed); !equalModel(got, want) {
+				t.Fatalf("seed %d legacy=%v: states diverged\nreference: %+v\nstore:     %+v", seed, legacy, want, got)
+			}
+			if got, want := live.s.BaseBytes(), rawBytes(ref.s); got != want {
+				t.Fatalf("seed %d legacy=%v: BaseBytes %d, the reference holds %d", seed, legacy, got, want)
+			}
+			owed := ref.delta
+			if legacy {
+				owed = ref.legacy
+			}
+			if charged != owed {
+				t.Fatalf("seed %d legacy=%v: charged %d cycles, the reference owes %d", seed, legacy, charged, owed)
+			}
 		}
 	}
 }

@@ -164,16 +164,10 @@ type container interface {
 	restoreFrom(src container)
 	// meta exposes the per-container dirty/size bookkeeping.
 	meta() *contMeta
-	// codeState walks the container's contents through c for the on-disk
-	// store image (image.go): written when c encodes, read when it
-	// decodes.
+	// codeState walks the container's contents through c: written when c
+	// encodes and read when it decodes, for the on-disk store image
+	// (image.go), and absorbed when it hashes, for the fingerprint.
 	codeState(c *wire.Codec)
-	// fingerprintFast hashes the container's contents directly when its
-	// element types are fixed-width primitives, skipping the wire
-	// encoding; ok=false falls back to hashing what codeState writes
-	// (Fingerprint). Selection depends only on the container's type, so
-	// equal contents always produce equal mixes across stores.
-	fingerprintFast() (mix uint64, ok bool)
 }
 
 // contMeta is the per-container bookkeeping embedded in Cell, Map and
@@ -207,10 +201,8 @@ type storeIdent struct {
 	// exactly once — a freshly restarted stateless component must NOT
 	// rediscover state it has genuinely lost.
 	generation int
-	// legacyCheckpoint selects the legacy clone-everything FullCopy
-	// path instead of the default incremental dirty-set snapshots. It is
-	// kept as the §IV-C ablation subject and as the oracle the
-	// incremental path is tested against.
+	// legacyCheckpoint makes a FullCopy checkpoint charge the whole data
+	// section, as the §IV-C ablation's full copy costs, not the delta.
 	legacyCheckpoint bool
 	// maxLogLen is the high-water record count; a store that outgrows
 	// the pooled slab preallocates its next log to this mark.
@@ -273,15 +265,13 @@ type Store struct {
 	// fpAgg is the rolling state fingerprint: the wrapping sum of every
 	// fp-valid container's fpMix. fpDirty lists the containers whose
 	// contribution is stale; Fingerprint() re-hashes only those, so a
-	// quiescence barrier on a mostly-clean store is O(dirty). fpEnc is
-	// the reusable encoder backing those re-hashes and fpHigh the longest
-	// payload one has taken, in this store or in those it was forked from:
-	// a fork's encoder starts at that size instead of climbing to it.
-	// Host-only, like the side logs.
+	// quiescence barrier on a mostly-clean store is O(dirty). fp is the
+	// hashing codec of a re-hash, kept here so that handing it to a
+	// container does not put it on the heap. Host-only, like the side
+	// logs.
 	fpAgg   uint64
 	fpDirty []container
-	fpEnc   wire.Encoder
-	fpHigh  int
+	fp      wire.Codec
 
 	// pending is set on a store decoded from an image (image.go) until
 	// the component factory has materialized its containers: the decoded
@@ -303,14 +293,10 @@ func NewStore(label string, mode Instrumentation) *Store {
 	}
 }
 
-// SetLegacyCheckpoint switches this store between the legacy
-// clone-everything FullCopy checkpoint path (true) and the incremental
-// dirty-set path (false). Only meaningful in FullCopy mode.
+// SetLegacyCheckpoint switches what a FullCopy checkpoint charges: the
+// whole data section (true), as the legacy clone-everything checkpoint
+// did, or the bytes its sync copies (false). Only meaningful in FullCopy.
 func (s *Store) SetLegacyCheckpoint(on bool) { s.legacyCheckpoint = on }
-
-// LegacyCheckpointing reports whether the legacy full-copy path is
-// active on this store.
-func (s *Store) LegacyCheckpointing() bool { return s.legacyCheckpoint }
 
 // Label reports the component name this store belongs to.
 func (s *Store) Label() string { return s.label }
@@ -356,23 +342,13 @@ const fullCopyCheckpointShift = 2
 // Checkpoint establishes the current state as the rollback target.
 // Called at the top of the request-processing loop. With undo-log
 // instrumentation it just discards the log. In FullCopy mode it brings
-// the snapshot image up to date: the legacy path clones the entire data
-// section every time, the incremental path syncs only the containers
-// written since the image was last current, charging virtual cycles for
-// the delta bytes actually copied.
+// the snapshot image up to date by syncing only the containers written
+// since the image was last current, and charges virtual cycles for the
+// delta bytes copied — or, under SetLegacyCheckpoint, for the whole data
+// section.
 func (s *Store) Checkpoint() {
 	s.dropLog()
 	if s.mode != FullCopy || !s.logging {
-		return
-	}
-	if s.legacyCheckpoint {
-		s.snapshot = s.Clone()
-		bytes := s.BaseBytes()
-		if bytes > s.maxLogBytes {
-			// The resident snapshot plays the undo log's memory role.
-			s.maxLogBytes = bytes
-		}
-		s.chargeCycles(sim.Cycles(bytes) >> fullCopyCheckpointShift)
 		return
 	}
 	bytes := s.BaseBytes() // refreshes every stale per-container size
@@ -397,20 +373,18 @@ func (s *Store) Checkpoint() {
 		// The resident snapshot plays the undo log's memory role.
 		s.maxLogBytes = bytes
 	}
+	if s.legacyCheckpoint {
+		copied = bytes
+	}
 	s.chargeCycles(sim.Cycles(copied) >> fullCopyCheckpointShift)
 }
 
 // DiscardLog drops the undo log without rolling back. Called when the
 // recovery window closes: the checkpoint can no longer be restored.
-// The legacy FullCopy path drops its snapshot too; the incremental path
-// retains the image as the delta base for the next Checkpoint but marks
-// it non-restorable.
+// A FullCopy store retains its image as the delta base for the next
+// Checkpoint but marks it non-restorable.
 func (s *Store) DiscardLog() {
 	s.dropLog()
-	if s.legacyCheckpoint {
-		s.snapshot = nil
-		return
-	}
 	s.restorable = false
 }
 
@@ -455,23 +429,11 @@ func (s *Store) BaseBytes() int {
 
 // Rollback restores the state at the last Checkpoint: by undoing all
 // logged stores in reverse order (undo-log modes), or by restoring
-// from the snapshot (FullCopy). The incremental path restores only the
-// containers written since the snapshot was last synced — O(dirty set)
-// instead of O(all containers).
+// from the snapshot (FullCopy). FullCopy restores only the containers
+// written since the snapshot was last synced — O(dirty set) instead of
+// O(all containers).
 func (s *Store) Rollback() {
 	if s.mode == FullCopy {
-		if s.legacyCheckpoint {
-			if s.snapshot != nil {
-				for _, name := range s.order {
-					src := s.snapshot.lookup(name)
-					if src == nil {
-						panic(fmt.Sprintf("memlog: snapshot missing container %q", name))
-					}
-					s.containers[name].restoreFrom(src)
-				}
-			}
-			return
-		}
 		if s.snapshot == nil || !s.restorable {
 			return
 		}
@@ -548,7 +510,6 @@ func (s *Store) Clone() *Store {
 	// preallocates its log to the size the component has already
 	// demonstrated it needs.
 	dst.storeIdent = s.storeIdent
-	dst.fpHigh = s.fpHigh
 	for _, name := range s.order {
 		s.containers[name].cloneInto(dst)
 	}
@@ -595,7 +556,7 @@ func (s *Store) ForkClone() *Store {
 	for _, c := range s.fpDirty {
 		dst.fpDirty = append(dst.fpDirty, dst.containers[c.name()])
 	}
-	dst.fpAgg, dst.fpHigh = s.fpAgg, s.fpHigh
+	dst.fpAgg = s.fpAgg
 	if len(s.log) > 0 {
 		dst.grabSlab(len(s.log))
 		dst.log = append(dst.log, s.log...)
@@ -613,9 +574,9 @@ func (s *Store) ForkClone() *Store {
 // Rollback, then Clone). The replacement store then starts with a warm
 // delta base — its first FullCopy checkpoint syncs only what the new
 // instance has written instead of re-cloning the whole data section.
-// No-op under legacy checkpointing or without a snapshot.
+// No-op without a snapshot.
 func (s *Store) TransferSnapshot(dst *Store) {
-	if s.legacyCheckpoint || dst.legacyCheckpoint || s.snapshot == nil {
+	if s.snapshot == nil {
 		return
 	}
 	dst.snapshot = s.snapshot
@@ -657,14 +618,10 @@ func (s *Store) resetDirty() {
 	s.chkGen++
 }
 
-// CloneBytes reports the approximate memory cost of keeping a clone of
-// this store (Table VI's "+clone" column): the full data section.
-func (s *Store) CloneBytes() int { return s.BaseBytes() }
-
 // Fingerprint returns a content hash of every container's current
 // state. Two stores holding the same containers with the same contents
 // fingerprint identically regardless of history: each container's
-// contribution is derived from its name and encoded payload alone, and
+// contribution is its name and its codeState walk, hashed, and
 // contributions combine by wrapping addition, so registration order
 // does not matter. The value is maintained as a rolling aggregate —
 // only containers written since the previous call are re-hashed — which
@@ -677,83 +634,18 @@ func (s *Store) Fingerprint() (uint64, error) {
 			if m.fpValid {
 				continue
 			}
-			// Containers over fixed-width primitives hash their contents
-			// directly (fingerprintFast), skipping the wire encoding —
-			// the drain's dominant cost on large slices. The others hash
-			// their image payload. The path is chosen by element type, so
-			// two stores holding the same contents always mix identically.
-			if mix, ok := c.fingerprintFast(); ok {
-				m.fpMix = mix
-				m.fpValid = true
-				s.fpAgg += mix
-				continue
+			s.fp = wire.Hashing(sim.NewHash())
+			s.fp.Tag(c.name())
+			if c.codeState(&s.fp); s.fp.Err() != nil {
+				return 0, fmt.Errorf("memlog: fingerprint container %q: %w", c.name(), s.fp.Err())
 			}
-			s.fpEnc.Reset()
-			s.fpEnc.Grow(s.fpHigh)
-			w := wire.Encoding(&s.fpEnc)
-			if c.codeState(w); w.Err() != nil {
-				return 0, fmt.Errorf("memlog: fingerprint container %q: %w", c.name(), w.Err())
-			}
-			s.fpHigh = max(s.fpHigh, s.fpEnc.Len())
-			m.fpMix = fingerprintMix(c.name(), s.fpEnc.Bytes())
+			m.fpMix = s.fp.Sum()
 			m.fpValid = true
 			s.fpAgg += m.fpMix
 		}
 		s.fpDirty = s.fpDirty[:0]
 	}
 	return s.fpAgg, nil
-}
-
-// fingerprintMix hashes one container's name and payload into its
-// fingerprint contribution; the finisher keeps wrapping-add combination
-// of many contributions from cancelling structured differences.
-func fingerprintMix(name string, payload []byte) uint64 {
-	h := sim.NewHash()
-	h.Text(name)
-	h.Word(0xff) // separator between name and payload
-	h.Bytes(payload)
-	return h.Sum()
-}
-
-// fpStream is the streaming half of the container fast path
-// (fingerprintFast): the name absorbed like fingerprintMix, then a
-// murmur3-style word-at-a-time absorb for values — one multiply-rotate
-// round per 64-bit word instead of eight byte multiplies, since large
-// primitive slices are exactly what the fast path exists for. The two
-// routes produce different mixes for the same contents, which is fine —
-// a container's route depends only on its type, so every store hashes
-// it the same way.
-type fpStream struct{ h sim.Hash }
-
-func newFPStream(name string) fpStream {
-	h := sim.NewHash()
-	h.Text(name)
-	h.Word(0xff)
-	return fpStream{h}
-}
-
-func (f *fpStream) u64(v uint64) {
-	v *= 0x87c37b91114253d5
-	v = v<<31 | v>>33
-	v *= 0x4cf5ad432745937f
-	h := uint64(f.h) ^ v
-	h = h<<27 | h>>37
-	f.h = sim.Hash(h*5 + 0x52dce729)
-}
-
-func (f *fpStream) str(s string) {
-	f.u64(uint64(len(s)))
-	f.h.Text(s)
-}
-
-func (f *fpStream) finish() uint64 { return f.h.Sum() }
-
-// ContainerNames returns the registered container names in registration
-// order (deterministic).
-func (s *Store) ContainerNames() []string {
-	out := make([]string, len(s.order))
-	copy(out, s.order)
-	return out
 }
 
 // CorruptRandom silently corrupts one random container value, bypassing

@@ -58,11 +58,9 @@ func TestBootedMachineHasNoReflectiveContainer(t *testing.T) {
 	}
 }
 
-// BenchmarkFingerprintStructMap is the route fs.inodes takes through
-// Store.Fingerprint: a map of structs has no direct hash, so it hashes its
-// image payload — through the inode's field list, where it used to walk
-// reflect. One inode of 120 changes between fingerprints, as a file
-// write does to it.
+// BenchmarkFingerprintStructMap is fs.inodes through Store.Fingerprint:
+// the map's field list, and the inode's, walked by a hashing codec. One
+// inode of 120 changes between fingerprints, as a file write does to it.
 func BenchmarkFingerprintStructMap(b *testing.B) {
 	s := memlog.NewStore("bench", memlog.Baseline)
 	inodes := memlog.NewMap[int64, fs.Inode](s, "fs.inodes")

@@ -268,7 +268,9 @@ func TestCloneRebindKeepsTable(t *testing.T) {
 }
 
 // The process record's field list against its definition, the reflective
-// walk of the declaration: same bytes, and back.
+// walk of the declaration: same bytes, and back; and hashed, every field
+// counts.
 func TestProcEntryFieldList(t *testing.T) {
 	wiretest.SameAsValue(t, wiretest.Random[procEntry])
+	wiretest.HashCovers[procEntry](t)
 }

@@ -440,11 +440,15 @@ func TestExitDropsSuspendedWaiters(t *testing.T) {
 
 // The field lists of VFS's three records and its fork state against their
 // definition, the reflective walk of the declarations: same bytes, and
-// back; the fork state also in its slot, nil or under its tag.
+// back; the fork state also in its slot, nil or under its tag. Hashed,
+// every field of the three records counts.
 func TestFieldLists(t *testing.T) {
 	wiretest.SameAsValue(t, wiretest.Random[fdEnt])
 	wiretest.SameAsValue(t, wiretest.Random[pipeEnt])
 	wiretest.SameAsValue(t, wiretest.Random[pipeWaiter])
+	wiretest.HashCovers[fdEnt](t)
+	wiretest.HashCovers[pipeEnt](t)
+	wiretest.HashCovers[pipeWaiter](t)
 	wiretest.SameAsValue(t, wiretest.Random[vfsForkState])
 	wiretest.Register("vfs.forkState", vfsForkState{})
 	wiretest.SameAsAny(t, CodeForkState, func(r *rand.Rand) any {

@@ -234,7 +234,9 @@ func pick(r *sim.RNG, live map[int64]bool) int64 {
 }
 
 // The address space's field list against its definition, the reflective
-// walk of the declaration: same bytes, and back.
+// walk of the declaration: same bytes, and back; and hashed, every field
+// counts.
 func TestSpaceFieldList(t *testing.T) {
 	wiretest.SameAsValue(t, wiretest.Random[space])
+	wiretest.HashCovers[space](t)
 }

@@ -103,9 +103,9 @@ type Config struct {
 	// Instrumentation overrides the store mode (Table V's build modes);
 	// zero derives it from Policy.
 	Instrumentation memlog.Instrumentation
-	// LegacyCheckpoint forces the legacy clone-everything FullCopy
-	// checkpoint path (the §IV-C ablation pins it; default is the
-	// incremental dirty-set path). Only meaningful with FullCopy.
+	// LegacyCheckpoint charges every FullCopy checkpoint as a copy of the
+	// whole data section (the §IV-C ablation pins it; default is the
+	// incremental dirty-set delta). Only meaningful with FullCopy.
 	LegacyCheckpoint bool
 	// Monolithic selects the monolithic-kernel cost model ("Linux"
 	// baseline of Table IV).

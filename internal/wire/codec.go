@@ -5,11 +5,13 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+
+	"repro/internal/sim"
 )
 
 // Codec is the bidirectional face of the wire format: one value wrapping
-// either an Encoder or a Decoder, whose methods take pointers. A type
-// lists its fields once —
+// an Encoder or a Decoder, or hashing, whose methods take pointers. A
+// type lists its fields once —
 //
 //	func codeAlarm(c *wire.Codec, a *alarm) {
 //		wire.Fixed64(c, &a.deadline)
@@ -20,14 +22,17 @@ import (
 // — and that one list writes the fields when the codec encodes and
 // reads them when it decodes, so the two directions cannot disagree
 // about order, width or a forgotten field. The bytes are exactly what
-// the Encoder methods of the same names produce.
+// the Encoder methods of the same names produce. The third direction,
+// hashing, feeds the same list into a state fingerprint (Hashing).
 //
-// Errors are sticky in both directions (a Decoder's already are): walk
+// Errors are sticky in every direction (a Decoder's already are): walk
 // the whole record, then check Err once.
 type Codec struct {
-	e   *Encoder
-	d   *Decoder
-	err error // encoding only; a Decoder keeps its own
+	e       *Encoder
+	d       *Decoder
+	hashing bool
+	h       sim.Hash
+	err     error // encoding and hashing; a Decoder keeps its own
 }
 
 // Encoding returns the codec that appends to e, with no error recorded:
@@ -44,11 +49,25 @@ func Decoding(d *Decoder) *Codec {
 	return &d.codec
 }
 
+// Hashing returns the codec that absorbs every value a field list visits
+// into a sim.Hash starting at from, encoding nothing: an integer, a bool
+// or a count as one Word, a string or a blob as a length Word and its
+// bytes. The caller keeps it (there is no Encoder to live in) and reads
+// Sum after the walk. Decoding is false: a list walks it as it encodes.
+func Hashing(from sim.Hash) Codec { return Codec{hashing: true, h: from} }
+
+// Sum returns the finished hash of what a hashing codec has absorbed.
+func (c *Codec) Sum() uint64 { return c.h.Sum() }
+
 // Decoding reports the direction. Field lists need it only where the
-// two directions differ in more than the direction of the copy:
-// allocating what a pointer field points to, or rebuilding a derived
-// structure after its elements were read.
+// directions differ in more than the direction of the copy: allocating
+// what a pointer field points to, or rebuilding a derived structure after
+// its elements were read.
 func (c *Codec) Decoding() bool { return c.d != nil }
+
+// Hashing reports whether the codec hashes, for a list that must tell a
+// fingerprint (no allocation) from an encoding (may read shared state).
+func (c *Codec) Hashing() bool { return c.hashing }
 
 // Err returns the first error of the walk.
 func (c *Codec) Err() error {
@@ -69,26 +88,62 @@ func (c *Codec) Fail(err error) {
 }
 
 // code is the one direction switch of the fixed-kind methods: each pairs
-// the Encoder method with the Decoder method of its name.
-func code[T any](c *Codec, p *T, enc func(*Encoder, T), dec func(*Decoder) T) {
+// the put method of its name, which encodes or hashes, with the Decoder
+// method; the branch in put costs the methods none of their inlining.
+func code[T any](c *Codec, p *T, put func(*Codec, T), dec func(*Decoder) T) {
 	if c.d != nil {
 		*p = dec(c.d)
 	} else {
-		enc(c.e, *p)
+		put(c, *p)
 	}
 }
 
 // Bool codes a single-byte boolean.
-func (c *Codec) Bool(p *bool) { code(c, p, (*Encoder).Bool, (*Decoder).Bool) }
+func (c *Codec) Bool(p *bool) { code(c, p, (*Codec).putBool, (*Decoder).Bool) }
 
 // Uvarint codes an unsigned varint.
-func (c *Codec) Uvarint(p *uint64) { code(c, p, (*Encoder).Uvarint, (*Decoder).Uvarint) }
+func (c *Codec) Uvarint(p *uint64) { code(c, p, (*Codec).putUvarint, (*Decoder).Uvarint) }
 
 // U32 codes a fixed-width little-endian uint32.
-func (c *Codec) U32(p *uint32) { code(c, p, (*Encoder).U32, (*Decoder).U32) }
+func (c *Codec) U32(p *uint32) { code(c, p, (*Codec).putU32, (*Decoder).U32) }
 
 // Str codes a length-prefixed string.
-func (c *Codec) Str(p *string) { code(c, p, (*Encoder).Str, (*Decoder).Str) }
+func (c *Codec) Str(p *string) { code(c, p, (*Codec).putStr, (*Decoder).Str) }
+
+func (c *Codec) putBool(b bool) {
+	if !c.hashing {
+		c.e.Bool(b)
+	} else if b {
+		c.h.Word(1)
+	} else {
+		c.h.Word(0)
+	}
+}
+
+func (c *Codec) putUvarint(u uint64) {
+	if c.hashing {
+		c.h.Word(u)
+	} else {
+		c.e.Uvarint(u)
+	}
+}
+
+func (c *Codec) putU32(u uint32) {
+	if c.hashing {
+		c.h.Word(uint64(u))
+	} else {
+		c.e.U32(u)
+	}
+}
+
+func (c *Codec) putStr(s string) {
+	if c.hashing {
+		c.h.Word(uint64(len(s)))
+		c.h.Text(s)
+	} else {
+		c.e.Str(s)
+	}
+}
 
 // Tag codes a string both ends already know — a type's name, given in the
 // parts it is made of — in Str's bytes. Encoding writes the parts as one
@@ -100,9 +155,13 @@ func (c *Codec) Tag(parts ...string) {
 		n += len(p)
 	}
 	if c.d == nil {
-		c.e.Uvarint(uint64(n))
+		c.putUvarint(uint64(n))
 		for _, p := range parts {
-			c.e.buf = append(c.e.buf, p...)
+			if c.hashing {
+				c.h.Text(p)
+			} else {
+				c.e.buf = append(c.e.buf, p...)
+			}
 		}
 		return
 	}
@@ -123,14 +182,36 @@ func (c *Codec) Tag(parts ...string) {
 
 // Blob codes a length-prefixed byte slice; nil and empty stay distinct,
 // and a decoded slice never aliases the stream.
-func (c *Codec) Blob(p *[]byte) { code(c, p, (*Encoder).Blob, (*Decoder).Blob) }
+func (c *Codec) Blob(p *[]byte) { code(c, p, (*Codec).putBlob, (*Decoder).Blob) }
+
+func (c *Codec) putBlob(b []byte) {
+	if c.hashing {
+		c.h.Word(blobHead(b))
+		c.h.Bytes(b)
+	} else {
+		c.e.Blob(b)
+	}
+}
+
+// blobHead is the length word of a blob or a slice: 0 for nil, else the
+// length plus one.
+func blobHead[T any](s []T) uint64 {
+	if s == nil {
+		return 0
+	}
+	return uint64(len(s)) + 1
+}
 
 // BlobOf codes whatever fill codes as one blob, in Blob's bytes, without
 // a buffer in between. Encoding, fill writes straight into the stream and
 // the length is put in front of what it wrote afterwards (the bytes move
 // up by the one or two that takes). Decoding, fill reads from the blob
-// and must read all of it.
+// and must read all of it. Hashing, fill hashes as it would anywhere.
 func (c *Codec) BlobOf(fill func(*Codec)) {
+	if c.hashing {
+		fill(c)
+		return
+	}
 	if c.d != nil {
 		n := c.d.Uvarint()
 		if n == 0 {
@@ -163,8 +244,9 @@ func (c *Codec) BlobOf(fill func(*Codec)) {
 // failed, so a loop over the result ends.
 func (c *Codec) Len(n int) int {
 	if c.d == nil {
-		c.e.Uvarint(uint64(n))
-		c.e.Grow(n)
+		if c.putUvarint(uint64(n)); !c.hashing {
+			c.e.Grow(n)
+		}
 		return n
 	}
 	u := c.d.Uvarint()
@@ -189,7 +271,7 @@ type (
 // would not encode back to the bytes it came from.
 func Int[T signed](c *Codec, p *T) {
 	if c.d == nil {
-		c.e.Varint(int64(*p))
+		c.putUvarint(zigzag(int64(*p)))
 		return
 	}
 	v := c.d.Varint()
@@ -202,7 +284,7 @@ func Int[T signed](c *Codec, p *T) {
 // Int's range check.
 func Uint[T unsigned](c *Codec, p *T) {
 	if c.d == nil {
-		c.e.Uvarint(uint64(*p))
+		c.putUvarint(uint64(*p))
 		return
 	}
 	v := c.d.Uvarint()
@@ -214,7 +296,9 @@ func Uint[T unsigned](c *Codec, p *T) {
 // Fixed64 codes a 64-bit unsigned quantity of any named kind as eight
 // little-endian bytes.
 func Fixed64[T ~uint64](c *Codec, p *T) {
-	if c.d != nil {
+	if c.hashing {
+		c.h.Word(uint64(*p))
+	} else if c.d != nil {
 		*p = T(c.d.U64())
 	} else {
 		c.e.U64(uint64(*p))

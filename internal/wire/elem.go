@@ -99,10 +99,18 @@ func ints[T signed](c *Codec, p *[]T) {
 // Ints codes every element of s in place, as Int does and without a
 // count: the elements of an array, or of a slice whose head is already
 // coded. It is the loop a frame table of sixteen thousand int32 goes
-// through on every encode and decode, so the buffer and the offset are
-// held in locals (a store to e.buf an element is a GC write barrier an
-// element).
+// through on every encode, decode and fingerprint, so the buffer and the
+// offset, or the hash, are held in locals (a store to e.buf an element is
+// a GC write barrier an element).
 func Ints[T signed](c *Codec, s []T) {
+	if c.hashing {
+		h := c.h
+		for _, v := range s {
+			h.Word(zigzag(int64(v)))
+		}
+		c.h = h
+		return
+	}
 	if c.d == nil {
 		c.e.Grow(len(s)) // an array: no Len or sliceHead has made room
 		buf := c.e.buf
@@ -138,12 +146,9 @@ func Ints[T signed](c *Codec, s []T) {
 // the stream holds — checked against the bytes left first — or to nil.
 func sliceHead[T any](c *Codec, p *[]T) int {
 	if c.d == nil {
-		if *p == nil {
-			c.e.Uvarint(0)
-			return 0
+		if c.putUvarint(blobHead(*p)); !c.hashing {
+			c.e.Grow(len(*p)) // an element takes at least a byte
 		}
-		c.e.Uvarint(uint64(len(*p)) + 1)
-		c.e.Grow(len(*p)) // an element takes at least a byte
 		return len(*p)
 	}
 	*p = nil

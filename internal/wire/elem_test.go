@@ -59,3 +59,22 @@ func TestElemMatchesValue(t *testing.T) {
 		t.Error("wire.Typed claims a route for a named kind, a float or a struct without a list")
 	}
 }
+
+// TestHashingCoversEveryKind: the hashing route of every kind an element
+// can be sees each of its leaves.
+func TestHashingCoversEveryKind(t *testing.T) {
+	wiretest.HashCovers[bool](t)
+	wiretest.HashCovers[string](t)
+	wiretest.HashCovers[[]byte](t)
+	wiretest.HashCovers[int](t)
+	wiretest.HashCovers[int8](t)
+	wiretest.HashCovers[int16](t)
+	wiretest.HashCovers[int32](t)
+	wiretest.HashCovers[int64](t)
+	wiretest.HashCovers[uint](t)
+	wiretest.HashCovers[uint8](t)
+	wiretest.HashCovers[uint16](t)
+	wiretest.HashCovers[uint32](t)
+	wiretest.HashCovers[uint64](t)
+	wiretest.HashCovers[coded](t)
+}

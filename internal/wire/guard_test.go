@@ -12,7 +12,8 @@ import (
 
 // TestPackageStaysClosed parses the package's non-test files and holds
 // them to what makes the codec closed: no reflection (the walk by Go type
-// is the oracle in wiretest, not a route), no second hash, and no
+// is the oracle in wiretest, not a route), no second hash, no package of
+// the module but sim (whose Hash the hashing direction feeds), and no
 // package state — no variable a registration could fill and no init to
 // fill it.
 func TestPackageStaysClosed(t *testing.T) {
@@ -41,6 +42,9 @@ func TestPackageStaysClosed(t *testing.T) {
 			path, _ := strconv.Unquote(imp.Path.Value)
 			if why, bad := forbidden[path]; bad {
 				t.Errorf("%s imports %s: %s", fset.Position(imp.Pos()), path, why)
+			}
+			if strings.HasPrefix(path, "repro/") && path != "repro/internal/sim" {
+				t.Errorf("%s imports %s: the codec depends on no package of the module but sim", fset.Position(imp.Pos()), path)
 			}
 		}
 		for _, decl := range f.Decls {

@@ -42,9 +42,6 @@ type Encoder struct {
 // NewEncoder returns an empty encoder.
 func NewEncoder() *Encoder { return &Encoder{} }
 
-// Reset truncates the buffer for reuse, keeping the backing array.
-func (e *Encoder) Reset() { e.buf = e.buf[:0] }
-
 // Bytes returns the encoded stream. The slice aliases the encoder's
 // buffer; it is valid until the next write.
 func (e *Encoder) Bytes() []byte { return e.buf }
@@ -99,11 +96,7 @@ func (e *Encoder) Str(s string) {
 // Blob appends a length-prefixed byte slice. nil and empty are
 // distinguished so decode reproduces the original exactly.
 func (e *Encoder) Blob(b []byte) {
-	if b == nil {
-		e.Uvarint(0)
-		return
-	}
-	e.Uvarint(uint64(len(b)) + 1)
+	e.Uvarint(blobHead(b))
 	e.buf = append(e.buf, b...)
 }
 

@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -54,6 +56,56 @@ func SameAsValue[T any](t testing.TB, gen func(*rand.Rand) T) {
 	for _, s := range [][]T{nil, {}, all} {
 		var back []T
 		check("Elems", s, func(c *wire.Codec) { wire.Elems(c, &s) }, &back, func(c *wire.Codec) { wire.Elems(c, &back) })
+	}
+}
+
+// HashCovers holds the hashing direction (wire.Hashing) of Elem and Elems
+// to every leaf of T, for a T of bools, integers, strings, arrays, slices
+// and structs — a store element: two values the Filler fills alike hash
+// alike, alone and as a slice, and changing any one leaf — zeroing it, or
+// a string's bytes at its length — moves the sum. A field list that leaves
+// a field out fails.
+func HashCovers[T any](t testing.TB) {
+	t.Helper()
+	hashCovers(t, func(c *wire.Codec, v *T) { wire.Elem(c, v) })
+	hashCovers(t, func(c *wire.Codec, s *[]T) { wire.Elems(c, s) })
+}
+
+func hashCovers[T any](t testing.TB, code func(*wire.Codec, *T)) {
+	t.Helper()
+	sum := func(v *T) uint64 {
+		c := wire.Hashing(sim.NewHash())
+		if code(&c, v); c.Err() != nil {
+			t.Fatalf("%T: hashing: %v", *v, c.Err())
+		}
+		return c.Sum()
+	}
+	// fill fills a T and lists its leaves, which the Filler makes non-zero.
+	fill := func() (v *T, paths []string, leaves []reflect.Value) {
+		v = new(T)
+		(&Filler{Leaf: func(path string, leaf reflect.Value) bool {
+			if k := leaf.Kind(); k != reflect.Struct && k != reflect.Array && k != reflect.Slice {
+				paths, leaves = append(paths, path), append(leaves, leaf)
+			}
+			return false
+		}}).Fill(v)
+		return v, paths, leaves
+	}
+	v, paths, _ := fill()
+	want := sum(v)
+	if v, _, _ = fill(); sum(v) != want {
+		t.Fatalf("%T: two equal values hash apart", *v)
+	}
+	for i, path := range paths {
+		v, _, leaves := fill()
+		if leaf := leaves[i]; leaf.Kind() == reflect.String {
+			leaf.SetString(strings.ToUpper(leaf.String())) // the bytes alone
+		} else {
+			leaf.SetZero()
+		}
+		if sum(v) == want {
+			t.Errorf("changing %s leaves the hash where it was", path)
+		}
 	}
 }
 

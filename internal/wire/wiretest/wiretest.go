@@ -46,6 +46,10 @@ func (f *Filler) fill(path string, v reflect.Value) {
 		v.SetUint(uint64(f.next()))
 	case reflect.String:
 		v.SetString(fmt.Sprintf("s%d", f.next()))
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			f.fill(fmt.Sprintf("%s[%d]", path, i), v.Index(i))
+		}
 	case reflect.Slice:
 		s := reflect.MakeSlice(v.Type(), 2, 2)
 		for i := 0; i < 2; i++ {
