@@ -79,58 +79,45 @@ func Boot(opts Options, initProg usr.Program, initArgs ...string) *System {
 	o.AddTask(proto.EpSys, "sys", systask.Run)
 
 	initEP := o.SpawnInit("init", reg.Body(initProg, initArgs))
-
-	heartbeats := opts.Heartbeats
-	rsCfg := rsConfigFrom(opts)
-	o.AddComponent(kernel.EpRS, func(st *memlog.Store) core.Component {
-		return newRS(st, heartbeats, rsCfg)
-	})
-	o.AddComponent(kernel.EpPM, func(st *memlog.Store) core.Component {
-		return pmFactory(st, initEP, reg)
-	})
-	o.AddComponent(kernel.EpVM, func(st *memlog.Store) core.Component {
-		return vmFactory(st, initEP)
-	})
-	o.AddComponent(kernel.EpVFS, vfsFactory)
-	o.AddComponent(kernel.EpDS, dsFactory)
-
+	for _, c := range components(opts, initEP, reg) {
+		o.AddComponent(c.ep, c.factory)
+	}
 	return &System{OS: o, Registry: reg, Driver: drv}
 }
 
-// rsConfigFrom derives the Recovery Server configuration from boot
-// options; Boot and Snapshot.Fork must agree on it exactly.
-func rsConfigFrom(opts Options) rs.Config {
-	cfg := rs.Config{HangMisses: opts.HangMisses}
+// component is one recoverable server: its endpoint and how to build it
+// over a store.
+type component struct {
+	ep      kernel.Endpoint
+	factory core.Factory
+}
+
+// components is the one table of the five recoverable servers, in the
+// order they are added. Boot builds each over a fresh store and
+// Snapshot.Fork over a fork-cloned one, so both build bit-identical
+// instances.
+func components(opts Options, initEP kernel.Endpoint, reg *usr.Registry) [5]component {
+	rsCfg := rs.Config{HangMisses: opts.HangMisses}
 	if opts.HeartbeatPeriod > 0 {
-		cfg.Period = sim.Cycles(opts.HeartbeatPeriod)
+		rsCfg.Period = sim.Cycles(opts.HeartbeatPeriod)
 	}
-	return cfg
+	heartbeats := opts.Heartbeats
+	return [...]component{
+		{kernel.EpRS, func(st *memlog.Store) core.Component {
+			return &rsComponent{RS: rs.NewWithConfig(st, heartbeatTargets, rsCfg), heartbeats: heartbeats}
+		}},
+		{kernel.EpPM, func(st *memlog.Store) core.Component { return pm.New(st, initEP, reg.MakeBody) }},
+		{kernel.EpVM, func(st *memlog.Store) core.Component { return vm.New(st, int64(initEP)) }},
+		{kernel.EpVFS, func(st *memlog.Store) core.Component { return vfs.New(st) }},
+		{kernel.EpDS, func(st *memlog.Store) core.Component { return ds.New(st) }},
+	}
 }
-
-// Component factories shared by Boot and Snapshot.Fork: both paths must
-// build bit-identical component instances (over a fresh store at boot,
-// over a fork-cloned store on a warm fork).
-func pmFactory(st *memlog.Store, initEP kernel.Endpoint, reg *usr.Registry) core.Component {
-	return pm.New(st, initEP, reg.MakeBody)
-}
-
-func vmFactory(st *memlog.Store, initEP kernel.Endpoint) core.Component {
-	return vm.New(st, int64(initEP))
-}
-
-func vfsFactory(st *memlog.Store) core.Component { return vfs.New(st) }
-
-func dsFactory(st *memlog.Store) core.Component { return ds.New(st) }
 
 // rsComponent adapts rs.RS to optionally disable heartbeats.
 type rsComponent struct {
 	*rs.RS
 
 	heartbeats bool
-}
-
-func newRS(st *memlog.Store, heartbeats bool, cfg rs.Config) core.Component {
-	return &rsComponent{RS: rs.NewWithConfig(st, heartbeatTargets, cfg), heartbeats: heartbeats}
 }
 
 // Init schedules heartbeats only when enabled.

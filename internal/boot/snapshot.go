@@ -10,7 +10,6 @@ package boot
 import (
 	"repro/internal/core"
 	"repro/internal/kernel"
-	"repro/internal/memlog"
 	"repro/internal/proto"
 	"repro/internal/servers/driver"
 	"repro/internal/servers/systask"
@@ -51,8 +50,10 @@ func CaptureParked(sys *System, opts Options) (*Snapshot, error) {
 	return &Snapshot{Image: img, Disk: sys.Driver.Share(), Registry: sys.Registry, Opts: opts}, nil
 }
 
-// SizeBytes estimates the snapshot's retained memory for cache
-// accounting: disk block copies plus the machine image estimate.
+// SizeBytes estimates the snapshot's retained memory: disk block copies
+// plus the machine image estimate. It is reported (osirisbench's
+// boot.snapshot_bytes), not used as a budget: nothing caps what a
+// campaign's snapshots hold.
 func (s *Snapshot) SizeBytes() int64 {
 	return s.Image.SizeBytes() + s.Disk.SizeBytes()
 }
@@ -111,20 +112,8 @@ func (s *Snapshot) Fork(params ForkParams, resumeProg usr.Program, initArgs ...s
 
 	initEP := o.SpawnInit("init", s.Registry.ResumeBody(resumeProg, initArgs))
 
-	heartbeats := s.Opts.Heartbeats
-	rsCfg := rsConfigFrom(s.Opts)
-	forked := []struct {
-		ep      kernel.Endpoint
-		factory core.Factory
-	}{
-		{kernel.EpRS, func(st *memlog.Store) core.Component { return newRS(st, heartbeats, rsCfg) }},
-		{kernel.EpPM, func(st *memlog.Store) core.Component { return pmFactory(st, initEP, s.Registry) }},
-		{kernel.EpVM, func(st *memlog.Store) core.Component { return vmFactory(st, initEP) }},
-		{kernel.EpVFS, vfsFactory},
-		{kernel.EpDS, dsFactory},
-	}
-	for _, f := range forked {
-		if err := o.AddForkedComponent(f.ep, f.factory, s.Image); err != nil {
+	for _, c := range components(s.Opts, initEP, s.Registry) {
+		if err := o.AddForkedComponent(c.ep, c.factory, s.Image); err != nil {
 			o.Shutdown("fork failed: " + err.Error())
 			return nil, err
 		}

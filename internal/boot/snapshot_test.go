@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/kernel"
+	"repro/internal/memlog"
 	"repro/internal/seep"
 	"repro/internal/testsuite"
 	"repro/internal/usr"
@@ -111,6 +112,45 @@ func TestWarmForkSnapshotImmutable(t *testing.T) {
 	if !reflect.DeepEqual(firstRes, secondRes) || !reflect.DeepEqual(firstRep, secondRep) {
 		t.Errorf("second fork differs from first:\nfirst  %+v %+v\nsecond %+v %+v",
 			firstRes, firstRep, secondRes, secondRep)
+	}
+}
+
+// A capture forks every store, and a fork never carries a log: a parked
+// machine one of whose stores holds an undo record is refused by the
+// capture, as the on-disk image refuses such a store, and a ForkClone of
+// the store panics. Once the log is gone the machine captures again.
+func TestCaptureRefusesUndoRecordsInFlight(t *testing.T) {
+	opts := suiteOpts(5)
+	sys := Boot(opts, testsuite.RunnerInit(new(testsuite.Report)))
+	defer sys.Shutdown("test done")
+	if !sys.Kernel().RunToBarrier(testLimit) {
+		t.Fatal("suite never reached the boot barrier")
+	}
+	if _, err := CaptureParked(sys, opts); err != nil {
+		t.Fatalf("quiescent machine refused: %v", err)
+	}
+	st := sys.ComponentStore(kernel.EpDS)
+	probe := memlog.NewCell(st, "test.probe", int64(0))
+	st.SetLogging(true)
+	probe.Set(1)
+	if _, err := CaptureParked(sys, opts); err == nil {
+		t.Error("machine with an undo record in flight was captured")
+	}
+	if sys.ElideQuiescent() {
+		t.Error("machine with an undo record in flight is quiescent enough to elide")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("ForkClone copied a store with an undo record in flight")
+			}
+		}()
+		st.ForkClone()
+	}()
+	st.SetLogging(false)
+	st.DiscardLog()
+	if _, err := CaptureParked(sys, opts); err != nil {
+		t.Errorf("machine refused after its log was discarded: %v", err)
 	}
 }
 

@@ -979,14 +979,6 @@ func (o *OS) ComponentInstance(ep kernel.Endpoint) Component {
 	return nil
 }
 
-// ComponentPolicy reports the effective recovery policy of ep.
-func (o *OS) ComponentPolicy(ep kernel.Endpoint) seep.Policy {
-	if s := o.slots[ep]; s != nil {
-		return s.policy
-	}
-	return o.cfg.Policy
-}
-
 // busyReporter is implemented by components that own their request loop
 // (Looper) and know when work is in flight (e.g. the VFS worker pool).
 type busyReporter interface {

@@ -64,8 +64,9 @@ func (img *OSImage) slot(ep kernel.Endpoint) *SlotImage {
 	return nil
 }
 
-// SizeBytes estimates the retained size of the image for snapshot-cache
-// accounting: per-component store bytes plus the kernel image estimate.
+// SizeBytes estimates the retained size of the image, as part of
+// boot.Snapshot.SizeBytes: per-component store bytes plus the kernel
+// image estimate.
 func (img *OSImage) SizeBytes() int64 {
 	n := img.Machine.SizeBytes()
 	for _, si := range img.Slots {
@@ -81,7 +82,9 @@ var errAfterRecovery = errors.New("core: capture after recoveries or quarantines
 // barrierRefusal is core's share of the quiescence predicate for a
 // machine parked at a barrier (the kernel's is Kernel.BarrierQuiescent):
 // nil when no component is quarantined, inside a recovery window,
-// mid-request or busy, otherwise the first reason one is.
+// mid-request, holding undo records or busy, otherwise the first reason
+// one is. Undo records are refused as the on-disk image refuses them: a
+// capture forks the stores, and a fork never carries a log.
 func (o *OS) barrierRefusal() error {
 	if o.Quarantines != 0 {
 		return errAfterRecovery
@@ -90,6 +93,9 @@ func (o *OS) barrierRefusal() error {
 		s := o.slots[ep]
 		if s.window.Open() || s.inRequest {
 			return fmt.Errorf("core: component %s mid-request at the barrier", s.name)
+		}
+		if n := s.store.LogLen(); n > 0 {
+			return fmt.Errorf("core: component %s holds %d undo records at the barrier", s.name, n)
 		}
 		if br, ok := s.comp.(busyReporter); ok && br.Busy() {
 			return fmt.Errorf("core: component %s busy at the barrier", s.name)
@@ -110,9 +116,9 @@ func (o *OS) ElideQuiescent() bool {
 // CaptureImage snapshots a machine parked by RunToBarrier (via
 // Kernel().RunToBarrier). It fails when the machine is not at a clean
 // quiescent point — any recovery or quarantine happened, a window is
-// open, a component is mid-request — in which case the caller falls
-// back to cold boots. The source machine is left intact; shut it down
-// with Shutdown afterwards.
+// open, a component is mid-request or holds undo records — in which case
+// the caller falls back to cold boots. The source machine is left
+// intact; shut it down with Shutdown afterwards.
 func (o *OS) CaptureImage() (*OSImage, error) {
 	if o.Recoveries != 0 {
 		return nil, errAfterRecovery

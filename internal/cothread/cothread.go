@@ -108,13 +108,6 @@ func (p *Pool) Idle() *Thread {
 	return nil
 }
 
-// Quiescent reports whether every thread is idle: no job running, no
-// thread blocked on an asynchronous reply. A warm-fork capture point
-// requires the pool quiescent, since blocked thread positions cannot be
-// reconstructed in a fresh machine; a forked server rebuilds an idle
-// pool, which is exact precisely when this held at capture.
-func (p *Pool) Quiescent() bool { return p.BusyCount() == 0 }
-
 // BusyCount reports how many threads are currently busy.
 func (p *Pool) BusyCount() int {
 	n := 0

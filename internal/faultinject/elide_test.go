@@ -172,8 +172,8 @@ func TestElideFallbackPinned(t *testing.T) {
 func TestElideFallbackNoTail(t *testing.T) {
 	cfg, profile, oracle := elideTestPlan(t)
 	prev := buildLadder
-	buildLadder = func(cfg core.Config, noElide bool, budget int64) *ladder {
-		l := newLadder(cfg, noElide, budget)
+	buildLadder = func(cfg core.Config, noElide bool) *ladder {
+		l := newLadder(cfg, noElide)
 		if l != nil {
 			l.finish("test: walk cut at rung 0")
 		}
@@ -663,7 +663,7 @@ func TestElideLateHitAndPublication(t *testing.T) {
 // randomness and ran no recovery since would be.
 func tableLadder(t *testing.T) (*ladder, candidate, testsuite.Report, suffixStamp) {
 	t.Helper()
-	l := newLadder(planeClass{kind: kindSingle}.config(seep.PolicyEnhanced, 42), false, ladderBudget)
+	l := newLadder(planeClass{kind: kindSingle}.config(seep.PolicyEnhanced, 42), false)
 	if l == nil {
 		t.Fatal("pathfinder failed to reach the boot barrier")
 	}
@@ -754,24 +754,4 @@ func TestElidePublishRefusesCrashedRun(t *testing.T) {
 			t.Errorf("crashed run published its candidate at barrier %d", c.key.barrier)
 		}
 	}
-}
-
-// (b) A ladder cap its own records already exhaust has no room for an
-// armed run's entry: runs still splice the pathfinder's entries (the
-// ladder charges those regardless), nothing rejoins, and the results do
-// not move.
-func TestElidePublishRefusesWithoutBudget(t *testing.T) {
-	cfg, plan := rejoinPlan(t)
-	withLadderBudget(t, 1)
-	results, _, stats := servedPass(cfg, plan, 1)
-	if !reflect.DeepEqual(rejoinCold(cfg, plan), results) {
-		t.Error("results moved under a one-byte ladder cap")
-	}
-	if stats.Rejoined != 0 {
-		t.Errorf("%d runs rejoined entries the budget had no room for", stats.Rejoined)
-	}
-	if stats.Elided == 0 {
-		t.Errorf("the pathfinder's own entries were refused too: %+v", stats)
-	}
-	assertElisionAccounted(t, stats)
 }

@@ -52,14 +52,6 @@ func (o IPCOptions) apply(cfg core.Config, runSeed uint64) core.Config {
 	return cfg
 }
 
-// RunBackground boots the machine with only background transport faults
-// (no planned component fault), runs the prototype suite and classifies
-// the outcome. Unlike single-fault injections, background rates fire
-// repeatedly, so the cascade sequencer stays enabled as in RunMulti.
-func RunBackground(policy seep.Policy, seed uint64, ipc IPCOptions) RunResult {
-	return runCold(policy, seed, runSpec{kind: kindBackground, ipc: ipc}).background(ipc)
-}
-
 // background is the RunResult view of a run that armed nothing: it
 // counts as triggered when background rates were live.
 func (m MultiRunResult) background(ipc IPCOptions) RunResult {

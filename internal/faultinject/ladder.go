@@ -10,11 +10,11 @@ package faultinject
 // machine per (policy, configuration class) therefore walks the suite
 // fault-free, rung by rung, recording at every program boundary the
 // cumulative per-site counts and the suite tallies so far, and on
-// stride boundaries a forkable snapshot of the rung, while the ladder's
-// byte cap allows. An armed (site, occurrence) then maps to the deepest
-// rung strictly before its trigger; the run forks from the deepest HELD
-// rung at or before that, with the occurrence translated into the
-// rung's frame, and executes only the suffix.
+// stride boundaries a forkable snapshot of the rung. An armed (site,
+// occurrence) then maps to the deepest rung strictly before its trigger;
+// the run forks from the deepest HELD rung at or before that, with the
+// occurrence translated into the rung's frame, and executes only the
+// suffix.
 //
 // Soundness: a fork from rung r is bit-identical to a cold run of the
 // same seed if and only if the cold run's trace up to rung r is
@@ -115,18 +115,15 @@ type candidate struct {
 	stamp  suffixStamp
 }
 
-// ladderBudget caps what one ladder holds: its rung snapshots plus the
-// records it charges (rung records, suffix-table entries). The whole
-// ladder of the 2 542-run single-fault benchmark campaign fits in
-// 16–32 MiB.
-const ladderBudget int64 = 256 << 20
-
 // ladder is the snapshot ladder of one (policy, configuration class):
 // a single pathfinder machine walked lazily from barrier to barrier,
 // the recorded rungs, and the snapshots held of them. Everything is
 // append-only and nothing is ever evicted, so occurrence translation is
 // exact and the rung a run forks from is a function of the walk — of
-// the plan and the cap — not of the order requests arrive in.
+// the plan — not of the order requests arrive in. Nothing caps it: the
+// suite's program boundaries bound the rungs (110) and so the held
+// snapshots (one per captureStride rungs), and maxElideAttempts bounds
+// the suffix entries one armed run publishes (8).
 type ladder struct {
 	mu     sync.Mutex
 	opts   boot.Options
@@ -135,14 +132,11 @@ type ladder struct {
 	counts map[siteKey]int   // pathfinder's live cumulative site counts
 	rungs  []rung
 	// snaps[i] is the snapshot of rung i*captureStride. Rung 0's is always
-	// held; each later one is appended while it fits the budget, and the
-	// first that does not fit (or fails to capture) ends capture for good,
-	// so the held rungs are a prefix of the stride rungs.
+	// held; each later one is appended as the walk reaches it, and the
+	// first that fails to capture ends capture for good, so the held
+	// rungs are a prefix of the stride rungs.
 	snaps []*boot.Snapshot
-	// budget caps the held snapshots plus the charged records; used is
-	// what they take so far.
-	budget, used int64
-	cands        []candidate // the walk's own candidates, published at its end
+	cands []candidate // the walk's own candidates, published at its end
 	// noElide pins the ladder's runs to full execution
 	// (PlaneOptions.NoElide): the walk hashes nothing and the table never
 	// opens.
@@ -155,15 +149,14 @@ type ladder struct {
 
 // newLadder boots the pathfinder for cfg (plus the suite registry and
 // heartbeats, exactly as every campaign run boots), drives it to the
-// post-install boot barrier and captures rung 0; the ladder then holds
-// snapshots and records up to budget bytes. Returns nil when the machine
-// never quiesced there — callers fall back to cold boots.
-func newLadder(cfg core.Config, noElide bool, budget int64) *ladder {
+// post-install boot barrier and captures rung 0. Returns nil when the
+// machine never quiesced there — callers fall back to cold boots.
+func newLadder(cfg core.Config, noElide bool) *ladder {
 	report := new(testsuite.Report)
 	opts := suiteOptions(cfg)
 	sys := boot.Boot(opts, testsuite.RunnerInit(report))
 
-	l := &ladder{opts: opts, sys: sys, report: report, counts: make(map[siteKey]int), budget: budget, noElide: noElide}
+	l := &ladder{opts: opts, sys: sys, report: report, counts: make(map[siteKey]int), noElide: noElide}
 	names := sys.ComponentNames()
 	sys.Kernel().SetPointHook(func(ep kernel.Endpoint, name, site string) {
 		if _, recoverable := names[ep]; recoverable {
@@ -179,17 +172,15 @@ func newLadder(cfg core.Config, noElide bool, budget int64) *ladder {
 		sys.Shutdown("ladder: boot barrier not quiescent")
 		return nil
 	}
-	l.snaps, l.used = []*boot.Snapshot{snap}, snap.SizeBytes()
+	l.snaps = []*boot.Snapshot{snap}
 	l.recordRung()
 	return l
 }
 
 // recordRung appends the parked pathfinder's rung record — cumulative
 // site counts and suite tally — and, unless elision is pinned off, keeps
-// the rung as a suffix-table candidate. The record's retained bytes are
-// charged against the budget whether they fit or not: records anchor
-// occurrence translation, so the ladder cannot do without them. Caller
-// holds l.mu with the pathfinder parked at a barrier.
+// the rung as a suffix-table candidate. Caller holds l.mu with the
+// pathfinder parked at a barrier.
 func (l *ladder) recordRung() {
 	rg := rung{counts: cloneCounts(l.counts), prefix: cloneReport(*l.report)}
 	// With elision pinned off no armed run will ever look a state up, so
@@ -205,7 +196,6 @@ func (l *ladder) recordRung() {
 		}
 	}
 	l.rungs = append(l.rungs, rg)
-	l.used += rungRecordBytes(rg)
 }
 
 // recordTail ends a completed walk: it publishes the rungs as the suffix
@@ -232,12 +222,9 @@ func (l *ladder) recordTail() {
 // candidate left it — the suffix drew no randomness and ran no recovery,
 // so it is a function of the fingerprinted state alone. The first writer
 // of a key wins: by that same argument any later writer would record the
-// same suffix. The pathfinder's publication opens the table (armed runs
-// keep candidates only once lookup reports it open) and is charged
-// regardless; an armed run's entries (rejoined) are kept only while their
-// bytes still fit the budget. Armed runs publish only after lookup has
-// walked the ladder to its end, so every charge a capture decision sees
-// is made in walk order. Caller holds l.mu.
+// same suffix. The pathfinder's publication opens the table: armed runs
+// keep candidates only once lookup reports it open, so their entries
+// (rejoined) come after the walk's. Caller holds l.mu.
 func (l *ladder) publish(cands []candidate, end *testsuite.Report, res kernel.Result, clean bool, at suffixStamp, rejoined bool) {
 	if res.Outcome != kernel.OutcomeCompleted || !clean {
 		return
@@ -245,8 +232,7 @@ func (l *ladder) publish(cands []candidate, end *testsuite.Report, res kernel.Re
 	if l.table == nil {
 		l.table = make(map[suffixKey]suffixRecord, len(cands))
 	}
-	// One end record serves every entry of this machine; its bytes are
-	// charged with the first entry kept.
+	// One end record serves every entry of this machine.
 	var shared *suffixEnd
 	for _, c := range cands {
 		if c.stamp != at {
@@ -255,17 +241,9 @@ func (l *ladder) publish(cands []candidate, end *testsuite.Report, res kernel.Re
 		if _, dup := l.table[c.key]; dup {
 			continue
 		}
-		n := int64(suffixEntryBytes)
-		if shared == nil {
-			n += suffixEndBytes(end)
-		}
-		if rejoined && l.used+n > l.budget {
-			continue
-		}
 		if shared == nil {
 			shared = &suffixEnd{report: cloneReport(*end), outcome: res.Outcome, reason: res.Reason, rejoined: rejoined}
 		}
-		l.used += n
 		l.table[c.key] = suffixRecord{
 			end:    shared,
 			ran:    int32(c.prefix.Ran),
@@ -274,34 +252,6 @@ func (l *ladder) publish(cands []candidate, end *testsuite.Report, res kernel.Re
 			names:  int32(len(c.prefix.FailedNames)),
 		}
 	}
-}
-
-// rungRecordBytes estimates the retained size of one rung record for
-// the budget: map header and entries, key strings, and the suite tally.
-func rungRecordBytes(rg rung) int64 {
-	n := int64(128)
-	for key := range rg.counts {
-		n += 64 + int64(len(key[0])+len(key[1]))
-	}
-	for _, s := range rg.prefix.FailedNames {
-		n += 16 + int64(len(s))
-	}
-	return n
-}
-
-// suffixEntryBytes estimates the retained size of one suffix-table entry:
-// 16-byte key, 24-byte record, and the map's slack (a map that splits
-// when full runs between 42 % and 87 % load).
-const suffixEntryBytes = 96
-
-// suffixEndBytes estimates the retained size of the end record a
-// publishing machine shares among its entries.
-func suffixEndBytes(end *testsuite.Report) int64 {
-	n := int64(96)
-	for _, s := range end.FailedNames {
-		n += 16 + int64(len(s))
-	}
-	return n
 }
 
 // finish tears the pathfinder down; no further rungs will be recorded.
@@ -332,9 +282,9 @@ const captureStride = 4
 
 // advance walks the pathfinder to the next program boundary and records
 // the rung, capturing and holding its snapshot when it is the next
-// stride rung and fits the budget. A rung whose snapshot is not held
-// still anchors occurrence translation through its record; serving falls
-// back to the deepest held rung. Caller holds l.mu.
+// stride rung. A rung whose snapshot is not held still anchors occurrence
+// translation through its record; serving falls back to the deepest held
+// rung. Caller holds l.mu.
 func (l *ladder) advance() {
 	if !l.sys.Kernel().RunToBarrier(RunLimit) {
 		// The fault-free suite ran to completion (or hit the limit):
@@ -350,9 +300,8 @@ func (l *ladder) advance() {
 	if len(l.rungs)-1 != len(l.snaps)*captureStride {
 		return
 	}
-	if snap, err := boot.CaptureParked(l.sys, l.opts); err == nil && l.used+snap.SizeBytes() <= l.budget {
+	if snap, err := boot.CaptureParked(l.sys, l.opts); err == nil {
 		l.snaps = append(l.snaps, snap)
-		l.used += snap.SizeBytes()
 	}
 }
 

@@ -15,54 +15,9 @@ import (
 // The snapshot ladder rides on one invariant beyond PR 7's boot-barrier
 // fork: the fault-free suite trace — per-site fault-point counts and
 // suite tallies at every program boundary — is seed-independent. These
-// tests assert that property directly, drive every fallback reason
-// through its path, and re-check campaign bit-identity under small
-// ladder caps. All names start with
-// TestLadder so CI can select the suite with -run Ladder.
-
-// A 2 MiB cap ends capture early in the walk; a cap of 0 holds rung 0
-// alone (PR 7's single-snapshot plane). Campaign results must be
-// bit-identical to cold boots in both regimes — only the serving split
-// may shift.
-func TestLadderEquivalenceUnderCachePressure(t *testing.T) {
-	profile, err := Profile(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := CampaignConfig{
-		Policy:         seep.PolicyEnhanced,
-		Model:          FullEDFI,
-		Seed:           42,
-		SamplesPerSite: 1,
-		MaxRuns:        12,
-	}
-	coldRes := coldCampaign(cfg, profile)
-
-	for _, tc := range []struct {
-		name   string
-		budget int64
-	}{
-		{"tiny", 2 << 20},
-		{"rung0", 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			withLadderBudget(t, tc.budget)
-			for _, workers := range []int{1, 8} {
-				cfg.Workers = workers
-				warmRes, stats := RunCampaign(cfg, profile)
-				if !reflect.DeepEqual(coldRes, warmRes) {
-					t.Errorf("workers=%d: campaign diverged:\ncold: %+v\nwarm: %+v", workers, coldRes, warmRes)
-				}
-				if stats.ColdBoots != 0 {
-					t.Errorf("workers=%d: %d unexpected cold boots (%v)", workers, stats.ColdBoots, stats.Fallbacks)
-				}
-				if tc.budget == 0 && stats.LadderForks != 0 {
-					t.Errorf("workers=%d: %d ladder forks, want 0 (boot-barrier only)", workers, stats.LadderForks)
-				}
-			}
-		})
-	}
-}
+// tests assert that property directly and drive every fallback reason
+// through its path. All names start with TestLadder so CI can select the
+// suite with -run Ladder.
 
 // Per-rung fault-point counts and suite tallies must not depend on the
 // pathfinder's seed: this is the invariant that makes forking a rung
@@ -74,7 +29,7 @@ func TestLadderRungCountsSeedIndependent(t *testing.T) {
 	}
 	var walks []walk
 	for _, seed := range []uint64{7, 42, 1000007} {
-		l := newLadder(planeClass{kind: kindSingle}.config(seep.PolicyEnhanced, seed), false, ladderBudget)
+		l := newLadder(planeClass{kind: kindSingle}.config(seep.PolicyEnhanced, seed), false)
 		if l == nil {
 			t.Fatalf("seed %d: pathfinder failed to reach the boot barrier", seed)
 		}
@@ -220,7 +175,7 @@ func TestLadderFallbackForkFailed(t *testing.T) {
 func TestLadderFallbackCaptureFailed(t *testing.T) {
 	cfg, profile, coldRes := ladderTestPlan(t)
 	prev := buildLadder
-	buildLadder = func(core.Config, bool, int64) *ladder { return nil }
+	buildLadder = func(core.Config, bool) *ladder { return nil }
 	defer func() { buildLadder = prev }()
 	res, stats := RunCampaign(cfg, profile)
 	if !reflect.DeepEqual(res, coldRes) {

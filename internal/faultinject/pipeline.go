@@ -168,7 +168,7 @@ func (r *campaignRunner) plane(c planeClass) (*ladder, string) {
 	defer r.mu.Unlock()
 	l, built := r.ladders[c]
 	if !built {
-		l = buildLadder(c.config(r.policy, r.seed), r.opts.NoElide, ladderBudget)
+		l = buildLadder(c.config(r.policy, r.seed), r.opts.NoElide)
 		if r.ladders == nil {
 			r.ladders = make(map[planeClass]*ladder)
 		}

@@ -19,9 +19,6 @@ type Context struct {
 // Endpoint returns the endpoint of the calling process.
 func (c *Context) Endpoint() Endpoint { return c.p.ep }
 
-// ProcName returns the process name (diagnostics).
-func (c *Context) ProcName() string { return c.p.name }
-
 // Kernel exposes the kernel for privileged components (PM, the
 // recovery engine). User programs must not use it.
 func (c *Context) Kernel() *Kernel { return c.k }

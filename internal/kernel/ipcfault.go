@@ -403,11 +403,6 @@ func (k *Kernel) IPCStats() (IPCStats, bool) {
 	return k.ipc.stats, true
 }
 
-// IPCReliabilityOn reports whether the reliability layer is active.
-func (k *Kernel) IPCReliabilityOn() bool {
-	return k.ipc != nil && k.ipc.relOn()
-}
-
 // ipcChecksum hashes the payload-bearing fields of m (FNV-1a over the
 // registers, strings and sequence number). The Sum field itself is
 // excluded. Zero is never returned, so Sum != 0 marks checked messages.

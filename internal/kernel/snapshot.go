@@ -350,9 +350,9 @@ func (k *Kernel) installDeadPlaceholders(procs []procImage, dead int) {
 	k.order, k.ready = order, ready
 }
 
-// SizeBytes estimates the retained size of the image for snapshot-cache
-// accounting: message payloads plus fixed per-structure overheads. It is
-// a budget heuristic, not an exact accounting.
+// SizeBytes estimates the retained size of the image: message payloads
+// plus fixed per-structure overheads. It is a heuristic, reported as part
+// of boot.Snapshot.SizeBytes, not an exact accounting.
 func (img *MachineImage) SizeBytes() int64 {
 	const (
 		procOverhead  = 256

@@ -109,12 +109,12 @@ func (c *Cell[T]) undo(rec undoRec) {
 	c.store.touch(c, &c.cm)
 }
 
-func (c *Cell[T]) adoptLog(src container, copied bool) {
+func (c *Cell[T]) adoptLog(src container) {
 	other, ok := src.(*Cell[T])
 	if !ok {
 		panic(fmt.Sprintf("memlog: undo type mismatch for cell %q", c.id))
 	}
-	c.olds.adopt(c.store, &other.olds, other.store, copied)
+	c.olds.adopt(c.store, &other.olds, other.store)
 }
 
 func (c *Cell[T]) restoreFrom(src container) {
@@ -310,12 +310,12 @@ func (m *Map[K, V]) undo(rec undoRec) {
 	m.store.touch(m, &m.cm)
 }
 
-func (m *Map[K, V]) adoptLog(src container, copied bool) {
+func (m *Map[K, V]) adoptLog(src container) {
 	other, ok := src.(*Map[K, V])
 	if !ok {
 		panic(fmt.Sprintf("memlog: undo type mismatch for map %q", m.id))
 	}
-	m.olds.adopt(m.store, &other.olds, other.store, copied)
+	m.olds.adopt(m.store, &other.olds, other.store)
 }
 
 func (m *Map[K, V]) restoreFrom(src container) {
@@ -532,12 +532,12 @@ func (s *Slice[T]) undo(rec undoRec) {
 	s.touch()
 }
 
-func (s *Slice[T]) adoptLog(src container, copied bool) {
+func (s *Slice[T]) adoptLog(src container) {
 	other, ok := src.(*Slice[T])
 	if !ok {
 		panic(fmt.Sprintf("memlog: undo type mismatch for slice %q", s.id))
 	}
-	s.olds.adopt(s.store, &other.olds, other.store, copied)
+	s.olds.adopt(s.store, &other.olds, other.store)
 }
 
 // touch is the slice's one route to Store.touch.

@@ -132,17 +132,12 @@ func (l *sideLog[E]) pop(s *Store, id string, pos int) E {
 	return tail[0]
 }
 
-// adopt makes this side log (of a container in store s) hold what from
-// (the same container in store fs) holds this epoch: moved out of from,
-// or copied when from's store keeps its log.
-func (l *sideLog[E]) adopt(s *Store, from *sideLog[E], fs *Store, copied bool) {
+// adopt moves into this side log (of a container in store s) what from
+// (the same container in store fs) holds this epoch.
+func (l *sideLog[E]) adopt(s *Store, from *sideLog[E], fs *Store) {
 	l.epoch = s.logEpoch
 	l.recs = l.recs[:0]
 	if from.epoch != fs.logEpoch {
-		return
-	}
-	if copied {
-		l.recs = append(l.recs, from.recs...)
 		return
 	}
 	l.recs, from.recs = from.recs, nil
@@ -155,9 +150,9 @@ type container interface {
 	bytes() int
 	cloneInto(dst *Store)
 	undo(rec undoRec)
-	// adoptLog takes over the side log of src, the container of the same
-	// name in another store: moved (TransferLog), or copied (ForkClone).
-	adoptLog(src container, copied bool)
+	// adoptLog moves in the side log of src, the container of the same
+	// name in another store (TransferLog).
+	adoptLog(src container)
 	corrupt(r *sim.RNG) bool
 	// restoreFrom overwrites this container's contents from a snapshot
 	// container of the same name and type (FullCopy rollback).
@@ -470,7 +465,7 @@ func (s *Store) TransferLog(dst *Store) {
 	dst.log = s.log
 	dst.logBytes = s.logBytes
 	if len(s.log) > 0 {
-		s.sideLogsInto(dst, false)
+		s.sideLogsInto(dst)
 	}
 	if dst.logBytes > dst.maxLogBytes {
 		dst.maxLogBytes = dst.logBytes
@@ -486,10 +481,10 @@ func (s *Store) TransferLog(dst *Store) {
 // sideLogsInto hands every container's side log to its namesake in dst.
 // A container dst lacks keeps its entries here; the records naming it
 // then fail in dst's Rollback, as records for an unknown container do.
-func (s *Store) sideLogsInto(dst *Store, copied bool) {
+func (s *Store) sideLogsInto(dst *Store) {
 	for _, name := range s.order {
 		if c := dst.containers[name]; c != nil {
-			c.adoptLog(s.containers[name], copied)
+			c.adoptLog(s.containers[name])
 		}
 	}
 }
@@ -519,14 +514,19 @@ func (s *Store) Clone() *Store {
 // ForkClone produces a deep copy of the store that is faithful to the
 // original's full checkpointing state, not just its data: per-container
 // dirty/size bookkeeping, the checkpoint epoch, the cached size
-// aggregate, the undo log, the high-water marks and the retained
-// snapshot image are all reproduced. A ForkClone behaves bit-identically
-// to the original from this point on — the warm-fork plane uses it so a
-// forked machine's first post-fork checkpoint copies exactly the bytes a
-// cold-booted machine's would. The cost sink and counter set are NOT
-// carried over (they reference the source machine); the caller must
-// install the fork's own via SetCostSink/SetCounters.
+// aggregate, the high-water marks and the retained snapshot image are
+// all reproduced. A ForkClone behaves bit-identically to the original
+// from this point on — the warm-fork plane uses it so a forked machine's
+// first post-fork checkpoint copies exactly the bytes a cold-booted
+// machine's would. Like an image, it requires a quiescent store: it
+// panics on undo records in flight (core's capture refuses such a
+// machine first). The cost sink and counter set are NOT carried over
+// (they reference the source machine); the caller must install the
+// fork's own via SetCostSink/SetCounters.
 func (s *Store) ForkClone() *Store {
+	if len(s.log) > 0 {
+		panic(fmt.Sprintf("memlog: ForkClone of store %q with %d undo records in flight", s.label, len(s.log)))
+	}
 	if s.pending != nil {
 		// Still pending: the decoded record is immutable and shared.
 		return newPending(s.pending)
@@ -557,12 +557,6 @@ func (s *Store) ForkClone() *Store {
 		dst.fpDirty = append(dst.fpDirty, dst.containers[c.name()])
 	}
 	dst.fpAgg = s.fpAgg
-	if len(s.log) > 0 {
-		dst.grabSlab(len(s.log))
-		dst.log = append(dst.log, s.log...)
-		s.sideLogsInto(dst, true)
-	}
-	dst.logBytes = s.logBytes
 	if s.snapshot != nil {
 		dst.snapshot = s.snapshot.ForkClone()
 	}

@@ -153,8 +153,9 @@ func (d *Driver) Fingerprint() uint64 {
 	return d.fp
 }
 
-// SizeBytes estimates the memory an image retains, for snapshot-cache
-// accounting: a table slot per block plus the written contents.
+// SizeBytes estimates the memory an image retains, as part of
+// boot.Snapshot.SizeBytes: a table slot per block plus the written
+// contents.
 func (img *Image) SizeBytes() int64 {
 	size := int64(img.n) * 24
 	for _, pg := range img.pages {

@@ -9,7 +9,6 @@
 package unixbench
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/boot"
@@ -212,14 +211,4 @@ func Geomean(results []Result) float64 {
 		return 0
 	}
 	return math.Exp(sum / float64(n))
-}
-
-// FormatResults renders results as aligned rows.
-func FormatResults(results []Result) string {
-	out := ""
-	for _, r := range results {
-		out += fmt.Sprintf("%-18s %10.1f ops/s  (%d ops, %d cycles, %v)\n",
-			r.Name, r.Score, r.Ops, r.Cycles, r.Outcome)
-	}
-	return out
 }
