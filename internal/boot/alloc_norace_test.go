@@ -18,7 +18,7 @@ func forkBytes(t *testing.T, snap *Snapshot, n int) uint64 {
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
 		var report testsuite.Report
-		sys, err := snap.Fork(ForkParams{Seed: uint64(i)}, testsuite.RunnerResume(&report))
+		sys, err := snap.Fork(ForkParams{Seed: uint64(i)}, testsuite.RunnerResumeFrom(&report, testsuite.Report{}))
 		if err != nil {
 			t.Fatalf("Fork: %v", err)
 		}

@@ -98,7 +98,7 @@ type ForkParams struct {
 // every process is rebuilt through the ordinary boot sequence (pure data
 // setup — no clock, counter or RNG effects), then the captured state is
 // stamped on top. resumeProg is the post-barrier half of the workload
-// (e.g. testsuite.RunnerResume); its Report-style sinks must be fresh
+// (e.g. testsuite.RunnerResumeFrom); its Report-style sinks must be fresh
 // per fork. Run the returned system exactly like a booted one.
 func (s *Snapshot) Fork(params ForkParams, resumeProg usr.Program, initArgs ...string) (*System, error) {
 	cfg := s.Opts.Config

@@ -56,7 +56,7 @@ func captureBoot(t *testing.T, seed uint64) *Snapshot {
 func forkSuiteRun(t *testing.T, snap *Snapshot, seed uint64) (kernel.Result, testsuite.Report) {
 	t.Helper()
 	var report testsuite.Report
-	sys, err := snap.Fork(ForkParams{Seed: seed}, testsuite.RunnerResume(&report))
+	sys, err := snap.Fork(ForkParams{Seed: seed}, testsuite.RunnerResumeFrom(&report, testsuite.Report{}))
 	if err != nil {
 		t.Fatalf("Fork: %v", err)
 	}

@@ -794,14 +794,11 @@ func (o *OS) restart(s *slot, info kernel.CrashInfo, mode restartMode, reconcile
 	case restartRollback:
 		recoveryCost += sim.Cycles(s.store.BaseBytes()) >> cloneCostByteShift * cloneCostPerByte
 		if s.store.Mode() == memlog.FullCopy {
-			// Snapshot checkpointing: restore in place from the
-			// snapshot, then copy the restored data section. The
-			// incremental path also hands its snapshot image to the
-			// replacement store so the first post-recovery checkpoint
-			// syncs only what the new instance writes.
+			// Full-copy checkpointing restores in place, at no cost per
+			// record, then copies the restored data section.
 			s.store.Rollback()
 			store = s.store.Clone()
-			s.store.TransferSnapshot(store)
+			s.store.HandOverBase(store)
 		} else {
 			// Data-section copy into the spare, then log transfer.
 			store = s.store.Clone()

@@ -81,7 +81,7 @@ func TestImagePathAllocations(t *testing.T) {
 	// one, whose stores are cloned.
 	fork := func(s *boot.Snapshot) uint64 {
 		return allocated(func() func() {
-			sys, err := s.Fork(boot.ForkParams{Seed: 1}, testsuite.RunnerResume(new(testsuite.Report)))
+			sys, err := s.Fork(boot.ForkParams{Seed: 1}, testsuite.RunnerResumeFrom(new(testsuite.Report), testsuite.Report{}))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -170,13 +170,27 @@ func TestForkSurfacesHostileKernelFrame(t *testing.T) {
 		t.Fatalf("the frame is well-formed and must decode: %v", err)
 	}
 	var report testsuite.Report
-	sys, err := decoded.Fork(boot.ForkParams{Seed: 7}, testsuite.RunnerResume(&report))
+	sys, err := decoded.Fork(boot.ForkParams{Seed: 7}, testsuite.RunnerResumeFrom(&report, testsuite.Report{}))
 	if err == nil {
 		sys.Shutdown("test over")
 		t.Fatal("Fork accepted a round-robin cursor of 63")
 	}
 	if !strings.Contains(err.Error(), "round-robin cursor") {
 		t.Errorf("Fork error %q does not name the cursor", err)
+	}
+
+	// An endpoint allocator of 2^27: accepted, the fork's first spawn
+	// grew the endpoint-indexed process table to a gigabyte.
+	decoded, err = image.ReadSnapshot(bytes.NewReader(allocatorAt(t, data, 1<<27)), suiteRegistry(), 1)
+	if err != nil {
+		t.Fatalf("the frame is well-formed and must decode: %v", err)
+	}
+	if sys, err = decoded.Fork(boot.ForkParams{Seed: 7}, testsuite.RunnerResumeFrom(&report, testsuite.Report{})); err == nil {
+		sys.Shutdown("test over")
+		t.Fatal("Fork accepted an endpoint allocator of 2^27")
+	}
+	if !strings.Contains(err.Error(), "endpoint allocator") {
+		t.Errorf("Fork error %q does not name the endpoint allocator", err)
 	}
 
 	// VM's frame table is a Slice[int32]: its payload is the element type
@@ -194,7 +208,7 @@ func TestForkSurfacesHostileKernelFrame(t *testing.T) {
 	})
 	decoded, err = image.ReadSnapshot(bytes.NewReader(hostile), suiteRegistry(), 1)
 	if err == nil {
-		sys, err = decoded.Fork(boot.ForkParams{Seed: 7}, testsuite.RunnerResume(&report))
+		sys, err = decoded.Fork(boot.ForkParams{Seed: 7}, testsuite.RunnerResumeFrom(&report, testsuite.Report{}))
 		if err == nil {
 			sys.Shutdown("test over")
 		}
@@ -299,6 +313,24 @@ func TestHostileTransientsRejected(t *testing.T) {
 	}
 }
 
+// allocatorAt rewrites the endpoint allocator in data's kernel frame to
+// ep: it follows the version, the clock and the round-robin cursor.
+func allocatorAt(t testing.TB, data []byte, ep int64) []byte {
+	t.Helper()
+	return reframe(t, data, "kernel", func(raw []byte) []byte {
+		d := wire.NewDecoder(raw)
+		d.Uvarint()
+		d.Take(8)
+		d.Varint()
+		at := len(raw) - d.Remaining()
+		d.Varint()
+		if d.Err() != nil {
+			t.Fatalf("kernel frame: %v", d.Err())
+		}
+		return append(append(raw[:at:at], binary.AppendVarint(nil, ep)...), raw[len(raw)-d.Remaining():]...)
+	})
+}
+
 // retiredSlot rewrites the slot after the configuration in data's meta
 // frame, which every image holds zero in, to v.
 func retiredSlot(t testing.TB, data []byte, v int64) []byte {
@@ -372,6 +404,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		f.Add(hostile)
 	}
 	f.Add(retiredSlot(f, raw, 256<<20))
+	f.Add(allocatorAt(f, raw, 1<<27))
 	reg := suiteRegistry()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := image.ReadSnapshot(bytes.NewReader(data), reg, 1)
@@ -379,7 +412,7 @@ func FuzzReadSnapshot(f *testing.F) {
 			return
 		}
 		var report testsuite.Report
-		if sys, err := snap.Fork(boot.ForkParams{Seed: 5}, testsuite.RunnerResume(&report)); err == nil {
+		if sys, err := snap.Fork(boot.ForkParams{Seed: 5}, testsuite.RunnerResumeFrom(&report, testsuite.Report{})); err == nil {
 			sys.Shutdown("fuzz")
 		}
 	})

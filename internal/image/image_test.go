@@ -43,7 +43,7 @@ func captureSnapshot(t testing.TB, seed uint64) *boot.Snapshot {
 func forkAndRun(t *testing.T, snap *boot.Snapshot, seed uint64) (kernel.Result, testsuite.Report) {
 	t.Helper()
 	var report testsuite.Report
-	sys, err := snap.Fork(boot.ForkParams{Seed: seed}, testsuite.RunnerResume(&report))
+	sys, err := snap.Fork(boot.ForkParams{Seed: seed}, testsuite.RunnerResumeFrom(&report, testsuite.Report{}))
 	if err != nil {
 		t.Fatalf("Fork: %v", err)
 	}
@@ -133,7 +133,7 @@ func vandal(rewrote *int) usr.Program {
 // state fingerprint.
 func fingerprintOfFork(t *testing.T, snap *boot.Snapshot) uint64 {
 	t.Helper()
-	sys, err := snap.Fork(boot.ForkParams{Seed: 3}, testsuite.RunnerResume(new(testsuite.Report)))
+	sys, err := snap.Fork(boot.ForkParams{Seed: 3}, testsuite.RunnerResumeFrom(new(testsuite.Report), testsuite.Report{}))
 	if err != nil {
 		t.Fatalf("Fork: %v", err)
 	}
@@ -325,7 +325,7 @@ func benchRoundTripFork(b *testing.B, o image.WriteOptions) {
 			b.Fatal(err)
 		}
 		var report testsuite.Report
-		sys, err := decoded.Fork(boot.ForkParams{Seed: 1}, testsuite.RunnerResume(&report))
+		sys, err := decoded.Fork(boot.ForkParams{Seed: 1}, testsuite.RunnerResumeFrom(&report, testsuite.Report{}))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -155,6 +155,11 @@ func TestApplyImageRejectsBadSchedulerState(t *testing.T) {
 		{"dead process far past the endpoints", func(img *MachineImage) {
 			img.procs = append(img.procs, procImage{ep: 1 << 40, state: stateDead})
 		}, "outside the user endpoints"},
+		// A fork's next spawn grows the table to the allocator's endpoint.
+		{"endpoint allocator far past the processes", func(img *MachineImage) { img.nextUserEp = 1 << 27 }, "endpoint allocator"},
+		{"endpoint allocator one past its processes", func(img *MachineImage) { img.nextUserEp++ }, "endpoint allocator"},
+		{"endpoint allocator behind its processes", func(img *MachineImage) { img.nextUserEp-- }, "outside the user endpoints"},
+		{"endpoint allocator below the user endpoints", func(img *MachineImage) { img.nextUserEp = 1 }, "outside the user endpoints"},
 	} {
 		img := decodeMachine(t, data)
 		tc.mutate(img)

@@ -243,10 +243,20 @@ func (k *Kernel) ApplyImage(img *MachineImage) error {
 	if img.rrNext < 0 || img.rrNext >= len(img.procs) {
 		return fmt.Errorf("kernel: image round-robin cursor %d outside its %d processes", img.rrNext, len(img.procs))
 	}
-	dead := 0
+	// User endpoints are handed out densely from EpUserBase and a process
+	// never leaves the table, so the image's user entries must be exactly
+	// EpUserBase … nextUserEp-1: the allocator, which sizes the table at a
+	// fork's next spawn, is then bounded by the image's own length.
+	dead, users := 0, 0
 	for i, pi := range img.procs {
 		if i > 0 && pi.ep <= img.procs[i-1].ep {
 			return fmt.Errorf("kernel: image processes not in endpoint order at %d", pi.ep)
+		}
+		if pi.ep >= EpUserBase {
+			if pi.ep >= img.nextUserEp {
+				return fmt.Errorf("kernel: image process at endpoint %d outside the user endpoints %d..%d handed out", pi.ep, EpUserBase, img.nextUserEp-1)
+			}
+			users++
 		}
 		// barrierRefusal lets three states into an image: dead, the root
 		// runnable at its barrier, everything else parked in Receive.
@@ -256,10 +266,8 @@ func (k *Kernel) ApplyImage(img *MachineImage) error {
 		}
 		switch {
 		case pi.state == stateDead:
-			// A dead process is a reaped user child, and user endpoints are
-			// handed out densely from EpUserBase, so the image's own length
-			// bounds them — and with them the table the placeholders size.
-			if pi.ep < EpUserBase || int(pi.ep-EpUserBase) >= len(img.procs) {
+			// A dead process is a reaped user child.
+			if pi.ep < EpUserBase {
 				return fmt.Errorf("kernel: image dead process at endpoint %d outside the user endpoints", pi.ep)
 			}
 			if k.procs.get(pi.ep) != nil {
@@ -271,6 +279,9 @@ func (k *Kernel) ApplyImage(img *MachineImage) error {
 		case pi.state != parked:
 			return fmt.Errorf("kernel: image process %s(%d) in state %d, not parked at a barrier", pi.name, pi.ep, pi.state)
 		}
+	}
+	if handed := int(img.nextUserEp - EpUserBase); users != handed {
+		return fmt.Errorf("kernel: image has %d user processes, its endpoint allocator handed out %d", users, handed)
 	}
 	if live := len(img.procs) - dead; live != len(k.order) {
 		return fmt.Errorf("kernel: image has %d live processes, machine has %d", live, len(k.order))

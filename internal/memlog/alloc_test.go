@@ -3,6 +3,7 @@ package memlog
 import (
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -46,9 +47,10 @@ func (r *rec) Code(c *wire.Codec) {
 // The logged path allocates nothing either once the logs have grown to
 // the request's size: a record is flat and the old value (and key) goes
 // into the container's own typed side log, so nothing is boxed. The
-// Checkpoint each round is the top of the request loop.
+// Checkpoint each round is the top of the request loop. FullCopy's
+// host-side records take the same path.
 func TestLoggedStoresDoNotAllocate(t *testing.T) {
-	for _, mode := range []Instrumentation{Unoptimized, Optimized} {
+	for _, mode := range []Instrumentation{Unoptimized, Optimized, FullCopy} {
 		s := NewStore("alloc", mode)
 		s.SetLogging(true)
 		cell := NewCell(s, "cell", "initial-value")
@@ -328,10 +330,9 @@ func TestMapKeysDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// An incremental checkpoint round over a warm store — a few writes,
-// then the dirty-set sync into the retained image — must be
-// allocation-free: the tracking slices are reused and container
-// restores copy in place.
+// An incremental checkpoint round over a warm store — a few logged
+// writes, then the charge for the dirty set — must be allocation-free:
+// the tracking slices and the log are reused.
 func TestIncrementalCheckpointSteadyStateDoesNotAllocate(t *testing.T) {
 	s := NewStore("ckptalloc", FullCopy)
 	cells := make([]*Cell[int], 16)
@@ -339,7 +340,7 @@ func TestIncrementalCheckpointSteadyStateDoesNotAllocate(t *testing.T) {
 		cells[i] = NewCell(s, string(rune('a'+i)), i)
 	}
 	s.SetLogging(true)
-	s.Checkpoint() // builds the image
+	s.Checkpoint()
 	cells[0].Set(1)
 	s.Checkpoint() // warm delta round
 
@@ -350,5 +351,37 @@ func TestIncrementalCheckpointSteadyStateDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("incremental checkpoint allocated %.1f times per run, want 0", allocs)
+	}
+}
+
+// A FullCopy checkpoint copies nothing — the copy is a charge rule — so
+// not even a store's first one allocates, though it charges for the whole
+// data section. Each measured run checkpoints a store for the first time.
+func TestFullCopyFirstCheckpointDoesNotAllocate(t *testing.T) {
+	const runs = 10
+	stores := make([]*Store, runs+1) // AllocsPerRun warms up with one run
+	var charged sim.Cycles
+	for i := range stores {
+		s := NewStore("first", FullCopy)
+		s.SetCostSink(func(n sim.Cycles) { charged += n })
+		m := NewMap[int, string](s, "m")
+		sl := NewSlice[int64](s, "sl")
+		for k := 0; k < 32; k++ {
+			m.Set(k, "value")
+			sl.Append(int64(k))
+		}
+		s.SetLogging(true)
+		stores[i] = s
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		stores[next].Checkpoint()
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("a first FullCopy checkpoint allocated %.1f times per run, want 0", allocs)
+	}
+	if want := sim.Cycles(stores[0].BaseBytes()) >> fullCopyCheckpointShift * (runs + 1); charged != want {
+		t.Errorf("first checkpoints charged %d cycles, want the whole section each, %d", charged, want)
 	}
 }

@@ -3,6 +3,7 @@ package memlog
 import (
 	"fmt"
 	"reflect"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -61,12 +62,7 @@ func NewCell[T any](s *Store, id string, init T) *Cell[T] {
 		return c
 	}
 	c := newCell(s, id, init)
-	materializePending(s, c, func(snap *Store) {
-		var zero T
-		sc := newCell(snap, id, zero)
-		materializePending(snap, sc, nil)
-		snap.register(sc)
-	})
+	materializePending(s, c)
 	s.register(c)
 	return c
 }
@@ -117,19 +113,14 @@ func (c *Cell[T]) adoptLog(src container) {
 	c.olds.adopt(c.store, &other.olds, other.store)
 }
 
-func (c *Cell[T]) restoreFrom(src container) {
-	other, ok := src.(*Cell[T])
-	if !ok {
-		panic(fmt.Sprintf("memlog: snapshot type mismatch for cell %q", c.id))
-	}
-	c.v = other.v
-	c.store.touch(c, &c.cm)
-}
-
 func (c *Cell[T]) corrupt(r *sim.RNG) bool {
 	nv, ok := corruptValue(any(c.v), r)
 	if !ok {
 		return false
+	}
+	if c.store.mode == FullCopy { // logged: see Store.CorruptRandom
+		c.Set(nv.(T))
+		return true
 	}
 	c.v = nv.(T)
 	c.store.touch(c, &c.cm)
@@ -161,11 +152,13 @@ func newMap[K comparable, V any](s *Store, id string) *Map[K, V] {
 }
 
 // mapOld is what one logged Set or Delete of a Map replaced: the value
-// key had, or that it had none (undo = delete).
+// key had, or that it had none (undo = delete). A Delete also records the
+// key's position in the insertion order, where its undo puts it back.
 type mapOld[K comparable, V any] struct {
 	key    K
 	old    V
 	absent bool
+	at     int
 }
 
 // NewMap registers an empty map named id, or returns the existing one
@@ -181,11 +174,7 @@ func NewMap[K comparable, V any](s *Store, id string) *Map[K, V] {
 		return m
 	}
 	m := newMap[K, V](s, id)
-	materializePending(s, m, func(snap *Store) {
-		sm := newMap[K, V](snap, id)
-		materializePending(snap, sm, nil)
-		snap.register(sm)
-	})
+	materializePending(s, m)
 	s.register(m)
 	return m
 }
@@ -229,18 +218,18 @@ func (m *Map[K, V]) Delete(key K) {
 	if !ok {
 		return
 	}
+	at := m.removeFromOrder(key)
 	if m.store.shouldLog() {
 		m.store.appendLogged(undoRec{
 			entry: m.id,
 			kind:  recMapDelete,
-			pos:   m.olds.push(m.store, mapOld[K, V]{key: key, old: old}),
+			pos:   m.olds.push(m.store, mapOld[K, V]{key: key, old: old, at: at}),
 			bytes: approxSize(old),
 		})
 	} else {
 		m.store.noteUnloggedStore()
 	}
 	delete(m.m, key)
-	m.removeFromOrder(key)
 	m.store.touch(m, &m.cm)
 }
 
@@ -263,13 +252,14 @@ func (m *Map[K, V]) ForEach(fn func(K, V) bool) {
 	}
 }
 
-func (m *Map[K, V]) removeFromOrder(key K) {
-	for i, k := range m.order {
-		if k == key {
-			m.order = append(m.order[:i], m.order[i+1:]...)
-			return
-		}
+// removeFromOrder drops key from the order index and returns where it
+// stood, or -1 if it was absent.
+func (m *Map[K, V]) removeFromOrder(key K) int {
+	i := slices.Index(m.order, key)
+	if i >= 0 {
+		m.order = slices.Delete(m.order, i, i+1)
 	}
+	return i
 }
 
 func (m *Map[K, V]) name() string { return m.id }
@@ -303,7 +293,14 @@ func (m *Map[K, V]) undo(rec undoRec) {
 		m.removeFromOrder(e.key)
 	} else {
 		if _, present := m.m[e.key]; !present {
-			m.order = append(m.order, e.key)
+			// Records are undone newest first, so a deleted key goes back
+			// where it stood. A silent corruption bypasses the log and may
+			// have dropped keys since; what it dropped stays dropped.
+			at := len(m.order)
+			if rec.kind == recMapDelete && e.at < at {
+				at = e.at
+			}
+			m.order = slices.Insert(m.order, at, e.key)
 		}
 		m.m[e.key] = e.old
 	}
@@ -318,22 +315,6 @@ func (m *Map[K, V]) adoptLog(src container) {
 	m.olds.adopt(m.store, &other.olds, other.store)
 }
 
-func (m *Map[K, V]) restoreFrom(src container) {
-	other, ok := src.(*Map[K, V])
-	if !ok {
-		panic(fmt.Sprintf("memlog: snapshot type mismatch for map %q", m.id))
-	}
-	// Reuse the existing map and order backing so snapshot syncs do not
-	// reallocate in steady state.
-	clear(m.m)
-	m.order = m.order[:0]
-	for _, k := range other.order {
-		m.m[k] = other.m[k]
-		m.order = append(m.order, k)
-	}
-	m.store.touch(m, &m.cm)
-}
-
 func (m *Map[K, V]) corrupt(r *sim.RNG) bool {
 	if len(m.order) == 0 {
 		return false
@@ -343,15 +324,22 @@ func (m *Map[K, V]) corrupt(r *sim.RNG) bool {
 	// consumes the same RNG draw the old Keys()-copy did.
 	k := m.order[r.Intn(len(m.order))]
 	nv, ok := corruptValue(any(m.m[k]), r)
-	if !ok {
-		// Corrupt by dropping the entry instead: a lost record is a
-		// realistic silent-corruption outcome.
-		delete(m.m, k)
-		m.removeFromOrder(k)
-		m.store.touch(m, &m.cm)
+	// A value of a type corruptValue does not perturb is dropped instead:
+	// a lost record is a realistic silent-corruption outcome.
+	if m.store.mode == FullCopy { // logged: see Store.CorruptRandom
+		if ok {
+			m.Set(k, nv.(V))
+		} else {
+			m.Delete(k)
+		}
 		return true
 	}
-	m.m[k] = nv.(V)
+	if ok {
+		m.m[k] = nv.(V)
+	} else {
+		delete(m.m, k)
+		m.removeFromOrder(k)
+	}
 	m.store.touch(m, &m.cm)
 	return true
 }
@@ -392,11 +380,7 @@ func NewSlice[T any](s *Store, id string) *Slice[T] {
 		return sl
 	}
 	sl := newSlice[T](s, id)
-	materializePending(s, sl, func(snap *Store) {
-		ss := newSlice[T](snap, id)
-		materializePending(snap, ss, nil)
-		snap.register(ss)
-	})
+	materializePending(s, sl)
 	s.register(sl)
 	return sl
 }
@@ -552,15 +536,6 @@ func (s *Slice[T]) touch() {
 // exactly while the count it last saw still stands.
 func (s *Slice[T]) Mutations() uint64 { return s.muts }
 
-func (s *Slice[T]) restoreFrom(src container) {
-	other, ok := src.(*Slice[T])
-	if !ok {
-		panic(fmt.Sprintf("memlog: snapshot type mismatch for slice %q", s.id))
-	}
-	s.v = append(s.v[:0], other.v...)
-	s.touch()
-}
-
 func (s *Slice[T]) corrupt(r *sim.RNG) bool {
 	if len(s.v) == 0 {
 		return false
@@ -569,6 +544,10 @@ func (s *Slice[T]) corrupt(r *sim.RNG) bool {
 	nv, ok := corruptValue(any(s.v[i]), r)
 	if !ok {
 		return false
+	}
+	if s.store.mode == FullCopy { // logged: see Store.CorruptRandom
+		s.Set(i, nv.(T))
+		return true
 	}
 	s.v[i] = nv.(T)
 	s.touch()

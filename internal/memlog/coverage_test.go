@@ -211,17 +211,3 @@ func TestRedeclareDifferentContainerKindPanics(t *testing.T) {
 	}()
 	NewSlice[int](s, "thing")
 }
-
-func TestFullCopyRestoreTypeMismatchPanics(t *testing.T) {
-	// restoreFrom across incompatible snapshots must fail loudly.
-	src := NewStore("a", FullCopy)
-	NewCell(src, "v", 1)
-	dst := NewStore("b", FullCopy)
-	d := NewCell(dst, "v", "string")
-	defer func() {
-		if recover() == nil {
-			t.Fatal("type-mismatched restore did not panic")
-		}
-	}()
-	d.restoreFrom(src.lookup("v"))
-}

@@ -26,18 +26,26 @@ func TestFullCopyCheckpointRollback(t *testing.T) {
 }
 
 func testFullCopyCheckpointRollback(t *testing.T, s *Store) {
+	var charged sim.Cycles
+	s.SetCostSink(func(n sim.Cycles) { charged += n })
+	counters := sim.NewCounters()
+	s.SetCounters(counters)
 	s.SetLogging(true)
 	c := NewCell(s, "x", 1)
 	m := NewMap[int, string](s, "m")
 	m.Set(1, "one")
 
 	s.Checkpoint()
+	charged = 0
 	c.Set(99)
 	m.Set(1, "mutated")
 	m.Set(2, "new")
 
-	if s.LogLen() != 0 {
-		t.Fatal("FullCopy mode must not keep an undo log")
+	// The undo records of a FullCopy window stand in for the copy the
+	// checkpoint charged for: they cost and count nothing.
+	if charged != 0 || counters.Get("memlog.stores_logged") != 0 || s.LogBytes() != 0 || s.Logging() {
+		t.Fatalf("FullCopy stores charged %d cycles, counted %d logged, %d log bytes, Logging() = %v; want none",
+			charged, counters.Get("memlog.stores_logged"), s.LogBytes(), s.Logging())
 	}
 	s.Rollback()
 	if c.Get() != 1 {
@@ -97,7 +105,7 @@ func testFullCopyDiscardDropsSnapshot(t *testing.T, s *Store) {
 	s.Checkpoint()
 	c.Set(5)
 	s.DiscardLog()
-	s.Rollback() // no snapshot: must be a no-op
+	s.Rollback() // no checkpoint current: must be a no-op
 	if c.Get() != 5 {
 		t.Fatalf("rollback after discard changed state to %d", c.Get())
 	}

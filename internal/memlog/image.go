@@ -10,9 +10,8 @@ import (
 // binary encoding of a quiescent store (empty undo log) that is exact
 // enough for a decoded store to behave bit-identically to a ForkClone
 // of the original — container contents and insertion order, the
-// per-container dirty/size bookkeeping, the checkpoint epoch, the
-// high-water marks and the retained FullCopy snapshot image all round-
-// trip.
+// per-container dirty/size bookkeeping, the checkpoint epoch and the
+// high-water marks all round-trip.
 //
 // Both directions go through one record, storeImage, with one field list
 // (code): encoding fills the record from the live store and writes it,
@@ -53,7 +52,6 @@ type storeImage struct {
 	storeCkpt
 	conts            []contImage // in registration order
 	dirty, sizeDirty []string    // container names, in list order
-	snapshot         *storeImage
 }
 
 // code is the store image's one field list.
@@ -89,23 +87,17 @@ func (img *storeImage) code(c *wire.Codec) {
 	wire.Slice(c, &img.dirty, (*wire.Codec).Str)
 	wire.Slice(c, &img.sizeDirty, (*wire.Codec).Str)
 	wire.Int(c, &img.baseBytes)
-	hasSnapshot := img.snapshot != nil
-	if c.Bool(&hasSnapshot); hasSnapshot {
-		if c.Decoding() {
-			img.snapshot = new(storeImage)
-		}
-		img.snapshot.code(c)
-		if img.snapshot.snapshot != nil {
-			// A checkpoint image is a Clone, which carries none; hostile
-			// bytes must not nest them without bound.
-			c.Fail(fmt.Errorf("memlog: store %q snapshot image has a snapshot of its own", img.label))
-		}
+	// Format v1 has a flag here that every image now holds false: it once
+	// announced a nested FullCopy checkpoint image.
+	var retired bool
+	if c.Bool(&retired); retired {
+		c.Fail(fmt.Errorf("memlog: store %q image sets the retired snapshot flag", img.label))
 	}
 	c.Bool(&img.restorable)
 }
 
 // find returns the record of the container called name, or nil. A scan:
-// a store has five to nine containers, and materializePending asks twice
+// a store has five to nine containers, and materializePending asks once
 // for each.
 func (img *storeImage) find(name string) *contImage {
 	for i := range img.conts {
@@ -139,13 +131,6 @@ func (s *Store) image() (*storeImage, error) {
 		cont := s.containers[name]
 		img.conts[i] = contImage{name: name, live: cont, meta: *cont.meta()}
 	}
-	if s.snapshot != nil {
-		snap, err := s.snapshot.image()
-		if err != nil {
-			return nil, fmt.Errorf("memlog: store %q snapshot image: %w", s.label, err)
-		}
-		img.snapshot = snap
-	}
 	return img, nil
 }
 
@@ -178,24 +163,18 @@ func CodeImage(c *wire.Codec, s **Store) {
 }
 
 // newPending returns a pending store over the decoded record img, which
-// it shares; its snapshot, which the factory materializes alongside, is
-// a pending store of its own.
+// it shares.
 func newPending(img *storeImage) *Store {
 	s := NewStore(img.label, img.mode)
 	s.storeIdent, s.storeCkpt = img.storeIdent, img.storeCkpt
 	s.pending = img
-	if img.snapshot != nil {
-		s.pendingSnap = newPending(img.snapshot)
-	}
 	return s
 }
 
-// materializePending decodes the payload recorded for c's name into c
-// (if the store is pending and has one) and mirrors the materialization
-// into the decoded snapshot image via mirror, which must register a
-// container of the same concrete type on the snapshot store. Called by
-// NewCell/NewMap/NewSlice under their registration path.
-func materializePending(s *Store, c container, mirror func(snap *Store)) {
+// materializePending decodes the payload recorded for c's name into c,
+// if the store is pending and has one. Called by NewCell/NewMap/NewSlice
+// under their registration path.
+func materializePending(s *Store, c container) {
 	if s.pending == nil {
 		return
 	}
@@ -212,15 +191,12 @@ func materializePending(s *Store, c container, mirror func(snap *Store)) {
 			s.pendingErr = fmt.Errorf("memlog: store %q container %q: %w", s.label, name, err)
 		}
 	}
-	if mirror != nil && s.pendingSnap != nil && s.pendingSnap.pending.find(name) != nil {
-		mirror(s.pendingSnap)
-	}
 }
 
 // FinishDecode completes the two-phase image decode: the factory must
 // have registered exactly the recorded containers, in the recorded
 // order. It applies the recorded bookkeeping (checkpoint position, dirty
-// sets, cached sizes, snapshot image) over whatever registration left
+// sets, cached sizes) over whatever registration left
 // behind and reports any decode failure accumulated during
 // materialization. It is a no-op on stores that were not decoded from an
 // image.
@@ -249,13 +225,7 @@ func (s *Store) FinishDecode() error {
 	if s.sizeDirty, err = s.named(s.sizeDirty[:0], img.sizeDirty); err != nil {
 		return err
 	}
-	if s.pendingSnap != nil {
-		if err := s.pendingSnap.FinishDecode(); err != nil {
-			return fmt.Errorf("memlog: store %q snapshot: %w", s.label, err)
-		}
-		s.snapshot = s.pendingSnap
-	}
-	s.pending, s.pendingSnap = nil, nil
+	s.pending = nil
 	return nil
 }
 

@@ -110,7 +110,8 @@ func TestStoreImageRoundTrip(t *testing.T) {
 
 // TestStoreImageFullCopyBehavior drives a decoded FullCopy store and a
 // ForkClone of the original through the same checkpoint/rollback
-// sequence and requires identical final images.
+// sequence and requires identical final images. The sequence ends by
+// closing the window: an image requires a quiescent store.
 func TestStoreImageFullCopyBehavior(t *testing.T) {
 	src := buildStore(t, FullCopy)
 	dec := decodeAndMaterialize(t, encodeImage(t, src))
@@ -125,6 +126,7 @@ func TestStoreImageFullCopyBehavior(t *testing.T) {
 		s.Rollback()
 		s.Checkpoint()
 		m.Set("zeta", "z")
+		s.DiscardLog()
 	}
 	drive(dec)
 	drive(fork)
@@ -214,9 +216,8 @@ func TestStoreImageTruncated(t *testing.T) {
 }
 
 // One field list: a record with every field set — the two embedded
-// scalar structs, each container's payload and bookkeeping, the name
-// lists and a snapshot record with all of that again — survives the
-// codec unchanged. A field missing from the list decodes as zero and
+// scalar structs, each container's payload and bookkeeping and the name
+// lists — survives the codec unchanged. A field missing from the list decodes as zero and
 // fails the comparison. The rolling-fingerprint part of contMeta is not
 // persistent: a decoded container is re-hashed.
 func TestStoreImageCodecCoversEveryField(t *testing.T) {
@@ -226,9 +227,6 @@ func TestStoreImageCodecCoversEveryField(t *testing.T) {
 		return strings.Contains(path, ".meta.fp") || strings.HasSuffix(path, ".live")
 	}}
 	f.Fill(&in)
-	if in.snapshot == nil || in.snapshot.snapshot != nil {
-		t.Fatalf("filler built snapshot %v, want exactly one level", in.snapshot)
-	}
 	e := wire.NewEncoder()
 	c := wire.Encoding(e)
 	if in.code(c); c.Err() != nil {
@@ -242,6 +240,31 @@ func TestStoreImageCodecCoversEveryField(t *testing.T) {
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Errorf("round trip lost state:\n in  %+v\n out %+v", in, out)
+	}
+}
+
+// retiredFlag returns a copy of the image data with the retired flag set:
+// it is the byte before the last, restorable.
+func retiredFlag(t testing.TB, data []byte) []byte {
+	t.Helper()
+	out := append([]byte(nil), data...)
+	if at := len(out) - 2; out[at] != 0 {
+		t.Fatalf("the retired flag holds %#x", out[at])
+	} else {
+		out[at] = 1
+	}
+	return out
+}
+
+// A store image whose retired flag — it once announced a nested FullCopy
+// checkpoint image — is set is refused, not read as one.
+func TestStoreImageRejectsRetiredFlag(t *testing.T) {
+	for _, mode := range []Instrumentation{Optimized, FullCopy} {
+		img := encodeImage(t, buildStore(t, mode))
+		_, err := decodeStore(wire.NewDecoder(retiredFlag(t, img)))
+		if err == nil || !strings.Contains(err.Error(), "retired") {
+			t.Errorf("mode %d: decode error = %v, want one naming the retired flag", mode, err)
+		}
 	}
 }
 
@@ -287,7 +310,7 @@ func pendingFork(t *testing.T, src *Store) *Store {
 // error, and materializing what decoded ends in a store or an error —
 // never a panic, never an allocation the input's size does not bound.
 func FuzzDecodeStoreImage(f *testing.F) {
-	for _, mode := range []Instrumentation{Optimized, FullCopy} {
+	for _, mode := range []Instrumentation{Optimized, FullCopy, Baseline, Unoptimized} {
 		s := NewStore("img-test", mode)
 		s.SetLogging(true)
 		c, m, sl := registerTestContainers(s)
@@ -314,6 +337,7 @@ func FuzzDecodeStoreImage(f *testing.F) {
 		if i := bytes.Index(img, []byte("int32")); i > 0 {
 			f.Add(append(append(append([]byte(nil), img[:i+5]...), huge...), img[i+6:]...))
 		}
+		f.Add(retiredFlag(f, img))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := decodeStore(wire.NewDecoder(data))

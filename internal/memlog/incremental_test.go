@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // rawBytes recomputes the resident size the slow way, bypassing the
@@ -40,7 +41,7 @@ func TestIncrementalCheckpointChargesDeltaOnly(t *testing.T) {
 	s, c, _, _, charged := buildFullCopyStore(false)
 	s.SetLogging(true)
 
-	s.Checkpoint() // first checkpoint builds the image: full charge
+	s.Checkpoint() // first checkpoint: every container is dirty, full charge
 	full := *charged
 	wantFull := sim.Cycles(s.BaseBytes()) >> fullCopyCheckpointShift
 	if full != wantFull {
@@ -125,7 +126,7 @@ func TestIncrementalDiscardRetainsDeltaBase(t *testing.T) {
 	s.Checkpoint()
 
 	c.Set(42)
-	s.DiscardLog() // window closed: image stays as delta base
+	s.DiscardLog() // window closed: the dirty set stays the delta
 	s.Rollback()   // must be a no-op now
 	if c.Get() != 42 {
 		t.Fatalf("rollback after discard restored state: cell %d, want 42", c.Get())
@@ -145,25 +146,25 @@ func TestIncrementalDiscardRetainsDeltaBase(t *testing.T) {
 	}
 }
 
-func TestTransferSnapshotWarmStartsClone(t *testing.T) {
+func TestHandOverBaseWarmStartsClone(t *testing.T) {
 	s, c, m, _, _ := buildFullCopyStore(false)
 	s.SetLogging(true)
 	s.Checkpoint()
 	c.Set(1234)
 	m.Set(0, -5)
 
-	// The recovery flow: restore in place, deep-copy, hand the image
-	// to the replacement store.
+	// The recovery flow: restore in place, deep-copy, and tell the
+	// replacement store it holds the checkpoint.
 	s.Rollback()
 	clone := s.Clone()
-	s.TransferSnapshot(clone)
+	s.HandOverBase(clone)
 
 	charged := new(sim.Cycles)
 	clone.SetCostSink(func(n sim.Cycles) { *charged += n })
 	clone.SetLogging(true)
-	clone.Checkpoint() // warm delta base: nothing to copy
+	clone.Checkpoint() // the clone holds the checkpoint: nothing to charge
 	if *charged != 0 {
-		t.Fatalf("first checkpoint after transfer charged %d, want 0", *charged)
+		t.Fatalf("first checkpoint after the hand-over charged %d, want 0", *charged)
 	}
 
 	c2 := NewCell(clone, "c", 0) // adopts the cloned cell
@@ -175,15 +176,16 @@ func TestTransferSnapshotWarmStartsClone(t *testing.T) {
 	}
 }
 
-// A legacy store recovers as any other — the replacement inherits the
-// image — but the charge rule makes its first checkpoint pay for the full
-// data section, as a clone of it would.
-func TestTransferSnapshotUnderLegacyChargesFullSection(t *testing.T) {
+// A legacy store recovers as any other — the replacement starts at the
+// checkpoint — but the charge rule makes its first checkpoint pay for the
+// full data section, as a clone of it would.
+func TestHandOverBaseUnderLegacyChargesFullSection(t *testing.T) {
 	s, _, _, _, _ := buildFullCopyStore(true)
 	s.SetLogging(true)
 	s.Checkpoint()
+	s.Rollback()
 	clone := s.Clone()
-	s.TransferSnapshot(clone)
+	s.HandOverBase(clone)
 	charged := new(sim.Cycles)
 	clone.SetCostSink(func(n sim.Cycles) { *charged += n })
 	clone.SetLogging(true)
@@ -193,7 +195,9 @@ func TestTransferSnapshotUnderLegacyChargesFullSection(t *testing.T) {
 	}
 }
 
-func TestRollbackPanicsOnContainerRegisteredAfterCheckpoint(t *testing.T) {
+// A container registered inside a window rolls back as under the undo
+// log: its writes are undone, its registration stands.
+func TestRollbackUndoesContainerRegisteredAfterCheckpoint(t *testing.T) {
 	for _, legacy := range []bool{true, false} {
 		t.Run(fmt.Sprintf("legacy=%v", legacy), func(t *testing.T) {
 			s, _, _, _, _ := buildFullCopyStore(legacy)
@@ -201,12 +205,10 @@ func TestRollbackPanicsOnContainerRegisteredAfterCheckpoint(t *testing.T) {
 			s.Checkpoint()
 			late := NewCell(s, "late", 1)
 			late.Set(2)
-			defer func() {
-				if recover() == nil {
-					t.Fatal("rollback over a late-registered container did not panic")
-				}
-			}()
 			s.Rollback()
+			if late.Get() != 1 {
+				t.Fatalf("late cell = %d after rollback, want 1", late.Get())
+			}
 		})
 	}
 }
@@ -244,15 +246,16 @@ func (l *liveFullCopy) discard() {
 func (l *liveFullCopy) recover() {
 	l.s.Rollback()
 	clone := l.s.Clone()
-	l.s.TransferSnapshot(clone)
+	l.s.HandOverBase(clone)
 	clone.SetLogging(true)
 	l.s = clone
 }
 
 // fullCopyRef is the clone-everything FullCopy checkpoint, the reference
-// the store's incremental sync is held to: Checkpoint clones the whole
-// data section, DiscardLog drops the clone, Rollback restores every
-// container from it, and a recovered store starts with none. It keeps its
+// the store's undo log and charge rule are held to: Checkpoint clones the
+// whole data section, DiscardLog drops the clone, Rollback restores every
+// container from it through the container's field list, and a recovered
+// store starts with none. It keeps its
 // own books on what the two charge rules owe — the whole section a
 // checkpoint (legacy), and the containers written since an image was last
 // current (delta) — from the script's account of its writes, not from the
@@ -291,7 +294,14 @@ func (r *fullCopyRef) rollback() {
 		return
 	}
 	for _, name := range r.s.order {
-		r.s.containers[name].restoreFrom(r.snap.lookup(name))
+		e := wire.NewEncoder()
+		r.snap.lookup(name).codeState(wire.Encoding(e))
+		d := wire.Decoding(wire.NewDecoder(e.Bytes()))
+		c := r.s.containers[name]
+		if c.codeState(d); d.Err() != nil {
+			panic(fmt.Sprintf("restore %q: %v", name, d.Err()))
+		}
+		r.s.touch(c, c.meta())
 	}
 	clear(r.written)
 }

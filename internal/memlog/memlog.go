@@ -49,11 +49,13 @@ const (
 	// pays only a cheap check otherwise (the paper's optimisation of
 	// §IV-D, implemented there by function cloning).
 	Optimized
-	// FullCopy checkpoints by copying the entire data section instead
-	// of keeping an undo log: zero per-store cost, but a per-request
-	// cost proportional to component state size. It exists to reproduce
-	// the paper's design rationale (§IV-C): at OS request frequencies a
-	// simple undo log beats full-state checkpointing.
+	// FullCopy charges for checkpointing by copying the data section
+	// instead of keeping an undo log: zero per-store cost, but a
+	// per-request cost proportional to component state size. It exists
+	// to reproduce the paper's design rationale (§IV-C): at OS request
+	// frequencies a simple undo log beats full-state checkpointing. The
+	// copy is a charge rule only: what a rollback restores, the store
+	// keeps as host-side undo records, which cost nothing.
 	FullCopy
 )
 
@@ -144,7 +146,8 @@ func (l *sideLog[E]) adopt(s *Store, from *sideLog[E], fs *Store) {
 }
 
 // container is the interface implemented by Cell, Map and Slice so the
-// Store can roll back, clone and account for them generically.
+// Store can roll back, clone and account for them generically. Undo is
+// the one way a container returns to a checkpoint, whatever the mode.
 type container interface {
 	name() string
 	bytes() int
@@ -154,9 +157,6 @@ type container interface {
 	// name in another store (TransferLog).
 	adoptLog(src container)
 	corrupt(r *sim.RNG) bool
-	// restoreFrom overwrites this container's contents from a snapshot
-	// container of the same name and type (FullCopy rollback).
-	restoreFrom(src container)
 	// meta exposes the per-container dirty/size bookkeeping.
 	meta() *contMeta
 	// codeState walks the container's contents through c: written when c
@@ -216,9 +216,10 @@ type storeCkpt struct {
 	// baseBytes aggregates the cached sizes of all containers whose
 	// cache is fresh; BaseBytes() returns it after draining sizeDirty.
 	baseBytes int
-	// restorable reports whether snapshot is a valid rollback target
-	// (incremental mode only): true between Checkpoint and the next
-	// DiscardLog, false while the image is merely a delta base.
+	// restorable reports whether a FullCopy store can roll back to its
+	// last checkpoint: true between Checkpoint and the next DiscardLog,
+	// and the stores in between keep undo records. Other modes log by
+	// their own rule (shouldLog) and leave it false.
 	restorable bool
 	logging    bool
 }
@@ -244,14 +245,9 @@ type Store struct {
 	charge   func(sim.Cycles)
 	counters *sim.Counters
 
-	// snapshot is the FullCopy-mode checkpoint image. With incremental
-	// checkpointing it is retained across window closes as the delta
-	// base: each Checkpoint syncs only the containers written since the
-	// image was last brought up to date.
-	snapshot *Store
-
 	// dirty lists the containers written since the last epoch reset, in
-	// first-write order (deterministic).
+	// first-write order (deterministic): what a FullCopy checkpoint
+	// charges for copying.
 	dirty []container
 	// sizeDirty lists containers whose cached size is stale; BaseBytes
 	// drains it to keep the baseBytes aggregate exact.
@@ -270,11 +266,9 @@ type Store struct {
 
 	// pending is set on a store decoded from an image (image.go) until
 	// the component factory has materialized its containers: the decoded
-	// record, the store's own pending copy of the record's snapshot, and
-	// the first materialization failure.
-	pending     *storeImage
-	pendingSnap *Store
-	pendingErr  error
+	// record and the first materialization failure.
+	pending    *storeImage
+	pendingErr error
 }
 
 // NewStore returns an empty Store for the named component, using the
@@ -290,7 +284,8 @@ func NewStore(label string, mode Instrumentation) *Store {
 
 // SetLegacyCheckpoint switches what a FullCopy checkpoint charges: the
 // whole data section (true), as the legacy clone-everything checkpoint
-// did, or the bytes its sync copies (false). Only meaningful in FullCopy.
+// did, or the containers written since the last one (false). Only
+// meaningful in FullCopy.
 func (s *Store) SetLegacyCheckpoint(on bool) { s.legacyCheckpoint = on }
 
 // Label reports the component name this store belongs to.
@@ -336,48 +331,34 @@ const fullCopyCheckpointShift = 2
 
 // Checkpoint establishes the current state as the rollback target.
 // Called at the top of the request-processing loop. With undo-log
-// instrumentation it just discards the log. In FullCopy mode it brings
-// the snapshot image up to date by syncing only the containers written
-// since the image was last current, and charges virtual cycles for the
-// delta bytes copied — or, under SetLegacyCheckpoint, for the whole data
-// section.
+// instrumentation it just discards the log. In FullCopy mode it also
+// charges virtual cycles for copying the containers written since the
+// last checkpoint — every container before the first — or, under
+// SetLegacyCheckpoint, the whole data section.
 func (s *Store) Checkpoint() {
 	s.dropLog()
 	if s.mode != FullCopy || !s.logging {
 		return
 	}
 	bytes := s.BaseBytes() // refreshes every stale per-container size
-	copied := 0
-	if s.snapshot == nil {
-		s.snapshot = s.Clone()
-		copied = bytes
-	} else {
+	copied := bytes
+	if !s.legacyCheckpoint {
+		copied = 0
 		for _, c := range s.dirty {
-			if snap := s.snapshot.lookup(c.name()); snap != nil {
-				snap.restoreFrom(c)
-			} else {
-				// Registered after the image was built.
-				c.cloneInto(s.snapshot)
-			}
 			copied += c.meta().size
 		}
 	}
 	s.resetDirty()
 	s.restorable = true
 	if bytes > s.maxLogBytes {
-		// The resident snapshot plays the undo log's memory role.
+		// The resident copy plays the undo log's memory role.
 		s.maxLogBytes = bytes
-	}
-	if s.legacyCheckpoint {
-		copied = bytes
 	}
 	s.chargeCycles(sim.Cycles(copied) >> fullCopyCheckpointShift)
 }
 
 // DiscardLog drops the undo log without rolling back. Called when the
 // recovery window closes: the checkpoint can no longer be restored.
-// A FullCopy store retains its image as the delta base for the next
-// Checkpoint but marks it non-restorable.
 func (s *Store) DiscardLog() {
 	s.dropLog()
 	s.restorable = false
@@ -422,27 +403,9 @@ func (s *Store) BaseBytes() int {
 	return s.baseBytes
 }
 
-// Rollback restores the state at the last Checkpoint: by undoing all
-// logged stores in reverse order (undo-log modes), or by restoring
-// from the snapshot (FullCopy). FullCopy restores only the containers
-// written since the snapshot was last synced — O(dirty set) instead of
-// O(all containers).
+// Rollback restores the state at the last Checkpoint by undoing all
+// logged stores in reverse order, in every mode.
 func (s *Store) Rollback() {
-	if s.mode == FullCopy {
-		if s.snapshot == nil || !s.restorable {
-			return
-		}
-		for _, c := range s.dirty {
-			src := s.snapshot.lookup(c.name())
-			if src == nil {
-				panic(fmt.Sprintf("memlog: snapshot missing container %q", c.name()))
-			}
-			c.restoreFrom(src)
-		}
-		// The live state now equals the image again: empty dirty set.
-		s.resetDirty()
-		return
-	}
 	for i := len(s.log) - 1; i >= 0; i-- {
 		rec := s.log[i]
 		c, ok := s.containers[rec.entry]
@@ -453,6 +416,11 @@ func (s *Store) Rollback() {
 	}
 	s.log = s.log[:0]
 	s.logBytes = 0
+	if s.restorable {
+		// FullCopy: the live state equals the checkpoint again, so the
+		// next checkpoint copies nothing it has not written since.
+		s.resetDirty()
+	}
 }
 
 // TransferLog moves this store's undo log to dst, leaving this store's
@@ -514,11 +482,10 @@ func (s *Store) Clone() *Store {
 // ForkClone produces a deep copy of the store that is faithful to the
 // original's full checkpointing state, not just its data: per-container
 // dirty/size bookkeeping, the checkpoint epoch, the cached size
-// aggregate, the high-water marks and the retained snapshot image are
-// all reproduced. A ForkClone behaves bit-identically to the original
-// from this point on — the warm-fork plane uses it so a forked machine's
-// first post-fork checkpoint copies exactly the bytes a cold-booted
-// machine's would. Like an image, it requires a quiescent store: it
+// aggregate and the high-water marks are all reproduced. A ForkClone
+// behaves bit-identically to the original from this point on — the
+// warm-fork plane uses it so a forked machine's first post-fork
+// checkpoint charges exactly the bytes a cold-booted machine's would. Like an image, it requires a quiescent store: it
 // panics on undo records in flight (core's capture refuses such a
 // machine first). The cost sink and counter set are NOT carried over
 // (they reference the source machine); the caller must install the
@@ -557,29 +524,18 @@ func (s *Store) ForkClone() *Store {
 		dst.fpDirty = append(dst.fpDirty, dst.containers[c.name()])
 	}
 	dst.fpAgg = s.fpAgg
-	if s.snapshot != nil {
-		dst.snapshot = s.snapshot.ForkClone()
-	}
 	return dst
 }
 
-// TransferSnapshot hands this store's retained snapshot image to dst,
-// which must hold a deep copy of the same state (the recovery flow:
-// Rollback, then Clone). The replacement store then starts with a warm
-// delta base — its first FullCopy checkpoint syncs only what the new
-// instance has written instead of re-cloning the whole data section.
-// No-op without a snapshot.
-func (s *Store) TransferSnapshot(dst *Store) {
-	if s.snapshot == nil {
-		return
+// HandOverBase tells dst, a Clone of this store taken after its Rollback
+// (FullCopy's recovery flow), that it holds this store's last checkpoint:
+// dst's first checkpoint then charges only what the new instance writes,
+// not the whole data section. No-op before this store's first checkpoint
+// (chkGen moves only under FullCopy, and only from one).
+func (s *Store) HandOverBase(dst *Store) {
+	if s.chkGen > 1 {
+		dst.resetDirty()
 	}
-	dst.snapshot = s.snapshot
-	dst.restorable = false
-	// dst's containers were stamped dirty at registration, but its
-	// state equals the image by construction: start with a clean slate.
-	dst.resetDirty()
-	s.snapshot = nil
-	s.restorable = false
 }
 
 // touch records a mutation of c: the container joins the dirty set on
@@ -644,8 +600,10 @@ func (s *Store) Fingerprint() (uint64, error) {
 
 // CorruptRandom silently corrupts one random container value, bypassing
 // the undo log — the analogue of a fail-silent memory corruption fault
-// (EDFI's non-fail-stop fault classes). It reports whether any value was
-// actually changed.
+// (EDFI's non-fail-stop fault classes). Under FullCopy it goes through
+// the logged store path instead: a full copy restores whatever the data
+// section held at the checkpoint, so a rollback undoes the corruption
+// too. It reports whether any value was actually changed.
 func (s *Store) CorruptRandom(r *sim.RNG) bool {
 	if len(s.order) == 0 {
 		return false
@@ -661,7 +619,7 @@ func (s *Store) CorruptRandom(r *sim.RNG) bool {
 }
 
 // register adds a container under its unique name. A new container is
-// dirty by definition: it does not exist in any earlier snapshot image.
+// dirty by definition: no earlier checkpoint copied it.
 func (s *Store) register(c container) {
 	if _, dup := s.containers[c.name()]; dup {
 		panic(fmt.Sprintf("memlog: duplicate container %q in store %q", c.name(), s.label))
@@ -685,15 +643,35 @@ func (s *Store) shouldLog() bool {
 		return true
 	case Optimized:
 		return s.logging
-	default: // Baseline, FullCopy
+	case FullCopy:
+		return s.restorable
+	default: // Baseline
 		return false
 	}
 }
 
 // appendLogged appends rec and charges the logged-store cost. Callers
-// must have checked shouldLog.
+// must have checked shouldLog. A FullCopy record stands in for the copy
+// its checkpoint charged for: it charges and counts nothing, and no part
+// of the undo log's accounting sees it.
 func (s *Store) appendLogged(rec undoRec) {
-	s.append(rec)
+	if s.log == nil {
+		s.grabSlab(1)
+	}
+	s.log = append(s.log, rec)
+	if s.mode == FullCopy {
+		return
+	}
+	if len(s.log) > s.maxLogLen {
+		s.maxLogLen = len(s.log)
+	}
+	s.logBytes += rec.bytes + recOverheadBytes
+	if s.logBytes > s.maxLogBytes {
+		s.maxLogBytes = s.logBytes
+	}
+	if s.counters != nil {
+		s.counters.AddID(ctrStoresLogged, 1)
+	}
 	s.chargeCycles(CostLoggedStore)
 }
 
@@ -704,23 +682,6 @@ func (s *Store) appendLogged(rec undoRec) {
 func (s *Store) noteUnloggedStore() {
 	if s.mode == Optimized {
 		s.chargeCycles(CostCheckStore)
-	}
-}
-
-func (s *Store) append(rec undoRec) {
-	if s.log == nil {
-		s.grabSlab(1)
-	}
-	s.log = append(s.log, rec)
-	if len(s.log) > s.maxLogLen {
-		s.maxLogLen = len(s.log)
-	}
-	s.logBytes += rec.bytes + recOverheadBytes
-	if s.logBytes > s.maxLogBytes {
-		s.maxLogBytes = s.logBytes
-	}
-	if s.counters != nil {
-		s.counters.AddID(ctrStoresLogged, 1)
 	}
 }
 

@@ -3,6 +3,7 @@ package memlog
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -67,6 +68,34 @@ func TestMapSetDeleteRollback(t *testing.T) {
 	}
 	if m.Len() != 2 {
 		t.Fatalf("Len() = %d, want 2", m.Len())
+	}
+}
+
+// TestMapRollbackRestoresInsertionOrder: the order index is state (the
+// image and the fingerprint walk it), so undoing a Delete puts the key
+// back where it stood, not at the end.
+func TestMapRollbackRestoresInsertionOrder(t *testing.T) {
+	s := NewStore("pm", Optimized)
+	s.SetLogging(true)
+	m := NewMap[int, string](s, "procs")
+	for _, k := range []int{1, 2, 3, 4} {
+		m.Set(k, "p")
+	}
+	s.Checkpoint()
+	want, err := s.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Delete(1)
+	m.Delete(3)
+	m.Set(5, "q")
+	m.Delete(2)
+	s.Rollback()
+	if got := m.Keys(); !slices.Equal(got, []int{1, 2, 3, 4}) {
+		t.Fatalf("Keys() after rollback = %v, want [1 2 3 4]", got)
+	}
+	if got, err := s.Fingerprint(); err != nil || got != want {
+		t.Fatalf("fingerprint after rollback %#x (%v), at the checkpoint %#x", got, err, want)
 	}
 }
 
@@ -428,22 +457,25 @@ func TestCorruptRandomChangesState(t *testing.T) {
 
 // opSeq drives the property test: a deterministic sequence of mutations
 // derived from a seed, applied to a store with cell+map+slice.
+// The map's insertion order is part of its state (codeState writes it),
+// so keys lists it.
 type modelState struct {
 	cell  int
 	m     map[int]int
+	keys  []int
 	slice []int
 }
 
 func snapshotModel(c *Cell[int], m *Map[int, int], sl *Slice[int]) modelState {
 	ms := modelState{cell: c.Get(), m: make(map[int]int)}
-	m.ForEach(func(k, v int) bool { ms.m[k] = v; return true })
+	m.ForEach(func(k, v int) bool { ms.m[k] = v; ms.keys = append(ms.keys, k); return true })
 	sl.ForEach(func(_ int, v int) bool { ms.slice = append(ms.slice, v); return true })
 	return ms
 }
 
 func equalModel(a, b modelState) bool {
 	return a.cell == b.cell && reflect.DeepEqual(a.m, b.m) &&
-		((len(a.slice) == 0 && len(b.slice) == 0) || reflect.DeepEqual(a.slice, b.slice))
+		slices.Equal(a.keys, b.keys) && slices.Equal(a.slice, b.slice)
 }
 
 func applyRandomOps(r *sim.RNG, n int, c *Cell[int], m *Map[int, int], sl *Slice[int]) {

@@ -12,6 +12,7 @@
 package testsuite
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/usr"
@@ -30,16 +31,17 @@ type Report struct {
 }
 
 // Complete reports whether every test ran.
-func (r *Report) Complete() bool { return r.Ran == len(Names()) }
+func (r *Report) Complete() bool { return r.Ran == len(names) }
 
 // AllPassed reports whether every test ran and passed.
 func (r *Report) AllPassed() bool { return r.Complete() && r.Failed == 0 }
 
 // tests is the name -> program table, assembled explicitly from the
-// per-server files (no init magic).
-var tests = buildTests()
+// per-server files (no init magic); names lists it in execution (sorted)
+// order.
+var tests, names = buildTests()
 
-func buildTests() map[string]usr.Program {
+func buildTests() (map[string]usr.Program, []string) {
 	m := make(map[string]usr.Program, 96)
 	addPMTests(m)
 	addVFSTests(m)
@@ -48,7 +50,12 @@ func buildTests() map[string]usr.Program {
 	addDSTests(m)
 	addCrossTests(m)
 	addFeatureTests(m)
-	return m
+	names := make([]string, 0, len(m))
+	for n := range m {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return m, names
 }
 
 // add inserts a test, panicking on duplicates (programming error).
@@ -59,15 +66,9 @@ func add(m map[string]usr.Program, name string, prog usr.Program) {
 	m[name] = prog
 }
 
-// Names returns every test name in execution (sorted) order.
-func Names() []string {
-	names := make([]string, 0, len(tests))
-	for n := range tests {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+// Names returns every test name in execution (sorted) order, in a slice
+// of the caller's own.
+func Names() []string { return slices.Clone(names) }
 
 // Register installs every suite program (and its helper programs) into
 // reg so they can be spawned.
@@ -94,23 +95,13 @@ func RunnerInit(report *Report) usr.Program {
 	}
 }
 
-// RunnerResume returns the post-barrier half of RunnerInit: the test
-// phase alone, as the init program of a machine forked from a warm image
-// (the install phase already ran in the captured machine; its effects
-// arrive through the image).
-func RunnerResume(report *Report) usr.Program {
-	return func(p *usr.Proc) int {
-		report.InstallOK = true
-		return runTests(report, p)
-	}
-}
-
 // RunnerResumeFrom returns the suffix of the suite starting at the
 // quiescence barrier described by prefix: the suite state of a ladder
 // rung captured after prefix.Ran tests. The report is pre-filled with a
 // deep copy of the prefix tallies, so a machine forked from that rung
 // finishes with a report identical to a full run. A zero-test prefix
-// resumes from the post-install boot barrier, like RunnerResume.
+// resumes from the post-install boot barrier: the test phase of
+// RunnerInit alone, for a machine forked from a warm boot image.
 func RunnerResumeFrom(report *Report, prefix Report) usr.Program {
 	return func(p *usr.Proc) int {
 		*report = prefix
@@ -137,7 +128,7 @@ func runTests(report *Report, p *usr.Proc) int {
 // the barrier its fork was captured at, exactly like a cold run passing
 // through it.
 func runTestsFrom(report *Report, p *usr.Proc, from int) int {
-	for i, name := range Names()[from:] {
+	for i, name := range names[from:] {
 		if from+i > 0 {
 			p.Barrier()
 		}

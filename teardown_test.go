@@ -152,7 +152,7 @@ func TestNoGoroutineOutlivesAMachine(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sys, err := snap.Fork(boot.ForkParams{Seed: 7}, testsuite.RunnerResume(new(testsuite.Report)))
+			sys, err := snap.Fork(boot.ForkParams{Seed: 7}, testsuite.RunnerResumeFrom(new(testsuite.Report), testsuite.Report{}))
 			if err != nil {
 				t.Fatal(err)
 			}
