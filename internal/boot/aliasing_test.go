@@ -2,14 +2,18 @@ package boot
 
 import (
 	"bytes"
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fs"
 	"repro/internal/kernel"
+	"repro/internal/memlog"
 	"repro/internal/seep"
+	"repro/internal/testsuite"
 	"repro/internal/usr"
+	"repro/internal/wire"
 )
 
 // The disk is shared page by page and block by block between a captured
@@ -126,5 +130,144 @@ func TestForkAliasingPartialWritesStayPrivate(t *testing.T) {
 	forked.Run(testLimit)
 	if !bytes.Equal(late, aliasPristine()) {
 		t.Errorf("the snapshot's file changed under its forks")
+	}
+}
+
+// A store's Slice pages are shared the same way (DESIGN.md §7): a capture
+// and every fork copy a page table, and the first write to a page copies
+// the page. pageWriter writes both slices of the suite machine — VM's
+// frame table, by growing and shrinking its address space and forking a
+// child, and the filesystem's free-block stack, by writing a file and
+// unlinking it — each by amounts of its own.
+func pageWriter(tag int) usr.Program {
+	return func(p *usr.Proc) int {
+		p.Brk(int64(8 + 4*tag))
+		p.Brk(-int64(2 + tag))
+		if _, errno := p.Fork(func(*usr.Proc) int { return 0 }); errno == kernel.OK {
+			p.Wait()
+		}
+		name := fmt.Sprintf("/pages%d", tag)
+		fd, _ := p.Create(name)
+		p.Write(fd, make([]byte, (tag+2)*fs.BlockSize))
+		p.Close(fd)
+		p.Unlink(name)
+		return 0
+	}
+}
+
+// storeBytes is the image of st.
+func storeBytes(t *testing.T, st *memlog.Store) []byte {
+	t.Helper()
+	e := wire.NewEncoder()
+	c := wire.Encoding(e)
+	if memlog.CodeImage(c, &st); c.Err() != nil {
+		t.Errorf("encode store %q: %v", st.Label(), c.Err())
+	}
+	return e.Bytes()
+}
+
+// slicesOf returns the two paged containers of a machine's VM and VFS
+// stores.
+func slicesOf(vmStore, vfsStore *memlog.Store) [2]*memlog.Slice[int32] {
+	return [2]*memlog.Slice[int32]{
+		memlog.NewSlice[int32](vmStore, "vm.frames"),
+		memlog.NewSlice[int32](vfsStore, "fs.free_blocks"),
+	}
+}
+
+func sameElements(a, b *memlog.Slice[int32]) bool {
+	if a.Len() != b.Len() {
+		return false
+	}
+	for i := 0; i < a.Len(); i++ {
+		if a.Get(i) != b.Get(i) {
+			return false
+		}
+	}
+	return true
+}
+
+func TestForkSlicePagesStayPrivate(t *testing.T) {
+	opts := suiteOpts(1)
+	var report testsuite.Report
+	sys := Boot(opts, testsuite.RunnerInit(&report))
+	defer sys.Shutdown("done")
+	for i := 0; i < 30; i++ {
+		if !sys.Kernel().RunToBarrier(testLimit) {
+			t.Fatalf("suite ended before barrier %d", i)
+		}
+	}
+	snap, err := CaptureParked(sys, opts)
+	if err != nil {
+		t.Fatalf("CaptureParked: %v", err)
+	}
+	eps := []kernel.Endpoint{kernel.EpVM, kernel.EpVFS}
+	snapStores := map[kernel.Endpoint]*memlog.Store{}
+	for _, s := range snap.Image.Slots {
+		snapStores[s.EP] = s.Store
+	}
+	before := map[kernel.Endpoint][]byte{}
+	for _, ep := range eps {
+		before[ep] = storeBytes(t, snapStores[ep])
+	}
+	snapSlices := slicesOf(snapStores[kernel.EpVM], snapStores[kernel.EpVFS])
+
+	// The pathfinder runs the rest of the suite while eight forks of the
+	// rung write their own pages, all concurrently: under -race an
+	// in-place write to a page another of them reads is a reported race,
+	// and without it a changed encoding below.
+	const forks = 8
+	systems := make([]*System, forks)
+	after := make([]map[kernel.Endpoint][]byte, forks)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if res := sys.Run(testLimit); res.Outcome != kernel.OutcomeCompleted {
+			t.Errorf("pathfinder: %v (%s)", res.Outcome, res.Reason)
+		}
+	}()
+	for i := 0; i < forks; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			forked, err := snap.Fork(ForkParams{Seed: uint64(i)}, pageWriter(i))
+			if err != nil {
+				t.Errorf("fork %d: %v", i, err)
+				return
+			}
+			if res := forked.Run(testLimit); res.Outcome != kernel.OutcomeCompleted {
+				t.Errorf("fork %d: %v (%s)", i, res.Outcome, res.Reason)
+			}
+			own := slicesOf(forked.OS.ComponentStore(kernel.EpVM), forked.OS.ComponentStore(kernel.EpVFS))
+			for k, sl := range own {
+				if sameElements(sl, snapSlices[k]) {
+					t.Errorf("fork %d did not write its slice %d", i, k)
+				}
+			}
+			after[i] = map[kernel.Endpoint][]byte{}
+			for _, ep := range eps {
+				after[i][ep] = storeBytes(t, forked.OS.ComponentStore(ep))
+			}
+			systems[i] = forked
+		}(i)
+	}
+	wg.Wait()
+
+	for _, ep := range eps {
+		if !bytes.Equal(storeBytes(t, snapStores[ep]), before[ep]) {
+			t.Errorf("the snapshot's store %d changed under its forks and the pathfinder", ep)
+		}
+	}
+	for i, forked := range systems {
+		if forked == nil {
+			continue
+		}
+		for _, ep := range eps {
+			if !bytes.Equal(storeBytes(t, forked.OS.ComponentStore(ep)), after[i][ep]) {
+				t.Errorf("fork %d's store %d changed after it stopped: a sibling wrote its pages", i, ep)
+			}
+		}
+		forked.Shutdown("checked")
 	}
 }

@@ -2,11 +2,13 @@ package image_test
 
 import (
 	"bytes"
+	"cmp"
 	"compress/flate"
 	"encoding/binary"
 	"hash/crc32"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -363,6 +365,71 @@ func TestHostileRetiredSlotRejected(t *testing.T) {
 	}
 }
 
+// reliableImage is an image of a rung with the reliable transport on:
+// only it has an IPC plane, and a plane's pair maps, in its kernel frame.
+func reliableImage(t testing.TB) []byte {
+	t.Helper()
+	opts := suiteOpts(7)
+	opts.Config.IPCTimeoutCycles = core.DefaultIPCTimeoutCycles
+	return encode(t, rungSnapshot(t, opts, 3), image.WriteOptions{})
+}
+
+// swappedPairs rewrites data's kernel frame so that the plane's sequence
+// map lists its first two pairs in descending order, each with its own
+// value — bytes that would read as the same map, but that the writer,
+// which sorts, never produces.
+func swappedPairs(t testing.TB, data []byte) []byte {
+	t.Helper()
+	return reframe(t, data, "kernel", func(raw []byte) []byte {
+		img := new(kernel.MachineImage)
+		d := wire.NewDecoder(raw)
+		if img.Code(wire.Decoding(d)); d.Err() != nil {
+			t.Fatalf("kernel frame: %v", d.Err())
+		}
+		seqs := reflect.ValueOf(img).Elem().FieldByName("ipc").Elem().FieldByName("nextSeq")
+		keys := seqs.MapKeys()
+		if len(keys) < 2 {
+			t.Fatalf("the plane holds %d sequence pairs, want two or more", len(keys))
+		}
+		slices.SortFunc(keys, func(a, b reflect.Value) int { return cmp.Compare(a.Uint(), b.Uint()) })
+		entries := make([][]byte, len(keys))
+		for i, k := range keys {
+			e := wire.NewEncoder()
+			c := wire.Encoding(e)
+			dst, src, seq := int64(k.Uint()>>32), int64(uint32(k.Uint())), uint32(seqs.MapIndex(k).Uint())
+			wire.Int(c, &dst)
+			wire.Int(c, &src)
+			c.U32(&seq)
+			entries[i] = e.Bytes()
+		}
+		count := binary.AppendUvarint(nil, uint64(len(entries)))
+		sorted := bytes.Join(append([][]byte{count}, entries...), nil)
+		at := bytes.Index(raw, sorted)
+		if at < 0 {
+			t.Fatal("the sequence map's entries are not in the kernel frame")
+		}
+		entries[0], entries[1] = entries[1], entries[0]
+		return bytes.Join([][]byte{raw[:at], count, bytes.Join(entries, nil), raw[at+len(sorted):]}, nil)
+	})
+}
+
+// TestHostileTransportPairsRejected: a kernel frame whose transport pairs
+// are out of order is refused by the kernel frame, its checksum holding.
+// It used to read, the map taking whichever entry came last for a pair.
+func TestHostileTransportPairsRejected(t *testing.T) {
+	data := reliableImage(t)
+	if _, err := image.ReadSnapshot(bytes.NewReader(data), suiteRegistry(), 1); err != nil {
+		t.Fatalf("the reliable rung's image: %v", err)
+	}
+	_, err := image.ReadSnapshot(bytes.NewReader(swappedPairs(t, data)), suiteRegistry(), 1)
+	if err == nil {
+		t.Fatal("transport pairs out of order were accepted")
+	}
+	if !strings.Contains(err.Error(), `frame "kernel"`) || !strings.Contains(err.Error(), "out of order") {
+		t.Errorf("refused, but not by the kernel frame's pairs: %v", err)
+	}
+}
+
 // FuzzReadSnapshot: any byte string reads as a snapshot or as an error,
 // and a snapshot that read forks or refuses to — never a panic, never an
 // allocation the input's size does not bound.
@@ -405,6 +472,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	}
 	f.Add(retiredSlot(f, raw, 256<<20))
 	f.Add(allocatorAt(f, raw, 1<<27))
+	f.Add(swappedPairs(f, reliableImage(f)))
 	reg := suiteRegistry()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := image.ReadSnapshot(bytes.NewReader(data), reg, 1)

@@ -148,6 +148,9 @@ func sortedPairs[V any](m map[epPair]V) []epPair {
 }
 
 // codePairs codes a transport map as its entries in sorted pair order.
+// Decoding, the pairs must ascend strictly, as sortedPairs writes them: a
+// repeated pair, of which the last would win, or one out of order would
+// not encode back to the bytes it was read from.
 func codePairs[V any](c *wire.Codec, m *map[epPair]V, val func(*wire.Codec, *V)) {
 	var keys []epPair
 	if c.Decoding() {
@@ -158,6 +161,7 @@ func codePairs[V any](c *wire.Codec, m *map[epPair]V, val func(*wire.Codec, *V))
 	// One value for the whole walk: val is a function value, so what it is
 	// handed lives on the heap.
 	v := new(V)
+	var prev epPair
 	for i, n := 0, c.Len(len(keys)); i < n && c.Err() == nil; i++ {
 		var dst, src Endpoint
 		if c.Decoding() {
@@ -173,7 +177,12 @@ func codePairs[V any](c *wire.Codec, m *map[epPair]V, val func(*wire.Codec, *V))
 				c.Fail(fmt.Errorf("kernel: image transport state names endpoints (%d, %d)", dst, src))
 				return
 			}
-			(*m)[pairOf(dst, src)] = *v
+			pair := pairOf(dst, src)
+			if i > 0 && pair <= prev {
+				c.Fail(fmt.Errorf("kernel: image transport pair (%d, %d) repeats or is out of order", dst, src))
+				return
+			}
+			(*m)[pair], prev = *v, pair
 		}
 	}
 }

@@ -116,6 +116,35 @@ func TestTransportPairOutOfRangeRejected(t *testing.T) {
 	}
 }
 
+// A transport map is written in ascending pair order, and read back only
+// in it: a pair the stream repeats or puts out of order is refused, not
+// folded into the map (the last value winning) — such a map would encode
+// to other bytes than it was read from.
+func TestTransportPairsMustAscend(t *testing.T) {
+	for name, pairs := range map[string][][2]Endpoint{
+		"ascending":    {{6, 100}, {6, 101}, {7, 1}},
+		"repeated":     {{6, 100}, {6, 100}},
+		"out of order": {{7, 1}, {6, 100}},
+		"src descends": {{6, 101}, {6, 100}},
+	} {
+		e := wire.NewEncoder()
+		enc := wire.Encoding(e)
+		enc.Len(len(pairs))
+		for i := range pairs {
+			wire.Int(enc, &pairs[i][0])
+			wire.Int(enc, &pairs[i][1])
+			seq := uint32(i)
+			enc.U32(&seq)
+		}
+		var got map[epPair]uint32
+		dec := wire.Decoding(wire.NewDecoder(e.Bytes()))
+		codePairs(dec, &got, (*wire.Codec).U32)
+		if ok := name == "ascending"; (dec.Err() == nil) != ok {
+			t.Errorf("%s: decode error %v", name, dec.Err())
+		}
+	}
+}
+
 // ApplyImage checks what the scheduler will index with before it stamps
 // anything: an image read from a file may say anything. Unchecked, a
 // cursor past the process table was accepted and panicked inside Run.

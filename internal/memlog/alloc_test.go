@@ -90,6 +90,12 @@ func TestStoreFingerprintDoesNotAllocate(t *testing.T) {
 		recs.Set(i, rec{EP: i, Name: "record"})
 		frames.Append(int32(i))
 	}
+	// Slices of several pages with a partial last one: a re-hash hashes
+	// the page written and takes the others' cached mixes.
+	table := NewSlice[int32](s, "table")
+	table.Grow(3*slicePageLen + 100)
+	records := NewSlice[rec](s, "records")
+	records.Grow(2*slicePageLen + 1)
 	fingerprint := func() {
 		if _, err := s.Fingerprint(); err != nil {
 			t.Fatal(err)
@@ -104,6 +110,8 @@ func TestStoreFingerprintDoesNotAllocate(t *testing.T) {
 		{"scalar Map", func() { scalars.Set(3, scalars.Len()) }},
 		{"scalar Slice", func() { frames.Set(3, 7) }},
 		{"struct-valued Map", func() { recs.Set(3, rec{EP: 3, Pages: 1}) }},
+		{"multi-page scalar Slice", func() { table.Set(2*slicePageLen+5, table.Get(2*slicePageLen+5)+1) }},
+		{"multi-page struct Slice", func() { records.Set(slicePageLen+3, rec{EP: 3, Pages: 1}) }},
 	} {
 		if allocs := testing.AllocsPerRun(100, func() { c.dirty(); fingerprint() }); allocs != 0 {
 			t.Errorf("%s: dirtying and re-hashing allocated %.1f times per run, want 0", c.name, allocs)

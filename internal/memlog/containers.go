@@ -83,7 +83,7 @@ func (c *Cell[T]) Set(v T) {
 			bytes: approxSize(c.v),
 		})
 	} else {
-		c.store.noteUnloggedStore()
+		c.store.noteUnloggedStores(1)
 	}
 	c.v = v
 	c.store.touch(c, &c.cm)
@@ -203,7 +203,7 @@ func (m *Map[K, V]) Set(key K, v V) {
 			bytes: bytes,
 		})
 	} else {
-		m.store.noteUnloggedStore()
+		m.store.noteUnloggedStores(1)
 	}
 	if !present {
 		m.order = append(m.order, key)
@@ -227,7 +227,7 @@ func (m *Map[K, V]) Delete(key K) {
 			bytes: approxSize(old),
 		})
 	} else {
-		m.store.noteUnloggedStore()
+		m.store.noteUnloggedStores(1)
 	}
 	delete(m.m, key)
 	m.store.touch(m, &m.cm)
@@ -344,6 +344,35 @@ func (m *Map[K, V]) corrupt(r *sim.RNG) bool {
 	return true
 }
 
+// A Slice keeps its elements in pages of slicePageLen, the memlog twin
+// of the driver's paged disk (DESIGN.md §7): a clone copies the page
+// table and shares the pages, the first write to a shared page copies
+// it, and a fingerprint hashes again only the pages written since the
+// last one.
+const (
+	slicePageShift = 10
+	slicePageLen   = 1 << slicePageShift
+	slicePageMask  = slicePageLen - 1
+	// inlinePages is how many pages a Slice keeps the table of inside
+	// itself: vm.frames' sixteen, so that neither a decode, a bulk fill
+	// nor a clone of it allocates a table besides.
+	inlinePages = 16
+)
+
+// slicePage is one entry of a Slice's page table.
+type slicePage[T any] struct {
+	elems *[slicePageLen]T
+	// mix is the hash of the page's elements below the slice's length,
+	// current unless stale is set.
+	mix uint64
+	// owned marks a page only this slice points to, which it may write in
+	// place. Every other page is shared — with a clone, a snapshot and
+	// every fork of it — and is copied by the first write that lands on
+	// it.
+	owned bool
+	stale bool
+}
+
 // Slice is an instrumented growable sequence.
 type Slice[T any] struct {
 	store *Store
@@ -354,7 +383,16 @@ type Slice[T any] struct {
 	// not (every touch). Host-only: never cloned, forked or in an image.
 	muts uint64
 	sig  string // typeSig[T]()
-	v    []T
+	// pages holds the n elements, n rounded up to whole pages. What the
+	// last page holds past n is undefined: whatever lengthens the slice
+	// writes it. Up to inlinePages, the table is inline.
+	pages  []slicePage[T]
+	inline [inlinePages]slicePage[T]
+	n      int
+	// made is false while the slice is nil — it has never had pages,
+	// been decoded as non-nil or been cloned — which its image head tells
+	// from empty (wire.Codec.Head).
+	made bool
 }
 
 func newSlice[T any](s *Store, id string) *Slice[T] {
@@ -386,77 +424,174 @@ func NewSlice[T any](s *Store, id string) *Slice[T] {
 }
 
 // Len reports the current length.
-func (s *Slice[T]) Len() int { return len(s.v) }
+func (s *Slice[T]) Len() int { return s.n }
 
 // Get returns element i. It panics on out-of-range i, like a slice.
-func (s *Slice[T]) Get(i int) T { return s.v[i] }
+func (s *Slice[T]) Get(i int) T {
+	if uint(i) >= uint(s.n) {
+		panic(rangeError{s.id, i, s.n})
+	}
+	return s.pages[i>>slicePageShift].elems[i&slicePageMask]
+}
 
-// View returns the elements themselves, not a copy, for a scan that
-// would otherwise pay a Get per element. The aliasing contract, stated
-// once: the view is read-only — every write goes through Set, which
-// logs it — and it is valid until the next Append, Truncate, Reserve or
-// rollback of the slice; a Set in between shows through it.
-func (s *Slice[T]) View() []T { return s.v }
+// rangeError is the panic of an index past a slice's length: a value,
+// formatted only if printed, so that Get stays small enough to inline.
+type rangeError struct {
+	id   string
+	i, n int
+}
+
+func (e rangeError) Error() string {
+	return fmt.Sprintf("memlog: index %d out of range of slice %q of length %d", e.i, e.id, e.n)
+}
+
+// PageFrom returns the elements from i to the end of the page that holds
+// it, or to Len, for a scan that would otherwise pay a Get an element.
+// The shared-page rule: the result is read-only, because the page may be
+// shared with a clone, a snapshot and every fork of it, and it is valid
+// until the next write to the slice. Every write goes through the
+// slice's methods, which copy a shared page before they write to it.
+func (s *Slice[T]) PageFrom(i int) []T {
+	if uint(i) >= uint(s.n) {
+		panic(rangeError{s.id, i, s.n})
+	}
+	return s.page(i >> slicePageShift)[i&slicePageMask:]
+}
+
+// page returns the elements of page p below the length.
+func (s *Slice[T]) page(p int) []T {
+	return s.pages[p].elems[:min(slicePageLen, s.n-p<<slicePageShift)]
+}
+
+// own returns page p for writing, copying it first unless this slice
+// owns it, and marks its mix stale.
+func (s *Slice[T]) own(p int) *[slicePageLen]T {
+	pg := &s.pages[p]
+	if !pg.owned {
+		cp := new([slicePageLen]T)
+		*cp = *pg.elems
+		pg.elems, pg.owned = cp, true
+	}
+	pg.stale = true
+	return pg.elems
+}
+
+// slot returns element i for writing (own).
+func (s *Slice[T]) slot(i int) *T {
+	return &s.own(i >> slicePageShift)[i&slicePageMask]
+}
+
+// addPages appends k zeroed pages to the table, owned and stale, from one
+// allocation.
+func (s *Slice[T]) addPages(k int) {
+	backing := make([]T, k<<slicePageShift)
+	if s.pages == nil {
+		s.pages = s.inline[:0]
+	}
+	s.pages = slices.Grow(s.pages, k)
+	for j := 0; j < k; j++ {
+		s.pages = append(s.pages, slicePage[T]{
+			elems: (*[slicePageLen]T)(backing[j<<slicePageShift:]),
+			owned: true,
+			stale: true,
+		})
+	}
+	s.made = true
+}
 
 // Set overwrites element i, logging the old value.
 func (s *Slice[T]) Set(i int, v T) {
+	old := s.Get(i)
 	if s.store.shouldLog() {
 		s.store.appendLogged(undoRec{
 			entry: s.id,
 			kind:  recSliceSet,
-			pos:   s.olds.push(s.store, sliceOld[T]{i, s.v[i]}),
-			bytes: approxSize(s.v[i]),
+			pos:   s.olds.push(s.store, sliceOld[T]{i, old}),
+			bytes: approxSize(old),
 		})
 	} else {
-		s.store.noteUnloggedStore()
+		s.store.noteUnloggedStores(1)
 	}
-	s.v[i] = v
+	*s.slot(i) = v
 	s.touch()
 }
 
 // Append adds v at the end.
 func (s *Slice[T]) Append(v T) {
 	if s.store.shouldLog() {
-		s.store.appendLogged(undoRec{
-			entry: s.id,
-			kind:  recSliceAppend,
-			bytes: 8,
-		})
+		s.logAppend()
 	} else {
-		s.store.noteUnloggedStore()
+		s.store.noteUnloggedStores(1)
 	}
-	s.v = append(s.v, v)
+	s.push(v)
 	s.touch()
 }
 
-// Reserve makes room for n more Appends without reallocating. It is
-// host-side only: no store is counted, charged, logged or marked dirty,
-// so a run with and without it is the same simulated run.
-func (s *Slice[T]) Reserve(n int) {
-	if cap(s.v)-len(s.v) < n {
-		grown := make([]T, len(s.v), len(s.v)+n)
-		copy(grown, s.v)
-		s.v = grown
+func (s *Slice[T]) logAppend() {
+	s.store.appendLogged(undoRec{
+		entry: s.id,
+		kind:  recSliceAppend,
+		bytes: 8,
+	})
+}
+
+// push writes v past the end.
+func (s *Slice[T]) push(v T) {
+	if s.n == len(s.pages)<<slicePageShift {
+		s.addPages(1)
 	}
+	*s.slot(s.n) = v
+	s.n++
+}
+
+// Grow appends n zero elements. To the simulation it is n Appends of the
+// zero value: the same undo records while the store logs, otherwise the
+// same store count and cycle charge, made once for all n (a cost sink
+// adds cycles up, so that is n charges of one). To the host it is one
+// allocation for the pages it adds.
+func (s *Slice[T]) Grow(n int) {
+	if n < 0 {
+		panic(fmt.Sprintf("memlog: Grow(%d) on slice %q", n, s.id))
+	}
+	if n == 0 {
+		return
+	}
+	if s.store.shouldLog() {
+		for i := 0; i < n; i++ {
+			s.logAppend()
+		}
+	} else {
+		s.store.noteUnloggedStores(n)
+	}
+	if r := s.n & slicePageMask; r != 0 {
+		// What a Truncate left past the end, maybe in a shared page.
+		clear(s.own(len(s.pages) - 1)[r:])
+	}
+	if more := (s.n+n+slicePageMask)>>slicePageShift - len(s.pages); more > 0 {
+		s.addPages(more)
+	}
+	s.n += n
+	s.touch()
 }
 
 // Truncate shortens the slice to length n, logging the removed tail.
 // It panics if n is negative or beyond the current length.
 func (s *Slice[T]) Truncate(n int) {
-	if n < 0 || n > len(s.v) {
-		panic(fmt.Sprintf("memlog: Truncate(%d) on slice %q of length %d", n, s.id, len(s.v)))
+	if n < 0 || n > s.n {
+		panic(fmt.Sprintf("memlog: Truncate(%d) on slice %q of length %d", n, s.id, s.n))
 	}
-	if n == len(s.v) {
+	if n == s.n {
 		return
 	}
 	if s.store.shouldLog() {
 		pos, bytes := 0, 0
-		for i := n; i < len(s.v); i++ {
-			at := s.olds.push(s.store, sliceOld[T]{i, s.v[i]})
+		for i := n; i < s.n; i++ {
+			v := s.Get(i)
+			at := s.olds.push(s.store, sliceOld[T]{i, v})
 			if i == n {
 				pos = at
 			}
-			bytes += approxSize(s.v[i])
+			bytes += approxSize(v)
 		}
 		s.store.appendLogged(undoRec{
 			entry: s.id,
@@ -465,19 +600,21 @@ func (s *Slice[T]) Truncate(n int) {
 			bytes: bytes,
 		})
 	} else {
-		s.store.noteUnloggedStore()
+		s.store.noteUnloggedStores(1)
 	}
-	s.v = s.v[:n]
+	s.cut(n)
 	s.touch()
 }
 
-// ForEach calls fn for each element in order; it stops early if fn
-// returns false. fn must not mutate the slice.
-func (s *Slice[T]) ForEach(fn func(int, T) bool) {
-	for i, v := range s.v {
-		if !fn(i, v) {
-			return
-		}
+// cut shortens the slice to n elements: the pages past them leave the
+// table, and the mix of a last page they end inside covers less.
+func (s *Slice[T]) cut(n int) {
+	np := (n + slicePageMask) >> slicePageShift
+	clear(s.pages[np:])
+	s.pages = s.pages[:np]
+	s.n = n
+	if n&slicePageMask != 0 {
+		s.pages[np-1].stale = true
 	}
 }
 
@@ -487,15 +624,29 @@ func (s *Slice[T]) meta() *contMeta { return &s.cm }
 
 func (s *Slice[T]) bytes() int {
 	total := 0
-	for i := range s.v {
-		total += approxSize(s.v[i])
+	for p := range s.pages {
+		for _, v := range s.page(p) {
+			total += approxSize(v)
+		}
 	}
 	return total
 }
 
+// cloneInto copies the page table only: the clone and this slice then
+// share every page and own none. A slice that owns no page — a
+// snapshot's — is only read, so concurrent forks of one snapshot do not
+// race.
 func (s *Slice[T]) cloneInto(dst *Store) {
-	clone := &Slice[T]{store: dst, id: s.id, sig: s.sig, v: make([]T, len(s.v))}
-	copy(clone.v, s.v)
+	clone := &Slice[T]{store: dst, id: s.id, sig: s.sig, n: s.n, made: true}
+	clone.pages = append(clone.inline[:0], s.pages...)
+	for p := range clone.pages {
+		clone.pages[p].owned = false
+	}
+	for p := range s.pages {
+		if s.pages[p].owned {
+			s.pages[p].owned = false
+		}
+	}
 	dst.register(clone)
 }
 
@@ -503,12 +654,12 @@ func (s *Slice[T]) undo(rec undoRec) {
 	switch rec.kind {
 	case recSliceSet:
 		e := s.olds.pop(s.store, s.id, rec.pos)
-		s.v[e.i] = e.old
+		*s.slot(e.i) = e.old
 	case recSliceAppend:
-		s.v = s.v[:len(s.v)-1]
+		s.cut(s.n - 1)
 	case recSliceTruncate:
 		for _, e := range s.olds.popFrom(s.store, s.id, rec.pos) {
-			s.v = append(s.v, e.old)
+			s.push(e.old)
 		}
 	default:
 		panic(fmt.Sprintf("memlog: bad undo kind %d for slice %q", rec.kind, s.id))
@@ -531,17 +682,17 @@ func (s *Slice[T]) touch() {
 }
 
 // Mutations reports how many times the elements have changed since the
-// slice was made — by Set, Append, Truncate, a rollback, or a silent
-// corruption. An index derived from the elements is in step with them
-// exactly while the count it last saw still stands.
+// slice was made — by Set, Append, Grow, Truncate, a rollback, or a
+// silent corruption. An index derived from the elements is in step with
+// them exactly while the count it last saw still stands.
 func (s *Slice[T]) Mutations() uint64 { return s.muts }
 
 func (s *Slice[T]) corrupt(r *sim.RNG) bool {
-	if len(s.v) == 0 {
+	if s.n == 0 {
 		return false
 	}
-	i := r.Intn(len(s.v))
-	nv, ok := corruptValue(any(s.v[i]), r)
+	i := r.Intn(s.n)
+	nv, ok := corruptValue(any(s.Get(i)), r)
 	if !ok {
 		return false
 	}
@@ -549,7 +700,7 @@ func (s *Slice[T]) corrupt(r *sim.RNG) bool {
 		s.Set(i, nv.(T))
 		return true
 	}
-	s.v[i] = nv.(T)
+	*s.slot(i) = nv.(T)
 	s.touch()
 	return true
 }
@@ -559,7 +710,7 @@ func (s *Slice[T]) corrupt(r *sim.RNG) bool {
 // decodes, and feeds the fingerprint (Store.Fingerprint) when it hashes.
 // Each payload leads with the element-type signature so decoding against
 // changed code fails with a clear error (wire.Codec.Tag). The elements go
-// through wire.Elem and wire.Elems — routes for the primitive kinds and
+// through wire.Elem and wire.Items — routes for the primitive kinds and
 // for structs that list their fields (wire.Coder); the constructors
 // refuse any other element type.
 
@@ -603,7 +754,33 @@ func (m *Map[K, V]) codeState(w *wire.Codec) {
 	}
 }
 
+// A slice's payload is the slice form of its elements (wire.Elems's
+// bytes), coded page by page. Its hash has a word a page instead: the
+// page's mix, computed afresh only for a stale page.
 func (s *Slice[T]) codeState(w *wire.Codec) {
 	w.Tag(s.sig)
-	wire.Elems(w, &s.v)
+	made, n := w.Head(s.made, s.n)
+	switch {
+	case w.Decoding():
+		s.pages, s.n, s.made = nil, 0, made
+		if n > 0 {
+			s.addPages((n + slicePageMask) >> slicePageShift)
+			s.n = n
+		}
+		for p := 0; p < len(s.pages) && w.Err() == nil; p++ {
+			wire.Items(w, s.page(p))
+		}
+	case w.Hashing():
+		for p := range s.pages {
+			pg := &s.pages[p]
+			if pg.stale {
+				pg.mix, pg.stale = wire.ItemsSum(w, s.page(p)), false
+			}
+			w.Uvarint(&pg.mix)
+		}
+	default:
+		for p := range s.pages {
+			wire.Items(w, s.page(p))
+		}
+	}
 }

@@ -116,22 +116,6 @@ func TestCorruptRandomEmptyStore(t *testing.T) {
 	}
 }
 
-func TestSliceForEachStopsEarly(t *testing.T) {
-	s := NewStore("x", Baseline)
-	sl := NewSlice[int](s, "sl")
-	for i := 0; i < 5; i++ {
-		sl.Append(i)
-	}
-	count := 0
-	sl.ForEach(func(i, v int) bool {
-		count++
-		return count < 2
-	})
-	if count != 2 {
-		t.Fatalf("ForEach visited %d, want 2", count)
-	}
-}
-
 func TestUndoTypeMismatchPanics(t *testing.T) {
 	s := NewStore("x", Optimized)
 	s.SetLogging(true)

@@ -339,11 +339,30 @@ func FuzzDecodeStoreImage(f *testing.F) {
 		}
 		f.Add(retiredFlag(f, img))
 	}
+	// Slices on and around page boundaries, and nil beside empty.
+	for _, n := range []int{-1, 0, 1, slicePageLen - 1, slicePageLen, slicePageLen + 1, 2*slicePageLen + 1} {
+		s := NewStore("img-test", Optimized)
+		_, _, sl := registerTestContainers(s)
+		if n == 0 {
+			sl.Append(1)
+			sl.Truncate(0)
+		}
+		for i := 0; i < n; i++ {
+			sl.Append(int32(i * 37))
+		}
+		img, err := encodeStore(s)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(img)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := decodeStore(wire.NewDecoder(data))
+		d := wire.NewDecoder(data)
+		s, err := decodeStore(d)
 		if err != nil {
 			return
 		}
+		read := data[:len(data)-d.Remaining()]
 		func() {
 			// A factory meeting containers of another type than it
 			// declares panics by contract (a code/image mismatch, refused
@@ -351,6 +370,16 @@ func FuzzDecodeStoreImage(f *testing.F) {
 			defer func() { recover() }()
 			registerTestContainers(s)
 		}()
-		s.FinishDecode()
+		if s.FinishDecode() != nil {
+			return
+		}
+		// A store that decoded encodes back to the bytes it was read from.
+		again, err := encodeStore(s)
+		if err != nil {
+			t.Fatalf("a decoded store does not encode: %v", err)
+		}
+		if !bytes.Equal(again, read) {
+			t.Fatalf("decoded from\n%x\nencodes to\n%x", read, again)
+		}
 	})
 }

@@ -354,7 +354,7 @@ func (s *Store) Checkpoint() {
 		// The resident copy plays the undo log's memory role.
 		s.maxLogBytes = bytes
 	}
-	s.chargeCycles(sim.Cycles(copied) >> fullCopyCheckpointShift)
+	s.chargeStores(1, sim.Cycles(copied)>>fullCopyCheckpointShift)
 }
 
 // DiscardLog drops the undo log without rolling back. Called when the
@@ -457,9 +457,11 @@ func (s *Store) sideLogsInto(dst *Store) {
 	}
 }
 
-// Clone produces a fresh Store with a deep copy of every container —
-// the "data section copy" performed during the restart phase. The clone
-// shares no mutable state with the original; its undo log starts empty.
+// Clone produces a fresh Store with a copy of every container — the
+// "data section copy" performed during the restart phase. The clone
+// shares no mutable state with the original: a Slice's pages are shared
+// but owned by neither side, so the first write to one copies it. Its
+// undo log starts empty.
 // The clone inherits the instrumentation mode, label and checkpoint
 // implementation.
 func (s *Store) Clone() *Store {
@@ -479,15 +481,17 @@ func (s *Store) Clone() *Store {
 	return dst
 }
 
-// ForkClone produces a deep copy of the store that is faithful to the
-// original's full checkpointing state, not just its data: per-container
-// dirty/size bookkeeping, the checkpoint epoch, the cached size
-// aggregate and the high-water marks are all reproduced. A ForkClone
-// behaves bit-identically to the original from this point on — the
-// warm-fork plane uses it so a forked machine's first post-fork
-// checkpoint charges exactly the bytes a cold-booted machine's would. Like an image, it requires a quiescent store: it
-// panics on undo records in flight (core's capture refuses such a
-// machine first). The cost sink and counter set are NOT carried over
+// ForkClone produces a copy of the store, shared as Clone's is, that is
+// faithful to the original's full checkpointing state, not just its
+// data: per-container dirty/size bookkeeping, the checkpoint epoch, the
+// cached size aggregate and the high-water marks are all reproduced. A
+// ForkClone behaves bit-identically to the original from this point on —
+// the warm-fork plane uses it so a forked machine's first post-fork
+// checkpoint charges exactly the bytes a cold-booted machine's would.
+// Like an image, it requires a quiescent store: it panics on undo records
+// in flight (core's capture refuses such a machine first). A store that
+// owns no Slice page — a snapshot's — is only read, so forks of it may be
+// taken concurrently. The cost sink and counter set are NOT carried over
 // (they reference the source machine); the caller must install the
 // fork's own via SetCostSink/SetCounters.
 func (s *Store) ForkClone() *Store {
@@ -672,16 +676,16 @@ func (s *Store) appendLogged(rec undoRec) {
 	if s.counters != nil {
 		s.counters.AddID(ctrStoresLogged, 1)
 	}
-	s.chargeCycles(CostLoggedStore)
+	s.chargeStores(1, CostLoggedStore)
 }
 
-// noteUnloggedStore charges the cost of an instrumented store that did
+// noteUnloggedStores charges the cost of n instrumented stores that did
 // not log: nothing in Baseline/FullCopy, the cloned fast path's window
-// check in Optimized mode. (Unoptimized always logs and never gets
-// here.)
-func (s *Store) noteUnloggedStore() {
+// check each in Optimized mode, counted and charged at once.
+// (Unoptimized always logs and never gets here.)
+func (s *Store) noteUnloggedStores(n int) {
 	if s.mode == Optimized {
-		s.chargeCycles(CostCheckStore)
+		s.chargeStores(n, sim.Cycles(n)*CostCheckStore)
 	}
 }
 
@@ -728,12 +732,14 @@ func (s *Store) ReleaseLog() {
 	s.logEpoch++
 }
 
-func (s *Store) chargeCycles(n sim.Cycles) {
+// chargeStores counts stores instrumented stores and charges cycles for
+// them.
+func (s *Store) chargeStores(stores int, cycles sim.Cycles) {
 	if s.counters != nil {
-		s.counters.AddID(ctrStoresTotal, 1)
+		s.counters.AddID(ctrStoresTotal, uint64(stores))
 	}
 	if s.charge != nil {
-		s.charge(n)
+		s.charge(cycles)
 	}
 }
 

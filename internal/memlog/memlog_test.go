@@ -154,37 +154,61 @@ func TestSliceOperationsRollback(t *testing.T) {
 	}
 }
 
-// View is the slice's own elements: a Set made during a scan shows
-// through it, it counts no store, and the logged Set still rolls back.
-func TestSliceViewAliasesTheElements(t *testing.T) {
+// elems copies sl's elements out, nil for an empty slice.
+func elems[T any](sl *Slice[T]) []T {
+	var out []T
+	for i := 0; i < sl.Len(); i++ {
+		out = append(out, sl.Get(i))
+	}
+	return out
+}
+
+// The shared-page rule: a clone shares the pages and owns none, so a
+// page read through PageFrom is the one both sides read until one of
+// them writes it. The write copies the page for the writer only, counts
+// and logs like any Set, and rolls back in the writer's copy.
+func TestSliceClonesSharePagesUntilWritten(t *testing.T) {
 	s := NewStore("vm", Optimized)
 	counters := sim.NewCounters()
 	s.SetCounters(counters)
 	s.SetLogging(true)
 	sl := NewSlice[int32](s, "frames")
-	for i := int32(0); i < 4; i++ {
-		sl.Append(i % 2)
+	sl.Grow(2*slicePageLen + 5)
+	for i := 0; i < sl.Len(); i += 2 {
+		sl.Set(i, 1)
 	}
-	s.Checkpoint()
-	stores := counters.Get("memlog.stores_total")
-	view := sl.View()
-	if len(view) != sl.Len() {
-		t.Fatalf("len(View()) = %d, Len() = %d", len(view), sl.Len())
-	}
-	for i, owner := range view {
-		if owner == 1 {
-			sl.Set(i, 0)
+	clone := s.Clone()
+	csl := NewSlice[int32](clone, "frames")
+	pageOf := func(sl *Slice[int32], i int) *int32 { return &sl.PageFrom(i)[0] }
+	for _, i := range []int{0, slicePageLen, 2 * slicePageLen} {
+		if pageOf(sl, i) != pageOf(csl, i) {
+			t.Fatalf("page of element %d is not shared by the clone", i)
 		}
 	}
-	if got := counters.Get("memlog.stores_total") - stores; got != 2 {
-		t.Errorf("scan through the view counted %d stores, want the 2 Sets", got)
+	if got := len(csl.PageFrom(2*slicePageLen + 1)); got != 4 {
+		t.Fatalf("the last page reads %d elements from its second, want 4", got)
 	}
-	if view[1] != 0 || view[3] != 0 {
-		t.Errorf("view = %v after clearing the odd entries, want the Sets to show", view)
+
+	clone.SetCounters(counters)
+	clone.SetLogging(true)
+	clone.Checkpoint()
+	stores := counters.Get("memlog.stores_total")
+	csl.Set(slicePageLen+2, 7)
+	if got := counters.Get("memlog.stores_total") - stores; got != 1 {
+		t.Errorf("a Set to a shared page counted %d stores, want 1", got)
 	}
-	s.Rollback()
-	if got := sl.View(); !reflect.DeepEqual(got, []int32{0, 1, 0, 1}) {
-		t.Errorf("after rollback View() = %v", got)
+	if pageOf(sl, slicePageLen) == pageOf(csl, slicePageLen) {
+		t.Fatal("the written page is still shared")
+	}
+	if pageOf(sl, 0) != pageOf(csl, 0) || pageOf(sl, 2*slicePageLen) != pageOf(csl, 2*slicePageLen) {
+		t.Fatal("a write copied a page it did not land on")
+	}
+	if sl.Get(slicePageLen+2) != 1 || csl.Get(slicePageLen+2) != 7 {
+		t.Fatalf("after the clone's write: source %d, clone %d", sl.Get(slicePageLen+2), csl.Get(slicePageLen+2))
+	}
+	clone.Rollback()
+	if csl.Get(slicePageLen+2) != 1 || !slices.Equal(elems(csl), elems(sl)) {
+		t.Fatal("the clone's rollback did not restore its copy of the page")
 	}
 }
 
@@ -357,7 +381,7 @@ func TestSideLogsFollowTheLog(t *testing.T) {
 				out += fmt.Sprintf(" %d=%s", k, v)
 				return true
 			})
-			return out + fmt.Sprint(NewSlice[int32](s, "sl").View())
+			return out + fmt.Sprint(elems(NewSlice[int32](s, "sl")))
 		}
 	}
 	const want = "stale epoch 1=one 2=two[0 1 2 3 4]"
@@ -469,7 +493,7 @@ type modelState struct {
 func snapshotModel(c *Cell[int], m *Map[int, int], sl *Slice[int]) modelState {
 	ms := modelState{cell: c.Get(), m: make(map[int]int)}
 	m.ForEach(func(k, v int) bool { ms.m[k] = v; ms.keys = append(ms.keys, k); return true })
-	sl.ForEach(func(_ int, v int) bool { ms.slice = append(ms.slice, v); return true })
+	ms.slice = elems(sl)
 	return ms
 }
 

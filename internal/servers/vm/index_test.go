@@ -34,9 +34,8 @@ func refHandle(v *VM, ctx *kernel.Context, m kernel.Message) {
 		}
 		ctx.Call(seepUnmap, proto.EpSys, kernel.Message{Type: proto.SysUnmap, A: ep, B: want})
 		released := int64(0)
-		frames := v.frames.View()
-		for i := len(frames) - 1; i >= 0 && released < want; i-- {
-			if frames[i] == int32(ep) {
+		for i := v.frames.Len() - 1; i >= 0 && released < want; i-- {
+			if v.frames.Get(i) == int32(ep) {
 				v.frames.Set(i, 0)
 				released++
 				ctx.Point("vm.brk.release")
@@ -52,8 +51,8 @@ func refHandle(v *VM, ctx *kernel.Context, m kernel.Message) {
 	sp, _ := v.spaces.Get(ep)
 	ctx.Call(seepUnmap, proto.EpSys, kernel.Message{Type: proto.SysUnmap, A: ep, B: sp.Pages})
 	freed := int64(0)
-	for i, owner := range v.frames.View() {
-		if owner == int32(ep) {
+	for i := 0; i < v.frames.Len(); i++ {
+		if v.frames.Get(i) == int32(ep) {
 			v.frames.Set(i, 0)
 			freed++
 			ctx.Point("vm.free.frame")
@@ -126,8 +125,14 @@ type differ struct {
 	aimed  int // aimed corruptions that found their seed
 }
 
+// tableOf copies store's frame table out.
 func tableOf(store *memlog.Store) []int32 {
-	return memlog.NewSlice[int32](store, "vm.frames").View()
+	frames := memlog.NewSlice[int32](store, "vm.frames")
+	table := make([]int32, frames.Len())
+	for i := range table {
+		table[i] = frames.Get(i)
+	}
+	return table
 }
 
 // hook records every Point, a release Point together with the frame that
@@ -158,7 +163,7 @@ func (d *differ) hook(_ kernel.Endpoint, _, site string) {
 			f.aimAt = 0
 		}
 		d.target.CorruptRandom(sim.NewRNG(f.seed))
-		copy(d.seen, table)
+		copy(d.seen, tableOf(d.target))
 	}
 }
 
@@ -183,7 +188,7 @@ func (d *differ) aim(f *midFault, at int) (uint64, bool) {
 
 // run handles m on store through handle and returns the Points it made.
 func (d *differ) run(store *memlog.Store, handle func(), fault *midFault) (trace []string) {
-	d.target, d.seen = store, append([]int32(nil), tableOf(store)...)
+	d.target, d.seen = store, tableOf(store)
 	d.trace, d.fault, d.nth = nil, fault, 0
 	defer func() {
 		trace, d.seen = d.trace, nil
@@ -247,8 +252,8 @@ func (d *differ) checkIndex() {
 		listed += len(list)
 	}
 	held := 0
-	for _, owner := range d.v.frames.View() {
-		if owner != 0 {
+	for i := 0; i < d.v.frames.Len(); i++ {
+		if d.v.frames.Get(i) != 0 {
 			held++
 		}
 	}

@@ -93,20 +93,24 @@ func (x *frameIndex) rebuild(frames *memlog.Slice[int32]) {
 	// owner's list up when the owner changes, not per frame.
 	var cur int32
 	var list []int32
-	for i, owner := range frames.View() {
-		if owner == 0 {
-			continue
-		}
-		if owner != cur {
-			if cur != 0 {
-				x.lists[cur] = list
+	for base := 0; base < frames.Len(); {
+		page := frames.PageFrom(base)
+		for j, owner := range page {
+			if owner == 0 {
+				continue
 			}
-			cur, list = owner, x.lists[owner]
-			if list == nil {
-				list = x.newList()
+			if owner != cur {
+				if cur != 0 {
+					x.lists[cur] = list
+				}
+				cur, list = owner, x.lists[owner]
+				if list == nil {
+					list = x.newList()
+				}
 			}
+			list = append(list, int32(base+j))
 		}
-		list = append(list, int32(i))
+		base += len(page)
 	}
 	if cur != 0 {
 		x.lists[cur] = list
@@ -179,10 +183,7 @@ func New(store *memlog.Store, initEP int64) *VM {
 		nextFrame: memlog.NewCell(store, "vm.next_frame", 0),
 	}
 	if v.frames.Len() == 0 {
-		v.frames.Reserve(TotalPages)
-		for i := 0; i < TotalPages; i++ {
-			v.frames.Append(0)
-		}
+		v.frames.Grow(TotalPages)
 	}
 	// Seed the init address space only at first boot (see pm.New).
 	if _, ok := v.spaces.Get(initEP); !ok && initEP != 0 && v.spaces.Len() == 0 && store.Generation() == 0 {

@@ -195,11 +195,49 @@ func (c *Codec) putBlob(b []byte) {
 
 // blobHead is the length word of a blob or a slice: 0 for nil, else the
 // length plus one.
-func blobHead[T any](s []T) uint64 {
-	if s == nil {
+func blobHead[T any](s []T) uint64 { return head(s != nil, len(s)) }
+
+func head(some bool, n int) uint64 {
+	if !some {
 		return 0
 	}
-	return uint64(len(s)) + 1
+	return uint64(n) + 1
+}
+
+// Head codes the head of the slice form — 0 for nil, else the count plus
+// one — for a sequence of n elements, nil unless some, that is held other
+// than as one Go slice (memlog's paged Slice); the elements follow, coded
+// in place (Items). Encoding, it makes room for them as Len does.
+// Decoding, it returns what the stream holds, the count checked against
+// the bytes left first: (false, 0) for nil or once the walk has failed.
+func (c *Codec) Head(some bool, n int) (bool, int) {
+	if c.d == nil {
+		if c.putUvarint(head(some, n)); !c.hashing {
+			c.e.Grow(n) // an element takes at least a byte
+		}
+		return some, n
+	}
+	u := c.d.Uvarint()
+	if u == 0 {
+		return false, 0
+	}
+	size := c.d.count(u - 1)
+	if c.d.err != nil {
+		return false, 0
+	}
+	return true, size
+}
+
+// bytes codes b in place, as its bytes: a blob's body.
+func (c *Codec) bytes(b []byte) {
+	switch {
+	case c.hashing:
+		c.h.Bytes(b)
+	case c.d != nil:
+		copy(b, c.d.take(uint64(len(b))))
+	default:
+		c.e.buf = append(c.e.buf, b...)
+	}
 }
 
 // BlobOf codes whatever fill codes as one blob, in Blob's bytes, without

@@ -1,14 +1,19 @@
 package wire
 
-import "strconv"
+import (
+	"strconv"
+
+	"repro/internal/sim"
+)
 
 // Typed element codecs. A container of values of one type T (memlog's
-// Cell, Map and Slice) codes them through Elem and Elems: a type switch
-// picks the route, per value for Elem and per slice for Elems — a loop of
-// its own for each primitive kind, the type's field list for a Coder. A
-// type with neither has no route, and memlog refuses to build a container
-// of it. The bytes of every route are those the reflective oracle in
-// wiretest gives a T; the equivalence tests hold every route to them.
+// Cell, Map and Slice) codes them through Elem and Items: a type switch
+// picks the route, per value for Elem and per run of elements for Items —
+// a loop of its own for each primitive kind, the type's field list for a
+// Coder. A type with neither has no route, and memlog refuses to build a
+// container of it. The bytes of every route are those the reflective
+// oracle in wiretest gives a T; the equivalence tests hold every route to
+// them.
 
 // Coder is a struct that lists its fields over a Codec — on the pointer,
 // every field, in declaration order, each in the form of its kind
@@ -67,33 +72,49 @@ func Elem[T any](c *Codec, p *T) {
 }
 
 // Elems codes a whole []T in the slice form — 0 for nil, else the count
-// plus one and the elements; a []byte as one blob — with a loop of its
-// own for each signed integer kind (the frame tables and free lists of
-// the stores); every other T goes through Elem an element.
+// plus one and the elements, as Items codes them (a []byte is then one
+// blob).
 func Elems[T any](c *Codec, s *[]T) {
-	switch p := any(s).(type) {
+	Items(c, (*s)[:sliceHead(c, s)])
+}
+
+// Items codes every element of s in place and without a count: a slice
+// whose head is already coded, or a part of one. A []byte goes as its
+// bytes, each signed integer kind through Ints (the frame tables and free
+// lists of the stores), every other T through Elem an element.
+func Items[T any](c *Codec, s []T) {
+	switch p := any(&s).(type) {
 	case *[]byte:
-		c.Blob(p)
+		c.bytes(*p)
 	case *[]int:
-		ints(c, p)
+		Ints(c, *p)
 	case *[]int8:
-		ints(c, p)
+		Ints(c, *p)
 	case *[]int16:
-		ints(c, p)
+		Ints(c, *p)
 	case *[]int32:
-		ints(c, p)
+		Ints(c, *p)
 	case *[]int64:
-		ints(c, p)
+		Ints(c, *p)
 	default:
-		for i, n := 0, sliceHead(c, s); i < n && c.Err() == nil; i++ {
-			Elem(c, &(*s)[i])
+		for i := 0; i < len(s) && c.Err() == nil; i++ {
+			Elem(c, &s[i])
 		}
 	}
 }
 
-func ints[T signed](c *Codec, p *[]T) {
-	n := sliceHead(c, p)
-	Ints(c, (*p)[:n])
+// ItemsSum hashes s as Items codes it, into a hash of its own, and
+// returns that hash's sum; c, which must be a hashing codec, keeps its
+// own hash as it was. It is what a container that hashes in parts caches
+// a part by (memlog's pages), so that it hashes again only the parts that
+// changed.
+func ItemsSum[T any](c *Codec, s []T) uint64 {
+	outer := c.h
+	c.h = sim.NewHash()
+	Items(c, s)
+	sum := c.h.Sum()
+	c.h = outer
+	return sum
 }
 
 // Ints codes every element of s in place, as Int does and without a
@@ -141,25 +162,15 @@ func Ints[T signed](c *Codec, s []T) {
 }
 
 // sliceHead codes the head of the slice form and returns how many
-// elements follow, to be coded in place. Encoding, it makes room for
-// them as Len does. Decoding, it sets *p to a slice of exactly the count
-// the stream holds — checked against the bytes left first — or to nil.
+// elements follow, to be coded in place. Decoding, it sets *p to a slice
+// of exactly the count the stream holds, or to nil.
 func sliceHead[T any](c *Codec, p *[]T) int {
-	if c.d == nil {
-		if c.putUvarint(blobHead(*p)); !c.hashing {
-			c.e.Grow(len(*p)) // an element takes at least a byte
+	some, n := c.Head(*p != nil, len(*p))
+	if c.d != nil {
+		*p = nil
+		if some {
+			*p = make([]T, n)
 		}
-		return len(*p)
 	}
-	*p = nil
-	n := c.d.Uvarint()
-	if n == 0 {
-		return 0
-	}
-	size := c.d.count(n - 1)
-	if c.d.err != nil {
-		return 0
-	}
-	*p = make([]T, size)
-	return size
+	return n
 }

@@ -117,7 +117,9 @@ func appendUvarint(buf []byte, x uint64) []byte {
 
 // uvarint decodes a varint from the front of buf and returns it with the
 // number of bytes read: 0 when buf ends first, negative when the value
-// overflows 64 bits.
+// overflows 64 bits or is not in its shortest form — a last byte of zero
+// after the first, which appendUvarint never writes, so that whatever
+// decodes encodes back to the bytes it came from.
 func uvarint(buf []byte) (uint64, int) {
 	var x uint64
 	for i, b := range buf {
@@ -125,6 +127,9 @@ func uvarint(buf []byte) (uint64, int) {
 			return 0, -(i + 1)
 		}
 		if x |= uint64(b&0x7f) << (7 * i); b < 0x80 {
+			if b == 0 && i > 0 {
+				return 0, -(i + 1)
+			}
 			return x, i + 1
 		}
 	}

@@ -155,6 +155,28 @@ func TestCorruptBoolByte(t *testing.T) {
 	}
 }
 
+// A varint has one form, its shortest: a longer one — a last byte of
+// zero after the first — is refused, so that whatever decodes encodes
+// back to the bytes it was read from. An element of a slice goes through
+// the same reader.
+func TestOverlongVarintRejected(t *testing.T) {
+	for _, stream := range [][]byte{{0x80, 0x00}, {0x85, 0x80, 0x00}, {0xff, 0x00}} {
+		if d := NewDecoder(stream); d.Uvarint() != 0 || d.Err() == nil {
+			t.Errorf("% x read as a varint", stream)
+		}
+		var frames []int32
+		c := Decoding(NewDecoder(append([]byte{2}, stream...)))
+		if Elems(c, &frames); c.Err() == nil {
+			t.Errorf("% x read as a frame %v", stream, frames)
+		}
+	}
+	for _, v := range []uint64{0, 1, 127, 128, 1 << 35, math.MaxUint64} {
+		if d := NewDecoder(binary.AppendUvarint(nil, v)); d.Uvarint() != v || d.Err() != nil {
+			t.Errorf("%d does not read back: %v", v, d.Err())
+		}
+	}
+}
+
 type regPayload struct {
 	N int64
 	S string
