@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	benchtables [-scale quick|full] [-seed N] [-only 1,2,3,4,5,6,f3,mf,ablation,ipc,ckpt]
+//	benchtables [-scale quick|full] [-seed N] [-only 1,2,3,4,5,6,f3,mf,ablation,ipc]
 //	            [-workers N] [-coldboot] [-noelide] [-json out.json]
 //	            [-list] [-cpuprofile out.pprof] [-memprofile out.pprof]
 //
@@ -42,7 +42,7 @@ func main() {
 	var (
 		scaleName  = flag.String("scale", "quick", "evaluation scale: quick or full")
 		seed       = flag.Uint64("seed", 42, "simulation seed")
-		only       = flag.String("only", "", "comma-separated subset: 1,2,3,4,5,6,f3,mf,ablation,ipc,ckpt (default all)")
+		only       = flag.String("only", "", "comma-separated subset: 1,2,3,4,5,6,f3,mf,ablation,ipc (default all)")
 		workers    = flag.Int("workers", 0, "concurrent simulated machines (0 = one per CPU, 1 = serial)")
 		coldBoot   = flag.Bool("coldboot", false, "boot every campaign run from scratch instead of forking a warm image")
 		noElide    = flag.Bool("noelide", false, "execute every run to its end: no tail splice on fingerprint match, no wedge certificate for hung runs (the bit-identity oracle)")
@@ -107,9 +107,8 @@ var sectionInfo = []struct {
 	{"6", "table6_memory", "Table VI: state and undo-log memory overhead"},
 	{"f3", "figure3_disruption", "Figure 3: service disruption during recovery"},
 	{"mf", "multifault_cascade", "Multi-fault cascade survivability (beyond the paper)"},
-	{"ablation", "ablation_checkpointing", "Checkpointing ablation: legacy vs incremental"},
+	{"ablation", "ablation_checkpointing", "Checkpointing ablation: undo log vs full copy"},
 	{"ipc", "ipc_reliability", "Survivability vs background transport fault rate"},
-	{"ckpt", "checkpointing_incremental", "Incremental checkpointing micro-table"},
 }
 
 // section is one table/figure of the JSON report.
@@ -252,10 +251,6 @@ func run(scaleName string, seed uint64, only string, workers int, plane faultinj
 	if want("ipc") {
 		t0 := time.Now()
 		emit("ipc_reliability", eval.RunIPCSweep(sc), time.Since(t0))
-	}
-	if want("ckpt") {
-		t0 := time.Now()
-		emit("checkpointing_incremental", eval.RunCheckpointing(sc), time.Since(t0))
 	}
 
 	if jsonPath != "" {

@@ -1,7 +1,6 @@
 package boot
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -367,31 +366,29 @@ func TestRecoveredComponentCoverageAccumulates(t *testing.T) {
 	t.Fatal("no ds component in stats")
 }
 
-// TestRecoveryUnderFullCopyCheckpointing: the snapshot-based
-// checkpointing alternative recovers just as consistently as the undo
-// log — it is only slower (see eval.RunAblationCheckpointing) — under
-// either charge rule, incremental or legacy full copy.
+// TestRecoveryUnderFullCopyCheckpointing: the full-copy checkpointing
+// alternative recovers just as consistently as the undo log — it is only
+// slower (see eval.RunAblationCheckpointing).
 func TestRecoveryUnderFullCopyCheckpointing(t *testing.T) {
-	for _, legacy := range []bool{false, true} {
-		t.Run(fmt.Sprintf("legacy=%v", legacy), func(t *testing.T) {
-			var first, afterCrash, retry kernel.Errno
-			sys := Boot(Options{Config: core.Config{
-				Policy:           seep.PolicyEnhanced,
-				Seed:             1,
-				Instrumentation:  memlog.FullCopy,
-				LegacyCheckpoint: legacy,
-			}}, func(p *usr.Proc) int {
-				first = p.DsPut("key", "value")
-				_, afterCrash = p.DsGet("key")
-				retry = p.DsPut("key", "value")
-				return 0
-			})
-			armInjection(sys, "ds.put.applied")
-			res := sys.Run(testLimit)
-			mustComplete(t, res)
-			if first != kernel.ECRASH || afterCrash != kernel.ENOENT || retry != kernel.OK {
-				t.Fatalf("errnos = %v/%v/%v, want ECRASH/ENOENT/OK", first, afterCrash, retry)
-			}
+	// The subtest is named for the one FullCopy charge rule, the
+	// whole-section copy.
+	t.Run("legacy=true", func(t *testing.T) {
+		var first, afterCrash, retry kernel.Errno
+		sys := Boot(Options{Config: core.Config{
+			Policy:          seep.PolicyEnhanced,
+			Seed:            1,
+			Instrumentation: memlog.FullCopy,
+		}}, func(p *usr.Proc) int {
+			first = p.DsPut("key", "value")
+			_, afterCrash = p.DsGet("key")
+			retry = p.DsPut("key", "value")
+			return 0
 		})
-	}
+		armInjection(sys, "ds.put.applied")
+		res := sys.Run(testLimit)
+		mustComplete(t, res)
+		if first != kernel.ECRASH || afterCrash != kernel.ENOENT || retry != kernel.OK {
+			t.Fatalf("errnos = %v/%v/%v, want ECRASH/ENOENT/OK", first, afterCrash, retry)
+		}
+	})
 }

@@ -78,12 +78,10 @@ type Config struct {
 	// recovery policies of the paper's §VII: different components may
 	// run different strategies in the same system.
 	ComponentPolicies map[kernel.Endpoint]seep.Policy
-	// LegacyCheckpoint charges every FullCopy Checkpoint as a copy of the
-	// whole data section, instead of the delta the incremental dirty-set
-	// sync copies (the default). The §IV-C checkpointing ablation pins
-	// this to reproduce the paper's full-copy cost profile. It is the only
-	// way to select that rule: there is no process-wide switch.
-	LegacyCheckpoint bool
+	// Retired holds the image slot of a flag that chose between two
+	// FullCopy checkpoint charge rules; one rule is left, and the slot
+	// has no value.
+	Retired wire.Retired
 
 	// RecoveryDecay is the crash-free interval (in virtual cycles) after
 	// which one unit of a component's crash-storm budget is forgiven
@@ -155,7 +153,7 @@ func (cfg *Config) Code(c *wire.Codec) {
 	wire.Int(c, &cfg.Instrumentation)
 	wire.Int(c, &cfg.MaxRecoveries)
 	wire.Map(c, &cfg.ComponentPolicies, wire.Int[kernel.Endpoint], wire.Int[seep.Policy])
-	c.Bool(&cfg.LegacyCheckpoint)
+	cfg.Retired.Code(c)
 	wire.Int(c, &cfg.RecoveryDecay)
 	wire.Int(c, &cfg.RestartBackoffBase)
 	wire.Int(c, &cfg.RestartBackoffCap)
@@ -414,9 +412,6 @@ func (o *OS) AddComponent(ep kernel.Endpoint, factory Factory) {
 func (o *OS) newStore(ep kernel.Endpoint, policy seep.Policy) *memlog.Store {
 	st := memlog.NewStore(fmt.Sprintf("comp-%d", ep), o.cfg.instrumentation(policy))
 	st.SetCounters(o.k.Counters())
-	if o.cfg.LegacyCheckpoint {
-		st.SetLegacyCheckpoint(true)
-	}
 	return st
 }
 
@@ -798,7 +793,6 @@ func (o *OS) restart(s *slot, info kernel.CrashInfo, mode restartMode, reconcile
 			// record, then copies the restored data section.
 			s.store.Rollback()
 			store = s.store.Clone()
-			s.store.HandOverBase(store)
 		} else {
 			// Data-section copy into the spare, then log transfer.
 			store = s.store.Clone()

@@ -7,6 +7,7 @@ import (
 	"repro/internal/kernel"
 	"repro/internal/memlog"
 	"repro/internal/seep"
+	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
 
@@ -441,4 +442,39 @@ func TestConfigValidateRejectsBadSequencerKnobs(t *testing.T) {
 // ComponentPolicies nil, empty and full among the values drawn.
 func TestConfigFieldList(t *testing.T) {
 	wiretest.SameAsValue(t, wiretest.Random[Config])
+}
+
+// The slot of the retired checkpoint-rule flag holds false in every
+// image: a configuration that sets it is refused, not read past.
+func TestConfigRetiredSlotRejected(t *testing.T) {
+	cfg := Config{
+		ComponentPolicies: map[kernel.Endpoint]seep.Policy{kernel.EpDS: seep.PolicyEnhanced},
+		RecoveryDecay:     7,
+	}
+	e := wire.NewEncoder()
+	c := wire.Encoding(e)
+	if cfg.Code(c); c.Err() != nil {
+		t.Fatal(c.Err())
+	}
+	// The slot follows ComponentPolicies: the fields before it, coded
+	// alone, end where it starts.
+	pre := wire.NewEncoder()
+	c = wire.Encoding(pre)
+	wire.Int(c, &cfg.Policy)
+	c.Uvarint(&cfg.Seed)
+	cfg.Cost.Code(c)
+	wire.Int(c, &cfg.Instrumentation)
+	wire.Int(c, &cfg.MaxRecoveries)
+	wire.Map(c, &cfg.ComponentPolicies, wire.Int[kernel.Endpoint], wire.Int[seep.Policy])
+	data := append([]byte(nil), e.Bytes()...)
+	if at := pre.Len(); data[at] != 0 {
+		t.Fatalf("the retired slot holds %#x", data[at])
+	} else {
+		data[at] = 1
+	}
+	var back Config
+	d := wire.NewDecoder(data)
+	if back.Code(wire.Decoding(d)); d.Err() == nil {
+		t.Fatal("a configuration with its retired slot set decoded")
+	}
 }

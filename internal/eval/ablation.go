@@ -25,10 +25,7 @@ type Ablation struct {
 
 // RunAblationCheckpointing measures both strategies against the
 // uninstrumented baseline under the enhanced policy. All three
-// configurations share the parallel engine's worker pool. The full-copy
-// column pins the legacy full-copy checkpoint charge: the ablation
-// reproduces the paper's §IV-C cost profile, which is exactly what the
-// incremental dirty-set optimisation (see RunCheckpointing) removes.
+// configurations share the parallel engine's worker pool.
 func RunAblationCheckpointing(sc Scale) Ablation {
 	grouped := runBenchMatrix(sc.Workers,
 		unixbench.Config{
@@ -41,8 +38,7 @@ func RunAblationCheckpointing(sc Scale) Ablation {
 		},
 		unixbench.Config{
 			Policy: seep.PolicyEnhanced, Instrumentation: memlog.FullCopy,
-			LegacyCheckpoint: true,
-			Seed:             sc.Seed, IterScale: sc.IterScale,
+			Seed: sc.Seed, IterScale: sc.IterScale,
 		})
 	base, undo, full := grouped[0], grouped[1], grouped[2]
 

@@ -198,27 +198,6 @@ func TestAblationCheckpointing(t *testing.T) {
 	}
 }
 
-func TestCheckpointingIncremental(t *testing.T) {
-	c := RunCheckpointing(QuickScale())
-	t.Log("\n" + c.Render())
-	// The dirty-set optimisation must remove a decisive share of the
-	// full-copy tax: requests that touch little state stop paying for
-	// the whole data section.
-	if c.GeoIncremental >= c.GeoLegacy*0.8 {
-		t.Errorf("incremental geomean %.3f not clearly below legacy %.3f",
-			c.GeoIncremental, c.GeoLegacy)
-	}
-	// It can only remove overhead, never go below baseline.
-	for _, r := range c.Rows {
-		if r.Incremental > 0 && r.Incremental < 0.999 {
-			t.Errorf("%s: incremental slowdown %.3f below baseline", r.Name, r.Incremental)
-		}
-		if r.Incremental > 0 && r.Legacy > 0 && r.Incremental > r.Legacy*1.01 {
-			t.Errorf("%s: incremental %.3f slower than legacy %.3f", r.Name, r.Incremental, r.Legacy)
-		}
-	}
-}
-
 // TestMultiFaultTableShape: the cascade table runs all campaigns and
 // the sequencer keeps uncontrolled crashes rare even with several
 // faults per boot.

@@ -430,7 +430,84 @@ func TestHostileTransportPairsRejected(t *testing.T) {
 	}
 }
 
+// withFlags rewrites data's header flags to v.
+func withFlags(data []byte, v uint64) []byte {
+	at := len(image.Magic)
+	return append(binary.AppendUvarint(append([]byte(nil), data[:at]...), v), data[at+1:]...)
+}
+
+// swappedFrames puts data's frames i and j, headers and all, in each
+// other's place.
+func swappedFrames(t testing.TB, data []byte, i, j int) []byte {
+	t.Helper()
+	d := wire.NewDecoder(data[len(image.Magic):])
+	d.Uvarint()
+	frames := make([][]byte, d.Uvarint())
+	at := len(data) - d.Remaining()
+	head := data[:at]
+	for k := range frames {
+		d.Str()
+		d.Uvarint()
+		d.Take(int(d.Uvarint()) + 4) // the checksum, then the stored bytes
+		if d.Err() != nil {
+			t.Fatalf("frame %d: %v", k, d.Err())
+		}
+		frames[k], at = data[at:len(data)-d.Remaining()], len(data)-d.Remaining()
+	}
+	frames[i], frames[j] = frames[j], frames[i]
+	return bytes.Join(append([][]byte{head}, frames...), nil)
+}
+
+// repeatedSlot rewrites the slot list that ends data's meta frame, n
+// endpoints of one byte each, so that its last endpoint repeats the one
+// before: every frame is still there, and the last one no slot reads.
+func repeatedSlot(t testing.TB, data []byte, n int) []byte {
+	t.Helper()
+	return reframe(t, data, "meta", func(raw []byte) []byte {
+		list := raw[len(raw)-n-1:]
+		if int(list[0]) != n {
+			t.Fatalf("the meta frame ends in %x, not a list of %d slots", list, n)
+		}
+		list[n] = list[n-1]
+		return raw
+	})
+}
+
+// hostileContainers are images whose every frame holds, but whose
+// container is in a form WriteSnapshot never writes: header flags with
+// an undefined bit or past a byte (once masked to the compressed bit),
+// frames out of their place (once read into a map by name), and a slot
+// list that repeats an endpoint (once read twice from one frame).
+func hostileContainers(t testing.TB, raw []byte, slots int) map[string][]byte {
+	t.Helper()
+	return map[string][]byte{
+		"flag bit 1":             withFlags(raw, 2),
+		"flags 256":              withFlags(raw, 256),
+		"kernel and blocks swap": swappedFrames(t, raw, 1, 2),
+		"two slot frames swap":   swappedFrames(t, raw, 3, 4),
+		"meta not first":         swappedFrames(t, raw, 0, 1),
+		"slot endpoint repeats":  repeatedSlot(t, raw, slots),
+	}
+}
+
+// TestHostileContainerRejected: an image is read only in the form
+// WriteSnapshot writes it, so that one that reads writes back to the
+// bytes it was read from.
+func TestHostileContainerRejected(t *testing.T) {
+	snap := captureSnapshot(t, 7)
+	raw := encode(t, snap, image.WriteOptions{})
+	if _, err := image.ReadSnapshot(bytes.NewReader(raw), suiteRegistry(), 1); err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range hostileContainers(t, raw, len(snap.Image.Slots)) {
+		if _, err := image.ReadSnapshot(bytes.NewReader(data), suiteRegistry(), 1); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
 // FuzzReadSnapshot: any byte string reads as a snapshot or as an error,
+// a raw (uncompressed) input that reads writes back to exactly its bytes,
 // and a snapshot that read forks or refuses to — never a panic, never an
 // allocation the input's size does not bound.
 func FuzzReadSnapshot(f *testing.F) {
@@ -473,11 +550,23 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add(retiredSlot(f, raw, 256<<20))
 	f.Add(allocatorAt(f, raw, 1<<27))
 	f.Add(swappedPairs(f, reliableImage(f)))
+	for _, hostile := range hostileContainers(f, raw, len(snap.Image.Slots)) {
+		f.Add(hostile)
+	}
 	reg := suiteRegistry()
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := image.ReadSnapshot(bytes.NewReader(data), reg, 1)
 		if err != nil {
 			return
+		}
+		if data[len(image.Magic)] == 0 {
+			var again bytes.Buffer
+			if err := image.WriteSnapshot(&again, snap, image.WriteOptions{Workers: 1}); err != nil {
+				t.Fatalf("a snapshot that read does not write: %v", err)
+			}
+			if !bytes.Equal(again.Bytes(), data) {
+				t.Fatalf("a raw image of %d bytes writes back as %d other bytes", len(data), again.Len())
+			}
 		}
 		var report testsuite.Report
 		if sys, err := snap.Fork(boot.ForkParams{Seed: 5}, testsuite.RunnerResumeFrom(&report, testsuite.Report{})); err == nil {

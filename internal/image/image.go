@@ -249,6 +249,7 @@ func WriteSnapshot(w io.Writer, snap *boot.Snapshot, o WriteOptions) error {
 
 // storedFrame is one parsed-but-not-decoded frame.
 type storedFrame struct {
+	name   string
 	rawLen uint64
 	stored []byte
 	crc    uint32
@@ -324,11 +325,15 @@ func decodeSnapshot(data []byte, reg *usr.Registry, workers int) (*boot.Snapshot
 		return nil, fmt.Errorf("image: bad magic (not a snapshot image)")
 	}
 	d := wire.NewDecoder(data[len(Magic):])
-	compressed := byte(d.Uvarint())&flagCompressed != 0
+	flags := d.Uvarint()
 	nFrames := d.Uvarint()
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
+	if flags&^flagCompressed != 0 {
+		return nil, fmt.Errorf("image: header flags %#x, only %#x is defined", flags, flagCompressed)
+	}
+	compressed := flags == flagCompressed
 	// The header carries no checksum, so the count is checked against the
 	// bytes that follow before it sizes anything: the shortest frame
 	// header is an empty name, two lengths and the CRC.
@@ -336,35 +341,34 @@ func decodeSnapshot(data []byte, reg *usr.Registry, workers int) (*boot.Snapshot
 	if nFrames > uint64(d.Remaining())/minFrameHeader {
 		return nil, fmt.Errorf("image: header claims %d frames in %d bytes", nFrames, d.Remaining())
 	}
-	frames := make(map[string]storedFrame, nFrames)
-	for i := uint64(0); i < nFrames; i++ {
-		name := d.Str()
-		f := storedFrame{rawLen: d.Uvarint()}
+	frames := make([]storedFrame, nFrames)
+	for i := range frames {
+		f := &frames[i]
+		f.name = d.Str()
+		f.rawLen = d.Uvarint()
 		storedLen := d.Uvarint()
 		f.crc = d.U32()
 		if err := d.Err(); err != nil {
 			return nil, fmt.Errorf("image: frame %d header: %w", i, err)
 		}
 		if storedLen > uint64(d.Remaining()) {
-			return nil, fmt.Errorf("image: frame %q truncated", name)
+			return nil, fmt.Errorf("image: frame %q truncated", f.name)
 		}
 		f.stored = d.Take(int(storedLen))
-		if _, dup := frames[name]; dup {
-			return nil, fmt.Errorf("image: duplicate frame %q", name)
-		}
-		frames[name] = f
 	}
 	if d.Remaining() != 0 {
 		return nil, fmt.Errorf("image: %d trailing bytes after last frame", d.Remaining())
 	}
 
-	// decode reads one frame, whole: checksum, inflate, then its codec.
-	decode := func(name string, read func(*wire.Decoder) error) error {
-		f, ok := frames[name]
-		if !ok {
-			return fmt.Errorf("image: missing %q frame", name)
+	// decode reads frame i, whole: checksum, inflate, then its codec. The
+	// frames stand in the order WriteSnapshot writes them — metadata,
+	// kernel, blocks, then one per slot of the metadata, in its order —
+	// and a frame out of its place is refused.
+	decode := func(i int, name string, read func(*wire.Decoder) error) error {
+		if i >= len(frames) || frames[i].name != name {
+			return fmt.Errorf("image: frame %d is not the %q frame", i, name)
 		}
-		raw, err := f.open(compressed)
+		raw, err := frames[i].open(compressed)
 		if err == nil {
 			d := wire.NewDecoder(raw)
 			if err = read(d); err == nil && d.Remaining() != 0 {
@@ -378,7 +382,7 @@ func decodeSnapshot(data []byte, reg *usr.Registry, workers int) (*boot.Snapshot
 	}
 
 	var meta meta
-	if err := decode(frameMeta, decoding(meta.code)); err != nil {
+	if err := decode(0, frameMeta, decoding(meta.code)); err != nil {
 		return nil, err
 	}
 	if reg == nil {
@@ -400,9 +404,9 @@ func decodeSnapshot(data []byte, reg *usr.Registry, workers int) (*boot.Snapshot
 		Opts:     meta.opts,
 	}
 	jobs := []func() error{
-		func() error { return decode(frameKernel, decoding(snap.Image.Machine.Code)) },
+		func() error { return decode(1, frameKernel, decoding(snap.Image.Machine.Code)) },
 		func() error {
-			return decode(frameBlocks, func(d *wire.Decoder) (err error) {
+			return decode(2, frameBlocks, func(d *wire.Decoder) (err error) {
 				snap.Disk, err = driver.DecodeImage(d)
 				return err
 			})
@@ -412,7 +416,7 @@ func decodeSnapshot(data []byte, reg *usr.Registry, workers int) (*boot.Snapshot
 		slot := &snap.Image.Slots[i]
 		slot.EP = ep
 		jobs = append(jobs, func() error {
-			return decode(slotFrame(ep), decoding(func(c *wire.Codec) { codeSlot(c, slot) }))
+			return decode(3+i, slotFrame(ep), decoding(func(c *wire.Codec) { codeSlot(c, slot) }))
 		})
 	}
 	for _, err := range parallel.Map(workers, len(jobs), func(i int) error { return jobs[i]() }) {
@@ -500,6 +504,14 @@ func (m *meta) code(c *wire.Codec) {
 	c.Bool(&m.opts.Heartbeats)
 	wire.Slice(c, &m.programs, (*wire.Codec).Str)
 	wire.Slice(c, &m.slots, wire.Int[kernel.Endpoint])
+	// Slots stand in ascending endpoint order, each once, as core writes
+	// them: a repeated endpoint would leave a frame no slot reads.
+	for i := 1; i < len(m.slots) && c.Decoding(); i++ {
+		if m.slots[i] <= m.slots[i-1] {
+			c.Fail(fmt.Errorf("slot endpoint %d repeats or is out of order", m.slots[i]))
+			return
+		}
+	}
 }
 
 func slotFrame(ep kernel.Endpoint) string { return slotPrefix + strconv.Itoa(int(ep)) }

@@ -109,7 +109,8 @@ func codePlane(c *wire.Codec, pl *planeState) {
 // codeCounters writes the counter set name-keyed in sorted order.
 // Slot IDs are per-process (registration order), so the image must not
 // reference them: a trace recorded by one binary is replayed by
-// another, and Add-by-name re-resolves to the local slots.
+// another, and Add-by-name re-resolves to the local slots. Decoding,
+// the names must ascend strictly, as written: a repeated name would sum.
 func codeCounters(c *wire.Codec, p **sim.Counters) {
 	var snap map[string]uint64
 	var names []string
@@ -123,6 +124,7 @@ func codeCounters(c *wire.Codec, p **sim.Counters) {
 		}
 		sort.Strings(names)
 	}
+	var prev string
 	for i, n := 0, c.Len(len(names)); i < n && c.Err() == nil; i++ {
 		var name string
 		var v uint64
@@ -132,6 +134,11 @@ func codeCounters(c *wire.Codec, p **sim.Counters) {
 		c.Str(&name)
 		c.Uvarint(&v)
 		if c.Decoding() {
+			if i > 0 && name <= prev {
+				c.Fail(fmt.Errorf("kernel: image counter %q repeats or is out of order", name))
+				return
+			}
+			prev = name
 			(*p).Add(name, v)
 		}
 	}

@@ -206,3 +206,29 @@ func TestApplyImageRejectsBadSchedulerState(t *testing.T) {
 		}
 	}
 }
+
+// A counter set is written in ascending name order and read back only in
+// it: a name the stream repeats would sum into one counter, and one out
+// of order would encode to other bytes.
+func TestCounterNamesMustAscend(t *testing.T) {
+	for name, names := range map[string][]string{
+		"ascending":    {"a.one", "a.two", "b"},
+		"repeated":     {"a.one", "a.one"},
+		"out of order": {"b", "a.one"},
+	} {
+		e := wire.NewEncoder()
+		enc := wire.Encoding(e)
+		enc.Len(len(names))
+		for i := range names {
+			v := uint64(i + 1)
+			enc.Str(&names[i])
+			enc.Uvarint(&v)
+		}
+		var got *sim.Counters
+		dec := wire.Decoding(wire.NewDecoder(e.Bytes()))
+		codeCounters(dec, &got)
+		if ok := name == "ascending"; (dec.Err() == nil) != ok {
+			t.Errorf("%s: decode error %v", name, dec.Err())
+		}
+	}
+}

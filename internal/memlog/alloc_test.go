@@ -338,9 +338,9 @@ func TestMapKeysDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// An incremental checkpoint round over a warm store — a few logged
-// writes, then the charge for the dirty set — must be allocation-free:
-// the tracking slices and the log are reused.
+// A FullCopy checkpoint round over a warm store — a few writes under
+// host-side undo records, then the charge for the whole section — must be
+// allocation-free: the tracking slices and the log are reused.
 func TestIncrementalCheckpointSteadyStateDoesNotAllocate(t *testing.T) {
 	s := NewStore("ckptalloc", FullCopy)
 	cells := make([]*Cell[int], 16)
@@ -350,7 +350,7 @@ func TestIncrementalCheckpointSteadyStateDoesNotAllocate(t *testing.T) {
 	s.SetLogging(true)
 	s.Checkpoint()
 	cells[0].Set(1)
-	s.Checkpoint() // warm delta round
+	s.Checkpoint() // warm round
 
 	allocs := testing.AllocsPerRun(200, func() {
 		cells[0].Set(7)
@@ -358,7 +358,7 @@ func TestIncrementalCheckpointSteadyStateDoesNotAllocate(t *testing.T) {
 		s.Checkpoint()
 	})
 	if allocs != 0 {
-		t.Errorf("incremental checkpoint allocated %.1f times per run, want 0", allocs)
+		t.Errorf("a FullCopy checkpoint round allocated %.1f times per run, want 0", allocs)
 	}
 }
 

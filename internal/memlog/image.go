@@ -2,6 +2,7 @@ package memlog
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/wire"
 )
@@ -10,7 +11,7 @@ import (
 // binary encoding of a quiescent store (empty undo log) that is exact
 // enough for a decoded store to behave bit-identically to a ForkClone
 // of the original — container contents and insertion order, the
-// per-container dirty/size bookkeeping, the checkpoint epoch and the
+// per-container size bookkeeping, the checkpoint position and the
 // high-water marks all round-trip.
 //
 // Both directions go through one record, storeImage, with one field list
@@ -50,17 +51,19 @@ type contImage struct {
 type storeImage struct {
 	storeIdent
 	storeCkpt
-	conts            []contImage // in registration order
-	dirty, sizeDirty []string    // container names, in list order
+	conts     []contImage // in registration order
+	sizeDirty []string    // container names, in list order
 }
 
-// code is the store image's one field list.
+// code is the store image's one field list. Format v1 keeps five slots
+// whose fields are gone (retire): each holds one value in every image,
+// the one every store not under FullCopy always wrote there.
 func (img *storeImage) code(c *wire.Codec) {
 	c.Str(&img.label)
 	wire.Int(c, &img.mode)
 	c.Bool(&img.logging)
 	wire.Int(c, &img.generation)
-	c.Bool(&img.legacyCheckpoint)
+	img.retire(c, 0, "checkpoint rule flag") // a bool slot: false
 	wire.Int(c, &img.maxLogLen)
 	wire.Int(c, &img.maxLogBytes)
 	wire.Slice(c, &img.conts, func(c *wire.Codec, ci *contImage) {
@@ -70,7 +73,7 @@ func (img *storeImage) code(c *wire.Codec) {
 		} else {
 			c.Blob(&ci.raw)
 		}
-		c.Uvarint(&ci.meta.writeGen)
+		img.retire(c, 1, "container write epoch")
 		wire.Int(c, &ci.meta.size)
 		c.Bool(&ci.meta.sizeStale)
 	})
@@ -83,17 +86,32 @@ func (img *storeImage) code(c *wire.Codec) {
 			seen[ci.name] = true
 		}
 	}
-	c.Uvarint(&img.chkGen)
-	wire.Slice(c, &img.dirty, (*wire.Codec).Str)
+	img.retire(c, 1, "checkpoint epoch")
+	// The retired dirty set: every container, in registration order.
+	if n := c.Len(len(img.conts)); n != len(img.conts) {
+		c.Fail(fmt.Errorf("memlog: image of store %q lists %d containers in the retired dirty set, not its %d", img.label, n, len(img.conts)))
+	} else {
+		for i := range img.conts {
+			name := img.conts[i].name
+			if c.Str(&name); name != img.conts[i].name {
+				c.Fail(fmt.Errorf("memlog: image of store %q lists %q in the retired dirty set where container %q stands", img.label, name, img.conts[i].name))
+			}
+		}
+	}
 	wire.Slice(c, &img.sizeDirty, (*wire.Codec).Str)
 	wire.Int(c, &img.baseBytes)
-	// Format v1 has a flag here that every image now holds false: it once
-	// announced a nested FullCopy checkpoint image.
-	var retired bool
-	if c.Bool(&retired); retired {
-		c.Fail(fmt.Errorf("memlog: store %q image sets the retired snapshot flag", img.label))
-	}
+	img.retire(c, 0, "snapshot flag") // a bool slot that once announced a nested FullCopy image
 	c.Bool(&img.restorable)
+}
+
+// retire codes a slot of format v1 whose field is gone: encoding writes
+// want, and a decode refuses any other value. A bool slot's false is the
+// byte of uvarint 0.
+func (img *storeImage) retire(c *wire.Codec, want uint64, slot string) {
+	got := want
+	if c.Uvarint(&got); got != want {
+		c.Fail(fmt.Errorf("memlog: image of store %q holds %d in the retired %s slot, not %d", img.label, got, slot, want))
+	}
 }
 
 // find returns the record of the container called name, or nil. A scan:
@@ -124,22 +142,16 @@ func (s *Store) image() (*storeImage, error) {
 		storeIdent: s.storeIdent,
 		storeCkpt:  s.storeCkpt,
 		conts:      make([]contImage, len(s.order)),
-		dirty:      containerNames(s.dirty),
-		sizeDirty:  containerNames(s.sizeDirty),
+		sizeDirty:  make([]string, len(s.sizeDirty)),
+	}
+	for i, c := range s.sizeDirty {
+		img.sizeDirty[i] = c.name()
 	}
 	for i, name := range s.order {
 		cont := s.containers[name]
 		img.conts[i] = contImage{name: name, live: cont, meta: *cont.meta()}
 	}
 	return img, nil
-}
-
-func containerNames(list []container) []string {
-	names := make([]string, len(list))
-	for i, c := range list {
-		names[i] = c.name()
-	}
-	return names
 }
 
 // CodeImage walks a store image through c. Encoding writes the image of
@@ -195,11 +207,12 @@ func materializePending(s *Store, c container) {
 
 // FinishDecode completes the two-phase image decode: the factory must
 // have registered exactly the recorded containers, in the recorded
-// order. It applies the recorded bookkeeping (checkpoint position, dirty
-// sets, cached sizes) over whatever registration left
-// behind and reports any decode failure accumulated during
-// materialization. It is a no-op on stores that were not decoded from an
-// image.
+// order. It applies the recorded bookkeeping (checkpoint position, cached
+// sizes) over whatever registration left behind and reports any decode
+// failure accumulated during materialization. It refuses size caches no
+// store can hold: a negative size, sizes that do not sum to the base
+// bytes, or a stale list other than the stale containers, each once. It
+// is a no-op on stores that were not decoded from an image.
 func (s *Store) FinishDecode() error {
 	img := s.pending
 	if img == nil {
@@ -211,32 +224,35 @@ func (s *Store) FinishDecode() error {
 	if len(s.order) != len(img.conts) {
 		return fmt.Errorf("memlog: store %q factory registered %d containers, image records %d", s.label, len(s.order), len(img.conts))
 	}
+	sum, stale := 0, 0
 	for i, ci := range img.conts {
 		if s.order[i] != ci.name {
 			return fmt.Errorf("memlog: store %q registration order diverges from image at %d: %q vs %q", s.label, i, s.order[i], ci.name)
 		}
+		// Sizes are not negative, so a sum that goes negative overflowed.
+		if sum += ci.meta.size; ci.meta.size < 0 || sum < 0 {
+			return fmt.Errorf("memlog: store %q image gives container %q the size %d", s.label, ci.name, ci.meta.size)
+		}
+		if ci.meta.sizeStale {
+			stale++
+		}
 		*s.containers[ci.name].meta() = ci.meta
 	}
+	if sum != img.baseBytes {
+		return fmt.Errorf("memlog: store %q image's container sizes sum to %d, its base bytes are %d", s.label, sum, img.baseBytes)
+	}
+	if len(img.sizeDirty) != stale {
+		return fmt.Errorf("memlog: store %q image lists %d stale sizes, %d containers are stale", s.label, len(img.sizeDirty), stale)
+	}
+	s.sizeDirty = s.sizeDirty[:0]
+	for _, name := range img.sizeDirty {
+		c := s.containers[name]
+		if c == nil || !c.meta().sizeStale || slices.Contains(s.sizeDirty, c) {
+			return fmt.Errorf("memlog: store %q image lists %q among its stale sizes", s.label, name)
+		}
+		s.sizeDirty = append(s.sizeDirty, c)
+	}
 	s.storeIdent, s.storeCkpt = img.storeIdent, img.storeCkpt
-	var err error
-	if s.dirty, err = s.named(s.dirty[:0], img.dirty); err != nil {
-		return err
-	}
-	if s.sizeDirty, err = s.named(s.sizeDirty[:0], img.sizeDirty); err != nil {
-		return err
-	}
 	s.pending = nil
 	return nil
-}
-
-// named appends the containers called names to list.
-func (s *Store) named(list []container, names []string) ([]container, error) {
-	for _, name := range names {
-		c := s.containers[name]
-		if c == nil {
-			return nil, fmt.Errorf("memlog: store %q image lists unknown container %q", s.label, name)
-		}
-		list = append(list, c)
-	}
-	return list, nil
 }

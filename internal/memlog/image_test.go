@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -22,7 +23,7 @@ func registerTestContainers(s *Store) (*Cell[int64], *Map[string, string], *Slic
 
 // buildStore assembles a store with realistic history: mutations,
 // checkpoints, deletions, and an empty undo log at the end.
-func buildStore(t *testing.T, mode Instrumentation) *Store {
+func buildStore(t testing.TB, mode Instrumentation) *Store {
 	t.Helper()
 	s := NewStore("img-test", mode)
 	s.SetLogging(true)
@@ -268,6 +269,171 @@ func TestStoreImageRejectsRetiredFlag(t *testing.T) {
 	}
 }
 
+// v1Slots are the values the retired slots of format v1 hold in an image:
+// the flag that chose FullCopy's checkpoint charge rule, every
+// container's write epoch, the checkpoint epoch, the dirty set and the
+// flag that once announced a nested FullCopy image.
+type v1Slots struct {
+	rule, writeEpoch, ckptEpoch uint64
+	dirty                       []string
+	snapshot                    uint64
+}
+
+// canonicalSlots is what every image holds in them.
+func canonicalSlots(img *storeImage) v1Slots {
+	v := v1Slots{writeEpoch: 1, ckptEpoch: 1}
+	for _, ci := range img.conts {
+		v.dirty = append(v.dirty, ci.name)
+	}
+	return v
+}
+
+// writeV1 writes the image of s field by field in format v1's order,
+// with the retired slots holding v (a bool slot's uvarint 1 is true's
+// byte).
+func writeV1(t testing.TB, s *Store, v v1Slots) []byte {
+	t.Helper()
+	img, err := s.image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := wire.NewEncoder()
+	c := wire.Encoding(e)
+	c.Str(&img.label)
+	wire.Int(c, &img.mode)
+	c.Bool(&img.logging)
+	wire.Int(c, &img.generation)
+	c.Uvarint(&v.rule)
+	wire.Int(c, &img.maxLogLen)
+	wire.Int(c, &img.maxLogBytes)
+	wire.Slice(c, &img.conts, func(c *wire.Codec, ci *contImage) {
+		c.Str(&ci.name)
+		c.BlobOf(ci.live.codeState)
+		c.Uvarint(&v.writeEpoch)
+		wire.Int(c, &ci.meta.size)
+		c.Bool(&ci.meta.sizeStale)
+	})
+	c.Uvarint(&v.ckptEpoch)
+	wire.Slice(c, &v.dirty, (*wire.Codec).Str)
+	wire.Slice(c, &img.sizeDirty, (*wire.Codec).Str)
+	wire.Int(c, &img.baseBytes)
+	c.Uvarint(&v.snapshot)
+	c.Bool(&img.restorable)
+	return e.Bytes()
+}
+
+// hostileSlots are, per retired slot, values an image may not hold there:
+// among them what a FullCopy store under the former incremental rule
+// wrote.
+func hostileSlots(img *storeImage) map[string]v1Slots {
+	out := map[string]v1Slots{}
+	for name, mutate := range map[string]func(v *v1Slots){
+		"rule flag set":              func(v *v1Slots) { v.rule = 1 },
+		"write epoch moved":          func(v *v1Slots) { v.writeEpoch = 3 },
+		"write epoch zero":           func(v *v1Slots) { v.writeEpoch = 0 },
+		"checkpoint epoch moved":     func(v *v1Slots) { v.ckptEpoch = 4 },
+		"dirty set short":            func(v *v1Slots) { v.dirty = v.dirty[1:] },
+		"dirty set reordered":        func(v *v1Slots) { slices.Reverse(v.dirty) },
+		"dirty set repeats":          func(v *v1Slots) { v.dirty[1] = v.dirty[0] },
+		"dirty set lists a stranger": func(v *v1Slots) { v.dirty = append(v.dirty, "t.other") },
+		"snapshot flag set":          func(v *v1Slots) { v.snapshot = 1 },
+	} {
+		v := canonicalSlots(img)
+		mutate(&v)
+		out[name] = v
+	}
+	return out
+}
+
+// The retired slots of format v1 hold one value each, and an image that
+// holds any other is refused rather than read past: a FullCopy store's
+// image from before the one charge rule is one of them.
+func TestStoreImageRejectsRetiredSlots(t *testing.T) {
+	for _, mode := range []Instrumentation{Optimized, FullCopy} {
+		s := buildStore(t, mode)
+		if got := writeV1(t, s, canonicalSlots(mustImage(t, s))); !bytes.Equal(got, encodeImage(t, s)) {
+			t.Fatalf("mode %d: the v1 writer and CodeImage disagree on a canonical image", mode)
+		}
+		for name, v := range hostileSlots(mustImage(t, s)) {
+			_, err := decodeStore(wire.NewDecoder(writeV1(t, s, v)))
+			if err == nil || !strings.Contains(err.Error(), "retired") {
+				t.Errorf("mode %d, %s: decode error = %v, want one naming the retired slot", mode, name, err)
+			}
+		}
+	}
+}
+
+func mustImage(t testing.TB, s *Store) *storeImage {
+	t.Helper()
+	img, err := s.image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img
+}
+
+// hostileSizes rewrites the size caches of s's image, per case, into ones
+// no store holds: a base that is not the sum of the sizes (the -2^40 that
+// once decoded, and fed the recovery clone cost), a negative size, sizes
+// whose sum overflows to the base, and stale lists that name a fresh
+// container, miss a stale one or repeat one.
+func hostileSizes(t testing.TB, s *Store) map[string][]byte {
+	t.Helper()
+	out := map[string][]byte{}
+	for name, mutate := range map[string]func(img *storeImage){
+		"base far negative": func(img *storeImage) { img.baseBytes = -1 << 40 },
+		"base off by one":   func(img *storeImage) { img.baseBytes++ },
+		"negative size": func(img *storeImage) {
+			img.baseBytes -= img.conts[1].meta.size + 5
+			img.conts[1].meta.size = -5
+		},
+		"sizes overflow": func(img *storeImage) {
+			img.conts[1].meta.size += 1 << 62
+			img.conts[2].meta.size += 1 << 62
+			img.baseBytes += -1 << 63 // 2^63: wraps as the sum does
+		},
+		"stale list names a fresh container":  func(img *storeImage) { img.sizeDirty = append(img.sizeDirty, "t.map") },
+		"stale list misses a stale container": func(img *storeImage) { img.sizeDirty = nil },
+		"stale list repeats":                  func(img *storeImage) { img.sizeDirty = append(img.sizeDirty, img.sizeDirty...) },
+		"stale list swaps for a fresh one":    func(img *storeImage) { img.sizeDirty = []string{"t.slice"} },
+		"stale list repeats one, misses one": func(img *storeImage) {
+			img.conts[1].meta.sizeStale = true
+			img.sizeDirty = []string{"t.cell", "t.cell"}
+		},
+	} {
+		img := mustImage(t, s)
+		mutate(img)
+		e := wire.NewEncoder()
+		c := wire.Encoding(e)
+		if img.code(c); c.Err() != nil {
+			t.Fatal(c.Err())
+		}
+		out[name] = e.Bytes()
+	}
+	return out
+}
+
+// A decoded store's size caches are refused unless a store could hold
+// them: the sizes are not negative and sum to the base bytes, and the
+// stale list names exactly the stale containers, each once. BaseBytes
+// feeds the recovery clone cost, the FullCopy charge and Table VI.
+func TestStoreImageRejectsHostileSizeCaches(t *testing.T) {
+	s := buildStore(t, Optimized) // t.cell stale, t.map and t.slice fresh
+	if got := mustImage(t, s).sizeDirty; !slices.Equal(got, []string{"t.cell"}) {
+		t.Fatalf("stale list %v, want [t.cell]", got)
+	}
+	for name, data := range hostileSizes(t, s) {
+		dec, err := decodeStore(wire.NewDecoder(data))
+		if err == nil {
+			registerTestContainers(dec)
+			err = dec.FinishDecode()
+		}
+		if err == nil {
+			t.Errorf("%s: decoded, BaseBytes %d", name, dec.BaseBytes())
+		}
+	}
+}
+
 // Scalars travel by assignment: Clone inherits the identity and starts
 // the checkpoint position afresh, ForkClone and a decoded image carry
 // both.
@@ -276,8 +442,12 @@ func TestStoreScalarsCopiedWhole(t *testing.T) {
 	(&wiretest.Filler{}).Fill(&src.storeIdent)
 	(&wiretest.Filler{}).Fill(&src.storeCkpt)
 	src.mode = FullCopy
+	src.baseBytes = 0 // an image holds it to the sum of the cached sizes
+	for _, name := range src.order {
+		src.baseBytes += src.containers[name].meta().size
+	}
 
-	if c := src.Clone(); c.storeIdent != src.storeIdent || c.storeCkpt != (storeCkpt{chkGen: 1}) {
+	if c := src.Clone(); c.storeIdent != src.storeIdent || c.storeCkpt != (storeCkpt{}) {
 		t.Errorf("Clone: identity %+v, position %+v; want the source's identity %+v and a fresh position",
 			c.storeIdent, c.storeCkpt, src.storeIdent)
 	}
@@ -338,6 +508,12 @@ func FuzzDecodeStoreImage(f *testing.F) {
 			f.Add(append(append(append([]byte(nil), img[:i+5]...), huge...), img[i+6:]...))
 		}
 		f.Add(retiredFlag(f, img))
+		for _, v := range hostileSlots(mustImage(f, s)) {
+			f.Add(writeV1(f, s, v))
+		}
+	}
+	for _, data := range hostileSizes(f, buildStore(f, Optimized)) {
+		f.Add(data)
 	}
 	// Slices on and around page boundaries, and nil beside empty.
 	for _, n := range []int{-1, 0, 1, slicePageLen - 1, slicePageLen, slicePageLen + 1, 2*slicePageLen + 1} {

@@ -157,7 +157,7 @@ type container interface {
 	// name in another store (TransferLog).
 	adoptLog(src container)
 	corrupt(r *sim.RNG) bool
-	// meta exposes the per-container dirty/size bookkeeping.
+	// meta exposes the per-container size and fingerprint bookkeeping.
 	meta() *contMeta
 	// codeState walks the container's contents through c: written when c
 	// encodes and read when it decodes, for the on-disk store image
@@ -166,13 +166,9 @@ type container interface {
 }
 
 // contMeta is the per-container bookkeeping embedded in Cell, Map and
-// Slice: the checkpoint-epoch stamp that implements dirty tracking and
-// the cached resident size that makes BaseBytes O(1).
+// Slice: the cached resident size that makes BaseBytes O(1) and the
+// cached fingerprint contribution.
 type contMeta struct {
-	// writeGen is the store checkpoint epoch the container last joined
-	// the dirty set in; it equals Store.chkGen exactly while the
-	// container is listed in Store.dirty.
-	writeGen uint64
 	// size caches the container's approxSize sum; sizeStale marks it
 	// invalid (the container is then listed in Store.sizeDirty).
 	size      int
@@ -196,9 +192,6 @@ type storeIdent struct {
 	// exactly once — a freshly restarted stateless component must NOT
 	// rediscover state it has genuinely lost.
 	generation int
-	// legacyCheckpoint makes a FullCopy checkpoint charge the whole data
-	// section, as the §IV-C ablation's full copy costs, not the delta.
-	legacyCheckpoint bool
 	// maxLogLen is the high-water record count; a store that outgrows
 	// the pooled slab preallocates its next log to this mark.
 	maxLogLen int
@@ -209,12 +202,8 @@ type storeIdent struct {
 // afresh.
 type storeCkpt struct {
 	maxLogBytes int
-	// chkGen is the checkpoint epoch; a container whose writeGen equals
-	// it is in the dirty set. It starts at 1 so zero-valued contMeta is
-	// always "not yet dirty this epoch".
-	chkGen uint64
-	// baseBytes aggregates the cached sizes of all containers whose
-	// cache is fresh; BaseBytes() returns it after draining sizeDirty.
+	// baseBytes is the sum of every container's cached size; BaseBytes()
+	// returns it after draining sizeDirty.
 	baseBytes int
 	// restorable reports whether a FullCopy store can roll back to its
 	// last checkpoint: true between Checkpoint and the next DiscardLog,
@@ -245,10 +234,6 @@ type Store struct {
 	charge   func(sim.Cycles)
 	counters *sim.Counters
 
-	// dirty lists the containers written since the last epoch reset, in
-	// first-write order (deterministic): what a FullCopy checkpoint
-	// charges for copying.
-	dirty []container
 	// sizeDirty lists containers whose cached size is stale; BaseBytes
 	// drains it to keep the baseBytes aggregate exact.
 	sizeDirty []container
@@ -276,17 +261,10 @@ type Store struct {
 func NewStore(label string, mode Instrumentation) *Store {
 	return &Store{
 		storeIdent: storeIdent{label: label, mode: mode},
-		storeCkpt:  storeCkpt{chkGen: 1},
 		containers: make(map[string]container),
 		logEpoch:   1, // a zero-valued side log is never of the current epoch
 	}
 }
-
-// SetLegacyCheckpoint switches what a FullCopy checkpoint charges: the
-// whole data section (true), as the legacy clone-everything checkpoint
-// did, or the containers written since the last one (false). Only
-// meaningful in FullCopy.
-func (s *Store) SetLegacyCheckpoint(on bool) { s.legacyCheckpoint = on }
 
 // Label reports the component name this store belongs to.
 func (s *Store) Label() string { return s.label }
@@ -332,29 +310,19 @@ const fullCopyCheckpointShift = 2
 // Checkpoint establishes the current state as the rollback target.
 // Called at the top of the request-processing loop. With undo-log
 // instrumentation it just discards the log. In FullCopy mode it also
-// charges virtual cycles for copying the containers written since the
-// last checkpoint — every container before the first — or, under
-// SetLegacyCheckpoint, the whole data section.
+// charges virtual cycles for copying the whole data section.
 func (s *Store) Checkpoint() {
 	s.dropLog()
 	if s.mode != FullCopy || !s.logging {
 		return
 	}
-	bytes := s.BaseBytes() // refreshes every stale per-container size
-	copied := bytes
-	if !s.legacyCheckpoint {
-		copied = 0
-		for _, c := range s.dirty {
-			copied += c.meta().size
-		}
-	}
-	s.resetDirty()
+	bytes := s.BaseBytes()
 	s.restorable = true
 	if bytes > s.maxLogBytes {
 		// The resident copy plays the undo log's memory role.
 		s.maxLogBytes = bytes
 	}
-	s.chargeStores(1, sim.Cycles(copied)>>fullCopyCheckpointShift)
+	s.chargeStores(1, sim.Cycles(bytes)>>fullCopyCheckpointShift)
 }
 
 // DiscardLog drops the undo log without rolling back. Called when the
@@ -416,11 +384,6 @@ func (s *Store) Rollback() {
 	}
 	s.log = s.log[:0]
 	s.logBytes = 0
-	if s.restorable {
-		// FullCopy: the live state equals the checkpoint again, so the
-		// next checkpoint copies nothing it has not written since.
-		s.resetDirty()
-	}
 }
 
 // TransferLog moves this store's undo log to dst, leaving this store's
@@ -461,9 +424,8 @@ func (s *Store) sideLogsInto(dst *Store) {
 // "data section copy" performed during the restart phase. The clone
 // shares no mutable state with the original: a Slice's pages are shared
 // but owned by neither side, so the first write to one copies it. Its
-// undo log starts empty.
-// The clone inherits the instrumentation mode, label and checkpoint
-// implementation.
+// undo log starts empty, and it inherits the store's identity: label,
+// mode, generation and log high-water mark.
 func (s *Store) Clone() *Store {
 	if s.pending != nil {
 		panic(fmt.Sprintf("memlog: Clone on store %q before its image decode was materialized", s.label))
@@ -483,11 +445,10 @@ func (s *Store) Clone() *Store {
 
 // ForkClone produces a copy of the store, shared as Clone's is, that is
 // faithful to the original's full checkpointing state, not just its
-// data: per-container dirty/size bookkeeping, the checkpoint epoch, the
-// cached size aggregate and the high-water marks are all reproduced. A
-// ForkClone behaves bit-identically to the original from this point on —
-// the warm-fork plane uses it so a forked machine's first post-fork
-// checkpoint charges exactly the bytes a cold-booted machine's would.
+// data: the per-container size and fingerprint bookkeeping, the cached
+// size aggregate, the checkpoint position and the high-water marks are
+// all reproduced. A ForkClone behaves bit-identically to the original
+// from this point on — the warm-fork plane relies on it.
 // Like an image, it requires a quiescent store: it panics on undo records
 // in flight (core's capture refuses such a machine first). A store that
 // owns no Slice page — a snapshot's — is only read, so forks of it may be
@@ -507,14 +468,10 @@ func (s *Store) ForkClone() *Store {
 	for _, name := range s.order {
 		s.containers[name].cloneInto(dst)
 	}
-	// register() stamped every new container dirty; overwrite that with
-	// the source's exact bookkeeping.
+	// register() queued every new container; overwrite that with the
+	// source's exact bookkeeping.
 	for _, name := range s.order {
 		*dst.containers[name].meta() = *s.containers[name].meta()
-	}
-	dst.dirty = dst.dirty[:0]
-	for _, c := range s.dirty {
-		dst.dirty = append(dst.dirty, dst.containers[c.name()])
 	}
 	dst.sizeDirty = dst.sizeDirty[:0]
 	for _, c := range s.sizeDirty {
@@ -531,26 +488,10 @@ func (s *Store) ForkClone() *Store {
 	return dst
 }
 
-// HandOverBase tells dst, a Clone of this store taken after its Rollback
-// (FullCopy's recovery flow), that it holds this store's last checkpoint:
-// dst's first checkpoint then charges only what the new instance writes,
-// not the whole data section. No-op before this store's first checkpoint
-// (chkGen moves only under FullCopy, and only from one).
-func (s *Store) HandOverBase(dst *Store) {
-	if s.chkGen > 1 {
-		dst.resetDirty()
-	}
-}
-
-// touch records a mutation of c: the container joins the dirty set on
-// its first write of the current checkpoint epoch and its cached size
-// is invalidated. Amortized O(1) and allocation-free once the tracking
-// slices have grown to the store's working set.
+// touch records a mutation of c: its cached size and fingerprint
+// contribution are invalidated. Amortized O(1) and allocation-free once
+// the tracking slices have grown to the store's working set.
 func (s *Store) touch(c container, m *contMeta) {
-	if m.writeGen != s.chkGen {
-		m.writeGen = s.chkGen
-		s.dirty = append(s.dirty, c)
-	}
 	if !m.sizeStale {
 		m.sizeStale = true
 		s.sizeDirty = append(s.sizeDirty, c)
@@ -563,13 +504,6 @@ func (s *Store) touch(c container, m *contMeta) {
 		m.fpQueued = true
 		s.fpDirty = append(s.fpDirty, c)
 	}
-}
-
-// resetDirty empties the dirty set and advances the checkpoint epoch,
-// so stale writeGen stamps can never alias a future epoch.
-func (s *Store) resetDirty() {
-	s.dirty = s.dirty[:0]
-	s.chkGen++
 }
 
 // Fingerprint returns a content hash of every container's current
@@ -622,8 +556,8 @@ func (s *Store) CorruptRandom(r *sim.RNG) bool {
 	return false
 }
 
-// register adds a container under its unique name. A new container is
-// dirty by definition: no earlier checkpoint copied it.
+// register adds a container under its unique name. Its size and
+// fingerprint are not yet cached.
 func (s *Store) register(c container) {
 	if _, dup := s.containers[c.name()]; dup {
 		panic(fmt.Sprintf("memlog: duplicate container %q in store %q", c.name(), s.label))

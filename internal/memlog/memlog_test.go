@@ -503,42 +503,23 @@ func equalModel(a, b modelState) bool {
 }
 
 func applyRandomOps(r *sim.RNG, n int, c *Cell[int], m *Map[int, int], sl *Slice[int]) {
-	applyRandomWrites(r, n, c, m, sl, func(string) {})
-}
-
-// applyRandomWrites is applyRandomOps naming to wrote the container of
-// every store that lands: a Set or an Append always, a Delete of a
-// present key, a Truncate that shortens.
-func applyRandomWrites(r *sim.RNG, n int, c *Cell[int], m *Map[int, int], sl *Slice[int], wrote func(id string)) {
 	for i := 0; i < n; i++ {
 		switch r.Intn(6) {
 		case 0:
 			c.Set(r.Intn(1000))
-			wrote(c.id)
 		case 1:
 			m.Set(r.Intn(8), r.Intn(1000))
-			wrote(m.id)
 		case 2:
-			k := r.Intn(8)
-			if _, ok := m.Get(k); ok {
-				wrote(m.id)
-			}
-			m.Delete(k)
+			m.Delete(r.Intn(8))
 		case 3:
 			sl.Append(r.Intn(1000))
-			wrote(sl.id)
 		case 4:
 			if sl.Len() > 0 {
 				sl.Set(r.Intn(sl.Len()), r.Intn(1000))
-				wrote(sl.id)
 			}
 		case 5:
 			if sl.Len() > 0 {
-				to := r.Intn(sl.Len() + 1)
-				if to < sl.Len() {
-					wrote(sl.id)
-				}
-				sl.Truncate(to)
+				sl.Truncate(r.Intn(sl.Len() + 1))
 			}
 		}
 	}

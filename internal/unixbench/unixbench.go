@@ -102,10 +102,6 @@ type Config struct {
 	// Instrumentation overrides the store mode (Table V's build modes);
 	// zero derives it from Policy.
 	Instrumentation memlog.Instrumentation
-	// LegacyCheckpoint charges every FullCopy checkpoint as a copy of the
-	// whole data section (the §IV-C ablation pins it; default is the
-	// incremental dirty-set delta). Only meaningful with FullCopy.
-	LegacyCheckpoint bool
 	// Monolithic selects the monolithic-kernel cost model ("Linux"
 	// baseline of Table IV).
 	Monolithic bool
@@ -156,12 +152,11 @@ func RunOne(b Benchmark, cfg Config) Result {
 	)
 	sys := boot.Boot(boot.Options{
 		Config: core.Config{
-			Policy:           policy,
-			Seed:             cfg.Seed,
-			Cost:             cost,
-			Instrumentation:  cfg.Instrumentation,
-			LegacyCheckpoint: cfg.LegacyCheckpoint,
-			MaxRecoveries:    1 << 30, // disruption runs recover many times
+			Policy:          policy,
+			Seed:            cfg.Seed,
+			Cost:            cost,
+			Instrumentation: cfg.Instrumentation,
+			MaxRecoveries:   1 << 30, // disruption runs recover many times
 		},
 		Registry: reg,
 	}, func(p *usr.Proc) int {

@@ -367,7 +367,8 @@ func overflow(v string) error {
 
 // Map codes a map in the slice form of its keys — 0 for nil, else the
 // count plus one — with each key, ascending, followed by its value.
-// Decoding, a key the stream repeats keeps its last value.
+// Decoding, keys must be strictly ascending: a stream that repeats a key
+// or puts one out of order is refused, since no map encodes to it.
 func Map[K cmp.Ordered, V any](c *Codec, p *map[K]V, key func(*Codec, *K), val func(*Codec, *V)) {
 	var keys []K
 	if c.d == nil && *p != nil {
@@ -390,6 +391,10 @@ func Map[K cmp.Ordered, V any](c *Codec, p *map[K]V, key func(*Codec, *K), val f
 			v = (*p)[keys[i]]
 		}
 		key(c, &keys[i])
+		if c.d != nil && i > 0 && !(keys[i-1] < keys[i]) {
+			c.d.fail(wireError("wire: a map key repeats or is out of order"))
+			return
+		}
 		if val(c, &v); c.d != nil {
 			(*p)[keys[i]] = v
 		}
@@ -421,6 +426,21 @@ func Tagged[T any](c *Codec, p *any, name string, code func(*Codec, *T)) {
 	code(c, &v)
 	if c.d != nil && c.d.err == nil {
 		*p = v
+	}
+}
+
+// Retired holds the place of a bool field a format has retired: it has
+// no value, and it codes as the one false byte every stream holds in the
+// slot. A decode refuses any other byte. The reflective oracle walks it
+// the same way, so a struct keeps the slot in its declaration and its
+// field list alike.
+type Retired struct{}
+
+// Code codes the slot.
+func (*Retired) Code(c *Codec) {
+	var b bool
+	if c.Bool(&b); b {
+		c.Fail(wireError("wire: a retired slot holds true"))
 	}
 }
 

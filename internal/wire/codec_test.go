@@ -142,3 +142,58 @@ func TestCodecErrorsAreSticky(t *testing.T) {
 		t.Fatal("a func in a []string slot encoded without error")
 	}
 }
+
+// A map is written in ascending key order and read back only in it: a
+// key the stream repeats or puts out of order is refused, not folded
+// into the map — {5:1, 5:2} read as {5:2} would encode to other bytes.
+func TestMapKeysMustAscend(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		data []byte // head (count+1), then key, value pairs as zig-zag varints
+		ok   bool
+	}{
+		{"ascending", []byte{0x03, 0x0a, 0x02, 0x0c, 0x04}, true},
+		{"repeated", []byte{0x03, 0x0a, 0x02, 0x0a, 0x04}, false},
+		{"out of order", []byte{0x03, 0x0c, 0x04, 0x0a, 0x02}, false},
+	} {
+		var got map[int]int
+		d := NewDecoder(tc.data)
+		Map(Decoding(d), &got, Int[int], Int[int])
+		if ok := d.Err() == nil && d.Remaining() == 0; ok != tc.ok {
+			t.Errorf("%s: decoded %v, error %v; want accepted %v", tc.name, got, d.Err(), tc.ok)
+		}
+	}
+}
+
+// A retired slot has no value: it codes as one false byte, in every
+// direction the oracle's, and a decode refuses any other byte.
+func TestRetiredSlot(t *testing.T) {
+	var r Retired
+	e := NewEncoder()
+	if r.Code(Encoding(e)); !bytes.Equal(e.Bytes(), []byte{0}) {
+		t.Fatalf("a retired slot encodes as %x, want 00", e.Bytes())
+	}
+	for _, b := range []byte{1, 2, 0xff} {
+		d := NewDecoder([]byte{b})
+		if r.Code(Decoding(d)); d.Err() == nil {
+			t.Errorf("a retired slot holding %#x decoded", b)
+		}
+	}
+	wiretest.SameAsValue(t, wiretest.Random[retiredRecord])
+	if err := wiretest.Decode(NewDecoder([]byte{0x02, 0x01, 0x00}), new(retiredRecord)); err == nil {
+		t.Error("the oracle decoded a retired slot holding true")
+	}
+}
+
+// retiredRecord keeps a retired slot between two live fields.
+type retiredRecord struct {
+	A int
+	R Retired
+	B bool
+}
+
+func (r *retiredRecord) Code(c *Codec) {
+	Int(c, &r.A)
+	r.R.Code(c)
+	c.Bool(&r.B)
+}

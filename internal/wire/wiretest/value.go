@@ -40,6 +40,9 @@ func Decode(d *wire.Decoder, p any) error {
 
 var errTruncated = errors.New("wiretest: truncated stream")
 
+// retiredType has a form of its own: the one false byte of a retired slot.
+var retiredType = reflect.TypeFor[wire.Retired]()
+
 // walk is one direction of the reflective walk; d is set when decoding.
 type walk struct {
 	c *wire.Codec
@@ -156,6 +159,13 @@ func (w *walk) value(v reflect.Value) {
 		w.mapValue(v)
 	case reflect.Struct:
 		t := v.Type()
+		if t == retiredType {
+			var b bool
+			if w.c.Bool(&b); b {
+				w.failf("wiretest: a retired slot holds true")
+			}
+			return
+		}
 		for i := 0; i < t.NumField(); i++ {
 			if t.Field(i).PkgPath != "" {
 				w.failf("wiretest: unexported field %s.%s", t, t.Field(i).Name)
