@@ -23,15 +23,40 @@ func main() {
 	}
 }
 
-func run() error {
-	var (
-		committed int
-		aborted   int
-		verified  int
-		missing   int
-		wrong     int
-	)
+// tally is what the consumer found, record by record, and how many
+// recoveries the run took.
+type tally struct {
+	committed  int // acknowledged and exact
+	aborted    int // failed with ECRASH and absent
+	wrong      int // acknowledged but lost or corrupted, or corrupted
+	recoveries int
+}
 
+func run() error {
+	t, err := simulate()
+	if err != nil {
+		return err
+	}
+	fmt.Println("Key-value store under periodic DS crashes (enhanced policy)")
+	fmt.Printf("  records attempted:   %d\n", records)
+	fmt.Printf("  acknowledged+exact:  %d\n", t.committed)
+	fmt.Printf("  aborted (ECRASH):    %d\n", t.aborted)
+	fmt.Printf("  absent after abort:  %d (rolled back, as guaranteed)\n", t.aborted)
+	fmt.Printf("  contract violations: %d\n", t.wrong)
+	fmt.Printf("  DS recoveries:       %d\n", t.recoveries)
+	if t.wrong != 0 {
+		return fmt.Errorf("consistency contract violated %d times", t.wrong)
+	}
+	if t.recoveries == 0 {
+		return fmt.Errorf("no recoveries happened; the demo is vacuous")
+	}
+	return nil
+}
+
+// simulate runs the producer and the consumer on a machine whose Data
+// Store crashes periodically.
+func simulate() (tally, error) {
+	var t tally
 	sys := osiris.Boot(osiris.Options{Policy: osiris.PolicyEnhanced}, func(p *osiris.Proc) int {
 		// Producer child: writes numbered records, tracking in a file
 		// which ones the Data Store acknowledged.
@@ -82,17 +107,15 @@ func run() error {
 			v, errno := p.DsGet(key)
 			switch {
 			case ackd[key] && errno == osiris.OK && v == want:
-				committed++
-				verified++
+				t.committed++
 			case ackd[key]:
-				wrong++ // acknowledged but lost or corrupted: violation
+				t.wrong++ // acknowledged but lost or corrupted: violation
 			case errno == osiris.OK && v == want:
-				verified++ // unacknowledged put that actually landed: fine
+				// An unacknowledged put that actually landed: fine.
 			case errno != osiris.OK:
-				aborted++
-				missing++
+				t.aborted++
 			default:
-				wrong++
+				t.wrong++
 			}
 		}
 		return 0
@@ -112,21 +135,8 @@ func run() error {
 
 	res := sys.Run(osiris.DefaultRunLimit)
 	if res.Outcome != osiris.OutcomeCompleted {
-		return fmt.Errorf("run ended with %v (%s)", res.Outcome, res.Reason)
+		return t, fmt.Errorf("run ended with %v (%s)", res.Outcome, res.Reason)
 	}
-
-	fmt.Println("Key-value store under periodic DS crashes (enhanced policy)")
-	fmt.Printf("  records attempted:   %d\n", records)
-	fmt.Printf("  acknowledged+exact:  %d\n", committed)
-	fmt.Printf("  aborted (ECRASH):    %d\n", aborted)
-	fmt.Printf("  absent after abort:  %d (rolled back, as guaranteed)\n", missing)
-	fmt.Printf("  contract violations: %d\n", wrong)
-	fmt.Printf("  DS recoveries:       %d\n", sys.Recoveries)
-	if wrong != 0 {
-		return fmt.Errorf("consistency contract violated %d times", wrong)
-	}
-	if sys.Recoveries == 0 {
-		return fmt.Errorf("no recoveries happened; the demo is vacuous")
-	}
-	return nil
+	t.recoveries = sys.Recoveries
+	return t, nil
 }

@@ -133,12 +133,14 @@ func TestForkAliasingPartialWritesStayPrivate(t *testing.T) {
 	}
 }
 
-// A store's Slice pages are shared the same way (DESIGN.md §7): a capture
-// and every fork copy a page table, and the first write to a page copies
-// the page. pageWriter writes both slices of the suite machine — VM's
-// frame table, by growing and shrinking its address space and forking a
-// child, and the filesystem's free-block stack, by writing a file and
-// unlinking it — each by amounts of its own.
+// A store's Slice pages and Maps are shared the same way (DESIGN.md §7):
+// a capture and every fork copy a slice's page table and share its pages
+// and every map, and the first write to a page or a map copies it.
+// pageWriter writes both slices of the suite machine — VM's frame table,
+// by growing and shrinking its address space and forking a child, and
+// the filesystem's free-block stack, by writing a file and unlinking it
+// — each by amounts of its own, and both of the filesystem's maps, by
+// keeping a file of its own besides.
 func pageWriter(tag int) usr.Program {
 	return func(p *usr.Proc) int {
 		p.Brk(int64(8 + 4*tag))
@@ -151,6 +153,8 @@ func pageWriter(tag int) usr.Program {
 		p.Write(fd, make([]byte, (tag+2)*fs.BlockSize))
 		p.Close(fd)
 		p.Unlink(name)
+		fd, _ = p.Create(fmt.Sprintf("/kept%d", tag))
+		p.Close(fd)
 		return 0
 	}
 }
@@ -175,6 +179,11 @@ func slicesOf(vmStore, vfsStore *memlog.Store) [2]*memlog.Slice[int32] {
 	}
 }
 
+// mapsOf returns the two maps of a machine's VFS store.
+func mapsOf(vfsStore *memlog.Store) (*memlog.Map[int64, fs.Inode], *memlog.Map[string, int64]) {
+	return memlog.NewMap[int64, fs.Inode](vfsStore, "fs.inodes"), memlog.NewMap[string, int64](vfsStore, "fs.dirents")
+}
+
 func sameElements(a, b *memlog.Slice[int32]) bool {
 	if a.Len() != b.Len() {
 		return false
@@ -187,7 +196,7 @@ func sameElements(a, b *memlog.Slice[int32]) bool {
 	return true
 }
 
-func TestForkSlicePagesStayPrivate(t *testing.T) {
+func TestForkStoresStayPrivate(t *testing.T) {
 	opts := suiteOpts(1)
 	var report testsuite.Report
 	sys := Boot(opts, testsuite.RunnerInit(&report))
@@ -211,11 +220,12 @@ func TestForkSlicePagesStayPrivate(t *testing.T) {
 		before[ep] = storeBytes(t, snapStores[ep])
 	}
 	snapSlices := slicesOf(snapStores[kernel.EpVM], snapStores[kernel.EpVFS])
+	snapInodes, snapDirents := mapsOf(snapStores[kernel.EpVFS])
 
 	// The pathfinder runs the rest of the suite while eight forks of the
-	// rung write their own pages, all concurrently: under -race an
-	// in-place write to a page another of them reads is a reported race,
-	// and without it a changed encoding below.
+	// rung write their own pages and maps, all concurrently: under -race
+	// an in-place write to a page or map another of them reads is a
+	// reported race, and without it a changed encoding below.
 	const forks = 8
 	systems := make([]*System, forks)
 	after := make([]map[kernel.Endpoint][]byte, forks)
@@ -245,6 +255,10 @@ func TestForkSlicePagesStayPrivate(t *testing.T) {
 					t.Errorf("fork %d did not write its slice %d", i, k)
 				}
 			}
+			inodes, dirents := mapsOf(forked.OS.ComponentStore(kernel.EpVFS))
+			if inodes.Len() != snapInodes.Len()+1 || dirents.Len() != snapDirents.Len()+1 {
+				t.Errorf("fork %d holds %d inodes and %d dirents, the snapshot %d and %d: want one file more", i, inodes.Len(), dirents.Len(), snapInodes.Len(), snapDirents.Len())
+			}
 			after[i] = map[kernel.Endpoint][]byte{}
 			for _, ep := range eps {
 				after[i][ep] = storeBytes(t, forked.OS.ComponentStore(ep))
@@ -265,7 +279,7 @@ func TestForkSlicePagesStayPrivate(t *testing.T) {
 		}
 		for _, ep := range eps {
 			if !bytes.Equal(storeBytes(t, forked.OS.ComponentStore(ep)), after[i][ep]) {
-				t.Errorf("fork %d's store %d changed after it stopped: a sibling wrote its pages", i, ep)
+				t.Errorf("fork %d's store %d changed after it stopped: a sibling wrote its pages or maps", i, ep)
 			}
 		}
 		forked.Shutdown("checked")

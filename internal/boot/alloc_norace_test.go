@@ -29,13 +29,14 @@ func forkBytes(t *testing.T, snap *Snapshot, n int) uint64 {
 }
 
 // Allocation budget of the fork path. A fork copies the component
-// stores (the filesystem's inode map is most of what is left) but of a
-// store slice and of the disk only a page table, and a reaped test child
+// stores' containers but shares their maps until written, and of a store
+// slice and of the disk copies only a page table, and a reaped test child
 // costs it a 64-byte placeholder: a fork of the suite machine measures
-// 78 KiB at the boot barrier and 86 KiB sixty tests in, and must stay
-// under forkCeiling. (With VM's frame table copied whole they were 158
-// and 165 KiB; with a flat block table copied per fork and a whole
-// Process per reaped child as well, 287 and 331 KiB.)
+// 24 KiB at the boot barrier and 31 KiB sixty tests in, and must stay
+// under forkCeiling. (With every map copied they were 78 and 86 KiB; with
+// VM's frame table copied whole as well, 158 and 165 KiB; with a flat
+// block table copied per fork and a whole Process per reaped child
+// besides, 287 and 331 KiB.)
 func TestForkAllocationCeiling(t *testing.T) {
 	const forkCeiling = 200 << 10
 	opts := suiteOpts(1)

@@ -78,9 +78,10 @@ func TestImagePathAllocations(t *testing.T) {
 	// A fork is budgeted in bytes. From a decoded snapshot, whose stores
 	// are materialized from their payloads, at what it measured when the
 	// budget was set plus a tenth: 160 KiB. From the captured one, whose
-	// stores are cloned, at 96 KiB: a clone of a slice copies its page
-	// table and shares the pages, so a fork measures 78 KiB where copying
-	// VM's frame table and the free-block stack cost 158.
+	// stores are cloned, at 32 KiB: a clone of a slice copies its page
+	// table and shares the pages, and a clone of a map shares the map, so
+	// a fork measures 23 KiB where copying the filesystem's two maps cost
+	// 77 and copying VM's frame table and the free-block stack as well 158.
 	fork := func(s *boot.Snapshot) uint64 {
 		return allocated(func() func() {
 			sys, err := s.Fork(boot.ForkParams{Seed: 1}, testsuite.RunnerResumeFrom(new(testsuite.Report), testsuite.Report{}))
@@ -96,7 +97,7 @@ func TestImagePathAllocations(t *testing.T) {
 	if fromDecoded > forkBudget {
 		t.Errorf("a fork of a decoded snapshot allocates %d KiB, budget %d KiB", fromDecoded>>10, forkBudget>>10)
 	}
-	const capturedForkBudget = 96 << 10
+	const capturedForkBudget = 32 << 10
 	if inMemory > capturedForkBudget {
 		t.Errorf("a fork of the captured snapshot allocates %d KiB, budget %d KiB", inMemory>>10, capturedForkBudget>>10)
 	}

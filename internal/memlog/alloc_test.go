@@ -1,6 +1,7 @@
 package memlog
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/sim"
@@ -335,6 +336,65 @@ func TestMapKeysDoesNotAllocate(t *testing.T) {
 	}
 	if sink != 32 {
 		t.Fatalf("Keys length %d, want 32", sink)
+	}
+}
+
+// heapUse returns the mallocs and bytes f takes from the host allocator.
+func heapUse(f func()) (mallocs, bytes uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// A clone shares a map with the original until either writes it
+// (DESIGN.md §7): cloning a store costs the same whether its map holds
+// 128 entries or none, and the first Set on either side copies the map
+// once, after which its Sets allocate nothing again.
+func TestMapCloneDoesNotAllocateUntilWritten(t *testing.T) {
+	build := func(n int) (*Store, *Map[int64, rec]) {
+		s := NewStore("share", Baseline)
+		m := NewMap[int64, rec](s, "map")
+		for k := int64(0); k < int64(n); k++ {
+			m.Set(k, rec{EP: k, Name: "record"})
+		}
+		return s, m
+	}
+	const runs = 50
+	cloneCost := func(s *Store) (mallocs, bytes uint64) {
+		s.Clone() // the first clone gives the map up
+		mallocs, bytes = heapUse(func() {
+			for i := 0; i < runs; i++ {
+				s.Clone()
+			}
+		})
+		return mallocs / runs, bytes / runs
+	}
+	empty, _ := build(0)
+	full, m := build(128)
+	emptyMallocs, emptyBytes := cloneCost(empty)
+	fullMallocs, fullBytes := cloneCost(full)
+	if fullMallocs != emptyMallocs || fullBytes >= emptyBytes+128 {
+		t.Errorf("a clone of a 128-entry map takes %d mallocs, %d bytes; of an empty one %d, %d: want no more", fullMallocs, fullBytes, emptyMallocs, emptyBytes)
+	}
+
+	sides := []struct {
+		name string
+		m    *Map[int64, rec]
+	}{{"clone", NewMap[int64, rec](full.Clone(), "map")}, {"original", m}}
+	for _, side := range sides {
+		if mallocs, _ := heapUse(func() { side.m.Set(3, rec{EP: 3, Name: side.name}) }); mallocs == 0 {
+			t.Errorf("the %s's first Set allocated nothing: it wrote the shared map", side.name)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { side.m.Set(5, rec{EP: 5, Name: side.name}) }); allocs != 0 {
+			t.Errorf("the %s's Sets after its first allocated %.1f times per run, want 0", side.name, allocs)
+		}
+	}
+	for _, side := range sides {
+		if v, _ := side.m.Get(3); v.Name != side.name || side.m.Len() != 128 {
+			t.Errorf("the %s reads %+v at key 3 and holds %d keys: the other side's write reached it", side.name, v, side.m.Len())
+		}
 	}
 }
 

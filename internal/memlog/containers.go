@@ -2,6 +2,7 @@ package memlog
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"slices"
 
@@ -142,13 +143,18 @@ type Map[K comparable, V any] struct {
 	ksig, vsig string
 	m          map[K]V
 	order      []K
+	// owned marks m and order as this map's alone, which it may write in
+	// place. Otherwise they are shared — with a clone, a snapshot and
+	// every fork of it — and the first write copies both (own), as a
+	// Slice's first write to a shared page copies the page (DESIGN.md §7).
+	owned bool
 	// hv holds the value a fingerprint is hashing (codeState). Host-only:
 	// never cloned, forked or in an image.
 	hv V
 }
 
 func newMap[K comparable, V any](s *Store, id string) *Map[K, V] {
-	return &Map[K, V]{store: s, id: id, ksig: typeSig[K](), vsig: typeSig[V](), m: make(map[K]V)}
+	return &Map[K, V]{store: s, id: id, ksig: typeSig[K](), vsig: typeSig[V](), m: make(map[K]V), owned: true}
 }
 
 // mapOld is what one logged Set or Delete of a Map replaced: the value
@@ -205,6 +211,7 @@ func (m *Map[K, V]) Set(key K, v V) {
 	} else {
 		m.store.noteUnloggedStores(1)
 	}
+	m.own()
 	if !present {
 		m.order = append(m.order, key)
 	}
@@ -218,6 +225,7 @@ func (m *Map[K, V]) Delete(key K) {
 	if !ok {
 		return
 	}
+	m.own()
 	at := m.removeFromOrder(key)
 	if m.store.shouldLog() {
 		m.store.appendLogged(undoRec{
@@ -234,10 +242,10 @@ func (m *Map[K, V]) Delete(key K) {
 }
 
 // Keys returns the present keys in insertion order. The result is the
-// map's internally maintained order index — a borrowed, read-only view:
-// callers must not mutate it and must not hold it across subsequent
-// Set/Delete calls (which update it in place). This keeps Keys
-// allocation-free.
+// map's internally maintained order index — a borrowed, read-only view,
+// which clones of the map may share: callers must not mutate it and must
+// not hold it across subsequent Set/Delete calls (which update it in
+// place). This keeps Keys allocation-free.
 func (m *Map[K, V]) Keys() []K { return m.order }
 
 // ForEach calls fn for each key/value pair in insertion order. It stops
@@ -252,8 +260,16 @@ func (m *Map[K, V]) ForEach(fn func(K, V) bool) {
 	}
 }
 
+// own makes m and order this map's alone before a write: copies of both,
+// unless the map owns them already.
+func (m *Map[K, V]) own() {
+	if !m.owned {
+		m.m, m.order, m.owned = maps.Clone(m.m), slices.Clone(m.order), true
+	}
+}
+
 // removeFromOrder drops key from the order index and returns where it
-// stood, or -1 if it was absent.
+// stood, or -1 if it was absent. The caller owns the map.
 func (m *Map[K, V]) removeFromOrder(key K) int {
 	i := slices.Index(m.order, key)
 	if i >= 0 {
@@ -274,11 +290,14 @@ func (m *Map[K, V]) bytes() int {
 	return total
 }
 
+// cloneInto shares the map and its order with the clone, and neither
+// side owns them then: the first write to either copies them. A map that
+// does not own them — a snapshot's — is only read, so concurrent forks
+// of one snapshot do not race.
 func (m *Map[K, V]) cloneInto(dst *Store) {
-	clone := &Map[K, V]{store: dst, id: m.id, ksig: m.ksig, vsig: m.vsig, m: make(map[K]V, len(m.m))}
-	for _, k := range m.order {
-		clone.m[k] = m.m[k]
-		clone.order = append(clone.order, k)
+	clone := &Map[K, V]{store: dst, id: m.id, ksig: m.ksig, vsig: m.vsig, m: m.m, order: m.order}
+	if m.owned {
+		m.owned = false
 	}
 	dst.register(clone)
 }
@@ -288,6 +307,7 @@ func (m *Map[K, V]) undo(rec undoRec) {
 		panic(fmt.Sprintf("memlog: bad undo kind %d for map %q", rec.kind, m.id))
 	}
 	e := m.olds.pop(m.store, m.id, rec.pos)
+	m.own()
 	if e.absent {
 		delete(m.m, e.key)
 		m.removeFromOrder(e.key)
@@ -334,6 +354,7 @@ func (m *Map[K, V]) corrupt(r *sim.RNG) bool {
 		}
 		return true
 	}
+	m.own()
 	if ok {
 		m.m[k] = nv.(V)
 	} else {
@@ -725,8 +746,7 @@ func (m *Map[K, V]) codeState(w *wire.Codec) {
 	// index is part of the map's observable state.
 	n := w.Len(len(m.order))
 	if w.Decoding() {
-		m.m = make(map[K]V, n)
-		m.order = make([]K, n)
+		m.m, m.order, m.owned = make(map[K]V, n), make([]K, n), true
 	}
 	// Keys are coded in place, in the order index; the values go through
 	// one V for the whole walk. A fingerprint, which is the store owner's

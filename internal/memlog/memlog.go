@@ -422,9 +422,9 @@ func (s *Store) sideLogsInto(dst *Store) {
 
 // Clone produces a fresh Store with a copy of every container — the
 // "data section copy" performed during the restart phase. The clone
-// shares no mutable state with the original: a Slice's pages are shared
-// but owned by neither side, so the first write to one copies it. Its
-// undo log starts empty, and it inherits the store's identity: label,
+// shares no mutable state with the original: a Slice's pages and a Map
+// are shared but owned by neither side, so the first write to one copies
+// it. Its undo log starts empty, and it inherits the store's identity: label,
 // mode, generation and log high-water mark.
 func (s *Store) Clone() *Store {
 	if s.pending != nil {
@@ -451,8 +451,8 @@ func (s *Store) Clone() *Store {
 // from this point on — the warm-fork plane relies on it.
 // Like an image, it requires a quiescent store: it panics on undo records
 // in flight (core's capture refuses such a machine first). A store that
-// owns no Slice page — a snapshot's — is only read, so forks of it may be
-// taken concurrently. The cost sink and counter set are NOT carried over
+// owns no Slice page and no Map — a snapshot's — is only read, so forks
+// of it may be taken concurrently. The cost sink and counter set are NOT carried over
 // (they reference the source machine); the caller must install the
 // fork's own via SetCostSink/SetCounters.
 func (s *Store) ForkClone() *Store {
