@@ -62,44 +62,46 @@ func (n *Inode) Code(c *wire.Codec) {
 // BlockDevice is the data-block backend. Implementations may have side
 // effects outside the owning server's recoverable state (a real device).
 //
+// A block is held as its written prefix: the slice a device stores and
+// hands out may be shorter than BlockSize, and every byte past its end
+// reads as zero. A block never written is nil, a written one is not —
+// even when its prefix is empty — so "written" stays distinct from
+// "never written" (the device fingerprint and the disk image tell the
+// two apart). A 100-byte write to a fresh block thus costs a 100-byte
+// buffer, not a zero-padded BlockSize one.
+//
 // Aliasing contract. A device never changes a block in place: a write
 // installs a new buffer. That is what lets a snapshot, every fork of it
 // and every earlier reader share block contents without copying — and
 // it binds both sides of the interface:
 //
-//   - the slice ReadBlock returns is the device's own block (or the
-//     shared ZeroBlock) and is READ-ONLY: a caller that wants to change
-//     it copies it first. WriteAt's partial-block read-modify-write is
-//     the one such caller;
+//   - the slice ReadBlock returns is the device's own block and is
+//     READ-ONLY: a caller that wants to change it copies it first.
+//     WriteAt's partial-block read-modify-write is the one such caller;
 //   - WriteBlock TAKES OWNERSHIP of data: the caller must not touch the
-//     buffer afterwards. A device keeps a BlockSize buffer as the block
-//     itself (OwnedBlock).
+//     buffer afterwards. A device keeps the buffer as the block itself
+//     (OwnedBlock).
 type BlockDevice interface {
-	// ReadBlock returns the contents of block b (BlockSize bytes,
-	// read-only).
+	// ReadBlock returns the written prefix of block b (at most BlockSize
+	// bytes, read-only; nil when b was never written).
 	ReadBlock(b int32) ([]byte, kernel.Errno)
-	// WriteBlock overwrites block b with data, which it owns from here on.
+	// WriteBlock overwrites block b with data, which it owns from here on;
+	// the bytes past len(data) read as zero.
 	WriteBlock(b int32, data []byte) kernel.Errno
 	// Blocks reports the device capacity in blocks.
 	Blocks() int32
 }
 
-var zeroBlock = make([]byte, BlockSize)
-
-// ZeroBlock returns what a never-written block reads as: one shared,
-// read-only block of zeros.
-func ZeroBlock() []byte { return zeroBlock }
-
 // OwnedBlock turns a buffer handed to WriteBlock into the block a device
-// stores: the buffer itself when it is BlockSize long, else a fresh
-// block holding its first BlockSize bytes, zero-padded.
+// stores: the buffer itself, cut to at most BlockSize bytes and with its
+// capacity clipped, so nothing appends past the block into a buffer it
+// does not own. A nil buffer becomes an empty block, which is written.
 func OwnedBlock(data []byte) []byte {
-	if len(data) == BlockSize {
-		return data
+	if data == nil {
+		return []byte{}
 	}
-	blk := make([]byte, BlockSize)
-	copy(blk, data)
-	return blk
+	n := min(len(data), BlockSize)
+	return data[:n:n]
 }
 
 // FS is a mounted filesystem with all metadata in the given memlog
@@ -475,16 +477,16 @@ func (f *FS) ReadAt(dev BlockDevice, ino int64, off int64, n int) ([]byte, kerne
 		if chunk > n {
 			chunk = n
 		}
-		if node.Blocks[bi] == 0 {
-			// Sparse hole: zeros.
-			out = append(out, make([]byte, chunk)...)
-		} else {
-			data, errno := dev.ReadBlock(node.Blocks[bi])
-			if errno != kernel.OK {
+		var data []byte // a sparse hole reads as zeros, like a short prefix's tail
+		if node.Blocks[bi] != 0 {
+			var errno kernel.Errno
+			if data, errno = dev.ReadBlock(node.Blocks[bi]); errno != kernel.OK {
 				return nil, errno
 			}
-			out = append(out, data[bo:bo+chunk]...)
 		}
+		got := data[min(bo, len(data)):min(bo+chunk, len(data))]
+		out = append(out, got...)
+		out = append(out, make([]byte, chunk-len(got))...)
 		off += int64(chunk)
 		n -= chunk
 	}
@@ -507,7 +509,9 @@ func (f *FS) WriteAt(dev BlockDevice, ino int64, off int64, data []byte) (int, k
 	if off+int64(len(data)) > int64(NDirect*BlockSize) {
 		return 0, kernel.ENOSPC
 	}
+	before := node
 	written := 0
+	var errno kernel.Errno
 	for written < len(data) {
 		bi := int(off / BlockSize)
 		bo := int(off % BlockSize)
@@ -516,27 +520,28 @@ func (f *FS) WriteAt(dev BlockDevice, ino int64, off int64, data []byte) (int, k
 			chunk = len(data) - written
 		}
 		if node.Blocks[bi] == 0 {
-			b, errno := f.allocBlock()
-			if errno != kernel.OK {
-				f.inodes.Set(ino, node) // keep partial growth consistent
-				return written, errno
+			var b int32
+			if b, errno = f.allocBlock(); errno != kernel.OK {
+				break
 			}
 			node.Blocks[bi] = b
 		}
-		// block is handed over to the device below and never touched again.
-		block := make([]byte, BlockSize)
+		var existing []byte
 		if bo != 0 || chunk != BlockSize {
 			// Read-modify-write of a partial block: on a copy, the block
 			// read is the device's own.
-			existing, errno := dev.ReadBlock(node.Blocks[bi])
-			if errno != kernel.OK {
-				return written, errno
+			if existing, errno = dev.ReadBlock(node.Blocks[bi]); errno != kernel.OK {
+				break
 			}
-			copy(block, existing)
 		}
+		// The new block is the old prefix with the chunk laid over it: as
+		// long as the longer of the two, not BlockSize. It is handed over
+		// to the device below and never touched again.
+		block := make([]byte, max(len(existing), bo+chunk))
+		copy(block, existing)
 		copy(block[bo:], data[written:written+chunk])
-		if errno := dev.WriteBlock(node.Blocks[bi], block); errno != kernel.OK {
-			return written, errno
+		if errno = dev.WriteBlock(node.Blocks[bi], block); errno != kernel.OK {
+			break
 		}
 		off += int64(chunk)
 		written += chunk
@@ -544,6 +549,10 @@ func (f *FS) WriteAt(dev BlockDevice, ino int64, off int64, data []byte) (int, k
 	if off > node.Size {
 		node.Size = off
 	}
-	f.inodes.Set(ino, node)
-	return written, kernel.OK
+	// A failed chunk still keeps what came before it: the blocks already
+	// allocated and a size that covers the bytes reported written.
+	if errno == kernel.OK || node != before {
+		f.inodes.Set(ino, node)
+	}
+	return written, errno
 }

@@ -225,6 +225,71 @@ func TestOutOfSpace(t *testing.T) {
 	if n != 3*BlockSize {
 		t.Fatalf("wrote %d, want %d", n, 3*BlockSize)
 	}
+	if node, _ := f.Stat(ino); node.Size != int64(n) {
+		t.Fatalf("size %d after %d bytes reported written", node.Size, n)
+	}
+}
+
+// failingDevice is a MemDevice whose failAt-th call (ReadBlock or
+// WriteBlock, counted from one) fails with EIO.
+type failingDevice struct {
+	*MemDevice
+	calls, failAt int
+}
+
+func (d *failingDevice) fails() bool {
+	d.calls++
+	return d.calls == d.failAt
+}
+
+func (d *failingDevice) ReadBlock(b int32) ([]byte, kernel.Errno) {
+	if d.fails() {
+		return nil, kernel.EIO
+	}
+	return d.MemDevice.ReadBlock(b)
+}
+
+func (d *failingDevice) WriteBlock(b int32, data []byte) kernel.Errno {
+	if d.fails() {
+		return kernel.EIO
+	}
+	return d.MemDevice.WriteBlock(b, data)
+}
+
+// A device error in the middle of a write keeps what came before it: the
+// blocks the write allocated stay the file's (none drops out of the free
+// stack unowned), and the size covers every byte reported written.
+func TestWriteAtDeviceErrorKeepsBlockAccounting(t *testing.T) {
+	const blocks, off = 16, 100
+	data := bytes.Repeat([]byte{'w'}, 3*BlockSize) // partial head, two full blocks, partial tail
+	for failAt := 1; ; failAt++ {
+		f := New(memlog.NewStore("vfs", memlog.Baseline), blocks)
+		dev := &failingDevice{MemDevice: NewMemDevice(blocks), failAt: failAt}
+		ino, _ := f.Create("/f")
+		n, errno := f.WriteAt(dev, ino, off, data)
+		if errno == kernel.OK {
+			if failAt == 1 {
+				t.Fatal("the write made no device call")
+			}
+			return // failAt is past the last call
+		}
+		node, _ := f.Stat(ino)
+		used := 0
+		for _, b := range node.Blocks {
+			if b != 0 {
+				used++
+			}
+		}
+		if used+f.FreeBlockCount() != blocks-1 { // block 0 is reserved
+			t.Fatalf("call %d fails: %d used + %d free blocks, want %d", failAt, used, f.FreeBlockCount(), blocks-1)
+		}
+		if n > 0 && node.Size < off+int64(n) {
+			t.Fatalf("call %d fails: %d bytes reported written at %d, size %d", failAt, n, off, node.Size)
+		}
+		if got, _ := f.ReadAt(dev, ino, off, n); !bytes.Equal(got, data[:n]) {
+			t.Fatalf("call %d fails: the %d bytes reported written read back wrong", failAt, n)
+		}
+	}
 }
 
 func TestPathValidation(t *testing.T) {

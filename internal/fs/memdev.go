@@ -5,7 +5,7 @@ import "repro/internal/kernel"
 // MemDevice is a trivial in-memory BlockDevice for unit tests and for
 // running the filesystem outside the full OS. It keeps BlockDevice's
 // aliasing contract exactly as the driver server does: reads hand out
-// the stored block, writes adopt the buffer.
+// the stored prefix, writes adopt the buffer.
 type MemDevice struct {
 	blocks [][]byte
 }
@@ -20,15 +20,12 @@ func NewMemDevice(n int32) *MemDevice {
 // Blocks reports the device capacity.
 func (d *MemDevice) Blocks() int32 { return int32(len(d.blocks)) }
 
-// ReadBlock returns block b itself (read-only).
+// ReadBlock returns block b itself (read-only; nil when never written).
 func (d *MemDevice) ReadBlock(b int32) ([]byte, kernel.Errno) {
 	if b < 0 || int(b) >= len(d.blocks) {
 		return nil, kernel.EIO
 	}
-	if blk := d.blocks[b]; blk != nil {
-		return blk, kernel.OK
-	}
-	return ZeroBlock(), kernel.OK
+	return d.blocks[b], kernel.OK
 }
 
 // WriteBlock installs data as block b.

@@ -154,11 +154,14 @@ const (
 
 // Driver protocol (200–209).
 const (
-	// DevRead reads block A. Synchronous: reply Bytes = data.
+	// DevRead reads block A. Synchronous: reply Bytes = the block's
+	// written prefix (at most fs.BlockSize bytes; every byte past it
+	// reads as zero; nil when the block was never written).
 	// Asynchronous (NeedsReply false): response DevReadDone is sent to
 	// the requester with D echoed (thread routing tag).
 	DevRead kernel.MsgType = 200 + iota
-	// DevWrite writes Bytes to block A. D is echoed like DevRead.
+	// DevWrite writes Bytes to block A as its new prefix: the bytes past
+	// len(Bytes) read as zero. D is echoed like DevRead.
 	DevWrite
 	// DevReadDone is the asynchronous completion of DevRead.
 	DevReadDone

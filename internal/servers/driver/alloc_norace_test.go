@@ -5,8 +5,9 @@ package driver
 import "testing"
 
 // Allocation budget of the block path: reading hands out the stored
-// block, the first write to a shared page copies that one page (the
-// full-size buffer itself is adopted), later writes to it copy nothing.
+// prefix, the first write to a shared page copies that one page (the
+// written buffer itself is adopted, whatever its length), later writes
+// to it copy nothing.
 func TestBlockPathAllocations(t *testing.T) {
 	d := New(testBlocks)
 	d.write(3, fill('a'))

@@ -12,13 +12,15 @@ import (
 // fill returns a full block of byte v.
 func fill(v byte) []byte { return bytes.Repeat([]byte{v}, fs.BlockSize) }
 
+// mustRead returns block b as the full block it stands for: the stored
+// prefix, zero-padded to fs.BlockSize.
 func mustRead(t *testing.T, d *Driver, b int32) []byte {
 	t.Helper()
 	data, errno := d.read(b)
 	if errno != kernel.OK {
 		t.Fatalf("read(%d) = %v", b, errno)
 	}
-	return data
+	return append(append([]byte(nil), data...), make([]byte, fs.BlockSize-len(data))...)
 }
 
 // referenceFingerprint recomputes the device hash from scratch.
@@ -85,7 +87,7 @@ func TestFingerprintTracksContents(t *testing.T) {
 	d := New(testBlocks)
 	d.write(3, fill('a'))
 	d.write(130, fill('b'))
-	d.write(199, []byte("short")) // padded to a block
+	d.write(199, []byte("short")) // a short prefix
 	if got, want := d.Fingerprint(), referenceFingerprint(d); got != want {
 		t.Fatalf("fingerprint %x, recomputed %x", got, want)
 	}

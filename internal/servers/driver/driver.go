@@ -77,7 +77,8 @@ func newDisk(n int32) disk {
 }
 
 // New returns a driver with n blocks of fs.BlockSize bytes, none of them
-// written: no page exists until the first write.
+// written: no page exists until the first write. A block holds its
+// written prefix (fs.BlockDevice); the bytes past it read as zero.
 func New(n int32) *Driver {
 	d := newDisk(n)
 	return &Driver{disk: d, owned: make([]uint64, words(len(d.pages)))}
@@ -107,7 +108,8 @@ func (d *disk) share() disk {
 	return out
 }
 
-// block returns block b as stored: nil when never written.
+// block returns block b as stored — its written prefix — or nil when
+// never written.
 func (d *disk) block(b int32) []byte {
 	if pg := d.pages[b>>pageShift]; pg != nil {
 		return pg.blocks[b&(pageBlocks-1)]
@@ -154,8 +156,9 @@ func (d *Driver) Fingerprint() uint64 {
 }
 
 // SizeBytes estimates the memory an image retains, as part of
-// boot.Snapshot.SizeBytes: a table slot per block plus the written
-// contents.
+// boot.Snapshot.SizeBytes: a table slot per block plus the logical size
+// of the written contents, fs.BlockSize a written block however short
+// its stored prefix.
 func (img *Image) SizeBytes() int64 {
 	size := int64(img.n) * 24
 	for _, pg := range img.pages {
@@ -163,16 +166,19 @@ func (img *Image) SizeBytes() int64 {
 			continue
 		}
 		for _, blk := range pg.blocks {
-			size += int64(len(blk))
+			if blk != nil {
+				size += fs.BlockSize
+			}
 		}
 	}
 	return size
 }
 
 // EncodeTo writes the image as its block count followed by every block
-// in order, a never-written one as an empty blob. What that takes is known
-// before a byte is written, so the encoder grows once, to that, and every
-// block is copied once, from its page into its place.
+// in order: a written one as a blob of fs.BlockSize bytes, its prefix
+// then zeros, a never-written one as an empty blob. What that takes is
+// known before a byte is written, so the encoder grows once, to that, and
+// every prefix is copied once, from its page into its place.
 func (img *Image) EncodeTo(e *wire.Encoder) {
 	size := uvarintLen(uint64(img.n)) + int(img.n) // a never-written block is one byte
 	for _, pg := range img.pages {
@@ -181,14 +187,18 @@ func (img *Image) EncodeTo(e *wire.Encoder) {
 		}
 		for _, blk := range pg.blocks {
 			if blk != nil {
-				size += uvarintLen(uint64(len(blk))+1) + len(blk) - 1
+				size += uvarintLen(fs.BlockSize+1) + fs.BlockSize - 1
 			}
 		}
 	}
 	e.Grow(size)
 	e.Uvarint(uint64(img.n))
 	for b := int32(0); b < img.n; b++ {
-		e.Blob(img.block(b))
+		if blk := img.block(b); blk != nil {
+			e.BlobPadded(blk, fs.BlockSize)
+		} else {
+			e.Blob(nil)
+		}
 	}
 }
 
@@ -237,8 +247,10 @@ func DecodeImage(d *wire.Decoder) (*Image, error) {
 
 // blockMix hashes one block's index and contents into its fingerprint
 // contribution (FNV-1a finished with a splitmix64-style avalanche, so
-// wrapping-add combination keeps differences from cancelling). A nil,
-// never-written block contributes zero.
+// wrapping-add combination keeps differences from cancelling). The
+// contents are the full block: the stored prefix, then its zero tail in
+// closed form, so the mix is the padded block's and costs O(prefix). A
+// nil, never-written block contributes zero.
 func blockMix(idx int32, data []byte) uint64 {
 	if data == nil {
 		return 0
@@ -246,6 +258,7 @@ func blockMix(idx int32, data []byte) uint64 {
 	h := sim.NewHash()
 	h.Word(uint64(uint32(idx)))
 	h.Bytes(data)
+	h.Zeros(fs.BlockSize - len(data))
 	return h.Sum()
 }
 
@@ -292,23 +305,19 @@ func (d *Driver) respond(ctx *kernel.Context, req kernel.Message, resp kernel.Me
 	ctx.Send(req.From, resp)
 }
 
-// read hands out block b itself — blocks are immutable once installed
-// (fs.BlockDevice's contract) — or the shared zero block for one never
+// read hands out block b's stored prefix itself — blocks are immutable
+// once installed (fs.BlockDevice's contract) — or nil for one never
 // written.
 func (d *Driver) read(b int32) ([]byte, kernel.Errno) {
 	if b < 0 || b >= d.n {
 		return nil, kernel.EIO
 	}
-	if blk := d.block(b); blk != nil {
-		return blk, kernel.OK
-	}
-	return fs.ZeroBlock(), kernel.OK
+	return d.block(b), kernel.OK
 }
 
-// write installs data as block b. A full-size buffer is adopted, not
+// write installs data as block b's prefix. The buffer is adopted, not
 // copied: WriteBlock hands ownership over (fs.BlockDevice's contract)
-// and its one sender, fs.WriteAt, drops the buffer once sent. Anything
-// shorter is padded into a fresh block.
+// and its one sender, fs.WriteAt, drops the buffer once sent.
 func (d *Driver) write(b int32, data []byte) kernel.Errno {
 	if b < 0 || b >= d.n {
 		return kernel.EIO

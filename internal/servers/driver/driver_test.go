@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"repro/internal/fs"
 	"repro/internal/kernel"
 	"repro/internal/proto"
 )
@@ -30,10 +29,11 @@ func TestSyncReadWrite(t *testing.T) {
 			t.Errorf("write = %v", w.Errno)
 		}
 		r := ctx.SendRec(kernel.EpDriver, kernel.Message{Type: proto.DevRead, A: 3})
-		if r.Errno != kernel.OK || len(r.Bytes) != fs.BlockSize {
+		// A block holds its written prefix: the 100 bytes, no padding.
+		if r.Errno != kernel.OK || len(r.Bytes) != len(payload) {
 			t.Errorf("read = %v, %d bytes", r.Errno, len(r.Bytes))
 		}
-		if !bytes.Equal(r.Bytes[:100], payload) {
+		if !bytes.Equal(r.Bytes, payload) {
 			t.Error("read back wrong data")
 		}
 	})
@@ -45,10 +45,9 @@ func TestReadUnwrittenBlockIsZero(t *testing.T) {
 		if r.Errno != kernel.OK {
 			t.Fatalf("read = %v", r.Errno)
 		}
-		for _, b := range r.Bytes {
-			if b != 0 {
-				t.Fatal("unwritten block not zeroed")
-			}
+		// Nil: no stored prefix, so every byte of the block reads as zero.
+		if r.Bytes != nil {
+			t.Fatalf("unwritten block reads as %d stored bytes, want none", len(r.Bytes))
 		}
 	})
 }

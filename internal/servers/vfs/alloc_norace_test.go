@@ -37,8 +37,8 @@ func TestFileRoundTripAllocation(t *testing.T) {
 		round()
 		allocs = testing.AllocsPerRun(100, round)
 	})
-	// The written block (fs.WriteAt builds a fresh one and the device
-	// adopts it) and the buffer the read returns.
+	// The written block (fs.WriteAt builds a fresh prefix and the device
+	// adopts it, whatever its length) and the buffer the read returns.
 	if allocs > 2 {
 		t.Fatalf("write + read round trip allocates %v times, want at most its 2 block-sized buffers", allocs)
 	}

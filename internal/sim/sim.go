@@ -324,6 +324,20 @@ func (h *Hash) Bytes(b []byte) {
 	*h = x
 }
 
+// Zeros absorbs n zero bytes, as Bytes would, in O(log n): FNV-1a takes
+// a zero byte as one multiply by the prime, so n of them are one
+// multiply by the prime to the n.
+func (h *Hash) Zeros(n int) {
+	x, p := *h, Hash(fnvPrime)
+	for ; n > 0; n >>= 1 {
+		if n&1 != 0 {
+			x *= p
+		}
+		p *= p
+	}
+	*h = x
+}
+
 // Text absorbs the bytes of s.
 func (h *Hash) Text(s string) {
 	x := *h

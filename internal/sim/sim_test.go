@@ -132,3 +132,16 @@ func TestCounters(t *testing.T) {
 		t.Fatalf("String() = %q, want %q", got, want)
 	}
 }
+
+func TestHashZerosMatchesBytes(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 7, 100, 4095, 4096} {
+		want, got := NewHash(), NewHash()
+		want.Word(42)
+		got.Word(42)
+		want.Bytes(make([]byte, n))
+		got.Zeros(n)
+		if got != want {
+			t.Fatalf("Zeros(%d) = %x, Bytes of %d zeros = %x", n, got, n, want)
+		}
+	}
+}
