@@ -38,7 +38,11 @@ import (
 	"repro/internal/parallel"
 )
 
-func main() {
+func main() { os.Exit(runCommand()) }
+
+// runCommand is the command; it returns the exit status instead of
+// exiting, so the deferred CPU profile stop and file closes run first.
+func runCommand() int {
 	var (
 		scaleName  = flag.String("scale", "quick", "evaluation scale: quick or full")
 		seed       = flag.Uint64("seed", 42, "simulation seed")
@@ -56,19 +60,19 @@ func main() {
 		for _, s := range sectionInfo {
 			fmt.Printf("%-10s %-32s %s\n", s.key, s.name, s.desc)
 		}
-		return
+		return 0
 	}
 	plane := faultinject.PlaneOptions{ColdBoot: *coldBoot, NoElide: *noElide}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -80,8 +84,9 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchtables:", err)
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 func writeHeapProfile(path string) error {

@@ -86,7 +86,11 @@ import (
 	"repro/internal/seep"
 )
 
-func main() {
+func main() { os.Exit(runCommand()) }
+
+// runCommand is the command; it returns the exit status instead of
+// exiting, so the deferred CPU profile stop and file closes run first.
+func runCommand() int {
 	var (
 		policyName = flag.String("policy", "all", "policy: all, enhanced, extended, pessimistic, stateless or naive")
 		modelName  = flag.String("model", "failstop", "fault model: failstop, edfi or ipcmix")
@@ -123,7 +127,7 @@ func main() {
 		{"reorderrate", *reordRate}, {"corruptrate", *corrRate},
 	}); err != nil {
 		fmt.Fprintln(os.Stderr, "faultcampaign:", err)
-		os.Exit(2)
+		return 2
 	}
 
 	ipc := faultinject.IPCOptions{
@@ -142,22 +146,22 @@ func main() {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "faultcampaign:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
 			fmt.Fprintln(os.Stderr, "faultcampaign:", err)
-			os.Exit(1)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if (*recordDir != "" || *resumePath != "") && *profile {
 		fmt.Fprintln(os.Stderr, "faultcampaign: -record/-resume apply to injection campaigns only (not -profile)")
-		os.Exit(2)
+		return 2
 	}
 	if *resumePath != "" && *policyName == "all" {
 		fmt.Fprintln(os.Stderr, "faultcampaign: -resume requires a single -policy (a journal pins one campaign)")
-		os.Exit(2)
+		return 2
 	}
 
 	unhealthy, err := run(campaignSpec{
@@ -183,12 +187,13 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "faultcampaign:", err)
-		os.Exit(1)
+		return 1
 	}
 	if unhealthy && *gate {
 		fmt.Fprintln(os.Stderr, "faultcampaign: campaign unhealthy (failed, crashed, or audit-inconsistent runs; see tables)")
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 func writeHeapProfile(path string) error {

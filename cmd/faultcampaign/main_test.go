@@ -1,9 +1,43 @@
 package main
 
 import (
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+// A campaign the health gate fails exits 1 and still leaves its CPU
+// profile: the exit status is returned past the deferred profile stop.
+// The test binary re-executes itself to run main in a child process.
+func TestGateExitKeepsCPUProfile(t *testing.T) {
+	if args := os.Getenv("FAULTCAMPAIGN_ARGS"); args != "" {
+		os.Args = append([]string{"faultcampaign"}, strings.Fields(args)...)
+		main()
+		return
+	}
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := filepath.Join(t.TempDir(), "cpu.pprof")
+	cmd := exec.Command(exe, "-test.run=^TestGateExitKeepsCPUProfile$")
+	cmd.Env = append(os.Environ(), "FAULTCAMPAIGN_ARGS=-model failstop -policy enhanced -maxruns 24 -quiet -cpuprofile "+prof)
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("gated unhealthy campaign: %v, want exit status 1\n%s", err, out)
+	}
+	fi, err := os.Stat(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() == 0 {
+		t.Error("the gate's exit left an empty CPU profile")
+	}
+}
 
 func TestValidateBPRejectsNegative(t *testing.T) {
 	err := validateBP("droprate", -1)

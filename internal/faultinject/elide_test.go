@@ -3,23 +3,20 @@ package faultinject
 import (
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/kernel"
-	"repro/internal/parallel"
 	"repro/internal/seep"
 	"repro/internal/testsuite"
 )
 
-// Tail elision must be invisible in campaign results: every aggregate
-// is bit-identical to -noelide full execution for any worker count, and
-// the serving split accounts for every warm run exhaustively. These
-// tests assert that equivalence, drive every elision fallback reason
-// through its cold path, and pin the per-run serving decisions to the
-// stats. All names start with TestElide so CI can select the suite
-// with -run Elide.
+// Tail elision must be invisible in campaign results; the differential
+// runner (differential_test.go) checks that every elided, rejoined and
+// fully executed run equals its cold boot. These tests drive every
+// elision fallback reason through its cold path, pin the per-run serving
+// decisions to the stats, and drive the suffix table's publishing
+// certificate gate by gate.
 
 // noElidePlane pins a campaign to full execution: the elision oracle.
 var noElidePlane = PlaneOptions{NoElide: true}
@@ -30,26 +27,13 @@ func executedInFull(sv Serving, reason string) bool {
 	return sv.Plane == PlaneForked && sv.Fallback == reason
 }
 
-// elideTestPlan returns the standing elision campaign — large enough
-// that some runs elide, some mismatch, some never trigger — plus its
-// pinned full-execution oracle result.
+// elideTestPlan returns the standing elision campaign — the corpus row
+// single-failstop, large enough that some runs elide, some mismatch, some
+// never trigger — plus the row's oracle result.
 func elideTestPlan(t *testing.T) (CampaignConfig, []SiteProfile, CampaignResult) {
 	t.Helper()
-	profile, err := Profile(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := CampaignConfig{
-		Policy:         seep.PolicyEnhanced,
-		Model:          FailStop,
-		Seed:           42,
-		SamplesPerSite: 1,
-		MaxRuns:        24,
-	}
-	pinned := cfg
-	pinned.Plane = noElidePlane
-	oracle, _ := RunCampaign(pinned, profile)
-	return cfg, profile, oracle
+	s := row(t, "single-failstop")
+	return s.campaign(), s.plan(t).profile, s.reference(t, nil).agg.(CampaignResult)
 }
 
 // assertElisionAccounted checks the serving-split invariant: every
@@ -68,61 +52,6 @@ func assertElisionAccounted(t *testing.T, stats PlaneStats) {
 	}
 	if stats.Rejoined > stats.Elided {
 		t.Errorf("%d rejoined runs exceed %d elided", stats.Rejoined, stats.Elided)
-	}
-}
-
-// Elision-on campaign results must be bit-identical to pinned full
-// execution at every worker count, while actually eliding runs — and
-// the campaign is rich enough to drive the ended-early and mismatch
-// fallbacks through their cold paths too.
-func TestElideEquivalence(t *testing.T) {
-	cfg, profile, oracle := elideTestPlan(t)
-	for _, workers := range []int{1, 2, 8} {
-		cfg.Workers = workers
-		res, stats := RunCampaign(cfg, profile)
-		if !reflect.DeepEqual(oracle, res) {
-			t.Errorf("workers=%d: campaign diverged from -noelide oracle:\nfull:   %+v\nelided: %+v",
-				workers, oracle, res)
-		}
-		if stats.Elided == 0 {
-			t.Errorf("workers=%d: no run elided its tail: %+v", workers, stats)
-		}
-		for _, reason := range []string{ElideFallbackEndedEarly, ElideFallbackMismatch} {
-			if stats.ElisionFallbacks[reason] == 0 {
-				t.Errorf("workers=%d: campaign never exercised fallback %q: %+v",
-					workers, reason, stats.ElisionFallbacks)
-			}
-		}
-		assertElisionAccounted(t, stats)
-	}
-}
-
-// Multi-fault campaigns elide under the stricter plan-wide gate (every
-// non-recovery fault triggered, no persistent fault) and stay
-// bit-identical to full execution.
-func TestElideEquivalenceMulti(t *testing.T) {
-	profile, err := Profile(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := MultiCampaignConfig{
-		Policy: seep.PolicyEnhanced,
-		Model:  FailStop,
-		Faults: 2,
-		Runs:   12,
-		Seed:   42,
-	}
-	pinned := cfg
-	pinned.Plane = noElidePlane
-	oracle, _ := RunMultiCampaign(pinned, profile)
-	for _, workers := range []int{1, 4} {
-		cfg.Workers = workers
-		res, stats := RunMultiCampaign(cfg, profile)
-		if !reflect.DeepEqual(oracle, res) {
-			t.Errorf("workers=%d: multi campaign diverged from -noelide oracle:\nfull:   %+v\nelided: %+v",
-				workers, oracle, res)
-		}
-		assertElisionAccounted(t, stats)
 	}
 }
 
@@ -441,22 +370,6 @@ func rejoinPlan(t *testing.T) (CampaignConfig, []Injection) {
 	return cfg, stratifiedPlan(rejoinProfile(t), 40, cfg.Seed)
 }
 
-// rejoinCold returns the cold RunOne result of every run of rejoinPlan —
-// the oracle the rejoin tests share, computed once.
-func rejoinCold(cfg CampaignConfig, plan []Injection) []RunResult {
-	rejoinColdOnce.Do(func() {
-		rejoinColdResults = parallel.Map(0, len(plan), func(i int) RunResult {
-			return RunOne(cfg.Policy, cfg.Seed+uint64(i)*7919, plan[i])
-		})
-	})
-	return rejoinColdResults
-}
-
-var (
-	rejoinColdOnce    sync.Once
-	rejoinColdResults []RunResult
-)
-
 // rejoinProfile is the seed-42 profile cut down to rejoinSites.
 func rejoinProfile(t *testing.T) []SiteProfile {
 	t.Helper()
@@ -505,113 +418,6 @@ func armedRun(t *testing.T, a *ArmedRunner, seed uint64, inj Injection) (RunResu
 func plainLadder(a *ArmedRunner) *ladder {
 	l, _ := a.r.plane(planeClass{kind: kindSingle, ipc: a.ipc.normalized(false)})
 	return l
-}
-
-// countPlane counts the serving decisions of the given plane.
-func countPlane(decisions []Serving, plane Plane) int {
-	n := 0
-	for _, d := range decisions {
-		if d.Plane == plane {
-			n++
-		}
-	}
-	return n
-}
-
-// (a) A plan dense enough for runs to rejoin each other stays
-// bit-identical, per run, to pinned full execution and to cold RunOne at
-// every worker count, while actually rejoining; and the campaign
-// aggregate over the same sites equals its pinned oracle.
-func TestElideRejoinEquivalence(t *testing.T) {
-	cfg, plan := rejoinPlan(t)
-	pinned := cfg
-	pinned.Plane = noElidePlane
-	oracle, _, _ := servedPass(pinned, plan, 0)
-	cold := rejoinCold(cfg, plan)
-	if !reflect.DeepEqual(cold, oracle) {
-		t.Fatal("pinned full execution differs from cold RunOne")
-	}
-	for _, workers := range []int{1, 2, 8} {
-		results, decisions, stats := servedPass(cfg, plan, workers)
-		for i := range plan {
-			if !reflect.DeepEqual(cold[i], results[i]) {
-				t.Errorf("workers=%d run %d (%s) differs from cold RunOne:\ncold: %+v\nwarm: %+v",
-					workers, i, decisions[i], cold[i], results[i])
-			}
-		}
-		if stats.Rejoined == 0 {
-			t.Errorf("workers=%d: no run rejoined another: %+v", workers, stats)
-		}
-		if n := countPlane(decisions, PlaneRejoined); n != stats.Rejoined {
-			t.Errorf("workers=%d: %d rejoined decisions, stats say %d", workers, n, stats.Rejoined)
-		}
-		if n := countPlane(decisions, PlaneElided); n != stats.Elided-stats.Rejoined {
-			t.Errorf("workers=%d: %d elided decisions, stats say %d", workers, n, stats.Elided-stats.Rejoined)
-		}
-		assertElisionAccounted(t, stats)
-	}
-
-	sites := rejoinProfile(t)
-	cfg.SamplesPerSite, pinned.SamplesPerSite = 40, 40
-	want, _ := RunCampaign(pinned, sites)
-	cfg.Workers = 8
-	got, stats := RunCampaign(cfg, sites)
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("aggregate diverged from -noelide oracle:\nfull:   %+v\nelided: %+v", want, got)
-	}
-	if stats.Rejoined == 0 {
-		t.Errorf("campaign rejoined nothing: %+v", stats)
-	}
-}
-
-// (a, multi-fault) Each rejoin-plan fault followed by a correlated second
-// crash of the same site: both fire, the machine recovers twice, and the
-// runs rejoin each other under the cascade sequencer's configuration —
-// per run equal to pinned execution and to cold RunMultiWith, Recoveries
-// included.
-func TestElideRejoinEquivalenceMulti(t *testing.T) {
-	scfg, single := rejoinPlan(t)
-	var plans [][]MultiInjection
-	for i, inj := range single {
-		if i%2 != 0 {
-			continue
-		}
-		plans = append(plans, []MultiInjection{
-			{Injection: inj},
-			{Injection: Injection{Server: inj.Server, Site: inj.Site, Occurrence: 1, Type: FaultCrash}, Correlated: true},
-		})
-	}
-	cfg := MultiCampaignConfig{Policy: scfg.Policy, Model: FailStop, Seed: scfg.Seed}
-	pass := func(workers int, plane PlaneOptions) ([]MultiRunResult, PlaneStats) {
-		cfg := cfg
-		cfg.Plane = plane
-		runner := newMultiRunner(cfg, plans)
-		defer runner.close()
-		results := parallel.Map(workers, len(plans), func(i int) MultiRunResult {
-			rr, _ := runner.run(cfg.Seed+uint64(i)*104729, multiSpec(plans[i], IPCOptions{}))
-			return rr
-		})
-		return results, runner.Stats()
-	}
-	oracle, _ := pass(0, noElidePlane)
-	cold := parallel.Map(0, len(plans), func(i int) MultiRunResult {
-		return RunMultiWith(cfg.Policy, cfg.Seed+uint64(i)*104729, plans[i], IPCOptions{})
-	})
-	if !reflect.DeepEqual(cold, oracle) {
-		t.Fatal("pinned full execution differs from cold RunMultiWith")
-	}
-	for _, workers := range []int{1, 2, 8} {
-		results, stats := pass(workers, PlaneOptions{})
-		for i := range plans {
-			if !reflect.DeepEqual(cold[i], results[i]) {
-				t.Errorf("workers=%d run %d differs from cold RunMultiWith:\ncold: %+v\nwarm: %+v", workers, i, cold[i], results[i])
-			}
-		}
-		if stats.Rejoined == 0 {
-			t.Errorf("workers=%d: no multi-fault run rejoined another: %+v", workers, stats)
-		}
-		assertElisionAccounted(t, stats)
-	}
 }
 
 // (c) A run need not hit at its first lookup: it may miss at one barrier

@@ -167,149 +167,6 @@ func TestJournalRefusesForeignCampaign(t *testing.T) {
 	}
 }
 
-// campaignJournalFixture runs one real campaign against a journal and
-// returns the uninterrupted baseline plus the clean journal bytes.
-func campaignJournalFixture(t *testing.T) (CampaignConfig, []SiteProfile, CampaignResult, []byte, JournalHeader) {
-	t.Helper()
-	profile, err := Profile(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := CampaignConfig{
-		Policy: seep.PolicyEnhanced, Model: FullEDFI,
-		Seed: 7, SamplesPerSite: 1, MaxRuns: 8, Workers: 2,
-	}
-	baseline, _ := RunCampaign(cfg, profile)
-
-	hdr := JournalHeader{
-		Kind: TraceSingle, Policy: cfg.Policy, Model: cfg.Model, Seed: cfg.Seed,
-		SamplesPerSite: cfg.SamplesPerSite, MaxRuns: cfg.MaxRuns, IPC: cfg.IPC,
-		PlanFingerprint: PlanFingerprint(PlanCampaign(cfg, profile)),
-	}
-	path := filepath.Join(t.TempDir(), "clean")
-	j, _, err := OpenJournal(path, hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jcfg := cfg
-	jcfg.Journal = j
-	if got, _ := RunCampaign(jcfg, profile); !reflect.DeepEqual(got, baseline) {
-		t.Fatalf("journaled campaign diverged from baseline:\n%+v\nvs\n%+v", got, baseline)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	clean, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return cfg, profile, baseline, clean, hdr
-}
-
-// TestCampaignResumeBitIdentical is the crash-tolerance acceptance
-// proof: a campaign killed mid-flight (journal truncated mid-record,
-// or with a corrupt tail) resumes by re-running only the lost runs,
-// and its aggregate is bit-identical to the uninterrupted campaign at
-// every worker count.
-func TestCampaignResumeBitIdentical(t *testing.T) {
-	cfg, profile, baseline, clean, hdr := campaignJournalFixture(t)
-
-	// Simulate the kill: keep ~60% of the journal bytes (tearing the
-	// record at the cut) and, in a second shape, corrupt the tail.
-	cut := len(clean) * 6 / 10
-	shapes := map[string][]byte{
-		"torn":    clean[:cut],
-		"corrupt": append(append([]byte(nil), clean...), 0x55, 0xAA),
-	}
-	copy(shapes["corrupt"][len(clean)-2:], []byte{0xFF, 0xFF})
-
-	dir := t.TempDir()
-	for name, data := range shapes {
-		for _, workers := range []int{1, 2, 8} {
-			path := filepath.Join(dir, name+string(rune('0'+workers)))
-			if err := os.WriteFile(path, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			j, resumed, err := OpenJournal(path, hdr)
-			if err != nil {
-				t.Fatalf("%s/workers=%d: resume open failed: %v", name, workers, err)
-			}
-			if resumed == 0 || resumed >= cfg.MaxRuns {
-				t.Fatalf("%s/workers=%d: resumed %d runs; the fixture should lose some but not all", name, workers, resumed)
-			}
-			rcfg := cfg
-			rcfg.Workers = workers
-			rcfg.Journal = j
-			got, _ := RunCampaign(rcfg, profile)
-			if err := j.Close(); err != nil {
-				t.Fatalf("%s/workers=%d: close: %v", name, workers, err)
-			}
-			if !reflect.DeepEqual(got, baseline) {
-				t.Fatalf("%s/workers=%d: resumed aggregate diverged:\n%+v\nvs baseline\n%+v", name, workers, got, baseline)
-			}
-		}
-	}
-}
-
-// TestMultiCampaignResumeBitIdentical: the same crash-tolerance
-// contract for multi-fault campaigns.
-func TestMultiCampaignResumeBitIdentical(t *testing.T) {
-	profile, err := Profile(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := MultiCampaignConfig{
-		Policy: seep.PolicyEnhanced, Model: FailStop,
-		Faults: 2, Runs: 6, Seed: 11, Workers: 2,
-	}
-	baseline, _ := RunMultiCampaign(cfg, profile)
-
-	hdr := JournalHeader{
-		Kind: TraceMulti, Policy: cfg.Policy, Model: cfg.Model, Seed: cfg.Seed,
-		Faults: cfg.Faults, Runs: cfg.Runs, IPC: cfg.IPC,
-		PlanFingerprint: MultiPlanFingerprint(PlanMultiCampaign(cfg, profile)),
-	}
-	path := filepath.Join(t.TempDir(), "mj")
-	j, _, err := OpenJournal(path, hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jcfg := cfg
-	jcfg.Journal = j
-	if got, _ := RunMultiCampaign(jcfg, profile); !reflect.DeepEqual(got, baseline) {
-		t.Fatalf("journaled multi campaign diverged from baseline")
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	clean, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	torn := filepath.Join(t.TempDir(), "torn")
-	if err := os.WriteFile(torn, clean[:len(clean)*2/3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j2, resumed, err := OpenJournal(torn, hdr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed == 0 || resumed >= cfg.Runs {
-		t.Fatalf("resumed %d of %d runs; fixture should lose some but not all", resumed, cfg.Runs)
-	}
-	rcfg := cfg
-	rcfg.Workers = 8
-	rcfg.Journal = j2
-	got, _ := RunMultiCampaign(rcfg, profile)
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, baseline) {
-		t.Fatalf("resumed multi aggregate diverged:\n%+v\nvs\n%+v", got, baseline)
-	}
-}
-
 // TestTraceRecordReplay: traces built from real runs replay
 // bit-identically, and survive the JSON file round trip.
 func TestTraceRecordReplay(t *testing.T) {
@@ -374,12 +231,31 @@ func TestTraceRecordReplay(t *testing.T) {
 // plan order, whether executed or served from the journal — so -record
 // emits a complete trace set even on a resumed campaign.
 func TestCampaignOnResultSeesJournaledRuns(t *testing.T) {
-	cfg, profile, _, clean, hdr := campaignJournalFixture(t)
-
-	path := filepath.Join(t.TempDir(), "j")
-	if err := os.WriteFile(path, clean, 0o644); err != nil {
+	profile, err := Profile(42)
+	if err != nil {
 		t.Fatal(err)
 	}
+	cfg := CampaignConfig{
+		Policy: seep.PolicyEnhanced, Model: FullEDFI,
+		Seed: 7, SamplesPerSite: 1, MaxRuns: 8, Workers: 2,
+	}
+	hdr := JournalHeader{
+		Kind: TraceSingle, Policy: cfg.Policy, Model: cfg.Model, Seed: cfg.Seed,
+		SamplesPerSite: cfg.SamplesPerSite, MaxRuns: cfg.MaxRuns, IPC: cfg.IPC,
+		PlanFingerprint: PlanFingerprint(PlanCampaign(cfg, profile)),
+	}
+	path := filepath.Join(t.TempDir(), "j")
+	j, _, err := OpenJournal(path, hdr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jcfg := cfg
+	jcfg.Journal = j
+	RunCampaign(jcfg, profile)
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
 	j, resumed, err := OpenJournal(path, hdr)
 	if err != nil {
 		t.Fatal(err)

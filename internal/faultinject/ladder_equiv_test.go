@@ -59,6 +59,16 @@ func TestLadderRungCountsSeedIndependent(t *testing.T) {
 	}
 }
 
+// coldPlane pins a campaign to cold boots: the warm-fork oracle.
+var coldPlane = PlaneOptions{ColdBoot: true}
+
+// coldCampaign runs cfg with every run booted cold.
+func coldCampaign(cfg CampaignConfig, profile []SiteProfile) CampaignResult {
+	cfg.Plane = coldPlane
+	res, _ := RunCampaign(cfg, profile)
+	return res
+}
+
 // ladderTestPlan returns a small single-fault campaign and its cold
 // oracle result.
 func ladderTestPlan(t *testing.T) (CampaignConfig, []SiteProfile, CampaignResult) {

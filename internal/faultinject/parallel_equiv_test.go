@@ -1,11 +1,6 @@
 package faultinject
 
-import (
-	"reflect"
-	"testing"
-
-	"repro/internal/seep"
-)
+import "testing"
 
 // thinIndices replaced float-stride thinning, whose rounding could
 // over- or undershoot the requested run count. The integer form must
@@ -49,47 +44,6 @@ func TestPlanCampaignMaxRunsExact(t *testing.T) {
 		cfg.MaxRuns = max
 		if got := len(PlanCampaign(cfg, profile)); got != max {
 			t.Fatalf("MaxRuns=%d produced %d runs (full plan %d)", max, got, full)
-		}
-	}
-}
-
-// The parallel campaign engine must produce bit-identical aggregates
-// for every worker count: each run is a pure function of its seed, and
-// reduction happens in plan order regardless of completion order.
-func TestRunCampaignIdenticalAcrossWorkerCounts(t *testing.T) {
-	profile, err := Profile(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := CampaignConfig{
-		Policy: seep.PolicyEnhanced, Model: FailStop,
-		Seed: 7, SamplesPerSite: 1, MaxRuns: 10, Workers: 1,
-	}
-	serial, _ := RunCampaign(cfg, profile)
-	for _, workers := range []int{2, 8} {
-		cfg.Workers = workers
-		got, _ := RunCampaign(cfg, profile)
-		if !reflect.DeepEqual(serial, got) {
-			t.Fatalf("workers=%d result diverged from serial:\n%+v\nvs\n%+v", workers, got, serial)
-		}
-	}
-}
-
-func TestRunMultiCampaignIdenticalAcrossWorkerCounts(t *testing.T) {
-	profile, err := Profile(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := MultiCampaignConfig{
-		Policy: seep.PolicyEnhanced, Model: FailStop,
-		Faults: 2, Runs: 6, Seed: 11, Workers: 1,
-	}
-	serial, _ := RunMultiCampaign(cfg, profile)
-	for _, workers := range []int{2, 8} {
-		cfg.Workers = workers
-		got, _ := RunMultiCampaign(cfg, profile)
-		if !reflect.DeepEqual(serial, got) {
-			t.Fatalf("workers=%d result diverged from serial:\n%+v\nvs\n%+v", workers, got, serial)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package faultinject
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"repro/internal/seep"
@@ -93,47 +92,5 @@ func TestArmedRunnerServesClassOutsidePlan(t *testing.T) {
 			t.Errorf("%s: runs not served warm: %+v", name, stats)
 		}
 		runner.Close()
-	}
-}
-
-// Plane options are fields of the runner they configure: a cold-pinned,
-// a no-elide and a default runner over one plan, running concurrently in
-// one process, each serve the way they were told and agree on every
-// result.
-func TestPlaneOptionsDoNotLeak(t *testing.T) {
-	profile, err := Profile(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := CampaignConfig{Policy: seep.PolicyEnhanced, Model: FailStop, Seed: 42, SamplesPerSite: 1, MaxRuns: 24}
-	plan := PlanCampaign(cfg, profile)
-	planes := []PlaneOptions{{ColdBoot: true}, {NoElide: true}, {}}
-	results := make([][]RunResult, len(planes))
-	stats := make([]PlaneStats, len(planes))
-	var wg sync.WaitGroup
-	for p, plane := range planes {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cfg := cfg
-			cfg.Plane = plane
-			results[p], _, stats[p] = servedPass(cfg, plan, 1)
-		}()
-	}
-	wg.Wait()
-	if cold := stats[0]; cold.ColdBoots != len(plan) || cold.Fallbacks[FallbackColdBootPinned] != len(plan) {
-		t.Errorf("cold-pinned runner: %+v, want %d pinned cold boots", cold, len(plan))
-	}
-	if pinned := stats[1]; pinned.ColdBoots != 0 || pinned.Elided != 0 || pinned.Wedged != 0 ||
-		pinned.ElisionFallbacks[ElideFallbackPinned] != len(plan) {
-		t.Errorf("no-elide runner: %+v, want %d warm runs executed in full", pinned, len(plan))
-	}
-	if def := stats[2]; def.ColdBoots != 0 || def.Elided == 0 {
-		t.Errorf("default runner: %+v, want warm runs with elided tails", def)
-	}
-	for p := 1; p < len(planes); p++ {
-		if !reflect.DeepEqual(results[0], results[p]) {
-			t.Errorf("results under %+v differ from the cold-pinned runner's", planes[p])
-		}
 	}
 }

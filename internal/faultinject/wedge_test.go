@@ -17,13 +17,10 @@ import (
 )
 
 // The wedge certificate ends a provably hung warm run after a few
-// heartbeat rounds instead of simulating it to the cycle limit. These
-// tests assert that every certified run is the hang its cold boot ends
-// as, drive each certificate gate through its refusing path against the
-// cold oracle, and pin the -noelide switch. All names start with
-// TestWedge so CI selects the suite with -run Wedge.
-
-const cycleLimitReason = "cycle limit exceeded"
+// heartbeat rounds instead of simulating it to the cycle limit. The
+// differential runner's wedge rows check that every certified run is the
+// hang its cold boot ends as; these tests drive each certificate gate
+// through its refusing path against the cold oracle.
 
 // stratifiedPlan mirrors osirisbench's campaign_single plan: per
 // candidate site, min(samples, reach) fail-stop injections spread evenly
@@ -66,110 +63,6 @@ func servedPass(cfg CampaignConfig, plan []Injection, workers int) ([]RunResult,
 		return rr
 	})
 	return results, decisions, runner.Stats()
-}
-
-// (a) Every run of a stratified fail-stop plan that ends "cycle limit
-// exceeded" equals its cold RunOne, every run the plane reports wedged
-// is such a run, and the results do not depend on the worker count. A
-// small plan runs at workers 1, 2 and 8 — that part is what the race
-// detector and -short see; without either, the benchmark-size plans (40
-// per site x 2 policies x 3 seeds, 226 hangs) follow at one worker count
-// each.
-func TestWedgeEquivalence(t *testing.T) {
-	type planCase struct {
-		policy  seep.Policy
-		seed    uint64
-		samples int
-		workers []int
-	}
-	cases := []planCase{{seep.PolicyEnhanced, 42, 3, []int{1, 2, 8}}}
-	if !raceEnabled && !testing.Short() {
-		for i, seed := range []uint64{42, 7, 1234} {
-			cases = append(cases,
-				planCase{seep.PolicyEnhanced, seed, 40, []int{1, 2, 8}[i:][:1]},
-				planCase{seep.PolicyPessimistic, seed, 40, []int{2, 8, 1}[i:][:1]})
-		}
-	}
-	for _, c := range cases {
-		profile, err := Profile(c.seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plan := stratifiedPlan(profile, c.samples, c.seed)
-		cfg := CampaignConfig{Policy: c.policy, Model: FailStop, Seed: c.seed}
-		var results []RunResult
-		var decisions []Serving
-		var stats PlaneStats
-		for i, workers := range c.workers {
-			res, dec, st := servedPass(cfg, plan, workers)
-			assertElisionAccounted(t, st)
-			if i > 0 && !reflect.DeepEqual(results, res) {
-				t.Errorf("%v seed %d: results at workers=%d differ from workers=%d", c.policy, c.seed, workers, c.workers[0])
-			}
-			results, decisions, stats = res, dec, st
-		}
-
-		var hangs []int
-		wedged := 0
-		for i, rr := range results {
-			isWedged := decisions[i].Plane == PlaneWedged
-			if isWedged {
-				wedged++
-			}
-			if rr.Reason == cycleLimitReason {
-				hangs = append(hangs, i)
-			} else if isWedged {
-				t.Errorf("%v seed %d run %d: served %q but ended %v (%s)", c.policy, c.seed, i, decisions[i], rr.Outcome, rr.Reason)
-			}
-		}
-		cold := parallel.Map(0, len(hangs), func(j int) RunResult {
-			i := hangs[j]
-			return RunOne(c.policy, cfg.Seed+uint64(i)*7919, plan[i])
-		})
-		for j, i := range hangs {
-			if !reflect.DeepEqual(cold[j], results[i]) {
-				t.Errorf("%v seed %d run %d (%s): warm result differs from cold RunOne:\ncold: %+v\nwarm: %+v",
-					c.policy, c.seed, i, decisions[i], cold[j], results[i])
-			}
-		}
-		if wedged != stats.Wedged {
-			t.Errorf("%v seed %d: %d wedged decisions, stats say %d", c.policy, c.seed, wedged, stats.Wedged)
-		}
-		// Every hang of a fail-stop plan has the certifiable shape (a test
-		// waiting for an event that died with the server); one the
-		// certificate misses costs ~100x any other run.
-		if len(hangs) == 0 || wedged != len(hangs) {
-			t.Errorf("%v seed %d: %d of %d cycle-limit runs certified", c.policy, c.seed, wedged, len(hangs))
-		}
-		t.Logf("%v seed %d, %d per site, workers %v: %d runs, %d cycle-limit, %d wedged",
-			c.policy, c.seed, c.samples, c.workers, len(plan), len(hangs), wedged)
-	}
-}
-
-// (c) The -noelide pin disables the certificate together with elision:
-// no run is wedged, and the results are identical.
-func TestWedgeNoElidePinned(t *testing.T) {
-	profile, err := Profile(42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := stratifiedPlan(profile, 2, 42)
-	cfg := CampaignConfig{Policy: seep.PolicyEnhanced, Model: FailStop, Seed: 42}
-	served, _, stats := servedPass(cfg, plan, 2)
-	if stats.Wedged == 0 {
-		t.Fatal("plan certifies no run: the pinned comparison is vacuous")
-	}
-	cfg.Plane = noElidePlane
-	pinned, _, pinnedStats := servedPass(cfg, plan, 2)
-	if pinnedStats.Wedged != 0 || pinnedStats.Elided != 0 {
-		t.Errorf("-noelide still served %d wedged, %d elided runs", pinnedStats.Wedged, pinnedStats.Elided)
-	}
-	if n := pinnedStats.ElisionFallbacks[ElideFallbackPinned]; n != pinnedStats.LadderForks+pinnedStats.BootForks {
-		t.Errorf("%d of %d pinned warm runs charged %s", n, pinnedStats.LadderForks+pinnedStats.BootForks, ElideFallbackPinned)
-	}
-	if !reflect.DeepEqual(pinned, served) {
-		t.Error("results differ between the wedge certificate and -noelide full execution")
-	}
 }
 
 // wedgeProbe boots prog as init on two identical machines — one driven
