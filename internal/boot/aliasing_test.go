@@ -135,21 +135,28 @@ func TestForkAliasingPartialWritesStayPrivate(t *testing.T) {
 
 // A store's Slice pages and Maps are shared the same way (DESIGN.md §7):
 // a capture and every fork copy a slice's page table and share its pages
-// and every map, and the first write to a page or a map copies it.
+// and every map, and the first write to a page or a map copies it. An
+// inode's block table is shared with them, and a write installs a new
+// one (fs.Inode).
 // pageWriter writes both slices of the suite machine — VM's frame table,
 // by growing and shrinking its address space and forking a child, and
 // the filesystem's free-block stack, by writing a file and unlinking it
 // — each by amounts of its own, and both of the filesystem's maps, by
-// keeping a file of its own besides.
+// keeping a file of its own besides. It also adds a block to holeyFile,
+// into the hole of the table the snapshot holds.
 func pageWriter(tag int) usr.Program {
 	return func(p *usr.Proc) int {
+		fd, _ := p.Open(holeyFile, 0)
+		p.LSeek(fd, fs.BlockSize+int64(tag))
+		p.Write(fd, []byte{byte('A' + tag)})
+		p.Close(fd)
 		p.Brk(int64(8 + 4*tag))
 		p.Brk(-int64(2 + tag))
 		if _, errno := p.Fork(func(*usr.Proc) int { return 0 }); errno == kernel.OK {
 			p.Wait()
 		}
 		name := fmt.Sprintf("/pages%d", tag)
-		fd, _ := p.Create(name)
+		fd, _ = p.Create(name)
 		p.Write(fd, make([]byte, (tag+2)*fs.BlockSize))
 		p.Close(fd)
 		p.Unlink(name)
@@ -157,6 +164,35 @@ func pageWriter(tag int) usr.Program {
 		p.Close(fd)
 		return 0
 	}
+}
+
+// holeyFile is a file of the suite machine of TestForkStoresStayPrivate
+// with a hole in its block table: a block, a hole, a block.
+const holeyFile = "/holey"
+
+// holeyInit writes holeyFile and runs the suite.
+func holeyInit(report *testsuite.Report) usr.Program {
+	return func(p *usr.Proc) int {
+		fd, _ := p.Create(holeyFile)
+		p.Write(fd, []byte("first"))
+		p.LSeek(fd, 2*fs.BlockSize)
+		p.Write(fd, []byte("third"))
+		p.Close(fd)
+		return testsuite.RunnerInit(report)(p)
+	}
+}
+
+// holeyTable returns holeyFile's block table in a machine's VFS store.
+func holeyTable(t *testing.T, vfsStore *memlog.Store) []int32 {
+	t.Helper()
+	inodes, dirents := mapsOf(vfsStore)
+	ino, ok := dirents.Get(fmt.Sprintf("%d%s", fs.RootIno, holeyFile))
+	node, _ := inodes.Get(ino)
+	if !ok || len(node.Blocks) != 3 {
+		t.Errorf("%s holds table %v, want three slots", holeyFile, node.Blocks)
+		return make([]int32, 3)
+	}
+	return node.Blocks
 }
 
 // storeBytes is the image of st.
@@ -199,7 +235,7 @@ func sameElements(a, b *memlog.Slice[int32]) bool {
 func TestForkStoresStayPrivate(t *testing.T) {
 	opts := suiteOpts(1)
 	var report testsuite.Report
-	sys := Boot(opts, testsuite.RunnerInit(&report))
+	sys := Boot(opts, holeyInit(&report))
 	defer sys.Shutdown("done")
 	for i := 0; i < 30; i++ {
 		if !sys.Kernel().RunToBarrier(testLimit) {
@@ -255,6 +291,9 @@ func TestForkStoresStayPrivate(t *testing.T) {
 					t.Errorf("fork %d did not write its slice %d", i, k)
 				}
 			}
+			if holeyTable(t, forked.OS.ComponentStore(kernel.EpVFS))[1] == 0 {
+				t.Errorf("fork %d did not fill the hole of %s", i, holeyFile)
+			}
 			inodes, dirents := mapsOf(forked.OS.ComponentStore(kernel.EpVFS))
 			if inodes.Len() != snapInodes.Len()+1 || dirents.Len() != snapDirents.Len()+1 {
 				t.Errorf("fork %d holds %d inodes and %d dirents, the snapshot %d and %d: want one file more", i, inodes.Len(), dirents.Len(), snapInodes.Len(), snapDirents.Len())
@@ -268,6 +307,9 @@ func TestForkStoresStayPrivate(t *testing.T) {
 	}
 	wg.Wait()
 
+	if holeyTable(t, snapStores[kernel.EpVFS])[1] != 0 {
+		t.Errorf("a fork's block landed in the snapshot's table of %s", holeyFile)
+	}
 	for _, ep := range eps {
 		if !bytes.Equal(storeBytes(t, snapStores[ep]), before[ep]) {
 			t.Errorf("the snapshot's store %d changed under its forks and the pathfinder", ep)

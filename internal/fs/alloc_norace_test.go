@@ -5,6 +5,7 @@ package fs
 import (
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/memlog"
 )
@@ -35,4 +36,37 @@ func TestSmallWriteAllocation(t *testing.T) {
 	if perWrite := (after.TotalAlloc - before.TotalAlloc) / (files * perFile); perWrite > 256 {
 		t.Fatalf("a 100-byte write to a fresh block allocates %d bytes, want at most 256", perWrite)
 	}
+}
+
+// An inode is 48 bytes, which a Go map stores inline (one over 128 bytes
+// it stores as a pointer to a record of its own): inserting inodes into
+// fs.inodes, and a clone's first write, which copies the map, cost the
+// map's own arrays, not a heap record an inode.
+func TestInodeInsertAllocation(t *testing.T) {
+	if size := unsafe.Sizeof(Inode{}); size != 48 {
+		t.Fatalf("an Inode is %d bytes, want 48", size)
+	}
+	const n = 1000
+	store := memlog.NewStore("vfs", memlog.Baseline)
+	inodes := memlog.NewMap[int64, Inode](store, "fs.inodes")
+	table := []int32{7}
+	mallocs := func(what string, do func()) {
+		t.Helper()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		do()
+		runtime.ReadMemStats(&after)
+		if per := float64(after.Mallocs-before.Mallocs) / n; per >= 1 {
+			t.Errorf("%s costs %.2f mallocs an inode, want under one", what, per)
+		}
+	}
+	mallocs("inserting inodes", func() {
+		for ino := int64(1); ino <= n; ino++ {
+			inodes.Set(ino, Inode{Ino: ino, Size: 10, Blocks: table, Type: TypeFile, Nlink: 1})
+		}
+	})
+	clone := memlog.NewMap[int64, Inode](store.Clone(), "fs.inodes")
+	mallocs("a clone's first write", func() {
+		clone.Set(1, Inode{Ino: 1, Type: TypeFile, Nlink: 1})
+	})
 }

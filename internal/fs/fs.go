@@ -41,22 +41,37 @@ const (
 // Inode is the on-"disk" metadata of one file system object. Values are
 // treated as immutable: mutations replace the whole struct in the inode
 // map so the undo log captures exact old versions.
+//
+// Blocks is the inode's block table held as its prefix: slot i holds the
+// data block of file block i, 0 a hole, and the table ends at the last
+// allocated slot — a slot past its end is a hole too, and a file with no
+// block has a nil table. Like a device block (BlockDevice), a table is
+// never written in place: the undo log, a snapshot and every fork of it
+// share it with the live inode, so a change installs a fresh slice, and
+// its capacity is clipped so that nothing appends into a shared array.
+// The fields are ordered to pack the struct into 48 bytes, which a Go map
+// stores inline (a value over 128 bytes it stores as a pointer to a heap
+// record of its own, one malloc an insert and an inode a map copy).
 type Inode struct {
 	Ino    int64
-	Type   FileType
 	Size   int64
+	Blocks []int32 // the table's prefix, up to the last allocated slot
+	Type   FileType
 	Nlink  int32
-	Blocks [NDirect]int32 // 0 = unallocated
 }
 
 // Code is the inode's field list (wire.Coder): the store image and the
 // fingerprint of fs.inodes walk it instead of reflecting over the struct.
+// It codes the image format v1 layout, not the declaration order: Ino,
+// Type, Size, Nlink, then all NDirect block slots, the zeros past the
+// table's end included (wire.IntsPrefix), so the bytes and the hash are
+// those of a full table.
 func (n *Inode) Code(c *wire.Codec) {
 	wire.Int(c, &n.Ino)
 	wire.Int(c, &n.Type)
 	wire.Int(c, &n.Size)
 	wire.Int(c, &n.Nlink)
-	wire.Ints(c, n.Blocks[:])
+	wire.IntsPrefix(c, &n.Blocks, NDirect)
 }
 
 // BlockDevice is the data-block backend. Implementations may have side
@@ -427,13 +442,12 @@ func (f *FS) freeBlock(b int32) {
 
 // freeInodeBlocks releases every data block of node.
 func (f *FS) freeInodeBlocks(node *Inode) {
-	for i, b := range node.Blocks {
+	for _, b := range node.Blocks {
 		if b != 0 {
 			f.freeBlock(b)
-			node.Blocks[i] = 0
 		}
 	}
-	node.Size = 0
+	node.Blocks, node.Size = nil, 0
 }
 
 // FreeBlockCount reports how many blocks are free (accounting checks).
@@ -463,6 +477,9 @@ func (f *FS) ReadAt(dev BlockDevice, ino int64, off int64, n int) ([]byte, kerne
 	if node.Type != TypeFile {
 		return nil, kernel.EISDIR
 	}
+	if off < 0 {
+		return nil, kernel.EINVAL
+	}
 	if off >= node.Size || n <= 0 {
 		return nil, kernel.OK // EOF
 	}
@@ -478,7 +495,7 @@ func (f *FS) ReadAt(dev BlockDevice, ino int64, off int64, n int) ([]byte, kerne
 			chunk = n
 		}
 		var data []byte // a sparse hole reads as zeros, like a short prefix's tail
-		if node.Blocks[bi] != 0 {
+		if bi < len(node.Blocks) && node.Blocks[bi] != 0 {
 			var errno kernel.Errno
 			if data, errno = dev.ReadBlock(node.Blocks[bi]); errno != kernel.OK {
 				return nil, errno
@@ -495,6 +512,7 @@ func (f *FS) ReadAt(dev BlockDevice, ino int64, off int64, n int) ([]byte, kerne
 
 // WriteAt writes data at offset off in the file at ino through dev,
 // growing the file as needed. It returns the number of bytes written.
+// A zero-length write leaves the file as it is, past its end too.
 func (f *FS) WriteAt(dev BlockDevice, ino int64, off int64, data []byte) (int, kernel.Errno) {
 	node, ok := f.inodes.Get(ino)
 	if !ok {
@@ -506,10 +524,14 @@ func (f *FS) WriteAt(dev BlockDevice, ino int64, off int64, data []byte) (int, k
 	if off < 0 {
 		return 0, kernel.EINVAL
 	}
-	if off+int64(len(data)) > int64(NDirect*BlockSize) {
+	end := off + int64(len(data))
+	if end > int64(NDirect*BlockSize) {
 		return 0, kernel.ENOSPC
 	}
-	before := node
+	// changed reports that node differs from the stored inode. Until the
+	// size is set below, that means node.Blocks is this call's own copy of
+	// the table, which it may write.
+	changed := false
 	written := 0
 	var errno kernel.Errno
 	for written < len(data) {
@@ -519,10 +541,17 @@ func (f *FS) WriteAt(dev BlockDevice, ino int64, off int64, data []byte) (int, k
 		if chunk > len(data)-written {
 			chunk = len(data) - written
 		}
-		if node.Blocks[bi] == 0 {
+		if bi >= len(node.Blocks) || node.Blocks[bi] == 0 {
 			var b int32
 			if b, errno = f.allocBlock(); errno != kernel.OK {
 				break
+			}
+			if !changed {
+				// The stored table is shared (Inode): copy it once, grown to
+				// the write's last block.
+				table := make([]int32, max(len(node.Blocks), int((end-1)/BlockSize)+1))
+				copy(table, node.Blocks)
+				node.Blocks, changed = table, true
 			}
 			node.Blocks[bi] = b
 		}
@@ -546,12 +575,21 @@ func (f *FS) WriteAt(dev BlockDevice, ino int64, off int64, data []byte) (int, k
 		off += int64(chunk)
 		written += chunk
 	}
-	if off > node.Size {
-		node.Size = off
+	if changed {
+		// A write that stopped early leaves the slots it did not reach
+		// zero: cut them, so the table ends at its last allocated slot.
+		k := len(node.Blocks)
+		for node.Blocks[k-1] == 0 {
+			k--
+		}
+		node.Blocks = node.Blocks[:k:k]
+	}
+	if len(data) > 0 && off > node.Size {
+		node.Size, changed = off, true
 	}
 	// A failed chunk still keeps what came before it: the blocks already
 	// allocated and a size that covers the bytes reported written.
-	if errno == kernel.OK || node != before {
+	if errno == kernel.OK || changed {
 		f.inodes.Set(ino, node)
 	}
 	return written, errno

@@ -65,7 +65,7 @@ func BenchmarkFingerprintStructMap(b *testing.B) {
 	s := memlog.NewStore("bench", memlog.Baseline)
 	inodes := memlog.NewMap[int64, fs.Inode](s, "fs.inodes")
 	for ino := int64(1); ino <= 120; ino++ {
-		inodes.Set(ino, fs.Inode{Ino: ino, Type: 1, Size: 10, Nlink: 1, Blocks: [fs.NDirect]int32{int32(ino)}})
+		inodes.Set(ino, fs.Inode{Ino: ino, Type: 1, Size: 10, Nlink: 1, Blocks: []int32{int32(ino)}})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

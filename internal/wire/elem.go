@@ -19,7 +19,9 @@ import (
 // every field, in declaration order, each in the form of its kind
 // (wire.Int for any signed kind, Codec.Str for a string, wire.Map for a
 // map, ...) — so that the one list encodes, decodes and feeds the
-// fingerprint.
+// fingerprint. A type that keeps the layout of an earlier declaration
+// lists that layout instead (fs.Inode), and its test holds the list to a
+// mirror of that declaration.
 type Coder interface{ Code(*Codec) }
 
 // Typed reports whether Elem and Elems have a route of their own for T:
@@ -159,6 +161,48 @@ func Ints[T signed](c *Codec, s []T) {
 		}
 	}
 	d.off = off
+}
+
+// IntsPrefix codes *p as the n elements of an array held as its prefix:
+// the elements of *p as Ints codes them, then a zero for every element
+// past its end, so a table that keeps only its prefix codes and hashes as
+// the whole array does. The zero tail hashes in closed form (a zero is
+// one multiply by the prime, sim.Hash.Zeros). Decoding, it reads n
+// elements and sets *p to a fresh slice cut after the last non-zero one,
+// its capacity clipped, or to nil when every element is zero. A *p longer
+// than n is an error.
+func IntsPrefix[T signed](c *Codec, p *[]T, n int) {
+	if c.d != nil {
+		var small [64]T // room for an inode's table without a heap array
+		s := small[:0]
+		if n <= len(small) {
+			s = small[:n]
+		} else {
+			s = make([]T, n)
+		}
+		Ints(c, s)
+		k := n
+		for k > 0 && s[k-1] == 0 {
+			k--
+		}
+		*p = nil
+		if c.Err() == nil && k > 0 {
+			*p = make([]T, k)
+			copy(*p, s)
+		}
+		return
+	}
+	s := *p
+	if len(s) > n {
+		c.Fail(wireError("wire: a prefix of " + strconv.Itoa(len(s)) + " elements of an array of " + strconv.Itoa(n)))
+		return
+	}
+	Ints(c, s)
+	if c.hashing {
+		c.h.Zeros(n - len(s))
+		return
+	}
+	c.e.buf = append(c.e.buf, make([]byte, n-len(s))...) // zigzag(0) is the one-byte varint 0
 }
 
 // sliceHead codes the head of the slice form and returns how many
