@@ -143,10 +143,19 @@ func TestForkAliasingPartialWritesStayPrivate(t *testing.T) {
 // the filesystem's free-block stack, by writing a file and unlinking it
 // — each by amounts of its own, and both of the filesystem's maps, by
 // keeping a file of its own besides. It also adds a block to holeyFile,
-// into the hole of the table the snapshot holds.
-func pageWriter(tag int) usr.Program {
+// into the hole of the table the snapshot holds, after reading part of
+// the snapshot's last block of it — a read the device lends (fs.ReadAt)
+// — and appending to the result, which must copy.
+func pageWriter(t *testing.T, tag int) usr.Program {
 	return func(p *usr.Proc) int {
 		fd, _ := p.Open(holeyFile, 0)
+		p.LSeek(fd, 2*fs.BlockSize+1)
+		lent, _ := p.Read(fd, 3)
+		_ = append(lent, byte('A'+tag))
+		p.LSeek(fd, 2*fs.BlockSize+1)
+		if again, _ := p.Read(fd, 4); string(again) != "hird" {
+			t.Errorf("fork %d: after an append to a lent read, %s reads %q at %d, want \"hird\"", tag, holeyFile, again, 2*fs.BlockSize+1)
+		}
 		p.LSeek(fd, fs.BlockSize+int64(tag))
 		p.Write(fd, []byte{byte('A' + tag)})
 		p.Close(fd)
@@ -277,7 +286,7 @@ func TestForkStoresStayPrivate(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			forked, err := snap.Fork(ForkParams{Seed: uint64(i)}, pageWriter(i))
+			forked, err := snap.Fork(ForkParams{Seed: uint64(i)}, pageWriter(t, i))
 			if err != nil {
 				t.Errorf("fork %d: %v", i, err)
 				return

@@ -3,6 +3,7 @@
 package fs
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 	"unsafe"
@@ -69,4 +70,44 @@ func TestInodeInsertAllocation(t *testing.T) {
 	mallocs("a clone's first write", func() {
 		clone.Set(1, Inode{Ino: 1, Type: TypeFile, Nlink: 1})
 	})
+}
+
+// A read inside one block's written prefix returns the device's bytes
+// (BlockDevice) and allocates nothing; a read over a hole, past a short
+// prefix or across a block still builds its result, with the exact bytes.
+func TestReadInPrefixDoesNotAllocate(t *testing.T) {
+	f := New(memlog.NewStore("vfs", memlog.Baseline), 8)
+	dev := NewMemDevice(8)
+	ino, _ := f.Create("/f")
+	// Block 0 full, block 1 a hole, block 2 a 5-byte prefix, block 3 one
+	// past it.
+	model := make([]byte, 3*BlockSize+3)
+	copy(model, bytes.Repeat([]byte("0123456789abcdef"), BlockSize/16))
+	copy(model[2*BlockSize:], "short")
+	copy(model[3*BlockSize:], "end")
+	for _, off := range []int64{0, 2 * BlockSize, 3 * BlockSize} {
+		f.WriteAt(dev, ino, off, bytes.TrimRight(model[off:min(int(off)+BlockSize, len(model))], "\x00"))
+	}
+	var got []byte
+	if allocs := testing.AllocsPerRun(100, func() { got, _ = f.ReadAt(dev, ino, 100, 1000) }); allocs != 0 {
+		t.Fatalf("a read inside a block's prefix allocates %v times, want none", allocs)
+	}
+	if !bytes.Equal(got, model[100:1100]) {
+		t.Fatal("a read inside a block's prefix returns the wrong bytes")
+	}
+	for _, c := range []struct {
+		what string
+		off  int64
+		n    int
+	}{
+		{"a read across a block", BlockSize - 8, 16},
+		{"a read of a hole", BlockSize + 10, 20},
+		{"a read past a short prefix", 2*BlockSize + 2, 20},
+		{"a read across a hole and a short prefix", BlockSize - 8, 8 + BlockSize + 5},
+		{"a read of the whole file", 0, len(model)},
+	} {
+		if got, _ := f.ReadAt(dev, ino, c.off, c.n); !bytes.Equal(got, model[c.off:int(c.off)+c.n]) {
+			t.Errorf("%s returns %q, want %q", c.what, got, model[c.off:int(c.off)+c.n])
+		}
+	}
 }

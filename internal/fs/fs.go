@@ -92,7 +92,10 @@ func (n *Inode) Code(c *wire.Codec) {
 //
 //   - the slice ReadBlock returns is the device's own block and is
 //     READ-ONLY: a caller that wants to change it copies it first.
-//     WriteAt's partial-block read-modify-write is the one such caller;
+//     WriteAt's partial-block read-modify-write is the one such caller.
+//     ReadAt may lend the block further up: a read inside one block's
+//     written prefix returns a slice of the block itself, its capacity
+//     clipped, and so does the VFS's reply (kernel.Message);
 //   - WriteBlock TAKES OWNERSHIP of data: the caller must not touch the
 //     buffer afterwards. A device keeps the buffer as the block itself
 //     (OwnedBlock).
@@ -468,7 +471,12 @@ func (f *FS) Truncate(ino int64) kernel.Errno {
 }
 
 // ReadAt reads up to n bytes at offset off from the file at ino,
-// fetching data blocks through dev.
+// fetching data blocks through dev, one ReadBlock a block in file order.
+// The result is READ-ONLY: a read that lies inside one block and inside
+// that block's written prefix returns the device's own bytes, its
+// capacity clipped to its length (BlockDevice), and allocates nothing.
+// Every other read — a hole, a read past a short prefix, one that crosses
+// a block — returns a fresh copy.
 func (f *FS) ReadAt(dev BlockDevice, ino int64, off int64, n int) ([]byte, kernel.Errno) {
 	node, ok := f.inodes.Get(ino)
 	if !ok {
@@ -486,7 +494,7 @@ func (f *FS) ReadAt(dev BlockDevice, ino int64, off int64, n int) ([]byte, kerne
 	if int64(n) > node.Size-off {
 		n = int(node.Size - off)
 	}
-	out := make([]byte, 0, n)
+	var out []byte
 	for n > 0 {
 		bi := int(off / BlockSize)
 		bo := int(off % BlockSize)
@@ -500,6 +508,12 @@ func (f *FS) ReadAt(dev BlockDevice, ino int64, off int64, n int) ([]byte, kerne
 			if data, errno = dev.ReadBlock(node.Blocks[bi]); errno != kernel.OK {
 				return nil, errno
 			}
+		}
+		if out == nil {
+			if chunk == n && bo+n <= len(data) {
+				return data[bo : bo+n : bo+n], kernel.OK // lent, not copied
+			}
+			out = make([]byte, 0, n)
 		}
 		got := data[min(bo, len(data)):min(bo+chunk, len(data))]
 		out = append(out, got...)

@@ -661,3 +661,20 @@ func TestZeroLengthWriteKeepsSize(t *testing.T) {
 		t.Fatalf("a zero-length write left size %d, table %v", node.Size, node.Blocks)
 	}
 }
+
+// A read inside one block's prefix lends the device's bytes, with the
+// capacity clipped to the read: appending to the result copies, so the
+// block, and the next read of it, keep their bytes.
+func TestLentReadStaysClipped(t *testing.T) {
+	f, _, dev := newTestFS()
+	ino, _ := f.Create("/f")
+	f.WriteAt(dev, ino, 0, []byte("abcdefgh"))
+	first, _ := f.ReadAt(dev, ino, 0, 4)
+	_ = append(first, "XY"...)
+	if got, _ := f.ReadAt(dev, ino, 4, 4); string(first) != "abcd" || string(got) != "efgh" {
+		t.Fatalf("ReadAt(0, 4), appended to, then ReadAt(4, 4) = %q then %q, want abcd then efgh", first, got)
+	}
+	if cap(first) != len(first) {
+		t.Fatalf("ReadAt(0, 4) has capacity %d", cap(first))
+	}
+}

@@ -170,6 +170,15 @@ func (e Errno) String() string {
 
 // Message is the unit of IPC. Payload fields are generic registers, as
 // in MINIX message structs; each protocol documents its usage.
+//
+// Bytes is lent, not given. A receiver treats it as READ-ONLY: it may be
+// a device's own block or a server's stored value (a file read inside one
+// block, a pipe's contents), shared with the store's undo log, a snapshot
+// and its forks. A receiver that wants to change it copies it first; an
+// append is safe, because a lent slice has its capacity clipped. A sender
+// keeps its buffer: a receiver that keeps the bytes past its handler
+// copies them or, like the block device, is handed ownership by its
+// protocol.
 type Message struct {
 	Type       MsgType
 	From, To   Endpoint

@@ -215,8 +215,9 @@ func (k *Kernel) CaptureImage() (*MachineImage, error) {
 	return img, nil
 }
 
-// ownBytes returns m with a private copy of its Bytes payload, the one
-// part of a queued message a receiver may write to.
+// ownBytes returns m with a private copy of its Bytes payload. A
+// receiver never writes it (Message), but its sender may write its buffer
+// after the capture, and the image must hold the bytes as they were sent.
 func (m Message) ownBytes() Message {
 	if m.Bytes != nil {
 		m.Bytes = append([]byte(nil), m.Bytes...)

@@ -70,35 +70,47 @@ func (f *fdEnt) Code(c *wire.Codec) {
 	wire.Int(c, &f.Pipe)
 }
 
-// pipeEnt is one pipe. Data is held as a string so undo-log records
-// capture exact old values without aliasing.
+// pipeEnt is one pipe. Data, the bytes written and not yet read, is
+// immutable: the undo log, a snapshot and its forks share it with the
+// live pipe, and a read reply lends a prefix of it to the reader
+// (kernel.Message). A write installs a fresh slice (appendBytes); a read
+// lends its prefix with the capacity clipped (take) and keeps the rest.
 type pipeEnt struct {
-	Data    string
+	Data    []byte
 	Readers int32
 	Writers int32
 }
 
-// Code is the pipe's field list (wire.Coder).
+// Code is the pipe's field list (wire.Coder). Data codes as a string
+// (wire.Codec.StrBytes), the image format v1 layout.
 func (p *pipeEnt) Code(c *wire.Codec) {
-	c.Str(&p.Data)
+	c.StrBytes(&p.Data)
 	wire.Int(c, &p.Readers)
 	wire.Int(c, &p.Writers)
 }
 
 // pipeWaiter is a process suspended on a pipe: a reader awaiting data
-// (N bytes wanted) or a writer awaiting space (Pending bytes to append).
-// The reply to EP is postponed until the pipe state allows progress.
+// (N bytes wanted) or a writer awaiting space (Pending bytes to append,
+// immutable like pipeEnt.Data). The reply to EP is postponed until the
+// pipe state allows progress.
 type pipeWaiter struct {
 	EP      int64
 	N       int64
-	Pending string
+	Pending []byte
 }
 
-// Code is the waiter's field list (wire.Coder).
+// Code is the waiter's field list (wire.Coder); Pending codes as a string,
+// like pipeEnt.Data.
 func (w *pipeWaiter) Code(c *wire.Codec) {
 	wire.Int(c, &w.EP)
 	wire.Int(c, &w.N)
-	c.Str(&w.Pending)
+	c.StrBytes(&w.Pending)
+}
+
+// appendBytes returns the bytes of held followed by b in a fresh slice:
+// held is shared (pipeEnt), so the append must not write past its end.
+func appendBytes(held, b []byte) []byte {
+	return append(held[:len(held):len(held)], b...)
 }
 
 // VFS is the Virtual File System server.
@@ -697,11 +709,7 @@ func (v *VFS) pipeRead(ctx *kernel.Context, m kernel.Message, e fdEnt) {
 		return
 	}
 	if len(p.Data) > 0 {
-		if n > len(p.Data) {
-			n = len(p.Data)
-		}
-		data := []byte(p.Data[:n])
-		p.Data = p.Data[n:]
+		data := p.take(n)
 		// Draining may unblock a suspended writer.
 		v.resumeWriter(ctx, e.Pipe, &p)
 		v.pipes.Set(e.Pipe, p)
@@ -720,16 +728,24 @@ func (v *VFS) pipeRead(ctx *kernel.Context, m kernel.Message, e fdEnt) {
 	v.waiters.Set(e.Pipe, pipeWaiter{EP: int64(m.From), N: m.B})
 }
 
-// resumeWriter completes a suspended pipe write once space is free.
+// take removes the first n bytes of the pipe, at most all of them, and
+// returns them without a copy: a read reply lends them (pipeEnt).
+func (p *pipeEnt) take(n int) []byte {
+	n = min(n, len(p.Data))
+	data := p.Data[:n:n]
+	p.Data = p.Data[n:]
+	return data
+}
+
+// resumeWriter completes a suspended pipe write once the whole of it
+// fits: a write is all or nothing, like the one that suspended it.
 func (v *VFS) resumeWriter(ctx *kernel.Context, pipe int64, p *pipeEnt) {
 	w, waiting := v.writers.Get(pipe)
-	if !waiting || len(p.Data) >= PipeCap {
+	if !waiting || len(p.Data)+len(w.Pending) > PipeCap {
 		return
 	}
 	v.writers.Delete(pipe)
-	// The suspended write completes in full now that space exists
-	// (writes are bounded by PipeCap at the syscall layer).
-	p.Data += w.Pending
+	p.Data = appendBytes(p.Data, w.Pending)
 	ctx.Reply(kernel.Endpoint(w.EP), kernel.Message{A: int64(len(w.Pending))})
 }
 
@@ -755,18 +771,13 @@ func (v *VFS) pipeWrite(ctx *kernel.Context, m kernel.Message, e fdEnt) {
 			ctx.ReplyErr(m.From, kernel.EAGAIN)
 			return
 		}
-		v.writers.Set(e.Pipe, pipeWaiter{EP: int64(m.From), Pending: string(m.Bytes)})
+		v.writers.Set(e.Pipe, pipeWaiter{EP: int64(m.From), Pending: append([]byte(nil), m.Bytes...)})
 		return
 	}
-	p.Data += string(m.Bytes)
+	p.Data = appendBytes(p.Data, m.Bytes)
 	// Wake a suspended reader, if any.
 	if w, waiting := v.waiters.Get(e.Pipe); waiting && len(p.Data) > 0 {
-		n := int(w.N)
-		if n > len(p.Data) {
-			n = len(p.Data)
-		}
-		data := []byte(p.Data[:n])
-		p.Data = p.Data[n:]
+		data := p.take(int(w.N))
 		v.waiters.Delete(e.Pipe)
 		ctx.Reply(kernel.Endpoint(w.EP), kernel.Message{Bytes: data})
 	}

@@ -3,6 +3,7 @@ package vfs
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/kernel"
@@ -10,6 +11,8 @@ import (
 	"repro/internal/proto"
 	"repro/internal/seep"
 	"repro/internal/servers/driver"
+	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
 
@@ -387,6 +390,55 @@ func TestPipeCapacitySuspendsAndResumesWriter(t *testing.T) {
 	}
 }
 
+// A suspended write resumes only once the whole of it fits: a read that
+// frees less room than the write needs leaves the writer suspended, so the
+// pipe never holds more than PipeCap bytes.
+func TestResumedWriterFitsInPipe(t *testing.T) {
+	world(t, func(ctx *kernel.Context) {
+		p := call(ctx, kernel.Message{Type: proto.VFSPipe})
+		rfd, wfd := p.A, p.B
+		call(ctx, kernel.Message{Type: proto.VFSWrite, A: wfd, Bytes: make([]byte, PipeCap-10)})
+		late := bytes.Repeat([]byte{'L'}, 1000)
+		writer := ctx.Kernel().SpawnUser("writer", func(c *kernel.Context) {
+			r := c.SendRec(kernel.EpVFS, kernel.Message{Type: proto.VFSWrite, A: wfd, Bytes: late})
+			if r.Errno != kernel.OK || r.A != int64(len(late)) {
+				t.Errorf("suspended write = %v n=%d", r.Errno, r.A)
+			}
+		})
+		call(ctx, kernel.Message{Type: proto.VFSForkFDs, A: int64(ctx.Endpoint()), B: int64(writer.Endpoint())})
+		ctx.Tick(50_000) // let the writer suspend
+		if r := call(ctx, kernel.Message{Type: proto.VFSRead, A: rfd, B: 1}); len(r.Bytes) != 1 {
+			t.Fatalf("read of 1 = %v %d bytes", r.Errno, len(r.Bytes))
+		}
+		ctx.Tick(50_000)
+		if r := call(ctx, kernel.Message{Type: proto.VFSRead, A: rfd, B: 2 * PipeCap}); len(r.Bytes) != PipeCap-11 {
+			t.Fatalf("the pipe held %d bytes after a 1-byte read, want %d: the writer resumed into a full pipe", len(r.Bytes), PipeCap-11)
+		}
+		ctx.Tick(50_000) // the drain resumed the writer
+		if r := call(ctx, kernel.Message{Type: proto.VFSRead, A: rfd, B: 2 * PipeCap}); !bytes.Equal(r.Bytes, late) {
+			t.Fatalf("resumed write reads back %d bytes, want its %d", len(r.Bytes), len(late))
+		}
+	})
+}
+
+// A pipe read lends the pipe's bytes, with the capacity clipped to the
+// read: appending to the result copies, so the bytes still in the pipe,
+// and the next read of them, stay as written.
+func TestLentPipeReadStaysClipped(t *testing.T) {
+	world(t, func(ctx *kernel.Context) {
+		p := call(ctx, kernel.Message{Type: proto.VFSPipe})
+		call(ctx, kernel.Message{Type: proto.VFSWrite, A: p.B, Bytes: []byte("abcdefgh")})
+		first := call(ctx, kernel.Message{Type: proto.VFSRead, A: p.A, B: 4}).Bytes
+		_ = append(first, "XY"...)
+		if got := call(ctx, kernel.Message{Type: proto.VFSRead, A: p.A, B: 4}).Bytes; string(first) != "abcd" || string(got) != "efgh" {
+			t.Fatalf("read 4 twice, appending to the first = %q then %q, want abcd then efgh", first, got)
+		}
+		if cap(first) != len(first) {
+			t.Fatalf("a read of 4 has capacity %d", cap(first))
+		}
+	})
+}
+
 func TestBrokenPipeWakesSuspendedWriter(t *testing.T) {
 	world(t, func(ctx *kernel.Context) {
 		p := call(ctx, kernel.Message{Type: proto.VFSPipe})
@@ -438,14 +490,101 @@ func TestExitDropsSuspendedWaiters(t *testing.T) {
 	}
 }
 
+// pipeEntV1 and pipeWaiterV1 are the pipe records of image format v1,
+// which the field lists keep: the bytes held as a string. Their lists are
+// the ones the records had before the bytes became a []byte.
+type pipeEntV1 struct {
+	Data    string
+	Readers int32
+	Writers int32
+}
+
+func (p *pipeEntV1) Code(c *wire.Codec) {
+	c.Str(&p.Data)
+	wire.Int(c, &p.Readers)
+	wire.Int(c, &p.Writers)
+}
+
+type pipeWaiterV1 struct {
+	EP      int64
+	N       int64
+	Pending string
+}
+
+func (w *pipeWaiterV1) Code(c *wire.Codec) {
+	wire.Int(c, &w.EP)
+	wire.Int(c, &w.N)
+	c.Str(&w.Pending)
+}
+
+// heldBytes is s as a pipe holds it: nil when empty, or, with alt, an
+// empty slice, which must code alike.
+func heldBytes(s string, alt bool) []byte {
+	if s == "" && !alt {
+		return nil
+	}
+	return []byte(s)
+}
+
+// sameAsV1 holds the field list of T to that of its v1 layout V, which
+// the reflective walk checks: for 300 seeded V values, the T that holds
+// the same bytes (conv, with either form of empty bytes: heldBytes) codes
+// to the same bytes and the same hash, and V's bytes decode to the T conv
+// gives without alt.
+func sameAsV1[T, V any](t *testing.T, conv func(V, bool) T) {
+	t.Helper()
+	wiretest.SameAsValue(t, wiretest.Random[V])
+	encode := func(code func(*wire.Codec)) []byte {
+		e := wire.NewEncoder()
+		c := wire.Encoding(e)
+		if code(c); c.Err() != nil {
+			t.Fatalf("encode: %v", c.Err())
+		}
+		return e.Bytes()
+	}
+	hash := func(code func(*wire.Codec)) uint64 {
+		c := wire.Hashing(sim.NewHash())
+		code(&c)
+		return c.Sum()
+	}
+	r := rand.New(rand.NewSource(40))
+	for i := 0; i < 300; i++ {
+		v1 := wiretest.Random[V](r)
+		want := encode(func(c *wire.Codec) { wire.Elem(c, &v1) })
+		wantHash := hash(func(c *wire.Codec) { wire.Elem(c, &v1) })
+		for _, alt := range []bool{false, true} {
+			x := conv(v1, alt)
+			if got := encode(func(c *wire.Codec) { wire.Elem(c, &x) }); !bytes.Equal(got, want) {
+				t.Fatalf("%+v codes as %x, its v1 layout as %x", x, got, want)
+			}
+			if got := hash(func(c *wire.Codec) { wire.Elem(c, &x) }); got != wantHash {
+				t.Fatalf("%+v hashes apart from its v1 layout", x)
+			}
+		}
+		var back T
+		d := wire.NewDecoder(want)
+		if wire.Elem(wire.Decoding(d), &back); d.Err() != nil || d.Remaining() != 0 {
+			t.Fatalf("decode of %x: %v, %d bytes left", want, d.Err(), d.Remaining())
+		}
+		if x := conv(v1, false); !reflect.DeepEqual(back, x) {
+			t.Fatalf("%x decodes as %+v, want %+v", want, back, x)
+		}
+	}
+}
+
 // The field lists of VFS's three records and its fork state against their
-// definition, the reflective walk of the declarations: same bytes, and
-// back; the fork state also in its slot, nil or under its tag. Hashed,
-// every field of the three records counts.
+// definition, the reflective walk of the declarations (the two pipe
+// records through their v1 layouts): same bytes, and back; the fork
+// state also in its slot, nil or under its tag. Hashed, every field of
+// the three records counts.
 func TestFieldLists(t *testing.T) {
 	wiretest.SameAsValue(t, wiretest.Random[fdEnt])
-	wiretest.SameAsValue(t, wiretest.Random[pipeEnt])
-	wiretest.SameAsValue(t, wiretest.Random[pipeWaiter])
+	sameAsV1(t, func(v pipeEntV1, alt bool) pipeEnt {
+		return pipeEnt{Data: heldBytes(v.Data, alt), Readers: v.Readers, Writers: v.Writers}
+	})
+	sameAsV1(t, func(v pipeWaiterV1, alt bool) pipeWaiter {
+		return pipeWaiter{EP: v.EP, N: v.N, Pending: heldBytes(v.Pending, alt)}
+	})
 	wiretest.HashCovers[fdEnt](t)
 	wiretest.HashCovers[pipeEnt](t)
 	wiretest.HashCovers[pipeWaiter](t)

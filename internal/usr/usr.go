@@ -193,7 +193,10 @@ func (p *Proc) Close(fd int64) kernel.Errno {
 	return p.ctx.SendRec(kernel.EpVFS, kernel.Message{Type: proto.VFSClose, A: fd}).Errno
 }
 
-// Read reads up to n bytes from fd at its current offset.
+// Read reads up to n bytes from fd at its current offset. The result is
+// READ-ONLY: it may be the VFS's own bytes — a disk block, a pipe's
+// contents — lent with the reply (kernel.Message). Copy it to change it;
+// appending to it is safe.
 func (p *Proc) Read(fd int64, n int) ([]byte, kernel.Errno) {
 	r := p.ctx.SendRec(kernel.EpVFS, kernel.Message{Type: proto.VFSRead, A: fd, B: int64(n)})
 	return r.Bytes, r.Errno

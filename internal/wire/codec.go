@@ -145,6 +145,23 @@ func (c *Codec) putStr(s string) {
 	}
 }
 
+// StrBytes codes a byte slice in Str's bytes and hash — its length, then
+// its bytes — so a []byte field can take a string field's place without
+// moving a byte of an image or a fingerprint. Unlike Blob it does not
+// tell nil from empty: both code as the empty string, which decodes as
+// nil. A decoded slice is a copy, never aliasing the stream.
+func (c *Codec) StrBytes(p *[]byte) { code(c, p, (*Codec).putStrBytes, (*Decoder).strBytes) }
+
+func (c *Codec) putStrBytes(b []byte) {
+	if c.hashing {
+		c.h.Word(uint64(len(b)))
+		c.h.Bytes(b)
+	} else {
+		c.e.Uvarint(uint64(len(b)))
+		c.e.buf = append(c.e.buf, b...)
+	}
+}
+
 // Tag codes a string both ends already know — a type's name, given in the
 // parts it is made of — in Str's bytes. Encoding writes the parts as one
 // string; decoding reads a string and fails the walk unless it is the

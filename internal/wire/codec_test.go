@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/sim"
 	. "repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
@@ -21,6 +22,7 @@ type codecRecord struct {
 	count  uint64
 	crc    uint32
 	name   string
+	text   []byte
 	blob   []byte
 	aux    any
 	plain  inner
@@ -37,6 +39,7 @@ func (r *codecRecord) code(c *Codec) {
 	c.Uvarint(&r.count)
 	c.U32(&r.crc)
 	c.Str(&r.name)
+	c.StrBytes(&r.text)
 	c.Blob(&r.blob)
 	Tagged(c, &r.aux, "[]string", Elems[string])
 	codeInner(c, &r.plain)
@@ -56,7 +59,7 @@ func codeInner(c *Codec, p *inner) {
 
 func codecSample() codecRecord {
 	return codecRecord{
-		flag: true, count: 1 << 40, crc: 0xdeadbeef, name: "n", blob: []byte{},
+		flag: true, count: 1 << 40, crc: 0xdeadbeef, name: "n", text: []byte("lent"), blob: []byte{},
 		aux: []string{"argv0"}, plain: inner{Name: "p", Flags: [3]int32{1, -2, 3}},
 		kind: -7, offset: -1 << 40, when: 1 << 63, tags: []string{"a", ""},
 		parts: []inner{{Name: "x"}}, nested: inner{Name: "blob", Flags: [3]int32{4, 5, -6}},
@@ -78,6 +81,7 @@ func TestCodecMatchesEncoder(t *testing.T) {
 	want.Uvarint(in.count)
 	want.U32(in.crc)
 	want.Str(in.name)
+	want.Str(string(in.text))
 	want.Blob(in.blob)
 	wiretest.EncodeAny(want, in.aux)
 	wiretest.Encode(want, in.plain)
@@ -110,6 +114,42 @@ func TestCodecMatchesEncoder(t *testing.T) {
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip:\n in  %+v\n out %+v", in, out)
+	}
+}
+
+// StrBytes codes a byte slice as Str codes the string of its bytes, in
+// every direction: nil and empty alike, as the empty string, which decodes
+// as nil; anything else as its bytes, decoded into a copy of its own.
+func TestStrBytesMatchesStr(t *testing.T) {
+	for _, b := range [][]byte{nil, {}, []byte("x"), bytes.Repeat([]byte("pipe"), 100)} {
+		s := string(b)
+		want, got := NewEncoder(), NewEncoder()
+		Encoding(want).Str(&s)
+		Encoding(got).StrBytes(&b)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("StrBytes(%q) writes %x, Str %x", b, got.Bytes(), want.Bytes())
+		}
+		hs, hb := Hashing(sim.NewHash()), Hashing(sim.NewHash())
+		hs.Str(&s)
+		hb.StrBytes(&b)
+		if hb.Sum() != hs.Sum() {
+			t.Fatalf("StrBytes(%q) hashes apart from Str", b)
+		}
+		stream := got.Bytes()
+		var back []byte
+		d := NewDecoder(stream)
+		if Decoding(d).StrBytes(&back); d.Err() != nil || d.Remaining() != 0 {
+			t.Fatalf("decode of %x: %v, %d bytes left", stream, d.Err(), d.Remaining())
+		}
+		if string(back) != s || (len(s) == 0) != (back == nil) {
+			t.Fatalf("%x decodes as %#v, want %q (nil when empty)", stream, back, s)
+		}
+		if len(back) > 0 {
+			back[0]++
+			if stream[len(stream)-len(back)] == back[0] {
+				t.Fatal("a decoded slice aliases the stream")
+			}
+		}
 	}
 }
 

@@ -239,6 +239,12 @@ func (d *Decoder) Str() string {
 	return string(d.take(d.Uvarint()))
 }
 
+// strBytes reads a length-prefixed string as a fresh byte slice, nil
+// when empty (Codec.StrBytes).
+func (d *Decoder) strBytes() []byte {
+	return append([]byte(nil), d.take(d.Uvarint())...)
+}
+
 // Take consumes exactly n bytes and returns them WITHOUT copying — the
 // slice aliases the decoder's buffer. It exists for framing layers
 // that carve whole sub-payloads out of a stream and hand them to
