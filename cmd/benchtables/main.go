@@ -7,20 +7,15 @@
 //	            [-workers N] [-coldboot] [-noelide] [-json out.json]
 //	            [-list] [-cpuprofile out.pprof] [-memprofile out.pprof]
 //
-// Independent simulated machines fan out across -workers threads; the
-// numbers are bit-identical for every worker count (-workers 1 is the
-// historical serial path). Campaign runs fork from the snapshot ladder
-// of a warm pathfinder machine by default, and -coldboot boots every run
-// from scratch instead — same tables, historical setup cost. Warm-served runs splice a recorded
-// suffix when the state they park in at a suite barrier is one the
-// pathfinder or an earlier run already executed from, and end a provably
-// wedged run as the hang it is instead of simulating it to the cycle
-// limit; -noelide pins both off and executes every run to its end — same
-// tables, the bit-identity oracle. -list prints the section keys
-// accepted by -only and exits. -json writes a machine-readable report
-// with per-section wall-clock and process allocation statistics
-// alongside the table data. Host-time measurements live in osirisbench
-// (bash bench/run.sh), not here.
+// Independent simulated machines fan out across -workers threads, and
+// campaign runs fork from a warm machine's snapshot ladder and elide
+// their tails; -coldboot boots every run from scratch and -noelide
+// executes every run to its end. The tables are bit-identical under
+// every setting, and internal/eval's TestGolden pins them in
+// testdata/golden. -list prints the section keys accepted by -only.
+// -json writes a machine-readable report with per-section wall-clock
+// and process allocation statistics alongside the table data.
+// Host-time measurements live in osirisbench (bash bench/run.sh).
 package main
 
 import (
@@ -30,7 +25,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"repro/internal/eval"
@@ -57,10 +51,14 @@ func runCommand() int {
 	)
 	flag.Parse()
 	if *list {
-		for _, s := range sectionInfo {
-			fmt.Printf("%-10s %-32s %s\n", s.key, s.name, s.desc)
+		for _, s := range eval.Sections {
+			fmt.Printf("%-10s %-32s %s\n", s.Key, s.Name, s.Desc)
 		}
 		return 0
+	}
+	if *workers < 0 {
+		fmt.Fprintf(os.Stderr, "benchtables: -workers %d: must be at least 0\n", *workers)
+		return 2
 	}
 	plane := faultinject.PlaneOptions{ColdBoot: *coldBoot, NoElide: *noElide}
 	if *cpuProfile != "" {
@@ -99,23 +97,6 @@ func writeHeapProfile(path string) error {
 	return pprof.WriteHeapProfile(f)
 }
 
-// sectionInfo lists the report sections in emission order: the -only
-// key, the JSON section name, and a one-line description for -list.
-var sectionInfo = []struct {
-	key, name, desc string
-}{
-	{"1", "table1_coverage", "Table I: recovery coverage per policy"},
-	{"2", "table2_survivability_failstop", "Table II: survivability under fail-stop faults"},
-	{"3", "table3_survivability_edfi", "Table III: survivability under the full EDFI fault mix"},
-	{"4", "table4_perf_vs_monolithic", "Table IV: benchmark scores vs monolithic baseline"},
-	{"5", "table5_instrumentation", "Table V: instrumentation slowdown per policy"},
-	{"6", "table6_memory", "Table VI: state and undo-log memory overhead"},
-	{"f3", "figure3_disruption", "Figure 3: service disruption during recovery"},
-	{"mf", "multifault_cascade", "Multi-fault cascade survivability (beyond the paper)"},
-	{"ablation", "ablation_checkpointing", "Checkpointing ablation: undo log vs full copy"},
-	{"ipc", "ipc_reliability", "Survivability vs background transport fault rate"},
-}
-
 // section is one table/figure of the JSON report.
 type section struct {
 	Name   string  `json:"name"`
@@ -152,31 +133,10 @@ func run(scaleName string, seed uint64, only string, workers int, plane faultinj
 	sc.Workers = workers
 	sc.Plane = plane
 
-	valid := make(map[string]bool, len(sectionInfo))
-	keys := make([]string, 0, len(sectionInfo))
-	for _, s := range sectionInfo {
-		valid[s.key] = true
-		keys = append(keys, s.key)
+	sections, err := eval.Select(only)
+	if err != nil {
+		return err
 	}
-	if only != "" {
-		for _, k := range strings.Split(only, ",") {
-			if k = strings.TrimSpace(k); !valid[k] {
-				return fmt.Errorf("unknown table %q (valid: %s; see -list)", k, strings.Join(keys, ","))
-			}
-		}
-	}
-	want := func(key string) bool {
-		if only == "" {
-			return true
-		}
-		for _, k := range strings.Split(only, ",") {
-			if strings.TrimSpace(k) == key {
-				return true
-			}
-		}
-		return false
-	}
-
 	rep := report{
 		Scale:      scaleName,
 		Seed:       seed,
@@ -187,75 +147,18 @@ func run(scaleName string, seed uint64, only string, workers int, plane faultinj
 	runtime.ReadMemStats(&msBefore)
 	start := time.Now()
 
-	type renderer interface{ Render() string }
-	emit := func(name string, data renderer, elapsed time.Duration) {
+	for _, sec := range sections {
+		t0 := time.Now()
+		data, err := sec.Run(sc)
+		if err != nil {
+			return fmt.Errorf("%s: %w", sec.Name, err)
+		}
 		fmt.Println(data.Render())
 		rep.Sections = append(rep.Sections, section{
-			Name:   name,
-			WallMS: float64(elapsed.Microseconds()) / 1000,
+			Name:   sec.Name,
+			WallMS: float64(time.Since(t0).Microseconds()) / 1000,
 			Data:   data,
 		})
-	}
-
-	if want("1") {
-		t0 := time.Now()
-		t, err := eval.RunTable1(sc)
-		if err != nil {
-			return fmt.Errorf("table 1: %w", err)
-		}
-		emit("table1_coverage", t, time.Since(t0))
-	}
-	if want("2") {
-		t0 := time.Now()
-		t, err := eval.RunSurvivability(faultinject.FailStop, sc)
-		if err != nil {
-			return fmt.Errorf("table 2: %w", err)
-		}
-		emit("table2_survivability_failstop", t, time.Since(t0))
-	}
-	if want("3") {
-		t0 := time.Now()
-		t, err := eval.RunSurvivability(faultinject.FullEDFI, sc)
-		if err != nil {
-			return fmt.Errorf("table 3: %w", err)
-		}
-		emit("table3_survivability_edfi", t, time.Since(t0))
-	}
-	if want("4") {
-		t0 := time.Now()
-		emit("table4_perf_vs_monolithic", eval.RunTable4(sc), time.Since(t0))
-	}
-	if want("5") {
-		t0 := time.Now()
-		emit("table5_instrumentation", eval.RunTable5(sc), time.Since(t0))
-	}
-	if want("6") {
-		t0 := time.Now()
-		t, err := eval.RunTable6(sc)
-		if err != nil {
-			return fmt.Errorf("table 6: %w", err)
-		}
-		emit("table6_memory", t, time.Since(t0))
-	}
-	if want("f3") {
-		t0 := time.Now()
-		emit("figure3_disruption", eval.RunFigure3(sc, nil), time.Since(t0))
-	}
-	if want("mf") {
-		t0 := time.Now()
-		t, err := eval.RunMultiFault(sc)
-		if err != nil {
-			return fmt.Errorf("multi-fault table: %w", err)
-		}
-		emit("multifault_cascade", t, time.Since(t0))
-	}
-	if want("ablation") {
-		t0 := time.Now()
-		emit("ablation_checkpointing", eval.RunAblationCheckpointing(sc), time.Since(t0))
-	}
-	if want("ipc") {
-		t0 := time.Now()
-		emit("ipc_reliability", eval.RunIPCSweep(sc), time.Since(t0))
 	}
 
 	if jsonPath != "" {

@@ -39,7 +39,8 @@
 //     detail lines (warm-plane stats, inconsistent seeds) but keeps
 //     the tables.
 //
-// All basis-point rates must lie in [0, 10000].
+// All basis-point rates must lie in [0, 10000]; -samples, -faults and
+// -runs must be at least 1, -maxruns and -workers at least 0.
 //
 // The -model ipcmix campaign arms one transport fault (drop, duplicate,
 // delay, reorder or payload corruption of a component's next outgoing
@@ -91,21 +92,22 @@ func main() { os.Exit(runCommand()) }
 // runCommand is the command; it returns the exit status instead of
 // exiting, so the deferred CPU profile stop and file closes run first.
 func runCommand() int {
+	var spec campaignSpec
+	flag.StringVar(&spec.policyName, "policy", "all", "policy: all, enhanced, extended, pessimistic, stateless or naive")
+	flag.StringVar(&spec.modelName, "model", "failstop", "fault model: failstop, edfi or ipcmix")
+	flag.IntVar(&spec.samples, "samples", 4, "injection occurrences sampled per candidate site")
+	flag.IntVar(&spec.maxRuns, "maxruns", 0, "cap on total runs per policy (0 = no cap)")
+	flag.Uint64Var(&spec.seed, "seed", 42, "simulation seed")
+	flag.BoolVar(&spec.profile, "profile", false, "print the fault-site profile and exit")
+	flag.IntVar(&spec.faults, "faults", 1, "faults armed per boot; >= 2 selects the multi-fault cascade campaign")
+	flag.IntVar(&spec.runs, "runs", 40, "boots per policy in the multi-fault campaign")
+	flag.IntVar(&spec.workers, "workers", 0, "concurrent boots (0 = one per CPU, 1 = serial)")
+	flag.BoolVar(&spec.plane.ColdBoot, "coldboot", false, "boot every run from scratch instead of forking a warm image")
+	flag.BoolVar(&spec.plane.NoElide, "noelide", false, "execute every warm run to its end: no suffix table and no tail splice, no wedge certificate for hung runs (the bit-identity oracle)")
+	flag.StringVar(&spec.recordDir, "record", "", "write a replayable JSON trace for every failed/degraded/inconsistent run into this directory")
+	flag.StringVar(&spec.resumePath, "resume", "", "journal completed runs to this file and resume from it after a crash (single -policy campaigns only)")
+	flag.BoolVar(&spec.quiet, "quiet", false, "suppress per-run detail (warm-plane stats, inconsistent seeds); tables only")
 	var (
-		policyName = flag.String("policy", "all", "policy: all, enhanced, extended, pessimistic, stateless or naive")
-		modelName  = flag.String("model", "failstop", "fault model: failstop, edfi or ipcmix")
-		samples    = flag.Int("samples", 4, "injection occurrences sampled per candidate site")
-		maxRuns    = flag.Int("maxruns", 0, "cap on total runs per policy (0 = no cap)")
-		seed       = flag.Uint64("seed", 42, "simulation seed")
-		profile    = flag.Bool("profile", false, "print the fault-site profile and exit")
-		faults     = flag.Int("faults", 1, "faults armed per boot; >= 2 selects the multi-fault cascade campaign")
-		runs       = flag.Int("runs", 40, "boots per policy in the multi-fault campaign")
-		workers    = flag.Int("workers", 0, "concurrent boots (0 = one per CPU, 1 = serial)")
-		coldBoot   = flag.Bool("coldboot", false, "boot every run from scratch instead of forking a warm image")
-		noElide    = flag.Bool("noelide", false, "execute every warm run to its end: no suffix table and no tail splice, no wedge certificate for hung runs (the bit-identity oracle)")
-		recordDir  = flag.String("record", "", "write a replayable JSON trace for every failed/degraded/inconsistent run into this directory")
-		resumePath = flag.String("resume", "", "journal completed runs to this file and resume from it after a crash (single -policy campaigns only)")
-		quiet      = flag.Bool("quiet", false, "suppress per-run detail (warm-plane stats, inconsistent seeds); tables only")
 		gate       = flag.Bool("gate", true, "exit 1 when any run failed, crashed, or was audit-inconsistent; -gate=false always exits 0 for healthy tool runs (smoke tests measuring lossy campaigns)")
 		ipcFaults  = flag.Bool("ipcfaults", false, "background transport faults at default rates (50 bp per class)")
 		dropRate   = flag.Int("droprate", 0, "background message drop rate, basis points per transmission")
@@ -120,17 +122,22 @@ func runCommand() int {
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file")
 	)
 	flag.Parse()
-	plane := faultinject.PlaneOptions{ColdBoot: *coldBoot, NoElide: *noElide}
 
-	if err := validateBPFlags([]bpFlag{
-		{"droprate", *dropRate}, {"duprate", *dupRate}, {"delayrate", *delayRate},
-		{"reorderrate", *reordRate}, {"corruptrate", *corrRate},
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "faultcampaign:", err)
-		return 2
+	for _, err := range []error{
+		validateCount("samples", spec.samples, 1), validateCount("faults", spec.faults, 1), validateCount("runs", spec.runs, 1),
+		validateCount("maxruns", spec.maxRuns, 0), validateCount("workers", spec.workers, 0),
+		validateBPFlags([]bpFlag{
+			{"droprate", *dropRate}, {"duprate", *dupRate}, {"delayrate", *delayRate},
+			{"reorderrate", *reordRate}, {"corruptrate", *corrRate},
+		}),
+	} {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "faultcampaign:", err)
+			return 2
+		}
 	}
 
-	ipc := faultinject.IPCOptions{
+	spec.ipc = faultinject.IPCOptions{
 		Faults: kernel.IPCFaultConfig{
 			DropBP: *dropRate, DupBP: *dupRate, DelayBP: *delayRate,
 			ReorderBP: *reordRate, CorruptBP: *corrRate,
@@ -139,8 +146,8 @@ func runCommand() int {
 		TimeoutCycles: *ipcTimeout,
 		RetryMax:      *ipcRetry,
 	}
-	if *ipcFaults && !ipc.Faults.Enabled() {
-		ipc.Faults = kernel.IPCFaultConfig{DropBP: 50, DupBP: 50, DelayBP: 50, ReorderBP: 50, CorruptBP: 50}
+	if *ipcFaults && !spec.ipc.Faults.Enabled() {
+		spec.ipc.Faults = kernel.IPCFaultConfig{DropBP: 50, DupBP: 50, DelayBP: 50, ReorderBP: 50, CorruptBP: 50}
 	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -155,31 +162,16 @@ func runCommand() int {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if (*recordDir != "" || *resumePath != "") && *profile {
+	if (spec.recordDir != "" || spec.resumePath != "") && spec.profile {
 		fmt.Fprintln(os.Stderr, "faultcampaign: -record/-resume apply to injection campaigns only (not -profile)")
 		return 2
 	}
-	if *resumePath != "" && *policyName == "all" {
+	if spec.resumePath != "" && spec.policyName == "all" {
 		fmt.Fprintln(os.Stderr, "faultcampaign: -resume requires a single -policy (a journal pins one campaign)")
 		return 2
 	}
 
-	unhealthy, err := run(campaignSpec{
-		policyName: *policyName,
-		modelName:  *modelName,
-		samples:    *samples,
-		maxRuns:    *maxRuns,
-		seed:       *seed,
-		profile:    *profile,
-		faults:     *faults,
-		runs:       *runs,
-		workers:    *workers,
-		ipc:        ipc,
-		plane:      plane,
-		recordDir:  *recordDir,
-		resumePath: *resumePath,
-		quiet:      *quiet,
-	})
+	unhealthy, err := run(spec)
 	if *memProfile != "" {
 		if werr := writeHeapProfile(*memProfile); werr != nil && err == nil {
 			err = werr
@@ -491,14 +483,9 @@ func renderReasons(reasons map[string]int) string {
 // re-running the same campaign command narrowed to such a seed replays
 // the run exactly.
 func printInconsistent(seeds []uint64) {
-	if len(seeds) == 0 {
-		return
+	if len(seeds) > 0 {
+		fmt.Println("  inconsistent run seeds:", strings.Trim(fmt.Sprint(seeds), "[]"))
 	}
-	fmt.Printf("  inconsistent run seeds:")
-	for _, s := range seeds {
-		fmt.Printf(" %d", s)
-	}
-	fmt.Println()
 }
 
 func countCandidates(prof []faultinject.SiteProfile) int {

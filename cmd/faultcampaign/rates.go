@@ -34,3 +34,13 @@ func validateBPFlags(flags []bpFlag) error {
 	}
 	return nil
 }
+
+// validateCount rejects a count flag below least. The campaign layer reads
+// a count that is not positive as its default, so -samples 0 or -faults
+// 0 would otherwise run another campaign than the one asked for.
+func validateCount(name string, v, least int) error {
+	if v < least {
+		return fmt.Errorf("-%s %d: must be at least %d", name, v, least)
+	}
+	return nil
+}

@@ -1,13 +1,12 @@
 package main
 
+import (
+	"testing"
+
+	"repro/internal/golden"
+)
+
 // The demo is deterministic, so its whole output is pinned.
-func Example() {
-	main()
-	// Output:
-	// OSIRIS quickstart
-	//   first fork:   ECRASH (error virtualization after PM crash)
-	//   retried fork: OK, child pid 2
-	//   state intact: true
-	//   recoveries accounted by RS: 1
-	//   outcome: completed after 106548 virtual cycles
+func TestGolden(t *testing.T) {
+	golden.Check(t, "examples/quickstart.txt", golden.Stdout(t, main))
 }

@@ -9,6 +9,7 @@ package eval
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -52,6 +53,52 @@ func QuickScale() Scale {
 // FullScale reproduces the tables at full size (cmd/benchtables).
 func FullScale() Scale {
 	return Scale{IterScale: 1, SamplesPerSite: 4, MaxRuns: 0, Seed: 42}
+}
+
+// Section is one table or figure of the evaluation report.
+type Section struct {
+	// Key selects the section in cmd/benchtables' -only, Name is its
+	// report name and Desc the line -list prints.
+	Key, Name, Desc string
+	Run             func(Scale) (Renderer, error)
+}
+
+// Renderer is a section's result: its data, printed as a table.
+type Renderer interface{ Render() string }
+
+// Sections are the report's sections in emission order.
+var Sections = []Section{
+	{"1", "table1_coverage", "Table I: recovery coverage per policy", func(sc Scale) (Renderer, error) { return RunTable1(sc) }},
+	{"2", "table2_survivability_failstop", "Table II: survivability under fail-stop faults", func(sc Scale) (Renderer, error) { return RunSurvivability(faultinject.FailStop, sc) }},
+	{"3", "table3_survivability_edfi", "Table III: survivability under the full EDFI fault mix", func(sc Scale) (Renderer, error) { return RunSurvivability(faultinject.FullEDFI, sc) }},
+	{"4", "table4_perf_vs_monolithic", "Table IV: benchmark scores vs monolithic baseline", func(sc Scale) (Renderer, error) { return RunTable4(sc), nil }},
+	{"5", "table5_instrumentation", "Table V: instrumentation slowdown per policy", func(sc Scale) (Renderer, error) { return RunTable5(sc), nil }},
+	{"6", "table6_memory", "Table VI: state and undo-log memory overhead", func(sc Scale) (Renderer, error) { return RunTable6(sc) }},
+	{"f3", "figure3_disruption", "Figure 3: service disruption during recovery", func(sc Scale) (Renderer, error) { return RunFigure3(sc, nil), nil }},
+	{"mf", "multifault_cascade", "Multi-fault cascade survivability (beyond the paper)", func(sc Scale) (Renderer, error) { return RunMultiFault(sc) }},
+	{"ablation", "ablation_checkpointing", "Checkpointing ablation: undo log vs full copy", func(sc Scale) (Renderer, error) { return RunAblationCheckpointing(sc), nil }},
+	{"ipc", "ipc_reliability", "Survivability vs background transport fault rate", func(sc Scale) (Renderer, error) { return RunIPCSweep(sc), nil }},
+}
+
+// Select returns the sections a comma-separated list of keys names, in
+// emission order; an empty list selects them all.
+func Select(keys string) ([]Section, error) {
+	named, valid := strings.Split(keys, ","), make([]string, len(Sections))
+	for i, s := range Sections {
+		valid[i] = s.Key
+	}
+	for i, k := range named {
+		if named[i] = strings.TrimSpace(k); keys != "" && !slices.Contains(valid, named[i]) {
+			return nil, fmt.Errorf("unknown table %q (valid: %s; see -list)", named[i], strings.Join(valid, ","))
+		}
+	}
+	var out []Section
+	for _, s := range Sections {
+		if keys == "" || slices.Contains(named, s.Key) {
+			out = append(out, s)
+		}
+	}
+	return out, nil
 }
 
 // --- Table I: recovery coverage ---
@@ -115,7 +162,7 @@ func RunTable1(sc Scale) (Table1, error) {
 		}
 	}
 	for _, n := range names {
-		if !contains(ordered, n) {
+		if !slices.Contains(ordered, n) {
 			ordered = append(ordered, n)
 		}
 	}
@@ -154,15 +201,6 @@ func RunTable1(sc Scale) (Table1, error) {
 		t.CycleWeightedEnhanced = 100 * sumCycInE / sumCycE
 	}
 	return t, nil
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // coverageRun executes the suite under policy and returns per-server
@@ -289,10 +327,7 @@ func RunMultiFault(sc Scale) (MultiFaultTable, error) {
 	if err != nil {
 		return MultiFaultTable{}, err
 	}
-	runs := sc.MaxRuns / 4
-	if runs < 8 {
-		runs = 8
-	}
+	runs := max(sc.MaxRuns/4, 8)
 	var t MultiFaultTable
 	for _, policy := range multiFaultPolicies {
 		for _, faults := range multiFaultCounts {

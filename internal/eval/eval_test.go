@@ -7,10 +7,7 @@ import (
 )
 
 func TestTable1Shape(t *testing.T) {
-	tab, err := RunTable1(QuickScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quick(t, "1").(Table1)
 	t.Log("\n" + tab.Render())
 	if len(tab.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(tab.Rows))
@@ -37,10 +34,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestTable2Shape(t *testing.T) {
-	tab, err := RunSurvivability(faultinject.FailStop, QuickScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quick(t, "2").(SurvivabilityTable)
 	t.Log("\n" + tab.Render())
 	byPolicy := make(map[string]faultinject.CampaignResult)
 	for _, r := range tab.Rows {
@@ -76,7 +70,7 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestTable4Shape(t *testing.T) {
-	tab := RunTable4(QuickScale())
+	tab := quick(t, "4").(Table4)
 	t.Log("\n" + tab.Render())
 	if len(tab.Rows) != 12 {
 		t.Fatalf("rows = %d", len(tab.Rows))
@@ -107,7 +101,7 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestTable5Shape(t *testing.T) {
-	tab := RunTable5(QuickScale())
+	tab := quick(t, "5").(Table5)
 	t.Log("\n" + tab.Render())
 	// The optimisation claim: the unoptimized build is clearly worse
 	// than both optimized builds; compute benches are unaffected.
@@ -130,10 +124,7 @@ func TestTable5Shape(t *testing.T) {
 }
 
 func TestTable6Shape(t *testing.T) {
-	tab, err := RunTable6(QuickScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quick(t, "6").(Table6)
 	t.Log("\n" + tab.Render())
 	var vm MemoryRow
 	for _, r := range tab.Rows {
@@ -178,7 +169,7 @@ func TestFigure3Shape(t *testing.T) {
 }
 
 func TestAblationCheckpointing(t *testing.T) {
-	a := RunAblationCheckpointing(QuickScale())
+	a := quick(t, "ablation").(Ablation)
 	t.Log("\n" + a.Render())
 	// The paper's rationale: at per-request checkpoint frequency, the
 	// undo log must beat full-state copies decisively.
@@ -202,10 +193,7 @@ func TestAblationCheckpointing(t *testing.T) {
 // the sequencer keeps uncontrolled crashes rare even with several
 // faults per boot.
 func TestMultiFaultTableShape(t *testing.T) {
-	tab, err := RunMultiFault(QuickScale())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quick(t, "mf").(MultiFaultTable)
 	t.Logf("\n%s", tab.Render())
 	if len(tab.Rows) != len(multiFaultPolicies)*len(multiFaultCounts) {
 		t.Fatalf("rows = %d, want %d", len(tab.Rows), len(multiFaultPolicies)*len(multiFaultCounts))

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/boot"
 	"repro/internal/core"
+	"repro/internal/golden"
 	"repro/internal/kernel"
 	"repro/internal/parallel"
 	"repro/internal/seep"
@@ -97,13 +98,14 @@ type checks struct {
 	// Certified asks that the runs served wedged be exactly the runs
 	// that end at the cycle limit, and that there be some.
 	Certified bool
-	// Wedges, when set, is what the row expects of its wedged runs: each
-	// one's plan index and serving decision. No result shows how many
-	// equal idle rounds the certificate waited for — a window two
-	// rounds long leaves every run equal to its cold boot, because the
-	// transient digest already refuses the states Recovery Server is
-	// counting in — so the certification cycle is pinned instead.
-	Wedges []string
+	// Wedges pins the row's wedged runs, each one's plan index and
+	// serving decision, as the golden faultinject/<row>.txt. No result
+	// shows how many equal idle rounds the certificate waited for — a
+	// window two rounds long leaves every run equal to its cold boot,
+	// because the transient digest already refuses the states Recovery
+	// Server is counting in — so the certification cycle is pinned
+	// instead.
+	Wedges bool
 	// Fallbacks lists elision fallbacks at least one run is charged.
 	Fallbacks []string
 	// Held asks that every ladder hold every stride rung it walked, up
@@ -172,7 +174,7 @@ var corpus = append([]*scenario{
 		Cells:  "noelide-w2 default-w1 default-w2 default-w8"},
 	{Name: "wedge-small", Kind: kindSingle, Policy: seep.PolicyEnhanced, Model: FailStop, Seed: 42,
 		Plan:   planSpec{Stratified: 2},
-		Checks: checks{Certified: true, Held: true, Wedges: []string{"run 116 rung:52 wedged:6614431", "run 117 rung:60 wedged:7379203"}},
+		Checks: checks{Certified: true, Held: true, Wedges: true},
 		Cells:  "noelide-w2 default-w1 default-w2 default-w8"},
 }, benchWedgeRows()...)
 
@@ -284,7 +286,7 @@ func serveCorpus(t *testing.T, pick func(*scenario) []string) {
 			continue
 		}
 		t.Run(s.Name, func(t *testing.T) {
-			if s.Bench && (raceEnabled || testing.Short()) {
+			if s.Bench && (golden.Race || testing.Short()) {
 				t.Skip("benchmark-size row: not under -race or -short")
 			}
 			t.Parallel()
@@ -615,8 +617,8 @@ func (s *scenario) checkDefault(t *testing.T, got served) {
 		if len(wedges) == 0 {
 			t.Error("no run was certified wedged: the certificate goes unchecked")
 		}
-		if c.Wedges != nil && !reflect.DeepEqual(c.Wedges, wedges) {
-			t.Errorf("wedged runs %q, the row expects %q", wedges, c.Wedges)
+		if c.Wedges {
+			golden.Check(t, "faultinject/"+s.Name+".txt", []byte(strings.Join(wedges, "\n")+"\n"))
 		}
 		t.Logf("%d runs, %d certified wedged, each ending at the cycle limit", len(got.runs), len(wedges))
 	}

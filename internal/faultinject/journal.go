@@ -72,7 +72,6 @@ type Journal struct {
 	mu       sync.Mutex
 	f        *os.File
 	entries  map[int]journalEntry
-	resumed  int
 	unsynced int
 	writeErr error
 }
@@ -134,8 +133,7 @@ func OpenJournal(path string, hdr JournalHeader) (*Journal, int, error) {
 		f.Close()
 		return nil, 0, err
 	}
-	j := &Journal{f: f, entries: entries, resumed: len(entries)}
-	return j, j.resumed, nil
+	return &Journal{f: f, entries: entries}, len(entries), nil
 }
 
 // createJournal starts a fresh journal with the header record.
@@ -308,10 +306,6 @@ func (j *Journal) noteErr(err error) {
 		j.writeErr = err
 	}
 }
-
-// Resumed returns the number of entries recovered when the journal was
-// opened.
-func (j *Journal) Resumed() int { return j.resumed }
 
 // Close syncs and closes the journal, returning the first write error
 // encountered (the campaign result itself is unaffected by journal

@@ -1,12 +1,18 @@
 package image_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/boot"
 	"repro/internal/core"
+	"repro/internal/golden"
 	"repro/internal/image"
 	"repro/internal/testsuite"
 )
@@ -29,38 +35,49 @@ func rungSnapshot(t testing.TB, opts boot.Options, rung int) *boot.Snapshot {
 	return snap
 }
 
-// TestGoldenBytes pins format v1: the SHA-256 of whole image files, as
-// the commit before the codecs became one field list per type wrote them
-// (2e8e082, go1.24 — the flate hashes also pin compress/flate's output).
-// The reliable-transport rung is there because only it has an IPC plane
-// in its kernel frame.
+// TestGoldenBytes pins format v1 apart from the simulation: the
+// committed image of the suite's boot rung, written by the commit
+// before the codecs became one field list per type (2e8e082, go1.24),
+// decodes and re-encodes to its own bytes (which pins compress/flate's
+// output too) and to the raw image that commit hashed. A codec change
+// that moves a byte fails it; regenerating the goldens does not touch
+// it.
 func TestGoldenBytes(t *testing.T) {
+	file, err := os.ReadFile(filepath.Join("testdata", "boot-rung.v1.flate"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := decode(t, file, 1)
+	if !bytes.Equal(encode(t, snap, image.WriteOptions{Compress: true, Workers: 1}), file) {
+		t.Error("the format-v1 flate image does not re-encode to its own bytes")
+	}
+	sum := sha256.Sum256(encode(t, snap, image.WriteOptions{Workers: 1}))
+	if got, want := hex.EncodeToString(sum[:]), "ab5f7fc64c59530ba944712d1e134db3643939ce8b69a388164a68455a39c3c4"; got != want {
+		t.Errorf("the format-v1 image re-encodes raw to SHA-256 %s, format v1 wrote %s", got, want)
+	}
+}
+
+// TestGolden pins the SHA-256 of the raw and flate images of three
+// rungs a booted suite reaches (image/rungs.txt): a change to the
+// simulation or the codec that moves a byte of them fails it. The
+// reliable-transport rung is there because only it has an IPC plane in
+// its kernel frame.
+func TestGolden(t *testing.T) {
 	reliable := suiteOpts(7)
 	reliable.Config.IPCTimeoutCycles = core.DefaultIPCTimeoutCycles
+	var out strings.Builder
 	for _, tc := range []struct {
-		name       string
-		snap       *boot.Snapshot
-		raw, flate string
+		name string
+		snap *boot.Snapshot
 	}{
-		{"boot", rungSnapshot(t, suiteOpts(7), 0),
-			"ab5f7fc64c59530ba944712d1e134db3643939ce8b69a388164a68455a39c3c4",
-			"addb5445ed4c7de5a1c71ec33706305e3e0db427547641d75fff6158580890cf"},
-		{"mid-suite", rungSnapshot(t, suiteOpts(7), 20),
-			"616a42105ea47939773e36e2a55c62ed31824b9fb21f10796d268965b7eecaf1",
-			"c21060fc894491ddcd98f19f241eb4858f494a57eb222531108cf8505a5b1cbf"},
-		{"reliable transport", rungSnapshot(t, reliable, 3),
-			"cf2e7f6b307eea056de655fd21ec70bc15f41b4d087f6a8ec000e44cd84f65d5",
-			"67d92a5f106924d10159d16c0ab5cfeef8f681949f998096fce91f8b6e410f69"},
+		{"boot", rungSnapshot(t, suiteOpts(7), 0)},
+		{"mid-suite", rungSnapshot(t, suiteOpts(7), 20)},
+		{"reliable-transport", rungSnapshot(t, reliable, 3)},
 	} {
 		for _, compress := range []bool{false, true} {
 			sum := sha256.Sum256(encode(t, tc.snap, image.WriteOptions{Compress: compress, Workers: 1}))
-			want := tc.raw
-			if compress {
-				want = tc.flate
-			}
-			if got := hex.EncodeToString(sum[:]); got != want {
-				t.Errorf("%s, compress=%v: image hashes to %s, format v1 wrote %s", tc.name, compress, got, want)
-			}
+			fmt.Fprintf(&out, "%-18s compress=%-5v %x\n", tc.name, compress, sum)
 		}
 	}
+	golden.Check(t, "image/rungs.txt", []byte(out.String()))
 }

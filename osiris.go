@@ -27,7 +27,6 @@ package osiris
 import (
 	"repro/internal/boot"
 	"repro/internal/core"
-	"repro/internal/eval"
 	"repro/internal/kernel"
 	"repro/internal/seep"
 	"repro/internal/sim"
@@ -193,28 +192,3 @@ func InstallPrograms(p *Proc) Errno { return usr.InstallPrograms(p) }
 // Shell runs command lines by spawning programs; it returns the number
 // of failed commands.
 func Shell(p *Proc, commands []string) int { return usr.Shell(p, commands) }
-
-// Evaluation entry points (see EXPERIMENTS.md). Each regenerates one
-// table or figure of the paper.
-var (
-	// QuickScale is a reduced-size evaluation configuration.
-	QuickScale = eval.QuickScale
-	// FullScale is the full-size evaluation configuration.
-	FullScale = eval.FullScale
-	// RunTable1 measures recovery coverage (Table I).
-	RunTable1 = eval.RunTable1
-	// RunSurvivability runs a fault-injection campaign (Tables II/III).
-	RunSurvivability = eval.RunSurvivability
-	// RunTable4 compares the baseline against a monolithic kernel.
-	RunTable4 = eval.RunTable4
-	// RunTable5 measures instrumentation slowdowns (Table V).
-	RunTable5 = eval.RunTable5
-	// RunTable6 measures memory overhead (Table VI).
-	RunTable6 = eval.RunTable6
-	// RunFigure3 sweeps fault-inflow intervals (Figure 3).
-	RunFigure3 = eval.RunFigure3
-	// RunMultiFault runs the multi-fault cascade survivability table
-	// (beyond the paper: several faults per boot, classified with the
-	// extra degraded-pass outcome).
-	RunMultiFault = eval.RunMultiFault
-)
