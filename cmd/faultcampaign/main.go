@@ -288,10 +288,12 @@ func run(spec campaignSpec) (unhealthy bool, err error) {
 			}
 		}
 		if spec.recordDir != "" {
-			servings := make(map[int]faultinject.Serving)
-			hooks.onServe = func(i int, sv faultinject.Serving) { servings[i] = sv }
-			hooks.record = func(i int, tr faultinject.Trace) {
-				tr.Serving = servings[i].String()
+			hooks.onResult = func(i int, run faultinject.MultiRunResult, sv faultinject.Serving) {
+				if run.Triggered == 0 || !runUnhealthy(run.Outcome, run.Consistent) {
+					return
+				}
+				tr := faultinject.NewRunTrace(kind.trace, policy, run, spec.ipc)
+				tr.Serving = sv.String()
 				path := filepath.Join(spec.recordDir, faultinject.TraceFileName(policy, i))
 				if werr := faultinject.WriteTraceFile(path, tr); werr != nil && recordErr == nil {
 					recordErr = werr
@@ -337,6 +339,8 @@ func run(spec campaignSpec) (unhealthy bool, err error) {
 type campaignKind struct {
 	// banner is the kind's part of the "model:" line.
 	banner string
+	// trace is the kind of the traces -record writes and of the journal.
+	trace string
 	// degraded adds the degraded-pass column (runs that survived by
 	// quarantining a component).
 	degraded bool
@@ -350,13 +354,12 @@ type campaignKind struct {
 // runHooks is what the per-policy loop plugs into a campaign of either
 // kind; every field may be nil.
 type runHooks struct {
-	journal *faultinject.Journal
-	onServe func(int, faultinject.Serving)
-	// record is handed the trace of every triggered unhealthy run.
-	record func(int, faultinject.Trace)
+	journal  *faultinject.Journal
+	onResult func(int, faultinject.MultiRunResult, faultinject.Serving)
 }
 
 func singleFaultKind(spec campaignSpec, model faultinject.Model, prof []faultinject.SiteProfile) campaignKind {
+	kind := faultinject.TraceSingle
 	config := func(policy seep.Policy) faultinject.CampaignConfig {
 		return faultinject.CampaignConfig{
 			Policy:         policy,
@@ -370,24 +373,18 @@ func singleFaultKind(spec campaignSpec, model faultinject.Model, prof []faultinj
 		}
 	}
 	return campaignKind{
+		trace: kind,
 		identity: func(policy seep.Policy) (faultinject.JournalHeader, int) {
 			plan := faultinject.PlanCampaign(config(policy), prof)
 			return faultinject.JournalHeader{
-				Kind: faultinject.TraceSingle, Policy: policy, Model: model, Seed: spec.seed,
+				Kind: kind, Policy: policy, Model: model, Seed: spec.seed,
 				SamplesPerSite: spec.samples, MaxRuns: spec.maxRuns, IPC: spec.ipc,
 				PlanFingerprint: faultinject.PlanFingerprint(plan),
 			}, len(plan)
 		},
 		run: func(policy seep.Policy, hooks runHooks) (faultinject.Tally, faultinject.PlaneStats) {
 			cfg := config(policy)
-			cfg.Journal, cfg.OnServe = hooks.journal, hooks.onServe
-			if hooks.record != nil {
-				cfg.OnResult = func(i int, rr faultinject.RunResult) {
-					if rr.Triggered && runUnhealthy(rr.Outcome, rr.Consistent) {
-						hooks.record(i, faultinject.NewTrace(policy, rr, spec.ipc))
-					}
-				}
-			}
+			cfg.Journal, cfg.OnResult = hooks.journal, hooks.onResult
 			res, stats := faultinject.RunCampaign(cfg, prof)
 			return res.Tally, stats
 		},
@@ -395,6 +392,7 @@ func singleFaultKind(spec campaignSpec, model faultinject.Model, prof []faultinj
 }
 
 func multiFaultKind(spec campaignSpec, model faultinject.Model, prof []faultinject.SiteProfile) campaignKind {
+	kind := faultinject.TraceMulti
 	config := func(policy seep.Policy) faultinject.MultiCampaignConfig {
 		return faultinject.MultiCampaignConfig{
 			Policy:  policy,
@@ -409,25 +407,19 @@ func multiFaultKind(spec campaignSpec, model faultinject.Model, prof []faultinje
 	}
 	return campaignKind{
 		banner:   fmt.Sprintf("%d faults per boot, ", spec.faults),
+		trace:    kind,
 		degraded: true,
 		identity: func(policy seep.Policy) (faultinject.JournalHeader, int) {
 			plans := faultinject.PlanMultiCampaign(config(policy), prof)
 			return faultinject.JournalHeader{
-				Kind: faultinject.TraceMulti, Policy: policy, Model: model, Seed: spec.seed,
+				Kind: kind, Policy: policy, Model: model, Seed: spec.seed,
 				Faults: spec.faults, Runs: spec.runs, IPC: spec.ipc,
 				PlanFingerprint: faultinject.MultiPlanFingerprint(plans),
 			}, len(plans)
 		},
 		run: func(policy seep.Policy, hooks runHooks) (faultinject.Tally, faultinject.PlaneStats) {
 			cfg := config(policy)
-			cfg.Journal, cfg.OnServe = hooks.journal, hooks.onServe
-			if hooks.record != nil {
-				cfg.OnResult = func(i int, rr faultinject.MultiRunResult) {
-					if rr.Triggered > 0 && runUnhealthy(rr.Outcome, rr.Consistent) {
-						hooks.record(i, faultinject.NewMultiTrace(policy, rr, spec.ipc))
-					}
-				}
-			}
+			cfg.Journal, cfg.OnResult = hooks.journal, hooks.onResult
 			res, stats := faultinject.RunMultiCampaign(cfg, prof)
 			return res.Tally, stats
 		},

@@ -22,6 +22,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -49,7 +50,7 @@ func main() {
 	)
 	flag.Parse()
 	if *replay != "" {
-		mismatches, err := runReplay(*replay)
+		mismatches, err := runReplay(os.Stdout, *replay)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "rcbreport:", err)
 			os.Exit(1)
@@ -66,9 +67,10 @@ func main() {
 	}
 }
 
-// runReplay re-executes every trace under path and reports how many
-// diverged from their recording.
-func runReplay(path string) (mismatches int, err error) {
+// runReplay re-executes every trace under path, writes one PASS or
+// MISMATCH line per trace to w, and reports how many diverged from their
+// recording.
+func runReplay(w io.Writer, path string) (mismatches int, err error) {
 	files, err := faultinject.ListTraceFiles(path)
 	if err != nil {
 		return 0, err
@@ -92,13 +94,13 @@ func runReplay(path string) (mismatches int, err error) {
 			serving = ", served " + t.Serving
 		}
 		if ok, diff := t.Matches(replayed); ok {
-			fmt.Printf("PASS     %s (%s %s seed %d: %v%s)\n", file, t.Kind, t.Policy, t.Seed, t.Outcome.Outcome, serving)
+			fmt.Fprintf(w, "PASS     %s (%s %s seed %d: %v%s)\n", file, t.Kind, t.Policy, t.Run.Seed, t.Run.Outcome, serving)
 		} else {
 			mismatches++
-			fmt.Printf("MISMATCH %s (%s %s seed %d%s): %s\n", file, t.Kind, t.Policy, t.Seed, serving, diff)
+			fmt.Fprintf(w, "MISMATCH %s (%s %s seed %d%s): %s\n", file, t.Kind, t.Policy, t.Run.Seed, serving, diff)
 		}
 	}
-	fmt.Printf("replayed %d trace(s), %d mismatch(es)\n", len(files), mismatches)
+	fmt.Fprintf(w, "replayed %d trace(s), %d mismatch(es)\n", len(files), mismatches)
 	return mismatches, nil
 }
 

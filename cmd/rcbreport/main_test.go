@@ -1,9 +1,14 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/golden"
 )
 
 // The RCB share is taken over this module's own source: a nested module
@@ -38,5 +43,56 @@ func TestCountPackagesSkipsNestedModulesAndDotDirs(t *testing.T) {
 	}
 	if k := counts["internal/kernel"]; k.lines != 2 || !k.rcb {
 		t.Errorf("internal/kernel = %+v, want 2 RCB lines", *k)
+	}
+}
+
+// TestReplayGoldenTraces replays the committed trace corpus, the traces
+// faultcampaign -record writes (cmd/faultcampaign TestGolden pins them):
+// every one replays bit-identically. An edited copy is reported as a
+// mismatch naming the edited field, and a trace of the retired v1
+// format is an error.
+func TestReplayGoldenTraces(t *testing.T) {
+	dir := filepath.Join(golden.Dir(t), "traces")
+	var out bytes.Buffer
+	mismatches, err := runReplay(&out, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pass := strings.Count(out.String(), "PASS "); mismatches != 0 || pass != 8 {
+		t.Fatalf("replayed the golden traces: %d PASS, %d mismatches, want 8 and 0\n%s", pass, mismatches, out.String())
+	}
+
+	files, err := filepath.Glob(filepath.Join(dir, "*.json"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no golden trace: %v", err)
+	}
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	edited := bytes.Replace(data, []byte(`"Recoveries": 1`), []byte(`"Recoveries": 7`), 1)
+	if bytes.Equal(edited, data) {
+		t.Fatalf("%s records no single recovery to edit", files[0])
+	}
+	path := filepath.Join(t.TempDir(), filepath.Base(files[0]))
+	if err := os.WriteFile(path, edited, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out.Reset()
+	if mismatches, err := runReplay(&out, path); err != nil || mismatches != 1 {
+		t.Fatalf("edited trace: %d mismatches, err %v, want 1 mismatch", mismatches, err)
+	}
+	if !strings.Contains(out.String(), "MISMATCH ") || !strings.Contains(out.String(), "Recoveries: recorded 7, replayed 1") {
+		t.Errorf("the mismatch does not name the edited field:\n%s", out.String())
+	}
+
+	v1 := `{"Format":"osiris-trace/v1","Kind":"single","Policy":"enhanced","Seed":7961,` +
+		`"Injection":{"Server":"ds","Site":"ds.get","Occurrence":4,"Type":"crash"},` +
+		`"Outcome":{"Outcome":"fail","Triggered":1,"TestsFailed":1,"Reason":"root process terminated","Consistent":true}}`
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := runReplay(io.Discard, path); err == nil || !strings.Contains(err.Error(), "unsupported trace format") {
+		t.Errorf("v1 trace: err %v, want an unsupported trace format error", err)
 	}
 }

@@ -122,9 +122,9 @@ type planned struct {
 
 // served is what one serving of a row observed.
 type served struct {
-	agg   any       // the campaign aggregate; nil for a stratified row
-	runs  []any     // per-run results in plan order; nil for a sweep
-	sv    []Serving // per-run serving decisions, parallel to runs
+	agg   any              // the campaign aggregate; nil for a stratified row
+	runs  []MultiRunResult // per-run records in plan order; nil for a sweep
+	sv    []Serving        // per-run serving decisions, parallel to runs
 	stats PlaneStats
 	// ladders are the warm runner's ladders (stratified rows only).
 	ladders map[planeClass]*ladder
@@ -416,7 +416,9 @@ func (s *scenario) multiCampaign() MultiCampaignConfig {
 func (s *scenario) serve(t *testing.T, plane PlaneOptions, workers int, j *Journal) served {
 	p := s.plan(t)
 	var out served
-	onServe := func(_ int, sv Serving) { out.sv = append(out.sv, sv) }
+	onResult := func(_ int, run MultiRunResult, sv Serving) {
+		out.runs, out.sv = append(out.runs, run), append(out.sv, sv)
+	}
 	switch {
 	case s.Kind == kindBackground:
 		out.agg, out.stats = SweepIPC(SweepConfig{
@@ -425,13 +427,11 @@ func (s *scenario) serve(t *testing.T, plane PlaneOptions, workers int, j *Journ
 		})
 	case s.Plan.Stratified == 0 && s.Kind == kindSingle:
 		cfg := s.campaign()
-		cfg.Workers, cfg.Plane, cfg.Journal, cfg.OnServe = workers, plane, j, onServe
-		cfg.OnResult = func(_ int, rr RunResult) { out.runs = append(out.runs, rr) }
+		cfg.Workers, cfg.Plane, cfg.Journal, cfg.OnResult = workers, plane, j, onResult
 		out.agg, out.stats = RunCampaign(cfg, p.profile)
 	case s.Plan.Stratified == 0:
 		cfg := s.multiCampaign()
-		cfg.Workers, cfg.Plane, cfg.Journal, cfg.OnServe = workers, plane, j, onServe
-		cfg.OnResult = func(_ int, rr MultiRunResult) { out.runs = append(out.runs, rr) }
+		cfg.Workers, cfg.Plane, cfg.Journal, cfg.OnResult = workers, plane, j, onResult
 		out.agg, out.stats = RunMultiCampaign(cfg, p.profile)
 	case s.Kind == kindSingle:
 		cfg := s.campaign()
@@ -439,10 +439,10 @@ func (s *scenario) serve(t *testing.T, plane PlaneOptions, workers int, j *Journ
 		runner := NewArmedRunner(cfg, p.single)
 		defer runner.Close()
 		out.sv = make([]Serving, len(p.single))
-		out.runs = parallel.Map(workers, len(p.single), func(i int) any {
-			rr, sv := runner.serve(s.Seed+uint64(i)*7919, p.single[i])
+		out.runs = parallel.Map(workers, len(p.single), func(i int) MultiRunResult {
+			run, sv := runner.serve(s.Seed+uint64(i)*7919, p.single[i])
 			out.sv[i] = sv
-			return rr
+			return run
 		})
 		out.stats, out.ladders = runner.Stats(), runner.r.ladders
 	default:
@@ -451,10 +451,10 @@ func (s *scenario) serve(t *testing.T, plane PlaneOptions, workers int, j *Journ
 		runner := newMultiRunner(cfg, p.multi)
 		defer runner.close()
 		out.sv = make([]Serving, len(p.multi))
-		out.runs = parallel.Map(workers, len(p.multi), func(i int) any {
-			rr, sv := runner.run(s.Seed+uint64(i)*104729, multiSpec(p.multi[i], s.IPC))
+		out.runs = parallel.Map(workers, len(p.multi), func(i int) MultiRunResult {
+			run, sv := runner.run(s.Seed+uint64(i)*104729, multiSpec(p.multi[i], s.IPC))
 			out.sv[i] = sv
-			return rr
+			return run
 		})
 		out.stats, out.ladders = runner.Stats(), runner.ladders
 	}
@@ -479,13 +479,14 @@ func (s *scenario) reference(t *testing.T, want []int) *served {
 	return &o.out
 }
 
-// covers reports whether the oracle holds every run in want.
+// covers reports whether the oracle holds every run in want; a run not
+// simulated yet is the zero record.
 func (o *oracle) covers(want []int) bool {
 	if o.out.agg != nil {
 		return true
 	}
-	for i, rr := range o.out.runs {
-		if rr == nil && (want == nil || slices.Contains(want, i)) {
+	for i, run := range o.out.runs {
+		if run.Outcome == 0 && (want == nil || slices.Contains(want, i)) {
 			return false
 		}
 	}
@@ -494,7 +495,8 @@ func (o *oracle) covers(want []int) bool {
 
 // simulateOracle fills the row's oracle: a campaign row booted cold at
 // workers 1, or the runs in want (nil: all) of a stratified row each
-// booted cold on its own. Caller holds the oracle's lock.
+// booted cold on its own — the cold boot RunOneWith and RunMultiWith
+// perform. Caller holds the oracle's lock.
 func (s *scenario) simulateOracle(t *testing.T, want []int) {
 	o := &s.oracle
 	if s.Plan.Stratified == 0 {
@@ -503,7 +505,7 @@ func (s *scenario) simulateOracle(t *testing.T, want []int) {
 	}
 	n, p := s.runs(t), s.plan(t)
 	if o.out.runs == nil {
-		o.out.runs = make([]any, n)
+		o.out.runs = make([]MultiRunResult, n)
 	}
 	if want == nil {
 		want = make([]int, n)
@@ -511,12 +513,12 @@ func (s *scenario) simulateOracle(t *testing.T, want []int) {
 			want[i] = i
 		}
 	}
-	cold := parallel.Map(0, len(want), func(j int) any {
+	cold := parallel.Map(0, len(want), func(j int) MultiRunResult {
 		i := want[j]
 		if s.Kind == kindMulti {
-			return RunMultiWith(s.Policy, s.Seed+uint64(i)*104729, p.multi[i], s.IPC)
+			return runCold(s.Policy, s.Seed+uint64(i)*104729, multiSpec(p.multi[i], s.IPC))
 		}
-		return RunOneWith(s.Policy, s.Seed+uint64(i)*7919, p.single[i], s.IPC)
+		return runCold(s.Policy, s.Seed+uint64(i)*7919, singleSpec(p.single[i], s.IPC))
 	})
 	for j, i := range want {
 		o.out.runs[i] = cold[j]
@@ -530,8 +532,8 @@ func (s *scenario) check(t *testing.T, plane PlaneOptions, got served) {
 	var want []int
 	if s.Bench {
 		want = []int{}
-		for i, rr := range got.runs {
-			if hung(rr) || got.sv[i].Plane == PlaneWedged {
+		for i, run := range got.runs {
+			if run.Reason == cycleLimitReason || got.sv[i].Plane == PlaneWedged {
 				want = append(want, i)
 			}
 		}
@@ -543,9 +545,9 @@ func (s *scenario) check(t *testing.T, plane PlaneOptions, got served) {
 	if got.runs != nil && len(got.runs) != len(o.runs) {
 		t.Fatalf("served %d runs, the oracle %d", len(got.runs), len(o.runs))
 	}
-	for i, rr := range got.runs {
-		if o.runs[i] != nil && !reflect.DeepEqual(o.runs[i], rr) {
-			t.Errorf("run %d (%s) differs from its cold boot:\ncold:   %+v\nserved: %+v", i, got.sv[i], o.runs[i], rr)
+	for i, run := range got.runs {
+		if o.runs[i].Outcome != 0 && !reflect.DeepEqual(o.runs[i], run) {
+			t.Errorf("run %d (%s) differs from its cold boot:\ncold:   %+v\nserved: %+v", i, got.sv[i], o.runs[i], run)
 		}
 	}
 
@@ -605,10 +607,10 @@ func (s *scenario) checkDefault(t *testing.T, got served) {
 	}
 	if c.Certified {
 		wedges := []string{}
-		for i, rr := range got.runs {
+		for i, run := range got.runs {
 			wedged := got.sv[i].Plane == PlaneWedged
-			if wedged != hung(rr) {
-				t.Errorf("run %d was served %s and ends %+v", i, got.sv[i], rr)
+			if wedged != (run.Reason == cycleLimitReason) {
+				t.Errorf("run %d was served %s and ends %+v", i, got.sv[i], run)
 			}
 			if wedged {
 				wedges = append(wedges, fmt.Sprintf("run %d %s", i, got.sv[i]))
@@ -664,15 +666,9 @@ func (s *scenario) resume(t *testing.T, shape string, workers int) served {
 		hdr.Kind, hdr.Faults, hdr.Runs = TraceMulti, s.Plan.Faults, s.Plan.Runs
 		hdr.PlanFingerprint = MultiPlanFingerprint(p.multi)
 	}
-	entries := make([]journalEntry, len(o.runs))
-	for i, rr := range o.runs {
-		entries[i] = journalEntry{Index: i}
-		switch rr := rr.(type) {
-		case RunResult:
-			entries[i].Single = &rr
-		case MultiRunResult:
-			entries[i].Multi = &rr
-		}
+	entries := make([]any, len(o.runs))
+	for i, run := range o.runs {
+		entries[i] = journalEntry{Index: i, Run: run}
 	}
 	clean := journalImage(t, hdr, entries...)
 	data := clean[:len(clean)*6/10]
@@ -705,29 +701,11 @@ func (s *scenario) resume(t *testing.T, shape string, workers int) served {
 		t.Errorf("the resumed campaign left %d of %d runs journaled", resumed, len(o.runs))
 	}
 	for i, want := range o.runs {
-		var rr any
-		var ok bool
-		if s.Kind == kindSingle {
-			rr, ok = j.LookupRun(i)
-		} else {
-			rr, ok = j.LookupMulti(i)
-		}
-		if !ok || !reflect.DeepEqual(want, rr) {
-			t.Errorf("journal entry %d (found %v) differs from the oracle's run:\noracle:  %+v\njournal: %+v", i, ok, want, rr)
+		if run, ok := j.Lookup(i); !ok || !reflect.DeepEqual(want, run) {
+			t.Errorf("journal entry %d (found %v) differs from the oracle's run:\noracle:  %+v\njournal: %+v", i, ok, want, run)
 		}
 	}
 	return got
-}
-
-// hung reports whether a run ended at the cycle limit.
-func hung(rr any) bool {
-	switch rr := rr.(type) {
-	case RunResult:
-		return rr.Reason == cycleLimitReason
-	case MultiRunResult:
-		return rr.Reason == cycleLimitReason
-	}
-	return false
 }
 
 // heldPrefix walks a fresh ladder of cfg to its end, rung by rung, and

@@ -150,7 +150,8 @@ func TestElideFallbackUntriggered(t *testing.T) {
 	cfg := CampaignConfig{Policy: seep.PolicyEnhanced, Model: FailStop, Seed: 42}
 	runner := NewArmedRunner(cfg, []Injection{inj})
 	defer runner.Close()
-	warmRR, decision := runner.serve(99, inj)
+	warm, decision := runner.serve(99, inj)
+	warmRR := warm.single(inj)
 	coldRR := RunOne(seep.PolicyEnhanced, 99, inj)
 	if !reflect.DeepEqual(coldRR, warmRR) {
 		t.Errorf("untriggered run diverged:\ncold: %+v\nwarm: %+v", coldRR, warmRR)
@@ -180,10 +181,10 @@ func TestElideFallbackEndedEarly(t *testing.T) {
 		switch {
 		case executedInFull(decisions[i], ElideFallbackEndedEarly):
 			early++
-			if !rr.Triggered {
+			if rr.Triggered == 0 {
 				t.Errorf("run %d charged %s without its fault firing", i, ElideFallbackEndedEarly)
 			}
-		case executedInFull(decisions[i], ElideFallbackUntriggered) && rr.Triggered:
+		case executedInFull(decisions[i], ElideFallbackUntriggered) && rr.Triggered > 0:
 			t.Errorf("run %d: fault fired yet charged %s", i, ElideFallbackUntriggered)
 		}
 	}
@@ -288,7 +289,7 @@ func TestElideFallbackResidue(t *testing.T) {
 func TestElideServingDecisions(t *testing.T) {
 	cfg, profile, _ := elideTestPlan(t)
 	decisions := make(map[int]string)
-	cfg.OnServe = func(index int, sv Serving) { decisions[index] = sv.String() }
+	cfg.OnResult = func(index int, _ MultiRunResult, sv Serving) { decisions[index] = sv.String() }
 	_, stats := RunCampaign(cfg, profile)
 	plan := PlanCampaign(cfg, profile)
 	if len(decisions) != len(plan) {

@@ -313,13 +313,20 @@ type Injection struct {
 	Type       FaultType
 }
 
-// RunResult is the outcome of one injection run.
+// RunResult is the single-fault view of one run record (MultiRunResult):
+// what RunOne, RunOneWith and ArmedRunner.Run return. It holds every
+// field of the record, so the view is lossless.
 type RunResult struct {
 	Injection Injection
 	Outcome   Outcome
 	Triggered bool
 	// TestsFailed is the number of failing suite tests (Fail runs).
 	TestsFailed int
+	// Recoveries counts the machine's completed recoveries, Quarantines
+	// its quarantined components (always 0: single-fault runs pin
+	// quarantine off).
+	Recoveries  int
+	Quarantines int
 	Reason      string
 	// Seed is the per-run seed; an inconsistent run replays exactly
 	// from it.
@@ -356,10 +363,33 @@ func (m MultiRunResult) single(inj Injection) RunResult {
 		Outcome:     m.Outcome,
 		Triggered:   m.Triggered > 0,
 		TestsFailed: m.TestsFailed,
+		Recoveries:  m.Recoveries,
+		Quarantines: m.Quarantines,
 		Reason:      m.Reason,
 		Seed:        m.Seed,
 		Consistent:  m.Consistent,
 		Violations:  m.Violations,
+	}
+}
+
+// record is the run record a single-fault result views: single's
+// inverse.
+func (rr RunResult) record() MultiRunResult {
+	triggered := 0
+	if rr.Triggered {
+		triggered = 1
+	}
+	return MultiRunResult{
+		Injections:  []MultiInjection{{Injection: rr.Injection}},
+		Outcome:     rr.Outcome,
+		Triggered:   triggered,
+		TestsFailed: rr.TestsFailed,
+		Recoveries:  rr.Recoveries,
+		Quarantines: rr.Quarantines,
+		Reason:      rr.Reason,
+		Seed:        rr.Seed,
+		Consistent:  rr.Consistent,
+		Violations:  rr.Violations,
 	}
 }
 
@@ -390,16 +420,12 @@ type CampaignConfig struct {
 	// runs are pure functions of their plan index and seed, a resumed
 	// campaign aggregates bit-identically to an uninterrupted one.
 	Journal *Journal
-	// OnResult, when set, observes every run result in plan order after
-	// the campaign completes its runs — including results served from
-	// the Journal. The faultcampaign -record flag uses it to emit
-	// replayable traces.
-	OnResult func(index int, rr RunResult)
-	// OnServe, when set, observes every run's serving decision in plan
-	// order alongside OnResult: how the run was served (cold boot, warm
-	// rung fork, tail elision or journal — see Serving). The faultcampaign
-	// -record flag stores its String form in the trace for provenance.
-	OnServe func(index int, sv Serving)
+	// OnResult, when set, observes every run in plan order after the
+	// campaign completes its runs — including runs served from the
+	// Journal — with how it was served (cold boot, warm rung fork, tail
+	// elision or journal — see Serving). The faultcampaign -record flag
+	// uses it to emit replayable traces.
+	OnResult func(index int, run MultiRunResult, sv Serving)
 	// Plane selects how the runs are served (the zero value forks from
 	// the snapshot ladder and elides tails; results are bit-identical for
 	// every setting).
@@ -475,16 +501,12 @@ func RunCampaign(cfg CampaignConfig, profile []SiteProfile) (CampaignResult, Pla
 	result := CampaignResult{Policy: cfg.Policy, Model: cfg.Model, Tally: newTally()}
 	runner := NewArmedRunner(cfg, plan)
 	defer runner.Close()
-	campaign[RunResult]{
-		n: len(plan), workers: cfg.Workers,
-		journal: cfg.Journal, lookup: (*Journal).LookupRun, record: (*Journal).RecordRun,
-		onServe: cfg.OnServe, onResult: cfg.OnResult,
-		run: func(i int) (RunResult, Serving) {
+	campaign{
+		n: len(plan), workers: cfg.Workers, journal: cfg.Journal, onResult: cfg.OnResult,
+		run: func(i int) (MultiRunResult, Serving) {
 			return runner.serve(cfg.Seed+uint64(i)*7919, plan[i])
 		},
-		tally: func(_ int, rr RunResult) {
-			result.add(rr.Outcome, rr.Triggered, rr.Consistent, rr.Seed)
-		},
+		tally: func(_ int, run MultiRunResult) { result.add(run, run.Triggered > 0) },
 	}.drive()
 	return result, runner.Stats()
 }
@@ -515,14 +537,13 @@ func NewArmedRunner(cfg CampaignConfig, plan []Injection) *ArmedRunner {
 
 // Run executes one armed run with the given per-run seed.
 func (a *ArmedRunner) Run(seed uint64, inj Injection) RunResult {
-	rr, _ := a.serve(seed, inj)
-	return rr
+	run, _ := a.serve(seed, inj)
+	return run.single(inj)
 }
 
-// serve is Run plus the run's serving decision.
-func (a *ArmedRunner) serve(seed uint64, inj Injection) (RunResult, Serving) {
-	res, sv := a.r.run(seed, singleSpec(inj, a.ipc))
-	return res.single(inj), sv
+// serve is Run as the run record plus the run's serving decision.
+func (a *ArmedRunner) serve(seed uint64, inj Injection) (MultiRunResult, Serving) {
+	return a.r.run(seed, singleSpec(inj, a.ipc))
 }
 
 // Stats returns the serving statistics accumulated so far.

@@ -52,14 +52,6 @@ func (o IPCOptions) apply(cfg core.Config, runSeed uint64) core.Config {
 	return cfg
 }
 
-// background is the RunResult view of a run that armed nothing: it
-// counts as triggered when background rates were live.
-func (m MultiRunResult) background(ipc IPCOptions) RunResult {
-	rr := m.single(Injection{})
-	rr.Triggered = ipc.Faults.Enabled()
-	return rr
-}
-
 // SweepConfig parameterizes an IPC fault-rate sweep.
 type SweepConfig struct {
 	Policy seep.Policy
@@ -112,9 +104,9 @@ func SweepIPC(cfg SweepConfig) ([]SweepPoint, PlaneStats) {
 	}
 	runner := campaignRunner{policy: cfg.Policy, seed: cfg.Seed, opts: cfg.Plane}
 	defer runner.close()
-	campaign[RunResult]{
+	campaign{
 		n: len(points) * runs, workers: cfg.Workers,
-		run: func(i int) (RunResult, Serving) {
+		run: func(i int) (MultiRunResult, Serving) {
 			bp := cfg.RatesBP[i/runs]
 			ipc := IPCOptions{
 				Faults: kernel.IPCFaultConfig{
@@ -122,12 +114,9 @@ func SweepIPC(cfg SweepConfig) ([]SweepPoint, PlaneStats) {
 				},
 				Seed: cfg.Seed ^ 0x51EE9,
 			}
-			res, sv := runner.run(cfg.Seed+uint64(i)*15485863, runSpec{kind: kindBackground, ipc: ipc})
-			return res.background(ipc), sv
+			return runner.run(cfg.Seed+uint64(i)*15485863, runSpec{kind: kindBackground, ipc: ipc})
 		},
-		tally: func(i int, rr RunResult) {
-			points[i/runs].add(rr.Outcome, true, rr.Consistent, rr.Seed)
-		},
+		tally: func(i int, run MultiRunResult) { points[i/runs].add(run, true) },
 	}.drive()
 	return points, runner.Stats()
 }

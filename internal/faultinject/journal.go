@@ -1,27 +1,32 @@
 package faultinject
 
 // Crash-tolerant campaign journal: an append-only, checksummed log of
-// completed run results. A campaign opens a journal, replays every
+// completed run records. A campaign opens a journal, replays every
 // entry already on disk (skipping those runs entirely), and appends
 // each newly completed run. Killing the campaign at any instant —
 // including mid-write — loses at most the unsynced tail: on reopen the
 // first torn or corrupt entry and everything after it is detected,
-// dropped, and simply re-executed. Because runs are pure functions of
-// their plan index and seed, a resumed campaign's aggregate is
-// bit-identical to an uninterrupted one at any worker count.
+// dropped, and simply re-executed. A file killed while it was being
+// created — a strict prefix of the magic and header record the campaign
+// writes — holds no run and is rewritten as a fresh journal. Because runs are pure
+// functions of their plan index and seed, a resumed campaign's aggregate
+// is bit-identical to an uninterrupted one at any worker count.
 //
 // On-disk layout: the 8-byte magic, then framed records — u32
 // little-endian payload length, u32 CRC32-C of the payload, payload —
 // where the first record is the JSON header (the campaign's identity:
 // kind, policy, model, seed, plan shape, transport options, plan
-// fingerprint) and every later record is one JSON run entry. Writes
-// are fsync-batched (every syncEvery records and on Close); each
-// record is appended with a single write call so a torn write can only
-// produce a short or corrupt tail, never reorder earlier entries.
+// fingerprint) and every later record is one JSON run entry: a plan
+// index and the run's MultiRunResult. Writes are fsync-batched (every
+// syncEvery records and on Close); each record is appended with a single
+// write call so a torn write can only produce a short or corrupt tail,
+// never reorder earlier entries.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
@@ -34,7 +39,11 @@ import (
 )
 
 // JournalMagic leads every campaign journal file.
-const JournalMagic = "OSIRISJ1"
+const JournalMagic = "OSIRISJ2"
+
+// retiredJournalMagic led the journals whose entries held a RunResult
+// or a MultiRunResult by campaign kind.
+const retiredJournalMagic = "OSIRISJ1"
 
 // syncEvery is the fsync batch size: an unclean kill loses at most
 // this many journaled results (they are simply re-run on resume).
@@ -61,9 +70,8 @@ type JournalHeader struct {
 
 // journalEntry is one completed run.
 type journalEntry struct {
-	Index  int
-	Single *RunResult      `json:",omitempty"`
-	Multi  *MultiRunResult `json:",omitempty"`
+	Index int
+	Run   MultiRunResult
 }
 
 // Journal is an open campaign journal. Lookup and Record are safe for
@@ -71,7 +79,7 @@ type journalEntry struct {
 type Journal struct {
 	mu       sync.Mutex
 	f        *os.File
-	entries  map[int]journalEntry
+	entries  map[int]MultiRunResult
 	unsynced int
 	writeErr error
 }
@@ -101,20 +109,24 @@ func MultiPlanFingerprint(plans [][]MultiInjection) uint64 {
 // OpenJournal opens (or creates) the journal at path for the campaign
 // identified by hdr and returns it along with the number of run
 // entries recovered from disk. A corrupt or torn tail is truncated
-// away — those runs re-execute — but a mismatched header or an
+// away — those runs re-execute — and a file torn while it was being
+// created is started afresh, but a mismatched or corrupt header or an
 // unreadable file is an error: that is the wrong journal, not a
 // recoverable tail.
 func OpenJournal(path string, hdr JournalHeader) (*Journal, int, error) {
 	data, err := os.ReadFile(path)
 	switch {
 	case os.IsNotExist(err):
-		return createJournal(path, hdr)
+		return createJournal(path, hdr, os.O_EXCL)
 	case err != nil:
 		return nil, 0, err
 	}
 
 	entries, goodLen, err := scanJournal(data, hdr)
-	if err != nil {
+	switch {
+	case errors.Is(err, errCreationTorn):
+		return createJournal(path, hdr, os.O_TRUNC)
+	case err != nil:
 		return nil, 0, err
 	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
@@ -136,19 +148,18 @@ func OpenJournal(path string, hdr JournalHeader) (*Journal, int, error) {
 	return &Journal{f: f, entries: entries}, len(entries), nil
 }
 
-// createJournal starts a fresh journal with the header record.
-func createJournal(path string, hdr JournalHeader) (*Journal, int, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o644)
+// createJournal starts a fresh journal with the header record; mode is
+// os.O_EXCL for a new file or os.O_TRUNC to rewrite a creation-torn one.
+func createJournal(path string, hdr JournalHeader, mode int) (*Journal, int, error) {
+	head, err := journalHead(hdr)
 	if err != nil {
 		return nil, 0, err
 	}
-	payload, err := json.Marshal(hdr)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|mode, 0o644)
 	if err != nil {
-		f.Close()
 		return nil, 0, err
 	}
-	buf := append([]byte(JournalMagic), frameRecord(payload)...)
-	if _, err := f.Write(buf); err != nil {
+	if _, err := f.Write(head); err != nil {
 		f.Close()
 		os.Remove(path)
 		return nil, 0, err
@@ -158,7 +169,17 @@ func createJournal(path string, hdr JournalHeader) (*Journal, int, error) {
 		os.Remove(path)
 		return nil, 0, err
 	}
-	return &Journal{f: f, entries: make(map[int]journalEntry)}, 0, nil
+	return &Journal{f: f, entries: make(map[int]MultiRunResult)}, 0, nil
+}
+
+// journalHead is what createJournal writes for hdr: the magic and the
+// header record.
+func journalHead(hdr JournalHeader) ([]byte, error) {
+	payload, err := json.Marshal(hdr)
+	if err != nil {
+		return nil, err
+	}
+	return append([]byte(JournalMagic), frameRecord(payload)...), nil
 }
 
 // frameRecord wraps a payload in the length+checksum frame.
@@ -172,12 +193,28 @@ func frameRecord(payload []byte) []byte {
 
 var crcJournal = crc32.MakeTable(crc32.Castagnoli)
 
+// errCreationTorn is scanJournal's verdict on a file whose bytes are a
+// strict prefix of what createJournal writes for the campaign: killed
+// while it was being created, it holds no run.
+var errCreationTorn = errors.New("faultinject: journal torn during creation")
+
 // scanJournal parses a journal image: validates the magic and header,
-// then reads run entries until the end of the file or the first torn or
-// corrupt record. It returns the intact entries and the byte length of
-// the intact prefix.
-func scanJournal(data []byte, want JournalHeader) (map[int]journalEntry, int64, error) {
-	if len(data) < len(JournalMagic) || string(data[:len(JournalMagic)]) != JournalMagic {
+// then reads run entries until the end of the file or the first torn,
+// corrupt or invalid record. It returns the intact entries and the byte
+// length of the intact prefix.
+func scanJournal(data []byte, want JournalHeader) (map[int]MultiRunResult, int64, error) {
+	head, err := journalHead(want)
+	if err != nil {
+		return nil, 0, err
+	}
+	// Only a prefix of this campaign's own head is a creation tear: any
+	// other short or damaged head may be a journal full of runs.
+	switch {
+	case len(data) < len(head) && bytes.HasPrefix(head, data):
+		return nil, 0, errCreationTorn
+	case bytes.HasPrefix(data, []byte(retiredJournalMagic)):
+		return nil, 0, fmt.Errorf("faultinject: journal is in the retired %s format; delete it to start the campaign afresh", retiredJournalMagic)
+	case !bytes.HasPrefix(data, []byte(JournalMagic)):
 		return nil, 0, fmt.Errorf("faultinject: not a campaign journal (bad magic)")
 	}
 	off := len(JournalMagic)
@@ -189,7 +226,7 @@ func scanJournal(data []byte, want JournalHeader) (map[int]journalEntry, int64, 
 		return nil, 0, fmt.Errorf("faultinject: journal header record torn or corrupt")
 	}
 	var stored JournalHeader
-	if err := json.Unmarshal(hdrPayload, &stored); err != nil {
+	if err := decodeStrict(hdrPayload, &stored); err != nil {
 		return nil, 0, fmt.Errorf("faultinject: journal header: %w", err)
 	}
 	if !reflect.DeepEqual(stored, want) {
@@ -197,25 +234,29 @@ func scanJournal(data []byte, want JournalHeader) (map[int]journalEntry, int64, 
 	}
 	off += n
 
-	entries := make(map[int]journalEntry)
+	entries := make(map[int]MultiRunResult)
 	for off < len(data) {
 		payload, n := nextRecord(data[off:])
 		if n < 0 {
 			break // torn or corrupt tail: drop it and everything after
 		}
+		// Checksummed but unparsable, or a record no run of the
+		// journal's kind produces: treat it as the corrupt tail.
 		var e journalEntry
-		if err := json.Unmarshal(payload, &e); err != nil {
-			break // checksummed but unparsable: treat as corrupt tail
-		}
-		// Malformed: exactly one result kind, the journal's, at a plan
-		// index. No lookup could return anything else.
-		if (e.Single == nil) == (e.Multi == nil) || (e.Multi != nil) != (want.Kind == TraceMulti) || e.Index < 0 {
+		if decodeStrict(payload, &e) != nil || e.Index < 0 || e.Run.check(want.Kind) != nil {
 			break
 		}
-		entries[e.Index] = e
+		entries[e.Index] = e.Run
 		off += n
 	}
 	return entries, int64(off), nil
+}
+
+// decodeStrict decodes one JSON value, refusing fields v does not have.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // nextRecord parses one framed record from the front of b, returning
@@ -237,38 +278,19 @@ func nextRecord(b []byte) ([]byte, int) {
 	return payload, 8 + plen
 }
 
-// LookupRun returns the journaled result of single-fault run i.
-func (j *Journal) LookupRun(i int) (RunResult, bool) {
+// Lookup returns the journaled record of run i.
+func (j *Journal) Lookup(i int) (MultiRunResult, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	e, ok := j.entries[i]
-	if !ok || e.Single == nil {
-		return RunResult{}, false
-	}
-	return *e.Single, true
+	run, ok := j.entries[i]
+	return run, ok
 }
 
-// LookupMulti returns the journaled result of multi-fault run i.
-func (j *Journal) LookupMulti(i int) (MultiRunResult, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	e, ok := j.entries[i]
-	if !ok || e.Multi == nil {
-		return MultiRunResult{}, false
-	}
-	return *e.Multi, true
-}
-
-// RecordRun journals the result of single-fault run i. Journal I/O
-// errors degrade — the campaign keeps running, the error surfaces from
-// Close — because losing resumability must never lose the campaign.
-func (j *Journal) RecordRun(i int, rr RunResult) {
-	j.append(journalEntry{Index: i, Single: &rr})
-}
-
-// RecordMulti journals the result of multi-fault run i.
-func (j *Journal) RecordMulti(i int, rr MultiRunResult) {
-	j.append(journalEntry{Index: i, Multi: &rr})
+// Record journals the record of run i. Journal I/O errors degrade — the
+// campaign keeps running, the error surfaces from Close — because
+// losing resumability must never lose the campaign.
+func (j *Journal) Record(i int, run MultiRunResult) {
+	j.append(journalEntry{Index: i, Run: run})
 }
 
 func (j *Journal) append(e journalEntry) {
@@ -279,7 +301,7 @@ func (j *Journal) append(e journalEntry) {
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.entries[e.Index] = e
+	j.entries[e.Index] = e.Run
 	if j.writeErr != nil {
 		return
 	}

@@ -1,10 +1,13 @@
 package faultinject
 
 import (
+	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/seep"
@@ -18,11 +21,12 @@ func journalTestHeader() JournalHeader {
 	}
 }
 
-func sampleRunResult(i int) RunResult {
-	return RunResult{
-		Injection:  Injection{Server: "pm", Site: "s", Occurrence: i + 1, Type: FaultCrash},
+func sampleRun(i int) MultiRunResult {
+	return MultiRunResult{
+		Injections: []MultiInjection{{Injection: Injection{Server: "pm", Site: "s", Occurrence: i + 1, Type: FaultCrash}}},
 		Outcome:    OutcomePass,
-		Triggered:  true,
+		Triggered:  1,
+		Recoveries: 1,
 		Seed:       7 + uint64(i)*7919,
 		Consistent: true,
 	}
@@ -39,16 +43,16 @@ func TestJournalRoundTrip(t *testing.T) {
 	if resumed != 0 {
 		t.Fatalf("fresh journal resumed %d entries", resumed)
 	}
-	want := make(map[int]RunResult)
+	want := make(map[int]MultiRunResult)
 	for i := 0; i < 40; i++ { // crosses the fsync batch boundary
-		rr := sampleRunResult(i)
+		run := sampleRun(i)
 		if i%3 == 0 {
-			rr.Outcome = OutcomeCrash
-			rr.Consistent = false
-			rr.Violations = []string{"vfs: dangling inode"}
+			run.Outcome = OutcomeCrash
+			run.Consistent = false
+			run.Violations = []string{"vfs: dangling inode"}
 		}
-		j.RecordRun(i, rr)
-		want[i] = rr
+		j.Record(i, run)
+		want[i] = run
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -62,13 +66,13 @@ func TestJournalRoundTrip(t *testing.T) {
 	if resumed != len(want) {
 		t.Fatalf("resumed %d entries, want %d", resumed, len(want))
 	}
-	for i, rr := range want {
-		got, ok := j2.LookupRun(i)
+	for i, run := range want {
+		got, ok := j2.Lookup(i)
 		if !ok {
 			t.Fatalf("entry %d missing after reopen", i)
 		}
-		if !reflect.DeepEqual(got, rr) {
-			t.Fatalf("entry %d changed across reopen:\nwrote %+v\nread  %+v", i, rr, got)
+		if !reflect.DeepEqual(got, run) {
+			t.Fatalf("entry %d changed across reopen:\nwrote %+v\nread  %+v", i, run, got)
 		}
 	}
 }
@@ -84,7 +88,7 @@ func TestJournalTornAndCorruptTails(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		j.RecordRun(i, sampleRunResult(i))
+		j.Record(i, sampleRun(i))
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -108,7 +112,7 @@ func TestJournalTornAndCorruptTails(t *testing.T) {
 			t.Fatalf("%s: resumed %d entries, want %d", name, resumed, wantResumed)
 		}
 		// The journal must accept appends after tail repair.
-		j.RecordRun(99, sampleRunResult(99))
+		j.Record(99, sampleRun(99))
 		if err := j.Close(); err != nil {
 			t.Fatalf("%s: close after repair: %v", name, err)
 		}
@@ -137,7 +141,7 @@ func TestJournalRefusesForeignCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.RecordRun(0, sampleRunResult(0))
+	j.Record(0, sampleRun(0))
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -164,6 +168,81 @@ func TestJournalRefusesForeignCampaign(t *testing.T) {
 	}
 	if _, _, err := OpenJournal(bogus, journalTestHeader()); err == nil {
 		t.Error("journal accepted a non-journal file")
+	}
+}
+
+// TestJournalCreationTorn: a file killed while OpenJournal was creating
+// it — a strict prefix of the magic and header record it writes — holds
+// no run and is started afresh. A foreign magic, a complete header
+// record that fails its checksum, a header whose length word points past
+// the end of a journal with entries, and a file that is no journal at
+// all stay refused, and are left as they were.
+func TestJournalCreationTorn(t *testing.T) {
+	hdr := journalTestHeader()
+	clean := journalImage(t, hdr)
+	magic := len(JournalMagic)
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{
+		"empty":                  {},
+		"inside the magic":       clean[:magic-3],
+		"inside the frame head":  clean[:magic+5],
+		"inside the header body": clean[:len(clean)-3],
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, resumed, err := OpenJournal(path, hdr)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if resumed != 0 {
+			t.Errorf("%s: resumed %d runs", name, resumed)
+		}
+		j.Record(0, sampleRun(0))
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, resumed, err := OpenJournal(path, hdr); err != nil || resumed != 1 {
+			t.Errorf("%s: after a fresh start and one record: resumed %d, err %v", name, resumed, err)
+		}
+	}
+
+	crc := append([]byte(nil), clean...)
+	crc[len(crc)-2] ^= 0x01
+	foreign := append([]byte("OSIRISX9"), clean[magic:]...)
+	longHeader := journalImage(t, hdr, singleEntry(0), singleEntry(1))
+	binary.LittleEndian.PutUint32(longHeader[magic:], uint32(len(longHeader)))
+	for name, data := range map[string][]byte{
+		"header checksum":            crc,
+		"header length past the end": longHeader,
+		"foreign magic":              foreign,
+		"no journal":                 []byte("not a journal at all"),
+	} {
+		path := filepath.Join(dir, "refused-"+strings.ReplaceAll(name, " ", "-"))
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := OpenJournal(path, hdr); err == nil {
+			t.Errorf("%s: opened", name)
+		}
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("%s: a refused file was rewritten", name)
+		}
+	}
+}
+
+// TestJournalRefusesRetiredFormat: a journal of the retired OSIRISJ1
+// format is refused with an error that names it and says what to do.
+func TestJournalRefusesRetiredFormat(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	old := append([]byte("OSIRISJ1"), journalImage(t, journalTestHeader())[len(JournalMagic):]...)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err := OpenJournal(path, journalTestHeader())
+	if err == nil || !strings.Contains(err.Error(), "OSIRISJ1") || !strings.Contains(err.Error(), "delete") {
+		t.Fatalf("retired journal: err %v, want one naming OSIRISJ1 and saying to delete it", err)
 	}
 }
 
@@ -200,7 +279,7 @@ func TestTraceRecordReplay(t *testing.T) {
 		{Injection: Injection{Server: "pm", Site: "pm.getpid", Occurrence: 4, Type: FaultCrash}, Persistent: true},
 	}
 	mrr := RunMulti(seep.PolicyEnhanced, 11, injs)
-	mtr := NewMultiTrace(seep.PolicyEnhanced, mrr, IPCOptions{})
+	mtr := NewRunTrace(TraceMulti, seep.PolicyEnhanced, mrr, IPCOptions{})
 	if err := WriteTraceFile(path, mtr); err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +300,7 @@ func TestTraceRecordReplay(t *testing.T) {
 
 	// A tampered recording must be detected as a mismatch.
 	bad := loaded
-	bad.Outcome.TestsFailed++
+	bad.Run.TestsFailed++
 	if ok, _ := bad.Matches(replayed); ok {
 		t.Fatal("tampered trace still matched its replay")
 	}
@@ -266,10 +345,13 @@ func TestCampaignOnResultSeesJournaledRuns(t *testing.T) {
 	var seen []int
 	rcfg := cfg
 	rcfg.Journal = j
-	rcfg.OnResult = func(i int, rr RunResult) {
+	rcfg.OnResult = func(i int, run MultiRunResult, sv Serving) {
 		seen = append(seen, i)
-		if rr.Seed != cfg.Seed+uint64(i)*7919 {
-			t.Errorf("run %d: journal-served seed %d does not match plan seed", i, rr.Seed)
+		if run.Seed != cfg.Seed+uint64(i)*7919 {
+			t.Errorf("run %d: journal-served seed %d does not match plan seed", i, run.Seed)
+		}
+		if sv.Plane != PlaneJournal {
+			t.Errorf("run %d: served %s, not from the journal", i, sv)
 		}
 	}
 	RunCampaign(rcfg, profile)
@@ -287,8 +369,9 @@ func TestCampaignOnResultSeesJournaledRuns(t *testing.T) {
 }
 
 // journalImage is a journal file holding hdr and entries, built in
-// memory exactly as OpenJournal and RecordRun write one.
-func journalImage(t testing.TB, hdr JournalHeader, entries ...journalEntry) []byte {
+// memory exactly as OpenJournal and Record write one. An entry is a
+// journalEntry or, to write what Record never would, a json.RawMessage.
+func journalImage(t testing.TB, hdr JournalHeader, entries ...any) []byte {
 	t.Helper()
 	out := []byte(JournalMagic)
 	payload, err := json.Marshal(hdr)
@@ -305,32 +388,47 @@ func journalImage(t testing.TB, hdr JournalHeader, entries ...journalEntry) []by
 	return out
 }
 
-func singleEntry(i int) journalEntry {
-	rr := sampleRunResult(i)
-	return journalEntry{Index: i, Single: &rr}
-}
+func singleEntry(i int) journalEntry { return journalEntry{Index: i, Run: sampleRun(i)} }
 
+// multiEntry is a two-fault run.
 func multiEntry(i int) journalEntry {
-	return journalEntry{Index: i, Multi: &MultiRunResult{Outcome: OutcomePass, Seed: uint64(i)}}
+	run := sampleRun(i)
+	run.Injections = append(run.Injections, MultiInjection{Injection: run.Injections[0].Injection, Correlated: true})
+	return journalEntry{Index: i, Run: run}
 }
 
 // TestJournalRefusesEntriesNoLookupReads: an entry with a negative index,
-// or of the other campaign kind, passes its checksum but no lookup ever
-// returns it. Kept, it inflated Resumed — faultcampaign's "resuming N
-// runs" — so it is the corrupt tail, and everything after it goes.
+// missing or unknown fields, an outcome or fault type without a name, or
+// an injection count no run of the journal's kind has passes its
+// checksum, but no run could have written it. Kept, it resumed as a run
+// the tally misreads, so it is the corrupt tail, and everything after it
+// goes.
 func TestJournalRefusesEntriesNoLookupReads(t *testing.T) {
 	multiHdr := journalTestHeader()
 	multiHdr.Kind = TraceMulti
 	negative := singleEntry(2)
 	negative.Index = -1
+	correlated := singleEntry(1)
+	correlated.Run.Injections[0].Correlated = true
+	unarmed := multiEntry(2)
+	unarmed.Run.Injections = nil
+	raw := func(s string) json.RawMessage { return json.RawMessage(s) }
 	for name, c := range map[string]struct {
 		hdr     JournalHeader
-		entries []journalEntry
+		entries []any
 		want    int
 	}{
-		"negative index":                  {journalTestHeader(), []journalEntry{singleEntry(0), singleEntry(1), negative, singleEntry(3)}, 2},
-		"multi entry in a single journal": {journalTestHeader(), []journalEntry{singleEntry(0), multiEntry(1), singleEntry(2)}, 1},
-		"single entry in a multi journal": {multiHdr, []journalEntry{multiEntry(0), multiEntry(1), singleEntry(2), multiEntry(3)}, 2},
+		"negative index":                         {journalTestHeader(), []any{singleEntry(0), singleEntry(1), negative, singleEntry(3)}, 2},
+		"two injections in a single journal":     {journalTestHeader(), []any{singleEntry(0), multiEntry(1), singleEntry(2)}, 1},
+		"a correlated injection, single journal": {journalTestHeader(), []any{singleEntry(0), correlated, singleEntry(2)}, 1},
+		"no injection in a multi journal":        {multiHdr, []any{multiEntry(0), multiEntry(1), unarmed, multiEntry(3)}, 2},
+		"a single-fault run in a multi journal":  {multiHdr, []any{multiEntry(0), singleEntry(1)}, 2},
+		"missing and unknown fields":             {journalTestHeader(), []any{singleEntry(0), raw(`{"Index":1,"Single":{},"Bogus":1}`), singleEntry(2)}, 1},
+		"no run":                                 {journalTestHeader(), []any{singleEntry(0), raw(`{"Index":1}`), singleEntry(2)}, 1},
+		"an outcome without a name":              {journalTestHeader(), []any{singleEntry(0), raw(`{"Index":1,"Run":{"Injections":[{"Server":"pm","Site":"s","Occurrence":1,"Type":"crash"}],"Triggered":1}}`)}, 1},
+		"a fault type without a name":            {journalTestHeader(), []any{singleEntry(0), raw(`{"Index":1,"Run":{"Injections":[{"Server":"pm","Site":"s","Occurrence":1}],"Outcome":"pass"}}`)}, 1},
+		"an unknown field beside a run":          {journalTestHeader(), []any{singleEntry(0), raw(`{"Index":1,"Run":{"Injections":[{"Server":"pm","Site":"s","Occurrence":1,"Type":"crash"}],"Outcome":"pass"},"Bogus":1}`)}, 1},
+		"a well-formed record written by hand":   {journalTestHeader(), []any{singleEntry(0), raw(`{"Index":1,"Run":{"Injections":[{"Server":"pm","Site":"s","Occurrence":1,"Type":"crash"}],"Outcome":"pass"}}`)}, 2},
 	} {
 		path := filepath.Join(t.TempDir(), "j")
 		if err := os.WriteFile(path, journalImage(t, c.hdr, c.entries...), 0o644); err != nil {
@@ -349,16 +447,17 @@ func TestJournalRefusesEntriesNoLookupReads(t *testing.T) {
 
 // FuzzScanJournal: any byte string scans as a journal or as an error,
 // never a panic; the intact prefix lies within the input, holds only
-// entries a lookup can return, and scans again to the same entries.
+// entries that pass the record check a trace passes too, and scans again
+// to the same entries.
 func FuzzScanJournal(f *testing.F) {
 	hdr := journalTestHeader()
-	var entries []journalEntry
+	var entries []any
 	for i := 0; i < 6; i++ {
 		entries = append(entries, singleEntry(i))
 	}
 	clean := journalImage(f, hdr, entries...)
-	// TestJournalTornAndCorruptTails's shapes, and the entries no lookup
-	// reads.
+	// TestJournalTornAndCorruptTails's shapes, the entries no run
+	// writes, and a journal torn during creation.
 	flipped := append([]byte(nil), clean...)
 	flipped[len(flipped)-3] ^= 0x10
 	negative := singleEntry(6)
@@ -371,7 +470,9 @@ func FuzzScanJournal(f *testing.F) {
 		append(append([]byte(nil), clean...), 0xff, 0xff, 0xff, 0x7f, 1, 2, 3, 4),
 		journalImage(f, hdr, append(entries, negative)...),
 		journalImage(f, hdr, append(entries, multiEntry(6))...),
+		journalImage(f, hdr, append(entries, json.RawMessage(`{"Index":6,"Single":{},"Bogus":1}`))...),
 		[]byte(JournalMagic),
+		clean[:len(JournalMagic)+5],
 	} {
 		f.Add(seed)
 	}
@@ -383,9 +484,9 @@ func FuzzScanJournal(f *testing.F) {
 		if goodLen > int64(len(data)) {
 			t.Fatalf("intact prefix %d bytes of %d", goodLen, len(data))
 		}
-		for i, e := range got {
-			if i != e.Index || i < 0 || e.Single == nil || e.Multi != nil {
-				t.Fatalf("kept entry %d no lookup reads: %+v", i, e)
+		for i, run := range got {
+			if err := run.check(hdr.Kind); i < 0 || err != nil {
+				t.Fatalf("kept entry %d no run writes (%v): %+v", i, err, run)
 			}
 		}
 		again, againLen, err := scanJournal(data[:goodLen], hdr)
@@ -395,24 +496,38 @@ func FuzzScanJournal(f *testing.F) {
 	})
 }
 
+// TestTraceRefusesRetiredFormat: a trace of the retired v1 format is
+// refused by its format tag, not by the first field v2 lacks.
+func TestTraceRefusesRetiredFormat(t *testing.T) {
+	v1 := `{"Format":"osiris-trace/v1","Kind":"single","Policy":"enhanced","Seed":7,` +
+		`"Injection":{"Server":"pm","Site":"pm.getpid","Occurrence":3,"Type":"crash"},` +
+		`"Outcome":{"Outcome":"fail","Triggered":1,"Consistent":true}}`
+	path := filepath.Join(t.TempDir(), "v1.json")
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadTraceFile(path)
+	if err == nil || !strings.Contains(err.Error(), `unsupported trace format "osiris-trace/v1"`) {
+		t.Fatalf("v1 trace: err %v, want an unsupported trace format error", err)
+	}
+}
+
 // FuzzReadTrace: a trace ReadTraceFile's decode accepts marshals and
 // decodes again to an equal value.
 func FuzzReadTrace(f *testing.F) {
-	single := Trace{
-		Format: TraceFormat, Kind: TraceSingle, Policy: seep.PolicyEnhanced, Seed: 7,
-		Injection: &Injection{Server: "pm", Site: "pm.getpid", Occurrence: 3, Type: FaultCrash},
-		Serving:   "rung:4 full:fingerprint-mismatch",
-		Outcome:   TraceOutcome{Outcome: OutcomeCrash, Triggered: 1, Reason: "panic", Violations: []string{"vfs: dangling inode"}},
-	}
-	multi := Trace{
-		Format: TraceFormat, Kind: TraceMulti, Policy: seep.PolicyPessimistic, Seed: 11,
+	single := NewTrace(seep.PolicyEnhanced, RunResult{
+		Injection: Injection{Server: "pm", Site: "pm.getpid", Occurrence: 3, Type: FaultCrash},
+		Outcome:   OutcomeCrash, Triggered: true, Recoveries: 1, Seed: 7, Reason: "panic",
+		Violations: []string{"vfs: dangling inode"},
+	}, IPCOptions{})
+	single.Serving = "rung:4 full:fingerprint-mismatch"
+	multi := NewRunTrace(TraceMulti, seep.PolicyPessimistic, MultiRunResult{
 		Injections: []MultiInjection{
 			{Injection: Injection{Server: "pm", Site: "pm.getpid", Occurrence: 2, Type: FaultCrash}},
 			{Injection: Injection{Server: "vfs", Site: "vfs.stat", Occurrence: 1, Type: FaultIPCDrop}, Correlated: true, Persistent: true},
 		},
-		IPC:     IPCOptions{Seed: 3, TimeoutCycles: 400000},
-		Outcome: TraceOutcome{Outcome: OutcomeDegradedPass, Triggered: 2, Recoveries: 3, Quarantines: 1, Consistent: true},
-	}
+		Outcome: OutcomeDegradedPass, Triggered: 2, Recoveries: 3, Quarantines: 1, Seed: 11, Consistent: true,
+	}, IPCOptions{Seed: 3, TimeoutCycles: 400000})
 	for _, tr := range []Trace{single, multi} {
 		data, err := json.MarshalIndent(tr, "", "  ")
 		if err != nil {
@@ -420,13 +535,14 @@ func FuzzReadTrace(f *testing.F) {
 		}
 		f.Add(data)
 	}
-	// What decodes but used not to write back: a record leaving out its
+	// What decodes but would not write back: a record leaving out its
 	// outcome, policy or fault type, and empty lists.
 	for _, seed := range []string{
-		`{"Format":"osiris-trace/v1","Policy":"enhanced"}`,
-		`{"Format":"osiris-trace/v1","Outcome":{"Outcome":"pass"}}`,
-		`{"Format":"osiris-trace/v1","Policy":"naive","Injection":{},"Outcome":{"Outcome":"fail"}}`,
-		`{"Format":"osiris-trace/v1","Policy":"naive","Injections":[],"Outcome":{"Outcome":"fail","Violations":[]}}`,
+		`{"Format":"osiris-trace/v2","Policy":"enhanced"}`,
+		`{"Format":"osiris-trace/v2","Kind":"single","Run":{"Outcome":"pass"}}`,
+		`{"Format":"osiris-trace/v2","Kind":"single","Policy":"naive","Run":{"Injections":[{}],"Outcome":"fail"}}`,
+		`{"Format":"osiris-trace/v2","Kind":"multi","Policy":"naive","Run":{"Injections":[],"Outcome":"fail","Violations":[]}}`,
+		`{"Format":"osiris-trace/v2","Kind":"multi","Policy":"naive","Run":{"Injections":[{"Type":"crash"}],"Outcome":"fail","Violations":[]}}`,
 	} {
 		f.Add([]byte(seed))
 	}

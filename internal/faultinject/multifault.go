@@ -19,22 +19,27 @@ type MultiInjection struct {
 	// one recovery: the fault manifests in the post-recovery window,
 	// when a second failure is most likely in practice (recovery shifts
 	// load and exercises cold paths).
-	Correlated bool
+	Correlated bool `json:",omitempty"`
 	// DuringRecovery plants the fault inside the restart sequence
 	// itself: it fires at the Occurrence-th restart attempt of any
 	// component, crashing the recovery path (Server/Site are unused).
-	DuringRecovery bool
+	DuringRecovery bool `json:",omitempty"`
 	// Persistent re-fires the fault on every execution of the site
 	// after it first triggers — a deterministic software bug that
 	// restarting cannot clear. It is what drives a component into the
 	// crash-storm budget and quarantine.
-	Persistent bool
+	Persistent bool `json:",omitempty"`
 }
 
-// MultiRunResult is the outcome of one multi-fault run.
+// MultiRunResult is the one record of a run, of any campaign kind: what
+// the journal stores, a trace carries and a campaign's OnResult sees.
+// RunResult is its single-fault view.
 type MultiRunResult struct {
-	Injections  []MultiInjection
-	Outcome     Outcome
+	// Injections is the run's plan: exactly one plain injection for a
+	// single-fault run, none for a background-rate sweep run.
+	Injections []MultiInjection
+	Outcome    Outcome
+	// Triggered counts the injections that fired.
 	Triggered   int
 	TestsFailed int
 	Recoveries  int
@@ -46,7 +51,7 @@ type MultiRunResult struct {
 	// Consistent reports whether every audit pass found the
 	// cross-server invariants intact; Violations lists the failures.
 	Consistent bool
-	Violations []string
+	Violations []string `json:",omitempty"`
 }
 
 // RunMulti boots a fresh machine with the cascade sequencer enabled,
@@ -87,12 +92,9 @@ type MultiCampaignConfig struct {
 	// in CampaignConfig: journaled runs are skipped, new ones appended,
 	// and resumed aggregates are bit-identical to uninterrupted ones.
 	Journal *Journal
-	// OnResult observes every run result in plan order (including
-	// journal-served ones); used to emit replayable traces.
-	OnResult func(index int, rr MultiRunResult)
-	// OnServe observes every run's serving decision in plan order
-	// alongside OnResult, exactly as in CampaignConfig.
-	OnServe func(index int, sv Serving)
+	// OnResult observes every run and its serving decision in plan order
+	// (including journal-served ones), exactly as in CampaignConfig.
+	OnResult func(index int, run MultiRunResult, sv Serving)
 	// Plane selects how the runs are served, exactly as in
 	// CampaignConfig.
 	Plane PlaneOptions
@@ -186,16 +188,12 @@ func RunMultiCampaign(cfg MultiCampaignConfig, profile []SiteProfile) (MultiCamp
 	}
 	runner := newMultiRunner(cfg, plans)
 	defer runner.close()
-	campaign[MultiRunResult]{
-		n: len(plans), workers: cfg.Workers,
-		journal: cfg.Journal, lookup: (*Journal).LookupMulti, record: (*Journal).RecordMulti,
-		onServe: cfg.OnServe, onResult: cfg.OnResult,
+	campaign{
+		n: len(plans), workers: cfg.Workers, journal: cfg.Journal, onResult: cfg.OnResult,
 		run: func(i int) (MultiRunResult, Serving) {
 			return runner.run(cfg.Seed+uint64(i)*104729, multiSpec(plans[i], cfg.IPC))
 		},
-		tally: func(_ int, rr MultiRunResult) {
-			result.add(rr.Outcome, rr.Triggered > 0, rr.Consistent, rr.Seed)
-		},
+		tally: func(_ int, run MultiRunResult) { result.add(run, run.Triggered > 0) },
 	}.drive()
 	return result, runner.Stats()
 }

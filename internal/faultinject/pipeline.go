@@ -264,8 +264,7 @@ func forkParams(seed uint64, ipc IPCOptions) boot.ForkParams {
 // hence after the rung — and are never translated. A non-nil elider lets
 // a warm fork splice a recorded suffix or certify a hang once no armed
 // fault can fire any more (see elide.go); cold boots pass nil. The result
-// is the general form; a single-fault or background run reports the
-// RunResult view of it (MultiRunResult.single).
+// is the run's record, whatever its kind.
 func execute(sys *boot.System, report *testsuite.Report, spec runSpec, seed uint64, base map[siteKey]int, el *elider) MultiRunResult {
 	faults := spec.faults
 	rng := sim.NewRNG(seed ^ spec.kind.faultSalt())
@@ -446,17 +445,18 @@ type Tally struct {
 // result, whatever it counted.
 func newTally() Tally { return Tally{Counts: make(map[Outcome]int)} }
 
-func (t *Tally) add(o Outcome, triggered, consistent bool, seed uint64) {
+// add counts one run, as untriggered unless triggered.
+func (t *Tally) add(run MultiRunResult, triggered bool) {
 	if !triggered {
 		t.Untriggered++
 		return
 	}
 	t.Runs++
-	t.Counts[o]++
-	if consistent {
+	t.Counts[run.Outcome]++
+	if run.Consistent {
 		t.Consistent++
 	} else {
-		t.InconsistentSeeds = append(t.InconsistentSeeds, seed)
+		t.InconsistentSeeds = append(t.InconsistentSeeds, run.Seed)
 	}
 }
 
@@ -478,51 +478,44 @@ func (t Tally) ConsistentPercent() float64 {
 }
 
 // campaign is a planned campaign as the driver sees it: n independent
-// runs of result type R, where they are journaled and who observes them.
-type campaign[R any] struct {
+// runs, where they are journaled and who observes them.
+type campaign struct {
 	n, workers int
-	// journal, when set, makes the campaign crash-tolerant through its
-	// typed accessors lookup and record.
+	// journal, when set, makes the campaign crash-tolerant.
 	journal *Journal
-	lookup  func(*Journal, int) (R, bool)
-	record  func(*Journal, int, R)
-	// onServe and onResult, when set, observe every run in plan order.
-	onServe  func(int, Serving)
-	onResult func(int, R)
-	// run executes run i; tally reduces its result.
-	run   func(i int) (R, Serving)
-	tally func(i int, rr R)
+	// onResult, when set, observes every run in plan order.
+	onResult func(int, MultiRunResult, Serving)
+	// run executes run i; tally reduces its record.
+	run   func(i int) (MultiRunResult, Serving)
+	tally func(i int, run MultiRunResult)
 }
 
 // drive executes the campaign. Runs are independent machines (per-run
 // seed), so they fan out across the parallel engine; journaled runs are
-// skipped and their stored result used verbatim, new ones appended. The
-// observers and the tally then see every result in plan order, so the
+// skipped and their stored record used verbatim, new ones appended. The
+// observer and the tally then see every run in plan order, so the
 // aggregate is bit-identical for any worker count and for a resumed
 // campaign.
-func (c campaign[R]) drive() {
+func (c campaign) drive() {
 	servings := make([]Serving, c.n)
-	results := parallel.Map(c.workers, c.n, func(i int) R {
+	runs := parallel.Map(c.workers, c.n, func(i int) MultiRunResult {
 		if c.journal != nil {
-			if rr, ok := c.lookup(c.journal, i); ok {
+			if run, ok := c.journal.Lookup(i); ok {
 				servings[i] = Serving{Plane: PlaneJournal}
-				return rr
+				return run
 			}
 		}
-		rr, sv := c.run(i)
+		run, sv := c.run(i)
 		servings[i] = sv
 		if c.journal != nil {
-			c.record(c.journal, i, rr)
+			c.journal.Record(i, run)
 		}
-		return rr
+		return run
 	})
-	for i, rr := range results {
-		if c.onServe != nil {
-			c.onServe(i, servings[i])
-		}
+	for i, run := range runs {
 		if c.onResult != nil {
-			c.onResult(i, rr)
+			c.onResult(i, run, servings[i])
 		}
-		c.tally(i, rr)
+		c.tally(i, run)
 	}
 }

@@ -1,9 +1,10 @@
 package faultinject
 
 // The serving decision: how the campaign pipeline served one run. It is
-// one typed value produced beside the run's result (never inside it —
-// results are bit-identical however a run is served, the decision is
-// not), with one rendering (String, the form traces store) and one
+// one typed value produced beside the run's record (never inside it —
+// records are bit-identical however a run is served, the decision is
+// not) and handed to a campaign's OnResult with the record, with one
+// rendering (String, the provenance string Trace.Serving stores) and one
 // accumulator (PlaneStats.add).
 
 import "strconv"

@@ -2,17 +2,18 @@ package faultinject
 
 // Replayable fault traces: every interesting campaign run (failed,
 // crashed, degraded, or audit-inconsistent) can be written as one
-// self-contained JSON record carrying its full provenance — policy,
-// fault plan, per-run seed, transport options — plus the recorded
-// outcome. Because every run is a pure function of that provenance,
+// self-contained JSON file: the run's kind, policy and transport options
+// beside its run record (MultiRunResult), whose plan and per-run seed
+// complete the provenance and whose other fields are what the run
+// observed. Because every run is a pure function of its provenance,
 // Replay re-executes the run bit-identically (cold boot and warm fork
 // agree, so the replay path needs no snapshot plane) and the caller
-// diffs the fresh outcome against the recorded one. A mismatch means
-// the build's behaviour diverged from the recording — the
-// non-reproducibility alarm the roadmap's consistency story relies on.
+// diffs the fresh record against the recorded one, field by field. A
+// mismatch means the build's behaviour diverged from the recording —
+// the non-reproducibility alarm the roadmap's consistency story relies
+// on.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -26,39 +27,19 @@ import (
 
 // TraceFormat identifies the trace schema; bump on incompatible
 // change.
-const TraceFormat = "osiris-trace/v1"
+const TraceFormat = "osiris-trace/v2"
 
-// Trace kinds.
+// Trace kinds, which are also the journal header's kinds.
 const (
 	TraceSingle = "single"
 	TraceMulti  = "multi"
 )
-
-// TraceOutcome is the recorded (and replayed) observable result of one
-// run. Recoveries and Quarantines are only populated for multi-fault
-// runs (single-fault campaigns pin the sequencer off).
-type TraceOutcome struct {
-	Outcome     Outcome
-	Triggered   int
-	TestsFailed int
-	Recoveries  int
-	Quarantines int
-	Reason      string
-	Consistent  bool
-	Violations  []string `json:",omitempty"`
-}
 
 // Trace is one self-contained replayable run record.
 type Trace struct {
 	Format string
 	Kind   string
 	Policy seep.Policy
-	// Seed is the per-run seed (not the campaign seed).
-	Seed uint64
-	// Injection is the planned fault of a single-fault run; Injections
-	// the plan of a multi-fault run.
-	Injection  *Injection       `json:",omitempty"`
-	Injections []MultiInjection `json:",omitempty"`
 	// IPC is the campaign's transport options as configured (before
 	// per-run normalization — Replay re-normalizes exactly like the
 	// campaign did).
@@ -75,105 +56,81 @@ type Trace struct {
 	// Serving is provenance for the report, not a replay input, and
 	// Matches ignores it.
 	Serving string `json:",omitempty"`
-	Outcome TraceOutcome
+	// Run is the recorded run: its plan and per-run seed (replay inputs)
+	// and everything it observed.
+	Run MultiRunResult
+}
+
+// NewRunTrace records a run of kind TraceSingle or TraceMulti.
+func NewRunTrace(kind string, policy seep.Policy, run MultiRunResult, ipc IPCOptions) Trace {
+	return Trace{Format: TraceFormat, Kind: kind, Policy: policy, IPC: ipc, Run: run}
 }
 
 // NewTrace records a single-fault run.
 func NewTrace(policy seep.Policy, rr RunResult, ipc IPCOptions) Trace {
-	inj := rr.Injection
-	return Trace{
-		Format:    TraceFormat,
-		Kind:      TraceSingle,
-		Policy:    policy,
-		Seed:      rr.Seed,
-		Injection: &inj,
-		IPC:       ipc,
-		Outcome: TraceOutcome{
-			Outcome:     rr.Outcome,
-			Triggered:   boolToInt(rr.Triggered),
-			TestsFailed: rr.TestsFailed,
-			Reason:      rr.Reason,
-			Consistent:  rr.Consistent,
-			Violations:  rr.Violations,
-		},
-	}
+	return NewRunTrace(TraceSingle, policy, rr.record(), ipc)
 }
 
-// NewMultiTrace records a multi-fault run.
-func NewMultiTrace(policy seep.Policy, rr MultiRunResult, ipc IPCOptions) Trace {
-	return Trace{
-		Format:     TraceFormat,
-		Kind:       TraceMulti,
-		Policy:     policy,
-		Seed:       rr.Seed,
-		Injections: rr.Injections,
-		IPC:        ipc,
-		Outcome: TraceOutcome{
-			Outcome:     rr.Outcome,
-			Triggered:   rr.Triggered,
-			TestsFailed: rr.TestsFailed,
-			Recoveries:  rr.Recoveries,
-			Quarantines: rr.Quarantines,
-			Reason:      rr.Reason,
-			Consistent:  rr.Consistent,
-			Violations:  rr.Violations,
-		},
+// check refuses a record no run of the kind produces, or one that would
+// not write back as read: an outcome or a fault type without a name, or
+// an injection count that does not fit the kind — a single-fault run
+// arms exactly one plain injection, a multi-fault run at least one. The
+// journal and the trace reader share it.
+func (m MultiRunResult) check(kind string) error {
+	if err := new(Outcome).UnmarshalText([]byte(m.Outcome.String())); err != nil {
+		return err
 	}
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
+	for _, inj := range m.Injections {
+		if _, err := inj.Type.MarshalText(); err != nil {
+			return err
+		}
 	}
-	return 0
+	switch kind {
+	case TraceSingle:
+		if len(m.Injections) != 1 || m.Injections[0] != (MultiInjection{Injection: m.Injections[0].Injection}) {
+			return fmt.Errorf("faultinject: a single-fault run arms one plain injection, not %+v", m.Injections)
+		}
+	case TraceMulti:
+		if len(m.Injections) == 0 {
+			return fmt.Errorf("faultinject: a multi-fault run arms no injection")
+		}
+	default:
+		return fmt.Errorf("faultinject: unknown run kind %q", kind)
+	}
+	return nil
 }
 
 // Replay re-executes the recorded run from its provenance and returns
-// the fresh outcome. The caller compares it against t.Outcome (see
-// Matches); campaign warm forks are bit-identical to the cold boots
-// used here, so a well-formed trace replays exactly.
-func (t Trace) Replay() (TraceOutcome, error) {
+// the fresh record. The caller compares it against t.Run (see Matches);
+// campaign warm forks are bit-identical to the cold boots used here, so
+// a well-formed trace replays exactly.
+func (t Trace) Replay() (MultiRunResult, error) {
 	if t.Format != TraceFormat {
-		return TraceOutcome{}, fmt.Errorf("faultinject: unsupported trace format %q (want %q)", t.Format, TraceFormat)
+		return MultiRunResult{}, fmt.Errorf("faultinject: unsupported trace format %q (want %q)", t.Format, TraceFormat)
 	}
-	switch t.Kind {
-	case TraceSingle:
-		if t.Injection == nil {
-			return TraceOutcome{}, fmt.Errorf("faultinject: single trace has no injection")
-		}
-		rr := RunOneWith(t.Policy, t.Seed, *t.Injection, t.IPC)
-		return NewTrace(t.Policy, rr, t.IPC).Outcome, nil
-	case TraceMulti:
-		if len(t.Injections) == 0 {
-			return TraceOutcome{}, fmt.Errorf("faultinject: multi trace has no injections")
-		}
-		rr := RunMultiWith(t.Policy, t.Seed, t.Injections, t.IPC)
-		return NewMultiTrace(t.Policy, rr, t.IPC).Outcome, nil
-	default:
-		return TraceOutcome{}, fmt.Errorf("faultinject: unknown trace kind %q", t.Kind)
+	if err := t.Run.check(t.Kind); err != nil {
+		return MultiRunResult{}, err
 	}
+	kind := kindMulti
+	if t.Kind == TraceSingle {
+		kind = kindSingle
+	}
+	return runCold(t.Policy, t.Run.Seed, runSpec{kind: kind, faults: t.Run.Injections, ipc: t.IPC}), nil
 }
 
-// Matches reports whether a replayed outcome is bit-identical to the
-// recorded one, and a human-readable diff when it is not.
-func (t Trace) Matches(replayed TraceOutcome) (bool, string) {
-	if reflect.DeepEqual(t.Outcome, replayed) {
+// Matches reports whether a replayed record is bit-identical to the
+// recorded one, and a human-readable diff naming each field that is not.
+func (t Trace) Matches(replayed MultiRunResult) (bool, string) {
+	if reflect.DeepEqual(t.Run, replayed) {
 		return true, ""
 	}
 	var diffs []string
-	add := func(field string, rec, rep any) {
-		if !reflect.DeepEqual(rec, rep) {
-			diffs = append(diffs, fmt.Sprintf("%s: recorded %v, replayed %v", field, rec, rep))
+	rec, rep := reflect.ValueOf(t.Run), reflect.ValueOf(replayed)
+	for i := 0; i < rec.NumField(); i++ {
+		if a, b := rec.Field(i).Interface(), rep.Field(i).Interface(); !reflect.DeepEqual(a, b) {
+			diffs = append(diffs, fmt.Sprintf("%s: recorded %v, replayed %v", rec.Type().Field(i).Name, a, b))
 		}
 	}
-	add("outcome", t.Outcome.Outcome, replayed.Outcome)
-	add("triggered", t.Outcome.Triggered, replayed.Triggered)
-	add("tests-failed", t.Outcome.TestsFailed, replayed.TestsFailed)
-	add("recoveries", t.Outcome.Recoveries, replayed.Recoveries)
-	add("quarantines", t.Outcome.Quarantines, replayed.Quarantines)
-	add("reason", t.Outcome.Reason, replayed.Reason)
-	add("consistent", t.Outcome.Consistent, replayed.Consistent)
-	add("violations", t.Outcome.Violations, replayed.Violations)
 	return false, strings.Join(diffs, "; ")
 }
 
@@ -204,41 +161,31 @@ func ReadTraceFile(path string) (Trace, error) {
 	return t, nil
 }
 
-// decodeTrace decodes one trace record. It refuses what would not write
-// back as read — a policy, outcome or fault type the record leaves out,
-// whose zero value has no name — and reads an empty list as the absent
-// one WriteTraceFile writes.
+// decodeTrace decodes one trace record. It refuses a format other than
+// TraceFormat, fields the format does not have, and what would not
+// write back as read — a policy the record leaves out, or a run record
+// that fails check — and reads an empty list as the absent one
+// WriteTraceFile writes.
 func decodeTrace(data []byte) (Trace, error) {
-	var t Trace
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&t); err != nil {
+	var head struct{ Format string }
+	if err := json.Unmarshal(data, &head); err != nil {
 		return Trace{}, err
 	}
-	if t.Format != TraceFormat {
-		return Trace{}, fmt.Errorf("unsupported trace format %q", t.Format)
+	if head.Format != TraceFormat {
+		return Trace{}, fmt.Errorf("unsupported trace format %q (want %q)", head.Format, TraceFormat)
+	}
+	var t Trace
+	if err := decodeStrict(data, &t); err != nil {
+		return Trace{}, err
 	}
 	if _, err := seep.ParsePolicy(t.Policy.String()); err != nil {
 		return Trace{}, err
 	}
-	if err := new(Outcome).UnmarshalText([]byte(t.Outcome.Outcome.String())); err != nil {
+	if err := t.Run.check(t.Kind); err != nil {
 		return Trace{}, err
 	}
-	if t.Injection != nil {
-		if _, err := t.Injection.Type.MarshalText(); err != nil {
-			return Trace{}, err
-		}
-	}
-	for _, inj := range t.Injections {
-		if _, err := inj.Type.MarshalText(); err != nil {
-			return Trace{}, err
-		}
-	}
-	if len(t.Injections) == 0 {
-		t.Injections = nil
-	}
-	if len(t.Outcome.Violations) == 0 {
-		t.Outcome.Violations = nil
+	if len(t.Run.Violations) == 0 {
+		t.Run.Violations = nil
 	}
 	return t, nil
 }

@@ -51,13 +51,13 @@ func stratifiedPlan(profile []SiteProfile, samples int, seed uint64) []Injection
 }
 
 // servedPass runs plan over a fresh warm plane with the given worker
-// count and returns per-run results and serving decisions plus the
+// count and returns per-run records and serving decisions plus the
 // plane statistics.
-func servedPass(cfg CampaignConfig, plan []Injection, workers int) ([]RunResult, []Serving, PlaneStats) {
+func servedPass(cfg CampaignConfig, plan []Injection, workers int) ([]MultiRunResult, []Serving, PlaneStats) {
 	runner := NewArmedRunner(cfg, plan)
 	defer runner.Close()
 	decisions := make([]Serving, len(plan))
-	results := parallel.Map(workers, len(plan), func(i int) RunResult {
+	results := parallel.Map(workers, len(plan), func(i int) MultiRunResult {
 		rr, decision := runner.serve(cfg.Seed+uint64(i)*7919, plan[i])
 		decisions[i] = decision
 		return rr
