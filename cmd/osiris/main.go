@@ -4,9 +4,13 @@
 //
 // Usage:
 //
-//	osiris [-policy enhanced|pessimistic|stateless|naive] [-seed N]
+//	osiris [-policy enhanced|extended|pessimistic|stateless|naive] [-seed N]
 //	       [-heartbeats] [-stats] [-inject server.site[:occurrence]]
 //	       [command args...]
+//
+// It exits 2 on a malformed -inject value (an empty site, or an
+// occurrence that is not a positive integer) and 1 when the run cannot
+// be set up.
 package main
 
 import (
@@ -27,7 +31,11 @@ import (
 
 const runLimit sim.Cycles = 8_000_000_000
 
-func main() {
+func main() { os.Exit(runCommand()) }
+
+// runCommand is the command; it returns the exit status: 2 for a
+// malformed flag, 1 for a failed run.
+func runCommand() int {
 	var (
 		policyName = flag.String("policy", "enhanced", "recovery policy: enhanced, extended, pessimistic, stateless or naive")
 		seed       = flag.Uint64("seed", 1, "simulation seed")
@@ -37,31 +45,40 @@ func main() {
 		trace      = flag.Bool("trace", false, "print kernel IPC/crash events to stderr")
 	)
 	flag.Parse()
-	if err := run(*policyName, *seed, *heartbeats, *stats, *trace, *inject, flag.Args()); err != nil {
+	site, occurrence, err := parseInject(*inject)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "osiris:", err)
-		os.Exit(1)
+		return 2
 	}
+	if err := run(*policyName, *seed, *heartbeats, *stats, *trace, site, occurrence, flag.Args()); err != nil {
+		fmt.Fprintln(os.Stderr, "osiris:", err)
+		return 1
+	}
+	return 0
 }
 
-func parsePolicy(name string) (seep.Policy, error) {
-	switch name {
-	case "enhanced":
-		return seep.PolicyEnhanced, nil
-	case "pessimistic":
-		return seep.PolicyPessimistic, nil
-	case "stateless":
-		return seep.PolicyStateless, nil
-	case "naive":
-		return seep.PolicyNaive, nil
-	case "extended":
-		return seep.PolicyExtended, nil
-	default:
-		return 0, fmt.Errorf("unknown policy %q", name)
+// parseInject reads the -inject value site[:occurrence]: a site that is
+// not empty and, when given, an occurrence that is a positive integer
+// (default 1). The empty value injects nothing.
+func parseInject(v string) (site string, occurrence int, err error) {
+	if v == "" {
+		return "", 0, nil
 	}
+	site, occurrence = v, 1
+	if i := strings.LastIndex(v, ":"); i >= 0 {
+		site = v[:i]
+		if occurrence, err = strconv.Atoi(v[i+1:]); err != nil || occurrence < 1 {
+			return "", 0, fmt.Errorf("-inject %s: the occurrence must be a positive integer", v)
+		}
+	}
+	if site == "" {
+		return "", 0, fmt.Errorf("-inject %s: the site is empty", v)
+	}
+	return site, occurrence, nil
 }
 
-func run(policyName string, seed uint64, heartbeats, stats, trace bool, inject string, args []string) error {
-	policy, err := parsePolicy(policyName)
+func run(policyName string, seed uint64, heartbeats, stats, trace bool, site string, occurrence int, args []string) error {
+	policy, err := seep.ParsePolicy(policyName)
 	if err != nil {
 		return err
 	}
@@ -96,14 +113,7 @@ func run(policyName string, seed uint64, heartbeats, stats, trace bool, inject s
 		})
 	}
 
-	if inject != "" {
-		site, occurrence := inject, 1
-		if i := strings.LastIndex(inject, ":"); i >= 0 {
-			site = inject[:i]
-			if n, err := strconv.Atoi(inject[i+1:]); err == nil {
-				occurrence = n
-			}
-		}
+	if site != "" {
 		remaining := occurrence
 		sys.Kernel().SetPointHook(func(_ kernel.Endpoint, _, s string) {
 			if s != site {

@@ -17,7 +17,6 @@ import (
 	"repro/internal/servers/systask"
 	"repro/internal/servers/vfs"
 	"repro/internal/servers/vm"
-	"repro/internal/sim"
 	"repro/internal/usr"
 	"repro/internal/wire"
 )
@@ -97,14 +96,10 @@ type component struct {
 // Snapshot.Fork over a fork-cloned one, so both build bit-identical
 // instances.
 func components(opts Options, initEP kernel.Endpoint, reg *usr.Registry) [5]component {
-	rsCfg := rs.Config{HangMisses: opts.HangMisses}
-	if opts.HeartbeatPeriod > 0 {
-		rsCfg.Period = sim.Cycles(opts.HeartbeatPeriod)
-	}
 	heartbeats := opts.Heartbeats
 	return [...]component{
 		{kernel.EpRS, func(st *memlog.Store) core.Component {
-			return &rsComponent{RS: rs.NewWithConfig(st, heartbeatTargets, rsCfg), heartbeats: heartbeats}
+			return &rsComponent{RS: rs.New(st, heartbeatTargets), heartbeats: heartbeats}
 		}},
 		{kernel.EpPM, func(st *memlog.Store) core.Component { return pm.New(st, initEP, reg.MakeBody) }},
 		{kernel.EpVM, func(st *memlog.Store) core.Component { return vm.New(st, int64(initEP)) }},

@@ -78,10 +78,10 @@ type Config struct {
 	// recovery policies of the paper's §VII: different components may
 	// run different strategies in the same system.
 	ComponentPolicies map[kernel.Endpoint]seep.Policy
-	// Retired holds the image slot of a flag that chose between two
+	// fullCopyRule holds the image slot of a flag that chose between two
 	// FullCopy checkpoint charge rules; one rule is left, and the slot
 	// has no value.
-	Retired wire.Retired
+	fullCopyRule wire.Retired
 
 	// RecoveryDecay is the crash-free interval (in virtual cycles) after
 	// which one unit of a component's crash-storm budget is forgiven
@@ -93,36 +93,28 @@ type Config struct {
 	// RestartBackoffBase is the cool-down (in virtual cycles) inserted
 	// before the restart of a component that crashed twice in a row
 	// without completing a healthy request; each further consecutive
-	// crash doubles the cool-down up to RestartBackoffCap. Zero =
+	// crash doubles the cool-down up to restartBackoffCap. Zero =
 	// default (50,000); negative disables backoff.
 	RestartBackoffBase int64
-	// RestartBackoffCap caps the exponential backoff, in virtual cycles.
-	// Zero = default (1,600,000).
-	RestartBackoffCap int64
+	// backoffCap holds the image slot of the former backoff-cap
+	// setting, now the constant restartBackoffCap.
+	backoffCap wire.Retired
 	// MaxRestartAttempts bounds how many times the restart sequence
 	// itself may be attempted within one recovery incident when the
 	// recovery path keeps crashing, before escalating to quarantine.
 	// Zero = default (3).
 	MaxRestartAttempts int
-	// RecoveryDeadline is the recovery watchdog: a virtual-cycle budget
-	// for one recovery incident (restart, rollback and reconciliation,
-	// including escalation retries). Exceeding it converts the incident
-	// into quarantine of just that component. Zero = default
-	// (5,000,000); negative disables the watchdog.
-	RecoveryDeadline int64
+	// deadline holds the image slot of the former watchdog setting, now
+	// the constant recoveryDeadline.
+	deadline wire.Retired
 	// DisableQuarantine restores the pre-sequencer fail-hard behaviour:
 	// exhausted crash budgets and failing recoveries abort the whole run
 	// instead of quarantining the offending component.
 	DisableQuarantine bool
-
-	// HeartbeatPeriod is the Recovery Server's heartbeat interval in
-	// virtual cycles (used by boot when heartbeats are enabled). Zero =
-	// the RS default.
-	HeartbeatPeriod int64
-	// HangMisses is the number of consecutive unanswered heartbeat
-	// rounds after which RS declares a component hung and fail-stops it.
-	// Zero = the RS default; the minimum meaningful value is 2.
-	HangMisses int
+	// heartbeatPeriod and hangMisses hold the image slots of the former
+	// heartbeat settings, now the constants rs.HeartbeatPeriod and
+	// rs.HangMisses.
+	heartbeatPeriod, hangMisses wire.Retired
 
 	// IPCFaults sets background fault rates for the kernel's message
 	// interposition plane (drop/dup/delay/reorder/corrupt, in basis
@@ -153,15 +145,15 @@ func (cfg *Config) Code(c *wire.Codec) {
 	wire.Int(c, &cfg.Instrumentation)
 	wire.Int(c, &cfg.MaxRecoveries)
 	wire.Map(c, &cfg.ComponentPolicies, wire.Int[kernel.Endpoint], wire.Int[seep.Policy])
-	cfg.Retired.Code(c)
+	cfg.fullCopyRule.Code(c)
 	wire.Int(c, &cfg.RecoveryDecay)
 	wire.Int(c, &cfg.RestartBackoffBase)
-	wire.Int(c, &cfg.RestartBackoffCap)
+	cfg.backoffCap.Code(c)
 	wire.Int(c, &cfg.MaxRestartAttempts)
-	wire.Int(c, &cfg.RecoveryDeadline)
+	cfg.deadline.Code(c)
 	c.Bool(&cfg.DisableQuarantine)
-	wire.Int(c, &cfg.HeartbeatPeriod)
-	wire.Int(c, &cfg.HangMisses)
+	cfg.heartbeatPeriod.Code(c)
+	cfg.hangMisses.Code(c)
 	cfg.IPCFaults.Code(c)
 	c.Uvarint(&cfg.IPCFaultSeed)
 	wire.Int(c, &cfg.IPCTimeoutCycles)
@@ -182,22 +174,6 @@ func (c Config) Validate() error {
 	}
 	if c.MaxRestartAttempts < 0 {
 		return fmt.Errorf("core: MaxRestartAttempts must be >= 0, got %d", c.MaxRestartAttempts)
-	}
-	if c.HeartbeatPeriod < 0 {
-		return fmt.Errorf("core: HeartbeatPeriod must be >= 0, got %d", c.HeartbeatPeriod)
-	}
-	if c.HangMisses < 0 {
-		return fmt.Errorf("core: HangMisses must be >= 0, got %d", c.HangMisses)
-	}
-	if c.HangMisses == 1 {
-		return fmt.Errorf("core: HangMisses must be >= 2 (one missed round cannot distinguish a hang from an in-flight reply)")
-	}
-	if c.RestartBackoffCap < 0 {
-		return fmt.Errorf("core: RestartBackoffCap must be >= 0, got %d", c.RestartBackoffCap)
-	}
-	if c.RestartBackoffBase > 0 && c.RestartBackoffCap > 0 && c.RestartBackoffCap < c.RestartBackoffBase {
-		return fmt.Errorf("core: RestartBackoffCap (%d) below RestartBackoffBase (%d)",
-			c.RestartBackoffCap, c.RestartBackoffBase)
 	}
 	if err := c.IPCFaults.Validate(); err != nil {
 		return err
@@ -322,6 +298,16 @@ func (c Config) recoveryDecay() sim.Cycles {
 	return 2_000_000
 }
 
+// restartBackoffCap caps the exponential restart backoff, in virtual
+// cycles.
+const restartBackoffCap sim.Cycles = 1_600_000
+
+// recoveryDeadline is the recovery watchdog: a virtual-cycle budget for
+// one recovery incident (restart, rollback and reconciliation, including
+// escalation retries). Exceeding it converts the incident into
+// quarantine of just that component.
+const recoveryDeadline sim.Cycles = 5_000_000
+
 func (c Config) backoffBase() sim.Cycles {
 	switch {
 	case c.RestartBackoffBase > 0:
@@ -332,28 +318,11 @@ func (c Config) backoffBase() sim.Cycles {
 	return 50_000
 }
 
-func (c Config) backoffCap() sim.Cycles {
-	if c.RestartBackoffCap > 0 {
-		return sim.Cycles(c.RestartBackoffCap)
-	}
-	return 1_600_000
-}
-
 func (c Config) maxRestartAttempts() int {
 	if c.MaxRestartAttempts > 0 {
 		return c.MaxRestartAttempts
 	}
 	return 3
-}
-
-func (c Config) recoveryDeadline() sim.Cycles {
-	switch {
-	case c.RecoveryDeadline > 0:
-		return sim.Cycles(c.RecoveryDeadline)
-	case c.RecoveryDeadline < 0:
-		return 0 // disabled
-	}
-	return 5_000_000
 }
 
 // NewOS creates a machine with no components yet. Most callers should
@@ -540,8 +509,8 @@ func (o *OS) handleCrash(info kernel.CrashInfo) error {
 		if s.attempts > o.cfg.maxRestartAttempts() {
 			return o.quarantine(s, fmt.Sprintf("recovery failed %d times (%v)", s.attempts-1, info.PanicValue))
 		}
-		if dl := o.cfg.recoveryDeadline(); dl > 0 && o.k.Now()-s.incidentAt > dl {
-			return o.quarantine(s, fmt.Sprintf("recovery watchdog: incident exceeded %d cycles", dl))
+		if o.k.Now()-s.incidentAt > recoveryDeadline {
+			return o.quarantine(s, fmt.Sprintf("recovery watchdog: incident exceeded %d cycles", recoveryDeadline))
 		}
 		return o.restart(s, info, restartFresh, reconcileVirtualize)
 	}
@@ -632,24 +601,20 @@ func (o *OS) noteHealthy(s *slot) {
 
 // backoffDelay returns the restart cool-down for the nth consecutive
 // crash: zero for the first crash in a streak, then exponential from
-// RestartBackoffBase up to RestartBackoffCap.
+// RestartBackoffBase up to restartBackoffCap.
 func (o *OS) backoffDelay(consecutive int) sim.Cycles {
 	base := o.cfg.backoffBase()
 	if base <= 0 || consecutive <= 1 {
 		return 0
 	}
-	capAt := o.cfg.backoffCap()
 	delay := base
 	for i := 2; i < consecutive; i++ {
 		delay *= 2
-		if delay >= capAt {
-			return capAt
+		if delay >= restartBackoffCap {
+			return restartBackoffCap
 		}
 	}
-	if delay > capAt {
-		delay = capAt
-	}
-	return delay
+	return min(delay, restartBackoffCap)
 }
 
 // quarantine detaches a component for good — the graceful-degradation

@@ -409,30 +409,14 @@ func TestCrashDuringRecoveryAbortsWhenQuarantineDisabled(t *testing.T) {
 }
 
 func TestConfigValidateRejectsBadSequencerKnobs(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-		want string
-	}{
-		{"hang misses of one", Config{HangMisses: 1}, "HangMisses"},
-		{"negative hang misses", Config{HangMisses: -1}, "HangMisses"},
-		{"negative heartbeat period", Config{HeartbeatPeriod: -1}, "HeartbeatPeriod"},
-		{"negative backoff cap", Config{RestartBackoffCap: -1}, "RestartBackoffCap"},
-		{"cap below base", Config{RestartBackoffBase: 100, RestartBackoffCap: 10}, "RestartBackoffCap"},
-		{"negative restart attempts", Config{MaxRestartAttempts: -1}, "MaxRestartAttempts"},
-	}
-	for _, tc := range cases {
-		err := tc.cfg.Validate()
-		if err == nil {
-			t.Errorf("%s: Validate accepted %+v", tc.name, tc.cfg)
-			continue
-		}
-		if !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error %q does not mention %s", tc.name, err, tc.want)
-		}
+	cfg := Config{MaxRestartAttempts: -1}
+	if err := cfg.Validate(); err == nil {
+		t.Errorf("Validate accepted %+v", cfg)
+	} else if !strings.Contains(err.Error(), "MaxRestartAttempts") {
+		t.Errorf("error %q does not mention MaxRestartAttempts", err)
 	}
 	// Negative values on the disable-capable knobs mean "off", not error.
-	ok := Config{RecoveryDecay: -1, RestartBackoffBase: -1, RecoveryDeadline: -1}
+	ok := Config{RecoveryDecay: -1, RestartBackoffBase: -1}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("negative disable knobs rejected: %v", err)
 	}
@@ -444,37 +428,64 @@ func TestConfigFieldList(t *testing.T) {
 	wiretest.SameAsValue(t, wiretest.Random[Config])
 }
 
-// The slot of the retired checkpoint-rule flag holds false in every
-// image: a configuration that sets it is refused, not read past.
+// Every retired slot — the checkpoint-rule flag and the four sequencer
+// settings that became constants — holds zero in every image: a
+// configuration that sets one, to 1 or to a varint of more than one
+// byte, is refused, not read past.
 func TestConfigRetiredSlotRejected(t *testing.T) {
 	cfg := Config{
-		ComponentPolicies: map[kernel.Endpoint]seep.Policy{kernel.EpDS: seep.PolicyEnhanced},
-		RecoveryDecay:     7,
+		ComponentPolicies:  map[kernel.Endpoint]seep.Policy{kernel.EpDS: seep.PolicyEnhanced},
+		RecoveryDecay:      7,
+		RestartBackoffBase: 9,
+		MaxRestartAttempts: 2,
+		DisableQuarantine:  true,
 	}
 	e := wire.NewEncoder()
 	c := wire.Encoding(e)
 	if cfg.Code(c); c.Err() != nil {
 		t.Fatal(c.Err())
 	}
-	// The slot follows ComponentPolicies: the fields before it, coded
-	// alone, end where it starts.
+	// Config's field list up to its last retired slot, a field a step:
+	// the steps before a slot, coded alone, end where it starts.
+	fields := []struct {
+		retired string
+		code    func(*wire.Codec)
+	}{
+		{"", func(c *wire.Codec) { wire.Int(c, &cfg.Policy) }},
+		{"", func(c *wire.Codec) { c.Uvarint(&cfg.Seed) }},
+		{"", cfg.Cost.Code},
+		{"", func(c *wire.Codec) { wire.Int(c, &cfg.Instrumentation) }},
+		{"", func(c *wire.Codec) { wire.Int(c, &cfg.MaxRecoveries) }},
+		{"", func(c *wire.Codec) {
+			wire.Map(c, &cfg.ComponentPolicies, wire.Int[kernel.Endpoint], wire.Int[seep.Policy])
+		}},
+		{"fullCopyRule", cfg.fullCopyRule.Code},
+		{"", func(c *wire.Codec) { wire.Int(c, &cfg.RecoveryDecay) }},
+		{"", func(c *wire.Codec) { wire.Int(c, &cfg.RestartBackoffBase) }},
+		{"backoffCap", cfg.backoffCap.Code},
+		{"", func(c *wire.Codec) { wire.Int(c, &cfg.MaxRestartAttempts) }},
+		{"deadline", cfg.deadline.Code},
+		{"", func(c *wire.Codec) { c.Bool(&cfg.DisableQuarantine) }},
+		{"heartbeatPeriod", cfg.heartbeatPeriod.Code},
+		{"hangMisses", cfg.hangMisses.Code},
+	}
 	pre := wire.NewEncoder()
 	c = wire.Encoding(pre)
-	wire.Int(c, &cfg.Policy)
-	c.Uvarint(&cfg.Seed)
-	cfg.Cost.Code(c)
-	wire.Int(c, &cfg.Instrumentation)
-	wire.Int(c, &cfg.MaxRecoveries)
-	wire.Map(c, &cfg.ComponentPolicies, wire.Int[kernel.Endpoint], wire.Int[seep.Policy])
-	data := append([]byte(nil), e.Bytes()...)
-	if at := pre.Len(); data[at] != 0 {
-		t.Fatalf("the retired slot holds %#x", data[at])
-	} else {
-		data[at] = 1
-	}
-	var back Config
-	d := wire.NewDecoder(data)
-	if back.Code(wire.Decoding(d)); d.Err() == nil {
-		t.Fatal("a configuration with its retired slot set decoded")
+	for _, f := range fields {
+		if f.retired != "" {
+			at := pre.Len()
+			if e.Bytes()[at] != 0 {
+				t.Fatalf("the retired slot %s holds %#x", f.retired, e.Bytes()[at])
+			}
+			for _, set := range [][]byte{{1}, {0x80, 0x01}, {0x80, 0x00}} {
+				data := append(append(append([]byte(nil), e.Bytes()[:at]...), set...), e.Bytes()[at+1:]...)
+				var back Config
+				d := wire.NewDecoder(data)
+				if back.Code(wire.Decoding(d)); d.Err() == nil {
+					t.Errorf("a configuration with %x in its retired slot %s decoded", set, f.retired)
+				}
+			}
+		}
+		f.code(c)
 	}
 }

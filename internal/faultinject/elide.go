@@ -125,10 +125,10 @@ type idlePoint struct {
 // wedgeRounds is how many consecutive equal idle points certify a
 // wedge. One equal pair already proves the round between them maps the
 // state onto itself; the window is widened past the Recovery Server's
-// longest memory — DefaultHangMisses rounds of silence before it acts,
+// longest memory — rs.HangMisses rounds of silence before it acts,
 // plus the round that acts — so that nothing RS is still counting
 // towards can be pending inside it.
-const wedgeRounds = rs.DefaultHangMisses + 2
+const wedgeRounds = rs.HangMisses + 2
 
 // maxWedgeProbes bounds the idle points a run pays to hash in a row
 // without a user process having run in between. A wedge recurs from its

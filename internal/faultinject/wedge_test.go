@@ -144,10 +144,11 @@ func TestWedgeRefusesSleepers(t *testing.T) {
 }
 
 // (b) A component gone silent while parked in Receive: RS counts its
-// missed rounds towards HangMisses — configured far beyond the window —
-// and then fail-stops it, which ends this run in a controlled shutdown.
-// Every idle point until then differs only in RS's outstanding count,
-// which lives outside its store: the transient digest must see it.
+// missed rounds towards rs.HangMisses and then fail-stops it, which ends
+// this run in a controlled shutdown. The window (wedgeRounds) is wider
+// than RS's count, so the run is not certified; and every idle point
+// until then differs from the last only in RS's outstanding count, which
+// lives outside its store: the transient digest sees it.
 func TestWedgeRefusesSilentTarget(t *testing.T) {
 	mute := func(p *usr.Proc) int {
 		k := p.Context().Kernel()
@@ -160,12 +161,33 @@ func TestWedgeRefusesSilentTarget(t *testing.T) {
 		}
 		return parkForever(p)
 	}
-	cfg := core.Config{Policy: seep.PolicyEnhanced, Seed: 1, HangMisses: 4 * wedgeRounds}
+	cfg := core.Config{Policy: seep.PolicyEnhanced, Seed: 1}
 	warm, cold, decision := wedgeProbe(cfg, mute)
 	if cold.Outcome != kernel.OutcomeShutdown {
 		t.Fatalf("cold run ended %v (%s), want the shutdown RS's hang detector causes", cold.Outcome, cold.Reason)
 	}
 	assertRefused(t, warm, cold, decision)
+
+	sys := boot.Boot(boot.Options{Config: cfg, Heartbeats: true}, mute)
+	el := &elider{ready: func() bool { return true }}
+	var pts []idlePoint
+	sys.Kernel().SetIdleHook(func() bool {
+		if pt, ok := el.idlePointOf(sys); ok {
+			pts = append(pts, pt)
+		}
+		return false
+	})
+	sys.Run(RunLimit)
+	onlyTransient := 0
+	for i := 1; i < len(pts); i++ {
+		a, b := pts[i-1], pts[i]
+		if a.fp == b.fp && a.stamp == b.stamp && a.transient != b.transient {
+			onlyTransient++
+		}
+	}
+	if onlyTransient < rs.HangMisses-1 {
+		t.Errorf("%d pairs of %d idle points differ in the transient digest alone, want %d", onlyTransient, len(pts), rs.HangMisses-1)
+	}
 }
 
 // (b) Background transport rates roll the fault stream for every ping

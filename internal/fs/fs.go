@@ -546,7 +546,9 @@ func (f *FS) WriteAt(dev BlockDevice, ino int64, off int64, data []byte) (int, k
 	// size is set below, that means node.Blocks is this call's own copy of
 	// the table, which it may write.
 	changed := false
-	written := 0
+	// fresh reports that the chunk in hand took a block off the free
+	// stack.
+	written, fresh := 0, false
 	var errno kernel.Errno
 	for written < len(data) {
 		bi := int(off / BlockSize)
@@ -555,6 +557,7 @@ func (f *FS) WriteAt(dev BlockDevice, ino int64, off int64, data []byte) (int, k
 		if chunk > len(data)-written {
 			chunk = len(data) - written
 		}
+		fresh = false
 		if bi >= len(node.Blocks) || node.Blocks[bi] == 0 {
 			var b int32
 			if b, errno = f.allocBlock(); errno != kernel.OK {
@@ -567,7 +570,7 @@ func (f *FS) WriteAt(dev BlockDevice, ino int64, off int64, data []byte) (int, k
 				copy(table, node.Blocks)
 				node.Blocks, changed = table, true
 			}
-			node.Blocks[bi] = b
+			node.Blocks[bi], fresh = b, true
 		}
 		var existing []byte
 		if bo != 0 || chunk != BlockSize {
@@ -589,6 +592,18 @@ func (f *FS) WriteAt(dev BlockDevice, ino int64, off int64, data []byte) (int, k
 		off += int64(chunk)
 		written += chunk
 	}
+	if errno != kernel.OK {
+		if fresh {
+			// The chunk that failed wrote nothing into the block it took:
+			// give it back.
+			bi := off / BlockSize
+			f.freeBlock(node.Blocks[bi])
+			node.Blocks[bi] = 0
+		}
+		if written == 0 {
+			return 0, errno // the stored inode is as it was
+		}
+	}
 	if changed {
 		// A write that stopped early leaves the slots it did not reach
 		// zero: cut them, so the table ends at its last allocated slot.
@@ -598,11 +613,12 @@ func (f *FS) WriteAt(dev BlockDevice, ino int64, off int64, data []byte) (int, k
 		}
 		node.Blocks = node.Blocks[:k:k]
 	}
-	if len(data) > 0 && off > node.Size {
+	if written > 0 && off > node.Size {
 		node.Size, changed = off, true
 	}
 	// A failed chunk still keeps what came before it: the blocks already
-	// allocated and a size that covers the bytes reported written.
+	// written and a size that covers the bytes reported written, past the
+	// old end too; a write that failed in its first chunk changes nothing.
 	if errno == kernel.OK || changed {
 		f.inodes.Set(ino, node)
 	}

@@ -261,8 +261,9 @@ func (d *failingDevice) WriteBlock(b int32, data []byte) kernel.Errno {
 }
 
 // A device error in the middle of a write keeps what came before it: the
-// blocks the write allocated stay the file's (none drops out of the free
-// stack unowned), and the size covers every byte reported written.
+// blocks the write filled stay the file's, the one the failed chunk took
+// goes back (none drops out of the free stack unowned), and the size
+// covers every byte reported written.
 func TestWriteAtDeviceErrorKeepsBlockAccounting(t *testing.T) {
 	const blocks, off = 16, 100
 	data := bytes.Repeat([]byte{'w'}, 3*BlockSize) // partial head, two full blocks, partial tail
@@ -293,6 +294,59 @@ func TestWriteAtDeviceErrorKeepsBlockAccounting(t *testing.T) {
 		if got, _ := f.ReadAt(dev, ino, off, n); !bytes.Equal(got, data[:n]) {
 			t.Fatalf("call %d fails: the %d bytes reported written read back wrong", failAt, n)
 		}
+	}
+}
+
+// A write past the end of the file whose first chunk fails writes
+// nothing, so it leaves the file as it was: the size does not grow to
+// the offset, and a block taken for the chunk goes back to the free
+// stack. The chunk fails in its read or its write, inside the file's
+// last block or in a hole past it.
+func TestWriteAtFailedFirstChunkLeavesFile(t *testing.T) {
+	const blocks = 16
+	for _, off := range []int64{100, 2*BlockSize + 5} {
+		for failAt := 1; failAt <= 2; failAt++ {
+			f := New(memlog.NewStore("vfs", memlog.Baseline), blocks)
+			mem := NewMemDevice(blocks)
+			ino, _ := f.Create("/f")
+			f.WriteAt(mem, ino, 0, []byte("ten bytes!"))
+			before, _ := f.Stat(ino)
+			free := f.FreeBlockCount()
+			dev := &failingDevice{MemDevice: mem, failAt: failAt}
+			n, errno := f.WriteAt(dev, ino, off, []byte("past the end"))
+			if errno != kernel.EIO || n != 0 {
+				t.Fatalf("off %d, call %d fails: wrote %d, %v; want 0, EIO", off, failAt, n, errno)
+			}
+			if node, _ := f.Stat(ino); node.Size != before.Size || !slices.Equal(node.Blocks, before.Blocks) {
+				t.Errorf("off %d, call %d fails: size %d, blocks %v; want %d, %v",
+					off, failAt, node.Size, node.Blocks, before.Size, before.Blocks)
+			}
+			if f.FreeBlockCount() != free {
+				t.Errorf("off %d, call %d fails: %d free blocks, want %d", off, failAt, f.FreeBlockCount(), free)
+			}
+		}
+	}
+}
+
+// A write past the end of the file on a full disk writes nothing and
+// leaves the file as it was.
+func TestWriteAtFullDiskLeavesFile(t *testing.T) {
+	f := New(memlog.NewStore("vfs", memlog.Baseline), 4) // blocks 1..3 usable
+	dev := NewMemDevice(4)
+	ino, _ := f.Create("/f")
+	f.WriteAt(dev, ino, 0, []byte("ten bytes!"))
+	fill, _ := f.Create("/fill")
+	f.WriteAt(dev, fill, 0, make([]byte, 2*BlockSize))
+	if f.FreeBlockCount() != 0 {
+		t.Fatalf("%d blocks free after filling the disk", f.FreeBlockCount())
+	}
+	before, _ := f.Stat(ino)
+	n, errno := f.WriteAt(dev, ino, 3*BlockSize, []byte("past the end"))
+	if errno != kernel.ENOSPC || n != 0 {
+		t.Fatalf("wrote %d, %v; want 0, ENOSPC", n, errno)
+	}
+	if node, _ := f.Stat(ino); node.Size != before.Size || !slices.Equal(node.Blocks, before.Blocks) {
+		t.Errorf("size %d, blocks %v; want %d, %v", node.Size, node.Blocks, before.Size, before.Blocks)
 	}
 }
 

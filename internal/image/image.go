@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"slices"
 	"strconv"
 
@@ -425,36 +424,6 @@ func decodeSnapshot(data []byte, reg *usr.Registry, workers int) (*boot.Snapshot
 		}
 	}
 	return snap, nil
-}
-
-// WriteSnapshotFile writes snap to path (atomically: temp file +
-// rename).
-func WriteSnapshotFile(path string, snap *boot.Snapshot, o WriteOptions) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := WriteSnapshot(f, snap, o); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// ReadSnapshotFile reads a snapshot image from path, into one buffer of
-// the file's size (os.ReadFile asks Stat for it).
-func ReadSnapshotFile(path string, reg *usr.Registry, workers int) (*boot.Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return decodeSnapshot(data, reg, workers)
 }
 
 // encoding and decoding adapt a field list to the one-way signatures of

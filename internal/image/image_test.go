@@ -254,28 +254,6 @@ func TestRegistryValidated(t *testing.T) {
 	}
 }
 
-// TestFileRoundTrip: the path-based helpers write atomically and read
-// back a forkable snapshot.
-func TestFileRoundTrip(t *testing.T) {
-	snap := captureSnapshot(t, 13)
-	path := t.TempDir() + "/snap.img"
-	if err := image.WriteSnapshotFile(path, snap, image.WriteOptions{Compress: true}); err != nil {
-		t.Fatalf("WriteSnapshotFile: %v", err)
-	}
-	reg := usr.NewRegistry()
-	testsuite.Register(reg)
-	decoded, err := image.ReadSnapshotFile(path, reg, 0)
-	if err != nil {
-		t.Fatalf("ReadSnapshotFile: %v", err)
-	}
-	origRes, origRep := forkAndRun(t, snap, 13)
-	decRes, decRep := forkAndRun(t, decoded, 13)
-	if !reflect.DeepEqual(origRes, decRes) || !reflect.DeepEqual(origRep, decRep) {
-		t.Errorf("file round trip differs:\norig    %+v %+v\ndecoded %+v %+v",
-			origRes, origRep, decRes, decRep)
-	}
-}
-
 // Encode/decode throughput for EXPERIMENTS.md.
 func benchWrite(b *testing.B, o image.WriteOptions) {
 	snap := captureSnapshot(b, 1)

@@ -17,43 +17,15 @@ import (
 	"repro/internal/wire"
 )
 
-// HeartbeatPeriod is the default virtual-time interval between
-// heartbeat rounds.
+// HeartbeatPeriod is the virtual-time interval between heartbeat
+// rounds.
 const HeartbeatPeriod sim.Cycles = 250_000
 
-// DefaultHangMisses is the default number of consecutive unanswered
-// heartbeat rounds after which RS declares a component hung.
-const DefaultHangMisses = 4
-
-// Config parameterizes the heartbeat prober.
-type Config struct {
-	// Period is the interval between heartbeat rounds. Zero = default
-	// (HeartbeatPeriod).
-	Period sim.Cycles
-	// HangMisses is how many consecutive rounds a target may leave
-	// unanswered before RS declares it hung and fail-stops it so the
-	// recovery engine can restart it. Zero = default (4). One round can
-	// never distinguish a hang from an in-flight reply, so values below
-	// 2 are clamped to 2.
-	HangMisses int
-}
-
-func (c Config) period() sim.Cycles {
-	if c.Period > 0 {
-		return c.Period
-	}
-	return HeartbeatPeriod
-}
-
-func (c Config) hangMisses() int {
-	if c.HangMisses == 0 {
-		return DefaultHangMisses
-	}
-	if c.HangMisses < 2 {
-		return 2
-	}
-	return c.HangMisses
-}
+// HangMisses is how many consecutive rounds a target may leave
+// unanswered before RS declares it hung and fail-stops it so the
+// recovery engine can restart it. One round could never tell a hang
+// from an in-flight reply.
+const HangMisses = 4
 
 // seepPing is the heartbeat probe: a pure query of the target's
 // liveness, read-only by construction.
@@ -71,7 +43,6 @@ type RS struct {
 	// targets are the endpoints RS probes; fixed at boot (code, not
 	// recoverable state).
 	targets []kernel.Endpoint
-	cfg     Config
 
 	// Transient prober bookkeeping, deliberately outside the store: if
 	// RS itself is recovered, miss counts restart from a clean slate
@@ -80,14 +51,8 @@ type RS struct {
 	quarantined map[kernel.Endpoint]bool
 }
 
-// New binds an RS with the default prober configuration.
+// New binds an RS over store. targets are the components to probe.
 func New(store *memlog.Store, targets []kernel.Endpoint) *RS {
-	return NewWithConfig(store, targets, Config{})
-}
-
-// NewWithConfig binds an RS over store. targets are the components to
-// probe.
-func NewWithConfig(store *memlog.Store, targets []kernel.Endpoint, cfg Config) *RS {
 	return &RS{
 		recoveries:  memlog.NewCell(store, "rs.recoveries", int64(0)),
 		crashes:     memlog.NewMap[int64, int64](store, "rs.crashes"),
@@ -96,7 +61,6 @@ func NewWithConfig(store *memlog.Store, targets []kernel.Endpoint, cfg Config) *
 		quarantines: memlog.NewCell(store, "rs.quarantines", int64(0)),
 		hangKills:   memlog.NewCell(store, "rs.hang_kills", int64(0)),
 		targets:     targets,
-		cfg:         cfg,
 		outstanding: make(map[kernel.Endpoint]int),
 		quarantined: make(map[kernel.Endpoint]bool),
 	}
@@ -107,7 +71,7 @@ func (r *RS) Name() string { return "rs" }
 
 // Init schedules the first heartbeat round.
 func (r *RS) Init(ctx *kernel.Context) {
-	ctx.SetAlarm(r.cfg.period())
+	ctx.SetAlarm(HeartbeatPeriod)
 }
 
 // Handle processes one request.
@@ -155,7 +119,7 @@ func (r *RS) heartbeat(ctx *kernel.Context) {
 		if r.quarantined[target] {
 			continue
 		}
-		if r.outstanding[target] >= r.cfg.hangMisses() {
+		if r.outstanding[target] >= HangMisses {
 			if ctx.Kernel().IPCWaiting(target) {
 				// Silent but blocked in a kernel-managed reliable send:
 				// the reliability layer will unblock it (retransmission,
@@ -175,7 +139,7 @@ func (r *RS) heartbeat(ctx *kernel.Context) {
 		}
 		ctx.Tick(10)
 	}
-	ctx.SetAlarm(r.cfg.period())
+	ctx.SetAlarm(HeartbeatPeriod)
 }
 
 // pong records a heartbeat answer.
@@ -191,7 +155,7 @@ func (r *RS) pong(ctx *kernel.Context, from kernel.Endpoint) {
 func (r *RS) declareHung(ctx *kernel.Context, target kernel.Endpoint) {
 	ctx.Point("rs.hangkill")
 	delete(r.outstanding, target)
-	reason := fmt.Sprintf("rs: component %d missed %d heartbeat rounds", int(target), r.cfg.hangMisses())
+	reason := fmt.Sprintf("rs: component %d missed %d heartbeat rounds", int(target), HangMisses)
 	if errno := ctx.Kernel().FailStopProcess(target, reason); errno == kernel.OK {
 		r.hangKills.Set(r.hangKills.Get() + 1)
 	}

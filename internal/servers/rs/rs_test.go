@@ -147,8 +147,7 @@ func TestHangDetectionFailStops(t *testing.T) {
 
 	store := memlog.NewStore("rs", memlog.Optimized)
 	win := seep.NewWindow(seep.PolicyEnhanced, store)
-	const period = 100_000
-	r := NewWithConfig(store, []kernel.Endpoint{kernel.EpDS}, Config{Period: period, HangMisses: 2})
+	r := New(store, []kernel.Endpoint{kernel.EpDS})
 	k.AddServer(kernel.EpRS, "rs", func(ctx *kernel.Context) {
 		r.Init(ctx)
 		for {
@@ -160,7 +159,7 @@ func TestHangDetectionFailStops(t *testing.T) {
 	}, kernel.ServerConfig{Window: win, Store: store})
 
 	root := k.SpawnUser("client", func(ctx *kernel.Context) {
-		ctx.SetAlarm(20 * period)
+		ctx.SetAlarm(20 * HeartbeatPeriod)
 		ctx.Receive()
 	})
 	k.SetRootProcess(root.Endpoint())

@@ -446,11 +446,13 @@ func Tagged[T any](c *Codec, p *any, name string, code func(*Codec, *T)) {
 	}
 }
 
-// Retired holds the place of a bool field a format has retired: it has
-// no value, and it codes as the one false byte every stream holds in the
-// slot. A decode refuses any other byte. The reflective oracle walks it
-// the same way, so a struct keeps the slot in its declaration and its
-// field list alike.
+// Retired holds the place of a field a format has retired — a bool that
+// was false, or an integer that was zero, in every stream: it has no
+// value, and it codes as the one zero byte every stream holds in the
+// slot. A decode refuses any other byte, so a set flag or a nonzero
+// varint of any length is refused too. The reflective oracle walks it
+// the same way, exported or not, so a struct keeps the slot in its
+// declaration and its field list alike.
 type Retired struct{}
 
 // Code codes the slot.

@@ -14,9 +14,10 @@ import (
 // The oracle: the wire format defined by a value's Go type, walked by
 // reflection. Bools, integers of every named kind, floats, strings, byte
 // slices, slices, arrays, maps with ordered keys and structs whose fields
-// are all exported have a form; anything else is an error. A field list
-// (wire.Codec) is correct when it writes what this walk writes and reads
-// it back — SameAsValue is that test. Nothing outside tests calls it.
+// are all exported, or retired slots, have a form; anything else is an
+// error. A field list (wire.Codec) is correct when it writes what this
+// walk writes and reads it back — SameAsValue is that test. Nothing
+// outside tests calls it.
 
 // Encode appends x in the form its dynamic type defines.
 func Encode(e *wire.Encoder, x any) error {
@@ -167,7 +168,8 @@ func (w *walk) value(v reflect.Value) {
 			return
 		}
 		for i := 0; i < t.NumField(); i++ {
-			if t.Field(i).PkgPath != "" {
+			// A retired slot has no value to reach, so it may be unexported.
+			if f := t.Field(i); f.PkgPath != "" && f.Type != retiredType {
 				w.failf("wiretest: unexported field %s.%s", t, t.Field(i).Name)
 				return
 			}

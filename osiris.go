@@ -20,6 +20,12 @@
 //	    })
 //	result := sys.Run(osiris.DefaultRunLimit)
 //
+// Options carries what the examples vary: the policy, the seed, the
+// program registry, heartbeats, the crash-storm budget and the restart
+// backoff base. The rest of the recovery sequencer's timing — the
+// backoff cap, the recovery watchdog, the heartbeat period and the
+// number of silent rounds that make a hang — is fixed (DESIGN.md §4).
+//
 // The subpackages remain importable inside this module for advanced
 // use; this package re-exports the surface most applications need.
 package osiris
@@ -111,38 +117,19 @@ type Options struct {
 	// Registry supplies the programs available to exec; nil creates an
 	// empty registry.
 	Registry *Registry
-	// Heartbeats enables the Recovery Server's periodic heartbeats.
+	// Heartbeats enables the Recovery Server's periodic heartbeats: a
+	// component silent for a fixed number of rounds is declared hung
+	// and recovered like a crashed one.
 	Heartbeats bool
 	// MaxRecoveries bounds per-component recoveries before the engine
 	// declares a crash storm (0 = default 25). Raise it for workloads
 	// that intentionally crash components many times.
 	MaxRecoveries int
-
-	// Cascade-tolerance sequencer knobs (all optional; zero = default).
-	//
-	// RecoveryDecay is the crash-free interval, in virtual cycles, after
-	// which one unit of the crash-storm budget is forgiven (0 = default
-	// 2,000,000; negative disables decay).
-	RecoveryDecay int64
-	// RestartBackoffBase is the cool-down before restarting a component
-	// that crashed twice in a row, doubling per further crash (0 =
-	// default 50,000; negative disables backoff).
+	// RestartBackoffBase is the cool-down, in virtual cycles, before
+	// restarting a component that crashed twice in a row, doubling per
+	// further crash up to a fixed cap (0 = default 50,000; negative
+	// disables backoff).
 	RestartBackoffBase int64
-	// MaxRestartAttempts bounds restart retries within one recovery
-	// incident before escalating to quarantine (0 = default 3).
-	MaxRestartAttempts int
-	// RecoveryDeadline is the watchdog budget, in virtual cycles, for
-	// one recovery incident (0 = default 5,000,000; negative disables).
-	RecoveryDeadline int64
-	// DisableQuarantine restores the fail-hard behaviour: exhausted
-	// budgets abort the run instead of quarantining the component.
-	DisableQuarantine bool
-	// HeartbeatPeriod is the Recovery Server's probe interval in virtual
-	// cycles (0 = default 250,000). Effective only with Heartbeats.
-	HeartbeatPeriod int64
-	// HangMisses is how many silent heartbeat rounds make RS declare a
-	// component hung and fail-stop it (0 = default 4, minimum 2).
-	HangMisses int
 }
 
 // NewRegistry returns an empty program registry.
@@ -165,13 +152,7 @@ func Boot(opts Options, init Program, args ...string) *System {
 			Policy:             policy,
 			Seed:               seed,
 			MaxRecoveries:      opts.MaxRecoveries,
-			RecoveryDecay:      opts.RecoveryDecay,
 			RestartBackoffBase: opts.RestartBackoffBase,
-			MaxRestartAttempts: opts.MaxRestartAttempts,
-			RecoveryDeadline:   opts.RecoveryDeadline,
-			DisableQuarantine:  opts.DisableQuarantine,
-			HeartbeatPeriod:    opts.HeartbeatPeriod,
-			HangMisses:         opts.HangMisses,
 		},
 		Registry:   opts.Registry,
 		Heartbeats: opts.Heartbeats,
