@@ -126,6 +126,7 @@ func runCommand() int {
 	for _, err := range []error{
 		validateCount("samples", spec.samples, 1), validateCount("faults", spec.faults, 1), validateCount("runs", spec.runs, 1),
 		validateCount("maxruns", spec.maxRuns, 0), validateCount("workers", spec.workers, 0),
+		validateCount("ipctimeout", *ipcTimeout, 0), validateCount("ipcretry", *ipcRetry, 0),
 		validateBPFlags([]bpFlag{
 			{"droprate", *dropRate}, {"duprate", *dupRate}, {"delayrate", *delayRate},
 			{"reorderrate", *reordRate}, {"corruptrate", *corrRate},

@@ -132,7 +132,7 @@ func checkTraces(t *testing.T, dir string) {
 func TestCountFlagsRejected(t *testing.T) {
 	for _, args := range []string{
 		"-samples 0", "-samples -2", "-runs 0 -faults 2", "-faults 0", "-faults -1",
-		"-maxruns -1", "-workers -1",
+		"-maxruns -1", "-workers -1", "-ipctimeout -7", "-ipcretry -1 -ipcfaults",
 	} {
 		_, stderr, code := faultcampaign(t, args)
 		flag := strings.Fields(args)[0]

@@ -37,8 +37,9 @@ func validateBPFlags(flags []bpFlag) error {
 
 // validateCount rejects a count flag below least. The campaign layer reads
 // a count that is not positive as its default, so -samples 0 or -faults
-// 0 would otherwise run another campaign than the one asked for.
-func validateCount(name string, v, least int) error {
+// 0 would otherwise run another campaign than the one asked for, and a
+// negative -ipctimeout would be recorded in traces no replay reads.
+func validateCount[T int | int64](name string, v, least T) error {
 	if v < least {
 		return fmt.Errorf("-%s %d: must be at least %d", name, v, least)
 	}

@@ -118,17 +118,18 @@ type Config struct {
 
 	// IPCFaults sets background fault rates for the kernel's message
 	// interposition plane (drop/dup/delay/reorder/corrupt, in basis
-	// points). The zero value — the default — injects nothing and keeps
-	// runs bit-identical to builds without the plane.
+	// points). The zero value — the default — injects nothing. Non-zero
+	// rates require IPCTimeoutCycles > 0.
 	IPCFaults kernel.IPCFaultConfig
 	// IPCFaultSeed decorrelates the IPC fault stream from Seed. Zero
 	// derives the stream from a fixed constant.
 	IPCFaultSeed uint64
-	// IPCTimeoutCycles enables the end-to-end IPC reliability layer
-	// (sequence numbers, checksums, dedup, sender-side timeout/retry
-	// with bounded backoff, dead-lettering): it is the base sender
-	// timeout in virtual cycles. Zero — the default — disables the
-	// layer.
+	// IPCTimeoutCycles enables the interposition plane, which always
+	// carries the end-to-end IPC reliability layer (sequence numbers,
+	// checksums, dedup, sender-side timeout/retry with bounded backoff,
+	// dead-lettering): it is the base sender timeout in virtual cycles.
+	// Zero — the default — means no plane, and runs bit-identical to
+	// builds without it.
 	IPCTimeoutCycles int64
 	// IPCRetryMax bounds retransmissions per message before it is
 	// abandoned to the dead-letter counter. Zero = default (4).
@@ -186,6 +187,9 @@ func (c Config) Validate() error {
 	}
 	if c.IPCRetryMax > 0 && c.IPCTimeoutCycles == 0 {
 		return fmt.Errorf("core: IPCRetryMax requires IPCTimeoutCycles > 0 (retries are driven by the sender timeout)")
+	}
+	if c.IPCFaults.Enabled() && c.IPCTimeoutCycles == 0 {
+		return fmt.Errorf("core: IPC fault rates require IPCTimeoutCycles > 0 (the plane always runs the reliability layer)")
 	}
 	return nil
 }
@@ -340,7 +344,7 @@ func NewOS(cfg Config) *OS {
 		slots: make(map[kernel.Endpoint]*slot),
 	}
 	o.k.SetCrashHandler(o.handleCrash)
-	if cfg.IPCFaults.Enabled() || cfg.IPCTimeoutCycles > 0 {
+	if cfg.IPCTimeoutCycles > 0 {
 		o.k.SetIPCFaultPlane(cfg.IPCFaults, kernel.IPCReliability{
 			TimeoutCycles: sim.Cycles(cfg.IPCTimeoutCycles),
 			RetryMax:      cfg.IPCRetryMax,

@@ -422,6 +422,19 @@ func TestConfigValidateRejectsBadSequencerKnobs(t *testing.T) {
 	}
 }
 
+// The interposition plane always runs the reliability layer, so fault
+// rates without a sender timeout are a configuration no machine can run.
+func TestConfigValidateRejectsRatesWithoutTimeout(t *testing.T) {
+	cfg := Config{IPCFaults: kernel.IPCFaultConfig{DropBP: 10}}
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "IPCTimeoutCycles") {
+		t.Errorf("Validate(%+v) = %v, want an error naming IPCTimeoutCycles", cfg, err)
+	}
+	cfg.IPCTimeoutCycles = DefaultIPCTimeoutCycles
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("rates with a timeout rejected: %v", err)
+	}
+}
+
 // Config's field list against the reflective walk of its declaration,
 // ComponentPolicies nil, empty and full among the values drawn.
 func TestConfigFieldList(t *testing.T) {

@@ -434,8 +434,9 @@ type Table4 struct {
 
 // runBenchMatrix executes every (config, benchmark) pair on the
 // parallel engine and returns results grouped by config, each group in
-// table order — byte-identical to running unixbench.RunAll per config
-// serially, but with all machines of all configs in one work pool.
+// table order — byte-identical to running unixbench.RunOne over each
+// config's benchmarks serially, but with all machines of all configs in
+// one work pool.
 func runBenchMatrix(workers int, cfgs ...unixbench.Config) [][]unixbench.Result {
 	bench := unixbench.All()
 	flat := parallel.Map(workers, len(cfgs)*len(bench), func(i int) unixbench.Result {

@@ -20,7 +20,8 @@ type IPCOptions struct {
 	// sees different fault placements.
 	Seed uint64
 	// TimeoutCycles and RetryMax parameterize the sender-side
-	// reliability layer (zero TimeoutCycles: layer off; zero RetryMax:
+	// reliability layer (zero TimeoutCycles: no plane unless a
+	// transport fault can fire, which sets the default; zero RetryMax:
 	// kernel default budget).
 	TimeoutCycles int64
 	RetryMax      int

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/seep"
 )
 
@@ -278,7 +279,7 @@ func TestTraceRecordReplay(t *testing.T) {
 		{Injection: Injection{Server: "pm", Site: "pm.getpid", Occurrence: 2, Type: FaultCrash}},
 		{Injection: Injection{Server: "pm", Site: "pm.getpid", Occurrence: 4, Type: FaultCrash}, Persistent: true},
 	}
-	mrr := RunMulti(seep.PolicyEnhanced, 11, injs)
+	mrr := RunMultiWith(seep.PolicyEnhanced, 11, injs, IPCOptions{})
 	mtr := NewRunTrace(TraceMulti, seep.PolicyEnhanced, mrr, IPCOptions{})
 	if err := WriteTraceFile(path, mtr); err != nil {
 		t.Fatal(err)
@@ -509,6 +510,46 @@ func TestTraceRefusesRetiredFormat(t *testing.T) {
 	_, err := ReadTraceFile(path)
 	if err == nil || !strings.Contains(err.Error(), `unsupported trace format "osiris-trace/v1"`) {
 		t.Fatalf("v1 trace: err %v, want an unsupported trace format error", err)
+	}
+}
+
+// TestTraceRefusesRunReplayCannotBoot: a recorded trace edited to a
+// negative drop rate, which the kernel refuses, or to a negative timeout
+// or retry budget, which normalization would overwrite or no machine
+// would see, is refused as it is read. With a timeout, the first used to
+// panic in core.NewOS at replay; without one, it and the second replayed
+// as PASS. The options are recorded as configured, before normalization.
+func TestTraceRefusesRunReplayCannotBoot(t *testing.T) {
+	tr := NewTrace(seep.PolicyEnhanced, RunResult{
+		Injection: Injection{Server: "pm", Site: "pm.getpid", Occurrence: 3, Type: FaultCrash},
+		Outcome:   OutcomePass, Triggered: true, Seed: 7, Consistent: true,
+	}, IPCOptions{Faults: kernel.IPCFaultConfig{DropBP: 5, DupBP: 5}, RetryMax: 2})
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := WriteTraceFile(path, tr); err != nil {
+		t.Fatal(err)
+	}
+	recorded, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadTraceFile(path); err != nil {
+		t.Fatalf("the recorded trace: %v", err)
+	}
+	for field, edit := range map[string][2]string{
+		"DropBP":        {`"DropBP": 5,`, `"DropBP": -5,`},
+		"DupBP":         {`"DupBP": 5,`, `"DupBP": 10001,`},
+		"TimeoutCycles": {`"TimeoutCycles": 0,`, `"TimeoutCycles": -7,`},
+		"RetryMax":      {`"RetryMax": 2`, `"RetryMax": -1`},
+	} {
+		if !bytes.Contains(recorded, []byte(edit[0])) {
+			t.Fatalf("%s: the recorded trace has no %s", field, edit[0])
+		}
+		if err := os.WriteFile(path, bytes.Replace(recorded, []byte(edit[0]), []byte(edit[1]), 1), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadTraceFile(path); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("trace edited to %s: err %v, want a refusal naming %s", edit[1], err, field)
+		}
 	}
 }
 

@@ -54,15 +54,10 @@ type MultiRunResult struct {
 	Violations []string `json:",omitempty"`
 }
 
-// RunMulti boots a fresh machine with the cascade sequencer enabled,
-// arms every injection, runs the suite and classifies the outcome.
-// Transport interposition stays off unless one of the injections is an
-// IPC fault.
-func RunMulti(policy seep.Policy, seed uint64, injs []MultiInjection) MultiRunResult {
-	return RunMultiWith(policy, seed, injs, IPCOptions{})
-}
-
-// RunMultiWith is RunMulti with transport fault options applied.
+// RunMultiWith boots a fresh machine with the cascade sequencer enabled
+// and the transport options ipc applied, arms every injection, runs the
+// suite and classifies the outcome. With zero options, transport
+// interposition stays off unless one of the injections is an IPC fault.
 func RunMultiWith(policy seep.Policy, seed uint64, injs []MultiInjection, ipc IPCOptions) MultiRunResult {
 	return runCold(policy, seed, multiSpec(injs, ipc))
 }

@@ -14,7 +14,7 @@ func TestRunMultiDoubleCrashSurvives(t *testing.T) {
 		{Injection: Injection{Server: "ds", Site: "ds.put.applied", Occurrence: 1, Type: FaultCrash}},
 		{Injection: Injection{Server: "vfs", Site: "vfs.read.entry", Occurrence: 1, Type: FaultCrash}},
 	}
-	rr := RunMulti(seep.PolicyEnhanced, 42, injs)
+	rr := RunMultiWith(seep.PolicyEnhanced, 42, injs, IPCOptions{})
 	if rr.Triggered != 2 {
 		t.Fatalf("triggered %d faults, want 2 (%+v)", rr.Triggered, rr)
 	}
@@ -34,7 +34,7 @@ func TestRunMultiRecoveryPathFaultEscalates(t *testing.T) {
 		{Injection: Injection{Server: "ds", Site: "ds.put.applied", Occurrence: 1, Type: FaultCrash}},
 		{Injection: Injection{Occurrence: 1, Type: FaultCrash}, DuringRecovery: true},
 	}
-	rr := RunMulti(seep.PolicyEnhanced, 42, injs)
+	rr := RunMultiWith(seep.PolicyEnhanced, 42, injs, IPCOptions{})
 	if rr.Triggered != 2 {
 		t.Fatalf("triggered %d faults, want 2 (%+v)", rr.Triggered, rr)
 	}
@@ -50,8 +50,8 @@ func TestRunMultiDeterministic(t *testing.T) {
 		{Injection: Injection{Server: "ds", Site: "ds.put.applied", Occurrence: 2, Type: FaultCrash}},
 		{Injection: Injection{Server: "pm", Site: "pm.handle.entry", Occurrence: 3, Type: FaultCrash}, Correlated: true},
 	}
-	a := RunMulti(seep.PolicyEnhanced, 7, injs)
-	b := RunMulti(seep.PolicyEnhanced, 7, injs)
+	a := RunMultiWith(seep.PolicyEnhanced, 7, injs, IPCOptions{})
+	b := RunMultiWith(seep.PolicyEnhanced, 7, injs, IPCOptions{})
 	if a.Outcome != b.Outcome || a.Triggered != b.Triggered ||
 		a.Recoveries != b.Recoveries || a.Quarantines != b.Quarantines {
 		t.Fatalf("multi-fault run not deterministic:\n  a=%+v\n  b=%+v", a, b)
@@ -125,7 +125,7 @@ func TestMultiFaultIPCConservation(t *testing.T) {
 			Seed:   seed,
 		}, profile)
 		for i, plan := range plans {
-			rr := RunMulti(seep.PolicyEnhanced, seed+uint64(i)*31, plan)
+			rr := RunMultiWith(seep.PolicyEnhanced, seed+uint64(i)*31, plan, IPCOptions{})
 			if rr.Outcome == OutcomeCrash {
 				t.Fatalf("seed %d run %d: uncontrolled outcome (%s) — a request was lost or recovery aborted\nplan: %+v",
 					seed, i, rr.Reason, plan)

@@ -108,14 +108,37 @@ func (t Trace) Replay() (MultiRunResult, error) {
 	if t.Format != TraceFormat {
 		return MultiRunResult{}, fmt.Errorf("faultinject: unsupported trace format %q (want %q)", t.Format, TraceFormat)
 	}
-	if err := t.Run.check(t.Kind); err != nil {
+	if err := t.check(); err != nil {
 		return MultiRunResult{}, err
 	}
+	return runCold(t.Policy, t.Run.Seed, t.spec()), nil
+}
+
+// spec is the run the trace records.
+func (t Trace) spec() runSpec {
 	kind := kindMulti
 	if t.Kind == TraceSingle {
 		kind = kindSingle
 	}
-	return runCold(t.Policy, t.Run.Seed, runSpec{kind: kind, faults: t.Run.Injections, ipc: t.IPC}), nil
+	return runSpec{kind: kind, faults: t.Run.Injections, ipc: t.IPC}
+}
+
+// check refuses a trace whose run could not be replayed as recorded: a
+// run record that fails its own check, fault rates the kernel refuses, a
+// negative transport timeout or retry budget (normalization would
+// overwrite or ignore any of these when no fault can fire), and a
+// configuration the replayed machine's core.Config.Validate refuses.
+func (t Trace) check() error {
+	if err := t.Run.check(t.Kind); err != nil {
+		return err
+	}
+	if err := t.IPC.Faults.Validate(); err != nil {
+		return err
+	}
+	if t.IPC.TimeoutCycles < 0 || t.IPC.RetryMax < 0 {
+		return fmt.Errorf("faultinject: transport TimeoutCycles %d and RetryMax %d must not be negative", t.IPC.TimeoutCycles, t.IPC.RetryMax)
+	}
+	return t.spec().class().config(t.Policy, t.Run.Seed).Validate()
 }
 
 // Matches reports whether a replayed record is bit-identical to the
@@ -162,10 +185,10 @@ func ReadTraceFile(path string) (Trace, error) {
 }
 
 // decodeTrace decodes one trace record. It refuses a format other than
-// TraceFormat, fields the format does not have, and what would not
-// write back as read — a policy the record leaves out, or a run record
-// that fails check — and reads an empty list as the absent one
-// WriteTraceFile writes.
+// TraceFormat, fields the format does not have, what would not write
+// back as read — a policy the record leaves out, or a run record that
+// fails check — and a run Replay could not boot (Trace.check), and reads
+// an empty list as the absent one WriteTraceFile writes.
 func decodeTrace(data []byte) (Trace, error) {
 	var head struct{ Format string }
 	if err := json.Unmarshal(data, &head); err != nil {
@@ -181,7 +204,7 @@ func decodeTrace(data []byte) (Trace, error) {
 	if _, err := seep.ParsePolicy(t.Policy.String()); err != nil {
 		return Trace{}, err
 	}
-	if err := t.Run.check(t.Kind); err != nil {
+	if err := t.check(); err != nil {
 		return Trace{}, err
 	}
 	if len(t.Run.Violations) == 0 {

@@ -195,9 +195,10 @@ func TestWedgeRefusesSilentTarget(t *testing.T) {
 // the present repeated. The run idles to the real limit, uncertified.
 func TestWedgeRefusesBackgroundRates(t *testing.T) {
 	cfg := core.Config{
-		Policy:    seep.PolicyEnhanced,
-		Seed:      1,
-		IPCFaults: kernel.IPCFaultConfig{DelayBP: 2},
+		Policy:           seep.PolicyEnhanced,
+		Seed:             1,
+		IPCFaults:        kernel.IPCFaultConfig{DelayBP: 2},
+		IPCTimeoutCycles: core.DefaultIPCTimeoutCycles,
 	}
 	warm, cold, decision := wedgeProbe(cfg, parkForever)
 	if cold.Outcome != kernel.OutcomeHang {

@@ -365,6 +365,44 @@ func TestHostileRetiredSlotRejected(t *testing.T) {
 	}
 }
 
+// withConfig rewrites the configuration in data's meta frame through
+// edit, leaving the rest of the frame as it was.
+func withConfig(t testing.TB, data []byte, edit func(*core.Config)) []byte {
+	t.Helper()
+	return reframe(t, data, "meta", func(raw []byte) []byte {
+		var cfg core.Config
+		d := wire.NewDecoder(raw)
+		if cfg.Code(wire.Decoding(d)); d.Err() != nil {
+			t.Fatalf("meta frame: %v", d.Err())
+		}
+		edit(&cfg)
+		e := wire.NewEncoder()
+		c := wire.Encoding(e)
+		if cfg.Code(c); c.Err() != nil {
+			t.Fatalf("meta frame: %v", c.Err())
+		}
+		return append(e.Bytes(), raw[len(raw)-d.Remaining():]...)
+	})
+}
+
+// negativeDrop is a configuration core.NewOS refuses: a drop rate below
+// zero.
+func negativeDrop(cfg *core.Config) { cfg.IPCFaults.DropBP = -5 }
+
+// TestHostileConfigRejected: a meta frame whose configuration no machine
+// can boot is refused by the meta frame, its checksum holding. It used to
+// read, and Fork panicked in core.NewOS.
+func TestHostileConfigRejected(t *testing.T) {
+	data := withConfig(t, encode(t, captureSnapshot(t, 7), image.WriteOptions{}), negativeDrop)
+	_, err := image.ReadSnapshot(bytes.NewReader(data), suiteRegistry(), 1)
+	if err == nil {
+		t.Fatal("a configuration core.NewOS refuses was accepted")
+	}
+	if !strings.Contains(err.Error(), `frame "meta"`) || !strings.Contains(err.Error(), "DropBP") {
+		t.Errorf("refused, but not by the meta frame's configuration: %v", err)
+	}
+}
+
 // reliableImage is an image of a rung with the reliable transport on:
 // only it has an IPC plane, and a plane's pair maps, in its kernel frame.
 func reliableImage(t testing.TB) []byte {
@@ -548,6 +586,7 @@ func FuzzReadSnapshot(f *testing.F) {
 		f.Add(hostile)
 	}
 	f.Add(retiredSlot(f, raw, 256<<20))
+	f.Add(withConfig(f, raw, negativeDrop))
 	f.Add(allocatorAt(f, raw, 1<<27))
 	f.Add(swappedPairs(f, reliableImage(f)))
 	for _, hostile := range hostileContainers(f, raw, len(snap.Image.Slots)) {

@@ -463,6 +463,13 @@ func metaOf(snap *boot.Snapshot) *meta {
 
 func (m *meta) code(c *wire.Codec) {
 	m.opts.Config.Code(c)
+	// A configuration core.NewOS refuses would read here and panic in
+	// Fork: it is refused as the frame is read.
+	if c.Decoding() && c.Err() == nil {
+		if err := m.opts.Config.Validate(); err != nil {
+			c.Fail(err)
+		}
+	}
 	// Format v1 has a slot here that every image holds zero in: the
 	// configuration once ended with a campaign setting no machine read.
 	var retired int64

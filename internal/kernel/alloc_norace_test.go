@@ -62,7 +62,9 @@ func TestAlarmDoesNotAllocate(t *testing.T) {
 // plane keeps between calls.
 func TestDueIPCReleaseDoesNotAllocate(t *testing.T) {
 	k := newTestKernel()
-	k.SetIPCFaultPlane(IPCFaultConfig{DelayBP: 10000}, IPCReliability{}, 1)
+	// The deadline outlasts a delayed request and its delayed reply, so
+	// nothing is retransmitted.
+	k.SetIPCFaultPlane(IPCFaultConfig{DelayBP: 10000}, IPCReliability{TimeoutCycles: 4 * DefaultIPCDelayCycles}, 1)
 	k.AddServer(EpDS, "echo", echoServer, ServerConfig{})
 	allocs := -1.0
 	root := k.SpawnUser("client", func(ctx *Context) {

@@ -161,9 +161,7 @@ func (c *Context) SendRec(dst Endpoint, m Message) Message {
 		c.p.sendAttempts = 1
 		c.p.sendRearms = 0
 		ipc.xmit(m, 1)
-		if ipc.relOn() {
-			c.k.armSendDeadline(c.p)
-		}
+		c.k.armSendDeadline(c.p)
 	} else {
 		target.pushMsg(m)
 	}
@@ -256,15 +254,6 @@ func (c *Context) Reply(to Endpoint, m Message) {
 // ReplyErr is shorthand for replying with only an error status.
 func (c *Context) ReplyErr(to Endpoint, errno Errno) {
 	c.Reply(to, Message{Errno: errno})
-}
-
-// Notify sends a lightweight kernel-style notification (asynchronous,
-// non-state-carrying) to dst.
-func (c *Context) Notify(dst Endpoint, t MsgType) Errno {
-	if c.p.window != nil {
-		c.p.window.ObservePassage(seep.Passage{Name: c.p.name + ".notify", Class: seep.ClassNotify})
-	}
-	return c.Send(dst, Message{Type: t})
 }
 
 // SetAlarm schedules a MsgAlarm delivery to the caller after delay

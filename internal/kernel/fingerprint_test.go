@@ -232,7 +232,7 @@ func TestFingerprintFieldTable(t *testing.T) {
 	// counters.
 	before := k.StateFingerprint(nil)
 	k.clock.Advance(12345)
-	k.counters.Add("kernel.dispatches", 7)
+	k.counters.AddID(ctrDispatches, 7)
 	if after := k.StateFingerprint(nil); after != before {
 		t.Errorf("the clock or a counter moved the fingerprint: %x → %x", before, after)
 	}

@@ -109,8 +109,9 @@ func codePlane(c *wire.Codec, pl *planeState) {
 // codeCounters writes the counter set name-keyed in sorted order.
 // Slot IDs are per-process (registration order), so the image must not
 // reference them: a trace recorded by one binary is replayed by
-// another, and Add-by-name re-resolves to the local slots. Decoding,
-// the names must ascend strictly, as written: a repeated name would sum.
+// another, and decoding resolves each name to the local slot. Decoding,
+// the names must ascend strictly, as written (a repeated name would
+// sum), and each must be one this binary registers.
 func codeCounters(c *wire.Codec, p **sim.Counters) {
 	var snap map[string]uint64
 	var names []string
@@ -139,7 +140,12 @@ func codeCounters(c *wire.Codec, p **sim.Counters) {
 				return
 			}
 			prev = name
-			(*p).Add(name, v)
+			id, ok := sim.LookupCounter(name)
+			if !ok {
+				c.Fail(fmt.Errorf("kernel: image counter %q is not registered", name))
+				return
+			}
+			(*p).AddID(id, v)
 		}
 	}
 }

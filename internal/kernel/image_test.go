@@ -47,8 +47,8 @@ func TestMachineImageCodecCoversEveryField(t *testing.T) {
 		switch {
 		case v.Type() == reflect.TypeOf((*sim.Counters)(nil)):
 			c := sim.NewCounters()
-			c.Add("kernel.dispatches", 11)
-			c.Add("not-a-registered-counter", 12)
+			c.AddID(ctrDispatches, 11)
+			c.AddID(ctrMsgHops, 12)
 			v.Set(reflect.ValueOf(c))
 		case v.Kind() == reflect.Interface:
 			payloads++
@@ -209,12 +209,14 @@ func TestApplyImageRejectsBadSchedulerState(t *testing.T) {
 
 // A counter set is written in ascending name order and read back only in
 // it: a name the stream repeats would sum into one counter, and one out
-// of order would encode to other bytes.
+// of order would encode to other bytes. A name this binary does not
+// register has no slot to land in and is refused.
 func TestCounterNamesMustAscend(t *testing.T) {
 	for name, names := range map[string][]string{
-		"ascending":    {"a.one", "a.two", "b"},
-		"repeated":     {"a.one", "a.one"},
-		"out of order": {"b", "a.one"},
+		"ascending":    {"kernel.alarms_fired", "kernel.dispatches", "kernel.msg_hops"},
+		"repeated":     {"kernel.dispatches", "kernel.dispatches"},
+		"out of order": {"kernel.msg_hops", "kernel.dispatches"},
+		"unregistered": {"kernel.dispatches", "not-a-registered-counter"},
 	} {
 		e := wire.NewEncoder()
 		enc := wire.Encoding(e)

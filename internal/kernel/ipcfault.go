@@ -3,14 +3,15 @@ package kernel
 // This file implements the IPC fault-injection plane and the end-to-end
 // request reliability layer (EDFI-style interposition on the message
 // fabric). Every Context-level send — SendRec requests, asynchronous
-// Send/Notify messages, and server replies — passes through the plane,
+// Send messages, and server replies — passes through the plane,
 // which can deterministically drop, duplicate, delay, reorder, or
 // corrupt the message. Kernel-internal deliveries (PostMessage, alarm
 // delivery, recovery-engine error virtualization) are part of the
 // Reliable Computing Base and are never interposed.
 //
-// When reliability is enabled (IPCReliability.TimeoutCycles > 0) the
-// transport additionally provides at-most-once request semantics:
+// The plane always carries the end-to-end reliability layer
+// (IPCReliability.TimeoutCycles > 0, which SetIPCFaultPlane demands), so
+// the transport provides at-most-once request semantics:
 //
 //   - every interposed message carries a per-(src,dst) sequence number
 //     and a payload checksum;
@@ -30,8 +31,8 @@ package kernel
 //
 // Everything is a pure function of the plane's seed: the kernel runs
 // one process at a time, so fault decisions are drawn in a fixed order
-// from a dedicated RNG that never touches the machine's root RNG. With
-// the plane disabled (the default) no state is allocated and runs are
+// from a dedicated RNG that never touches the machine's root RNG.
+// Without a plane (the default) no state is allocated and runs are
 // bit-identical to builds without this file.
 
 import (
@@ -129,10 +130,10 @@ func (c IPCFaultConfig) delay() sim.Cycles {
 }
 
 // IPCReliability configures the end-to-end reliability layer.
-// TimeoutCycles == 0 disables it (raw, unprotected transport).
 type IPCReliability struct {
 	// TimeoutCycles is the base sender-side timeout; retransmissions
-	// back off exponentially from it (bounded at 8x).
+	// back off exponentially from it (bounded at 8x). It must be
+	// positive: a plane never runs without the layer.
 	TimeoutCycles sim.Cycles
 	// RetryMax bounds retransmissions per message before it is
 	// abandoned to the dead-letter counter (zero selects 4).
@@ -183,7 +184,7 @@ type IPCStats struct {
 	// head-of-queue deliveries, CorruptInjected corruption faults.
 	Duplicated, Delayed, Reordered, CorruptInjected uint64
 	// CorruptDropped counts deliveries discarded by checksum mismatch
-	// (reliability layer on; also included in Dropped).
+	// (also included in Dropped).
 	CorruptDropped uint64
 	// Timeouts counts sender-deadline expiries; Retransmits the
 	// retransmissions they (or the async ARQ) caused;
@@ -320,8 +321,8 @@ func (s *planeState) clone() planeState {
 }
 
 // ipcPlane is the interposition plane of one machine. It exists only
-// when faults or reliability are enabled; a nil plane is the default
-// and leaves every IPC path untouched.
+// when SetIPCFaultPlane made it; a nil plane is the default and leaves
+// every IPC path untouched.
 type ipcPlane struct {
 	k   *Kernel
 	cfg IPCFaultConfig
@@ -351,48 +352,41 @@ type ipcPlane struct {
 	armed map[Endpoint]IPCFaultKind
 }
 
-// relOn reports whether the reliability layer is active.
-func (ipc *ipcPlane) relOn() bool { return ipc.rel.TimeoutCycles > 0 }
-
-// plane returns the machine's interposition plane, creating it on first
-// use. seed == 0 derives the fault stream from the fixed constant alone.
-func (k *Kernel) plane(seed uint64) *ipcPlane {
-	if k.ipc == nil {
-		k.ipc = &ipcPlane{
-			k:   k,
-			rng: sim.NewRNG(seed ^ 0x19C0FA17),
-			planeState: planeState{
-				nextSeq:    make(map[epPair]uint32),
-				seen:       make(map[epPair]seqWindow),
-				svcSeq:     make(map[epPair]uint32),
-				replyCache: make(map[epPair]cachedReply),
-			},
-			armed: make(map[Endpoint]IPCFaultKind),
-		}
-	}
-	return k.ipc
-}
-
-// SetIPCFaultPlane enables the interposition plane with the given
-// background fault rates, reliability configuration and fault seed.
-// Must be called before Run. Panics on an invalid config (mirrors how
-// the kernel surfaces misconfiguration at boot; core.Config.Validate
-// rejects bad rates before they reach here).
+// SetIPCFaultPlane makes the machine's interposition plane with the
+// given background fault rates, reliability configuration and fault
+// seed. Must be called once, before Run. Panics on an invalid config or
+// a zero timeout (mirrors how the kernel surfaces misconfiguration at
+// boot; core.Config.Validate rejects both before they reach here).
 func (k *Kernel) SetIPCFaultPlane(cfg IPCFaultConfig, rel IPCReliability, seed uint64) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	p := k.plane(seed)
-	p.cfg = cfg
-	p.rel = rel
+	if rel.TimeoutCycles == 0 {
+		panic("kernel: IPC fault plane without a reliability timeout")
+	}
+	k.ipc = &ipcPlane{
+		k:   k,
+		cfg: cfg,
+		rel: rel,
+		rng: sim.NewRNG(seed ^ 0x19C0FA17),
+		planeState: planeState{
+			nextSeq:    make(map[epPair]uint32),
+			seen:       make(map[epPair]seqWindow),
+			svcSeq:     make(map[epPair]uint32),
+			replyCache: make(map[epPair]cachedReply),
+		},
+		armed: make(map[Endpoint]IPCFaultKind),
+	}
 }
 
 // ArmIPCFault arms a one-shot fault on the next interposed message sent
 // by ep (EDFI campaign injection). It works with all background rates
-// at zero; the plane is created on demand.
+// at zero, but not without a plane: arming one panics.
 func (k *Kernel) ArmIPCFault(ep Endpoint, kind IPCFaultKind) {
-	p := k.plane(0)
-	p.armed[ep] = kind
+	if k.ipc == nil {
+		panic("kernel: ArmIPCFault on a machine without an IPC fault plane")
+	}
+	k.ipc.armed[ep] = kind
 }
 
 // IPCStats returns the transport ledger and whether the plane exists.
@@ -436,11 +430,8 @@ func ipcChecksum(m Message) uint32 {
 }
 
 // prepare assigns the sequence number and checksum of a first
-// transmission (reliability layer on; retransmissions keep theirs).
+// transmission (retransmissions keep theirs).
 func (ipc *ipcPlane) prepare(m *Message) {
-	if !ipc.relOn() {
-		return
-	}
 	pair := pairOf(m.To, m.From)
 	seq := ipc.nextSeq[pair] + 1
 	ipc.nextSeq[pair] = seq
@@ -498,8 +489,8 @@ func fateForKind(k IPCFaultKind) ipcFate {
 }
 
 // corrupt scrambles the payload registers deterministically. The
-// checksum is left as computed over the original payload, so the
-// corruption is detectable when the reliability layer is on.
+// checksum is left as computed over the original payload, so the link
+// checksum detects the corruption.
 func (ipc *ipcPlane) corrupt(m *Message) {
 	x := ipc.rng.Uint64()
 	m.A ^= int64(x | 1)
@@ -532,10 +523,10 @@ func (ipc *ipcPlane) xmit(m Message, attempts int) {
 		orig := m
 		ipc.corrupt(&m)
 		ipc.deliver(m, false)
-		// With the reliability layer on, the corrupted copy is certain
-		// to be discarded by the link checksum: schedule the clean
-		// original for retransmission (async only; requests are
-		// recovered by the sender-side deadline).
+		// The corrupted copy is certain to be discarded by the link
+		// checksum: schedule the clean original for retransmission
+		// (async only; requests are recovered by the sender-side
+		// deadline).
 		ipc.scheduleARQ(orig, attempts)
 	default:
 		ipc.deliver(m, false)
@@ -543,11 +534,10 @@ func (ipc *ipcPlane) xmit(m Message, attempts int) {
 }
 
 // scheduleARQ schedules a link-layer retransmission of a lost
-// asynchronous message (reliability on). Requests awaiting a reply are
-// recovered by the sender-side deadline instead, and with the
-// reliability layer off a lost message stays lost.
+// asynchronous message. Requests awaiting a reply are recovered by the
+// sender-side deadline instead.
 func (ipc *ipcPlane) scheduleARQ(m Message, attempts int) {
-	if !ipc.relOn() || m.NeedsReply || m.Seq == 0 {
+	if m.NeedsReply || m.Seq == 0 {
 		return
 	}
 	if attempts > ipc.rel.retryMax() {
@@ -566,12 +556,12 @@ func (ipc *ipcPlane) scheduleARQ(m Message, attempts int) {
 // checksum verification and duplicate suppression. front selects
 // head-of-queue insertion (reorder fault).
 func (ipc *ipcPlane) deliver(m Message, front bool) {
-	if ipc.relOn() && m.Sum != 0 && ipcChecksum(m) != m.Sum {
+	if m.Sum != 0 && ipcChecksum(m) != m.Sum {
 		ipc.stats.CorruptDropped++
 		ipc.stats.Dropped++
 		return
 	}
-	if ipc.relOn() && m.Seq != 0 {
+	if m.Seq != 0 {
 		pair := pairOf(m.To, m.From)
 		w := ipc.seen[pair]
 		dup := w.mark(m.Seq)
@@ -603,13 +593,11 @@ func (ipc *ipcPlane) deliver(m Message, front bool) {
 func (ipc *ipcPlane) xmitReply(from *Process, to Endpoint, m Message) {
 	m.From = from.ep
 	m.To = to
-	if ipc.relOn() {
-		pair := pairOf(from.ep, to)
-		if seq := ipc.svcSeq[pair]; seq != 0 {
-			m.Seq = seq
-			m.Sum = ipcChecksum(m)
-			ipc.replyCache[pair] = cachedReply{seq: seq, msg: m}
-		}
+	pair := pairOf(from.ep, to)
+	if seq := ipc.svcSeq[pair]; seq != 0 {
+		m.Seq = seq
+		m.Sum = ipcChecksum(m)
+		ipc.replyCache[pair] = cachedReply{seq: seq, msg: m}
 	}
 	ipc.stats.Sent++
 	switch ipc.roll(from.ep, true) {
@@ -631,14 +619,14 @@ func (ipc *ipcPlane) xmitReply(from *Process, to Endpoint, m Message) {
 // link-layer checksum, keeping the conservation ledger balanced when
 // the caller died meanwhile.
 func (ipc *ipcPlane) deliverReply(m Message) {
-	if ipc.relOn() && m.Sum != 0 && ipcChecksum(m) != m.Sum {
+	if m.Sum != 0 && ipcChecksum(m) != m.Sum {
 		// Corrupt reply discarded at the link; the sender's deadline
 		// redelivers the clean copy from the reply cache.
 		ipc.stats.CorruptDropped++
 		ipc.stats.Dropped++
 		return
 	}
-	if ipc.relOn() && m.Seq != 0 {
+	if m.Seq != 0 {
 		if p := ipc.k.procs.get(m.To); p != nil && p.state == stateSendRec &&
 			p.waitFrom == m.From && p.pendingReq.Seq != m.Seq {
 			// A reply to an older request reaching a sender now blocked
@@ -678,7 +666,7 @@ func (ipc *ipcPlane) hold(h heldMsg) {
 // sequence the server is now answering, so the eventual reply can be
 // matched, checked and cached per client.
 func (ipc *ipcPlane) noteReceive(p *Process, m Message) {
-	if ipc.relOn() && m.NeedsReply && m.Seq != 0 {
+	if m.NeedsReply && m.Seq != 0 {
 		ipc.svcSeq[pairOf(p.ep, m.From)] = m.Seq
 	}
 }
@@ -857,9 +845,7 @@ func (k *Kernel) fireDueIPC() {
 		clear(due) // the scratch keeps no payload alive
 		ipc.releasing = due[:0]
 	}
-	if ipc.relOn() {
-		ipc.timeOutSenders(now)
-	}
+	ipc.timeOutSenders(now)
 	k.ipcNextDue = ipc.nextDue()
 	if k.tracer != nil {
 		k.tracer("ipc-due: t=%d next=%d", now, k.ipcNextDue)
@@ -898,11 +884,9 @@ func (ipc *ipcPlane) nextDue() sim.Cycles {
 			next = h.due
 		}
 	}
-	if ipc.relOn() {
-		for _, p := range ipc.deadlines {
-			if p.awaitsDeadline() && p.sendDeadline < next {
-				next = p.sendDeadline
-			}
+	for _, p := range ipc.deadlines {
+		if p.awaitsDeadline() && p.sendDeadline < next {
+			next = p.sendDeadline
 		}
 	}
 	return next

@@ -86,13 +86,16 @@ func (r *recorder) body(ctx *Context) {
 	}
 }
 
-// --- plane default-off bit-identity ---
+// --- a fault-free plane is invisible ---
 
+// With no fault rate and nothing armed, the plane's sequencing, checksums
+// and deadlines change nothing a run observes: the result, the counters
+// and every delivery equal a machine without a plane.
 func TestIPCZeroConfigBitIdenticalToNoPlane(t *testing.T) {
 	run := func(plane bool) (Result, map[string]uint64, []int64) {
 		k := newTestKernel()
 		if plane {
-			k.SetIPCFaultPlane(IPCFaultConfig{}, IPCReliability{}, 7)
+			k.SetIPCFaultPlane(IPCFaultConfig{}, IPCReliability{TimeoutCycles: ipcTestTimeout}, 7)
 		}
 		rec := &recorder{}
 		k.AddServer(EpDS, "sink", rec.body, ServerConfig{})
@@ -124,29 +127,6 @@ func TestIPCZeroConfigBitIdenticalToNoPlane(t *testing.T) {
 
 // --- armed one-shot fates ---
 
-func TestIPCArmedDropLosesAsyncWithoutReliability(t *testing.T) {
-	k := newTestKernel()
-	rec := &recorder{}
-	k.AddServer(EpDS, "sink", rec.body, ServerConfig{})
-	root := k.SpawnUser("client", func(ctx *Context) {
-		ctx.Send(EpDS, Message{Type: 100, A: 1})
-		ctx.Send(EpDS, Message{Type: 100, A: 2})
-		ctx.SendRec(EpDS, Message{Type: 101})
-	})
-	k.ArmIPCFault(root.Endpoint(), IPCDrop)
-	k.SetRootProcess(root.Endpoint())
-	if res := k.Run(testLimit); res.Outcome != OutcomeCompleted {
-		t.Fatalf("outcome = %v (%s)", res.Outcome, res.Reason)
-	}
-	if !reflect.DeepEqual(rec.got, []int64{2}) {
-		t.Fatalf("sink got %v, want [2] (first message dropped, no ARQ)", rec.got)
-	}
-	st, ok := k.IPCStats()
-	if !ok || st.Dropped != 1 || st.DeadLetters != 0 {
-		t.Fatalf("stats = %+v, want Dropped=1 DeadLetters=0", st)
-	}
-}
-
 func TestIPCArmedDropOnSendRecRecoveredByRetransmit(t *testing.T) {
 	k := newTestKernel()
 	k.SetIPCFaultPlane(IPCFaultConfig{}, IPCReliability{TimeoutCycles: ipcTestTimeout}, 1)
@@ -167,24 +147,6 @@ func TestIPCArmedDropOnSendRecRecoveredByRetransmit(t *testing.T) {
 	st, _ := k.IPCStats()
 	if st.Dropped != 1 || st.Timeouts == 0 || st.Retransmits != 1 {
 		t.Fatalf("stats = %+v, want Dropped=1 Timeouts>0 Retransmits=1", st)
-	}
-}
-
-func TestIPCArmedDupDeliveredTwiceWithoutReliability(t *testing.T) {
-	k := newTestKernel()
-	rec := &recorder{}
-	k.AddServer(EpDS, "sink", rec.body, ServerConfig{})
-	root := k.SpawnUser("client", func(ctx *Context) {
-		ctx.Send(EpDS, Message{Type: 100, A: 5})
-		ctx.SendRec(EpDS, Message{Type: 101})
-	})
-	k.ArmIPCFault(root.Endpoint(), IPCDup)
-	k.SetRootProcess(root.Endpoint())
-	if res := k.Run(testLimit); res.Outcome != OutcomeCompleted {
-		t.Fatalf("outcome = %v (%s)", res.Outcome, res.Reason)
-	}
-	if !reflect.DeepEqual(rec.got, []int64{5, 5}) {
-		t.Fatalf("sink got %v, want [5 5] (raw transport duplicates)", rec.got)
 	}
 }
 
@@ -213,7 +175,7 @@ func TestIPCArmedDupSuppressedByDedup(t *testing.T) {
 
 func TestIPCArmedDelayHoldsThenDelivers(t *testing.T) {
 	k := newTestKernel()
-	k.SetIPCFaultPlane(IPCFaultConfig{DelayCycles: 5_000}, IPCReliability{}, 1)
+	k.SetIPCFaultPlane(IPCFaultConfig{DelayCycles: 5_000}, IPCReliability{TimeoutCycles: ipcTestTimeout}, 1)
 	rec := &recorder{}
 	k.AddServer(EpDS, "sink", rec.body, ServerConfig{})
 	var atFlush, atEnd int64
@@ -242,6 +204,7 @@ func TestIPCArmedDelayHoldsThenDelivers(t *testing.T) {
 
 func TestIPCArmedReorderJumpsTheQueue(t *testing.T) {
 	k := newTestKernel()
+	k.SetIPCFaultPlane(IPCFaultConfig{}, IPCReliability{TimeoutCycles: ipcTestTimeout}, 1)
 	rec := &recorder{}
 	k.AddServer(EpDS, "sink", rec.body, ServerConfig{})
 	root := k.SpawnUser("client", func(ctx *Context) {
@@ -260,28 +223,6 @@ func TestIPCArmedReorderJumpsTheQueue(t *testing.T) {
 	st, _ := k.IPCStats()
 	if st.Reordered != 1 {
 		t.Fatalf("stats = %+v, want Reordered=1", st)
-	}
-}
-
-func TestIPCArmedCorruptDeliversGarbageWithoutReliability(t *testing.T) {
-	k := newTestKernel()
-	rec := &recorder{}
-	k.AddServer(EpDS, "sink", rec.body, ServerConfig{})
-	root := k.SpawnUser("client", func(ctx *Context) {
-		ctx.Send(EpDS, Message{Type: 100, A: 5})
-		ctx.SendRec(EpDS, Message{Type: 101})
-	})
-	k.ArmIPCFault(root.Endpoint(), IPCCorrupt)
-	k.SetRootProcess(root.Endpoint())
-	if res := k.Run(testLimit); res.Outcome != OutcomeCompleted {
-		t.Fatalf("outcome = %v (%s)", res.Outcome, res.Reason)
-	}
-	if len(rec.got) != 1 || rec.got[0] == 5 {
-		t.Fatalf("sink got %v, want one scrambled value != 5", rec.got)
-	}
-	st, _ := k.IPCStats()
-	if st.CorruptInjected != 1 || st.CorruptDropped != 0 {
-		t.Fatalf("stats = %+v, want CorruptInjected=1 CorruptDropped=0", st)
 	}
 }
 

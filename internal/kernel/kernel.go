@@ -191,7 +191,7 @@ type Message struct {
 	// Seq and Sum are stamped by the IPC reliability layer: a
 	// per-(src,dst) sequence number for duplicate suppression and reply
 	// matching, and a payload checksum for corruption detection. Zero
-	// when the layer is off.
+	// on a machine without an IPC plane.
 	Seq, Sum uint32
 }
 
@@ -596,10 +596,10 @@ func (k *Kernel) RecoveryPending(ep Endpoint) bool {
 // deadline is armed, so the kernel will retransmit, redeliver the
 // cached reply, or unblock it with a synthetic ETIMEDOUT. Such a
 // process is provably live — hang detection must not fail-stop it for
-// being silent while it waits out transport loss. Always false when
-// the reliability layer is off, so fault-free runs are unaffected.
+// being silent while it waits out transport loss. Always false without
+// an IPC plane, so fault-free runs are unaffected.
 func (k *Kernel) IPCWaiting(ep Endpoint) bool {
-	if k.ipc == nil || !k.ipc.relOn() {
+	if k.ipc == nil {
 		return false
 	}
 	p := k.procs.get(ep)

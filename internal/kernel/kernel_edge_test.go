@@ -16,8 +16,8 @@ func TestNotifyDeliversAsync(t *testing.T) {
 		got = ctx.Receive()
 	}, ServerConfig{})
 	root := k.SpawnUser("client", func(ctx *Context) {
-		if errno := ctx.Notify(EpDS, 55); errno != OK {
-			t.Errorf("Notify = %v", errno)
+		if errno := ctx.Send(EpDS, Message{Type: 55}); errno != OK {
+			t.Errorf("Send = %v", errno)
 		}
 		ctx.Yield() // let the sink run
 	})

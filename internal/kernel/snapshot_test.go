@@ -56,6 +56,7 @@ func TestBarrierQuiescenceGates(t *testing.T) {
 			}
 		}, "pending crash/quarantine state"},
 		{"transport fault armed", func(k *Kernel) {
+			k.SetIPCFaultPlane(IPCFaultConfig{}, IPCReliability{TimeoutCycles: testLimit}, 1)
 			k.ArmIPCFault(EpVFS, IPCDrop) // nobody at EpVFS ever sends
 		}, "in-flight transport events"},
 		{"reply errno override armed", func(k *Kernel) {

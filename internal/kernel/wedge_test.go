@@ -129,12 +129,14 @@ func TestWedgeQuiescentGates(t *testing.T) {
 			}
 		}, []bool{false, false}},
 		{"transport fault armed", func(k *Kernel) {
+			k.SetIPCFaultPlane(IPCFaultConfig{}, IPCReliability{TimeoutCycles: beatPeriod * 10}, 1)
 			k.ArmIPCFault(EpVFS, IPCDrop) // nobody at EpVFS ever sends
 		}, []bool{false, false}},
 		{"delayed message held", func(k *Kernel) {
 			// Idle before the first round with the fault still armed; idle
 			// again with the first ping held for 25 000 cycles; from then on
 			// nothing is in flight.
+			k.SetIPCFaultPlane(IPCFaultConfig{}, IPCReliability{TimeoutCycles: beatPeriod * 10}, 1)
 			k.ArmIPCFault(EpRS, IPCDelay)
 		}, []bool{false, false, true, true}},
 		{"reliable-send deadline armed", func(k *Kernel) {
@@ -178,7 +180,7 @@ func TestWedgeStampMovesOnHiddenProgress(t *testing.T) {
 	var k *Kernel
 	k = wedgeMachine(func(k *Kernel) {
 		k.SetCrashHandler(func(CrashInfo) error { return nil })
-		k.SetIPCFaultPlane(IPCFaultConfig{}, IPCReliability{}, 1)
+		k.SetIPCFaultPlane(IPCFaultConfig{}, IPCReliability{TimeoutCycles: beatPeriod * 10}, 1)
 		k.SpawnUser("victim", func(ctx *Context) {
 			for {
 				ctx.Receive()

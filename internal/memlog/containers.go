@@ -420,8 +420,8 @@ func newSlice[T any](s *Store, id string) *Slice[T] {
 	return &Slice[T]{store: s, id: id, sig: typeSig[T]()}
 }
 
-// sliceOld is one element a logged Set overwrote or a logged Truncate
-// removed. An Append has no entry: its undo needs none.
+// sliceOld is one element a logged Set overwrote. An Append has no
+// entry: its undo needs none.
 type sliceOld[T any] struct {
 	i   int
 	old T
@@ -585,45 +585,14 @@ func (s *Slice[T]) Grow(n int) {
 		s.store.noteUnloggedStores(n)
 	}
 	if r := s.n & slicePageMask; r != 0 {
-		// What a Truncate left past the end, maybe in a shared page.
+		// What an undone Append left past the end, maybe in a shared
+		// page.
 		clear(s.own(len(s.pages) - 1)[r:])
 	}
 	if more := (s.n+n+slicePageMask)>>slicePageShift - len(s.pages); more > 0 {
 		s.addPages(more)
 	}
 	s.n += n
-	s.touch()
-}
-
-// Truncate shortens the slice to length n, logging the removed tail.
-// It panics if n is negative or beyond the current length.
-func (s *Slice[T]) Truncate(n int) {
-	if n < 0 || n > s.n {
-		panic(fmt.Sprintf("memlog: Truncate(%d) on slice %q of length %d", n, s.id, s.n))
-	}
-	if n == s.n {
-		return
-	}
-	if s.store.shouldLog() {
-		pos, bytes := 0, 0
-		for i := n; i < s.n; i++ {
-			v := s.Get(i)
-			at := s.olds.push(s.store, sliceOld[T]{i, v})
-			if i == n {
-				pos = at
-			}
-			bytes += approxSize(v)
-		}
-		s.store.appendLogged(undoRec{
-			entry: s.id,
-			kind:  recSliceTruncate,
-			pos:   pos,
-			bytes: bytes,
-		})
-	} else {
-		s.store.noteUnloggedStores(1)
-	}
-	s.cut(n)
 	s.touch()
 }
 
@@ -678,10 +647,6 @@ func (s *Slice[T]) undo(rec undoRec) {
 		*s.slot(e.i) = e.old
 	case recSliceAppend:
 		s.cut(s.n - 1)
-	case recSliceTruncate:
-		for _, e := range s.olds.popFrom(s.store, s.id, rec.pos) {
-			s.push(e.old)
-		}
 	default:
 		panic(fmt.Sprintf("memlog: bad undo kind %d for slice %q", rec.kind, s.id))
 	}
@@ -703,7 +668,7 @@ func (s *Slice[T]) touch() {
 }
 
 // Mutations reports how many times the elements have changed since the
-// slice was made — by Set, Append, Grow, Truncate, a rollback, or a
+// slice was made — by Set, Append, Grow, a rollback, or a
 // silent corruption. An index derived from the elements is in step with
 // them exactly while the count it last saw still stands.
 func (s *Slice[T]) Mutations() uint64 { return s.muts }

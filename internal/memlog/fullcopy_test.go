@@ -182,7 +182,7 @@ func TestIncrementalRollbackRestoresCheckpointState(t *testing.T) {
 	m.Delete(5)
 	m.Set(200, 200)
 	sl.Set(0, -7)
-	sl.Truncate(10)
+	sl.Append(11)
 	s.Rollback()
 	if got := snapshotModel(c, m, sl); !equalModel(got, want) {
 		t.Fatalf("rollback state %+v, want checkpoint state %+v", got, want)

@@ -38,7 +38,6 @@ func buildStore(t testing.TB, mode Instrumentation) *Store {
 		sl.Append(i * 3)
 	}
 	sl.Set(4, -1)
-	sl.Truncate(8)
 	s.Checkpoint()
 	m.Set("delta", "d")
 	s.BaseBytes()
@@ -520,8 +519,7 @@ func FuzzDecodeStoreImage(f *testing.F) {
 		s := NewStore("img-test", Optimized)
 		_, _, sl := registerTestContainers(s)
 		if n == 0 {
-			sl.Append(1)
-			sl.Truncate(0)
+			makeEmpty(sl)
 		}
 		for i := 0; i < n; i++ {
 			sl.Append(int32(i * 37))

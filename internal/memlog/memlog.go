@@ -76,7 +76,6 @@ const (
 	recMapDelete
 	recSliceSet
 	recSliceAppend
-	recSliceTruncate
 )
 
 // undoRec is one entry of the undo log: which container was stored to,
@@ -86,14 +85,14 @@ const (
 type undoRec struct {
 	entry string
 	kind  recKind
-	pos   int // position of the record's first entry in the side log
+	pos   int // position of the record's entry in the side log
 	bytes int
 }
 
 // sideLog is a container's typed half of the undo log: one entry per
-// logged store of the current log epoch (a Truncate: one per element
-// removed), in store order. Rollback undoes in reverse, so entries leave
-// from the end, and a record's pos must find its entry there.
+// logged store of the current log epoch, in store order. Rollback undoes
+// in reverse, so entries leave from the end, and a record's pos must find
+// its entry there.
 //
 // The store empties its log in O(1) by moving to a new epoch
 // (Store.dropLog); a side log notices at its next push, which is why
@@ -114,24 +113,17 @@ func (l *sideLog[E]) push(s *Store, e E) int {
 	return len(l.recs) - 1
 }
 
-// popFrom removes and returns the entries from pos on, which must be the
-// newest record's. The result is valid until the next push.
-func (l *sideLog[E]) popFrom(s *Store, id string, pos int) []E {
+// pop removes and returns the entry at pos, which must be the newest.
+func (l *sideLog[E]) pop(s *Store, id string, pos int) E {
 	if l.epoch != s.logEpoch || pos < 0 || pos >= len(l.recs) {
 		panic(fmt.Sprintf("memlog: undo record for %q has no entry in the container's side log", id))
 	}
-	tail := l.recs[pos:]
-	l.recs = l.recs[:pos]
-	return tail
-}
-
-// pop is popFrom for a record of exactly one entry.
-func (l *sideLog[E]) pop(s *Store, id string, pos int) E {
-	tail := l.popFrom(s, id, pos)
-	if len(tail) != 1 {
+	if pos != len(l.recs)-1 {
 		panic(fmt.Sprintf("memlog: undo record for %q is not the newest in the container's side log", id))
 	}
-	return tail[0]
+	e := l.recs[pos]
+	l.recs = l.recs[:pos]
+	return e
 }
 
 // adopt moves into this side log (of a container in store s) what from

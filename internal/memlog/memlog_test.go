@@ -139,7 +139,7 @@ func TestSliceOperationsRollback(t *testing.T) {
 
 	sl.Set(0, 99)
 	sl.Append(40)
-	sl.Truncate(2)
+	sl.Set(3, 41)
 
 	s.Rollback()
 
@@ -210,18 +210,6 @@ func TestSliceClonesSharePagesUntilWritten(t *testing.T) {
 	if csl.Get(slicePageLen+2) != 1 || !slices.Equal(elems(csl), elems(sl)) {
 		t.Fatal("the clone's rollback did not restore its copy of the page")
 	}
-}
-
-func TestSliceTruncatePanicsOnBadLength(t *testing.T) {
-	s := NewStore("vm", Baseline)
-	sl := NewSlice[int](s, "pages")
-	sl.Append(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Truncate(5) beyond length did not panic")
-		}
-	}()
-	sl.Truncate(5)
 }
 
 func TestBaselineModeNeverLogs(t *testing.T) {
@@ -365,7 +353,7 @@ func TestSideLogsFollowTheLog(t *testing.T) {
 		m.Set(1, "one")
 		m.Set(2, "two")
 		c.Set("stale epoch") // entries the Checkpoint leaves behind
-		sl.Truncate(5)
+		sl.Set(5, 50)
 		s.Checkpoint()
 		c.Set("x")
 		m.Set(1, "uno")
@@ -373,7 +361,7 @@ func TestSideLogsFollowTheLog(t *testing.T) {
 		m.Delete(2)
 		sl.Set(0, 9)
 		sl.Append(7)
-		sl.Truncate(2)
+		sl.Set(1, 8)
 		c.Set("y")
 		return s, func(s *Store) string {
 			out := NewCell(s, "c", "").Get()
@@ -384,7 +372,7 @@ func TestSideLogsFollowTheLog(t *testing.T) {
 			return out + fmt.Sprint(elems(NewSlice[int32](s, "sl")))
 		}
 	}
-	const want = "stale epoch 1=one 2=two[0 1 2 3 4]"
+	const want = "stale epoch 1=one 2=two[0 1 2 3 4 50]"
 	check := func(route string, s *Store, show func(*Store) string, records, bytes int) {
 		t.Helper()
 		if s.LogLen() != records || s.LogBytes() != bytes {
@@ -504,7 +492,7 @@ func equalModel(a, b modelState) bool {
 
 func applyRandomOps(r *sim.RNG, n int, c *Cell[int], m *Map[int, int], sl *Slice[int]) {
 	for i := 0; i < n; i++ {
-		switch r.Intn(6) {
+		switch r.Intn(5) {
 		case 0:
 			c.Set(r.Intn(1000))
 		case 1:
@@ -516,10 +504,6 @@ func applyRandomOps(r *sim.RNG, n int, c *Cell[int], m *Map[int, int], sl *Slice
 		case 4:
 			if sl.Len() > 0 {
 				sl.Set(r.Intn(sl.Len()), r.Intn(1000))
-			}
-		case 5:
-			if sl.Len() > 0 {
-				sl.Truncate(r.Intn(sl.Len() + 1))
 			}
 		}
 	}

@@ -60,15 +60,6 @@ func (c *pagedCopy) grow(n int, fill func(int) int32) {
 	c.made = c.made || n > 0
 }
 
-func (c *pagedCopy) truncate(n int) {
-	tail := slices.Clone(c.model[n:])
-	if len(tail) > 0 {
-		c.logged(func() { c.model = append(c.model, tail...) })
-	}
-	c.sl.Truncate(n)
-	c.model = c.model[:n]
-}
-
 func (c *pagedCopy) checkpoint() {
 	c.s.Checkpoint()
 	c.undo = c.undo[:0]
@@ -124,6 +115,15 @@ func decodedPaged(t *testing.T, img []byte) *Store {
 	return s
 }
 
+// makeEmpty leaves the empty slice sl made, as an Append that a rollback
+// took back does.
+func makeEmpty[T any](sl *Slice[T]) {
+	var zero T
+	sl.push(zero)
+	sl.cut(0)
+	sl.touch()
+}
+
 // modelFingerprint is the fingerprint of a fresh store whose slice holds
 // model: every page of it hashed for the first time.
 func modelFingerprint(t *testing.T, model []int32, made bool) uint64 {
@@ -131,8 +131,7 @@ func modelFingerprint(t *testing.T, model []int32, made bool) uint64 {
 	s := NewStore("paged", Baseline)
 	sl := NewSlice[int32](s, pagedName)
 	if made && len(model) == 0 {
-		sl.Append(0)
-		sl.Truncate(0)
+		makeEmpty(sl)
 	}
 	for _, v := range model {
 		sl.Append(v)
@@ -173,7 +172,7 @@ func (c *pagedCopy) check(t *testing.T, what string) {
 }
 
 // TestPropertyPagedSliceMatchesPlainSlice drives random Set, Append,
-// bulk append (Grow), Truncate, checkpoint and Rollback, corruption,
+// bulk append (Grow), checkpoint and Rollback, corruption,
 // ForkClone, Clone and an image round trip over slices of several pages
 // with a partial last one. Every copy made along the way is driven on
 // as well, so the pages they share are written by each of them. After
@@ -195,7 +194,7 @@ func TestPropertyPagedSliceMatchesPlainSlice(t *testing.T) {
 				c := copies[r.Intn(len(copies))]
 				n := len(c.model)
 				var what string
-				switch op := r.Intn(20); {
+				switch op := r.Intn(18); {
 				case op < 6 && n > 0:
 					i := r.Intn(n)
 					what = fmt.Sprintf("Set(%d)", i)
@@ -207,30 +206,23 @@ func TestPropertyPagedSliceMatchesPlainSlice(t *testing.T) {
 					k := r.Intn(2 * slicePageLen)
 					what = fmt.Sprintf("Grow(%d)", k)
 					c.grow(k, nil)
-				case op < 12 && n > 0:
-					k := r.Intn(n + 1)
-					if n > 5*slicePageLen {
-						k = r.Intn(2 * slicePageLen)
-					}
-					what = fmt.Sprintf("Truncate(%d)", k)
-					c.truncate(k)
-				case op < 13:
+				case op < 11:
 					what = "Checkpoint"
 					c.checkpoint()
-				case op < 15:
+				case op < 13:
 					what = "Rollback"
 					c.rollback()
-				case op < 16 && n > 0:
+				case op < 14 && n > 0:
 					what = "corrupt"
 					c.corrupt(r)
-				case op < 17:
+				case op < 15:
 					what = "ForkClone"
 					c.checkpoint()
 					copies = append(copies, newPagedCopy(c.s.ForkClone(), slices.Clone(c.model), true))
-				case op < 18:
+				case op < 16:
 					what = "Clone"
 					copies = append(copies, newPagedCopy(c.s.Clone(), slices.Clone(c.model), true))
-				case op < 19:
+				case op < 17:
 					what = "image round trip"
 					c.checkpoint()
 					img := c.encoded(t)

@@ -12,6 +12,12 @@ import (
 	"repro/internal/wire/wiretest"
 )
 
+// The responders' counters, registered like every counter of the tree.
+var (
+	ctrTestPings              = sim.RegisterCounter("test.pings")
+	ctrTestPongsAfterRecovery = sim.RegisterCounter("test.pongs_after_recovery")
+)
+
 // harness runs RS with heartbeats against a counting ping responder.
 func harness(t *testing.T, heartbeats bool, client func(ctx *kernel.Context)) (*RS, *sim.Counters) {
 	t.Helper()
@@ -21,7 +27,7 @@ func harness(t *testing.T, heartbeats bool, client func(ctx *kernel.Context)) (*
 		for {
 			m := ctx.Receive()
 			if m.Type == proto.RSPing {
-				pings.Add("test.pings", 1)
+				pings.AddID(ctrTestPings, 1)
 				ctx.Reply(m.From, kernel.Message{Type: proto.RSPing})
 				continue
 			}
@@ -60,7 +66,7 @@ func TestHeartbeatRounds(t *testing.T) {
 		ctx.SetAlarm(3 * HeartbeatPeriod)
 		ctx.Receive()
 	})
-	if got := pings.Get("test.pings"); got < 2 {
+	if got := pings.GetID(ctrTestPings); got < 2 {
 		t.Fatalf("target pinged %d times, want >= 2", got)
 	}
 	if r.pingRounds.Get() < 2 {
@@ -76,7 +82,7 @@ func TestNoHeartbeatsWhenDisabled(t *testing.T) {
 		ctx.SetAlarm(3 * HeartbeatPeriod)
 		ctx.Receive()
 	})
-	if got := pings.Get("test.pings"); got != 0 {
+	if got := pings.GetID(ctrTestPings); got != 0 {
 		t.Fatalf("disabled heartbeats still pinged %d times", got)
 	}
 }
@@ -115,7 +121,7 @@ func TestHangDetectionFailStops(t *testing.T) {
 		for {
 			m := ctx.Receive()
 			if m.Type == proto.RSPing {
-				counters.Add("test.pongs_after_recovery", 1)
+				counters.AddID(ctrTestPongsAfterRecovery, 1)
 				ctx.Reply(m.From, kernel.Message{Type: proto.RSPing})
 				continue
 			}
@@ -172,7 +178,7 @@ func TestHangDetectionFailStops(t *testing.T) {
 	if r.HangKills() != 1 {
 		t.Fatalf("HangKills() = %d, want 1", r.HangKills())
 	}
-	if counters.Get("test.pongs_after_recovery") == 0 {
+	if counters.GetID(ctrTestPongsAfterRecovery) == 0 {
 		t.Fatal("replacement instance never answered a heartbeat")
 	}
 	if counters.Get("kernel.failstops") != 1 {
@@ -195,7 +201,7 @@ func TestQuarantineNotifyStopsProbing(t *testing.T) {
 	}
 	// The notification races the first round at most once; after it, DS
 	// is never probed again.
-	if got := pings.Get("test.pings"); got > 1 {
+	if got := pings.GetID(ctrTestPings); got > 1 {
 		t.Fatalf("quarantined target pinged %d times, want <= 1", got)
 	}
 }

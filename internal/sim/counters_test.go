@@ -5,6 +5,11 @@ import (
 	"testing"
 )
 
+var (
+	ctrTestSlotted = RegisterCounter("test.slotted")
+	ctrTestOther   = RegisterCounter("test.other")
+)
+
 func TestRegisterCounterIdempotent(t *testing.T) {
 	a := RegisterCounter("test.slot_a")
 	b := RegisterCounter("test.slot_b")
@@ -14,63 +19,38 @@ func TestRegisterCounterIdempotent(t *testing.T) {
 	if again := RegisterCounter("test.slot_a"); again != a {
 		t.Fatalf("re-registration moved the slot: %d != %d", again, a)
 	}
+	if id, ok := LookupCounter("test.slot_b"); !ok || id != b {
+		t.Fatalf("LookupCounter = %d, %v, want %d", id, ok, b)
+	}
+	if _, ok := LookupCounter("test.never_registered"); ok {
+		t.Fatal("LookupCounter resolved a name nobody registered")
+	}
 }
 
 func TestCountersSlotAndFallbackPaths(t *testing.T) {
-	id := RegisterCounter("test.slotted")
 	c := NewCounters()
-	c.AddID(id, 3)
-	c.Add("test.slotted", 2) // string compat layer routes to the slot
-	if got := c.GetID(id); got != 5 {
+	c.AddID(ctrTestSlotted, 3)
+	c.AddID(ctrTestSlotted, 2)
+	if got := c.GetID(ctrTestSlotted); got != 5 {
 		t.Fatalf("GetID = %d, want 5", got)
 	}
 	if got := c.Get("test.slotted"); got != 5 {
 		t.Fatalf("Get = %d, want 5", got)
 	}
-
-	c.Add("test.adhoc", 7) // unregistered name: fallback map
-	if got := c.Get("test.adhoc"); got != 7 {
-		t.Fatalf("ad-hoc Get = %d, want 7", got)
+	// An unregistered name has no slot: it reads zero.
+	if got := c.Get("test.never_registered"); got != 0 {
+		t.Fatalf("unregistered Get = %d, want 0", got)
 	}
-
-	snap := c.Snapshot()
-	want := map[string]uint64{"test.slotted": 5, "test.adhoc": 7}
-	if !reflect.DeepEqual(snap, want) {
+	// A touched counter is in the snapshot even at zero; an untouched
+	// one is not.
+	c.AddID(ctrTestOther, 0)
+	want := map[string]uint64{"test.slotted": 5, "test.other": 0}
+	if snap := c.Snapshot(); !reflect.DeepEqual(snap, want) {
 		t.Fatalf("Snapshot = %v, want %v", snap, want)
 	}
-	if got := c.String(); got != "test.adhoc=7\ntest.slotted=5\n" {
-		t.Fatalf("String = %q", got)
-	}
-}
-
-func TestCountersNamesCacheInvalidation(t *testing.T) {
-	idA := RegisterCounter("test.cache_a")
-	idB := RegisterCounter("test.cache_b")
-	c := NewCounters()
-	c.AddID(idB, 1)
-	first := c.Names()
-	if !reflect.DeepEqual(first, []string{"test.cache_b"}) {
-		t.Fatalf("Names = %v", first)
-	}
-	// Re-touching an already-seen counter must not invalidate: the
-	// cached slice is returned as-is.
-	c.AddID(idB, 1)
-	if again := c.Names(); &again[0] != &first[0] {
-		t.Fatal("cache was rebuilt without a first-touch")
-	}
-	// First touch of a new counter (slot or ad-hoc) invalidates.
-	c.AddID(idA, 1)
-	c.Add("test.cache_extra", 1)
-	if got := c.Names(); !reflect.DeepEqual(got, []string{"test.cache_a", "test.cache_b", "test.cache_extra"}) {
-		t.Fatalf("Names after invalidation = %v", got)
-	}
-}
-
-func TestCountersLateRegistrationGrows(t *testing.T) {
-	c := NewCounters()
-	id := RegisterCounter("test.late_registered")
-	c.AddID(id, 4) // slot beyond the creation-time size: must grow
-	if got := c.Get("test.late_registered"); got != 4 {
-		t.Fatalf("late-registered Get = %d, want 4", got)
+	clone := c.Clone()
+	clone.AddID(ctrTestSlotted, 1)
+	if c.GetID(ctrTestSlotted) != 5 || clone.GetID(ctrTestSlotted) != 6 {
+		t.Fatal("Clone shares its slots with the original")
 	}
 }

@@ -6,12 +6,7 @@
 // every run of the simulator is a pure function of its seed and inputs.
 package sim
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-	"sync"
-)
+import "sync"
 
 // Cycles is a quantity of virtual CPU cycles. All simulated costs —
 // computation, IPC hops, undo-log appends — are expressed in cycles, and
@@ -76,16 +71,10 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Fork derives an independent generator whose stream is a deterministic
-// function of the parent state. The parent advances by one step.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64() | 1)
-}
-
 // CounterID is the fixed slot index of a counter registered with
 // RegisterCounter. Hot paths increment counters by ID — one array
 // store — instead of a string-keyed map operation; the name is only
-// consulted at Snapshot/Names/String time.
+// consulted by Get and Snapshot.
 type CounterID int32
 
 // counterRegistry is the process-wide name→slot table. Registration
@@ -99,8 +88,9 @@ var counterRegistry = struct {
 }{ids: make(map[string]CounterID)}
 
 // RegisterCounter allocates (or returns the existing) fixed slot for a
-// counter name. Intended for package-level var initialization; it is
-// safe for concurrent use.
+// counter name. It is for package-level var initialization: a counter
+// set has slots only for the counters registered before it was made.
+// It is safe for concurrent use.
 func RegisterCounter(name string) CounterID {
 	counterRegistry.Lock()
 	defer counterRegistry.Unlock()
@@ -113,8 +103,8 @@ func RegisterCounter(name string) CounterID {
 	return id
 }
 
-// counterID resolves a name to its registered slot.
-func counterID(name string) (CounterID, bool) {
+// LookupCounter resolves a name to its registered slot.
+func LookupCounter(name string) (CounterID, bool) {
 	counterRegistry.RLock()
 	id, ok := counterRegistry.ids[name]
 	counterRegistry.RUnlock()
@@ -129,22 +119,13 @@ func registeredCounterName(id CounterID) string {
 }
 
 // Counters is a set of named uint64 counters used for simulation
-// statistics (messages sent, stores logged, faults injected, ...).
-// Registered counters live in a fixed-slot array (the hot path);
-// unregistered names — ad-hoc test counters — fall back to a map. Like
-// the rest of the simulation substrate it is not safe for concurrent
-// use; each simulated machine owns one instance.
+// statistics (messages sent, stores logged, faults injected, ...): one
+// value and one touched mark per registered slot. Like the rest of the
+// simulation substrate it is not safe for concurrent use; each
+// simulated machine owns one instance.
 type Counters struct {
 	slots   []uint64
 	touched []bool
-	// extra holds counters whose names were never registered, created
-	// lazily on first use.
-	extra map[string]uint64
-	// names caches the sorted list of touched counter names. It is
-	// invalidated only when a counter is touched for the first time,
-	// so repeated Names()/String() calls do not re-sort.
-	names      []string
-	namesValid bool
 }
 
 // NewCounters returns an empty counter set sized to the registered
@@ -162,84 +143,24 @@ func NewCounters() *Counters {
 // AddID increments the registered counter id by n. This is the hot
 // path: an array store with no hashing or locking.
 func (c *Counters) AddID(id CounterID, n uint64) {
-	if int(id) >= len(c.slots) {
-		c.growTo(int(id) + 1)
-	}
 	c.slots[id] += n
-	if !c.touched[id] {
-		c.touched[id] = true
-		c.namesValid = false
-	}
+	c.touched[id] = true
 }
 
 // GetID reports the current value of the registered counter id.
-func (c *Counters) GetID(id CounterID) uint64 {
-	if int(id) >= len(c.slots) {
-		return 0
-	}
-	return c.slots[id]
-}
+func (c *Counters) GetID(id CounterID) uint64 { return c.slots[id] }
 
-// growTo extends the slot arrays for counters registered after this
-// set was created (only possible when a package registers counters
-// lazily instead of at init; kept for safety).
-func (c *Counters) growTo(n int) {
-	slots := make([]uint64, n)
-	copy(slots, c.slots)
-	c.slots = slots
-	touched := make([]bool, n)
-	copy(touched, c.touched)
-	c.touched = touched
-}
-
-// Add increments counter name by n, creating it if necessary. This is
-// the string-keyed compatibility layer: registered names route to
-// their slot, unknown names to the fallback map.
-func (c *Counters) Add(name string, n uint64) {
-	if id, ok := counterID(name); ok {
-		c.AddID(id, n)
-		return
-	}
-	if c.extra == nil {
-		c.extra = make(map[string]uint64)
-	}
-	if _, seen := c.extra[name]; !seen {
-		c.namesValid = false
-	}
-	c.extra[name] += n
-}
-
-// Get reports the current value of counter name (zero if never set).
+// Get reports the current value of counter name (zero if the name is
+// not registered or was never set).
 func (c *Counters) Get(name string) uint64 {
-	if id, ok := counterID(name); ok {
+	if id, ok := LookupCounter(name); ok {
 		return c.GetID(id)
 	}
-	return c.extra[name]
+	return 0
 }
 
-// Names returns the counter names in sorted order. The list is cached
-// and only recomputed after a counter is touched for the first time.
-func (c *Counters) Names() []string {
-	if !c.namesValid {
-		names := make([]string, 0, len(c.extra)+len(c.slots))
-		for id, t := range c.touched {
-			if t {
-				names = append(names, registeredCounterName(CounterID(id)))
-			}
-		}
-		for name := range c.extra {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		c.names = names
-		c.namesValid = true
-	}
-	return c.names
-}
-
-// Clone returns an independent deep copy of the counter set,
-// preserving slot values, touched marks, fallback-map entries and the
-// cached name list. Used when snapshotting a machine for warm forking.
+// Clone returns an independent deep copy of the counter set. Used when
+// snapshotting a machine for warm forking.
 func (c *Counters) Clone() *Counters {
 	out := new(Counters)
 	out.CopyFrom(c)
@@ -252,39 +173,17 @@ func (c *Counters) Clone() *Counters {
 func (c *Counters) CopyFrom(src *Counters) {
 	c.slots = append(c.slots[:0], src.slots...)
 	c.touched = append(c.touched[:0], src.touched...)
-	if src.extra == nil {
-		c.extra = nil
-	} else {
-		c.extra = make(map[string]uint64, len(src.extra))
-		for k, v := range src.extra {
-			c.extra[k] = v
-		}
-	}
-	c.names = append(c.names[:0], src.names...)
-	c.namesValid = src.namesValid
 }
 
-// Snapshot returns a copy of all counters.
+// Snapshot returns a copy of the counters ever touched, by name.
 func (c *Counters) Snapshot() map[string]uint64 {
-	out := make(map[string]uint64, len(c.extra)+len(c.slots))
+	out := make(map[string]uint64, len(c.slots))
 	for id, t := range c.touched {
 		if t {
 			out[registeredCounterName(CounterID(id))] = c.slots[id]
 		}
 	}
-	for k, v := range c.extra {
-		out[k] = v
-	}
 	return out
-}
-
-// String renders the counters deterministically, one per line.
-func (c *Counters) String() string {
-	var out strings.Builder
-	for _, name := range c.Names() {
-		fmt.Fprintf(&out, "%s=%d\n", name, c.Get(name))
-	}
-	return out.String()
 }
 
 // Hash is the one state-hash primitive of the tree: FNV-1a absorption

@@ -9,13 +9,10 @@
 package unixbench
 
 import (
-	"math"
-
 	"repro/internal/boot"
 	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/memlog"
-	"repro/internal/parallel"
 	"repro/internal/seep"
 	"repro/internal/sim"
 	"repro/internal/usr"
@@ -113,11 +110,6 @@ type Config struct {
 	// service-disruption experiment injects faults through it). It
 	// receives the booted system before the run starts.
 	Hook func(sys *boot.System)
-	// Workers bounds how many benchmarks RunAll executes concurrently
-	// (each on its own simulated machine). Zero selects one worker per
-	// CPU; 1 reproduces the serial path. Scores are bit-identical for
-	// any worker count.
-	Workers int
 }
 
 func (c Config) iters(b Benchmark) int {
@@ -182,28 +174,4 @@ func RunOne(b Benchmark, cfg Config) Result {
 	out.Cycles = stop - start
 	out.Score = float64(ops) * CyclesPerSecond / float64(out.Cycles)
 	return out
-}
-
-// RunAll executes every benchmark under cfg, fanning the independent
-// machines out across cfg.Workers goroutines.
-func RunAll(cfg Config) []Result {
-	return parallel.Map(cfg.Workers, len(all), func(i int) Result {
-		return RunOne(all[i], cfg)
-	})
-}
-
-// Geomean returns the geometric mean of the positive scores.
-func Geomean(results []Result) float64 {
-	sum := 0.0
-	n := 0
-	for _, r := range results {
-		if r.Score > 0 {
-			sum += math.Log(r.Score)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
 }

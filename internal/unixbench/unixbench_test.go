@@ -16,11 +16,11 @@ func quick(overrides Config) Config {
 }
 
 func TestAllBenchmarksComplete(t *testing.T) {
-	results := RunAll(quick(Config{Policy: seep.PolicyEnhanced}))
-	if len(results) != 12 {
-		t.Fatalf("got %d results, want 12", len(results))
+	if len(all) != 12 {
+		t.Fatalf("got %d benchmarks, want 12", len(all))
 	}
-	for _, r := range results {
+	for _, b := range all {
+		r := RunOne(b, quick(Config{Policy: seep.PolicyEnhanced}))
 		if r.Outcome != kernel.OutcomeCompleted {
 			t.Errorf("%s: outcome %v", r.Name, r.Outcome)
 			continue
@@ -67,16 +67,6 @@ func TestInstrumentationOverheadOrdering(t *testing.T) {
 	t.Logf("spawn slowdowns: optimized %.3fx, unoptimized %.3fx", slowOpt, slowUnopt)
 	if slowUnopt < slowOpt*1.02 {
 		t.Fatalf("unoptimized slowdown %.3f not clearly above optimized %.3f", slowUnopt, slowOpt)
-	}
-}
-
-func TestGeomean(t *testing.T) {
-	rs := []Result{{Score: 1}, {Score: 100}}
-	if g := Geomean(rs); g < 9.9 || g > 10.1 {
-		t.Fatalf("Geomean = %v, want 10", g)
-	}
-	if g := Geomean(nil); g != 0 {
-		t.Fatalf("Geomean(nil) = %v", g)
 	}
 }
 
