@@ -2,15 +2,14 @@ package image_test
 
 import (
 	"bytes"
-	"cmp"
 	"compress/flate"
 	"encoding/binary"
 	"hash/crc32"
 	"reflect"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/boot"
 	"repro/internal/core"
@@ -404,7 +403,7 @@ func TestHostileConfigRejected(t *testing.T) {
 }
 
 // reliableImage is an image of a rung with the reliable transport on:
-// only it has an IPC plane, and a plane's pair maps, in its kernel frame.
+// only it has an IPC plane, and a plane's pair table, in its kernel frame.
 func reliableImage(t testing.TB) []byte {
 	t.Helper()
 	opts := suiteOpts(7)
@@ -412,42 +411,136 @@ func reliableImage(t testing.TB) []byte {
 	return encode(t, rungSnapshot(t, opts, 3), image.WriteOptions{})
 }
 
-// swappedPairs rewrites data's kernel frame so that the plane's sequence
-// map lists its first two pairs in descending order, each with its own
-// value — bytes that would read as the same map, but that the writer,
-// which sorts, never produces.
-func swappedPairs(t testing.TB, data []byte) []byte {
+// withSeqs rewrites data's kernel frame through edit, which is handed the
+// encoded entries of the plane's first pair list — the sequence cursors,
+// one entry per pair in the order the writer sorts them — and returns
+// the entries to put in their place.
+func withSeqs(t testing.TB, data []byte, edit func(entries [][]byte) [][]byte) []byte {
+	t.Helper()
+	return reframe(t, data, "kernel", func(raw []byte) []byte { return editSeqs(t, raw, edit) })
+}
+
+// editSeqs is withSeqs on a kernel frame's bytes.
+func editSeqs(t testing.TB, raw []byte, edit func(entries [][]byte) [][]byte) []byte {
+	t.Helper()
+	img := decodeKernel(t, raw)
+	rows := reflect.ValueOf(img).Elem().FieldByName("ipc").Elem().FieldByName("pairs")
+	var entries [][]byte
+	for dst := 0; dst < rows.Len(); dst++ {
+		for src, row := 0, rows.Index(dst); src < row.Len(); src++ {
+			if row.Index(src).IsNil() || row.Index(src).Elem().FieldByName("nextSeq").Uint() == 0 {
+				continue
+			}
+			entries = append(entries, seqEntry(int64(dst), int64(src), uint32(row.Index(src).Elem().FieldByName("nextSeq").Uint())))
+		}
+	}
+	sorted := bytes.Join(append([][]byte{binary.AppendUvarint(nil, uint64(len(entries)))}, entries...), nil)
+	at := bytes.Index(raw, sorted)
+	if at < 0 {
+		t.Fatal("the sequence list's entries are not in the kernel frame")
+	}
+	edited := edit(entries)
+	return bytes.Join([][]byte{raw[:at], binary.AppendUvarint(nil, uint64(len(edited))), bytes.Join(edited, nil), raw[at+len(sorted):]}, nil)
+}
+
+// decodeKernel decodes a kernel frame.
+func decodeKernel(t testing.TB, raw []byte) *kernel.MachineImage {
+	t.Helper()
+	img := new(kernel.MachineImage)
+	d := wire.NewDecoder(raw)
+	if img.Code(wire.Decoding(d)); d.Err() != nil {
+		t.Fatalf("kernel frame: %v", d.Err())
+	}
+	return img
+}
+
+// seqEntry encodes one entry of the sequence list.
+func seqEntry(dst, src int64, seq uint32) []byte {
+	e := wire.NewEncoder()
+	c := wire.Encoding(e)
+	wire.Int(c, &dst)
+	wire.Int(c, &src)
+	c.U32(&seq)
+	return e.Bytes()
+}
+
+// settable returns v, an addressable field the test reached by
+// reflection, as a value it may set.
+func settable(v reflect.Value) reflect.Value {
+	return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
+}
+
+// manyUsers rewrites data's kernel frame to hold n more user processes,
+// copies of its last one, with the endpoint allocator past them, and
+// gives each of them a sequence pair from the new last endpoint. Every
+// such pair claims a table row the length of the process table, so a
+// table built as the pairs ask would hold about n² slots, from bytes
+// that grow with n.
+func manyUsers(t testing.TB, data []byte, n int) []byte {
 	t.Helper()
 	return reframe(t, data, "kernel", func(raw []byte) []byte {
-		img := new(kernel.MachineImage)
-		d := wire.NewDecoder(raw)
-		if img.Code(wire.Decoding(d)); d.Err() != nil {
-			t.Fatalf("kernel frame: %v", d.Err())
+		img := decodeKernel(t, raw)
+		v := reflect.ValueOf(img).Elem()
+		procs := settable(v.FieldByName("procs"))
+		next := settable(v.FieldByName("nextUserEp"))
+		first := next.Int()
+		for i := 0; i < n; i++ {
+			procs.Set(reflect.Append(procs, procs.Index(procs.Len()-1)))
+			settable(procs.Index(procs.Len() - 1).FieldByName("ep")).SetInt(first + int64(i))
 		}
-		seqs := reflect.ValueOf(img).Elem().FieldByName("ipc").Elem().FieldByName("nextSeq")
-		keys := seqs.MapKeys()
-		if len(keys) < 2 {
-			t.Fatalf("the plane holds %d sequence pairs, want two or more", len(keys))
+		next.SetInt(first + int64(n))
+		e := wire.NewEncoder()
+		c := wire.Encoding(e)
+		if img.Code(c); c.Err() != nil {
+			t.Fatalf("kernel frame: %v", c.Err())
 		}
-		slices.SortFunc(keys, func(a, b reflect.Value) int { return cmp.Compare(a.Uint(), b.Uint()) })
-		entries := make([][]byte, len(keys))
-		for i, k := range keys {
-			e := wire.NewEncoder()
-			c := wire.Encoding(e)
-			dst, src, seq := int64(k.Uint()>>32), int64(uint32(k.Uint())), uint32(seqs.MapIndex(k).Uint())
-			wire.Int(c, &dst)
-			wire.Int(c, &src)
-			c.U32(&seq)
-			entries[i] = e.Bytes()
-		}
-		count := binary.AppendUvarint(nil, uint64(len(entries)))
-		sorted := bytes.Join(append([][]byte{count}, entries...), nil)
-		at := bytes.Index(raw, sorted)
-		if at < 0 {
-			t.Fatal("the sequence map's entries are not in the kernel frame")
+		return editSeqs(t, e.Bytes(), func(entries [][]byte) [][]byte {
+			for i := 0; i < n; i++ {
+				entries = append(entries, seqEntry(first+int64(i), first+int64(n)-1, 1))
+			}
+			return entries
+		})
+	})
+}
+
+// swappedPairs rewrites data's kernel frame so that the plane's sequence
+// list gives its first two pairs in descending order, each with its own
+// value — bytes that would read as the same records, but that the
+// writer, which sorts, never produces.
+func swappedPairs(t testing.TB, data []byte) []byte {
+	t.Helper()
+	return withSeqs(t, data, func(entries [][]byte) [][]byte {
+		if len(entries) < 2 {
+			t.Fatalf("the plane holds %d sequence pairs, want two or more", len(entries))
 		}
 		entries[0], entries[1] = entries[1], entries[0]
-		return bytes.Join([][]byte{raw[:at], count, bytes.Join(entries, nil), raw[at+len(sorted):]}, nil)
+		return entries
+	})
+}
+
+// farPair rewrites data's kernel frame so that the plane's last sequence
+// pair names a source endpoint of 2^32-1: it fits the 32 bits an
+// endpoint is, lies far beyond the image's process table, and a table
+// indexed by it would need 32 GiB for one row.
+func farPair(t testing.TB, data []byte) []byte {
+	t.Helper()
+	return withSeqs(t, data, func(entries [][]byte) [][]byte {
+		last := entries[len(entries)-1]
+		d := wire.NewDecoder(last)
+		dst := d.Varint()
+		d.Varint()
+		seq := d.U32()
+		if d.Err() != nil || d.Remaining() != 0 {
+			t.Fatalf("sequence entry %x: %v", last, d.Err())
+		}
+		e := wire.NewEncoder()
+		c := wire.Encoding(e)
+		src := int64(1<<32 - 1)
+		wire.Int(c, &dst)
+		wire.Int(c, &src)
+		c.U32(&seq)
+		entries[len(entries)-1] = e.Bytes()
+		return entries
 	})
 }
 
@@ -465,6 +558,41 @@ func TestHostileTransportPairsRejected(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), `frame "kernel"`) || !strings.Contains(err.Error(), "out of order") {
 		t.Errorf("refused, but not by the kernel frame's pairs: %v", err)
+	}
+}
+
+// TestHostileTransportPairBeyondProcessTable: a kernel frame whose
+// transport pair names an endpoint past the image's process table is
+// refused by the kernel frame, before a table row is sized by it.
+func TestHostileTransportPairBeyondProcessTable(t *testing.T) {
+	_, err := image.ReadSnapshot(bytes.NewReader(farPair(t, reliableImage(t))), suiteRegistry(), 1)
+	if err == nil {
+		t.Fatal("a transport pair beyond the process table was accepted")
+	}
+	if !strings.Contains(err.Error(), `frame "kernel"`) || !strings.Contains(err.Error(), "beyond the process table") {
+		t.Errorf("refused, but not by the kernel frame's pairs: %v", err)
+	}
+}
+
+// TestHostileTransportTableRefused: a kernel frame with many processes,
+// each the destination of one pair from the last endpoint, asks for a
+// table quadratic in its bytes; it is refused by the kernel frame after
+// a bounded part of that table was built.
+func TestHostileTransportTableRefused(t *testing.T) {
+	const users = 4000 // a table of 4000 rows of 4100 slots: 125 MiB
+	data := manyUsers(t, reliableImage(t), users)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := image.ReadSnapshot(bytes.NewReader(data), suiteRegistry(), 1)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a quadratic transport table was accepted")
+	}
+	if !strings.Contains(err.Error(), `frame "kernel"`) || !strings.Contains(err.Error(), "outgrows") {
+		t.Errorf("refused, but not by the kernel frame's pairs: %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 32<<20 {
+		t.Errorf("reading it allocated %d MiB", got>>20)
 	}
 }
 
@@ -588,7 +716,10 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add(retiredSlot(f, raw, 256<<20))
 	f.Add(withConfig(f, raw, negativeDrop))
 	f.Add(allocatorAt(f, raw, 1<<27))
-	f.Add(swappedPairs(f, reliableImage(f)))
+	reliable := reliableImage(f)
+	f.Add(swappedPairs(f, reliable))
+	f.Add(farPair(f, reliable))
+	f.Add(manyUsers(f, reliable, 200))
 	for _, hostile := range hostileContainers(f, raw, len(snap.Image.Slots)) {
 		f.Add(hostile)
 	}

@@ -113,6 +113,6 @@ func (k *Kernel) deliverAlarm(a alarm) {
 	if p == nil || !p.Alive() {
 		return
 	}
-	p.pushMsg(Message{Type: MsgAlarm, From: EpKernel, To: a.ep})
+	p.pushMsg(&Message{Type: MsgAlarm, From: EpKernel, To: a.ep})
 	k.counters.AddID(ctrAlarmsFired, 1)
 }

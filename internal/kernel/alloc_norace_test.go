@@ -37,6 +37,36 @@ func TestRoundTripDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// The reliable transport adds nothing to that budget: once the first
+// exchange has made the pair's record, a round trip writes its sequence
+// cursor, anti-replay window, in-service sequence and cached reply in
+// place.
+func TestReliableRoundTripDoesNotAllocate(t *testing.T) {
+	k := newTestKernel()
+	k.SetIPCFaultPlane(IPCFaultConfig{}, IPCReliability{TimeoutCycles: ipcTestTimeout}, 1)
+	store := memlog.NewStore("echo", memlog.Optimized)
+	k.AddServer(EpDS, "echo", echoServer, ServerConfig{
+		Window: seep.NewWindow(seep.PolicyEnhanced, store),
+		Store:  store,
+	})
+	allocs := -1.0
+	root := k.SpawnUser("client", func(ctx *Context) {
+		allocs = testing.AllocsPerRun(200, func() {
+			ctx.SendRec(EpDS, Message{Type: 1, A: 1})
+		})
+	})
+	k.SetRootProcess(root.Endpoint())
+	if res := k.Run(testLimit); res.Outcome != OutcomeCompleted {
+		t.Fatalf("outcome = %v (%s)", res.Outcome, res.Reason)
+	}
+	if st, _ := k.IPCStats(); st.Delivered < 2*200 || st.Retransmits != 0 {
+		t.Fatalf("stats = %+v, want every request and reply delivered once", st)
+	}
+	if allocs != 0 {
+		t.Fatalf("reliable round trip allocates %v times, want 0", allocs)
+	}
+}
+
 // A heartbeat is an alarm set and delivered: the heap takes and returns
 // alarms by value, so neither boxes one.
 func TestAlarmDoesNotAllocate(t *testing.T) {

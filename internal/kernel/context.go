@@ -86,24 +86,17 @@ func (c *Context) Point(site string) {
 
 // Receive blocks until a message is available and returns it. For
 // servers, it also records the in-flight request for reconciliation.
-func (c *Context) Receive() Message {
+func (c *Context) Receive() (m Message) {
 	c.p.checkKilled()
 	for c.p.queueLen() == 0 {
 		c.p.state = stateReceiving
 		c.k.markSched(c.p)
 		c.p.yieldToKernel()
 	}
-	m := c.p.popMsg()
+	c.p.popMsg(&m)
 	c.p.state = stateRunnable
 	c.k.markSched(c.p)
-	c.k.chargeIPC()
-	if c.p.isServer {
-		c.p.curSender = m.From
-		c.p.curNeedsReply = m.NeedsReply
-	}
-	if c.k.ipc != nil {
-		c.k.ipc.noteReceive(c.p, m)
-	}
+	c.noteReceive(&m)
 	if c.k.tracer != nil {
 		c.k.tracer("recv: %s(%d) <- %d type=%d t=%d", c.p.name, c.p.ep, m.From, m.Type, c.k.clock.Now())
 	}
@@ -111,11 +104,18 @@ func (c *Context) Receive() Message {
 }
 
 // TryReceive returns a queued message without blocking, if any.
-func (c *Context) TryReceive() (Message, bool) {
+func (c *Context) TryReceive() (m Message, ok bool) {
 	if c.p.queueLen() == 0 {
-		return Message{}, false
+		return m, false
 	}
-	m := c.p.popMsg()
+	c.p.popMsg(&m)
+	c.noteReceive(&m)
+	return m, true
+}
+
+// noteReceive charges a received message and records it: as a server's
+// in-flight request, and with the plane as the request it answers next.
+func (c *Context) noteReceive(m *Message) {
 	c.k.chargeIPC()
 	if c.p.isServer {
 		c.p.curSender = m.From
@@ -124,13 +124,12 @@ func (c *Context) TryReceive() (Message, bool) {
 	if c.k.ipc != nil {
 		c.k.ipc.noteReceive(c.p, m)
 	}
-	return m, true
 }
 
 // SendRec sends m to dst and blocks until dst replies (or recovery
 // replies on its behalf). The reply's Errno field carries the status;
 // on IPC-level failure a synthetic reply with the errno is returned.
-func (c *Context) SendRec(dst Endpoint, m Message) Message {
+func (c *Context) SendRec(dst Endpoint, m Message) (reply Message) {
 	c.p.checkKilled()
 	if c.k.IsQuarantined(dst) {
 		// Error virtualization for detached components: the request
@@ -160,10 +159,10 @@ func (c *Context) SendRec(dst Endpoint, m Message) Message {
 		c.p.pendingReq = m
 		c.p.sendAttempts = 1
 		c.p.sendRearms = 0
-		ipc.xmit(m, 1)
+		ipc.xmit(&m, 1)
 		c.k.armSendDeadline(c.p)
 	} else {
-		target.pushMsg(m)
+		target.pushMsg(&m)
 	}
 
 	c.p.state = stateSendRec
@@ -173,7 +172,7 @@ func (c *Context) SendRec(dst Endpoint, m Message) Message {
 	for c.p.reply == nil {
 		c.p.yieldToKernel()
 	}
-	reply := *c.p.reply
+	reply = *c.p.reply
 	c.p.reply = nil
 	c.p.waitFrom = EpNone
 	c.p.state = stateRunnable
@@ -215,10 +214,10 @@ func (c *Context) Send(dst Endpoint, m Message) Errno {
 	m.NeedsReply = false
 	if ipc := c.k.ipc; ipc != nil {
 		ipc.prepare(&m)
-		ipc.xmit(m, 1)
+		ipc.xmit(&m, 1)
 		return OK
 	}
-	target.pushMsg(m)
+	target.pushMsg(&m)
 	return OK
 }
 
@@ -234,7 +233,10 @@ func (c *Context) SendSeep(p seep.Passage, dst Endpoint, m Message) Errno {
 // (information leaves the component), so the recovery window closes.
 func (c *Context) Reply(to Endpoint, m Message) {
 	if c.p.window != nil {
-		c.p.window.ObservePassage(seep.Passage{Name: c.p.name + ".reply", Class: seep.ClassReply})
+		// Named after the component, its class saying it is the reply:
+		// a name concatenated per reply, or per process, costs host time
+		// or a malloc per server on every boot and fork.
+		c.p.window.ObservePassage(seep.Passage{Name: c.p.name, Class: seep.ClassReply})
 	}
 	if override, ok := c.k.replyErrnoOverride[c.p.ep]; ok {
 		delete(c.k.replyErrnoOverride, c.p.ep)
@@ -242,10 +244,12 @@ func (c *Context) Reply(to Endpoint, m Message) {
 	}
 	c.k.chargeIPC()
 	if ipc := c.k.ipc; ipc != nil {
-		ipc.xmitReply(c.p, to, m)
+		ipc.xmitReply(c.p, to, &m)
 		return
 	}
-	if err := c.k.DeliverReply(c.p.ep, to, m); err != nil {
+	m.From = c.p.ep
+	m.To = to
+	if !c.k.deliverReply(&m) {
 		// The caller died while we processed its request; drop the reply.
 		c.k.counters.AddID(ctrRepliesDropped, 1)
 	}

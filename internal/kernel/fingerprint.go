@@ -186,35 +186,30 @@ func (k *Kernel) fingerprintAlarms(f *fpState) {
 }
 
 // fingerprint folds the reliability-layer bookkeeping — sequence
-// cursors, anti-replay windows, in-service sequences and cached replies
-// — in sorted pair order. Transport statistics are excluded.
+// cursors, anti-replay windows, in-service sequences and cached replies,
+// each a walk over the pairs whose record holds it (pairFields) in
+// (dst, src) order. Transport statistics are excluded.
 func (ipc *ipcPlane) fingerprint(f *fpState) {
-	hashU32 := func(m map[epPair]uint32) {
-		for _, p := range sortedPairs(m) {
-			f.i64(int64(p.dst()))
-			f.i64(int64(p.src()))
-			f.U64(uint64(m[p]))
-		}
-		f.U64(0xB1B1)
+	hash := [len(pairFields)]func(*pairState){
+		func(s *pairState) { f.U64(uint64(s.nextSeq)) },
+		func(s *pairState) {
+			f.U64(uint64(s.seen.top))
+			f.U64(s.seen.bits)
+		},
+		func(s *pairState) { f.U64(uint64(s.svcSeq)) },
+		func(s *pairState) {
+			f.U64(uint64(s.reply.seq))
+			f.msg(s.reply.msg)
+		},
 	}
-	hashU32(ipc.nextSeq)
-	for _, p := range sortedPairs(ipc.seen) {
-		w := ipc.seen[p]
-		f.i64(int64(p.dst()))
-		f.i64(int64(p.src()))
-		f.U64(uint64(w.top))
-		f.U64(w.bits)
+	for i, end := range [...]uint64{0xB1B1, 0xB1B2, 0xB1B1, 0xB1B3} {
+		ipc.pairs.holding(pairFields[i], func(dst, src Endpoint, ps *pairState) {
+			f.i64(int64(dst))
+			f.i64(int64(src))
+			hash[i](ps)
+		})
+		f.U64(end)
 	}
-	f.U64(0xB1B2)
-	hashU32(ipc.svcSeq)
-	for _, p := range sortedPairs(ipc.replyCache) {
-		rc := ipc.replyCache[p]
-		f.i64(int64(p.dst()))
-		f.i64(int64(p.src()))
-		f.U64(uint64(rc.seq))
-		f.msg(rc.msg)
-	}
-	f.U64(0xB1B3)
 	f.U64(uint64(len(ipc.held)))
 	f.U64(uint64(len(ipc.armed)))
 }

@@ -110,19 +110,16 @@ var fingerprintFields = map[string]struct {
 	"Process.killed":        {hostOnly, "teardown latch"},
 	"Process.ctx":           {hostOnly, ""},
 
-	"ipcPlane.k":          {hostOnly, ""},
-	"ipcPlane.cfg":        {hostOnly, "configuration"},
-	"ipcPlane.rel":        {hostOnly, "configuration"},
-	"ipcPlane.rng":        {excluded, whyStamp},
-	"ipcPlane.stats":      {excluded, whyStats},
-	"ipcPlane.nextSeq":    {hashed, ""},
-	"ipcPlane.seen":       {hashed, ""},
-	"ipcPlane.svcSeq":     {hashed, ""},
-	"ipcPlane.replyCache": {hashed, ""},
-	"ipcPlane.held":       {hashed, "count"},
-	"ipcPlane.releasing":  {hostOnly, "fireDueIPC's scratch, empty between calls"},
-	"ipcPlane.deadlines":  {derived, "a superset of the live processes with an armed sendDeadline, in endpoint order"},
-	"ipcPlane.armed":      {hashed, "count"},
+	"ipcPlane.k":         {hostOnly, ""},
+	"ipcPlane.cfg":       {hostOnly, "configuration"},
+	"ipcPlane.rel":       {hostOnly, "configuration"},
+	"ipcPlane.rng":       {excluded, whyStamp},
+	"ipcPlane.stats":     {excluded, whyStats},
+	"ipcPlane.pairs":     {hashed, "the records' non-zero fields, field by field"},
+	"ipcPlane.held":      {hashed, "count"},
+	"ipcPlane.releasing": {hostOnly, "fireDueIPC's scratch, empty between calls"},
+	"ipcPlane.deadlines": {derived, "a superset of the live processes with an armed sendDeadline, in endpoint order"},
+	"ipcPlane.armed":     {hashed, "count"},
 }
 
 // flatFields calls visit for every field of the struct v, descending

@@ -2,8 +2,10 @@ package kernel
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -37,9 +39,10 @@ func decodeMachine(t *testing.T, data []byte) *MachineImage {
 }
 
 // One field list per type: an image with every field of every type in it
-// set — MachineImage, procImage, Message, alarm, planeState and its four
-// maps, seqWindow, cachedReply, IPCStats — survives the codec unchanged.
-// A field missing from a list decodes as zero and fails the comparison.
+// set — MachineImage, procImage, Message, alarm, planeState and its pair
+// records, seqWindow, cachedReply, IPCStats — survives the codec
+// unchanged. A field missing from a list decodes as zero and fails the
+// comparison.
 func TestMachineImageCodecCoversEveryField(t *testing.T) {
 	var in MachineImage
 	payloads := 0
@@ -59,6 +62,14 @@ func TestMachineImageCodecCoversEveryField(t *testing.T) {
 		return true
 	}}
 	f.Fill(&in)
+	// The table's records move to pairs of the filled processes.
+	var pairs pairTable
+	for i, row := range in.ipc.pairs {
+		for j, ps := range row {
+			*pairs.at(in.procs[i].ep, in.procs[j].ep) = *ps
+		}
+	}
+	in.ipc.pairs = pairs
 	out := decodeMachine(t, encodeMachine(t, &in))
 	if !reflect.DeepEqual(in.counters.Snapshot(), out.counters.Snapshot()) {
 		t.Errorf("counters: in %v, out %v", in.counters.Snapshot(), out.counters.Snapshot())
@@ -95,8 +106,16 @@ func TestRecordFieldLists(t *testing.T) {
 	}
 }
 
-// A transport map is keyed by both endpoints packed into one word: a
-// decoded pair that does not fit is refused, not folded onto another.
+// codeSeqs codes the plane's first list, the pairs' sequence cursors, of
+// an image whose process table holds endpoints 0 … EpUserBase+10.
+func codeSeqs(c *wire.Codec, t *pairTable) {
+	room := pairSlotsPerEntry * int(EpUserBase+11)
+	codePairs(c, t, pairFields[0], EpUserBase+10, &room)
+}
+
+// The transport table is indexed by both endpoints: a decoded pair
+// naming one beyond the image's process table is refused before anything
+// is sized by it.
 func TestTransportPairOutOfRangeRejected(t *testing.T) {
 	for _, pair := range [][2]Endpoint{{1 << 32, 100}, {6, 1<<32 + 100}, {-1, 100}} {
 		e := wire.NewEncoder()
@@ -107,19 +126,19 @@ func TestTransportPairOutOfRangeRejected(t *testing.T) {
 		seq := uint32(7)
 		enc.U32(&seq)
 
-		var got map[epPair]uint32
+		var got pairTable
 		dec := wire.Decoding(wire.NewDecoder(e.Bytes()))
-		codePairs(dec, &got, (*wire.Codec).U32)
+		codeSeqs(dec, &got)
 		if dec.Err() == nil {
 			t.Errorf("pair %v decoded as %v", pair, got)
 		}
 	}
 }
 
-// A transport map is written in ascending pair order, and read back only
-// in it: a pair the stream repeats or puts out of order is refused, not
-// folded into the map (the last value winning) — such a map would encode
-// to other bytes than it was read from.
+// A transport list is written in ascending pair order, and read back
+// only in it: a pair the stream repeats or puts out of order is refused,
+// not folded into one record (the last value winning) — such records
+// would encode to other bytes than they were read from.
 func TestTransportPairsMustAscend(t *testing.T) {
 	for name, pairs := range map[string][][2]Endpoint{
 		"ascending":    {{6, 100}, {6, 101}, {7, 1}},
@@ -133,14 +152,96 @@ func TestTransportPairsMustAscend(t *testing.T) {
 		for i := range pairs {
 			wire.Int(enc, &pairs[i][0])
 			wire.Int(enc, &pairs[i][1])
-			seq := uint32(i)
+			seq := uint32(i + 1)
 			enc.U32(&seq)
 		}
-		var got map[epPair]uint32
+		var got pairTable
 		dec := wire.Decoding(wire.NewDecoder(e.Bytes()))
-		codePairs(dec, &got, (*wire.Codec).U32)
+		codeSeqs(dec, &got)
 		if ok := name == "ascending"; (dec.Err() == nil) != ok {
 			t.Errorf("%s: decode error %v", name, dec.Err())
+		}
+	}
+}
+
+// A decoded table is paid for by the image that asks for it. A pair
+// claims a row as long as its source, so n pairs each from the last
+// endpoint would build n rows of n slots from bytes that grow with n:
+// decoding refuses them once the rows outgrow their room, having built a
+// bounded part. A live table's long rows, one per server with every user
+// in it, fit. A process table ending at the top of the int range counts
+// no slot sum past it.
+func TestTransportTableBoundedByImage(t *testing.T) {
+	const users = 4000 // 4000 rows of 4100 slots: 125 MiB
+	last := EpUserBase + users - 1
+	decode := func(last Endpoint, pairs [][2]Endpoint) error {
+		e := wire.NewEncoder()
+		enc := wire.Encoding(e)
+		var in planeState
+		in.stats.Code(enc)
+		enc.Len(len(pairs))
+		for i := range pairs {
+			wire.Int(enc, &pairs[i][0])
+			wire.Int(enc, &pairs[i][1])
+			seq := uint32(1)
+			enc.U32(&seq)
+		}
+		for range pairFields[1:] {
+			enc.Len(0)
+		}
+		var out planeState
+		dec := wire.Decoding(wire.NewDecoder(e.Bytes()))
+		codePlane(dec, &out, last, int(EpDriver-EpRS+1)+users)
+		return dec.Err()
+	}
+	var far, servers [][2]Endpoint
+	for u := EpUserBase; u <= last; u++ {
+		far = append(far, [2]Endpoint{u, last})
+	}
+	for s := EpRS; s <= EpDriver; s++ {
+		for u := EpUserBase; u <= last; u++ {
+			servers = append(servers, [2]Endpoint{s, u})
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := decode(last, far)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "outgrows") {
+		t.Errorf("one far pair per user: decode error %v", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
+		t.Errorf("refusing them allocated %d MiB", got>>20)
+	}
+	if err := decode(last, servers); err != nil {
+		t.Errorf("every user in every server's row: %v", err)
+	}
+	for _, pair := range [][2]Endpoint{{math.MaxInt, 0}, {0, math.MaxInt}, {math.MaxInt, math.MaxInt}} {
+		if err := decode(math.MaxInt, [][2]Endpoint{pair}); err == nil || !strings.Contains(err.Error(), "outgrows") {
+			t.Errorf("pair %v: decode error %v", pair, err)
+		}
+	}
+}
+
+// The writer lists a pair under a field only when its record holds one,
+// and every value it holds is at least 1: a decoded zero cursor,
+// in-service sequence, window top or cached reply sequence is refused,
+// since the record would write back without it.
+func TestTransportZeroValueRejected(t *testing.T) {
+	for i, f := range pairFields {
+		var in pairState
+		e := wire.NewEncoder()
+		enc := wire.Encoding(e)
+		enc.Len(1)
+		dst, src := EpDS, EpUserBase
+		wire.Int(enc, &dst)
+		wire.Int(enc, &src)
+		f.code(enc, &in)
+		var got pairTable
+		room := pairSlotsPerEntry
+		dec := wire.Decoding(wire.NewDecoder(e.Bytes()))
+		if codePairs(dec, &got, f, EpUserBase, &room); dec.Err() == nil {
+			t.Errorf("field %d: a zero value decoded as %+v", i, got)
 		}
 	}
 }
@@ -189,6 +290,10 @@ func TestApplyImageRejectsBadSchedulerState(t *testing.T) {
 		{"endpoint allocator one past its processes", func(img *MachineImage) { img.nextUserEp++ }, "endpoint allocator"},
 		{"endpoint allocator behind its processes", func(img *MachineImage) { img.nextUserEp-- }, "outside the user endpoints"},
 		{"endpoint allocator below the user endpoints", func(img *MachineImage) { img.nextUserEp = 1 }, "outside the user endpoints"},
+		// The IPC plane's pair table is indexed by a sequenced request's sender.
+		{"sequenced request from an endpoint never handed out", func(img *MachineImage) {
+			img.procs[0].inbox = append(img.procs[0].inbox, Message{From: 1<<32 - 1, NeedsReply: true, Seq: 1})
+		}, "never handed out"},
 	} {
 		img := decodeMachine(t, data)
 		tc.mutate(img)

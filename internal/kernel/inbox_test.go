@@ -14,14 +14,15 @@ func TestInboxQueueSemantics(t *testing.T) {
 	want := int64(0) // next value expected from pop
 	push := func(n int) {
 		for i := 0; i < n; i++ {
-			p.pushMsg(Message{A: next})
+			p.pushMsg(&Message{A: next})
 			next++
 		}
 	}
 	pop := func(n int) {
 		for i := 0; i < n; i++ {
-			if got := p.popMsg().A; got != want {
-				t.Fatalf("pop = %d, want %d", got, want)
+			var m Message
+			if p.popMsg(&m); m.A != want {
+				t.Fatalf("pop = %d, want %d", m.A, want)
 			}
 			want++
 		}

@@ -37,7 +37,6 @@ package kernel
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 
@@ -204,17 +203,6 @@ type IPCStats struct {
 // ipcNone is the "no pending IPC event" sentinel of Kernel.ipcNextDue.
 const ipcNone = ^sim.Cycles(0)
 
-// epPair keys per-(destination, source) transport state: the two
-// endpoints packed into one word, so the transport maps hash a uint64
-// rather than a two-word struct, and numeric order is (dst, src) order.
-// Endpoints are small and non-negative; a decoded image's are checked.
-type epPair uint64
-
-func pairOf(dst, src Endpoint) epPair { return epPair(uint64(dst)<<32 | uint64(uint32(src))) }
-
-func (p epPair) dst() Endpoint { return Endpoint(p >> 32) }
-func (p epPair) src() Endpoint { return Endpoint(uint32(p)) }
-
 // seqWindow is a sliding anti-replay window over one pair's delivered
 // sequence numbers (the RFC 4303 bitmap scheme): top is the highest
 // delivered sequence, bit i of bits marks top-i as delivered. Sequences
@@ -288,35 +276,106 @@ type cachedReply struct {
 	msg Message
 }
 
+// pairState is the reliability layer's record of one (dst, src) pair,
+// made on the pair's first sequenced message and then only written in
+// place. Every sequence number the layer hands out is at least 1, so a
+// zero field is one the pair has not used yet: the image and the
+// fingerprint list exactly the non-zero ones.
+type pairState struct {
+	// nextSeq is the last sequence number src's messages to dst took.
+	nextSeq uint32
+	// svcSeq is the request sequence dst is answering for src.
+	svcSeq uint32
+	// seen tracks which of src's sequences were delivered to dst: an
+	// exact anti-replay window, since delay and reorder faults plus ARQ
+	// recovery deliver a pair's messages out of order.
+	seen seqWindow
+	// reply is dst's last reply to src, for lost-reply redelivery.
+	reply cachedReply
+}
+
+// pairTable is the transport state of every pair, indexed by endpoint
+// as the process table is: rows[dst][src], nil until the pair's first
+// sequenced message. Endpoints are small and never reused, so a lookup
+// is two bounds-checked loads. It lives on the plane, not the process,
+// so it survives ReplaceProcess: the transport is part of the Reliable
+// Computing Base.
+type pairTable [][]*pairState
+
+// get returns the pair's record, or nil if it has none.
+func (t pairTable) get(dst, src Endpoint) *pairState {
+	if uint(dst) < uint(len(t)) {
+		if row := t[dst]; uint(src) < uint(len(row)) {
+			return row[src]
+		}
+	}
+	return nil
+}
+
+// at returns the pair's record, making it on first use and growing the
+// table to reach it.
+func (t *pairTable) at(dst, src Endpoint) *pairState {
+	if ps := t.get(dst, src); ps != nil {
+		return ps
+	}
+	if n := int(dst) + 1; n > len(*t) {
+		*t = append(*t, make(pairTable, n-len(*t))...)
+	}
+	row := &(*t)[dst]
+	if n := int(src) + 1; n > len(*row) {
+		*row = append(*row, make([]*pairState, n-len(*row))...)
+	}
+	ps := new(pairState)
+	(*row)[src] = ps
+	return ps
+}
+
+// clone copies the table: the records into one slab, the rows into
+// another, each row capped at its length, so that growing one copies it
+// rather than writing over the next. Cached reply messages share their
+// payloads, which nothing mutates once a reply was sent.
+func (t pairTable) clone() pairTable {
+	if t == nil {
+		return nil
+	}
+	recs, cells := 0, 0
+	for _, row := range t {
+		cells += len(row)
+		for _, ps := range row {
+			if ps != nil {
+				recs++
+			}
+		}
+	}
+	slab := make([]pairState, 0, recs)
+	slots := make([]*pairState, cells)
+	out := make(pairTable, len(t))
+	for dst, row := range t {
+		if len(row) == 0 {
+			continue
+		}
+		out[dst], slots = slots[:len(row):len(row)], slots[len(row):]
+		for src, ps := range row {
+			if ps != nil {
+				slab = append(slab, *ps)
+				out[dst][src] = &slab[len(slab)-1]
+			}
+		}
+	}
+	return out
+}
+
 // planeState is the transport state that outlives a quiescence barrier.
 type planeState struct {
 	stats IPCStats
-
-	// nextSeq assigns per-(dst,src) sequence numbers; seen tracks which
-	// sequences were delivered to dst from src (exact anti-replay
-	// window — deduplication must not assume in-order arrival, because
-	// delay and reorder faults plus ARQ recovery deliver a pair's
-	// messages out of order); svcSeq tracks the request sequence a
-	// server is answering per client; replyCache holds the last reply
-	// per (server, client) for lost-reply redelivery. All keyed
-	// (dst, src). This state lives on the plane, not the process, so it
-	// survives ReplaceProcess: the transport is part of the Reliable
-	// Computing Base.
-	nextSeq    map[epPair]uint32
-	seen       map[epPair]seqWindow
-	svcSeq     map[epPair]uint32
-	replyCache map[epPair]cachedReply
+	// pairs is the reliability layer's record of every pair.
+	pairs pairTable
 }
 
-// clone copies the state: the scalars by assignment, then each map.
-// Cached reply messages share their payloads, which nothing mutates once
-// a reply was sent.
+// clone copies the state: the scalars by assignment, then the table.
 func (s *planeState) clone() planeState {
 	out := *s
-	out.nextSeq = maps.Clone(s.nextSeq)
-	out.seen = maps.Clone(s.seen)
-	out.svcSeq = maps.Clone(s.svcSeq)
-	out.replyCache = maps.Clone(s.replyCache)
+	out.pairs = s.pairs.clone()
 	return out
 }
 
@@ -365,16 +424,10 @@ func (k *Kernel) SetIPCFaultPlane(cfg IPCFaultConfig, rel IPCReliability, seed u
 		panic("kernel: IPC fault plane without a reliability timeout")
 	}
 	k.ipc = &ipcPlane{
-		k:   k,
-		cfg: cfg,
-		rel: rel,
-		rng: sim.NewRNG(seed ^ 0x19C0FA17),
-		planeState: planeState{
-			nextSeq:    make(map[epPair]uint32),
-			seen:       make(map[epPair]seqWindow),
-			svcSeq:     make(map[epPair]uint32),
-			replyCache: make(map[epPair]cachedReply),
-		},
+		k:     k,
+		cfg:   cfg,
+		rel:   rel,
+		rng:   sim.NewRNG(seed ^ 0x19C0FA17),
 		armed: make(map[Endpoint]IPCFaultKind),
 	}
 }
@@ -400,7 +453,7 @@ func (k *Kernel) IPCStats() (IPCStats, bool) {
 // ipcChecksum hashes the payload-bearing fields of m (FNV-1a over the
 // registers, strings and sequence number). The Sum field itself is
 // excluded. Zero is never returned, so Sum != 0 marks checked messages.
-func ipcChecksum(m Message) uint32 {
+func ipcChecksum(m *Message) uint32 {
 	h := uint64(0xCBF29CE484222325)
 	step := func(v uint64) {
 		h ^= v
@@ -432,11 +485,10 @@ func ipcChecksum(m Message) uint32 {
 // prepare assigns the sequence number and checksum of a first
 // transmission (retransmissions keep theirs).
 func (ipc *ipcPlane) prepare(m *Message) {
-	pair := pairOf(m.To, m.From)
-	seq := ipc.nextSeq[pair] + 1
-	ipc.nextSeq[pair] = seq
-	m.Seq = seq
-	m.Sum = ipcChecksum(*m)
+	ps := ipc.pairs.at(m.To, m.From)
+	ps.nextSeq++
+	m.Seq = ps.nextSeq
+	m.Sum = ipcChecksum(m)
 }
 
 // roll draws the fate of one transmission: the sender's armed one-shot
@@ -503,7 +555,9 @@ func (ipc *ipcPlane) corrupt(m *Message) {
 // xmit transmits one prepared message toward its destination through a
 // fault roll. Both first transmissions and retransmissions come here;
 // attempts is the transmission count so far (for async ARQ scheduling).
-func (ipc *ipcPlane) xmit(m Message, attempts int) {
+// m is only read: it may be the sender's pendingReq, which a
+// retransmission must find clean.
+func (ipc *ipcPlane) xmit(m *Message, attempts int) {
 	ipc.stats.Sent++
 	switch ipc.roll(m.From, false) {
 	case fateDrop:
@@ -516,18 +570,18 @@ func (ipc *ipcPlane) xmit(m Message, attempts int) {
 		ipc.deliver(m, false)
 	case fateDelay:
 		ipc.stats.Delayed++
-		ipc.hold(heldMsg{due: ipc.k.clock.Now() + ipc.cfg.delay(), msg: m})
+		ipc.hold(heldMsg{due: ipc.k.clock.Now() + ipc.cfg.delay(), msg: *m})
 	case fateReorder:
 		ipc.deliver(m, true)
 	case fateCorrupt:
-		orig := m
-		ipc.corrupt(&m)
-		ipc.deliver(m, false)
+		bad := *m
+		ipc.corrupt(&bad)
+		ipc.deliver(&bad, false)
 		// The corrupted copy is certain to be discarded by the link
 		// checksum: schedule the clean original for retransmission
 		// (async only; requests are recovered by the sender-side
 		// deadline).
-		ipc.scheduleARQ(orig, attempts)
+		ipc.scheduleARQ(m, attempts)
 	default:
 		ipc.deliver(m, false)
 	}
@@ -536,7 +590,7 @@ func (ipc *ipcPlane) xmit(m Message, attempts int) {
 // scheduleARQ schedules a link-layer retransmission of a lost
 // asynchronous message. Requests awaiting a reply are recovered by the
 // sender-side deadline instead.
-func (ipc *ipcPlane) scheduleARQ(m Message, attempts int) {
+func (ipc *ipcPlane) scheduleARQ(m *Message, attempts int) {
 	if m.NeedsReply || m.Seq == 0 {
 		return
 	}
@@ -546,7 +600,7 @@ func (ipc *ipcPlane) scheduleARQ(m Message, attempts int) {
 	}
 	ipc.hold(heldMsg{
 		due:        ipc.k.clock.Now() + ipc.rel.TimeoutCycles,
-		msg:        m,
+		msg:        *m,
 		retransmit: true,
 		attempts:   attempts,
 	})
@@ -555,21 +609,15 @@ func (ipc *ipcPlane) scheduleARQ(m Message, attempts int) {
 // deliver places a message into the destination inbox, after link-layer
 // checksum verification and duplicate suppression. front selects
 // head-of-queue insertion (reorder fault).
-func (ipc *ipcPlane) deliver(m Message, front bool) {
+func (ipc *ipcPlane) deliver(m *Message, front bool) {
 	if m.Sum != 0 && ipcChecksum(m) != m.Sum {
 		ipc.stats.CorruptDropped++
 		ipc.stats.Dropped++
 		return
 	}
-	if m.Seq != 0 {
-		pair := pairOf(m.To, m.From)
-		w := ipc.seen[pair]
-		dup := w.mark(m.Seq)
-		ipc.seen[pair] = w
-		if dup {
-			ipc.stats.DupSuppressed++
-			return
-		}
+	if m.Seq != 0 && ipc.pairs.at(m.To, m.From).seen.mark(m.Seq) {
+		ipc.stats.DupSuppressed++
+		return
 	}
 	target := ipc.k.procs.get(m.To)
 	if target == nil || ipc.k.IsQuarantined(m.To) ||
@@ -590,14 +638,14 @@ func (ipc *ipcPlane) deliver(m Message, front bool) {
 // xmitReply transmits a server reply through the plane. The reply
 // inherits the sequence number of the request it answers and is cached
 // for lost-reply redelivery.
-func (ipc *ipcPlane) xmitReply(from *Process, to Endpoint, m Message) {
+func (ipc *ipcPlane) xmitReply(from *Process, to Endpoint, m *Message) {
 	m.From = from.ep
 	m.To = to
-	pair := pairOf(from.ep, to)
-	if seq := ipc.svcSeq[pair]; seq != 0 {
-		m.Seq = seq
+	if ps := ipc.pairs.get(from.ep, to); ps != nil && ps.svcSeq != 0 {
+		m.Seq = ps.svcSeq
 		m.Sum = ipcChecksum(m)
-		ipc.replyCache[pair] = cachedReply{seq: seq, msg: m}
+		ps.reply.seq = ps.svcSeq
+		ps.reply.msg = *m
 	}
 	ipc.stats.Sent++
 	switch ipc.roll(from.ep, true) {
@@ -606,9 +654,9 @@ func (ipc *ipcPlane) xmitReply(from *Process, to Endpoint, m Message) {
 		ipc.stats.Dropped++
 	case fateDelay:
 		ipc.stats.Delayed++
-		ipc.hold(heldMsg{due: ipc.k.clock.Now() + ipc.cfg.delay(), msg: m, reply: true})
+		ipc.hold(heldMsg{due: ipc.k.clock.Now() + ipc.cfg.delay(), msg: *m, reply: true})
 	case fateCorrupt:
-		ipc.corrupt(&m)
+		ipc.corrupt(m)
 		ipc.deliverReply(m)
 	default:
 		ipc.deliverReply(m)
@@ -618,7 +666,7 @@ func (ipc *ipcPlane) xmitReply(from *Process, to Endpoint, m Message) {
 // deliverReply hands a reply to the kernel's reply path, after the
 // link-layer checksum, keeping the conservation ledger balanced when
 // the caller died meanwhile.
-func (ipc *ipcPlane) deliverReply(m Message) {
+func (ipc *ipcPlane) deliverReply(m *Message) {
 	if m.Sum != 0 && ipcChecksum(m) != m.Sum {
 		// Corrupt reply discarded at the link; the sender's deadline
 		// redelivers the clean copy from the reply cache.
@@ -640,7 +688,7 @@ func (ipc *ipcPlane) deliverReply(m Message) {
 			return
 		}
 	}
-	if err := ipc.k.DeliverReply(m.From, m.To, m); err != nil {
+	if !ipc.k.deliverReply(m) {
 		ipc.stats.Dropped++
 		ipc.k.counters.AddID(ctrRepliesDropped, 1)
 		return
@@ -665,9 +713,9 @@ func (ipc *ipcPlane) hold(h heldMsg) {
 // noteReceive runs at message pop time: it records which request
 // sequence the server is now answering, so the eventual reply can be
 // matched, checked and cached per client.
-func (ipc *ipcPlane) noteReceive(p *Process, m Message) {
+func (ipc *ipcPlane) noteReceive(p *Process, m *Message) {
 	if m.NeedsReply && m.Seq != 0 {
-		ipc.svcSeq[pairOf(p.ep, m.From)] = m.Seq
+		ipc.pairs.at(p.ep, m.From).svcSeq = m.Seq
 	}
 }
 
@@ -740,19 +788,18 @@ func (ipc *ipcPlane) senderStuck(p *Process) bool {
 func (ipc *ipcPlane) handleSendTimeout(p *Process) {
 	ipc.stats.Timeouts++
 	dst := p.waitFrom
-	pair := pairOf(dst, p.ep)
 	seq := p.pendingReq.Seq
-	if seq != 0 {
-		if rc, ok := ipc.replyCache[pair]; ok && rc.seq == seq {
+	if ps := ipc.pairs.get(dst, p.ep); seq != 0 && ps != nil {
+		if ps.reply.seq == seq {
 			// The reply exists but was lost in transit: redeliver it
 			// (reliably — the cache models the server-side send buffer).
 			ipc.stats.Sent++
 			ipc.stats.ReplyRedeliveries++
 			p.sendDeadline = 0
-			ipc.deliverReply(rc.msg)
+			ipc.deliverReply(&ps.reply.msg)
 			return
 		}
-		if ipc.seen[pair].has(seq) {
+		if ps.seen.has(seq) {
 			// Delivered and still being served (slow server, postponed
 			// reply): keep waiting without consuming a retry. Long waits
 			// are legitimate — blocking process waits, writers parked on a
@@ -772,7 +819,7 @@ func (ipc *ipcPlane) handleSendTimeout(p *Process) {
 			}
 			ipc.stats.DeadLetters++
 			p.sendDeadline = 0
-			p.setReply(Message{From: dst, To: p.ep, Errno: ETIMEDOUT})
+			p.setReply(&Message{From: dst, To: p.ep, Errno: ETIMEDOUT})
 			ipc.k.markSched(p)
 			return
 		}
@@ -781,7 +828,7 @@ func (ipc *ipcPlane) handleSendTimeout(p *Process) {
 	if p.sendAttempts > ipc.rel.retryMax() {
 		ipc.stats.DeadLetters++
 		p.sendDeadline = 0
-		p.setReply(Message{From: dst, To: p.ep, Errno: ETIMEDOUT})
+		p.setReply(&Message{From: dst, To: p.ep, Errno: ETIMEDOUT})
 		ipc.k.markSched(p)
 		return
 	}
@@ -789,30 +836,30 @@ func (ipc *ipcPlane) handleSendTimeout(p *Process) {
 	if target == nil || ipc.k.IsQuarantined(dst) ||
 		(!target.Alive() && !ipc.k.RecoveryPending(dst)) {
 		p.sendDeadline = 0
-		p.setReply(Message{From: dst, To: p.ep, Errno: EDEADSRCDST})
+		p.setReply(&Message{From: dst, To: p.ep, Errno: EDEADSRCDST})
 		ipc.k.markSched(p)
 		return
 	}
 	p.sendAttempts++
 	ipc.stats.Retransmits++
-	ipc.xmit(p.pendingReq, p.sendAttempts)
+	ipc.xmit(&p.pendingReq, p.sendAttempts)
 	ipc.k.armSendDeadline(p)
 }
 
 // release resolves one due delay-queue entry: deliver a held message,
 // or push an ARQ entry back through a fresh transmission roll.
-func (ipc *ipcPlane) release(h heldMsg) {
+func (ipc *ipcPlane) release(h *heldMsg) {
 	switch {
 	case h.retransmit:
 		ipc.stats.PendingARQ--
 		ipc.stats.Retransmits++
-		ipc.xmit(h.msg, h.attempts+1)
+		ipc.xmit(&h.msg, h.attempts+1)
 	case h.reply:
 		ipc.stats.PendingDelayed--
-		ipc.deliverReply(h.msg)
+		ipc.deliverReply(&h.msg)
 	default:
 		ipc.stats.PendingDelayed--
-		ipc.deliver(h.msg, false)
+		ipc.deliver(&h.msg, false)
 	}
 }
 
@@ -839,8 +886,8 @@ func (k *Kernel) fireDueIPC() {
 			}
 		}
 		ipc.held = kept
-		for _, h := range due {
-			ipc.release(h)
+		for i := range due {
+			ipc.release(&due[i])
 		}
 		clear(due) // the scratch keeps no payload alive
 		ipc.releasing = due[:0]

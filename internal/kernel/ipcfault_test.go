@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -248,6 +249,46 @@ func TestIPCArmedCorruptDetectedAndRecoveredWithReliability(t *testing.T) {
 	st, _ := k.IPCStats()
 	if st.CorruptInjected != 1 || st.CorruptDropped != 1 || st.Retransmits != 1 {
 		t.Fatalf("stats = %+v, want CorruptInjected=1 CorruptDropped=1 Retransmits=1", st)
+	}
+}
+
+// A request corrupted on its first transmission and again on its
+// retransmission still reaches the server clean, exactly once: xmit
+// corrupts a copy, and the sender's pendingReq, which every
+// retransmission sends, stays as prepared.
+func TestIPCCorruptedTwiceDeliveredCleanOnce(t *testing.T) {
+	k := newTestKernel()
+	k.SetIPCFaultPlane(IPCFaultConfig{}, IPCReliability{TimeoutCycles: ipcTestTimeout}, 1)
+	rec := &recorder{}
+	k.AddServer(EpDS, "sink", rec.body, ServerConfig{})
+	var reply Message
+	root := k.SpawnUser("client", func(ctx *Context) {
+		reply = ctx.SendRec(EpDS, Message{Type: 100, A: 5})
+	})
+	client := root.Endpoint()
+	k.ArmIPCFault(client, IPCCorrupt)
+	// The tracer reports the first expired deadline just before the
+	// retransmission it causes: arm the second corruption there.
+	rearmed := false
+	k.SetTracer(func(format string, _ ...any) {
+		if !rearmed && strings.HasPrefix(format, "timeout:") {
+			rearmed = true
+			k.ArmIPCFault(client, IPCCorrupt)
+		}
+	})
+	k.SetRootProcess(client)
+	if res := k.Run(testLimit); res.Outcome != OutcomeCompleted {
+		t.Fatalf("outcome = %v (%s)", res.Outcome, res.Reason)
+	}
+	if !reflect.DeepEqual(rec.got, []int64{5}) {
+		t.Fatalf("sink got %v, want the clean [5] exactly once", rec.got)
+	}
+	if reply.Errno != OK || reply.A != 6 {
+		t.Fatalf("reply = %+v, want the sink's answer to 5", reply)
+	}
+	st, _ := k.IPCStats()
+	if st.CorruptInjected != 2 || st.CorruptDropped != 2 || st.Retransmits != 2 {
+		t.Fatalf("stats = %+v, want CorruptInjected=2 CorruptDropped=2 Retransmits=2", st)
 	}
 }
 

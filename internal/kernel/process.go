@@ -178,8 +178,8 @@ var inboxPool = sync.Pool{New: func() any {
 
 // setReply hands m to a process blocked in SendRec via the per-process
 // reply buffer (no allocation).
-func (p *Process) setReply(m Message) {
-	p.replyBuf = m
+func (p *Process) setReply(m *Message) {
+	p.replyBuf = *m
 	p.reply = &p.replyBuf
 }
 
@@ -187,7 +187,7 @@ func (p *Process) setReply(m Message) {
 // rewinding consumed headroom once the queue drains. A message arrival
 // can make a receiving process schedulable, so the readiness bit is
 // re-derived here.
-func (p *Process) pushMsg(m Message) {
+func (p *Process) pushMsg(m *Message) {
 	if p.inbox == nil {
 		p.inbox = *inboxPool.Get().(*[]Message)
 	} else if p.inboxHead == len(p.inbox) {
@@ -196,7 +196,7 @@ func (p *Process) pushMsg(m Message) {
 		p.inbox = p.inbox[:0]
 		p.inboxHead = 0
 	}
-	p.inbox = append(p.inbox, m)
+	p.inbox = append(p.inbox, *m)
 	if p.k != nil {
 		p.k.markSched(p)
 	}
@@ -205,29 +205,29 @@ func (p *Process) pushMsg(m Message) {
 // pushMsgFront enqueues m at the head of the queue, ahead of messages
 // already waiting (IPC reorder fault). Consumed headroom is reused when
 // available; otherwise the queue shifts right by one.
-func (p *Process) pushMsgFront(m Message) {
+func (p *Process) pushMsgFront(m *Message) {
 	if p.inbox == nil {
 		p.inbox = *inboxPool.Get().(*[]Message)
 	}
 	if p.inboxHead > 0 {
 		p.inboxHead--
-		p.inbox[p.inboxHead] = m
+		p.inbox[p.inboxHead] = *m
 	} else {
 		p.inbox = append(p.inbox, Message{})
 		copy(p.inbox[1:], p.inbox)
-		p.inbox[0] = m
+		p.inbox[0] = *m
 	}
 	if p.k != nil {
 		p.k.markSched(p)
 	}
 }
 
-// popMsg dequeues the oldest message; callers must check queueLen.
-func (p *Process) popMsg() Message {
-	m := p.inbox[p.inboxHead]
+// popMsg dequeues the oldest message into m; callers must check
+// queueLen.
+func (p *Process) popMsg(m *Message) {
+	*m = p.inbox[p.inboxHead]
 	p.inbox[p.inboxHead] = Message{} // drop payload references
 	p.inboxHead++
-	return m
 }
 
 // queueLen reports the number of queued messages.
@@ -599,7 +599,7 @@ func (k *Kernel) FailPendingCallers(ep Endpoint, errno Errno) int {
 		if p == nil || p.state != stateSendRec || p.waitFrom != ep {
 			continue
 		}
-		p.setReply(Message{Type: 0, From: ep, To: p.ep, Errno: errno})
+		p.setReply(&Message{Type: 0, From: ep, To: p.ep, Errno: errno})
 		k.markSched(p)
 		failed++
 	}
@@ -610,26 +610,35 @@ func (k *Kernel) FailPendingCallers(ep Endpoint, errno Errno) int {
 // SendRec on `from`. Used by the recovery engine for error
 // virtualization of the in-flight request.
 func (k *Kernel) DeliverReply(from, to Endpoint, m Message) error {
-	p := k.procs.get(to)
-	if p == nil || !p.Alive() {
-		return fmt.Errorf("kernel: reply target %d not alive", to)
-	}
 	m.From = from
 	m.To = to
-	if p.state == stateSendRec && p.waitFrom == from {
+	if !k.deliverReply(&m) {
+		return fmt.Errorf("kernel: reply target %d not alive", to)
+	}
+	return nil
+}
+
+// deliverReply is DeliverReply for a message whose From and To are set:
+// it reports false, allocating nothing, when the target is not alive.
+func (k *Kernel) deliverReply(m *Message) bool {
+	p := k.procs.get(m.To)
+	if p == nil || !p.Alive() {
+		return false
+	}
+	if p.state == stateSendRec && p.waitFrom == m.From {
 		p.setReply(m)
 		k.markSched(p)
 		if k.tracer != nil {
-			k.tracer("reply: %d -> %s(%d) errno=%v", from, p.name, to, m.Errno)
+			k.tracer("reply: %d -> %s(%d) errno=%v", m.From, p.name, m.To, m.Errno)
 		}
-		return nil
+		return true
 	}
 	// Not blocked on us: deliver asynchronously.
 	if k.tracer != nil {
-		k.tracer("reply-async: %d -> %s(%d) errno=%v state=%d", from, p.name, to, m.Errno, p.state)
+		k.tracer("reply-async: %d -> %s(%d) errno=%v state=%d", m.From, p.name, m.To, m.Errno, p.state)
 	}
 	p.pushMsg(m)
-	return nil
+	return true
 }
 
 // PostMessage appends a message to the inbox of `to`, as if sent by
@@ -643,7 +652,7 @@ func (k *Kernel) PostMessage(from, to Endpoint, m Message) error {
 	m.From = from
 	m.To = to
 	m.NeedsReply = false
-	p.pushMsg(m)
+	p.pushMsg(&m)
 	return nil
 }
 

@@ -75,8 +75,8 @@ func (k *Kernel) RunToBarrier(cycleLimit sim.Cycles) bool {
 // and apply copy them by assignment and a new scalar is declared once:
 // machineRegs (Kernel / MachineImage), procRegs (procLive / procImage)
 // and planeState (ipcPlane / MachineImage.ipc). What holds references —
-// inboxes, the alarm heap, counters, the transport maps — is copied
-// explicitly beside the assignment.
+// inboxes, the alarm heap, counters, the transport's pair table — is
+// copied explicitly beside the assignment.
 
 // machineRegs are the machine-wide scalars.
 type machineRegs struct {
@@ -259,6 +259,13 @@ func (k *Kernel) ApplyImage(img *MachineImage) error {
 			}
 			users++
 		}
+		// The plane keys a sequenced request by its sender (noteReceive):
+		// one naming an endpoint never handed out would size its table.
+		for _, m := range pi.inbox {
+			if m.Seq != 0 && (m.From < 0 || m.From >= img.nextUserEp) {
+				return fmt.Errorf("kernel: image message queued at %d from endpoint %d, never handed out", pi.ep, m.From)
+			}
+		}
 		// barrierRefusal lets three states into an image: dead, the root
 		// runnable at its barrier, everything else parked in Receive.
 		parked := stateReceiving
@@ -296,7 +303,8 @@ func (k *Kernel) ApplyImage(img *MachineImage) error {
 		p.state = pi.state
 		p.procRegs = pi.procRegs
 		for _, m := range pi.inbox {
-			p.pushMsg(m.ownBytes())
+			m = m.ownBytes()
+			p.pushMsg(&m)
 		}
 		k.markSched(p)
 	}
@@ -380,8 +388,9 @@ func (img *MachineImage) SizeBytes() int64 {
 		}
 	}
 	if img.ipc != nil {
-		n += int64(len(img.ipc.nextSeq)+len(img.ipc.seen)+len(img.ipc.svcSeq)) * 32
-		n += int64(len(img.ipc.replyCache)) * 160
+		for i, size := range [len(pairFields)]int64{32, 32, 32, 160} {
+			img.ipc.pairs.holding(pairFields[i], func(Endpoint, Endpoint, *pairState) { n += size })
+		}
 	}
 	return n
 }
