@@ -232,3 +232,60 @@ func TestPoolDrivenOutsideItsProcessPanics(t *testing.T) {
 		t.Error("the job ran on a worker its flow of control does not own")
 	}
 }
+
+// A server that owns a pool is fail-stopped while it is a resumer on the
+// chain: its worker's SendRec switched the process into the driver, whose
+// handler kills it, as RS's hang detection would. The kill is deferred:
+// the server's body unwinds when control next passes down through its
+// frame, and only then does onKill unwind the worker (DESIGN §4), before
+// the crash reaches the recovery handler — no worker coroutine is left
+// parked.
+func TestFailStopOfResumerUnwindsBodyThenWorker(t *testing.T) {
+	k := kernel.New(kernel.DefaultCostModel(), 1)
+	var log []string
+	var pool *Pool
+	k.AddServer(kernel.EpVFS, "threaded", func(ctx *kernel.Context) {
+		pool = NewPool(ctx, 1)
+		defer func() { log = append(log, "body") }()
+		ctx.Receive()
+		pool.Thread(0).Start(func(th *Thread) {
+			defer func() { log = append(log, "job") }()
+			ctx.SendRec(kernel.EpDriver, kernel.Message{Type: 1})
+			t.Error("the killed server's worker returned from SendRec")
+		})
+		t.Error("Start returned although its worker never blocked or finished")
+	}, kernel.ServerConfig{})
+	k.AddServer(kernel.EpDriver, "driver", func(ctx *kernel.Context) {
+		for {
+			m := ctx.Receive()
+			if errno := ctx.Kernel().FailStopProcess(m.From, "test"); errno != kernel.OK {
+				t.Errorf("FailStopProcess = %v", errno)
+			}
+			log = append(log, "failstop")
+		}
+	}, kernel.ServerConfig{})
+	handled := false
+	k.SetCrashHandler(func(ci kernel.CrashInfo) error {
+		if got, want := strings.Join(log, " "), "failstop body job"; got != want {
+			t.Errorf("events %q, want %q", got, want)
+		}
+		if th := pool.Thread(0); th.Busy() || th.next != nil {
+			t.Error("the worker is still parked when the crash is handled")
+		}
+		handled = true
+		return k.QuarantineProcess(ci.Victim, "test")
+	})
+	root := k.SpawnUser("root", func(ctx *kernel.Context) {
+		ctx.Send(kernel.EpVFS, kernel.Message{Type: 300})
+		for !handled {
+			ctx.Yield()
+		}
+	})
+	k.SetRootProcess(root.Endpoint())
+	if res := k.Run(100_000_000); res.Outcome != kernel.OutcomeCompleted {
+		t.Fatalf("outcome = %v (%s)", res.Outcome, res.Reason)
+	}
+	if !handled {
+		t.Error("the crash never reached the handler")
+	}
+}

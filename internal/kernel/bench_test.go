@@ -1,0 +1,39 @@
+package kernel
+
+import (
+	"math"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// benchSendRec runs b.N SendRec round trips from one user process to dst
+// on a machine whose servers are echo (EpDS) and a relay to it (EpVFS),
+// and reports host time per round trip: the kernel's IPC and context
+// switch layer without the servers' work or the recovery machinery.
+func benchSendRec(b *testing.B, dst Endpoint) {
+	k := newTestKernel()
+	k.AddServer(EpVFS, "relay", relayServer, ServerConfig{})
+	k.AddServer(EpDS, "echo", replyServer, ServerConfig{})
+	root := k.SpawnUser("client", func(ctx *Context) {
+		ctx.SendRec(dst, Message{Type: 100}) // every process past its first dispatch
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ctx.SendRec(dst, Message{Type: 100, A: int64(i)})
+		}
+		b.StopTimer()
+	})
+	k.SetRootProcess(root.Endpoint())
+	if res := k.Run(sim.Cycles(math.MaxInt64)); res.Outcome != OutcomeCompleted {
+		b.Fatalf("outcome = %v (%s)", res.Outcome, res.Reason)
+	}
+}
+
+// BenchmarkSendRecRoundTrip is a user process's SendRec to a server that
+// replies at once.
+func BenchmarkSendRecRoundTrip(b *testing.B) { benchSendRec(b, EpDS) }
+
+// BenchmarkNestedSendRec is a SendRec whose server SendRecs a second
+// server before it replies (user → VFS → driver, in shape).
+func BenchmarkNestedSendRec(b *testing.B) { benchSendRec(b, EpVFS) }

@@ -7,24 +7,42 @@
 
 package kernel
 
-import "iter"
+import (
+	"fmt"
+	"iter"
+)
 
 // coro is a host coroutine (iter.Pull: a runtime coroswitch — no run
 // queue, no wake-up, same OS thread) that runs process bodies, one after
 // another. A process takes one at its first dispatch and keeps it until
 // its body returns, crashes or is unwound; the coroutine then parks on
 // its kernel's free list for the next first dispatch, so a machine
-// creates as many as it ever has processes mid-body at once. Only the
-// kernel loop runs a body forward (resume); the one other caller of next
-// is reap, which resumes a body with its killed latch set to unwind it.
+// creates as many as it ever has processes mid-body at once.
+//
+// Who resumes whom. Control moves along a chain of resumers: the kernel
+// loop at the bottom, then every process that switched into its
+// successor's coroutine itself and is parked inside that switch, and the
+// running process on top. A process that suspends naming a successor off
+// the chain switches into it and joins the chain (call); one that names
+// a successor on the chain, or none, passes control down — each frame it
+// reaches hands it on until it arrives at the one named, or at the kernel
+// loop for nil (return). So a SendRec round trip is two switches. The
+// one other caller of next is reap, which resumes a parked body with its
+// killed latch set to unwind it; a body reaped while on the chain is
+// parked inside a switch and cannot be resumed, so it unwinds when
+// control next reaches its frame and then hands on the successor it was
+// given (handOff).
 type coro struct {
 	k *Kernel
 	// p is the process whose body the next resume of an idle coroutine
 	// runs (takeCoro).
 	p *Process
+	// handTo is what the coroutine yields once its body has ended: the
+	// successor a reaped resumer's frame was handed, nil otherwise.
+	handTo *Process
 	// yield suspends the body: control returns to whoever called next,
-	// with the process the loop is to resume instead (nil: none, run the
-	// loop's checks).
+	// with the successor the frames below hand control on to (nil: the
+	// kernel loop).
 	yield func(successor *Process) bool
 	next  func() (*Process, bool)
 	stop  func()
@@ -46,34 +64,86 @@ func (k *Kernel) takeCoro(p *Process) *coro {
 }
 
 // run is the coroutine's own frame: one body per turn, runBody's recover
-// outermost around each. A false yield is stopIdleCoros.
+// outermost around each. A body that was killed releases what onKill
+// holds once it has unwound. A false yield is stopIdleCoros.
 func (c *coro) run(yield func(*Process) bool) {
 	c.yield = yield
 	for {
-		c.p.runBody()
-		c.p.co, c.p = nil, nil
+		p := c.p
+		p.runBody()
+		p.co, c.p = nil, nil
+		if p.killed {
+			p.releaseOnKill()
+		}
+		next := c.handTo
+		c.handTo = nil
 		c.k.idleCoros = append(c.k.idleCoros, c)
-		if !yield(nil) {
+		c.k.switches++
+		if !yield(next) {
 			return
 		}
 	}
 }
 
-// resume runs p, and then every process a suspending body names as its
-// successor, until one hands control back to the kernel loop. It is the
-// only place a body is switched to: the loop's counted dispatch, the
-// uncounted hand-back to a process parked at a barrier, and through
-// those every fused hand-off between processes.
-func (k *Kernel) resume(p *Process) {
-	for p != nil {
-		k.running = p
-		c := p.co
-		if c == nil {
-			c = k.takeCoro(p)
+// kernelFault is a panic that came out of a coroutine switch: a bug in
+// the kernel, such as resuming a frame that is on the chain, and no fault
+// of the body that made the switch. runBody re-raises it rather than trap
+// it as that body's crash, so it unwinds every frame down the chain and
+// reaches Run's caller, as a panic out of the kernel loop does.
+type kernelFault struct{ v any }
+
+func (f kernelFault) Error() string {
+	return fmt.Sprintf("kernel: fault in a coroutine switch: %v", f.v)
+}
+
+// enter switches into the coroutine and returns the successor handed down
+// to the caller when control comes back to it.
+func (c *coro) enter() *Process {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(kernelFault); !ok {
+				r = kernelFault{r}
+			}
+			panic(r)
 		}
-		p, _ = c.next()
+	}()
+	c.k.switches++
+	next, _ := c.next()
+	return next
+}
+
+// handOff is the one switch loop, run by a resumer — a suspending process
+// as self, or the kernel loop as nil (its counted dispatch, and the
+// uncounted hand-back to a process parked at a barrier) — with the
+// successor to run. It returns once control is back at self: named by a
+// process further up, resumed directly after passing control down, or —
+// self reaped while it waited on the chain — handed any successor, which
+// it stores for its coroutine to pass on once the body has unwound.
+func (k *Kernel) handOff(self, next *Process) {
+	for next != self {
+		if next == nil || next.onChain {
+			k.switches++
+			self.co.yield(next)
+			return
+		}
+		if self != nil {
+			self.onChain = true
+		}
+		k.running = next
+		c := next.co
+		if c == nil {
+			c = k.takeCoro(next)
+		}
+		next = c.enter()
+		k.running = self
+		if self != nil {
+			self.onChain = false
+			if self.killed {
+				self.co.handTo = next
+				return
+			}
+		}
 	}
-	k.running = nil
 }
 
 // stopIdleCoros ends the coroutines on the free list — after killAll,

@@ -61,6 +61,7 @@ var fingerprintFields = map[string]struct {
 	"Kernel.running":            {hostOnly, "nil whenever the loop, and so a barrier or idle hook, has control"},
 	"Kernel.idleCoros":          {hostOnly, ""},
 	"Kernel.corosCreated":       {hostOnly, ""},
+	"Kernel.switches":           {hostOnly, "a count of host coroutine switches"},
 	"Kernel.pendingCrashes":     {excluded, whyQuiescence},
 	"Kernel.pendingByEp":        {excluded, whyQuiescence},
 	"Kernel.inRecovery":         {excluded, whyQuiescence},
@@ -89,6 +90,7 @@ var fingerprintFields = map[string]struct {
 	"Process.orderIdx":      {derived, "position in k.order"},
 	"Process.body":          {hostOnly, "code"},
 	"Process.co":            {hostOnly, ""},
+	"Process.onChain":       {hostOnly, "false whenever the loop, and so a barrier or idle hook, has control"},
 	"Process.nested":        {hostOnly, ""},
 	"Process.handoff":       {hostOnly, ""},
 	"Process.inbox":         {hashed, "queued messages, less what MsgSkip names (" + whyPhase + "); Aux by presence"},

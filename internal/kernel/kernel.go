@@ -4,14 +4,16 @@
 // and the virtual-cycle cost model.
 //
 // Every simulated process — OS server or user program — runs its body on
-// a host coroutine (coro.go) that only the kernel loop resumes. It
-// suspends when it blocks in Receive/SendRec, when its scheduling quantum
-// expires inside Tick, or when it exits or crashes, and says which process
-// the loop would pick next if picking is all the loop would do. There is
-// one flow of control, handed around explicitly on one OS thread — no
-// host scheduler, no channel, no wake-up between two simulated context
-// switches — so the entire machine is deterministic given its seed, by
-// construction and at any GOMAXPROCS.
+// a host coroutine (coro.go). It suspends when it blocks in
+// Receive/SendRec, when its scheduling quantum expires inside Tick, or
+// when it exits or crashes, naming the process the loop would pick next
+// if picking is all the loop would do; it switches into that successor
+// itself, or passes control back down to it when the successor is one of
+// the processes that resumed it, and back to the kernel loop when it
+// names none. There is one flow of control, handed around explicitly on
+// one OS thread — no host scheduler, no channel, no wake-up between two
+// simulated context switches — so the entire machine is deterministic
+// given its seed, by construction and at any GOMAXPROCS.
 //
 // A panic inside a process is trapped by the kernel and treated as a
 // fail-stop crash of that component (paper §II-E): the kernel records
@@ -347,6 +349,9 @@ type Kernel struct {
 	// bound it).
 	idleCoros    []*coro
 	corosCreated int
+	// switches counts the coroutine switches the machine made (tests
+	// hold the switch budget of a round trip with it).
+	switches uint64
 
 	pendingCrashes []queuedCrash
 	// pendingByEp counts queued crashes per victim so RecoveryPending
@@ -516,7 +521,7 @@ func (k *Kernel) runLoop(cycleLimit sim.Cycles) {
 		// parked at the quiescence barrier. No dispatch is counted — the
 		// captured machine already counted the dispatch this continues.
 		k.forkResume = nil
-		k.resume(p)
+		k.handOff(nil, p)
 	}
 	for !k.done && !k.barrierHit {
 		if k.handleDueCrash() {
@@ -532,7 +537,7 @@ func (k *Kernel) runLoop(cycleLimit sim.Cycles) {
 		}
 		if p := k.pickRunnable(); p != nil {
 			k.counters.AddID(ctrDispatches, 1)
-			k.resume(p)
+			k.handOff(nil, p)
 			continue
 		}
 		// Idle: no process is runnable. An installed idle hook may prove

@@ -66,6 +66,10 @@ type procLive struct {
 	// nil before and after, so a process that is never dispatched costs
 	// no coroutine.
 	co *coro
+	// onChain says the body is parked inside its own switch into a
+	// successor's coroutine: the process is a resumer on the chain, and
+	// naming it passes control down to it (handOff).
+	onChain bool
 	// nested is set while a coroutine nested under the body (a cothread
 	// worker) runs: only the body's own coroutine may suspend the process,
 	// so a kernel call made down there asks it to through nested, leaving
@@ -111,7 +115,8 @@ type procLive struct {
 	onKill func()
 
 	// killed latches that the process is being torn down: reap sets it
-	// before it resumes the suspended body, which then unwinds.
+	// before the suspended body unwinds, at once or, for a resumer on the
+	// chain, when control next reaches its frame.
 	killed bool
 
 	ctx Context
@@ -313,24 +318,31 @@ func (k *Kernel) insertIntoOrder(ep Endpoint) {
 
 // runBody executes the process body, trapping crashes and the kill that
 // unwinds it. Its recover is the outermost frame of every body: a panic
-// that gets past it is a bug in the kernel and surfaces in the kernel
-// loop, out of the next that resumed the coroutine.
+// that gets past it is a bug in the kernel. A kernelFault — a panic out of
+// a coroutine switch the body made — is re-raised, not taken for the
+// body's crash, so it passes down the chain to the kernel loop and out of
+// Run. A killed body was finalized by reap before it unwound, maybe after
+// a replacement took its endpoint, so its unwinding touches no scheduler
+// state.
 func (p *Process) runBody() {
 	defer func() {
 		r := recover()
 		if r == nil {
 			return
 		}
+		if f, ok := r.(kernelFault); ok {
+			panic(f)
+		}
 		if _, isKill := r.(killedSignal); isKill {
-			p.state = stateDead
-			p.k.markSched(p)
 			return
 		}
 		// Fail-stop crash: queue it for the kernel loop. Crashes that
 		// arrive while another recovery is queued or active are handled
 		// serially, in trap order.
-		p.state = stateCrashed
-		p.k.markSched(p)
+		if !p.killed {
+			p.state = stateCrashed
+			p.k.markSched(p)
+		}
 		p.k.counters.AddID(ctrPanicsTrapped, 1)
 		p.k.queueCrash(CrashInfo{
 			Victim:         p.ep,
@@ -347,15 +359,15 @@ func (p *Process) runBody() {
 	p.k.noteExit(p)
 }
 
-// yieldToKernel hands the CPU back and suspends until re-dispatched. It
+// yieldToKernel hands the CPU on and suspends until re-dispatched. It
 // panics with killedSignal when the kernel tears the process down.
 //
 // Fused dispatch: when a full trip through the kernel loop would do
 // nothing but pick the next process — no due crash or alarm, run not
 // done, cycle limit not reached — the dispatch is counted here and the
-// process suspends naming that successor, which Kernel.resume switches to
-// without re-running the loop's checks. Handing off to ourselves
-// degenerates to not switching at all.
+// process suspends naming that successor, which it switches to itself
+// (handOff) without re-running the loop's checks. Handing off to
+// ourselves degenerates to not switching at all.
 func (p *Process) yieldToKernel() {
 	next := p.k.fusedNext()
 	if next != nil {
@@ -367,17 +379,18 @@ func (p *Process) yieldToKernel() {
 	p.suspend(next)
 }
 
-// suspend switches the process out — to next, or to the kernel loop when
-// next is nil — and returns when the process is dispatched again; resumed
-// by reap instead, it unwinds the body. Under a nested coroutine the
-// body's own coroutine does it on the caller's behalf.
+// suspend switches the process out — into next, or down the chain to
+// next or to the kernel loop when next is nil or a resumer below (coro.go)
+// — and returns when the process is dispatched again. Reaped meanwhile,
+// it unwinds the body. Under a nested coroutine the body's own coroutine
+// does it on the caller's behalf.
 func (p *Process) suspend(next *Process) {
 	if relay := p.nested; relay != nil {
 		p.handoff = next
 		relay()
 		return
 	}
-	p.co.yield(next)
+	p.k.handOff(p, next)
 	p.checkKilled()
 }
 
@@ -406,13 +419,13 @@ func (p *Process) RunNested(resume func() (suspend bool), relay func()) {
 	p.nested = outer
 }
 
-// checkKilled raises the kill in a body resumed by reap, and re-raises it
-// in one that is already unwinding. The kill panic runs the body's
-// deferred calls, and user programs defer system calls
+// checkKilled raises the kill in a body reaped while suspended, and
+// re-raises it in one that is already unwinding. The kill panic runs the
+// body's deferred calls, and user programs defer system calls
 // (`defer p.Unlink(path)`): such a call must neither touch kernel state
-// nor suspend — whoever resumed the body is reap, which would take the
-// suspension for the end of the unwinding — so every Context call that
-// can block starts here.
+// nor suspend — the process is already finalized, and its frame is on its
+// way out of a switch that reap or a pass-down made — so every Context
+// call that can block starts here.
 func (p *Process) checkKilled() {
 	if p.killed {
 		panic(killedSignal{})
@@ -459,10 +472,14 @@ func (k *Kernel) TerminateProcess(ep Endpoint) Errno {
 
 // reap ends whatever p still has of a running process and leaves it in
 // state final: stateDead, or stateCrashed for an endpoint that awaits a
-// replacement and keeps its inbox for it. A body suspended mid-run is
-// unwound by resuming it with the killed latch set (stop would end the
-// coroutine for good; this way it is back on the free list); a process
-// that never ran, exited or crashed has none. p must not be running.
+// replacement and keeps its inbox for it. The process is finalized at
+// once — state, killed latch, inbox, readiness — and its body unwinds,
+// after which its coroutine releases onKill (coro.run). A body parked off
+// the chain is resumed here to unwind; a resumer on the chain (a caller
+// whose server reaps it: exit, exec, a hang kill) is parked inside a
+// switch and unwinds when control next reaches its frame; a process that
+// never ran, exited or crashed has no body left and releases onKill now.
+// p must not be running.
 //
 // One ordering is required: the latch is set before anything unwinds, so
 // that a deferred system call — in the body or in a worker's job —
@@ -471,20 +488,27 @@ func (k *Kernel) TerminateProcess(ep Endpoint) Errno {
 // nested under the body's coroutine and parks on its own switch even
 // inside a kernel call (RunNested), never on the process's.
 func (p *Process) reap(final procState) {
-	p.state = stateDead
+	p.state = final
 	p.killed = true
-	if p.co != nil {
-		p.co.next()
+	if final == stateDead {
+		p.releaseInbox()
 	}
+	p.k.markSched(p)
+	switch {
+	case p.onChain:
+	case p.co != nil:
+		p.co.enter()
+	default:
+		p.releaseOnKill()
+	}
+}
+
+// releaseOnKill runs the teardown hook once.
+func (p *Process) releaseOnKill() {
 	if p.onKill != nil {
 		p.onKill()
 		p.onKill = nil
 	}
-	if final == stateDead {
-		p.releaseInbox()
-	}
-	p.state = final
-	p.k.markSched(p)
 }
 
 // killProcess tears down a suspended or finished process.
