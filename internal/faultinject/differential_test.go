@@ -108,8 +108,8 @@ type checks struct {
 	Wedges bool
 	// Fallbacks lists elision fallbacks at least one run is charged.
 	Fallbacks []string
-	// Held asks that every ladder hold every stride rung it walked, up
-	// to the first capture the machine refuses.
+	// Held asks that every ladder hold every stride rung it walked whose
+	// capture the machine does not refuse.
 	Held bool
 }
 
@@ -626,9 +626,9 @@ func (s *scenario) checkDefault(t *testing.T, got served) {
 	}
 	if c.Held {
 		for class, l := range got.ladders {
-			held := heldPrefix(t, class.config(s.Policy, s.Seed))
-			if want := min(held, (len(l.rungs)-1)/captureStride+1); len(l.snaps) != want {
-				t.Errorf("ladder walked %d rungs and holds %d snapshots, want %d", len(l.rungs), len(l.snaps), want)
+			want := heldStrides(t, class.config(s.Policy, s.Seed))
+			if got := strideHeld(l); !slices.Equal(got, want[:min(len(want), len(got))]) {
+				t.Errorf("ladder walked %d rungs and holds stride rungs %v, want %v", len(l.rungs), got, want)
 			}
 		}
 	}
@@ -708,11 +708,11 @@ func (s *scenario) resume(t *testing.T, shape string, workers int) served {
 	return got
 }
 
-// heldPrefix walks a fresh ladder of cfg to its end, rung by rung, and
-// returns how many snapshots it holds. It fails t unless every stride
-// rung before the first failed capture is held and that capture failed
-// because the machine refuses one, not for lack of room.
-func heldPrefix(t *testing.T, cfg core.Config) int {
+// heldStrides walks a fresh ladder of cfg to its end, rung by rung, and
+// returns which stride rungs it holds (strideHeld). It fails t unless
+// every stride rung was tried and each one not held refuses a capture
+// of its own.
+func heldStrides(t *testing.T, cfg core.Config) []bool {
 	t.Helper()
 	l := newLadder(cfg, false)
 	if l == nil {
@@ -721,27 +721,29 @@ func heldPrefix(t *testing.T, cfg core.Config) int {
 	defer l.Close()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	failed := -1
 	for l.sys != nil {
 		l.advance()
 		r := len(l.rungs) - 1
-		if l.sys == nil || failed >= 0 || r%captureStride != 0 {
-			continue
-		}
-		if len(l.snaps) == r/captureStride+1 {
+		if l.sys == nil || r%captureStride != 0 || l.snaps[r/captureStride] != nil {
 			continue
 		}
 		if _, err := boot.CaptureParked(l.sys, l.opts); err == nil {
 			t.Fatalf("rung %d captures but the ladder does not hold it", r)
 		}
-		failed = r
 	}
-	strides := (len(l.rungs)-1)/captureStride + 1
-	if failed >= 0 {
-		strides = failed / captureStride
+	if want := (len(l.rungs)-1)/captureStride + 1; len(l.snaps) != want {
+		t.Fatalf("walk of %d rungs tried %d stride rungs, want %d", len(l.rungs), len(l.snaps), want)
 	}
-	if len(l.snaps) != strides {
-		t.Fatalf("walk of %d rungs holds %d snapshots, want %d (first failed capture at rung %d)", len(l.rungs), len(l.snaps), strides, failed)
+	return strideHeld(l)
+}
+
+// strideHeld reports, per stride rung the ladder has walked, whether it
+// holds the rung's snapshot. The caller holds l.mu or the campaign that
+// walked l is over.
+func strideHeld(l *ladder) []bool {
+	held := make([]bool, len(l.snaps))
+	for i, snap := range l.snaps {
+		held[i] = snap != nil
 	}
-	return len(l.snaps)
+	return held
 }

@@ -131,10 +131,10 @@ type ladder struct {
 	report *testsuite.Report // pathfinder's live suite tally
 	counts map[siteKey]int   // pathfinder's live cumulative site counts
 	rungs  []rung
-	// snaps[i] is the snapshot of rung i*captureStride. Rung 0's is always
-	// held; each later one is appended as the walk reaches it, and the
-	// first that fails to capture ends capture for good, so the held
-	// rungs are a prefix of the stride rungs.
+	// snaps[i] is the snapshot of rung i*captureStride, appended as the
+	// walk reaches it. Rung 0's is always held; a later one whose capture
+	// was refused (a component mid-request at the barrier) is a nil hole,
+	// and serving walks down past it to the deepest held rung.
 	snaps []*boot.Snapshot
 	cands []candidate // the walk's own candidates, published at its end
 	// noElide pins the ladder's runs to full execution
@@ -295,14 +295,13 @@ func (l *ladder) advance() {
 		return
 	}
 	l.recordRung()
-	// Off the stride, or once a stride rung went without a snapshot, there
-	// is nothing to capture.
-	if len(l.rungs)-1 != len(l.snaps)*captureStride {
+	if (len(l.rungs)-1)%captureStride != 0 {
 		return
 	}
-	if snap, err := boot.CaptureParked(l.sys, l.opts); err == nil {
-		l.snaps = append(l.snaps, snap)
-	}
+	// A refused capture returns nil and leaves a hole: the machine is
+	// not quiescent here, and the next stride rung tries again.
+	snap, _ := boot.CaptureParked(l.sys, l.opts)
+	l.snaps = append(l.snaps, snap)
 }
 
 // serve picks the rung a run armed with faults forks from: the deepest
@@ -348,9 +347,12 @@ func (l *ladder) serve(faults []MultiInjection) (int, rung, *boot.Snapshot, bool
 			best, anchored = b, true
 		}
 	}
-	// The walk has passed rung best, so every snapshot held at or before
-	// it is captured by now.
+	// The walk has passed rung best, so every stride rung at or before it
+	// has been tried by now; rung 0 is always held.
 	i := min(best/captureStride, len(l.snaps)-1)
+	for l.snaps[i] == nil {
+		i--
+	}
 	return i * captureStride, l.rungs[i*captureStride], l.snaps[i], true
 }
 

@@ -196,6 +196,60 @@ func TestLadderFallbackCaptureFailed(t *testing.T) {
 	}
 }
 
+// A refused capture leaves one hole, not the end of the ladder: at seed
+// 42 the enhanced single-fault ladder's rung 104 is refused (a component
+// is mid-request at that barrier), and a later stride rung is held. A
+// fault that triggers past the held rung forks from it, and one that
+// triggers just past the hole forks from the held rung below it.
+func TestLadderCapturesPastRefusedRung(t *testing.T) {
+	l := newLadder(planeClass{kind: kindSingle}.config(seep.PolicyEnhanced, 42), false)
+	if l == nil {
+		t.Fatal("pathfinder failed to reach the boot barrier")
+	}
+	defer l.Close()
+	l.mu.Lock()
+	for l.sys != nil {
+		l.advance()
+	}
+	held, hole, below := -1, -1, -1
+	for i, snap := range l.snaps {
+		switch {
+		case snap == nil && hole < 0:
+			hole, below = i*captureStride, held
+		case snap != nil:
+			held = i * captureStride
+		}
+	}
+	rungs := l.rungs
+	l.mu.Unlock()
+	if hole < 0 || held <= 100 || held < hole {
+		t.Fatalf("deepest held stride rung %d, first refused %d: want a rung past 100 held beyond a refused one", held, hole)
+	}
+	// forkRung serves a fault at the first execution past rung r of a
+	// site the next program runs, so its ideal rung is r.
+	forkRung := func(r int) int {
+		t.Helper()
+		var site siteKey
+		for k, n := range rungs[r+1].counts {
+			if n > rungs[r].counts[k] && (site == siteKey{} || k[0] < site[0] || k[0] == site[0] && k[1] < site[1]) {
+				site = k
+			}
+		}
+		occ := rungs[r].counts[site] + 1
+		idx, _, snap, ok := l.serve([]MultiInjection{{Injection: Injection{Server: site[0], Site: site[1], Occurrence: occ}}})
+		if !ok || snap == nil {
+			t.Fatalf("fault at %v occurrence %d not served from a snapshot", site, occ)
+		}
+		return idx
+	}
+	if got := forkRung(held); got != held {
+		t.Errorf("a fault past rung %d forks from rung %d, want %d", held, got, held)
+	}
+	if got := forkRung(hole); got != below {
+		t.Errorf("a fault past the refused rung %d forks from rung %d, want %d", hole, got, below)
+	}
+}
+
 // Zero-rate sweep runs arm nothing, so they fork the DEEPEST held
 // rung and replay only the suite tail.
 func TestLadderServesBackgroundZeroRate(t *testing.T) {

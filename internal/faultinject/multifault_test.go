@@ -1,9 +1,13 @@
 package faultinject
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/boot"
 	"repro/internal/seep"
+	"repro/internal/testsuite"
 )
 
 // TestRunMultiDoubleCrashSurvives: two independent fail-stop faults in
@@ -40,6 +44,54 @@ func TestRunMultiRecoveryPathFaultEscalates(t *testing.T) {
 	}
 	if rr.Outcome == OutcomeCrash {
 		t.Fatalf("recovery-path fault crashed the machine: %s", rr.Reason)
+	}
+}
+
+// TestRunMultiArmsLiveSitesOnly: execute arms the point hook at the sites
+// of faults that can still fire at a point. A non-persistent fault that
+// fired disarms its site unless another fault still waits there, and the
+// hook detaches once no site is left; a persistent fault and a correlated
+// fault that never armed (no recovery happened) keep theirs, and a
+// during-recovery fault never arms one.
+func TestRunMultiArmsLiveSitesOnly(t *testing.T) {
+	crash := func(server, site string, occ int) MultiInjection {
+		return MultiInjection{Injection: Injection{Server: server, Site: site, Occurrence: occ, Type: FaultCrash}}
+	}
+	noop := func(server, site string, occ int) MultiInjection {
+		return MultiInjection{Injection: Injection{Server: server, Site: site, Occurrence: occ, Type: FaultNoop}}
+	}
+	persistent, correlated := noop("ds", "ds.put.applied", 1), crash("pm", "pm.handle.entry", 1)
+	persistent.Persistent, correlated.Correlated = true, true
+	inRecovery := MultiInjection{Injection: Injection{Occurrence: 1, Type: FaultCrash}, DuringRecovery: true}
+	for _, tc := range []struct {
+		name      string
+		injs      []MultiInjection
+		triggered int
+		sites     []string // nil: detached
+	}{
+		{"fired", []MultiInjection{crash("ds", "ds.put.applied", 1)}, 1, nil},
+		{"fired, and one in recovery", []MultiInjection{crash("ds", "ds.put.applied", 1), inRecovery}, 2, nil},
+		{"persistent", []MultiInjection{persistent, crash("vfs", "vfs.read.entry", 1)}, 2, []string{"ds.put.applied"}},
+		{"correlated, no recovery", []MultiInjection{noop("ds", "ds.put.applied", 1), correlated}, 1, []string{"pm.handle.entry"}},
+		{"another pending at the site", []MultiInjection{noop("ds", "ds.put.applied", 1), noop("ds", "ds.put.applied", 1<<30)}, 1, []string{"ds.put.applied"}},
+	} {
+		spec := multiSpec(tc.injs, IPCOptions{})
+		var report testsuite.Report
+		sys := boot.Boot(suiteOptions(spec.class().config(seep.PolicyEnhanced, 42)), testsuite.RunnerInit(&report))
+		res := execute(sys, &report, spec, 42, nil, nil)
+		if res.Triggered != tc.triggered {
+			t.Errorf("%s: %d faults triggered, want %d (%+v)", tc.name, res.Triggered, tc.triggered, res)
+		}
+		// The kernel keeps its arming to itself; read where the run left it.
+		k := reflect.ValueOf(sys.Kernel()).Elem()
+		attached := !k.FieldByName("pointHook").IsNil()
+		var sites []string
+		for v, i := k.FieldByName("pointSites"), 0; i < v.Len(); i++ {
+			sites = append(sites, v.Index(i).String())
+		}
+		if attached != (tc.sites != nil) || !slices.Equal(sites, tc.sites) {
+			t.Errorf("%s: run ends with the hook attached %v at %v, want %v", tc.name, attached, sites, tc.sites)
+		}
 	}
 }
 

@@ -282,7 +282,28 @@ func execute(sys *boot.System, report *testsuite.Report, spec runSpec, seed uint
 		persistent = persistent || inj.Persistent
 	}
 
-	sys.Kernel().SetPointHook(func(ep kernel.Endpoint, name, site string) {
+	// The hook is armed only at the sites of faults that can still fire
+	// at a point, and detached once none can: every other point costs the
+	// kernel one comparison per armed site, or none at all. Its effects
+	// are all at matching sites, so where it runs moves no simulated byte.
+	k := sys.Kernel()
+	var hook func(ep kernel.Endpoint, name, site string)
+	arm := func() {
+		var sites []string
+		for i := range faults {
+			inj := &faults[i]
+			if inj.DuringRecovery || (armed[i].triggered && !inj.Persistent) {
+				continue
+			}
+			sites = append(sites, inj.Site)
+		}
+		if len(sites) == 0 {
+			k.SetPointHook(nil)
+			return
+		}
+		k.SetPointHook(hook, sites...)
+	}
+	hook = func(ep kernel.Endpoint, name, site string) {
 		for i := range faults {
 			inj, st := &faults[i], &armed[i]
 			if inj.DuringRecovery || (st.triggered && !inj.Persistent) {
@@ -301,6 +322,10 @@ func execute(sys *boot.System, report *testsuite.Report, spec runSpec, seed uint
 					continue
 				}
 				st.triggered = true
+				if !inj.Persistent {
+					// Before the fault manifests: a crash does not return.
+					arm()
+				}
 			}
 			// At most one fault manifests per point execution; a crash
 			// unwinds the component anyway. A persistent fault keeps
@@ -308,7 +333,8 @@ func execute(sys *boot.System, report *testsuite.Report, spec runSpec, seed uint
 			applyFault(sys, ep, inj.Type, rng)
 			return
 		}
-	})
+	}
+	arm()
 
 	restarts := 0
 	sys.SetRestartHook(func(kernel.Endpoint, int) {

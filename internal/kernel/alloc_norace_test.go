@@ -113,3 +113,40 @@ func TestDueIPCReleaseDoesNotAllocate(t *testing.T) {
 		t.Fatalf("delayed round trip allocates %v times, want 0", allocs)
 	}
 }
+
+// A point costs a fault-free run its accounting and, with a hook armed
+// at other sites, a scan of the armed sites: neither allocates, and
+// neither does calling a hook armed at the executing site.
+func TestGatedPointDoesNotAllocate(t *testing.T) {
+	calls := 0
+	hook := func(Endpoint, string, string) { calls++ }
+	for _, tc := range []struct {
+		name  string
+		sites []string // nil: no hook
+		calls int
+	}{
+		{"no hook", nil, 0},
+		{"armed elsewhere", []string{"vfs.read.entry", "pm.fork.entry"}, 0},
+		{"armed here", []string{"vfs.read.entry", "ds.put.entry"}, 201},
+	} {
+		k := newTestKernel()
+		if tc.sites != nil {
+			k.SetPointHook(hook, tc.sites...)
+		}
+		calls = 0
+		allocs := -1.0
+		root := k.SpawnUser("client", func(ctx *Context) {
+			allocs = testing.AllocsPerRun(200, func() { ctx.Point("ds.put.entry") })
+		})
+		k.SetRootProcess(root.Endpoint())
+		if res := k.Run(testLimit); res.Outcome != OutcomeCompleted {
+			t.Fatalf("%s: outcome = %v (%s)", tc.name, res.Outcome, res.Reason)
+		}
+		if calls != tc.calls {
+			t.Errorf("%s: hook called %d times, want %d", tc.name, calls, tc.calls)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: point allocates %v times, want 0", tc.name, allocs)
+		}
+	}
+}

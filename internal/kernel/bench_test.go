@@ -37,3 +37,47 @@ func BenchmarkSendRecRoundTrip(b *testing.B) { benchSendRec(b, EpDS) }
 // BenchmarkNestedSendRec is a SendRec whose server SendRecs a second
 // server before it replies (user → VFS → driver, in shape).
 func BenchmarkNestedSendRec(b *testing.B) { benchSendRec(b, EpVFS) }
+
+// BenchmarkPoint is one instrumentation point executed by a user process
+// (no recovery window to account): with no hook, with a hook armed at
+// three other sites, and with one armed at the executing site. The hook
+// matches the site against its own list, as a fault injector's does.
+func BenchmarkPoint(b *testing.B) {
+	matched := 0
+	hook := func(sites []string) func(Endpoint, string, string) {
+		return func(_ Endpoint, _, site string) {
+			for _, s := range sites {
+				if s == site {
+					matched++
+				}
+			}
+		}
+	}
+	for _, bc := range []struct {
+		name  string
+		sites []string // nil: no hook
+	}{
+		{"nohook", nil},
+		{"elsewhere", []string{"vfs.read.entry", "pm.fork.entry", "ds.get.entry"}},
+		{"here", []string{"vfs.read.entry", "pm.fork.entry", "ds.put.entry"}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			k := newTestKernel()
+			if bc.sites != nil {
+				k.SetPointHook(hook(bc.sites), bc.sites...)
+			}
+			root := k.SpawnUser("client", func(ctx *Context) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					ctx.Point("ds.put.entry")
+				}
+				b.StopTimer()
+			})
+			k.SetRootProcess(root.Endpoint())
+			if res := k.Run(sim.Cycles(math.MaxInt64)); res.Outcome != OutcomeCompleted {
+				b.Fatalf("outcome = %v (%s)", res.Outcome, res.Reason)
+			}
+		})
+	}
+}

@@ -74,6 +74,7 @@ var fingerprintFields = map[string]struct {
 	"Kernel.reason":             {excluded, "a finished machine is not fingerprinted"},
 	"Kernel.ipc":                {hashed, "presence, then the plane"},
 	"Kernel.pointHook":          {hostOnly, ""},
+	"Kernel.pointSites":         {hostOnly, ""},
 	"Kernel.tracer":             {hostOnly, ""},
 	"Kernel.replyErrnoOverride": {excluded, whyQuiescence},
 	"Kernel.barrierArmed":       {hostOnly, "the barrier plane's own latches"},

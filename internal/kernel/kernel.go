@@ -23,6 +23,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/seep"
@@ -376,8 +377,11 @@ type Kernel struct {
 	// (the default) leaves every IPC path untouched.
 	ipc *ipcPlane
 
-	pointHook func(ep Endpoint, name, site string)
-	tracer    func(format string, args ...any)
+	// pointHook sees the executions of the sites in pointSites, or of
+	// every site when pointSites is nil (SetPointHook).
+	pointHook  func(ep Endpoint, name, site string)
+	pointSites []string
+	tracer     func(format string, args ...any)
 	// replyErrnoOverride forces the next reply sent by the given
 	// endpoint to carry this errno (EDFI wrong-error fault model).
 	replyErrnoOverride map[Endpoint]Errno
@@ -434,9 +438,18 @@ func (k *Kernel) Cost() CostModel { return k.cost }
 // crashes. Without a handler, any component crash aborts the run.
 func (k *Kernel) SetCrashHandler(h CrashHandler) { k.crashHandler = h }
 
-// SetPointHook installs the fault-injection hook invoked at every
-// instrumentation point of every process.
-func (k *Kernel) SetPointHook(h func(ep Endpoint, name, site string)) { k.pointHook = h }
+// SetPointHook installs the fault-injection hook invoked at the
+// instrumentation points of every process: at every site when no sites
+// are given, and otherwise only where the executing site is one of them
+// (an armed site). A nil h detaches the hook. A hook may re-install
+// itself, or detach, from inside its own call; the change applies from
+// the next point on.
+func (k *Kernel) SetPointHook(h func(ep Endpoint, name, site string), sites ...string) {
+	k.pointHook, k.pointSites = h, nil
+	if h != nil && len(sites) > 0 {
+		k.pointSites = slices.Clone(sites)
+	}
+}
 
 // SetTracer installs a diagnostic event tracer (nil disables tracing).
 // Events cover message receipt, reply delivery and crash handling. Every
@@ -747,14 +760,19 @@ func (k *Kernel) chargeIPC() {
 }
 
 // Point is invoked by Context.Point; it also serves the recovery
-// coverage accounting.
+// coverage accounting. Without a hook, accounting is all it costs; with
+// one armed at other sites, a scan of those too.
 func (k *Kernel) point(p *Process, site string) {
 	if p.window != nil {
 		p.window.AccountBlock()
 	}
-	if k.pointHook != nil {
-		k.pointHook(p.ep, p.name, site)
+	if k.pointHook == nil {
+		return
 	}
+	if k.pointSites != nil && !slices.Contains(k.pointSites, site) {
+		return
+	}
+	k.pointHook(p.ep, p.name, site)
 }
 
 // describeBlocked summarizes the non-dead processes for deadlock

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -405,6 +406,65 @@ func TestPointHookAndCoverage(t *testing.T) {
 	st := win.Stats()
 	if st.BlocksIn != 1 || st.BlocksOut != 1 {
 		t.Fatalf("coverage blocks in/out = %d/%d, want 1/1 (reply closes window)", st.BlocksIn, st.BlocksOut)
+	}
+}
+
+// A hook given sites sees exactly their executions, one given none sees
+// every site, and nil detaches; a hook may re-arm itself from inside its
+// call.
+func TestPointHookArmedSites(t *testing.T) {
+	run := func(arm func(k *Kernel, h func(Endpoint, string, string))) []string {
+		k := newTestKernel()
+		var seen []string
+		h := func(_ Endpoint, name, site string) { seen = append(seen, name+":"+site) }
+		arm(k, h)
+		root := k.SpawnUser("client", func(ctx *Context) {
+			for _, site := range []string{"a", "b", "c", "b", "a"} {
+				ctx.Point(site)
+			}
+		})
+		k.SetRootProcess(root.Endpoint())
+		if res := k.Run(testLimit); res.Outcome != OutcomeCompleted {
+			t.Fatalf("outcome = %v (%s)", res.Outcome, res.Reason)
+		}
+		return seen
+	}
+	for _, tc := range []struct {
+		name string
+		arm  func(k *Kernel, h func(Endpoint, string, string))
+		want []string
+	}{
+		{"every site", func(k *Kernel, h func(Endpoint, string, string)) { k.SetPointHook(h) },
+			[]string{"client:a", "client:b", "client:c", "client:b", "client:a"}},
+		{"armed at b", func(k *Kernel, h func(Endpoint, string, string)) { k.SetPointHook(h, "b") },
+			[]string{"client:b", "client:b"}},
+		{"armed at c and a", func(k *Kernel, h func(Endpoint, string, string)) { k.SetPointHook(h, "c", "a") },
+			[]string{"client:a", "client:c", "client:a"}},
+		{"armed from a slice its caller reuses", func(k *Kernel, h func(Endpoint, string, string)) {
+			sites := []string{"b"}
+			k.SetPointHook(h, sites...)
+			sites[0] = "a"
+		}, []string{"client:b", "client:b"}},
+		{"armed where nothing runs", func(k *Kernel, h func(Endpoint, string, string)) { k.SetPointHook(h, "d") },
+			nil},
+		{"detached", func(k *Kernel, h func(Endpoint, string, string)) { k.SetPointHook(h, "a"); k.SetPointHook(nil, "a") },
+			nil},
+		{"re-armed from inside", func(k *Kernel, h func(Endpoint, string, string)) {
+			var self func(Endpoint, string, string)
+			self = func(ep Endpoint, name, site string) {
+				h(ep, name, site)
+				if site == "b" {
+					k.SetPointHook(nil)
+				} else {
+					k.SetPointHook(self, "b")
+				}
+			}
+			k.SetPointHook(self)
+		}, []string{"client:a", "client:b"}},
+	} {
+		if got := run(tc.arm); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: hook saw %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

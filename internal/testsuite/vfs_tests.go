@@ -75,7 +75,7 @@ func addVFSTests(m map[string]usr.Program) {
 		}
 		p.Close(fd)
 		fd, _ = p.Open("/tmp/big", 0)
-		var got []byte
+		got := make([]byte, 0, len(payload))
 		for {
 			chunk, errno := p.Read(fd, 4096)
 			if errno != kernel.OK {

@@ -1,6 +1,8 @@
 package testsuite
 
 import (
+	"strings"
+
 	"repro/internal/kernel"
 	"repro/internal/usr"
 )
@@ -216,10 +218,7 @@ func addDSTests(m map[string]usr.Program) {
 	})
 
 	add(m, "t_ds_long_value", func(p *usr.Proc) int {
-		long := ""
-		for i := 0; i < 100; i++ {
-			long += "0123456789"
-		}
+		long := strings.Repeat("0123456789", 100)
 		p.DsPut("long", long)
 		v, errno := p.DsGet("long")
 		p.DsDelete("long")
