@@ -241,36 +241,59 @@ func sameElements(a, b *memlog.Slice[int32]) bool {
 	return true
 }
 
+// Forks write their own pages and maps while the pathfinder goes on,
+// capturing every later rung. In the second case the forks come from two
+// consecutive captures of one machine, which share the container copies
+// and the stores nothing wrote in between (memlog.Store.Capture) and
+// their process entries (kernel CaptureImage), and the pathfinder's later
+// captures take them up again.
 func TestForkStoresStayPrivate(t *testing.T) {
+	t.Run("one-rung", func(t *testing.T) { forkStoresStayPrivate(t, 1) })
+	t.Run("consecutive-rungs", func(t *testing.T) { forkStoresStayPrivate(t, 2) })
+}
+
+// forkStoresStayPrivate captures rungs consecutive rungs from barrier 30
+// on and forks each of them four times.
+func forkStoresStayPrivate(t *testing.T, rungs int) {
 	opts := suiteOpts(1)
 	var report testsuite.Report
 	sys := Boot(opts, holeyInit(&report))
 	defer sys.Shutdown("done")
-	for i := 0; i < 30; i++ {
+	var snaps []*Snapshot
+	for i := 0; len(snaps) < rungs; i++ {
 		if !sys.Kernel().RunToBarrier(testLimit) {
 			t.Fatalf("suite ended before barrier %d", i)
 		}
-	}
-	snap, err := CaptureParked(sys, opts)
-	if err != nil {
-		t.Fatalf("CaptureParked: %v", err)
+		if i < 29 {
+			continue
+		}
+		snap, err := CaptureParked(sys, opts)
+		if err != nil {
+			t.Fatalf("CaptureParked at barrier %d: %v", i, err)
+		}
+		snaps = append(snaps, snap)
 	}
 	eps := []kernel.Endpoint{kernel.EpVM, kernel.EpVFS}
-	snapStores := map[kernel.Endpoint]*memlog.Store{}
-	for _, s := range snap.Image.Slots {
-		snapStores[s.EP] = s.Store
+	snapStores := make([]map[kernel.Endpoint]*memlog.Store, rungs)
+	before := make([]map[kernel.Endpoint][]byte, rungs)
+	machines := make([][]byte, rungs)
+	for r, snap := range snaps {
+		snapStores[r], before[r] = map[kernel.Endpoint]*memlog.Store{}, map[kernel.Endpoint][]byte{}
+		for _, s := range snap.Image.Slots {
+			snapStores[r][s.EP] = s.Store
+			before[r][s.EP] = storeBytes(t, s.Store)
+		}
+		machines[r] = machineBytes(t, snap.Image.Machine)
 	}
-	before := map[kernel.Endpoint][]byte{}
-	for _, ep := range eps {
-		before[ep] = storeBytes(t, snapStores[ep])
+	if rungs > 1 && !sharesStore(snaps[0], snaps[1]) {
+		t.Fatal("consecutive captures share no store and no container: the case tests nothing")
 	}
-	snapSlices := slicesOf(snapStores[kernel.EpVM], snapStores[kernel.EpVFS])
-	snapInodes, snapDirents := mapsOf(snapStores[kernel.EpVFS])
+	snapSlices := slicesOf(snapStores[0][kernel.EpVM], snapStores[0][kernel.EpVFS])
+	snapInodes, snapDirents := mapsOf(snapStores[0][kernel.EpVFS])
 
-	// The pathfinder runs the rest of the suite while eight forks of the
-	// rung write their own pages and maps, all concurrently: under -race
-	// an in-place write to a page or map another of them reads is a
-	// reported race, and without it a changed encoding below.
+	// All concurrently: under -race an in-place write to a page, map or
+	// process entry another of them reads is a reported race, and without
+	// it a changed encoding below.
 	const forks = 8
 	systems := make([]*System, forks)
 	after := make([]map[kernel.Endpoint][]byte, forks)
@@ -278,7 +301,10 @@ func TestForkStoresStayPrivate(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if res := sys.Run(testLimit); res.Outcome != kernel.OutcomeCompleted {
+		for sys.Kernel().RunToBarrier(testLimit) {
+			CaptureParked(sys, opts) // a refusal is a rung the ladder does not hold
+		}
+		if res := sys.Kernel().StepResult(); res.Outcome != kernel.OutcomeCompleted {
 			t.Errorf("pathfinder: %v (%s)", res.Outcome, res.Reason)
 		}
 	}()
@@ -286,7 +312,7 @@ func TestForkStoresStayPrivate(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			forked, err := snap.Fork(ForkParams{Seed: uint64(i)}, pageWriter(t, i))
+			forked, err := snaps[i%rungs].Fork(ForkParams{Seed: uint64(i)}, pageWriter(t, i))
 			if err != nil {
 				t.Errorf("fork %d: %v", i, err)
 				return
@@ -303,9 +329,11 @@ func TestForkStoresStayPrivate(t *testing.T) {
 			if holeyTable(t, forked.OS.ComponentStore(kernel.EpVFS))[1] == 0 {
 				t.Errorf("fork %d did not fill the hole of %s", i, holeyFile)
 			}
-			inodes, dirents := mapsOf(forked.OS.ComponentStore(kernel.EpVFS))
-			if inodes.Len() != snapInodes.Len()+1 || dirents.Len() != snapDirents.Len()+1 {
-				t.Errorf("fork %d holds %d inodes and %d dirents, the snapshot %d and %d: want one file more", i, inodes.Len(), dirents.Len(), snapInodes.Len(), snapDirents.Len())
+			if i%rungs == 0 {
+				inodes, dirents := mapsOf(forked.OS.ComponentStore(kernel.EpVFS))
+				if inodes.Len() != snapInodes.Len()+1 || dirents.Len() != snapDirents.Len()+1 {
+					t.Errorf("fork %d holds %d inodes and %d dirents, the snapshot %d and %d: want one file more", i, inodes.Len(), dirents.Len(), snapInodes.Len(), snapDirents.Len())
+				}
 			}
 			after[i] = map[kernel.Endpoint][]byte{}
 			for _, ep := range eps {
@@ -316,12 +344,17 @@ func TestForkStoresStayPrivate(t *testing.T) {
 	}
 	wg.Wait()
 
-	if holeyTable(t, snapStores[kernel.EpVFS])[1] != 0 {
-		t.Errorf("a fork's block landed in the snapshot's table of %s", holeyFile)
-	}
-	for _, ep := range eps {
-		if !bytes.Equal(storeBytes(t, snapStores[ep]), before[ep]) {
-			t.Errorf("the snapshot's store %d changed under its forks and the pathfinder", ep)
+	for r, snap := range snaps {
+		if holeyTable(t, snapStores[r][kernel.EpVFS])[1] != 0 {
+			t.Errorf("a fork's block landed in rung %d's table of %s", r, holeyFile)
+		}
+		for _, s := range snap.Image.Slots {
+			if !bytes.Equal(storeBytes(t, s.Store), before[r][s.EP]) {
+				t.Errorf("rung %d's store %d changed under its forks and the pathfinder", r, s.EP)
+			}
+		}
+		if !bytes.Equal(machineBytes(t, snap.Image.Machine), machines[r]) {
+			t.Errorf("rung %d's kernel image changed under its forks and the pathfinder", r)
 		}
 	}
 	for i, forked := range systems {
@@ -335,4 +368,38 @@ func TestForkStoresStayPrivate(t *testing.T) {
 		}
 		forked.Shutdown("checked")
 	}
+}
+
+// sharesStore reports whether two captures share a store, or one of the
+// paged containers or maps of VM's and VFS's.
+func sharesStore(a, b *Snapshot) bool {
+	for i := range a.Image.Slots {
+		if a.Image.Slots[i].Store == b.Image.Slots[i].Store {
+			return true
+		}
+	}
+	store := func(s *Snapshot, ep kernel.Endpoint) *memlog.Store {
+		for _, si := range s.Image.Slots {
+			if si.EP == ep {
+				return si.Store
+			}
+		}
+		return nil
+	}
+	sa := slicesOf(store(a, kernel.EpVM), store(a, kernel.EpVFS))
+	sb := slicesOf(store(b, kernel.EpVM), store(b, kernel.EpVFS))
+	ia, da := mapsOf(store(a, kernel.EpVFS))
+	ib, db := mapsOf(store(b, kernel.EpVFS))
+	return sa[0] == sb[0] || sa[1] == sb[1] || ia == ib || da == db
+}
+
+// machineBytes is the encoding of a kernel image.
+func machineBytes(t *testing.T, img *kernel.MachineImage) []byte {
+	t.Helper()
+	e := wire.NewEncoder()
+	c := wire.Encoding(e)
+	if img.Code(c); c.Err() != nil {
+		t.Errorf("encode kernel image: %v", c.Err())
+	}
+	return e.Bytes()
 }

@@ -70,7 +70,7 @@ func (img *OSImage) slot(ep kernel.Endpoint) *SlotImage {
 func (img *OSImage) SizeBytes() int64 {
 	n := img.Machine.SizeBytes()
 	for _, si := range img.Slots {
-		n += int64(si.Store.BaseBytes()) + 512
+		n += int64(si.Store.PeekBaseBytes()) + 512
 	}
 	return n
 }
@@ -135,7 +135,7 @@ func (o *OS) CaptureImage() (*OSImage, error) {
 		s := o.slots[ep]
 		si := SlotImage{
 			EP:            ep,
-			Store:         s.store.ForkClone(),
+			Store:         s.store.Capture(),
 			Stats:         s.window.Stats(),
 			CloneResident: s.cloneResident,
 		}

@@ -11,8 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/boot"
-	"repro/internal/core"
 	"repro/internal/golden"
 	"repro/internal/kernel"
 	"repro/internal/parallel"
@@ -108,8 +106,8 @@ type checks struct {
 	Wedges bool
 	// Fallbacks lists elision fallbacks at least one run is charged.
 	Fallbacks []string
-	// Held asks that every ladder hold every stride rung it walked whose
-	// capture the machine does not refuse.
+	// Held asks that every ladder hold every rung it walked whose capture
+	// the machine does not refuse (walkHeld).
 	Held bool
 }
 
@@ -626,9 +624,9 @@ func (s *scenario) checkDefault(t *testing.T, got served) {
 	}
 	if c.Held {
 		for class, l := range got.ladders {
-			want := heldStrides(t, class.config(s.Policy, s.Seed))
-			if got := strideHeld(l); !slices.Equal(got, want[:min(len(want), len(got))]) {
-				t.Errorf("ladder walked %d rungs and holds stride rungs %v, want %v", len(l.rungs), got, want)
+			want := walkHeld(t, class.config(s.Policy, s.Seed))
+			if got := heldRungs(l); !slices.Equal(got, want[:min(len(want), len(got))]) {
+				t.Errorf("ladder walked %d rungs and holds rungs %v, want %v", len(l.rungs), got, want)
 			}
 		}
 	}
@@ -706,44 +704,4 @@ func (s *scenario) resume(t *testing.T, shape string, workers int) served {
 		}
 	}
 	return got
-}
-
-// heldStrides walks a fresh ladder of cfg to its end, rung by rung, and
-// returns which stride rungs it holds (strideHeld). It fails t unless
-// every stride rung was tried and each one not held refuses a capture
-// of its own.
-func heldStrides(t *testing.T, cfg core.Config) []bool {
-	t.Helper()
-	l := newLadder(cfg, false)
-	if l == nil {
-		t.Fatal("pathfinder failed to reach the boot barrier")
-	}
-	defer l.Close()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for l.sys != nil {
-		l.advance()
-		r := len(l.rungs) - 1
-		if l.sys == nil || r%captureStride != 0 || l.snaps[r/captureStride] != nil {
-			continue
-		}
-		if _, err := boot.CaptureParked(l.sys, l.opts); err == nil {
-			t.Fatalf("rung %d captures but the ladder does not hold it", r)
-		}
-	}
-	if want := (len(l.rungs)-1)/captureStride + 1; len(l.snaps) != want {
-		t.Fatalf("walk of %d rungs tried %d stride rungs, want %d", len(l.rungs), len(l.snaps), want)
-	}
-	return strideHeld(l)
-}
-
-// strideHeld reports, per stride rung the ladder has walked, whether it
-// holds the rung's snapshot. The caller holds l.mu or the campaign that
-// walked l is over.
-func strideHeld(l *ladder) []bool {
-	held := make([]bool, len(l.snaps))
-	for i, snap := range l.snaps {
-		held[i] = snap != nil
-	}
-	return held
 }

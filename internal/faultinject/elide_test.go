@@ -397,17 +397,17 @@ func armedRun(t *testing.T, a *ArmedRunner, seed uint64, inj Injection) (RunResu
 	if l == nil {
 		t.Fatalf("%+v: no ladder: %s", inj, reason)
 	}
-	idx, rg, snap, ok := l.serve(spec.faults)
+	st, ok := l.serve(spec.faults)
 	if !ok {
 		t.Fatalf("%+v: occurrence within boot", inj)
 	}
 	var report testsuite.Report
-	sys, err := forkSnapshot(snap, forkParams(seed, class.ipc), testsuite.RunnerResumeFrom(&report, rg.prefix))
+	sys, err := forkSnapshot(st.snap, forkParams(seed, class.ipc), testsuite.RunnerResumeFrom(&report, st.prefix))
 	if err != nil {
 		t.Fatal(err)
 	}
-	el := &elider{l: l, sv: Serving{Plane: PlaneForked, Rung: idx}}
-	res := execute(sys, &report, spec, seed, rg.counts, el)
+	el := &elider{l: l, sv: Serving{Plane: PlaneForked, Rung: st.rung}}
+	res := execute(sys, &report, spec, seed, st.base, el)
 	a.r.mu.Lock()
 	a.r.stats.add(el.sv)
 	a.r.mu.Unlock()

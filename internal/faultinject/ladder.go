@@ -9,12 +9,12 @@ package faultinject
 // fault-point execution counts — is seed-independent. One PATHFINDER
 // machine per (policy, configuration class) therefore walks the suite
 // fault-free, rung by rung, recording at every program boundary the
-// cumulative per-site counts and the suite tallies so far, and on
-// stride boundaries a forkable snapshot of the rung. An armed (site,
-// occurrence) then maps to the deepest rung strictly before its trigger;
-// the run forks from the deepest HELD rung at or before that, with the
-// occurrence translated into the rung's frame, and executes only the
-// suffix.
+// cumulative per-site counts, the suite tallies so far and a forkable
+// snapshot of the rung. An armed (site, occurrence) then maps to the
+// deepest rung strictly before its trigger; the run forks from the
+// deepest HELD rung at or before that (a rung whose capture was refused
+// holds none), with the occurrence translated into the rung's frame, and
+// executes only the suffix.
 //
 // Soundness: a fork from rung r is bit-identical to a cold run of the
 // same seed if and only if the cold run's trace up to rung r is
@@ -28,6 +28,7 @@ package faultinject
 // boot-barrier fork or a cold boot, preserving bit-identity.
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/audit"
@@ -45,14 +46,25 @@ type siteKey [2]string
 // the live tally and prefix deep-copied, so they may be read without
 // the ladder lock by any fork.
 type rung struct {
-	// counts is the cumulative per-site fault-point execution count
-	// from machine start to this rung — the translation frame for armed
-	// occurrences. Rung 0's counts equal the planner's SiteProfile.Boot
-	// offsets (the hook and the barrier sit in the same places).
-	counts map[siteKey]int
+	// counts[i] is the cumulative fault-point execution count of the
+	// ladder's site i (ladder.sites) from machine start to this rung —
+	// the translation frame for armed occurrences. A site first executed
+	// after this rung has no entry here and counts zero. Rung 0's counts
+	// equal the planner's SiteProfile.Boot offsets (the hook and the
+	// barrier sit in the same places).
+	counts []int32
 	// prefix is the suite tally at this rung: prefix.Ran tests
 	// completed, barrier parked before test prefix.Ran.
 	prefix testsuite.Report
+}
+
+// count is the rung's count of site index i; -1, a site the walk has not
+// seen execute, counts zero.
+func (rg *rung) count(i int) int {
+	if i < 0 || i >= len(rg.counts) {
+		return 0
+	}
+	return int(rg.counts[i])
 }
 
 // suffixKey names a machine state parked at a suite barrier: how many
@@ -122,19 +134,23 @@ type candidate struct {
 // exact and the rung a run forks from is a function of the walk — of
 // the plan — not of the order requests arrive in. Nothing caps it: the
 // suite's program boundaries bound the rungs (110) and so the held
-// snapshots (one per captureStride rungs), and maxElideAttempts bounds
-// the suffix entries one armed run publishes (8).
+// snapshots (one per rung), and maxElideAttempts bounds the suffix
+// entries one armed run publishes (8).
 type ladder struct {
 	mu     sync.Mutex
 	opts   boot.Options
 	sys    *boot.System      // pathfinder, parked at the last rung; nil once the walk ended
 	report *testsuite.Report // pathfinder's live suite tally
-	counts map[siteKey]int   // pathfinder's live cumulative site counts
+	// sites numbers every (server, site) the walk has seen execute, in
+	// the order it first did; counts and every rung's counts are indexed
+	// by it.
+	sites  map[siteKey]int
+	counts []int32 // pathfinder's live cumulative site counts
 	rungs  []rung
-	// snaps[i] is the snapshot of rung i*captureStride, appended as the
-	// walk reaches it. Rung 0's is always held; a later one whose capture
-	// was refused (a component mid-request at the barrier) is a nil hole,
-	// and serving walks down past it to the deepest held rung.
+	// snaps[i] is the snapshot of rung i, appended as the walk reaches
+	// it. Rung 0's is always held; a later one whose capture was refused
+	// (a component mid-request at the barrier) is a nil hole, and serving
+	// walks down past it to the deepest held rung.
 	snaps []*boot.Snapshot
 	cands []candidate // the walk's own candidates, published at its end
 	// noElide pins the ladder's runs to full execution
@@ -156,12 +172,20 @@ func newLadder(cfg core.Config, noElide bool) *ladder {
 	opts := suiteOptions(cfg)
 	sys := boot.Boot(opts, testsuite.RunnerInit(report))
 
-	l := &ladder{opts: opts, sys: sys, report: report, counts: make(map[siteKey]int), noElide: noElide}
+	l := &ladder{opts: opts, sys: sys, report: report, sites: make(map[siteKey]int), noElide: noElide}
 	names := sys.ComponentNames()
 	sys.Kernel().SetPointHook(func(ep kernel.Endpoint, name, site string) {
-		if _, recoverable := names[ep]; recoverable {
-			l.counts[siteKey{name, site}]++
+		if _, recoverable := names[ep]; !recoverable {
+			return
 		}
+		key := siteKey{name, site}
+		i, seen := l.sites[key]
+		if !seen {
+			i = len(l.counts)
+			l.sites[key] = i
+			l.counts = append(l.counts, 0)
+		}
+		l.counts[i]++
 	})
 	if !sys.Kernel().RunToBarrier(RunLimit) {
 		sys.Shutdown("ladder: barrier not reached")
@@ -182,7 +206,7 @@ func newLadder(cfg core.Config, noElide bool) *ladder {
 // the rung as a suffix-table candidate. Caller holds l.mu with the
 // pathfinder parked at a barrier.
 func (l *ladder) recordRung() {
-	rg := rung{counts: cloneCounts(l.counts), prefix: cloneReport(*l.report)}
+	rg := rung{counts: slices.Clone(l.counts), prefix: cloneReport(*l.report)}
 	// With elision pinned off no armed run will ever look a state up, so
 	// the walk skips the per-rung hashing entirely — the oracle pays none
 	// of the elision plane's cost.
@@ -271,20 +295,10 @@ func (l *ladder) Close() {
 	l.mu.Unlock()
 }
 
-// captureStride spaces snapshot captures along the walk: counts are
-// recorded at EVERY rung (occurrence translation stays exact), but only
-// every captureStride-th rung is captured. A fork then starts at most
-// captureStride-1 tests earlier than its ideal rung — a fraction of a
-// test's cost on average — while the walk pays 1/captureStride of the
-// capture bill, which otherwise dominates it (a capture deep-copies all
-// five server stores).
-const captureStride = 4
-
-// advance walks the pathfinder to the next program boundary and records
-// the rung, capturing and holding its snapshot when it is the next
-// stride rung. A rung whose snapshot is not held still anchors occurrence
-// translation through its record; serving falls back to the deepest held
-// rung. Caller holds l.mu.
+// advance walks the pathfinder to the next program boundary, records
+// the rung and captures its snapshot. A rung whose capture is refused
+// still anchors occurrence translation through its record; serving falls
+// back to the deepest held rung below it. Caller holds l.mu.
 func (l *ladder) advance() {
 	if !l.sys.Kernel().RunToBarrier(RunLimit) {
 		// The fault-free suite ran to completion (or hit the limit):
@@ -295,26 +309,33 @@ func (l *ladder) advance() {
 		return
 	}
 	l.recordRung()
-	if (len(l.rungs)-1)%captureStride != 0 {
-		return
-	}
 	// A refused capture returns nil and leaves a hole: the machine is
-	// not quiescent here, and the next stride rung tries again.
+	// not quiescent here, and the next rung tries again.
 	snap, _ := boot.CaptureParked(l.sys, l.opts)
 	l.snaps = append(l.snaps, snap)
 }
 
+// start is where a run armed with faults begins: a held rung, its
+// snapshot, and per fault the occurrences the rung has already consumed
+// (zero for correlated and during-recovery faults, which count from the
+// first recovery).
+type start struct {
+	rung   int
+	prefix testsuite.Report
+	snap   *boot.Snapshot
+	base   []int
+}
+
 // serve picks the rung a run armed with faults forks from: the deepest
 // held rung strictly before every plain trigger, walking the pathfinder
-// only as deep as this request needs. It returns the serving rung's
-// index, record and snapshot, with ok=false when any occurrence is
+// only as deep as this request needs. ok is false when any occurrence is
 // consumed before the boot barrier (the run must boot cold — PR 7
 // behavior). Correlated and during-recovery faults anchor nothing; a
 // plan of only those serves rung 0, the one barrier known-sound without
 // a plain trigger. A fault-free run (no faults at all: zero-rate sweep
 // points) has no trigger to stay ahead of, so any rung is sound: the
 // ladder is walked to its end and the deepest held rung served.
-func (l *ladder) serve(faults []MultiInjection) (int, rung, *boot.Snapshot, bool) {
+func (l *ladder) serve(faults []MultiInjection) (start, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	best := 0
@@ -325,20 +346,34 @@ func (l *ladder) serve(faults []MultiInjection) (int, rung, *boot.Snapshot, bool
 		best = len(l.rungs) - 1
 	}
 	anchored := false
-	for _, inj := range faults {
+	// site[j] is fault j's site index, -1 for one the walk has not seen
+	// execute and for faults that anchor nothing.
+	site := make([]int, len(faults))
+	for j, inj := range faults {
+		site[j] = -1
 		if inj.Correlated || inj.DuringRecovery {
 			continue
 		}
 		key := siteKey{inj.Server, inj.Site}
-		if inj.Occurrence-l.rungs[0].counts[key] < 1 {
-			return 0, rung{}, nil, false
+		s, seen := l.sites[key]
+		if !seen {
+			s = -1
 		}
-		for l.sys != nil && l.rungs[len(l.rungs)-1].counts[key] < inj.Occurrence {
+		if inj.Occurrence-l.rungs[0].count(s) < 1 {
+			return start{}, false
+		}
+		for l.sys != nil && l.rungs[len(l.rungs)-1].count(s) < inj.Occurrence {
 			l.advance()
+			if s < 0 {
+				if i, seen := l.sites[key]; seen {
+					s = i
+				}
+			}
 		}
+		site[j] = s
 		b := 0
 		for i := len(l.rungs) - 1; i >= 0; i-- {
-			if l.rungs[i].counts[key] < inj.Occurrence {
+			if l.rungs[i].count(s) < inj.Occurrence {
 				b = i
 				break
 			}
@@ -347,13 +382,17 @@ func (l *ladder) serve(faults []MultiInjection) (int, rung, *boot.Snapshot, bool
 			best, anchored = b, true
 		}
 	}
-	// The walk has passed rung best, so every stride rung at or before it
-	// has been tried by now; rung 0 is always held.
-	i := min(best/captureStride, len(l.snaps)-1)
+	// The walk has passed rung best, so every rung at or before it has
+	// been tried by now; rung 0 is always held.
+	i := best
 	for l.snaps[i] == nil {
 		i--
 	}
-	return i * captureStride, l.rungs[i*captureStride], l.snaps[i], true
+	rg := &l.rungs[i]
+	for j, s := range site {
+		site[j] = rg.count(s)
+	}
+	return start{rung: i, prefix: rg.prefix, snap: l.snaps[i], base: site}, true
 }
 
 // lookup walks the pathfinder to completion (the walk is amortized across
@@ -375,14 +414,6 @@ func (l *ladder) publishRun(cands []candidate, end *testsuite.Report, res kernel
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.publish(cands, end, res, clean, at, true)
-}
-
-func cloneCounts(src map[siteKey]int) map[siteKey]int {
-	out := make(map[siteKey]int, len(src))
-	for k, v := range src {
-		out[k] = v
-	}
-	return out
 }
 
 func cloneReport(src testsuite.Report) testsuite.Report {

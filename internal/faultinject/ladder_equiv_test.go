@@ -3,6 +3,7 @@ package faultinject
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/boot"
@@ -24,8 +25,9 @@ import (
 // captured at one seed bit-identical to a cold boot at another.
 func TestLadderRungCountsSeedIndependent(t *testing.T) {
 	type walk struct {
-		seed  uint64
-		rungs []rung
+		seed   uint64
+		rungs  []rung
+		counts []map[siteKey]int
 	}
 	var walks []walk
 	for _, seed := range []uint64{7, 42, 1000007} {
@@ -35,7 +37,11 @@ func TestLadderRungCountsSeedIndependent(t *testing.T) {
 		}
 		l.serve(nil) // drive the walk to suite completion
 		l.Close()
-		walks = append(walks, walk{seed, l.rungs})
+		w := walk{seed: seed, rungs: l.rungs}
+		for i := range l.rungs {
+			w.counts = append(w.counts, rungCounts(l, i))
+		}
+		walks = append(walks, w)
 	}
 	ref := walks[0]
 	if len(ref.rungs) < 10 {
@@ -47,7 +53,7 @@ func TestLadderRungCountsSeedIndependent(t *testing.T) {
 				ref.seed, len(ref.rungs), w.seed, len(w.rungs))
 		}
 		for i := range ref.rungs {
-			if !reflect.DeepEqual(ref.rungs[i].counts, w.rungs[i].counts) {
+			if !reflect.DeepEqual(ref.counts[i], w.counts[i]) {
 				t.Errorf("rung %d: site counts differ between seeds %d and %d",
 					i, ref.seed, w.seed)
 			}
@@ -57,6 +63,18 @@ func TestLadderRungCountsSeedIndependent(t *testing.T) {
 			}
 		}
 	}
+}
+
+// rungCounts returns rung i's site counts by site. The caller holds l.mu
+// or the walk is over.
+func rungCounts(l *ladder, i int) map[siteKey]int {
+	out := make(map[siteKey]int)
+	for key, s := range l.sites {
+		if n := l.rungs[i].count(s); n > 0 {
+			out[key] = n
+		}
+	}
+	return out
 }
 
 // coldPlane pins a campaign to cold boots: the warm-fork oracle.
@@ -197,57 +215,100 @@ func TestLadderFallbackCaptureFailed(t *testing.T) {
 }
 
 // A refused capture leaves one hole, not the end of the ladder: at seed
-// 42 the enhanced single-fault ladder's rung 104 is refused (a component
-// is mid-request at that barrier), and a later stride rung is held. A
-// fault that triggers past the held rung forks from it, and one that
-// triggers just past the hole forks from the held rung below it.
+// 42 the enhanced single-fault ladder refuses some rungs (a component is
+// mid-request at that barrier) and holds rungs beyond them, past rung
+// 100. walkHeld checks every rung's hole and serving.
 func TestLadderCapturesPastRefusedRung(t *testing.T) {
-	l := newLadder(planeClass{kind: kindSingle}.config(seep.PolicyEnhanced, 42), false)
+	held := walkHeld(t, planeClass{kind: kindSingle}.config(seep.PolicyEnhanced, 42))
+	hole, deepest := slices.Index(held, false), heldAtOrBefore(held, len(held)-1)
+	if hole < 0 || deepest <= 100 || deepest < hole {
+		t.Fatalf("deepest held rung %d, first refused %d: want a rung past 100 held beyond a refused one", deepest, hole)
+	}
+}
+
+// walkHeld walks a fresh ladder of cfg to its end, rung by rung, and
+// returns which rungs it holds (heldRungs). It fails t unless every rung
+// was tried, each rung not held refuses a capture of its own, and every
+// fault forks from the deepest held rung at or before its trigger's
+// rung: for each rung r that a next program follows, a fault at the
+// first execution past r of a site that program runs; and a fault-free
+// run, whose trigger lies past the last rung.
+func walkHeld(t *testing.T, cfg core.Config) []bool {
+	t.Helper()
+	l := newLadder(cfg, false)
 	if l == nil {
 		t.Fatal("pathfinder failed to reach the boot barrier")
 	}
 	defer l.Close()
-	l.mu.Lock()
-	for l.sys != nil {
-		l.advance()
-	}
-	held, hole, below := -1, -1, -1
-	for i, snap := range l.snaps {
-		switch {
-		case snap == nil && hole < 0:
-			hole, below = i*captureStride, held
-		case snap != nil:
-			held = i * captureStride
-		}
-	}
-	rungs := l.rungs
-	l.mu.Unlock()
-	if hole < 0 || held <= 100 || held < hole {
-		t.Fatalf("deepest held stride rung %d, first refused %d: want a rung past 100 held beyond a refused one", held, hole)
-	}
-	// forkRung serves a fault at the first execution past rung r of a
-	// site the next program runs, so its ideal rung is r.
-	forkRung := func(r int) int {
-		t.Helper()
-		var site siteKey
-		for k, n := range rungs[r+1].counts {
-			if n > rungs[r].counts[k] && (site == siteKey{} || k[0] < site[0] || k[0] == site[0] && k[1] < site[1]) {
-				site = k
+	func() {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		for l.sys != nil {
+			l.advance()
+			r := len(l.rungs) - 1
+			if len(l.snaps) != len(l.rungs) {
+				t.Fatalf("walk of %d rungs tried %d captures", len(l.rungs), len(l.snaps))
+			}
+			if l.sys == nil || l.snaps[r] != nil {
+				continue
+			}
+			if _, err := boot.CaptureParked(l.sys, l.opts); err == nil {
+				t.Fatalf("rung %d captures but the ladder does not hold it", r)
 			}
 		}
-		occ := rungs[r].counts[site] + 1
-		idx, _, snap, ok := l.serve([]MultiInjection{{Injection: Injection{Server: site[0], Site: site[1], Occurrence: occ}}})
-		if !ok || snap == nil {
-			t.Fatalf("fault at %v occurrence %d not served from a snapshot", site, occ)
+	}()
+	held := heldRungs(l)
+	if !held[0] {
+		t.Fatal("rung 0 is not held")
+	}
+	keys := make([]siteKey, len(l.sites))
+	for key, s := range l.sites {
+		keys[s] = key
+	}
+	for r := 0; r+1 < len(l.rungs); r++ {
+		site := -1
+		for s, n := range l.rungs[r+1].counts {
+			if int(n) > l.rungs[r].count(s) {
+				site = s
+				break
+			}
 		}
-		return idx
+		if site < 0 {
+			continue // program r+1 executes no fault point
+		}
+		occ := l.rungs[r].count(site) + 1
+		st, ok := l.serve([]MultiInjection{{Injection: Injection{Server: keys[site][0], Site: keys[site][1], Occurrence: occ}}})
+		if want := heldAtOrBefore(held, r); !ok || st.snap == nil || st.rung != want {
+			t.Fatalf("a fault at %v occurrence %d (past rung %d) forks from rung %d (served %v), want %d", keys[site], occ, r, st.rung, ok, want)
+		}
+		if want := l.rungs[st.rung].count(site); st.base[0] != want {
+			t.Fatalf("a fault served from rung %d counts down from %d, want %d", st.rung, st.base[0], want)
+		}
 	}
-	if got := forkRung(held); got != held {
-		t.Errorf("a fault past rung %d forks from rung %d, want %d", held, got, held)
+	st, ok := l.serve(nil)
+	if want := heldAtOrBefore(held, len(held)-1); !ok || st.rung != want {
+		t.Fatalf("a fault-free run forks from rung %d, want the deepest held rung %d", st.rung, want)
 	}
-	if got := forkRung(hole); got != below {
-		t.Errorf("a fault past the refused rung %d forks from rung %d, want %d", hole, got, below)
+	return held
+}
+
+// heldRungs reports, per rung the ladder has walked, whether it holds
+// the rung's snapshot. The caller holds l.mu or the campaign that walked
+// l is over.
+func heldRungs(l *ladder) []bool {
+	held := make([]bool, len(l.snaps))
+	for i, snap := range l.snaps {
+		held[i] = snap != nil
 	}
+	return held
+}
+
+// heldAtOrBefore is the deepest held rung at or before rung r.
+func heldAtOrBefore(held []bool, r int) int {
+	for !held[r] {
+		r--
+	}
+	return r
 }
 
 // Zero-rate sweep runs arm nothing, so they fork the DEEPEST held

@@ -210,17 +210,17 @@ func (r *campaignRunner) run(seed uint64, spec runSpec) (MultiRunResult, Serving
 	var (
 		report testsuite.Report
 		sys    *boot.System
-		base   map[siteKey]int
+		base   []int
 		el     *elider
 	)
 	l, reason := r.plane(class)
 	if l != nil {
-		if idx, rg, snap, ok := l.serve(spec.faults); !ok {
+		if st, ok := l.serve(spec.faults); !ok {
 			reason = FallbackPreBarrier
-		} else if f, err := forkSnapshot(snap, forkParams(seed, class.ipc), testsuite.RunnerResumeFrom(&report, rg.prefix)); err != nil {
+		} else if f, err := forkSnapshot(st.snap, forkParams(seed, class.ipc), testsuite.RunnerResumeFrom(&report, st.prefix)); err != nil {
 			reason = FallbackForkFailed
 		} else {
-			sys, base, el = f, rg.counts, &elider{l: l, sv: Serving{Plane: PlaneForked, Rung: idx}}
+			sys, base, el = f, st.base, &elider{l: l, sv: Serving{Plane: PlaneForked, Rung: st.rung}}
 		}
 	}
 	if sys == nil {
@@ -257,15 +257,16 @@ func forkParams(seed uint64, ipc IPCOptions) boot.ForkParams {
 
 // execute arms spec's faults on a prepared machine — cold-booted or
 // forked from a ladder rung — runs the suite and classifies how it
-// ended. base is the serving rung's cumulative site counts (nil on cold
-// boots): plain occurrences are planned from machine start and count
-// down from the rung. Correlated and during-recovery occurrences count
-// from the first recovery or restart — always after any plain trigger,
-// hence after the rung — and are never translated. A non-nil elider lets
+// ended. base[i] is how many of fault i's occurrences the serving rung
+// has consumed (nil on cold boots): plain occurrences are planned from
+// machine start and count down from the rung. Correlated and
+// during-recovery occurrences count from the first recovery or restart —
+// always after any plain trigger, hence after the rung — and are never
+// translated: their base is zero. A non-nil elider lets
 // a warm fork splice a recorded suffix or certify a hang once no armed
 // fault can fire any more (see elide.go); cold boots pass nil. The result
 // is the run's record, whatever its kind.
-func execute(sys *boot.System, report *testsuite.Report, spec runSpec, seed uint64, base map[siteKey]int, el *elider) MultiRunResult {
+func execute(sys *boot.System, report *testsuite.Report, spec runSpec, seed uint64, base []int, el *elider) MultiRunResult {
 	faults := spec.faults
 	rng := sim.NewRNG(seed ^ spec.kind.faultSalt())
 	type armState struct {
@@ -276,8 +277,8 @@ func execute(sys *boot.System, report *testsuite.Report, spec runSpec, seed uint
 	persistent := false
 	for i, inj := range faults {
 		armed[i].remaining = inj.Occurrence
-		if !inj.Correlated && !inj.DuringRecovery {
-			armed[i].remaining -= base[siteKey{inj.Server, inj.Site}]
+		if base != nil {
+			armed[i].remaining -= base[i]
 		}
 		persistent = persistent || inj.Persistent
 	}

@@ -258,7 +258,7 @@ func withAux(t testing.TB, data []byte) []byte {
 		if img.Code(wire.Decoding(d)); d.Err() != nil {
 			t.Fatalf("kernel frame: %v", d.Err())
 		}
-		inbox := wiretest.Writable(reflect.ValueOf(img).Elem().FieldByName("procs").Index(0).FieldByName("inbox"))
+		inbox := wiretest.Writable(reflect.ValueOf(img).Elem().FieldByName("lives").Index(0).FieldByName("inbox"))
 		inbox.Set(reflect.Append(inbox, reflect.ValueOf(kernel.Message{Type: 1, Aux: []string{"argv0"}})))
 		e := wire.NewEncoder()
 		c := wire.Encoding(e)

@@ -80,6 +80,7 @@ var fingerprintFields = map[string]struct {
 	"Kernel.barrierArmed":       {hostOnly, "the barrier plane's own latches"},
 	"Kernel.barrierHit":         {hostOnly, "the barrier plane's own latches"},
 	"Kernel.forkResume":         {hostOnly, "the barrier plane's own latches"},
+	"Kernel.imageProcs":         {hostOnly, "what the captures' images share"},
 	"Kernel.idleHook":           {hostOnly, ""},
 	"Kernel.userWakes":          {excluded, whyStamp},
 

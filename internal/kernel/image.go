@@ -42,7 +42,7 @@ func (img *MachineImage) Code(c *wire.Codec) {
 	wire.Slice(c, &img.alarms, codeAlarm)
 	c.Uvarint(&img.alarmSeq)
 	codeCounters(c, &img.counters)
-	wire.Slice(c, &img.procs, codeProc)
+	wire.Slice(c, &img.procs, img.codeProc)
 	hasPlane := img.ipc != nil
 	if c.Bool(&hasPlane); hasPlane {
 		if c.Decoding() {
@@ -59,14 +59,29 @@ func codeAlarm(c *wire.Codec, a *alarm) {
 	c.Uvarint(&a.seq)
 }
 
-func codeProc(c *wire.Codec, p *procImage) {
+// codeProc codes an entry in full, a dead one as the record it stands
+// for; a decoded entry that is exactly that record comes out dead.
+func (img *MachineImage) codeProc(c *wire.Codec, p *procImage) {
 	wire.Int(c, &p.ep)
 	c.Str(&p.name)
-	wire.Int(c, &p.state)
-	wire.Slice(c, &p.inbox, codeMessage)
-	wire.Fixed64(c, &p.quantumUsed)
-	wire.Int(c, &p.curSender)
-	c.Bool(&p.curNeedsReply)
+	if !c.Decoding() {
+		codeRecord(c, img.record(p))
+		return
+	}
+	var rec liveImage
+	if codeRecord(c, &rec); rec.state != stateDead || rec.inbox != nil || rec.procRegs != (procRegs{}) {
+		img.lives = append(img.lives, rec)
+		p.live = int32(len(img.lives))
+	}
+}
+
+// codeRecord codes what an entry holds past its endpoint and name.
+func codeRecord(c *wire.Codec, rec *liveImage) {
+	wire.Int(c, &rec.state)
+	wire.Slice(c, &rec.inbox, codeMessage)
+	wire.Fixed64(c, &rec.quantumUsed)
+	wire.Int(c, &rec.curSender)
+	c.Bool(&rec.curNeedsReply)
 }
 
 func codeMessage(c *wire.Codec, m *Message) {

@@ -62,6 +62,10 @@ func TestMachineImageCodecCoversEveryField(t *testing.T) {
 		return true
 	}}
 	f.Fill(&in)
+	// Each filled process points at its own filled record.
+	for i := range in.procs {
+		in.procs[i].live = int32(i + 1)
+	}
 	// The table's records move to pairs of the filled processes.
 	var pairs pairTable
 	for i, row := range in.ipc.pairs {
@@ -278,12 +282,12 @@ func TestApplyImageRejectsBadSchedulerState(t *testing.T) {
 		{"cursor one past the table", func(img *MachineImage) { img.rrNext = len(img.procs) }, "round-robin cursor"},
 		{"cursor far past the table", func(img *MachineImage) { img.rrNext = 1 << 40 }, "round-robin cursor"},
 		{"negative cursor", func(img *MachineImage) { img.rrNext = -1 }, "round-robin cursor"},
-		{"unknown process state", func(img *MachineImage) { img.procs[0].state = 99 }, "state 99"},
-		{"server blocked in SendRec", func(img *MachineImage) { img.procs[0].state = stateSendRec }, "not parked at a barrier"},
-		{"root not runnable", func(img *MachineImage) { img.procs[len(img.procs)-1].state = stateReceiving }, "not parked at a barrier"},
+		{"unknown process state", func(img *MachineImage) { img.lives[img.procs[0].live-1].state = 99 }, "state 99"},
+		{"server blocked in SendRec", func(img *MachineImage) { img.lives[img.procs[0].live-1].state = stateSendRec }, "not parked at a barrier"},
+		{"root not runnable", func(img *MachineImage) { img.lives[img.procs[len(img.procs)-1].live-1].state = stateReceiving }, "not parked at a barrier"},
 		// The process table is indexed by endpoint and sized by the highest.
 		{"dead process far past the endpoints", func(img *MachineImage) {
-			img.procs = append(img.procs, procImage{ep: 1 << 40, state: stateDead})
+			img.procs = append(img.procs, procImage{ep: 1 << 40})
 		}, "outside the user endpoints"},
 		// A fork's next spawn grows the table to the allocator's endpoint.
 		{"endpoint allocator far past the processes", func(img *MachineImage) { img.nextUserEp = 1 << 27 }, "endpoint allocator"},
@@ -292,7 +296,7 @@ func TestApplyImageRejectsBadSchedulerState(t *testing.T) {
 		{"endpoint allocator below the user endpoints", func(img *MachineImage) { img.nextUserEp = 1 }, "outside the user endpoints"},
 		// The IPC plane's pair table is indexed by a sequenced request's sender.
 		{"sequenced request from an endpoint never handed out", func(img *MachineImage) {
-			img.procs[0].inbox = append(img.procs[0].inbox, Message{From: 1<<32 - 1, NeedsReply: true, Seq: 1})
+			img.lives[img.procs[0].live-1].inbox = append(img.lives[img.procs[0].live-1].inbox, Message{From: 1<<32 - 1, NeedsReply: true, Seq: 1})
 		}, "never handed out"},
 	} {
 		img := decodeMachine(t, data)

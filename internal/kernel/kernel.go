@@ -396,6 +396,10 @@ type Kernel struct {
 	barrierArmed bool
 	barrierHit   bool
 	forkResume   *Process
+	// imageProcs are the process entries of the machine's captures: the
+	// last one's are a prefix, and each capture's image holds a prefix
+	// (CaptureImage).
+	imageProcs []procImage
 
 	// Wedge-certificate plane (SetIdleHook, wedge.go). idleHook is nil on
 	// every machine but a warm-served campaign run; userWakes counts

@@ -146,9 +146,9 @@ func TestInstallDeadPlaceholdersMatchesSequentialInsert(t *testing.T) {
 			switch r.Intn(3) {
 			case 0:
 				liveEPs = append(liveEPs, ep)
-				img = append(img, procImage{ep: ep, state: stateReceiving})
+				img = append(img, procImage{ep: ep, live: 1})
 			case 1:
-				img = append(img, procImage{ep: ep, name: "reaped", state: stateDead})
+				img = append(img, procImage{ep: ep, name: "reaped"})
 			}
 		}
 		build := func() *Kernel {
@@ -165,11 +165,11 @@ func TestInstallDeadPlaceholdersMatchesSequentialInsert(t *testing.T) {
 		dead := len(img) - len(liveEPs)
 
 		got := build()
-		got.installDeadPlaceholders(img, dead)
+		got.installDeadPlaceholders(&MachineImage{procs: img, lives: []liveImage{{state: stateReceiving}}}, dead)
 
 		want := build()
 		for _, pi := range img {
-			if pi.state == stateDead {
+			if pi.live == 0 {
 				p := &Process{k: want, ep: pi.ep, name: pi.name, state: stateDead}
 				want.procs.set(pi.ep, p)
 				want.insertIntoOrder(pi.ep)
@@ -211,7 +211,7 @@ func TestDeadPlaceholderIsInert(t *testing.T) {
 		}
 	})
 	k.SetRootProcess(root.Endpoint())
-	k.installDeadPlaceholders([]procImage{{ep: ghost, name: "reaped", state: stateDead}}, 1)
+	k.installDeadPlaceholders(&MachineImage{procs: []procImage{{ep: ghost, name: "reaped"}}}, 1)
 
 	if k.ProcessAlive(ghost) || k.InboxLen(ghost) != 0 || k.windowOf(ghost) != nil {
 		t.Error("a placeholder looks alive")

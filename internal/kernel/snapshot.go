@@ -21,6 +21,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -73,7 +74,7 @@ func (k *Kernel) RunToBarrier(cycleLimit sim.Cycles) bool {
 // Each layer of kernel state keeps the scalars an image carries in one
 // plain struct embedded in both the live object and its image, so capture
 // and apply copy them by assignment and a new scalar is declared once:
-// machineRegs (Kernel / MachineImage), procRegs (procLive / procImage)
+// machineRegs (Kernel / MachineImage), procRegs (procLive / liveImage)
 // and planeState (ipcPlane / MachineImage.ipc). What holds references —
 // inboxes, the alarm heap, counters, the transport's pair table — is
 // copied explicitly beside the assignment.
@@ -98,17 +99,42 @@ type procRegs struct {
 	curNeedsReply bool
 }
 
-// procImage is the captured kernel-level state of one process. Dead
-// entries (exited, reaped test children that still occupy a slot in the
-// scheduling order) carry only their endpoint and name; ApplyImage
-// recreates them as body-less placeholders so the fork's scheduler
-// geometry matches the captured machine exactly.
+// procImage is the captured kernel-level state of one process: its
+// endpoint and name, and where its record is. Dead entries (exited,
+// reaped test children that still occupy a slot in the scheduling order)
+// carry only their endpoint and name; ApplyImage recreates them as
+// body-less placeholders so the fork's scheduler geometry matches the
+// captured machine exactly. A mid-suite image holds far more dead
+// entries than live ones, and a campaign holds an image of every rung:
+// an entry holds no pointer, so that consecutive captures of one machine
+// share the entries they agree on (Kernel.imageProcs).
 type procImage struct {
-	ep    Endpoint
-	name  string
+	ep   Endpoint
+	name string
+	// live is 1 + the index of the entry's record in MachineImage.lives,
+	// 0 for a dead entry.
+	live int32
+}
+
+// liveImage is the rest of a process's entry: what a dead one, which
+// stands for state stateDead, an empty inbox and zero registers, leaves
+// out. A decoded entry has one when it holds anything else (format v1
+// codes every entry in full).
+type liveImage struct {
 	state procState
 	inbox []Message
 	procRegs
+}
+
+// deadImage is the record a dead entry stands for. Only ever read.
+var deadImage = liveImage{state: stateDead}
+
+// record is pi's full record.
+func (img *MachineImage) record(pi *procImage) *liveImage {
+	if pi.live == 0 {
+		return &deadImage
+	}
+	return &img.lives[pi.live-1]
 }
 
 // MachineImage is a deep snapshot of one machine's kernel state at the
@@ -120,6 +146,7 @@ type MachineImage struct {
 	alarms   []alarm
 	counters *sim.Counters
 	procs    []procImage
+	lives    []liveImage
 	ipc      *planeState
 }
 
@@ -195,19 +222,47 @@ func (k *Kernel) CaptureImage() (*MachineImage, error) {
 		alarms:      append([]alarm(nil), k.alarms...),
 		counters:    k.counters.Clone(),
 	}
+	live := 0
 	for _, ep := range k.order {
+		if k.procs.get(ep).Alive() {
+			live++
+		}
+	}
+	img.lives = make([]liveImage, 0, live)
+	// The entries go into the last capture's wherever they agree with
+	// them, and after them in place: no image sees past the end of
+	// imageProcs. From the first entry that differs, they go into a copy.
+	prev, shared := k.imageProcs, true
+	var procs []procImage
+	for i, ep := range k.order {
 		p := k.procs.get(ep)
-		if !p.Alive() {
-			// A reaped child: captured as a placeholder.
-			img.procs = append(img.procs, procImage{ep: ep, name: p.name, state: stateDead})
+		e := procImage{ep: ep, name: p.name}
+		// A reaped child is captured as a placeholder.
+		if p.Alive() {
+			li := liveImage{state: p.state, procRegs: p.procRegs}
+			for _, m := range p.inbox[p.inboxHead:] {
+				li.inbox = append(li.inbox, m.ownBytes())
+			}
+			img.lives = append(img.lives, li)
+			e.live = int32(len(img.lives))
+		}
+		if shared && i < len(prev) && prev[i] == e {
 			continue
 		}
-		pi := procImage{ep: ep, name: p.name, state: p.state, procRegs: p.procRegs}
-		for _, m := range p.inbox[p.inboxHead:] {
-			pi.inbox = append(pi.inbox, m.ownBytes())
+		if shared {
+			procs, shared = prev[:i], false
+			if i < len(prev) {
+				procs = slices.Clip(procs)
+			}
 		}
-		img.procs = append(img.procs, pi)
+		procs = append(procs, e)
 	}
+	if shared {
+		procs = prev
+	} else {
+		k.imageProcs = procs
+	}
+	img.procs = procs[:len(k.order):len(k.order)]
 	if k.ipc != nil {
 		ipc := k.ipc.planeState.clone()
 		img.ipc = &ipc
@@ -261,7 +316,8 @@ func (k *Kernel) ApplyImage(img *MachineImage) error {
 		}
 		// The plane keys a sequenced request by its sender (noteReceive):
 		// one naming an endpoint never handed out would size its table.
-		for _, m := range pi.inbox {
+		rec := img.record(&pi)
+		for _, m := range rec.inbox {
 			if m.Seq != 0 && (m.From < 0 || m.From >= img.nextUserEp) {
 				return fmt.Errorf("kernel: image message queued at %d from endpoint %d, never handed out", pi.ep, m.From)
 			}
@@ -273,7 +329,7 @@ func (k *Kernel) ApplyImage(img *MachineImage) error {
 			parked = stateRunnable
 		}
 		switch {
-		case pi.state == stateDead:
+		case rec.state == stateDead:
 			// A dead process is a reaped user child.
 			if pi.ep < EpUserBase {
 				return fmt.Errorf("kernel: image dead process at endpoint %d outside the user endpoints", pi.ep)
@@ -284,8 +340,8 @@ func (k *Kernel) ApplyImage(img *MachineImage) error {
 			dead++
 		case k.procs.get(pi.ep) == nil:
 			return fmt.Errorf("kernel: image process at endpoint %d missing from machine", pi.ep)
-		case pi.state != parked:
-			return fmt.Errorf("kernel: image process %s(%d) in state %d, not parked at a barrier", pi.name, pi.ep, pi.state)
+		case rec.state != parked:
+			return fmt.Errorf("kernel: image process %s(%d) in state %d, not parked at a barrier", pi.name, pi.ep, rec.state)
 		}
 	}
 	if handed := int(img.nextUserEp - EpUserBase); users != handed {
@@ -294,15 +350,16 @@ func (k *Kernel) ApplyImage(img *MachineImage) error {
 	if live := len(img.procs) - dead; live != len(k.order) {
 		return fmt.Errorf("kernel: image has %d live processes, machine has %d", live, len(k.order))
 	}
-	k.installDeadPlaceholders(img.procs, dead)
+	k.installDeadPlaceholders(img, dead)
 	for _, pi := range img.procs {
-		if pi.state == stateDead {
+		rec := img.record(&pi)
+		if rec.state == stateDead {
 			continue
 		}
 		p := k.procs.get(pi.ep)
-		p.state = pi.state
-		p.procRegs = pi.procRegs
-		for _, m := range pi.inbox {
+		p.state = rec.state
+		p.procRegs = rec.procRegs
+		for _, m := range rec.inbox {
 			m = m.ownBytes()
 			p.pushMsg(&m)
 		}
@@ -321,8 +378,8 @@ func (k *Kernel) ApplyImage(img *MachineImage) error {
 	return nil
 }
 
-// installDeadPlaceholders gives every dead process of an image (procs,
-// sorted by endpoint as captured; dead of them are dead) a body-less
+// installDeadPlaceholders gives every dead process of an image (its
+// procs sorted by endpoint as captured; dead of them are dead) a body-less
 // placeholder, so a forked machine's scheduler geometry — order indices,
 // ready-set bit positions, round-robin cursor — matches the captured
 // machine, whose process table still holds every reaped test child. The
@@ -331,10 +388,11 @@ func (k *Kernel) ApplyImage(img *MachineImage) error {
 // process keeps its readiness bit at its new position and a
 // placeholder's is clear, exactly what inserting them one at a time
 // (insertIntoOrder) arrives at.
-func (k *Kernel) installDeadPlaceholders(procs []procImage, dead int) {
+func (k *Kernel) installDeadPlaceholders(img *MachineImage, dead int) {
 	if dead == 0 {
 		return
 	}
+	procs := img.procs
 	k.procs.grow(procs[len(procs)-1].ep)
 	slab := make([]Process, 0, dead)
 	order := make([]Endpoint, 0, len(k.order)+dead)
@@ -349,7 +407,7 @@ func (k *Kernel) installDeadPlaceholders(procs []procImage, dead int) {
 	}
 	live := k.order
 	for i := range procs {
-		if procs[i].state != stateDead {
+		if img.record(&procs[i]).state != stateDead {
 			continue
 		}
 		ep := procs[i].ep
@@ -383,7 +441,7 @@ func (img *MachineImage) SizeBytes() int64 {
 	n += int64(len(img.alarms)) * alarmOverhead
 	for i := range img.procs {
 		n += procOverhead
-		for _, m := range img.procs[i].inbox {
+		for _, m := range img.record(&img.procs[i]).inbox {
 			n += msgOverhead + int64(len(m.Bytes)) + int64(len(m.Str)) + int64(len(m.Str2))
 		}
 	}

@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -98,5 +100,81 @@ func TestTeardownIsIdempotent(t *testing.T) {
 	}
 	if k.RunToBarrier(testLimit) {
 		t.Error("RunToBarrier on a torn-down machine reported a barrier")
+	}
+}
+
+// Consecutive captures of one machine share the process entries they
+// agree on (Kernel.imageProcs): a capture that only adds entries writes
+// them past the last one's in place, when the array has room, and one
+// that changes an entry copies. Every image equals a capture taken
+// without sharing, and no later capture changes what an earlier image
+// encodes to.
+func TestConsecutiveCapturesShareEntries(t *testing.T) {
+	k := newTestKernel()
+	k.AddServer(EpPM, "echo", echoServer, ServerConfig{})
+	var waiter Endpoint
+	root := k.SpawnUser("root", func(ctx *Context) {
+		await := func(ep Endpoint) {
+			for ctx.Kernel().ProcessAlive(ep) {
+				ctx.Yield()
+			}
+		}
+		spawn := func(n int) {
+			for i := 0; i < n; i++ {
+				await(ctx.Kernel().SpawnUser("child", func(*Context) {}).Endpoint())
+			}
+		}
+		for _, n := range []int{2, 1, 1} {
+			spawn(n)
+			ctx.Barrier()
+		}
+		waiter = ctx.Kernel().SpawnUser("waiter", func(ctx *Context) { ctx.Receive() }).Endpoint()
+		spawn(1)
+		ctx.Barrier()
+		ctx.Send(waiter, Message{Type: 1})
+		await(waiter)
+		ctx.Barrier()
+		ctx.SendRec(EpPM, Message{Type: 5})
+		ctx.Barrier()
+	})
+	k.SetRootProcess(root.Endpoint())
+	defer k.Teardown("test over")
+
+	var imgs []*MachineImage
+	var encoded [][]byte
+	for r := 0; r < 6; r++ {
+		if !k.RunToBarrier(testLimit) {
+			t.Fatalf("machine ended (%v) before barrier %d", k.StepResult(), r)
+		}
+		kept := k.imageProcs
+		k.imageProcs = nil
+		fresh, err := k.CaptureImage()
+		if err != nil {
+			t.Fatalf("barrier %d: %v", r, err)
+		}
+		k.imageProcs = kept
+		img, err := k.CaptureImage()
+		if err != nil {
+			t.Fatalf("barrier %d: %v", r, err)
+		}
+		if !reflect.DeepEqual(img, fresh) {
+			t.Errorf("barrier %d: shared capture %+v, want %+v", r, img, fresh)
+		}
+		imgs, encoded = append(imgs, img), append(encoded, encodeMachine(t, img))
+	}
+	for r, img := range imgs {
+		if !bytes.Equal(encodeMachine(t, img), encoded[r]) {
+			t.Errorf("barrier %d: a later capture changed the image", r)
+		}
+	}
+	shares := func(r int) bool { return &imgs[r].procs[0] == &imgs[r+1].procs[0] }
+	if !shares(0) && !shares(1) && !shares(2) {
+		t.Error("no capture that only adds entries wrote them in place")
+	}
+	if shares(3) {
+		t.Error("the capture that turned the waiter dead shares the entries of the one before")
+	}
+	if !shares(4) {
+		t.Error("a capture that agrees with the last one on every entry does not share them")
 	}
 }

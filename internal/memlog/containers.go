@@ -96,9 +96,8 @@ func (c *Cell[T]) meta() *contMeta { return &c.cm }
 
 func (c *Cell[T]) bytes() int { return approxSize(c.v) }
 
-func (c *Cell[T]) cloneInto(dst *Store) {
-	clone := &Cell[T]{store: dst, id: c.id, sig: c.sig, v: c.v}
-	dst.register(clone)
+func (c *Cell[T]) clone(dst *Store) container {
+	return &Cell[T]{store: dst, id: c.id, sig: c.sig, v: c.v}
 }
 
 func (c *Cell[T]) undo(rec undoRec) {
@@ -290,16 +289,15 @@ func (m *Map[K, V]) bytes() int {
 	return total
 }
 
-// cloneInto shares the map and its order with the clone, and neither
-// side owns them then: the first write to either copies them. A map that
-// does not own them — a snapshot's — is only read, so concurrent forks
-// of one snapshot do not race.
-func (m *Map[K, V]) cloneInto(dst *Store) {
-	clone := &Map[K, V]{store: dst, id: m.id, ksig: m.ksig, vsig: m.vsig, m: m.m, order: m.order}
+// clone shares the map and its order with the clone, and neither side
+// owns them then: the first write to either copies them. A map that does
+// not own them — a snapshot's — is only read, so concurrent forks of one
+// snapshot do not race.
+func (m *Map[K, V]) clone(dst *Store) container {
 	if m.owned {
 		m.owned = false
 	}
-	dst.register(clone)
+	return &Map[K, V]{store: dst, id: m.id, ksig: m.ksig, vsig: m.vsig, m: m.m, order: m.order}
 }
 
 func (m *Map[K, V]) undo(rec undoRec) {
@@ -400,10 +398,7 @@ type Slice[T any] struct {
 	id    string
 	cm    contMeta
 	olds  sideLog[sliceOld[T]]
-	// muts counts the times the elements changed by any route, logged or
-	// not (every touch). Host-only: never cloned, forked or in an image.
-	muts uint64
-	sig  string // typeSig[T]()
+	sig   string // typeSig[T]()
 	// pages holds the n elements, n rounded up to whole pages. What the
 	// last page holds past n is undefined: whatever lengthens the slice
 	// writes it. Up to inlinePages, the table is inline.
@@ -613,6 +608,15 @@ func (s *Slice[T]) name() string { return s.id }
 func (s *Slice[T]) meta() *contMeta { return &s.cm }
 
 func (s *Slice[T]) bytes() int {
+	// approxSize gives every value of a type one size, but for a string,
+	// a byte slice and what an interface holds: VM's frame table is sized
+	// without reading its 16 384 frames.
+	var zero T
+	switch any(zero).(type) {
+	case nil, string, []byte:
+	default:
+		return s.n * approxSize(zero)
+	}
 	total := 0
 	for p := range s.pages {
 		for _, v := range s.page(p) {
@@ -622,11 +626,11 @@ func (s *Slice[T]) bytes() int {
 	return total
 }
 
-// cloneInto copies the page table only: the clone and this slice then
+// clone copies the page table only: the clone and this slice then
 // share every page and own none. A slice that owns no page — a
 // snapshot's — is only read, so concurrent forks of one snapshot do not
 // race.
-func (s *Slice[T]) cloneInto(dst *Store) {
+func (s *Slice[T]) clone(dst *Store) container {
 	clone := &Slice[T]{store: dst, id: s.id, sig: s.sig, n: s.n, made: true}
 	clone.pages = append(clone.inline[:0], s.pages...)
 	for p := range clone.pages {
@@ -637,7 +641,7 @@ func (s *Slice[T]) cloneInto(dst *Store) {
 			s.pages[p].owned = false
 		}
 	}
-	dst.register(clone)
+	return clone
 }
 
 func (s *Slice[T]) undo(rec undoRec) {
@@ -663,15 +667,15 @@ func (s *Slice[T]) adoptLog(src container) {
 
 // touch is the slice's one route to Store.touch.
 func (s *Slice[T]) touch() {
-	s.muts++
 	s.store.touch(s, &s.cm)
 }
 
-// Mutations reports how many times the elements have changed since the
-// slice was made — by Set, Append, Grow, a rollback, or a
-// silent corruption. An index derived from the elements is in step with
-// them exactly while the count it last saw still stands.
-func (s *Slice[T]) Mutations() uint64 { return s.muts }
+// Mutations reports how many times the elements have changed by any
+// route, logged or not — by Set, Append, Grow, a rollback, or a silent
+// corruption: the write count of contMeta, which never goes back. An
+// index derived from the elements is in step with them exactly while the
+// count it last saw still stands.
+func (s *Slice[T]) Mutations() uint64 { return s.cm.writes }
 
 func (s *Slice[T]) corrupt(r *sim.RNG) bool {
 	if s.n == 0 {

@@ -236,7 +236,9 @@ func (s *Store) FinishDecode() error {
 		if ci.meta.sizeStale {
 			stale++
 		}
-		*s.containers[ci.name].meta() = ci.meta
+		// The image gives the size bookkeeping; the write count goes on.
+		m := s.containers[ci.name].meta()
+		*m = contMeta{size: ci.meta.size, sizeStale: ci.meta.sizeStale, writes: m.writes}
 	}
 	if sum != img.baseBytes {
 		return fmt.Errorf("memlog: store %q image's container sizes sum to %d, its base bytes are %d", s.label, sum, img.baseBytes)

@@ -218,13 +218,14 @@ func TestStoreImageTruncated(t *testing.T) {
 // One field list: a record with every field set — the two embedded
 // scalar structs, each container's payload and bookkeeping and the name
 // lists — survives the codec unchanged. A field missing from the list decodes as zero and
-// fails the comparison. The rolling-fingerprint part of contMeta is not
-// persistent: a decoded container is re-hashed.
+// fails the comparison. The rolling-fingerprint part of contMeta and its
+// write count are not persistent: a decoded container is re-hashed, and
+// its writes count from its decode.
 func TestStoreImageCodecCoversEveryField(t *testing.T) {
 	var in storeImage
 	f := wiretest.Filler{Leaf: func(path string, v reflect.Value) bool {
 		// live is the encode-side stand-in for raw, not a field of its own.
-		return strings.Contains(path, ".meta.fp") || strings.HasSuffix(path, ".live")
+		return strings.Contains(path, ".meta.fp") || strings.HasSuffix(path, ".meta.writes") || strings.HasSuffix(path, ".live")
 	}}
 	f.Fill(&in)
 	e := wire.NewEncoder()

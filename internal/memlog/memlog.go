@@ -21,6 +21,7 @@ package memlog
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/sim"
@@ -143,7 +144,9 @@ func (l *sideLog[E]) adopt(s *Store, from *sideLog[E], fs *Store) {
 type container interface {
 	name() string
 	bytes() int
-	cloneInto(dst *Store)
+	// clone returns a copy of the container for dst, not yet registered
+	// there, that shares its contents until either side writes.
+	clone(dst *Store) container
 	undo(rec undoRec)
 	// adoptLog moves in the side log of src, the container of the same
 	// name in another store (TransferLog).
@@ -158,8 +161,8 @@ type container interface {
 }
 
 // contMeta is the per-container bookkeeping embedded in Cell, Map and
-// Slice: the cached resident size that makes BaseBytes O(1) and the
-// cached fingerprint contribution.
+// Slice: the cached resident size that makes BaseBytes O(1), the cached
+// fingerprint contribution and a count of the writes.
 type contMeta struct {
 	// size caches the container's approxSize sum; sizeStale marks it
 	// invalid (the container is then listed in Store.sizeDirty).
@@ -171,6 +174,10 @@ type contMeta struct {
 	fpMix    uint64
 	fpValid  bool
 	fpQueued bool
+	// writes counts the container's mutations (every touch) since it was
+	// made, carried into its copies: a copy whose bookkeeping equals the
+	// container's was made since its last write (Capture).
+	writes uint64
 }
 
 // storeIdent is what every copy of a store inherits from it, a restart
@@ -246,6 +253,9 @@ type Store struct {
 	// record and the first materialization failure.
 	pending    *storeImage
 	pendingErr error
+
+	// captured is the store's last Capture. Host-only.
+	captured *Store
 }
 
 // NewStore returns an empty Store for the named component, using the
@@ -363,6 +373,18 @@ func (s *Store) BaseBytes() int {
 	return s.baseBytes
 }
 
+// PeekBaseBytes is BaseBytes without settling the size cache: it
+// writes nothing, as a capture's reader must not (Capture).
+func (s *Store) PeekBaseBytes() int {
+	n := s.baseBytes
+	for _, c := range s.sizeDirty {
+		if m := c.meta(); m.sizeStale {
+			n += c.bytes() - m.size
+		}
+	}
+	return n
+}
+
 // Rollback restores the state at the last Checkpoint by undoing all
 // logged stores in reverse order, in every mode.
 func (s *Store) Rollback() {
@@ -430,7 +452,7 @@ func (s *Store) Clone() *Store {
 	// demonstrated it needs.
 	dst.storeIdent = s.storeIdent
 	for _, name := range s.order {
-		s.containers[name].cloneInto(dst)
+		dst.register(s.containers[name].clone(dst))
 	}
 	return dst
 }
@@ -448,6 +470,27 @@ func (s *Store) Clone() *Store {
 // (they reference the source machine); the caller must install the
 // fork's own via SetCostSink/SetCounters.
 func (s *Store) ForkClone() *Store {
+	return s.forkClone(nil)
+}
+
+// Capture is ForkClone for a store whose copies are kept, one after
+// another — the snapshot ladder holds one of every rung. It takes the
+// copy of each container from the store's previous capture when nothing
+// has written the container since and its bookkeeping stands where that
+// capture left it: what the copy holds is then exactly what a fresh one
+// would. When every container's copy and the store's scalars are the
+// previous capture's, so is the store. A capture is only ever read — by
+// ForkClone, an encoding and PeekBaseBytes — so copies shared between
+// captures stay as they are.
+func (s *Store) Capture() *Store {
+	s.captured = s.forkClone(s.captured)
+	return s.captured
+}
+
+// forkClone is ForkClone, taking the copy of each container from prev
+// where its bookkeeping equals the container's (Capture). prev may be
+// nil.
+func (s *Store) forkClone(prev *Store) *Store {
 	if len(s.log) > 0 {
 		panic(fmt.Sprintf("memlog: ForkClone of store %q with %d undo records in flight", s.label, len(s.log)))
 	}
@@ -455,35 +498,76 @@ func (s *Store) ForkClone() *Store {
 		// Still pending: the decoded record is immutable and shared.
 		return newPending(s.pending)
 	}
-	dst := NewStore(s.label, s.mode)
-	dst.storeIdent, dst.storeCkpt = s.storeIdent, s.storeCkpt
+	// The copy's order shares the source's: the source only ever appends
+	// to it, past what the copy sees, and the copy's capacity ends there.
+	n := len(s.order)
+	dst := &Store{
+		storeIdent: s.storeIdent,
+		storeCkpt:  s.storeCkpt,
+		containers: make(map[string]container, n),
+		order:      s.order[:n:n],
+		logEpoch:   1,
+	}
 	for _, name := range s.order {
-		s.containers[name].cloneInto(dst)
+		c := s.containers[name]
+		var cp container
+		if prev != nil {
+			cp = prev.containers[name]
+		}
+		// The source's exact bookkeeping, not the fresh one register()
+		// would give the copy.
+		if cp == nil || *cp.meta() != *c.meta() {
+			cp = c.clone(dst)
+			*cp.meta() = *c.meta()
+		}
+		dst.containers[name] = cp
 	}
-	// register() queued every new container; overwrite that with the
-	// source's exact bookkeeping.
-	for _, name := range s.order {
-		*dst.containers[name].meta() = *s.containers[name].meta()
-	}
-	dst.sizeDirty = dst.sizeDirty[:0]
-	for _, c := range s.sizeDirty {
-		dst.sizeDirty = append(dst.sizeDirty, dst.containers[c.name()])
-	}
+	dst.sizeDirty = dst.mapped(s.sizeDirty)
 	// The meta copy above carried fpMix/fpValid/fpQueued; rebuild the
 	// invalidation queue and aggregate to match, so a fork's first
 	// barrier fingerprint stays O(dirty) instead of re-hashing the world.
-	dst.fpDirty = dst.fpDirty[:0]
-	for _, c := range s.fpDirty {
-		dst.fpDirty = append(dst.fpDirty, dst.containers[c.name()])
-	}
+	dst.fpDirty = dst.mapped(s.fpDirty)
 	dst.fpAgg = s.fpAgg
+	if prev.same(dst) {
+		return prev
+	}
 	return dst
+}
+
+// same reports whether s holds exactly what o does: the same scalars,
+// the same container copies and the same invalidation queues. s may be
+// nil.
+func (s *Store) same(o *Store) bool {
+	if s == nil || s.storeIdent != o.storeIdent || s.storeCkpt != o.storeCkpt || s.fpAgg != o.fpAgg ||
+		len(s.order) != len(o.order) || !slices.Equal(s.sizeDirty, o.sizeDirty) || !slices.Equal(s.fpDirty, o.fpDirty) {
+		return false
+	}
+	for name, c := range o.containers {
+		if s.containers[name] != c {
+			return false
+		}
+	}
+	return true
+}
+
+// mapped returns the containers of s named like those of list, in its
+// order.
+func (s *Store) mapped(list []container) []container {
+	if len(list) == 0 {
+		return nil
+	}
+	out := make([]container, len(list))
+	for i, c := range list {
+		out[i] = s.containers[c.name()]
+	}
+	return out
 }
 
 // touch records a mutation of c: its cached size and fingerprint
 // contribution are invalidated. Amortized O(1) and allocation-free once
 // the tracking slices have grown to the store's working set.
 func (s *Store) touch(c container, m *contMeta) {
+	m.writes++
 	if !m.sizeStale {
 		m.sizeStale = true
 		s.sizeDirty = append(s.sizeDirty, c)

@@ -46,9 +46,14 @@ type RS struct {
 
 	// Transient prober bookkeeping, deliberately outside the store: if
 	// RS itself is recovered, miss counts restart from a clean slate
-	// rather than being replayed into a stale kill decision.
-	outstanding map[kernel.Endpoint]int
-	quarantined map[kernel.Endpoint]bool
+	// rather than being replayed into a stale kill decision. Per target,
+	// by its position in targets: the rounds its pings are outstanding
+	// (0 for none) and whether it is quarantined. others holds what
+	// concerns an endpoint that is not a target — RS's own quarantine —
+	// as the fork state has it.
+	outstanding []int
+	quarantined []bool
+	others      rsForkState
 }
 
 // New binds an RS over store. targets are the components to probe.
@@ -61,8 +66,27 @@ func New(store *memlog.Store, targets []kernel.Endpoint) *RS {
 		quarantines: memlog.NewCell(store, "rs.quarantines", int64(0)),
 		hangKills:   memlog.NewCell(store, "rs.hang_kills", int64(0)),
 		targets:     targets,
-		outstanding: make(map[kernel.Endpoint]int),
-		quarantined: make(map[kernel.Endpoint]bool),
+		outstanding: make([]int, len(targets)),
+		quarantined: make([]bool, len(targets)),
+	}
+}
+
+// target returns ep's position in targets, or -1.
+func (r *RS) target(ep kernel.Endpoint) int {
+	for i, t := range r.targets {
+		if t == ep {
+			return i
+		}
+	}
+	return -1
+}
+
+// forget drops the pings outstanding to ep.
+func (r *RS) forget(ep kernel.Endpoint) {
+	if i := r.target(ep); i >= 0 {
+		r.outstanding[i] = 0
+	} else {
+		delete(r.others.Outstanding, ep)
 	}
 }
 
@@ -115,11 +139,11 @@ func (r *RS) Handle(ctx *kernel.Context, m kernel.Message) {
 func (r *RS) heartbeat(ctx *kernel.Context) {
 	ctx.Point("rs.heartbeat")
 	r.pingRounds.Set(r.pingRounds.Get() + 1)
-	for _, target := range r.targets {
-		if r.quarantined[target] {
+	for i, target := range r.targets {
+		if r.quarantined[i] {
 			continue
 		}
-		if r.outstanding[target] >= HangMisses {
+		if r.outstanding[i] >= HangMisses {
 			if ctx.Kernel().IPCWaiting(target) {
 				// Silent but blocked in a kernel-managed reliable send:
 				// the reliability layer will unblock it (retransmission,
@@ -128,14 +152,14 @@ func (r *RS) heartbeat(ctx *kernel.Context) {
 				// round instead of fail-stopping a waiting sender.
 				continue
 			}
-			r.declareHung(ctx, target)
+			r.declareHung(ctx, i)
 			continue
 		}
 		if errno := ctx.SendSeep(seepPing, target, kernel.Message{Type: proto.RSPing}); errno == kernel.OK {
 			// The ping is in the target's inbox (or queued for its
 			// replacement while a recovery is pending); count the round
 			// as outstanding until the pong comes back.
-			r.outstanding[target]++
+			r.outstanding[i]++
 		}
 		ctx.Tick(10)
 	}
@@ -146,15 +170,17 @@ func (r *RS) heartbeat(ctx *kernel.Context) {
 func (r *RS) pong(ctx *kernel.Context, from kernel.Endpoint) {
 	ctx.Point("rs.pong")
 	r.lastSeen.Set(int64(from), int64(ctx.Now()))
-	delete(r.outstanding, from)
+	r.forget(from)
 }
 
 // declareHung converts a silent component into a fail-stop so the
 // recovery engine can handle it like any other crash (§II-E: hangs are
-// detected by heartbeat and mapped onto the fail-stop model).
-func (r *RS) declareHung(ctx *kernel.Context, target kernel.Endpoint) {
+// detected by heartbeat and mapped onto the fail-stop model). i is the
+// target's position in targets.
+func (r *RS) declareHung(ctx *kernel.Context, i int) {
 	ctx.Point("rs.hangkill")
-	delete(r.outstanding, target)
+	target := r.targets[i]
+	r.outstanding[i] = 0
 	reason := fmt.Sprintf("rs: component %d missed %d heartbeat rounds", int(target), HangMisses)
 	if errno := ctx.Kernel().FailStopProcess(target, reason); errno == kernel.OK {
 		r.hangKills.Set(r.hangKills.Get() + 1)
@@ -170,7 +196,7 @@ func (r *RS) crashNotify(ctx *kernel.Context, m kernel.Message) {
 	r.recoveries.Set(r.recoveries.Get() + 1)
 	// A fresh instance is serving the endpoint: forget pings addressed
 	// to its predecessor.
-	delete(r.outstanding, kernel.Endpoint(victim))
+	r.forget(kernel.Endpoint(victim))
 }
 
 // quarantineNotify accounts a component detached by the sequencer and
@@ -178,8 +204,16 @@ func (r *RS) crashNotify(ctx *kernel.Context, m kernel.Message) {
 func (r *RS) quarantineNotify(ctx *kernel.Context, m kernel.Message) {
 	ctx.Point("rs.quarantinenotify")
 	r.quarantines.Set(r.quarantines.Get() + 1)
-	r.quarantined[kernel.Endpoint(m.A)] = true
-	delete(r.outstanding, kernel.Endpoint(m.A))
+	ep := kernel.Endpoint(m.A)
+	if i := r.target(ep); i >= 0 {
+		r.quarantined[i] = true
+	} else {
+		if r.others.Quarantined == nil {
+			r.others.Quarantined = make(map[kernel.Endpoint]bool)
+		}
+		r.others.Quarantined[ep] = true
+	}
+	r.forget(ep)
 }
 
 // rsForkState is the transient prober bookkeeping carried across a warm
@@ -204,16 +238,26 @@ func CodeForkState(c *wire.Codec, p *any) {
 	wire.Tagged(c, p, "rs.forkState", wire.Elem[rsForkState])
 }
 
-// ForkSnapshot deep-copies the transient prober state (core.Forkable).
+// ForkSnapshot deep-copies the transient prober state (core.Forkable),
+// keyed by endpoint: a target holds an entry while it has pings
+// outstanding or is quarantined.
 func (r *RS) ForkSnapshot() any {
 	s := rsForkState{
-		Outstanding: make(map[kernel.Endpoint]int, len(r.outstanding)),
-		Quarantined: make(map[kernel.Endpoint]bool, len(r.quarantined)),
+		Outstanding: make(map[kernel.Endpoint]int, len(r.others.Outstanding)),
+		Quarantined: make(map[kernel.Endpoint]bool, len(r.others.Quarantined)),
 	}
-	for ep, n := range r.outstanding {
+	for i, ep := range r.targets {
+		if n := r.outstanding[i]; n != 0 {
+			s.Outstanding[ep] = n
+		}
+		if r.quarantined[i] {
+			s.Quarantined[ep] = true
+		}
+	}
+	for ep, n := range r.others.Outstanding {
 		s.Outstanding[ep] = n
 	}
-	for ep, q := range r.quarantined {
+	for ep, q := range r.others.Quarantined {
 		s.Quarantined[ep] = q
 	}
 	return s
@@ -221,16 +265,32 @@ func (r *RS) ForkSnapshot() any {
 
 // ApplyForkSnapshot installs a copy of a captured prober state into this
 // fresh instance. The snapshot is shared across forks and is only read.
+// A target's zero count or false mark is no entry, as ForkSnapshot gives
+// it.
 func (r *RS) ApplyForkSnapshot(snap any) {
 	s, ok := snap.(rsForkState)
 	if !ok {
 		return
 	}
 	for ep, n := range s.Outstanding {
-		r.outstanding[ep] = n
+		if i := r.target(ep); i >= 0 {
+			r.outstanding[i] = n
+			continue
+		}
+		if r.others.Outstanding == nil {
+			r.others.Outstanding = make(map[kernel.Endpoint]int)
+		}
+		r.others.Outstanding[ep] = n
 	}
 	for ep, q := range s.Quarantined {
-		r.quarantined[ep] = q
+		if i := r.target(ep); i >= 0 {
+			r.quarantined[i] = q
+			continue
+		}
+		if r.others.Quarantined == nil {
+			r.others.Quarantined = make(map[kernel.Endpoint]bool)
+		}
+		r.others.Quarantined[ep] = q
 	}
 }
 

@@ -1,7 +1,9 @@
 package rs
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/kernel"
@@ -9,6 +11,7 @@ import (
 	"repro/internal/proto"
 	"repro/internal/seep"
 	"repro/internal/sim"
+	"repro/internal/wire"
 	"repro/internal/wire/wiretest"
 )
 
@@ -229,4 +232,55 @@ func TestForkStateFieldList(t *testing.T) {
 		}
 		return wiretest.Random[rsForkState](r)
 	})
+}
+
+// The fork state keyed by endpoint, through the per-target bookkeeping:
+// a state as the prober makes them — pings outstanding for some targets,
+// some targets quarantined, and entries for endpoints that are not
+// targets (RS's own quarantine) — applied to a fresh RS comes back from
+// ForkSnapshot as it went in, and encodes to the same bytes, which a
+// decode applied to another fresh RS gives back once more.
+func TestForkStateRoundTrip(t *testing.T) {
+	targets := []kernel.Endpoint{kernel.EpPM, kernel.EpVFS, kernel.EpVM, kernel.EpDS}
+	others := []kernel.Endpoint{kernel.EpRS, kernel.EpUserBase}
+	fresh := func() *RS { return New(memlog.NewStore("rs", memlog.Optimized), targets) }
+	encode := func(s any) []byte {
+		e := wire.NewEncoder()
+		c := wire.Encoding(e)
+		if CodeForkState(c, &s); c.Err() != nil {
+			t.Fatal(c.Err())
+		}
+		return e.Bytes()
+	}
+	r := rand.New(rand.NewSource(3))
+	for round := 0; round < 200; round++ {
+		in := rsForkState{Outstanding: map[kernel.Endpoint]int{}, Quarantined: map[kernel.Endpoint]bool{}}
+		for _, ep := range append(append([]kernel.Endpoint(nil), targets...), others...) {
+			if r.Intn(2) == 0 {
+				in.Outstanding[ep] = 1 + r.Intn(HangMisses+1)
+			}
+			if r.Intn(3) == 0 {
+				in.Quarantined[ep] = true
+			}
+		}
+		a := fresh()
+		a.ApplyForkSnapshot(in)
+		out := a.ForkSnapshot()
+		if !reflect.DeepEqual(out, in) {
+			t.Fatalf("round %d: applied %+v, snapshot %+v", round, in, out)
+		}
+		data := encode(out)
+		if !bytes.Equal(data, encode(in)) {
+			t.Fatalf("round %d: the snapshot encodes unlike the state applied", round)
+		}
+		var decoded any
+		if CodeForkState(wire.Decoding(wire.NewDecoder(data)), &decoded); decoded == nil {
+			t.Fatalf("round %d: decoded no state", round)
+		}
+		b := fresh()
+		b.ApplyForkSnapshot(decoded)
+		if !bytes.Equal(encode(b.ForkSnapshot()), data) {
+			t.Fatalf("round %d: a fork of the decoded state encodes differently", round)
+		}
+	}
 }

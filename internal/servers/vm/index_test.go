@@ -90,9 +90,11 @@ func vmBench(tb testing.TB, body func(ctx *kernel.Context)) {
 // nobody is the requester of the driven requests.
 const nobody = kernel.Endpoint(9)
 
-// midFault is what a step's Point hook does at the at-th release Point.
+// midFault is what a step's Point hook does at the at-th release Point,
+// or with alloc set at the at-th vm.alloc.frame Point.
 type midFault struct {
-	at int
+	at    int
+	alloc bool
 	// seed feeds CorruptRandom; with aimAt set, the reference run first
 	// searches for a seed that turns a free frame still ahead of the scan
 	// (which runs in direction dir) into one of aimAt's, and the indexed
@@ -138,6 +140,13 @@ func tableOf(store *memlog.Store) []int32 {
 // hook records every Point, a release Point together with the frame that
 // was released before it, and injects the request's fault.
 func (d *differ) hook(_ kernel.Endpoint, _, site string) {
+	if f := d.fault; d.seen != nil && f != nil && f.alloc && site == "vm.alloc.frame" {
+		d.trace = append(d.trace, site)
+		if d.nth++; d.nth == f.at {
+			d.inject(f)
+		}
+		return
+	}
 	if d.seen == nil || (site != "vm.free.frame" && site != "vm.brk.release") {
 		d.trace = append(d.trace, site)
 		return
@@ -151,20 +160,25 @@ func (d *differ) hook(_ kernel.Endpoint, _, site string) {
 		}
 	}
 	d.nth++
-	if f := d.fault; f != nil && d.nth == f.at {
-		if f.crash {
-			panic(injectedCrash{})
-		}
-		if f.aimAt != 0 {
+	if f := d.fault; f != nil && !f.alloc && d.nth == f.at {
+		if f.aimAt != 0 && !f.crash {
 			if seed, ok := d.aim(f, at); ok {
 				f.seed = seed
 				d.aimed++
 			}
 			f.aimAt = 0
 		}
-		d.target.CorruptRandom(sim.NewRNG(f.seed))
-		copy(d.seen, tableOf(d.target))
+		d.inject(f)
 	}
+}
+
+// inject crashes the request or corrupts the store it runs on.
+func (d *differ) inject(f *midFault) {
+	if f.crash {
+		panic(injectedCrash{})
+	}
+	d.target.CorruptRandom(sim.NewRNG(f.seed))
+	copy(d.seen, tableOf(d.target))
 }
 
 // aim finds a CorruptRandom seed that hands f.aimAt a free frame which
@@ -266,13 +280,27 @@ func TestFrameIndexMatchesFullScan(t *testing.T) {
 	// Endpoints that are a single bit, so that one flipped bit of a free
 	// frame (0) can land on a live one.
 	bitEPs := []int64{128, 256, 512, 1024, 2048, 4096}
-	aimed := 0
+	aimed, allocFaults := 0, 0
 	for seed := uint64(1); seed <= 16; seed++ {
 		vmBench(t, func(ctx *kernel.Context) {
 			store := memlog.NewStore("vm", memlog.Unoptimized)
 			d := &differ{t: t, ctx: ctx, store: store, v: New(store, initEP)}
 			ctx.Kernel().SetPointHook(d.hook)
 			r := sim.NewRNG(seed)
+			// Faults in the middle of an allocation draw from a stream of
+			// their own, which leaves the rest of the script as it was.
+			ar := sim.NewRNG(seed ^ 0xa110c)
+			allocFault := func() *midFault {
+				switch ar.Intn(4) {
+				case 0:
+					allocFaults++
+					return &midFault{alloc: true, at: 1 + ar.Intn(8), seed: ar.Uint64()}
+				case 1:
+					allocFaults++
+					return &midFault{alloc: true, at: 1 + ar.Intn(8), crash: true}
+				}
+				return nil
+			}
 			next := int64(3000)
 			if seed%2 == 0 {
 				// Park the allocator near the end of the table, so that
@@ -302,12 +330,12 @@ func TestFrameIndexMatchesFullScan(t *testing.T) {
 					if op < 2 {
 						ep = bitEPs[r.Intn(len(bitEPs))]
 					}
-					d.request(kernel.Message{Type: proto.VMNewProc, A: ep, B: int64(1 + r.Intn(40))}, nil)
+					d.request(kernel.Message{Type: proto.VMNewProc, A: ep, B: int64(1 + r.Intn(40))}, allocFault())
 				case op == 3 && len(owners) > 0:
-					d.request(kernel.Message{Type: proto.VMFork, A: pickOwner(), B: next}, nil)
+					d.request(kernel.Message{Type: proto.VMFork, A: pickOwner(), B: next}, allocFault())
 					next++
 				case op == 4 && len(owners) > 0:
-					d.request(kernel.Message{Type: proto.VMBrk, A: pickOwner(), B: int64(1 + r.Intn(12))}, nil)
+					d.request(kernel.Message{Type: proto.VMBrk, A: pickOwner(), B: int64(1 + r.Intn(12))}, allocFault())
 				case op < 7 && len(owners) > 0:
 					ep := pickOwner()
 					sp, _ := d.v.spaces.Get(ep)
@@ -348,7 +376,7 @@ func TestFrameIndexMatchesFullScan(t *testing.T) {
 			return
 		}
 	}
-	t.Logf("%d aimed corruptions landed", aimed)
+	t.Logf("%d aimed corruptions landed, %d faults drawn mid-allocation", aimed, allocFaults)
 	if aimed < 3 {
 		t.Fatalf("only %d runs hit the case a corrupted free frame lands on a live endpoint mid-release", aimed)
 	}

@@ -127,19 +127,15 @@ func (x *frameIndex) newList() []int32 {
 	return make([]int32, 0, DefaultProcPages)
 }
 
-// add records that owner now holds frame i. The round-robin allocator
-// hands out ascending frames until it wraps, so the insertion is at the
-// end except then.
-func (x *frameIndex) add(owner, i int32) {
-	list, ok := x.lists[owner]
-	if !ok {
-		list = x.newList()
-	}
+// insertFrame adds frame i to an ascending list. The round-robin
+// allocator hands out ascending frames until it wraps, so the insertion
+// is at the end except then.
+func insertFrame(list []int32, i int32) []int32 {
 	list = append(list, i)
 	for j := len(list) - 1; j > 0 && list[j-1] > list[j]; j-- {
 		list[j-1], list[j] = list[j], list[j-1]
 	}
-	x.lists[owner] = list
+	return list
 }
 
 // shrink records that owner, which held list, now holds only rest of it.
@@ -161,15 +157,54 @@ func (v *VM) framesOf(owner int32) []int32 {
 	return v.owned.lists[owner]
 }
 
-// claimFrame gives the free frame i to owner. An index in step with the
-// table before the store is in step after it.
-func (v *VM) claimFrame(i int, owner int32) {
-	indexed := v.owned.inStep(v.frames)
-	v.frames.Set(i, owner)
-	if indexed {
-		v.owned.add(owner, int32(i))
-		v.owned.stamp = v.frames.Mutations()
+// frameClaims gives free frames to one owner, holding the owner's index
+// list from the first claim to done, as release holds it: one lookup and
+// one write-back per allocation, not per frame. The list follows the
+// table while every store to it is a claim's (mine); one that is not — a
+// fault at a Point between claims corrupts the table — drops the list,
+// and a fault that crashes VM never reaches done. Either way the stamp
+// stays behind the table and the next user rebuilds the index.
+type frameClaims struct {
+	v       *VM
+	owner   int32
+	list    []int32
+	mine    uint64
+	indexed bool
+}
+
+func (v *VM) claims(owner int32) frameClaims {
+	c := frameClaims{v: v, owner: owner, indexed: v.owned.inStep(v.frames)}
+	if c.indexed {
+		c.list, c.mine = v.owned.lists[owner], v.frames.Mutations()
 	}
+	return c
+}
+
+// claim gives the free frame i to the owner.
+func (c *frameClaims) claim(i int) {
+	frames := c.v.frames
+	c.indexed = c.indexed && frames.Mutations() == c.mine
+	frames.Set(i, c.owner)
+	if !c.indexed {
+		return
+	}
+	if c.list == nil {
+		c.list = c.v.owned.newList()
+	}
+	c.list = insertFrame(c.list, int32(i))
+	c.mine = frames.Mutations()
+}
+
+// done writes the list back and stamps the index, when the list still
+// follows the table.
+func (c *frameClaims) done() {
+	if !c.indexed || c.v.frames.Mutations() != c.mine {
+		return
+	}
+	if c.list != nil {
+		c.v.owned.lists[c.owner] = c.list
+	}
+	c.v.owned.stamp = c.mine
 }
 
 // New binds a VM server over store (fresh or recovered clone). initEP
@@ -195,13 +230,15 @@ func New(store *memlog.Store, initEP int64) *VM {
 // seedSpace installs an address space without kernel interaction (boot).
 func (v *VM) seedSpace(ep, pages int64) {
 	scan := v.nextFrame.Get()
+	claims := v.claims(int32(ep))
 	for claimed := int64(0); claimed < pages; claimed++ {
 		for v.frames.Get(scan%TotalPages) != 0 {
 			scan++
 		}
-		v.claimFrame(scan%TotalPages, int32(ep))
+		claims.claim(scan % TotalPages)
 		scan++
 	}
+	claims.done()
 	v.nextFrame.Set(scan % TotalPages)
 	v.used.Set(v.used.Get() + pages)
 	v.spaces.Set(ep, space{EP: ep, Pages: pages, Brk: pages})
@@ -251,6 +288,7 @@ func (v *VM) allocFrames(ctx *kernel.Context, ep int64, n int64) kernel.Errno {
 	}
 	scan := v.nextFrame.Get()
 	claimed := int64(0)
+	claims := v.claims(int32(ep))
 	for claimed < n {
 		chunk := int64(0)
 		for claimed < n && chunk < mapChunk {
@@ -258,7 +296,7 @@ func (v *VM) allocFrames(ctx *kernel.Context, ep int64, n int64) kernel.Errno {
 				scan++
 				ctx.Tick(1)
 			}
-			v.claimFrame(scan%TotalPages, int32(ep))
+			claims.claim(scan % TotalPages)
 			scan++
 			claimed++
 			chunk++
@@ -266,10 +304,12 @@ func (v *VM) allocFrames(ctx *kernel.Context, ep int64, n int64) kernel.Errno {
 		}
 		r := ctx.Call(seepMap, proto.EpSys, kernel.Message{Type: proto.SysMap, A: ep, B: chunk})
 		if r.Errno != kernel.OK {
+			claims.done()
 			return r.Errno
 		}
 		ctx.Tick(15)
 	}
+	claims.done()
 	v.nextFrame.Set(scan % TotalPages)
 	v.used.Set(v.used.Get() + n)
 	ctx.Point("vm.alloc.done")
