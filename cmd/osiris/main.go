@@ -133,9 +133,9 @@ func run(policyName string, seed uint64, heartbeats, stats, trace bool, site str
 		fmt.Printf(" (%s)", res.Reason)
 	}
 	fmt.Printf("\nvirtual time: %d cycles\nrecoveries: %d\n", res.Cycles, sys.Recoveries)
-	if res.Outcome == kernel.OutcomeShutdown && sys.ShutdownDump != "" {
+	if dump := sys.ShutdownDump(); res.Outcome == kernel.OutcomeShutdown && dump != "" {
 		fmt.Println("\npost-mortem dump:")
-		fmt.Print(sys.ShutdownDump)
+		fmt.Print(dump)
 	}
 	if len(args) == 0 {
 		fmt.Printf("suite: %d ran, %d passed, %d failed\n", report.Ran, report.Passed, report.Failed)

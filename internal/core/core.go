@@ -261,12 +261,28 @@ type OS struct {
 	// (SetAuditHook). The consistency auditor checks its cross-server
 	// oracles through it.
 	auditHook func()
-	// ShutdownDump is the post-mortem report produced when the engine
-	// performs a controlled shutdown — the §VII "controlled shutdown"
-	// improvement: the system stops consistently AND leaves a record of
-	// what it knew (per-component window and state summary, plus the
-	// triggering crash).
-	ShutdownDump string
+	// postMortem is what the last controlled shutdown kept for its
+	// report (ShutdownDump), nil before one.
+	postMortem *postMortem
+}
+
+// postMortem is the state a controlled shutdown records — the §VII
+// "controlled shutdown" improvement: the system stops consistently AND
+// leaves a record of what it knew. It keeps the values the report reads
+// at that moment; the stores' sizes and the text are made only when the
+// report is asked for, and nothing writes a store after the shutdown.
+type postMortem struct {
+	at   sim.Cycles
+	info kernel.CrashInfo
+	rows []postMortemRow
+}
+
+// postMortemRow is one component's line of the report.
+type postMortemRow struct {
+	s          *slot
+	window     string
+	logLen     int
+	recoveries int
 }
 
 // policyFor resolves the effective policy of a component.
@@ -567,7 +583,7 @@ func (o *OS) handleCrash(info kernel.CrashInfo) error {
 	default:
 		return fmt.Errorf("component %s crashed under policy with no recovery", s.name)
 	}
-	o.ShutdownDump = o.dump(info)
+	o.recordPostMortem(info)
 	o.k.ControlledShutdown(fmt.Sprintf(
 		"component %s crashed outside its recovery window (window open=%v, replyable=%v)",
 		s.name, s.window.Open(), info.CurNeedsReply))
@@ -673,16 +689,11 @@ func (o *OS) QuarantinedComponents() []string {
 	return out
 }
 
-// dump renders the post-mortem state summary attached to a controlled
-// shutdown.
-func (o *OS) dump(info kernel.CrashInfo) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "controlled shutdown at t=%d\n", o.k.Now())
-	fmt.Fprintf(&b, "trigger: %s crashed (panic: %v) while serving endpoint %d (replyable=%v)\n",
-		info.Name, info.PanicValue, info.CurSender, info.CurNeedsReply)
-	fmt.Fprintf(&b, "%-8s %-8s %-10s %-12s %-10s %s\n",
-		"server", "policy", "window", "base-bytes", "log-len", "crashes")
-	for _, ep := range o.order {
+// recordPostMortem keeps what the report of a controlled shutdown
+// triggered by info reads (ShutdownDump).
+func (o *OS) recordPostMortem(info kernel.CrashInfo) {
+	pm := &postMortem{at: o.k.Now(), info: info, rows: make([]postMortemRow, len(o.order))}
+	for i, ep := range o.order {
 		s := o.slots[ep]
 		state := "closed"
 		if s.window.Open() {
@@ -691,8 +702,28 @@ func (o *OS) dump(info kernel.CrashInfo) string {
 		if s.quarantined {
 			state = "quarantined"
 		}
+		pm.rows[i] = postMortemRow{s: s, window: state, logLen: s.store.LogLen(), recoveries: s.recoveries}
+	}
+	o.postMortem = pm
+}
+
+// ShutdownDump renders the post-mortem report of the last controlled
+// shutdown — the triggering crash and a per-component window and state
+// summary — or returns "" when there was none.
+func (o *OS) ShutdownDump() string {
+	pm := o.postMortem
+	if pm == nil {
+		return ""
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "controlled shutdown at t=%d\n", pm.at)
+	fmt.Fprintf(&b, "trigger: %s crashed (panic: %v) while serving endpoint %d (replyable=%v)\n",
+		pm.info.Name, pm.info.PanicValue, pm.info.CurSender, pm.info.CurNeedsReply)
+	fmt.Fprintf(&b, "%-8s %-8s %-10s %-12s %-10s %s\n",
+		"server", "policy", "window", "base-bytes", "log-len", "crashes")
+	for _, r := range pm.rows {
 		fmt.Fprintf(&b, "%-8s %-8s %-10s %-12d %-10d %d\n",
-			s.name, s.policy, state, s.store.BaseBytes(), s.store.LogLen(), s.recoveries)
+			r.s.name, r.s.policy, r.window, r.s.store.BaseBytes(), r.logLen, r.recoveries)
 	}
 	return b.String()
 }

@@ -261,9 +261,9 @@ func TestShutdownDumpPopulated(t *testing.T) {
 	if res.Outcome != kernel.OutcomeShutdown {
 		t.Fatalf("outcome = %v (%s)", res.Outcome, res.Reason)
 	}
-	if !strings.Contains(o.ShutdownDump, "controlled shutdown") ||
-		!strings.Contains(o.ShutdownDump, "echo") {
-		t.Fatalf("dump missing content:\n%s", o.ShutdownDump)
+	if dump := o.ShutdownDump(); !strings.Contains(dump, "controlled shutdown") ||
+		!strings.Contains(dump, "echo") {
+		t.Fatalf("dump missing content:\n%s", dump)
 	}
 }
 

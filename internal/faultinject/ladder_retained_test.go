@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -61,6 +62,29 @@ func shareOf(snap, prev *boot.Snapshot) captureShare {
 	return sh
 }
 
+// contentsOf names what snap's copy of the named container holds, by
+// identity: a map's Go map, or the pages of a slice. "" when no store of
+// snap has the container.
+func contentsOf(snap *boot.Snapshot, name string) string {
+	for _, slot := range snap.Image.Slots {
+		c := reflect.ValueOf(slot.Store).Elem().FieldByName("containers").MapIndex(reflect.ValueOf(name))
+		if !c.IsValid() {
+			continue
+		}
+		v := c.Elem().Elem()
+		if m := v.FieldByName("m"); m.IsValid() {
+			return fmt.Sprint(m.Pointer())
+		}
+		pages := v.FieldByName("pages")
+		ids := make([]uintptr, pages.Len())
+		for i := range ids {
+			ids[i] = pages.Index(i).FieldByName("elems").Pointer()
+		}
+		return fmt.Sprint(ids)
+	}
+	return ""
+}
+
 // What the seed-42 ladder retains, counted in the structures a capture
 // adds rather than in MemStats, so that it reads the same on every run:
 // a rung's site counts are one int32 per site seen so far; a kernel
@@ -68,7 +92,11 @@ func shareOf(snap, prev *boot.Snapshot) captureShare {
 // entries they agree on, so the ladder writes a few times the last
 // image's entries, not one image's worth per rung; and a capture takes
 // over the previous one's copy of every container nothing wrote in
-// between, and its store when that holds for all of them.
+// between, and its store when that holds for all of them. A container
+// written since but back to what it held shares that capture's contents:
+// the files, frames and descriptors of each test program are gone again
+// by the next barrier, so the captures hold one frame table and two
+// versions of the file system's maps.
 func TestLadderRetainedSize(t *testing.T) {
 	l := newLadder(planeClass{kind: kindSingle}.config(seep.PolicyEnhanced, 42), false)
 	if l == nil {
@@ -84,9 +112,17 @@ func TestLadderRetainedSize(t *testing.T) {
 	var prev *boot.Snapshot
 	var total, last captureShare
 	held := 0
+	shared := []string{"vm.frames", "fs.inodes", "fs.dirents"}
+	distinct := make([]map[string]bool, len(shared))
+	for i := range distinct {
+		distinct[i] = map[string]bool{}
+	}
 	for r, snap := range l.snaps {
 		if snap == nil {
 			continue
+		}
+		for i, name := range shared {
+			distinct[i][contentsOf(snap, name)] = true
 		}
 		if r == 0 {
 			if size := reflect.ValueOf(snap.Image.Machine).Elem().FieldByName("procs").Type().Elem().Size(); size > 32 {
@@ -105,6 +141,11 @@ func TestLadderRetainedSize(t *testing.T) {
 	}
 	t.Logf("%d held rungs: %d process entries (%d dead), %d written; %d container copies, %d made; %d stores, %d made",
 		held, total.entries, total.deadEntries, total.newEntries, total.copies, total.newCopies, total.stores, total.newStores)
+	for i, want := range []int{1, 2, 2} {
+		if n := len(distinct[i]); n != want || distinct[i][""] {
+			t.Errorf("the captures hold %d distinct contents of %s, want %d", n, shared[i], want)
+		}
+	}
 	if held < 100 {
 		t.Fatalf("the ladder holds %d rungs, want every rung but the refused few", held)
 	}

@@ -398,6 +398,34 @@ func TestMapCloneDoesNotAllocateUntilWritten(t *testing.T) {
 	}
 }
 
+// A capture's comparison of a written container with the previous
+// capture's copy allocates nothing once its buffers have grown: the
+// pairs below differ only in their last value, so every element is
+// walked and no copy is made.
+func TestContentComparisonDoesNotAllocate(t *testing.T) {
+	s := NewStore("compare", Baseline)
+	m := NewMap[int64, rec](s, "map")
+	for k := int64(0); k < 64; k++ {
+		m.Set(k, rec{EP: k, Name: "record"})
+	}
+	sl := NewSlice[int32](s, "slice")
+	sl.Grow(3 * slicePageLen)
+	prev := s.Capture()
+	m.Set(63, rec{EP: 63, Name: "changed"})
+	sl.Set(sl.Len()-1, 1)
+	x, dst := new(sameScratch), NewStore("compare", Baseline)
+	for _, c := range []container{m, sl} {
+		p := prev.containers[c.name()]
+		if allocs := testing.AllocsPerRun(50, func() {
+			if c.recopy(dst, p, x) != nil {
+				t.Fatalf("%s: contents that differ compared equal", c.name())
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: the comparison allocated %.1f times per run, want 0", c.name(), allocs)
+		}
+	}
+}
+
 // A FullCopy checkpoint round over a warm store — a few writes under
 // host-side undo records, then the charge for the whole section — must be
 // allocation-free: the tracking slices and the log are reused.

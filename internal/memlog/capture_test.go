@@ -2,18 +2,23 @@ package memlog
 
 import (
 	"bytes"
+	"reflect"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
 // A capture takes the copy of each container nothing has written since
-// the store's last capture from that capture, and a fresh copy of every
-// other one: either way it holds exactly what a ForkClone taken at the
-// same point does — contents, size and fingerprint bookkeeping and the
-// store's scalars — and no later write, fingerprint or capture changes an
-// earlier capture.
+// the store's last capture from that capture, a copy of the previous
+// one's contents for a container written back to them, and a fresh copy
+// of every other one: each way it holds exactly what a ForkClone taken at
+// the same point does — contents, size and fingerprint bookkeeping and
+// the store's scalars, and a fork of it encodes, sizes and fingerprints
+// as a fork of the ForkClone does — and no later write, fingerprint or
+// capture changes an earlier capture.
 func TestCaptureMatchesForkClone(t *testing.T) {
 	r := sim.NewRNG(5)
 	s := NewStore("capture", Optimized)
@@ -26,7 +31,7 @@ func TestCaptureMatchesForkClone(t *testing.T) {
 		img []byte
 	}
 	var caps []kept
-	reused, fresh := 0, 0
+	reused, recopied, fresh := 0, 0, 0
 	for step := 0; step < 400; step++ {
 		switch r.Intn(8) {
 		case 0:
@@ -58,9 +63,14 @@ func TestCaptureMatchesForkClone(t *testing.T) {
 			t.Fatalf("step %d: the capture differs from a ForkClone: %s", step, msg)
 		}
 		for name, c := range got.containers {
-			if prev != nil && prev.containers[name] == c {
+			switch {
+			case prev == nil:
+				fresh++
+			case prev.containers[name] == c:
 				reused++
-			} else {
+			case sharesContents(prev.containers[name], c):
+				recopied++
+			default:
 				fresh++
 			}
 		}
@@ -71,8 +81,161 @@ func TestCaptureMatchesForkClone(t *testing.T) {
 			t.Errorf("capture %d changed after it was taken", i)
 		}
 	}
-	if reused == 0 || fresh == 0 {
-		t.Errorf("%d container copies reused, %d fresh: want both", reused, fresh)
+	if reused == 0 || recopied == 0 || fresh == 0 {
+		t.Errorf("%d container copies reused, %d holding the previous copy's contents, %d fresh: want all three", reused, recopied, fresh)
+	}
+}
+
+// sharesContents reports whether two copies of a map or a slice hold the
+// same Go map or the same pages, or two copies of a string cell the same
+// bytes: what their contents are, by identity.
+func sharesContents(a, b container) bool {
+	switch a := a.(type) {
+	case *Cell[string]:
+		return unsafe.StringData(a.v) == unsafe.StringData(b.(*Cell[string]).v)
+	case *Map[int64, int64]:
+		return sameGoMap(a.m, b.(*Map[int64, int64]).m)
+	case *Map[int64, string]:
+		return sameGoMap(a.m, b.(*Map[int64, string]).m)
+	case *Slice[int32]:
+		bs := b.(*Slice[int32])
+		if len(a.pages) != len(bs.pages) || len(a.pages) == 0 {
+			return false
+		}
+		for i := range a.pages {
+			if a.pages[i].elems != bs.pages[i].elems {
+				return false
+			}
+		}
+		return true
+	}
+	return false
+}
+
+func sameGoMap[K comparable, V any](a, b map[K]V) bool {
+	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
+}
+
+// reuseStore is a store with one container of each kind, the slice three
+// pages long.
+func reuseStore() (*Store, *Cell[string], *Map[int64, string], *Slice[int32]) {
+	s := NewStore("reuse", Optimized)
+	cell := NewCell(s, "cell", strings.Repeat("k", 4))
+	m := NewMap[int64, string](s, "map")
+	m.Set(1, "one")
+	m.Set(2, "two")
+	sl := NewSlice[int32](s, "slice")
+	sl.Grow(3 * slicePageLen)
+	return s, cell, m, sl
+}
+
+// A capture after writes that leave a container as it was — a set and a
+// set back, a new key set and deleted, an undone write — holds a new copy
+// of each that shares the previous capture's contents and carries the
+// container's own bookkeeping, and the container stays unshared, so its
+// next write copies nothing. A capture after a net change shares none.
+// It holds whether or not anything was fingerprinted: elision pinned off
+// fingerprints nothing.
+func TestCaptureReusesContentsWrittenBack(t *testing.T) {
+	for _, fingerprinted := range []bool{false, true} {
+		s, cell, m, sl := reuseStore()
+		settle := func() {
+			if fingerprinted {
+				if _, err := s.Fingerprint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		writeBack := func() *Store {
+			cell.Set("moved")
+			cell.Set(strings.Repeat("k", 4)) // equal bytes in a new string
+			m.Set(3, "three")
+			m.Delete(3)
+			m.Set(1, "uno")
+			m.Set(1, "one")
+			s.SetLogging(true)
+			s.Checkpoint()
+			sl.Set(slicePageLen+5, -1)
+			sl.Append(7)
+			s.Rollback()
+			s.SetLogging(false)
+			settle()
+			return s.Capture()
+		}
+		settle()
+		first := s.Capture()
+		second := writeBack()
+		for _, name := range s.order {
+			a, b := first.containers[name], second.containers[name]
+			switch {
+			case a == b:
+				t.Errorf("fingerprinted %v: %s was written, yet the capture kept the previous copy", fingerprinted, name)
+			case !sharesContents(a, b):
+				t.Errorf("fingerprinted %v: %s holds what the previous capture does, in contents of its own", fingerprinted, name)
+			case *b.meta() != *s.containers[name].meta():
+				t.Errorf("fingerprinted %v: %s's copy does not carry the container's bookkeeping", fingerprinted, name)
+			}
+		}
+		if !m.owned || !sl.pages[1].owned {
+			t.Errorf("fingerprinted %v: the capture left the written map (owned %v) or page (owned %v) shared", fingerprinted, m.owned, sl.pages[1].owned)
+		}
+		if mallocs, _ := heapUse(func() { m.Set(1, "one"); sl.Set(slicePageLen, 0) }); mallocs != 0 {
+			t.Errorf("fingerprinted %v: the first writes after the capture allocated %d times: they copied a shared map or page", fingerprinted, mallocs)
+		}
+		third := writeBack()
+		if msg := sameCopy(third, s.ForkClone()); msg != "" {
+			t.Fatalf("fingerprinted %v: the capture differs from a ForkClone: %s", fingerprinted, msg)
+		}
+		for _, name := range s.order {
+			if !sharesContents(first.containers[name], third.containers[name]) {
+				t.Errorf("fingerprinted %v: %s holds what the first capture does, in contents of its own", fingerprinted, name)
+			}
+		}
+
+		cell.Set("moved")
+		m.Set(2, "deux")
+		sl.Set(0, 1)
+		settle()
+		fourth := s.Capture()
+		if msg := sameCopy(fourth, s.ForkClone()); msg != "" {
+			t.Fatalf("fingerprinted %v: the capture after a net change differs from a ForkClone: %s", fingerprinted, msg)
+		}
+		for _, name := range s.order {
+			if sharesContents(third.containers[name], fourth.containers[name]) {
+				t.Errorf("fingerprinted %v: %s changed, yet the capture shares the previous copy's contents", fingerprinted, name)
+			}
+		}
+	}
+}
+
+// An equal fingerprint mix only lets the comparison run: contents that
+// differ under mixes set equal by hand — a collision — get copies of
+// their own.
+func TestCaptureRefusesCollidingMix(t *testing.T) {
+	s, cell, m, sl := reuseStore()
+	if _, err := s.Fingerprint(); err != nil {
+		t.Fatal(err)
+	}
+	first := s.Capture()
+	cell.Set("moved")
+	m.Set(2, "deux")
+	sl.Set(slicePageLen+5, -1)
+	if _, err := s.Fingerprint(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range s.order {
+		s.containers[name].meta().fpMix = first.containers[name].meta().fpMix
+	}
+	sl.pages[1].mix = first.containers["slice"].(*Slice[int32]).pages[1].mix
+	second := s.Capture()
+	for _, name := range s.order {
+		c := second.containers[name]
+		if sharesContents(first.containers[name], c) {
+			t.Errorf("%s: the capture took the previous copy's contents on a colliding mix", name)
+		}
+		if !bytes.Equal(containerState(c), containerState(s.containers[name])) {
+			t.Errorf("%s: the capture does not hold the container's contents", name)
+		}
 	}
 }
 
@@ -98,6 +261,11 @@ func sameCopy(a, b *Store) string {
 		}
 	}
 	fa, fb := a.ForkClone(), b.ForkClone()
+	ia, errA := encodeStore(fa)
+	ib, errB := encodeStore(fb)
+	if errA != nil || errB != nil || !bytes.Equal(ia, ib) {
+		return "fork encoding"
+	}
 	if fa.BaseBytes() != fb.BaseBytes() {
 		return "size"
 	}

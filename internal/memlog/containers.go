@@ -100,6 +100,16 @@ func (c *Cell[T]) clone(dst *Store) container {
 	return &Cell[T]{store: dst, id: c.id, sig: c.sig, v: c.v}
 }
 
+func (c *Cell[T]) recopy(dst *Store, prev container, x *sameScratch) container {
+	p := prev.(*Cell[T])
+	wire.Elem(x.a.restart(), &c.v)
+	wire.Elem(x.b.restart(), &p.v)
+	if !x.same() {
+		return nil
+	}
+	return &Cell[T]{store: dst, id: c.id, sig: c.sig, v: p.v}
+}
+
 func (c *Cell[T]) undo(rec undoRec) {
 	c.v = c.olds.pop(c.store, c.id, rec.pos)
 	c.store.touch(c, &c.cm)
@@ -298,6 +308,32 @@ func (m *Map[K, V]) clone(dst *Store) container {
 		m.owned = false
 	}
 	return &Map[K, V]{store: dst, id: m.id, ksig: m.ksig, vsig: m.vsig, m: m.m, order: m.order}
+}
+
+// recopy compares the order index, then each key's value: the live
+// map's through hv, the previous copy's read into hv, since a walk of a
+// value elsewhere would put it on the heap.
+func (m *Map[K, V]) recopy(dst *Store, prev container, x *sameScratch) container {
+	p := prev.(*Map[K, V])
+	if !slices.Equal(m.order, p.order) {
+		return nil
+	}
+	same := true
+	for _, k := range m.order {
+		m.hv = m.m[k]
+		wire.Elem(x.a.restart(), &m.hv)
+		m.hv = p.m[k]
+		wire.Elem(x.b.restart(), &m.hv)
+		if same = x.same(); !same {
+			break
+		}
+	}
+	var zero V
+	m.hv = zero
+	if !same {
+		return nil
+	}
+	return &Map[K, V]{store: dst, id: m.id, ksig: m.ksig, vsig: m.vsig, m: p.m, order: p.order}
 }
 
 func (m *Map[K, V]) undo(rec undoRec) {
@@ -642,6 +678,37 @@ func (s *Slice[T]) clone(dst *Store) container {
 		}
 	}
 	return clone
+}
+
+// recopy compares only the pages this slice no longer shares with
+// prev, below the length, skipping the comparison where both pages' mixes
+// are current and differ. The copy's table is the one clone would make,
+// with prev's pages in it.
+func (s *Slice[T]) recopy(dst *Store, prev container, x *sameScratch) container {
+	p := prev.(*Slice[T])
+	if s.n != p.n || len(s.pages) != len(p.pages) {
+		return nil
+	}
+	for i := range s.pages {
+		sp, pp := &s.pages[i], &p.pages[i]
+		if sp.elems == pp.elems {
+			continue
+		}
+		if !sp.stale && !pp.stale && sp.mix != pp.mix {
+			return nil
+		}
+		wire.Items(x.a.restart(), s.page(i))
+		wire.Items(x.b.restart(), p.page(i))
+		if !x.same() {
+			return nil
+		}
+	}
+	cp := &Slice[T]{store: dst, id: s.id, sig: s.sig, n: s.n, made: true}
+	cp.pages = append(cp.inline[:0], s.pages...)
+	for i := range cp.pages {
+		cp.pages[i].elems, cp.pages[i].owned = p.pages[i].elems, false
+	}
+	return cp
 }
 
 func (s *Slice[T]) undo(rec undoRec) {

@@ -20,6 +20,7 @@
 package memlog
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"sync"
@@ -147,6 +148,12 @@ type container interface {
 	// clone returns a copy of the container for dst, not yet registered
 	// there, that shares its contents until either side writes.
 	clone(dst *Store) container
+	// recopy returns a copy for dst, not yet registered there, that holds
+	// the contents of prev — the container's copy in the store's previous
+	// capture, which it only reads — with what a clone would carry of the
+	// container's own: nil unless the two hold exactly the same contents,
+	// compared through x (Capture). The container stays unshared.
+	recopy(dst *Store, prev container, x *sameScratch) container
 	undo(rec undoRec)
 	// adoptLog moves in the side log of src, the container of the same
 	// name in another store (TransferLog).
@@ -254,8 +261,10 @@ type Store struct {
 	pending    *storeImage
 	pendingErr error
 
-	// captured is the store's last Capture. Host-only.
+	// captured is the store's last Capture, and cmp what a capture
+	// compares contents through, made by the first comparison. Host-only.
 	captured *Store
+	cmp      *sameScratch
 }
 
 // NewStore returns an empty Store for the named component, using the
@@ -478,9 +487,13 @@ func (s *Store) ForkClone() *Store {
 // copy of each container from the store's previous capture when nothing
 // has written the container since and its bookkeeping stands where that
 // capture left it: what the copy holds is then exactly what a fresh one
-// would. When every container's copy and the store's scalars are the
-// previous capture's, so is the store. A capture is only ever read — by
-// ForkClone, an encoding and PeekBaseBytes — so copies shared between
+// would. A container written since whose contents are still exactly that
+// copy's — a write undone, a key set and deleted again — gets a new copy
+// that shares the previous copy's contents and carries the container's
+// own bookkeeping, and the container stays unshared. When every
+// container's copy and the store's scalars are the previous capture's,
+// so is the store. A capture is only ever read — by ForkClone, an
+// encoding and PeekBaseBytes — so copies and contents shared between
 // captures stay as they are.
 func (s *Store) Capture() *Store {
 	s.captured = s.forkClone(s.captured)
@@ -488,8 +501,7 @@ func (s *Store) Capture() *Store {
 }
 
 // forkClone is ForkClone, taking the copy of each container from prev
-// where its bookkeeping equals the container's (Capture). prev may be
-// nil.
+// as Capture does (copyOf). prev may be nil.
 func (s *Store) forkClone(prev *Store) *Store {
 	if len(s.log) > 0 {
 		panic(fmt.Sprintf("memlog: ForkClone of store %q with %d undo records in flight", s.label, len(s.log)))
@@ -509,21 +521,14 @@ func (s *Store) forkClone(prev *Store) *Store {
 		logEpoch:   1,
 	}
 	for _, name := range s.order {
-		c := s.containers[name]
 		var cp container
 		if prev != nil {
 			cp = prev.containers[name]
 		}
-		// The source's exact bookkeeping, not the fresh one register()
-		// would give the copy.
-		if cp == nil || *cp.meta() != *c.meta() {
-			cp = c.clone(dst)
-			*cp.meta() = *c.meta()
-		}
-		dst.containers[name] = cp
+		dst.containers[name] = s.copyOf(s.containers[name], cp, dst)
 	}
 	dst.sizeDirty = dst.mapped(s.sizeDirty)
-	// The meta copy above carried fpMix/fpValid/fpQueued; rebuild the
+	// The meta copy carried fpMix/fpValid/fpQueued; rebuild the
 	// invalidation queue and aggregate to match, so a fork's first
 	// barrier fingerprint stays O(dirty) instead of re-hashing the world.
 	dst.fpDirty = dst.mapped(s.fpDirty)
@@ -532,6 +537,70 @@ func (s *Store) forkClone(prev *Store) *Store {
 		return prev
 	}
 	return dst
+}
+
+// copyOf returns dst's copy of c, given prev, c's copy in the previous
+// capture (nil for none). That is prev itself when c's bookkeeping still
+// equals prev's: nothing has written c since. Otherwise it is a new copy
+// with c's exact bookkeeping, not the fresh one register() would give:
+// holding prev's contents when c's are still exactly those (recopy),
+// else c's (clone). Equal fingerprint mixes only let the comparison run;
+// unequal ones spare it.
+func (s *Store) copyOf(c, prev container, dst *Store) container {
+	m := c.meta()
+	if prev != nil && *prev.meta() == *m {
+		return prev
+	}
+	var cp container
+	if prev != nil && (!m.fpValid || !prev.meta().fpValid || m.fpMix == prev.meta().fpMix) {
+		if s.cmp == nil {
+			s.cmp = new(sameScratch)
+		}
+		cp = c.recopy(dst, prev, s.cmp)
+	}
+	if cp == nil {
+		cp = c.clone(dst)
+	}
+	*cp.meta() = *m
+	return cp
+}
+
+// sameScratch is what Capture compares contents through: each side's
+// elements encoded, in buffers kept from one comparison to the next.
+// Equal encodings are equal contents — decoding either gives the other,
+// and every fingerprint, size and image is a walk of the same field
+// lists.
+type sameScratch struct {
+	a, b scratchEncoder
+}
+
+// same reports whether the two walks since the last restart encoded the
+// same bytes.
+func (x *sameScratch) same() bool {
+	return x.a.c.Err() == nil && x.b.c.Err() == nil && bytes.Equal(x.a.e.Bytes(), x.b.e.Bytes())
+}
+
+// scratchEncoder is an encoder that each walk empties with its buffer
+// kept: empty is the encoder as it was with no bytes and room bytes of
+// buffer, which wire.Encoder has no way back to of its own.
+type scratchEncoder struct {
+	e, empty wire.Encoder
+	room     int
+	c        *wire.Codec
+}
+
+// restart empties the encoder and returns its codec. One that outgrew
+// its room gets a buffer of the size it reached, so that a steady run of
+// comparisons allocates nothing.
+func (s *scratchEncoder) restart() *wire.Codec {
+	if n := s.e.Len(); n > s.room {
+		s.empty = wire.Encoder{}
+		s.empty.Grow(n)
+		s.room = n
+	}
+	s.e = s.empty
+	s.c = wire.Encoding(&s.e)
+	return s.c
 }
 
 // same reports whether s holds exactly what o does: the same scalars,

@@ -10,16 +10,10 @@ import (
 	"repro/internal/proto"
 )
 
-// pageTable tracks installed mappings per endpoint. This state belongs
-// to the kernel in the original system, so it is plain Go state: it is
-// never rolled back and never fault-injected.
-type pageTable struct {
-	mapped map[kernel.Endpoint]int64
-}
-
-// Run is the system task body. Register it at proto.EpSys.
+// Run is the system task body. Register it at proto.EpSys. SysMap and
+// SysUnmap stand for the page-table updates of the original kernel: the
+// simulation keeps no page table, so they only cost their tick.
 func Run(ctx *kernel.Context) {
-	pt := pageTable{mapped: make(map[kernel.Endpoint]int64)}
 	for {
 		m := ctx.Receive()
 		ctx.Tick(20)
@@ -35,7 +29,6 @@ func Run(ctx *kernel.Context) {
 
 		case proto.SysTerminate:
 			errno := ctx.Kernel().TerminateProcess(kernel.Endpoint(m.A))
-			delete(pt.mapped, kernel.Endpoint(m.A))
 			ctx.ReplyErr(m.From, errno)
 
 		case proto.SysReplace:
@@ -51,16 +44,7 @@ func Run(ctx *kernel.Context) {
 			}
 			ctx.ReplyErr(m.From, kernel.OK)
 
-		case proto.SysMap:
-			pt.mapped[kernel.Endpoint(m.A)] += m.B
-			ctx.ReplyErr(m.From, kernel.OK)
-
-		case proto.SysUnmap:
-			ep := kernel.Endpoint(m.A)
-			pt.mapped[ep] -= m.B
-			if pt.mapped[ep] <= 0 {
-				delete(pt.mapped, ep)
-			}
+		case proto.SysMap, proto.SysUnmap:
 			ctx.ReplyErr(m.From, kernel.OK)
 
 		case proto.RSPing:
