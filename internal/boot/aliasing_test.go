@@ -388,7 +388,7 @@ func shareContents(snaps []*Snapshot) bool {
 
 // contentsOf names the contents of the two paged containers and the two
 // maps of a snapshot's VM and VFS stores: a slice's first page, a map's
-// Go map, read through reflect (which reads the unexported field and
+// page tables, read through reflect (which reads the unexported field and
 // writes nothing).
 func contentsOf(s *Snapshot) [4]uintptr {
 	store := func(ep kernel.Endpoint) *memlog.Store {
@@ -406,8 +406,8 @@ func contentsOf(s *Snapshot) [4]uintptr {
 		}
 	}
 	inodes, dirents := mapsOf(store(kernel.EpVFS))
-	out[2] = reflect.ValueOf(inodes).Elem().FieldByName("m").Pointer()
-	out[3] = reflect.ValueOf(dirents).Elem().FieldByName("m").Pointer()
+	out[2] = reflect.ValueOf(inodes).Elem().FieldByName("tab").Pointer()
+	out[3] = reflect.ValueOf(dirents).Elem().FieldByName("tab").Pointer()
 	return out
 }
 

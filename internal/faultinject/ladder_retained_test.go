@@ -3,9 +3,11 @@ package faultinject
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/boot"
+	"repro/internal/golden"
 	"repro/internal/seep"
 )
 
@@ -63,7 +65,7 @@ func shareOf(snap, prev *boot.Snapshot) captureShare {
 }
 
 // contentsOf names what snap's copy of the named container holds, by
-// identity: a map's Go map, or the pages of a slice. "" when no store of
+// identity: a map's page tables, or the pages of a slice. "" when no store of
 // snap has the container.
 func contentsOf(snap *boot.Snapshot, name string) string {
 	for _, slot := range snap.Image.Slots {
@@ -72,8 +74,8 @@ func contentsOf(snap *boot.Snapshot, name string) string {
 			continue
 		}
 		v := c.Elem().Elem()
-		if m := v.FieldByName("m"); m.IsValid() {
-			return fmt.Sprint(m.Pointer())
+		if tab := v.FieldByName("tab"); tab.IsValid() {
+			return fmt.Sprint(tab.Pointer())
 		}
 		pages := v.FieldByName("pages")
 		ids := make([]uintptr, pages.Len())
@@ -85,9 +87,14 @@ func contentsOf(snap *boot.Snapshot, name string) string {
 	return ""
 }
 
-// What the seed-42 ladder retains, counted in the structures a capture
-// adds rather than in MemStats, so that it reads the same on every run:
-// a rung's site counts are one int32 per site seen so far; a kernel
+// maxLadderRetained bounds the heap the walked seed-42 ladder keeps: 1.19
+// MB while a fork's first write to a map copied it whole, 1.14 MB since
+// a map is paged (go1.24, amd64).
+const maxLadderRetained = 1_150_000
+
+// What the seed-42 ladder retains, in bytes of heap after two GCs, and
+// counted in the structures a capture adds, which read the same on every
+// run: a rung's site counts are one int32 per site seen so far; a kernel
 // process entry is at most 32 bytes, and consecutive captures share the
 // entries they agree on, so the ladder writes a few times the last
 // image's entries, not one image's worth per rung; and a capture takes
@@ -98,12 +105,28 @@ func contentsOf(snap *boot.Snapshot, name string) string {
 // by the next barrier, so the captures hold one frame table and two
 // versions of the file system's maps.
 func TestLadderRetainedSize(t *testing.T) {
+	heap := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	before := heap()
 	l := newLadder(planeClass{kind: kindSingle}.config(seep.PolicyEnhanced, 42), false)
 	if l == nil {
 		t.Fatal("pathfinder failed to reach the boot barrier")
 	}
 	l.serve(nil)
 	l.Close()
+	// What the walked ladder keeps reachable, read from the heap: the race
+	// detector's runtime allocates beside it, so only a build without it
+	// holds the figure.
+	if retained := heap() - before; !golden.Race && retained > maxLadderRetained {
+		t.Errorf("the walked ladder retains %d bytes, want at most %d", retained, maxLadderRetained)
+	} else {
+		t.Logf("the walked ladder retains %d bytes", retained)
+	}
 	for r, rg := range l.rungs {
 		if len(rg.counts) > len(l.sites) || r > 0 && len(rg.counts) < len(l.rungs[r-1].counts) {
 			t.Fatalf("rung %d counts %d sites, the walk saw %d", r, len(rg.counts), len(l.sites))

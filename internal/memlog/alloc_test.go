@@ -260,12 +260,20 @@ func benchSlice(b *testing.B, mode Instrumentation, logging bool) {
 	}
 }
 
+// space is a map value the shape of VM's address-space record.
+type space struct{ EP, Pages, Brk int64 }
+
+func (s *space) Code(c *wire.Codec) {
+	wire.Int(c, &s.EP)
+	wire.Int(c, &s.Pages)
+	wire.Int(c, &s.Brk)
+}
+
 // BenchmarkLoggedMapSet is the logged store as the servers issue it: an
 // int64 key and a small struct value (vm.spaces, pm's process table),
 // overwrite, insert and delete, with the request loop's Checkpoint every
 // few stores. It is the layer benchmark for the typed undo log.
 func BenchmarkLoggedMapSet(b *testing.B) {
-	type space struct{ EP, Pages, Brk int64 }
 	s := NewStore("bench", Optimized)
 	s.SetLogging(true)
 	m := NewMap[int64, space](s, "map")
@@ -320,22 +328,31 @@ func TestBaseBytesSteadyStateDoesNotAllocate(t *testing.T) {
 	_ = sink
 }
 
-// Keys returns the maintained insertion-order index, not a fresh copy.
+// ForEach walks the slab in place: walking a map of several pages, holes
+// among them, allocates nothing.
 func TestMapKeysDoesNotAllocate(t *testing.T) {
 	s := NewStore("keys", Baseline)
 	m := NewMap[int, int](s, "m")
-	for i := 0; i < 32; i++ {
+	for i := 0; i < 3*mapPageLen; i++ {
 		m.Set(i, i)
 	}
-	var sink int
+	for i := 0; i < 3*mapPageLen; i += 7 {
+		m.Delete(i)
+	}
+	var sum, n int
 	allocs := testing.AllocsPerRun(200, func() {
-		sink = len(m.Keys())
+		n = 0
+		m.ForEach(func(k, v int) bool {
+			sum += v
+			n++
+			return true
+		})
 	})
 	if allocs != 0 {
-		t.Errorf("Keys allocated %.1f times per run, want 0", allocs)
+		t.Errorf("ForEach allocated %.1f times per run, want 0", allocs)
 	}
-	if sink != 32 {
-		t.Fatalf("Keys length %d, want 32", sink)
+	if n != m.Len() {
+		t.Fatalf("ForEach visited %d keys, Len is %d", n, m.Len())
 	}
 }
 
@@ -348,10 +365,11 @@ func heapUse(f func()) (mallocs, bytes uint64) {
 	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
 }
 
-// A clone shares a map with the original until either writes it
-// (DESIGN.md §7): cloning a store costs the same whether its map holds
-// 128 entries or none, and the first Set on either side copies the map
-// once, after which its Sets allocate nothing again.
+// A clone shares a map's tables and pages with the original until either
+// writes them (DESIGN.md §7): cloning a store costs the same whether its
+// map holds 128 entries or none, and the first Set on either side copies
+// the tables and the page it lands on, after which its Sets to that page
+// allocate nothing again.
 func TestMapCloneDoesNotAllocateUntilWritten(t *testing.T) {
 	build := func(n int) (*Store, *Map[int64, rec]) {
 		s := NewStore("share", Baseline)
@@ -385,7 +403,7 @@ func TestMapCloneDoesNotAllocateUntilWritten(t *testing.T) {
 	}{{"clone", NewMap[int64, rec](full.Clone(), "map")}, {"original", m}}
 	for _, side := range sides {
 		if mallocs, _ := heapUse(func() { side.m.Set(3, rec{EP: 3, Name: side.name}) }); mallocs == 0 {
-			t.Errorf("the %s's first Set allocated nothing: it wrote the shared map", side.name)
+			t.Errorf("the %s's first Set allocated nothing: it wrote a shared page", side.name)
 		}
 		if allocs := testing.AllocsPerRun(100, func() { side.m.Set(5, rec{EP: 5, Name: side.name}) }); allocs != 0 {
 			t.Errorf("the %s's Sets after its first allocated %.1f times per run, want 0", side.name, allocs)
@@ -479,5 +497,23 @@ func TestFullCopyFirstCheckpointDoesNotAllocate(t *testing.T) {
 	}
 	if want := sim.Cycles(stores[0].BaseBytes()) >> fullCopyCheckpointShift * (runs + 1); charged != want {
 		t.Errorf("first checkpoints charged %d cycles, want the whole section each, %d", charged, want)
+	}
+}
+
+// A lookup allocates nothing, not even for a string key built for it: the
+// key's hash does not keep it.
+func TestMapLookupDoesNotAllocate(t *testing.T) {
+	s := NewStore("lookup", Baseline)
+	m := NewMap[string, int64](s, "m")
+	for i := 0; i < 40; i++ {
+		m.Set(string(rune('a'+i%26))+"/"+string(rune('a'+i/26)), int64(i))
+	}
+	dir := "q"
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, ok := m.Get(dir + "/" + "a"); !ok {
+			t.Fatal("key missing")
+		}
+	}); allocs != 0 {
+		t.Errorf("a lookup of a built key allocated %.1f times per run, want 0", allocs)
 	}
 }

@@ -2,7 +2,6 @@ package memlog
 
 import (
 	"bytes"
-	"reflect"
 	"strings"
 	"testing"
 	"unsafe"
@@ -86,17 +85,17 @@ func TestCaptureMatchesForkClone(t *testing.T) {
 	}
 }
 
-// sharesContents reports whether two copies of a map or a slice hold the
-// same Go map or the same pages, or two copies of a string cell the same
-// bytes: what their contents are, by identity.
+// sharesContents reports whether two copies of a map hold the same page
+// tables, two copies of a slice the same pages, or two copies of a string
+// cell the same bytes: what their contents are, by identity.
 func sharesContents(a, b container) bool {
 	switch a := a.(type) {
 	case *Cell[string]:
 		return unsafe.StringData(a.v) == unsafe.StringData(b.(*Cell[string]).v)
 	case *Map[int64, int64]:
-		return sameGoMap(a.m, b.(*Map[int64, int64]).m)
+		return a.tab != nil && a.tab == b.(*Map[int64, int64]).tab
 	case *Map[int64, string]:
-		return sameGoMap(a.m, b.(*Map[int64, string]).m)
+		return a.tab != nil && a.tab == b.(*Map[int64, string]).tab
 	case *Slice[int32]:
 		bs := b.(*Slice[int32])
 		if len(a.pages) != len(bs.pages) || len(a.pages) == 0 {
@@ -110,10 +109,6 @@ func sharesContents(a, b container) bool {
 		return true
 	}
 	return false
-}
-
-func sameGoMap[K comparable, V any](a, b map[K]V) bool {
-	return reflect.ValueOf(a).UnsafePointer() == reflect.ValueOf(b).UnsafePointer()
 }
 
 // reuseStore is a store with one container of each kind, the slice three

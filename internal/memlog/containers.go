@@ -2,7 +2,6 @@ package memlog
 
 import (
 	"fmt"
-	"maps"
 	"reflect"
 	"slices"
 
@@ -134,268 +133,6 @@ func (c *Cell[T]) corrupt(r *sim.RNG) bool {
 	}
 	c.v = nv.(T)
 	c.store.touch(c, &c.cm)
-	return true
-}
-
-// Map is an instrumented, insertion-ordered map. Iteration order is the
-// order keys were first inserted, which keeps the simulation
-// deterministic without sorting.
-//
-// Invariant: order holds exactly the present keys, in insertion order —
-// every path that deletes a key also removes it from order.
-type Map[K comparable, V any] struct {
-	store *Store
-	id    string
-	cm    contMeta
-	olds  sideLog[mapOld[K, V]]
-	// ksig and vsig are typeSig[K]() and typeSig[V]().
-	ksig, vsig string
-	m          map[K]V
-	order      []K
-	// owned marks m and order as this map's alone, which it may write in
-	// place. Otherwise they are shared — with a clone, a snapshot and
-	// every fork of it — and the first write copies both (own), as a
-	// Slice's first write to a shared page copies the page (DESIGN.md §7).
-	owned bool
-	// hv holds the value a fingerprint is hashing (codeState). Host-only:
-	// never cloned, forked or in an image.
-	hv V
-}
-
-func newMap[K comparable, V any](s *Store, id string) *Map[K, V] {
-	return &Map[K, V]{store: s, id: id, ksig: typeSig[K](), vsig: typeSig[V](), m: make(map[K]V), owned: true}
-}
-
-// mapOld is what one logged Set or Delete of a Map replaced: the value
-// key had, or that it had none (undo = delete). A Delete also records the
-// key's position in the insertion order, where its undo puts it back.
-type mapOld[K comparable, V any] struct {
-	key    K
-	old    V
-	absent bool
-	at     int
-}
-
-// NewMap registers an empty map named id, or returns the existing one
-// on a cloned store.
-func NewMap[K comparable, V any](s *Store, id string) *Map[K, V] {
-	mustCode[K](id)
-	mustCode[V](id)
-	if existing := s.lookup(id); existing != nil {
-		m, ok := existing.(*Map[K, V])
-		if !ok {
-			panic(fmt.Sprintf("memlog: container %q re-declared with a different type", id))
-		}
-		return m
-	}
-	m := newMap[K, V](s, id)
-	materializePending(s, m)
-	s.register(m)
-	return m
-}
-
-// Get returns the value for key and whether it is present.
-func (m *Map[K, V]) Get(key K) (V, bool) {
-	v, ok := m.m[key]
-	return v, ok
-}
-
-// Len reports the number of keys present.
-func (m *Map[K, V]) Len() int { return len(m.m) }
-
-// Set inserts or overwrites key, logging the previous state.
-func (m *Map[K, V]) Set(key K, v V) {
-	old, present := m.m[key]
-	if m.store.shouldLog() {
-		bytes := approxSize(old)
-		if !present {
-			bytes = approxSize(key)
-		}
-		m.store.appendLogged(undoRec{
-			entry: m.id,
-			kind:  recMapSet,
-			pos:   m.olds.push(m.store, mapOld[K, V]{key: key, old: old, absent: !present}),
-			bytes: bytes,
-		})
-	} else {
-		m.store.noteUnloggedStores(1)
-	}
-	m.own()
-	if !present {
-		m.order = append(m.order, key)
-	}
-	m.m[key] = v
-	m.store.touch(m, &m.cm)
-}
-
-// Delete removes key if present, logging the removed value.
-func (m *Map[K, V]) Delete(key K) {
-	old, ok := m.m[key]
-	if !ok {
-		return
-	}
-	m.own()
-	at := m.removeFromOrder(key)
-	if m.store.shouldLog() {
-		m.store.appendLogged(undoRec{
-			entry: m.id,
-			kind:  recMapDelete,
-			pos:   m.olds.push(m.store, mapOld[K, V]{key: key, old: old, at: at}),
-			bytes: approxSize(old),
-		})
-	} else {
-		m.store.noteUnloggedStores(1)
-	}
-	delete(m.m, key)
-	m.store.touch(m, &m.cm)
-}
-
-// Keys returns the present keys in insertion order. The result is the
-// map's internally maintained order index — a borrowed, read-only view,
-// which clones of the map may share: callers must not mutate it and must
-// not hold it across subsequent Set/Delete calls (which update it in
-// place). This keeps Keys allocation-free.
-func (m *Map[K, V]) Keys() []K { return m.order }
-
-// ForEach calls fn for each key/value pair in insertion order. It stops
-// early if fn returns false. fn must not mutate the map.
-func (m *Map[K, V]) ForEach(fn func(K, V) bool) {
-	for _, k := range m.order {
-		if v, ok := m.m[k]; ok {
-			if !fn(k, v) {
-				return
-			}
-		}
-	}
-}
-
-// own makes m and order this map's alone before a write: copies of both,
-// unless the map owns them already.
-func (m *Map[K, V]) own() {
-	if !m.owned {
-		m.m, m.order, m.owned = maps.Clone(m.m), slices.Clone(m.order), true
-	}
-}
-
-// removeFromOrder drops key from the order index and returns where it
-// stood, or -1 if it was absent. The caller owns the map.
-func (m *Map[K, V]) removeFromOrder(key K) int {
-	i := slices.Index(m.order, key)
-	if i >= 0 {
-		m.order = slices.Delete(m.order, i, i+1)
-	}
-	return i
-}
-
-func (m *Map[K, V]) name() string { return m.id }
-
-func (m *Map[K, V]) meta() *contMeta { return &m.cm }
-
-func (m *Map[K, V]) bytes() int {
-	total := 0
-	for _, k := range m.order {
-		total += approxSize(k) + approxSize(m.m[k])
-	}
-	return total
-}
-
-// clone shares the map and its order with the clone, and neither side
-// owns them then: the first write to either copies them. A map that does
-// not own them — a snapshot's — is only read, so concurrent forks of one
-// snapshot do not race.
-func (m *Map[K, V]) clone(dst *Store) container {
-	if m.owned {
-		m.owned = false
-	}
-	return &Map[K, V]{store: dst, id: m.id, ksig: m.ksig, vsig: m.vsig, m: m.m, order: m.order}
-}
-
-// recopy compares the order index, then each key's value: the live
-// map's through hv, the previous copy's read into hv, since a walk of a
-// value elsewhere would put it on the heap.
-func (m *Map[K, V]) recopy(dst *Store, prev container, x *sameScratch) container {
-	p := prev.(*Map[K, V])
-	if !slices.Equal(m.order, p.order) {
-		return nil
-	}
-	same := true
-	for _, k := range m.order {
-		m.hv = m.m[k]
-		wire.Elem(x.a.restart(), &m.hv)
-		m.hv = p.m[k]
-		wire.Elem(x.b.restart(), &m.hv)
-		if same = x.same(); !same {
-			break
-		}
-	}
-	var zero V
-	m.hv = zero
-	if !same {
-		return nil
-	}
-	return &Map[K, V]{store: dst, id: m.id, ksig: m.ksig, vsig: m.vsig, m: p.m, order: p.order}
-}
-
-func (m *Map[K, V]) undo(rec undoRec) {
-	if rec.kind != recMapSet && rec.kind != recMapDelete {
-		panic(fmt.Sprintf("memlog: bad undo kind %d for map %q", rec.kind, m.id))
-	}
-	e := m.olds.pop(m.store, m.id, rec.pos)
-	m.own()
-	if e.absent {
-		delete(m.m, e.key)
-		m.removeFromOrder(e.key)
-	} else {
-		if _, present := m.m[e.key]; !present {
-			// Records are undone newest first, so a deleted key goes back
-			// where it stood. A silent corruption bypasses the log and may
-			// have dropped keys since; what it dropped stays dropped.
-			at := len(m.order)
-			if rec.kind == recMapDelete && e.at < at {
-				at = e.at
-			}
-			m.order = slices.Insert(m.order, at, e.key)
-		}
-		m.m[e.key] = e.old
-	}
-	m.store.touch(m, &m.cm)
-}
-
-func (m *Map[K, V]) adoptLog(src container) {
-	other, ok := src.(*Map[K, V])
-	if !ok {
-		panic(fmt.Sprintf("memlog: undo type mismatch for map %q", m.id))
-	}
-	m.olds.adopt(m.store, &other.olds, other.store)
-}
-
-func (m *Map[K, V]) corrupt(r *sim.RNG) bool {
-	if len(m.order) == 0 {
-		return false
-	}
-	// Pick a random present key deterministically via insertion order.
-	// order holds exactly the present keys, so indexing it directly
-	// consumes the same RNG draw the old Keys()-copy did.
-	k := m.order[r.Intn(len(m.order))]
-	nv, ok := corruptValue(any(m.m[k]), r)
-	// A value of a type corruptValue does not perturb is dropped instead:
-	// a lost record is a realistic silent-corruption outcome.
-	if m.store.mode == FullCopy { // logged: see Store.CorruptRandom
-		if ok {
-			m.Set(k, nv.(V))
-		} else {
-			m.Delete(k)
-		}
-		return true
-	}
-	m.own()
-	if ok {
-		m.m[k] = nv.(V)
-	} else {
-		delete(m.m, k)
-		m.removeFromOrder(k)
-	}
-	m.store.touch(m, &m.cm)
 	return true
 }
 
@@ -774,40 +511,6 @@ func (s *Slice[T]) corrupt(r *sim.RNG) bool {
 func (c *Cell[T]) codeState(w *wire.Codec) {
 	w.Tag(c.sig)
 	wire.Elem(w, &c.v)
-}
-
-func (m *Map[K, V]) codeState(w *wire.Codec) {
-	w.Tag(m.ksig, sigArrow, m.vsig)
-	// Entries are written in insertion order (not sorted): the order
-	// index is part of the map's observable state.
-	n := w.Len(len(m.order))
-	if w.Decoding() {
-		m.m, m.order, m.owned = make(map[K]V, n), make([]K, n), true
-	}
-	// Keys are coded in place, in the order index; the values go through
-	// one V for the whole walk. A fingerprint, which is the store owner's
-	// walk and allocates nothing, uses the map's own; any other walk a new
-	// one, since an encoding may read a snapshot other goroutines read.
-	v := &m.hv
-	if !w.Hashing() {
-		v = new(V)
-	}
-	for i := 0; i < n && w.Err() == nil; i++ {
-		k := &m.order[i]
-		wire.Elem(w, k)
-		if !w.Decoding() {
-			*v = m.m[*k]
-			wire.Elem(w, v)
-			continue
-		}
-		if wire.Elem(w, v); w.Err() != nil {
-			break
-		}
-		if _, dup := m.m[*k]; dup {
-			w.Fail(fmt.Errorf("memlog: map %q payload repeats a key", m.id))
-		}
-		m.m[*k] = *v
-	}
 }
 
 // A slice's payload is the slice form of its elements (wire.Elems's

@@ -11,6 +11,7 @@ type fpStore struct {
 	recs    *Map[int64, rec]
 	frames  *Slice[int32]
 	names   *Slice[string]
+	pages   *Map[int64, rec] // several pages of the slab
 }
 
 func newFPStore() *fpStore {
@@ -22,8 +23,12 @@ func newFPStore() *fpStore {
 		recs:    NewMap[int64, rec](s, "recs"),
 		frames:  NewSlice[int32](s, "frames"),
 		names:   NewSlice[string](s, "names"),
+		pages:   NewMap[int64, rec](s, "pages"),
 	}
 }
+
+// pagesRec is the value the pages map holds at k.
+func pagesRec(k int64) rec { return rec{EP: k, Pages: k % 7, Name: "page"} }
 
 // mixes fingerprints f and returns every container's contribution.
 func (f *fpStore) mixes(t *testing.T) map[string]uint64 {
@@ -43,8 +48,10 @@ func (f *fpStore) mixes(t *testing.T) map[string]uint64 {
 // else: a store that reached the same state by a winding road —
 // overwrites, deletes and re-inserts, a rollback that takes back an
 // append, a fingerprint on the way — mixes every container alike, and so
-// do its fork and its restart clone. A different value or insertion
-// order moves the contribution.
+// do its fork and its restart clone. That holds for a map of several
+// pages too, whose slab the winding road left with holes, compacted and
+// grown again. A different value or insertion order moves the
+// contribution.
 func TestFingerprintIgnoresHistory(t *testing.T) {
 	direct := newFPStore()
 	direct.cell.Set("final")
@@ -58,6 +65,12 @@ func TestFingerprintIgnoresHistory(t *testing.T) {
 	}
 	direct.names.Append("a")
 	direct.names.Append("b")
+	for k := int64(1); k < 100; k += 2 { // odd keys, then even ones
+		direct.pages.Set(k, pagesRec(k))
+	}
+	for k := int64(0); k < 100; k += 2 {
+		direct.pages.Set(k, pagesRec(k))
+	}
 	want := direct.mixes(t)
 
 	w := newFPStore()
@@ -70,7 +83,23 @@ func TestFingerprintIgnoresHistory(t *testing.T) {
 		w.frames.Append(f)
 	}
 	w.names.Append("z")
+	for k := int64(0); k < 150; k++ {
+		w.pages.Set(k, rec{EP: -k})
+	}
 	w.mixes(t) // cache contributions the rest must invalidate
+	for k := int64(0); k < 150; k++ {
+		if k >= 100 || k%2 == 0 || k > 60 {
+			w.pages.Delete(k) // holes, most of them: the slab compacts
+		} else {
+			w.pages.Set(k, pagesRec(k))
+		}
+	}
+	for k := int64(61); k < 100; k += 2 {
+		w.pages.Set(k, pagesRec(k))
+	}
+	for k := int64(0); k < 100; k += 2 {
+		w.pages.Set(k, pagesRec(k))
+	}
 	w.cell.Set("final")
 	w.scalars.Delete(2)
 	w.scalars.Set(1, 10)
@@ -88,6 +117,10 @@ func TestFingerprintIgnoresHistory(t *testing.T) {
 	w.recs.Set(5, rec{})
 	w.frames.Set(0, -1)
 	w.names.Append("c")
+	for k := int64(25); k < 75; k++ { // across page boundaries
+		w.pages.Delete(k)
+	}
+	w.pages.Set(7, rec{})
 	w.s.Rollback()
 	w.s.SetLogging(false)
 
@@ -103,8 +136,10 @@ func TestFingerprintIgnoresHistory(t *testing.T) {
 	w.scalars.Delete(3)
 	w.scalars.Set(3, 30) // same contents, insertion order 1, 2, 3
 	w.recs.Set(7, rec{EP: 7, Name: "seven!"})
+	w.pages.Delete(1)
+	w.pages.Set(1, pagesRec(1)) // same contents, 1 moved to the end
 	got := w.mixes(t)
-	for _, name := range []string{"scalars", "recs"} {
+	for _, name := range []string{"scalars", "recs", "pages"} {
 		if got[name] == want[name] {
 			t.Errorf("%s changed, its mix did not", name)
 		}

@@ -531,6 +531,14 @@ func FuzzDecodeStoreImage(f *testing.F) {
 		}
 		f.Add(img)
 	}
+	// A map of several pages; the same with a key repeated (refused); and
+	// keys that collide in one slot of the index under this process's
+	// seed, and under no other's.
+	keys := numbered("k", 5*mapPageLen)
+	keys[0], keys[1] = "ka", "kb"
+	f.Add(mapImage(f, keys))
+	f.Add(repeatKey(f, mapImage(f, keys), keys))
+	f.Add(mapImage(f, collidingKeys(2*mapPageLen)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := wire.NewDecoder(data)
 		s, err := decodeStore(d)

@@ -23,16 +23,17 @@ type mapCopy[V comparable] struct {
 	model map[int64]V
 	order []int64
 	undo  []func()
+	space int64 // keys are below it
 }
 
-func newMapCopy[V comparable](s *Store, model map[int64]V, order []int64) *mapCopy[V] {
+func newMapCopy[V comparable](s *Store, model map[int64]V, order []int64, space int64) *mapCopy[V] {
 	s.SetLogging(true)
-	return &mapCopy[V]{s: s, m: NewMap[int64, V](s, sharedName), model: model, order: order}
+	return &mapCopy[V]{s: s, m: NewMap[int64, V](s, sharedName), model: model, order: order, space: space}
 }
 
 // fork returns a copy over s holding what c's model holds now.
 func (c *mapCopy[V]) fork(s *Store) *mapCopy[V] {
-	return newMapCopy(s, maps.Clone(c.model), slices.Clone(c.order))
+	return newMapCopy(s, maps.Clone(c.model), slices.Clone(c.order), c.space)
 }
 
 // logged records the model's undo of an operation the store logs.
@@ -144,12 +145,12 @@ func (c *mapCopy[V]) corrupt(r *sim.RNG) {
 }
 
 // check holds c's map to its model: length, key order, every value by
-// Get and by ForEach, and the store's rolling fingerprint against a
-// fresh store's.
+// Get and by ForEach, no key the model lacks, and the store's rolling
+// fingerprint and the map's encoding against a fresh store's.
 func (c *mapCopy[V]) check(t *testing.T, what string) {
 	t.Helper()
-	if c.m.Len() != len(c.model) || !slices.Equal(c.m.Keys(), c.order) {
-		t.Fatalf("%s: keys %v, model %v", what, c.m.Keys(), c.order)
+	if keys := keysOf(c.m); c.m.Len() != len(c.model) || !slices.Equal(keys, c.order) {
+		t.Fatalf("%s: keys %v, model %v", what, keys, c.order)
 	}
 	for _, k := range c.order {
 		if got, ok := c.m.Get(k); !ok || got != c.model[k] {
@@ -164,6 +165,13 @@ func (c *mapCopy[V]) check(t *testing.T, what string) {
 		seen++
 		return true
 	})
+	for k := int64(-1); k <= c.space; k++ {
+		if _, ok := c.model[k]; !ok {
+			if _, found := c.m.Get(k); found {
+				t.Fatalf("%s: Get(%d) finds a key the model lacks", what, k)
+			}
+		}
+	}
 	fresh := NewStore("shared", Baseline)
 	fm := NewMap[int64, V](fresh, sharedName)
 	for _, k := range c.order {
@@ -176,6 +184,17 @@ func (c *mapCopy[V]) check(t *testing.T, what string) {
 	if want, _ := fresh.Fingerprint(); got != want {
 		t.Fatalf("%s: fingerprint %#x, a fresh store holding the model's %#x", what, got, want)
 	}
+	if !bytes.Equal(containerState(c.m), containerState(fm)) {
+		t.Fatalf("%s: the map encodes to other bytes than a fresh map holding the model", what)
+	}
+}
+
+// mapShape is what one run of the shared-map property test drives: the
+// keys the map starts with, the keys set and deleted, and whether it also
+// deletes runs of keys.
+type mapShape struct {
+	keys, space int64
+	runs        bool
 }
 
 // TestPropertyClonedMapMatchesPlainMap drives random Set, Delete,
@@ -184,39 +203,50 @@ func (c *mapCopy[V]) check(t *testing.T, what string) {
 // values corruptValue perturbs (int) and drops (rec). Every copy made
 // along the way is driven on as well — sibling clones and clones of
 // clones, a Clone taken with undo records in flight among them — so the
-// map and order they share are written by each of them. After every step
-// every copy must equal its plain map and order: no write reached a map
-// another copy still reads.
+// pages they share are written by each of them. After every step every
+// copy must equal its plain map and order, encode to the bytes and
+// fingerprint to the hash of a fresh map holding them, and find no key
+// the plain map lacks: no write reached a page another copy still reads.
+// The pages runs start at five pages of keys and delete runs of them —
+// across page boundaries, and most of the map, so that the slab compacts
+// — and roll those deletes back, after a compaction and after sibling
+// copies wrote the pages they shared.
 func TestPropertyClonedMapMatchesPlainMap(t *testing.T) {
-	t.Run("int", func(t *testing.T) {
-		driveSharedMaps(t, func(r *sim.RNG) int { return r.Intn(1 << 20) })
-	})
-	t.Run("rec", func(t *testing.T) {
-		driveSharedMaps(t, func(r *sim.RNG) rec { return rec{EP: int64(r.Intn(50)), Name: "record"} })
-	})
+	small := mapShape{keys: 24, space: 40}
+	paged := mapShape{keys: 5 * mapPageLen, space: 8 * mapPageLen, runs: true}
+	intValue := func(r *sim.RNG) int { return r.Intn(1 << 20) }
+	recValue := func(r *sim.RNG) rec { return rec{EP: int64(r.Intn(50)), Name: "record"} }
+	t.Run("int", func(t *testing.T) { driveSharedMaps(t, small, intValue) })
+	t.Run("rec", func(t *testing.T) { driveSharedMaps(t, small, recValue) })
+	t.Run("int-pages", func(t *testing.T) { driveSharedMaps(t, paged, intValue) })
+	t.Run("rec-pages", func(t *testing.T) { driveSharedMaps(t, paged, recValue) })
 }
 
-func driveSharedMaps[V comparable](t *testing.T, value func(*sim.RNG) V) {
+func driveSharedMaps[V comparable](t *testing.T, shape mapShape, value func(*sim.RNG) V) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		mode := []Instrumentation{Optimized, Unoptimized, FullCopy}[seed%3]
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			r := sim.NewRNG(seed)
-			first := newMapCopy(NewStore("shared", mode), map[int64]V{}, nil)
-			for k := int64(0); k < 24; k++ {
+			first := newMapCopy(NewStore("shared", mode), map[int64]V{}, nil, shape.space)
+			for k := int64(0); k < shape.keys; k++ {
 				first.set(k, value(r))
 			}
 			first.checkpoint()
 			copies := []*mapCopy[V]{first}
+			ops := 20
+			if shape.runs {
+				ops = 22
+			}
 			for step := 0; step < 400; step++ {
 				c := copies[r.Intn(len(copies))]
 				var what string
-				switch op := r.Intn(20); {
+				switch op := r.Intn(ops); {
 				case op < 6:
-					key := int64(r.Intn(40))
+					key := int64(r.Intn(int(shape.space)))
 					what = fmt.Sprintf("Set(%d)", key)
 					c.set(key, value(r))
 				case op < 9:
-					key := int64(r.Intn(40))
+					key := int64(r.Intn(int(shape.space)))
 					if len(c.order) > 0 && r.Intn(4) > 0 {
 						key = c.order[r.Intn(len(c.order))]
 					}
@@ -260,8 +290,27 @@ func driveSharedMaps[V comparable](t *testing.T, value func(*sim.RNG) V) {
 						t.Fatalf("step %d: a decoded store encodes to other bytes", step)
 					}
 					copies = append(copies, d)
-				default:
+				case op < 20:
 					what = "Fingerprint"
+				case op < 21:
+					// A run of keys in insertion order, from a page
+					// boundary or across one.
+					from := r.Intn(len(c.order)+1) &^ mapPageMask
+					if r.Intn(2) == 0 && from >= 2 {
+						from -= 2
+					}
+					n := min(1+r.Intn(mapPageLen+4), len(c.order)-from)
+					what = fmt.Sprintf("delete keys %d to %d", from, from+n)
+					for _, key := range slices.Clone(c.order[from : from+n]) {
+						c.delete(key)
+					}
+				default:
+					what = "delete most keys"
+					for _, key := range slices.Clone(c.order) {
+						if r.Intn(4) > 0 {
+							c.delete(key)
+						}
+					}
 				}
 				if len(copies) > 5 {
 					k := r.Intn(len(copies))
