@@ -135,9 +135,9 @@ func TestForkAliasingPartialWritesStayPrivate(t *testing.T) {
 	}
 }
 
-// A store's Slice pages and Maps are shared the same way (DESIGN.md §7):
-// a capture and every fork copy a slice's page table and share its pages
-// and every map, and the first write to a page or a map copies it. An
+// A store's Slice and Map pages are shared the same way (DESIGN.md §7):
+// a capture and every fork share each container's page tables, and the
+// first write to a table or a page copies it. An
 // inode's block table is shared with them, and a write installs a new
 // one (fs.Inode).
 // pageWriter writes both slices of the suite machine — VM's frame table,
@@ -254,6 +254,84 @@ func sameElements(a, b *memlog.Slice[int32]) bool {
 func TestForkStoresStayPrivate(t *testing.T) {
 	t.Run("one-rung", func(t *testing.T) { forkStoresStayPrivate(t, 1) })
 	t.Run("consecutive-rungs", func(t *testing.T) { forkStoresStayPrivate(t, 3) })
+	t.Run("stale-mixes", forkFingerprintsStayPrivate)
+}
+
+// forkFingerprintsStayPrivate captures barrier 30, where VM's frame table
+// holds pages written since they were last hashed, and has two forks of
+// the capture fingerprint at once while the captured machine runs on:
+// each hashes those pages into a page table of its own (memlog's
+// pageTable), never into the capture's, which stays as it was.
+func forkFingerprintsStayPrivate(t *testing.T) {
+	opts := suiteOpts(1)
+	var report testsuite.Report
+	sys := Boot(opts, holeyInit(&report))
+	defer sys.Shutdown("done")
+	for i := 0; i < 30; i++ {
+		if !sys.Kernel().RunToBarrier(testLimit) {
+			t.Fatalf("suite ended before barrier %d", i)
+		}
+	}
+	snap, err := CaptureParked(sys, opts)
+	if err != nil {
+		t.Fatalf("CaptureParked: %v", err)
+	}
+	var vm *memlog.Store
+	for _, s := range snap.Image.Slots {
+		if s.EP == kernel.EpVM {
+			vm = s.Store
+		}
+	}
+	frames := memlog.NewSlice[int32](vm, "vm.frames")
+	stale, before := stalePages(frames), storeBytes(t, vm)
+	if stale == 0 {
+		t.Fatal("the capture's frame table has no page left to hash: the case tests less than it says")
+	}
+
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for sys.Kernel().RunToBarrier(testLimit) {
+			CaptureParked(sys, opts) // a refusal is a rung the ladder does not hold
+		}
+	}()
+	fps := make([]uint64, 2)
+	for i := range fps {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			forked, err := snap.Fork(ForkParams{Seed: 1}, func(*usr.Proc) int { return 0 })
+			if err != nil {
+				t.Errorf("fork %d: %v", i, err)
+				return
+			}
+			defer forked.Shutdown("checked")
+			if fps[i], err = forked.StateFingerprint(); err != nil {
+				t.Errorf("fork %d: %v", i, err)
+			}
+		}(i)
+	}
+	wg.Wait()
+	if fps[0] != fps[1] {
+		t.Errorf("two forks of one capture fingerprint %#x and %#x", fps[0], fps[1])
+	}
+	if n := stalePages(frames); n != stale || !bytes.Equal(storeBytes(t, vm), before) {
+		t.Errorf("the capture changed under its forks' fingerprints: %d of its frame pages left to hash, were %d", n, stale)
+	}
+}
+
+// stalePages counts the pages of sl whose fingerprint mix is stale, read
+// through reflect (which reads the unexported fields and writes nothing).
+func stalePages(sl *memlog.Slice[int32]) int {
+	tab := reflect.ValueOf(sl).Elem().FieldByName("pages").FieldByName("tab")
+	n := 0
+	for i := 0; i < tab.Len(); i++ {
+		if tab.Index(i).FieldByName("x").FieldByName("stale").Bool() {
+			n++
+		}
+	}
+	return n
 }
 
 // forkStoresStayPrivate captures rungs consecutive rungs from barrier 30
@@ -406,8 +484,8 @@ func contentsOf(s *Snapshot) [4]uintptr {
 		}
 	}
 	inodes, dirents := mapsOf(store(kernel.EpVFS))
-	out[2] = reflect.ValueOf(inodes).Elem().FieldByName("tab").Pointer()
-	out[3] = reflect.ValueOf(dirents).Elem().FieldByName("tab").Pointer()
+	out[2] = reflect.ValueOf(inodes).Elem().FieldByName("slab").FieldByName("tab").Pointer()
+	out[3] = reflect.ValueOf(dirents).Elem().FieldByName("slab").FieldByName("tab").Pointer()
 	return out
 }
 

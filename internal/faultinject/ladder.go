@@ -191,13 +191,16 @@ func newLadder(cfg core.Config, noElide bool) *ladder {
 		sys.Shutdown("ladder: barrier not reached")
 		return nil
 	}
+	// Recorded, and so fingerprinted, before the capture, as every later
+	// rung is (advance): forks of the capture then find its page mixes
+	// current rather than each hashing them again.
+	l.recordRung()
 	snap, err := boot.CaptureParked(sys, opts)
 	if err != nil {
 		sys.Shutdown("ladder: boot barrier not quiescent")
 		return nil
 	}
 	l.snaps = []*boot.Snapshot{snap}
-	l.recordRung()
 	return l
 }
 

@@ -65,8 +65,8 @@ func shareOf(snap, prev *boot.Snapshot) captureShare {
 }
 
 // contentsOf names what snap's copy of the named container holds, by
-// identity: a map's page tables, or the pages of a slice. "" when no store of
-// snap has the container.
+// identity: the pages of a slice's page table or of a map's slab. "" when
+// no store of snap has the container.
 func contentsOf(snap *boot.Snapshot, name string) string {
 	for _, slot := range snap.Image.Slots {
 		c := reflect.ValueOf(slot.Store).Elem().FieldByName("containers").MapIndex(reflect.ValueOf(name))
@@ -74,10 +74,11 @@ func contentsOf(snap *boot.Snapshot, name string) string {
 			continue
 		}
 		v := c.Elem().Elem()
-		if tab := v.FieldByName("tab"); tab.IsValid() {
-			return fmt.Sprint(tab.Pointer())
+		table := v.FieldByName("pages")
+		if !table.IsValid() {
+			table = v.FieldByName("slab")
 		}
-		pages := v.FieldByName("pages")
+		pages := table.FieldByName("tab")
 		ids := make([]uintptr, pages.Len())
 		for i := range ids {
 			ids[i] = pages.Index(i).FieldByName("elems").Pointer()

@@ -68,20 +68,20 @@ func TestMapFirstWriteAllocation(t *testing.T) {
 		{"delete", func(m *Map[int64, inode]) { m.Delete(70) }, 0},
 	} {
 		m := NewMap[int64, inode](s.Clone(), "map")
-		shared := m.tab
-		// The table copy: the tables, and the arrays of those longer than
-		// what they hold inline, with room for one more slab page.
-		tabObjs, tabBytes := uint64(1), uint64(unsafe.Sizeof(*shared))
-		if n := len(shared.pages); n >= mapInline {
-			tabObjs, tabBytes = tabObjs+1, tabBytes+uint64(n+1)*uint64(unsafe.Sizeof(shared.pages[0]))
-		}
-		if n := len(shared.idx); n > mapInline {
-			tabObjs, tabBytes = tabObjs+1, tabBytes+uint64(n)*uint64(unsafe.Sizeof(shared.idx[0]))
-		}
+		slab, idx := m.slab.tab, m.idx.tab
 		mallocs, bytes := heapUse(func() { w.write(m) })
+		// The table copies: each table the write changed, with room for
+		// one more page.
+		tabObjs, tabBytes := uint64(0), uint64(0)
+		if !samePage(m.slab.tab, slab) {
+			tabObjs, tabBytes = tabObjs+1, tabBytes+uint64(len(slab)+1)*uint64(unsafe.Sizeof(slab[0]))
+		}
+		if !samePage(m.idx.tab, idx) {
+			tabObjs, tabBytes = tabObjs+1, tabBytes+uint64(len(idx)+1)*uint64(unsafe.Sizeof(idx[0]))
+		}
 		touched := uint64(0)
-		for i := range m.tab.idx {
-			if m.tab.idx[i].slots != shared.idx[i].slots {
+		for i := range m.idx.tab {
+			if !samePage(m.idx.tab[i].elems, idx[i].elems) {
 				touched++
 			}
 		}

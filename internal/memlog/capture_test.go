@@ -25,14 +25,20 @@ func TestCaptureMatchesForkClone(t *testing.T) {
 	NewCell(s, "still", "never written")
 	m := NewMap[int64, int64](s, "map")
 	sl := NewSlice[int32](s, "slice")
+	// wide spans slab pages; deletes of runs of its keys leave runs of
+	// holes, and deletes of its newest keys move the end of its slab back
+	// across them and across pages. order and vals are what it must hold.
+	wide := NewMap[int64, int64](s, "wide")
+	var order []int64
+	vals := map[int64]int64{}
 	type kept struct {
 		st  *Store
 		img []byte
 	}
 	var caps []kept
 	reused, recopied, fresh := 0, 0, 0
-	for step := 0; step < 400; step++ {
-		switch r.Intn(8) {
+	for step := 0; step < 600; step++ {
+		switch r.Intn(10) {
 		case 0:
 			cell.Set(int64(r.Intn(3)))
 		case 1:
@@ -51,6 +57,41 @@ func TestCaptureMatchesForkClone(t *testing.T) {
 			if _, err := s.Fingerprint(); err != nil {
 				t.Fatal(err)
 			}
+		case 7:
+			k, v := int64(r.Intn(80)), int64(r.Intn(3))
+			if _, ok := vals[k]; !ok {
+				order = append(order, k)
+			}
+			wide.Set(k, v)
+			vals[k] = v
+		case 8:
+			for n := r.Intn(24); n > 0 && len(order) > 0; n-- {
+				k := order[len(order)-1]
+				wide.Delete(k)
+				order = order[:len(order)-1]
+				delete(vals, k)
+			}
+		case 9:
+			if len(order) > 0 {
+				i := r.Intn(len(order))
+				j := min(i+1+r.Intn(16), len(order))
+				for _, k := range order[i:j] {
+					wide.Delete(k)
+					delete(vals, k)
+				}
+				order = append(order[:i], order[j:]...)
+			}
+		}
+		i := 0
+		wide.ForEach(func(k, v int64) bool {
+			if i >= len(order) || k != order[i] || v != vals[k] {
+				t.Fatalf("step %d: wide holds %d=%d at rank %d, want %v", step, k, v, i, order)
+			}
+			i++
+			return true
+		})
+		if i != len(order) || wide.Len() != len(order) {
+			t.Fatalf("step %d: wide holds %d keys (Len %d), want %d", step, i, wide.Len(), len(order))
 		}
 		if r.Intn(3) != 0 {
 			continue
@@ -85,30 +126,103 @@ func TestCaptureMatchesForkClone(t *testing.T) {
 	}
 }
 
-// sharesContents reports whether two copies of a map hold the same page
-// tables, two copies of a slice the same pages, or two copies of a string
-// cell the same bytes: what their contents are, by identity.
+// A capture gives a map back only the previous capture's slab pages that
+// hold as many slots as its own, even where a page's live mask and
+// present entries are the same and only trailing holes differ: the slab's
+// length is the map's, and a page of another length would put the next
+// insert past the slot its live bit names, or trim a page past its
+// capacity. Each case ends the first page at slot 20 on one side and
+// with 12 holes after slot 20 on the other, with nothing fingerprinted.
+func TestCaptureKeepsEachPageLength(t *testing.T) {
+	keys := func(m *Map[int64, int64], from, to int64, set bool) {
+		for k := from; k < to; k++ {
+			if set {
+				m.Set(k, k)
+			} else {
+				m.Delete(k)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		// before builds the map of the first capture, after rewrites it
+		// to the same present entries before the second.
+		before, after func(s *Store, m *Map[int64, int64])
+	}{
+		{"live page shorter", func(s *Store, m *Map[int64, int64]) {
+			keys(m, 0, 40, true)
+			keys(m, 20, 32, false)
+		}, func(s *Store, m *Map[int64, int64]) {
+			keys(m, 32, 40, false)
+		}},
+		{"live page longer", func(s *Store, m *Map[int64, int64]) {
+			keys(m, 0, 20, true)
+			s.Capture()
+			m.Set(5, 50) // copies the shared first page to its length
+		}, func(s *Store, m *Map[int64, int64]) {
+			keys(m, 20, 40, true)
+			keys(m, 20, 32, false)
+		}},
+	} {
+		s := NewStore("lengths", Optimized)
+		m := NewMap[int64, int64](s, "map")
+		tc.before(s, m)
+		s.Capture()
+		tc.after(s, m)
+		s.Capture()
+		keys(m, 32, 40, false)
+		m.Set(100, 100)
+		want := map[int64]int64{100: 100}
+		for k := int64(0); k < 20; k++ {
+			want[k] = k
+		}
+		if tc.name == "live page longer" {
+			want[5] = 50
+		}
+		got := map[int64]int64{}
+		m.ForEach(func(k, v int64) bool { got[k] = v; return true })
+		for k, v := range want {
+			if w, ok := m.Get(k); !ok || w != v || got[k] != v {
+				t.Errorf("%s: key %d reads %d (%v), walks as %d, want %d", tc.name, k, w, ok, got[k], v)
+			}
+		}
+		if len(got) != len(want) || m.Len() != len(want) {
+			t.Errorf("%s: %d keys walked, Len %d, want %d", tc.name, len(got), m.Len(), len(want))
+		}
+	}
+}
+
+// sharesContents reports whether two copies of a container hold their
+// contents in the same memory: a map's slab pages, a slice's pages, a
+// string cell's bytes.
 func sharesContents(a, b container) bool {
 	switch a := a.(type) {
 	case *Cell[string]:
 		return unsafe.StringData(a.v) == unsafe.StringData(b.(*Cell[string]).v)
 	case *Map[int64, int64]:
-		return a.tab != nil && a.tab == b.(*Map[int64, int64]).tab
+		return samePages(a.slab, b.(*Map[int64, int64]).slab)
 	case *Map[int64, string]:
-		return a.tab != nil && a.tab == b.(*Map[int64, string]).tab
+		return samePages(a.slab, b.(*Map[int64, string]).slab)
+	case *Map[int64, rec]:
+		return samePages(a.slab, b.(*Map[int64, rec]).slab)
 	case *Slice[int32]:
-		bs := b.(*Slice[int32])
-		if len(a.pages) != len(bs.pages) || len(a.pages) == 0 {
-			return false
-		}
-		for i := range a.pages {
-			if a.pages[i].elems != bs.pages[i].elems {
-				return false
-			}
-		}
-		return true
+		return samePages(a.pages, b.(*Slice[int32]).pages)
 	}
 	return false
+}
+
+// samePages reports whether two page tables hold the same pages, at least
+// one.
+func samePages[E any, X comparable](a, b pageTable[E, X]) bool {
+	if len(a.tab) != len(b.tab) || len(a.tab) == 0 {
+		return false
+	}
+	for i := range a.tab {
+		if !samePage(a.tab[i].elems, b.tab[i].elems) {
+			return false
+		}
+	}
+	return true
 }
 
 // reuseStore is a store with one container of each kind, the slice three
@@ -126,11 +240,12 @@ func reuseStore() (*Store, *Cell[string], *Map[int64, string], *Slice[int32]) {
 
 // A capture after writes that leave a container as it was — a set and a
 // set back, a new key set and deleted, an undone write — holds a new copy
-// of each that shares the previous capture's contents and carries the
-// container's own bookkeeping, and the container stays unshared, so its
-// next write copies nothing. A capture after a net change shares none.
-// It holds whether or not anything was fingerprinted: elision pinned off
-// fingerprints nothing.
+// of each that carries the container's own bookkeeping, and the
+// container has taken the previous capture's pages back, so the live
+// container and both captures hold its contents once: its next write
+// copies the page table and the page it lands on, no more. A capture
+// after a net change shares none. It holds whether or not anything was
+// fingerprinted: elision pinned off fingerprints nothing.
 func TestCaptureReusesContentsWrittenBack(t *testing.T) {
 	for _, fingerprinted := range []bool{false, true} {
 		s, cell, m, sl := reuseStore()
@@ -171,11 +286,13 @@ func TestCaptureReusesContentsWrittenBack(t *testing.T) {
 				t.Errorf("fingerprinted %v: %s's copy does not carry the container's bookkeeping", fingerprinted, name)
 			}
 		}
-		if !m.owned || !sl.pages[1].owned {
-			t.Errorf("fingerprinted %v: the capture left the written map (owned %v) or page (owned %v) shared", fingerprinted, m.owned, sl.pages[1].owned)
+		for _, name := range s.order {
+			if !sharesContents(first.containers[name], s.containers[name]) {
+				t.Errorf("fingerprinted %v: %s keeps a copy of its own of what the capture holds", fingerprinted, name)
+			}
 		}
-		if mallocs, _ := heapUse(func() { m.Set(1, "one"); sl.Set(slicePageLen, 0) }); mallocs != 0 {
-			t.Errorf("fingerprinted %v: the first writes after the capture allocated %d times: they copied a shared map or page", fingerprinted, mallocs)
+		if mallocs, _ := heapUse(func() { m.Set(1, "one"); sl.Set(slicePageLen, 0) }); mallocs > 4 {
+			t.Errorf("fingerprinted %v: the first writes after the capture allocated %d times, want a page table and a page each", fingerprinted, mallocs)
 		}
 		third := writeBack()
 		if msg := sameCopy(third, s.ForkClone()); msg != "" {
@@ -221,7 +338,7 @@ func TestCaptureRefusesCollidingMix(t *testing.T) {
 	for _, name := range s.order {
 		s.containers[name].meta().fpMix = first.containers[name].meta().fpMix
 	}
-	sl.pages[1].mix = first.containers["slice"].(*Slice[int32]).pages[1].mix
+	sl.pages.at(1).x = first.containers["slice"].(*Slice[int32]).pages.tab[1].x
 	second := s.Capture()
 	for _, name := range s.order {
 		c := second.containers[name]

@@ -3,7 +3,6 @@ package memlog
 import (
 	"fmt"
 	"reflect"
-	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -99,14 +98,13 @@ func (c *Cell[T]) clone(dst *Store) container {
 	return &Cell[T]{store: dst, id: c.id, sig: c.sig, v: c.v}
 }
 
-func (c *Cell[T]) recopy(dst *Store, prev container, x *sameScratch) container {
+func (c *Cell[T]) reshare(prev container, x *sameScratch) {
 	p := prev.(*Cell[T])
 	wire.Elem(x.a.restart(), &c.v)
 	wire.Elem(x.b.restart(), &p.v)
-	if !x.same() {
-		return nil
+	if x.same() {
+		c.v = p.v
 	}
-	return &Cell[T]{store: dst, id: c.id, sig: c.sig, v: p.v}
 }
 
 func (c *Cell[T]) undo(rec undoRec) {
@@ -136,32 +134,22 @@ func (c *Cell[T]) corrupt(r *sim.RNG) bool {
 	return true
 }
 
-// A Slice keeps its elements in pages of slicePageLen, the memlog twin
-// of the driver's paged disk (DESIGN.md §7): a clone copies the page
-// table and shares the pages, the first write to a shared page copies
-// it, and a fingerprint hashes again only the pages written since the
-// last one.
+// A Slice keeps its elements in pages of slicePageLen on a page table
+// (pageTable), the memlog twin of the driver's paged disk (DESIGN.md §7):
+// a clone shares the table, the first write to a shared page copies it,
+// and a fingerprint hashes again only the pages written since the last
+// one.
 const (
 	slicePageShift = 10
 	slicePageLen   = 1 << slicePageShift
 	slicePageMask  = slicePageLen - 1
-	// inlinePages is how many pages a Slice keeps the table of inside
-	// itself: vm.frames' sixteen, so that neither a decode, a bulk fill
-	// nor a clone of it allocates a table besides.
-	inlinePages = 16
 )
 
-// slicePage is one entry of a Slice's page table.
-type slicePage[T any] struct {
-	elems *[slicePageLen]T
-	// mix is the hash of the page's elements below the slice's length,
-	// current unless stale is set.
-	mix uint64
-	// owned marks a page only this slice points to, which it may write in
-	// place. Every other page is shared — with a clone, a snapshot and
-	// every fork of it — and is copied by the first write that lands on
-	// it.
-	owned bool
+// sliceMix is what a Slice keeps beside each page: the hash of the
+// page's elements, current unless stale is set. A stale mix is zero, so
+// that two entries of one page stale alike are equal (pageTable.reshare).
+type sliceMix struct {
+	mix   uint64
 	stale bool
 }
 
@@ -172,12 +160,10 @@ type Slice[T any] struct {
 	cm    contMeta
 	olds  sideLog[sliceOld[T]]
 	sig   string // typeSig[T]()
-	// pages holds the n elements, n rounded up to whole pages. What the
-	// last page holds past n is undefined: whatever lengthens the slice
-	// writes it. Up to inlinePages, the table is inline.
-	pages  []slicePage[T]
-	inline [inlinePages]slicePage[T]
-	n      int
+	// pages holds the n elements, slicePageLen a page but in the last,
+	// and every page has room for slicePageLen.
+	pages pageTable[T, sliceMix]
+	n     int
 	// made is false while the slice is nil — it has never had pages,
 	// been decoded as non-nil or been cloned — which its image head tells
 	// from empty (wire.Codec.Head).
@@ -220,7 +206,7 @@ func (s *Slice[T]) Get(i int) T {
 	if uint(i) >= uint(s.n) {
 		panic(rangeError{s.id, i, s.n})
 	}
-	return s.pages[i>>slicePageShift].elems[i&slicePageMask]
+	return s.pages.tab[i>>slicePageShift].elems[i&slicePageMask]
 }
 
 // rangeError is the panic of an index past a slice's length: a value,
@@ -244,48 +230,17 @@ func (s *Slice[T]) PageFrom(i int) []T {
 	if uint(i) >= uint(s.n) {
 		panic(rangeError{s.id, i, s.n})
 	}
-	return s.page(i >> slicePageShift)[i&slicePageMask:]
+	return s.pages.tab[i>>slicePageShift].elems[i&slicePageMask:]
 }
 
-// page returns the elements of page p below the length.
-func (s *Slice[T]) page(p int) []T {
-	return s.pages[p].elems[:min(slicePageLen, s.n-p<<slicePageShift)]
-}
-
-// own returns page p for writing, copying it first unless this slice
-// owns it, and marks its mix stale.
-func (s *Slice[T]) own(p int) *[slicePageLen]T {
-	pg := &s.pages[p]
-	if !pg.owned {
-		cp := new([slicePageLen]T)
-		*cp = *pg.elems
-		pg.elems, pg.owned = cp, true
+// put writes v to element i, below the length.
+func (s *Slice[T]) put(i int, v T) {
+	pg := s.pages.mine(i>>slicePageShift, 0)
+	if pg == nil {
+		pg = s.pages.copy(i>>slicePageShift, slicePageLen)
 	}
-	pg.stale = true
-	return pg.elems
-}
-
-// slot returns element i for writing (own).
-func (s *Slice[T]) slot(i int) *T {
-	return &s.own(i >> slicePageShift)[i&slicePageMask]
-}
-
-// addPages appends k zeroed pages to the table, owned and stale, from one
-// allocation.
-func (s *Slice[T]) addPages(k int) {
-	backing := make([]T, k<<slicePageShift)
-	if s.pages == nil {
-		s.pages = s.inline[:0]
-	}
-	s.pages = slices.Grow(s.pages, k)
-	for j := 0; j < k; j++ {
-		s.pages = append(s.pages, slicePage[T]{
-			elems: (*[slicePageLen]T)(backing[j<<slicePageShift:]),
-			owned: true,
-			stale: true,
-		})
-	}
-	s.made = true
+	pg.elems[i&slicePageMask] = v
+	pg.x = sliceMix{stale: true}
 }
 
 // Set overwrites element i, logging the old value.
@@ -301,7 +256,13 @@ func (s *Slice[T]) Set(i int, v T) {
 	} else {
 		s.store.noteUnloggedStores(1)
 	}
-	*s.slot(i) = v
+	if pg := s.pages.mine(i>>slicePageShift, 0); pg != nil {
+		// put on an owned page, written out so that it costs no call.
+		pg.elems[i&slicePageMask] = v
+		pg.x = sliceMix{stale: true}
+	} else {
+		s.put(i, v)
+	}
 	s.touch()
 }
 
@@ -324,12 +285,18 @@ func (s *Slice[T]) logAppend() {
 	})
 }
 
-// push writes v past the end.
+// push writes v past the end, on a new page when the last is full.
 func (s *Slice[T]) push(v T) {
-	if s.n == len(s.pages)<<slicePageShift {
-		s.addPages(1)
+	if s.n == len(s.pages.tab)<<slicePageShift {
+		s.pages.add(make([]T, 0, slicePageLen), 0, slicePageLen, sliceMix{})
+		s.made = true
 	}
-	*s.slot(s.n) = v
+	pg := s.pages.mine(s.n>>slicePageShift, 0)
+	if pg == nil {
+		pg = s.pages.copy(s.n>>slicePageShift, slicePageLen)
+	}
+	pg.elems = append(pg.elems, v)
+	pg.x = sliceMix{stale: true}
 	s.n++
 }
 
@@ -352,27 +319,35 @@ func (s *Slice[T]) Grow(n int) {
 	} else {
 		s.store.noteUnloggedStores(n)
 	}
+	end := s.n + n
 	if r := s.n & slicePageMask; r != 0 {
-		// What an undone Append left past the end, maybe in a shared
-		// page.
-		clear(s.own(len(s.pages) - 1)[r:])
+		// The last page's room, where an undone Append may have left a
+		// value, maybe in a shared page.
+		pg := s.pages.mine(len(s.pages.tab)-1, 0)
+		if pg == nil {
+			pg = s.pages.copy(len(s.pages.tab)-1, slicePageLen)
+		}
+		pg.elems = pg.elems[:min(slicePageLen, r+n)]
+		clear(pg.elems[r:])
+		pg.x = sliceMix{stale: true}
+		s.n += len(pg.elems) - r
 	}
-	if more := (s.n+n+slicePageMask)>>slicePageShift - len(s.pages); more > 0 {
-		s.addPages(more)
+	if more := end - s.n; more > 0 {
+		s.pages.add(make([]T, (more+slicePageMask)&^slicePageMask), more, slicePageLen, sliceMix{stale: true})
+		s.made = true
 	}
-	s.n += n
+	s.n = end
 	s.touch()
 }
 
 // cut shortens the slice to n elements: the pages past them leave the
-// table, and the mix of a last page they end inside covers less.
+// table, and a last page they end inside holds fewer.
 func (s *Slice[T]) cut(n int) {
-	np := (n + slicePageMask) >> slicePageShift
-	clear(s.pages[np:])
-	s.pages = s.pages[:np]
+	s.pages.cut((n + slicePageMask) >> slicePageShift)
 	s.n = n
-	if n&slicePageMask != 0 {
-		s.pages[np-1].stale = true
+	if r := n & slicePageMask; r != 0 {
+		pg := s.pages.at(len(s.pages.tab) - 1)
+		pg.elems, pg.x = pg.elems[:r], sliceMix{stale: true}
 	}
 }
 
@@ -391,68 +366,33 @@ func (s *Slice[T]) bytes() int {
 		return s.n * approxSize(zero)
 	}
 	total := 0
-	for p := range s.pages {
-		for _, v := range s.page(p) {
+	for _, pg := range s.pages.tab {
+		for _, v := range pg.elems {
 			total += approxSize(v)
 		}
 	}
 	return total
 }
 
-// clone copies the page table only: the clone and this slice then
-// share every page and own none. A slice that owns no page — a
-// snapshot's — is only read, so concurrent forks of one snapshot do not
-// race.
+// clone shares the page table.
 func (s *Slice[T]) clone(dst *Store) container {
-	clone := &Slice[T]{store: dst, id: s.id, sig: s.sig, n: s.n, made: true}
-	clone.pages = append(clone.inline[:0], s.pages...)
-	for p := range clone.pages {
-		clone.pages[p].owned = false
-	}
-	for p := range s.pages {
-		if s.pages[p].owned {
-			s.pages[p].owned = false
-		}
-	}
-	return clone
+	return &Slice[T]{store: dst, id: s.id, sig: s.sig, pages: s.pages.share(), n: s.n, made: true}
 }
 
-// recopy compares only the pages this slice no longer shares with
-// prev, below the length, skipping the comparison where both pages' mixes
-// are current and differ. The copy's table is the one clone would make,
-// with prev's pages in it.
-func (s *Slice[T]) recopy(dst *Store, prev container, x *sameScratch) container {
-	p := prev.(*Slice[T])
-	if s.n != p.n || len(s.pages) != len(p.pages) {
-		return nil
-	}
-	for i := range s.pages {
-		sp, pp := &s.pages[i], &p.pages[i]
-		if sp.elems == pp.elems {
-			continue
-		}
-		if !sp.stale && !pp.stale && sp.mix != pp.mix {
-			return nil
-		}
-		wire.Items(x.a.restart(), s.page(i))
-		wire.Items(x.b.restart(), p.page(i))
-		if !x.same() {
-			return nil
-		}
-	}
-	cp := &Slice[T]{store: dst, id: s.id, sig: s.sig, n: s.n, made: true}
-	cp.pages = append(cp.inline[:0], s.pages...)
-	for i := range cp.pages {
-		cp.pages[i].elems, cp.pages[i].owned = p.pages[i].elems, false
-	}
-	return cp
+func (s *Slice[T]) reshare(prev container, x *sameScratch) {
+	s.pages.reshare(&prev.(*Slice[T]).pages, x, codeSlicePage[T])
+}
+
+// codeSlicePage walks the elements of a slice's page.
+func codeSlicePage[T any](c *wire.Codec, pg *page[T, sliceMix]) {
+	wire.Items(c, pg.elems)
 }
 
 func (s *Slice[T]) undo(rec undoRec) {
 	switch rec.kind {
 	case recSliceSet:
 		e := s.olds.pop(s.store, s.id, rec.pos)
-		*s.slot(e.i) = e.old
+		s.put(e.i, e.old)
 	case recSliceAppend:
 		s.cut(s.n - 1)
 	default:
@@ -494,7 +434,7 @@ func (s *Slice[T]) corrupt(r *sim.RNG) bool {
 		s.Set(i, nv.(T))
 		return true
 	}
-	*s.slot(i) = nv.(T)
+	s.put(i, nv.(T))
 	s.touch()
 	return true
 }
@@ -515,31 +455,32 @@ func (c *Cell[T]) codeState(w *wire.Codec) {
 
 // A slice's payload is the slice form of its elements (wire.Elems's
 // bytes), coded page by page. Its hash has a word a page instead: the
-// page's mix, computed afresh only for a stale page.
+// page's mix, computed afresh only for a stale page, in the slice's own
+// table.
 func (s *Slice[T]) codeState(w *wire.Codec) {
 	w.Tag(s.sig)
 	made, n := w.Head(s.made, s.n)
 	switch {
 	case w.Decoding():
-		s.pages, s.n, s.made = nil, 0, made
+		s.pages, s.n, s.made = pageTable[T, sliceMix]{}, n, made
 		if n > 0 {
-			s.addPages((n + slicePageMask) >> slicePageShift)
-			s.n = n
+			s.pages.add(make([]T, (n+slicePageMask)&^slicePageMask), n, slicePageLen, sliceMix{stale: true})
 		}
-		for p := 0; p < len(s.pages) && w.Err() == nil; p++ {
-			wire.Items(w, s.page(p))
+		for p := 0; p < len(s.pages.tab) && w.Err() == nil; p++ {
+			wire.Items(w, s.pages.tab[p].elems)
 		}
 	case w.Hashing():
-		for p := range s.pages {
-			pg := &s.pages[p]
-			if pg.stale {
-				pg.mix, pg.stale = wire.ItemsSum(w, s.page(p)), false
+		for p := range s.pages.tab {
+			if s.pages.tab[p].x.stale {
+				pg := s.pages.at(p)
+				pg.x = sliceMix{mix: wire.ItemsSum(w, pg.elems)}
 			}
-			w.Uvarint(&pg.mix)
+			mix := s.pages.tab[p].x.mix
+			w.Uvarint(&mix)
 		}
 	default:
-		for p := range s.pages {
-			wire.Items(w, s.page(p))
+		for p := range s.pages.tab {
+			wire.Items(w, s.pages.tab[p].elems)
 		}
 	}
 }

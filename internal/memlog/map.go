@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/maphash"
 	"math/bits"
-	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/wire"
@@ -12,10 +11,11 @@ import (
 
 // A Map keeps its entries in an insertion-order slab of pages of
 // mapPageLen entries and finds a key through an open-addressing index of
-// pages of idxPageLen slots, each slot a slab position: the paged
-// container rule of DESIGN.md §7, which Slice follows too. A clone shares
-// the page tables and, through them, every page; the first write after it
-// copies the tables, and a page only when it writes that page.
+// pages of idxPageLen slots, each slot a slab position: two page tables
+// (pageTable) under the paged-container rule of DESIGN.md §7, which Slice
+// follows too. A clone shares both tables and, through them, every page;
+// the first write after it copies a table, and a page only when it writes
+// that page.
 const (
 	mapPageShift = 5
 	mapPageLen   = 1 << mapPageShift
@@ -26,47 +26,12 @@ const (
 	// mapScanLen is the most slab slots a map finds its keys in by a scan
 	// of its first page: an index exists only past it.
 	mapScanLen = 8
-	// mapInline is how many slab pages, and how many index pages, a map's
-	// tables hold inline: a table longer than that is an allocation of its
-	// own.
-	mapInline = 2
 )
 
 // mapEntry is one slot of a map's slab.
 type mapEntry[K comparable, V any] struct {
 	key K
 	val V
-}
-
-// mapPage is one entry of a map's slab table.
-type mapPage[K comparable, V any] struct {
-	// ents holds the page's slots below the slab's length. A first page
-	// grows with it; every later page has room for mapPageLen.
-	ents []mapEntry[K, V]
-	// live has bit i set while slot i holds a present key; every other
-	// slot below the length is a hole, whose contents mean nothing.
-	live uint32
-	// owned marks a page only this map's tables point to, which it may
-	// write in place. Every other page is shared — with a clone, a
-	// snapshot and every fork of it — and is copied by the first write
-	// that lands on it.
-	owned bool
-}
-
-// idxPage is one page of a map's index. A slot holds a slab position plus
-// one, or 0 when empty; owned is a slab page's.
-type idxPage struct {
-	slots *[idxPageLen]uint32
-	owned bool
-}
-
-// mapTab is a map's two page tables. A map that does not own its tables
-// copies them before it writes (Map.write), and its copy owns no page.
-type mapTab[K comparable, V any] struct {
-	pages   []mapPage[K, V]
-	idx     []idxPage // empty while the slab has at most mapScanLen slots
-	pagesIn [mapInline]mapPage[K, V]
-	idxIn   [mapInline]idxPage
 }
 
 // Map is an instrumented, insertion-ordered map. Iteration order is the
@@ -84,18 +49,20 @@ type Map[K comparable, V any] struct {
 	olds  sideLog[mapOld[K, V]]
 	// ksig and vsig are typeSig[K]() and typeSig[V]().
 	ksig, vsig string
-	// tab holds n slab slots, of which live hold a key; nil until the
-	// first write.
-	tab     *mapTab[K, V]
+	// slab holds n slots, of which live hold a key. A page holds its slots
+	// below the slab's length: a first page grows with it, every later
+	// page has room for mapPageLen. Beside each page is its live mask, bit
+	// i set while slot i holds a present key; every other slot below the
+	// length is a hole, whose contents mean nothing.
+	slab pageTable[mapEntry[K, V], uint32]
+	// idx is empty while the slab has at most mapScanLen slots. A slot
+	// holds a slab position plus one, or 0 when empty.
+	idx     pageTable[uint32, struct{}]
 	n, live int
-	// owned marks tab as this map's alone, so that the ownership bits in
-	// it speak for this map. Otherwise the tables are shared, and the
-	// first write copies them.
-	owned bool
 }
 
 func newMap[K comparable, V any](s *Store, id string) *Map[K, V] {
-	return &Map[K, V]{store: s, id: id, ksig: typeSig[K](), vsig: typeSig[V](), owned: true}
+	return &Map[K, V]{store: s, id: id, ksig: typeSig[K](), vsig: typeSig[V]()}
 }
 
 // mapOld is what one logged Set or Delete of a Map replaced: the value
@@ -160,7 +127,6 @@ func (m *Map[K, V]) Set(key K, v V) {
 	} else {
 		m.store.noteUnloggedStores(1)
 	}
-	m.write()
 	if p >= 0 {
 		m.entry(p).val = v
 	} else {
@@ -186,7 +152,6 @@ func (m *Map[K, V]) Delete(key K) {
 	} else {
 		m.store.noteUnloggedStores(1)
 	}
-	m.write()
 	m.remove(p)
 	m.store.touch(m, &m.cm)
 }
@@ -194,13 +159,10 @@ func (m *Map[K, V]) Delete(key K) {
 // ForEach calls fn for each key/value pair in insertion order. It stops
 // early if fn returns false. fn must not mutate the map.
 func (m *Map[K, V]) ForEach(fn func(K, V) bool) {
-	if m.tab == nil {
-		return
-	}
-	for i := range m.tab.pages {
-		pg := &m.tab.pages[i]
-		for j := range pg.ents {
-			if pg.live&(1<<j) != 0 && !fn(pg.ents[j].key, pg.ents[j].val) {
+	for i := range m.slab.tab {
+		pg := &m.slab.tab[i]
+		for j := range pg.elems {
+			if pg.x&(1<<j) != 0 && !fn(pg.elems[j].key, pg.elems[j].val) {
 				return
 			}
 		}
@@ -209,12 +171,26 @@ func (m *Map[K, V]) ForEach(fn func(K, V) bool) {
 
 // at returns slot p to read.
 func (m *Map[K, V]) at(p int) *mapEntry[K, V] {
-	return &m.tab.pages[p>>mapPageShift].ents[p&mapPageMask]
+	return &m.slab.tab[p>>mapPageShift].elems[p&mapPageMask]
 }
 
 // present reports whether slot p holds a key.
 func (m *Map[K, V]) present(p int) bool {
-	return m.tab.pages[p>>mapPageShift].live&(1<<(p&mapPageMask)) != 0
+	return m.slab.tab[p>>mapPageShift].x&(1<<(p&mapPageMask)) != 0
+}
+
+// slotAt reads index slot i.
+func (m *Map[K, V]) slotAt(i int) uint32 {
+	return m.idx.tab[i>>idxPageShift].elems[i&idxPageMask]
+}
+
+// setSlot writes index slot i, its page copied first if shared.
+func (m *Map[K, V]) setSlot(i int, s uint32) {
+	pg := m.idx.mine(i>>idxPageShift, 0)
+	if pg == nil {
+		pg = m.idx.copy(i>>idxPageShift, idxPageLen)
+	}
+	pg.elems[i&idxPageMask] = s
 }
 
 // find returns the slot of key, or -1 when it is absent.
@@ -222,19 +198,18 @@ func (m *Map[K, V]) find(key K) int {
 	if m.n == 0 {
 		return -1
 	}
-	t := m.tab
-	if len(t.idx) == 0 {
-		pg := &t.pages[0]
-		for i := range pg.ents {
-			if pg.live&(1<<i) != 0 && pg.ents[i].key == key {
+	if len(m.idx.tab) == 0 {
+		pg := &m.slab.tab[0]
+		for i := range pg.elems {
+			if pg.x&(1<<i) != 0 && pg.elems[i].key == key {
 				return i
 			}
 		}
 		return -1
 	}
-	mask := len(t.idx)<<idxPageShift - 1
+	mask := len(m.idx.tab)<<idxPageShift - 1
 	for i := int(hashKey(key)) & mask; ; i = (i + 1) & mask {
-		s := t.idx[i>>idxPageShift].slots[i&idxPageMask]
+		s := m.slotAt(i)
 		if s == 0 {
 			return -1
 		}
@@ -246,17 +221,17 @@ func (m *Map[K, V]) find(key K) int {
 
 // rank returns how many keys stand before slot p.
 func (m *Map[K, V]) rank(p int) int {
-	pages, r := m.tab.pages, 0
+	pages, r := m.slab.tab, 0
 	for i := 0; i < p>>mapPageShift; i++ {
-		r += bits.OnesCount32(pages[i].live)
+		r += bits.OnesCount32(pages[i].x)
 	}
-	return r + bits.OnesCount32(pages[p>>mapPageShift].live&(1<<(p&mapPageMask)-1))
+	return r + bits.OnesCount32(pages[p>>mapPageShift].x&(1<<(p&mapPageMask)-1))
 }
 
 // nth returns the slot of the key k keys stand before.
 func (m *Map[K, V]) nth(k int) int {
-	for i := range m.tab.pages {
-		live := m.tab.pages[i].live
+	for i := range m.slab.tab {
+		live := m.slab.tab[i].x
 		if c := bits.OnesCount32(live); k >= c {
 			k -= c
 			continue
@@ -269,86 +244,51 @@ func (m *Map[K, V]) nth(k int) int {
 	panic(fmt.Sprintf("memlog: map %q holds no key of rank %d", m.id, k))
 }
 
-// write makes the tables this map's alone before a write: a copy of
-// them, owning none of their pages, unless it owns them already.
-func (m *Map[K, V]) write() {
-	if m.owned && m.tab != nil {
-		return
-	}
-	t := new(mapTab[K, V])
-	t.pages = t.pagesIn[:0]
-	if m.tab != nil {
-		// Room for one more page, which an insert may add.
-		t.pages = append(slices.Grow(t.pages, len(m.tab.pages)+1), m.tab.pages...)
-		for i := range t.pages {
-			t.pages[i].owned = false
-		}
-		if len(m.tab.idx) > 0 {
-			t.idx = append(t.idxIn[:0], m.tab.idx...)
-			for i := range t.idx {
-				t.idx[i].owned = false
-			}
-		}
-	}
-	m.tab, m.owned = t, true
-}
-
-// page returns slab page i for writing, copied first unless this map
-// owns it, and with room for one more slot when grow is set. A copy of a
-// later page has room for a whole page; a first page grows by doubling,
-// and its copy for an overwrite takes its length, as a copy of the whole
-// map once did. The caller owns the tables.
-func (m *Map[K, V]) page(i int, grow bool) *mapPage[K, V] {
-	pg := &m.tab.pages[i]
-	n, c := len(pg.ents), cap(pg.ents)
-	full := grow && n == c
-	if pg.owned && !full {
-		return pg
-	}
-	switch {
+// room returns the capacity a copy of slab page i gets to hold need
+// slots (pageTable.copy): a whole page past the first; for a first page
+// that must grow, twice its length, and otherwise what it has — its
+// length for an overwrite, as a copy of the whole map once took.
+func (m *Map[K, V]) room(i, need int) int {
+	ents := m.slab.tab[i].elems
+	switch n, c := len(ents), cap(ents); {
 	case i > 0:
-		c = mapPageLen
-	case full:
-		c = min(max(2*n, 1), mapPageLen)
-	case !grow:
-		c = n
+		return mapPageLen
+	case need > c:
+		return min(max(2*n, 1), mapPageLen)
+	case need > n:
+		return c
+	default:
+		return n
 	}
-	cp := make([]mapEntry[K, V], n, c)
-	copy(cp, pg.ents)
-	pg.ents, pg.owned = cp, true
-	return pg
 }
 
-// entry returns slot p for writing (page).
+// entry returns slot p for writing.
 func (m *Map[K, V]) entry(p int) *mapEntry[K, V] {
-	return &m.page(p>>mapPageShift, false).ents[p&mapPageMask]
-}
-
-// slot returns index slot i for writing, its page copied first unless
-// this map owns it. The caller owns the tables.
-func (m *Map[K, V]) slot(i int) *uint32 {
-	pg := &m.tab.idx[i>>idxPageShift]
-	if !pg.owned {
-		cp := new([idxPageLen]uint32)
-		*cp = *pg.slots
-		pg.slots, pg.owned = cp, true
+	i := p >> mapPageShift
+	pg := m.slab.mine(i, 0)
+	if pg == nil {
+		pg = m.slab.copy(i, m.room(i, 0))
 	}
-	return &pg.slots[i&idxPageMask]
+	return &pg.elems[p&mapPageMask]
 }
 
-// insert puts key at the end of the slab. The caller owns the tables.
+// insert puts key at the end of the slab.
 func (m *Map[K, V]) insert(key K, v V) {
-	t, p := m.tab, m.n
-	if i := p >> mapPageShift; i == len(t.pages) {
+	p, i := m.n, m.n>>mapPageShift
+	if i == len(m.slab.tab) {
 		c := mapPageLen
 		if i == 0 {
 			c = 1
 		}
-		t.pages = append(t.pages, mapPage[K, V]{ents: make([]mapEntry[K, V], 0, c), owned: true})
+		m.slab.add(make([]mapEntry[K, V], 0, c), 0, mapPageLen, 0)
 	}
-	pg := m.page(p>>mapPageShift, true)
-	pg.ents = append(pg.ents, mapEntry[K, V]{key, v})
-	pg.live |= 1 << (p & mapPageMask)
+	need := p&mapPageMask + 1
+	pg := m.slab.mine(i, need)
+	if pg == nil {
+		pg = m.slab.copy(i, m.room(i, need))
+	}
+	pg.elems = append(pg.elems, mapEntry[K, V]{key, v})
+	pg.x |= 1 << (p & mapPageMask)
 	m.n, m.live = p+1, m.live+1
 	m.index(p)
 }
@@ -357,10 +297,9 @@ func (m *Map[K, V]) insert(key K, v V) {
 // rebuilds twice as large, when the key would fill it past three
 // quarters.
 func (m *Map[K, V]) index(p int) {
-	t := m.tab
 	switch {
-	case len(t.idx) == 0 && m.n <= mapScanLen:
-	case 4*m.live > 3*len(t.idx)<<idxPageShift:
+	case len(m.idx.tab) == 0 && m.n <= mapScanLen:
+	case 4*m.live > 3*len(m.idx.tab)<<idxPageShift:
 		m.reindex(m.live)
 	default:
 		m.place(p)
@@ -370,46 +309,42 @@ func (m *Map[K, V]) index(p int) {
 // place writes slot p into the first empty index slot from its key's
 // hash.
 func (m *Map[K, V]) place(p int) {
-	t := m.tab
-	mask := len(t.idx)<<idxPageShift - 1
+	mask := len(m.idx.tab)<<idxPageShift - 1
 	i := int(hashKey(m.at(p).key)) & mask
-	for t.idx[i>>idxPageShift].slots[i&idxPageMask] != 0 {
+	for m.slotAt(i) != 0 {
 		i = (i + 1) & mask
 	}
-	*m.slot(i) = uint32(p + 1)
+	m.setSlot(i, uint32(p+1))
 }
 
 // unplace takes slot p out of the index: the entries after it in its
 // probe run that may stand where it stood move up (backward shift), so
 // no tombstone is left.
 func (m *Map[K, V]) unplace(p int) {
-	t := m.tab
-	mask := len(t.idx)<<idxPageShift - 1
+	mask := len(m.idx.tab)<<idxPageShift - 1
 	i := int(hashKey(m.at(p).key)) & mask
-	for t.idx[i>>idxPageShift].slots[i&idxPageMask] != uint32(p+1) {
+	for m.slotAt(i) != uint32(p+1) {
 		i = (i + 1) & mask
 	}
 	for j := (i + 1) & mask; ; j = (j + 1) & mask {
-		s := t.idx[j>>idxPageShift].slots[j&idxPageMask]
+		s := m.slotAt(j)
 		if s == 0 {
 			break
 		}
 		// s may fill i when i lies between its home slot and j.
 		if home := int(hashKey(m.at(int(s-1)).key)) & mask; (j-home)&mask >= (j-i)&mask {
-			*m.slot(i) = s
+			m.setSlot(i, s)
 			i = j
 		}
 	}
-	*m.slot(i) = 0
+	m.setSlot(i, 0)
 }
 
-// reindex builds a new index, owned, of at least twice keys slots, from
-// one allocation, and enters every present key; none while the slab has
-// at most mapScanLen slots.
+// reindex builds a new index of at least twice keys slots, from one
+// allocation, and enters every present key; none while the slab has at
+// most mapScanLen slots.
 func (m *Map[K, V]) reindex(keys int) {
-	t := m.tab
-	clear(t.idxIn[:])
-	t.idx = t.idxIn[:0]
+	m.idx.cut(0)
 	if m.n <= mapScanLen && keys <= mapScanLen {
 		return
 	}
@@ -417,13 +352,9 @@ func (m *Map[K, V]) reindex(keys int) {
 	for size < 2*keys {
 		size *= 2
 	}
-	backing := make([]uint32, size)
-	t.idx = slices.Grow(t.idx, size/idxPageLen)
-	for off := 0; off < size; off += idxPageLen {
-		t.idx = append(t.idx, idxPage{slots: (*[idxPageLen]uint32)(backing[off:]), owned: true})
-	}
-	for i := range t.pages {
-		for live := t.pages[i].live; live != 0; live &= live - 1 {
+	m.idx.add(make([]uint32, size), size, idxPageLen, struct{}{})
+	for i := range m.slab.tab {
+		for live := m.slab.tab[i].x; live != 0; live &= live - 1 {
 			m.place(i<<mapPageShift + bits.TrailingZeros32(live))
 		}
 	}
@@ -431,22 +362,21 @@ func (m *Map[K, V]) reindex(keys int) {
 
 // remove makes slot p a hole and takes it out of the index. Holes at the
 // end leave the slab, and when more than a page and more than the keys
-// present are holes, the slab is compacted. The caller owns the tables.
+// present are holes, the slab is compacted.
 func (m *Map[K, V]) remove(p int) {
-	t := m.tab
-	if len(t.idx) > 0 {
+	if len(m.idx.tab) > 0 {
 		m.unplace(p)
 	}
-	pg := &t.pages[p>>mapPageShift]
-	pg.live &^= 1 << (p & mapPageMask)
+	pg := m.slab.at(p >> mapPageShift)
+	pg.x &^= 1 << (p & mapPageMask)
 	if pg.owned {
-		pg.ents[p&mapPageMask] = mapEntry[K, V]{} // what nothing else reads need not stay reachable
+		pg.elems[p&mapPageMask] = mapEntry[K, V]{} // what nothing else reads need not stay reachable
 	}
 	m.live--
 	for m.n > 0 && !m.present(m.n-1) {
 		m.n--
-		last := &t.pages[m.n>>mapPageShift]
-		last.ents = last.ents[:m.n&mapPageMask]
+		last := m.slab.at(m.n >> mapPageShift)
+		last.elems = last.elems[:m.n&mapPageMask]
 	}
 	if holes := m.n - m.live; holes > mapPageLen && holes > m.live {
 		m.rebuild(-1, *new(K), *new(V))
@@ -456,14 +386,12 @@ func (m *Map[K, V]) remove(p int) {
 // restore puts key back as the key at rank at, which is at most Len: in
 // the hole at slot pos when that is where the rank falls, as it does
 // unless a compaction or a silent corruption came between; at the end of
-// the slab for the last rank; else into a new slab (rebuild). The caller
-// owns the tables.
+// the slab for the last rank; else into a new slab (rebuild).
 func (m *Map[K, V]) restore(key K, v V, at, pos int) {
 	switch {
 	case pos >= 0 && pos < m.n && !m.present(pos) && m.rank(pos) == at:
-		pg := m.page(pos>>mapPageShift, false)
-		pg.ents[pos&mapPageMask] = mapEntry[K, V]{key, v}
-		pg.live |= 1 << (pos & mapPageMask)
+		*m.entry(pos) = mapEntry[K, V]{key, v}
+		m.slab.tab[pos>>mapPageShift].x |= 1 << (pos & mapPageMask)
 		m.live++
 		m.index(pos)
 	case at == m.live:
@@ -476,31 +404,28 @@ func (m *Map[K, V]) restore(key K, v V, at, pos int) {
 // rebuild compacts the slab into new pages from one allocation, owned,
 // with key put in as the key at rank at when at is not negative (and
 // below Len: restore appends at the last rank), and indexes it afresh.
-// The caller owns the tables.
 func (m *Map[K, V]) rebuild(at int, key K, v V) {
-	t := m.tab
 	n := m.live
 	if at >= 0 {
 		n++
 	}
 	ents := make([]mapEntry[K, V], 0, n)
-	for i := range t.pages {
-		pg := &t.pages[i]
-		for j := range pg.ents {
-			if pg.live&(1<<j) == 0 {
+	for i := range m.slab.tab {
+		pg := &m.slab.tab[i]
+		for j := range pg.elems {
+			if pg.x&(1<<j) == 0 {
 				continue
 			}
 			if len(ents) == at {
 				ents = append(ents, mapEntry[K, V]{key, v})
 			}
-			ents = append(ents, pg.ents[j])
+			ents = append(ents, pg.elems[j])
 		}
 	}
-	clear(t.pages)
-	t.pages = t.pages[:0]
-	for off := 0; off < n; off += mapPageLen {
-		end := min(off+mapPageLen, n)
-		t.pages = append(t.pages, mapPage[K, V]{ents: ents[off:end:end], live: lowBits(end - off), owned: true})
+	m.slab.cut(0)
+	m.slab.add(ents, n, mapPageLen, 0)
+	for i := range m.slab.tab {
+		m.slab.tab[i].x = lowBits(len(m.slab.tab[i].elems))
 	}
 	m.n, m.live = n, n
 	m.reindex(n)
@@ -522,41 +447,30 @@ func (m *Map[K, V]) bytes() int {
 	return total
 }
 
-// clone shares the tables with the clone, and neither side owns them
-// then: the first write to either copies them. A map that does not own
-// them — a snapshot's — is only read, so concurrent forks of one snapshot
-// do not race.
+// clone shares both page tables.
 func (m *Map[K, V]) clone(dst *Store) container {
-	if m.owned {
-		m.owned = false
-	}
-	return &Map[K, V]{store: dst, id: m.id, ksig: m.ksig, vsig: m.vsig, tab: m.tab, n: m.n, live: m.live}
+	return &Map[K, V]{store: dst, id: m.id, ksig: m.ksig, vsig: m.vsig, slab: m.slab.share(), idx: m.idx.share(), n: m.n, live: m.live}
 }
 
-// recopy compares only the slab pages this map no longer shares with
-// prev: their holes, then the keys and values they hold. Two maps whose
-// slabs lay the same keys out differently compare unequal, which only
-// costs the copy a share. The copy shares prev's tables.
-func (m *Map[K, V]) recopy(dst *Store, prev container, x *sameScratch) container {
+// reshare takes back the slab pages and the index pages the map holds
+// exactly as prev does. Two maps whose slabs lay the same keys out
+// differently compare unequal, which only costs a share.
+func (m *Map[K, V]) reshare(prev container, x *sameScratch) {
 	p := prev.(*Map[K, V])
-	if m.n != p.n || m.live != p.live {
-		return nil
-	}
-	for i := 0; i < (m.n+mapPageMask)>>mapPageShift; i++ {
-		a, b := &m.tab.pages[i], &p.tab.pages[i]
-		if a.live != b.live {
-			return nil
-		}
-		if &a.ents[0] == &b.ents[0] {
-			continue
-		}
-		codeEntries(x.a.restart(), a)
-		codeEntries(x.b.restart(), b)
-		if !x.same() {
-			return nil
-		}
-	}
-	return &Map[K, V]{store: dst, id: m.id, ksig: m.ksig, vsig: m.vsig, tab: p.tab, n: p.n, live: p.live}
+	m.slab.reshare(&p.slab, x, codeSlabPage[K, V])
+	m.idx.reshare(&p.idx, x, codeIndexPage)
+}
+
+// codeSlabPage walks a slab page's live mask, then its present entries.
+func codeSlabPage[K comparable, V any](c *wire.Codec, pg *page[mapEntry[K, V], uint32]) {
+	live := uint64(pg.x)
+	c.Uvarint(&live)
+	codeEntries(c, pg)
+}
+
+// codeIndexPage walks an index page's slots.
+func codeIndexPage(c *wire.Codec, pg *page[uint32, struct{}]) {
+	wire.Items(c, pg.elems)
 }
 
 func (m *Map[K, V]) undo(rec undoRec) {
@@ -564,7 +478,6 @@ func (m *Map[K, V]) undo(rec undoRec) {
 		panic(fmt.Sprintf("memlog: bad undo kind %d for map %q", rec.kind, m.id))
 	}
 	e := m.olds.pop(m.store, m.id, rec.pos)
-	m.write()
 	switch p := m.find(e.key); {
 	case e.absent:
 		if p >= 0 {
@@ -611,7 +524,6 @@ func (m *Map[K, V]) corrupt(r *sim.RNG) bool {
 		}
 		return true
 	}
-	m.write()
 	if ok {
 		m.entry(p).val = nv.(V)
 	} else {
@@ -631,19 +543,16 @@ func (m *Map[K, V]) codeState(w *wire.Codec) {
 		m.decode(w, n)
 		return
 	}
-	if m.tab == nil {
-		return
-	}
-	for i := 0; i < len(m.tab.pages) && w.Err() == nil; i++ {
-		codeEntries(w, &m.tab.pages[i])
+	for i := 0; i < len(m.slab.tab) && w.Err() == nil; i++ {
+		codeEntries(w, &m.slab.tab[i])
 	}
 }
 
 // codeEntries encodes or hashes the present entries of pg, key then
 // value, in slab order.
-func codeEntries[K comparable, V any](c *wire.Codec, pg *mapPage[K, V]) {
-	for live := pg.live; live != 0; live &= live - 1 {
-		e := &pg.ents[bits.TrailingZeros32(live)]
+func codeEntries[K comparable, V any](c *wire.Codec, pg *page[mapEntry[K, V], uint32]) {
+	for live := pg.x; live != 0; live &= live - 1 {
+		e := &pg.elems[bits.TrailingZeros32(live)]
 		wire.Elem(c, &e.key)
 		wire.Elem(c, &e.val)
 	}
@@ -653,20 +562,15 @@ func codeEntries[K comparable, V any](c *wire.Codec, pg *mapPage[K, V]) {
 // sized for them, refusing a repeated key. What it allocates is a
 // multiple of n, which the payload's length bounds (wire.Codec.Len).
 func (m *Map[K, V]) decode(w *wire.Codec, n int) {
-	m.tab, m.owned, m.n, m.live = nil, true, 0, 0
+	m.slab, m.idx, m.n, m.live = pageTable[mapEntry[K, V], uint32]{}, pageTable[uint32, struct{}]{}, 0, 0
 	if n == 0 {
 		return
 	}
-	m.write()
-	t := m.tab
 	ents := make([]mapEntry[K, V], n)
-	t.pages = slices.Grow(t.pages, (n+mapPageMask)>>mapPageShift)
-	for off := 0; off < n; off += mapPageLen {
-		t.pages = append(t.pages, mapPage[K, V]{ents: ents[off:off:min(off+mapPageLen, n)], owned: true})
-	}
+	m.slab.add(ents, 0, mapPageLen, 0)
 	m.reindex(n)
 	for p := 0; p < n; p++ {
-		pg := &t.pages[p>>mapPageShift]
+		pg := &m.slab.tab[p>>mapPageShift]
 		e := &ents[p]
 		wire.Elem(w, &e.key)
 		if wire.Elem(w, &e.val); w.Err() != nil {
@@ -676,10 +580,10 @@ func (m *Map[K, V]) decode(w *wire.Codec, n int) {
 			w.Fail(fmt.Errorf("memlog: map %q payload repeats a key", m.id))
 			break
 		}
-		pg.ents = pg.ents[:p&mapPageMask+1]
-		pg.live |= 1 << (p & mapPageMask)
+		pg.elems = pg.elems[:p&mapPageMask+1]
+		pg.x |= 1 << (p & mapPageMask)
 		m.n, m.live = p+1, p+1
-		if len(t.idx) > 0 {
+		if len(m.idx.tab) > 0 {
 			m.place(p)
 		}
 	}

@@ -148,12 +148,11 @@ type container interface {
 	// clone returns a copy of the container for dst, not yet registered
 	// there, that shares its contents until either side writes.
 	clone(dst *Store) container
-	// recopy returns a copy for dst, not yet registered there, that holds
-	// the contents of prev — the container's copy in the store's previous
-	// capture, which it only reads — with what a clone would carry of the
-	// container's own: nil unless the two hold exactly the same contents,
-	// compared through x (Capture). The container stays unshared.
-	recopy(dst *Store, prev container, x *sameScratch) container
+	// reshare makes what the container holds exactly as prev does — the
+	// container's copy in the store's previous capture, which it only
+	// reads — prev's again, compared through x: a Cell's value, a paged
+	// container's pages (pageTable.reshare). Contents stay as they are.
+	reshare(prev container, x *sameScratch)
 	undo(rec undoRec)
 	// adoptLog moves in the side log of src, the container of the same
 	// name in another store (TransferLog).
@@ -445,10 +444,11 @@ func (s *Store) sideLogsInto(dst *Store) {
 
 // Clone produces a fresh Store with a copy of every container — the
 // "data section copy" performed during the restart phase. The clone
-// shares no mutable state with the original: a Slice's pages and a Map
-// are shared but owned by neither side, so the first write to one copies
-// it. Its undo log starts empty, and it inherits the store's identity: label,
-// mode, generation and log high-water mark.
+// shares no mutable state with the original: the page tables of its
+// Slices and Maps are shared but owned by neither side, so the first
+// write to one copies it (pageTable). Its undo log starts empty, and it
+// inherits the store's identity: label, mode, generation and log
+// high-water mark.
 func (s *Store) Clone() *Store {
 	if s.pending != nil {
 		panic(fmt.Sprintf("memlog: Clone on store %q before its image decode was materialized", s.label))
@@ -474,8 +474,8 @@ func (s *Store) Clone() *Store {
 // from this point on — the warm-fork plane relies on it.
 // Like an image, it requires a quiescent store: it panics on undo records
 // in flight (core's capture refuses such a machine first). A store that
-// owns no Slice page and no Map — a snapshot's — is only read, so forks
-// of it may be taken concurrently. The cost sink and counter set are NOT carried over
+// owns no page table — a snapshot's — is only read, so forks of it may
+// be taken concurrently. The cost sink and counter set are NOT carried over
 // (they reference the source machine); the caller must install the
 // fork's own via SetCostSink/SetCounters.
 func (s *Store) ForkClone() *Store {
@@ -487,14 +487,14 @@ func (s *Store) ForkClone() *Store {
 // copy of each container from the store's previous capture when nothing
 // has written the container since and its bookkeeping stands where that
 // capture left it: what the copy holds is then exactly what a fresh one
-// would. A container written since whose contents are still exactly that
-// copy's — a write undone, a key set and deleted again — gets a new copy
-// that shares the previous copy's contents and carries the container's
-// own bookkeeping, and the container stays unshared. When every
-// container's copy and the store's scalars are the previous capture's,
-// so is the store. A capture is only ever read — by ForkClone, an
-// encoding and PeekBaseBytes — so copies and contents shared between
-// captures stay as they are.
+// would. A container written since takes back, page by page, what it
+// holds exactly as that copy does — a write undone, a key set and
+// deleted again — and its new copy shares those pages, and the copy's
+// whole page table when every page is the copy's (pageTable.reshare).
+// When every container's copy and the store's scalars are the previous
+// capture's, so is the store. A capture is only ever read — by
+// ForkClone, an encoding and PeekBaseBytes — so copies and contents
+// shared between captures stay as they are.
 func (s *Store) Capture() *Store {
 	s.captured = s.forkClone(s.captured)
 	return s.captured
@@ -541,26 +541,23 @@ func (s *Store) forkClone(prev *Store) *Store {
 
 // copyOf returns dst's copy of c, given prev, c's copy in the previous
 // capture (nil for none). That is prev itself when c's bookkeeping still
-// equals prev's: nothing has written c since. Otherwise it is a new copy
-// with c's exact bookkeeping, not the fresh one register() would give:
-// holding prev's contents when c's are still exactly those (recopy),
-// else c's (clone). Equal fingerprint mixes only let the comparison run;
-// unequal ones spare it.
+// equals prev's: nothing has written c since. Otherwise c first takes
+// back what it holds exactly as prev does (reshare), and the copy is a
+// clone with c's exact bookkeeping, not the fresh one register() would
+// give. Equal fingerprint mixes only let the comparison run; unequal ones
+// spare it.
 func (s *Store) copyOf(c, prev container, dst *Store) container {
 	m := c.meta()
 	if prev != nil && *prev.meta() == *m {
 		return prev
 	}
-	var cp container
 	if prev != nil && (!m.fpValid || !prev.meta().fpValid || m.fpMix == prev.meta().fpMix) {
 		if s.cmp == nil {
 			s.cmp = new(sameScratch)
 		}
-		cp = c.recopy(dst, prev, s.cmp)
+		c.reshare(prev, s.cmp)
 	}
-	if cp == nil {
-		cp = c.clone(dst)
-	}
+	cp := c.clone(dst)
 	*cp.meta() = *m
 	return cp
 }

@@ -77,10 +77,10 @@ func decodeMap(img []byte) (*Map[string, string], error) {
 // longestProbe returns how far past its home slot the index holds any
 // present key.
 func longestProbe[K comparable, V any](m *Map[K, V]) int {
-	t, longest := m.tab, 0
-	mask := len(t.idx)<<idxPageShift - 1
+	longest := 0
+	mask := len(m.idx.tab)<<idxPageShift - 1
 	for i := 0; i <= mask; i++ {
-		if s := t.idx[i>>idxPageShift].slots[i&idxPageMask]; s != 0 {
+		if s := m.slotAt(i); s != 0 {
 			home := int(hashKey(m.at(int(s-1)).key)) & mask
 			longest = max(longest, (i-home)&mask)
 		}
