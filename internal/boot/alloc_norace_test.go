@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/kernel"
 	"repro/internal/testsuite"
 )
 
@@ -57,5 +58,58 @@ func TestForkAllocationCeiling(t *testing.T) {
 		if got > forkCeiling {
 			t.Errorf("fork after %d more barriers allocates %d bytes, ceiling %d", barriers, got, forkCeiling)
 		}
+	}
+}
+
+// forkMallocs counts the allocations of one fork of snap on arena a run
+// to its next barrier, shut down and released, averaged over n of them
+// after a first one that is not counted.
+func forkMallocs(t *testing.T, snap *Snapshot, a *kernel.Arena, n int) float64 {
+	t.Helper()
+	return testing.AllocsPerRun(n, func() {
+		var report testsuite.Report
+		sys, err := snap.Fork(ForkParams{Seed: 1, Arena: a}, testsuite.RunnerResumeFrom(&report, testsuite.Report{}))
+		if err != nil {
+			t.Fatalf("Fork: %v", err)
+		}
+		if !sys.Kernel().RunToBarrier(testLimit) {
+			t.Fatal("fork did not reach its next barrier")
+		}
+		sys.Shutdown("measured")
+		sys.Kernel().Release()
+	})
+}
+
+// Allocation budget of a second fork through one arena: it takes the
+// coroutines, the process table, the scheduling order, the ready bitmap
+// and the placeholder slab the fork before it released, where a fork on
+// a private arena allocates them all again. Sixty tests into the suite, a
+// fork run to its next barrier measures 349 allocations on a private
+// arena and 210 on a used one; it must stay under arenaForkCeiling, and
+// at least ten coroutines' worth (12 allocations each) below the private
+// fork.
+func TestSecondForkOnAnArenaAllocation(t *testing.T) {
+	const (
+		arenaForkCeiling = 240
+		arenaSaving      = 10 * 12
+	)
+	opts := suiteOpts(1)
+	sys := Boot(opts, testsuite.RunnerInit(new(testsuite.Report)))
+	defer sys.Shutdown("done")
+	for i := 0; i < 60; i++ {
+		if !sys.Kernel().RunToBarrier(testLimit) {
+			t.Fatalf("suite ended before barrier %d", i)
+		}
+	}
+	snap, err := CaptureParked(sys, opts)
+	if err != nil {
+		t.Fatalf("CaptureParked: %v", err)
+	}
+	a := new(kernel.Arena)
+	defer a.Close()
+	private, shared := forkMallocs(t, snap, nil, 20), forkMallocs(t, snap, a, 20)
+	if shared > arenaForkCeiling || private-shared < arenaSaving {
+		t.Errorf("a fork allocates %v times on a used arena and %v on a private one: want at most %d, and %d fewer than on a private one",
+			shared, private, arenaForkCeiling, arenaSaving)
 	}
 }

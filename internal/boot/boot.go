@@ -67,11 +67,17 @@ func TransientCoder(ep kernel.Endpoint) func(*wire.Codec, *any) {
 // Boot builds the machine and installs initProg as the init process
 // (pid 1). Run it with System.Run.
 func Boot(opts Options, initProg usr.Program, initArgs ...string) *System {
+	return BootIn(nil, opts, initProg, initArgs...)
+}
+
+// BootIn is Boot with the kernel built on arena a (kernel.NewIn); once
+// the machine is finished, Kernel().Release gives the arena back.
+func BootIn(a *kernel.Arena, opts Options, initProg usr.Program, initArgs ...string) *System {
 	reg := opts.Registry
 	if reg == nil {
 		reg = usr.NewRegistry()
 	}
-	o := core.NewOS(opts.Config)
+	o := core.NewOSIn(a, opts.Config)
 
 	drv := driver.New(vfs.DiskBlocks)
 	o.AddTask(kernel.EpDriver, "driver", drv.Run)

@@ -92,6 +92,10 @@ type ForkParams struct {
 	Seed uint64
 	// IPCFaultSeed replaces Config.IPCFaultSeed for this run.
 	IPCFaultSeed uint64
+	// Arena, when set, is the host scaffolding the machine is built on
+	// (kernel.NewIn): Kernel().Release gives it back once the machine is
+	// finished, and a failed Fork gives it back itself.
+	Arena *kernel.Arena
 }
 
 // Fork materializes an independent runnable machine from the snapshot:
@@ -104,7 +108,12 @@ func (s *Snapshot) Fork(params ForkParams, resumeProg usr.Program, initArgs ...s
 	cfg := s.Opts.Config
 	cfg.Seed = params.Seed
 	cfg.IPCFaultSeed = params.IPCFaultSeed
-	o := core.NewOS(cfg)
+	o := core.NewOSIn(params.Arena, cfg)
+	fail := func(err error) (*System, error) {
+		o.Shutdown("fork failed: " + err.Error())
+		o.Kernel().Release()
+		return nil, err
+	}
 
 	drv := driver.NewFromImage(s.Disk)
 	o.AddTask(kernel.EpDriver, "driver", drv.Run)
@@ -114,13 +123,11 @@ func (s *Snapshot) Fork(params ForkParams, resumeProg usr.Program, initArgs ...s
 
 	for _, c := range components(s.Opts, initEP, s.Registry) {
 		if err := o.AddForkedComponent(c.ep, c.factory, s.Image); err != nil {
-			o.Shutdown("fork failed: " + err.Error())
-			return nil, err
+			return fail(err)
 		}
 	}
 	if err := o.Kernel().ApplyImage(s.Image.Machine); err != nil {
-		o.Shutdown("fork failed: " + err.Error())
-		return nil, err
+		return fail(err)
 	}
 	return &System{OS: o, Registry: s.Registry, Driver: drv}, nil
 }

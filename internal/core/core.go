@@ -347,7 +347,10 @@ func (c Config) maxRestartAttempts() int {
 
 // NewOS creates a machine with no components yet. Most callers should
 // use boot.Boot (internal/boot) which assembles the full server set.
-func NewOS(cfg Config) *OS {
+func NewOS(cfg Config) *OS { return NewOSIn(nil, cfg) }
+
+// NewOSIn is NewOS with the kernel built on arena a (kernel.NewIn).
+func NewOSIn(a *kernel.Arena, cfg Config) *OS {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -356,7 +359,7 @@ func NewOS(cfg Config) *OS {
 	}
 	o := &OS{
 		cfg:   cfg,
-		k:     kernel.New(cfg.Cost, cfg.Seed),
+		k:     kernel.NewIn(a, cfg.Cost, cfg.Seed),
 		slots: make(map[kernel.Endpoint]*slot),
 	}
 	o.k.SetCrashHandler(o.handleCrash)

@@ -402,7 +402,7 @@ func armedRun(t *testing.T, a *ArmedRunner, seed uint64, inj Injection) (RunResu
 		t.Fatalf("%+v: occurrence within boot", inj)
 	}
 	var report testsuite.Report
-	sys, err := forkSnapshot(st.snap, forkParams(seed, class.ipc), testsuite.RunnerResumeFrom(&report, st.prefix))
+	sys, err := forkSnapshot(st.snap, forkParams(seed, class.ipc, nil), testsuite.RunnerResumeFrom(&report, st.prefix))
 	if err != nil {
 		t.Fatal(err)
 	}

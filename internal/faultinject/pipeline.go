@@ -138,8 +138,9 @@ func suiteOptions(cfg core.Config) boot.Options {
 }
 
 // campaignRunner serves the runs of one campaign. Serving is
-// concurrency-safe: ladders are built and stats accumulated under mu,
-// the ladder walk has its own lock, forks are read-only on snapshots.
+// concurrency-safe: ladders are built, stats accumulated and arenas
+// handed out under mu, the ladder walk has its own lock, forks are
+// read-only on snapshots.
 type campaignRunner struct {
 	policy seep.Policy
 	// seed is the campaign seed the pathfinders boot with (any would do:
@@ -153,6 +154,11 @@ type campaignRunner struct {
 	// barrier.
 	ladders map[planeClass]*ladder
 	stats   PlaneStats
+	// arenas are the kernel arenas no run is using: a run builds its
+	// machine on one and gives it back, so a worker's machine takes its
+	// coroutines and tables from the one it ran before (kernel.Arena).
+	// There are as many as runs were ever in flight at once.
+	arenas []*kernel.Arena
 }
 
 // plane returns the ladder serving the runs of one configuration class,
@@ -190,8 +196,9 @@ func (r *campaignRunner) Stats() PlaneStats {
 	return s
 }
 
-// close tears down the pathfinder machines. Snapshots and recorded
-// rungs stay valid; call it when the campaign is done forking.
+// close tears down the pathfinder machines and stops the arenas'
+// coroutines. Snapshots and recorded rungs stay valid; call it when the
+// campaign is done forking.
 func (r *campaignRunner) close() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -200,12 +207,34 @@ func (r *campaignRunner) close() {
 			l.Close()
 		}
 	}
+	for _, a := range r.arenas {
+		a.Close()
+	}
+	r.arenas = nil
 }
 
-// run serves one run: it forks the machine from the deepest sound rung of
-// the class's ladder — or boots it cold, charging the reason — executes
-// it and accounts the serving decision.
+// run serves one run on an arena no other run is using.
 func (r *campaignRunner) run(seed uint64, spec runSpec) (MultiRunResult, Serving) {
+	r.mu.Lock()
+	var a *kernel.Arena
+	if n := len(r.arenas); n > 0 {
+		a, r.arenas = r.arenas[n-1], r.arenas[:n-1]
+	} else {
+		a = new(kernel.Arena)
+	}
+	r.mu.Unlock()
+	res, sv := r.runOn(a, seed, spec)
+	r.mu.Lock()
+	r.arenas = append(r.arenas, a)
+	r.mu.Unlock()
+	return res, sv
+}
+
+// runOn serves one run with its machine built on arena a (nil: a private
+// one): it forks the machine from the deepest sound rung of the class's
+// ladder — or boots it cold, charging the reason — executes it, releases
+// it and accounts the serving decision.
+func (r *campaignRunner) runOn(a *kernel.Arena, seed uint64, spec runSpec) (MultiRunResult, Serving) {
 	class := spec.class()
 	var (
 		report testsuite.Report
@@ -217,16 +246,17 @@ func (r *campaignRunner) run(seed uint64, spec runSpec) (MultiRunResult, Serving
 	if l != nil {
 		if st, ok := l.serve(spec.faults); !ok {
 			reason = FallbackPreBarrier
-		} else if f, err := forkSnapshot(st.snap, forkParams(seed, class.ipc), testsuite.RunnerResumeFrom(&report, st.prefix)); err != nil {
+		} else if f, err := forkSnapshot(st.snap, forkParams(seed, class.ipc, a), testsuite.RunnerResumeFrom(&report, st.prefix)); err != nil {
 			reason = FallbackForkFailed
 		} else {
 			sys, base, el = f, st.base, &elider{l: l, sv: Serving{Plane: PlaneForked, Rung: st.rung}}
 		}
 	}
 	if sys == nil {
-		sys = boot.Boot(suiteOptions(class.config(r.policy, seed)), testsuite.RunnerInit(&report))
+		sys = boot.BootIn(a, suiteOptions(class.config(r.policy, seed)), testsuite.RunnerInit(&report))
 	}
 	res := execute(sys, &report, spec, seed, base, el)
+	sys.Kernel().Release()
 	sv := Serving{Plane: PlaneCold, Fallback: reason}
 	if el != nil {
 		sv = el.sv
@@ -238,17 +268,18 @@ func (r *campaignRunner) run(seed uint64, spec runSpec) (MultiRunResult, Serving
 }
 
 // runCold is run without a plane: the cold boot the public single-run
-// entry points (and Trace.Replay) perform.
+// entry points (and Trace.Replay) perform, on a private arena.
 func runCold(policy seep.Policy, seed uint64, spec runSpec) MultiRunResult {
 	r := campaignRunner{policy: policy, opts: PlaneOptions{ColdBoot: true}}
-	res, _ := r.run(seed, spec)
+	res, _ := r.runOn(nil, seed, spec)
 	return res
 }
 
 // forkParams derives the per-run seed identity, matching what
-// IPCOptions.apply stamps into a cold boot's Config.
-func forkParams(seed uint64, ipc IPCOptions) boot.ForkParams {
-	p := boot.ForkParams{Seed: seed}
+// IPCOptions.apply stamps into a cold boot's Config, and names the arena
+// the fork is built on.
+func forkParams(seed uint64, ipc IPCOptions, a *kernel.Arena) boot.ForkParams {
+	p := boot.ForkParams{Seed: seed, Arena: a}
 	if ipc.Enabled() {
 		p.IPCFaultSeed = ipc.Seed ^ seed
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/kernel"
 	"repro/internal/memlog"
 )
 
@@ -109,5 +110,27 @@ func TestReadInPrefixDoesNotAllocate(t *testing.T) {
 		if got, _ := f.ReadAt(dev, ino, c.off, c.n); !bytes.Equal(got, model[c.off:int(c.off)+c.n]) {
 			t.Errorf("%s returns %q, want %q", c.what, got, model[c.off:int(c.off)+c.n])
 		}
+	}
+}
+
+// Allocation budget of path resolution: a plain path is walked in place,
+// so a Lookup allocates at most each component's directory-entry key, and
+// a key short enough for the runtime's 32-byte concatenation buffer does
+// not escape the map lookup: resolving "/usr/share/dict" allocates
+// nothing (splitPath's two slices were two allocations).
+func TestLookupAllocation(t *testing.T) {
+	f := New(memlog.NewStore("vfs", memlog.Baseline), 8)
+	f.Mkdir("/usr")
+	f.Mkdir("/usr/share")
+	want, errno := f.Create("/usr/share/dict")
+	if errno != kernel.OK {
+		t.Fatalf("Create = %v", errno)
+	}
+	var got int64
+	if allocs := testing.AllocsPerRun(100, func() { got, _ = f.Lookup("/usr/share/dict") }); allocs != 0 {
+		t.Errorf("a three-component Lookup allocates %v times, want none", allocs)
+	}
+	if got != want {
+		t.Errorf("Lookup = %d, want %d", got, want)
 	}
 }

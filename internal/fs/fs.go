@@ -196,7 +196,8 @@ func itoa(v int64) string {
 	return string(buf[i:])
 }
 
-// splitPath normalizes an absolute path into components.
+// splitPath normalizes an absolute path into components: "" and "."
+// components are dropped and ".." drops the one before it, lexically.
 func splitPath(path string) ([]string, kernel.Errno) {
 	if len(path) == 0 || path[0] != '/' {
 		return nil, kernel.EINVAL
@@ -218,52 +219,102 @@ func splitPath(path string) ([]string, kernel.Errno) {
 	return comps, kernel.OK
 }
 
+// plainPath reports whether path is absolute and every component of it
+// is a name — none is "", "." or ".." — so that its components are
+// exactly the pieces between its slashes. The root "/" is not plain.
+func plainPath(path string) bool {
+	if len(path) == 0 || path[0] != '/' {
+		return false
+	}
+	start := 1
+	for i := 1; i <= len(path); i++ {
+		if i < len(path) && path[i] != '/' {
+			continue
+		}
+		switch path[start:i] {
+		case "", ".", "..":
+			return false
+		}
+		start = i + 1
+	}
+	return true
+}
+
+// walkPath calls step on each component of path as splitPath normalizes
+// it, last telling the final one, and stops at the first errno step
+// returns. A plain path is walked in place, without splitPath's slices.
+func walkPath(path string, step func(c string, last bool) kernel.Errno) kernel.Errno {
+	if !plainPath(path) {
+		comps, errno := splitPath(path)
+		for i, c := range comps {
+			if errno := step(c, i == len(comps)-1); errno != kernel.OK {
+				return errno
+			}
+		}
+		return errno
+	}
+	for rest := path[1:]; ; {
+		i := strings.IndexByte(rest, '/')
+		if i < 0 {
+			return step(rest, true)
+		}
+		if errno := step(rest[:i], false); errno != kernel.OK {
+			return errno
+		}
+		rest = rest[i+1:]
+	}
+}
+
 // Lookup resolves an absolute path to an inode number.
 func (f *FS) Lookup(path string) (int64, kernel.Errno) {
-	comps, errno := splitPath(path)
-	if errno != kernel.OK {
-		return 0, errno
-	}
 	cur := RootIno
-	for _, c := range comps {
+	errno := walkPath(path, func(c string, _ bool) kernel.Errno {
 		ino, ok := f.inodes.Get(cur)
 		if !ok {
-			return 0, kernel.EIO
+			return kernel.EIO
 		}
 		if ino.Type != TypeDir {
-			return 0, kernel.ENOTDIR
+			return kernel.ENOTDIR
 		}
 		next, ok := f.dirents.Get(direntKey(cur, c))
 		if !ok {
-			return 0, kernel.ENOENT
+			return kernel.ENOENT
 		}
 		cur = next
+		return kernel.OK
+	})
+	if errno != kernel.OK {
+		return 0, errno
 	}
 	return cur, kernel.OK
 }
 
 // lookupParent resolves the directory containing path's last component.
 func (f *FS) lookupParent(path string) (dir int64, name string, errno kernel.Errno) {
-	comps, errno := splitPath(path)
-	if errno != kernel.OK {
-		return 0, "", errno
-	}
-	if len(comps) == 0 {
-		return 0, "", kernel.EINVAL // the root itself has no parent entry
-	}
 	cur := RootIno
-	for _, c := range comps[:len(comps)-1] {
+	errno = walkPath(path, func(c string, last bool) kernel.Errno {
+		if last {
+			name = c
+			return kernel.OK
+		}
 		next, ok := f.dirents.Get(direntKey(cur, c))
 		if !ok {
-			return 0, "", kernel.ENOENT
+			return kernel.ENOENT
 		}
 		ino, _ := f.inodes.Get(next)
 		if ino.Type != TypeDir {
-			return 0, "", kernel.ENOTDIR
+			return kernel.ENOTDIR
 		}
 		cur = next
+		return kernel.OK
+	})
+	switch {
+	case errno != kernel.OK:
+		return 0, "", errno
+	case name == "":
+		return 0, "", kernel.EINVAL // the root itself has no parent entry
 	}
-	return cur, comps[len(comps)-1], kernel.OK
+	return cur, name, kernel.OK
 }
 
 // Stat returns the inode metadata for ino.

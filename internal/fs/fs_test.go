@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -370,6 +371,39 @@ func TestPathValidation(t *testing.T) {
 	}
 	if _, errno := f.Lookup("/../a/f"); errno != kernel.OK {
 		t.Fatalf("dotdot above root = %v", errno)
+	}
+}
+
+// walkPath visits exactly the components splitPath normalizes a path
+// into, in order and with the last one marked, and fails where it fails:
+// in place on a plain path, through splitPath on any other.
+func TestWalkPathMatchesSplitPath(t *testing.T) {
+	for _, path := range []string{
+		"/", "//a", "/a/", "/a/./b", "/a/../b", "/..", "a", "",
+		"/a", "/a/b/c", "/.a/b..", "/a//b", "/a/b/..", "/./a", "/...",
+	} {
+		want, wantErrno := splitPath(path)
+		var got []string
+		errno := walkPath(path, func(c string, last bool) kernel.Errno {
+			got = append(got, c)
+			if last != (len(got) == len(want)) {
+				t.Errorf("%q: component %d (%q) last = %v", path, len(got)-1, c, last)
+			}
+			return kernel.OK
+		})
+		if errno != wantErrno || !slices.Equal(got, want) {
+			t.Errorf("%q: walk visits %q (%v), splitPath gives %q (%v)", path, got, errno, want, wantErrno)
+		}
+		if plainPath(path) && len(want) != len(strings.Split(path, "/"))-1 {
+			t.Errorf("%q: called plain, but splitPath drops components", path)
+		}
+		visited := 0
+		if errno := walkPath(path, func(string, bool) kernel.Errno {
+			visited++
+			return kernel.ENOENT
+		}); len(want) > 0 && (errno != kernel.ENOENT || visited != 1) {
+			t.Errorf("%q: a failing step returns %v after %d steps, want ENOENT after 1", path, errno, visited)
+		}
 	}
 }
 

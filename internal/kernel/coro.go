@@ -37,8 +37,11 @@ type coro struct {
 	// p is the process whose body the next resume of an idle coroutine
 	// runs (takeCoro).
 	p *Process
-	// handTo is what the coroutine yields once its body has ended: the
-	// successor a reaped resumer's frame was handed, nil otherwise.
+	// handTo is the successor a reaped resumer's frame was handed, which
+	// the coroutine passes on once its body has ended: enter takes it
+	// from here rather than as the yielded value, which iter.Pull keeps
+	// while the coroutine is idle — in an arena, past the end of the
+	// machine the process belongs to.
 	handTo *Process
 	// yield suspends the body: control returns to whoever called next,
 	// with the successor the frames below hand control on to (nil: the
@@ -48,12 +51,16 @@ type coro struct {
 	stop  func()
 }
 
-// takeCoro binds an idle coroutine to p, creating one only when the free
-// list is empty.
+// takeCoro binds an idle coroutine to p: the machine's own, else one its
+// arena kept from the machine before, which it rebinds, and only when
+// both free lists are empty a new one.
 func (k *Kernel) takeCoro(p *Process) *coro {
 	var c *coro
 	if n := len(k.idleCoros); n > 0 {
 		c, k.idleCoros = k.idleCoros[n-1], k.idleCoros[:n-1]
+	} else if n := len(k.arena.coros); n > 0 {
+		c, k.arena.coros = k.arena.coros[n-1], k.arena.coros[:n-1]
+		c.k = k
 	} else {
 		c = &coro{k: k}
 		c.next, c.stop = iter.Pull(c.run)
@@ -75,11 +82,9 @@ func (c *coro) run(yield func(*Process) bool) {
 		if p.killed {
 			p.releaseOnKill()
 		}
-		next := c.handTo
-		c.handTo = nil
 		c.k.idleCoros = append(c.k.idleCoros, c)
 		c.k.switches++
-		if !yield(next) {
+		if !yield(nil) {
 			return
 		}
 	}
@@ -109,6 +114,9 @@ func (c *coro) enter() *Process {
 	}()
 	c.k.switches++
 	next, _ := c.next()
+	if c.handTo != nil {
+		next, c.handTo = c.handTo, nil
+	}
 	return next
 }
 
@@ -147,7 +155,8 @@ func (k *Kernel) handOff(self, next *Process) {
 }
 
 // stopIdleCoros ends the coroutines on the free list — after killAll,
-// every coroutine the machine created.
+// every coroutine the machine holds. Only a machine on a private arena
+// does: one on a shared arena hands them on at Release.
 func (k *Kernel) stopIdleCoros() {
 	for _, c := range k.idleCoros {
 		c.stop()

@@ -59,6 +59,7 @@ var fingerprintFields = map[string]struct {
 	"Kernel.ready":              {derived, "bit == schedulable(), a function of state, inbox and reply"},
 	"Kernel.cycleLimit":         {hostOnly, "the Run bound"},
 	"Kernel.running":            {hostOnly, "nil whenever the loop, and so a barrier or idle hook, has control"},
+	"Kernel.arena":              {hostOnly, "backing arrays and coroutines kept between machines"},
 	"Kernel.idleCoros":          {hostOnly, ""},
 	"Kernel.corosCreated":       {hostOnly, ""},
 	"Kernel.switches":           {hostOnly, "a count of host coroutine switches"},

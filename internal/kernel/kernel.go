@@ -344,10 +344,12 @@ type Kernel struct {
 	// running is the process whose body has control; nil while the
 	// kernel loop itself does.
 	running *Process
-	// idleCoros is the free list of coroutines whose last body ended:
-	// per machine, so nothing carries from one run to the next.
-	// corosCreated counts the coroutines the machine ever created (tests
-	// bound it).
+	// arena holds the host scaffolding the machine took from the machine
+	// before it and gives back to the next at Release (arena.go).
+	arena *Arena
+	// idleCoros is the free list of coroutines whose last body ended; the
+	// arena supplies one when it is empty. corosCreated counts the
+	// coroutines the machine created itself (tests bound it).
 	idleCoros    []*coro
 	corosCreated int
 	// switches counts the coroutine switches the machine made (tests
@@ -408,9 +410,24 @@ type Kernel struct {
 	userWakes uint64
 }
 
-// New creates a machine with the given cost model and seed.
-func New(cost CostModel, seed uint64) *Kernel {
-	return &Kernel{
+// New creates a machine with the given cost model and seed, on a private
+// arena.
+func New(cost CostModel, seed uint64) *Kernel { return NewIn(nil, cost, seed) }
+
+// NewIn is New on the scaffolding of arena a (arena.go); a nil a makes a
+// private one.
+func NewIn(a *Arena, cost CostModel, seed uint64) *Kernel {
+	if a == nil {
+		a = &Arena{private: true}
+	}
+	if a.owner != nil {
+		panic("kernel: the arena already serves a live machine")
+	}
+	k := &Kernel{
+		arena:              a,
+		procs:              a.procs,
+		order:              a.order,
+		ready:              readySet{a.ready},
 		clock:              &sim.Clock{},
 		rng:                sim.NewRNG(seed),
 		counters:           sim.NewCounters(),
@@ -421,6 +438,9 @@ func New(cost CostModel, seed uint64) *Kernel {
 		quarantined:        make(map[Endpoint]string),
 		pendingByEp:        make(map[Endpoint]int),
 	}
+	a.owner = k
+	a.procs, a.order, a.ready = nil, nil, nil
+	return k
 }
 
 // Clock returns the machine's virtual clock.

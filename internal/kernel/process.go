@@ -523,15 +523,18 @@ func (k *Kernel) killProcess(p *Process) {
 	p.reap(stateDead)
 }
 
-// killAll tears down every process at the end of Run and ends every
-// coroutine the machine created.
+// killAll tears down every process at the end of Run, which leaves every
+// coroutine the machine holds on its free list, and ends them on a
+// private arena.
 func (k *Kernel) killAll() {
 	for _, ep := range k.order {
 		if p := k.procs.get(ep); p != nil && p.procLive != nil {
 			p.reap(stateDead) // nothing to tear down behind a dead placeholder
 		}
 	}
-	k.stopIdleCoros()
+	if k.arena.private {
+		k.stopIdleCoros()
+	}
 }
 
 // ReplaceProcess installs a fresh body at a crashed (or alive) server

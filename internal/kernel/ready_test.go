@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -133,9 +134,13 @@ func TestDescribeBlockedOutput(t *testing.T) {
 // inserting them one at a time through insertIntoOrder does: same order,
 // same order index for every process, same readiness bitmap, same
 // procs_created count — a fork's ready-set bit positions and round-robin
-// cursor mean what they meant on the captured machine.
+// cursor mean what they meant on the captured machine. The merged machines
+// share one arena, so each merges over the arrays and the slab the rounds
+// before it left behind.
 func TestInstallDeadPlaceholdersMatchesSequentialInsert(t *testing.T) {
 	r := sim.NewRNG(7)
+	arena := new(Arena)
+	defer arena.Close()
 	for round := 0; round < 50; round++ {
 		// Live processes at scattered endpoints, a random half of them
 		// blocked so the bitmap is not all ones; dead ones in the gaps,
@@ -151,8 +156,8 @@ func TestInstallDeadPlaceholdersMatchesSequentialInsert(t *testing.T) {
 				img = append(img, procImage{ep: ep, name: "reaped"})
 			}
 		}
-		build := func() *Kernel {
-			k := newTestKernel()
+		build := func(a *Arena) *Kernel {
+			k := NewIn(a, DefaultCostModel(), 1)
 			for i, ep := range liveEPs {
 				p := k.AddServer(ep, "live", func(*Context) {}, ServerConfig{})
 				if i%2 == 1 {
@@ -164,10 +169,10 @@ func TestInstallDeadPlaceholdersMatchesSequentialInsert(t *testing.T) {
 		}
 		dead := len(img) - len(liveEPs)
 
-		got := build()
+		got := build(arena)
 		got.installDeadPlaceholders(&MachineImage{procs: img, lives: []liveImage{{state: stateReceiving}}}, dead)
 
-		want := build()
+		want := build(nil)
 		for _, pi := range img {
 			if pi.live == 0 {
 				p := &Process{k: want, ep: pi.ep, name: pi.name, state: stateDead}
@@ -179,6 +184,9 @@ func TestInstallDeadPlaceholdersMatchesSequentialInsert(t *testing.T) {
 
 		if !reflect.DeepEqual(got.order, want.order) {
 			t.Fatalf("round %d: order %v, want %v", round, got.order, want.order)
+		}
+		if !slices.Equal(got.ready.words, want.ready.words) {
+			t.Fatalf("round %d: readiness bitmap %x, want %x", round, got.ready.words, want.ready.words)
 		}
 		for i, ep := range want.order {
 			g, w := got.procs.get(ep), want.procs.get(ep)
@@ -192,7 +200,8 @@ func TestInstallDeadPlaceholdersMatchesSequentialInsert(t *testing.T) {
 		if g, w := got.counters.Get("kernel.procs_created"), want.counters.Get("kernel.procs_created"); g != w {
 			t.Fatalf("round %d: procs_created %d, want %d", round, g, w)
 		}
-		got.killAll()
+		got.Teardown("round done")
+		got.Release()
 		want.killAll()
 	}
 }

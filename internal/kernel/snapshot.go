@@ -384,8 +384,9 @@ func (k *Kernel) ApplyImage(img *MachineImage) error {
 // ready-set bit positions, round-robin cursor — matches the captured
 // machine, whose process table still holds every reaped test child. The
 // table grows once, to the image's highest endpoint; the placeholders
-// come from one slab and are merged into k.order in one pass; each live
-// process keeps its readiness bit at its new position and a
+// come from the arena's slab and are merged into k.order in one pass,
+// from the back and in place, so nothing is moved before it is read;
+// each live process keeps its readiness bit at its new position and a
 // placeholder's is clear, exactly what inserting them one at a time
 // (insertIntoOrder) arrives at.
 func (k *Kernel) installDeadPlaceholders(img *MachineImage, dead int) {
@@ -394,38 +395,42 @@ func (k *Kernel) installDeadPlaceholders(img *MachineImage, dead int) {
 	}
 	procs := img.procs
 	k.procs.grow(procs[len(procs)-1].ep)
-	slab := make([]Process, 0, dead)
-	order := make([]Endpoint, 0, len(k.order)+dead)
-	var ready readySet
-	ready.ensure(cap(order))
-	place := func(p *Process, isReady bool) {
-		p.orderIdx = len(order)
-		order = append(order, p.ep)
+	slab := slices.Grow(k.arena.dead[:0], dead)[:dead]
+	k.arena.dead = slab
+	live := len(k.order)
+	order := slices.Grow(k.order, dead)[:live+dead]
+	k.ready.ensure(len(order))
+	place := func(p *Process, at int, isReady bool) {
+		p.orderIdx = at
+		order[at] = p.ep
 		if isReady {
-			ready.set(p.orderIdx)
+			k.ready.set(at)
+		} else {
+			k.ready.clear(at)
 		}
 	}
-	live := k.order
-	for i := range procs {
+	// order[:live] are the live processes not yet moved, and at is the
+	// position the next one from the back goes to.
+	at := len(order)
+	for i := len(procs) - 1; i >= 0; i-- {
 		if img.record(&procs[i]).state != stateDead {
 			continue
 		}
 		ep := procs[i].ep
-		for len(live) > 0 && live[0] < ep {
-			p := k.procs.get(live[0])
-			place(p, k.ready.get(p.orderIdx))
-			live = live[1:]
+		for live > 0 && order[live-1] > ep {
+			live--
+			at--
+			p := k.procs.get(order[live])
+			place(p, at, k.ready.get(p.orderIdx))
 		}
-		slab = append(slab, Process{k: k, ep: ep, name: procs[i].name, state: stateDead})
-		p := &slab[len(slab)-1]
+		dead--
+		at--
+		slab[dead] = Process{k: k, ep: ep, name: procs[i].name, state: stateDead}
+		p := &slab[dead]
 		k.procs[ep] = p
-		place(p, false)
+		place(p, at, false)
 	}
-	for _, ep := range live {
-		p := k.procs.get(ep)
-		place(p, k.ready.get(p.orderIdx))
-	}
-	k.order, k.ready = order, ready
+	k.order = order
 }
 
 // SizeBytes estimates the retained size of the image: message payloads

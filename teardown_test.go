@@ -1,6 +1,7 @@
 package osiris
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/cothread"
 	"repro/internal/faultinject"
 	"repro/internal/kernel"
+	"repro/internal/parallel"
 	"repro/internal/seep"
 	"repro/internal/testsuite"
 	"repro/internal/usr"
@@ -193,5 +195,58 @@ func TestNoGoroutineOutlivesAMachine(t *testing.T) {
 				t.Errorf("%d goroutines before, %d after:\n%s", before, after, buf[:runtime.Stack(buf, true)])
 			}
 		})
+	}
+}
+
+// A campaign worker's machines keep their coroutines in the worker's
+// arena from one run to the next; the runner stops them when it closes.
+// After ArmedRunner.Close, and after RunCampaign returns, no goroutine a
+// run started is left, at one worker or two.
+func TestCampaignArenasEndWithTheirRunner(t *testing.T) {
+	profile, err := faultinject.Profile(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := faultinject.CampaignConfig{
+		Policy: seep.PolicyEnhanced, Model: faultinject.FailStop, Seed: 7, MaxRuns: 24,
+	}
+	plan := faultinject.PlanCampaign(cfg, profile)
+	for _, workers := range []int{1, 2} {
+		cfg.Workers = workers
+		t.Run(fmt.Sprintf("ArmedRunner at workers %d", workers), func(t *testing.T) {
+			goroutinesReturn(t, func() {
+				runner := faultinject.NewArmedRunner(cfg, plan)
+				parallel.Map(workers, len(plan), func(i int) faultinject.RunResult {
+					return runner.Run(cfg.Seed+uint64(i)*7919, plan[i])
+				})
+				runner.Close()
+			})
+		})
+		t.Run(fmt.Sprintf("RunCampaign at workers %d", workers), func(t *testing.T) {
+			goroutinesReturn(t, func() {
+				if res, _ := faultinject.RunCampaign(cfg, profile); res.Runs+res.Untriggered != len(plan) {
+					t.Errorf("campaign made %d runs, want %d", res.Runs+res.Untriggered, len(plan))
+				}
+			})
+		})
+	}
+}
+
+// goroutinesReturn runs f and fails unless the goroutine count comes back
+// to what it was before.
+func goroutinesReturn(t *testing.T, f func()) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ { // let goroutines that are ending finish
+		runtime.Gosched()
+		before = min(before, runtime.NumGoroutine())
+	}
+	f()
+	for end := time.Now().Add(2 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(end); {
+		runtime.Gosched()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		buf := make([]byte, 1<<16)
+		t.Errorf("%d goroutines before, %d after:\n%s", before, after, buf[:runtime.Stack(buf, true)])
 	}
 }
