@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"repro/internal/boot"
-	"repro/internal/core"
 	"repro/internal/golden"
 	"repro/internal/image"
 	"repro/internal/testsuite"
@@ -57,14 +56,11 @@ func TestGoldenBytes(t *testing.T) {
 	}
 }
 
-// TestGolden pins the SHA-256 of the raw and flate images of three
-// rungs a booted suite reaches (image/rungs.txt): a change to the
-// simulation or the codec that moves a byte of them fails it. The
-// reliable-transport rung is there because only it has an IPC plane in
-// its kernel frame.
+// TestGolden pins the SHA-256 of the raw and flate images of two rungs
+// a booted suite reaches (image/rungs.txt): a change to the simulation
+// or the codec that moves a byte of them fails it. A rung with the
+// reliable transport on has no image (TestImageRefusesTransportPlane).
 func TestGolden(t *testing.T) {
-	reliable := suiteOpts(7)
-	reliable.Config.IPCTimeoutCycles = core.DefaultIPCTimeoutCycles
 	var out strings.Builder
 	for _, tc := range []struct {
 		name string
@@ -72,7 +68,6 @@ func TestGolden(t *testing.T) {
 	}{
 		{"boot", rungSnapshot(t, suiteOpts(7), 0)},
 		{"mid-suite", rungSnapshot(t, suiteOpts(7), 20)},
-		{"reliable-transport", rungSnapshot(t, reliable, 3)},
 	} {
 		for _, compress := range []bool{false, true} {
 			sum := sha256.Sum256(encode(t, tc.snap, image.WriteOptions{Compress: compress, Workers: 1}))

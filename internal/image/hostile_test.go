@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"unsafe"
 
 	"repro/internal/boot"
 	"repro/internal/core"
@@ -402,197 +401,58 @@ func TestHostileConfigRejected(t *testing.T) {
 	}
 }
 
-// reliableImage is an image of a rung with the reliable transport on:
-// only it has an IPC plane, and a plane's pair table, in its kernel frame.
-func reliableImage(t testing.TB) []byte {
-	t.Helper()
-	opts := suiteOpts(7)
-	opts.Config.IPCTimeoutCycles = core.DefaultIPCTimeoutCycles
-	return encode(t, rungSnapshot(t, opts, 3), image.WriteOptions{})
-}
+// reliableConfig turns the transport plane on.
+func reliableConfig(cfg *core.Config) { cfg.IPCTimeoutCycles = core.DefaultIPCTimeoutCycles }
 
-// withSeqs rewrites data's kernel frame through edit, which is handed the
-// encoded entries of the plane's first pair list — the sequence cursors,
-// one entry per pair in the order the writer sorts them — and returns
-// the entries to put in their place.
-func withSeqs(t testing.TB, data []byte, edit func(entries [][]byte) [][]byte) []byte {
-	t.Helper()
-	return reframe(t, data, "kernel", func(raw []byte) []byte { return editSeqs(t, raw, edit) })
-}
-
-// editSeqs is withSeqs on a kernel frame's bytes.
-func editSeqs(t testing.TB, raw []byte, edit func(entries [][]byte) [][]byte) []byte {
-	t.Helper()
-	img := decodeKernel(t, raw)
-	rows := reflect.ValueOf(img).Elem().FieldByName("ipc").Elem().FieldByName("pairs")
-	var entries [][]byte
-	for dst := 0; dst < rows.Len(); dst++ {
-		for src, row := 0, rows.Index(dst); src < row.Len(); src++ {
-			if row.Index(src).IsNil() || row.Index(src).Elem().FieldByName("nextSeq").Uint() == 0 {
-				continue
-			}
-			entries = append(entries, seqEntry(int64(dst), int64(src), uint32(row.Index(src).Elem().FieldByName("nextSeq").Uint())))
-		}
-	}
-	sorted := bytes.Join(append([][]byte{binary.AppendUvarint(nil, uint64(len(entries)))}, entries...), nil)
-	at := bytes.Index(raw, sorted)
-	if at < 0 {
-		t.Fatal("the sequence list's entries are not in the kernel frame")
-	}
-	edited := edit(entries)
-	return bytes.Join([][]byte{raw[:at], binary.AppendUvarint(nil, uint64(len(edited))), bytes.Join(edited, nil), raw[at+len(sorted):]}, nil)
-}
-
-// decodeKernel decodes a kernel frame.
-func decodeKernel(t testing.TB, raw []byte) *kernel.MachineImage {
-	t.Helper()
-	img := new(kernel.MachineImage)
-	d := wire.NewDecoder(raw)
-	if img.Code(wire.Decoding(d)); d.Err() != nil {
-		t.Fatalf("kernel frame: %v", d.Err())
-	}
-	return img
-}
-
-// seqEntry encodes one entry of the sequence list.
-func seqEntry(dst, src int64, seq uint32) []byte {
-	e := wire.NewEncoder()
-	c := wire.Encoding(e)
-	wire.Int(c, &dst)
-	wire.Int(c, &src)
-	c.U32(&seq)
-	return e.Bytes()
-}
-
-// settable returns v, an addressable field the test reached by
-// reflection, as a value it may set.
-func settable(v reflect.Value) reflect.Value {
-	return reflect.NewAt(v.Type(), unsafe.Pointer(v.UnsafeAddr())).Elem()
-}
-
-// manyUsers rewrites data's kernel frame to hold n more user processes,
-// copies of its last one, with the endpoint allocator past them, and
-// gives each of them a sequence pair from the new last endpoint. Every
-// such pair claims a table row the length of the process table, so a
-// table built as the pairs ask would hold about n² slots, from bytes
-// that grow with n.
-func manyUsers(t testing.TB, data []byte, n int) []byte {
+// withPlane rewrites data's kernel frame to say it carries a transport
+// plane: its presence byte comes just before the last field, the 8-byte
+// earliest IPC event.
+func withPlane(t testing.TB, data []byte) []byte {
 	t.Helper()
 	return reframe(t, data, "kernel", func(raw []byte) []byte {
-		img := decodeKernel(t, raw)
-		v := reflect.ValueOf(img).Elem()
-		procs := settable(v.FieldByName("procs"))
-		next := settable(v.FieldByName("nextUserEp"))
-		first := next.Int()
-		for i := 0; i < n; i++ {
-			procs.Set(reflect.Append(procs, procs.Index(procs.Len()-1)))
-			settable(procs.Index(procs.Len() - 1).FieldByName("ep")).SetInt(first + int64(i))
+		if raw[len(raw)-9] != 0 {
+			t.Fatalf("kernel frame's plane byte is %#x", raw[len(raw)-9])
 		}
-		next.SetInt(first + int64(n))
-		e := wire.NewEncoder()
-		c := wire.Encoding(e)
-		if img.Code(c); c.Err() != nil {
-			t.Fatalf("kernel frame: %v", c.Err())
-		}
-		return editSeqs(t, e.Bytes(), func(entries [][]byte) [][]byte {
-			for i := 0; i < n; i++ {
-				entries = append(entries, seqEntry(first+int64(i), first+int64(n)-1, 1))
-			}
-			return entries
-		})
+		raw[len(raw)-9] = 1
+		return raw
 	})
 }
 
-// swappedPairs rewrites data's kernel frame so that the plane's sequence
-// list gives its first two pairs in descending order, each with its own
-// value — bytes that would read as the same records, but that the
-// writer, which sorts, never produces.
-func swappedPairs(t testing.TB, data []byte) []byte {
-	t.Helper()
-	return withSeqs(t, data, func(entries [][]byte) [][]byte {
-		if len(entries) < 2 {
-			t.Fatalf("the plane holds %d sequence pairs, want two or more", len(entries))
-		}
-		entries[0], entries[1] = entries[1], entries[0]
-		return entries
-	})
-}
-
-// farPair rewrites data's kernel frame so that the plane's last sequence
-// pair names a source endpoint of 2^32-1: it fits the 32 bits an
-// endpoint is, lies far beyond the image's process table, and a table
-// indexed by it would need 32 GiB for one row.
-func farPair(t testing.TB, data []byte) []byte {
-	t.Helper()
-	return withSeqs(t, data, func(entries [][]byte) [][]byte {
-		last := entries[len(entries)-1]
-		d := wire.NewDecoder(last)
-		dst := d.Varint()
-		d.Varint()
-		seq := d.U32()
-		if d.Err() != nil || d.Remaining() != 0 {
-			t.Fatalf("sequence entry %x: %v", last, d.Err())
-		}
-		e := wire.NewEncoder()
-		c := wire.Encoding(e)
-		src := int64(1<<32 - 1)
-		wire.Int(c, &dst)
-		wire.Int(c, &src)
-		c.U32(&seq)
-		entries[len(entries)-1] = e.Bytes()
-		return entries
-	})
-}
-
-// TestHostileTransportPairsRejected: a kernel frame whose transport pairs
-// are out of order is refused by the kernel frame, its checksum holding.
-// It used to read, the map taking whichever entry came last for a pair.
-func TestHostileTransportPairsRejected(t *testing.T) {
-	data := reliableImage(t)
-	if _, err := image.ReadSnapshot(bytes.NewReader(data), suiteRegistry(), 1); err != nil {
-		t.Fatalf("the reliable rung's image: %v", err)
+// TestImageRefusesTransportPlane: images carry no transport plane. A
+// rung with the reliable transport on does not write, and writes no
+// byte; a kernel frame whose plane byte is set is refused; and a meta
+// frame whose configuration turns the plane on reads but forks nothing,
+// since its kernel frame holds no plane to stamp.
+func TestImageRefusesTransportPlane(t *testing.T) {
+	opts := suiteOpts(7)
+	reliableConfig(&opts.Config)
+	var out bytes.Buffer
+	err := image.WriteSnapshot(&out, rungSnapshot(t, opts, 3), image.WriteOptions{})
+	if err == nil || !strings.Contains(err.Error(), `frame "kernel"`) || !strings.Contains(err.Error(), "transport plane") {
+		t.Errorf("writing the reliable-transport rung: error %v, want the kernel frame's refusal", err)
 	}
-	_, err := image.ReadSnapshot(bytes.NewReader(swappedPairs(t, data)), suiteRegistry(), 1)
+	if out.Len() != 0 {
+		t.Errorf("the refused write wrote %d bytes", out.Len())
+	}
+
+	raw := encode(t, captureSnapshot(t, 7), image.WriteOptions{})
+	_, err = image.ReadSnapshot(bytes.NewReader(withPlane(t, raw)), suiteRegistry(), 1)
+	if err == nil || !strings.Contains(err.Error(), `frame "kernel"`) || !strings.Contains(err.Error(), "transport plane") {
+		t.Errorf("reading a kernel frame with its plane byte set: error %v, want the kernel frame's refusal", err)
+	}
+
+	snap, err := image.ReadSnapshot(bytes.NewReader(withConfig(t, raw, reliableConfig)), suiteRegistry(), 1)
+	if err != nil {
+		t.Fatalf("a meta frame with the plane on: %v", err)
+	}
+	var report testsuite.Report
+	sys, err := snap.Fork(boot.ForkParams{Seed: 7}, testsuite.RunnerResumeFrom(&report, testsuite.Report{}))
 	if err == nil {
-		t.Fatal("transport pairs out of order were accepted")
+		sys.Shutdown("forked")
+		t.Fatal("a configuration with the plane on forked from an image without one")
 	}
-	if !strings.Contains(err.Error(), `frame "kernel"`) || !strings.Contains(err.Error(), "out of order") {
-		t.Errorf("refused, but not by the kernel frame's pairs: %v", err)
-	}
-}
-
-// TestHostileTransportPairBeyondProcessTable: a kernel frame whose
-// transport pair names an endpoint past the image's process table is
-// refused by the kernel frame, before a table row is sized by it.
-func TestHostileTransportPairBeyondProcessTable(t *testing.T) {
-	_, err := image.ReadSnapshot(bytes.NewReader(farPair(t, reliableImage(t))), suiteRegistry(), 1)
-	if err == nil {
-		t.Fatal("a transport pair beyond the process table was accepted")
-	}
-	if !strings.Contains(err.Error(), `frame "kernel"`) || !strings.Contains(err.Error(), "beyond the process table") {
-		t.Errorf("refused, but not by the kernel frame's pairs: %v", err)
-	}
-}
-
-// TestHostileTransportTableRefused: a kernel frame with many processes,
-// each the destination of one pair from the last endpoint, asks for a
-// table quadratic in its bytes; it is refused by the kernel frame after
-// a bounded part of that table was built.
-func TestHostileTransportTableRefused(t *testing.T) {
-	const users = 4000 // a table of 4000 rows of 4100 slots: 125 MiB
-	data := manyUsers(t, reliableImage(t), users)
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err := image.ReadSnapshot(bytes.NewReader(data), suiteRegistry(), 1)
-	runtime.ReadMemStats(&after)
-	if err == nil {
-		t.Fatal("a quadratic transport table was accepted")
-	}
-	if !strings.Contains(err.Error(), `frame "kernel"`) || !strings.Contains(err.Error(), "outgrows") {
-		t.Errorf("refused, but not by the kernel frame's pairs: %v", err)
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 32<<20 {
-		t.Errorf("reading it allocated %d MiB", got>>20)
+	if !strings.Contains(err.Error(), "IPC plane") {
+		t.Errorf("the fork was refused, but not for its plane: %v", err)
 	}
 }
 
@@ -716,10 +576,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add(retiredSlot(f, raw, 256<<20))
 	f.Add(withConfig(f, raw, negativeDrop))
 	f.Add(allocatorAt(f, raw, 1<<27))
-	reliable := reliableImage(f)
-	f.Add(swappedPairs(f, reliable))
-	f.Add(farPair(f, reliable))
-	f.Add(manyUsers(f, reliable, 200))
+	f.Add(withPlane(f, raw))
 	for _, hostile := range hostileContainers(f, raw, len(snap.Image.Slots)) {
 		f.Add(hostile)
 	}

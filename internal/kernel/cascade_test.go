@@ -144,8 +144,8 @@ func TestQuarantineProcessDetaches(t *testing.T) {
 	if !k.IsQuarantined(EpDS) {
 		t.Fatal("IsQuarantined false after quarantine")
 	}
-	if !strings.Contains(k.QuarantineReason(EpDS), "repeat offender") {
-		t.Fatalf("QuarantineReason = %q", k.QuarantineReason(EpDS))
+	if !strings.Contains(k.quarantined[EpDS], "repeat offender") {
+		t.Fatalf("quarantine reason = %q", k.quarantined[EpDS])
 	}
 	if _, err := k.ReplaceProcess(EpDS, "victim", echoServer, ServerConfig{}); err == nil {
 		t.Fatal("ReplaceProcess of a quarantined endpoint must fail")

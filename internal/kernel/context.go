@@ -281,9 +281,5 @@ func (c *Context) Hang() {
 	}
 }
 
-// Window returns the component's recovery window (nil for user
-// processes). Exposed for the recovery engine and instrumentation.
-func (c *Context) Window() *seep.Window { return c.p.window }
-
 // Process returns the Context's process handle (privileged users only).
 func (c *Context) Process() *Process { return c.p }

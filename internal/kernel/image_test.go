@@ -2,10 +2,8 @@ package kernel
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -39,10 +37,9 @@ func decodeMachine(t *testing.T, data []byte) *MachineImage {
 }
 
 // One field list per type: an image with every field of every type in it
-// set — MachineImage, procImage, Message, alarm, planeState and its pair
-// records, seqWindow, cachedReply, IPCStats — survives the codec
-// unchanged. A field missing from a list decodes as zero and fails the
-// comparison.
+// set — MachineImage, procImage, liveImage, Message, alarm — survives
+// the codec unchanged, the transport plane aside: images carry none. A
+// field missing from a list decodes as zero and fails the comparison.
 func TestMachineImageCodecCoversEveryField(t *testing.T) {
 	var in MachineImage
 	payloads := 0
@@ -66,14 +63,8 @@ func TestMachineImageCodecCoversEveryField(t *testing.T) {
 	for i := range in.procs {
 		in.procs[i].live = int32(i + 1)
 	}
-	// The table's records move to pairs of the filled processes.
-	var pairs pairTable
-	for i, row := range in.ipc.pairs {
-		for j, ps := range row {
-			*pairs.at(in.procs[i].ep, in.procs[j].ep) = *ps
-		}
-	}
-	in.ipc.pairs = pairs
+	// An image carries no transport plane.
+	in.ipc = nil
 	out := decodeMachine(t, encodeMachine(t, &in))
 	if !reflect.DeepEqual(in.counters.Snapshot(), out.counters.Snapshot()) {
 		t.Errorf("counters: in %v, out %v", in.counters.Snapshot(), out.counters.Snapshot())
@@ -85,13 +76,11 @@ func TestMachineImageCodecCoversEveryField(t *testing.T) {
 }
 
 // The lists of the records the reflective walk used to code, against it:
-// the cost model and fault rates of the boot configuration, the plane's
-// counters, and Aux — nil, a nil argv, an empty one and full ones — in
+// the cost model and fault rates of the boot configuration, and Aux — nil, a nil argv, an empty one and full ones — in
 // the oracle's interface form. A process body in Aux fails the encode.
 func TestRecordFieldLists(t *testing.T) {
 	wiretest.SameAsValue(t, wiretest.Random[CostModel])
 	wiretest.SameAsValue(t, wiretest.Random[IPCFaultConfig])
-	wiretest.SameAsValue(t, wiretest.Random[IPCStats])
 	wiretest.SameAsAny(t, codeAux, func(r *rand.Rand) any {
 		switch r.Intn(4) {
 		case 0:
@@ -107,146 +96,6 @@ func TestRecordFieldLists(t *testing.T) {
 	c := wire.Encoding(wire.NewEncoder())
 	if codeAux(c, &body); c.Err() == nil {
 		t.Error("a process body in Aux encoded without error")
-	}
-}
-
-// codeSeqs codes the plane's first list, the pairs' sequence cursors, of
-// an image whose process table holds endpoints 0 … EpUserBase+10.
-func codeSeqs(c *wire.Codec, t *pairTable) {
-	room := pairSlotsPerEntry * int(EpUserBase+11)
-	codePairs(c, t, pairFields[0], EpUserBase+10, &room)
-}
-
-// The transport table is indexed by both endpoints: a decoded pair
-// naming one beyond the image's process table is refused before anything
-// is sized by it.
-func TestTransportPairOutOfRangeRejected(t *testing.T) {
-	for _, pair := range [][2]Endpoint{{1 << 32, 100}, {6, 1<<32 + 100}, {-1, 100}} {
-		e := wire.NewEncoder()
-		enc := wire.Encoding(e)
-		enc.Len(1)
-		wire.Int(enc, &pair[0])
-		wire.Int(enc, &pair[1])
-		seq := uint32(7)
-		enc.U32(&seq)
-
-		var got pairTable
-		dec := wire.Decoding(wire.NewDecoder(e.Bytes()))
-		codeSeqs(dec, &got)
-		if dec.Err() == nil {
-			t.Errorf("pair %v decoded as %v", pair, got)
-		}
-	}
-}
-
-// A transport list is written in ascending pair order, and read back
-// only in it: a pair the stream repeats or puts out of order is refused,
-// not folded into one record (the last value winning) — such records
-// would encode to other bytes than they were read from.
-func TestTransportPairsMustAscend(t *testing.T) {
-	for name, pairs := range map[string][][2]Endpoint{
-		"ascending":    {{6, 100}, {6, 101}, {7, 1}},
-		"repeated":     {{6, 100}, {6, 100}},
-		"out of order": {{7, 1}, {6, 100}},
-		"src descends": {{6, 101}, {6, 100}},
-	} {
-		e := wire.NewEncoder()
-		enc := wire.Encoding(e)
-		enc.Len(len(pairs))
-		for i := range pairs {
-			wire.Int(enc, &pairs[i][0])
-			wire.Int(enc, &pairs[i][1])
-			seq := uint32(i + 1)
-			enc.U32(&seq)
-		}
-		var got pairTable
-		dec := wire.Decoding(wire.NewDecoder(e.Bytes()))
-		codeSeqs(dec, &got)
-		if ok := name == "ascending"; (dec.Err() == nil) != ok {
-			t.Errorf("%s: decode error %v", name, dec.Err())
-		}
-	}
-}
-
-// A decoded table is paid for by the image that asks for it. A pair
-// claims a row as long as its source, so n pairs each from the last
-// endpoint would build n rows of n slots from bytes that grow with n:
-// decoding refuses them once the rows outgrow their room, having built a
-// bounded part. A live table's long rows, one per server with every user
-// in it, fit. A process table ending at the top of the int range counts
-// no slot sum past it.
-func TestTransportTableBoundedByImage(t *testing.T) {
-	const users = 4000 // 4000 rows of 4100 slots: 125 MiB
-	last := EpUserBase + users - 1
-	decode := func(last Endpoint, pairs [][2]Endpoint) error {
-		e := wire.NewEncoder()
-		enc := wire.Encoding(e)
-		var in planeState
-		in.stats.Code(enc)
-		enc.Len(len(pairs))
-		for i := range pairs {
-			wire.Int(enc, &pairs[i][0])
-			wire.Int(enc, &pairs[i][1])
-			seq := uint32(1)
-			enc.U32(&seq)
-		}
-		for range pairFields[1:] {
-			enc.Len(0)
-		}
-		var out planeState
-		dec := wire.Decoding(wire.NewDecoder(e.Bytes()))
-		codePlane(dec, &out, last, int(EpDriver-EpRS+1)+users)
-		return dec.Err()
-	}
-	var far, servers [][2]Endpoint
-	for u := EpUserBase; u <= last; u++ {
-		far = append(far, [2]Endpoint{u, last})
-	}
-	for s := EpRS; s <= EpDriver; s++ {
-		for u := EpUserBase; u <= last; u++ {
-			servers = append(servers, [2]Endpoint{s, u})
-		}
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	err := decode(last, far)
-	runtime.ReadMemStats(&after)
-	if err == nil || !strings.Contains(err.Error(), "outgrows") {
-		t.Errorf("one far pair per user: decode error %v", err)
-	}
-	if got := after.TotalAlloc - before.TotalAlloc; got > 8<<20 {
-		t.Errorf("refusing them allocated %d MiB", got>>20)
-	}
-	if err := decode(last, servers); err != nil {
-		t.Errorf("every user in every server's row: %v", err)
-	}
-	for _, pair := range [][2]Endpoint{{math.MaxInt, 0}, {0, math.MaxInt}, {math.MaxInt, math.MaxInt}} {
-		if err := decode(math.MaxInt, [][2]Endpoint{pair}); err == nil || !strings.Contains(err.Error(), "outgrows") {
-			t.Errorf("pair %v: decode error %v", pair, err)
-		}
-	}
-}
-
-// The writer lists a pair under a field only when its record holds one,
-// and every value it holds is at least 1: a decoded zero cursor,
-// in-service sequence, window top or cached reply sequence is refused,
-// since the record would write back without it.
-func TestTransportZeroValueRejected(t *testing.T) {
-	for i, f := range pairFields {
-		var in pairState
-		e := wire.NewEncoder()
-		enc := wire.Encoding(e)
-		enc.Len(1)
-		dst, src := EpDS, EpUserBase
-		wire.Int(enc, &dst)
-		wire.Int(enc, &src)
-		f.code(enc, &in)
-		var got pairTable
-		room := pairSlotsPerEntry
-		dec := wire.Decoding(wire.NewDecoder(e.Bytes()))
-		if codePairs(dec, &got, f, EpUserBase, &room); dec.Err() == nil {
-			t.Errorf("field %d: a zero value decoded as %+v", i, got)
-		}
 	}
 }
 
@@ -294,10 +143,6 @@ func TestApplyImageRejectsBadSchedulerState(t *testing.T) {
 		{"endpoint allocator one past its processes", func(img *MachineImage) { img.nextUserEp++ }, "endpoint allocator"},
 		{"endpoint allocator behind its processes", func(img *MachineImage) { img.nextUserEp-- }, "outside the user endpoints"},
 		{"endpoint allocator below the user endpoints", func(img *MachineImage) { img.nextUserEp = 1 }, "outside the user endpoints"},
-		// The IPC plane's pair table is indexed by a sequenced request's sender.
-		{"sequenced request from an endpoint never handed out", func(img *MachineImage) {
-			img.lives[img.procs[0].live-1].inbox = append(img.lives[img.procs[0].live-1].inbox, Message{From: 1<<32 - 1, NeedsReply: true, Seq: 1})
-		}, "never handed out"},
 	} {
 		img := decodeMachine(t, data)
 		tc.mutate(img)

@@ -279,8 +279,8 @@ type cachedReply struct {
 // pairState is the reliability layer's record of one (dst, src) pair,
 // made on the pair's first sequenced message and then only written in
 // place. Every sequence number the layer hands out is at least 1, so a
-// zero field is one the pair has not used yet: the image and the
-// fingerprint list exactly the non-zero ones.
+// zero field is one the pair has not used yet: the fingerprint and the
+// image's size list exactly the non-zero ones.
 type pairState struct {
 	// nextSeq is the last sequence number src's messages to dst took.
 	nextSeq uint32
@@ -363,6 +363,28 @@ func (t pairTable) clone() pairTable {
 		}
 	}
 	return out
+}
+
+// pairFields say, per field of a pair record, whether a record holds it:
+// its sequence cursor, its anti-replay window, its in-service sequence
+// and its cached reply, the order the fingerprint folds them in.
+var pairFields = [...]func(*pairState) bool{
+	func(s *pairState) bool { return s.nextSeq != 0 },
+	func(s *pairState) bool { return s.seen.top != 0 },
+	func(s *pairState) bool { return s.svcSeq != 0 },
+	func(s *pairState) bool { return s.reply.seq != 0 },
+}
+
+// holding calls visit for every pair whose record holds a field, in
+// (dst, src) order.
+func (t pairTable) holding(holds func(*pairState) bool, visit func(dst, src Endpoint, ps *pairState)) {
+	for dst, row := range t {
+		for src, ps := range row {
+			if ps != nil && holds(ps) {
+				visit(Endpoint(dst), Endpoint(src), ps)
+			}
+		}
+	}
 }
 
 // planeState is the transport state that outlives a quiescence barrier.

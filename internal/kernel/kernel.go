@@ -26,7 +26,6 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/seep"
 	"repro/internal/sim"
 )
 
@@ -449,14 +448,8 @@ func (k *Kernel) Clock() *sim.Clock { return k.clock }
 // Now returns the current virtual time.
 func (k *Kernel) Now() sim.Cycles { return k.clock.Now() }
 
-// RNG returns the machine's root random number generator.
-func (k *Kernel) RNG() *sim.RNG { return k.rng }
-
 // Counters returns the machine's statistics counters.
 func (k *Kernel) Counters() *sim.Counters { return k.counters }
-
-// Cost returns the active cost model.
-func (k *Kernel) Cost() CostModel { return k.cost }
 
 // SetCrashHandler installs the recovery engine invoked on component
 // crashes. Without a handler, any component crash aborts the run.
@@ -746,10 +739,6 @@ func (k *Kernel) IsQuarantined(ep Endpoint) bool {
 	return q
 }
 
-// QuarantineReason returns the reason ep was quarantined ("" if it was
-// not).
-func (k *Kernel) QuarantineReason(ep Endpoint) string { return k.quarantined[ep] }
-
 // QuarantineProcess permanently detaches the process at ep as graceful
 // degradation: its body is unwound, queued messages are dropped,
 // every blocked caller receives ECRASH, and all subsequent IPC to ep is
@@ -824,12 +813,4 @@ func (k *Kernel) describeBlocked() string {
 		}
 	}
 	return out.String()
-}
-
-// windowOf returns the seep window of ep, or nil.
-func (k *Kernel) windowOf(ep Endpoint) *seep.Window {
-	if p := k.procs.get(ep); p != nil && p.procLive != nil {
-		return p.window
-	}
-	return nil
 }

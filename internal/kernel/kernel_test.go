@@ -314,13 +314,13 @@ func TestQuantumPreemption(t *testing.T) {
 	var bDone, aDone sim.Cycles
 	k.SpawnUser("a", func(ctx *Context) {
 		for i := 0; i < 100; i++ {
-			ctx.Tick(k.Cost().Quantum)
+			ctx.Tick(k.cost.Quantum)
 		}
 		aDone = ctx.Now()
 	})
 	rootB := k.SpawnUser("b", func(ctx *Context) {
 		for i := 0; i < 3; i++ {
-			ctx.Tick(k.Cost().Quantum)
+			ctx.Tick(k.cost.Quantum)
 		}
 		bDone = ctx.Now()
 	})
@@ -517,7 +517,7 @@ func TestDeterminismSameSeedSameTrace(t *testing.T) {
 		k.AddServer(EpDS, "echo", echoServer, ServerConfig{})
 		k.AddServer(EpVM, "vm", echoServer, ServerConfig{})
 		root := k.SpawnUser("client", func(ctx *Context) {
-			r := ctx.Kernel().RNG()
+			r := ctx.Kernel().rng
 			for i := 0; i < 200; i++ {
 				dst := EpDS
 				if r.Intn(2) == 0 {

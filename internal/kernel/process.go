@@ -688,12 +688,3 @@ func (k *Kernel) ProcessAlive(ep Endpoint) bool {
 	p := k.procs.get(ep)
 	return p != nil && p.Alive()
 }
-
-// InboxLen reports the number of queued messages at ep (testing and
-// diagnostics).
-func (k *Kernel) InboxLen(ep Endpoint) int {
-	if p := k.procs.get(ep); p != nil && p.procLive != nil {
-		return p.queueLen()
-	}
-	return 0
-}

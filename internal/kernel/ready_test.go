@@ -222,7 +222,7 @@ func TestDeadPlaceholderIsInert(t *testing.T) {
 	k.SetRootProcess(root.Endpoint())
 	k.installDeadPlaceholders(&MachineImage{procs: []procImage{{ep: ghost, name: "reaped"}}}, 1)
 
-	if k.ProcessAlive(ghost) || k.InboxLen(ghost) != 0 || k.windowOf(ghost) != nil {
+	if k.ProcessAlive(ghost) || k.procs.get(ghost).procLive != nil {
 		t.Error("a placeholder looks alive")
 	}
 	if k.TerminateProcess(ghost) != ESRCH || k.FailStopProcess(ghost, "x") != ESRCH {

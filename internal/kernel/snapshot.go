@@ -314,14 +314,7 @@ func (k *Kernel) ApplyImage(img *MachineImage) error {
 			}
 			users++
 		}
-		// The plane keys a sequenced request by its sender (noteReceive):
-		// one naming an endpoint never handed out would size its table.
 		rec := img.record(&pi)
-		for _, m := range rec.inbox {
-			if m.Seq != 0 && (m.From < 0 || m.From >= img.nextUserEp) {
-				return fmt.Errorf("kernel: image message queued at %d from endpoint %d, never handed out", pi.ep, m.From)
-			}
-		}
 		// barrierRefusal lets three states into an image: dead, the root
 		// runnable at its barrier, everything else parked in Receive.
 		parked := stateReceiving

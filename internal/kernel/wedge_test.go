@@ -196,7 +196,7 @@ func TestWedgeStampMovesOnHiddenProgress(t *testing.T) {
 		case 5:
 			k.FailStopProcess(victim, "test")
 		case 7:
-			k.RNG().Uint64()
+			k.rng.Uint64()
 		case 9:
 			k.ipc.rng.Uint64()
 		}

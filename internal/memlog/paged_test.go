@@ -185,6 +185,7 @@ func TestPropertyPagedSliceMatchesPlainSlice(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		mode := []Instrumentation{Optimized, Unoptimized, FullCopy}[seed%3]
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
 			r := sim.NewRNG(seed)
 			first := newPagedCopy(NewStore("paged", mode), nil, false)
 			first.grow(2*slicePageLen+300, func(k int) int32 { return int32(k % 7) })
