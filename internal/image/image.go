@@ -8,14 +8,16 @@
 // frame is nine tenths of them, so there is little to fan out, and the
 // benchmark runs both directions on one worker.
 //
-// A round trip costs about what its bytes cost. Writing, every frame is
-// encoded into a buffer of its own and the blocks frame's is sized before
-// the first block goes in; the destination is told the file's size first
-// if it can be (Grow). Reading, the file is read into one buffer of its
-// size when the reader knows it, and the decoded disk's blocks are slices
-// of that buffer (of the inflated frame, for a compressed image), which
-// the snapshot therefore keeps: a decoded snapshot is as immutable as a
-// captured one. DESIGN.md §8 has the budget.
+// A round trip costs about what its bytes cost. Writing, every small
+// frame is encoded into a buffer of its own, and the blocks frame into
+// none: its blocks go from the device pages to the destination (through
+// the checksum first) or into the compressor. The destination is told
+// the file's size first if it can be (Grow). Reading, the file is read
+// into one buffer of its size when the reader knows it, and the decoded
+// disk's blocks are slices of that buffer (of the inflated frame, for a
+// compressed image), which the snapshot therefore keeps: a decoded
+// snapshot is as immutable as a captured one. DESIGN.md §8 has the
+// budget.
 //
 // The format round-trips bit-identically: a machine forked from a
 // decoded snapshot is indistinguishable from one forked from the
@@ -77,8 +79,8 @@ type deflater struct {
 	out bytes.Buffer
 }
 
-// deflate returns raw compressed, in a slice of its own.
-func deflate(raw []byte) ([]byte, error) {
+// deflate returns what write writes, compressed, in a slice of its own.
+func deflate(write func(io.Writer) error) ([]byte, error) {
 	var z *deflater
 	select {
 	case z = <-spareDeflater:
@@ -91,7 +93,7 @@ func deflate(raw []byte) ([]byte, error) {
 	}
 	z.out.Reset()
 	z.fw.Reset(&z.out)
-	if _, err := z.fw.Write(raw); err != nil {
+	if err := write(z.fw); err != nil {
 		return nil, err
 	}
 	if err := z.fw.Close(); err != nil {
@@ -151,32 +153,68 @@ const (
 	slotPrefix  = "slot/"
 )
 
+// payload is a frame's bytes: encoded into a buffer of the frame's own,
+// or the disk, whose blocks go from their device pages to the writer and
+// are never gathered into one buffer.
+type payload struct {
+	buf  []byte
+	disk *driver.Image
+}
+
+func (p payload) len() int {
+	if p.disk != nil {
+		return int(p.disk.EncodedLen())
+	}
+	return len(p.buf)
+}
+
+func (p payload) writeTo(w io.Writer) error {
+	if p.disk != nil {
+		_, err := p.disk.WriteTo(w)
+		return err
+	}
+	_, err := w.Write(p.buf)
+	return err
+}
+
+func (p payload) crc() (uint32, error) {
+	if p.disk == nil {
+		return crc32.Checksum(p.buf, crcTable), nil
+	}
+	h := crc32.New(crcTable)
+	err := p.writeTo(h)
+	return h.Sum32(), err
+}
+
 // encodedFrame is one finished frame: the raw payload length, the
-// stored (possibly compressed) bytes and their checksum.
+// stored (possibly compressed) payload, its length and its checksum.
 type encodedFrame struct {
-	name   string
-	rawLen int
-	stored []byte
-	crc    uint32
-	err    error
+	name              string
+	rawLen, storedLen int
+	stored            payload
+	crc               uint32
+	err               error
 }
 
 // WriteSnapshot encodes snap into w. Frames are encoded (and, when
 // requested, compressed) in parallel, then written sequentially, so w
-// receives a deterministic byte stream regardless of worker count.
+// receives a deterministic byte stream regardless of worker count. The
+// disk's blocks are not gathered into a frame buffer: in a raw image
+// they are read from the device pages twice, once for the frame's
+// checksum and once into w, and in a compressed one they stream into
+// the compressor. w therefore receives a few small writes a written
+// block (its head, its prefix, its zero padding): wrap a file in a
+// bufio.Writer.
 func WriteSnapshot(w io.Writer, snap *boot.Snapshot, o WriteOptions) error {
 	type job struct {
 		name  string
-		build func(e *wire.Encoder) error
+		build func(e *wire.Encoder) error // nil: the blocks frame
 	}
 	meta := metaOf(snap)
 	jobs := []job{
 		{frameMeta, encoding(meta.code)},
 		{frameKernel, encoding(snap.Image.Machine.Code)},
-		{frameBlocks, func(e *wire.Encoder) error {
-			snap.Disk.EncodeTo(e)
-			return nil
-		}},
+		{frameBlocks, nil},
 	}
 	for i := range snap.Image.Slots {
 		slot := &snap.Image.Slots[i]
@@ -185,17 +223,25 @@ func WriteSnapshot(w io.Writer, snap *boot.Snapshot, o WriteOptions) error {
 
 	frames := parallel.Map(o.Workers, len(jobs), func(i int) encodedFrame {
 		f := encodedFrame{name: jobs[i].name}
-		e := wire.NewEncoder()
-		if f.err = jobs[i].build(e); f.err != nil {
-			return f
-		}
-		f.rawLen, f.stored = e.Len(), e.Bytes()
-		if o.Compress {
-			if f.stored, f.err = deflate(f.stored); f.err != nil {
+		p := payload{disk: snap.Disk}
+		if build := jobs[i].build; build != nil {
+			e := wire.NewEncoder()
+			if f.err = build(e); f.err != nil {
 				return f
 			}
+			p = payload{buf: e.Bytes()}
 		}
-		f.crc = crc32.Checksum(f.stored, crcTable)
+		f.rawLen = p.len()
+		f.storedLen = f.rawLen
+		if o.Compress {
+			stored, err := deflate(p.writeTo)
+			if f.err = err; err != nil {
+				return f
+			}
+			p, f.storedLen = payload{buf: stored}, len(stored)
+		}
+		f.stored = p
+		f.crc, f.err = p.crc()
 		return f
 	})
 	for _, f := range frames {
@@ -220,10 +266,10 @@ func WriteSnapshot(w io.Writer, snap *boot.Snapshot, o WriteOptions) error {
 	for _, f := range frames {
 		heads.Str(f.name)
 		heads.Uvarint(uint64(f.rawLen))
-		heads.Uvarint(uint64(len(f.stored)))
+		heads.Uvarint(uint64(f.storedLen))
 		heads.U32(f.crc)
 		cuts = append(cuts, heads.Len())
-		size += len(f.stored)
+		size += f.storedLen
 	}
 	size += heads.Len()
 	if g, ok := w.(interface{ Grow(int) }); ok {
@@ -239,7 +285,7 @@ func WriteSnapshot(w io.Writer, snap *boot.Snapshot, o WriteOptions) error {
 		if _, err := w.Write(heads.Bytes()[cuts[i]:cuts[i+1]]); err != nil {
 			return err
 		}
-		if _, err := w.Write(f.stored); err != nil {
+		if err := f.stored.writeTo(w); err != nil {
 			return err
 		}
 	}
@@ -427,7 +473,8 @@ func decodeSnapshot(data []byte, reg *usr.Registry, workers int) (*boot.Snapshot
 }
 
 // encoding and decoding adapt a field list to the one-way signatures of
-// the frame loops, which also carry the blocks frame's hand-paired codec.
+// the frame loops; the read loop also carries the blocks frame's
+// hand-written decoder.
 func encoding(code func(*wire.Codec)) func(*wire.Encoder) error {
 	return func(e *wire.Encoder) error {
 		c := wire.Encoding(e)

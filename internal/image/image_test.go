@@ -7,6 +7,7 @@ package image_test
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -19,6 +20,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/testsuite"
 	"repro/internal/usr"
+	"repro/internal/wire"
 )
 
 const testLimit sim.Cycles = 500_000_000
@@ -207,6 +209,70 @@ func TestWriteDeterminism(t *testing.T) {
 	}
 	if err := image.WriteSnapshot(&bytes.Buffer{}, snap, image.WriteOptions{}); err != nil {
 		t.Fatalf("re-encode after determinism runs: %v", err)
+	}
+}
+
+// failingWriter takes the first k bytes written to it, then fails.
+type failingWriter struct {
+	k    int
+	took []byte
+}
+
+var errWriterFull = errors.New("writer full")
+
+func (f *failingWriter) Write(p []byte) (int, error) {
+	n := min(len(p), f.k-len(f.took))
+	f.took = append(f.took, p[:n]...)
+	if n < len(p) {
+		return n, errWriterFull
+	}
+	return n, nil
+}
+
+// storedSpan returns where the named frame's stored bytes stand in the
+// image data.
+func storedSpan(t *testing.T, data []byte, name string) (start, end int) {
+	t.Helper()
+	d := wire.NewDecoder(data[len(image.Magic):])
+	d.Uvarint() // flags
+	for i := d.Uvarint(); i > 0; i-- {
+		frame := d.Str()
+		d.Uvarint() // raw length
+		storedLen := int(d.Uvarint())
+		d.U32() // checksum
+		start = len(data) - d.Remaining()
+		d.Take(storedLen)
+		if d.Err() != nil {
+			t.Fatalf("frame %q: %v", frame, d.Err())
+		}
+		if frame == name {
+			return start, start + storedLen
+		}
+	}
+	t.Fatalf("no frame %q", name)
+	return 0, 0
+}
+
+// TestWriteSnapshotReturnsTheWritersError: a writer that fails at byte k
+// — the first, inside the headers, inside the blocks frame, which is
+// streamed from the disk rather than written from a buffer, or the last
+// — gets its error back from WriteSnapshot, raw and compressed, and has
+// taken the image's first k bytes.
+func TestWriteSnapshotReturnsTheWritersError(t *testing.T) {
+	snap := captureSnapshot(t, 3)
+	for _, compress := range []bool{false, true} {
+		o := image.WriteOptions{Compress: compress, Workers: 1}
+		data := encode(t, snap, o)
+		start, end := storedSpan(t, data, "blocks")
+		for _, k := range []int{0, len(image.Magic) + 1, start - 1, (start + end) / 2, len(data) - 1} {
+			w := &failingWriter{k: k}
+			if err := image.WriteSnapshot(w, snap, o); !errors.Is(err, errWriterFull) {
+				t.Errorf("compress=%v, a writer failing at byte %d of %d: WriteSnapshot = %v", compress, k, len(data), err)
+			}
+			if !bytes.Equal(w.took, data[:k]) {
+				t.Errorf("compress=%v, a writer failing at byte %d: it took %d bytes unlike the image's", compress, k, len(w.took))
+			}
+		}
 	}
 }
 

@@ -28,7 +28,7 @@ import (
 // imageVersion guards the frame layout; bump on any codec change.
 const imageVersion = 1
 
-// Code walks the machine image through c: EncodeTo and the decoder in
+// Code walks the machine image through c: the encoder and the decoder in
 // one. A decoding walk fills img, which must be empty.
 func (img *MachineImage) Code(c *wire.Codec) {
 	version := uint64(imageVersion)

@@ -2,6 +2,7 @@ package driver
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/fs"
@@ -21,6 +22,43 @@ func mustRead(t *testing.T, d *Driver, b int32) []byte {
 		t.Fatalf("read(%d) = %v", b, errno)
 	}
 	return append(append([]byte(nil), data...), make([]byte, fs.BlockSize-len(data))...)
+}
+
+// padded returns a stored block as the full block it stands for, nil for
+// one never written.
+func padded(blk []byte) []byte {
+	if blk == nil {
+		return nil
+	}
+	return append(append([]byte(nil), blk...), make([]byte, fs.BlockSize-len(blk))...)
+}
+
+// written returns what img.WriteTo writes, after checking that it
+// returns the count it wrote, that the count is EncodedLen, and that
+// DecodeImage reads the bytes back to img's blocks, padded.
+func written(t *testing.T, img *Image) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	n, err := img.WriteTo(&buf)
+	if err != nil {
+		t.Fatalf("WriteTo: %v", err)
+	}
+	if n != int64(buf.Len()) || n != img.EncodedLen() {
+		t.Fatalf("WriteTo wrote %d bytes and returned %d, EncodedLen %d", buf.Len(), n, img.EncodedLen())
+	}
+	dec, err := DecodeImage(wire.NewDecoder(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("DecodeImage: %v", err)
+	}
+	if dec.n != img.n {
+		t.Fatalf("decoded %d blocks, want %d", dec.n, img.n)
+	}
+	for b := int32(0); b < img.n; b++ {
+		if got, want := dec.block(b), padded(img.block(b)); (got == nil) != (want == nil) || !bytes.Equal(got, want) {
+			t.Fatalf("block %d reads back unlike the image's", b)
+		}
+	}
+	return buf.Bytes()
 }
 
 // referenceFingerprint recomputes the device hash from scratch.
@@ -136,13 +174,12 @@ func TestImageRoundTrip(t *testing.T) {
 	for b := int32(0); b < testBlocks; b++ {
 		want.Blob(d.block(b))
 	}
-	enc := wire.NewEncoder()
-	img.EncodeTo(enc)
-	if !bytes.Equal(enc.Bytes(), want.Bytes()) {
-		t.Fatal("encoded image differs from the flat block stream")
+	got := written(t, img)
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("written image differs from the flat block stream")
 	}
 
-	dec, err := DecodeImage(wire.NewDecoder(enc.Bytes()))
+	dec, err := DecodeImage(wire.NewDecoder(got))
 	if err != nil {
 		t.Fatalf("DecodeImage: %v", err)
 	}
@@ -183,5 +220,83 @@ func TestDecodeImageRejectsMalformedStreams(t *testing.T) {
 	truncated.Blob(fill('a'))
 	if _, err := DecodeImage(wire.NewDecoder(truncated.Bytes()[:100])); err == nil {
 		t.Error("a truncated stream was accepted")
+	}
+}
+
+// WriteTo gathers the heads between prefixes in a buffer it flushes every
+// headBatch bytes. Runs of never-written blocks longer than that — first,
+// between written blocks and last — and disks with no block or every
+// block written, prefixes short and full, write the flat block stream.
+func TestWriteToMatchesFlatStream(t *testing.T) {
+	const long = 3*headBatch + 5
+	for _, c := range []struct {
+		name    string
+		n       int32
+		written []int32
+	}{
+		{"no-blocks", 0, nil},
+		{"none-written", long, nil},
+		{"first-and-last", long, []int32{0, long - 1}},
+		{"after-a-long-run", long, []int32{2 * headBatch, 2*headBatch + 1}},
+		{"runs-between", long, []int32{headBatch - 1, 2*headBatch + 1, 3 * headBatch}},
+		{"all-written", 2 * pageBlocks, nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d := New(c.n)
+			blocks := c.written
+			if c.name == "all-written" {
+				for b := int32(0); b < c.n; b++ {
+					blocks = append(blocks, b)
+				}
+			}
+			for i, b := range blocks {
+				// Prefixes of every length class: one byte, a part, all of it.
+				d.write(b, bytes.Repeat([]byte{byte(1 + i)}, []int{1, 1 + i*37%fs.BlockSize, fs.BlockSize}[i%3]))
+			}
+			want := wire.NewEncoder()
+			want.Uvarint(uint64(c.n))
+			for b := int32(0); b < c.n; b++ {
+				want.Blob(padded(d.block(b)))
+			}
+			if got := written(t, d.Share()); !bytes.Equal(got, want.Bytes()) {
+				t.Fatal("written image differs from the flat block stream")
+			}
+		})
+	}
+}
+
+// failAt is a writer that takes k bytes and then fails.
+type failAt struct{ k int }
+
+var errFull = errors.New("writer full")
+
+func (f *failAt) Write(p []byte) (int, error) {
+	if len(p) <= f.k {
+		f.k -= len(p)
+		return len(p), nil
+	}
+	n := f.k
+	f.k = 0
+	return n, errFull
+}
+
+// A writer that fails part of the way through gets WriteTo's error back,
+// with the count of the bytes it took: at the first byte, in the heads,
+// inside a prefix, inside a padding and at the last byte.
+func TestWriteToReturnsTheWritersError(t *testing.T) {
+	d := New(testBlocks)
+	d.write(0, fill('a'))
+	d.write(70, []byte("short"))
+	d.write(testBlocks-1, fill('b'))
+	img := d.Share()
+	// The count and block 0's head take two bytes each; block 70's
+	// prefix ends after 69 never-written blocks and its own head.
+	const short = 2 + 2 + fs.BlockSize + 69 + 2 + int64(len("short"))
+	size := img.EncodedLen()
+	for _, k := range []int64{0, 3, 4 + fs.BlockSize/2, short + 100, size - 1} {
+		n, err := img.WriteTo(&failAt{int(k)})
+		if n != k || !errors.Is(err, errFull) {
+			t.Errorf("a writer failing at byte %d of %d: WriteTo = %d, %v", k, size, n, err)
+		}
 	}
 }

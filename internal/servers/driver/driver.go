@@ -8,7 +8,9 @@
 package driver
 
 import (
+	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"math/bits"
 
@@ -174,38 +176,87 @@ func (img *Image) SizeBytes() int64 {
 	return size
 }
 
-// EncodeTo writes the image as its block count followed by every block
-// in order: a written one as a blob of fs.BlockSize bytes, its prefix
-// then zeros, a never-written one as an empty blob. What that takes is
-// known before a byte is written, so the encoder grows once, to that, and
-// every prefix is copied once, from its page into its place.
-func (img *Image) EncodeTo(e *wire.Encoder) {
-	size := uvarintLen(uint64(img.n)) + int(img.n) // a never-written block is one byte
+// EncodedLen is the number of bytes WriteTo writes: the block count,
+// then one byte a never-written block and a blob head and fs.BlockSize
+// bytes a written one.
+func (img *Image) EncodedLen() int64 {
+	size := int64(uvarintLen(uint64(img.n))) + int64(img.n)
 	for _, pg := range img.pages {
 		if pg == nil {
 			continue
 		}
 		for _, blk := range pg.blocks {
 			if blk != nil {
-				size += uvarintLen(fs.BlockSize+1) + fs.BlockSize - 1
+				size += int64(uvarintLen(writtenHead)) + fs.BlockSize - 1
 			}
 		}
 	}
-	e.Grow(size)
-	e.Uvarint(uint64(img.n))
+	return size
+}
+
+// writtenHead is the blob head of a written block: its length plus one.
+const writtenHead = fs.BlockSize + 1
+
+// headBatch is how many bytes of heads — the block count, a written
+// block's blob head, never-written blocks' empty blobs — WriteTo gathers
+// before it writes them.
+const headBatch = 256
+
+// zeroBlock pads a written block's prefix to fs.BlockSize. Nothing
+// writes it: an io.Writer must not modify what it is given.
+var zeroBlock [fs.BlockSize]byte
+
+// WriteTo writes the image to w as its block count followed by every
+// block in order: a written one as a blob of fs.BlockSize bytes, its
+// prefix then zeros, a never-written one as an empty blob — EncodedLen
+// bytes in all. Each prefix goes to w from its device page and each
+// padding from one shared zero block, so nothing the size of the image
+// is built; the heads between them collect in a small buffer, which a
+// run of never-written blocks flushes every headBatch bytes.
+func (img *Image) WriteTo(w io.Writer) (int64, error) {
+	var n int64
+	write := func(p []byte) error {
+		if len(p) == 0 {
+			return nil
+		}
+		k, err := w.Write(p)
+		n += int64(k)
+		if err == nil && k < len(p) {
+			err = io.ErrShortWrite
+		}
+		return err
+	}
+	heads := binary.AppendUvarint(make([]byte, 0, headBatch+binary.MaxVarintLen64), uint64(img.n))
 	for b := int32(0); b < img.n; b++ {
-		if blk := img.block(b); blk != nil {
-			e.BlobPadded(blk, fs.BlockSize)
+		blk := img.block(b)
+		if blk == nil {
+			if heads = append(heads, 0); len(heads) < headBatch {
+				continue
+			}
 		} else {
-			e.Blob(nil)
+			heads = binary.AppendUvarint(heads, writtenHead)
+		}
+		if err := write(heads); err != nil {
+			return n, err
+		}
+		heads = heads[:0]
+		if blk == nil {
+			continue
+		}
+		if err := write(blk); err != nil {
+			return n, err
+		}
+		if err := write(zeroBlock[:fs.BlockSize-len(blk)]); err != nil {
+			return n, err
 		}
 	}
+	return n, write(heads)
 }
 
 // uvarintLen is the number of bytes x takes as a varint.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// DecodeImage parses what EncodeTo wrote. The blocks of the image are
+// DecodeImage parses what WriteTo wrote. The blocks of the image are
 // slices of d's buffer, not copies: a decoded image is as frozen as a
 // shared one — a device never changes a block in place (fs.BlockDevice's
 // contract), and each slice is clipped to its block, so nothing can grow
@@ -224,7 +275,7 @@ func DecodeImage(d *wire.Decoder) (*Image, error) {
 		if size == 0 {
 			continue
 		}
-		if size-1 != fs.BlockSize {
+		if size != writtenHead {
 			return nil, fmt.Errorf("driver: block %d of the image is %d bytes, want %d", b, size-1, fs.BlockSize)
 		}
 		blk := d.Take(fs.BlockSize)

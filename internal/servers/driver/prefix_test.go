@@ -71,12 +71,11 @@ func TestPropertyPrefixBlocksMatchFullBlocks(t *testing.T) {
 			if got, want := disk.Fingerprint(), disk.fingerprint(); got != want {
 				t.Fatalf("seed %d op %d: fingerprint %x, padded disk's %x", seed, op, got, want)
 			}
-			enc := wire.NewEncoder()
-			disk.Share().EncodeTo(enc)
-			if !bytes.Equal(enc.Bytes(), disk.encoding()) {
+			enc := written(t, disk.Share())
+			if !bytes.Equal(enc, disk.encoding()) {
 				t.Fatalf("seed %d op %d: image bytes differ from the padded disk's", seed, op)
 			}
-			dec, err := DecodeImage(wire.NewDecoder(enc.Bytes()))
+			dec, err := DecodeImage(wire.NewDecoder(enc))
 			if err != nil {
 				t.Fatalf("seed %d op %d: DecodeImage: %v", seed, op, err)
 			}

@@ -100,14 +100,6 @@ func (e *Encoder) Blob(b []byte) {
 	e.buf = append(e.buf, b...)
 }
 
-// BlobPadded appends b zero-padded to n bytes (n >= len(b)) exactly as
-// Blob appends the padded slice, without building it.
-func (e *Encoder) BlobPadded(b []byte, n int) {
-	e.Uvarint(head(true, n))
-	e.buf = append(e.buf, b...)
-	e.buf = append(e.buf, make([]byte, n-len(b))...)
-}
-
 // The varint forms are encoding/binary's, byte for byte, spelled out
 // because that package (like fmt) pulls reflect into every binary that
 // imports this one. A signed value is zig-zagged onto an unsigned one.

@@ -282,18 +282,3 @@ func TestIntegerOverflowRejected(t *testing.T) {
 		t.Errorf("range ends: decoded %+v (%v), want %+v", out, err, in)
 	}
 }
-
-func TestBlobPaddedMatchesBlob(t *testing.T) {
-	for _, c := range []struct {
-		b []byte
-		n int
-	}{{nil, 0}, {[]byte{}, 5}, {[]byte("abc"), 3}, {[]byte("abc"), 200}} {
-		padded := append(append([]byte{}, c.b...), make([]byte, c.n-len(c.b))...)
-		want, got := NewEncoder(), NewEncoder()
-		want.Blob(padded)
-		got.BlobPadded(c.b, c.n)
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("BlobPadded(%q, %d) = %x, want %x", c.b, c.n, got.Bytes(), want.Bytes())
-		}
-	}
-}
