@@ -13,10 +13,7 @@
 //	              [-samples N] [-maxruns N] [-seed N] [-profile]
 //	              [-faults N] [-runs N] [-workers N] [-coldboot] [-noelide]
 //	              [-record DIR] [-resume JOURNAL] [-quiet] [-gate=false]
-//	              [-ipcfaults] [-droprate BP] [-duprate BP] [-delayrate BP]
-//	              [-reorderrate BP] [-corruptrate BP] [-ipcseed N]
-//	              [-ipctimeout CYCLES] [-ipcretry N]
-//	              [-cpuprofile out.pprof] [-memprofile out.pprof]
+//	              [-ipcfaults] [-cpuprofile out.pprof] [-memprofile out.pprof]
 //
 // Campaigns are crash-tolerant and replayable:
 //
@@ -39,17 +36,18 @@
 //     detail lines (warm-plane stats, inconsistent seeds) but keeps
 //     the tables.
 //
-// All basis-point rates must lie in [0, 10000]; -samples, -faults and
-// -runs must be at least 1, -maxruns and -workers at least 0.
+// -samples, -faults and -runs must be at least 1, -maxruns and -workers
+// at least 0.
 //
 // The -model ipcmix campaign arms one transport fault (drop, duplicate,
 // delay, reorder or payload corruption of a component's next outgoing
-// message) per boot. Independently, -ipcfaults / -*rate add background
-// transport faults (basis points per transmission) to every run of any
-// campaign; both force the end-to-end reliability layer on, and every
-// run is audited for cross-server consistency — the Consistent column
-// reports the share of runs with no invariant violation, and the seeds
-// of inconsistent runs are printed for exact replay.
+// message) per boot. Independently, -ipcfaults adds background
+// transport faults (50 basis points per transmission for each of the
+// five classes) to every run of any campaign; both turn the end-to-end
+// reliability layer on, and every run is audited for cross-server
+// consistency — the Consistent column reports the share of runs with no
+// invariant violation, and the seeds of inconsistent runs are printed
+// for exact replay.
 //
 // Campaign boots are independent simulated machines and fan out across
 // -workers threads; results are bit-identical for every worker count
@@ -109,15 +107,7 @@ func runCommand() int {
 	flag.BoolVar(&spec.quiet, "quiet", false, "suppress per-run detail (warm-plane stats, inconsistent seeds); tables only")
 	var (
 		gate       = flag.Bool("gate", true, "exit 1 when any run failed, crashed, or was audit-inconsistent; -gate=false always exits 0 for healthy tool runs (smoke tests measuring lossy campaigns)")
-		ipcFaults  = flag.Bool("ipcfaults", false, "background transport faults at default rates (50 bp per class)")
-		dropRate   = flag.Int("droprate", 0, "background message drop rate, basis points per transmission")
-		dupRate    = flag.Int("duprate", 0, "background duplication rate, basis points")
-		delayRate  = flag.Int("delayrate", 0, "background delay rate, basis points")
-		reordRate  = flag.Int("reorderrate", 0, "background reorder rate, basis points")
-		corrRate   = flag.Int("corruptrate", 0, "background payload-corruption rate, basis points")
-		ipcSeed    = flag.Uint64("ipcseed", 0, "perturbation of the per-run transport fault stream")
-		ipcTimeout = flag.Int64("ipctimeout", 0, "sender retransmission timeout in cycles (0 = default when faults are on)")
-		ipcRetry   = flag.Int("ipcretry", 0, "retransmission budget per request (0 = kernel default)")
+		ipcFaults  = flag.Bool("ipcfaults", false, "background transport faults, 50 bp per transmission for each class")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file")
 	)
@@ -126,11 +116,6 @@ func runCommand() int {
 	for _, err := range []error{
 		validateCount("samples", spec.samples, 1), validateCount("faults", spec.faults, 1), validateCount("runs", spec.runs, 1),
 		validateCount("maxruns", spec.maxRuns, 0), validateCount("workers", spec.workers, 0),
-		validateCount("ipctimeout", *ipcTimeout, 0), validateCount("ipcretry", *ipcRetry, 0),
-		validateBPFlags([]bpFlag{
-			{"droprate", *dropRate}, {"duprate", *dupRate}, {"delayrate", *delayRate},
-			{"reorderrate", *reordRate}, {"corruptrate", *corrRate},
-		}),
 	} {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "faultcampaign:", err)
@@ -138,16 +123,7 @@ func runCommand() int {
 		}
 	}
 
-	spec.ipc = faultinject.IPCOptions{
-		Faults: kernel.IPCFaultConfig{
-			DropBP: *dropRate, DupBP: *dupRate, DelayBP: *delayRate,
-			ReorderBP: *reordRate, CorruptBP: *corrRate,
-		},
-		Seed:          *ipcSeed,
-		TimeoutCycles: *ipcTimeout,
-		RetryMax:      *ipcRetry,
-	}
-	if *ipcFaults && !spec.ipc.Faults.Enabled() {
+	if *ipcFaults {
 		spec.ipc.Faults = kernel.IPCFaultConfig{DropBP: 50, DupBP: 50, DelayBP: 50, ReorderBP: 50, CorruptBP: 50}
 	}
 	if *cpuProfile != "" {
@@ -187,6 +163,16 @@ func runCommand() int {
 		return 1
 	}
 	return 0
+}
+
+// validateCount rejects a count flag below least. The campaign layer
+// reads a count that is not positive as its default, so -samples 0 or
+// -faults 0 would otherwise run another campaign than the one asked for.
+func validateCount(name string, v, least int) error {
+	if v < least {
+		return fmt.Errorf("-%s %d: must be at least %d", name, v, least)
+	}
+	return nil
 }
 
 func writeHeapProfile(path string) error {

@@ -196,9 +196,8 @@ func TestAuditorSurvivesIPCFaults(t *testing.T) {
 		IPCFaults: kernel.IPCFaultConfig{
 			DropBP: 300, DupBP: 200, DelayBP: 200, CorruptBP: 200,
 		},
-		IPCFaultSeed:     99,
-		IPCTimeoutCycles: core.DefaultIPCTimeoutCycles,
-		IPCRetryMax:      4,
+		IPCFaultSeed: 99,
+		IPCPlane:     true,
 	})
 	o.AddComponent(echoEP, func(st *memlog.Store) core.Component {
 		var seen int64

@@ -119,22 +119,21 @@ type Config struct {
 	// IPCFaults sets background fault rates for the kernel's message
 	// interposition plane (drop/dup/delay/reorder/corrupt, in basis
 	// points). The zero value — the default — injects nothing. Non-zero
-	// rates require IPCTimeoutCycles > 0.
+	// rates require IPCPlane.
 	IPCFaults kernel.IPCFaultConfig
 	// IPCFaultSeed decorrelates the IPC fault stream from Seed. Zero
 	// derives the stream from a fixed constant.
 	IPCFaultSeed uint64
-	// IPCTimeoutCycles enables the interposition plane, which always
-	// carries the end-to-end IPC reliability layer (sequence numbers,
-	// checksums, dedup, sender-side timeout/retry with bounded backoff,
-	// dead-lettering): it is the base sender timeout in virtual cycles.
-	// Zero — the default — means no plane, and runs bit-identical to
-	// builds without it.
-	IPCTimeoutCycles int64
-	// IPCRetryMax bounds retransmissions per message before it is
-	// abandoned to the dead-letter counter. Zero = default (4).
-	// Requires IPCTimeoutCycles > 0.
-	IPCRetryMax int
+	// IPCPlane turns on the interposition plane, which always carries
+	// the end-to-end IPC reliability layer (sequence numbers, checksums,
+	// dedup, sender-side timeout/retry with bounded backoff,
+	// dead-lettering) at a base sender timeout of
+	// DefaultIPCTimeoutCycles. Off — the default — means no plane, and
+	// runs bit-identical to builds without it.
+	IPCPlane bool
+	// retryMax holds the image slot of the former retry-budget setting,
+	// now a kernel constant.
+	retryMax wire.Retired
 }
 
 // Code lists the configuration's fields, in declaration order, for the
@@ -157,14 +156,14 @@ func (cfg *Config) Code(c *wire.Codec) {
 	cfg.hangMisses.Code(c)
 	cfg.IPCFaults.Code(c)
 	c.Uvarint(&cfg.IPCFaultSeed)
-	wire.Int(c, &cfg.IPCTimeoutCycles)
-	wire.Int(c, &cfg.IPCRetryMax)
+	c.Bool(&cfg.IPCPlane)
+	cfg.retryMax.Code(c)
 }
 
-// DefaultIPCTimeoutCycles is the recommended base sender timeout when
-// enabling the IPC reliability layer: long enough that slow multi-hop
-// requests (fork, exec, device I/O) do not time out spuriously, short
-// enough that several retries fit into a run.
+// DefaultIPCTimeoutCycles is the base sender timeout of the IPC
+// reliability layer: long enough that slow multi-hop requests (fork,
+// exec, device I/O) do not time out spuriously, short enough that
+// several retries fit into a run.
 const DefaultIPCTimeoutCycles int64 = 400_000
 
 // Validate rejects nonsensical configurations. NewOS panics on invalid
@@ -179,17 +178,8 @@ func (c Config) Validate() error {
 	if err := c.IPCFaults.Validate(); err != nil {
 		return err
 	}
-	if c.IPCTimeoutCycles < 0 {
-		return fmt.Errorf("core: IPCTimeoutCycles must be >= 0, got %d", c.IPCTimeoutCycles)
-	}
-	if c.IPCRetryMax < 0 {
-		return fmt.Errorf("core: IPCRetryMax must be >= 0, got %d", c.IPCRetryMax)
-	}
-	if c.IPCRetryMax > 0 && c.IPCTimeoutCycles == 0 {
-		return fmt.Errorf("core: IPCRetryMax requires IPCTimeoutCycles > 0 (retries are driven by the sender timeout)")
-	}
-	if c.IPCFaults.Enabled() && c.IPCTimeoutCycles == 0 {
-		return fmt.Errorf("core: IPC fault rates require IPCTimeoutCycles > 0 (the plane always runs the reliability layer)")
+	if c.IPCFaults.Enabled() && !c.IPCPlane {
+		return fmt.Errorf("core: IPC fault rates require IPCPlane (the rates are the plane's)")
 	}
 	return nil
 }
@@ -363,10 +353,9 @@ func NewOSIn(a *kernel.Arena, cfg Config) *OS {
 		slots: make(map[kernel.Endpoint]*slot),
 	}
 	o.k.SetCrashHandler(o.handleCrash)
-	if cfg.IPCTimeoutCycles > 0 {
+	if cfg.IPCPlane {
 		o.k.SetIPCFaultPlane(cfg.IPCFaults, kernel.IPCReliability{
-			TimeoutCycles: sim.Cycles(cfg.IPCTimeoutCycles),
-			RetryMax:      cfg.IPCRetryMax,
+			TimeoutCycles: sim.Cycles(DefaultIPCTimeoutCycles),
 		}, cfg.IPCFaultSeed)
 	}
 	return o

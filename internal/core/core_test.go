@@ -422,16 +422,17 @@ func TestConfigValidateRejectsBadSequencerKnobs(t *testing.T) {
 	}
 }
 
-// The interposition plane always runs the reliability layer, so fault
-// rates without a sender timeout are a configuration no machine can run.
+// Fault rates are the interposition plane's, and the plane always runs
+// the reliability layer and its sender timeout, so rates without the
+// plane are a configuration no machine can run.
 func TestConfigValidateRejectsRatesWithoutTimeout(t *testing.T) {
 	cfg := Config{IPCFaults: kernel.IPCFaultConfig{DropBP: 10}}
-	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "IPCTimeoutCycles") {
-		t.Errorf("Validate(%+v) = %v, want an error naming IPCTimeoutCycles", cfg, err)
+	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "IPCPlane") {
+		t.Errorf("Validate(%+v) = %v, want an error naming IPCPlane", cfg, err)
 	}
-	cfg.IPCTimeoutCycles = DefaultIPCTimeoutCycles
+	cfg.IPCPlane = true
 	if err := cfg.Validate(); err != nil {
-		t.Errorf("rates with a timeout rejected: %v", err)
+		t.Errorf("rates with the plane rejected: %v", err)
 	}
 }
 

@@ -493,7 +493,7 @@ func (o *oracle) covers(want []int) bool {
 
 // simulateOracle fills the row's oracle: a campaign row booted cold at
 // workers 1, or the runs in want (nil: all) of a stratified row each
-// booted cold on its own — the cold boot RunOneWith and RunMultiWith
+// booted cold on its own — the cold boot RunOne and RunMultiWith
 // perform. Caller holds the oracle's lock.
 func (s *scenario) simulateOracle(t *testing.T, want []int) {
 	o := &s.oracle

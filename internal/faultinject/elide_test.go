@@ -402,7 +402,7 @@ func armedRun(t *testing.T, a *ArmedRunner, seed uint64, inj Injection) (RunResu
 		t.Fatalf("%+v: occurrence within boot", inj)
 	}
 	var report testsuite.Report
-	sys, err := forkSnapshot(st.snap, forkParams(seed, class.ipc, nil), testsuite.RunnerResumeFrom(&report, st.prefix))
+	sys, err := forkSnapshot(st.snap, forkParams(seed, class, nil), testsuite.RunnerResumeFrom(&report, st.prefix))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func armedRun(t *testing.T, a *ArmedRunner, seed uint64, inj Injection) (RunResu
 // plainLadder returns the runner's ladder for runs that arm no transport
 // fault.
 func plainLadder(a *ArmedRunner) *ladder {
-	l, _ := a.r.plane(planeClass{kind: kindSingle, ipc: a.ipc.normalized(false)})
+	l, _ := a.r.plane(planeClass{kind: kindSingle, ipc: a.ipc})
 	return l
 }
 

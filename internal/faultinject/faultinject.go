@@ -314,7 +314,7 @@ type Injection struct {
 }
 
 // RunResult is the single-fault view of one run record (MultiRunResult):
-// what RunOne, RunOneWith and ArmedRunner.Run return. It holds every
+// what RunOne and ArmedRunner.Run return. It holds every
 // field of the record, so the view is lossless.
 type RunResult struct {
 	Injection Injection
@@ -342,13 +342,7 @@ type RunResult struct {
 // the suite and classifies the outcome. Transport interposition stays
 // off unless the injection itself is an IPC fault.
 func RunOne(policy seep.Policy, seed uint64, inj Injection) RunResult {
-	return RunOneWith(policy, seed, inj, IPCOptions{})
-}
-
-// RunOneWith is RunOne with transport fault options (background rates
-// and the reliability layer) applied to the run.
-func RunOneWith(policy seep.Policy, seed uint64, inj Injection, ipc IPCOptions) RunResult {
-	return runCold(policy, seed, singleSpec(inj, ipc)).single(inj)
+	return runCold(policy, seed, singleSpec(inj, IPCOptions{})).single(inj)
 }
 
 // singleSpec describes a single-fault run.
@@ -530,7 +524,7 @@ func NewArmedRunner(cfg CampaignConfig, plan []Injection) *ArmedRunner {
 		ipc: cfg.IPC,
 	}
 	for _, inj := range plan {
-		a.r.plane(planeClass{kindSingle, cfg.IPC.normalized(inj.Type.IPC())})
+		a.r.plane(singleSpec(inj, cfg.IPC).class())
 	}
 	return a
 }

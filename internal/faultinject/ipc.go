@@ -3,14 +3,17 @@ package faultinject
 import (
 	"encoding/json"
 
-	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/seep"
 )
 
-// IPCOptions configures transport fault interposition and the
-// end-to-end reliability layer for campaign runs. The zero value keeps
-// both off, reproducing the historical (perfectly reliable) transport.
+// IPCOptions configures transport fault interposition for campaign
+// runs. The zero value keeps it off, reproducing the historical
+// (perfectly reliable) transport. The interposition plane, with its
+// end-to-end reliability layer, runs exactly when a transport fault can
+// fire — from a background rate here or from an armed IPC injection: a
+// dropped request with no retransmission would block its sender forever
+// and turn every such run into a spurious hang.
 type IPCOptions struct {
 	// Faults are the background fault rates, in basis points per
 	// transmission.
@@ -19,38 +22,6 @@ type IPCOptions struct {
 	// Seed ^ runSeed, so campaigns stay deterministic while every boot
 	// sees different fault placements.
 	Seed uint64
-	// TimeoutCycles and RetryMax parameterize the sender-side
-	// reliability layer (zero TimeoutCycles: no plane unless a
-	// transport fault can fire, which sets the default; zero RetryMax:
-	// kernel default budget).
-	TimeoutCycles int64
-	RetryMax      int
-}
-
-// Enabled reports whether the options change the transport at all.
-func (o IPCOptions) Enabled() bool { return o.Faults.Enabled() || o.TimeoutCycles > 0 }
-
-// normalized forces the reliability layer on whenever a transport fault
-// can fire — from background rates or from an armed IPC injection. A
-// dropped request with no retransmission would block its sender
-// forever and turn every such run into a spurious hang.
-func (o IPCOptions) normalized(armsIPC bool) IPCOptions {
-	if (o.Faults.Enabled() || armsIPC) && o.TimeoutCycles <= 0 {
-		o.TimeoutCycles = core.DefaultIPCTimeoutCycles
-	}
-	return o
-}
-
-// apply copies the options into a run's Config using the run seed.
-func (o IPCOptions) apply(cfg core.Config, runSeed uint64) core.Config {
-	if !o.Enabled() {
-		return cfg
-	}
-	cfg.IPCFaults = o.Faults
-	cfg.IPCFaultSeed = o.Seed ^ runSeed
-	cfg.IPCTimeoutCycles = o.TimeoutCycles
-	cfg.IPCRetryMax = o.RetryMax
-	return cfg
 }
 
 // SweepConfig parameterizes an IPC fault-rate sweep.

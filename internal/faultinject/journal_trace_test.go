@@ -153,7 +153,7 @@ func TestJournalRefusesForeignCampaign(t *testing.T) {
 		"seed":        func(h *JournalHeader) { h.Seed++ },
 		"fingerprint": func(h *JournalHeader) { h.PlanFingerprint++ },
 		"kind":        func(h *JournalHeader) { h.Kind = TraceMulti },
-		"ipc":         func(h *JournalHeader) { h.IPC.TimeoutCycles = 1 },
+		"ipc":         func(h *JournalHeader) { h.IPC.Seed++ },
 	} {
 		hdr := journalTestHeader()
 		mutate(&hdr)
@@ -514,16 +514,15 @@ func TestTraceRefusesRetiredFormat(t *testing.T) {
 }
 
 // TestTraceRefusesRunReplayCannotBoot: a recorded trace edited to a
-// negative drop rate, which the kernel refuses, or to a negative timeout
-// or retry budget, which normalization would overwrite or no machine
-// would see, is refused as it is read. With a timeout, the first used to
-// panic in core.NewOS at replay; without one, it and the second replayed
-// as PASS. The options are recorded as configured, before normalization.
+// negative drop rate or a rate past 10000, which the kernel refuses, or
+// to a transport timeout or retry budget, which no run can be given any
+// more, is refused as it is read. With the plane on, the first used to
+// panic in core.NewOS at replay; without it, it replayed as PASS.
 func TestTraceRefusesRunReplayCannotBoot(t *testing.T) {
 	tr := NewTrace(seep.PolicyEnhanced, RunResult{
 		Injection: Injection{Server: "pm", Site: "pm.getpid", Occurrence: 3, Type: FaultCrash},
 		Outcome:   OutcomePass, Triggered: true, Seed: 7, Consistent: true,
-	}, IPCOptions{Faults: kernel.IPCFaultConfig{DropBP: 5, DupBP: 5}, RetryMax: 2})
+	}, IPCOptions{Faults: kernel.IPCFaultConfig{DropBP: 5, DupBP: 5}})
 	path := filepath.Join(t.TempDir(), "trace.json")
 	if err := WriteTraceFile(path, tr); err != nil {
 		t.Fatal(err)
@@ -538,8 +537,9 @@ func TestTraceRefusesRunReplayCannotBoot(t *testing.T) {
 	for field, edit := range map[string][2]string{
 		"DropBP":        {`"DropBP": 5,`, `"DropBP": -5,`},
 		"DupBP":         {`"DupBP": 5,`, `"DupBP": 10001,`},
-		"TimeoutCycles": {`"TimeoutCycles": 0,`, `"TimeoutCycles": -7,`},
-		"RetryMax":      {`"RetryMax": 2`, `"RetryMax": -1`},
+		"TimeoutCycles": {`"Seed": 0`, `"Seed": 0, "TimeoutCycles": 400000`},
+		"RetryMax":      {`"Seed": 0`, `"Seed": 0, "RetryMax": 2`},
+		"DelayCycles":   {`"CorruptBP": 0`, `"CorruptBP": 0, "DelayCycles": 5000`},
 	} {
 		if !bytes.Contains(recorded, []byte(edit[0])) {
 			t.Fatalf("%s: the recorded trace has no %s", field, edit[0])
@@ -568,7 +568,7 @@ func FuzzReadTrace(f *testing.F) {
 			{Injection: Injection{Server: "vfs", Site: "vfs.stat", Occurrence: 1, Type: FaultIPCDrop}, Correlated: true, Persistent: true},
 		},
 		Outcome: OutcomeDegradedPass, Triggered: 2, Recoveries: 3, Quarantines: 1, Seed: 11, Consistent: true,
-	}, IPCOptions{Seed: 3, TimeoutCycles: 400000})
+	}, IPCOptions{Seed: 3})
 	for _, tr := range []Trace{single, multi} {
 		data, err := json.MarshalIndent(tr, "", "  ")
 		if err != nil {
@@ -579,11 +579,11 @@ func FuzzReadTrace(f *testing.F) {
 	// What decodes but would not write back: a record leaving out its
 	// outcome, policy or fault type, and empty lists.
 	for _, seed := range []string{
-		`{"Format":"osiris-trace/v2","Policy":"enhanced"}`,
-		`{"Format":"osiris-trace/v2","Kind":"single","Run":{"Outcome":"pass"}}`,
-		`{"Format":"osiris-trace/v2","Kind":"single","Policy":"naive","Run":{"Injections":[{}],"Outcome":"fail"}}`,
-		`{"Format":"osiris-trace/v2","Kind":"multi","Policy":"naive","Run":{"Injections":[],"Outcome":"fail","Violations":[]}}`,
-		`{"Format":"osiris-trace/v2","Kind":"multi","Policy":"naive","Run":{"Injections":[{"Type":"crash"}],"Outcome":"fail","Violations":[]}}`,
+		`{"Format":"osiris-trace/v3","Policy":"enhanced"}`,
+		`{"Format":"osiris-trace/v3","Kind":"single","Run":{"Outcome":"pass"}}`,
+		`{"Format":"osiris-trace/v3","Kind":"single","Policy":"naive","Run":{"Injections":[{}],"Outcome":"fail"}}`,
+		`{"Format":"osiris-trace/v3","Kind":"multi","Policy":"naive","Run":{"Injections":[],"Outcome":"fail","Violations":[]}}`,
+		`{"Format":"osiris-trace/v3","Kind":"multi","Policy":"naive","Run":{"Injections":[{"Type":"crash"}],"Outcome":"fail","Violations":[]}}`,
 	} {
 		f.Add([]byte(seed))
 	}

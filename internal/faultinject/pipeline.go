@@ -82,28 +82,32 @@ func (k runKind) faultSalt() uint64 {
 
 // runSpec describes one run: the kind, the planned faults (empty for
 // background runs, exactly one for single-fault runs) and the transport
-// options as configured, before per-run normalization.
+// options as configured.
 type runSpec struct {
 	kind   runKind
 	faults []MultiInjection
 	ipc    IPCOptions
 }
 
-// class is the configuration class of the run: an armed transport fault
-// forces the reliability layer on (see IPCOptions.normalized).
+// class is the configuration class of the run: a background rate or an
+// armed transport fault turns the interposition plane on (see
+// IPCOptions).
 func (s runSpec) class() planeClass {
-	armsIPC := false
+	c := planeClass{kind: s.kind, ipc: s.ipc, plane: s.ipc.Faults.Enabled()}
 	for _, inj := range s.faults {
-		armsIPC = armsIPC || inj.Type.IPC()
+		c.plane = c.plane || inj.Type.IPC()
 	}
-	return planeClass{s.kind, s.ipc.normalized(armsIPC)}
+	return c
 }
 
 // planeClass is everything besides policy and seed that shapes a
 // machine's configuration — what one pathfinder can stand in for.
 type planeClass struct {
 	kind runKind
-	ipc  IPCOptions // normalized
+	ipc  IPCOptions
+	// plane turns the transport's interposition plane on; ipc applies
+	// only with it.
+	plane bool
 }
 
 // config is the machine configuration of one run (or pathfinder) of the
@@ -116,7 +120,12 @@ func (c planeClass) config(policy seep.Policy, seed uint64) core.Config {
 		cfg.RecoveryDecay = -1
 		cfg.MaxRestartAttempts = 1
 	}
-	return c.ipc.apply(cfg, seed)
+	if c.plane {
+		cfg.IPCPlane = true
+		cfg.IPCFaults = c.ipc.Faults
+		cfg.IPCFaultSeed = c.ipc.Seed ^ seed
+	}
+	return cfg
 }
 
 // Test hooks: the runner forks and builds ladders through these
@@ -246,7 +255,7 @@ func (r *campaignRunner) runOn(a *kernel.Arena, seed uint64, spec runSpec) (Mult
 	if l != nil {
 		if st, ok := l.serve(spec.faults); !ok {
 			reason = FallbackPreBarrier
-		} else if f, err := forkSnapshot(st.snap, forkParams(seed, class.ipc, a), testsuite.RunnerResumeFrom(&report, st.prefix)); err != nil {
+		} else if f, err := forkSnapshot(st.snap, forkParams(seed, class, a), testsuite.RunnerResumeFrom(&report, st.prefix)); err != nil {
 			reason = FallbackForkFailed
 		} else {
 			sys, base, el = f, st.base, &elider{l: l, sv: Serving{Plane: PlaneForked, Rung: st.rung}}
@@ -276,12 +285,12 @@ func runCold(policy seep.Policy, seed uint64, spec runSpec) MultiRunResult {
 }
 
 // forkParams derives the per-run seed identity, matching what
-// IPCOptions.apply stamps into a cold boot's Config, and names the arena
-// the fork is built on.
-func forkParams(seed uint64, ipc IPCOptions, a *kernel.Arena) boot.ForkParams {
+// planeClass.config stamps into a cold boot's Config, and names the
+// arena the fork is built on.
+func forkParams(seed uint64, c planeClass, a *kernel.Arena) boot.ForkParams {
 	p := boot.ForkParams{Seed: seed, Arena: a}
-	if ipc.Enabled() {
-		p.IPCFaultSeed = ipc.Seed ^ seed
+	if c.plane {
+		p.IPCFaultSeed = c.ipc.Seed ^ seed
 	}
 	return p
 }

@@ -27,7 +27,7 @@ import (
 
 // TraceFormat identifies the trace schema; bump on incompatible
 // change.
-const TraceFormat = "osiris-trace/v2"
+const TraceFormat = "osiris-trace/v3"
 
 // Trace kinds, which are also the journal header's kinds.
 const (
@@ -40,9 +40,8 @@ type Trace struct {
 	Format string
 	Kind   string
 	Policy seep.Policy
-	// IPC is the campaign's transport options as configured (before
-	// per-run normalization — Replay re-normalizes exactly like the
-	// campaign did).
+	// IPC is the campaign's transport options as configured (Replay
+	// turns the plane on exactly like the campaign did).
 	IPC IPCOptions
 	// Serving optionally records how the campaign served this run: the
 	// ladder rung it forked from plus the elision decision ("rung:17
@@ -124,19 +123,15 @@ func (t Trace) spec() runSpec {
 }
 
 // check refuses a trace whose run could not be replayed as recorded: a
-// run record that fails its own check, fault rates the kernel refuses, a
-// negative transport timeout or retry budget (normalization would
-// overwrite or ignore any of these when no fault can fire), and a
-// configuration the replayed machine's core.Config.Validate refuses.
+// run record that fails its own check, fault rates the kernel refuses
+// (a run with no plane would ignore them), and a configuration the
+// replayed machine's core.Config.Validate refuses.
 func (t Trace) check() error {
 	if err := t.Run.check(t.Kind); err != nil {
 		return err
 	}
 	if err := t.IPC.Faults.Validate(); err != nil {
 		return err
-	}
-	if t.IPC.TimeoutCycles < 0 || t.IPC.RetryMax < 0 {
-		return fmt.Errorf("faultinject: transport TimeoutCycles %d and RetryMax %d must not be negative", t.IPC.TimeoutCycles, t.IPC.RetryMax)
 	}
 	return t.spec().class().config(t.Policy, t.Run.Seed).Validate()
 }

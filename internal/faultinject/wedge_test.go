@@ -195,10 +195,10 @@ func TestWedgeRefusesSilentTarget(t *testing.T) {
 // the present repeated. The run idles to the real limit, uncertified.
 func TestWedgeRefusesBackgroundRates(t *testing.T) {
 	cfg := core.Config{
-		Policy:           seep.PolicyEnhanced,
-		Seed:             1,
-		IPCFaults:        kernel.IPCFaultConfig{DelayBP: 2},
-		IPCTimeoutCycles: core.DefaultIPCTimeoutCycles,
+		Policy:    seep.PolicyEnhanced,
+		Seed:      1,
+		IPCFaults: kernel.IPCFaultConfig{DelayBP: 2},
+		IPCPlane:  true,
 	}
 	warm, cold, decision := wedgeProbe(cfg, parkForever)
 	if cold.Outcome != kernel.OutcomeHang {
@@ -215,7 +215,7 @@ func TestWedgeRefusesBackgroundRates(t *testing.T) {
 // number, which the state fingerprint covers. The idle points never
 // recur and the run idles to the real limit.
 func TestWedgeRefusesMovingState(t *testing.T) {
-	cfg := core.Config{Policy: seep.PolicyEnhanced, Seed: 1, IPCTimeoutCycles: core.DefaultIPCTimeoutCycles}
+	cfg := core.Config{Policy: seep.PolicyEnhanced, Seed: 1, IPCPlane: true}
 	warm, cold, decision := wedgeProbe(cfg, parkForever)
 	if cold.Outcome != kernel.OutcomeHang {
 		t.Fatalf("cold run ended %v (%s), want a hang at the limit", cold.Outcome, cold.Reason)

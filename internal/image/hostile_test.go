@@ -402,7 +402,7 @@ func TestHostileConfigRejected(t *testing.T) {
 }
 
 // reliableConfig turns the transport plane on.
-func reliableConfig(cfg *core.Config) { cfg.IPCTimeoutCycles = core.DefaultIPCTimeoutCycles }
+func reliableConfig(cfg *core.Config) { cfg.IPCPlane = true }
 
 // withPlane rewrites data's kernel frame to say it carries a transport
 // plane: its presence byte comes just before the last field, the 8-byte

@@ -102,7 +102,7 @@ func deadlineMachine(seed uint64) *Kernel {
 	k := New(DefaultCostModel(), seed)
 	k.SetIPCFaultPlane(
 		IPCFaultConfig{DropBP: 300, DupBP: 200, DelayBP: 400, ReorderBP: 100, CorruptBP: 200},
-		IPCReliability{TimeoutCycles: ipcTestTimeout, RetryMax: 1 + rng.Intn(4)}, seed)
+		IPCReliability{TimeoutCycles: ipcTestTimeout}, seed)
 	servers := []Endpoint{EpVM, EpVFS, EpDS, EpDriver}
 	var server func(self Endpoint) Body
 	server = func(self Endpoint) Body {

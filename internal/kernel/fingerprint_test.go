@@ -117,7 +117,7 @@ var fingerprintFields = map[string]struct {
 
 	"ipcPlane.k":         {hostOnly, ""},
 	"ipcPlane.cfg":       {hostOnly, "configuration"},
-	"ipcPlane.rel":       {hostOnly, "configuration"},
+	"ipcPlane.timeout":   {hostOnly, "configuration"},
 	"ipcPlane.rng":       {excluded, whyStamp},
 	"ipcPlane.stats":     {excluded, whyStats},
 	"ipcPlane.pairs":     {hashed, "the records' non-zero fields, field by field"},

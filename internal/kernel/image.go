@@ -166,5 +166,5 @@ func (f *IPCFaultConfig) Code(c *wire.Codec) {
 	wire.Int(c, &f.DelayBP)
 	wire.Int(c, &f.ReorderBP)
 	wire.Int(c, &f.CorruptBP)
-	wire.Uint(c, &f.DelayCycles)
+	f.delayCycles.Code(c)
 }

@@ -23,7 +23,7 @@ package kernel
 //     re-arms the deadline if the request was delivered and is still
 //     being served (slow-server case — this never consumes a retry),
 //     or retransmits with bounded exponential backoff (lost-request
-//     case) until RetryMax is exhausted and the request is abandoned
+//     case) until ipcRetryMax is exhausted and the request is abandoned
 //     with a dead-letter ETIMEDOUT reply;
 //   - asynchronous sends get link-layer ARQ: a dropped or corrupted
 //     async message is scheduled for retransmission after the timeout,
@@ -41,6 +41,7 @@ import (
 	"sort"
 
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // IPCFaultKind is one interposition fault behaviour.
@@ -51,7 +52,8 @@ const (
 	IPCDrop IPCFaultKind = iota + 1
 	// IPCDup delivers the message twice.
 	IPCDup
-	// IPCDelay holds the message for DelayCycles before delivery.
+	// IPCDelay holds the message for DefaultIPCDelayCycles before
+	// delivery.
 	IPCDelay
 	// IPCReorder delivers the message ahead of messages already queued
 	// at the destination.
@@ -84,14 +86,17 @@ func (k IPCFaultKind) String() string {
 // regardless of the rates.
 type IPCFaultConfig struct {
 	DropBP, DupBP, DelayBP, ReorderBP, CorruptBP int
-	// DelayCycles is how long a delayed message is held (zero selects
-	// DefaultIPCDelayCycles).
-	DelayCycles sim.Cycles
+	// delayCycles holds the image slot of the former delay-hold
+	// setting, now the constant DefaultIPCDelayCycles.
+	delayCycles wire.Retired
 }
 
-// DefaultIPCDelayCycles is the hold time of delayed messages when
-// IPCFaultConfig.DelayCycles is zero.
+// DefaultIPCDelayCycles is how long a delayed message is held.
 const DefaultIPCDelayCycles sim.Cycles = 25_000
+
+// ipcRetryMax bounds retransmissions per message before it is abandoned
+// to the dead-letter counter.
+const ipcRetryMax = 4
 
 // Enabled reports whether any background fault rate is non-zero.
 func (c IPCFaultConfig) Enabled() bool {
@@ -120,31 +125,12 @@ func (c IPCFaultConfig) Validate() error {
 	return nil
 }
 
-// delay returns the effective hold time of delayed messages.
-func (c IPCFaultConfig) delay() sim.Cycles {
-	if c.DelayCycles > 0 {
-		return c.DelayCycles
-	}
-	return DefaultIPCDelayCycles
-}
-
 // IPCReliability configures the end-to-end reliability layer.
 type IPCReliability struct {
 	// TimeoutCycles is the base sender-side timeout; retransmissions
 	// back off exponentially from it (bounded at 8x). It must be
 	// positive: a plane never runs without the layer.
 	TimeoutCycles sim.Cycles
-	// RetryMax bounds retransmissions per message before it is
-	// abandoned to the dead-letter counter (zero selects 4).
-	RetryMax int
-}
-
-// retryMax resolves the effective retransmission budget.
-func (r IPCReliability) retryMax() int {
-	if r.RetryMax > 0 {
-		return r.RetryMax
-	}
-	return 4
 }
 
 // IPCStats is the transport's conservation ledger. With the plane
@@ -190,7 +176,7 @@ type IPCStats struct {
 	// ReplyRedeliveries the lost replies recovered from the reply
 	// cache.
 	Timeouts, Retransmits, ReplyRedeliveries uint64
-	// DeadLetters counts messages abandoned after RetryMax
+	// DeadLetters counts messages abandoned after ipcRetryMax
 	// retransmissions.
 	DeadLetters uint64
 	// StaleReplies counts sequenced replies discarded because the
@@ -407,8 +393,9 @@ func (s *planeState) clone() planeState {
 type ipcPlane struct {
 	k   *Kernel
 	cfg IPCFaultConfig
-	rel IPCReliability
-	rng *sim.RNG
+	// timeout is the base sender-side timeout (IPCReliability).
+	timeout sim.Cycles
+	rng     *sim.RNG
 
 	// planeState is the part an image carries: the statistics and the
 	// reliability layer's bookkeeping. The fault RNG is deliberately not
@@ -446,11 +433,11 @@ func (k *Kernel) SetIPCFaultPlane(cfg IPCFaultConfig, rel IPCReliability, seed u
 		panic("kernel: IPC fault plane without a reliability timeout")
 	}
 	k.ipc = &ipcPlane{
-		k:     k,
-		cfg:   cfg,
-		rel:   rel,
-		rng:   sim.NewRNG(seed ^ 0x19C0FA17),
-		armed: make(map[Endpoint]IPCFaultKind),
+		k:       k,
+		cfg:     cfg,
+		timeout: rel.TimeoutCycles,
+		rng:     sim.NewRNG(seed ^ 0x19C0FA17),
+		armed:   make(map[Endpoint]IPCFaultKind),
 	}
 }
 
@@ -592,7 +579,7 @@ func (ipc *ipcPlane) xmit(m *Message, attempts int) {
 		ipc.deliver(m, false)
 	case fateDelay:
 		ipc.stats.Delayed++
-		ipc.hold(heldMsg{due: ipc.k.clock.Now() + ipc.cfg.delay(), msg: *m})
+		ipc.hold(heldMsg{due: ipc.k.clock.Now() + DefaultIPCDelayCycles, msg: *m})
 	case fateReorder:
 		ipc.deliver(m, true)
 	case fateCorrupt:
@@ -616,12 +603,12 @@ func (ipc *ipcPlane) scheduleARQ(m *Message, attempts int) {
 	if m.NeedsReply || m.Seq == 0 {
 		return
 	}
-	if attempts > ipc.rel.retryMax() {
+	if attempts > ipcRetryMax {
 		ipc.stats.DeadLetters++
 		return
 	}
 	ipc.hold(heldMsg{
-		due:        ipc.k.clock.Now() + ipc.rel.TimeoutCycles,
+		due:        ipc.k.clock.Now() + ipc.timeout,
 		msg:        *m,
 		retransmit: true,
 		attempts:   attempts,
@@ -676,7 +663,7 @@ func (ipc *ipcPlane) xmitReply(from *Process, to Endpoint, m *Message) {
 		ipc.stats.Dropped++
 	case fateDelay:
 		ipc.stats.Delayed++
-		ipc.hold(heldMsg{due: ipc.k.clock.Now() + ipc.cfg.delay(), msg: *m, reply: true})
+		ipc.hold(heldMsg{due: ipc.k.clock.Now() + DefaultIPCDelayCycles, msg: *m, reply: true})
 	case fateCorrupt:
 		ipc.corrupt(m)
 		ipc.deliverReply(m)
@@ -744,7 +731,7 @@ func (ipc *ipcPlane) noteReceive(p *Process, m *Message) {
 // retryTimeout is the deadline for the attempts-th transmission:
 // exponential backoff from the base timeout, bounded at 8x.
 func (ipc *ipcPlane) retryTimeout(attempts int) sim.Cycles {
-	t := ipc.rel.TimeoutCycles
+	t := ipc.timeout
 	for i := 1; i < attempts && i < 4; i++ {
 		t *= 2
 	}
@@ -829,12 +816,12 @@ func (ipc *ipcPlane) handleSendTimeout(p *Process) {
 			// waits-for graph proves the request can never be served: a
 			// crash can strand a cross-server transaction in a closed
 			// cycle of senders all parked in SendRec, which no reply will
-			// ever resolve. After retryMax quiet periods every further
+			// ever resolve. After ipcRetryMax quiet periods every further
 			// timeout probes for such a cycle (or a destination that died
 			// for good) and breaks it with a dead-letter ETIMEDOUT, so the
 			// failure stays locally recoverable instead of hanging the run
 			// to its cycle limit.
-			if p.sendRearms < ipc.rel.retryMax() || !ipc.senderStuck(p) {
+			if p.sendRearms < ipcRetryMax || !ipc.senderStuck(p) {
 				p.sendRearms++
 				ipc.k.armSendDeadline(p)
 				return
@@ -847,7 +834,7 @@ func (ipc *ipcPlane) handleSendTimeout(p *Process) {
 		}
 	}
 	// Lost in transit.
-	if p.sendAttempts > ipc.rel.retryMax() {
+	if p.sendAttempts > ipcRetryMax {
 		ipc.stats.DeadLetters++
 		p.sendDeadline = 0
 		p.setReply(&Message{From: dst, To: p.ep, Errno: ETIMEDOUT})

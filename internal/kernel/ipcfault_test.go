@@ -176,7 +176,7 @@ func TestIPCArmedDupSuppressedByDedup(t *testing.T) {
 
 func TestIPCArmedDelayHoldsThenDelivers(t *testing.T) {
 	k := newTestKernel()
-	k.SetIPCFaultPlane(IPCFaultConfig{DelayCycles: 5_000}, IPCReliability{TimeoutCycles: ipcTestTimeout}, 1)
+	k.SetIPCFaultPlane(IPCFaultConfig{}, IPCReliability{TimeoutCycles: ipcTestTimeout}, 1)
 	rec := &recorder{}
 	k.AddServer(EpDS, "sink", rec.body, ServerConfig{})
 	var atFlush, atEnd int64
@@ -299,7 +299,7 @@ func TestIPCRetryExhaustionDeadLetters(t *testing.T) {
 	// Total loss: every transmission is dropped, so the retry budget
 	// runs out and the sender is unblocked with a synthetic timeout.
 	k.SetIPCFaultPlane(IPCFaultConfig{DropBP: 10000},
-		IPCReliability{TimeoutCycles: ipcTestTimeout, RetryMax: 2}, 3)
+		IPCReliability{TimeoutCycles: ipcTestTimeout}, 3)
 	rec := &recorder{}
 	k.AddServer(EpDS, "sink", rec.body, ServerConfig{})
 	var reply Message
@@ -314,8 +314,8 @@ func TestIPCRetryExhaustionDeadLetters(t *testing.T) {
 		t.Fatalf("reply errno = %v, want ETIMEDOUT", reply.Errno)
 	}
 	st, _ := k.IPCStats()
-	if st.DeadLetters != 1 || st.Retransmits != 2 {
-		t.Fatalf("stats = %+v, want DeadLetters=1 Retransmits=2", st)
+	if st.DeadLetters != 1 || st.Retransmits != ipcRetryMax {
+		t.Fatalf("stats = %+v, want DeadLetters=1 Retransmits=%d", st, ipcRetryMax)
 	}
 }
 
@@ -358,7 +358,7 @@ func TestIPCSlowServerFreeRearmConsumesNoRetry(t *testing.T) {
 func TestIPCDeadlockCycleBrokenByDeadLetter(t *testing.T) {
 	k := newTestKernel()
 	k.SetIPCFaultPlane(IPCFaultConfig{},
-		IPCReliability{TimeoutCycles: ipcTestTimeout, RetryMax: 2}, 1)
+		IPCReliability{TimeoutCycles: ipcTestTimeout}, 1)
 	// A and B each, on their trigger message, issue a blocking request
 	// to the other: once both are parked the waits-for graph is a
 	// closed cycle no reply can resolve. The transport must break it.
