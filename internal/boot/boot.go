@@ -80,8 +80,8 @@ func BootIn(a *kernel.Arena, opts Options, initProg usr.Program, initArgs ...str
 	o := core.NewOSIn(a, opts.Config)
 
 	drv := driver.New(vfs.DiskBlocks)
-	o.AddTask(kernel.EpDriver, "driver", drv.Run)
-	o.AddTask(proto.EpSys, "sys", systask.Run)
+	o.AddTask(kernel.EpDriver, "driver", drv.Run, nil)
+	o.AddTask(proto.EpSys, "sys", systask.Run, systask.Task)
 
 	initEP := o.SpawnInit("init", reg.Body(initProg, initArgs))
 	for _, c := range components(opts, initEP, reg) {

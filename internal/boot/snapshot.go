@@ -116,8 +116,8 @@ func (s *Snapshot) Fork(params ForkParams, resumeProg usr.Program, initArgs ...s
 	}
 
 	drv := driver.NewFromImage(s.Disk)
-	o.AddTask(kernel.EpDriver, "driver", drv.Run)
-	o.AddTask(proto.EpSys, "sys", systask.Run)
+	o.AddTask(kernel.EpDriver, "driver", drv.Run, nil)
+	o.AddTask(proto.EpSys, "sys", systask.Run, systask.Task)
 
 	initEP := o.SpawnInit("init", s.Registry.ResumeBody(resumeProg, initArgs))
 

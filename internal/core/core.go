@@ -48,9 +48,18 @@ type Initializer interface {
 }
 
 // Looper is implemented by components that own their request loop (the
-// multithreaded VFS).
+// multithreaded VFS). Step is the loop's body, which RunLoop calls for
+// every request it receives.
 type Looper interface {
 	RunLoop(ctx *kernel.Context, win *seep.Window)
+	Step(ctx *kernel.Context, win *seep.Window, m kernel.Message)
+}
+
+// Leaf is implemented by a Handler or Looper some of whose requests its
+// step serves without suspending the component: it names them, with a
+// bound on the ticks that Handle or Step charges them (kernel.Stepper).
+type Leaf interface {
+	Leaf(m *kernel.Message) (ticks sim.Cycles, ok bool)
 }
 
 // Factory builds a component over a store — fresh at boot, or a
@@ -227,6 +236,10 @@ type slot struct {
 	// violation. Loopers (VFS) report business through their own Busy
 	// accessor instead.
 	inRequest bool
+
+	// loopPoints holds the generic loop's two instrumentation sites, top
+	// then bottom (serverBody, Step).
+	loopPoints string
 }
 
 // OS is one booted machine.
@@ -386,7 +399,7 @@ func (o *OS) AddComponent(ep kernel.Endpoint, factory Factory) {
 	}
 	o.slots[ep] = s
 	o.order = append(o.order, ep)
-	o.k.AddServer(ep, s.name, o.serverBody(s), kernel.ServerConfig{Window: win, Store: store})
+	o.k.AddServer(ep, s.name, o.serverBody(s, false), s.config())
 }
 
 // newStore creates a component store wired to the machine.
@@ -407,9 +420,10 @@ func (o *OS) bindCostSink(store *memlog.Store, win *seep.Window) {
 }
 
 // AddTask registers a substrate process (driver, system task) with no
-// recovery attachments.
-func (o *OS) AddTask(ep kernel.Endpoint, name string, body kernel.Body) {
-	o.k.AddServer(ep, name, body, kernel.ServerConfig{})
+// recovery attachments, and with its per-request step when it has one
+// (kernel.Stepper; nil for none).
+func (o *OS) AddTask(ep kernel.Endpoint, name string, body kernel.Body, step kernel.Stepper) {
+	o.k.AddServer(ep, name, body, kernel.ServerConfig{Step: step})
 }
 
 // SpawnInit creates the root workload process; its exit completes the
@@ -451,49 +465,89 @@ func (o *OS) Shutdown(reason string) {
 
 // serverBody wraps a component in the OSIRIS event-driven request loop
 // (paper Fig. 1): checkpoint at the top of the loop, window management
-// around every request.
-func (o *OS) serverBody(s *slot) kernel.Body {
-	return o.serverBodyFrom(s, false)
-}
-
-// serverBodyFrom is serverBody with an optional warm-fork resume mode:
-// a forked component skips its pre-loop initialization, because that
-// code already ran in the captured machine and its effects (store
-// contents, pending alarms) arrive through the image. Restarts after a
-// post-fork crash go through serverBody and run Init as usual.
-func (o *OS) serverBodyFrom(s *slot, resume bool) kernel.Body {
-	// Built once per body, not once per request.
-	loopTop, loopBottom := s.name+".loop.top", s.name+".loop.bottom"
+// around every request. With resume, a forked component skips its
+// pre-loop initialization, because that code already ran in the captured
+// machine and its effects (store contents, pending alarms) arrive
+// through the image. Restarts after a post-fork crash run Init as usual.
+func (o *OS) serverBody(s *slot, resume bool) kernel.Body {
+	if s.loopPoints == "" {
+		// Built once per slot, not once per request: one string, which
+		// Step slices.
+		s.loopPoints = s.name + loopTop + s.name + ".loop.bottom"
+	}
 	return func(ctx *kernel.Context) {
 		if init, ok := s.comp.(Initializer); ok && !resume {
 			init.Init(ctx)
 		}
-		if looper, ok := s.comp.(Looper); ok {
-			looper.RunLoop(ctx, s.window)
-			return
-		}
-		h, ok := s.comp.(Handler)
-		if !ok {
+		switch c := s.comp.(type) {
+		case Looper:
+			c.RunLoop(ctx, s.window)
+		case Handler:
+			for {
+				m := ctx.Receive()
+				s.handle(ctx, c, &m)
+			}
+		default:
 			panic(fmt.Sprintf("core: component %s implements neither Handler nor Looper", s.name))
 		}
-		for {
-			m := ctx.Receive()
-			s.window.BeginRequest(m.NeedsReply)
-			s.inRequest = true
-			ctx.Point(loopTop)
-			h.Handle(ctx, m)
-			// Bottom-of-loop bookkeeping runs after the reply passage
-			// closed the window.
-			ctx.Point(loopBottom)
-			ctx.Tick(10)
-			s.inRequest = false
-			s.window.EndRequest()
-			// A completed request resets the consecutive-crash streak:
-			// restart backoff targets components that crash again before
-			// doing any useful work.
-			o.noteHealthy(s)
-		}
 	}
+}
+
+// loopTop ends the name of the generic loop's top site; loopTicks is the
+// loop's own charge per request.
+const (
+	loopTop   = ".loop.top"
+	loopTicks = 10
+)
+
+// config is the kernel configuration of the slot's server: a component
+// with leaf requests registers the slot's step.
+func (s *slot) config() kernel.ServerConfig {
+	cfg := kernel.ServerConfig{Window: s.window, Store: s.store}
+	if _, ok := s.comp.(Leaf); ok {
+		cfg.Step = s
+	}
+	return cfg
+}
+
+// Step serves one request as the component's loop does: a Looper's own
+// step, or the generic loop's (kernel.Stepper).
+func (s *slot) Step(ctx *kernel.Context, m kernel.Message) {
+	switch c := s.comp.(type) {
+	case Looper:
+		c.Step(ctx, s.window, m)
+	case Handler:
+		s.handle(ctx, c, &m)
+	}
+}
+
+// handle is the body of the generic loop: h, the component, serves m.
+func (s *slot) handle(ctx *kernel.Context, h Handler, m *kernel.Message) {
+	top := len(s.name) + len(loopTop)
+	s.window.BeginRequest(m.NeedsReply)
+	s.inRequest = true
+	ctx.Point(s.loopPoints[:top])
+	h.Handle(ctx, *m)
+	// Bottom-of-loop bookkeeping runs after the reply passage closed
+	// the window.
+	ctx.Point(s.loopPoints[top:])
+	ctx.Tick(loopTicks)
+	s.inRequest = false
+	s.window.EndRequest()
+	// A completed request resets the consecutive-crash streak: restart
+	// backoff targets components that crash again before doing any
+	// useful work.
+	s.consecutive = 0
+}
+
+// Leaf is the component's Leaf, with the generic loop's tick added
+// (kernel.Stepper).
+func (s *slot) Leaf(m *kernel.Message) (sim.Cycles, bool) {
+	ticks, ok := s.comp.(Leaf).Leaf(m)
+	if _, loops := s.comp.(Looper); !loops {
+		ticks += loopTicks
+	}
+	return ticks, ok
 }
 
 // handleCrash is the recovery-sequencer entry point, invoked in kernel
@@ -601,13 +655,6 @@ func (o *OS) decayStorm(s *slot, now sim.Cycles) {
 	} else {
 		s.storm -= forgiven
 	}
-	s.consecutive = 0
-}
-
-// noteHealthy records that a component completed a request without
-// crashing: the consecutive-crash streak (and with it the restart
-// backoff) resets.
-func (o *OS) noteHealthy(s *slot) {
 	s.consecutive = 0
 }
 
@@ -819,7 +866,7 @@ func (o *OS) restart(s *slot, info kernel.CrashInfo, mode restartMode, reconcile
 	// request is in flight regardless of what the crashed instance was
 	// doing.
 	s.inRequest = false
-	if _, err := o.k.ReplaceProcess(s.ep, s.name, o.serverBody(s), kernel.ServerConfig{Window: win, Store: store}); err != nil {
+	if _, err := o.k.ReplaceProcess(s.ep, s.name, o.serverBody(s, false), s.config()); err != nil {
 		return fmt.Errorf("restart %s: %w", s.name, err)
 	}
 

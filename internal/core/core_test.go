@@ -287,7 +287,7 @@ func TestOSAccessorsAndTasks(t *testing.T) {
 	o.AddTask(kernel.EpDriver, "task", func(ctx *kernel.Context) {
 		taskRan = true
 		ctx.Receive()
-	})
+	}, nil)
 	ep := o.SpawnInit("client", func(ctx *kernel.Context) { ctx.Yield() })
 	if o.InitEP() != ep {
 		t.Fatalf("InitEP() = %v, want %v", o.InitEP(), ep)

@@ -190,7 +190,7 @@ func (o *OS) AddForkedComponent(ep kernel.Endpoint, factory Factory, img *OSImag
 	}
 	o.slots[ep] = s
 	o.order = append(o.order, ep)
-	o.k.AddServer(ep, s.name, o.serverBodyFrom(s, true), kernel.ServerConfig{Window: win, Store: store})
+	o.k.AddServer(ep, s.name, o.serverBody(s, true), s.config())
 	return nil
 }
 

@@ -37,6 +37,36 @@ func TestRoundTripDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// A leaf call — the same round trip served on the caller's coroutine by
+// the server's registered step — allocates nothing either: no closure
+// per call, no boxed message.
+func TestLeafCallDoesNotAllocate(t *testing.T) {
+	k := newTestKernel()
+	store := memlog.NewStore("echo", memlog.Optimized)
+	echo := &testStep{serve: echoStep, ticks: 10}
+	parkedStepServer(k, EpDS, "echo", echo, ServerConfig{
+		Window: seep.NewWindow(seep.PolicyEnhanced, store),
+		Store:  store,
+		Step:   echo,
+	})
+	allocs := -1.0
+	root := k.SpawnUser("client", func(ctx *Context) {
+		allocs = testing.AllocsPerRun(200, func() {
+			ctx.SendRec(EpDS, Message{Type: 1, A: 1})
+		})
+	})
+	k.SetRootProcess(root.Endpoint())
+	if res := k.Run(testLimit); res.Outcome != OutcomeCompleted {
+		t.Fatalf("outcome = %v (%s)", res.Outcome, res.Reason)
+	}
+	if leaf, _ := k.LeafCalls(); leaf < 200 {
+		t.Fatalf("%d leaf calls, want every round trip after the first", leaf)
+	}
+	if allocs != 0 {
+		t.Fatalf("leaf call allocates %v times, want 0", allocs)
+	}
+}
+
 // The reliable transport adds nothing to that budget: once the first
 // exchange has made the pair's record, a round trip writes its sequence
 // cursor, anti-replay window, in-service sequence and cached reply in

@@ -38,6 +38,32 @@ func BenchmarkSendRecRoundTrip(b *testing.B) { benchSendRec(b, EpDS) }
 // server before it replies (user → VFS → driver, in shape).
 func BenchmarkNestedSendRec(b *testing.B) { benchSendRec(b, EpVFS) }
 
+// BenchmarkLeafCall is BenchmarkSendRecRoundTrip's round trip to a
+// server that registers its step: served on the caller's coroutine,
+// without a switch.
+func BenchmarkLeafCall(b *testing.B) {
+	k := newTestKernel()
+	echo := &testStep{serve: func(ctx *Context, m Message) {
+		ctx.Reply(m.From, Message{Type: m.Type, A: m.A + 1})
+	}}
+	k.AddServer(EpDS, "echo", loopOf(echo), ServerConfig{Step: echo})
+	root := k.SpawnUser("client", func(ctx *Context) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ctx.SendRec(EpDS, Message{Type: 100, A: int64(i)})
+		}
+		b.StopTimer()
+	})
+	k.SetRootProcess(root.Endpoint())
+	if res := k.Run(sim.Cycles(math.MaxInt64)); res.Outcome != OutcomeCompleted {
+		b.Fatalf("outcome = %v (%s)", res.Outcome, res.Reason)
+	}
+	if leaf, _ := k.LeafCalls(); leaf < uint64(b.N) {
+		b.Fatalf("%d of %d round trips were leaf calls", leaf, b.N)
+	}
+}
+
 // BenchmarkPoint is one instrumentation point executed by a user process
 // (no recovery window to account): with no hook, with a hook armed at
 // three other sites, and with one armed at the executing site. The hook

@@ -26,7 +26,14 @@ import (
 // the chain switches into it and joins the chain (call); one that names
 // a successor on the chain, or none, passes control down — each frame it
 // reaches hands it on until it arrives at the one named, or at the kernel
-// loop for nil (return). So a SendRec round trip is two switches. The
+// loop for nil (return). So a SendRec round trip is two switches, and a
+// leaf call none: when the server it goes to is parked at its loop's
+// Receive, is the fused successor, has only this request queued and
+// registered a step that serves it without suspending within its
+// quantum, and no IPC plane or point hook is installed, the caller runs
+// that step itself under the server's Context, on the chain as its
+// switch would have left it, and then takes the pick the server's
+// Receive would make (serveLeaf). The
 // one other caller of next is reap, which resumes a parked body with its
 // killed latch set to unwind it; a body reaped while on the chain is
 // parked inside a switch and cannot be resumed, so it unwinds when
@@ -90,15 +97,16 @@ func (c *coro) run(yield func(*Process) bool) {
 	}
 }
 
-// kernelFault is a panic that came out of a coroutine switch: a bug in
+// kernelFault is a panic that came out of a coroutine switch — a bug in
 // the kernel, such as resuming a frame that is on the chain, and no fault
-// of the body that made the switch. runBody re-raises it rather than trap
-// it as that body's crash, so it unwinds every frame down the chain and
-// reaches Run's caller, as a panic out of the kernel loop does.
+// of the body that made the switch — or out of a leaf step that broke its
+// declaration (serveLeaf). runBody re-raises it rather than trap it as
+// that body's crash, so it unwinds every frame down the chain and reaches
+// Run's caller, as a panic out of the kernel loop does.
 type kernelFault struct{ v any }
 
 func (f kernelFault) Error() string {
-	return fmt.Sprintf("kernel: fault in a coroutine switch: %v", f.v)
+	return fmt.Sprintf("kernel fault: %v", f.v)
 }
 
 // enter switches into the coroutine and returns the successor handed down

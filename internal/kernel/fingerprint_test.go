@@ -63,6 +63,9 @@ var fingerprintFields = map[string]struct {
 	"Kernel.idleCoros":          {hostOnly, ""},
 	"Kernel.corosCreated":       {hostOnly, ""},
 	"Kernel.switches":           {hostOnly, "a count of host coroutine switches"},
+	"Kernel.raise":              {hostOnly, "nil whenever the loop, and so a barrier or idle hook, has control"},
+	"Kernel.roundTrips":         {hostOnly, "a count of host round trips"},
+	"Kernel.leafCalls":          {hostOnly, "a count of the round trips served without a switch"},
 	"Kernel.pendingCrashes":     {excluded, whyQuiescence},
 	"Kernel.pendingByEp":        {excluded, whyQuiescence},
 	"Kernel.inRecovery":         {excluded, whyQuiescence},
@@ -111,6 +114,7 @@ var fingerprintFields = map[string]struct {
 	"Process.curNeedsReply": {hashed, ""},
 	"Process.window":        {hostOnly, "core's quiescence predicate requires it closed"},
 	"Process.store":         {hostOnly, "hashed by core.OS.StateFingerprint, container by container"},
+	"Process.step":          {hostOnly, "code"},
 	"Process.onKill":        {hostOnly, ""},
 	"Process.killed":        {hostOnly, "teardown latch"},
 	"Process.ctx":           {hostOnly, ""},

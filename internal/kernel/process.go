@@ -120,6 +120,9 @@ type procLive struct {
 	killed bool
 
 	ctx Context
+
+	// step is the server's per-request step (ServerConfig.Step).
+	step Stepper
 }
 
 // procTable is the process table, indexed by endpoint: servers sit at
@@ -162,6 +165,7 @@ func (k *Kernel) newProcess(ep Endpoint, name string, body Body, isServer bool, 
 		body:   body,
 		window: cfg.Window,
 		store:  cfg.Store,
+		step:   cfg.Step,
 		ctx:    Context{k: k, p: p},
 	}
 	return p
@@ -267,10 +271,12 @@ func (p *Process) Alive() bool { return p.state != stateDead && p.state != state
 // coroutines (cooperative threads) must set this; cothread.NewPool does.
 func (p *Process) SetOnKill(fn func()) { p.onKill = fn }
 
-// ServerConfig attaches recovery machinery to a server process.
+// ServerConfig attaches recovery machinery to a server process, and
+// optionally its per-request step for leaf calls (Stepper).
 type ServerConfig struct {
 	Window *seep.Window
 	Store  *memlog.Store
+	Step   Stepper
 }
 
 // AddServer registers an OS server at a fixed endpoint. The body runs
@@ -379,19 +385,45 @@ func (p *Process) yieldToKernel() {
 	p.suspend(next)
 }
 
+// yieldToLeaf is yieldToKernel for a SendRec that has just queued its
+// request at leaf, a server with a step: when the pick is leaf, the
+// request may be served on the caller's coroutine (serveLeaf) and the
+// pick its step leaves taken instead.
+func (p *Process) yieldToLeaf(leaf *Process) {
+	next := p.k.fusedNext()
+	if next != nil {
+		p.k.counters.AddID(ctrDispatches, 1)
+		if next == leaf {
+			if n, ok := p.k.serveLeaf(p, leaf); ok {
+				next = n
+			}
+		}
+		if next == p {
+			return
+		}
+	}
+	p.suspend(next)
+}
+
 // suspend switches the process out — into next, or down the chain to
 // next or to the kernel loop when next is nil or a resumer below (coro.go)
 // — and returns when the process is dispatched again. Reaped meanwhile,
-// it unwinds the body. Under a nested coroutine the body's own coroutine
-// does it on the caller's behalf.
+// it unwinds the body; handed a panic of its leaf step (serveLeaf), it
+// raises it. Under a nested coroutine the body's own coroutine does it on
+// the caller's behalf.
 func (p *Process) suspend(next *Process) {
 	if relay := p.nested; relay != nil {
 		p.handoff = next
 		relay()
 		return
 	}
-	p.k.handOff(p, next)
+	k := p.k
+	k.handOff(p, next)
 	p.checkKilled()
+	if r := k.raise; r != nil {
+		k.raise = nil
+		panic(r)
+	}
 }
 
 // RunNested is how a process body runs a coroutine nested under its own

@@ -358,9 +358,16 @@ func TestMapKeysDoesNotAllocate(t *testing.T) {
 }
 
 // heapUse returns the mallocs and bytes f takes from the host allocator.
-// No collection starts while f runs: the runtime's own allocations for
-// one would count as f's.
+// The counters are the process's, so nothing else may allocate while f
+// runs. No collection starts: the runtime's own allocations for one would
+// count as f's. And f runs on one P, so that no other goroutine runs
+// beside it: on two Ps, a 16-byte malloc beyond f's own four landed in
+// the window in about one run of TestCaptureReusesContentsWrittenBack
+// in 300, while f uses no pool (none in 900 runs on one P, nor with the
+// collector off for the whole process; the test's own goroutines were
+// all blocked).
 func heapUse(f func()) (mallocs, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -107,10 +107,19 @@ func New(store *memlog.Store, initEP kernel.Endpoint, makeBody MakeBody) *PM {
 // Name implements the component interface.
 func (p *PM) Name() string { return "pm" }
 
+// handleTicks is what Handle charges every request.
+const handleTicks = 40
+
+// Leaf names the request Handle serves without suspending PM, getpid, and
+// bounds its ticks (core.Leaf).
+func (p *PM) Leaf(m *kernel.Message) (sim.Cycles, bool) {
+	return handleTicks, m.Type == proto.PMGetPID
+}
+
 // Handle processes one request.
 func (p *PM) Handle(ctx *kernel.Context, m kernel.Message) {
 	ctx.Point("pm.handle.entry")
-	ctx.Tick(40)
+	ctx.Tick(handleTicks)
 	switch m.Type {
 	case proto.PMFork:
 		p.fork(ctx, m)

@@ -170,22 +170,47 @@ func (v *VFS) RunLoop(ctx *kernel.Context, win *seep.Window) {
 	v.tagBase = int64(ctx.Kernel().Counters().Get("kernel.procs_replaced")+1) << 32
 
 	for {
-		m := ctx.Receive()
-		win.BeginRequest(m.NeedsReply)
-		ctx.Point("vfs.loop.top")
-		// Interleaving with in-flight threads makes rollback unsafe:
-		// close the window up front (more conservative than the paper,
-		// never less safe).
-		if v.pool.BusyCount() > 0 {
-			win.ForceClose()
-		}
-		v.dispatch(ctx, m)
-		win.EndRequest()
+		v.Step(ctx, win, ctx.Receive())
 	}
 }
 
+// Step serves one request: the body of RunLoop's loop.
+func (v *VFS) Step(ctx *kernel.Context, win *seep.Window, m kernel.Message) {
+	win.BeginRequest(m.NeedsReply)
+	ctx.Point("vfs.loop.top")
+	// Interleaving with in-flight threads makes rollback unsafe: close
+	// the window up front (more conservative than the paper, never less
+	// safe).
+	if v.pool.BusyCount() > 0 {
+		win.ForceClose()
+	}
+	v.dispatch(ctx, m)
+	win.EndRequest()
+}
+
+// dispatchTicks is what dispatch charges every request.
+const dispatchTicks = 40
+
+// Leaf names the requests Step serves without suspending the VFS — on
+// the main loop, with no worker thread — and bounds their ticks
+// (core.Leaf). A read or write on a pipe, or on no descriptor, is one:
+// an empty or full pipe defers the reply, never the VFS. Descriptor
+// inheritance and release charge per descriptor.
+func (v *VFS) Leaf(m *kernel.Message) (sim.Cycles, bool) {
+	switch m.Type {
+	case proto.VFSSeek, proto.VFSStat, proto.VFSGetcwd, proto.VFSChdir:
+		return dispatchTicks + 40, true
+	case proto.VFSForkFDs, proto.VFSExitFDs:
+		return dispatchTicks + 50 + 5*maxFDs, true
+	case proto.VFSRead, proto.VFSWrite:
+		e, ok := v.fds.Get(fdKey(m.From, m.A))
+		return dispatchTicks + 30, !ok || e.Kind != fdFile
+	}
+	return 0, false
+}
+
 func (v *VFS) dispatch(ctx *kernel.Context, m kernel.Message) {
-	ctx.Tick(40)
+	ctx.Tick(dispatchTicks)
 	switch m.Type {
 	case proto.DevReadDone, proto.DevWriteDone:
 		v.routeCompletion(ctx, m)

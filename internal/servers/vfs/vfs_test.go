@@ -29,7 +29,7 @@ func world(t *testing.T, client func(ctx *kernel.Context)) (*VFS, *seep.Window) 
 	v := New(store)
 	k.AddServer(kernel.EpVFS, "vfs", func(ctx *kernel.Context) {
 		v.RunLoop(ctx, win)
-	}, kernel.ServerConfig{Window: win, Store: store})
+	}, kernel.ServerConfig{Window: win, Store: store, Step: stepper{v, win}})
 
 	root := k.SpawnUser("client", client)
 	k.SetRootProcess(root.Endpoint())
@@ -38,6 +38,17 @@ func world(t *testing.T, client func(ctx *kernel.Context)) (*VFS, *seep.Window) 
 	}
 	return v, win
 }
+
+// stepper registers the VFS's step as core does (kernel.Stepper), so that
+// its leaf requests run on the client's coroutine.
+type stepper struct {
+	v   *VFS
+	win *seep.Window
+}
+
+func (s stepper) Step(ctx *kernel.Context, m kernel.Message) { s.v.Step(ctx, s.win, m) }
+
+func (s stepper) Leaf(m *kernel.Message) (sim.Cycles, bool) { return s.v.Leaf(m) }
 
 // call is SendRec shorthand.
 func call(ctx *kernel.Context, m kernel.Message) kernel.Message {
