@@ -80,7 +80,7 @@ func BootIn(a *kernel.Arena, opts Options, initProg usr.Program, initArgs ...str
 	o := core.NewOSIn(a, opts.Config)
 
 	drv := driver.New(vfs.DiskBlocks)
-	o.AddTask(kernel.EpDriver, "driver", drv.Run, nil)
+	o.AddTask(kernel.EpDriver, "driver", drv.Run, drv)
 	o.AddTask(proto.EpSys, "sys", systask.Run, systask.Task)
 
 	initEP := o.SpawnInit("init", reg.Body(initProg, initArgs))

@@ -116,7 +116,7 @@ func (s *Snapshot) Fork(params ForkParams, resumeProg usr.Program, initArgs ...s
 	}
 
 	drv := driver.NewFromImage(s.Disk)
-	o.AddTask(kernel.EpDriver, "driver", drv.Run, nil)
+	o.AddTask(kernel.EpDriver, "driver", drv.Run, drv)
 	o.AddTask(proto.EpSys, "sys", systask.Run, systask.Task)
 
 	initEP := o.SpawnInit("init", s.Registry.ResumeBody(resumeProg, initArgs))

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/boot"
+	"repro/internal/kernel"
 	"repro/internal/seep"
 	"repro/internal/testsuite"
 )
@@ -183,5 +184,36 @@ func TestMultiFaultIPCConservation(t *testing.T) {
 					seed, i, rr.Reason, plan)
 			}
 		}
+	}
+}
+
+// A three-fault run under background transport faults serves a good
+// share of its requests as leaf steps (kernel.Stepper), its armed point
+// hook and its transport plane notwithstanding: of the steps served and
+// the switches made, the steps were 35.9 % at seed 42 when the floor was
+// set (none when only a SendRec without a plane or a hook served them).
+// The run is RunMultiWith's, on a machine the test keeps to read.
+func TestMultiFaultRunServesLeafCalls(t *testing.T) {
+	const floor = 0.30
+	injs := []MultiInjection{
+		{Injection: Injection{Server: "ds", Site: "ds.put.applied", Occurrence: 1, Type: FaultCrash}},
+		{Injection: Injection{Server: "vfs", Site: "vfs.read.entry", Occurrence: 1, Type: FaultCorrupt}},
+		{Injection: Injection{Server: "ds", Site: "ds.get", Occurrence: 2, Type: FaultHang}},
+	}
+	ipc := IPCOptions{Faults: kernel.IPCFaultConfig{DropBP: 50, DupBP: 50, DelayBP: 50, ReorderBP: 50, CorruptBP: 50}}
+	spec := multiSpec(injs, ipc)
+	var report testsuite.Report
+	sys := boot.Boot(suiteOptions(spec.class().config(seep.PolicyEnhanced, 42)), testsuite.RunnerInit(&report))
+	rr := execute(sys, &report, spec, 42, nil, nil)
+	served, switches := sys.Kernel().LeafCalls()
+	sys.Kernel().Release()
+	if want := RunMultiWith(seep.PolicyEnhanced, 42, injs, ipc); !reflect.DeepEqual(rr, want) {
+		t.Fatalf("the run differs from RunMultiWith's:\n%+v\n%+v", rr, want)
+	}
+	if rr.Triggered != len(injs) {
+		t.Fatalf("triggered %d faults, want %d (%+v)", rr.Triggered, len(injs), rr)
+	}
+	if share := float64(served) / float64(served+switches); share < floor {
+		t.Errorf("%d steps served beside %d switches (%.1f %%), want at least %.0f %%", served, switches, 100*share, 100*floor)
 	}
 }

@@ -39,7 +39,8 @@ func TestRoundTripDoesNotAllocate(t *testing.T) {
 
 // A leaf call — the same round trip served on the caller's coroutine by
 // the server's registered step — allocates nothing either: no closure
-// per call, no boxed message.
+// per call, no boxed message. Nor does an asynchronous request whose step
+// is served at the sender's Receive yield.
 func TestLeafCallDoesNotAllocate(t *testing.T) {
 	k := newTestKernel()
 	store := memlog.NewStore("echo", memlog.Optimized)
@@ -49,21 +50,25 @@ func TestLeafCallDoesNotAllocate(t *testing.T) {
 		Store:  store,
 		Step:   echo,
 	})
-	allocs := -1.0
+	allocs := [2]float64{-1, -1}
 	root := k.SpawnUser("client", func(ctx *Context) {
-		allocs = testing.AllocsPerRun(200, func() {
+		allocs[0] = testing.AllocsPerRun(200, func() {
 			ctx.SendRec(EpDS, Message{Type: 1, A: 1})
+		})
+		allocs[1] = testing.AllocsPerRun(200, func() {
+			ctx.Send(EpDS, Message{Type: 1, A: 1})
+			ctx.Receive()
 		})
 	})
 	k.SetRootProcess(root.Endpoint())
 	if res := k.Run(testLimit); res.Outcome != OutcomeCompleted {
 		t.Fatalf("outcome = %v (%s)", res.Outcome, res.Reason)
 	}
-	if leaf, _ := k.LeafCalls(); leaf < 200 {
-		t.Fatalf("%d leaf calls, want every round trip after the first", leaf)
+	if leaf, _ := k.LeafCalls(); leaf < 400 {
+		t.Fatalf("%d leaf calls, want every request after the first", leaf)
 	}
-	if allocs != 0 {
-		t.Fatalf("leaf call allocates %v times, want 0", allocs)
+	if allocs != [2]float64{} {
+		t.Fatalf("a leaf call allocates %v times at a SendRec and %v at a Receive, want 0", allocs[0], allocs[1])
 	}
 }
 

@@ -152,7 +152,6 @@ func (c *Context) SendRec(dst Endpoint, m Message) (reply Message) {
 	m.From = c.p.ep
 	m.To = dst
 	m.NeedsReply = true
-	var leaf *Process
 	if ipc := c.k.ipc; ipc != nil {
 		// Interposed transmission: sequence/checksum the request, keep
 		// a copy for retransmission, and arm the sender-side deadline.
@@ -164,19 +163,12 @@ func (c *Context) SendRec(dst Endpoint, m Message) (reply Message) {
 		c.k.armSendDeadline(c.p)
 	} else {
 		target.pushMsg(&m)
-		c.k.roundTrips++
-		if target.step != nil {
-			leaf = target
-		}
 	}
 
 	c.p.state = stateSendRec
 	c.p.waitFrom = dst
 	c.p.reply = nil
 	c.k.markSched(c.p)
-	if leaf != nil {
-		c.p.yieldToLeaf(leaf)
-	}
 	for c.p.reply == nil {
 		c.p.yieldToKernel()
 	}

@@ -27,14 +27,12 @@ import (
 // a successor on the chain, or none, passes control down — each frame it
 // reaches hands it on until it arrives at the one named, or at the kernel
 // loop for nil (return). So a SendRec round trip is two switches, and a
-// leaf call none: when the server it goes to is parked at its loop's
-// Receive, is the fused successor, has only this request queued and
-// registered a step that serves it without suspending within its
-// quantum, and no IPC plane or point hook is installed, the caller runs
-// that step itself under the server's Context, on the chain as its
-// switch would have left it, and then takes the pick the server's
-// Receive would make (serveLeaf). The
-// one other caller of next is reap, which resumes a parked body with its
+// leaf call none: when a yield's pick is a server parked at its loop's
+// Receive with one message queued, which its registered step serves
+// without suspending within its quantum, the yielding process runs that
+// step itself under the server's Context, on the chain as its switch
+// would have left it, and then takes the pick the server's Receive would
+// make (yieldToKernel, serveLeaf). The one other caller of next is reap, which resumes a parked body with its
 // killed latch set to unwind it; a body reaped while on the chain is
 // parked inside a switch and cannot be resumed, so it unwinds when
 // control next reaches its frame and then hands on the successor it was

@@ -64,8 +64,7 @@ var fingerprintFields = map[string]struct {
 	"Kernel.corosCreated":       {hostOnly, ""},
 	"Kernel.switches":           {hostOnly, "a count of host coroutine switches"},
 	"Kernel.raise":              {hostOnly, "nil whenever the loop, and so a barrier or idle hook, has control"},
-	"Kernel.roundTrips":         {hostOnly, "a count of host round trips"},
-	"Kernel.leafCalls":          {hostOnly, "a count of the round trips served without a switch"},
+	"Kernel.leafCalls":          {hostOnly, "a count of the steps served without a switch"},
 	"Kernel.pendingCrashes":     {excluded, whyQuiescence},
 	"Kernel.pendingByEp":        {excluded, whyQuiescence},
 	"Kernel.inRecovery":         {excluded, whyQuiescence},

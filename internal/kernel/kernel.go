@@ -408,12 +408,11 @@ type Kernel struct {
 	idleHook  func() bool
 	userWakes uint64
 
-	// Leaf-call plane (leaf.go). raise is a panic of a step run on a
-	// caller's coroutine, for the server's own coroutine, the next to
-	// run, to raise. roundTrips and leafCalls count the plane-free
-	// SendRecs and those served so (LeafCalls).
-	raise                 any
-	roundTrips, leafCalls uint64
+	// Leaf steps (leaf.go). raise is a panic of a step run on a yielding
+	// process's coroutine, for the server's own coroutine, the next to
+	// run, to raise. leafCalls counts the steps served so (LeafCalls).
+	raise     any
+	leafCalls uint64
 }
 
 // New creates a machine with the given cost model and seed, on a private

@@ -9,9 +9,9 @@ import (
 // Stepper is the per-request step of a server whose body, past its
 // start-up, is the loop `for { step(ctx, ctx.Receive()) }` and which
 // receives nowhere else. Registered in ServerConfig, it lets the kernel
-// serve a leaf call on the caller's coroutine: a request that the step
-// serves without suspending the server, the way a MINIX kernel call is a
-// trap, not a switch to another process.
+// serve a leaf call on the coroutine of the process whose yield picks the
+// server: a message that the step serves without suspending the server,
+// the way a MINIX kernel call is a trap, not a switch to another process.
 type Stepper interface {
 	// Step serves one received request, as the server's loop does.
 	Step(c *Context, m Message)
@@ -21,28 +21,26 @@ type Stepper interface {
 	Leaf(m *Message) (ticks sim.Cycles, ok bool)
 }
 
-// LeafCalls reports how many plane-free SendRec round trips the machine
-// made, and how many of them a leaf step served on the caller's
-// coroutine. Both are host statistics, not simulated state.
-func (k *Kernel) LeafCalls() (leaf, roundTrips uint64) { return k.leafCalls, k.roundTrips }
+// LeafCalls reports how many steps the machine served on a yielding
+// process's coroutine and how many coroutine switches it made. Both are
+// host statistics, not simulated state.
+func (k *Kernel) LeafCalls() (served, switches uint64) { return k.leafCalls, k.switches }
 
-// serveLeaf serves the request caller p has just queued at t, the fused
-// successor p's SendRec names, on p's coroutine under t's Context, when
-// switching into t would do nothing else: no point hook is armed, t is
-// parked at its loop's Receive with only this message queued, and the
-// step's tick bound fits t's quantum. It reports false, having changed
-// nothing, otherwise.
+// serveLeaf serves, on p's coroutine at its yield, the request t, the
+// fused pick, would take if p switched into it, when that switch would do
+// nothing else: t has a step, is parked at its loop's Receive with only
+// this message queued, the step declares it a leaf, and its tick bound
+// fits t's quantum. It reports false, having changed nothing, otherwise.
 //
-// Served, it does what t's coroutine would — return from Receive with
-// the message, run the step, go round to Receive and make the fused pick
-// that Receive's yield makes — and returns that pick, which p then runs:
-// itself when the reply is all that happened, so the round trip costs no
-// switch. The clock, the counters, rrNext and the trace move exactly as
-// on the switch path. Meanwhile p stands on the chain, as it would inside
-// its switch into t. A panic out of the step is re-raised on t's
-// coroutine, parked in Receive, so that runBody traps it as t's crash
-// (returned pick t, k.raise set); a step that tries to suspend, or
-// charges more than its bound, is a kernelFault.
+// Served, it does what t's coroutine would — return from Receive with the
+// message and run the step — and leaves to p's yield what t's Receive does
+// next. The clock, the counters, the IPC plane and the trace move exactly
+// as on the switch path, an armed point hook fires at the same points, and
+// meanwhile p stands on the chain, as it would inside its switch into t. A
+// panic out of the step — a crash, or the point hook's — is left in
+// k.raise for t's coroutine, parked in Receive, to raise, so that runBody
+// traps it as t's crash; a step that tries to suspend, or charges more
+// than its bound, is a kernelFault.
 //
 // t may be a resumer below p on the chain — a server that switched into
 // its caller and is served in ping-pong, the common case of getpid. The
@@ -51,15 +49,15 @@ func (k *Kernel) LeafCalls() (leaf, roundTrips uint64) { return k.leafCalls, k.r
 // process among them that the step reaps unwinds when control next
 // reaches its frame, not at once. Nothing simulated tells the two apart:
 // a reaped body's unwinding re-raises the kill at its first kernel call.
-func (k *Kernel) serveLeaf(p, t *Process) (next *Process, served bool) {
-	if k.pointHook != nil || p.nested != nil || t.state != stateReceiving ||
+func (k *Kernel) serveLeaf(p, t *Process) bool {
+	if t.step == nil || p.nested != nil || t.state != stateReceiving ||
 		t.co == nil || t.nested != nil || t.queueLen() != 1 {
-		return nil, false
+		return false
 	}
 	ticks, ok := t.step.Leaf(&t.inbox[t.inboxHead])
 	bound := k.maxCharge(t, ticks)
 	if !ok || t.quantumUsed+bound >= k.cost.Quantum {
-		return nil, false
+		return false
 	}
 	k.leafCalls++
 	// t's Receive, resumed: its queue holds the request, so it takes it
@@ -70,35 +68,18 @@ func (k *Kernel) serveLeaf(p, t *Process) (next *Process, served bool) {
 	r := runStep(t, &m)
 	p.onChain, k.running, t.nested = false, p, nil
 	switch r.(type) {
+	case nil:
+		if t.quantumUsed-used > bound {
+			panic(kernelFault{fmt.Sprintf("the leaf step of %s(%d) for request type %d overran its bound of %d ticks", t.name, t.ep, m.Type, ticks)})
+		}
 	case leafSuspension:
 		panic(kernelFault{fmt.Sprintf("the leaf step of %s(%d) for request type %d tried to suspend", t.name, t.ep, m.Type)})
 	case kernelFault:
 		panic(r)
-	case nil:
-		switch {
-		case t.quantumUsed-used > bound:
-			panic(kernelFault{fmt.Sprintf("the leaf step of %s(%d) for request type %d overran its bound of %d ticks", t.name, t.ep, m.Type, ticks)})
-		case t.queueLen() > 0:
-			// t's Receive takes the next message at once: no pick.
-			next = t
-		default:
-			t.state = stateReceiving
-			k.markSched(t)
-			if next = k.fusedNext(); next != nil {
-				k.counters.AddID(ctrDispatches, 1)
-			}
-		}
 	default:
 		k.raise = r
-		next = t
 	}
-	if p.killed {
-		// The step reaped its caller, a resumer on the chain: its frame
-		// unwinds now and hands the pick on (handOff).
-		p.co.handTo = next
-		panic(killedSignal{})
-	}
-	return next, true
+	return true
 }
 
 // runStep runs t's step on m and returns what it panicked with, if
@@ -110,7 +91,7 @@ func runStep(t *Process, m *Message) (r any) {
 }
 
 // leafSuspended is a server's nested relay while its step runs on a
-// caller's coroutine: a suspension there would park the caller's frame
+// yielding process's coroutine: a suspension there would park that frame
 // in the server's place, so it unwinds the step, and serveLeaf raises a
 // kernelFault naming the server and the request.
 func leafSuspended() { panic(leafSuspension{}) }

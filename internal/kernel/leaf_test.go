@@ -3,9 +3,11 @@ package kernel
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
+	"repro/internal/memlog"
 	"repro/internal/sim"
 )
 
@@ -52,8 +54,8 @@ func echoStep(ctx *Context, m Message) {
 // server's Receive makes, which is the caller. That holds for a server
 // parked off the chain, whose first request still switches to start its
 // body, and for one served in ping-pong below its caller on the chain
-// (TestSendRecSwitchBudget's two switches). An armed point hook takes the
-// switch path.
+// (TestSendRecSwitchBudget's two switches), and under an armed point hook
+// too: none of a hook's effects suspends the server.
 func TestLeafCallSwitchBudget(t *testing.T) {
 	for _, parked := range []bool{true, false} {
 		k := newTestKernel()
@@ -85,20 +87,16 @@ func TestLeafCallSwitchBudget(t *testing.T) {
 				}
 			}
 			k.SetPointHook(func(Endpoint, string, string) {}, "elsewhere")
-			if n, leaf := call(4); n != 2 || leaf != 0 {
-				t.Errorf("parked %v: round trip under an armed point hook cost %d switches and %d leaf calls, want 2 and 0", parked, n, leaf)
+			if n, leaf := call(4); n != 0 || leaf != 1 {
+				t.Errorf("parked %v: round trip under an armed point hook cost %d switches and %d leaf calls, want 0 and 1", parked, n, leaf)
 			}
 		})
 		k.SetRootProcess(root.Endpoint())
 		if res := k.Run(testLimit); res.Outcome != OutcomeCompleted {
 			t.Fatalf("outcome = %v (%s)", res.Outcome, res.Reason)
 		}
-		want := [2]uint64{3, 4}
-		if parked {
-			want = [2]uint64{3, 5}
-		}
-		if leaf, trips := k.LeafCalls(); [2]uint64{leaf, trips} != want {
-			t.Errorf("parked %v: LeafCalls = %d of %d round trips, want %d of %d", parked, leaf, trips, want[0], want[1])
+		if served, switches := k.LeafCalls(); served != 4 || switches != k.switches {
+			t.Errorf("parked %v: LeafCalls = %d steps served and %d switches, want 4 and %d", parked, served, switches, k.switches)
 		}
 	}
 }
@@ -306,6 +304,301 @@ func TestLeafStepBreakingItsDeclarationIsAKernelFault(t *testing.T) {
 			if n := k.Counters().Get("kernel.panics_trapped"); n != 0 {
 				t.Errorf("%d panics trapped: a kernel fault was taken for a component crash", n)
 			}
+		})
+	}
+}
+
+// An asynchronous request to a parked server with a step is served at the
+// sender's next yield, here its Receive of the answer, as a SendRec's is:
+// no switch.
+func TestLeafServedAtReceiveYield(t *testing.T) {
+	k := newTestKernel()
+	echo := &testStep{serve: echoStep, ticks: 10}
+	parkedStepServer(k, EpDS, "echo", echo, ServerConfig{Step: echo})
+	root := k.SpawnUser("client", func(ctx *Context) {
+		ctx.SendRec(EpDS, Message{Type: 100}) // starts the server's body
+		for i := 0; i < 3; i++ {
+			before, served := k.switches, k.leafCalls
+			ctx.Send(EpDS, Message{Type: 100, A: int64(i)})
+			if r := ctx.Receive(); r.A != int64(i)+1 {
+				t.Errorf("round %d: answer A = %d, want %d", i, r.A, i+1)
+			}
+			if n, leaf := k.switches-before, k.leafCalls-served; n != 0 || leaf != 1 {
+				t.Errorf("round %d: an asynchronous request and its answer cost %d switches and %d steps served, want 0 and 1", i, n, leaf)
+			}
+		}
+	})
+	k.SetRootProcess(root.Endpoint())
+	if res := k.Run(testLimit); res.Outcome != OutcomeCompleted {
+		t.Fatalf("outcome = %v (%s)", res.Outcome, res.Reason)
+	}
+}
+
+// One yield serves a chain: a step that leaves the pick at another parked
+// server with a step has that one served too, and so on. A prober pinging
+// every server, as a heartbeat round does, collects the answers without a
+// switch.
+func TestLeafChainServedAtOneYield(t *testing.T) {
+	const ping, pong MsgType = 6, 7
+	k := newTestKernel()
+	targets := []Endpoint{EpPM, EpVM, EpVFS, EpDS, EpDriver}
+	pinged := &testStep{ticks: 10, serve: func(ctx *Context, m Message) {
+		ctx.Tick(10)
+		ctx.Send(m.From, Message{Type: pong})
+	}}
+	for _, ep := range targets {
+		parkedStepServer(k, ep, "pinged", pinged, ServerConfig{Step: pinged})
+	}
+	root := k.SpawnUser("prober", func(ctx *Context) {
+		round := func() (switches, served uint64) {
+			before, leaf := k.switches, k.leafCalls
+			for _, ep := range targets {
+				ctx.Send(ep, Message{Type: ping})
+			}
+			for range targets {
+				if m := ctx.Receive(); m.Type != pong {
+					t.Errorf("prober received type %d, want a pong", m.Type)
+				}
+			}
+			return k.switches - before, k.leafCalls - leaf
+		}
+		round() // starts the servers' bodies
+		for i := 0; i < 3; i++ {
+			if n, leaf := round(); n != 0 || leaf != uint64(len(targets)) {
+				t.Errorf("round %d cost %d switches and %d steps served, want 0 and %d", i, n, leaf, len(targets))
+			}
+		}
+	})
+	k.SetRootProcess(root.Endpoint())
+	if res := k.Run(testLimit); res.Outcome != OutcomeCompleted {
+		t.Fatalf("outcome = %v (%s)", res.Outcome, res.Reason)
+	}
+}
+
+// A point hook fires inside a step served at a yield exactly as on the
+// server's own coroutine: the crash and hang models' panics, a store
+// corruption, a reply errno override and the hook re-arming itself leave
+// the machine as the switch path does, over several seeds.
+func TestLeafStepUnderPointHookFaults(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		view := bothWays(t, func(k *Kernel, cfg func(Stepper) ServerConfig, note func(string)) {
+			rng := sim.NewRNG(seed)
+			store := memlog.NewStore("faulty", memlog.Optimized)
+			count := memlog.NewCell(store, "faulty.count", int64(0))
+			faulty := &testStep{ticks: 20, serve: func(ctx *Context, m Message) {
+				ctx.Point("faulty.entry")
+				ctx.Tick(10)
+				count.Set(count.Get() + 1)
+				ctx.Point("faulty.exit")
+				ctx.Tick(10)
+				ctx.Reply(m.From, Message{A: count.Get()})
+			}}
+			config := func() ServerConfig {
+				c := cfg(faulty)
+				c.Store = store
+				return c
+			}
+			parkedStepServer(k, EpDS, "faulty", faulty, config())
+			var hook func(ep Endpoint, name, site string)
+			hook = func(ep Endpoint, _, site string) {
+				switch rng.Intn(10) {
+				case 0:
+					panic("injected crash at " + site)
+				case 1:
+					k.Clock().Advance(50_000)
+					panic("injected hang at " + site)
+				case 2:
+					note(fmt.Sprintf("corrupted %v at %s", store.CorruptRandom(rng), site))
+				case 3:
+					k.OverrideNextReplyErrno(ep, EIO)
+				case 4:
+					other := "faulty.exit"
+					if site == other {
+						other = "faulty.entry"
+					}
+					k.SetPointHook(hook, other)
+				case 5:
+					k.SetPointHook(hook, "faulty.entry", "faulty.exit")
+				}
+			}
+			k.SetPointHook(hook, "faulty.entry", "faulty.exit")
+			k.SetCrashHandler(func(info CrashInfo) error {
+				note(fmt.Sprintf("crash %+v", info))
+				if _, err := k.ReplaceProcess(info.Victim, info.Name, loopOf(faulty), config()); err != nil {
+					return err
+				}
+				return k.DeliverReply(info.Victim, info.CurSender, Message{Errno: ECRASH})
+			})
+			client := func(async bool) Body {
+				return func(ctx *Context) {
+					for i := 0; i < 30; i++ {
+						var r Message
+						if async {
+							ctx.Send(EpDS, Message{Type: 100})
+							r = ctx.Receive()
+						} else {
+							r = ctx.SendRec(EpDS, Message{Type: 100})
+						}
+						note(fmt.Sprintf("%d got errno %v A %d", ctx.Endpoint(), r.Errno, r.A))
+					}
+				}
+			}
+			others := []*Process{k.SpawnUser("sync", client(false)), k.SpawnUser("async", client(true))}
+			root := k.SpawnUser("root", func(ctx *Context) {
+				client(false)(ctx)
+				for _, p := range others {
+					for p.Alive() {
+						ctx.Yield()
+					}
+				}
+			})
+			k.SetRootProcess(root.Endpoint())
+		})
+		if view.res.Outcome != OutcomeCompleted || view.counters["kernel.crashes"] == 0 {
+			t.Errorf("seed %d: run ended %v with %d crashes, want completed with some", seed, view.res.Outcome, view.counters["kernel.crashes"])
+		}
+	}
+}
+
+// goroutine returns the calling goroutine's id, from its stack header:
+// a step served at a yield runs on the yielding process's goroutine.
+func goroutine() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
+// A heartbeat round served at a yield may declare the yielding process
+// hung: the step fail-stops the process whose coroutine it runs on, and
+// that frame unwinds and hands the pick on, as the switch path's does when
+// control passes down to it. Spinners trigger the rounds themselves and
+// never answer a ping; responders answer a few, then spin.
+func TestLeafHeartbeatReapsTheYieldingProcess(t *testing.T) {
+	const round, ping, pong MsgType = 5, 6, 7
+	for seed := uint64(1); seed <= 4; seed++ {
+		var yielderReaped []int
+		bothWays(t, func(k *Kernel, cfg func(Stepper) ServerConfig, note func(string)) {
+			rng := sim.NewRNG(seed)
+			misses := 1 + rng.Intn(3)
+			yielderReaped = append(yielderReaped, 0)
+			run := len(yielderReaped) - 1
+			missed := map[Endpoint]int{}
+			on := map[Endpoint]string{} // the goroutine each victim's body runs on
+			var victims []Endpoint
+			hb := &testStep{ticks: 10 + 10*8, serve: func(ctx *Context, m Message) {
+				ctx.Tick(10)
+				switch m.Type {
+				case pong:
+					missed[m.From] = 0
+				case round:
+					for _, v := range victims {
+						if !k.ProcessAlive(v) {
+							continue
+						}
+						if missed[v] >= misses {
+							if on[v] == goroutine() {
+								yielderReaped[run]++
+							}
+							note(fmt.Sprintf("declare %d hung: %v", v, k.FailStopProcess(v, "missed its heartbeats")))
+							continue
+						}
+						missed[v]++
+						ctx.Send(v, Message{Type: ping})
+						ctx.Tick(10)
+					}
+				}
+			}}
+			parkedStepServer(k, EpRS, "hb", hb, cfg(hb))
+			k.SetCrashHandler(func(info CrashInfo) error {
+				note(fmt.Sprintf("crash of %d: %v", info.Victim, info.PanicValue))
+				return nil
+			})
+			spinner := func(ctx *Context) {
+				on[ctx.Endpoint()] = goroutine()
+				defer note(fmt.Sprintf("spinner %d unwound", ctx.Endpoint()))
+				for {
+					ctx.Send(EpRS, Message{Type: round})
+					ctx.Tick(k.cost.Quantum)
+				}
+			}
+			responder := func(ctx *Context) {
+				for answers := 1 + rng.Intn(3); answers > 0; {
+					if m := ctx.Receive(); m.Type == ping {
+						ctx.Tick(sim.Cycles(5 + rng.Intn(20)))
+						ctx.Send(EpRS, Message{Type: pong})
+						answers--
+					}
+				}
+				spinner(ctx)
+			}
+			root := k.SpawnUser("root", func(ctx *Context) {
+				for i := 0; i < 6; i++ {
+					body := spinner
+					if rng.Intn(3) == 0 {
+						body = responder
+					}
+					p := k.SpawnUser("victim", body)
+					victims = append(victims, p.Endpoint())
+					for n := 0; n < 40 && p.Alive(); n++ {
+						ctx.Yield()
+					}
+					note(fmt.Sprintf("victim %d alive %v", p.Endpoint(), p.Alive()))
+				}
+			})
+			k.SetRootProcess(root.Endpoint())
+		})
+		if yielderReaped[0] == 0 || yielderReaped[1] != 0 {
+			t.Errorf("seed %d: a round reaped the process it was served on %d times with the steps and %d without, want some and none", seed, yielderReaped[0], yielderReaped[1])
+		}
+	}
+}
+
+// Under an IPC plane that drops, duplicates, delays, reorders and
+// corrupts a tenth of all transmissions each, steps served at yields
+// leave the machine, its transport ledger too, as the switch path does:
+// a request's fate is rolled before the pick, its reply's inside the step.
+func TestLeafStepsUnderIPCFaults(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		bothWays(t, func(k *Kernel, cfg func(Stepper) ServerConfig, note func(string)) {
+			k.SetIPCFaultPlane(IPCFaultConfig{DropBP: 1000, DupBP: 1000, DelayBP: 1000, ReorderBP: 1000, CorruptBP: 1000},
+				IPCReliability{TimeoutCycles: ipcTestTimeout}, seed)
+			var seen int64
+			tally := &testStep{ticks: 10, serve: func(ctx *Context, m Message) {
+				ctx.Tick(10)
+				seen++
+				if m.NeedsReply {
+					ctx.Reply(m.From, Message{A: seen})
+				}
+			}}
+			relay := &testStep{ticks: 20, serve: func(ctx *Context, m Message) {
+				ctx.Tick(10)
+				ctx.Send(EpVM, Message{Type: 8, A: m.A})
+				ctx.Tick(10)
+				ctx.Reply(m.From, Message{A: m.A + 1})
+			}}
+			parkedStepServer(k, EpVM, "tally", tally, cfg(tally))
+			parkedStepServer(k, EpDS, "relay", relay, cfg(relay))
+			client := func(ctx *Context) {
+				for i := 0; i < 25; i++ {
+					dst := EpDS
+					if i%3 == 2 {
+						dst = EpVM
+					}
+					r := ctx.SendRec(dst, Message{Type: 9, A: int64(i)})
+					note(fmt.Sprintf("%d: %d from %d: errno %v A %d", ctx.Endpoint(), i, dst, r.Errno, r.A))
+				}
+			}
+			others := []*Process{k.SpawnUser("a", client), k.SpawnUser("b", client)}
+			root := k.SpawnUser("root", func(ctx *Context) {
+				client(ctx)
+				for _, p := range others {
+					for p.Alive() {
+						ctx.Tick(ipcTestTimeout)
+					}
+				}
+				stats, _ := k.IPCStats()
+				note(fmt.Sprintf("%+v", stats))
+			})
+			k.SetRootProcess(root.Endpoint())
 		})
 	}
 }

@@ -374,35 +374,32 @@ func (p *Process) runBody() {
 // process suspends naming that successor, which it switches to itself
 // (handOff) without re-running the loop's checks. Handing off to
 // ourselves degenerates to not switching at all.
+//
+// Leaf steps: while the pick is a server the process may serve itself
+// (serveLeaf), it does, and takes the pick the server's Receive makes —
+// until one is not, a step panicked (the server then runs, to raise it)
+// or left a message queued (the server then runs, to take it), or a step
+// reaped the process, whose frame then unwinds and hands the pick on.
 func (p *Process) yieldToKernel() {
-	next := p.k.fusedNext()
-	if next != nil {
-		p.k.counters.AddID(ctrDispatches, 1)
-		if next == p {
-			return
+	k := p.k
+	next := k.fusedNext()
+	for next != nil {
+		k.counters.AddID(ctrDispatches, 1)
+		if next == p || p.killed || !k.serveLeaf(p, next) || k.raise != nil || next.queueLen() > 0 {
+			break
 		}
+		next.state = stateReceiving
+		k.markSched(next)
+		next = k.fusedNext()
 	}
-	p.suspend(next)
-}
-
-// yieldToLeaf is yieldToKernel for a SendRec that has just queued its
-// request at leaf, a server with a step: when the pick is leaf, the
-// request may be served on the caller's coroutine (serveLeaf) and the
-// pick its step leaves taken instead.
-func (p *Process) yieldToLeaf(leaf *Process) {
-	next := p.k.fusedNext()
-	if next != nil {
-		p.k.counters.AddID(ctrDispatches, 1)
-		if next == leaf {
-			if n, ok := p.k.serveLeaf(p, leaf); ok {
-				next = n
-			}
-		}
-		if next == p {
-			return
-		}
+	switch {
+	case next == p:
+	case p.killed:
+		p.co.handTo = next
+		panic(killedSignal{})
+	default:
+		p.suspend(next)
 	}
-	p.suspend(next)
 }
 
 // suspend switches the process out — into next, or down the chain to

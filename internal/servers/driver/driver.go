@@ -316,33 +316,50 @@ func blockMix(idx int32, data []byte) uint64 {
 // Blocks reports the device capacity.
 func (d *Driver) Blocks() int32 { return d.n }
 
-// Run is the driver server body.
+// Run is the driver server body. Register it at kernel.EpDriver with the
+// driver as its step (kernel.Stepper).
 func (d *Driver) Run(ctx *kernel.Context) {
 	for {
-		m := ctx.Receive()
-		switch m.Type {
-		case proto.DevRead:
-			ctx.Tick(readLatency)
-			data, errno := d.read(int32(m.A))
-			resp := kernel.Message{Type: proto.DevReadDone, A: m.A, D: m.D, Errno: errno, Bytes: data}
-			d.respond(ctx, m, resp)
+		d.Step(ctx, ctx.Receive())
+	}
+}
 
-		case proto.DevWrite:
-			ctx.Tick(writeLatency)
-			errno := d.write(int32(m.A), m.Bytes)
-			resp := kernel.Message{Type: proto.DevWriteDone, A: m.A, D: m.D, Errno: errno}
-			d.respond(ctx, m, resp)
+// Leaf declares every request: none suspends the driver. A read or a
+// write charges its latency, the rest nothing (kernel.Stepper).
+func (d *Driver) Leaf(m *kernel.Message) (sim.Cycles, bool) {
+	switch m.Type {
+	case proto.DevRead:
+		return readLatency, true
+	case proto.DevWrite:
+		return writeLatency, true
+	}
+	return 0, true
+}
 
-		case proto.DevInfo:
-			ctx.Reply(m.From, kernel.Message{A: int64(d.n)})
+// Step serves one request (kernel.Stepper).
+func (d *Driver) Step(ctx *kernel.Context, m kernel.Message) {
+	switch m.Type {
+	case proto.DevRead:
+		ctx.Tick(readLatency)
+		data, errno := d.read(int32(m.A))
+		resp := kernel.Message{Type: proto.DevReadDone, A: m.A, D: m.D, Errno: errno, Bytes: data}
+		d.respond(ctx, m, resp)
 
-		case proto.RSPing:
-			ctx.Reply(m.From, kernel.Message{Type: proto.RSPing})
+	case proto.DevWrite:
+		ctx.Tick(writeLatency)
+		errno := d.write(int32(m.A), m.Bytes)
+		resp := kernel.Message{Type: proto.DevWriteDone, A: m.A, D: m.D, Errno: errno}
+		d.respond(ctx, m, resp)
 
-		default:
-			if m.NeedsReply {
-				ctx.ReplyErr(m.From, kernel.ENOSYS)
-			}
+	case proto.DevInfo:
+		ctx.Reply(m.From, kernel.Message{A: int64(d.n)})
+
+	case proto.RSPing:
+		ctx.Reply(m.From, kernel.Message{Type: proto.RSPing})
+
+	default:
+		if m.NeedsReply {
+			ctx.ReplyErr(m.From, kernel.ENOSYS)
 		}
 	}
 }

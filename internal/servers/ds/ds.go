@@ -17,6 +17,7 @@ import (
 	"repro/internal/memlog"
 	"repro/internal/proto"
 	"repro/internal/seep"
+	"repro/internal/sim"
 )
 
 // SEEP call sites of the Data Store.
@@ -48,6 +49,20 @@ func New(store *memlog.Store) *DS {
 // Name implements the component interface.
 func (d *DS) Name() string { return "ds" }
 
+// Ticks Handle charges: every request, a put on top (the most of any
+// request), and each subscriber a change is published to.
+const (
+	handleTicks  = 40
+	putTicks     = 30
+	publishTicks = 10
+)
+
+// Leaf declares every request: Handle never suspends DS. The bound is a
+// put's, published to every subscriber (core.Leaf).
+func (d *DS) Leaf(*kernel.Message) (sim.Cycles, bool) {
+	return handleTicks + putTicks + publishTicks*sim.Cycles(d.subs.Len()), true
+}
+
 // Handle processes one request.
 func (d *DS) Handle(ctx *kernel.Context, m kernel.Message) {
 	ctx.Point("ds.handle.entry")
@@ -56,7 +71,7 @@ func (d *DS) Handle(ctx *kernel.Context, m kernel.Message) {
 	if m.Type != proto.RSPing {
 		ctx.SendSeep(seepEvent, kernel.EpRS, kernel.Message{Type: proto.DSEvent, A: int64(m.Type)})
 	}
-	ctx.Tick(40)
+	ctx.Tick(handleTicks)
 
 	switch m.Type {
 	case proto.DSPut:
@@ -67,7 +82,7 @@ func (d *DS) Handle(ctx *kernel.Context, m kernel.Message) {
 		}
 		d.kv.Set(m.Str, m.Str2)
 		d.puts.Set(d.puts.Get() + 1)
-		ctx.Tick(30)
+		ctx.Tick(putTicks)
 		ctx.Point("ds.put.applied")
 		d.publish(ctx, m.Str)
 		ctx.ReplyErr(m.From, kernel.OK)
@@ -140,7 +155,7 @@ func (d *DS) publish(ctx *kernel.Context, key string) {
 		if strings.HasPrefix(key, prefix) {
 			ctx.SendSeep(seepSubEvent, kernel.Endpoint(ep),
 				kernel.Message{Type: proto.DSEvent, Str: key})
-			ctx.Tick(10)
+			ctx.Tick(publishTicks)
 		}
 		return true
 	})

@@ -7,6 +7,7 @@ import (
 	"repro/internal/memlog"
 	"repro/internal/proto"
 	"repro/internal/seep"
+	"repro/internal/sim"
 )
 
 // harness runs a DS instance in the standard event loop plus a stub RS
@@ -156,5 +157,73 @@ func TestSubscriptionSurvivesClone(t *testing.T) {
 	d := New(store.Clone())
 	if d.subs.Len() != 1 {
 		t.Fatalf("cloned subs = %d, want 1", d.subs.Len())
+	}
+}
+
+// stepper registers DS's step as core's loop runs it: Handle inside the
+// recovery window (kernel.Stepper).
+type stepper struct {
+	d   *DS
+	win *seep.Window
+}
+
+func (s stepper) Step(ctx *kernel.Context, m kernel.Message) {
+	s.win.BeginRequest(m.NeedsReply)
+	s.d.Handle(ctx, m)
+	s.win.EndRequest()
+}
+
+func (s stepper) Leaf(m *kernel.Message) (sim.Cycles, bool) { return s.d.Leaf(m) }
+
+// A put's bound grows with the subscribers it is published to. At many of
+// them the put is still served as a leaf step, where the kernel holds
+// the step to its bound: an overrun would end the run with a
+// kernel fault. The quantum never runs out, so only the bound decides.
+func TestPutToManySubscribersStaysWithinItsBound(t *testing.T) {
+	const subscribers = 40
+	cost := kernel.DefaultCostModel()
+	cost.Quantum = 1 << 40
+	k := kernel.New(cost, 1)
+	store := memlog.NewStore("ds", seep.PolicyEnhanced.Instrumentation())
+	win := seep.NewWindow(seep.PolicyEnhanced, store)
+	d := New(store)
+	step := stepper{d, win}
+	k.AddServer(kernel.EpDS, "ds", func(ctx *kernel.Context) {
+		for {
+			step.Step(ctx, ctx.Receive())
+		}
+	}, kernel.ServerConfig{Window: win, Store: store, Step: step})
+	k.AddServer(kernel.EpRS, "rs", func(ctx *kernel.Context) {
+		for {
+			ctx.Receive() // absorb DS events
+		}
+	}, kernel.ServerConfig{})
+	root := k.SpawnUser("client", func(ctx *kernel.Context) {
+		for i := 0; i < subscribers; i++ {
+			k.SpawnUser("subscriber", func(ctx *kernel.Context) {
+				ctx.SendRec(kernel.EpDS, kernel.Message{Type: proto.DSSubscribe, Str: "k"})
+				for {
+					ctx.Receive()
+				}
+			})
+		}
+		for d.subs.Len() < subscribers {
+			ctx.Yield()
+		}
+		put := kernel.Message{Type: proto.DSPut, Str: "key", Str2: "v"}
+		if ticks, _ := d.Leaf(&put); ticks != handleTicks+putTicks+publishTicks*subscribers {
+			t.Errorf("the put declares %d ticks, want %d", ticks, handleTicks+putTicks+publishTicks*subscribers)
+		}
+		served, _ := k.LeafCalls()
+		if r := ctx.SendRec(kernel.EpDS, put); r.Errno != kernel.OK {
+			t.Errorf("put = %v", r.Errno)
+		}
+		if now, _ := k.LeafCalls(); now == served {
+			t.Error("the put was not served as a leaf step")
+		}
+	})
+	k.SetRootProcess(root.Endpoint())
+	if res := k.Run(100_000_000); res.Outcome != kernel.OutcomeCompleted {
+		t.Fatalf("outcome = %v (%s)", res.Outcome, res.Reason)
 	}
 }

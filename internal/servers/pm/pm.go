@@ -110,10 +110,10 @@ func (p *PM) Name() string { return "pm" }
 // handleTicks is what Handle charges every request.
 const handleTicks = 40
 
-// Leaf names the request Handle serves without suspending PM, getpid, and
-// bounds its ticks (core.Leaf).
+// Leaf names the requests Handle serves without suspending PM, getpid
+// and a heartbeat ping, and bounds their ticks (core.Leaf).
 func (p *PM) Leaf(m *kernel.Message) (sim.Cycles, bool) {
-	return handleTicks, m.Type == proto.PMGetPID
+	return handleTicks, m.Type == proto.PMGetPID || m.Type == proto.RSPing
 }
 
 // Handle processes one request.

@@ -98,10 +98,34 @@ func (r *RS) Init(ctx *kernel.Context) {
 	ctx.SetAlarm(HeartbeatPeriod)
 }
 
+// Ticks Handle charges: every request, a DS event on top, and each
+// target a heartbeat round pings.
+const (
+	handleTicks = 30
+	eventTicks  = 10
+	pingTicks   = 10
+)
+
+// Leaf names the requests Handle serves without suspending RS — the
+// heartbeat alarm, a DS event and an asynchronous pong — and bounds
+// their ticks: a round's is a ping to every target (core.Leaf). A round
+// that declares a target hung fail-stops it without suspending RS.
+func (r *RS) Leaf(m *kernel.Message) (sim.Cycles, bool) {
+	switch {
+	case m.Type == kernel.MsgAlarm:
+		return handleTicks + pingTicks*sim.Cycles(len(r.targets)), true
+	case m.Type == proto.DSEvent:
+		return handleTicks + eventTicks, true
+	case m.Type == proto.RSPing && !m.NeedsReply:
+		return handleTicks, true
+	}
+	return 0, false
+}
+
 // Handle processes one request.
 func (r *RS) Handle(ctx *kernel.Context, m kernel.Message) {
 	ctx.Point("rs.handle.entry")
-	ctx.Tick(30)
+	ctx.Tick(handleTicks)
 	switch m.Type {
 	case kernel.MsgAlarm:
 		r.heartbeat(ctx)
@@ -115,7 +139,7 @@ func (r *RS) Handle(ctx *kernel.Context, m kernel.Message) {
 	case proto.DSEvent:
 		// Subscriber feed from DS: account and move on.
 		ctx.Point("rs.dsevent")
-		ctx.Tick(10)
+		ctx.Tick(eventTicks)
 	case proto.RSPing:
 		if m.NeedsReply {
 			// A liveness query of RS itself.
@@ -161,7 +185,7 @@ func (r *RS) heartbeat(ctx *kernel.Context) {
 			// as outstanding until the pong comes back.
 			r.outstanding[i]++
 		}
-		ctx.Tick(10)
+		ctx.Tick(pingTicks)
 	}
 	ctx.SetAlarm(HeartbeatPeriod)
 }

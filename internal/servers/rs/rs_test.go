@@ -284,3 +284,73 @@ func TestForkStateRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// stepper registers RS's step as core's loop runs it: Handle inside the
+// recovery window (kernel.Stepper).
+type stepper struct {
+	r   *RS
+	win *seep.Window
+}
+
+func (s stepper) Step(ctx *kernel.Context, m kernel.Message) {
+	s.win.BeginRequest(m.NeedsReply)
+	s.r.Handle(ctx, m)
+	s.win.EndRequest()
+}
+
+func (s stepper) Leaf(m *kernel.Message) (sim.Cycles, bool) { return s.r.Leaf(m) }
+
+// A heartbeat round's bound is a ping to every target. A round that
+// probes all of them is served at the client's yield, where the kernel
+// holds the step to its bound: an overrun would end the run
+// with a kernel fault. The quantum never runs out, so only the bound
+// decides.
+func TestHeartbeatRoundStaysWithinItsBound(t *testing.T) {
+	cost := kernel.DefaultCostModel()
+	cost.Quantum = 1 << 40
+	k := kernel.New(cost, 1)
+	targets := []kernel.Endpoint{kernel.EpPM, kernel.EpVM, kernel.EpVFS, kernel.EpDS, kernel.EpDriver, proto.EpSys}
+	for _, ep := range targets {
+		k.AddServer(ep, "silent", func(ctx *kernel.Context) {
+			for {
+				ctx.Receive() // never answers
+			}
+		}, kernel.ServerConfig{})
+	}
+	store := memlog.NewStore("rs", memlog.Optimized)
+	win := seep.NewWindow(seep.PolicyEnhanced, store)
+	r := New(store, targets)
+	step := stepper{r, win}
+	k.AddServer(kernel.EpRS, "rs", func(ctx *kernel.Context) {
+		for {
+			step.Step(ctx, ctx.Receive())
+		}
+	}, kernel.ServerConfig{Window: win, Store: store, Step: step})
+	root := k.SpawnUser("client", func(ctx *kernel.Context) {
+		ctx.Yield() // every server starts and parks at Receive
+		alarm := kernel.Message{Type: kernel.MsgAlarm}
+		if ticks, _ := r.Leaf(&alarm); ticks != handleTicks+pingTicks*sim.Cycles(len(targets)) {
+			t.Errorf("a round declares %d ticks, want %d", ticks, handleTicks+pingTicks*sim.Cycles(len(targets)))
+		}
+		for round := 0; round < HangMisses-1; round++ {
+			served, _ := k.LeafCalls()
+			ctx.Kernel().PostMessage(kernel.EpKernel, kernel.EpRS, alarm)
+			ctx.Yield()
+			if now, _ := k.LeafCalls(); now == served {
+				t.Errorf("round %d was not served as a leaf step", round)
+			}
+		}
+		if got := r.pingRounds.Get(); got != HangMisses-1 {
+			t.Errorf("%d rounds ran, want %d", got, HangMisses-1)
+		}
+		for i := range targets {
+			if r.outstanding[i] != HangMisses-1 {
+				t.Errorf("target %d has %d rounds outstanding, want every round to probe it", targets[i], r.outstanding[i])
+			}
+		}
+	})
+	k.SetRootProcess(root.Endpoint())
+	if res := k.Run(100_000_000); res.Outcome != kernel.OutcomeCompleted {
+		t.Fatalf("outcome = %v (%s)", res.Outcome, res.Reason)
+	}
+}

@@ -6,8 +6,8 @@
 //
 // A kernel call there is a trap, not a switch to another process, and
 // here the calls that never suspend the task (Task.Leaf) cost no host
-// switch either: the kernel runs the task's step on the caller's
-// coroutine (kernel.Stepper). Their simulated cost is unchanged: the
+// switch either: the kernel runs the task's step on the coroutine of the
+// process whose yield picks the task (kernel.Stepper). Their simulated cost is unchanged: the
 // request's two message hops (its send and its receipt), the reply's
 // one, and the task's tick.
 package systask

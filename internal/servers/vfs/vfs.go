@@ -195,18 +195,32 @@ const dispatchTicks = 40
 // the main loop, with no worker thread — and bounds their ticks
 // (core.Leaf). A read or write on a pipe, or on no descriptor, is one:
 // an empty or full pipe defers the reply, never the VFS. Descriptor
-// inheritance and release charge per descriptor.
+// inheritance and release charge for each descriptor the named process
+// holds (releasePipeEnd charges nothing).
 func (v *VFS) Leaf(m *kernel.Message) (sim.Cycles, bool) {
 	switch m.Type {
 	case proto.VFSSeek, proto.VFSStat, proto.VFSGetcwd, proto.VFSChdir:
 		return dispatchTicks + 40, true
+	case proto.RSPing:
+		return dispatchTicks, true
 	case proto.VFSForkFDs, proto.VFSExitFDs:
-		return dispatchTicks + 50 + 5*maxFDs, true
+		return dispatchTicks + 50 + 5*sim.Cycles(v.heldFDs(kernel.Endpoint(m.A))), true
 	case proto.VFSRead, proto.VFSWrite:
 		e, ok := v.fds.Get(fdKey(m.From, m.A))
 		return dispatchTicks + 30, !ok || e.Kind != fdFile
 	}
 	return 0, false
+}
+
+// heldFDs counts the descriptors ep holds.
+func (v *VFS) heldFDs(ep kernel.Endpoint) int {
+	n := 0
+	for fd := int64(0); fd < maxFDs; fd++ {
+		if _, ok := v.fds.Get(fdKey(ep, fd)); ok {
+			n++
+		}
+	}
+	return n
 }
 
 func (v *VFS) dispatch(ctx *kernel.Context, m kernel.Message) {

@@ -17,12 +17,18 @@ import (
 )
 
 // world wires a real VFS (custom multithreaded loop) and a real disk
-// driver, then drives client. It returns the window for inspection.
+// driver, both with their steps registered, then drives client. It
+// returns the window for inspection.
 func world(t *testing.T, client func(ctx *kernel.Context)) (*VFS, *seep.Window) {
 	t.Helper()
-	k := kernel.New(kernel.DefaultCostModel(), 1)
+	return worldOn(t, kernel.New(kernel.DefaultCostModel(), 1), client)
+}
+
+// worldOn is world on kernel k.
+func worldOn(t *testing.T, k *kernel.Kernel, client func(ctx *kernel.Context)) (*VFS, *seep.Window) {
+	t.Helper()
 	drv := driver.New(DiskBlocks)
-	k.AddServer(kernel.EpDriver, "driver", drv.Run, kernel.ServerConfig{})
+	k.AddServer(kernel.EpDriver, "driver", drv.Run, kernel.ServerConfig{Step: drv})
 
 	store := memlog.NewStore("vfs", memlog.Optimized)
 	win := seep.NewWindow(seep.PolicyEnhanced, store)
@@ -607,4 +613,42 @@ func TestFieldLists(t *testing.T) {
 		}
 		return wiretest.Random[vfsForkState](r)
 	})
+}
+
+// Descriptor inheritance and release declare ticks for the descriptors
+// the named process holds. At the limit, maxFDs of them, both are served
+// as leaf steps, where the kernel holds the step to its
+// bound: an overrun would end the run with a kernel fault. The quantum
+// never runs out, so only the bound decides.
+func TestForkAndExitFDsStayWithinTheirBound(t *testing.T) {
+	cost := kernel.DefaultCostModel()
+	cost.Quantum = 1 << 40
+	k := kernel.New(cost, 1)
+	v, _ := worldOn(t, k, func(ctx *kernel.Context) {
+		for i := 0; i < maxFDs; i++ {
+			if o := call(ctx, kernel.Message{Type: proto.VFSOpen, Str: "/many", A: proto.OCreate}); o.Errno != kernel.OK {
+				t.Fatalf("open #%d = %v", i, o.Errno)
+			}
+		}
+		parent, child := int64(ctx.Endpoint()), int64(ctx.Endpoint()+1)
+		for _, m := range []kernel.Message{
+			{Type: proto.VFSForkFDs, A: parent, B: child},
+			{Type: proto.VFSExitFDs, A: child},
+			{Type: proto.VFSExitFDs, A: parent},
+		} {
+			served, _ := k.LeafCalls()
+			if r := call(ctx, m); r.Errno != kernel.OK {
+				t.Errorf("request type %d = %v", m.Type, r.Errno)
+			}
+			if now, _ := k.LeafCalls(); now == served {
+				t.Errorf("request type %d was not served as a leaf step", m.Type)
+			}
+		}
+	})
+	if n := v.fds.Len(); n != 0 {
+		t.Errorf("%d descriptors left after both processes released theirs", n)
+	}
+	if ticks, _ := v.Leaf(&kernel.Message{Type: proto.VFSExitFDs, A: 1}); ticks != dispatchTicks+50 {
+		t.Errorf("a process with no descriptors declares %d ticks, want %d", ticks, dispatchTicks+50)
+	}
 }

@@ -247,10 +247,19 @@ func (v *VM) seedSpace(ep, pages int64) {
 // Name implements the component interface.
 func (v *VM) Name() string { return "vm" }
 
+// handleTicks is what Handle charges every request.
+const handleTicks = 30
+
+// Leaf names the request Handle serves without suspending VM, a heartbeat
+// ping, and bounds its ticks (core.Leaf).
+func (v *VM) Leaf(m *kernel.Message) (sim.Cycles, bool) {
+	return handleTicks, m.Type == proto.RSPing
+}
+
 // Handle processes one request.
 func (v *VM) Handle(ctx *kernel.Context, m kernel.Message) {
 	ctx.Point("vm.handle.entry")
-	ctx.Tick(30)
+	ctx.Tick(handleTicks)
 	switch m.Type {
 	case proto.VMNewProc:
 		v.newProc(ctx, m)

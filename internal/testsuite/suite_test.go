@@ -92,19 +92,21 @@ func TestSuiteDeterministic(t *testing.T) {
 	}
 }
 
-// The fault-free suite serves a good share of its round trips as leaf
-// calls, on the caller's coroutine without a switch (kernel.Stepper):
-// 39.8 % under the enhanced policy at seed 42 when the floor was set. A
-// change that stops a server registering its step, or a precondition
-// that stops holding, takes the share under the floor.
+// The fault-free suite serves a good share of its requests as leaf steps,
+// on a yielding process's coroutine without a switch (kernel.Stepper): of
+// the steps served and the switches made, the steps were 33.2 % under the
+// enhanced policy at seed 42 when the floor was set (19.6 % when only a
+// plane-free SendRec served them). A change that stops a server
+// registering its step, or a precondition that stops holding, takes the
+// share under the floor.
 func TestSuiteServesLeafCalls(t *testing.T) {
-	const floor = 0.35
+	const floor = 0.30
 	sys, _, res := runSuite(t, seep.PolicyEnhanced)
 	if res.Outcome != kernel.OutcomeCompleted {
 		t.Fatalf("outcome = %v (%s)", res.Outcome, res.Reason)
 	}
-	leaf, trips := sys.Kernel().LeafCalls()
-	if share := float64(leaf) / float64(trips); share < floor {
-		t.Errorf("%d of %d round trips were leaf calls (%.1f %%), want at least %.0f %%", leaf, trips, 100*share, 100*floor)
+	served, switches := sys.Kernel().LeafCalls()
+	if share := float64(served) / float64(served+switches); share < floor {
+		t.Errorf("%d steps served beside %d switches (%.1f %%), want at least %.0f %%", served, switches, 100*share, 100*floor)
 	}
 }
