@@ -2,6 +2,8 @@ package eval
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -9,42 +11,52 @@ import (
 	"repro/internal/golden"
 )
 
-// quickTables holds the quick-scale sections already simulated: the
-// shape tests and TestGolden read the same tables, each simulated once
-// per test binary.
-var quickTables struct {
+// simulated holds the sections already simulated, by scale and key: the
+// shape tests, TestGolden's goldens and EXPERIMENTS.md's tables read the
+// same results, each simulated once per test binary.
+var simulated struct {
 	sync.Mutex
-	done map[string]Renderer
+	done map[simKey]Renderer
 }
 
-// quick returns the section with that key at QuickScale.
-func quick(t *testing.T, key string) Renderer {
+type simKey struct {
+	sc  Scale
+	key string
+}
+
+// section returns the section with that key at scale sc.
+func section(t *testing.T, sc Scale, key string) Renderer {
 	t.Helper()
-	quickTables.Lock()
-	defer quickTables.Unlock()
-	if r, ok := quickTables.done[key]; ok {
+	simulated.Lock()
+	defer simulated.Unlock()
+	if r, ok := simulated.done[simKey{sc, key}]; ok {
 		return r
 	}
 	sections, err := Select(key)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := sections[0].Run(QuickScale())
+	r, err := sections[0].Run(sc)
 	if err != nil {
 		t.Fatalf("%s: %v", sections[0].Name, err)
 	}
-	if quickTables.done == nil {
-		quickTables.done = make(map[string]Renderer)
+	if simulated.done == nil {
+		simulated.done = make(map[simKey]Renderer)
 	}
-	quickTables.done[key] = r
+	simulated.done[simKey{sc, key}] = r
 	return r
 }
 
+// quick returns the section with that key at QuickScale.
+func quick(t *testing.T, key string) Renderer { return section(t, QuickScale(), key) }
+
 // TestGolden pins the evaluation's output: every section's data at
 // quick scale (tables-quick.json, what `benchtables -json` reports
-// under "sections" less the timings) and the paper's tables at full
+// under "sections" less the timings), the paper's tables at full
 // scale as `benchtables -scale full -only 1,2,3,4,5,6,f3,ablation`
-// prints them (tables-full.txt).
+// prints them (tables-full.txt), and the paper-vs-ours tables of
+// EXPERIMENTS.md rendered from those same full-scale results
+// (experiments).
 func TestGolden(t *testing.T) {
 	if golden.Race {
 		t.Skip("full-scale tables under the race detector; a non-race CI step runs them")
@@ -71,12 +83,20 @@ func TestGolden(t *testing.T) {
 		}
 		var out strings.Builder
 		for _, s := range sections {
-			r, err := s.Run(FullScale())
-			if err != nil {
-				t.Fatalf("%s: %v", s.Name, err)
-			}
-			out.WriteString(r.Render() + "\n")
+			out.WriteString(section(t, FullScale(), s.Key).Render() + "\n")
 		}
 		golden.Check(t, "tables-full.txt", []byte(out.String()))
+	})
+	t.Run("experiments", func(t *testing.T) {
+		path := filepath.Join(golden.Dir(t), "..", "..", "EXPERIMENTS.md")
+		doc, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tab := range paperVsOurs(t) {
+			if !strings.Contains(string(doc), tab.markdown) {
+				t.Errorf("EXPERIMENTS.md does not hold %s as the full-scale run renders it; want:\n%s", tab.name, tab.markdown)
+			}
+		}
 	})
 }

@@ -183,3 +183,32 @@ func TestLadderRetainedSize(t *testing.T) {
 		t.Errorf("the captures made %d of the %d stores they hold, want at most two thirds", total.newStores, total.stores)
 	}
 }
+
+// BenchmarkLadderWalk times the pathfinder of one plane class (enhanced,
+// single-fault): "boot" is newLadder alone, which boots the machine to
+// the boot barrier and captures rung 0; "walk" goes on to the end of the
+// suite, recording, fingerprinting and capturing every rung and
+// publishing the tail, as a campaign's first lookup does. The walk is
+// what a resumed campaign or a second one at the same seed does again,
+// the one use a stored ladder could save.
+func BenchmarkLadderWalk(b *testing.B) {
+	cfg := planeClass{kind: kindSingle}.config(seep.PolicyEnhanced, 42)
+	for _, walk := range []bool{false, true} {
+		name := "boot"
+		if walk {
+			name = "walk"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				l := newLadder(cfg, false)
+				if l == nil {
+					b.Fatal("pathfinder failed to reach the boot barrier")
+				}
+				if walk {
+					l.serve(nil)
+				}
+				l.Close()
+			}
+		})
+	}
+}

@@ -106,8 +106,6 @@ type BlockDevice interface {
 	// WriteBlock overwrites block b with data, which it owns from here on;
 	// the bytes past len(data) read as zero.
 	WriteBlock(b int32, data []byte) kernel.Errno
-	// Blocks reports the device capacity in blocks.
-	Blocks() int32
 }
 
 // OwnedBlock turns a buffer handed to WriteBlock into the block a device

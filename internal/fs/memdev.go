@@ -17,9 +17,6 @@ func NewMemDevice(n int32) *MemDevice {
 	return &MemDevice{blocks: make([][]byte, n)}
 }
 
-// Blocks reports the device capacity.
-func (d *MemDevice) Blocks() int32 { return int32(len(d.blocks)) }
-
 // ReadBlock returns block b itself (read-only; nil when never written).
 func (d *MemDevice) ReadBlock(b int32) ([]byte, kernel.Errno) {
 	if b < 0 || int(b) >= len(d.blocks) {

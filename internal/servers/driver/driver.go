@@ -313,9 +313,6 @@ func blockMix(idx int32, data []byte) uint64 {
 	return h.Sum()
 }
 
-// Blocks reports the device capacity.
-func (d *Driver) Blocks() int32 { return d.n }
-
 // Run is the driver server body. Register it at kernel.EpDriver with the
 // driver as its step (kernel.Stepper).
 func (d *Driver) Run(ctx *kernel.Context) {

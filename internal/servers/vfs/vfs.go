@@ -309,8 +309,6 @@ type fileIO struct {
 
 var _ fs.BlockDevice = (*fileIO)(nil)
 
-func (io *fileIO) Blocks() int32 { return DiskBlocks }
-
 func (io *fileIO) ReadBlock(b int32) ([]byte, kernel.Errno) {
 	io.ctx.Point("vfs.dev.read")
 	errno := io.ctx.SendSeep(seepDevRead, kernel.EpDriver,
